@@ -451,9 +451,10 @@ func gateWrite(base, fresh string, tol float64) {
 	}
 
 	// Transaction-overhead self-invariants. A snapshot transaction pays
-	// for staging, commit-time validation against the version store, and
-	// per-key index descents at commit (staged rows cannot use the raw
-	// path's leaf-grouped runs) — real costs, but bounded ones. At g=1
+	// for staging, commit-time validation against the version store, a
+	// pre-check search per claimed unique key, and version metadata for
+	// every row it writes (its heap and index stages ride the raw path's
+	// runs) — real costs, but bounded ones. At g=1
 	// there is no txnMu contention, so if a transactional batch keeps
 	// less than a quarter of raw batched throughput the commit path has
 	// picked up accidental work (a lock held across I/O, per-row

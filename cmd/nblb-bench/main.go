@@ -15,7 +15,7 @@
 //	nblb-bench -exp ablate-place   # A1/A3 placement & bucket ablations
 //	nblb-bench -exp ablate-predlog # A2 predicate-log ablation
 //	nblb-bench -exp throughput     # parallel lookup scaling, 1-shard vs sharded pool
-//	nblb-bench -exp scan           # full-table scan: callback vs cursor, cache vs heap
+//	nblb-bench -exp scan           # full-table scan: cache vs heap, serial vs parallel
 //	nblb-bench -exp write          # parallel ingest: crabbing vs mutex, sharded vs
 //	                               # legacy heap, batched Apply vs one-row inserts
 //	nblb-bench -exp serve          # network serving: latency and ops/fsync vs

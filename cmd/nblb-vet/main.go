@@ -1,59 +1,25 @@
 // nblb-vet runs the engine's static-analysis suite (internal/analysis):
 // lockorder, pinleak, walseam, and deprecated.
 //
-// Standalone (the authoritative, whole-program mode CI runs):
-//
 //	nblb-vet ./...
 //	nblb-vet -analyzers lockorder,pinleak ./internal/core/
 //
 // All matched packages are loaded from source, so annotations and
 // inter-procedural summaries span the entire module. Exit status: 0
 // clean, 1 findings, 2 operational error.
-//
-// Vettool (unit) mode, for editor and `go vet` integration:
-//
-//	go vet -vettool=$(go env GOPATH)/bin/nblb-vet ./...
-//
-// go vet invokes the tool once per package with a .cfg file; imported
-// packages are only visible as compiled export data, so cross-package
-// annotations resolve through the compiled-in registry
-// (analysis.BuiltinLockFields and friends) and inter-procedural
-// summaries stop at package boundaries. Standalone mode is strictly
-// more precise; unit mode is a convenience.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"os"
-	"strings"
 
 	"repro/internal/analysis"
 )
 
-func main() {
-	// Vettool protocol probes come before flag parsing: go vet invokes
-	// `nblb-vet -V=full` for cache keying and `nblb-vet -flags` to learn
-	// the tool's flags, then passes a single <dir>/vet.cfg argument.
-	for _, a := range os.Args[1:] {
-		if a == "-V=full" || a == "--V=full" {
-			fmt.Println("nblb-vet version 1 (repro static-analysis suite)")
-			return
-		}
-		if a == "-flags" || a == "--flags" {
-			fmt.Println("[]")
-			return
-		}
-	}
-	if len(os.Args) == 2 && strings.HasSuffix(os.Args[1], ".cfg") {
-		os.Exit(unitMode(os.Args[1]))
-	}
-	os.Exit(standalone())
-}
+func main() { os.Exit(run()) }
 
-func standalone() int {
+func run() int {
 	var (
 		names = flag.String("analyzers", "", "comma-separated analyzer subset (default: all)")
 		list  = flag.Bool("list", false, "list analyzers and exit")
@@ -98,85 +64,4 @@ func standalone() int {
 		return 1
 	}
 	return 0
-}
-
-// vetConfig is the subset of go vet's per-package .cfg JSON the tool
-// needs (the format cmd/go writes for -vettool programs).
-type vetConfig struct {
-	ID                        string
-	Dir                       string
-	ImportPath                string
-	GoFiles                   []string
-	ImportMap                 map[string]string
-	PackageFile               map[string]string
-	VetxOnly                  bool
-	VetxOutput                string
-	SucceedOnTypecheckFailure bool
-}
-
-func unitMode(cfgPath string) int {
-	data, err := os.ReadFile(cfgPath)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
-	}
-	var cfg vetConfig
-	if err := json.Unmarshal(data, &cfg); err != nil {
-		fmt.Fprintf(os.Stderr, "nblb-vet: parsing %s: %v\n", cfgPath, err)
-		return 1
-	}
-	// go vet always expects the facts output file; the suite keeps its
-	// cross-package knowledge in the compiled-in registry instead, so an
-	// empty placeholder satisfies the protocol.
-	if cfg.VetxOutput != "" {
-		if err := os.WriteFile(cfg.VetxOutput, []byte("nblb-vet: no facts\n"), 0o666); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
-		}
-	}
-	if cfg.VetxOnly {
-		return 0
-	}
-	loader, lp, err := checkUnit(&cfg)
-	if err != nil {
-		if cfg.SucceedOnTypecheckFailure {
-			return 0
-		}
-		fmt.Fprintf(os.Stderr, "nblb-vet: %s: %v\n", cfg.ImportPath, err)
-		return 1
-	}
-	world := analysis.NewWorld(loader.Fset)
-	diags, err := analysis.RunPackages(world, []*analysis.LoadedPackage{lp}, analysis.All())
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
-	}
-	for _, d := range diags {
-		fmt.Fprintln(os.Stderr, d)
-	}
-	if len(diags) > 0 {
-		return 2 // the vettool convention: findings, not failure
-	}
-	return 0
-}
-
-// checkUnit type-checks the .cfg package from source, resolving imports
-// through the export-data files cmd/go already built.
-func checkUnit(cfg *vetConfig) (*analysis.Loader, *analysis.LoadedPackage, error) {
-	lookup := func(path string) (io.ReadCloser, error) {
-		if canon, ok := cfg.ImportMap[path]; ok {
-			path = canon
-		}
-		file, ok := cfg.PackageFile[path]
-		if !ok {
-			return nil, fmt.Errorf("no export data for %q", path)
-		}
-		return os.Open(file)
-	}
-	loader := analysis.NewUnitLoader(cfg.Dir, lookup)
-	lp, err := loader.CheckFiles(cfg.ImportPath, cfg.Dir, cfg.GoFiles)
-	if err != nil {
-		return nil, nil, err
-	}
-	return loader, lp, nil
 }

@@ -87,8 +87,6 @@ func main() {
 	// Range reads go through the same unified Query/Cursor API: one
 	// pinned leaf at a time, sibling links instead of re-descents, and
 	// coverable projections answered from the index cache per row.
-	// (The old callback users.Scan(func(...) bool) still works but is
-	// deprecated — it is a thin wrapper over this cursor.)
 	// Warm the cache first so the scan can answer from leaf free space;
 	// entries beyond each leaf's slot budget still fall back per row.
 	if _, err := byID.WarmCache(); err != nil {

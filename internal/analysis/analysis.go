@@ -33,7 +33,7 @@
 // Diagnostics are suppressed by a //nolint:nblb-<analyzer> comment on
 // the flagged line, which MUST carry a reason after " // ":
 //
-//	t.Scan(fn) //nolint:nblb-deprecated // measured legacy path, see bench
+//	old.Call() //nolint:nblb-deprecated // measured legacy path, see bench
 //
 // A reasonless nolint is itself reported. See docs/analysis.md.
 package analysis

@@ -66,22 +66,6 @@ func NewLoader(dir string) *Loader {
 	return l
 }
 
-// NewUnitLoader creates a loader whose imports resolve exclusively
-// through the supplied export-data lookup — the `go vet -vettool` unit
-// mode, where cmd/go hands the tool a PackageFile map instead of
-// letting it run go list.
-func NewUnitLoader(dir string, lookup func(path string) (io.ReadCloser, error)) *Loader {
-	l := &Loader{
-		Fset:        token.NewFileSet(),
-		Dir:         dir,
-		exportFiles: map[string]string{},
-		sources:     map[string]*listPackage{},
-		loaded:      map[string]*LoadedPackage{},
-	}
-	l.gcImporter = importer.ForCompiler(l.Fset, "gc", lookup).(types.ImporterFrom)
-	return l
-}
-
 // Load resolves the patterns (e.g. "./...") and returns the matched
 // module packages type-checked from source, in dependency order.
 func (l *Loader) Load(patterns ...string) ([]*LoadedPackage, error) {

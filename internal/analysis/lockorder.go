@@ -3,7 +3,6 @@ package analysis
 import (
 	"go/ast"
 	"go/token"
-	"strings"
 )
 
 // LockOrder reports acquisition edges that invert the documented
@@ -22,7 +21,6 @@ var LockOrder = &Analyzer{
 }
 
 func runLockOrder(pass *Pass) error {
-	checkLockAnnotations(pass)
 	for _, file := range pass.Files {
 		for _, decl := range file.Decls {
 			fn, ok := decl.(*ast.FuncDecl)
@@ -71,31 +69,4 @@ func checkFuncLockOrder(pass *Pass, fn *ast.FuncDecl) {
 		},
 	}
 	simFunc(pass.Info, pass.World, fn.Body, hooks)
-}
-
-// checkLockAnnotations verifies that the compiled-in registry bindings
-// (BuiltinLockFields) and the source annotations agree for every lock
-// the current package declares: a registry-bound field must carry the
-// matching // nblb:lock annotation, and an annotation must not
-// contradict the registry. This is what keeps ARCHITECTURE.md's table,
-// registry.go, and the source from drifting apart.
-func checkLockAnnotations(pass *Pass) {
-	prefix := pass.Pkg.Path() + "."
-	for key, regName := range BuiltinLockFields {
-		if !strings.HasPrefix(key, prefix) {
-			continue
-		}
-		annName, ok := pass.World.AnnotatedLockName(key)
-		if !ok {
-			pass.Reportf(pass.Files[0].Name.Pos(),
-				"lock %s is bound to %q in the registry but its field has no `// nblb:lock %s` annotation",
-				key, regName, regName)
-			continue
-		}
-		if annName != regName {
-			pass.Reportf(pass.Files[0].Name.Pos(),
-				"lock %s is annotated %q but registered as %q — update registry.go or the annotation",
-				key, annName, regName)
-		}
-	}
 }

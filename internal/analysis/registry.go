@@ -53,62 +53,6 @@ var SelfUnsafe = map[string]string{
 	"commitGate":   "a shared re-acquire deadlocks behind a pending exclusive waiter",
 }
 
-// BuiltinLockFields binds the engine's own mutex/latch fields to lock
-// names. The same binding is asserted in source by `// nblb:lock`
-// annotations on each field; this compiled-in copy is what lets the
-// `go vet -vettool` unit mode (which cannot see imported packages'
-// source) resolve cross-package acquisitions, and lets the lockorder
-// analyzer verify annotation and registry agree when it analyzes the
-// declaring package.
-var BuiltinLockFields = map[string]string{
-	"repro/internal/core.Engine.txnMu":      "txnMu",
-	"repro/internal/core.Engine.snapMu":     "snapMu",
-	"repro/internal/core.Engine.commitGate": "commitGate",
-	"repro/internal/core.Engine.ckptMu":     "ckptMu",
-	"repro/internal/core.Engine.mu":         "engine-mu",
-	"repro/internal/core.Table.mu":          "table-mu",
-	"repro/internal/core.versionStore.mu":   "version-store",
-	"repro/internal/wal.Log.mu":             "wal-mu",
-	"repro/internal/wal.Log.cmu":            "wal-commit-mu",
-	"repro/internal/heap.insertShard.mu":    "heap-shard",
-	"repro/internal/heap.File.meta":         "heap-meta",
-	"repro/internal/buffer.shard.mu":        "buffer-shard",
-	"repro/internal/buffer.Frame.Latch":     "frame-latch",
-}
-
-// BuiltinFuncTags is the compiled-in copy of the function annotations
-// (`// nblb:acquires-pin` and friends), for the same unit-mode reason.
-var BuiltinFuncTags = map[string][]string{
-	"repro/internal/buffer.Pool.Fetch":      {"acquires-pin"},
-	"repro/internal/buffer.Pool.NewPage":    {"acquires-pin"},
-	"repro/internal/buffer.Pool.Unpin":      {"releases-pin"},
-	"repro/internal/wal.Log.Append":         {"blocking-io"},
-	"repro/internal/wal.Log.Sync":           {"blocking-io"},
-	"repro/internal/wal.Log.Commit":         {"blocking-io"},
-	"repro/internal/wal.Log.TruncateTo":     {"blocking-io"},
-	"repro/internal/buffer.Pool.FlushAll":   {"blocking-io"},
-	"repro/internal/buffer.Pool.DirtyPages": {"blocking-io"},
-	// DiskManager is the interface method (what e.disk.Sync() resolves
-	// to); FileDisk.Sync is the concrete fsync for direct callers.
-	"repro/internal/storage.DiskManager.Sync": {"blocking-io"},
-	"repro/internal/storage.FileDisk.Sync":    {"blocking-io"},
-}
-
-// BuiltinCarriers lists types allowed to carry a pinned frame or held
-// latch out of the function that acquired it (mirrors nblb:carries-pin
-// annotations).
-var BuiltinCarriers = []string{
-	"repro/internal/btree.Cursor",
-	"repro/internal/btree.Leaf",
-	"repro/internal/btree.latchedNode",
-}
-
-// BuiltinDeprecated mirrors the Deprecated: doc markers for unit mode.
-var BuiltinDeprecated = map[string]string{
-	"repro/internal/core.Table.Scan": "Deprecated: Scan is a thin wrapper over Query; use Query.",
-	"repro/internal/btree.Tree.Scan": "Deprecated: Scan is a thin wrapper over the pinned-frame Cursor; use NewCursor.",
-}
-
 // CrashMatrixPoints are the wal.TestPoint names with a corresponding
 // crash-matrix case (core/crash_test.go, core/crash_txn_test.go). The
 // walseam analyzer rejects TestPoint calls whose name constant is not

@@ -13,13 +13,21 @@ type Engine struct {
 	// nblb:lock commitGate
 	gate sync.RWMutex
 
-	log *wal.Log
+	log  *wal.Log
+	disk wal.Disk
 }
 
 // Bad fsyncs directly under the gate.
 func (e *Engine) Bad() {
 	e.gate.Lock()
 	e.log.Sync() // want "calls Log\.Sync \(nblb:blocking-io\) while holding \"commitGate\""
+	e.gate.Unlock()
+}
+
+// BadInterface fsyncs through an interface whose method carries the tag.
+func (e *Engine) BadInterface() {
+	e.gate.Lock()
+	e.disk.Sync() // want "calls Disk\.Sync \(nblb:blocking-io\) while holding \"commitGate\""
 	e.gate.Unlock()
 }
 

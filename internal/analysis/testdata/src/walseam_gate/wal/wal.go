@@ -14,3 +14,10 @@ func (l *Log) Append(b []byte) error { return nil }
 // Sync fsyncs the log.
 // nblb:blocking-io
 func (l *Log) Sync() error { return nil }
+
+// Disk is the page store behind the log; the tag on the interface
+// method covers every call made through the interface.
+type Disk interface {
+	// nblb:blocking-io
+	Sync() error
+}

@@ -9,11 +9,9 @@ import (
 
 // World accumulates cross-package knowledge as packages are added in
 // dependency order: annotation bindings, function bodies for
-// inter-procedural summaries, and deprecation marks. The standalone
-// nblb-vet driver adds every repro package before running analyzers, so
-// summaries and annotations span the whole module; the `go vet
-// -vettool` unit mode sees one package at a time and falls back to the
-// compiled-in Registry bindings for everything it imports.
+// inter-procedural summaries, and deprecation marks. The nblb-vet
+// driver adds every repro package before running analyzers, so
+// summaries and annotations span the whole module.
 type World struct {
 	Fset *token.FileSet
 
@@ -42,11 +40,8 @@ type funcDecl struct {
 	pkg  *types.Package
 }
 
-// NewWorld returns an empty world. Lookups fall back to the Registry's
-// built-in bindings, so unit-mode runs (which never see imported
-// packages' source) still know the engine's own locks; the maps here
-// hold only what was scanned from source, which is what lets lockorder
-// verify annotations and registry agree.
+// NewWorld returns an empty world; everything it comes to know is
+// scanned from source annotations (AddPackage).
 func NewWorld(fset *token.FileSet) *World {
 	return &World{
 		Fset:       fset,
@@ -103,8 +98,19 @@ func (w *World) scanGenDecl(pkg *types.Package, d *ast.GenDecl) {
 					w.carriers[typeKey] = true
 				}
 			}
-			if st, ok := s.Type.(*ast.StructType); ok {
+			switch st := s.Type.(type) {
+			case *ast.StructType:
 				w.scanStructFields(typeKey, st)
+			case *ast.InterfaceType:
+				// Function tags on interface methods bind what a call
+				// through the interface resolves to.
+				for _, m := range st.Methods.List {
+					for _, tag := range nblbTags(m.Doc, m.Comment) {
+						for _, id := range m.Names {
+							w.addFuncTag(typeKey+"."+id.Name, tag)
+						}
+					}
+				}
 			}
 		case *ast.ValueSpec:
 			// Package-level mutex vars: // nblb:lock <name>.
@@ -169,58 +175,26 @@ func (w *World) addFuncTag(key, tag string) {
 	}
 }
 
-// FuncHasTag reports whether the function key carries the tag, either
-// from a source annotation or the built-in registry.
+// FuncHasTag reports whether the function key carries the tag.
 func (w *World) FuncHasTag(key, tag string) bool {
-	if w.funcTags[key][tag] {
-		return true
-	}
-	for _, t := range BuiltinFuncTags[key] {
-		if t == tag {
-			return true
-		}
-	}
-	return false
+	return w.funcTags[key][tag]
 }
 
-// LockName resolves a field/var key to its lock name, preferring the
-// source annotation over the built-in registry binding.
+// LockName resolves a field/var key to its annotated lock name.
 func (w *World) LockName(key string) (string, bool) {
-	if n, ok := w.locks[key]; ok {
-		return n, ok
-	}
-	n, ok := BuiltinLockFields[key]
-	return n, ok
-}
-
-// AnnotatedLockName resolves only source-scanned nblb:lock annotations
-// (no registry fallback) — lockorder uses it to check the two agree.
-func (w *World) AnnotatedLockName(key string) (string, bool) {
 	n, ok := w.locks[key]
 	return n, ok
 }
 
 // IsCarrier reports whether the type key is tagged nblb:carries-pin.
 func (w *World) IsCarrier(typeKey string) bool {
-	if w.carriers[typeKey] {
-		return true
-	}
-	for _, k := range BuiltinCarriers {
-		if k == typeKey {
-			return true
-		}
-	}
-	return false
+	return w.carriers[typeKey]
 }
 
 // DeprecationNote returns the Deprecated: note for a function key, if
-// its defining package has been added to the world (or it is listed in
-// the built-in registry).
+// its defining package has been added to the world.
 func (w *World) DeprecationNote(key string) (string, bool) {
-	if n, ok := w.deprecated[key]; ok {
-		return n, ok
-	}
-	n, ok := BuiltinDeprecated[key]
+	n, ok := w.deprecated[key]
 	return n, ok
 }
 

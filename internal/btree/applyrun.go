@@ -27,15 +27,17 @@ const (
 )
 
 // RunEntry is one operation of a sorted run handed to ApplyRun. Key is
-// read, never retained; Existed is an output: ApplyRun sets it to
-// whether the key was already present when the entry was applied, which
-// is how callers detect duplicate-key collisions in a batch without a
-// second descent per key.
+// read, never retained; Existed and Prev are outputs: ApplyRun sets them
+// to whether the key was already present when the entry was applied and
+// the value it held then, which is how callers detect duplicate-key
+// collisions — and learn what an upsert overwrote, to verify or undo it
+// — without a second descent per key.
 type RunEntry struct {
 	Key     []byte
 	Value   uint64
 	Op      RunOp
 	Existed bool
+	Prev    uint64
 }
 
 // RunStats reports what one ApplyRun did. Descents versus the number of
@@ -48,6 +50,9 @@ type RunStats struct {
 	Deleted  int // deletes that removed a present key
 	Descents int // latched descents paid for the whole run
 	Splits   int // entries that fell back to the pessimistic split path
+	// Done counts the leading entries whose outcome (and outputs) is
+	// final: len(entries) on success, the failing entry's index on error.
+	Done int
 }
 
 // runScratch recycles the leaf-boundary copy ApplyRun keeps across leaf
@@ -115,6 +120,7 @@ func (t *Tree) ApplyRun(entries []RunEntry) (RunStats, error) {
 	for i < len(entries) {
 		fr, err := t.leafExclusive(entries[i].Key)
 		if err != nil {
+			st.Done = i
 			return st, err
 		}
 		st.Descents++
@@ -140,6 +146,9 @@ func (t *Tree) ApplyRun(entries []RunEntry) (RunStats, error) {
 			}
 			pos, found := n.search(e.Key)
 			e.Existed = found
+			if found {
+				e.Prev = n.value(pos)
+			}
 			switch e.Op {
 			case RunDelete:
 				if found {
@@ -181,23 +190,25 @@ func (t *Tree) ApplyRun(entries []RunEntry) (RunStats, error) {
 			// The leaf cannot absorb entries[j]: give up the run's latch
 			// and push this one key through the pessimistic split path,
 			// exactly like a one-row insert whose optimistic attempt
-			// found a full leaf. The run resumes after it.
+			// found a full leaf. The run resumes after it. The push is
+			// if-absent whatever the entry's op: when a concurrent writer
+			// slipped the key in since the latch dropped, the run resumes
+			// AT this entry instead, so the next leaf run applies it under
+			// the latch and reports what it found there.
 			t.latchRetries.Add(1)
 			st.Splits++
-			ifAbsent := entries[j].Op == RunInsertIfAbsent
-			ins, perr := t.insertPessimistic(entries[j].Key, entries[j].Value, ifAbsent)
+			ins, perr := t.insertPessimistic(entries[j].Key, entries[j].Value, true)
 			if perr != nil {
+				st.Done = j
 				return st, perr
 			}
-			entries[j].Existed = !ins
 			if ins {
 				st.Inserted++
-			} else if !ifAbsent {
-				st.Updated++
+				j++
 			}
-			j++
 		}
 		i = j
 	}
+	st.Done = len(entries)
 	return st, nil
 }

@@ -53,10 +53,12 @@ func TestTreeConcurrentReadersAndWriter(t *testing.T) {
 		defer wg.Done()
 		for round := 0; round < 20; round++ {
 			count := 0
-			err := tr.Scan(intKey(0), intKey(stable), func(k []byte, v uint64) bool {
+			c := tr.NewCursor(intKey(0), intKey(stable))
+			for c.Next() {
 				count++
-				return true
-			})
+			}
+			err := c.Err()
+			c.Close()
 			if err != nil {
 				errCh <- err
 				return

@@ -770,26 +770,6 @@ func (t *Tree) splitInternalInsert(parent latchedNode, sep []byte, childID stora
 	return upSep, rightID, nil
 }
 
-// Scan calls fn for every (key, value) with start ≤ key < end in order.
-// A nil start begins at the first key; a nil end scans to the last.
-// fn's key slice is only valid during the call. Returning false stops.
-//
-// Deprecated: Scan is a thin wrapper over the pinned-frame Cursor; new
-// code should use NewCursor directly (it exposes errors mid-iteration,
-// reverse order, and resumption). Unlike the pre-cursor implementation,
-// Scan does not block writers for its duration: they proceed
-// concurrently and fn may observe their effects.
-func (t *Tree) Scan(start, end []byte, fn func(key []byte, value uint64) bool) error {
-	c := t.NewCursor(start, end)
-	defer c.Close()
-	for c.Next() {
-		if !fn(c.Key(), c.Value()) {
-			return nil
-		}
-	}
-	return c.Err()
-}
-
 // leftmostLeaf descends to the first leaf.
 func (t *Tree) leftmostLeaf() (storage.PageID, error) {
 	fr, _, err := t.leftmostFrame()

@@ -119,41 +119,6 @@ func TestTreeDelete(t *testing.T) {
 	}
 }
 
-func TestTreeScan(t *testing.T) {
-	tr := newTestTree(t, 512, 256)
-	for i := 0; i < 300; i++ {
-		tr.Insert(intKey(i), uint64(i))
-	}
-	var got []uint64
-	err := tr.Scan(intKey(50), intKey(100), func(k []byte, v uint64) bool {
-		got = append(got, v)
-		return true
-	})
-	if err != nil {
-		t.Fatalf("Scan: %v", err)
-	}
-	if len(got) != 50 {
-		t.Fatalf("scan returned %d values, want 50", len(got))
-	}
-	for i, v := range got {
-		if v != uint64(50+i) {
-			t.Fatalf("scan[%d] = %d, want %d", i, v, 50+i)
-		}
-	}
-	// Full scan.
-	count := 0
-	tr.Scan(nil, nil, func(k []byte, v uint64) bool { count++; return true })
-	if count != 300 {
-		t.Errorf("full scan %d values, want 300", count)
-	}
-	// Early stop.
-	count = 0
-	tr.Scan(nil, nil, func(k []byte, v uint64) bool { count++; return count < 10 })
-	if count != 10 {
-		t.Errorf("early-stop scan %d values, want 10", count)
-	}
-}
-
 func TestTreeRandomizedAgainstModel(t *testing.T) {
 	tr := newTestTree(t, 512, 512)
 	rng := rand.New(rand.NewSource(42))
@@ -195,13 +160,17 @@ func TestTreeRandomizedAgainstModel(t *testing.T) {
 	}
 	sort.Strings(keys)
 	i := 0
-	tr.Scan(nil, nil, func(k []byte, v uint64) bool {
-		if i >= len(keys) || !bytes.Equal(k, []byte(keys[i])) {
+	c := tr.NewCursor(nil, nil)
+	defer c.Close()
+	for c.Next() {
+		if i >= len(keys) || !bytes.Equal(c.Key(), []byte(keys[i])) {
 			t.Fatalf("scan position %d: key mismatch", i)
 		}
 		i++
-		return true
-	})
+	}
+	if err := c.Err(); err != nil {
+		t.Fatalf("cursor: %v", err)
+	}
 	if i != len(keys) {
 		t.Fatalf("scan visited %d keys, want %d", i, len(keys))
 	}

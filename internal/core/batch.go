@@ -22,6 +22,10 @@ const (
 	BatchDelete
 )
 
+func (k BatchOpKind) String() string {
+	return [...]string{"insert", "update", "delete"}[k]
+}
+
 // BatchOp is the public view of one queued operation (Batch.Op), enough
 // for callers that post-process Apply results — e.g. the hot/cold
 // partition recording forwarding entries for relocated updates.
@@ -31,10 +35,21 @@ type BatchOp struct {
 	RID storage.RID
 }
 
-type batchOp struct {
+// stagedOp is one write on its way through the pipeline: what a Batch
+// queues, what Txn.Apply stages, and what each stage fills in as the op
+// moves from pre-flight to the heap to the indexes.
+type stagedOp struct {
 	kind BatchOpKind
-	row  tuple.Row // insert/update: the new row (aliased, not copied)
-	rid  storage.RID
+	rid  storage.RID // update/delete target
+	row  tuple.Row   // insert/update: the new row (aliased, not copied)
+
+	rec    []byte      // pre-flight: the encoded new row
+	oldRow tuple.Row   // pre-flight: the pre-image (update/delete)
+	newRID storage.RID // heap stage: where the new record landed
+	// prev is the packed RID of the version this op's record chains back
+	// to; only a transaction's commit pre-check sets it (0 = none).
+	prev uint64
+	skip bool // isolation: the op failed, keep it out of later stages
 }
 
 // Batch accumulates mutations for Table.Apply — the write-side builder
@@ -49,30 +64,34 @@ type batchOp struct {
 //
 // Rows are aliased, not copied: they must stay unchanged until Apply
 // returns. A Batch is not safe for concurrent use, but many goroutines
-// may Apply distinct batches to one table in parallel. Ops within one
-// batch must target distinct rows and index keys — Apply reorders work
-// across ops (heap runs, key-sorted index runs), so the relative order
-// of two ops touching the same key is unspecified unless
-// WithSyncIndexes pins batch order.
+// may Apply distinct batches to one table in parallel.
+//
+// Apply reorders work across ops (heap runs, key-sorted index runs), so
+// ops within one batch must target distinct rows: every pre-image loads
+// before any op lands. Index keys may repeat. Entries for one key apply
+// in batch order, and a delete op's entries leave before any insert's
+// arrive, so a batch that frees a key and re-claims it (delete + insert,
+// an update moving off K followed by an insert of K) leaves every index
+// exactly as the same ops applied one batch each would.
 type Batch struct {
-	ops []batchOp
+	ops []stagedOp
 }
 
 // Insert queues a row insert. Returns the batch for chaining.
 func (b *Batch) Insert(row tuple.Row) *Batch {
-	b.ops = append(b.ops, batchOp{kind: BatchInsert, row: row})
+	b.ops = append(b.ops, stagedOp{kind: BatchInsert, row: row})
 	return b
 }
 
 // Update queues replacing the row at rid with row.
 func (b *Batch) Update(rid storage.RID, row tuple.Row) *Batch {
-	b.ops = append(b.ops, batchOp{kind: BatchUpdate, row: row, rid: rid})
+	b.ops = append(b.ops, stagedOp{kind: BatchUpdate, row: row, rid: rid})
 	return b
 }
 
 // Delete queues removing the row at rid.
 func (b *Batch) Delete(rid storage.RID) *Batch {
-	b.ops = append(b.ops, batchOp{kind: BatchDelete, rid: rid})
+	b.ops = append(b.ops, stagedOp{kind: BatchDelete, rid: rid})
 	return b
 }
 
@@ -92,23 +111,9 @@ func (b *Batch) Reset() { b.ops = b.ops[:0] }
 type ApplyOption func(*applyConfig)
 
 type applyConfig struct {
-	sync     bool
 	fill     float64
 	wantRIDs bool
 	isolate  bool
-	// stamp is the commit timestamp raw inserts are born at when a
-	// snapshot is pinned (0 = no snapshot open, no metadata written).
-	// See Engine.rawStampTS.
-	stamp uint64
-}
-
-// WithSyncIndexes applies each op's index maintenance immediately after
-// its heap write, in batch order — the one-row path's interleaving.
-// This forfeits the leaf-grouped runs (one descent per key again) but
-// preserves the relative order of ops touching the same key, so it is
-// the right mode for batches with intra-batch dependencies.
-func WithSyncIndexes() ApplyOption {
-	return func(c *applyConfig) { c.sync = true }
 }
 
 // WithBatchFillFactor caps how full this batch's heap inserts pack any
@@ -210,32 +215,10 @@ func (r *Result) failRemaining(err error) {
 	}
 }
 
-// opState carries an op's pre-flight products through the stages.
-type opState struct {
-	rec    []byte    // encoded new row (insert/update)
-	oldRow tuple.Row // pre-image (update/delete)
-	newRID storage.RID
-	skip   bool // isolation: op failed, keep it out of later stages
-}
-
-// Apply executes the batch against the table and every index. See
-// Result for the per-op-atomicity contract and Batch for aliasing and
-// intra-batch ordering rules.
-//
-// The default mode amortizes per-op costs across the batch:
-//
-//  1. Pre-flight: rows encode and pre-images load, in batch order; the
-//     first failure truncates the batch at that op.
-//  2. Index deletes (delete ops) apply per index as key-sorted
-//     leaf-grouped runs (btree.Tree.ApplyRun) — entries leave the
-//     indexes before their heap rows die, so readers cannot chase a
-//     freed RID.
-//  3. Heap: deletes and updates per RID, inserts dispatched through the
-//     sharded heap in shard-affine runs (heap.File.InsertRun) under one
-//     shard-mutex acquisition instead of one per row.
-//  4. Index upserts (inserts, update key moves) apply as key-sorted
-//     leaf-grouped runs: one crabbed descent and one exclusive leaf
-//     latch per leaf run instead of per key.
+// Apply executes the batch against the table and every index, as one
+// trip through the write pipeline (see pipeline.run for the stages).
+// See Result for the per-op-atomicity contract and Batch for aliasing
+// and intra-batch ordering rules.
 //
 // Like every table write, Apply holds the table mutex only shared (to
 // pin the index set): parallel Applies contend per heap shard and per
@@ -247,25 +230,19 @@ func (t *Table) Apply(b *Batch, opts ...ApplyOption) (Result, error) {
 	for _, o := range opts {
 		o(&cfg)
 	}
-	res := Result{ErrIndex: -1}
 	if b == nil || len(b.ops) == 0 {
-		return res, nil
+		return Result{ErrIndex: -1}, nil
 	}
-	ops := b.ops
+	e := t.engine
+	p := e.getPipeline()
+	p.aim(t)
+	p.buf = append(p.buf, b.ops...)
+	p.ops, p.isolate, p.fill = p.buf, cfg.isolate, cfg.fill
 	if cfg.wantRIDs {
-		res.RIDs = make([]storage.RID, len(ops))
-		for i := range res.RIDs {
-			res.RIDs[i] = storage.InvalidRID
-		}
+		p.res.RIDs = make([]storage.RID, len(p.ops)) // all InvalidRID
 	}
 	if cfg.isolate {
-		res.OpErrs = make([]error, len(ops))
-	}
-
-	e := t.engine
-	var wb *walBatch
-	if e.wal != nil {
-		wb = e.getWALBatch(t.name)
+		p.res.OpErrs = make([]error, len(p.ops))
 	}
 	// The raw commit stamp allocates BEFORE the gate: rawStampTS takes
 	// txnMu, and the engine-wide lock order is txnMu before commitGate
@@ -274,7 +251,7 @@ func (t *Table) Apply(b *Batch, opts ...ApplyOption) (Result, error) {
 	// (checkpoint, GC) is pending: the writer waits for this reader, a
 	// committer holding txnMu waits for the writer, and this reader
 	// waits for the committer's txnMu.
-	cfg.stamp = e.rawStampTS()
+	p.stamp = e.rawStampTS()
 	// The whole mutate+log-append runs inside the commit gate (shared):
 	// under WAL so a checkpoint can never observe effects whose record
 	// is half-appended, and even without one because RunGC holds the
@@ -284,455 +261,540 @@ func (t *Table) Apply(b *Batch, opts ...ApplyOption) (Result, error) {
 	// checkpoints for nothing.
 	e.commitGate.RLock()
 	t.mu.RLock()
-
-	// Pre-flight, in batch order. A failure here truncates the batch
-	// (ops before it proceed through the stages, it and everything
-	// after are never started) — or, under isolation, fails just the
-	// offending op and keeps going.
-	st := make([]opState, len(ops))
-	n := len(ops)
-	for i := range ops {
-		op := &ops[i]
-		var err error
-		switch op.kind {
-		case BatchInsert:
-			st[i].rec, err = tuple.Encode(t.schema, op.row, nil)
-			if err != nil {
-				err = fmt.Errorf("core: encoding row for %q: %w", t.name, err)
-			}
-		case BatchUpdate:
-			if st[i].oldRow, err = t.Get(op.rid); err != nil {
-				err = fmt.Errorf("core: update of %v: %w", op.rid, err)
-			} else if st[i].rec, err = tuple.Encode(t.schema, op.row, nil); err != nil {
-				err = fmt.Errorf("core: encoding row for %q: %w", t.name, err)
-			}
-		case BatchDelete:
-			if st[i].oldRow, err = t.Get(op.rid); err != nil {
-				err = fmt.Errorf("core: delete of %v: %w", op.rid, err)
-			}
-		}
-		if err != nil {
-			if cfg.isolate {
-				res.failOp(i, err)
-				st[i].skip = true
-				continue
-			}
-			res.fail(i, err)
-			n = i
-			break
-		}
-	}
-
-	// A one-op batch (the Insert/Update/Delete wrappers) has nothing to
-	// amortize: the sync path is the classic one-row pipeline without
-	// the grouped stages' run scaffolding. The batch fill override is
-	// the one thing only the grouped heap stage implements.
-	if cfg.sync || (n == 1 && cfg.fill == 0) {
-		t.applySync(ops[:n], st[:n], &res, cfg, wb)
-	} else {
-		t.applyGrouped(ops[:n], st[:n], &res, cfg, wb)
-	}
-
+	p.run()
 	// Commit epilogue. The record is appended even for a failed batch —
 	// its logged actions are exactly the effects that landed (damage-
 	// then-report), so recovery reproduces them.
 	var lsn uint64
-	if !wb.empty() {
-		if l, aerr := e.wal.Append(recBatch, wb.payload()); aerr != nil {
-			res.fail(-1, aerr)
+	if !p.wb.empty() {
+		if l, aerr := e.wal.Append(recBatch, p.wb.payload()); aerr != nil {
+			p.res.fail(-1, aerr)
 		} else {
 			lsn = l
 		}
 	}
 	t.mu.RUnlock()
 	e.commitGate.RUnlock()
-	if wb != nil {
-		e.putWALBatch(wb)
+	if p.wb != nil {
 		if lsn != 0 {
 			if cerr := e.walCommit(lsn); cerr != nil {
-				res.fail(-1, cerr)
+				p.res.fail(-1, cerr)
 			}
 		}
 		e.maybeCheckpoint()
 	}
+	res := p.res
+	e.putPipeline(p)
 	return res, res.Err
 }
 
-// applySync is the batch-order mode: each op runs the classic one-row
-// pipeline (heap write, then per-index maintenance) before the next op
-// starts. Every landed effect is logged to wb in effect order.
-func (t *Table) applySync(ops []batchOp, st []opState, res *Result, cfg applyConfig, wb *walBatch) {
-	for i := range ops {
-		if st[i].skip {
-			continue
-		}
-		op := &ops[i]
-		var err error
-		switch op.kind {
-		case BatchInsert:
-			var rid storage.RID
-			if cfg.stamp != 0 {
-				// Insert and meta land in one exclusive section so a heap
-				// scanner that copied the new row's bytes always finds its
-				// born stamp when it takes the read lock to check.
-				t.vers.mu.Lock()
-				rid, err = t.file.Insert(st[i].rec)
-				if err == nil {
-					t.vers.set(rid, versionMeta{born: cfg.stamp})
-				}
-				t.vers.mu.Unlock()
-			} else {
-				rid, err = t.file.Insert(st[i].rec)
-			}
-			if err == nil {
-				st[i].newRID = rid
-				t.rows.Add(1)
-				wb.put(rid, rid, st[i].rec)
-				for _, ix := range t.indexes {
-					if err = ix.insertEntry(op.row, rid, wb); err != nil {
-						err = fmt.Errorf("core: maintaining index %q: %w", ix.name, err)
-						break
-					}
-				}
-			}
-		case BatchUpdate:
-			var newRID storage.RID
-			if newRID, err = t.file.Update(op.rid, st[i].rec); err == nil {
-				st[i].newRID = newRID
-				moved := newRID != op.rid
-				wb.put(op.rid, newRID, st[i].rec)
-				for _, ix := range t.indexes {
-					if err = ix.updateEntry(st[i].oldRow, op.row, op.rid, newRID, moved, wb); err != nil {
-						err = fmt.Errorf("core: maintaining index %q: %w", ix.name, err)
-						break
-					}
-				}
-			}
-		case BatchDelete:
-			// Delete order is index-first (unlike the historical one-row
-			// path): a concurrent index reader can then never hold an
-			// entry whose heap row is already gone.
-			for _, ix := range t.indexes {
-				if err = ix.deleteEntry(st[i].oldRow, op.rid, wb); err != nil {
-					err = fmt.Errorf("core: maintaining index %q: %w", ix.name, err)
-					break
-				}
-			}
-			if err == nil {
-				if err = t.file.Delete(op.rid); err == nil {
-					t.rows.Add(-1)
-					wb.del(op.rid)
-				}
-			}
-		}
-		if err != nil {
-			if cfg.isolate {
-				res.failOp(i, err)
-				continue
-			}
-			res.fail(i, err)
-			return
-		}
-		if res.RIDs != nil {
-			res.RIDs[i] = st[i].newRID
-		}
-		res.Applied++
+// pipeline is one table's trip through the write stages, and the only
+// way heap records and index entries reach storage. Its two callers
+// differ in policy, not in path:
+//
+//   - Table.Apply (raw): updates and deletes mutate in place, inserts
+//     are born at stamp only while a snapshot is pinned (see
+//     Engine.rawStampTS), and a failure is reported, not undone.
+//   - Txn.Commit (vers set): every new record is a version born at the
+//     commit timestamp, superseded and deleted rows are stamped dead
+//     instead of touched, their index entries stay for snapshot readers
+//     (GC unlinks them), and every landed effect is noted in vers so
+//     rollbackEffects can reverse a commit that fails part-way.
+//
+// Both log each landed effect to wb in effect order, which is the order
+// recovery replays. Instances (and their stage scratch) are pooled on
+// the engine: Apply is the hot path.
+type pipeline struct {
+	t       *Table
+	ops     []stagedOp
+	res     Result
+	wb      *walBatch // nil without a WAL: every append is a no-op
+	isolate bool
+	fill    float64
+	stamp   uint64    // born timestamp of new records (0 = no version metadata)
+	vers    *txnTable // the committing transaction's side of t; nil = raw
+
+	stageScratch
+}
+
+// stageScratch is what a pipeline keeps from one use to the next.
+type stageScratch struct {
+	wbuf   walBatch
+	buf    []stagedOp // Apply's private copy of the caller's ops
+	dels   runEntries
+	ups    runEntries
+	recs   [][]byte
+	rids   []storage.RID
+	insOps []int
+}
+
+// getPipeline returns a pooled pipeline; aim it before use.
+func (e *Engine) getPipeline() *pipeline {
+	p, _ := e.pipePool.Get().(*pipeline)
+	if p == nil {
+		p = new(pipeline)
+	}
+	if e.wal != nil {
+		p.wb = &p.wbuf
+	}
+	return p
+}
+
+// aim points the pipeline at t with a clean result and log record.
+func (p *pipeline) aim(t *Table) {
+	p.t = t
+	p.res = Result{ErrIndex: -1}
+	if p.wb != nil {
+		p.wb.reset(t.name)
 	}
 }
 
-// runEntries is the per-index accumulation of one grouped stage: run
-// entries plus each entry's originating batch position (for error and
-// duplicate attribution after the key sort).
+// putPipeline recycles p once its record has been appended to the log
+// (the log copies the payload into its frame), dropping the references
+// to caller rows the scratch would otherwise pin.
+func (e *Engine) putPipeline(p *pipeline) {
+	clear(p.buf)
+	clear(p.recs)
+	p.buf, p.recs = p.buf[:0], p.recs[:0]
+	*p = pipeline{stageScratch: p.stageScratch}
+	e.pipePool.Put(p)
+}
+
+// preflight readies one op for the stages: the pre-image loads and the
+// new row encodes.
+func (t *Table) preflight(op *stagedOp) (err error) {
+	if op.kind != BatchInsert {
+		if op.oldRow, err = t.Get(op.rid); err != nil {
+			return fmt.Errorf("core: %v of %v: %w", op.kind, op.rid, err)
+		}
+	}
+	if op.kind != BatchDelete {
+		if op.rec, err = tuple.Encode(t.schema, op.row, nil); err != nil {
+			return fmt.Errorf("core: encoding row for %q: %w", t.name, err)
+		}
+	}
+	return nil
+}
+
+// fail records op i's attributable failure and reports whether the
+// pipeline must stop: under isolation the op fails alone and is kept
+// out of later stages, otherwise it fails the batch.
+func (p *pipeline) fail(i int, err error) (stop bool) {
+	if p.isolate {
+		p.res.failOp(i, err)
+		p.ops[i].skip = true
+		return false
+	}
+	p.res.fail(i, err)
+	return true
+}
+
+// failRun records a failure below the per-op stage (an I/O error inside
+// an index run), where "which ops completed" is unknowable.
+func (p *pipeline) failRun(ix *Index, err error) {
+	err = fmt.Errorf("core: maintaining index %q: %w", ix.name, err)
+	if p.isolate {
+		p.res.failRemaining(err)
+	}
+	p.res.fail(-1, err)
+}
+
+// run lands p.ops, stage by stage:
+//
+//  1. Pre-flight (raw only — a transaction pre-flights as it stages):
+//     rows encode and pre-images load, in batch order; the first
+//     failure truncates the batch at that op.
+//  2. Index deletes: delete ops' entries, one key-sorted leaf-grouped
+//     run (btree.Tree.ApplyRun) per index — entries leave the indexes
+//     before their heap rows die, so readers cannot chase a freed RID.
+//  3. Heap: deletes and updates per RID, then every new record through
+//     the sharded heap in one shard-affine run (heap.File.InsertRunFill)
+//     under one shard-mutex acquisition instead of one per row.
+//  4. Index upserts (inserts, update key moves and relocations), again
+//     one key-sorted run per index: one crabbed descent and one
+//     exclusive leaf latch per leaf run instead of per key.
+//
+// Caller holds the commit gate and t.mu shared.
+func (p *pipeline) run() {
+	if p.vers == nil {
+		for i := range p.ops {
+			if err := p.t.preflight(&p.ops[i]); err != nil && p.fail(i, err) {
+				// Ops before i proceed through the stages; i and
+				// everything after are never started.
+				p.ops = p.ops[:i]
+				break
+			}
+		}
+	}
+	if len(p.ops) == 0 || !p.indexDeletes() || !p.heapStage() || !p.indexUpserts() {
+		return
+	}
+	p.res.Applied = len(p.ops)
+	for _, err := range p.res.OpErrs {
+		if err != nil {
+			p.res.Applied--
+		}
+	}
+}
+
+// runEntries is the per-index accumulation of one index stage: the run
+// plus, per entry, the originating batch position (same-key order,
+// error attribution) and the occupant the entry must find (want, packed
+// RID; 0 with RunInsertIfAbsent = must find none, 0 otherwise = no
+// expectation).
 type runEntries struct {
 	entries []btree.RunEntry
-	opIdx   []int
+	pos     []int
+	want    []uint64
 }
 
-func (r *runEntries) add(key []byte, value uint64, op btree.RunOp, opIdx int) {
+func (r *runEntries) reset() {
+	r.entries, r.pos, r.want = r.entries[:0], r.pos[:0], r.want[:0]
+}
+
+func (r *runEntries) add(key []byte, value uint64, op btree.RunOp, pos int, want uint64) {
 	r.entries = append(r.entries, btree.RunEntry{Key: key, Value: value, Op: op})
-	r.opIdx = append(r.opIdx, opIdx)
+	r.pos = append(r.pos, pos)
+	r.want = append(r.want, want)
 }
 
+// missed reports whether entry k, applied, did not find the occupant it
+// had to.
+func (r *runEntries) missed(k int) bool {
+	e, want := &r.entries[k], r.want[k]
+	if e.Op != btree.RunInsertIfAbsent && want == 0 {
+		return false // no expectation
+	}
+	return e.Existed != (want != 0) || e.Prev != want
+}
+
+// sort orders the run by key and, within one key, by batch position —
+// ApplyRun applies equal keys in slice order, so that is the order the
+// same ops would take effect in applied one batch each.
 func (r *runEntries) sort() {
-	sort.Sort(r)
+	if len(r.entries) > 1 {
+		sort.Sort(r)
+	}
 }
 
 func (r *runEntries) Len() int { return len(r.entries) }
 func (r *runEntries) Less(i, j int) bool {
-	return bytes.Compare(r.entries[i].Key, r.entries[j].Key) < 0
+	if c := bytes.Compare(r.entries[i].Key, r.entries[j].Key); c != 0 {
+		return c < 0
+	}
+	return r.pos[i] < r.pos[j]
 }
 func (r *runEntries) Swap(i, j int) {
 	r.entries[i], r.entries[j] = r.entries[j], r.entries[i]
-	r.opIdx[i], r.opIdx[j] = r.opIdx[j], r.opIdx[i]
+	r.pos[i], r.pos[j] = r.pos[j], r.pos[i]
+	r.want[i], r.want[j] = r.want[j], r.want[i]
 }
 
-// applyGrouped is the amortized mode; see Apply for the stage order.
-// Landed effects log to wb in effect order: stage-2 runs, heap ops,
-// stage-4 runs. A run that fails mid-ApplyRun is not logged — its
-// partial tree damage falls under the same "later ops may be partially
-// indexed" caveat the Result contract already carries.
-func (t *Table) applyGrouped(ops []batchOp, st []opState, res *Result, cfg applyConfig, wb *walBatch) {
-	if len(ops) == 0 {
-		return
-	}
-	// Stage 2: index deletes for delete ops, one sorted leaf-grouped run
-	// per index, then the cache invalidations deleteEntry would do.
-	var dels runEntries
-	for _, ix := range t.indexes {
-		dels.entries, dels.opIdx = dels.entries[:0], dels.opIdx[:0]
-		for i := range ops {
-			if ops[i].kind != BatchDelete || st[i].skip {
+// indexDeletes is stage 2. It reports whether the pipeline goes on.
+func (p *pipeline) indexDeletes() bool {
+	dels := &p.dels
+	for _, ix := range p.t.indexes {
+		dels.reset()
+		for i := range p.ops {
+			op := &p.ops[i]
+			if op.kind != BatchDelete || op.skip {
 				continue
 			}
-			key, err := ix.entryKey(st[i].oldRow, ops[i].rid)
+			key, err := ix.entryKey(op.oldRow, op.rid)
 			if err != nil {
-				if cfg.isolate {
-					res.failOp(i, err)
-					st[i].skip = true
-					continue
+				if p.fail(i, err) {
+					return false
 				}
-				res.fail(i, err)
-				return
+				continue
 			}
-			dels.add(key, 0, btree.RunDelete, i)
+			dels.add(key, 0, btree.RunDelete, i, 0)
 		}
 		if dels.Len() == 0 {
 			continue
 		}
 		dels.sort()
-		if _, err := ix.tree.ApplyRun(dels.entries); err != nil {
-			err = fmt.Errorf("core: maintaining index %q: %w", ix.name, err)
-			if cfg.isolate {
-				res.failRemaining(err)
+		// A commit leaves the entries in the tree for snapshot readers
+		// and only logs them gone: its record replays flattened.
+		if p.vers == nil {
+			if _, err := ix.tree.ApplyRun(dels.entries); err != nil {
+				p.failRun(ix, err)
+				return false
 			}
-			res.fail(-1, err)
-			return
 		}
-		wb.idx(ix.name, dels.entries...)
+		p.wb.idx(ix.name, dels.entries...)
 		if ix.cache != nil {
 			for _, e := range dels.entries {
 				ix.cache.NotifyUpdate(e.Key)
 			}
 		}
 	}
+	return true
+}
 
-	// Stage 3: heap. Deletes and updates are per-RID; inserts run
-	// through the sharded heap in shard-affine runs.
-	var (
-		insRecs [][]byte
-		insOps  []int
-	)
-	// RIDs are published into the result the moment each heap op lands,
-	// not at the end: a later stage failing must not hide where the
-	// already-durable ops put their rows (the hot/cold partition's
-	// forwarding updates depend on relocated RIDs being reported even
-	// for a batch that then errors).
-	for i := range ops {
-		if st[i].skip {
+// landed publishes op i's heap write the moment it lands, not at the
+// end: a later stage failing must not hide where an already-durable op
+// put its row (the hot/cold partition's forwarding updates depend on
+// relocated RIDs being reported even for a batch that then errors).
+func (p *pipeline) landed(i int, newRID storage.RID) {
+	op := &p.ops[i]
+	op.newRID = newRID
+	old := newRID
+	if op.kind == BatchUpdate {
+		old = op.rid
+	}
+	p.wb.put(old, newRID, op.rec)
+	if p.res.RIDs != nil {
+		p.res.RIDs[i] = newRID
+	}
+}
+
+// addRows moves the table's live-row count, noting the move for undo.
+func (p *pipeline) addRows(n int64) {
+	p.t.rows.Add(n)
+	if p.vers != nil {
+		p.vers.delta += n
+	}
+}
+
+// heapStage is stage 3. It reports whether the pipeline goes on.
+func (p *pipeline) heapStage() bool {
+	t, vs := p.t, &p.t.vers
+	versioned := p.vers != nil
+	p.recs, p.insOps = p.recs[:0], p.insOps[:0]
+	for i := range p.ops {
+		op := &p.ops[i]
+		if op.skip {
 			continue
 		}
-		op := &ops[i]
-		switch op.kind {
-		case BatchDelete:
-			if err := t.file.Delete(op.rid); err != nil {
-				if cfg.isolate {
-					res.failOp(i, err)
-					st[i].skip = true
-					continue
-				}
-				res.fail(i, err)
-				return
+		var err error
+		switch {
+		case op.kind == BatchInsert, versioned && op.kind == BatchUpdate:
+			p.recs = append(p.recs, op.rec)
+			p.insOps = append(p.insOps, i)
+		case versioned:
+			// Delete: stamped dead below, inside the run's exclusive section.
+		case op.kind == BatchDelete:
+			if err = t.file.Delete(op.rid); err == nil {
+				p.addRows(-1)
+				p.wb.del(op.rid)
 			}
-			t.rows.Add(-1)
-			wb.del(op.rid)
-		case BatchUpdate:
-			newRID, err := t.file.Update(op.rid, st[i].rec)
-			if err != nil {
-				if cfg.isolate {
-					res.failOp(i, err)
-					st[i].skip = true
-					continue
-				}
-				res.fail(i, err)
-				return
+		default:
+			var newRID storage.RID
+			if newRID, err = t.file.Update(op.rid, op.rec); err == nil {
+				p.landed(i, newRID)
 			}
-			st[i].newRID = newRID
-			wb.put(op.rid, newRID, st[i].rec)
-			if res.RIDs != nil {
-				res.RIDs[i] = newRID
-			}
-		case BatchInsert:
-			insRecs = append(insRecs, st[i].rec)
-			insOps = append(insOps, i)
+		}
+		if err != nil && p.fail(i, err) {
+			return false
 		}
 	}
-	if len(insRecs) > 0 {
-		rids := make([]storage.RID, len(insRecs))
-		if cfg.stamp != 0 {
-			t.vers.mu.Lock()
-		}
-		placed, err := t.file.InsertRunFill(insRecs, rids, cfg.fill)
-		if cfg.stamp != 0 {
-			// Same exclusive insert+meta section as the sync path, run-wide.
-			for k := 0; k < placed; k++ {
-				t.vers.set(rids[k], versionMeta{born: cfg.stamp})
-			}
-			t.vers.mu.Unlock()
-		}
-		for k := 0; k < placed; k++ {
-			st[insOps[k]].newRID = rids[k]
-			wb.put(rids[k], rids[k], insRecs[k])
-			if res.RIDs != nil {
-				res.RIDs[insOps[k]] = rids[k]
-			}
-		}
-		t.rows.Add(int64(placed))
-		if err != nil {
-			if !cfg.isolate {
-				res.fail(insOps[placed], err)
-				return
-			}
-			// The rows that did place still get their index entries; the
-			// rest fail as a group (the run stops at the first bad spot,
-			// so "placed and after" is exact attribution here).
-			for _, oi := range insOps[placed:] {
-				res.failOp(oi, err)
-				st[oi].skip = true
-			}
-		}
+	if len(p.recs) == 0 && !versioned {
+		return true
 	}
 
-	// Stage 4: index upserts — insert entries, plus update key moves and
-	// RID relocations — one sorted leaf-grouped run per index, then the
-	// cache invalidations updateEntry would do.
-	var ups runEntries
-	for _, ix := range t.indexes {
-		ups.entries, ups.opIdx = ups.entries[:0], ups.opIdx[:0]
-		for i := range ops {
-			if st[i].skip {
+	if cap(p.rids) < len(p.recs) {
+		p.rids = make([]storage.RID, len(p.recs))
+	}
+	rids := p.rids[:len(p.recs)]
+	allow := len(p.recs)
+	if versioned {
+		allow = commitSeam(allow)
+	}
+	// Records and their version metadata land inside ONE exclusive
+	// section of the version store — per table per commit, or per raw
+	// run while a snapshot is pinned — so a heap scanner that copied a
+	// new record's bytes always finds its born stamp when it takes the
+	// read lock to check, and an index reader that finds a new entry
+	// finds the metadata published before the entry. The store's flag
+	// goes up before the first record lands, or a scanner could copy that
+	// record and still leave ridVisible by its "no metadata anywhere"
+	// exit, without ever waiting on the lock.
+	if p.stamp != 0 {
+		vs.mu.Lock()
+		vs.any.Store(true)
+	}
+	placed, err := t.file.InsertRunFill(p.recs[:allow], rids, p.fill)
+	if err == nil && allow < len(p.recs) {
+		err = errInjectedCommitFailure
+	}
+	inserted := 0
+	for k, i := range p.insOps[:placed] {
+		op := &p.ops[i]
+		if op.kind == BatchInsert {
+			inserted++
+		}
+		if p.stamp != 0 {
+			prev := op.prev
+			if prev == 0 && op.kind == BatchUpdate {
+				prev = op.rid.Pack()
+			}
+			vs.set(rids[k], versionMeta{born: p.stamp, prev: prev})
+		}
+		p.landed(i, rids[k])
+	}
+	p.addRows(int64(inserted))
+	if versioned && err == nil {
+		for i := range p.ops {
+			op := &p.ops[i]
+			if op.kind == BatchInsert {
 				continue
 			}
-			op := &ops[i]
-			switch op.kind {
-			case BatchInsert:
-				key, err := ix.entryKey(op.row, st[i].newRID)
-				if err != nil {
-					if cfg.isolate {
-						res.failOp(i, err)
-						st[i].skip = true
-						continue
-					}
-					res.fail(i, err)
-					return
-				}
-				// Inserts on a unique index go in as if-absent so a
-				// duplicate is detected via Existed without clobbering
-				// the survivor's entry.
-				insOp := btree.RunUpsert
-				if ix.unique {
-					insOp = btree.RunInsertIfAbsent
-				}
-				ups.add(key, st[i].newRID.Pack(), insOp, i)
-			case BatchUpdate:
-				oldKey, err := ix.entryKey(st[i].oldRow, op.rid)
-				if err == nil {
-					var newKey []byte
-					if newKey, err = ix.entryKey(op.row, st[i].newRID); err == nil {
-						t.stageUpdateEntries(&ups, ix, op, st, i, oldKey, newKey)
-						continue
-					}
-				}
-				if cfg.isolate {
-					res.failOp(i, err)
-					st[i].skip = true
-					continue
-				}
-				res.fail(i, err)
-				return
+			vs.markDead(op.rid, p.stamp)
+			t.engine.deadVersions.Add(1)
+			p.vers.dead++
+			if op.kind == BatchDelete {
+				p.addRows(-1)
+				p.wb.del(op.rid)
 			}
+		}
+	}
+	if p.stamp != 0 {
+		vs.mu.Unlock()
+	}
+	if err != nil {
+		if !p.isolate {
+			p.res.fail(p.insOps[placed], err)
+			return false
+		}
+		// The rows that did place still get their index entries; the
+		// rest fail as a group (the run stops at the first bad spot, so
+		// "placed and after" is exact attribution here).
+		for _, i := range p.insOps[placed:] {
+			p.fail(i, err)
+		}
+	}
+	return true
+}
+
+// indexUpserts is stage 4. It reports whether every op it was handed
+// is now indexed.
+func (p *pipeline) indexUpserts() bool {
+	versioned := p.vers != nil
+	ups := &p.ups
+	for _, ix := range p.t.indexes {
+		// An update's moved-away key leaves with the run — except under
+		// a commit, which keeps it in the tree for snapshot readers and
+		// only logs it gone.
+		gone := ups
+		if versioned {
+			gone = &p.dels
+			gone.reset()
+		}
+		ups.reset()
+		for i := range p.ops {
+			op := &p.ops[i]
+			if op.skip || op.kind == BatchDelete {
+				continue
+			}
+			newKey, err := ix.entryKey(op.row, op.newRID)
+			var oldKey []byte
+			if err == nil && op.kind == BatchUpdate {
+				oldKey, err = ix.entryKey(op.oldRow, op.rid)
+			}
+			if err != nil {
+				if p.fail(i, err) {
+					return false
+				}
+				continue
+			}
+			moved := op.newRID != op.rid
+			keyChanged := oldKey != nil && !bytes.Equal(oldKey, newKey)
+			if keyChanged {
+				gone.add(oldKey, 0, btree.RunDelete, i, 0)
+			}
+			if moved || keyChanged {
+				runOp, want := p.entryOp(ix, op, newKey, keyChanged)
+				ups.add(newKey, op.newRID.Pack(), runOp, i, want)
+			}
+			if ix.cache == nil {
+				continue
+			}
+			// Invalidate wherever a cached payload could be stale: the
+			// row moved (RID reuse hazard), the key changed (the entry
+			// lives under a dead key), a cached field changed value, or
+			// a commit's insert took over a dead holder's entry. A raw
+			// insert's key was absent, and entries cache lazily.
+			if oldKey == nil {
+				if versioned {
+					ix.cache.NotifyUpdate(newKey)
+				}
+			} else if moved || keyChanged || ix.cachedFieldsChanged(op.oldRow, op.row) {
+				ix.cache.NotifyUpdate(oldKey)
+				if keyChanged {
+					ix.cache.NotifyUpdate(newKey)
+				}
+			}
+		}
+		if versioned && gone.Len() > 0 {
+			gone.sort()
+			p.wb.idx(ix.name, gone.entries...)
 		}
 		if ups.Len() == 0 {
 			continue
 		}
+		if versioned && commitSeam(1) == 0 {
+			p.failRun(ix, errInjectedCommitFailure)
+			return false
+		}
 		ups.sort()
-		if _, err := ix.tree.ApplyRun(ups.entries); err != nil {
-			err = fmt.Errorf("core: maintaining index %q: %w", ix.name, err)
-			if cfg.isolate {
-				res.failRemaining(err)
-			}
-			res.fail(-1, err)
-			return
+		st, err := ix.tree.ApplyRun(ups.entries)
+		if versioned {
+			p.vers.noteEntries(ix, ups.entries[:st.Done])
 		}
-		// Unique-index duplicate detection, with exact attribution: an
-		// if-absent insert entry whose key already existed is the batch
-		// counterpart of insertEntry's duplicate-key error. The
-		// survivor's entry is untouched (the duplicate's heap row is
-		// orphaned, invisible to every index). The WAL logs only the
-		// entries that actually wrote — a collided if-absent entry is a
-		// no-op and must not replay as an upsert. Under isolation the
-		// duplicate fails alone and is kept out of any remaining
+		if err != nil {
+			// A run that fails mid-ApplyRun is not logged — its partial
+			// tree damage falls under the same "later ops may be
+			// partially indexed" caveat the Result contract carries.
+			p.failRun(ix, err)
+			return false
+		}
+		// An entry that did not find what it had to — an if-absent claim
+		// whose key existed, a commit's upsert over anything but the
+		// occupant its pre-check recorded — is a duplicate key, with exact
+		// attribution. A collided claim wrote nothing: the survivor's
+		// entry is untouched (a raw duplicate's heap row is orphaned,
+		// invisible to every index), and it must not replay as an upsert,
+		// so the log keeps only the entries that landed. Under isolation
+		// the duplicate fails alone and stays out of the remaining
 		// indexes' runs.
-		logged := ups.entries
-		collided := false
-		if ix.unique {
-			for k := range ups.entries {
-				e := &ups.entries[k]
-				if e.Op == btree.RunInsertIfAbsent && e.Existed && ops[ups.opIdx[k]].kind == BatchInsert {
-					collided = true
-					err := fmt.Errorf("core: index %q: duplicate key", ix.name)
-					if cfg.isolate {
-						res.failOp(ups.opIdx[k], err)
-						st[ups.opIdx[k]].skip = true
-						continue
-					}
-					res.fail(ups.opIdx[k], err)
-					// Fail the batch, but still log the entries that
-					// landed before returning.
-				}
+		logged, stop := ups.entries[:0], false
+		for k := range ups.entries {
+			if ups.missed(k) {
+				stop = p.fail(ups.pos[k], fmt.Errorf("core: index %q: duplicate key", ix.name)) || stop
 			}
-			if collided {
-				logged = make([]btree.RunEntry, 0, len(ups.entries))
-				for _, e := range ups.entries {
-					if e.Op == btree.RunInsertIfAbsent && e.Existed {
-						continue
-					}
-					logged = append(logged, e)
-				}
+			if e := ups.entries[k]; e.Op != btree.RunInsertIfAbsent || !e.Existed {
+				logged = append(logged, e)
 			}
 		}
-		wb.idx(ix.name, logged...)
-		if collided && !cfg.isolate {
-			return
+		p.wb.idx(ix.name, logged...)
+		if stop {
+			return false
 		}
 	}
-
-	if cfg.isolate {
-		for i := range ops {
-			if res.OpErrs[i] == nil {
-				res.Applied++
-			}
-		}
-		return
-	}
-	res.Applied = len(ops)
+	return true
 }
 
-// stageUpdateEntries queues one update op's stage-4 index work: a
-// delete+upsert pair on a key change, an upsert on a bare RID move,
-// and the cache invalidations updateEntry would do.
-func (t *Table) stageUpdateEntries(ups *runEntries, ix *Index, op *batchOp, st []opState, i int, oldKey, newKey []byte) {
-	moved := st[i].newRID != op.rid
-	keyChanged := !bytes.Equal(oldKey, newKey)
-	if keyChanged {
-		ups.add(oldKey, 0, btree.RunDelete, i)
-		ups.add(newKey, st[i].newRID.Pack(), btree.RunUpsert, i)
-	} else if moved {
-		ups.add(newKey, st[i].newRID.Pack(), btree.RunUpsert, i)
-	}
-	if ix.cache != nil && (moved || keyChanged || ix.cachedFieldsChanged(st[i].oldRow, op.row)) {
-		ix.cache.NotifyUpdate(oldKey)
-		if keyChanged {
-			ix.cache.NotifyUpdate(newKey)
+// entryOp picks how op's new entry under key enters ix, and the
+// occupant it must find there (see runEntries.want). Raw writes check
+// only inserts, by claiming the key if-absent; updates upsert blind. A
+// commit checks every unique entry against what its pre-check saw under
+// txnMu — which a concurrent raw Apply, sharing the commit gate, can
+// still invalidate.
+func (p *pipeline) entryOp(ix *Index, op *stagedOp, key []byte, keyChanged bool) (btree.RunOp, uint64) {
+	switch {
+	case !ix.unique:
+		return btree.RunUpsert, 0
+	case p.vers == nil:
+		if op.kind == BatchInsert {
+			return btree.RunInsertIfAbsent, 0
 		}
+		return btree.RunUpsert, 0
+	case op.kind == BatchUpdate && !keyChanged:
+		// The entry still points at the version being superseded.
+		return btree.RunUpsert, op.rid.Pack()
 	}
+	if c := p.vers.tx.claimed[claimID{ix, string(key)}]; c.occupant != 0 {
+		return btree.RunUpsert, c.occupant
+	}
+	return btree.RunInsertIfAbsent, 0
 }

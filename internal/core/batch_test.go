@@ -218,35 +218,6 @@ func TestApplyDuplicateKeyAttribution(t *testing.T) {
 	}
 }
 
-func TestApplySyncIndexesEquivalent(t *testing.T) {
-	tb, ix := newBatchFixture(t, false)
-	var b Batch
-	for i := 0; i < 200; i++ {
-		b.Insert(fixedRow(int64(i), int64(i)))
-	}
-	res, err := tb.Apply(&b, WithSyncIndexes(), WithResultRIDs())
-	if err != nil || res.Applied != 200 {
-		t.Fatalf("Apply sync: %+v, %v", res, err)
-	}
-	b.Reset()
-	for i := 0; i < 200; i += 2 {
-		b.Update(res.RIDs[i], fixedRow(int64(i), int64(i+1)))
-	}
-	b.Delete(res.RIDs[199])
-	if _, err := tb.Apply(&b, WithSyncIndexes()); err != nil {
-		t.Fatalf("Apply sync 2: %v", err)
-	}
-	if tb.Rows() != 199 {
-		t.Errorf("Rows = %d, want 199", tb.Rows())
-	}
-	for i := 0; i < 200; i += 2 {
-		row, lres, err := ix.Lookup(nil, tuple.Int64(int64(i)))
-		if err != nil || !lres.Found || row[1].Int != int64(i+1) {
-			t.Fatalf("id %d after sync update: %v %v %v", i, row, lres, err)
-		}
-	}
-}
-
 // TestApplyStormVsCacheFirstScan is the batch-vs-readers atomicity
 // test: an 8-goroutine Apply storm (batched inserts of disjoint
 // ascending stripes + batched in-place updates) runs while CacheFirst
@@ -439,31 +410,6 @@ func TestApplyErrorIsolation(t *testing.T) {
 	}
 }
 
-// TestApplyErrorIsolationSync is the same contract on the
-// WithSyncIndexes (batch-order) path.
-func TestApplyErrorIsolationSync(t *testing.T) {
-	tb, ix := newBatchFixture(t, false)
-	if _, err := tb.Insert(fixedRow(7, 70)); err != nil {
-		t.Fatalf("Insert: %v", err)
-	}
-	var b Batch
-	b.Insert(fixedRow(1, 10))
-	b.Insert(fixedRow(7, 71)) // duplicate
-	b.Insert(fixedRow(2, 20))
-	res, err := tb.Apply(&b, WithSyncIndexes(), WithErrorIsolation())
-	if err != nil {
-		t.Fatalf("Apply: %v", err)
-	}
-	if res.Applied != 2 || res.OpErrs[1] == nil || res.OpErrs[0] != nil || res.OpErrs[2] != nil {
-		t.Fatalf("Result = %+v", res)
-	}
-	for _, id := range []int64{1, 2} {
-		if _, lres, err := ix.Lookup(nil, tuple.Int64(id)); err != nil || !lres.Found {
-			t.Errorf("neighbor id %d: found=%v err=%v", id, lres.Found, err)
-		}
-	}
-}
-
 // TestApplyErrorIsolationIntraBatchDuplicate: two inserts of the same
 // unique key inside one isolated batch — exactly one wins, the loser
 // is attributed, neighbors apply.
@@ -536,5 +482,129 @@ func TestApplyIsolationMixedOps(t *testing.T) {
 	}
 	if _, lres, _ := ix.Lookup(nil, tuple.Int64(2)); lres.Found {
 		t.Error("deleted row 2 still indexed")
+	}
+}
+
+// indexContents dumps id → a through the by_id index.
+func indexContents(t *testing.T, tb *Table) map[int64]int64 {
+	t.Helper()
+	cur, err := tb.Query(WithIndex("by_id"), WithCachePolicy(HeapOnly))
+	if err != nil {
+		t.Fatalf("Query: %v", err)
+	}
+	out := make(map[int64]int64)
+	for cur.Next() {
+		out[cur.Row()[0].Int] = cur.Row()[1].Int
+	}
+	if err := cur.Close(); err != nil {
+		t.Fatalf("cursor: %v", err)
+	}
+	return out
+}
+
+// TestApplySameKeyOrder pins the Batch ordering guarantee: one Apply
+// leaves the index exactly as its delete ops followed by its inserts and
+// updates in batch order would, applied one batch each. Every case puts
+// two entries for one key into the same index run — enough pairs (the
+// run is well past sort.Sort's stable insertion-sort cutoff) that an
+// order taken from the key alone scrambles some of them.
+func TestApplySameKeyOrder(t *testing.T) {
+	const n = 64
+	cases := []struct {
+		name  string
+		build func(b *Batch, rids []storage.RID)
+	}{
+		{"move off K then insert K", func(b *Batch, rids []storage.RID) {
+			for i := 0; i < n; i++ {
+				b.Update(rids[i], fixedRow(int64(1000+i), 1))
+				b.Insert(fixedRow(int64(i), 2))
+			}
+		}},
+		{"insert K before the move frees it", func(b *Batch, rids []storage.RID) {
+			for i := 0; i < n; i++ {
+				b.Insert(fixedRow(int64(i), 2)) // duplicate: K is still held
+				b.Update(rids[i], fixedRow(int64(1000+i), 1))
+			}
+		}},
+		{"move into the key the previous op freed", func(b *Batch, rids []storage.RID) {
+			for i := n - 1; i >= 0; i-- {
+				b.Update(rids[i], fixedRow(int64(i+1), 1))
+			}
+		}},
+		{"delete then insert K", func(b *Batch, rids []storage.RID) {
+			for i := 0; i < n; i++ {
+				b.Delete(rids[i])
+				b.Insert(fixedRow(int64(i), 2))
+			}
+		}},
+		// The one intra-batch dependency batch order does NOT decide:
+		// deletes land first wherever they sit, so an insert may claim a
+		// key that a later delete in the same batch frees — applied one
+		// batch each in batch order, the insert would be a duplicate.
+		{"insert K then delete its holder", func(b *Batch, rids []storage.RID) {
+			for i := 0; i < n; i++ {
+				b.Insert(fixedRow(int64(i), 2))
+				b.Delete(rids[i])
+			}
+		}},
+	}
+	seed := func(t *testing.T) (*Table, []storage.RID) {
+		tb, _ := newBatchFixture(t, false)
+		var b Batch
+		for i := 0; i < n; i++ {
+			b.Insert(fixedRow(int64(i), 0))
+		}
+		res, err := tb.Apply(&b, WithResultRIDs())
+		if err != nil {
+			t.Fatalf("seed: %v", err)
+		}
+		return tb, res.RIDs
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			tb, rids := seed(t)
+			var b Batch
+			tc.build(&b, rids)
+			res, err := tb.Apply(&b, WithErrorIsolation())
+			if err != nil {
+				t.Fatalf("Apply: %v", err)
+			}
+
+			ref, refRIDs := seed(t)
+			var all Batch
+			tc.build(&all, refRIDs)
+			refErrs := make([]error, all.Len())
+			for _, deletes := range []bool{true, false} {
+				for i := range all.ops {
+					if (all.ops[i].kind == BatchDelete) != deletes {
+						continue
+					}
+					one := Batch{ops: all.ops[i : i+1]}
+					r, err := ref.Apply(&one, WithErrorIsolation())
+					if err != nil {
+						t.Fatalf("reference op %d: %v", i, err)
+					}
+					refErrs[i] = r.OpErrs[0]
+				}
+			}
+
+			for i := range refErrs {
+				if (res.OpErrs[i] == nil) != (refErrs[i] == nil) {
+					t.Errorf("op %d: batch err = %v, one-per-batch err = %v", i, res.OpErrs[i], refErrs[i])
+				}
+			}
+			got, want := indexContents(t, tb), indexContents(t, ref)
+			if len(got) != len(want) {
+				t.Errorf("index holds %d keys, one-per-batch holds %d", len(got), len(want))
+			}
+			for id, a := range want {
+				if ga, ok := got[id]; !ok || ga != a {
+					t.Errorf("id %d: batch a=%d present=%v, one-per-batch a=%d", id, ga, ok, a)
+				}
+			}
+			if err := tb.indexes["by_id"].Tree().CheckIntegrity(); err != nil {
+				t.Errorf("CheckIntegrity: %v", err)
+			}
+		})
 	}
 }

@@ -187,6 +187,10 @@ type indexSource struct {
 	heapRow  tuple.Row
 	heapBuf  []byte
 	snap     uint64 // read timestamp (snapLatest outside transactions)
+	// keyBuf is scratch for a fetched row's key, checked against its
+	// entry; keyArr backs it so a one-row query pays no allocation.
+	keyBuf []byte
+	keyArr [32]byte
 }
 
 func (s *indexSource) step(c *Cursor) bool {
@@ -271,6 +275,10 @@ func (s *indexSource) step(c *Cursor) bool {
 		}
 		s.heapRow = row
 		c.stats.HeapReads++
+		var same bool
+		if s.keyBuf, same = s.ix.stillIndexes(s.keyBuf, row, c.rid, c.key); !same {
+			continue
+		}
 		if s.fp != nil && !s.fp.passRow(row) {
 			continue
 		}

@@ -239,24 +239,6 @@ func (e *Engine) checkpointDue() bool {
 		e.pool.DirtyFrames() > int64(e.pool.Capacity())/2
 }
 
-// getWALBatch returns a pooled batch encoder primed for the named
-// table. Pooling keeps Apply's logging allocation-free at steady
-// state: the encoder's payload buffer is reused across batches.
-func (e *Engine) getWALBatch(table string) *walBatch {
-	w, _ := e.wbPool.Get().(*walBatch)
-	if w == nil {
-		w = &walBatch{}
-	}
-	w.reset(table)
-	return w
-}
-
-// putWALBatch recycles an encoder once its payload has been appended
-// to the log (the log copies the payload into its frame).
-func (e *Engine) putWALBatch(w *walBatch) {
-	e.wbPool.Put(w)
-}
-
 // walCommit makes the record at lsn durable per the engine's policy.
 func (e *Engine) walCommit(lsn uint64) error {
 	switch e.syncPolicy {

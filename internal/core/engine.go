@@ -99,7 +99,7 @@ type Engine struct {
 	ckptBytes    int64
 	commitGate   sync.RWMutex // nblb:lock commitGate
 	ckptMu       sync.Mutex   // serializes checkpoints; nblb:lock ckptMu
-	wbPool       sync.Pool    // *walBatch encoders, recycled across Applies
+	pipePool     sync.Pool    // *pipeline stage scratch + WAL encoders, recycled across Applies
 
 	mu     sync.RWMutex // nblb:lock engine-mu
 	tables map[string]*Table

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"testing"
 
-	"repro/internal/storage"
 	"repro/internal/tuple"
 )
 
@@ -420,13 +419,16 @@ func TestTableScanDecodes(t *testing.T) {
 	for i := 0; i < 25; i++ {
 		tb.Insert(pageRow(i))
 	}
-	seen := 0
-	err := tb.Scan(func(rid storage.RID, row tuple.Row) bool {
-		seen++
-		return true
-	})
+	cur, err := tb.Query()
 	if err != nil {
-		t.Fatalf("Scan: %v", err)
+		t.Fatalf("Query: %v", err)
+	}
+	seen := 0
+	for cur.Next() {
+		seen++
+	}
+	if err := cur.Close(); err != nil {
+		t.Fatalf("cursor: %v", err)
 	}
 	if seen != 25 {
 		t.Errorf("scanned %d rows", seen)

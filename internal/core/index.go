@@ -342,18 +342,35 @@ func (ix *Index) CachedFieldNames() []string {
 // entryKey builds the stored key for a row: the encoded key fields,
 // plus the packed RID for non-unique indexes (disambiguation suffix).
 func (ix *Index) entryKey(row tuple.Row, rid storage.RID) ([]byte, error) {
-	vals := make([]tuple.Value, len(ix.keyFields))
-	for i, pos := range ix.keyFields {
-		vals[i] = row[pos]
-	}
-	key, err := tuple.EncodeKey(nil, vals...)
-	if err != nil {
-		return nil, err
+	return ix.appendEntryKey(nil, row, rid)
+}
+
+// appendEntryKey is entryKey appending into dst.
+func (ix *Index) appendEntryKey(dst []byte, row tuple.Row, rid storage.RID) ([]byte, error) {
+	var err error
+	for _, pos := range ix.keyFields {
+		if dst, err = tuple.EncodeKey(dst, row[pos]); err != nil {
+			return nil, err
+		}
 	}
 	if !ix.unique {
-		key = appendRIDSuffix(key, rid)
+		dst = appendRIDSuffix(dst, rid)
 	}
-	return key, nil
+	return dst, nil
+}
+
+// stillIndexes reports whether row, just fetched from rid, is the row
+// the entry under key points at, encoding its key into scratch (which
+// it returns). A scan reads an entry and fetches the row with no latch
+// held in between: a racing delete can free the slot and an insert
+// reuse it, and the fetch then returns an unrelated row — to be skipped
+// (its own entry serves it), not served a second time under this key.
+func (ix *Index) stillIndexes(scratch []byte, row tuple.Row, rid storage.RID, key []byte) ([]byte, bool) {
+	k, err := ix.appendEntryKey(scratch[:0], row, rid)
+	if err != nil {
+		return scratch, false
+	}
+	return k, bytes.Equal(k, key)
 }
 
 // searchKey builds the lookup key from caller-supplied key values.
@@ -383,92 +400,6 @@ func appendRIDSuffix(key []byte, rid storage.RID) []byte {
 		buf[i] = byte(packed >> (56 - 8*i))
 	}
 	return append(key, buf[:]...)
-}
-
-// insertEntry adds the row's index entry. For cached indexes there is
-// nothing else to do: entries are cached lazily on lookup misses.
-// Effects are logged to wb as they land. On a unique index the insert
-// is if-absent: a duplicate key leaves the survivor's entry untouched
-// (only the duplicate's heap row is orphaned) and nothing is logged,
-// so replay reproduces exactly the tree the error left behind.
-func (ix *Index) insertEntry(row tuple.Row, rid storage.RID, wb *walBatch) error {
-	key, err := ix.entryKey(row, rid)
-	if err != nil {
-		return err
-	}
-	if ix.unique {
-		inserted, err := ix.tree.InsertIfAbsent(key, rid.Pack())
-		if err != nil {
-			return err
-		}
-		if !inserted {
-			return fmt.Errorf("core: index %q: duplicate key", ix.name)
-		}
-	} else if _, err := ix.tree.Insert(key, rid.Pack()); err != nil {
-		return err
-	}
-	wb.idx(ix.name, btree.RunEntry{Key: key, Value: rid.Pack(), Op: btree.RunUpsert})
-	return nil
-}
-
-// deleteEntry removes the row's index entry and invalidates any cache
-// entry for it via the predicate log.
-func (ix *Index) deleteEntry(row tuple.Row, rid storage.RID, wb *walBatch) error {
-	key, err := ix.entryKey(row, rid)
-	if err != nil {
-		return err
-	}
-	if _, err := ix.tree.Delete(key); err != nil {
-		return err
-	}
-	wb.idx(ix.name, btree.RunEntry{Key: key, Op: btree.RunDelete})
-	if ix.cache != nil {
-		ix.cache.NotifyUpdate(key)
-	}
-	return nil
-}
-
-// updateEntry maintains the index across a row update. Each tree effect
-// logs as its own single-entry run (ApplyRun wants sorted runs, and
-// oldKey/newKey have no order guarantee).
-func (ix *Index) updateEntry(oldRow, newRow tuple.Row, oldRID, newRID storage.RID, moved bool, wb *walBatch) error {
-	oldKey, err := ix.entryKey(oldRow, oldRID)
-	if err != nil {
-		return err
-	}
-	newKey, err := ix.entryKey(newRow, newRID)
-	if err != nil {
-		return err
-	}
-	keyChanged := string(oldKey) != string(newKey)
-	if keyChanged {
-		if _, err := ix.tree.Delete(oldKey); err != nil {
-			return err
-		}
-		wb.idx(ix.name, btree.RunEntry{Key: oldKey, Op: btree.RunDelete})
-		if _, err := ix.tree.Insert(newKey, newRID.Pack()); err != nil {
-			return err
-		}
-		wb.idx(ix.name, btree.RunEntry{Key: newKey, Value: newRID.Pack(), Op: btree.RunUpsert})
-	} else if moved {
-		if _, err := ix.tree.Insert(newKey, newRID.Pack()); err != nil { // upsert new RID
-			return err
-		}
-		wb.idx(ix.name, btree.RunEntry{Key: newKey, Value: newRID.Pack(), Op: btree.RunUpsert})
-	}
-	if ix.cache == nil {
-		return nil
-	}
-	// Invalidate when the entry's cached payload could be stale: the row
-	// moved (RID reuse hazard), the key changed (entry now lives under a
-	// dead key), or a cached field changed value.
-	if moved || keyChanged || ix.cachedFieldsChanged(oldRow, newRow) {
-		ix.cache.NotifyUpdate(oldKey)
-		if keyChanged {
-			ix.cache.NotifyUpdate(newKey)
-		}
-	}
-	return nil
 }
 
 func (ix *Index) cachedFieldsChanged(oldRow, newRow tuple.Row) bool {

@@ -361,6 +361,7 @@ type segWorker struct {
 	keyVals  []tuple.Value
 	heapRow  tuple.Row
 	heapBuf  []byte
+	keyBuf   []byte // scratch: a fetched row's key, checked against its entry
 }
 
 func (p *parallelSource) newWorker() *segWorker {
@@ -505,6 +506,10 @@ func (w *segWorker) resolve(blk *RowBlock, i int) error {
 	}
 	w.heapRow = row
 	blk.stats.HeapReads++
+	var same bool
+	if w.keyBuf, same = p.ix.stillIndexes(w.keyBuf, row, rid, key); !same {
+		return nil // the slot was freed and reused since the entry was read
+	}
 	if fp != nil && !fp.passRow(row) {
 		return nil
 	}

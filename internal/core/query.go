@@ -246,6 +246,7 @@ func (ix *Index) useScanCache(policy CachePolicy, plan *projPlan, fp *filterPlan
 // shared by Query and the per-segment fallback path of Aggregate.
 func (ix *Index) newIndexSource(start, end []byte, plan *projPlan, fp *filterPlan, policy CachePolicy, reverse bool) *indexSource {
 	s := &indexSource{ix: ix, plan: plan, fp: fp, snap: snapLatest}
+	s.keyBuf = s.keyArr[:0]
 	s.keyKinds = make([]tuple.Kind, len(ix.keyFields))
 	for i, pos := range ix.keyFields {
 		s.keyKinds[i] = ix.table.schema.Field(pos).Kind

@@ -219,14 +219,14 @@ func (t *Table) Relocate(rid storage.RID) (storage.RID, error) {
 	if err != nil {
 		return storage.InvalidRID, fmt.Errorf("core: relocate of %v: %w", rid, err)
 	}
-	// Delete-then-insert as one batch, in order (WithSyncIndexes pins
-	// it): the delete frees the slot before the insert places, and the
-	// whole move rides Apply's pipeline — so it is WAL-logged like every
-	// other mutation instead of bypassing the log.
+	// Delete-then-insert as one batch: the pipeline takes the old entries
+	// out and frees the slot before the insert places and re-claims the
+	// keys (see Batch), and the whole move rides Apply — so it is
+	// WAL-logged like every other mutation instead of bypassing the log.
 	var b Batch
 	b.Delete(rid)
 	b.Insert(row)
-	res, err := t.Apply(&b, WithSyncIndexes(), WithResultRIDs())
+	res, err := t.Apply(&b, WithResultRIDs())
 	if err != nil {
 		return storage.InvalidRID, err
 	}
@@ -244,24 +244,4 @@ func (t *Table) GetInto(dst tuple.Row, buf []byte, rid storage.RID) (tuple.Row, 
 	}
 	row, _, err := tuple.DecodeInto(dst, t.schema, rec)
 	return row, rec[:0], err
-}
-
-// Scan iterates over all rows in heap order. The row passed to fn is
-// only valid during the call (Clone to retain).
-//
-// Deprecated: Scan is a thin wrapper over Query; new code should use
-// Query, which adds projection, limits, reverse order, and index-order
-// iteration behind the same cursor.
-func (t *Table) Scan(fn func(rid storage.RID, row tuple.Row) bool) error {
-	c, err := t.Query()
-	if err != nil {
-		return err
-	}
-	defer c.Close()
-	for c.Next() {
-		if !fn(c.RID(), c.Row()) {
-			return nil
-		}
-	}
-	return c.Err()
 }

@@ -4,11 +4,11 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/btree"
 	"repro/internal/storage"
-	"repro/internal/tuple"
 	"repro/internal/wal"
 )
 
@@ -52,19 +52,29 @@ type Txn struct {
 
 	tables  []*txnTable
 	byName  map[string]*txnTable
-	claimed map[string]claimRef      // staged unique entry keys
-	freed   map[string]struct{}      // unique entry keys this txn's updates/deletes release
+	claimed map[claimID]claimRef     // staged unique entry keys
+	freed   map[claimID]struct{}     // unique entry keys this txn's updates/deletes release
 	writes  map[writeTarget]struct{} // staged update/delete targets
 	nBatch  int                      // batches staged (for error attribution)
 }
 
-// claimRef records which staged op claimed a unique key, for
-// duplicate-key attribution in both stage-time and commit-time errors.
+// claimID names one unique index entry.
+type claimID struct {
+	ix  *Index
+	key string
+}
+
+// claimRef records which staged op claimed a unique key — for
+// duplicate-key attribution in both stage-time and commit-time errors —
+// and, once the commit pre-check has looked, the packed RID occupying
+// the key in the tree (0 = none).
 type claimRef struct {
-	ix    *Index
-	entry []byte
-	batch int
-	op    int
+	entry    []byte
+	batch    int
+	op       int
+	tt       *txnTable
+	pos      int // the claiming op's position in tt.ops
+	occupant uint64
 }
 
 type writeTarget struct {
@@ -72,18 +82,39 @@ type writeTarget struct {
 	rid   storage.RID
 }
 
+// txnTable is a transaction's side of one table: the staged ops, and
+// the undo log of the commit in flight — the counters it moved and
+// every index-tree mutation in landing order. Heap effects need no log:
+// a landed record is an op with a newRID, a stamped row is one dead at
+// the commit timestamp.
 type txnTable struct {
+	tx  *Txn
 	t   *Table
-	ops []txnOp
+	ops []stagedOp
+
+	delta   int64 // rows-counter delta already applied
+	dead    int   // deadVersions increments already applied
+	entries []entryUndo
 }
 
-type txnOp struct {
-	kind   BatchOpKind
-	rid    storage.RID // update/delete target
-	rec    []byte      // encoded post-image (insert/update)
-	row    tuple.Row   // post-image (aliased; see Batch aliasing rules)
-	oldRow tuple.Row   // pre-image loaded at stage time (update/delete)
-	newRID storage.RID // filled at commit
+// entryUndo reverses one landed index-tree mutation: restore key to the
+// packed RID it held before (restore), or delete the fresh entry.
+type entryUndo struct {
+	ix      *Index
+	key     []byte
+	val     uint64
+	restore bool
+}
+
+// noteEntries logs a landed index run's mutations for undo, from what
+// ApplyRun reports each entry found: an if-absent entry whose key
+// existed wrote nothing, anything else wrote over Prev or afresh.
+func (tt *txnTable) noteEntries(ix *Index, run []btree.RunEntry) {
+	for i := range run {
+		if e := &run[i]; e.Op != btree.RunInsertIfAbsent || !e.Existed {
+			tt.entries = append(tt.entries, entryUndo{ix: ix, key: e.Key, val: e.Prev, restore: e.Existed})
+		}
+	}
 }
 
 // Begin starts a transaction reading as-of the current committed state.
@@ -100,7 +131,7 @@ func (tx *Txn) table(t *Table) *txnTable {
 	}
 	tt := tx.byName[t.name]
 	if tt == nil {
-		tt = &txnTable{t: t}
+		tt = &txnTable{tx: tx, t: t}
 		tx.byName[t.name] = tt
 		tx.tables = append(tx.tables, tt)
 	}
@@ -133,17 +164,21 @@ func (tx *Txn) Apply(t *Table, b *Batch) (Result, error) {
 	}
 	batchNo := tx.nBatch
 
-	staged := make([]txnOp, 0, len(b.ops))
-	var claims []claimRef
-	var frees []string
+	staged := append([]stagedOp(nil), b.ops...)
+	type claim struct {
+		id  claimID
+		ref claimRef
+	}
+	var claims []claim
+	var frees []claimID
 	var targets []writeTarget
-	claimedAt := func(key string) (claimRef, bool) {
-		if c, ok := tx.claimed[key]; ok {
+	claimedAt := func(id claimID) (claimRef, bool) {
+		if c, ok := tx.claimed[id]; ok {
 			return c, true
 		}
 		for _, c := range claims {
-			if claimKey(c.ix, c.entry) == key {
-				return c, true
+			if c.id == id {
+				return c.ref, true
 			}
 		}
 		return claimRef{}, false
@@ -151,34 +186,22 @@ func (tx *Txn) Apply(t *Table, b *Batch) (Result, error) {
 
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	for i := range b.ops {
-		op := &b.ops[i]
-		sop := txnOp{kind: op.kind, rid: op.rid, row: op.row}
-		var err error
-		switch op.kind {
-		case BatchInsert:
-			if sop.rec, err = tuple.Encode(t.schema, op.row, nil); err != nil {
-				return res, res.fail(i, fmt.Errorf("core: encoding row for %q: %w", t.name, err))
-			}
-		case BatchUpdate, BatchDelete:
+	tt := tx.byName[t.name] // nil until the table's first batch stages
+	base := 0
+	if tt != nil {
+		base = len(tt.ops)
+	}
+	for i := range staged {
+		op := &staged[i]
+		if op.kind != BatchInsert {
 			tgt := writeTarget{t.name, op.rid}
-			if _, dup := tx.writes[tgt]; dup {
+			if _, dup := tx.writes[tgt]; dup || slices.Contains(targets, tgt) {
 				return res, res.fail(i, fmt.Errorf("core: row %v already written in this transaction", op.rid))
 			}
-			for _, w := range targets {
-				if w == tgt {
-					return res, res.fail(i, fmt.Errorf("core: row %v already written in this transaction", op.rid))
-				}
-			}
 			targets = append(targets, tgt)
-			if sop.oldRow, err = t.Get(op.rid); err != nil {
-				return res, res.fail(i, fmt.Errorf("core: staging write of %v: %w", op.rid, err))
-			}
-			if op.kind == BatchUpdate {
-				if sop.rec, err = tuple.Encode(t.schema, op.row, nil); err != nil {
-					return res, res.fail(i, fmt.Errorf("core: encoding row for %q: %w", t.name, err))
-				}
-			}
+		}
+		if err := t.preflight(op); err != nil {
+			return res, res.fail(i, err)
 		}
 		// Unique-key accounting against the transaction's own stage.
 		for _, ix := range t.indexes {
@@ -186,13 +209,14 @@ func (tx *Txn) Apply(t *Table, b *Batch) (Result, error) {
 				continue
 			}
 			var oldKey, newKey []byte
-			if sop.oldRow != nil {
-				if oldKey, err = ix.entryKey(sop.oldRow, op.rid); err != nil {
+			var err error
+			if op.oldRow != nil {
+				if oldKey, err = ix.entryKey(op.oldRow, op.rid); err != nil {
 					return res, res.fail(i, err)
 				}
 			}
 			if op.kind != BatchDelete {
-				if newKey, err = ix.entryKey(sop.row, storage.InvalidRID); err != nil {
+				if newKey, err = ix.entryKey(op.row, storage.InvalidRID); err != nil {
 					return res, res.fail(i, err)
 				}
 			}
@@ -200,35 +224,31 @@ func (tx *Txn) Apply(t *Table, b *Batch) (Result, error) {
 				continue // key unchanged: the version chain carries it
 			}
 			if newKey != nil {
-				k := claimKey(ix, newKey)
-				if c, dup := claimedAt(k); dup {
+				id := claimID{ix, string(newKey)}
+				if c, dup := claimedAt(id); dup {
 					return res, res.fail(i, fmt.Errorf(
 						"core: index %q: duplicate key staged by op %d of batch %d in this transaction",
 						ix.name, c.op, c.batch))
 				}
-				claims = append(claims, claimRef{ix: ix, entry: newKey, batch: batchNo, op: i})
+				claims = append(claims, claim{id, claimRef{entry: newKey, batch: batchNo, op: i, pos: base + i}})
 			}
 			if oldKey != nil {
-				frees = append(frees, claimKey(ix, oldKey))
+				frees = append(frees, claimID{ix, string(oldKey)})
 			}
 		}
-		staged = append(staged, sop)
 	}
 
 	// The whole batch validated — merge it into the stage.
-	tt := tx.table(t)
+	tt = tx.table(t)
 	tt.ops = append(tt.ops, staged...)
 	if tx.claimed == nil {
-		tx.claimed = make(map[string]claimRef)
-	}
-	if tx.freed == nil {
-		tx.freed = make(map[string]struct{})
-	}
-	if tx.writes == nil {
+		tx.claimed = make(map[claimID]claimRef)
+		tx.freed = make(map[claimID]struct{})
 		tx.writes = make(map[writeTarget]struct{})
 	}
 	for _, c := range claims {
-		tx.claimed[claimKey(c.ix, c.entry)] = c
+		c.ref.tt = tt
+		tx.claimed[c.id] = c.ref
 	}
 	// A key stays freed even when re-claimed: the commit pre-check uses
 	// the freed set to recognize that the durable occupant of a claimed
@@ -243,10 +263,6 @@ func (tx *Txn) Apply(t *Table, b *Batch) (Result, error) {
 	tx.nBatch++
 	res.Applied = len(staged)
 	return res, nil
-}
-
-func claimKey(ix *Index, entry []byte) string {
-	return ix.table.name + "\x00" + ix.name + "\x00" + string(entry)
 }
 
 // Query opens a cursor over t reading as-of the transaction's start
@@ -331,21 +347,24 @@ func (tx *Txn) Commit() error {
 
 	// Claimed unique keys must not collide with live committed rows,
 	// unless this transaction itself frees the key. Under txnMu this
-	// verdict cannot be invalidated by another transaction.
-	for k, c := range tx.claimed {
-		v, found, err := c.ix.tree.Search(c.entry)
+	// verdict cannot be invalidated by another transaction; the occupant
+	// it found — a dead or freed holder the new version chains to — is
+	// recorded so the index stage can tell if a raw Apply (which shares
+	// the gate) changed the entry since, without searching again.
+	for id, c := range tx.claimed {
+		v, found, err := id.ix.tree.Search(c.entry)
 		if err != nil {
 			return err
 		}
 		if !found {
 			continue
 		}
-		if _, freed := tx.freed[k]; freed {
-			continue
+		if _, freed := tx.freed[id]; !freed && id.ix.table.ridVisible(storage.UnpackRID(v), snapLatest) {
+			return fmt.Errorf("core: index %q: duplicate key (op %d of batch %d)", id.ix.name, c.op, c.batch)
 		}
-		if c.ix.table.ridVisible(storage.UnpackRID(v), snapLatest) {
-			return fmt.Errorf("core: index %q: duplicate key (op %d of batch %d)", c.ix.name, c.op, c.batch)
-		}
+		c.occupant = v
+		tx.claimed[id] = c
+		c.tt.ops[c.pos].prev = v
 	}
 
 	// The gate is taken even without a WAL: RunGC holds it exclusively
@@ -353,10 +372,9 @@ func (tx *Txn) Commit() error {
 	// upserts (checkpoints additionally rely on it for clock/meta
 	// consistency).
 	e.commitGate.RLock()
-	undo, err := tx.commitEffects(ts)
+	payload, err := tx.commitEffects(ts)
 	var lsn uint64
 	if err == nil && e.wal != nil {
-		payload := tx.encodeTxnRecord(ts)
 		if lsn, err = e.wal.Append(recTxn, payload); err == nil {
 			wal.TestPoint("txn:appended")
 		}
@@ -371,7 +389,7 @@ func (tx *Txn) Commit() error {
 	if err == nil {
 		e.clock.Store(ts)
 	} else {
-		tx.rollbackEffects(ts, undo)
+		tx.rollbackEffects(ts)
 	}
 	e.commitGate.RUnlock()
 	if err != nil {
@@ -388,135 +406,72 @@ func (tx *Txn) Commit() error {
 	return nil
 }
 
-// tableUndo records one table's landed commit effects so a mid-commit
-// failure can roll them back: how many ops' heap writes and meta flips
-// landed, the counters already bumped, and every index-tree mutation
-// in landing order.
-type tableUndo struct {
-	tt      *txnTable
-	heapOps int   // ops whose heap write + version meta landed
-	delta   int64 // rows-counter delta already applied
-	dead    int   // deadVersions increments already applied
-	entries []entryUndo
-}
-
-// entryUndo reverses one landed index-tree mutation: restore key to the
-// packed RID it held before (restore), or delete the fresh entry.
-type entryUndo struct {
-	ix      *Index
-	key     []byte
-	val     uint64
-	restore bool
-}
-
-// testCommitFailAfter > 0 makes commitEffects fail with an injected
-// error just before the n-th staged heap op lands — test support for
-// the rollback path. 0 disables injection.
+// testCommitFailAfter > 0 makes a commit fail with an injected error at
+// its n-th landing step — test support for the rollback path. 0
+// disables injection.
 var testCommitFailAfter atomic.Int64
 
 // errInjectedCommitFailure is the error TestingFailCommitAfter injects.
 var errInjectedCommitFailure = errors.New("core: injected commit failure")
 
-// TestingFailCommitAfter arms a one-shot commitEffects failure just
-// before the n-th staged heap op (across tables, in commit order)
-// lands, exercising the mid-commit rollback. n = 0 disarms. Test
-// support only.
+// TestingFailCommitAfter arms a one-shot commit failure at the n-th
+// landing step, counted across tables in commit order: each record of a
+// table's heap run is one step (so a run can die with only some of its
+// records placed), then each of its index upsert runs is one. n = 0
+// disarms. Test support only.
 func TestingFailCommitAfter(n int) { testCommitFailAfter.Store(int64(n)) }
 
-// commitEffects lands the staged writes: new heap versions, version
-// metadata, and index maintenance, per table. Caller holds txnMu and
-// commitGate shared. The returned undo list records exactly what
-// landed — on error the caller MUST run rollbackEffects with it before
-// the gate drops.
-//
-// Per table the order is: all heap inserts and meta flips under the
-// version store's exclusive lock, then index entries. A heap scanner
-// that finds a new row in its page snapshot therefore always finds its
-// meta too (the insert and the meta land inside one exclusive section,
-// and the scanner's read lock can only be granted after it), and an
-// index reader that finds a new entry finds the meta that was published
-// before the entry (meta-before-entry ordering).
-func (tx *Txn) commitEffects(ts uint64) ([]*tableUndo, error) {
-	e := tx.e
-	var undo []*tableUndo
-	for _, tt := range tx.tables {
-		t := tt.t
-		u := &tableUndo{tt: tt}
-		undo = append(undo, u)
-		t.mu.RLock()
-		vs := &t.vers
-		vs.mu.Lock()
-		var delta int64
-		for i := range tt.ops {
-			op := &tt.ops[i]
-			if v := testCommitFailAfter.Load(); v != 0 {
-				if v == 1 {
-					testCommitFailAfter.Store(0)
-					vs.mu.Unlock()
-					t.mu.RUnlock()
-					return undo, errInjectedCommitFailure
-				}
-				testCommitFailAfter.Store(v - 1)
-			}
-			switch op.kind {
-			case BatchInsert:
-				rid, err := t.file.Insert(op.rec)
-				if err != nil {
-					vs.mu.Unlock()
-					t.mu.RUnlock()
-					return undo, fmt.Errorf("core: txn commit insert: %w", err)
-				}
-				op.newRID = rid
-				vs.set(rid, versionMeta{born: ts})
-				delta++
-			case BatchUpdate:
-				rid, err := t.file.Insert(op.rec)
-				if err != nil {
-					vs.mu.Unlock()
-					t.mu.RUnlock()
-					return undo, fmt.Errorf("core: txn commit update: %w", err)
-				}
-				op.newRID = rid
-				vs.set(rid, versionMeta{born: ts, prev: op.rid.Pack()})
-				vs.markDead(op.rid, ts)
-				e.deadVersions.Add(1)
-				u.dead++
-			case BatchDelete:
-				vs.markDead(op.rid, ts)
-				e.deadVersions.Add(1)
-				u.dead++
-				delta--
-			}
-			u.heapOps = i + 1
-		}
-		vs.mu.Unlock()
-		t.rows.Add(delta)
-		u.delta = delta
-
-		for i := range tt.ops {
-			op := &tt.ops[i]
-			if op.kind == BatchDelete {
-				// Entries stay for snapshot readers; GC removes them with
-				// the version. Invalidate cached payloads now.
-				for _, ix := range t.indexes {
-					if ix.cache != nil {
-						if key, err := ix.entryKey(op.oldRow, op.rid); err == nil {
-							ix.cache.NotifyUpdate(key)
-						}
-					}
-				}
-				continue
-			}
-			for _, ix := range t.indexes {
-				if err := ix.commitEntry(op, ts, u); err != nil {
-					t.mu.RUnlock()
-					return undo, err
-				}
-			}
-		}
-		t.mu.RUnlock()
+// commitSeam is the injection seam: a commit about to take n landing
+// steps asks how many may land before the armed failure (n when none
+// is armed or it lies further on).
+func commitSeam(n int) int {
+	v := int(testCommitFailAfter.Load())
+	switch {
+	case v == 0:
+		return n
+	case v > n:
+		testCommitFailAfter.Store(int64(v - n))
+		return n
 	}
-	return undo, nil
+	testCommitFailAfter.Store(0)
+	return v - 1
+}
+
+// commitEffects lands the staged writes, one trip through the write
+// pipeline per table under the versioning policy (see pipeline), and
+// returns the recTxn payload: the commit timestamp and each table's
+// logged actions in the recBatch sub-format. The actions encode the
+// transaction's FINAL, post-GC physical state — updates as
+// remove-old/put-new, deletes as removals, obsolete index entries as
+// deletions — so replay flattens the version history away entirely (no
+// snapshot survives a crash, so recovered state needs none of it).
+//
+// Caller holds txnMu and commitGate shared. Each table's undo log
+// records exactly what landed — on error the caller MUST run
+// rollbackEffects before the gate drops.
+func (tx *Txn) commitEffects(ts uint64) ([]byte, error) {
+	p := tx.e.getPipeline()
+	defer tx.e.putPipeline(p)
+	var payload []byte
+	if p.wb != nil {
+		payload = binary.AppendUvarint(nil, ts)
+		payload = binary.AppendUvarint(payload, uint64(len(tx.tables)))
+	}
+	for _, tt := range tx.tables {
+		p.aim(tt.t)
+		p.ops, p.stamp, p.vers = tt.ops, ts, tt
+		tt.t.mu.RLock()
+		p.run()
+		tt.t.mu.RUnlock()
+		if p.res.Err != nil {
+			return nil, p.res.Err
+		}
+		if p.wb != nil {
+			payload = binary.AppendUvarint(payload, uint64(len(p.wb.payload())))
+			payload = append(payload, p.wb.payload()...)
+		}
+	}
+	return payload, nil
 }
 
 // rollbackEffects undoes a failed commit's landed effects, newest table
@@ -526,25 +481,24 @@ func (tx *Txn) commitEffects(ts uint64) ([]*tableUndo, error) {
 // are handled below.
 //
 // Per table the reversal is index entries first (fresh entries deleted,
-// clobbered unique entries restored to the version they pointed at),
-// then heap rows and version metas under one exclusive vers.mu section.
-// A failed commit's new version is not erased from the version store
-// but tombstoned dead-at-birth ({born: ts, dead: ts, prev:
-// tombstonePrev}): born == dead fails the visibility rule for every
-// snapshot and for latest reads, so a heap scanner that copied the
-// row's bytes before the rollback still judges it invisible — the GC
-// tombstone argument exactly. Staged update/delete targets get their
-// dead stamp cleared, restoring the pre-commit meta (markDead preserved
-// born and prev).
-func (tx *Txn) rollbackEffects(ts uint64, undo []*tableUndo) {
+// overwritten entries restored to the version they pointed at), then
+// heap rows and version metas under one exclusive vers.mu section. A
+// failed commit's new version is not erased from the version store but
+// tombstoned dead-at-birth ({born: ts, dead: ts, prev: tombstonePrev}):
+// born == dead fails the visibility rule for every snapshot and for
+// latest reads, so a heap scanner that copied the row's bytes before
+// the rollback still judges it invisible — the GC tombstone argument
+// exactly. Staged update/delete targets get their dead stamp cleared,
+// restoring the pre-commit meta (markDead preserved born and prev); ts
+// was never published, so a row dead at ts is one this commit stamped.
+func (tx *Txn) rollbackEffects(ts uint64) {
 	e := tx.e
-	for k := len(undo) - 1; k >= 0; k-- {
-		u := undo[k]
-		tt := u.tt
+	for k := len(tx.tables) - 1; k >= 0; k-- {
+		tt := tx.tables[k]
 		t := tt.t
 		t.mu.RLock()
-		for j := len(u.entries) - 1; j >= 0; j-- {
-			eu := &u.entries[j]
+		for j := len(tt.entries) - 1; j >= 0; j-- {
+			eu := &tt.entries[j]
 			if eu.restore {
 				eu.ix.tree.Insert(eu.key, eu.val)
 			} else {
@@ -556,161 +510,24 @@ func (tx *Txn) rollbackEffects(ts uint64, undo []*tableUndo) {
 		}
 		vs := &t.vers
 		vs.mu.Lock()
-		for i := 0; i < u.heapOps; i++ {
+		for i := range tt.ops {
 			op := &tt.ops[i]
-			switch op.kind {
-			case BatchInsert, BatchUpdate:
+			if op.newRID.Valid() {
 				// Delete-then-tombstone inside one exclusive section: a
 				// scanner that copied the bytes checks the meta after this
 				// lock and sees dead-at-birth; nothing chains to newRID
 				// (its own prev is overwritten), so slot reuse is safe.
 				t.file.Delete(op.newRID)
 				vs.set(op.newRID, versionMeta{born: ts, dead: ts, prev: tombstonePrev})
-				if op.kind == BatchUpdate {
-					m := vs.m[op.rid]
-					m.dead = 0
-					vs.set(op.rid, m)
-				}
-			case BatchDelete:
-				m := vs.m[op.rid]
+			}
+			if m := vs.m[op.rid]; op.kind != BatchInsert && m.dead == ts {
 				m.dead = 0
 				vs.set(op.rid, m)
 			}
 		}
 		vs.mu.Unlock()
-		t.rows.Add(-u.delta)
-		e.deadVersions.Add(int64(-u.dead))
-	}
-}
-
-// commitEntry installs the index entry for a staged insert/update's new
-// version, recording the reversal in u. Old entries are left in place
-// for snapshot readers (GC unlinks them); unique indexes chain through
-// a dead previous holder of the key so per-key time travel keeps
-// working across key reuse.
-func (ix *Index) commitEntry(op *txnOp, ts uint64, u *tableUndo) error {
-	newKey, err := ix.entryKey(op.row, op.newRID)
-	if err != nil {
-		return err
-	}
-	if !ix.unique {
-		if _, err := ix.tree.Insert(newKey, op.newRID.Pack()); err != nil {
-			return err
-		}
-		u.entries = append(u.entries, entryUndo{ix: ix, key: newKey})
-		if ix.cache != nil {
-			ix.cache.NotifyUpdate(newKey)
-		}
-		return nil
-	}
-	var oldKey []byte
-	if op.kind == BatchUpdate {
-		if oldKey, err = ix.entryKey(op.oldRow, op.rid); err != nil {
-			return err
-		}
-		if string(oldKey) == string(newKey) {
-			// Key unchanged: the entry upserts to the newest version and
-			// snapshot readers hop the prev chain back. Undo restores the
-			// entry to the superseded version it pointed at.
-			if _, err := ix.tree.Insert(newKey, op.newRID.Pack()); err != nil {
-				return err
-			}
-			u.entries = append(u.entries, entryUndo{ix: ix, key: newKey, val: op.rid.Pack(), restore: true})
-			if ix.cache != nil {
-				ix.cache.NotifyUpdate(newKey)
-			}
-			return nil
-		}
-	}
-	// Fresh claim of this key. If a dead previous holder still occupies
-	// the entry, clobber it and chain to it — the commit pre-check
-	// guarantees a live occupant cannot be here.
-	if v, found, serr := ix.tree.Search(newKey); serr != nil {
-		return serr
-	} else if found {
-		prev := storage.UnpackRID(v)
-		vs := &ix.table.vers
-		vs.mu.Lock()
-		m := vs.m[op.newRID]
-		m.born = ts
-		m.prev = prev.Pack()
-		vs.set(op.newRID, m)
-		vs.mu.Unlock()
-		if _, err := ix.tree.Insert(newKey, op.newRID.Pack()); err != nil {
-			return err
-		}
-		u.entries = append(u.entries, entryUndo{ix: ix, key: newKey, val: v, restore: true})
-	} else {
-		if _, err := ix.tree.InsertIfAbsent(newKey, op.newRID.Pack()); err != nil {
-			return err
-		}
-		u.entries = append(u.entries, entryUndo{ix: ix, key: newKey})
-	}
-	if ix.cache != nil {
-		ix.cache.NotifyUpdate(newKey)
-		if oldKey != nil {
-			ix.cache.NotifyUpdate(oldKey)
-		}
-	}
-	return nil
-}
-
-// encodeTxnRecord builds the recTxn payload: the commit timestamp and
-// each touched table's actions in the recBatch sub-format. The actions
-// encode the transaction's FINAL, post-GC physical state — updates as
-// remove-old/put-new, deletes as removals, obsolete index entries as
-// deletions — so replay flattens the version history away entirely (no
-// snapshot survives a crash, so recovered state needs none of it).
-func (tx *Txn) encodeTxnRecord(ts uint64) []byte {
-	e := tx.e
-	wb := e.getWALBatch("")
-	defer e.putWALBatch(wb)
-	payload := binary.AppendUvarint(nil, ts)
-	payload = binary.AppendUvarint(payload, uint64(len(tx.tables)))
-	for _, tt := range tx.tables {
-		t := tt.t
-		wb.reset(t.name)
-		for i := range tt.ops {
-			op := &tt.ops[i]
-			switch op.kind {
-			case BatchInsert:
-				wb.put(op.newRID, op.newRID, op.rec)
-			case BatchUpdate:
-				wb.put(op.rid, op.newRID, op.rec)
-			case BatchDelete:
-				wb.del(op.rid)
-			}
-		}
-		t.mu.RLock()
-		for i := range tt.ops {
-			op := &tt.ops[i]
-			for _, ix := range t.indexes {
-				switch op.kind {
-				case BatchInsert:
-					if key, err := ix.entryKey(op.row, op.newRID); err == nil {
-						wb.idx(ix.name, btree.RunEntry{Key: key, Value: op.newRID.Pack(), Op: btree.RunUpsert})
-					}
-				case BatchUpdate:
-					oldKey, oerr := ix.entryKey(op.oldRow, op.rid)
-					newKey, nerr := ix.entryKey(op.row, op.newRID)
-					if oerr != nil || nerr != nil {
-						continue
-					}
-					if string(oldKey) != string(newKey) {
-						wb.idx(ix.name, btree.RunEntry{Key: oldKey, Op: btree.RunDelete})
-					}
-					wb.idx(ix.name, btree.RunEntry{Key: newKey, Value: op.newRID.Pack(), Op: btree.RunUpsert})
-				case BatchDelete:
-					if key, err := ix.entryKey(op.oldRow, op.rid); err == nil {
-						wb.idx(ix.name, btree.RunEntry{Key: key, Op: btree.RunDelete})
-					}
-				}
-			}
-		}
 		t.mu.RUnlock()
-		sub := wb.payload()
-		payload = binary.AppendUvarint(payload, uint64(len(sub)))
-		payload = append(payload, sub...)
+		t.rows.Add(-tt.delta)
+		e.deadVersions.Add(int64(-tt.dead))
 	}
-	return payload
 }

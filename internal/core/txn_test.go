@@ -2,9 +2,11 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/tuple"
 )
@@ -443,8 +445,20 @@ func TestTxnStagedDuplicateAttribution(t *testing.T) {
 // visible to latest readers, staged targets must not stay marked dead,
 // unique entries must point back at the surviving version, and the
 // never-published timestamp must be reusable without conflating the
-// failed commit's leftovers with the next successful one.
+// failed commit's leftovers with the next successful one. The failure
+// is injected at every landing step in turn: mid-way through a table's
+// heap run (some records placed, some not), between its heap stage and
+// its index run, and in the second table after the first landed whole.
 func TestTxnCommitRollbackOnMidCommitFailure(t *testing.T) {
+	// kv lands 2 records (the update's new version, the insert) and one
+	// index run, kv2 one record and one index run.
+	const steps = 5
+	for n := 1; n <= steps+1; n++ {
+		t.Run(fmt.Sprintf("step%d", n), func(t *testing.T) { testCommitFailureAt(t, n, n <= steps) })
+	}
+}
+
+func testCommitFailureAt(t *testing.T, n int, wantFail bool) {
 	e := newTestEngine(t)
 	tb := kvTable(t, e)
 	tb2, err := e.CreateTable("kv2", kvSchema())
@@ -474,25 +488,34 @@ func TestTxnCommitRollbackOnMidCommitFailure(t *testing.T) {
 	if err != nil {
 		t.Fatalf("LookupRID 2: %v", err)
 	}
-
-	tx := e.Begin()
-	var ba, bb Batch
-	ba.Update(rid1, kvRow(1, 11)) // unique entry upsert (key unchanged)
-	ba.Delete(rid2)
-	ba.Insert(kvRow(4, 40)) // fresh unique entry
-	if _, err := tx.Apply(tb, &ba); err != nil {
-		t.Fatalf("Apply kv: %v", err)
+	commit := func() error {
+		tx := e.Begin()
+		var ba, bb Batch
+		ba.Update(rid1, kvRow(1, 11)) // unique entry upsert (key unchanged)
+		ba.Delete(rid2)
+		ba.Insert(kvRow(4, 40)) // fresh unique entry
+		if _, err := tx.Apply(tb, &ba); err != nil {
+			t.Fatalf("Apply kv: %v", err)
+		}
+		bb.Insert(kvRow(9, 90))
+		if _, err := tx.Apply(tb2, &bb); err != nil {
+			t.Fatalf("Apply kv2: %v", err)
+		}
+		return tx.Commit()
 	}
-	bb.Insert(kvRow(9, 90))
-	if _, err := tx.Apply(tb2, &bb); err != nil {
-		t.Fatalf("Apply kv2: %v", err)
-	}
 
-	// kv's three heap ops land (heap, metas, entries), then kv2's heap
-	// phase fails on its first op — everything must unwind.
-	TestingFailCommitAfter(4)
+	TestingFailCommitAfter(n)
 	defer TestingFailCommitAfter(0)
-	if err := tx.Commit(); !errors.Is(err, errInjectedCommitFailure) {
+	err = commit()
+	if !wantFail {
+		// One step past the last: the injection never fires, which pins
+		// the step count the loop above relies on.
+		if err != nil {
+			t.Fatalf("Commit with the failure armed past the last step = %v", err)
+		}
+		return
+	}
+	if !errors.Is(err, errInjectedCommitFailure) {
 		t.Fatalf("Commit = %v, want injected failure", err)
 	}
 
@@ -517,23 +540,18 @@ func TestTxnCommitRollbackOnMidCommitFailure(t *testing.T) {
 	if got := e.deadVersions.Load(); got != deadBefore {
 		t.Fatalf("deadVersions = %d after failed commit, want %d", got, deadBefore)
 	}
+	for _, tbl := range []*Table{tb, tb2} {
+		for name, ix := range tbl.indexes {
+			if err := ix.Tree().CheckIntegrity(); err != nil {
+				t.Fatalf("CheckIntegrity %s after failed commit: %v", name, err)
+			}
+		}
+	}
 
 	// The reused timestamp must carry only the retry's versions: the same
 	// logical changes committed now must be fully visible, and the old
 	// snapshot must still see the seed state.
-	retry := e.Begin()
-	var rb, rb2 Batch
-	rb.Update(rid1, kvRow(1, 11))
-	rb.Delete(rid2)
-	rb.Insert(kvRow(4, 40))
-	if _, err := retry.Apply(tb, &rb); err != nil {
-		t.Fatalf("retry Apply kv: %v", err)
-	}
-	rb2.Insert(kvRow(9, 90))
-	if _, err := retry.Apply(tb2, &rb2); err != nil {
-		t.Fatalf("retry Apply kv2: %v", err)
-	}
-	if err := retry.Commit(); err != nil {
+	if err := commit(); err != nil {
 		t.Fatalf("retry Commit: %v", err)
 	}
 	got := readAll(t)(tb.Query(WithIndex("by_k")))
@@ -550,6 +568,92 @@ func TestTxnCommitRollbackOnMidCommitFailure(t *testing.T) {
 	e.RunGC() // must not trip over the rollback's tombstones
 	if got := readAll(t)(tb.Query(WithIndex("by_k"))); len(got) != 3 || got[1] != 11 {
 		t.Fatalf("latest after GC = %v, want {1:11 3:30 4:40}", got)
+	}
+}
+
+// A unique claim whose pre-check verdict a concurrent raw Apply
+// invalidates must fail the commit, not clobber the raw row's entry.
+// The interleaving is forced with the engine's own locks: the raw
+// insert takes its stamp and parks on the commit gate; the commit runs
+// its pre-check (key absent) and parks there too; released together,
+// the raw insert lands while the commit is held at its first table's
+// mutex, so the claim in its second table finds an occupant the
+// pre-check never saw. (Should the commit be scheduled so late that its
+// pre-check runs after the raw insert, it fails there instead — the
+// assertions hold either way.)
+func TestTxnClaimCollidingWithRawInsert(t *testing.T) {
+	e := newTestEngine(t)
+	tb := kvTable(t, e)
+	first, err := e.CreateTable("first", kvSchema())
+	if err != nil {
+		t.Fatalf("CreateTable: %v", err)
+	}
+	if _, err := first.CreateIndex("by_k1", []string{"k"}); err != nil {
+		t.Fatalf("CreateIndex: %v", err)
+	}
+	tx := e.Begin()
+	var b1, b2 Batch
+	b1.Insert(kvRow(1, 1))
+	if _, err := tx.Apply(first, &b1); err != nil {
+		t.Fatalf("Apply first: %v", err)
+	}
+	b2.Insert(kvRow(7, 1))
+	if _, err := tx.Apply(tb, &b2); err != nil {
+		t.Fatalf("Apply kv: %v", err)
+	}
+
+	waitFor := func(what string, cond func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); !cond(); time.Sleep(100 * time.Microsecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s", what)
+			}
+		}
+	}
+	e.commitGate.Lock()
+	first.mu.Lock()
+	clock := e.Clock()
+	rawErr, txErr := make(chan error, 1), make(chan error, 1)
+	go func() {
+		_, err := tb.Insert(kvRow(7, 2))
+		rawErr <- err
+	}()
+	waitFor("the raw insert's stamp", func() bool { return e.Clock() > clock })
+	go func() { txErr <- tx.Commit() }()
+	waitFor("the commit to take txnMu", func() bool {
+		if e.txnMu.TryLock() {
+			e.txnMu.Unlock()
+			return false
+		}
+		return true
+	})
+	time.Sleep(5 * time.Millisecond) // pre-check done, parked on the gate
+	e.commitGate.Unlock()
+	if err := <-rawErr; err != nil {
+		t.Fatalf("raw insert: %v", err)
+	}
+	first.mu.Unlock()
+	if err := <-txErr; err == nil || !strings.Contains(err.Error(), "duplicate key") {
+		t.Fatalf("Commit = %v, want a duplicate-key error", err)
+	}
+
+	if got := readAll(t)(tb.Query(WithIndex("by_k"))); len(got) != 1 || got[7] != 2 {
+		t.Fatalf("kv index read = %v, want the raw row {7:2}", got)
+	}
+	if got := readAll(t)(tb.Query()); len(got) != 1 || got[7] != 2 {
+		t.Fatalf("kv heap read = %v, want the raw row {7:2}", got)
+	}
+	if got := readAll(t)(first.Query()); len(got) != 0 {
+		t.Fatalf("first table after failed commit = %v, want none", got)
+	}
+	if tb.Rows() != 1 || first.Rows() != 0 || e.deadVersions.Load() != 0 {
+		t.Fatalf("Rows() = %d/%d, deadVersions = %d after failed commit, want 1/0, 0",
+			tb.Rows(), first.Rows(), e.deadVersions.Load())
+	}
+	for _, ix := range []*Index{tb.indexes["by_k"], first.indexes["by_k1"]} {
+		if err := ix.Tree().CheckIntegrity(); err != nil {
+			t.Fatalf("CheckIntegrity %s: %v", ix.name, err)
+		}
 	}
 }
 

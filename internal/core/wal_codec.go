@@ -55,10 +55,10 @@ type walAction struct {
 // walBatch accumulates one Apply's redo actions, encoding each into
 // its payload buffer as it is reported — the arguments are only valid
 // at call time (index runs reuse their entry buffers), and deferring
-// the encode would mean copying them twice. Instances are pooled on
-// the engine (Apply is the hot path); see Engine.getWALBatch. A nil
-// *walBatch (WAL disabled) makes every append a no-op, so the batch
-// pipeline threads it unconditionally.
+// the encode would mean copying them twice. Instances are pooled
+// with the pipeline that fills them (Apply is the hot path). A nil
+// *walBatch (WAL disabled) makes every append a no-op, so the pipeline
+// threads it unconditionally.
 type walBatch struct {
 	n   int    // actions encoded
 	buf []byte // payload: table header + encoded actions
@@ -199,7 +199,7 @@ func decodeBatch(payload []byte) (table string, actions []walAction, err error) 
 	return table, actions, nil
 }
 
-// encodeTxn appends happen in txn.go (encodeTxnRecord); decodeTxn
+// The recTxn payload is built in txn.go (commitEffects); decodeTxn
 // parses a recTxn payload into its commit timestamp and per-table
 // recBatch-format sub-payloads (aliasing the input).
 func decodeTxn(payload []byte) (ts uint64, subs [][]byte, err error) {

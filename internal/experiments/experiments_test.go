@@ -368,7 +368,7 @@ func TestScanShapes(t *testing.T) {
 	if err != nil {
 		t.Fatalf("RunScan: %v", err)
 	}
-	if res.Rows != cfg.Rows || res.LeafPages < 2 || len(res.Points) != 4 {
+	if res.Rows != cfg.Rows || res.LeafPages < 2 || len(res.Points) != 3 {
 		t.Fatalf("shape: rows=%d leaves=%d points=%d", res.Rows, res.LeafPages, len(res.Points))
 	}
 	byMode := map[string]ScanPoint{}

@@ -9,14 +9,12 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/storage"
 	"repro/internal/tuple"
 )
 
 // ScanConfig parameterizes the range-scan experiment: a full-table
-// sweep through the unified Query/Cursor API, comparing the deprecated
-// callback scan, the heap-only cursor, and the cache-first cursor whose
-// coverable projection is answered from the §2.1 index cache. Tracked
+// sweep through the unified Query/Cursor API, comparing the heap-only
+// cursor and the cache-first cursor whose coverable projection is answered from the §2.1 index cache. Tracked
 // PR-over-PR via BENCH_scan.json, like the throughput sweep.
 type ScanConfig struct {
 	Rows   int
@@ -154,11 +152,6 @@ func RunScan(cfg ScanConfig) (_ ScanResult, err error) {
 		}
 	}
 	runs := []modeFn{
-		{"callback-heap-order (deprecated)", func() (core.QueryStats, error) {
-			var qs core.QueryStats
-			err := tb.Scan(func(_ storage.RID, _ tuple.Row) bool { qs.Rows++; return true }) //nolint:nblb-deprecated // the experiment measures the legacy callback path against cursors on purpose
-			return qs, err
-		}},
 		{"cursor-heap-only", cursorScan(core.WithIndex("by_id"),
 			core.WithProjection(proj...), core.WithCachePolicy(core.HeapOnly))},
 		{"cursor-cache-first", cursorScan(core.WithIndex("by_id"),

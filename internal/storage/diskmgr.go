@@ -23,6 +23,8 @@ type DiskManager interface {
 	// Sync flushes every completed write to stable storage. Durability
 	// layers (the WAL, checkpoints) order their writes around it; a
 	// manager with no volatile cache (MemDisk) may no-op.
+	//
+	// nblb:blocking-io
 	Sync() error
 	// Close releases resources. The manager is unusable afterwards.
 	Close() error

@@ -223,10 +223,6 @@ var (
 
 // Apply options (see Table.Apply).
 var (
-	// WithSyncIndexes applies each op's index maintenance in batch
-	// order (per-op descents) instead of leaf-grouped sorted runs —
-	// for batches with intra-batch dependencies between ops.
-	WithSyncIndexes = core.WithSyncIndexes
 	// WithBatchFillFactor caps how full this batch's heap inserts pack
 	// any page, overriding the table's heap fill factor for the run.
 	WithBatchFillFactor = core.WithBatchFillFactor

@@ -186,12 +186,15 @@ func TestFacadeAnalyzeTableAndPack(t *testing.T) {
 		t.Fatalf("NewPackedCodec: %v", err)
 	}
 	var rows []Row
-	err = tb.Scan(func(_ RID, row Row) bool {
-		rows = append(rows, row.Clone())
-		return true
-	})
+	cur, err := tb.Query()
 	if err != nil {
-		t.Fatalf("Scan: %v", err)
+		t.Fatalf("Query: %v", err)
+	}
+	for cur.Next() {
+		rows = append(rows, cur.Row().Clone())
+	}
+	if err := cur.Close(); err != nil {
+		t.Fatalf("cursor: %v", err)
 	}
 	buf, err := codec.EncodeRows(rows)
 	if err != nil {
@@ -285,10 +288,16 @@ func TestFacadeScanOrder(t *testing.T) {
 		tb.Insert(Row{Int64(int64(i))})
 	}
 	var got []int64
-	tb.Scan(func(_ RID, row Row) bool {
-		got = append(got, row[0].Int)
-		return true
-	})
+	cur, err := tb.Query()
+	if err != nil {
+		t.Fatalf("Query: %v", err)
+	}
+	for cur.Next() {
+		got = append(got, cur.Row()[0].Int)
+	}
+	if err := cur.Close(); err != nil {
+		t.Fatalf("cursor: %v", err)
+	}
 	if len(got) != 10 {
 		t.Fatalf("scanned %d rows", len(got))
 	}
