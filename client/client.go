@@ -170,86 +170,108 @@ func (c *Client) conn() (*clientConn, error) {
 }
 
 // roundTrip sends one request on one pooled connection and waits for
-// its single response frame.
-func (c *Client) roundTrip(typ uint8, payload []byte) (wire.Frame, error) {
+// its single response frame. req is a frame begun with wire.NewFrame
+// and the payload marshalled behind it; the round trip seals it with
+// the request ID it allocates, and the caller releases it afterwards —
+// as it does the response, once decoded.
+func (c *Client) roundTrip(typ uint8, req *wire.Buffer) (response, error) {
 	cc, err := c.conn()
 	if err != nil {
-		return wire.Frame{}, err
+		return response{}, err
 	}
-	return cc.roundTrip(typ, payload, c.cfg.timeout)
+	return cc.roundTrip(typ, req, c.cfg.timeout)
 }
 
 // readRoundTrip is roundTrip with transport-error retries, for
 // idempotent requests only.
-func (c *Client) readRoundTrip(typ uint8, payload []byte) (wire.Frame, error) {
+func (c *Client) readRoundTrip(typ uint8, req *wire.Buffer) (response, error) {
 	var lastErr error
 	for attempt := 0; attempt <= c.cfg.readRetries; attempt++ {
-		f, err := c.roundTrip(typ, payload)
+		resp, err := c.roundTrip(typ, req)
 		if err == nil {
-			return f, nil
+			return resp, nil
 		}
 		var se *ServerError
 		if errors.As(err, &se) {
-			return f, err
+			return response{}, err
 		}
 		lastErr = err
 	}
-	return wire.Frame{}, lastErr
+	return response{}, lastErr
+}
+
+// call is a round trip whose response carries nothing but success.
+func (c *Client) call(typ uint8, req *wire.Buffer, retry bool) error {
+	var (
+		resp response
+		err  error
+	)
+	if retry {
+		resp, err = c.readRoundTrip(typ, req)
+	} else {
+		resp, err = c.roundTrip(typ, req)
+	}
+	req.Release()
+	resp.release()
+	return err
 }
 
 // Ping round-trips an empty frame (retried like a read).
-func (c *Client) Ping() error {
-	_, err := c.readRoundTrip(wire.TPing, nil)
-	return err
-}
+func (c *Client) Ping() error { return c.call(wire.TPing, wire.NewFrame(), true) }
 
 // CreateTable declares a table.
 func (c *Client) CreateTable(table string, fields ...Field) error {
 	m := wire.CreateTableReq{Table: table, Fields: fields}
-	_, err := c.roundTrip(wire.TCreateTable, m.Marshal(nil))
-	return err
+	req := wire.NewFrame()
+	req.B = m.Marshal(req.B)
+	return c.call(wire.TCreateTable, req, false)
 }
 
 // CreateIndex declares an index over a table's fields.
 func (c *Client) CreateIndex(table, index string, fields []string, unique bool) error {
 	m := wire.CreateIndexReq{Table: table, Index: index, Fields: fields, Unique: unique}
-	_, err := c.roundTrip(wire.TCreateIndex, m.Marshal(nil))
-	return err
+	req := wire.NewFrame()
+	req.B = m.Marshal(req.B)
+	return c.call(wire.TCreateIndex, req, false)
 }
 
 // Checkpoint forces an engine checkpoint.
-func (c *Client) Checkpoint() error {
-	_, err := c.roundTrip(wire.TCheckpoint, nil)
-	return err
-}
+func (c *Client) Checkpoint() error { return c.call(wire.TCheckpoint, wire.NewFrame(), false) }
 
 // Stats fetches the server's counters as raw JSON (schema:
 // server.StatsSnapshot).
 func (c *Client) Stats() ([]byte, error) {
-	f, err := c.readRoundTrip(wire.TStats, nil)
+	req := wire.NewFrame()
+	resp, err := c.readRoundTrip(wire.TStats, req)
+	req.Release()
 	if err != nil {
 		return nil, err
 	}
 	var m wire.StatsResp
-	if err := m.Unmarshal(f.Payload); err != nil {
-		return nil, err
-	}
-	return m.JSON, nil
+	err = m.Unmarshal(resp.Payload)
+	resp.release()
+	return m.JSON, err
 }
 
 // Get performs a point lookup through a unique index. found=false
 // with a nil error means the key does not exist.
 func (c *Client) Get(table, index string, key ...Value) (Row, bool, error) {
 	m := wire.GetReq{Table: table, Index: index, Key: key}
-	f, err := c.readRoundTrip(wire.TGet, m.Marshal(nil))
+	req := wire.NewFrame()
+	req.B = m.Marshal(req.B)
+	resp, err := c.readRoundTrip(wire.TGet, req)
+	req.Release()
 	if err != nil {
 		return nil, false, err
 	}
-	var resp wire.GetResp
-	if err := resp.Unmarshal(f.Payload); err != nil {
+	// Decoded into fresh memory: the row is the caller's.
+	var out wire.GetResp
+	err = out.Unmarshal(resp.Payload)
+	resp.release()
+	if err != nil {
 		return nil, false, err
 	}
-	return resp.Row, resp.Found, nil
+	return out.Row, out.Found, nil
 }
 
 // Apply sends a batch of mutations. The server may coalesce them with
@@ -257,16 +279,29 @@ func (c *Client) Get(table, index string, key ...Value) (Row, bool, error) {
 // attributed per op either way. Apply is not retried on transport
 // errors (a lost ack does not mean a lost write).
 func (c *Client) Apply(table string, b *Batch) (ApplyResult, error) {
-	m := wire.ApplyReq{Table: table, Ops: b.ops}
-	f, err := c.roundTrip(wire.TApply, m.Marshal(nil))
+	cc, err := c.conn()
 	if err != nil {
 		return ApplyResult{}, err
 	}
-	var resp wire.ApplyResp
-	if err := resp.Unmarshal(f.Payload); err != nil {
+	return cc.apply(&wire.ApplyReq{Table: table, Ops: b.ops}, c.cfg.timeout)
+}
+
+// apply round-trips one ApplyReq (raw or transactional) on cc.
+func (cc *clientConn) apply(m *wire.ApplyReq, timeout time.Duration) (ApplyResult, error) {
+	req := wire.NewFrame()
+	req.B = m.Marshal(req.B)
+	resp, err := cc.roundTrip(wire.TApply, req, timeout)
+	req.Release()
+	if err != nil {
 		return ApplyResult{}, err
 	}
-	return resp, nil
+	var out wire.ApplyResp
+	err = out.Unmarshal(resp.Payload)
+	resp.release()
+	if err != nil {
+		return ApplyResult{}, err
+	}
+	return out, nil
 }
 
 // Batch accumulates mutations for Apply. The zero Batch is ready to
@@ -300,28 +335,60 @@ func (b *Batch) Reset() { b.ops = b.ops[:0] }
 // --- connection ---
 
 // clientConn is one pipelined connection: writes are serialized by wmu
-// and a single reader goroutine demultiplexes responses by request ID.
-// Per-request channels are never closed; conn death is broadcast by
-// closing dead, which every waiter (and the reader's own sends)
-// selects against — so there is no send-on-closed-channel window.
+// and a single reader goroutine demultiplexes responses by request ID
+// to the waiter registered for it. Waiter channels are never closed;
+// conn death is broadcast by closing dead, which every waiter (and the
+// reader's own sends) selects against — so there is no
+// send-on-closed-channel window.
 type clientConn struct {
 	nc   net.Conn
 	dead chan struct{} // closed exactly once when the conn breaks
 
 	wmu sync.Mutex // serializes frame writes
 
-	mu      sync.Mutex // pending map + err
-	pending map[uint64]chan wire.Frame
+	mu      sync.Mutex // everything below
+	pending map[uint64]*waiter
+	free    []*waiter // idle waiters; at most one per request ever in flight at once
+	nextID  uint64
 	err     error
+}
 
-	nextID atomic.Uint64
+// waiter is one request's claim on its response(s): the channel the
+// reader delivers to and the timer that bounds the wait, both recycled
+// through the connection's free list.
+//
+// Recycling makes a late response dangerous: the reader looks a waiter
+// up under cc.mu but delivers after unlocking, so a response to a
+// request that has just timed out can land in the channel after the
+// waiter went back to the free list — even after its next request took
+// it. Every delivery therefore carries its request ID, and recv drops
+// what is not addressed to the waiter's current request.
+type waiter struct {
+	id uint64
+	// Buffered so the reader can run ahead of a slow Rows consumer by
+	// maxBufferedPages before it stalls the connection.
+	ch    chan response
+	timer *time.Timer
+}
+
+// response is one delivered frame. Its payload aliases a pooled buffer
+// the receiver owns: decode (Unmarshal copies out), then release.
+type response struct {
+	wire.Frame
+	buf *wire.Buffer
+}
+
+func (r response) release() {
+	if r.buf != nil {
+		r.buf.Release()
+	}
 }
 
 func newClientConn(nc net.Conn) *clientConn {
 	cc := &clientConn{
 		nc:      nc,
 		dead:    make(chan struct{}),
-		pending: make(map[uint64]chan wire.Frame),
+		pending: make(map[uint64]*waiter),
 	}
 	go cc.readLoop()
 	return cc
@@ -354,25 +421,30 @@ func (cc *clientConn) close(err error) {
 
 func (cc *clientConn) readLoop() {
 	br := bufio.NewReaderSize(cc.nc, 64<<10)
+	buf := wire.GetBuffer()
 	for {
-		// Fresh buffer per frame: payloads are handed to waiters.
-		f, _, err := wire.ReadFrame(br, nil)
+		f, b, err := wire.ReadFrame(br, buf.B)
+		buf.B = b
 		if err != nil {
 			cc.close(fmt.Errorf("client: connection lost: %w", err))
 			return
 		}
 		cc.mu.Lock()
-		ch := cc.pending[f.ReqID]
-		if ch != nil && (f.Type != wire.TQueryPage || isLastPage(f.Payload)) {
+		w := cc.pending[f.ReqID]
+		if w != nil && (f.Type != wire.TQueryPage || isLastPage(f.Payload)) {
 			delete(cc.pending, f.ReqID)
 		}
 		cc.mu.Unlock()
-		if ch != nil {
-			select {
-			case ch <- f: // buffered; Query streams backpressure here
-			case <-cc.dead:
-				return
-			}
+		if w == nil {
+			continue // nobody waits (timed out, abandoned): read over it
+		}
+		// The buffer goes with the frame; the receiver returns it to the
+		// pool once it has decoded the payload.
+		select {
+		case w.ch <- response{f, buf}: // buffered; Query streams backpressure here
+			buf = wire.GetBuffer()
+		case <-cc.dead:
+			return
 		}
 	}
 }
@@ -382,30 +454,45 @@ func isLastPage(payload []byte) bool {
 	return len(payload) > 0 && payload[0]&1 != 0
 }
 
-// register allocates a request ID and its response channel. bufN > 1
-// for streaming responses.
-func (cc *clientConn) register(bufN int) (uint64, chan wire.Frame, error) {
-	id := cc.nextID.Add(1)
-	ch := make(chan wire.Frame, bufN)
+// register allocates a request ID and a waiter for its response(s).
+func (cc *clientConn) register() (*waiter, error) {
 	cc.mu.Lock()
 	defer cc.mu.Unlock()
 	if cc.err != nil {
-		return 0, nil, cc.err
+		return nil, cc.err
 	}
-	cc.pending[id] = ch
-	return id, ch, nil
+	var w *waiter
+	if n := len(cc.free); n > 0 {
+		w, cc.free = cc.free[n-1], cc.free[:n-1]
+	} else {
+		w = &waiter{ch: make(chan response, maxBufferedPages), timer: time.NewTimer(time.Hour)}
+		w.timer.Stop()
+	}
+	cc.nextID++
+	w.id = cc.nextID
+	cc.pending[w.id] = w
+	return w, nil
 }
 
-func (cc *clientConn) forget(id uint64) {
+// release ends w's request — answered, timed out or never sent — and
+// recycles the waiter. Forgetting the request and freeing the waiter
+// are one step under cc.mu; a response the reader had already picked w
+// for is handled by recv's ID check.
+func (cc *clientConn) release(w *waiter) {
 	cc.mu.Lock()
-	delete(cc.pending, id)
+	delete(cc.pending, w.id)
+	if cc.err == nil {
+		cc.free = append(cc.free, w)
+	}
 	cc.mu.Unlock()
 }
 
-func (cc *clientConn) write(id uint64, typ uint8, payload []byte) error {
-	buf := wire.AppendFrame(nil, id, typ, payload)
+// send seals the request frame begun in req with w's request ID and
+// writes it.
+func (cc *clientConn) send(w *waiter, typ uint8, req *wire.Buffer) error {
+	req.Seal(w.id, typ)
 	cc.wmu.Lock()
-	_, err := cc.nc.Write(buf)
+	_, err := cc.nc.Write(req.B)
 	cc.wmu.Unlock()
 	if err != nil {
 		cc.close(fmt.Errorf("client: write failed: %w", err))
@@ -413,46 +500,64 @@ func (cc *clientConn) write(id uint64, typ uint8, payload []byte) error {
 	return err
 }
 
-// roundTrip issues one single-response request.
-func (cc *clientConn) roundTrip(typ uint8, payload []byte, timeout time.Duration) (wire.Frame, error) {
-	id, ch, err := cc.register(1)
-	if err != nil {
-		return wire.Frame{}, err
-	}
-	if err := cc.write(id, typ, payload); err != nil {
-		cc.forget(id)
-		return wire.Frame{}, err
-	}
-	timer := time.NewTimer(timeout)
-	defer timer.Stop()
-	select {
-	case f := <-ch:
-		return checkErr(f)
-	case <-cc.dead:
-		// The response may have been buffered just before the conn
-		// died; prefer it over the transport error.
+// recv waits up to timeout for the next response to w's request. A
+// TErr frame comes back as a *ServerError; ErrTimeout and transport
+// errors leave the request registered (the caller releases or abandons
+// it).
+func (cc *clientConn) recv(w *waiter, timeout time.Duration) (response, error) {
+	w.timer.Reset(timeout)
+	defer w.timer.Stop()
+	for {
 		select {
-		case f := <-ch:
-			return checkErr(f)
-		default:
+		case r := <-w.ch:
+			if r.ReqID != w.id {
+				r.release() // late answer to a request this waiter gave up on
+				continue
+			}
+			return checkErr(r)
+		case <-cc.dead:
+			// The response may have been buffered just before the conn
+			// died; prefer it over the transport error.
+			for {
+				select {
+				case r := <-w.ch:
+					if r.ReqID == w.id {
+						return checkErr(r)
+					}
+					r.release()
+				default:
+					return response{}, cc.lastErr()
+				}
+			}
+		case <-w.timer.C:
+			return response{}, ErrTimeout
 		}
-		return wire.Frame{}, cc.lastErr()
-	case <-timer.C:
-		cc.forget(id)
-		// The response may still arrive and land in the buffered
-		// channel; it is garbage-collected with the channel.
-		return wire.Frame{}, ErrTimeout
 	}
 }
 
+// roundTrip issues one single-response request.
+func (cc *clientConn) roundTrip(typ uint8, req *wire.Buffer, timeout time.Duration) (response, error) {
+	w, err := cc.register()
+	if err != nil {
+		return response{}, err
+	}
+	defer cc.release(w)
+	if err := cc.send(w, typ, req); err != nil {
+		return response{}, err
+	}
+	return cc.recv(w, timeout)
+}
+
 // checkErr converts a TErr frame into a *ServerError.
-func checkErr(f wire.Frame) (wire.Frame, error) {
-	if f.Type != wire.TErr {
-		return f, nil
+func checkErr(r response) (response, error) {
+	if r.Type != wire.TErr {
+		return r, nil
 	}
 	var m wire.ErrResp
-	if err := m.Unmarshal(f.Payload); err != nil {
-		return f, err
+	err := m.Unmarshal(r.Payload)
+	r.release()
+	if err != nil {
+		return response{}, err
 	}
-	return f, &ServerError{Msg: m.Msg, Code: m.Code}
+	return response{}, &ServerError{Msg: m.Msg, Code: m.Code}
 }

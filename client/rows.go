@@ -1,6 +1,7 @@
 package client
 
 import (
+	"errors"
 	"time"
 
 	"repro/internal/wire"
@@ -76,23 +77,31 @@ func WithUnordered() QueryOption {
 // Opening is idempotent, but an in-flight stream is not transparently
 // retried: a transport error mid-stream surfaces via Err.
 func (c *Client) Query(table string, opts ...QueryOption) (*Rows, error) {
-	req := wire.QueryReq{Table: table}
-	for _, o := range opts {
-		o(&req)
-	}
 	cc, err := c.conn()
 	if err != nil {
 		return nil, err
 	}
-	id, ch, err := cc.register(maxBufferedPages)
+	return cc.query(&wire.QueryReq{Table: table}, opts, c.cfg.timeout)
+}
+
+// query applies opts to m and opens the stream on cc.
+func (cc *clientConn) query(m *wire.QueryReq, opts []QueryOption, timeout time.Duration) (*Rows, error) {
+	for _, o := range opts {
+		o(m)
+	}
+	w, err := cc.register()
 	if err != nil {
 		return nil, err
 	}
-	if err := cc.write(id, wire.TQuery, req.Marshal(nil)); err != nil {
-		cc.forget(id)
+	req := wire.NewFrame()
+	req.B = m.Marshal(req.B)
+	err = cc.send(w, wire.TQuery, req)
+	req.Release()
+	if err != nil {
+		cc.release(w)
 		return nil, err
 	}
-	return &Rows{cc: cc, ch: ch, id: id, timeout: c.cfg.timeout}, nil
+	return &Rows{cc: cc, w: w, timeout: timeout}, nil
 }
 
 // maxBufferedPages bounds how many response pages the reader goroutine
@@ -103,11 +112,10 @@ const maxBufferedPages = 32
 // / Err / Close. Rows is not safe for concurrent use.
 type Rows struct {
 	cc      *clientConn
-	ch      chan wire.Frame
-	id      uint64
+	w       *waiter // the stream's claim on its pages; released when the last one arrived
 	timeout time.Duration
 
-	page wire.QueryPage
+	page wire.QueryPage // decoded in place, page after page
 	idx  int
 	row  Row
 	rid  uint64
@@ -142,38 +150,35 @@ func (r *Rows) Next() bool {
 }
 
 func (r *Rows) fetchPage() bool {
-	timer := time.NewTimer(r.timeout)
-	defer timer.Stop()
-	select {
-	case f := <-r.ch:
-		if _, err := checkErr(f); err != nil {
-			r.err = err
-			r.done = true
-			return false
+	resp, err := r.cc.recv(r.w, r.timeout)
+	if err == nil {
+		// The page is decoded over the previous one: its rows are the
+		// stream's own memory, not views of the response buffer.
+		err = r.page.Unmarshal(resp.Payload)
+		resp.release()
+		if err != nil {
+			r.abandon() // what follows an undecodable page cannot be trusted
 		}
-		r.page = wire.QueryPage{}
-		if err := r.page.Unmarshal(f.Payload); err != nil {
-			r.err = err
-			r.done = true
-			return false
-		}
-		r.idx = 0
-		r.done = r.page.Last
-		return true
-	case <-r.cc.dead:
-		r.err = r.cc.lastErr()
-		r.done = true
-		return false
-	case <-timer.C:
-		r.err = ErrTimeout
-		r.done = true
+	} else if errors.Is(err, ErrTimeout) {
 		r.abandon()
+	}
+	// The last page and a server error are each the server's last word
+	// on the request: the waiter is free for the next one.
+	var se *ServerError
+	if err == nil && r.page.Last || errors.As(err, &se) {
+		r.cc.release(r.w)
+	}
+	if err != nil {
+		r.err, r.done = err, true
 		return false
 	}
+	r.idx = 0
+	r.done = r.page.Last
+	return true
 }
 
-// Row returns the current row. The slice is owned by the stream page;
-// copy values that must outlive the next page fetch.
+// Row returns the current row. The slice is owned by the stream and
+// overwritten by the next page fetch: copy values that must outlive it.
 func (r *Rows) Row() Row { return r.row }
 
 // RID returns the current row's packed RID when the query used
@@ -195,11 +200,8 @@ func (r *Rows) Close() error {
 	return nil
 }
 
-// abandon drops the pending entry; the server may still stream pages,
-// which the reader then discards by unknown request ID. If the stream
-// is mid-flight the connection is closed so the discarded pages don't
-// stall the reader behind a full channel.
-func (r *Rows) abandon() {
-	r.cc.forget(r.id)
-	r.cc.close(ErrTimeout)
-}
+// abandon gives up on a stream in mid-flight by closing its connection:
+// the server may still be streaming pages, and the reader must not
+// stall behind a channel nobody drains. The waiter dies with the
+// connection.
+func (r *Rows) abandon() { r.cc.close(ErrTimeout) }

@@ -37,15 +37,19 @@ func (c *Client) Begin() (*Txn, error) {
 	if err != nil {
 		return nil, err
 	}
-	f, err := cc.roundTrip(wire.TTxnBegin, nil, c.cfg.timeout)
+	req := wire.NewFrame()
+	resp, err := cc.roundTrip(wire.TTxnBegin, req, c.cfg.timeout)
+	req.Release()
 	if err != nil {
 		return nil, err
 	}
-	var resp wire.TxnBeginResp
-	if err := resp.Unmarshal(f.Payload); err != nil {
+	var m wire.TxnBeginResp
+	err = m.Unmarshal(resp.Payload)
+	resp.release()
+	if err != nil {
 		return nil, err
 	}
-	return &Txn{cc: cc, id: resp.TxnID, startTS: resp.StartTS, timeout: c.cfg.timeout}, nil
+	return &Txn{cc: cc, id: m.TxnID, startTS: m.StartTS, timeout: c.cfg.timeout}, nil
 }
 
 // StartTS is the commit timestamp the snapshot reads as of.
@@ -59,16 +63,7 @@ func (t *Txn) Apply(table string, b *Batch) (ApplyResult, error) {
 	if t.done {
 		return ApplyResult{}, errors.New("client: transaction finished")
 	}
-	m := wire.ApplyReq{Table: table, Ops: b.ops, TxnID: t.id}
-	f, err := t.cc.roundTrip(wire.TApply, m.Marshal(nil), t.timeout)
-	if err != nil {
-		return ApplyResult{}, err
-	}
-	var resp wire.ApplyResp
-	if err := resp.Unmarshal(f.Payload); err != nil {
-		return ApplyResult{}, err
-	}
-	return resp, nil
+	return t.cc.apply(&wire.ApplyReq{Table: table, Ops: b.ops, TxnID: t.id}, t.timeout)
 }
 
 // Query opens a streaming cursor over the Begin snapshot (staged
@@ -77,19 +72,7 @@ func (t *Txn) Query(table string, opts ...QueryOption) (*Rows, error) {
 	if t.done {
 		return nil, errors.New("client: transaction finished")
 	}
-	req := wire.QueryReq{Table: table, TxnID: t.id}
-	for _, o := range opts {
-		o(&req)
-	}
-	id, ch, err := t.cc.register(maxBufferedPages)
-	if err != nil {
-		return nil, err
-	}
-	if err := t.cc.write(id, wire.TQuery, req.Marshal(nil)); err != nil {
-		t.cc.forget(id)
-		return nil, err
-	}
-	return &Rows{cc: t.cc, ch: ch, id: id, timeout: t.timeout}, nil
+	return t.cc.query(&wire.QueryReq{Table: table, TxnID: t.id}, opts, t.timeout)
 }
 
 // Commit atomically applies every staged write. On ErrTxnConflict the
@@ -101,8 +84,7 @@ func (t *Txn) Commit() error {
 		return errors.New("client: transaction finished")
 	}
 	t.done = true
-	m := wire.TxnFinishReq{TxnID: t.id}
-	_, err := t.cc.roundTrip(wire.TTxnCommit, m.Marshal(nil), t.timeout)
+	err := t.finish(wire.TTxnCommit)
 	var se *ServerError
 	if errors.As(err, &se) && se.Code == wire.ErrCodeTxnConflict {
 		return ErrTxnConflict
@@ -117,7 +99,16 @@ func (t *Txn) Abort() error {
 		return nil
 	}
 	t.done = true
+	return t.finish(wire.TTxnAbort)
+}
+
+// finish round-trips the commit or abort request.
+func (t *Txn) finish(typ uint8) error {
 	m := wire.TxnFinishReq{TxnID: t.id}
-	_, err := t.cc.roundTrip(wire.TTxnAbort, m.Marshal(nil), t.timeout)
+	req := wire.NewFrame()
+	req.B = m.Marshal(req.B)
+	resp, err := t.cc.roundTrip(typ, req, t.timeout)
+	req.Release()
+	resp.release()
 	return err
 }

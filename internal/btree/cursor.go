@@ -50,7 +50,15 @@ type Cursor struct {
 	done    bool
 	err     error
 	fetches int64
+
+	// inline backs start, end and key while they fit, so a cursor over
+	// short keys is one allocation.
+	inline [3][keyInline]byte
 }
+
+// keyInline is the key length up to which a cursor stores its bounds
+// and resume key inside itself.
+const keyInline = 24
 
 // CursorOption configures NewCursor.
 type CursorOption func(*Cursor)
@@ -77,12 +85,13 @@ func WithEntryVisitor(fn func(l *Leaf, pos int)) CursorOption {
 // cursor does no I/O.
 func (t *Tree) NewCursor(start, end []byte, opts ...CursorOption) *Cursor {
 	c := &Cursor{t: t}
-	if start != nil {
-		c.start = append([]byte(nil), start...)
+	if len(start) > 0 {
+		c.start = append(c.inline[0][:0], start...)
 	}
-	if end != nil {
-		c.end = append([]byte(nil), end...)
+	if len(end) > 0 {
+		c.end = append(c.inline[1][:0], end...)
 	}
+	c.key = c.inline[2][:0]
 	for _, o := range opts {
 		o(c)
 	}

@@ -452,10 +452,7 @@ func (ix *Index) aggSegmentPushdown(seg btree.Segment, bounds []aggBound, fp *fi
 			needKey = true
 		}
 	}
-	keyKinds := make([]tuple.Kind, len(ix.keyFields))
-	for i, pos := range ix.keyFields {
-		keyKinds[i] = ix.table.schema.Field(pos).Kind
-	}
+	keyKinds := ix.keyKinds
 	var (
 		eb       btree.EntryBlock
 		hits     []bool

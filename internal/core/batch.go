@@ -226,22 +226,23 @@ func (r *Result) failRemaining(err error) {
 //
 // nblb:commit-entry — the audited mutate+log-append critical section.
 func (t *Table) Apply(b *Batch, opts ...ApplyOption) (Result, error) {
-	var cfg applyConfig
-	for _, o := range opts {
-		o(&cfg)
-	}
 	if b == nil || len(b.ops) == 0 {
 		return Result{ErrIndex: -1}, nil
 	}
 	e := t.engine
 	p := e.getPipeline()
 	p.aim(t)
+	// The options write into the pooled pipeline: a local config would
+	// escape through the option calls and cost an allocation per Apply.
+	for _, o := range opts {
+		o(&p.applyConfig)
+	}
 	p.buf = append(p.buf, b.ops...)
-	p.ops, p.isolate, p.fill = p.buf, cfg.isolate, cfg.fill
-	if cfg.wantRIDs {
+	p.ops = p.buf
+	if p.wantRIDs {
 		p.res.RIDs = make([]storage.RID, len(p.ops)) // all InvalidRID
 	}
-	if cfg.isolate {
+	if p.isolate {
 		p.res.OpErrs = make([]error, len(p.ops))
 	}
 	// The raw commit stamp allocates BEFORE the gate: rawStampTS takes
@@ -305,15 +306,14 @@ func (t *Table) Apply(b *Batch, opts ...ApplyOption) (Result, error) {
 // recovery replays. Instances (and their stage scratch) are pooled on
 // the engine: Apply is the hot path.
 type pipeline struct {
-	t       *Table
-	ops     []stagedOp
-	res     Result
-	wb      *walBatch // nil without a WAL: every append is a no-op
-	isolate bool
-	fill    float64
-	stamp   uint64    // born timestamp of new records (0 = no version metadata)
-	vers    *txnTable // the committing transaction's side of t; nil = raw
+	t     *Table
+	ops   []stagedOp
+	res   Result
+	wb    *walBatch // nil without a WAL: every append is a no-op
+	stamp uint64    // born timestamp of new records (0 = no version metadata)
+	vers  *txnTable // the committing transaction's side of t; nil = raw
 
+	applyConfig // Apply's options (a commit runs with the zero config)
 	stageScratch
 }
 
@@ -326,6 +326,38 @@ type stageScratch struct {
 	recs   [][]byte
 	rids   []storage.RID
 	insOps []int
+	getBuf []byte // pre-flight: the pre-image's raw record
+	// arena backs the encoded records and index entry keys of one trip:
+	// they are carved from it back to back instead of allocated one by
+	// one. A chunk that fills up is left to the slices that alias it and
+	// a larger one takes over, so nothing carved ever moves.
+	arena []byte
+}
+
+// maxArena bounds the arena chunk a pooled pipeline keeps.
+const maxArena = 64 << 10
+
+// carve returns an empty slice with room for n bytes from the arena.
+func (s *stageScratch) carve(n int) []byte {
+	if cap(s.arena)-len(s.arena) < n {
+		s.arena = make([]byte, 0, max(n, min(2*cap(s.arena), maxArena)))
+	}
+	off := len(s.arena)
+	s.arena = s.arena[:off+n]
+	return s.arena[off : off : off+n]
+}
+
+// entryKey is Index.entryKey carved from the arena. Keys have no size
+// known up front, so one is appended at the arena's end and, should
+// that outgrow the chunk, append's copy becomes the new chunk.
+func (s *stageScratch) entryKey(ix *Index, row tuple.Row, rid storage.RID) ([]byte, error) {
+	off := len(s.arena)
+	buf, err := ix.appendEntryKey(s.arena, row, rid)
+	if err != nil {
+		return nil, err
+	}
+	s.arena = buf
+	return buf[off:len(buf):len(buf)], nil
 }
 
 // getPipeline returns a pooled pipeline; aim it before use.
@@ -340,10 +372,14 @@ func (e *Engine) getPipeline() *pipeline {
 	return p
 }
 
-// aim points the pipeline at t with a clean result and log record.
+// aim points the pipeline at t with a clean result, log record and
+// arena (what the previous table's trip carved is dead by now: its
+// records are in the heap and the log, its keys in the trees, and
+// noteEntries copied the ones undo needs).
 func (p *pipeline) aim(t *Table) {
 	p.t = t
 	p.res = Result{ErrIndex: -1}
+	p.arena = p.arena[:0]
 	if p.wb != nil {
 		p.wb.reset(t.name)
 	}
@@ -356,20 +392,27 @@ func (e *Engine) putPipeline(p *pipeline) {
 	clear(p.buf)
 	clear(p.recs)
 	p.buf, p.recs = p.buf[:0], p.recs[:0]
+	if cap(p.arena) > maxArena { // a key's append doubled it past the bound
+		p.arena = nil
+	}
 	*p = pipeline{stageScratch: p.stageScratch}
 	e.pipePool.Put(p)
 }
 
 // preflight readies one op for the stages: the pre-image loads and the
-// new row encodes.
-func (t *Table) preflight(op *stagedOp) (err error) {
+// new row encodes, sized once and carved from sc's arena.
+func (t *Table) preflight(op *stagedOp, sc *stageScratch) (err error) {
 	if op.kind != BatchInsert {
-		if op.oldRow, err = t.Get(op.rid); err != nil {
+		if op.oldRow, sc.getBuf, err = t.GetInto(nil, sc.getBuf, op.rid); err != nil {
 			return fmt.Errorf("core: %v of %v: %w", op.kind, op.rid, err)
 		}
 	}
 	if op.kind != BatchDelete {
-		if op.rec, err = tuple.Encode(t.schema, op.row, nil); err != nil {
+		n, err := tuple.EncodedSize(t.schema, op.row)
+		if err == nil {
+			op.rec, err = tuple.Encode(t.schema, op.row, sc.carve(n))
+		}
+		if err != nil {
 			return fmt.Errorf("core: encoding row for %q: %w", t.name, err)
 		}
 	}
@@ -418,7 +461,7 @@ func (p *pipeline) failRun(ix *Index, err error) {
 func (p *pipeline) run() {
 	if p.vers == nil {
 		for i := range p.ops {
-			if err := p.t.preflight(&p.ops[i]); err != nil && p.fail(i, err) {
+			if err := p.t.preflight(&p.ops[i], &p.stageScratch); err != nil && p.fail(i, err) {
 				// Ops before i proceed through the stages; i and
 				// everything after are never started.
 				p.ops = p.ops[:i]
@@ -500,7 +543,7 @@ func (p *pipeline) indexDeletes() bool {
 			if op.kind != BatchDelete || op.skip {
 				continue
 			}
-			key, err := ix.entryKey(op.oldRow, op.rid)
+			key, err := p.entryKey(ix, op.oldRow, op.rid)
 			if err != nil {
 				if p.fail(i, err) {
 					return false
@@ -686,10 +729,10 @@ func (p *pipeline) indexUpserts() bool {
 			if op.skip || op.kind == BatchDelete {
 				continue
 			}
-			newKey, err := ix.entryKey(op.row, op.newRID)
+			newKey, err := p.entryKey(ix, op.row, op.newRID)
 			var oldKey []byte
 			if err == nil && op.kind == BatchUpdate {
-				oldKey, err = ix.entryKey(op.oldRow, op.rid)
+				oldKey, err = p.entryKey(ix, op.oldRow, op.rid)
 			}
 			if err != nil {
 				if p.fail(i, err) {

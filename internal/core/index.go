@@ -65,6 +65,7 @@ type Index struct {
 	table     *Table
 	name      string
 	keyFields []int
+	keyKinds  []tuple.Kind // kinds of keyFields, for decoding entry keys; immutable
 	unique    bool
 	cfg       indexConfig // resolved creation config (checkpoint manifest)
 	tree      *btree.Tree
@@ -210,6 +211,7 @@ func (t *Table) newIndexShell(name string, fields []string, cfg indexConfig) (*I
 			return nil, fmt.Errorf("core: index %q: no field %q in %s", name, f, t.schema)
 		}
 		ix.keyFields = append(ix.keyFields, pos)
+		ix.keyKinds = append(ix.keyKinds, t.schema.Field(pos).Kind)
 	}
 	if len(cfg.cachedFields) > 0 {
 		if cfg.nonUnique {

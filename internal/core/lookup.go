@@ -13,12 +13,15 @@ import (
 	"repro/internal/tuple"
 )
 
-// lookupScratch bundles the byte buffers a point lookup needs — the
-// encoded search key and the cache payload — so the hot path reuses
-// them via a sync.Pool instead of allocating per call.
+// lookupScratch bundles the scratch a point lookup needs — the encoded
+// search key, the cache payload and, on a cache miss, the heap record
+// and the full row decoded from it — so the hot path reuses them via a
+// sync.Pool instead of allocating per call.
 type lookupScratch struct {
 	key     []byte
 	payload []byte
+	rec     []byte
+	row     tuple.Row
 }
 
 var lookupScratchPool = sync.Pool{New: func() any { return new(lookupScratch) }}
@@ -54,9 +57,10 @@ func (ix *Index) Lookup(project []string, keyVals ...tuple.Value) (tuple.Row, Lo
 
 // LookupInto is Lookup writing the projected row into dst when its
 // capacity suffices (the returned row may still be a fresh slice when
-// dst was too small). Together with the pooled key/payload scratch this
-// makes a cache-hit lookup allocation-free: callers that reuse the
-// returned row across calls pay zero heap allocations per hit.
+// dst was too small). Together with the pooled scratch this makes a
+// lookup allocation-free for callers that reuse the returned row across
+// calls: a cache hit pays zero heap allocations, a miss only the
+// strings and byte slices the row's values own.
 //
 // The returned row aliases dst's backing array; it is only valid until
 // the next LookupInto with the same dst.
@@ -132,10 +136,12 @@ func (ix *Index) lookupInLeaf(l *btree.Leaf, key []byte, keyVals []tuple.Value, 
 	// Cache miss (or projection not coverable): fetch the heap row
 	// while the leaf is pinned, then fill the cache.
 	res.HeapAccess = true
-	row, gerr := ix.table.Get(res.RID)
+	row, rec, gerr := ix.table.GetInto(sc.row, sc.rec, res.RID)
+	sc.rec = rec
 	if gerr != nil {
 		return nil, res, gerr
 	}
+	sc.row = row
 	if ix.cache != nil && l.Exclusive() && (prepared || ix.cache.Prepare(l)) {
 		if payload, ok := ix.encodePayloadInto(sc.payload[:0], row); ok {
 			sc.payload = payload[:0]

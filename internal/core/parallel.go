@@ -123,10 +123,7 @@ func (ix *Index) parallelQuery(cfg queryConfig, plan *projPlan, fp *filterPlan, 
 		snap:   cfg.snapshotTS(),
 		cancel: make(chan struct{}),
 	}
-	p.keyKinds = make([]tuple.Kind, len(ix.keyFields))
-	for i, pos := range ix.keyFields {
-		p.keyKinds[i] = ix.table.schema.Field(pos).Kind
-	}
+	p.keyKinds = ix.keyKinds
 	p.segStats = make([]QueryStats, len(segs))
 	p.run(n)
 	return &Cursor{src: p, limit: cfg.limit}, nil

@@ -49,15 +49,13 @@ func (c *queryConfig) snapshotTS() uint64 {
 	return snapLatest
 }
 
-// withSnapshot pins the query to read as-of ts — the Txn.Query path.
+// pinSnapshot makes the query read as-of ts — the Txn.Query path.
 // Snapshot reads bypass the index cache (HeapOnly): cached payloads
 // always describe the newest version, and a pinned snapshot may need an
 // older one.
-func withSnapshot(ts uint64) QueryOption {
-	return func(c *queryConfig) {
-		c.snap, c.snapSet = ts, true
-		c.policy = HeapOnly
-	}
+func (c *queryConfig) pinSnapshot(ts uint64) {
+	c.snap, c.snapSet = ts, true
+	c.policy = HeapOnly
 }
 
 // WithIndex routes a Table.Query through the named index, yielding rows
@@ -142,12 +140,16 @@ func (t *Table) Query(opts ...QueryOption) (*Cursor, error) {
 	for _, o := range opts {
 		o(&cfg)
 	}
+	return t.query(&cfg)
+}
+
+func (t *Table) query(cfg *queryConfig) (*Cursor, error) {
 	if cfg.index != "" {
 		ix, err := t.Index(cfg.index)
 		if err != nil {
 			return nil, err
 		}
-		return ix.query(cfg)
+		return ix.query(*cfg)
 	}
 	if cfg.lo != nil || cfg.hi != nil || cfg.prefix != nil {
 		return nil, fmt.Errorf("core: key bounds on %q require an index (add WithIndex)", t.name)
@@ -245,32 +247,35 @@ func (ix *Index) useScanCache(policy CachePolicy, plan *projPlan, fp *filterPlan
 // newIndexSource builds the serial row source over encoded bounds —
 // shared by Query and the per-segment fallback path of Aggregate.
 func (ix *Index) newIndexSource(start, end []byte, plan *projPlan, fp *filterPlan, policy CachePolicy, reverse bool) *indexSource {
-	s := &indexSource{ix: ix, plan: plan, fp: fp, snap: snapLatest}
+	s := &indexSource{ix: ix, plan: plan, fp: fp, snap: snapLatest, keyKinds: ix.keyKinds}
 	s.keyBuf = s.keyArr[:0]
-	s.keyKinds = make([]tuple.Kind, len(ix.keyFields))
-	for i, pos := range ix.keyFields {
-		s.keyKinds[i] = ix.table.schema.Field(pos).Kind
-	}
-	var bopts []btree.CursorOption
+	// Options are set by index: append would move them to the heap.
+	var bopts [2]btree.CursorOption
+	n := 0
 	if reverse {
-		bopts = append(bopts, btree.Reverse())
+		bopts[n] = btree.Reverse()
+		n++
 	}
 	if ix.useScanCache(policy, plan, fp) {
-		// Probe the cache under the latch the cursor already holds: the
-		// §2.1.1 leaf-answer flow, batched into the scan.
-		bopts = append(bopts, btree.WithEntryVisitor(func(l *btree.Leaf, pos int) {
-			s.hit = false
-			if !ix.cache.Prepare(l) {
-				return
-			}
-			if p, ok := ix.cache.LookupInto(s.payload[:0], l, l.ValueAt(pos)); ok {
-				s.payload = p
-				s.hit = true
-			}
-		}))
+		bopts[n] = btree.WithEntryVisitor(s.probeCache)
+		n++
 	}
-	s.bt = ix.tree.NewCursor(start, end, bopts...)
+	s.bt = ix.tree.NewCursor(start, end, bopts[:n]...)
 	return s
+}
+
+// probeCache is the scan's entry visitor: it probes the §2.1 cache
+// under the latch the cursor already holds — the §2.1.1 leaf-answer
+// flow, batched into the scan.
+func (s *indexSource) probeCache(l *btree.Leaf, pos int) {
+	s.hit = false
+	if !s.ix.cache.Prepare(l) {
+		return
+	}
+	if p, ok := s.ix.cache.LookupInto(s.payload[:0], l, l.ValueAt(pos)); ok {
+		s.payload = p
+		s.hit = true
+	}
 }
 
 // boundKey encodes a (possibly partial) key bound, kind-checking each

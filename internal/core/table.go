@@ -167,11 +167,7 @@ func (t *Table) Insert(row tuple.Row) (storage.RID, error) {
 
 // Get fetches and decodes the row at rid.
 func (t *Table) Get(rid storage.RID) (tuple.Row, error) {
-	rec, err := t.file.Get(rid)
-	if err != nil {
-		return nil, err
-	}
-	row, _, err := tuple.Decode(t.schema, rec)
+	row, _, err := t.GetInto(nil, nil, rid)
 	return row, err
 }
 

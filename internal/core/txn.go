@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -112,7 +113,9 @@ type entryUndo struct {
 func (tt *txnTable) noteEntries(ix *Index, run []btree.RunEntry) {
 	for i := range run {
 		if e := &run[i]; e.Op != btree.RunInsertIfAbsent || !e.Existed {
-			tt.entries = append(tt.entries, entryUndo{ix: ix, key: e.Key, val: e.Prev, restore: e.Existed})
+			// The key is copied: the run's keys live in the pipeline's
+			// arena, which is recycled before a rollback would read them.
+			tt.entries = append(tt.entries, entryUndo{ix: ix, key: bytes.Clone(e.Key), val: e.Prev, restore: e.Existed})
 		}
 	}
 }
@@ -165,6 +168,7 @@ func (tx *Txn) Apply(t *Table, b *Batch) (Result, error) {
 	batchNo := tx.nBatch
 
 	staged := append([]stagedOp(nil), b.ops...)
+	var sc stageScratch // the staged records keep what they carve from it
 	type claim struct {
 		id  claimID
 		ref claimRef
@@ -200,7 +204,7 @@ func (tx *Txn) Apply(t *Table, b *Batch) (Result, error) {
 			}
 			targets = append(targets, tgt)
 		}
-		if err := t.preflight(op); err != nil {
+		if err := t.preflight(op, &sc); err != nil {
 			return res, res.fail(i, err)
 		}
 		// Unique-key accounting against the transaction's own stage.
@@ -277,10 +281,12 @@ func (tx *Txn) Query(t *Table, opts ...QueryOption) (*Cursor, error) {
 	if tx.done {
 		return nil, ErrTxnDone
 	}
-	withSnap := make([]QueryOption, 0, len(opts)+1)
-	withSnap = append(withSnap, opts...)
-	withSnap = append(withSnap, withSnapshot(tx.startTS))
-	return t.Query(withSnap...)
+	var cfg queryConfig
+	for _, o := range opts {
+		o(&cfg)
+	}
+	cfg.pinSnapshot(tx.startTS)
+	return t.query(&cfg)
 }
 
 // Abort discards the staged writes and releases the snapshot.

@@ -1,0 +1,113 @@
+//go:build !race
+
+package server_test
+
+import (
+	"testing"
+
+	"repro/client"
+)
+
+// Allocation budgets of the served request path, measured over a real
+// loopback client + server. testing.AllocsPerRun counts process-wide
+// mallocs, so the client's and the server's allocations both land in
+// the number — it is the in-tree stand-in for the served benchmark's
+// allocs_per_op. Each budget is the measured figure + 2; the same test
+// at the commit before the request path was pooled measured Get 34,
+// CoveredPointQuery 61, ApplyInsert 43, ApplyUpdate 49.
+//
+// Skipped under -race: the race detector instruments allocations and
+// changes the counts.
+func TestServedAllocBudgets(t *testing.T) {
+	f := startServer(t, nil)
+	defer f.stop(t)
+	const n = 2000
+	rids := setupItems(t, f.eng, n)
+	cl, err := client.Dial(f.addr, client.WithPoolSize(1))
+	if err != nil {
+		t.Fatalf("Dial: %v", err)
+	}
+	defer cl.Close()
+
+	// Expected rows are built up front: the measured closures must not
+	// allocate on their own account.
+	want := make([]client.Row, n)
+	for i := range want {
+		want[i] = itemRow(int64(i), 0)
+	}
+	updates := [2]client.Row{itemRow(5, 1), itemRow(5, 2)}
+	fresh := make([]client.Row, 0, 1000) // more than warm-up + measured runs
+	for i := 0; i < cap(fresh); i++ {
+		fresh = append(fresh, itemRow(int64(n+i), 0))
+	}
+	same := func(got, want client.Row) {
+		if len(got) != len(want) {
+			t.Fatalf("row has %d fields, want %d", len(got), len(want))
+		}
+		for i := range got {
+			if !got[i].Equal(want[i]) {
+				t.Fatalf("field %d = %v, want %v", i, got[i], want[i])
+			}
+		}
+	}
+	var id int64
+	next := func() int64 { id = (id*31 + 7) % n; return id }
+	fail := func(err error) {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	ver := 0
+	cases := []struct {
+		name   string
+		budget float64
+		op     func()
+	}{
+		{"Get", 7, func() {
+			id := next()
+			row, found, err := cl.Get("items", "by_id", client.Int64(id))
+			fail(err)
+			if !found {
+				t.Fatalf("id %d not found", id)
+			}
+			same(row, want[id])
+		}},
+		{"CoveredPointQuery", 19, func() {
+			id := next()
+			row, err := coveredPoint(cl, id)
+			fail(err)
+			same(row, want[id][:3])
+		}},
+		{"ApplyInsert", 9, func() {
+			var b client.Batch
+			b.Insert(fresh[0])
+			fresh = fresh[1:]
+			res, err := cl.Apply("items", &b)
+			fail(err)
+			if res.Applied != 1 {
+				t.Fatalf("apply: %v", res.Err(0))
+			}
+		}},
+		{"ApplyUpdate", 13, func() {
+			ver++
+			var b client.Batch
+			b.Update(rids[5], updates[ver&1])
+			res, err := cl.Apply("items", &b)
+			fail(err)
+			if res.Applied != 1 {
+				t.Fatalf("apply: %v", res.Err(0))
+			}
+			rids[5] = res.RIDs[0]
+		}},
+	}
+	for _, tc := range cases {
+		for i := 0; i < 200; i++ { // warm pools, caches and the projection plan
+			tc.op()
+		}
+		got := testing.AllocsPerRun(500, tc.op)
+		t.Logf("%-18s %5.1f allocs/op (budget %.0f)", tc.name, got, tc.budget)
+		if got > tc.budget {
+			t.Errorf("%s: %.1f allocs/op, budget %.0f", tc.name, got, tc.budget)
+		}
+	}
+}

@@ -5,16 +5,19 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/storage"
 	"repro/internal/wire"
 )
 
 // applyJob is one connection's contribution to a coalesced batch. The
-// leader replies on resp exactly once.
+// leader fills *out and signals done exactly once; jobs (and their
+// channels) are recycled by the handler that waited.
 type applyJob struct {
 	ops  []wire.Op
-	resp chan wire.ApplyResp
+	out  *wire.ApplyResp
+	done chan struct{}
 }
+
+var jobPool = sync.Pool{New: func() any { return &applyJob{done: make(chan struct{}, 1)} }}
 
 // coalescer drains many connections' pending ops for one table into
 // shared core.Batches. Handlers enqueue jobs; a single leader
@@ -52,13 +55,17 @@ func newCoalescer(tb *core.Table, maxOps int, maxWait time.Duration, stats *Stat
 	return c
 }
 
-// enqueue stages a job and returns its response channel. It must not
-// be called after close; the server guarantees this by draining all
-// connection handlers before closing coalescers.
-func (c *coalescer) enqueue(ops []wire.Op) chan wire.ApplyResp {
-	j := &applyJob{ops: ops, resp: make(chan wire.ApplyResp, 1)}
+// apply stages ops, waits for the cycle that lands them and leaves
+// their attributed result in out. It must not be called after close;
+// the server guarantees this by draining all connection handlers
+// before closing coalescers.
+func (c *coalescer) apply(ops []wire.Op, out *wire.ApplyResp) {
+	j := jobPool.Get().(*applyJob)
+	j.ops, j.out = ops, out
 	c.queue <- j
-	return j.resp
+	<-j.done
+	j.ops, j.out = nil, nil
+	jobPool.Put(j)
 }
 
 // close stops the leader after it drains every staged job.
@@ -69,10 +76,13 @@ func (c *coalescer) close() {
 
 func (c *coalescer) run() {
 	defer c.wg.Done()
-	var timer *time.Timer
+	var (
+		timer *time.Timer
+		jobs  []*applyJob // the cycle's jobs and its shared batch are
+		batch core.Batch  // leader-owned scratch, reused every cycle
+	)
 	for first := range c.queue {
-		jobs := make([]*applyJob, 1, 8)
-		jobs[0] = first
+		jobs = append(jobs[:0], first)
 		n := len(first.ops)
 		if n < c.maxOps {
 			if timer == nil {
@@ -100,46 +110,39 @@ func (c *coalescer) run() {
 				}
 			}
 		}
-		c.apply(jobs, n)
+		c.cycle(jobs, &batch, n)
+		clear(jobs)
 	}
 }
 
-// apply executes one coalesced cycle: build the shared batch in
+// cycle executes one coalesced cycle: build the shared batch in
 // arrival order, apply with per-op isolation, slice results back per
 // job.
-func (c *coalescer) apply(jobs []*applyJob, n int) {
-	var b core.Batch
+func (c *coalescer) cycle(jobs []*applyJob, b *core.Batch, n int) {
+	b.Reset()
 	for _, j := range jobs {
-		for _, op := range j.ops {
-			switch op.Kind {
-			case wire.OpInsert:
-				b.Insert(op.Row)
-			case wire.OpUpdate:
-				b.Update(storage.UnpackRID(op.RID), op.Row)
-			case wire.OpDelete:
-				b.Delete(storage.UnpackRID(op.RID))
-			}
-		}
+		stageOps(b, j.ops)
 	}
-	res, err := c.tb.Apply(&b, core.WithErrorIsolation(), core.WithResultRIDs())
+	res, err := c.tb.Apply(b, core.WithErrorIsolation(), core.WithResultRIDs())
 	c.stats.CoalescedCycles.Add(1)
 	c.stats.CoalescedOps.Add(int64(n))
 	off := 0
 	for _, j := range jobs {
-		j.resp <- sliceResult(&res, err, off, len(j.ops))
-		off += len(j.ops)
+		nj := len(j.ops) // j is its handler's again once done is signalled
+		sliceResult(j.out, &res, err, off, nj)
+		off += nj
+		j.done <- struct{}{}
 	}
 }
 
-// sliceResult extracts ops [off, off+n) of a batch result into a wire
-// response. A batch-level error (err != nil, or res.Err from a
-// non-attributable failure) fails every op that has no more specific
+// sliceResult extracts ops [off, off+n) of a batch result into out,
+// reusing its slices. A batch-level error (err != nil, or res.Err from
+// a non-attributable failure) fails every op that has no more specific
 // per-op error.
-func sliceResult(res *core.Result, err error, off, n int) wire.ApplyResp {
-	out := wire.ApplyResp{
-		RIDs:   make([]uint64, n),
-		OpErrs: make([]string, n),
-	}
+func sliceResult(out *wire.ApplyResp, res *core.Result, err error, off, n int) {
+	out.Applied = 0
+	out.RIDs = append(out.RIDs[:0], make([]uint64, n)...)
+	out.OpErrs = append(out.OpErrs[:0], make([]string, n)...)
 	if err == nil {
 		err = res.Err
 	}
@@ -159,5 +162,4 @@ func sliceResult(res *core.Result, err error, off, n int) wire.ApplyResp {
 			out.Applied++
 		}
 	}
-	return out
 }

@@ -61,7 +61,9 @@ func readCorpus(t *testing.T, dir string) [][]byte {
 	return inputs
 }
 
-func TestFuzzCorpusReplayIntegrity(t *testing.T) {
+func TestFuzzCorpusReplayIntegrity(t *testing.T) { replayFuzzCorpus(t) }
+
+func replayFuzzCorpus(t *testing.T) {
 	f := startServer(t, nil)
 	defer f.stop(t)
 	cl, err := client.Dial(f.addr)

@@ -176,8 +176,10 @@ func (s *Server) httpApply(w http.ResponseWriter, r *http.Request) {
 		}
 		ops = append(ops, op)
 	}
-	resp, err := s.applyOps(table, ops)
-	if err != nil {
+	// The HTTP listener keeps the simple form — a fresh response per
+	// request, no pooled context: it exists for curl, not for throughput.
+	var resp wire.ApplyResp
+	if err := s.applyOps(table, ops, &resp); err != nil {
 		httpErr(w, http.StatusBadRequest, err)
 		return
 	}
@@ -212,7 +214,7 @@ func (s *Server) httpRows(w http.ResponseWriter, r *http.Request) {
 		httpErr(w, http.StatusNotFound, err)
 		return
 	}
-	cur, err := s.openCursor(&req)
+	cur, err := s.openCursor(&req, nil)
 	if err != nil {
 		httpErr(w, http.StatusBadRequest, err)
 		return

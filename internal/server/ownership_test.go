@@ -1,0 +1,248 @@
+package server_test
+
+import (
+	"errors"
+	"fmt"
+	"sync"
+	"testing"
+
+	"repro/client"
+	"repro/internal/tuple"
+	"repro/internal/wire"
+)
+
+// Buffer-ownership tests. Every buffer on the served path is pooled, so
+// a bug of the "kept a slice past its release" kind reads plausible
+// stale data most of the time. The wire poison hook makes it read 0xDB
+// instead: with it on, every frame buffer and every scratch row is
+// overwritten the moment it returns to a pool, and these tests check
+// every row they read — a broken "copy out before release" fails them
+// at once instead of once in a blue moon.
+
+func poisonReleased(t *testing.T) {
+	wire.PoisonReleased(true)
+	t.Cleanup(func() { wire.PoisonReleased(false) })
+}
+
+// currentItem reads id's full row and RID through a one-row query.
+func currentItem(q interface {
+	Query(string, ...client.QueryOption) (*client.Rows, error)
+}, id int64) (ver int, rid uint64, err error) {
+	rows, err := q.Query("items", client.WithIndex("by_id"), client.WithPrefix(client.Int64(id)),
+		client.WithRIDs(), client.WithLimit(1))
+	if err != nil {
+		return 0, 0, err
+	}
+	defer rows.Close()
+	if !rows.Next() {
+		return 0, 0, fmt.Errorf("id %d: not found: %v", id, rows.Err())
+	}
+	ver, err = checkItem(rows.Row(), id, false)
+	return ver, rows.RID(), err
+}
+
+// TestPoisonedPipelinedStorm: 16 goroutines pipeline Gets, covered and
+// full-row Queries, raw Applies and transactions over 2 connections,
+// with released buffers poisoned, and validate every row they read.
+func TestPoisonedPipelinedStorm(t *testing.T) {
+	poisonReleased(t)
+	f := startServer(t, nil)
+	defer f.stop(t)
+	const (
+		n       = 448 // rows that plain reads, scans and raw updates share
+		txnRows = 64  // rows [n, n+txnRows): touched by transactions only
+		workers = 16
+		rounds  = 40
+	)
+	setupItems(t, f.eng, n+txnRows)
+	cl, err := client.Dial(f.addr, client.WithPoolSize(2))
+	if err != nil {
+		t.Fatalf("Dial: %v", err)
+	}
+	defer cl.Close()
+
+	var wg sync.WaitGroup
+	errc := make(chan error, workers)
+	for g := 0; g < workers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			errc <- stormWorker(cl, g, n, txnRows, workers, rounds)
+		}(g)
+	}
+	wg.Wait()
+	close(errc)
+	for err := range errc {
+		if err != nil {
+			t.Error(err)
+		}
+	}
+	if pins := f.eng.Pool().PinnedFrames(); pins != 0 {
+		t.Errorf("%d buffer frames still pinned after the storm", pins)
+	}
+}
+
+// stormWorker reads anywhere in [0, n) and writes only the ids it owns
+// (id mod workers == g), so every version it writes is the one it read
+// plus one. Its transactions stay on the owned rows of [n, n+txnRows),
+// which no plain read of another worker touches: a read outside a
+// transaction can miss a row a commit is replacing (a known engine
+// defect, see benchmark/README.md), and that is not what is tested here.
+func stormWorker(cl *client.Client, g, n, txnRows, workers, rounds int) error {
+	x := uint64(g)*0x9E3779B97F4A7C15 + 1
+	next := func(mod int) int64 {
+		x ^= x << 13
+		x ^= x >> 7
+		x ^= x << 17
+		return int64(x % uint64(mod))
+	}
+	own := func() int64 { return next(n/workers)*int64(workers) + int64(g) }
+	for r := 0; r < rounds; r++ {
+		// Point reads, both shapes.
+		id := next(n)
+		row, found, err := cl.Get("items", "by_id", client.Int64(id))
+		if err != nil || !found {
+			return fmt.Errorf("worker %d: Get %d: found=%v err=%v", g, id, found, err)
+		}
+		if _, err := checkItem(row, id, false); err != nil {
+			return fmt.Errorf("worker %d: Get: %w", g, err)
+		}
+		id = next(n)
+		if row, err = coveredPoint(cl, id); err != nil {
+			return fmt.Errorf("worker %d: covered %d: %w", g, id, err)
+		}
+		if _, err := checkItem(row, id, true); err != nil {
+			return fmt.Errorf("worker %d: covered: %w", g, err)
+		}
+		// A multi-page scan of full rows (strings and all).
+		lo := next(n - 40)
+		rows, err := cl.Query("items", client.WithIndex("by_id"),
+			client.WithKeyRange(client.Row{client.Int64(lo)}, client.Row{client.Int64(lo + 40)}),
+			client.WithPageSize(16))
+		if err != nil {
+			return fmt.Errorf("worker %d: scan: %w", g, err)
+		}
+		want := lo
+		for rows.Next() {
+			if _, err := checkItem(rows.Row(), want, false); err != nil {
+				rows.Close()
+				return fmt.Errorf("worker %d: scan: %w", g, err)
+			}
+			want++
+		}
+		if err := rows.Err(); err != nil || want != lo+40 {
+			return fmt.Errorf("worker %d: scan [%d,%d) ended at %d: %v", g, lo, lo+40, want, err)
+		}
+		// A raw one-op update of an owned row.
+		id = own()
+		ver, rid, err := currentItem(cl, id)
+		if err != nil {
+			return fmt.Errorf("worker %d: %w", g, err)
+		}
+		var b client.Batch
+		b.Update(rid, itemRow(id, ver+1))
+		if res, err := cl.Apply("items", &b); err != nil || res.Applied != 1 {
+			return fmt.Errorf("worker %d: Apply %d: %v %v", g, id, err, res.Err(0))
+		}
+		if got, _, err := currentItem(cl, id); err != nil || got != ver+1 {
+			return fmt.Errorf("worker %d: id %d after update: ver %d, want %d: %v", g, id, got, ver+1, err)
+		}
+		// A transaction over another owned row: the staged row must
+		// outlive the request that carried it.
+		if r%4 == 0 {
+			id = int64(n) + next(txnRows/workers)*int64(workers) + int64(g)
+			tx, err := cl.Begin()
+			if err != nil {
+				return fmt.Errorf("worker %d: Begin: %w", g, err)
+			}
+			ver, rid, err := currentItem(tx, id)
+			if err != nil {
+				tx.Abort()
+				return fmt.Errorf("worker %d: txn read: %w", g, err)
+			}
+			var tb client.Batch
+			tb.Update(rid, itemRow(id, ver+1))
+			if res, err := tx.Apply("items", &tb); err != nil || res.Applied != 1 {
+				tx.Abort()
+				return fmt.Errorf("worker %d: txn stage %d: %v %v", g, id, err, res.Err(0))
+			}
+			// Other requests recycle the staging request's buffers before
+			// the commit reads the staged row.
+			if _, _, err := cl.Get("items", "by_id", client.Int64(next(n))); err != nil {
+				tx.Abort()
+				return fmt.Errorf("worker %d: Get: %w", g, err)
+			}
+			if err := tx.Commit(); err != nil && !errors.Is(err, client.ErrTxnConflict) {
+				return fmt.Errorf("worker %d: Commit: %w", g, err)
+			} else if err == nil {
+				if got, _, err := currentItem(cl, id); err != nil || got != ver+1 {
+					return fmt.Errorf("worker %d: id %d after commit: ver %d, want %d: %v", g, id, got, ver+1, err)
+				}
+			}
+		}
+	}
+	return nil
+}
+
+// TestPoisonedCorpusReplay drives the wire fuzz corpus through a live
+// server whose released buffers are poisoned: hostile payloads take the
+// error paths, which must release exactly what they own.
+func TestPoisonedCorpusReplay(t *testing.T) {
+	poisonReleased(t)
+	replayFuzzCorpus(t)
+}
+
+// TestPoisonedSlowStream consumes a multi-page stream slowly while
+// other requests on the same connection recycle buffers between its
+// rows: a streamed row must be the stream's own memory, not a view of a
+// response buffer someone else now owns.
+func TestPoisonedSlowStream(t *testing.T) {
+	poisonReleased(t)
+	f := startServer(t, nil)
+	defer f.stop(t)
+	const n = 200
+	setupItems(t, f.eng, n)
+	cl, err := client.Dial(f.addr, client.WithPoolSize(1))
+	if err != nil {
+		t.Fatalf("Dial: %v", err)
+	}
+	defer cl.Close()
+
+	rows, err := cl.Query("items", client.WithIndex("by_id"), client.WithPageSize(48)) // 4 full pages + the last
+	if err != nil {
+		t.Fatalf("Query: %v", err)
+	}
+	defer rows.Close()
+	var prev tuple.Row
+	id := int64(0)
+	for rows.Next() {
+		row := rows.Row()
+		// Churn: each of these takes buffers from the pools and returns
+		// them poisoned while row is still in use.
+		other := (id*7 + 3) % n
+		got, found, err := cl.Get("items", "by_id", client.Int64(other))
+		if err != nil || !found {
+			t.Fatalf("Get %d: found=%v err=%v", other, found, err)
+		}
+		if _, err := checkItem(got, other, false); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := coveredPoint(cl, other); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := checkItem(row, id, false); err != nil {
+			t.Fatalf("streamed row after churn: %v", err)
+		}
+		// Within one page, earlier rows stay valid too.
+		if prev != nil && id%48 != 0 {
+			if _, err := checkItem(prev, id-1, false); err != nil {
+				t.Fatalf("previous row of the same page: %v", err)
+			}
+		}
+		prev = row
+		id++
+	}
+	if err := rows.Err(); err != nil || id != n {
+		t.Fatalf("stream ended at %d of %d: %v", id, n, err)
+	}
+}

@@ -5,14 +5,17 @@
 // small batches into shared core.Batches so thousands of writers ride
 // the leaf-grouped ApplyRun path and share one WAL group commit.
 //
-// Concurrency model, per connection: one reader goroutine decodes
-// frames and spawns capped handler goroutines (so a pipelined
-// connection completes out of order); one writer goroutine drains a
-// response channel through a bufio.Writer, flushing only when the
-// channel runs empty, which batches many responses into one syscall.
-// Handlers never touch the socket — they marshal complete frames and
-// hand them to the writer, so interleaved Query pages and Apply acks
-// cannot tear each other.
+// Concurrency model, per connection: one reader goroutine reads each
+// frame into a pooled request context and starts a capped handler
+// goroutine for it (so a pipelined connection completes out of order);
+// one writer goroutine drains a response channel through a
+// bufio.Writer, flushing only when the channel runs empty, which
+// batches many responses into one syscall. Handlers never touch the
+// socket — they encode complete frames into pooled buffers and hand
+// them to the writer, so interleaved Query pages and Apply acks cannot
+// tear each other. Who owns which buffer when is tabulated in
+// ARCHITECTURE.md ("Buffer ownership"); the one rule is: copy out
+// before release.
 package server
 
 import (
@@ -270,32 +273,40 @@ func (s *Server) Shutdown(ctx context.Context) error {
 }
 
 // applyOps routes a decoded batch to the table's coalescer (or
-// directly when coalescing is disabled) and waits for its attributed
-// result.
-func (s *Server) applyOps(table string, ops []wire.Op) (wire.ApplyResp, error) {
+// directly when coalescing is disabled), waits for it to land and
+// writes its attributed result into out, reusing out's slices.
+func (s *Server) applyOps(table string, ops []wire.Op, out *wire.ApplyResp) error {
 	tb, err := s.eng.Table(table)
 	if err != nil {
-		return wire.ApplyResp{}, err
+		return err
 	}
 	if len(ops) == 0 {
-		return wire.ApplyResp{}, errors.New("server: empty batch")
+		return errors.New("server: empty batch")
 	}
 	if s.cfg.Coalesce.Disabled {
 		var b core.Batch
-		for _, op := range ops {
-			switch op.Kind {
-			case wire.OpInsert:
-				b.Insert(op.Row)
-			case wire.OpUpdate:
-				b.Update(storage.UnpackRID(op.RID), op.Row)
-			case wire.OpDelete:
-				b.Delete(storage.UnpackRID(op.RID))
-			}
-		}
+		stageOps(&b, ops)
 		res, err := tb.Apply(&b, core.WithErrorIsolation(), core.WithResultRIDs())
-		return sliceResult(&res, err, 0, len(ops)), nil
+		sliceResult(out, &res, err, 0, len(ops))
+		return nil
 	}
-	return <-s.coalescerFor(table, tb).enqueue(ops), nil
+	s.coalescerFor(table, tb).apply(ops, out)
+	return nil
+}
+
+// stageOps appends decoded wire ops to a core batch. The batch aliases
+// the ops' rows.
+func stageOps(b *core.Batch, ops []wire.Op) {
+	for _, op := range ops {
+		switch op.Kind {
+		case wire.OpInsert:
+			b.Insert(op.Row)
+		case wire.OpUpdate:
+			b.Update(storage.UnpackRID(op.RID), op.Row)
+		case wire.OpDelete:
+			b.Delete(storage.UnpackRID(op.RID))
+		}
+	}
 }
 
 func (s *Server) coalescerFor(name string, tb *core.Table) *coalescer {
@@ -314,7 +325,7 @@ func (s *Server) coalescerFor(name string, tb *core.Table) *coalescer {
 type conn struct {
 	s    *Server
 	nc   net.Conn
-	outc chan []byte
+	outc chan *wire.Buffer // sealed response frames; the writer releases them
 	sem  chan struct{}
 	hwg  sync.WaitGroup // in-flight handlers
 	wwg  sync.WaitGroup // writer goroutine
@@ -368,9 +379,11 @@ func (ct *connTxn) finish() *core.Txn {
 
 func newConn(s *Server, nc net.Conn) *conn {
 	return &conn{
-		s:    s,
-		nc:   nc,
-		outc: make(chan []byte, 256),
+		s:  s,
+		nc: nc,
+		// Sized so a full window of handlers (MaxInflight, default 64)
+		// streaming a few pages each rarely blocks on the writer.
+		outc: make(chan *wire.Buffer, 256),
 		sem:  make(chan struct{}, s.cfg.MaxInflight),
 	}
 }
@@ -386,21 +399,90 @@ func (c *conn) closeRead() {
 	c.nc.SetReadDeadline(time.Now())
 }
 
+// request is the recycled context one request owns from its frame's
+// arrival to its handler's return: the frame as read, the decoded
+// message, and the scratch its handler needs. A warm request serves a
+// Get without allocating anything but the strings of the row it reads.
+//
+// Ownership: the reader goroutine fills in and frame, then hands the
+// request to its handler goroutine, which decodes, answers into a
+// separate pooled wire.Buffer (owned by the writer once queued) and
+// releases the request. Nothing in it may be referenced after release
+// — whoever needs a decoded row for longer takes it out first (see
+// handleTxnApply).
+type request struct {
+	c     *conn
+	run   func() // rq.handle, bound once: `go rq.run()` builds no closure
+	in    []byte // the frame; frame.Payload aliases it
+	frame wire.Frame
+
+	// Decoded messages of the hot request types. Unmarshal reuses their
+	// slices and names; the rare types decode into handler locals.
+	get    wire.GetReq
+	query  wire.QueryReq
+	apply  wire.ApplyReq
+	result wire.ApplyResp // the Apply's attributed outcome
+
+	row  tuple.Row // Index.LookupInto's destination
+	rids []uint64  // RIDs of the query page being built
+}
+
+var requestPool sync.Pool // of *request
+
+func getRequest() *request {
+	rq, _ := requestPool.Get().(*request)
+	if rq == nil {
+		rq = new(request)
+		rq.run = rq.handle
+	}
+	return rq
+}
+
+// maxPooledOps bounds the decoded batch a pooled request keeps, as
+// wire.MaxPooledBuffer bounds its bytes.
+const maxPooledOps = 64
+
+// release returns the request to the pool. Slices keep their capacity
+// (up to the pool bounds); under the wire poison hook their contents
+// are overwritten first.
+func (rq *request) release() {
+	rq.c, rq.frame = nil, wire.Frame{}
+	rq.in = wire.Recycle(rq.in)
+	rq.row = wire.RecycleRow(rq.row)
+	rq.get.Key = wire.RecycleRow(rq.get.Key)
+	rq.query.Lo = wire.RecycleRow(rq.query.Lo)
+	rq.query.Hi = wire.RecycleRow(rq.query.Hi)
+	rq.query.Prefix = wire.RecycleRow(rq.query.Prefix)
+	if ops := rq.apply.Ops[:cap(rq.apply.Ops)]; len(ops) > maxPooledOps {
+		rq.apply.Ops = nil
+	} else {
+		for i := range ops {
+			ops[i].Row = wire.RecycleRow(ops[i].Row)
+		}
+	}
+	requestPool.Put(rq)
+}
+
 func (c *conn) serve() {
 	c.wwg.Add(1)
 	go c.writeLoop()
 	br := bufio.NewReaderSize(c.nc, 64<<10)
-	var scratch []byte
 	for {
-		f, buf, err := wire.ReadFrame(br, scratch)
-		scratch = buf
+		rq := getRequest()
+		f, buf, err := wire.ReadFrame(br, rq.in)
+		rq.in = buf
 		if err != nil {
+			rq.release()
 			break
 		}
+		rq.c, rq.frame = c, f
 		c.s.stats.Requests.Add(1)
-		// dispatch decodes the payload inline (decoding copies all
-		// bytes out), so scratch is free for the next frame.
-		c.dispatch(f)
+		// The semaphore is acquired here, on the reader, so a connection
+		// that pipelines past MaxInflight backpressures in the kernel
+		// instead of being disconnected.
+		c.sem <- struct{}{}
+		c.hwg.Add(1)
+		go rq.run()
 	}
 	c.hwg.Wait()
 	// All handlers have returned, so no cursor can still be streaming:
@@ -444,45 +526,58 @@ func (c *conn) txn(id uint64) (*connTxn, error) {
 
 // finishTxn removes a transaction from the registry for commit/abort,
 // waiting out any cursor still streaming its snapshot.
-func (c *conn) finishTxn(id uint64) (*core.Txn, error) {
+func (c *conn) finishTxn(payload []byte) (*core.Txn, error) {
+	var m wire.TxnFinishReq
+	if err := m.Unmarshal(payload); err != nil {
+		return nil, err
+	}
 	c.txnMu.Lock()
-	ct := c.txns[id]
-	delete(c.txns, id)
+	ct := c.txns[m.TxnID]
+	delete(c.txns, m.TxnID)
 	c.txnMu.Unlock()
 	if ct == nil {
-		return nil, fmt.Errorf("server: unknown transaction %d", id)
+		return nil, fmt.Errorf("server: unknown transaction %d", m.TxnID)
 	}
 	return ct.finish(), nil
 }
 
+// writeLoop is the only goroutine that touches the socket's write side
+// and the last owner of every response buffer: once the bytes are in
+// the bufio.Writer the buffer returns to its pool.
 func (c *conn) writeLoop() {
 	defer c.wwg.Done()
 	bw := bufio.NewWriterSize(c.nc, 64<<10)
 	var werr error
-	for buf := range c.outc {
-		if werr != nil {
-			continue // drain so handlers never block on a dead socket
+	for b := range c.outc {
+		// After a write error keep draining, so handlers never block on a
+		// dead socket.
+		if werr == nil {
+			if _, werr = bw.Write(b.B); werr == nil && len(c.outc) == 0 {
+				werr = bw.Flush()
+			}
 		}
-		if _, werr = bw.Write(buf); werr != nil {
-			continue
-		}
-		if len(c.outc) == 0 {
-			werr = bw.Flush()
-		}
+		b.Release()
 	}
 	if werr == nil {
 		bw.Flush()
 	}
 }
 
-// send queues one complete response frame for the writer.
-func (c *conn) send(reqID uint64, typ uint8, payload []byte) {
-	c.outc <- wire.AppendFrame(nil, reqID, typ, payload)
+// send seals the response frame a handler built in b (wire.NewFrame,
+// then b.B = m.Marshal(b.B)) and queues it for the writer, which owns b
+// from here on.
+func (c *conn) send(b *wire.Buffer, reqID uint64, typ uint8) {
+	b.Seal(reqID, typ)
+	c.outc <- b
 }
+
+func (c *conn) ack(reqID uint64) { c.send(wire.NewFrame(), reqID, wire.TOK) }
 
 func (c *conn) sendErr(reqID uint64, err error) {
 	m := wire.ErrResp{Msg: err.Error(), Code: errCode(err)}
-	c.send(reqID, wire.TErr, m.Marshal(nil))
+	b := wire.NewFrame()
+	b.B = m.Marshal(b.B)
+	c.send(b, reqID, wire.TErr)
 }
 
 // errCode classifies an error for ErrResp.Code so clients dispatch on
@@ -494,251 +589,214 @@ func errCode(err error) uint64 {
 	return wire.ErrCodeGeneric
 }
 
-// spawn runs fn on a handler goroutine, capped by the per-connection
-// semaphore. The semaphore is acquired on the reader loop, so a
-// connection that pipelines past MaxInflight backpressures in the
-// kernel instead of being disconnected.
-func (c *conn) spawn(fn func()) {
-	c.sem <- struct{}{}
-	c.hwg.Add(1)
-	go func() {
-		defer func() {
-			<-c.sem
-			c.hwg.Done()
-		}()
-		fn()
-	}()
-}
-
-func (c *conn) dispatch(f wire.Frame) {
-	id := f.ReqID
-	switch f.Type {
+// handle runs one request on its own goroutine, so a pipelined
+// connection completes out of order: decode, execute, answer. A handler
+// that returns nil has sent its response; an error is answered here.
+func (rq *request) handle() {
+	c, id, payload := rq.c, rq.frame.ReqID, rq.frame.Payload
+	var err error
+	switch rq.frame.Type {
 	case wire.TPing:
-		c.send(id, wire.TOK, nil)
-	case wire.TApply:
-		var m wire.ApplyReq
-		if err := m.Unmarshal(f.Payload); err != nil {
-			c.sendErr(id, err)
-			return
-		}
-		c.spawn(func() { c.handleApply(id, &m) })
+		c.ack(id)
 	case wire.TGet:
-		var m wire.GetReq
-		if err := m.Unmarshal(f.Payload); err != nil {
-			c.sendErr(id, err)
-			return
+		if err = rq.get.Unmarshal(payload); err == nil {
+			err = c.handleGet(id, rq)
 		}
-		c.spawn(func() { c.handleGet(id, &m) })
 	case wire.TQuery:
-		var m wire.QueryReq
-		if err := m.Unmarshal(f.Payload); err != nil {
-			c.sendErr(id, err)
-			return
+		if err = rq.query.Unmarshal(payload); err == nil {
+			err = c.handleQuery(id, rq)
 		}
-		c.spawn(func() { c.handleQuery(id, &m) })
+	case wire.TApply:
+		if err = rq.apply.Unmarshal(payload); err == nil {
+			err = c.handleApply(id, rq)
+		}
 	case wire.TCreateTable:
-		var m wire.CreateTableReq
-		if err := m.Unmarshal(f.Payload); err != nil {
-			c.sendErr(id, err)
-			return
+		if err = c.handleCreateTable(payload); err == nil {
+			c.ack(id)
 		}
-		c.spawn(func() { c.handleCreateTable(id, &m) })
 	case wire.TCreateIndex:
-		var m wire.CreateIndexReq
-		if err := m.Unmarshal(f.Payload); err != nil {
-			c.sendErr(id, err)
-			return
+		if err = c.handleCreateIndex(payload); err == nil {
+			c.ack(id)
 		}
-		c.spawn(func() { c.handleCreateIndex(id, &m) })
 	case wire.TCheckpoint:
-		c.spawn(func() {
-			if err := c.s.eng.Checkpoint(); err != nil {
-				c.sendErr(id, err)
-				return
-			}
-			c.send(id, wire.TOK, nil)
-		})
+		if err = c.s.eng.Checkpoint(); err == nil {
+			c.ack(id)
+		}
 	case wire.TTxnBegin:
-		c.spawn(func() {
-			txnID, txn := c.beginTxn()
-			m := wire.TxnBeginResp{TxnID: txnID, StartTS: txn.StartTS()}
-			c.send(id, wire.TTxnBeginResp, m.Marshal(nil))
-		})
+		txnID, txn := c.beginTxn()
+		m := wire.TxnBeginResp{TxnID: txnID, StartTS: txn.StartTS()}
+		b := wire.NewFrame()
+		b.B = m.Marshal(b.B)
+		c.send(b, id, wire.TTxnBeginResp)
 	case wire.TTxnCommit:
-		var m wire.TxnFinishReq
-		if err := m.Unmarshal(f.Payload); err != nil {
-			c.sendErr(id, err)
-			return
+		var txn *core.Txn
+		if txn, err = c.finishTxn(payload); err == nil {
+			if err = txn.Commit(); err == nil {
+				c.ack(id)
+			}
 		}
-		c.spawn(func() {
-			txn, err := c.finishTxn(m.TxnID)
-			if err == nil {
-				err = txn.Commit()
-			}
-			if err != nil {
-				c.sendErr(id, err)
-				return
-			}
-			c.send(id, wire.TOK, nil)
-		})
 	case wire.TTxnAbort:
-		var m wire.TxnFinishReq
-		if err := m.Unmarshal(f.Payload); err != nil {
-			c.sendErr(id, err)
-			return
-		}
-		c.spawn(func() {
-			txn, err := c.finishTxn(m.TxnID)
-			if err != nil {
-				c.sendErr(id, err)
-				return
-			}
+		var txn *core.Txn
+		if txn, err = c.finishTxn(payload); err == nil {
 			txn.Abort()
-			c.send(id, wire.TOK, nil)
-		})
+			c.ack(id)
+		}
 	case wire.TStats:
-		c.spawn(func() {
-			doc, err := json.Marshal(c.s.Stats())
-			if err != nil {
-				c.sendErr(id, err)
-				return
-			}
+		var doc []byte
+		if doc, err = json.Marshal(c.s.Stats()); err == nil {
 			m := wire.StatsResp{JSON: doc}
-			c.send(id, wire.TStatsResp, m.Marshal(nil))
-		})
+			b := wire.NewFrame()
+			b.B = m.Marshal(b.B)
+			c.send(b, id, wire.TStatsResp)
+		}
 	default:
-		c.sendErr(id, fmt.Errorf("server: unknown frame type %d", f.Type))
+		err = fmt.Errorf("server: unknown frame type %d", rq.frame.Type)
 	}
-}
-
-func (c *conn) handleApply(id uint64, m *wire.ApplyReq) {
-	if m.TxnID != 0 {
-		c.handleTxnApply(id, m)
-		return
-	}
-	resp, err := c.s.applyOps(m.Table, m.Ops)
 	if err != nil {
 		c.sendErr(id, err)
-		return
 	}
-	c.send(id, wire.TApplyResp, resp.Marshal(nil))
+	rq.release()
+	<-c.sem
+	c.hwg.Done()
+}
+
+func (c *conn) handleApply(id uint64, rq *request) error {
+	m := &rq.apply
+	if m.TxnID != 0 {
+		if err := c.handleTxnApply(m, &rq.result); err != nil {
+			return err
+		}
+	} else if err := c.s.applyOps(m.Table, m.Ops, &rq.result); err != nil {
+		return err
+	}
+	b := wire.NewFrame()
+	b.B = rq.result.Marshal(b.B)
+	c.send(b, id, wire.TApplyResp)
+	return nil
 }
 
 // handleTxnApply stages ops into an open transaction. Staging bypasses
 // the write coalescer deliberately: a transaction's writes must not be
 // folded into other connections' batches — they become durable only at
 // the transaction's own commit record.
-func (c *conn) handleTxnApply(id uint64, m *wire.ApplyReq) {
+func (c *conn) handleTxnApply(m *wire.ApplyReq, out *wire.ApplyResp) error {
 	ct, err := c.txn(m.TxnID)
 	if err != nil {
-		c.sendErr(id, err)
-		return
+		return err
 	}
 	tb, err := c.s.eng.Table(m.Table)
 	if err != nil {
-		c.sendErr(id, err)
-		return
+		return err
 	}
 	if len(m.Ops) == 0 {
-		c.sendErr(id, errors.New("server: empty batch"))
-		return
+		return errors.New("server: empty batch")
 	}
 	var b core.Batch
-	for _, op := range m.Ops {
-		switch op.Kind {
-		case wire.OpInsert:
-			b.Insert(op.Row)
-		case wire.OpUpdate:
-			b.Update(storage.UnpackRID(op.RID), op.Row)
-		case wire.OpDelete:
-			b.Delete(storage.UnpackRID(op.RID))
-		}
-	}
+	stageOps(&b, m.Ops)
 	res, aerr := ct.txn.Apply(tb, &b)
 	// Staged writes have no RIDs yet (rows land in the heap at commit);
 	// the response reports per-op acceptance only.
-	resp := sliceResult(&res, aerr, 0, len(m.Ops))
-	c.send(id, wire.TApplyResp, resp.Marshal(nil))
+	sliceResult(out, &res, aerr, 0, len(m.Ops))
+	// The transaction aliases the staged rows until it commits: they
+	// leave the request with it instead of returning to the pool.
+	m.Ops = nil
+	return nil
 }
 
-func (c *conn) handleGet(id uint64, m *wire.GetReq) {
+func (c *conn) handleGet(id uint64, rq *request) error {
+	m := &rq.get
 	ix, err := c.s.lookupIndex(m.Table, m.Index)
 	if err != nil {
-		c.sendErr(id, err)
-		return
+		return err
 	}
-	row, lres, err := ix.Lookup(nil, m.Key...)
+	row, lres, err := ix.LookupInto(rq.row, nil, m.Key...)
 	if err != nil {
-		c.sendErr(id, err)
-		return
+		return err
 	}
 	resp := wire.GetResp{Found: lres.Found}
 	if lres.Found {
 		resp.RID = lres.RID.Pack()
 		resp.Row = row
+		rq.row = row // keep the (possibly grown) scratch
 	}
-	c.send(id, wire.TGetResp, resp.Marshal(nil))
+	b := wire.NewFrame()
+	b.B = resp.Marshal(b.B)
+	c.send(b, id, wire.TGetResp)
+	return nil
 }
 
-func (c *conn) handleQuery(id uint64, m *wire.QueryReq) {
-	cur, release, err := c.openCursor(m)
+// handleQuery streams the cursor as pages, each encoded row by row
+// into its own response buffer — no row is cloned and no page is
+// materialized. A page goes to the writer the moment it is full, so the
+// handler fills the next one while the previous one is on the wire.
+func (c *conn) handleQuery(id uint64, rq *request) error {
+	m := &rq.query
+	cur, ct, err := c.openCursor(m)
 	if err != nil {
-		c.sendErr(id, err)
-		return
+		return err
 	}
-	defer release() // runs after Close: the snapshot stays pinned until then
+	if ct != nil {
+		defer ct.streams.Done() // runs after Close: the snapshot stays pinned until then
+	}
 	defer cur.Close()
 	pageSize := int(m.PageSize)
 	if pageSize <= 0 {
 		pageSize = c.s.cfg.PageSize
 	}
-	page := wire.QueryPage{}
+	var page wire.PageBuilder
+	b := wire.NewFrame()
+	page.Begin(b.B, pageSize)
+	rq.rids = rq.rids[:0]
 	for cur.Next() {
-		page.Rows = append(page.Rows, cur.Row().Clone())
+		page.AppendRow(cur.Row())
 		if m.WithRIDs {
-			page.RIDs = append(page.RIDs, cur.RID().Pack())
+			rq.rids = append(rq.rids, cur.RID().Pack())
 		}
-		if len(page.Rows) >= pageSize {
-			c.send(id, wire.TQueryPage, page.Marshal(nil))
-			page = wire.QueryPage{}
+		if page.Rows() >= pageSize {
+			b.B = page.Finish(rq.rids, false)
+			c.send(b, id, wire.TQueryPage)
+			b = wire.NewFrame()
+			page.Begin(b.B, pageSize)
+			rq.rids = rq.rids[:0]
 		}
 	}
 	if err := cur.Err(); err != nil {
-		c.sendErr(id, err)
-		return
+		b.Release()
+		return err
 	}
-	page.Last = true
-	c.send(id, wire.TQueryPage, page.Marshal(nil))
+	b.B = page.Finish(rq.rids, true)
+	c.send(b, id, wire.TQueryPage)
+	return nil
 }
 
-func (c *conn) handleCreateTable(id uint64, m *wire.CreateTableReq) {
+func (c *conn) handleCreateTable(payload []byte) error {
+	var m wire.CreateTableReq
+	if err := m.Unmarshal(payload); err != nil {
+		return err
+	}
 	schema, err := tuple.NewSchema(m.Fields...)
 	if err != nil {
-		c.sendErr(id, err)
-		return
+		return err
 	}
-	if _, err := c.s.eng.CreateTable(m.Table, schema); err != nil {
-		c.sendErr(id, err)
-		return
-	}
-	c.send(id, wire.TOK, nil)
+	_, err = c.s.eng.CreateTable(m.Table, schema)
+	return err
 }
 
-func (c *conn) handleCreateIndex(id uint64, m *wire.CreateIndexReq) {
+func (c *conn) handleCreateIndex(payload []byte) error {
+	var m wire.CreateIndexReq
+	if err := m.Unmarshal(payload); err != nil {
+		return err
+	}
 	tb, err := c.s.eng.Table(m.Table)
 	if err != nil {
-		c.sendErr(id, err)
-		return
+		return err
 	}
 	var opts []core.IndexOption
 	if !m.Unique {
 		opts = append(opts, core.NonUnique())
 	}
-	if _, err := tb.CreateIndex(m.Index, m.Fields, opts...); err != nil {
-		c.sendErr(id, err)
-		return
-	}
-	c.send(id, wire.TOK, nil)
+	_, err = tb.CreateIndex(m.Index, m.Fields, opts...)
+	return err
 }
 
 // --- shared helpers (also used by the HTTP listener) ---
@@ -754,14 +812,6 @@ func (s *Server) lookupIndex(table, index string) (*core.Index, error) {
 	return tb.Index(index)
 }
 
-func (s *Server) openCursor(m *wire.QueryReq) (*core.Cursor, error) {
-	tb, err := s.eng.Table(m.Table)
-	if err != nil {
-		return nil, err
-	}
-	return tb.Query(queryOpts(m)...)
-}
-
 // openCursor resolves a query against the connection: a TxnID routes
 // the scan through that transaction's snapshot — it reads the Begin
 // snapshot and excludes the transaction's own staged writes (core.Txn
@@ -769,63 +819,74 @@ func (s *Server) openCursor(m *wire.QueryReq) (*core.Cursor, error) {
 // shared latest-read path, including rows that arrived via other
 // connections' coalesced batches, which become visible to snapshots
 // begun after their group commit. A transactional cursor registers
-// with the connTxn so commit/abort waits out its stream; the returned
-// release must be called after the cursor is closed.
-func (c *conn) openCursor(m *wire.QueryReq) (*core.Cursor, func(), error) {
+// with the connTxn it returns, so commit/abort waits out its stream;
+// the caller must call its streams.Done after the cursor is closed.
+func (c *conn) openCursor(m *wire.QueryReq) (*core.Cursor, *connTxn, error) {
 	if m.TxnID == 0 {
-		cur, err := c.s.openCursor(m)
-		return cur, func() {}, err
+		cur, err := c.s.openCursor(m, nil)
+		return cur, nil, err
 	}
 	ct, err := c.txn(m.TxnID)
-	if err != nil {
-		return nil, nil, err
-	}
-	tb, err := c.s.eng.Table(m.Table)
 	if err != nil {
 		return nil, nil, err
 	}
 	if !ct.acquireStream() {
 		return nil, nil, fmt.Errorf("server: transaction %d already finished", m.TxnID)
 	}
-	cur, err := ct.txn.Query(tb, queryOpts(m)...)
+	cur, err := c.s.openCursor(m, ct.txn)
 	if err != nil {
 		ct.streams.Done()
 		return nil, nil, err
 	}
-	return cur, ct.streams.Done, nil
+	return cur, ct, nil
 }
 
-func queryOpts(m *wire.QueryReq) []core.QueryOption {
-	var opts []core.QueryOption
-	if m.Index != "" {
-		opts = append(opts, core.WithIndex(m.Index))
+// openCursor opens the query's cursor, through txn's snapshot when one
+// is given. The options are built and consumed in this one frame on
+// purpose: core's option constructors inline and Query only calls what
+// it is handed, so the closures stay on this stack — a query costs no
+// allocation per option. Absent bounds are tested by length: a reused
+// QueryReq decodes them as empty, not nil.
+func (s *Server) openCursor(m *wire.QueryReq, txn *core.Txn) (*core.Cursor, error) {
+	tb, err := s.eng.Table(m.Table)
+	if err != nil {
+		return nil, err
 	}
-	if m.Lo != nil || m.Hi != nil {
-		opts = append(opts, core.WithKeyRange(m.Lo, m.Hi))
+	var opts [8]core.QueryOption // one slot per option below; filled by index, as append would move them to the heap
+	n := 0
+	add := func(o core.QueryOption) { opts[n] = o; n++ }
+	if m.Index != "" {
+		add(core.WithIndex(m.Index))
+	}
+	if len(m.Lo) > 0 || len(m.Hi) > 0 {
+		add(core.WithKeyRange(m.Lo, m.Hi))
 	}
 	if len(m.Prefix) > 0 {
-		opts = append(opts, core.WithPrefix(m.Prefix...))
+		add(core.WithPrefix(m.Prefix...))
 	}
 	if len(m.Projection) > 0 {
-		opts = append(opts, core.WithProjection(m.Projection...))
+		add(core.WithProjection(m.Projection...))
 	}
 	if m.Limit > 0 {
-		opts = append(opts, core.WithLimit(int(m.Limit)))
+		add(core.WithLimit(int(m.Limit)))
 	}
 	if m.Reverse {
-		opts = append(opts, core.WithReverse())
+		add(core.WithReverse())
 	}
 	if m.Parallel > 1 {
 		// Clamp: the segment planner bounds its own fan-out, but there is
 		// no reason to let one request spawn more workers than cores.
-		n := int(m.Parallel)
-		if max := runtime.GOMAXPROCS(0) * 2; n > max {
-			n = max
+		p := int(m.Parallel)
+		if max := runtime.GOMAXPROCS(0) * 2; p > max {
+			p = max
 		}
-		opts = append(opts, core.WithParallel(n))
+		add(core.WithParallel(p))
 		if m.Unordered {
-			opts = append(opts, core.WithMergeMode(core.MergeUnordered))
+			add(core.WithMergeMode(core.MergeUnordered))
 		}
 	}
-	return opts
+	if txn != nil {
+		return txn.Query(tb, opts[:n]...)
+	}
+	return tb.Query(opts[:n]...)
 }

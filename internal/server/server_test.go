@@ -28,7 +28,7 @@ type fixture struct {
 	addr string
 }
 
-func startServer(t *testing.T, cfgTweak func(*server.Config)) *fixture {
+func startServer(t testing.TB, cfgTweak func(*server.Config)) *fixture {
 	t.Helper()
 	dir := t.TempDir()
 	eng, err := core.NewEngine(core.Options{Path: filepath.Join(dir, "db")}, core.WithWAL())
@@ -51,7 +51,7 @@ func startServer(t *testing.T, cfgTweak func(*server.Config)) *fixture {
 	return &fixture{dir: dir, eng: eng, srv: srv, addr: l.Addr().String()}
 }
 
-func (f *fixture) stop(t *testing.T) {
+func (f *fixture) stop(t testing.TB) {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()

@@ -83,17 +83,19 @@ func Encode(s *Schema, r Row, dst []byte) ([]byte, error) {
 		if v.Null {
 			continue
 		}
-		var raw []byte
+		n := len(v.Raw)
 		if f.Kind == KindString {
-			raw = []byte(v.Str)
+			n = len(v.Str)
+		}
+		if f.Size > 0 && n > f.Size {
+			return nil, fmt.Errorf("tuple: field %q: value %d bytes exceeds declared max %d", f.Name, n, f.Size)
+		}
+		dst = binary.AppendUvarint(dst, uint64(n))
+		if f.Kind == KindString {
+			dst = append(dst, v.Str...) // straight from the string: no []byte copy
 		} else {
-			raw = v.Raw
+			dst = append(dst, v.Raw...)
 		}
-		if f.Size > 0 && len(raw) > f.Size {
-			return nil, fmt.Errorf("tuple: field %q: value %d bytes exceeds declared max %d", f.Name, len(raw), f.Size)
-		}
-		dst = binary.AppendUvarint(dst, uint64(len(raw)))
-		dst = append(dst, raw...)
 	}
 	return dst, nil
 }

@@ -156,6 +156,17 @@ func (r *reader) count(minPer int) int {
 
 func (r *reader) string() string { return string(r.take(int(r.uvarint()))) }
 
+// name reads a string that usually repeats from one message to the
+// next on a reused receiver (table, index and field names): when it
+// equals prev, prev is returned and no string is built.
+func (r *reader) name(prev string) string {
+	b := r.take(int(r.uvarint()))
+	if string(b) == prev {
+		return prev
+	}
+	return string(b)
+}
+
 func (r *reader) bytes() []byte {
 	b := r.take(int(r.uvarint()))
 	if len(b) == 0 {
@@ -194,19 +205,25 @@ func (r *reader) value() tuple.Value {
 	return v
 }
 
-func (r *reader) row() tuple.Row {
+// row decodes a row into dst's backing array when it fits (dst may be
+// nil). An absent row (count 0) decodes as dst[:0]: nil on a fresh
+// receiver, possibly empty-but-non-nil on a reused one.
+func (r *reader) row(dst tuple.Row) tuple.Row {
 	n := r.count(2)
+	dst = dst[:0]
 	if r.err != nil || n == 0 {
-		return nil
+		return dst
 	}
-	row := make(tuple.Row, 0, n)
+	if cap(dst) < n {
+		dst = make(tuple.Row, 0, n)
+	}
 	for i := 0; i < n; i++ {
-		row = append(row, r.value())
+		dst = append(dst, r.value())
 		if r.err != nil {
-			return nil
+			return dst[:0]
 		}
 	}
-	return row
+	return dst
 }
 
 // DecodeValue decodes one value from b (for tests and tools).

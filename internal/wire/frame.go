@@ -67,70 +67,94 @@ type Frame struct {
 	Payload []byte
 }
 
-// AppendFrame appends a complete frame to dst and returns the extended
-// slice. It is the encode path for both sides; writers batch several
-// frames into one buffer before a single Write.
-func AppendFrame(dst []byte, reqID uint64, typ uint8, payload []byte) []byte {
-	if len(payload) > MaxFrame {
-		panic(fmt.Sprintf("wire: payload %d exceeds MaxFrame", len(payload)))
+// BeginFrame opens a frame at the end of dst by reserving its header;
+// the caller appends the payload directly behind it (m.Marshal(dst))
+// and seals the frame with FinishFrame. Encoding in place spares the
+// payload→frame copy and any buffer but the one that goes to the
+// socket:
+//
+//	off := len(buf)
+//	buf = wire.BeginFrame(buf)
+//	buf = msg.Marshal(buf)
+//	wire.FinishFrame(buf, off, reqID, typ)
+func BeginFrame(dst []byte) []byte {
+	return append(dst, make([]byte, headerSize)...)
+}
+
+// FinishFrame seals the frame BeginFrame opened at dst[off:]: every
+// byte behind the reserved header is its payload. It patches the
+// length, request ID and type, then the CRC over all three. Sealing
+// again with another request ID is allowed (a retried request reuses
+// its encoded payload).
+func FinishFrame(dst []byte, off int, reqID uint64, typ uint8) {
+	n := len(dst) - off - headerSize
+	if n > MaxFrame {
+		panic(fmt.Sprintf("wire: payload %d exceeds MaxFrame", n))
 	}
-	off := len(dst)
-	dst = append(dst, make([]byte, headerSize)...)
-	dst = append(dst, payload...)
-	binary.LittleEndian.PutUint32(dst[off:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(dst[off:], uint32(n))
 	binary.LittleEndian.PutUint64(dst[off+8:], reqID)
 	dst[off+16] = typ
 	crc := crc32.Checksum(dst[off+8:], castagnoli)
 	binary.LittleEndian.PutUint32(dst[off+4:], crc)
+}
+
+// AppendFrame appends a complete frame around an already encoded
+// payload and returns the extended slice — BeginFrame/FinishFrame for
+// callers that hold the payload as bytes.
+func AppendFrame(dst []byte, reqID uint64, typ uint8, payload []byte) []byte {
+	off := len(dst)
+	dst = append(BeginFrame(dst), payload...)
+	FinishFrame(dst, off, reqID, typ)
 	return dst
 }
 
-// WriteFrame encodes and writes one frame.
-func WriteFrame(w io.Writer, reqID uint64, typ uint8, payload []byte) error {
-	buf := AppendFrame(nil, reqID, typ, payload)
-	_, err := w.Write(buf)
-	return err
-}
-
-// ReadFrame reads the next frame, reusing buf for the payload when it
-// fits. A short read mid-frame returns io.ErrUnexpectedEOF (a cleanly
-// closed connection returns io.EOF only at a frame boundary); an
-// oversized length prefix returns ErrFrameTooLarge and a checksum
-// mismatch ErrBadCRC — both before any payload escapes to dispatch.
+// ReadFrame reads the next frame into buf, growing it when the frame
+// does not fit, and returns the buffer for the next call: a reader
+// that threads it through allocates nothing per frame. The frame's
+// payload aliases the buffer — decode it (Unmarshal copies out what it
+// keeps) before the next ReadFrame into the same buffer. A short read
+// mid-frame returns io.ErrUnexpectedEOF (a cleanly closed connection
+// returns io.EOF only at a frame boundary); an oversized length prefix
+// returns ErrFrameTooLarge and a checksum mismatch ErrBadCRC — both
+// before any payload escapes to dispatch.
 func ReadFrame(r io.Reader, buf []byte) (Frame, []byte, error) {
-	var hdr [headerSize]byte
-	if _, err := io.ReadFull(r, hdr[:4]); err != nil {
+	// The header is read into buf itself: a local array would escape
+	// through the io.Reader and cost an allocation per frame.
+	if cap(buf) < headerSize {
+		buf = make([]byte, headerSize, 512)
+	}
+	buf = buf[:headerSize]
+	if _, err := io.ReadFull(r, buf[:4]); err != nil {
 		return Frame{}, buf, err
 	}
-	n := binary.LittleEndian.Uint32(hdr[:4])
+	n := binary.LittleEndian.Uint32(buf)
 	if n > MaxFrame {
 		return Frame{}, buf, ErrFrameTooLarge
 	}
-	if _, err := io.ReadFull(r, hdr[4:]); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
-		return Frame{}, buf, err
+	if _, err := io.ReadFull(r, buf[4:]); err != nil {
+		return Frame{}, buf, unexpectedEOF(err)
 	}
-	want := binary.LittleEndian.Uint32(hdr[4:8])
-	need := int(n) + (headerSize - 8)
-	if cap(buf) < need {
-		buf = make([]byte, need)
+	if need := headerSize + int(n); cap(buf) < need {
+		buf = append(make([]byte, 0, need), buf...)
 	}
-	buf = buf[:need]
-	copy(buf, hdr[8:])
-	if _, err := io.ReadFull(r, buf[headerSize-8:]); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
-		return Frame{}, buf, err
+	buf = buf[:headerSize+int(n)]
+	if _, err := io.ReadFull(r, buf[headerSize:]); err != nil {
+		return Frame{}, buf, unexpectedEOF(err)
 	}
-	if crc32.Checksum(buf, castagnoli) != want {
+	if crc32.Checksum(buf[8:], castagnoli) != binary.LittleEndian.Uint32(buf[4:]) {
 		return Frame{}, buf, ErrBadCRC
 	}
 	return Frame{
-		ReqID:   binary.LittleEndian.Uint64(buf[:8]),
-		Type:    buf[8],
-		Payload: buf[9:],
+		ReqID:   binary.LittleEndian.Uint64(buf[8:]),
+		Type:    buf[16],
+		Payload: buf[headerSize:],
 	}, buf, nil
+}
+
+// unexpectedEOF maps a clean EOF inside a frame to the torn-frame error.
+func unexpectedEOF(err error) error {
+	if err == io.EOF {
+		return io.ErrUnexpectedEOF
+	}
+	return err
 }

@@ -12,9 +12,7 @@ func TestFrameRoundTrip(t *testing.T) {
 	payloads := [][]byte{nil, {}, {0x42}, bytes.Repeat([]byte("nblb"), 1000)}
 	var buf bytes.Buffer
 	for i, p := range payloads {
-		if err := WriteFrame(&buf, uint64(i*7+1), uint8(i+1), p); err != nil {
-			t.Fatalf("WriteFrame: %v", err)
-		}
+		buf.Write(AppendFrame(nil, uint64(i*7+1), uint8(i+1), p))
 	}
 	var scratch []byte
 	for i, p := range payloads {

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 
@@ -57,21 +58,32 @@ func (m *ApplyReq) Marshal(dst []byte) []byte {
 	return dst
 }
 
-// Unmarshal decodes the payload.
+// Unmarshal decodes the payload. Like every Unmarshal here it copies
+// what it keeps out of b and reuses the receiver's slices (and, for
+// names, its strings) when they fit, so a receiver decoded into again
+// and again stops allocating; a zero receiver gets fresh memory that
+// the caller owns.
 func (m *ApplyReq) Unmarshal(b []byte) error {
 	r := reader{b: b}
-	m.Table = r.string()
+	m.Table = r.name(m.Table)
 	n := r.count(2)
-	m.Ops = make([]Op, 0, n)
+	old := m.Ops[:cap(m.Ops)] // earlier ops lend their rows' backing arrays
+	if m.Ops = m.Ops[:0]; cap(m.Ops) < n {
+		m.Ops = make([]Op, 0, n)
+	}
 	for i := 0; i < n && r.err == nil; i++ {
 		var op Op
+		var row tuple.Row
+		if i < len(old) {
+			row = old[i].Row
+		}
 		op.Kind = r.byte()
 		switch op.Kind {
 		case OpInsert:
-			op.Row = r.row()
+			op.Row = r.row(row)
 		case OpUpdate:
 			op.RID = r.uvarint()
-			op.Row = r.row()
+			op.Row = r.row(row)
 		case OpDelete:
 			op.RID = r.uvarint()
 		default:
@@ -119,12 +131,16 @@ func (m *ApplyResp) Unmarshal(b []byte) error {
 	r := reader{b: b}
 	m.Applied = int(r.uvarint())
 	n := r.count(1)
-	m.RIDs = make([]uint64, 0, n)
+	if m.RIDs = m.RIDs[:0]; cap(m.RIDs) < n {
+		m.RIDs = make([]uint64, 0, n)
+	}
 	for i := 0; i < n && r.err == nil; i++ {
 		m.RIDs = append(m.RIDs, r.uvarint())
 	}
 	n = r.count(1)
-	m.OpErrs = make([]string, 0, n)
+	if m.OpErrs = m.OpErrs[:0]; cap(m.OpErrs) < n {
+		m.OpErrs = make([]string, 0, n)
+	}
 	for i := 0; i < n && r.err == nil; i++ {
 		m.OpErrs = append(m.OpErrs, r.string())
 	}
@@ -156,9 +172,9 @@ func (m *GetReq) Marshal(dst []byte) []byte {
 // Unmarshal decodes the payload.
 func (m *GetReq) Unmarshal(b []byte) error {
 	r := reader{b: b}
-	m.Table = r.string()
-	m.Index = r.string()
-	m.Key = r.row()
+	m.Table = r.name(m.Table)
+	m.Index = r.name(m.Index)
+	m.Key = r.row(m.Key)
 	return r.done()
 }
 
@@ -185,7 +201,7 @@ func (m *GetResp) Unmarshal(b []byte) error {
 	r := reader{b: b}
 	m.Found = r.byte() != 0
 	m.RID = r.uvarint()
-	m.Row = r.row()
+	m.Row = r.row(m.Row)
 	return r.done()
 }
 
@@ -259,15 +275,20 @@ func (m *QueryReq) Marshal(dst []byte) []byte {
 // Unmarshal decodes the payload.
 func (m *QueryReq) Unmarshal(b []byte) error {
 	r := reader{b: b}
-	m.Table = r.string()
-	m.Index = r.string()
-	m.Lo = r.row()
-	m.Hi = r.row()
-	m.Prefix = r.row()
+	m.Table = r.name(m.Table)
+	m.Index = r.name(m.Index)
+	m.Lo = r.row(m.Lo)
+	m.Hi = r.row(m.Hi)
+	m.Prefix = r.row(m.Prefix)
 	n := r.count(1)
-	m.Projection = nil
+	old := m.Projection
+	m.Projection = m.Projection[:0]
 	for i := 0; i < n && r.err == nil; i++ {
-		m.Projection = append(m.Projection, r.string())
+		var prev string
+		if i < len(old) {
+			prev = old[i] // read before the append below overwrites slot i
+		}
+		m.Projection = append(m.Projection, r.name(prev))
 	}
 	m.Limit = r.uvarint()
 	m.PageSize = uint32(r.uvarint())
@@ -297,20 +318,67 @@ type QueryPage struct {
 
 // Marshal appends the page payload to dst.
 func (m *QueryPage) Marshal(dst []byte) []byte {
-	var f byte
-	if m.Last {
-		f = 1
-	}
-	dst = append(dst, f)
-	dst = appendUvarint(dst, uint64(len(m.Rows)))
+	var p PageBuilder
+	p.Begin(dst, len(m.Rows))
 	for _, row := range m.Rows {
-		dst = AppendRow(dst, row)
+		p.AppendRow(row)
 	}
-	dst = appendUvarint(dst, uint64(len(m.RIDs)))
-	for _, rid := range m.RIDs {
-		dst = appendUvarint(dst, rid)
+	return p.Finish(m.RIDs, m.Last)
+}
+
+// PageBuilder encodes a QueryPage row by row straight into its frame
+// buffer, so a streaming handler never materializes the page's rows.
+// On the wire the row count precedes the rows but is known only when
+// the page closes: Begin reserves the count's width for a full page and
+// Finish closes the gap when the page ends short of that (the rows move
+// down a byte or two), so the bytes are exactly QueryPage.Marshal's.
+type PageBuilder struct {
+	buf   []byte
+	start int // offset of the payload: the Last flag, then the count
+	width int // bytes reserved for the row count
+	rows  int
+}
+
+// Begin opens a page at the end of dst that expects up to maxRows rows.
+func (p *PageBuilder) Begin(dst []byte, maxRows int) {
+	var cnt [binary.MaxVarintLen64]byte
+	p.start, p.rows = len(dst), 0
+	p.width = binary.PutUvarint(cnt[:], uint64(maxRows))
+	p.buf = append(dst, make([]byte, 1+p.width)...)
+}
+
+// AppendRow encodes the next row of the page.
+func (p *PageBuilder) AppendRow(r tuple.Row) {
+	p.buf = AppendRow(p.buf, r)
+	p.rows++
+}
+
+// Rows returns how many rows the open page holds.
+func (p *PageBuilder) Rows() int { return p.rows }
+
+// Finish closes the page with its RIDs (parallel to the rows, or empty)
+// and its Last flag, and returns the extended buffer.
+func (p *PageBuilder) Finish(rids []uint64, last bool) []byte {
+	b := p.buf
+	p.buf = nil
+	if last {
+		b[p.start] = 1
 	}
-	return dst
+	var cnt [binary.MaxVarintLen64]byte
+	w := binary.PutUvarint(cnt[:], uint64(p.rows))
+	if at, end := p.start+1, len(b); w != p.width {
+		if w > p.width {
+			b = append(b, cnt[:w-p.width]...)
+		}
+		copy(b[at+w:], b[at+p.width:end])
+		b = b[:end+w-p.width]
+	}
+	copy(b[p.start+1:], cnt[:w])
+	b = appendUvarint(b, uint64(len(rids)))
+	for _, rid := range rids {
+		b = appendUvarint(b, rid)
+	}
+	return b
 }
 
 // Unmarshal decodes the payload.
@@ -318,12 +386,19 @@ func (m *QueryPage) Unmarshal(b []byte) error {
 	r := reader{b: b}
 	m.Last = r.byte() != 0
 	n := r.count(2)
-	m.Rows = make([]tuple.Row, 0, n)
+	old := m.Rows[:cap(m.Rows)] // earlier rows lend their backing arrays
+	if m.Rows = m.Rows[:0]; cap(m.Rows) < n {
+		m.Rows = make([]tuple.Row, 0, n)
+	}
 	for i := 0; i < n && r.err == nil; i++ {
-		m.Rows = append(m.Rows, r.row())
+		var row tuple.Row
+		if i < len(old) {
+			row = old[i]
+		}
+		m.Rows = append(m.Rows, r.row(row))
 	}
 	n = r.count(1)
-	m.RIDs = nil
+	m.RIDs = m.RIDs[:0]
 	for i := 0; i < n && r.err == nil; i++ {
 		m.RIDs = append(m.RIDs, r.uvarint())
 	}
