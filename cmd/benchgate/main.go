@@ -13,10 +13,13 @@
 //     sharded pool's ops/sec must stay within -tolerance of baseline.
 //   - Serve (BENCH_serve.json): per connection count, the coalesced
 //     sweep's ops/sec within -tolerance of baseline. Self-invariants:
-//     at the highest connection count the cross-connection coalescer
-//     must make strictly more rows durable per fsync than the
-//     coalescer-off sweep, and its shared batches must actually batch
-//     (>1 op per drain cycle).
+//     at every connection count the coalesced sweep's ops/sec must be
+//     within -tolerance of the coalescer-off sweep's or above it; at
+//     the highest the cross-connection coalescer must also make
+//     strictly more rows durable per fsync than the coalescer-off
+//     sweep, and its shared batches must actually batch (>1 op per
+//     cycle); against the baseline its ops/fsync there must also stay
+//     within -tolerance.
 //   - Scan (BENCH_scan.json): per mode, rows/sec within -tolerance;
 //     allocs/row and disk reads/pass must not grow materially (these
 //     are machine-independent, so they are held tighter). The parallel
@@ -629,30 +632,42 @@ func gateServe(base, fresh string, tol float64) {
 		return
 	}
 
-	// Self-invariant: at the highest connection count, cross-connection
-	// coalescing must make strictly more rows durable per fsync than
-	// per-request commits, and its shared batches must actually batch.
-	hi := f.Coalesced[len(f.Coalesced)-1]
-	var hiDirect experiments.ServePoint
+	// Self-invariants. At every connection count coalescing must cost no
+	// throughput against per-request commits (ROADMAP 4a: a lone writer's
+	// cycle is a direct Apply, so there is nothing to lose below the
+	// count where sharing starts to pay). At the highest count it must
+	// also make strictly more rows durable per fsync, and its shared
+	// batches must actually batch.
+	direct := map[int]experiments.ServePoint{}
 	for _, p := range f.Direct {
-		if p.Conns == hi.Conns {
-			hiDirect = p
+		direct[p.Conns] = p
+	}
+	for i, c := range f.Coalesced {
+		d, ok := direct[c.Conns]
+		if !ok {
+			failf("serve: direct sweep has no point at %d conns to compare against", c.Conns)
+			return
 		}
-	}
-	if hiDirect.Conns == 0 {
-		failf("serve: direct sweep has no point at %d conns to compare against", hi.Conns)
-		return
-	}
-	if hi.OpsPerFsync <= hiDirect.OpsPerFsync {
-		failf("serve conns=%d: coalesced %.1f ops/fsync vs direct %.1f — coalescing is not amortizing commits",
-			hi.Conns, hi.OpsPerFsync, hiDirect.OpsPerFsync)
-	} else {
-		okf("conns=%d coalesced %.1f ops/fsync vs direct %.1f", hi.Conns, hi.OpsPerFsync, hiDirect.OpsPerFsync)
-	}
-	if hi.OpsPerCycle <= 1 {
-		failf("serve conns=%d: %.2f ops per coalescer drain — shared batches are not forming", hi.Conns, hi.OpsPerCycle)
-	} else {
-		okf("conns=%d %.1f ops per coalescer drain cycle", hi.Conns, hi.OpsPerCycle)
+		if !ratioOK(c.OpsPerSec, d.OpsPerSec, tol) {
+			failf("serve conns=%d: coalesced %.0f ops/s vs direct %.0f (>%.0f%% down) — coalescing costs throughput",
+				c.Conns, c.OpsPerSec, d.OpsPerSec, tol*100)
+		} else {
+			okf("conns=%d coalesced %.0f ops/s vs direct %.0f", c.Conns, c.OpsPerSec, d.OpsPerSec)
+		}
+		if i < len(f.Coalesced)-1 {
+			continue
+		}
+		if c.OpsPerFsync <= d.OpsPerFsync {
+			failf("serve conns=%d: coalesced %.1f ops/fsync vs direct %.1f — coalescing is not amortizing commits",
+				c.Conns, c.OpsPerFsync, d.OpsPerFsync)
+		} else {
+			okf("conns=%d coalesced %.1f ops/fsync vs direct %.1f", c.Conns, c.OpsPerFsync, d.OpsPerFsync)
+		}
+		if c.OpsPerCycle <= 1 {
+			failf("serve conns=%d: %.2f ops per coalescer cycle — shared batches are not forming", c.Conns, c.OpsPerCycle)
+		} else {
+			okf("conns=%d %.1f ops per coalescer cycle", c.Conns, c.OpsPerCycle)
+		}
 	}
 
 	// Baseline comparison, where the shapes match.
@@ -674,7 +689,7 @@ func gateServe(base, fresh string, tol float64) {
 		notef("baseline measured at GOMAXPROCS=%d, this run at %d — comparison skipped", b.GOMAXPROCS, f.GOMAXPROCS)
 		return
 	}
-	for _, fp := range f.Coalesced {
+	for i, fp := range f.Coalesced {
 		for _, bp := range b.Coalesced {
 			if bp.Conns != fp.Conns {
 				continue
@@ -684,6 +699,17 @@ func gateServe(base, fresh string, tol float64) {
 					fp.Conns, fp.OpsPerSec, bp.OpsPerSec, tol*100)
 			} else {
 				okf("conns=%d coalesced %.0f ops/s (baseline %.0f)", fp.Conns, fp.OpsPerSec, bp.OpsPerSec)
+			}
+			if i < len(f.Coalesced)-1 {
+				continue
+			}
+			// How many rows share an fsync is set by the protocol, not
+			// the machine: at the top count it must not erode.
+			if !ratioOK(fp.OpsPerFsync, bp.OpsPerFsync, tol) {
+				failf("serve conns=%d: coalesced %.1f ops/fsync vs baseline %.1f (>%.0f%% down) — amortization eroded",
+					fp.Conns, fp.OpsPerFsync, bp.OpsPerFsync, tol*100)
+			} else {
+				okf("conns=%d coalesced %.1f ops/fsync (baseline %.1f)", fp.Conns, fp.OpsPerFsync, bp.OpsPerFsync)
 			}
 		}
 	}

@@ -5,9 +5,10 @@
 // share leaf-grouped index runs and one WAL group commit.
 //
 // SIGINT/SIGTERM shut down gracefully: accepting stops, in-flight
-// requests finish and their responses flush, the coalescer drains, and
-// a final checkpoint lands every acked write in the data file before
-// the process exits.
+// requests finish and their responses flush (which empties the
+// coalescer: its cycles run on request handlers), and a final
+// checkpoint lands every acked write in the data file before the
+// process exits.
 //
 // Example:
 //
@@ -40,7 +41,6 @@ func main() {
 
 		noCoalesce = flag.Bool("no-coalesce", false, "disable cross-connection write coalescing")
 		maxOps     = flag.Int("coalesce-ops", server.DefaultMaxOps, "max ops per shared coalesced batch")
-		maxWait    = flag.Duration("coalesce-wait", server.DefaultMaxWait, "max wait for more ops after the first arrives")
 		pageSize   = flag.Int("page-size", server.DefaultPageSize, "default rows per query page")
 		inflight   = flag.Int("max-inflight", server.DefaultMaxInflight, "max concurrently executing requests per connection")
 
@@ -78,7 +78,6 @@ func main() {
 		Coalesce: server.CoalesceConfig{
 			Disabled: *noCoalesce,
 			MaxOps:   *maxOps,
-			MaxWait:  *maxWait,
 		},
 		PageSize:    *pageSize,
 		MaxInflight: *inflight,

@@ -25,6 +25,7 @@ type fixtureSpec struct {
 var fixtures = []fixtureSpec{
 	{name: "lockorder_basic"},
 	{name: "lockorder_pr9"},
+	{name: "lockorder_coalescer"},
 	{name: "pinleak_basic"},
 	{name: "pinleak_latch"},
 	{name: "walseam_gate", pkgs: []string{"wal", "a"}},

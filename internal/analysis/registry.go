@@ -53,6 +53,15 @@ var SelfUnsafe = map[string]string{
 	"commitGate":   "a shared re-acquire deadlocks behind a pending exclusive waiter",
 }
 
+// Leaves lists locks under which nothing at all may be acquired: any
+// acquisition, direct or through a callee, while one is held is
+// reported. (The wal mutexes are leaves of the commit chain by their
+// LockRules edges; a lock belongs here when it sits outside every
+// chain, so no edge could express it.)
+var Leaves = map[string]string{
+	"coalescer-mu": "rule 8: the coalescer mutex is a leaf, never held across Table.Apply",
+}
+
 // CrashMatrixPoints are the wal.TestPoint names with a corresponding
 // crash-matrix case (core/crash_test.go, core/crash_txn_test.go). The
 // walseam analyzer rejects TestPoint calls whose name constant is not
@@ -117,6 +126,9 @@ func OrderAllowed(held, acq string) bool {
 // OrderViolation reports whether acquiring `acq` while `held` is held
 // inverts a registered rule, and if so which rule.
 func OrderViolation(held, acq string) (string, bool) {
+	if why, leaf := Leaves[held]; leaf {
+		return why, true
+	}
 	if held == acq {
 		why, bad := SelfUnsafe[held]
 		return why, bad

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"sort"
+	"sync/atomic"
 
 	"repro/internal/btree"
 	"repro/internal/storage"
@@ -219,15 +220,27 @@ func (r *Result) failRemaining(err error) {
 // trip through the write pipeline (see pipeline.run for the stages).
 // See Result for the per-op-atomicity contract and Batch for aliasing
 // and intra-batch ordering rules.
+func (t *Table) Apply(b *Batch, opts ...ApplyOption) (Result, error) {
+	var res Result
+	err := t.ApplyInto(&res, b, opts...)
+	return res, err
+}
+
+// ApplyInto is Apply reporting into *res, whose RIDs and OpErrs slices
+// it reuses when their capacity suffices: a caller that threads one
+// Result through its Applies (the server's write coalescer) pays for
+// no result storage after the first. Everything else in *res is
+// overwritten; the returned error is res.Err.
 //
-// Like every table write, Apply holds the table mutex only shared (to
+// Like every table write, it holds the table mutex only shared (to
 // pin the index set): parallel Applies contend per heap shard and per
 // index leaf, never on the table.
 //
 // nblb:commit-entry — the audited mutate+log-append critical section.
-func (t *Table) Apply(b *Batch, opts ...ApplyOption) (Result, error) {
+func (t *Table) ApplyInto(res *Result, b *Batch, opts ...ApplyOption) error {
 	if b == nil || len(b.ops) == 0 {
-		return Result{ErrIndex: -1}, nil
+		*res = Result{ErrIndex: -1}
+		return nil
 	}
 	e := t.engine
 	p := e.getPipeline()
@@ -240,10 +253,10 @@ func (t *Table) Apply(b *Batch, opts ...ApplyOption) (Result, error) {
 	p.buf = append(p.buf, b.ops...)
 	p.ops = p.buf
 	if p.wantRIDs {
-		p.res.RIDs = make([]storage.RID, len(p.ops)) // all InvalidRID
+		p.res.RIDs = zeroed(res.RIDs, len(p.ops)) // all InvalidRID
 	}
 	if p.isolate {
-		p.res.OpErrs = make([]error, len(p.ops))
+		p.res.OpErrs = zeroed(res.OpErrs, len(p.ops))
 	}
 	// The raw commit stamp allocates BEFORE the gate: rawStampTS takes
 	// txnMu, and the engine-wide lock order is txnMu before commitGate
@@ -284,9 +297,20 @@ func (t *Table) Apply(b *Batch, opts ...ApplyOption) (Result, error) {
 		}
 		e.maybeCheckpoint()
 	}
-	res := p.res
+	*res = p.res
 	e.putPipeline(p)
-	return res, res.Err
+	return res.Err
+}
+
+// zeroed returns s resized to n zero elements, reallocating only when
+// its capacity is short.
+func zeroed[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 // pipeline is one table's trip through the write stages, and the only
@@ -326,26 +350,58 @@ type stageScratch struct {
 	recs   [][]byte
 	rids   []storage.RID
 	insOps []int
-	getBuf []byte // pre-flight: the pre-image's raw record
-	// arena backs the encoded records and index entry keys of one trip:
-	// they are carved from it back to back instead of allocated one by
-	// one. A chunk that fills up is left to the slices that alias it and
-	// a larger one takes over, so nothing carved ever moves.
+	// arena backs the encoded records, pre-image records and index entry
+	// keys of one trip: they are carved from it back to back instead of
+	// allocated one by one. A chunk that fills up is left to the slices
+	// that alias it and a larger one takes over, so nothing carved ever
+	// moves. vals is the same for the pre-images' decoded rows.
 	arena []byte
+	vals  []tuple.Value
 }
 
-// maxArena bounds the arena chunk a pooled pipeline keeps.
-const maxArena = 64 << 10
+// maxArena bounds the arena chunk a pooled pipeline keeps; maxVals is
+// the same bound for vals, in values.
+const (
+	maxArena = 64 << 10
+	maxVals  = 1 << 10
+)
 
-// carve returns an empty slice with room for n bytes from the arena.
-func (s *stageScratch) carve(n int) []byte {
-	if cap(s.arena)-len(s.arena) < n {
-		s.arena = make([]byte, 0, max(n, min(2*cap(s.arena), maxArena)))
+// carve returns an empty slice with room for n elements from the end
+// of *arena. A chunk too full to serve is left to the slices that alias
+// it and one twice its size takes over, up to keep (or n, if larger).
+func carve[T any](arena *[]T, n, keep int) []T {
+	a := *arena
+	if cap(a)-len(a) < n {
+		a = make([]T, 0, max(n, min(2*cap(a), keep)))
 	}
-	off := len(s.arena)
-	s.arena = s.arena[:off+n]
-	return s.arena[off : off : off+n]
+	off := len(a)
+	*arena = a[:off+n]
+	return a[off : off : off+n]
 }
+
+// endTrip empties the arena and vals: whatever was carved from them is
+// dead. Under PoisonScratch it is overwritten first.
+func (s *stageScratch) endTrip() {
+	if poisonScratch.Load() {
+		a, v := s.arena[:cap(s.arena)], s.vals[:cap(s.vals)]
+		for i := range a {
+			a[i] = 0xDB
+		}
+		for i := range v {
+			v[i] = tuple.Value{Kind: 0xDB, Int: -0x2424242424242425, Str: "\xdb\xdb\xdb\xdb dead scratch"}
+		}
+	}
+	s.arena, s.vals = s.arena[:0], s.vals[:0]
+}
+
+var poisonScratch atomic.Bool
+
+// PoisonScratch is wire.PoisonReleased for the pipelines' scratch:
+// while on, a trip's arena and pre-image rows are overwritten with 0xDB
+// as the trip ends, so a pre-image value (tuple.DecodeAlias views the
+// arena) or a carved key kept past its trip reads as garbage at once
+// instead of as plausible stale data. Nothing outside tests calls it.
+func PoisonScratch(on bool) { poisonScratch.Store(on) }
 
 // entryKey is Index.entryKey carved from the arena. Keys have no size
 // known up front, so one is appended at the arena's end and, should
@@ -358,6 +414,20 @@ func (s *stageScratch) entryKey(ix *Index, row tuple.Row, rid storage.RID) ([]by
 	}
 	s.arena = buf
 	return buf[off:len(buf):len(buf)], nil
+}
+
+// preImage loads and decodes the row at rid into the scratch: the
+// record is read onto the arena's end (as entryKey appends a key) and
+// the row is a view of it carved from vals. Both die with the trip.
+func (s *stageScratch) preImage(t *Table, rid storage.RID) (tuple.Row, error) {
+	off := len(s.arena)
+	buf, err := t.file.GetInto(s.arena, rid)
+	if err != nil {
+		return nil, err
+	}
+	s.arena = buf
+	row, _, err := tuple.DecodeAlias(carve(&s.vals, t.schema.NumFields(), maxVals), t.schema, buf[off:])
+	return row, err
 }
 
 // getPipeline returns a pooled pipeline; aim it before use.
@@ -374,12 +444,13 @@ func (e *Engine) getPipeline() *pipeline {
 
 // aim points the pipeline at t with a clean result, log record and
 // arena (what the previous table's trip carved is dead by now: its
-// records are in the heap and the log, its keys in the trees, and
-// noteEntries copied the ones undo needs).
+// records are in the heap and the log, its keys in the trees, its
+// pre-images dropped with their ops, and noteEntries copied the keys
+// undo needs).
 func (p *pipeline) aim(t *Table) {
 	p.t = t
 	p.res = Result{ErrIndex: -1}
-	p.arena = p.arena[:0]
+	p.endTrip()
 	if p.wb != nil {
 		p.wb.reset(t.name)
 	}
@@ -392,25 +463,30 @@ func (e *Engine) putPipeline(p *pipeline) {
 	clear(p.buf)
 	clear(p.recs)
 	p.buf, p.recs = p.buf[:0], p.recs[:0]
-	if cap(p.arena) > maxArena { // a key's append doubled it past the bound
+	p.endTrip()
+	if cap(p.arena) > maxArena { // an append doubled it past the bound
 		p.arena = nil
+	}
+	if cap(p.vals) > maxVals {
+		p.vals = nil
 	}
 	*p = pipeline{stageScratch: p.stageScratch}
 	e.pipePool.Put(p)
 }
 
 // preflight readies one op for the stages: the pre-image loads and the
-// new row encodes, sized once and carved from sc's arena.
+// new row encodes, sized once and carved from sc's arena. op.oldRow is
+// a view of that arena: it lives as long as sc's current trip does.
 func (t *Table) preflight(op *stagedOp, sc *stageScratch) (err error) {
 	if op.kind != BatchInsert {
-		if op.oldRow, sc.getBuf, err = t.GetInto(nil, sc.getBuf, op.rid); err != nil {
+		if op.oldRow, err = sc.preImage(t, op.rid); err != nil {
 			return fmt.Errorf("core: %v of %v: %w", op.kind, op.rid, err)
 		}
 	}
 	if op.kind != BatchDelete {
 		n, err := tuple.EncodedSize(t.schema, op.row)
 		if err == nil {
-			op.rec, err = tuple.Encode(t.schema, op.row, sc.carve(n))
+			op.rec, err = tuple.Encode(t.schema, op.row, carve(&sc.arena, n, maxArena))
 		}
 		if err != nil {
 			return fmt.Errorf("core: encoding row for %q: %w", t.name, err)

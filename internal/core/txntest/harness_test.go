@@ -11,6 +11,14 @@ import (
 	"repro/internal/core"
 )
 
+// The schedules run with the write pipelines' scratch poisoned
+// (core.PoisonScratch): a pre-image or key kept past its trip diverges
+// from the oracle instead of reading plausible stale bytes.
+func TestMain(m *testing.M) {
+	core.PoisonScratch(true)
+	os.Exit(m.Run())
+}
+
 // schedules returns how many randomized schedules to run. CI's txn job
 // raises it via TXN_SCHEDULES (acceptance: 10k with zero divergence);
 // the default keeps `go test ./...` quick.

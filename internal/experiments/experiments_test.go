@@ -543,11 +543,11 @@ func TestServeShapes(t *testing.T) {
 	check("direct", res.Direct)
 	for _, p := range res.Coalesced {
 		if p.OpsPerCycle < 1 {
-			t.Errorf("coalesced conns=%d: %.2f ops per drain cycle, want ≥ 1", p.Conns, p.OpsPerCycle)
+			t.Errorf("coalesced conns=%d: %.2f ops per cycle, want ≥ 1", p.Conns, p.OpsPerCycle)
 		}
 	}
-	// With the coalescer off every request pays its own Apply — there
-	// are no drain cycles to count.
+	// With the coalescer off every request is a cycle of its own — there
+	// are no shared cycles to count.
 	for _, p := range res.Direct {
 		if p.OpsPerCycle != 0 {
 			t.Errorf("direct conns=%d: ops_per_cycle %.2f, want 0", p.Conns, p.OpsPerCycle)

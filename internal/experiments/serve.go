@@ -47,14 +47,22 @@ func DefaultServeConfig() ServeConfig {
 	}
 }
 
-// ServePoint is one (connection count, coalescer setting) cell.
+// serveReps is how often each cell runs. benchgate compares the two
+// sides of a cell with each other, and at one connection they are the
+// same code path: a sandbox's fsync latency drifts by more than they
+// differ (single runs: 0.80–1.19×). So the sides alternate, rep by rep,
+// and each keeps its median run.
+const serveReps = 3
+
+// ServePoint is one (connection count, coalescer setting) cell: of its
+// serveReps runs, the one with the median throughput.
 type ServePoint struct {
 	Conns       int     `json:"conns"`
 	OpsPerSec   float64 `json:"ops_per_sec"`
 	P50Micros   float64 `json:"p50_micros"`
 	P99Micros   float64 `json:"p99_micros"`
 	OpsPerFsync float64 `json:"ops_per_fsync"` // rows made durable per WAL fsync
-	OpsPerCycle float64 `json:"ops_per_cycle"` // rows per coalescer drain (0 when disabled)
+	OpsPerCycle float64 `json:"ops_per_cycle"` // rows per coalescer cycle (0 when disabled)
 }
 
 // ServeResult is the experiment summary, serialized to
@@ -63,6 +71,7 @@ type ServePoint struct {
 // workload shape so the gate can tell a config change from a
 // regression.
 type ServeResult struct {
+	NumCPU      int          `json:"num_cpu"`
 	GOMAXPROCS  int          `json:"gomaxprocs"`
 	OpsPerConn  int          `json:"ops_per_conn"`
 	BatchOps    int          `json:"batch_ops"`
@@ -79,6 +88,7 @@ type ServeResult struct {
 // Table.Apply, WAL.
 func RunServe(cfg ServeConfig) (ServeResult, error) {
 	res := ServeResult{
+		NumCPU:     runtime.NumCPU(),
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 		OpsPerConn: cfg.OpsPerConn,
 		BatchOps:   cfg.BatchOps,
@@ -86,17 +96,21 @@ func RunServe(cfg ServeConfig) (ServeResult, error) {
 	}
 	start := time.Now()
 	for _, conns := range cfg.Conns {
-		for _, coalesce := range []bool{true, false} {
-			p, err := runServePoint(cfg, conns, coalesce)
-			if err != nil {
-				return res, fmt.Errorf("serve conns=%d coalesce=%v: %w", conns, coalesce, err)
-			}
-			if coalesce {
-				res.Coalesced = append(res.Coalesced, p)
-			} else {
-				res.Direct = append(res.Direct, p)
+		var sides [2][]ServePoint // coalesced, direct
+		for rep := 0; rep < serveReps; rep++ {
+			for side, coalesce := range []bool{true, false} {
+				p, err := runServePoint(cfg, conns, coalesce)
+				if err != nil {
+					return res, fmt.Errorf("serve conns=%d coalesce=%v: %w", conns, coalesce, err)
+				}
+				sides[side] = append(sides[side], p)
 			}
 		}
+		for _, ps := range sides {
+			sort.Slice(ps, func(i, j int) bool { return ps[i].OpsPerSec < ps[j].OpsPerSec })
+		}
+		res.Coalesced = append(res.Coalesced, sides[0][serveReps/2])
+		res.Direct = append(res.Direct, sides[1][serveReps/2])
 	}
 	res.ElapsedSecs = time.Since(start).Seconds()
 	return res, nil
@@ -259,8 +273,8 @@ func durMicros(d time.Duration) float64 { return float64(d) / float64(time.Micro
 
 // Print renders the sweep as a text table.
 func (r ServeResult) Print(w io.Writer) {
-	fmt.Fprintf(w, "Network serving: %d-op batches per request, %d requests/conn, GOMAXPROCS=%d\n",
-		r.BatchOps, r.OpsPerConn, r.GOMAXPROCS)
+	fmt.Fprintf(w, "Network serving: %d-op batches per request, %d requests/conn, median of %d runs, GOMAXPROCS=%d on %d CPUs\n",
+		r.BatchOps, r.OpsPerConn, serveReps, r.GOMAXPROCS, r.NumCPU)
 	fmt.Fprintf(w, "%-6s | %-36s | %-36s\n", "", "coalesced", "direct (coalescer off)")
 	fmt.Fprintf(w, "%-6s | %10s %8s %8s %7s | %10s %8s %8s %7s\n",
 		"conns", "ops/s", "p50µs", "p99µs", "ops/fs", "ops/s", "p50µs", "p99µs", "ops/fs")

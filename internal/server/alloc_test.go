@@ -14,7 +14,9 @@ import (
 // the number — it is the in-tree stand-in for the served benchmark's
 // allocs_per_op. Each budget is the measured figure + 2; the same test
 // at the commit before the request path was pooled measured Get 34,
-// CoveredPointQuery 61, ApplyInsert 43, ApplyUpdate 49.
+// CoveredPointQuery 61, ApplyInsert 43, ApplyUpdate 49, and before a
+// cycle reused its result and the pre-image its scratch, ApplyInsert 7
+// and ApplyUpdate 11.
 //
 // Skipped under -race: the race detector instruments allocations and
 // changes the counts.
@@ -78,7 +80,7 @@ func TestServedAllocBudgets(t *testing.T) {
 			fail(err)
 			same(row, want[id][:3])
 		}},
-		{"ApplyInsert", 9, func() {
+		{"ApplyInsert", 7, func() {
 			var b client.Batch
 			b.Insert(fresh[0])
 			fresh = fresh[1:]
@@ -88,7 +90,7 @@ func TestServedAllocBudgets(t *testing.T) {
 				t.Fatalf("apply: %v", res.Err(0))
 			}
 		}},
-		{"ApplyUpdate", 13, func() {
+		{"ApplyUpdate", 8, func() {
 			ver++
 			var b client.Batch
 			b.Update(rids[5], updates[ver&1])

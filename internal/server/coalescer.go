@@ -1,138 +1,149 @@
 package server
 
 import (
+	"runtime"
 	"sync"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/wire"
 )
 
-// applyJob is one connection's contribution to a coalesced batch. The
-// leader fills *out and signals done exactly once; jobs (and their
-// channels) are recycled by the handler that waited.
+// applyJob is one request's contribution to a coalesced cycle, and the
+// scratch of the cycles its handler leads; that handler recycles it.
 type applyJob struct {
-	ops  []wire.Op
-	out  *wire.ApplyResp
-	done chan struct{}
+	ops []wire.Op
+	out *wire.ApplyResp
+	// wake parks the handler while another cycle is in flight. It gets
+	// exactly one value: false once a leader has left the job's result
+	// in *out, true when the job is handed the baton and must lead cycle.
+	wake chan bool
+
+	cycle []*applyJob // the jobs of the cycle this job leads, itself first
+	batch core.Batch  // their ops, in arrival order
+	res   core.Result // and the batch's result; all three reused
 }
 
-var jobPool = sync.Pool{New: func() any { return &applyJob{done: make(chan struct{}, 1)} }}
+var jobPool = sync.Pool{New: func() any { return &applyJob{wake: make(chan bool, 1)} }}
 
-// coalescer drains many connections' pending ops for one table into
-// shared core.Batches. Handlers enqueue jobs; a single leader
-// goroutine per table drains the queue — first job blocking, then more
-// until MaxOps ops are staged or MaxWait has passed — and executes one
-// Table.Apply under one WAL group commit. Per-op results are
-// demultiplexed back to each waiting job with ErrIndex/RID attribution
-// (core's WithErrorIsolation), so one client's duplicate key never
-// fails a neighbor's op.
+// coalescer folds many connections' pending ops for one table into
+// shared core.Batches, by natural batching: no leader goroutine, no
+// queue to poll, no timer. A handler that finds no cycle in flight
+// leads one at once, on its own goroutine — a lone writer's request is
+// a direct Table.Apply. Handlers that arrive meanwhile park, and the
+// outgoing leader hands the baton to the first of them: the wait for
+// the cycle in flight is the only wait there is, and it is what forms
+// the next batch. One Table.Apply under one WAL group commit lands a
+// cycle; results demultiplex back per job with core's per-op error
+// isolation, so one client's duplicate key never fails a neighbor's op.
 //
-// Lock order: the coalescer owns no locks across Apply — the staging
-// queue is a channel, and the leader calls into core like any embedded
-// writer. Per ARCHITECTURE.md, anything serializing staged ops must
-// sit above commitGate: the leader stages strictly before Apply takes
-// commitGate.RLock, never while holding it.
+// Lock order (ARCHITECTURE.md rule 8): mu is a leaf. It guards the two
+// fields below for a few instructions at a time, never across
+// Table.Apply, a channel operation or an engine lock, so parking can
+// never invert with the commit gate.
 type coalescer struct {
-	tb      *core.Table
-	queue   chan *applyJob
-	maxOps  int
-	maxWait time.Duration
-	stats   *Stats
-	wg      sync.WaitGroup
+	// land applies one cycle's batch (Table.ApplyInto with per-op isolation
+	// and result RIDs); a field so that tests can hold a cycle open or fail it.
+	land   func(*core.Result, *core.Batch) error
+	maxOps int
+	solo   bool // CoalesceConfig.Disabled: every job is a cycle of its own
+	stats  *Stats
+
+	mu     sync.Mutex  // nblb:lock coalescer-mu
+	busy   bool        // a cycle is in flight; its leader holds the baton
+	parked []*applyJob // arrival order; the next leader first
 }
 
-func newCoalescer(tb *core.Table, maxOps int, maxWait time.Duration, stats *Stats) *coalescer {
-	c := &coalescer{
-		tb:      tb,
-		queue:   make(chan *applyJob, 4096),
-		maxOps:  maxOps,
-		maxWait: maxWait,
-		stats:   stats,
-	}
-	c.wg.Add(1)
-	go c.run()
-	return c
-}
-
-// apply stages ops, waits for the cycle that lands them and leaves
-// their attributed result in out. It must not be called after close;
-// the server guarantees this by draining all connection handlers
-// before closing coalescers.
+// apply lands ops through a cycle — one it leads or one it joins — and
+// leaves their attributed result in out.
 func (c *coalescer) apply(ops []wire.Op, out *wire.ApplyResp) {
 	j := jobPool.Get().(*applyJob)
 	j.ops, j.out = ops, out
-	c.queue <- j
-	<-j.done
+	if c.join(j) {
+		c.lead(j)
+	}
 	j.ops, j.out = nil, nil
 	jobPool.Put(j)
 }
 
-// close stops the leader after it drains every staged job.
-func (c *coalescer) close() {
-	close(c.queue)
-	c.wg.Wait()
-}
-
-func (c *coalescer) run() {
-	defer c.wg.Done()
-	var (
-		timer *time.Timer
-		jobs  []*applyJob // the cycle's jobs and its shared batch are
-		batch core.Batch  // leader-owned scratch, reused every cycle
-	)
-	for first := range c.queue {
-		jobs = append(jobs[:0], first)
-		n := len(first.ops)
-		if n < c.maxOps {
-			if timer == nil {
-				timer = time.NewTimer(c.maxWait)
-			} else {
-				timer.Reset(c.maxWait)
-			}
-		drain:
-			for n < c.maxOps {
-				select {
-				case j, ok := <-c.queue:
-					if !ok {
-						break drain
-					}
-					jobs = append(jobs, j)
-					n += len(j.ops)
-				case <-timer.C:
-					break drain
-				}
-			}
-			if !timer.Stop() {
-				select {
-				case <-timer.C:
-				default:
-				}
-			}
+// join reports whether j must lead a cycle: at once when none is in
+// flight, otherwise after parking until a leader either lands j's ops
+// in its own cycle (false) or passes j the baton. The cycle (j.cycle) is
+// whoever is parked when j takes it, not when the baton was passed: j
+// first, FIFO up to the job that brings it to maxOps ops. A solo
+// coalescer has no baton: every job leads itself.
+func (c *coalescer) join(j *applyJob) (lead bool) {
+	if c.solo {
+		j.cycle = append(j.cycle[:0], j)
+		return true
+	}
+	c.mu.Lock()
+	c.parked = append(c.parked, j)
+	if c.busy {
+		c.mu.Unlock()
+		if !<-j.wake {
+			return false
 		}
-		c.cycle(jobs, &batch, n)
-		clear(jobs)
+		c.mu.Lock()
+	}
+	c.busy = true
+	k := 0
+	for n := 0; k < len(c.parked) && n < c.maxOps; k++ {
+		n += len(c.parked[k].ops)
+	}
+	j.cycle = append(j.cycle[:0], c.parked[:k]...)
+	rest := copy(c.parked, c.parked[k:])
+	clear(c.parked[rest:])
+	c.parked = c.parked[:rest]
+	c.mu.Unlock()
+	return true
+}
+
+// pass ends the leader's cycle: the baton goes to the first parked job
+// (it takes its cycle in join), or with nobody parked the coalescer idles.
+func (c *coalescer) pass() {
+	c.mu.Lock()
+	c.busy = len(c.parked) > 0
+	var next *applyJob
+	if c.busy {
+		next = c.parked[0]
+	}
+	c.mu.Unlock()
+	if next != nil {
+		next.wake <- true
 	}
 }
 
-// cycle executes one coalesced cycle: build the shared batch in
-// arrival order, apply with per-op isolation, slice results back per
-// job.
-func (c *coalescer) cycle(jobs []*applyJob, b *core.Batch, n int) {
-	b.Reset()
-	for _, j := range jobs {
-		stageOps(b, j.ops)
+// lead runs one cycle on the calling handler's goroutine: build the
+// shared batch in arrival order, apply with per-op isolation, pass the
+// baton, slice results back per job. The baton leaves before the
+// results do, so the next cycle's Apply overlaps this one's replies.
+func (c *coalescer) lead(j *applyJob) {
+	j.batch.Reset()
+	for _, m := range j.cycle {
+		stageOps(&j.batch, m.ops)
 	}
-	res, err := c.tb.Apply(b, core.WithErrorIsolation(), core.WithResultRIDs())
-	c.stats.CoalescedCycles.Add(1)
-	c.stats.CoalescedOps.Add(int64(n))
+	err := c.land(&j.res, &j.batch)
+	if !c.solo {
+		c.stats.CoalescedCycles.Add(1)
+		c.stats.CoalescedOps.Add(int64(j.batch.Len()))
+		// Let handlers that are already runnable park before the baton
+		// moves: on a single P a blocking fsync stalls the whole process (a
+		// P is taken back only from a syscall that outlasts sysmon's tick, up
+		// to 10 ms), and whoever arrived meanwhile would find the coalescer
+		// idle, one fsync each (docs/benchmarks.md, "PR 15"). Free when idle.
+		runtime.Gosched()
+		c.pass()
+	}
 	off := 0
-	for _, j := range jobs {
-		nj := len(j.ops) // j is its handler's again once done is signalled
-		sliceResult(j.out, &res, err, off, nj)
-		off += nj
-		j.done <- struct{}{}
+	for _, m := range j.cycle {
+		n := len(m.ops) // m is its handler's again once woken
+		sliceResult(m.out, &j.res, err, off, n)
+		off += n
+		if m != j {
+			m.wake <- false
+		}
 	}
+	clear(j.cycle)
 }
 
 // sliceResult extracts ops [off, off+n) of a batch result into out,

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/client"
+	"repro/internal/core"
 	"repro/internal/tuple"
 	"repro/internal/wire"
 )
@@ -15,13 +16,15 @@ import (
 // a bug of the "kept a slice past its release" kind reads plausible
 // stale data most of the time. The wire poison hook makes it read 0xDB
 // instead: with it on, every frame buffer and every scratch row is
-// overwritten the moment it returns to a pool, and these tests check
+// overwritten the moment it returns to a pool (core's poison hook does
+// the same to the write pipelines' scratch), and these tests check
 // every row they read — a broken "copy out before release" fails them
 // at once instead of once in a blue moon.
 
 func poisonReleased(t *testing.T) {
 	wire.PoisonReleased(true)
-	t.Cleanup(func() { wire.PoisonReleased(false) })
+	core.PoisonScratch(true)
+	t.Cleanup(func() { wire.PoisonReleased(false); core.PoisonScratch(false) })
 }
 
 // currentItem reads id's full row and RID through a one-row query.

@@ -40,21 +40,19 @@ import (
 // Defaults for Config zero values.
 const (
 	DefaultMaxOps      = 128
-	DefaultMaxWait     = 200 * time.Microsecond
 	DefaultPageSize    = 256
 	DefaultMaxInflight = 64
 )
 
 // CoalesceConfig tunes the cross-connection write coalescer.
 type CoalesceConfig struct {
-	// Disabled routes every ApplyReq straight to Table.Apply on its
-	// handler goroutine (each request pays its own group commit).
+	// Disabled makes every ApplyReq a cycle of its own: requests never
+	// wait for one another and each pays its own group commit. It is the
+	// control leg of the serve sweep, not a tuning knob.
 	Disabled bool
-	// MaxOps caps the ops staged into one shared batch (default 128).
+	// MaxOps closes a shared batch once it holds this many ops (default
+	// 128).
 	MaxOps int
-	// MaxWait bounds how long the leader waits for more ops after the
-	// first arrives (default 200µs).
-	MaxWait time.Duration
 }
 
 // Config configures a Server.
@@ -117,9 +115,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.Coalesce.MaxOps <= 0 {
 		cfg.Coalesce.MaxOps = DefaultMaxOps
-	}
-	if cfg.Coalesce.MaxWait <= 0 {
-		cfg.Coalesce.MaxWait = DefaultMaxWait
 	}
 	if cfg.PageSize <= 0 {
 		cfg.PageSize = DefaultPageSize
@@ -208,11 +203,12 @@ func (s *Server) Serve(l net.Listener) error {
 
 // Shutdown drains the server gracefully: stop accepting, close the
 // read side of every connection (in-flight requests complete and
-// their responses flush), drain and stop the coalescers, then run a
-// final Engine.Checkpoint so every acked write is in the data file
+// their responses flush — coalescer cycles run on handler goroutines,
+// so a drained handler set is a drained coalescer), then run a final
+// Engine.Checkpoint so every acked write is in the data file
 // regardless of sync policy. If ctx expires first, remaining
-// connections are severed, but the coalescer drain and checkpoint
-// still run — acked ops are never dropped by a timeout.
+// connections are severed, but handlers still finish and the
+// checkpoint still runs — acked ops are never dropped by a timeout.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
 	if s.closed {
@@ -259,22 +255,15 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		<-done
 	}
 
-	s.mu.Lock()
-	coal := s.coal
-	s.coal = make(map[string]*coalescer)
-	s.mu.Unlock()
-	for _, c := range coal {
-		c.close()
-	}
 	if err := s.eng.Checkpoint(); err != nil {
 		return err
 	}
 	return ctxErr
 }
 
-// applyOps routes a decoded batch to the table's coalescer (or
-// directly when coalescing is disabled), waits for it to land and
-// writes its attributed result into out, reusing out's slices.
+// applyOps routes a decoded batch through the table's coalescer,
+// waits for it to land and writes its attributed result into out,
+// reusing out's slices.
 func (s *Server) applyOps(table string, ops []wire.Op, out *wire.ApplyResp) error {
 	tb, err := s.eng.Table(table)
 	if err != nil {
@@ -282,13 +271,6 @@ func (s *Server) applyOps(table string, ops []wire.Op, out *wire.ApplyResp) erro
 	}
 	if len(ops) == 0 {
 		return errors.New("server: empty batch")
-	}
-	if s.cfg.Coalesce.Disabled {
-		var b core.Batch
-		stageOps(&b, ops)
-		res, err := tb.Apply(&b, core.WithErrorIsolation(), core.WithResultRIDs())
-		sliceResult(out, &res, err, 0, len(ops))
-		return nil
 	}
 	s.coalescerFor(table, tb).apply(ops, out)
 	return nil
@@ -314,7 +296,14 @@ func (s *Server) coalescerFor(name string, tb *core.Table) *coalescer {
 	defer s.mu.Unlock()
 	c, ok := s.coal[name]
 	if !ok {
-		c = newCoalescer(tb, s.cfg.Coalesce.MaxOps, s.cfg.Coalesce.MaxWait, &s.stats)
+		c = &coalescer{
+			land: func(res *core.Result, b *core.Batch) error {
+				return tb.ApplyInto(res, b, core.WithErrorIsolation(), core.WithResultRIDs())
+			},
+			maxOps: s.cfg.Coalesce.MaxOps,
+			solo:   s.cfg.Coalesce.Disabled,
+			stats:  &s.stats,
+		}
 		s.coal[name] = c
 	}
 	return c

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"unsafe"
 )
 
 // Row wire format ("declared" physical layout):
@@ -112,6 +113,26 @@ func Decode(s *Schema, data []byte) (Row, int, error) {
 // fresh slice when dst was too small; string and bytes values are
 // copied out of data either way (the result never aliases the page).
 func DecodeInto(dst Row, s *Schema, data []byte) (Row, int, error) {
+	return decode(dst, s, data, false)
+}
+
+// DecodeAlias is DecodeInto without the copies: string and bytes
+// values alias data. The row is a view — it is valid only until data
+// is next written, and no value of it may be retained past that — so a
+// writer that reads a pre-image into its own scratch, derives keys from
+// it and drops it decodes without allocating.
+func DecodeAlias(dst Row, s *Schema, data []byte) (Row, int, error) {
+	return decode(dst, s, data, true)
+}
+
+// aliasString returns b's bytes as a string without copying them. The
+// caller owns the promise a string makes: b is not written while the
+// string is reachable.
+func aliasString(b []byte) string {
+	return unsafe.String(unsafe.SliceData(b), len(b))
+}
+
+func decode(dst Row, s *Schema, data []byte, alias bool) (Row, int, error) {
 	bitmapLen := (s.NumFields() + 7) / 8
 	if len(data) < bitmapLen+s.FixedWidth() {
 		return nil, 0, fmt.Errorf("tuple: row truncated: %d bytes, need at least %d", len(data), bitmapLen+s.FixedWidth())
@@ -150,7 +171,11 @@ func DecodeInto(dst Row, s *Schema, data []byte) (Row, int, error) {
 			}
 			off++
 		case KindChar:
-			v.Str = trimCharPadding(data[off : off+f.Size])
+			if raw := trimCharPadding(data[off : off+f.Size]); alias {
+				v.Str = aliasString(raw)
+			} else {
+				v.Str = string(raw)
+			}
 			off += f.Size
 		}
 		if null {
@@ -175,9 +200,14 @@ func DecodeInto(dst Row, s *Schema, data []byte) (Row, int, error) {
 		}
 		raw := data[off : off+int(n)]
 		off += int(n)
-		if f.Kind == KindString {
+		switch {
+		case f.Kind == KindString && alias:
+			r[i].Str = aliasString(raw)
+		case f.Kind == KindString:
 			r[i].Str = string(raw)
-		} else {
+		case alias:
+			r[i].Raw = raw
+		default:
 			r[i].Raw = append([]byte(nil), raw...)
 		}
 	}
@@ -223,7 +253,7 @@ func DecodeField(s *Schema, data []byte, idx int) (Value, error) {
 				v.Int = 1
 			}
 		case KindChar:
-			v.Str = trimCharPadding(data[off : off+f.Size])
+			v.Str = string(trimCharPadding(data[off : off+f.Size]))
 		}
 		return v, nil
 	}
@@ -289,10 +319,10 @@ func uvarintLen(v uint64) int {
 }
 
 // trimCharPadding strips trailing zero padding from a CHAR slot.
-func trimCharPadding(b []byte) string {
+func trimCharPadding(b []byte) []byte {
 	end := len(b)
 	for end > 0 && b[end-1] == 0 {
 		end--
 	}
-	return string(b[:end])
+	return b[:end]
 }

@@ -57,6 +57,36 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	}
 }
 
+// DecodeAlias decodes the same row as DecodeInto without allocating,
+// as a view: its strings and bytes are data's own.
+func TestDecodeAliasIsAView(t *testing.T) {
+	s := testSchema(t)
+	r := testRow()
+	enc, err := Encode(s, r, nil)
+	if err != nil {
+		t.Fatalf("Encode: %v", err)
+	}
+	dst := make(Row, s.NumFields())
+	var view Row
+	allocs := testing.AllocsPerRun(100, func() {
+		if view, _, err = DecodeAlias(dst, s, enc); err != nil {
+			t.Fatalf("DecodeAlias: %v", err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("DecodeAlias allocated %.0f times per row", allocs)
+	}
+	if !r.Equal(view) {
+		t.Fatalf("view mismatch:\n got %v\nwant %v", view, r)
+	}
+	name := s.Index("name")
+	at := strings.Index(string(enc), "hello world")
+	enc[at] = 'j'
+	if view[name].Str != "jello world" {
+		t.Errorf("name = %q after writing data: the view copied it", view[name].Str)
+	}
+}
+
 func TestEncodeDecodeNulls(t *testing.T) {
 	s := testSchema(t)
 	r := make(Row, s.NumFields())

@@ -7,8 +7,8 @@ import (
 
 // Server serves an Engine over the network: the pipelined binary
 // protocol on TCP plus an optional HTTP/JSON fallback, with
-// cross-connection write coalescing (many clients' small batches drain
-// into shared Table.Apply calls under one WAL group commit). Create
+// cross-connection write coalescing (writes that arrive while another
+// is landing share the next Table.Apply and its WAL group commit). Create
 // with NewServer, start with Server.ListenAndServe or Server.Serve,
 // stop with Server.Shutdown. cmd/nblb-server wraps this in a binary.
 type Server = server.Server
@@ -18,7 +18,7 @@ type Server = server.Server
 type ServerConfig = server.Config
 
 // CoalesceConfig tunes the server's cross-connection write coalescer
-// (batch size cap, drain wait, or disabling it outright).
+// (batch size cap, or disabling it outright).
 type CoalesceConfig = server.CoalesceConfig
 
 // ServerStats is the server's JSON stats snapshot (connection and
