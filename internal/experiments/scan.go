@@ -1,10 +1,8 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"runtime"
 	"time"
 
@@ -57,14 +55,10 @@ type ParallelScanPoint struct {
 // ScanResult is the measured comparison plus the shape facts that make
 // the JSON comparable across PRs.
 type ScanResult struct {
-	Rows       int `json:"rows"`
-	LeafPages  int `json:"leaf_pages"`
-	GOMAXPROCS int `json:"gomaxprocs"`
-	// NumCPU is the machine's real core count. GOMAXPROCS alone can
-	// claim parallelism an oversubscribed container cannot deliver, so
-	// the gate's strict multicore invariants key on both.
-	NumCPU int         `json:"num_cpu"`
-	Points []ScanPoint `json:"points"`
+	Env
+	Rows      int         `json:"rows"`
+	LeafPages int         `json:"leaf_pages"`
+	Points    []ScanPoint `json:"points"`
 	// SerialRowsPerSec is the cache-first cursor's throughput, re-stated
 	// here as the denominator of every parallel point's speedup.
 	SerialRowsPerSec float64             `json:"serial_rows_per_sec"`
@@ -124,8 +118,7 @@ func RunScan(cfg ScanConfig) (_ ScanResult, err error) {
 	if err != nil {
 		return ScanResult{}, err
 	}
-	res := ScanResult{Rows: cfg.Rows, LeafPages: st.LeafPages,
-		GOMAXPROCS: runtime.GOMAXPROCS(0), NumCPU: runtime.NumCPU()}
+	res := ScanResult{Env: currentEnv(), Rows: cfg.Rows, LeafPages: st.LeafPages}
 
 	proj := []string{"id", "a", "b"}
 	type modeFn struct {
@@ -201,7 +194,7 @@ func RunScan(cfg ScanConfig) (_ ScanResult, err error) {
 	// scan, both merge modes. n=1 exercises the serial fallback (the
 	// gate holds it to serial throughput); n≥2 legs only express real
 	// speedup on multicore runners, so the gate conditions the strict
-	// unordered-beats-serial check on GOMAXPROCS.
+	// unordered-beats-serial check on the runner's CPUs.
 	for _, n := range []int{1, 2, 4} {
 		for _, mode := range []core.MergeMode{core.MergeOrdered, core.MergeUnordered} {
 			modeName := "ordered"
@@ -213,33 +206,33 @@ func RunScan(cfg ScanConfig) (_ ScanResult, err error) {
 			if _, err := scan(); err != nil { // warmup
 				return ScanResult{}, err
 			}
-			// Best-of-3: noise (GC, scheduler) only ever lowers a
-			// throughput sample, so the max is the leg's demonstrated
-			// capability — the gate's n=1-holds-serial check would
-			// otherwise flake on short quick-mode runs.
-			pt := ParallelScanPoint{Segments: n, Mode: modeName}
+			// Best-of-3: the gate's n=1-holds-serial check would otherwise
+			// flake on short quick-mode runs.
 			total := int64(cfg.Rows) * int64(cfg.Passes)
-			for rep := 0; rep < 3; rep++ {
+			best, err := bestOf(3, func() (sample, error) {
 				var ms0, ms1 runtime.MemStats
 				runtime.ReadMemStats(&ms0)
 				start := time.Now()
 				for p := 0; p < cfg.Passes; p++ {
 					qs, err := scan()
 					if err != nil {
-						return ScanResult{}, err
+						return sample{}, err
 					}
 					if qs.Rows != int64(cfg.Rows) {
-						return ScanResult{}, fmt.Errorf("experiments: parallel n=%d %s scanned %d rows, want %d",
+						return sample{}, fmt.Errorf("experiments: parallel n=%d %s scanned %d rows, want %d",
 							n, modeName, qs.Rows, cfg.Rows)
 					}
 				}
 				elapsed := time.Since(start)
 				runtime.ReadMemStats(&ms1)
-				if rps := float64(total) / elapsed.Seconds(); rps > pt.RowsPerSec {
-					pt.RowsPerSec = rps
-					pt.AllocsPerRow = float64(ms1.Mallocs-ms0.Mallocs) / float64(total)
-				}
+				return sample{opsPerSec: float64(total) / elapsed.Seconds(),
+					aux: float64(ms1.Mallocs-ms0.Mallocs) / float64(total)}, nil
+			})
+			if err != nil {
+				return ScanResult{}, err
 			}
+			pt := ParallelScanPoint{Segments: n, Mode: modeName,
+				RowsPerSec: best[0].opsPerSec, AllocsPerRow: best[0].aux}
 			if res.SerialRowsPerSec > 0 {
 				pt.SpeedupVsSerial = pt.RowsPerSec / res.SerialRowsPerSec
 			}
@@ -247,23 +240,6 @@ func RunScan(cfg ScanConfig) (_ ScanResult, err error) {
 		}
 	}
 	return res, nil
-}
-
-// DirectionSymmetry returns the forward and reverse cache-first points
-// so callers can compare leaf fetches: with doubly linked leaves a
-// reverse scan must cost exactly what a forward one does. The CI gate
-// (cmd/benchgate) enforces it — deliberately not RunScan itself, so an
-// intentional tradeoff can pass through the gate's skip label.
-func (r ScanResult) DirectionSymmetry() (fwd, rev *ScanPoint) {
-	for i := range r.Points {
-		switch r.Points[i].Mode {
-		case "cursor-cache-first":
-			fwd = &r.Points[i]
-		case "cursor-cache-first-reverse":
-			rev = &r.Points[i]
-		}
-	}
-	return fwd, rev
 }
 
 // Print renders the comparison as a table.
@@ -279,22 +255,12 @@ func (r ScanResult) Print(w io.Writer) {
 			p.Mode, p.RowsPerSec, p.AllocsPerRow, p.CacheHitRate*100, fetches, p.DiskReadsPerPass)
 	}
 	if len(r.Parallel) > 0 {
-		fmt.Fprintf(w, "\nParallel segmented scans (GOMAXPROCS=%d, serial baseline %.0f rows/s)\n",
-			r.GOMAXPROCS, r.SerialRowsPerSec)
-		fmt.Fprintf(w, "%-12s %-10s %14s %12s %10s\n", "segments", "merge", "rows/s", "allocs/row", "speedup")
+		fmt.Fprintf(w, "\nParallel segmented scans (GOMAXPROCS=%d on %d CPUs, serial baseline %.0f rows/s)\n",
+			r.GOMAXPROCS, r.NumCPU, r.SerialRowsPerSec)
+		fmt.Fprintf(w, "%-12s %-10s %14s %12s %22s\n", "segments", "merge", "rows/s", "allocs/row", "speedup")
 		for _, p := range r.Parallel {
-			fmt.Fprintf(w, "%-12d %-10s %14.0f %12.3f %9.2fx\n",
-				p.Segments, p.Mode, p.RowsPerSec, p.AllocsPerRow, p.SpeedupVsSerial)
+			fmt.Fprintf(w, "%-12d %-10s %14.0f %12.3f %22s\n",
+				p.Segments, p.Mode, p.RowsPerSec, p.AllocsPerRow, r.scaling(p.Segments, p.SpeedupVsSerial))
 		}
 	}
-}
-
-// WriteJSON writes the result as a BENCH_*.json summary so scan perf is
-// tracked PR-over-PR alongside throughput.
-func (r ScanResult) WriteJSON(path string) error {
-	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

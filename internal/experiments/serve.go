@@ -2,15 +2,12 @@ package experiments
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sort"
-	"sync"
 	"time"
 
 	"repro/client"
@@ -71,8 +68,7 @@ type ServePoint struct {
 // workload shape so the gate can tell a config change from a
 // regression.
 type ServeResult struct {
-	NumCPU      int          `json:"num_cpu"`
-	GOMAXPROCS  int          `json:"gomaxprocs"`
+	Env
 	OpsPerConn  int          `json:"ops_per_conn"`
 	BatchOps    int          `json:"batch_ops"`
 	ValueBytes  int          `json:"value_bytes"`
@@ -88,8 +84,7 @@ type ServeResult struct {
 // Table.Apply, WAL.
 func RunServe(cfg ServeConfig) (ServeResult, error) {
 	res := ServeResult{
-		NumCPU:     runtime.NumCPU(),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		Env:        currentEnv(),
 		OpsPerConn: cfg.OpsPerConn,
 		BatchOps:   cfg.BatchOps,
 		ValueBytes: cfg.ValueBytes,
@@ -160,55 +155,42 @@ func runServePoint(cfg ServeConfig, conns int, coalesce bool) (_ ServePoint, err
 	statsBefore := srv.Stats()
 
 	lats := make([][]time.Duration, conns)
-	errs := make([]error, conns)
-	var wg sync.WaitGroup
-	begin := time.Now()
-	for w := 0; w < conns; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			cl, err := client.Dial(addr, client.WithPoolSize(1))
-			if err != nil {
-				errs[w] = err
-				return
-			}
-			defer func() {
-				if cerr := cl.Close(); cerr != nil && errs[w] == nil {
-					errs[w] = cerr
-				}
-			}()
-			lat := make([]time.Duration, 0, cfg.OpsPerConn)
-			base := int64(w) * int64(cfg.OpsPerConn) * int64(cfg.BatchOps)
-			var b client.Batch
-			for i := 0; i < cfg.OpsPerConn; i++ {
-				b.Reset()
-				for j := 0; j < cfg.BatchOps; j++ {
-					b.Insert(client.Row{
-						client.Int64(base + int64(i*cfg.BatchOps+j)),
-						client.String(payload),
-					})
-				}
-				t0 := time.Now()
-				resp, err := cl.Apply("bench", &b)
-				lat = append(lat, time.Since(t0))
-				if err != nil {
-					errs[w] = err
-					return
-				}
-				if e := firstOpErr(resp); e != "" {
-					errs[w] = fmt.Errorf("op error: %s", e)
-					return
-				}
-			}
-			lats[w] = lat
-		}(w)
-	}
-	wg.Wait()
-	elapsed := time.Since(begin)
-	for _, err := range errs {
+	elapsed, err := runWorkers(conns, func(w int) (err error) {
+		cl, err := client.Dial(addr, client.WithPoolSize(1))
 		if err != nil {
-			return p, err
+			return err
 		}
+		defer func() {
+			if cerr := cl.Close(); cerr != nil && err == nil {
+				err = cerr
+			}
+		}()
+		lat := make([]time.Duration, 0, cfg.OpsPerConn)
+		base := int64(w) * int64(cfg.OpsPerConn) * int64(cfg.BatchOps)
+		var b client.Batch
+		for i := 0; i < cfg.OpsPerConn; i++ {
+			b.Reset()
+			for j := 0; j < cfg.BatchOps; j++ {
+				b.Insert(client.Row{
+					client.Int64(base + int64(i*cfg.BatchOps+j)),
+					client.String(payload),
+				})
+			}
+			t0 := time.Now()
+			resp, err := cl.Apply("bench", &b)
+			lat = append(lat, time.Since(t0))
+			if err != nil {
+				return err
+			}
+			if e := firstOpErr(resp); e != "" {
+				return fmt.Errorf("op error: %s", e)
+			}
+		}
+		lats[w] = lat
+		return nil
+	})
+	if err != nil {
+		return p, err
 	}
 
 	walAfter := eng.WALStats()
@@ -288,15 +270,4 @@ func (r ServeResult) Print(w io.Writer) {
 			c.Conns, c.OpsPerSec, c.P50Micros, c.P99Micros, c.OpsPerFsync,
 			d.OpsPerSec, d.P50Micros, d.P99Micros, d.OpsPerFsync)
 	}
-}
-
-// WriteJSON writes the result as a BENCH_*.json summary so serving
-// perf — and the coalescer's ops/fsync advantage — is tracked
-// PR-over-PR alongside the embedded sweeps.
-func (r ServeResult) WriteJSON(path string) error {
-	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

@@ -1,13 +1,8 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
-	"runtime"
-	"sync"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/tuple"
@@ -16,15 +11,14 @@ import (
 )
 
 // ThroughputConfig parameterizes the parallel point-lookup throughput
-// experiment: the same warmed cache-hit workload driven by increasing
-// goroutine counts against a single-mutex (shards=1) pool and the
-// sharded pool, so the scaling curve of the PR-over-PR perf trajectory
-// is reproducible from the CLI.
+// experiment: one warmed cache-hit workload driven by increasing
+// goroutine counts against the sharded buffer pool, so the scaling
+// curve of the PR-over-PR perf trajectory is reproducible from the CLI.
 type ThroughputConfig struct {
 	Rows       int   // table rows
 	Lookups    int   // lookups per goroutine count (split across goroutines)
 	Goroutines []int // goroutine counts to sweep
-	Shards     int   // sharded-pool shard count (0 = automatic)
+	Shards     int   // pool shard count (0 = automatic)
 	Seed       int64
 }
 
@@ -42,64 +36,43 @@ func DefaultThroughputConfig() ThroughputConfig {
 // ThroughputPoint is one goroutine count of the sweep.
 type ThroughputPoint struct {
 	Goroutines       int     `json:"goroutines"`
-	SingleOpsPerSec  float64 `json:"single_shard_ops_per_sec"`
 	ShardedOpsPerSec float64 `json:"sharded_ops_per_sec"`
-	Speedup          float64 `json:"speedup"`
 }
 
 // ThroughputResult is the measured sweep plus environment facts that
 // matter when comparing JSON summaries across machines and PRs.
 type ThroughputResult struct {
-	Rows       int               `json:"rows"`
-	Shards     int               `json:"shards"`
-	GOMAXPROCS int               `json:"gomaxprocs"`
-	Points     []ThroughputPoint `json:"points"`
+	Env
+	Rows   int               `json:"rows"`
+	Shards int               `json:"shards"`
+	Points []ThroughputPoint `json:"points"`
 }
 
-// RunThroughput measures parallel cache-hit lookup throughput against
-// a shards=1 pool (the classic single-mutex design) and the sharded
-// pool.
+// RunThroughput measures parallel cache-hit lookup throughput.
 func RunThroughput(cfg ThroughputConfig) (_ ThroughputResult, err error) {
-	eSingle, single, err := buildThroughputIndex(cfg, 1)
+	e, ix, err := buildThroughputIndex(cfg)
 	if err != nil {
 		return ThroughputResult{}, err
 	}
-	defer closeEngine(eSingle, &err)
-	eSharded, sharded, err := buildThroughputIndex(cfg, cfg.Shards)
-	if err != nil {
-		return ThroughputResult{}, err
-	}
-	defer closeEngine(eSharded, &err)
+	defer closeEngine(e, &err)
 
-	res := ThroughputResult{
-		Rows:       cfg.Rows,
-		Shards:     eSharded.Pool().NumShards(),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-	}
+	res := ThroughputResult{Env: currentEnv(), Rows: cfg.Rows, Shards: e.Pool().NumShards()}
 	keys := make([][]tuple.Value, cfg.Rows)
 	for i := range keys {
 		keys[i] = fig2cKey(i)
 	}
 	for _, g := range cfg.Goroutines {
-		sOps, err := measureParallelLookups(single, keys, cfg, g)
+		ops, err := measureParallelLookups(ix, keys, cfg, g)
 		if err != nil {
 			return ThroughputResult{}, err
 		}
-		hOps, err := measureParallelLookups(sharded, keys, cfg, g)
-		if err != nil {
-			return ThroughputResult{}, err
-		}
-		pt := ThroughputPoint{Goroutines: g, SingleOpsPerSec: sOps, ShardedOpsPerSec: hOps}
-		if sOps > 0 {
-			pt.Speedup = hOps / sOps
-		}
-		res.Points = append(res.Points, pt)
+		res.Points = append(res.Points, ThroughputPoint{Goroutines: g, ShardedOpsPerSec: ops})
 	}
 	return res, nil
 }
 
-func buildThroughputIndex(cfg ThroughputConfig, shards int) (*core.Engine, *core.Index, error) {
-	e, err := core.NewEngine(core.Options{PageSize: 8192, BufferPoolPages: 1 << 16, PoolShards: shards})
+func buildThroughputIndex(cfg ThroughputConfig) (*core.Engine, *core.Index, error) {
+	e, err := core.NewEngine(core.Options{PageSize: 8192, BufferPoolPages: 1 << 16, PoolShards: cfg.Shards})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -129,54 +102,36 @@ func buildThroughputIndex(cfg ThroughputConfig, shards int) (*core.Engine, *core
 func measureParallelLookups(ix *core.Index, keys [][]tuple.Value, cfg ThroughputConfig, g int) (float64, error) {
 	proj := []string{"page_namespace", "page_title", "page_latest", "page_len"}
 	perG := cfg.Lookups / g
-	var wg sync.WaitGroup
-	errCh := make(chan error, g)
-	start := time.Now()
-	for w := 0; w < g; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			rng := workload.NewRand(cfg.Seed + int64(w)*7919)
-			buf := make(tuple.Row, 0, len(proj))
-			for n := 0; n < perG; n++ {
-				row, res, err := ix.LookupInto(buf, proj, keys[rng.Intn(len(keys))]...)
-				if err != nil {
-					errCh <- err
-					return
-				}
-				if !res.Found {
-					errCh <- fmt.Errorf("experiments: throughput key vanished")
-					return
-				}
-				buf = row
+	elapsed, err := runWorkers(g, func(w int) error {
+		rng := workload.NewRand(cfg.Seed + int64(w)*7919)
+		buf := make(tuple.Row, 0, len(proj))
+		for n := 0; n < perG; n++ {
+			row, res, err := ix.LookupInto(buf, proj, keys[rng.Intn(len(keys))]...)
+			if err != nil {
+				return err
 			}
-		}(w)
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-	close(errCh)
-	for err := range errCh {
+			if !res.Found {
+				return fmt.Errorf("experiments: throughput key vanished")
+			}
+			buf = row
+		}
+		return nil
+	})
+	if err != nil {
 		return 0, err
 	}
 	return float64(perG*g) / elapsed.Seconds(), nil
 }
 
-// Print renders the sweep as a table.
+// Print renders the sweep as a table. The last column is each point's
+// throughput over the first's — the scaling curve, where this machine
+// has the CPUs to show one.
 func (r ThroughputResult) Print(w io.Writer) {
-	fmt.Fprintf(w, "Parallel cache-hit lookup throughput, %d rows, GOMAXPROCS=%d, sharded pool = %d shards\n",
-		r.Rows, r.GOMAXPROCS, r.Shards)
-	fmt.Fprintf(w, "%12s %18s %18s %10s\n", "goroutines", "1-shard ops/s", "sharded ops/s", "speedup")
+	fmt.Fprintf(w, "Parallel cache-hit lookup throughput, %d rows, GOMAXPROCS=%d on %d CPUs, %d pool shards\n",
+		r.Rows, r.GOMAXPROCS, r.NumCPU, r.Shards)
+	fmt.Fprintf(w, "%12s %18s %22s\n", "goroutines", "sharded ops/s", "vs first point")
 	for _, p := range r.Points {
-		fmt.Fprintf(w, "%12d %18.0f %18.0f %9.2f×\n", p.Goroutines, p.SingleOpsPerSec, p.ShardedOpsPerSec, p.Speedup)
+		fmt.Fprintf(w, "%12d %18.0f %22s\n", p.Goroutines, p.ShardedOpsPerSec,
+			r.scaling(p.Goroutines, p.ShardedOpsPerSec/r.Points[0].ShardedOpsPerSec))
 	}
-}
-
-// WriteJSON writes the result as a BENCH_*.json throughput summary so
-// the perf trajectory can be tracked PR-over-PR.
-func (r ThroughputResult) WriteJSON(path string) error {
-	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

@@ -2,14 +2,11 @@ package experiments
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
 	"runtime"
-	"sync"
-	"time"
 
 	"repro/internal/btree"
 	"repro/internal/buffer"
@@ -25,14 +22,12 @@ import (
 // BENCH_write.json:
 //
 //   - the tree sweep: an insert/update mix against the latch-crabbing
-//     B+Tree, compared with the same tree behind one global write mutex
-//     (the pre-crabbing design, where every Insert/Delete held a
-//     tree-wide lock);
+//     B+Tree;
 //   - the heap sweep: raw record ingest into a heap file with
-//     HeapShards insert shards and per-shard free-space maps, compared
-//     with a faithful reproduction of the pre-sharding design (one
-//     file-wide mutex around a linear first-fit scan of the advisory
-//     free map — see legacyHeap).
+//     HeapShards insert shards and per-shard free-space maps;
+//   - the batch, durable and txn sweeps: full-stack table ingest, each
+//     racing two or three live paths (see BatchPoint, DurablePoint,
+//     TxnPoint).
 type WriteConfig struct {
 	Preload    int     // keys loaded before measurement (the update targets)
 	Ops        int     // operations per goroutine count (split across goroutines)
@@ -42,7 +37,7 @@ type WriteConfig struct {
 
 	HeapOps         int // heap records inserted per goroutine count
 	HeapRecordBytes int // size of each inserted heap record
-	HeapShards      int // insert shards of the sharded heap under test
+	HeapShards      int // insert shards of the heap under test
 
 	BatchOps   int   // table rows ingested per (goroutines, batch size) point
 	BatchSizes []int // batch sizes to sweep for the Apply-vs-one-row series
@@ -80,38 +75,29 @@ func DefaultWriteConfig() WriteConfig {
 	}
 }
 
-// WritePoint is one goroutine count of the sweep.
+// WritePoint is one goroutine count of the tree sweep.
 type WritePoint struct {
 	Goroutines       int     `json:"goroutines"`
-	MutexOpsPerSec   float64 `json:"mutex_ops_per_sec"`
 	CrabbedOpsPerSec float64 `json:"crabbed_ops_per_sec"`
-	Speedup          float64 `json:"speedup"`
-	// AllocsPerOp is the crabbed path's heap allocations per write —
-	// optimistic descents are allocation-free, so this approximates the
-	// split rate times the split path's allocation cost.
+	// AllocsPerOp is the heap allocations per write — optimistic descents
+	// are allocation-free, so this approximates the split rate times the
+	// split path's allocation cost.
 	AllocsPerOp float64 `json:"crabbed_allocs_per_op"`
 	// LatchRetries counts optimistic descents that found a full leaf
 	// and fell back to the pessimistic full-path hold during the
-	// crabbed measurement (≈ the number of leaf splits).
+	// measurement (≈ the number of leaf splits).
 	LatchRetries int64 `json:"latch_retries"`
 }
 
-// HeapPoint is one goroutine count of the heap-ingest sweep.
+// HeapPoint is one goroutine count of the heap-ingest sweep: insert
+// throughput of the sharded heap (HeapShards insert shards, bucketed
+// per-shard free-space maps, goroutine-affine routing).
 type HeapPoint struct {
-	Goroutines int `json:"goroutines"`
-	// MutexOpsPerSec is insert throughput of the pre-sharding heap:
-	// every Insert held one file-wide mutex across a linear first-fit
-	// scan of the advisory free-space map plus the page write.
-	MutexOpsPerSec float64 `json:"mutex_ops_per_sec"`
-	// ShardedOpsPerSec is insert throughput of the sharded heap
-	// (HeapShards insert shards, bucketed per-shard free-space maps,
-	// goroutine-affine routing).
+	Goroutines       int     `json:"goroutines"`
 	ShardedOpsPerSec float64 `json:"sharded_ops_per_sec"`
-	Speedup          float64 `json:"speedup"`
-	// MutexPages / ShardedPages record the file size each variant
-	// produced: sharding may cost up to shards−1 partially filled tail
-	// pages, and this makes that space overhead visible PR-over-PR.
-	MutexPages   int `json:"mutex_pages"`
+	// ShardedPages is the file size the run produced: sharding may cost
+	// up to shards−1 partially filled tail pages over a packed file, and
+	// this makes that space overhead visible PR-over-PR.
 	ShardedPages int `json:"sharded_pages"`
 }
 
@@ -156,10 +142,10 @@ type DurablePoint struct {
 // TxnPoint is one goroutine count of the transaction-overhead sweep:
 // the same batched ascending ingest as the batch sweep, once through
 // raw Table.Apply and once wrapping every batch in Begin → Txn.Apply →
-// Commit. The gap is the full MVCC toll — staging, commit-time
-// validation against the version store, per-key index descents at
-// commit (staged rows cannot use the leaf-grouped runs), and commits
-// serializing on the timestamp allocator.
+// Commit. The identical workloads isolate the MVCC toll — staging,
+// commit-time validation against the version store, a pre-check search
+// per claimed unique key, version metadata for every written row, and
+// commits serializing on the timestamp allocator.
 type TxnPoint struct {
 	Goroutines   int     `json:"goroutines"`
 	RawOpsPerSec float64 `json:"raw_ops_per_sec"`
@@ -169,13 +155,14 @@ type TxnPoint struct {
 	Ratio float64 `json:"ratio"`
 }
 
-// WriteResult is the measured sweeps plus the environment facts that
-// matter when comparing JSON summaries across machines and PRs.
+// WriteResult is the measured sweeps plus the environment and shape
+// facts that matter when comparing JSON summaries across machines and
+// PRs.
 type WriteResult struct {
+	Env
 	Preload    int          `json:"preload_rows"`
 	Ops        int          `json:"ops_per_point"`
 	UpdateFrac float64      `json:"update_frac"`
-	GOMAXPROCS int          `json:"gomaxprocs"`
 	Points     []WritePoint `json:"points"`
 
 	HeapOps         int         `json:"heap_ops_per_point"`
@@ -196,19 +183,13 @@ type WriteResult struct {
 	TxnPoints    []TxnPoint `json:"txn_points"`
 }
 
-// RunWrite measures parallel insert/update throughput on the crabbing
-// tree versus the single-write-mutex baseline.
-//
-// The baseline wraps every operation of the same tree in one global
-// mutex — exactly the exclusion the pre-crabbing Tree.mu imposed (that
-// design also paid per-page latches underneath its tree lock, so the
-// wrap reproduces its cost structure, not a strawman).
+// RunWrite measures the five write sweeps at every goroutine count.
 func RunWrite(cfg WriteConfig) (WriteResult, error) {
 	res := WriteResult{
+		Env:              currentEnv(),
 		Preload:          cfg.Preload,
 		Ops:              cfg.Ops,
 		UpdateFrac:       cfg.UpdateFrac,
-		GOMAXPROCS:       runtime.GOMAXPROCS(0),
 		HeapOps:          cfg.HeapOps,
 		HeapRecordBytes:  cfg.HeapRecordBytes,
 		HeapShards:       cfg.HeapShards,
@@ -220,322 +201,174 @@ func RunWrite(cfg WriteConfig) (WriteResult, error) {
 		TxnBatchSize:     cfg.TxnBatchSize,
 	}
 	for _, g := range cfg.Goroutines {
-		mOps, _, _, err := measureWrites(cfg, g, true)
+		pt, err := measureWrites(cfg, g)
 		if err != nil {
 			return WriteResult{}, err
-		}
-		cOps, allocs, retries, err := measureWrites(cfg, g, false)
-		if err != nil {
-			return WriteResult{}, err
-		}
-		pt := WritePoint{
-			Goroutines:       g,
-			MutexOpsPerSec:   mOps,
-			CrabbedOpsPerSec: cOps,
-			AllocsPerOp:      allocs,
-			LatchRetries:     retries,
-		}
-		if mOps > 0 {
-			pt.Speedup = cOps / mOps
 		}
 		res.Points = append(res.Points, pt)
 	}
-	// Each variant keeps its best of a couple of repetitions: one
-	// measurement lasts well under a second, so a GC or scheduler
-	// hiccup otherwise shows up as a phantom regression.
-	const heapReps = 2
 	for _, g := range cfg.Goroutines {
-		var pt HeapPoint
-		pt.Goroutines = g
-		for rep := 0; rep < heapReps; rep++ {
-			runtime.GC()
-			ops, pages, err := measureHeapIngest(cfg, g, false)
-			if err != nil {
-				return WriteResult{}, err
-			}
-			if ops > pt.MutexOpsPerSec {
-				pt.MutexOpsPerSec, pt.MutexPages = ops, pages
-			}
-			runtime.GC()
-			ops, pages, err = measureHeapIngest(cfg, g, true)
-			if err != nil {
-				return WriteResult{}, err
-			}
-			if ops > pt.ShardedOpsPerSec {
-				pt.ShardedOpsPerSec, pt.ShardedPages = ops, pages
-			}
+		best, err := bestOf(2, func() (sample, error) { return measureHeapIngest(cfg, g) })
+		if err != nil {
+			return WriteResult{}, err
 		}
-		if pt.MutexOpsPerSec > 0 {
-			pt.Speedup = pt.ShardedOpsPerSec / pt.MutexOpsPerSec
-		}
-		res.HeapPoints = append(res.HeapPoints, pt)
+		res.HeapPoints = append(res.HeapPoints, HeapPoint{
+			Goroutines: g, ShardedOpsPerSec: best[0].opsPerSec, ShardedPages: int(best[0].aux)})
 	}
-	// Batch sweep: Table.Apply versus one-row Table.Insert over the
-	// same ascending-ingest workload. Best-of-3 per variant (the heap
-	// sweep's best-of-2 widened): the batched-≥-one-row gate is strict
-	// per cell, so each side gets enough reps that one scheduler hiccup
-	// cannot manufacture a crossing.
-	const batchReps = 3
+	// The table sweeps each race two or three live paths over the same
+	// rows. Best-of-3 per side: benchgate holds a floor on each pair's
+	// ratio (strict for batched ≥ one-row), so each side gets enough
+	// repetitions that one scheduler hiccup cannot manufacture a crossing.
+	const tableReps = 3
 	for _, g := range cfg.Goroutines {
 		for _, size := range cfg.BatchSizes {
-			var pt BatchPoint
-			pt.Goroutines, pt.BatchSize = g, size
-			for rep := 0; rep < batchReps; rep++ {
-				runtime.GC()
-				ops, err := measureBatchIngest(cfg, g, size, false)
-				if err != nil {
-					return WriteResult{}, err
-				}
-				if ops > pt.OneRowOpsPerSec {
-					pt.OneRowOpsPerSec = ops
-				}
-				runtime.GC()
-				ops, err = measureBatchIngest(cfg, g, size, true)
-				if err != nil {
-					return WriteResult{}, err
-				}
-				if ops > pt.BatchedOpsPerSec {
-					pt.BatchedOpsPerSec = ops
-				}
+			perG := cfg.BatchOps / g
+			best, err := bestOf(tableReps,
+				ingest{g: g, perG: perG}.measure,
+				ingest{g: g, perG: perG, size: size}.measure)
+			if err != nil {
+				return WriteResult{}, err
 			}
-			if pt.OneRowOpsPerSec > 0 {
-				pt.Speedup = pt.BatchedOpsPerSec / pt.OneRowOpsPerSec
-			}
-			res.BatchPoints = append(res.BatchPoints, pt)
+			res.BatchPoints = append(res.BatchPoints, BatchPoint{
+				Goroutines: g, BatchSize: size,
+				OneRowOpsPerSec: best[0].opsPerSec, BatchedOpsPerSec: best[1].opsPerSec,
+				Speedup: best[1].opsPerSec / best[0].opsPerSec})
 		}
 	}
-	// Durable sweep: the same batched ingest on a file-backed engine
-	// under each WAL sync policy, against the WAL-off engine on the same
-	// disk. Best-of-3 per variant: the gate holds sync-none to within
-	// 10% of the WAL-off ceiling, so each side gets enough repetitions
-	// that one scheduler hiccup cannot manufacture a crossing.
-	if cfg.DurableOps > 0 {
-		const durableReps = 3
-		for _, g := range cfg.Goroutines {
-			var pt DurablePoint
-			pt.Goroutines = g
-			for rep := 0; rep < durableReps; rep++ {
-				runtime.GC()
-				ops, _, err := measureDurableIngest(cfg, g, durOff)
-				if err != nil {
-					return WriteResult{}, err
-				}
-				if ops > pt.NonDurableOpsPerSec {
-					pt.NonDurableOpsPerSec = ops
-				}
-				runtime.GC()
-				ops, perFsync, err := measureDurableIngest(cfg, g, durGroup)
-				if err != nil {
-					return WriteResult{}, err
-				}
-				if ops > pt.GroupCommitOpsPerSec {
-					pt.GroupCommitOpsPerSec, pt.OpsPerFsync = ops, perFsync
-				}
-				runtime.GC()
-				ops, _, err = measureDurableIngest(cfg, g, durNone)
-				if err != nil {
-					return WriteResult{}, err
-				}
-				if ops > pt.SyncNoneOpsPerSec {
-					pt.SyncNoneOpsPerSec = ops
-				}
-			}
-			res.DurablePoints = append(res.DurablePoints, pt)
+	for _, g := range cfg.Goroutines {
+		// Whole batches only: a partial tail batch would drag rows-per-fsync
+		// below the batch size and break the gate's structural floor.
+		size := cfg.DurableBatchSize
+		perG := max(cfg.DurableOps/g/size, 1) * size
+		best, err := bestOf(tableReps,
+			ingest{g: g, perG: perG, size: size, disk: fileNoWAL}.measure,
+			ingest{g: g, perG: perG, size: size, disk: fileGroupCommit}.measure,
+			ingest{g: g, perG: perG, size: size, disk: fileSyncNone}.measure)
+		if err != nil {
+			return WriteResult{}, err
 		}
+		res.DurablePoints = append(res.DurablePoints, DurablePoint{
+			Goroutines:          g,
+			NonDurableOpsPerSec: best[0].opsPerSec, GroupCommitOpsPerSec: best[1].opsPerSec,
+			OpsPerFsync: best[1].aux, SyncNoneOpsPerSec: best[2].opsPerSec})
 	}
-	// Transaction sweep: raw batched Apply versus Begin → Txn.Apply →
-	// Commit over the same workload. Best-of-3 like the batch sweep: the
-	// gate holds a floor on the txn/raw ratio, so each side needs enough
-	// repetitions that one scheduler hiccup cannot fake a collapse.
-	if cfg.TxnOps > 0 {
-		const txnReps = 3
-		for _, g := range cfg.Goroutines {
-			var pt TxnPoint
-			pt.Goroutines = g
-			for rep := 0; rep < txnReps; rep++ {
-				runtime.GC()
-				ops, err := measureTxnIngest(cfg, g, false)
-				if err != nil {
-					return WriteResult{}, err
-				}
-				if ops > pt.RawOpsPerSec {
-					pt.RawOpsPerSec = ops
-				}
-				runtime.GC()
-				ops, err = measureTxnIngest(cfg, g, true)
-				if err != nil {
-					return WriteResult{}, err
-				}
-				if ops > pt.TxnOpsPerSec {
-					pt.TxnOpsPerSec = ops
-				}
-			}
-			if pt.RawOpsPerSec > 0 {
-				pt.Ratio = pt.TxnOpsPerSec / pt.RawOpsPerSec
-			}
-			res.TxnPoints = append(res.TxnPoints, pt)
+	for _, g := range cfg.Goroutines {
+		perG := cfg.TxnOps / g
+		best, err := bestOf(tableReps,
+			ingest{g: g, perG: perG, size: cfg.TxnBatchSize}.measure,
+			ingest{g: g, perG: perG, size: cfg.TxnBatchSize, txn: true}.measure)
+		if err != nil {
+			return WriteResult{}, err
 		}
+		res.TxnPoints = append(res.TxnPoints, TxnPoint{
+			Goroutines: g, RawOpsPerSec: best[0].opsPerSec, TxnOpsPerSec: best[1].opsPerSec,
+			Ratio: best[1].opsPerSec / best[0].opsPerSec})
 	}
 	return res, nil
 }
 
-// measureTxnIngest runs cfg.TxnOps row inserts split across g
-// goroutines against a fresh engine+table+unique index and returns
-// aggregate rows/second. Workers ingest disjoint ascending key ranges
-// in batches of cfg.TxnBatchSize — through raw Table.Apply, or with
-// each batch staged and committed as one snapshot transaction. The
-// workloads are identical, so the throughput gap isolates the MVCC
-// machinery: version-store bookkeeping, commit validation, per-key
-// index inserts for staged rows, and the serialized timestamp
-// allocation under txnMu.
-func measureTxnIngest(cfg WriteConfig, g int, txn bool) (_ float64, err error) {
-	e, err := core.NewEngine(core.Options{BufferPoolPages: 1 << 14})
-	if err != nil {
-		return 0, err
-	}
-	defer closeEngine(e, &err)
-	tb, err := e.CreateTable("ingest", batchIngestSchema())
-	if err != nil {
-		return 0, err
-	}
-	if _, err := tb.CreateIndex("by_id", []string{"id"}); err != nil {
-		return 0, err
-	}
-	size := cfg.TxnBatchSize
-	perG := cfg.TxnOps / g
-	var wg sync.WaitGroup
-	errCh := make(chan error, g)
-	start := time.Now()
-	for w := 0; w < g; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			base := int64(w) * int64(perG)
-			var b core.Batch
-			for n := 0; n < perG; {
-				b.Reset()
-				for k := 0; k < size && n < perG; k++ {
-					id := base + int64(n)
-					b.Insert(tuple.Row{tuple.Int64(id), tuple.Int64(id * 3), tuple.Int64(id ^ 0x5a5a)})
-					n++
-				}
-				if txn {
-					tx := e.Begin()
-					if _, ierr := tx.Apply(tb, &b); ierr != nil {
-						tx.Abort()
-						errCh <- ierr
-						return
-					}
-					if ierr := tx.Commit(); ierr != nil {
-						errCh <- ierr
-						return
-					}
-				} else if _, ierr := tb.Apply(&b); ierr != nil {
-					errCh <- ierr
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-	close(errCh)
-	for err := range errCh {
-		return 0, err
-	}
-	return float64(perG*g) / elapsed.Seconds(), nil
-}
-
-// Durable-sweep engine configurations.
+// Where an ingest run's engine keeps its pages and log.
 const (
-	durOff   = iota // WAL disabled — the non-durable FileDisk ceiling
-	durGroup        // WAL + SyncGroupCommit (the durable default)
-	durNone         // WAL + SyncNone (log without commit-path fsyncs)
+	inMemory        = iota // MemDisk, no WAL (the batch and txn sweeps)
+	fileNoWAL              // FileDisk, WAL disabled — the non-durable ceiling
+	fileGroupCommit        // FileDisk, WAL + SyncGroupCommit (the durable default)
+	fileSyncNone           // FileDisk, WAL + SyncNone (log without commit-path fsyncs)
 )
 
-// measureDurableIngest runs cfg.DurableOps row inserts split across g
-// goroutines — batched Apply of cfg.DurableBatchSize rows, same schema
-// and unique index as the batch sweep — against a fresh file-backed
-// engine in the given durability configuration. It returns aggregate
-// rows/second and, for the group-commit configuration, rows made
-// durable per log fsync.
-func measureDurableIngest(cfg WriteConfig, g, mode int) (opsPerSec, opsPerFsync float64, err error) {
-	dir, err := os.MkdirTemp("", "nblb-durable-bench")
-	if err != nil {
-		return 0, 0, err
-	}
-	defer os.RemoveAll(dir)
-	opts := core.Options{
-		Path:            filepath.Join(dir, "db"),
-		BufferPoolPages: 1 << 14,
-	}
+// ingest is one run of the table-ingest workload the batch, durable and
+// txn sweeps share: g workers each insert perG rows into a fresh
+// engine+table+unique index, every worker over its own ascending key
+// range (the contiguous-run shape of real ingest: log tails, monotone
+// ids, time series).
+type ingest struct {
+	g, perG int
+	size    int  // rows per Table.Apply; 0 = one Table.Insert per row
+	txn     bool // stage and commit every batch as one snapshot transaction
+	disk    int  // inMemory, fileNoWAL, fileGroupCommit or fileSyncNone
+}
+
+// measure returns aggregate rows/second and, as aux, rows made durable
+// per log fsync (0 without a WAL).
+func (in ingest) measure() (_ sample, err error) {
+	opts := core.Options{BufferPoolPages: 1 << 14}
 	var extra []core.EngineOption
-	if mode != durOff {
+	if in.disk != inMemory {
+		dir, err := os.MkdirTemp("", "nblb-durable-bench")
+		if err != nil {
+			return sample{}, err
+		}
+		defer os.RemoveAll(dir)
+		opts.Path = filepath.Join(dir, "db")
+	}
+	if in.disk == fileGroupCommit || in.disk == fileSyncNone {
 		// The sweep measures the commit path; a large budget keeps
 		// automatic checkpoints out of the timed window.
 		extra = append(extra, core.WithWAL(), core.WithCheckpointEvery(1<<30))
-		if mode == durNone {
+		if in.disk == fileSyncNone {
 			extra = append(extra, core.WithSyncPolicy(core.SyncNone))
 		}
 	}
 	e, err := core.NewEngine(opts, extra...)
 	if err != nil {
-		return 0, 0, err
+		return sample{}, err
 	}
 	defer closeEngine(e, &err)
 	tb, err := e.CreateTable("ingest", batchIngestSchema())
 	if err != nil {
-		return 0, 0, err
+		return sample{}, err
 	}
 	if _, err := tb.CreateIndex("by_id", []string{"id"}); err != nil {
-		return 0, 0, err
+		return sample{}, err
+	}
+	row := func(id int64) tuple.Row {
+		return tuple.Row{tuple.Int64(id), tuple.Int64(id * 3), tuple.Int64(id ^ 0x5a5a)}
 	}
 	pre := e.WALStats() // setup DDL syncs are not the measurement
-	size := cfg.DurableBatchSize
-	// Whole batches only: a partial tail batch would drag rows-per-fsync
-	// below the batch size and break the gate's structural floor.
-	perG := cfg.DurableOps / g / size * size
-	if perG < size {
-		perG = size
-	}
-	var wg sync.WaitGroup
-	errCh := make(chan error, g)
-	start := time.Now()
-	for w := 0; w < g; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			base := int64(w) * int64(perG)
-			var b core.Batch
-			for n := 0; n < perG; {
-				b.Reset()
-				for k := 0; k < size && n < perG; k++ {
-					id := base + int64(n)
-					b.Insert(tuple.Row{tuple.Int64(id), tuple.Int64(id * 3), tuple.Int64(id ^ 0x5a5a)})
-					n++
+	elapsed, err := runWorkers(in.g, func(w int) error {
+		base := int64(w) * int64(in.perG)
+		var b core.Batch
+		for n := 0; n < in.perG; {
+			if in.size == 0 {
+				if _, err := tb.Insert(row(base + int64(n))); err != nil {
+					return err
 				}
-				if _, ierr := tb.Apply(&b); ierr != nil {
-					errCh <- ierr
-					return
-				}
+				n++
+				continue
 			}
-		}(w)
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-	close(errCh)
-	for err := range errCh {
-		return 0, 0, err
-	}
-	if mode == durGroup {
-		if syncs := e.WALStats().Syncs - pre.Syncs; syncs > 0 {
-			opsPerFsync = float64(perG*g) / float64(syncs)
+			b.Reset()
+			for k := 0; k < in.size && n < in.perG; k++ {
+				b.Insert(row(base + int64(n)))
+				n++
+			}
+			if !in.txn {
+				if _, err := tb.Apply(&b); err != nil {
+					return err
+				}
+				continue
+			}
+			tx := e.Begin()
+			if _, err := tx.Apply(tb, &b); err != nil {
+				tx.Abort()
+				return err
+			}
+			if err := tx.Commit(); err != nil {
+				return err
+			}
 		}
+		return nil
+	})
+	if err != nil {
+		return sample{}, err
 	}
-	return float64(perG*g) / elapsed.Seconds(), opsPerFsync, nil
+	rows := float64(in.perG * in.g)
+	s := sample{opsPerSec: rows / elapsed.Seconds()}
+	if syncs := e.WALStats().Syncs - pre.Syncs; syncs > 0 {
+		s.aux = rows / float64(syncs)
+	}
+	return s, nil
 }
 
-// batchIngestSchema is the fixed-width row shape of the batch sweep.
+// batchIngestSchema is the fixed-width row shape of the table sweeps.
 func batchIngestSchema() *tuple.Schema {
 	return tuple.MustSchema(
 		tuple.Field{Name: "id", Kind: tuple.KindInt64},
@@ -544,204 +377,37 @@ func batchIngestSchema() *tuple.Schema {
 	)
 }
 
-// measureBatchIngest runs cfg.BatchOps row inserts split across g
-// goroutines against a fresh engine+table+unique index and returns
-// aggregate rows/second. Each worker ingests its own ascending key
-// range (the contiguous-run shape of real ingest: log tails, monotone
-// ids, time series), in batches of size through Table.Apply when
-// batched, one Table.Insert per row otherwise.
-func measureBatchIngest(cfg WriteConfig, g, size int, batched bool) (_ float64, err error) {
-	e, err := core.NewEngine(core.Options{BufferPoolPages: 1 << 14})
-	if err != nil {
-		return 0, err
-	}
-	defer closeEngine(e, &err)
-	tb, err := e.CreateTable("ingest", batchIngestSchema())
-	if err != nil {
-		return 0, err
-	}
-	if _, err := tb.CreateIndex("by_id", []string{"id"}); err != nil {
-		return 0, err
-	}
-	perG := cfg.BatchOps / g
-	var wg sync.WaitGroup
-	errCh := make(chan error, g)
-	start := time.Now()
-	for w := 0; w < g; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			base := int64(w) * int64(perG)
-			row := func(id int64) tuple.Row {
-				return tuple.Row{tuple.Int64(id), tuple.Int64(id * 3), tuple.Int64(id ^ 0x5a5a)}
-			}
-			if !batched {
-				for n := 0; n < perG; n++ {
-					if _, ierr := tb.Insert(row(base + int64(n))); ierr != nil {
-						errCh <- ierr
-						return
-					}
-				}
-				return
-			}
-			var b core.Batch
-			for n := 0; n < perG; {
-				b.Reset()
-				for k := 0; k < size && n < perG; k++ {
-					b.Insert(row(base + int64(n)))
-					n++
-				}
-				if _, ierr := tb.Apply(&b); ierr != nil {
-					errCh <- ierr
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-	close(errCh)
-	for err := range errCh {
-		return 0, err
-	}
-	return float64(perG*g) / elapsed.Seconds(), nil
-}
-
-// recordInserter abstracts the two heap implementations under test.
-type recordInserter interface {
-	Insert(rec []byte) (storage.RID, error)
-	NumPages() int
-}
-
-// legacyHeap reproduces the pre-sharding heap insert path exactly: one
-// file-wide mutex held across the placement decision and the page
-// write, with placement a linear first-fit scan over every page's
-// advisory free bytes (the design internal/heap shipped before the
-// sharded free-space maps; reads are irrelevant to the sweep, so only
-// the insert path is reproduced).
-type legacyHeap struct {
-	pool *buffer.Pool
-
-	mu        sync.Mutex
-	pages     []storage.PageID
-	freeBytes map[storage.PageID]int
-}
-
-func newLegacyHeap(pool *buffer.Pool) (*legacyHeap, error) {
-	f := &legacyHeap{pool: pool, freeBytes: make(map[storage.PageID]int)}
-	if _, err := f.addPageLocked(); err != nil {
-		return nil, err
-	}
-	return f, nil
-}
-
-func (f *legacyHeap) addPageLocked() (storage.PageID, error) {
-	fr, err := f.pool.NewPage()
-	if err != nil {
-		return storage.InvalidPageID, err
-	}
-	sp := storage.AsSlotted(fr.Data())
-	sp.Init()
-	id := fr.ID()
-	f.pages = append(f.pages, id)
-	f.freeBytes[id] = sp.AvailableBytes()
-	f.pool.Unpin(fr, true)
-	return id, nil
-}
-
-func (f *legacyHeap) NumPages() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return len(f.pages)
-}
-
-func (f *legacyHeap) Insert(rec []byte) (storage.RID, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	// Linear first-fit over the advisory map — O(pages) per insert once
-	// the file has grown, which is exactly the cost the bucketed
-	// free-space maps remove.
-	target := f.pages[len(f.pages)-1]
-	for _, id := range f.pages {
-		if f.freeBytes[id] >= len(rec)+8 {
-			target = id
-			break
-		}
-	}
-	for attempt := 0; attempt < 2; attempt++ {
-		fr, err := f.pool.Fetch(target)
-		if err != nil {
-			return storage.InvalidRID, err
-		}
-		fr.Latch.Lock()
-		sp := storage.AsSlotted(fr.Data())
-		slot, err := sp.Insert(rec)
-		free := sp.AvailableBytes()
-		fr.Latch.Unlock()
-		f.freeBytes[target] = free
-		if err == nil {
-			f.pool.Unpin(fr, true)
-			return storage.RID{Page: target, Slot: slot}, nil
-		}
-		f.pool.Unpin(fr, false)
-		if err != storage.ErrNoSpace {
-			return storage.InvalidRID, err
-		}
-		target, err = f.addPageLocked()
-		if err != nil {
-			return storage.InvalidRID, err
-		}
-	}
-	return storage.InvalidRID, fmt.Errorf("legacy heap: record of %d bytes does not fit", len(rec))
-}
-
 // measureHeapIngest runs cfg.HeapOps fixed-size inserts split across g
-// goroutines against a fresh heap (the sharded implementation or the
-// legacy single-mutex reproduction) and returns aggregate ops/second
-// plus the resulting file size in pages.
-func measureHeapIngest(cfg WriteConfig, g int, sharded bool) (opsPerSec float64, pages int, err error) {
+// goroutines against a fresh sharded heap and returns aggregate
+// ops/second plus, as aux, the resulting file size in pages.
+func measureHeapIngest(cfg WriteConfig, g int) (sample, error) {
 	disk, err := storage.NewMemDisk(8192)
 	if err != nil {
-		return 0, 0, err
+		return sample{}, err
 	}
 	pool, err := buffer.NewPool(disk, 1<<14)
 	if err != nil {
-		return 0, 0, err
+		return sample{}, err
 	}
-	var file recordInserter
-	if sharded {
-		file, err = heap.NewFile(pool, heap.WithInsertShards(cfg.HeapShards))
-	} else {
-		file, err = newLegacyHeap(pool)
-	}
+	file, err := heap.NewFile(pool, heap.WithInsertShards(cfg.HeapShards))
 	if err != nil {
-		return 0, 0, err
+		return sample{}, err
 	}
 	perG := cfg.HeapOps / g
-	var wg sync.WaitGroup
-	errCh := make(chan error, g)
-	start := time.Now()
-	for w := 0; w < g; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			rec := make([]byte, cfg.HeapRecordBytes)
-			rec[0] = byte(w)
-			for n := 0; n < perG; n++ {
-				if _, ierr := file.Insert(rec); ierr != nil {
-					errCh <- ierr
-					return
-				}
+	elapsed, err := runWorkers(g, func(w int) error {
+		rec := make([]byte, cfg.HeapRecordBytes)
+		rec[0] = byte(w)
+		for n := 0; n < perG; n++ {
+			if _, err := file.Insert(rec); err != nil {
+				return err
 			}
-		}(w)
+		}
+		return nil
+	})
+	if err != nil {
+		return sample{}, err
 	}
-	wg.Wait()
-	elapsed := time.Since(start)
-	close(errCh)
-	for err := range errCh {
-		return 0, 0, err
-	}
-	return float64(perG*g) / elapsed.Seconds(), file.NumPages(), nil
+	return sample{opsPerSec: float64(perG*g) / elapsed.Seconds(), aux: float64(file.NumPages())}, nil
 }
 
 func writeKey(buf *[8]byte, k int) []byte {
@@ -781,89 +447,62 @@ func buildWriteTree(cfg WriteConfig) (*btree.Tree, error) {
 }
 
 // measureWrites runs cfg.Ops operations split across g goroutines
-// against a fresh preloaded tree and returns aggregate ops/second,
-// allocations per op, and the tree's latch-retry count.
-func measureWrites(cfg WriteConfig, g int, globalMutex bool) (opsPerSec, allocsPerOp float64, latchRetries int64, err error) {
+// against a fresh preloaded tree.
+func measureWrites(cfg WriteConfig, g int) (WritePoint, error) {
 	tree, err := buildWriteTree(cfg)
 	if err != nil {
-		return 0, 0, 0, err
+		return WritePoint{}, err
 	}
 	preRetries := tree.LatchRetries() // preload splits are not the measurement
 	perG := cfg.Ops / g
-	var mu sync.Mutex // the baseline's tree-wide writer lock
-	var wg sync.WaitGroup
-	errCh := make(chan error, g)
 	var ms0, ms1 runtime.MemStats
 	runtime.ReadMemStats(&ms0)
-	start := time.Now()
-	for w := 0; w < g; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			rng := workload.NewRand(cfg.Seed + int64(w)*104729)
-			var kb [8]byte
-			// Fresh-key inserts come from a per-worker disjoint range, so
-			// workers never upsert each other's inserts by accident.
-			nextFresh := cfg.Preload + w*perG
-			for n := 0; n < perG; n++ {
-				var k int
-				if rng.Float64() < cfg.UpdateFrac {
-					k = rng.Intn(cfg.Preload)
-				} else {
-					k = nextFresh
-					nextFresh++
-				}
-				if globalMutex {
-					mu.Lock()
-				}
-				_, ierr := tree.Insert(writeKey(&kb, k), uint64(k))
-				if globalMutex {
-					mu.Unlock()
-				}
-				if ierr != nil {
-					errCh <- ierr
-					return
-				}
+	elapsed, err := runWorkers(g, func(w int) error {
+		rng := workload.NewRand(cfg.Seed + int64(w)*104729)
+		var kb [8]byte
+		// Fresh-key inserts come from a per-worker disjoint range, so
+		// workers never upsert each other's inserts by accident.
+		nextFresh := cfg.Preload + w*perG
+		for n := 0; n < perG; n++ {
+			var k int
+			if rng.Float64() < cfg.UpdateFrac {
+				k = rng.Intn(cfg.Preload)
+			} else {
+				k = nextFresh
+				nextFresh++
 			}
-		}(w)
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
+			if _, err := tree.Insert(writeKey(&kb, k), uint64(k)); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
 	runtime.ReadMemStats(&ms1)
-	close(errCh)
-	for err := range errCh {
-		return 0, 0, 0, err
+	if err != nil {
+		return WritePoint{}, err
 	}
-	total := perG * g
-	return float64(total) / elapsed.Seconds(),
-		float64(ms1.Mallocs-ms0.Mallocs) / float64(total),
-		tree.LatchRetries() - preRetries,
-		nil
+	total := float64(perG * g)
+	return WritePoint{
+		Goroutines:       g,
+		CrabbedOpsPerSec: total / elapsed.Seconds(),
+		AllocsPerOp:      float64(ms1.Mallocs-ms0.Mallocs) / total,
+		LatchRetries:     tree.LatchRetries() - preRetries,
+	}, nil
 }
 
 // Print renders the sweeps as tables.
 func (r WriteResult) Print(w io.Writer) {
-	fmt.Fprintf(w, "Parallel insert/update throughput, %d preloaded rows, %.0f%% updates, GOMAXPROCS=%d\n",
-		r.Preload, r.UpdateFrac*100, r.GOMAXPROCS)
-	fmt.Fprintf(w, "%12s %18s %18s %10s %12s %14s\n",
-		"goroutines", "1-mutex ops/s", "crabbed ops/s", "speedup", "allocs/op", "latch retries")
+	fmt.Fprintf(w, "Parallel insert/update throughput, %d preloaded rows, %.0f%% updates, GOMAXPROCS=%d on %d CPUs\n",
+		r.Preload, r.UpdateFrac*100, r.GOMAXPROCS, r.NumCPU)
+	fmt.Fprintf(w, "%12s %18s %12s %14s\n", "goroutines", "crabbed ops/s", "allocs/op", "latch retries")
 	for _, p := range r.Points {
-		fmt.Fprintf(w, "%12d %18.0f %18.0f %9.2f× %12.3f %14d\n",
-			p.Goroutines, p.MutexOpsPerSec, p.CrabbedOpsPerSec, p.Speedup, p.AllocsPerOp, p.LatchRetries)
+		fmt.Fprintf(w, "%12d %18.0f %12.3f %14d\n", p.Goroutines, p.CrabbedOpsPerSec, p.AllocsPerOp, p.LatchRetries)
 	}
-	if len(r.HeapPoints) == 0 {
-		return
-	}
-	fmt.Fprintf(w, "\nHeap ingest throughput, %d records of %dB, %d insert shards vs the single-mutex heap\n",
+	fmt.Fprintf(w, "\nHeap ingest throughput, %d records of %dB, %d insert shards\n",
 		r.HeapOps, r.HeapRecordBytes, r.HeapShards)
-	fmt.Fprintf(w, "%12s %18s %18s %10s %12s %14s\n",
-		"goroutines", "1-mutex ops/s", "sharded ops/s", "speedup", "1-mutex pgs", "sharded pgs")
+	fmt.Fprintf(w, "%12s %18s %14s\n", "goroutines", "sharded ops/s", "sharded pgs")
 	for _, p := range r.HeapPoints {
-		fmt.Fprintf(w, "%12d %18.0f %18.0f %9.2f× %12d %14d\n",
-			p.Goroutines, p.MutexOpsPerSec, p.ShardedOpsPerSec, p.Speedup, p.MutexPages, p.ShardedPages)
-	}
-	if len(r.BatchPoints) == 0 {
-		return
+		fmt.Fprintf(w, "%12d %18.0f %14d\n", p.Goroutines, p.ShardedOpsPerSec, p.ShardedPages)
 	}
 	fmt.Fprintf(w, "\nTable ingest throughput, %d rows per point: batched Apply vs one-row Insert\n", r.BatchOps)
 	fmt.Fprintf(w, "%12s %12s %18s %18s %10s\n",
@@ -871,9 +510,6 @@ func (r WriteResult) Print(w io.Writer) {
 	for _, p := range r.BatchPoints {
 		fmt.Fprintf(w, "%12d %12d %18.0f %18.0f %9.2f×\n",
 			p.Goroutines, p.BatchSize, p.OneRowOpsPerSec, p.BatchedOpsPerSec, p.Speedup)
-	}
-	if len(r.DurablePoints) == 0 {
-		return
 	}
 	fmt.Fprintf(w, "\nDurable ingest throughput, %d rows per point in batches of %d, file-backed engine\n",
 		r.DurableOps, r.DurableBatchSize)
@@ -883,25 +519,10 @@ func (r WriteResult) Print(w io.Writer) {
 		fmt.Fprintf(w, "%12d %16.0f %18.0f %14.0f %16.0f\n",
 			p.Goroutines, p.NonDurableOpsPerSec, p.GroupCommitOpsPerSec, p.OpsPerFsync, p.SyncNoneOpsPerSec)
 	}
-	if len(r.TxnPoints) == 0 {
-		return
-	}
 	fmt.Fprintf(w, "\nTransaction overhead, %d rows per point in transactions of %d rows\n",
 		r.TxnOps, r.TxnBatchSize)
-	fmt.Fprintf(w, "%12s %16s %16s %10s\n",
-		"goroutines", "raw ops/s", "txn ops/s", "txn/raw")
+	fmt.Fprintf(w, "%12s %16s %16s %10s\n", "goroutines", "raw ops/s", "txn ops/s", "txn/raw")
 	for _, p := range r.TxnPoints {
-		fmt.Fprintf(w, "%12d %16.0f %16.0f %9.2f×\n",
-			p.Goroutines, p.RawOpsPerSec, p.TxnOpsPerSec, p.Ratio)
+		fmt.Fprintf(w, "%12d %16.0f %16.0f %9.2f×\n", p.Goroutines, p.RawOpsPerSec, p.TxnOpsPerSec, p.Ratio)
 	}
-}
-
-// WriteJSON writes the result as a BENCH_*.json summary so write
-// scaling is tracked PR-over-PR alongside throughput and scan.
-func (r WriteResult) WriteJSON(path string) error {
-	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
