@@ -1,13 +1,9 @@
 package core
 
 import (
-	"errors"
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/btree"
-	"repro/internal/storage"
 	"repro/internal/tuple"
 )
 
@@ -66,13 +62,14 @@ type AggResult struct {
 	Stats QueryStats
 }
 
-// aggBound is a spec resolved against the schema (and, on an index
-// path, against the index's key/cached field layout).
+// aggBound is a spec resolved against the schema.
 type aggBound struct {
-	op     AggOp
-	pos    int // schema position, -1 = count(*)
-	kind   tuple.Kind
-	ki, ci int // keyFields / cachedFields index, -1 when not there
+	op   AggOp
+	pos  int // schema position, -1 = count(*)
+	kind tuple.Kind
+	// src is where the field sits in the rows fold is handed: pos for
+	// full-schema rows, its place in the pushdown's own projection.
+	src int
 }
 
 // bindAggSpecs resolves and validates specs against the table schema.
@@ -82,7 +79,7 @@ func (t *Table) bindAggSpecs(specs []AggSpec) ([]aggBound, error) {
 	}
 	bounds := make([]aggBound, len(specs))
 	for i, sp := range specs {
-		b := aggBound{op: sp.Op, pos: -1, ki: -1, ci: -1}
+		b := aggBound{op: sp.Op, pos: -1}
 		if sp.Field == "" {
 			if sp.Op != AggCount {
 				return nil, fmt.Errorf("core: %v needs a field", sp.Op)
@@ -92,7 +89,7 @@ func (t *Table) bindAggSpecs(specs []AggSpec) ([]aggBound, error) {
 			if pos < 0 {
 				return nil, fmt.Errorf("core: aggregate field %q not in %s", sp.Field, t.schema)
 			}
-			b.pos = pos
+			b.pos, b.src = pos, pos
 			b.kind = t.schema.Field(pos).Kind
 		}
 		switch sp.Op {
@@ -141,29 +138,33 @@ func cloneValue(v tuple.Value) tuple.Value {
 	return v
 }
 
-// fold accumulates one matching row. vals[i] is the value for bounds[i]
-// (ignored for count(*)).
-func (st *aggState) fold(vals []tuple.Value) {
+// fold accumulates one matching row; bounds[i] reads row[bounds[i].src]
+// (nothing for count(*)).
+func (st *aggState) fold(row tuple.Row) {
 	st.rows++
 	for i := range st.bounds {
 		b := &st.bounds[i]
 		a := &st.accs[i]
+		if b.pos < 0 {
+			a.count++
+			continue
+		}
+		v := row[b.src]
 		switch b.op {
 		case AggCount:
-			if b.pos < 0 || !vals[i].Null {
+			if !v.Null {
 				a.count++
 			}
 		case AggSum:
-			if vals[i].Null {
+			if v.Null {
 				continue
 			}
 			if b.kind == tuple.KindFloat64 {
-				a.sumF += vals[i].Float
+				a.sumF += v.Float
 			} else {
-				a.sumI += vals[i].Int
+				a.sumI += v.Int
 			}
 		case AggMin, AggMax:
-			v := vals[i]
 			if v.Null {
 				continue
 			}
@@ -263,13 +264,10 @@ func (t *Table) Aggregate(specs []AggSpec, opts ...QueryOption) (AggResult, erro
 	if err != nil {
 		return AggResult{}, err
 	}
-	cur := &Cursor{src: &heapSource{t: t, pages: t.file.Pages(), filters: filters, snap: snapLatest}}
-	defer cur.Close()
 	st := newAggState(bounds)
-	if err := foldCursor(cur, st); err != nil {
+	if err := foldCursor(&Cursor{src: &heapSource{t: t, pages: t.file.Pages(), filters: filters, snap: snapLatest}}, st); err != nil {
 		return AggResult{}, err
 	}
-	st.stats.Add(cur.Stats())
 	return AggResult{Values: st.result(), Rows: st.rows, Segments: 1, Stats: st.stats}, nil
 }
 
@@ -312,20 +310,28 @@ func (ix *Index) aggregate(cfg queryConfig, specs []AggSpec) (AggResult, error) 
 	if err != nil {
 		return AggResult{}, err
 	}
-	for i := range bounds {
-		if bounds[i].pos >= 0 {
-			bounds[i].ki = indexOf(ix.keyFields, bounds[i].pos)
-			bounds[i].ci = indexOf(ix.cachedFields, bounds[i].pos)
-		}
-	}
 	_, fp, start, end, err := ix.resolveQuery(cfg)
 	if err != nil {
 		return AggResult{}, err
 	}
-	pushdown := cfg.policy == CacheFirst && fp.coverable() && boundsCoverable(bounds)
-	for i := range bounds {
-		if bounds[i].pos >= 0 && bounds[i].ki < 0 && ix.cache == nil {
-			pushdown = false // non-key fields with no cache: nothing to push to
+	// The pushdown's projection is the aggregated fields and nothing
+	// else. It goes ahead when the leaf can always answer: CacheFirst,
+	// and every aggregated or filtered field a key or cached field.
+	var idx []int
+	for _, b := range bounds {
+		if b.pos >= 0 {
+			idx = append(idx, b.pos)
+		}
+	}
+	plan := ix.buildProjPlan(nil, idx)
+	pushdown := cfg.policy == CacheFirst && fp.coverable() && plan.coverable
+	if pushdown {
+		k := 0
+		for i := range bounds {
+			if bounds[i].pos >= 0 {
+				bounds[i].src = k
+				k++
+			}
 		}
 	}
 	segs := []btree.Segment{{Lo: start, Hi: end}}
@@ -334,49 +340,33 @@ func (ix *Index) aggregate(cfg queryConfig, specs []AggSpec) (AggResult, error) 
 		if segs, err = ix.tree.PlanSegments(start, end, cfg.parallel*segmentsPerWorker); err != nil {
 			return AggResult{}, err
 		}
-		workers = cfg.parallel
-		if workers > len(segs) {
-			workers = len(segs)
-		}
+		workers = min(cfg.parallel, len(segs))
 	}
 	states := make([]*aggState, len(segs))
-	var (
-		next  atomic.Int32
-		wg    sync.WaitGroup
-		errMu sync.Mutex
-		wErr  error
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				si := int(next.Add(1)) - 1
-				if si >= len(segs) {
-					return
-				}
-				st := newAggState(bounds)
-				var e error
-				if pushdown {
-					e = ix.aggSegmentPushdown(segs[si], bounds, fp, st)
-				} else {
-					e = ix.aggSegmentCursor(segs[si], bounds, fp, cfg.policy, st)
-				}
-				states[si] = st
-				if e != nil {
-					errMu.Lock()
-					if wErr == nil {
-						wErr = e
-					}
-					errMu.Unlock()
-					return
-				}
-			}
-		}()
+	var scans []blockScan
+	if pushdown {
+		r := ix.newResolver(&plan, fp, cfg.policy, snapLatest, nil)
+		// Pushed down, the leaf answers every entry it can: on a cache hit
+		// when some needed field lives in the payload, and from key bytes
+		// alone — no probe at all — when none does.
+		r.leaf = true
+		r.probe = plan.usesPayload || (fp != nil && len(fp.cached) > 0)
+		scans = make([]blockScan, workers)
+		for w := range scans {
+			scans[w].r = r
+		}
 	}
-	wg.Wait()
-	if wErr != nil {
-		return AggResult{}, wErr
+	pool := newSegRunner()
+	pool.claim(workers, len(segs), func(w, si int) error {
+		st := newAggState(bounds)
+		states[si] = st
+		if pushdown {
+			return aggSegmentPushdown(&scans[w], segs[si], st)
+		}
+		return ix.aggSegmentCursor(segs[si], fp, &cfg, st)
+	})
+	if err := pool.wait(); err != nil {
+		return AggResult{}, err
 	}
 	total := newAggState(bounds)
 	for _, st := range states {
@@ -393,182 +383,44 @@ func (ix *Index) aggregate(cfg queryConfig, specs []AggSpec) (AggResult, error) 
 	}, nil
 }
 
-// boundsCoverable reports whether every aggregated field is a key or
-// cached field — the pushdown precondition alongside filter
-// coverability.
-func boundsCoverable(bounds []aggBound) bool {
-	for _, b := range bounds {
-		if b.pos >= 0 && b.ki < 0 && b.ci < 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// foldCursor drains cur, folding full-schema rows into st.
+// foldCursor drains cur, folding its rows into st.
 func foldCursor(cur *Cursor, st *aggState) error {
-	vals := make([]tuple.Value, len(st.bounds))
+	defer cur.Close()
 	for cur.Next() {
-		row := cur.Row()
-		for i := range st.bounds {
-			if st.bounds[i].pos >= 0 {
-				vals[i] = row[st.bounds[i].pos]
-			}
-		}
-		st.fold(vals)
+		st.fold(cur.Row())
 	}
+	st.stats.Add(cur.Stats())
 	return cur.Err()
 }
 
 // aggSegmentCursor is the exact-but-unpushed path: a serial cursor over
-// the segment with the same filters, folding materialized rows. Also
-// the reference implementation pushdown is tested against.
-func (ix *Index) aggSegmentCursor(seg btree.Segment, bounds []aggBound, fp *filterPlan, policy CachePolicy, st *aggState) error {
-	s := ix.newIndexSource(seg.Lo, seg.Hi, ix.projAll, fp, policy, false)
-	cur := &Cursor{src: s}
-	defer cur.Close()
-	if err := foldCursor(cur, st); err != nil {
-		return err
-	}
-	st.stats.Add(cur.Stats())
-	return nil
+// the segment with the same filters, folding materialized full rows.
+// Also the reference implementation pushdown is tested against.
+func (ix *Index) aggSegmentCursor(seg btree.Segment, fp *filterPlan, cfg *queryConfig, st *aggState) error {
+	return foldCursor(ix.newIndexSource(seg.Lo, seg.Hi, ix.projAll, fp, cfg), st)
 }
 
-// aggSegmentPushdown folds the segment without materializing rows:
-// block-fetched entries evaluate on decoded key bytes plus the cache
-// payloads the entry visitor captured under the leaf latch. Entries
-// whose needed fields miss the cache fall back to a heap fetch, so the
-// result is identical to the cursor path.
-func (ix *Index) aggSegmentPushdown(seg btree.Segment, bounds []aggBound, fp *filterPlan, st *aggState) error {
-	// Does any bound or filter need a non-key field? If not, the scan
-	// never probes the cache at all — key bytes answer everything.
-	cacheNeeded := fp != nil && len(fp.cached) > 0
-	needKey := fp != nil && len(fp.key) > 0
-	for _, b := range bounds {
-		if b.pos >= 0 && b.ki < 0 {
-			cacheNeeded = true
-		}
-		if b.ki >= 0 {
-			needKey = true
-		}
-	}
-	keyKinds := ix.keyKinds
-	var (
-		eb       btree.EntryBlock
-		hits     []bool
-		payloads []byte
-		poffs    []int32
-		keyVals  []tuple.Value
-		heapRow  tuple.Row
-		heapBuf  []byte
-	)
-	var bopts []btree.CursorOption
-	if cacheNeeded {
-		bopts = append(bopts, btree.WithEntryVisitor(func(l *btree.Leaf, pos int) {
-			hit := false
-			if ix.cache.Prepare(l) {
-				if pl, ok := ix.cache.LookupInto(payloads, l, l.ValueAt(pos)); ok {
-					payloads = pl
-					hit = true
-				}
+// aggSegmentPushdown folds the segment through the shared block loop
+// without materializing full rows: each entry resolves straight into
+// the aggregated fields — from decoded key bytes plus the cache payload
+// captured under the leaf latch, or, for an entry that misses the
+// cache, from a heap fetch — so the result is identical to the cursor
+// path's. Aggregates read latest state.
+func aggSegmentPushdown(b *blockScan, seg btree.Segment, st *aggState) error {
+	b.open(seg)
+	defer b.close()
+	vals := make(tuple.Row, len(b.r.plan.idx))
+	for b.fill() > 0 {
+		for i := 0; i < b.eb.Len(); i++ {
+			row, _, how, err := b.resolve(vals, i)
+			if err != nil {
+				return err
 			}
-			if len(poffs) == 0 {
-				poffs = append(poffs, 0)
+			if how >= tierLeaf {
+				st.fold(row)
 			}
-			poffs = append(poffs, int32(len(payloads)))
-			hits = append(hits, hit)
-		}))
-	}
-	bt := ix.tree.NewCursor(seg.Lo, seg.Hi, bopts...)
-	defer bt.Close()
-	vals := make([]tuple.Value, len(bounds))
-	for {
-		hits, payloads, poffs = hits[:0], payloads[:0], poffs[:0]
-		k := bt.NextBlock(&eb, blockRows)
-		if k == 0 {
-			st.stats.LeafFetches += bt.LeafFetches()
-			return bt.Err()
-		}
-		for i := 0; i < k; i++ {
-			key := eb.Key(i)
-			// Aggregates read latest state: skip dead versions (their
-			// entries persist until GC).
-			if !ix.table.ridVisible(storage.UnpackRID(eb.Value(i)), snapLatest) {
-				continue
-			}
-			hit := cacheNeeded && hits[i]
-			var payload []byte
-			if hit {
-				payload = payloads[poffs[i]:poffs[i+1]]
-			}
-			if needKey {
-				kv, err := tuple.DecodeKeyInto(keyVals[:0], key, keyKinds...)
-				if err != nil {
-					return fmt.Errorf("core: decoding key: %w", err)
-				}
-				keyVals = kv
-			}
-			if fp != nil && len(fp.key) > 0 && !fp.passKey(keyVals) {
-				continue
-			}
-			if hit && fp != nil && len(fp.cached) > 0 {
-				pass, ok := fp.passCached(ix, payload)
-				if ok && !pass {
-					continue
-				}
-				if !ok {
-					hit = false
-				}
-			}
-			// Fill vals from the cheapest tier; a payload decode failure
-			// or cache miss demotes the entry to the heap path.
-			needHeap := cacheNeeded && !hit
-			if !needHeap {
-				for j := range bounds {
-					b := &bounds[j]
-					if b.pos < 0 {
-						continue
-					}
-					if b.ki >= 0 {
-						vals[j] = keyVals[b.ki]
-						continue
-					}
-					v, ok := ix.decodePayloadField(payload, b.ci)
-					if !ok {
-						needHeap = true
-						break
-					}
-					vals[j] = v
-				}
-			}
-			if needHeap {
-				rid := storage.UnpackRID(eb.Value(i))
-				rec, err := ix.table.file.GetInto(heapBuf[:0], rid)
-				if err != nil {
-					if errors.Is(err, storage.ErrDeleted) {
-						continue // racing delete; the row is gone
-					}
-					return fmt.Errorf("core: fetching %v: %w", rid, err)
-				}
-				heapBuf = rec[:0]
-				row, _, derr := tuple.DecodeInto(heapRow, ix.table.schema, rec)
-				if derr != nil {
-					return fmt.Errorf("core: decoding %v: %w", rid, derr)
-				}
-				heapRow = row
-				st.stats.HeapReads++
-				if fp != nil && !fp.passRow(row) {
-					continue
-				}
-				for j := range bounds {
-					if bounds[j].pos >= 0 {
-						vals[j] = row[bounds[j].pos]
-					}
-				}
-			} else if hit {
-				st.stats.CacheHits++
-			}
-			st.fold(vals)
 		}
 	}
+	st.stats.Add(b.stats)
+	return b.bt.Err()
 }

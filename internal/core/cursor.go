@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"iter"
 
@@ -170,121 +169,32 @@ func (c *Cursor) All() iter.Seq2[storage.RID, tuple.Row] {
 
 // --- index-order source --------------------------------------------------
 
-// indexSource drives a pinned-frame btree cursor and turns index
-// entries into rows: from the index cache when the projection is
-// covered and the entry is cached (hit set by the entry visitor wired
-// in query()), from the heap otherwise. All scratch is cursor-owned
-// and reused per row.
+// indexSource drives a pinned-frame btree cursor and turns each entry
+// into a row through its resolver: from the index cache when the
+// projection is covered and the entry is cached (hit and r.payload are
+// set by the entry visitor wired in newIndexSource), from the heap
+// otherwise. All scratch is cursor-owned and reused per row.
 type indexSource struct {
-	ix       *Index
-	bt       *btree.Cursor
-	plan     *projPlan
-	fp       *filterPlan
-	keyKinds []tuple.Kind
-	keyVals  []tuple.Value
-	payload  []byte
-	hit      bool
-	heapRow  tuple.Row
-	heapBuf  []byte
-	snap     uint64 // read timestamp (snapLatest outside transactions)
-	// keyBuf is scratch for a fetched row's key, checked against its
-	// entry; keyArr backs it so a one-row query pays no allocation.
-	keyBuf []byte
-	keyArr [32]byte
+	r   resolver
+	bt  *btree.Cursor
+	hit bool
 }
 
 func (s *indexSource) step(c *Cursor) bool {
-	for {
-		if !s.bt.Next() {
-			c.err = s.bt.Err()
-			return false
-		}
+	for s.bt.Next() {
 		c.stats.LeafFetches = s.bt.LeafFetches()
-		c.rid = storage.UnpackRID(s.bt.Value())
-		c.key = s.bt.Key()
-		// MVCC visibility. Unique entries point at the newest version
-		// under the key; a pinned snapshot may need an older one, reached
-		// through the prev chain. Non-unique entries (and latest reads,
-		// where the chain degenerates to a liveness check) are per-RID.
-		if s.snap != snapLatest && s.ix.unique {
-			vrid, ok := s.ix.table.resolveVisible(c.rid, s.snap)
-			if !ok {
-				continue
-			}
-			if vrid != c.rid {
-				s.hit = false // cache payload describes the newest version
-				c.rid = vrid
-			}
-		} else if !s.ix.table.ridVisible(c.rid, s.snap) {
-			continue
-		}
-		hit := s.hit
-		keyDecoded := false
-		if s.fp != nil && len(s.fp.key) > 0 {
-			kv, err := tuple.DecodeKeyInto(s.keyVals[:0], s.bt.Key(), s.keyKinds...)
-			if err != nil {
-				c.err = fmt.Errorf("core: decoding key: %w", err)
-				return false
-			}
-			s.keyVals = kv
-			keyDecoded = true
-			if !s.fp.passKey(kv) {
-				continue // rejected on key bytes: no cache, no heap
-			}
-		}
-		if hit && s.fp != nil && len(s.fp.cached) > 0 {
-			pass, ok := s.fp.passCached(s.ix, s.payload)
-			if ok && !pass {
-				continue // rejected on the cached payload: no heap
-			}
-			if !ok {
-				hit = false // payload unusable; heap path re-evaluates
-			}
-		}
-		if hit && (s.fp == nil || !s.fp.needsHeap) {
-			if !keyDecoded {
-				if kv, err := tuple.DecodeKeyInto(s.keyVals[:0], s.bt.Key(), s.keyKinds...); err == nil {
-					s.keyVals = kv
-					keyDecoded = true
-				}
-			}
-			if keyDecoded {
-				if row, ok := s.ix.assembleInto(c.row, s.keyVals, s.payload, s.plan); ok {
-					c.row = row
-					c.stats.CacheHits++
-					return true
-				}
-			}
-		}
-		rec, err := s.ix.table.file.GetInto(s.heapBuf[:0], c.rid)
+		row, rid, how, err := s.r.resolve(c.row, s.bt.Key(), s.bt.Value(), s.r.payload, s.hit)
 		if err != nil {
-			if errors.Is(err, storage.ErrDeleted) {
-				// The row vanished between reading its index entry and the
-				// heap fetch — a racing delete committed in between. Skip
-				// it: scans have no snapshot; the row is simply gone.
-				continue
-			}
-			c.err = fmt.Errorf("core: fetching %v: %w", c.rid, err)
+			c.err = err
 			return false
 		}
-		s.heapBuf = rec[:0]
-		row, _, err := tuple.DecodeInto(s.heapRow, s.ix.table.schema, rec)
-		if err != nil {
-			c.err = fmt.Errorf("core: decoding %v: %w", c.rid, err)
-			return false
+		if how >= tierLeaf {
+			c.row, c.rid, c.key = row, rid, s.bt.Key()
+			return true
 		}
-		s.heapRow = row
-		c.stats.HeapReads++
-		var same bool
-		if s.keyBuf, same = s.ix.stillIndexes(s.keyBuf, row, c.rid, c.key); !same {
-			continue
-		}
-		if s.fp != nil && !s.fp.passRow(row) {
-			continue
-		}
-		c.row = projectRowInto(c.row, row, s.plan.idx)
-		return true
 	}
+	c.err = s.bt.Err()
+	return false
 }
 
 func (s *indexSource) close() { s.bt.Close() }

@@ -96,8 +96,9 @@ type projPlan struct {
 	// plan build instead of being rediscovered on every lookup.
 	coverable bool
 	// steps drive assembleInto when coverable: one source per projected
-	// field.
-	steps []asmStep
+	// field. usesKey / usesPayload say which sources appear at all.
+	steps                []asmStep
+	usesKey, usesPayload bool
 }
 
 // asmStep says where projected field i comes from on the cache-hit
@@ -115,10 +116,12 @@ func (ix *Index) buildProjPlan(names []string, idx []int) projPlan {
 	for i, pos := range idx {
 		if ki := indexOf(ix.keyFields, pos); ki >= 0 {
 			p.steps[i] = asmStep{fromKey: true, src: ki}
+			p.usesKey = true
 			continue
 		}
 		if ci := indexOf(ix.cachedFields, pos); ci >= 0 {
 			p.steps[i] = asmStep{src: ci}
+			p.usesPayload = true
 			continue
 		}
 		p.coverable = false
@@ -363,10 +366,10 @@ func (ix *Index) appendEntryKey(dst []byte, row tuple.Row, rid storage.RID) ([]b
 
 // stillIndexes reports whether row, just fetched from rid, is the row
 // the entry under key points at, encoding its key into scratch (which
-// it returns). A scan reads an entry and fetches the row with no latch
-// held in between: a racing delete can free the slot and an insert
-// reuse it, and the fetch then returns an unrelated row — to be skipped
-// (its own entry serves it), not served a second time under this key.
+// it returns). A reader fetches the row with no heap latch held since
+// it read the entry: a racing delete (or relocating update) can free
+// the slot and an insert reuse it, and the fetch then returns an
+// unrelated row — not to be served under this key (see tierStale).
 func (ix *Index) stillIndexes(scratch []byte, row tuple.Row, rid storage.RID, key []byte) ([]byte, bool) {
 	k, err := ix.appendEntryKey(scratch[:0], row, rid)
 	if err != nil {

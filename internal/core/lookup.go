@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"runtime"
 	"sort"
 	"sync"
 
@@ -13,18 +14,36 @@ import (
 	"repro/internal/tuple"
 )
 
-// lookupScratch bundles the scratch a point lookup needs — the encoded
-// search key, the cache payload and, on a cache miss, the heap record
-// and the full row decoded from it — so the hot path reuses them via a
-// sync.Pool instead of allocating per call.
+// lookupScratch bundles what a point lookup needs — the encoded search
+// key and the resolver with its scratch (cache payload and, on a cache
+// miss, the heap record, the full row decoded from it and that row's
+// re-encoded key) — so the hot path reuses them via a sync.Pool instead
+// of allocating per call.
 type lookupScratch struct {
-	key     []byte
-	payload []byte
-	rec     []byte
-	row     tuple.Row
+	key   []byte
+	r     resolver
+	stats QueryStats // where r counts; a lookup reports LookupResult instead
 }
 
 var lookupScratchPool = sync.Pool{New: func() any { return new(lookupScratch) }}
+
+// aim points the scratch's resolver at one lookup: latest state, no
+// filters, and the key values the caller searched for standing in for
+// decoded key bytes.
+func (sc *lookupScratch) aim(ix *Index, plan *projPlan, keyVals []tuple.Value) {
+	r := &sc.r
+	r.ix, r.plan, r.snap, r.stats = ix, plan, snapLatest, &sc.stats
+	// Only probe the cache when the plan can be answered from it — an
+	// uncoverable projection would scan the slots just to throw the
+	// payload away.
+	r.probe = ix.cache != nil && plan.coverable
+	r.leaf = r.probe
+	r.keyVals = keyVals
+}
+
+// lookupRetries bounds how often a point lookup re-descends after
+// finding a stale entry (see tierStale) before it answers not-found.
+const lookupRetries = 64
 
 // LookupResult describes how a point lookup was answered — the paper's
 // three-tier hierarchy made observable.
@@ -79,78 +98,65 @@ func (ix *Index) LookupInto(dst tuple.Row, project []string, keyVals ...tuple.Va
 		return nil, LookupResult{}, err
 	}
 	sc.key = key
+	sc.aim(ix, plan, keyVals)
 	var (
 		res    LookupResult
 		outRow tuple.Row
+		how    tier
 		visErr error
 	)
-	err = ix.tree.VisitLeaf(key, func(l *btree.Leaf) {
-		outRow, res, visErr = ix.lookupInLeaf(l, key, keyVals, plan, dst, sc)
-	})
-	if err != nil {
-		return nil, LookupResult{}, err
+	for try := 0; ; try++ {
+		err = ix.tree.VisitLeaf(key, func(l *btree.Leaf) {
+			outRow, res, how, visErr = ix.lookupInLeaf(l, key, dst, sc)
+		})
+		if err != nil {
+			return nil, LookupResult{}, err
+		}
+		if visErr != nil {
+			return nil, LookupResult{}, visErr
+		}
+		if how != tierStale || try == lookupRetries {
+			return outRow, res, nil
+		}
+		runtime.Gosched() // let the writer that moved the row repoint the entry
 	}
-	if visErr != nil {
-		return nil, LookupResult{}, visErr
-	}
-	if !res.Found {
-		return nil, res, nil
-	}
-	return outRow, res, nil
 }
 
 // lookupInLeaf answers one point lookup against an already-pinned leaf:
 // the Section 2.1.1 flow of Lookup, factored out so LookupMany can run
 // it for every key that lands on the same leaf under a single visit.
-func (ix *Index) lookupInLeaf(l *btree.Leaf, key []byte, keyVals []tuple.Value, plan *projPlan, dst tuple.Row, sc *lookupScratch) (tuple.Row, LookupResult, error) {
-	var res LookupResult
+// The entry resolves like any scan's; what is Lookup's own is the probe
+// before and, after a heap answer, the cache fill — both under the leaf
+// latch the visit holds. A stale entry (tierStale) is answered
+// not-found; callers re-descend first.
+func (ix *Index) lookupInLeaf(l *btree.Leaf, key []byte, dst tuple.Row, sc *lookupScratch) (tuple.Row, LookupResult, tier, error) {
 	packed, found := l.Find(key)
 	if !found {
-		return nil, res, nil
+		return nil, LookupResult{}, tierSkip, nil
 	}
-	rid := storage.UnpackRID(packed)
-	// A unique entry always points at the newest version of its key;
-	// when that version is dead (deleted, entry awaiting GC) the key has
-	// no live match.
-	if !ix.table.ridVisible(rid, snapLatest) {
-		return nil, res, nil
-	}
-	res.Found = true
-	res.RID = rid
-	// Only probe the cache when the plan can be answered from it — an
-	// uncoverable projection would scan the slots just to throw the
-	// payload away.
-	prepared := false
-	if ix.cache != nil && plan.coverable {
-		prepared = ix.cache.Prepare(l)
-		if prepared {
-			if payload, ok := ix.cache.LookupInto(sc.payload[:0], l, packed); ok {
-				sc.payload = payload[:0]
-				if row, ok := ix.assembleInto(dst, keyVals, payload, plan); ok {
-					res.CacheHit = true
-					return row, res, nil
-				}
-			}
+	r := &sc.r
+	var payload []byte
+	prepared, hit := r.probe && ix.cache.Prepare(l), false
+	if prepared {
+		if payload, hit = ix.cache.LookupInto(r.payload[:0], l, packed); hit {
+			r.payload = payload[:0]
 		}
 	}
-	// Cache miss (or projection not coverable): fetch the heap row
-	// while the leaf is pinned, then fill the cache.
-	res.HeapAccess = true
-	row, rec, gerr := ix.table.GetInto(sc.row, sc.rec, res.RID)
-	sc.rec = rec
-	if gerr != nil {
-		return nil, res, gerr
+	row, rid, how, err := r.resolve(dst, key, packed, payload, hit)
+	if err != nil || how < tierLeaf {
+		return nil, LookupResult{}, how, err
 	}
-	sc.row = row
-	if ix.cache != nil && l.Exclusive() && (prepared || ix.cache.Prepare(l)) {
-		if payload, ok := ix.encodePayloadInto(sc.payload[:0], row); ok {
-			sc.payload = payload[:0]
-			if ix.cache.Insert(l, packed, payload) {
-				res.CacheFilled = true
-			}
+	res := LookupResult{Found: true, RID: rid, CacheHit: how == tierLeaf, HeapAccess: how == tierHeap}
+	// A heap-answered miss installs the missing cache entry (a volatile
+	// write that never dirties the page) — point lookups fill, scans only
+	// probe.
+	if how == tierHeap && ix.cache != nil && l.Exclusive() && (prepared || ix.cache.Prepare(l)) {
+		if payload, ok := ix.encodePayloadInto(r.payload[:0], r.heapRow); ok {
+			r.payload = payload[:0]
+			res.CacheFilled = ix.cache.Insert(l, packed, payload)
 		}
 	}
-	return projectRowInto(dst, row, plan.idx), res, nil
+	return row, res, how, nil
 }
 
 // LookupMany answers a batch of point lookups on a unique index. The
@@ -185,14 +191,15 @@ func (ix *Index) LookupMany(project []string, keys [][]tuple.Value) ([]tuple.Row
 	results := make([]LookupResult, len(keys))
 	sc := lookupScratchPool.Get().(*lookupScratch)
 	defer lookupScratchPool.Put(sc)
-	i := 0
+	i, tries := 0, 0
 	for i < len(entries) {
 		start := i
 		var visErr error
 		err := ix.tree.VisitLeaf(entries[i].enc, func(l *btree.Leaf) {
 			// The leaf covers every sorted key ≤ its last key: answer
 			// them all while the leaf is pinned. Keys beyond it descend
-			// again on the next outer iteration.
+			// again on the next outer iteration — as does a key whose
+			// entry was stale, up to lookupRetries times.
 			var maxKey []byte
 			if nk := l.NumKeys(); nk > 0 {
 				maxKey = l.KeyAt(nk - 1)
@@ -202,13 +209,16 @@ func (ix *Index) LookupMany(project []string, keys [][]tuple.Value) ([]tuple.Row
 				if i > start && (maxKey == nil || bytes.Compare(e.enc, maxKey) > 0) {
 					return
 				}
-				row, res, lerr := ix.lookupInLeaf(l, e.enc, keys[e.pos], plan, nil, sc)
-				if lerr != nil {
-					visErr = lerr
+				sc.aim(ix, plan, keys[e.pos])
+				var how tier
+				if rows[e.pos], results[e.pos], how, visErr = ix.lookupInLeaf(l, e.enc, nil, sc); visErr != nil {
 					return
 				}
-				rows[e.pos] = row
-				results[e.pos] = res
+				if how == tierStale && tries < lookupRetries {
+					tries++
+					return
+				}
+				tries = 0
 			}
 		})
 		if err != nil {
@@ -217,8 +227,8 @@ func (ix *Index) LookupMany(project []string, keys [][]tuple.Value) ([]tuple.Row
 		if visErr != nil {
 			return nil, nil, visErr
 		}
-		if i == start {
-			i++ // defensive: guarantee progress
+		if tries > 0 {
+			runtime.Gosched() // let the writer that moved the row repoint the entry
 		}
 	}
 	return rows, results, nil
@@ -315,11 +325,11 @@ func (ix *Index) WarmCache() (int, error) {
 				return false
 			}
 			rowBuf = row
-			payload, ok := ix.encodePayloadInto(sc.payload[:0], row)
+			payload, ok := ix.encodePayloadInto(sc.r.payload[:0], row)
 			if !ok {
 				return true
 			}
-			sc.payload = payload[:0]
+			sc.r.payload = payload[:0]
 			if ix.cache.Insert(l, packs[i], payload) {
 				installed++
 				leafInstalled++
@@ -436,7 +446,7 @@ func growRow(dst tuple.Row, n int) tuple.Row {
 // their precomputed payload offsets — no intermediate slice, no
 // per-call coverage discovery.
 func (ix *Index) assembleInto(dst tuple.Row, keyVals []tuple.Value, payload []byte, plan *projPlan) (tuple.Row, bool) {
-	if !plan.coverable || len(payload) != ix.payloadWidth {
+	if !plan.coverable {
 		return nil, false
 	}
 	row := growRow(dst, len(plan.steps))
@@ -454,8 +464,12 @@ func (ix *Index) assembleInto(dst tuple.Row, keyVals []tuple.Value, payload []by
 	return row, true
 }
 
-// decodePayloadField extracts the ci-th cached field from a payload.
+// decodePayloadField extracts the ci-th cached field from a payload
+// (ok=false for one of the wrong width, or a kind it cannot hold).
 func (ix *Index) decodePayloadField(payload []byte, ci int) (tuple.Value, bool) {
+	if len(payload) != ix.payloadWidth {
+		return tuple.Value{}, false
+	}
 	f := ix.table.schema.Field(ix.cachedFields[ci])
 	if payload[0]&(1<<ci) != 0 {
 		return tuple.Value{Kind: f.Kind, Null: true}, true

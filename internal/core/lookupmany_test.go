@@ -34,81 +34,6 @@ func pageKey(i int) []tuple.Value {
 	return []tuple.Value{tuple.Int32(0), tuple.String(fmt.Sprintf("Title_%05d", i))}
 }
 
-// TestLookupManyMatchesSingleLookups answers a scrambled batch (present
-// and absent keys) and checks every row and result against the
-// one-at-a-time path.
-func TestLookupManyMatchesSingleLookups(t *testing.T) {
-	const rows = 500
-	_, ix := lookupManyFixture(t, rows, true)
-	proj := []string{"latest_rev", "title"}
-	keys := make([][]tuple.Value, 0, 64)
-	for _, i := range []int{499, 0, 17, 18, 19, 250, 9999, 3, 251, 499, 777, 42} {
-		keys = append(keys, pageKey(i))
-	}
-	gotRows, gotRes, err := ix.LookupMany(proj, keys)
-	if err != nil {
-		t.Fatalf("LookupMany: %v", err)
-	}
-	if len(gotRows) != len(keys) || len(gotRes) != len(keys) {
-		t.Fatalf("got %d rows / %d results for %d keys", len(gotRows), len(gotRes), len(keys))
-	}
-	for k, key := range keys {
-		wantRow, wantRes, err := ix.Lookup(proj, key...)
-		if err != nil {
-			t.Fatalf("Lookup key %d: %v", k, err)
-		}
-		if gotRes[k].Found != wantRes.Found || gotRes[k].RID != wantRes.RID {
-			t.Errorf("key %d: result %+v, want found=%v rid=%v", k, gotRes[k], wantRes.Found, wantRes.RID)
-		}
-		if !wantRes.Found {
-			if gotRows[k] != nil {
-				t.Errorf("key %d: absent key returned row %v", k, gotRows[k])
-			}
-			continue
-		}
-		if len(gotRows[k]) != len(wantRow) {
-			t.Fatalf("key %d: row width %d, want %d", k, len(gotRows[k]), len(wantRow))
-		}
-		for c := range wantRow {
-			if !gotRows[k][c].Equal(wantRow[c]) {
-				t.Errorf("key %d col %d: %v, want %v", k, c, gotRows[k][c], wantRow[c])
-			}
-		}
-	}
-}
-
-// TestLookupManyGroupsLeafVisits verifies the batch path answers from
-// the cache (leaf-only) once warmed, i.e. grouping does not bypass the
-// Section 2.1.1 flow.
-func TestLookupManyCacheHits(t *testing.T) {
-	const rows = 400
-	_, ix := lookupManyFixture(t, rows, true)
-	if _, err := ix.WarmCache(); err != nil {
-		t.Fatalf("WarmCache: %v", err)
-	}
-	proj := []string{"namespace", "title", "latest_rev", "len"}
-	keys := make([][]tuple.Value, rows)
-	for i := range keys {
-		keys[i] = pageKey(i)
-	}
-	_, res, err := ix.LookupMany(proj, keys)
-	if err != nil {
-		t.Fatalf("LookupMany: %v", err)
-	}
-	hits := 0
-	for i, r := range res {
-		if !r.Found {
-			t.Fatalf("key %d not found", i)
-		}
-		if r.CacheHit {
-			hits++
-		}
-	}
-	if hits == 0 {
-		t.Error("warmed cache served zero hits through LookupMany")
-	}
-}
-
 // TestLookupIntoReusesBuffer checks the caller-buffer variant returns
 // correct values and actually reuses the provided backing array.
 func TestLookupIntoReusesBuffer(t *testing.T) {

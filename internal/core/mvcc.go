@@ -31,15 +31,18 @@ import (
 // Visibility has two shapes, matching the two ways readers reach a RID:
 //
 //   - ridVisible: the reader already holds a concrete RID (heap scans,
-//     non-unique index entries, parallel segment workers). Each version
-//     is its own RID and will be visited directly, so no chain is ever
-//     walked — walking one would double-serve.
-//   - resolveVisible: the reader holds a unique-index entry, which
-//     always points at the NEWEST version under that key. Older
-//     versions are reached by hopping prev pointers until one is inside
-//     the snapshot. The chain is per-KEY: when a key is deleted and
-//     re-inserted, the new version's prev points at the old key
-//     holder, so time travel across key reuse stays correct.
+//     non-unique index entries, and every latest-state read, where the
+//     chain degenerates to a liveness check). Each version is its own
+//     RID and will be visited directly, so no chain is ever walked —
+//     walking one would double-serve.
+//   - resolveVisible: the reader holds a unique-index entry under a
+//     pinned snapshot (one caller: resolver.resolve, which every index
+//     read path goes through). The entry always points at the NEWEST
+//     version under that key; older versions are reached by hopping
+//     prev pointers until one is inside the snapshot. The chain is
+//     per-KEY: when a key is deleted and re-inserted, the new version's
+//     prev points at the old key holder, so time travel across key
+//     reuse stays correct.
 //
 // GC: watermark = min(active snapshot startTS), else the clock. A
 // version with dead ≤ watermark is invisible to every live and future

@@ -1,10 +1,8 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/btree"
 	"repro/internal/storage"
@@ -49,17 +47,15 @@ type RowBlock struct {
 	koffs []int32
 	rids  []storage.RID
 	n     int
-	seg   int
 	stats QueryStats
 }
 
-func (b *RowBlock) reset(width, seg int) {
+func (b *RowBlock) reset(width int) {
 	b.width = width
-	b.seg = seg
 	b.n = 0
 	b.vals = b.vals[:0]
 	b.keys = b.keys[:0]
-	b.koffs = b.koffs[:0]
+	b.koffs = append(b.koffs[:0], 0)
 	b.rids = b.rids[:0]
 	b.stats = QueryStats{}
 }
@@ -78,9 +74,6 @@ func (b *RowBlock) nextRow() tuple.Row {
 
 // commit finalizes the row last handed out by nextRow.
 func (b *RowBlock) commit(key []byte, rid storage.RID) {
-	if len(b.koffs) == 0 {
-		b.koffs = append(b.koffs, 0)
-	}
 	b.keys = append(b.keys, key...)
 	b.koffs = append(b.koffs, int32(len(b.keys)))
 	b.rids = append(b.rids, rid)
@@ -113,47 +106,24 @@ func (ix *Index) parallelQuery(cfg queryConfig, plan *projPlan, fp *filterPlan, 
 		return nil, err
 	}
 	p := &parallelSource{
-		ix:     ix,
-		plan:   plan,
-		fp:     fp,
-		policy: cfg.policy,
-		merge:  cfg.merge,
-		segs:   segs,
-		width:  len(plan.idx),
-		snap:   cfg.snapshotTS(),
-		cancel: make(chan struct{}),
+		scan:     blockScan{r: ix.newResolver(plan, fp, cfg.policy, cfg.snapshotTS(), nil)},
+		merge:    cfg.merge,
+		segs:     segs,
+		segStats: make([]QueryStats, len(segs)),
+		pool:     newSegRunner(),
 	}
-	p.keyKinds = ix.keyKinds
-	p.segStats = make([]QueryStats, len(segs))
-	p.run(n)
+	p.start(n)
 	return &Cursor{src: p, limit: cfg.limit}, nil
 }
 
-// parallelSource fans a segmented scan out to workers and feeds the
-// cursor from their block streams. Lock order note for the workers: a
-// worker holds at most one leaf latch at a time (inside NextBlock),
-// takes heap-page latches only after releasing none — the established
-// index-leaf → heap-page order of Lookup applies to the in-visitor
-// cache probe, and the heap fallback here runs with no leaf latch held
-// at all (entries were copied out of the leaf first). Channel sends
-// never happen under any latch.
+// parallelSource fans a segmented scan out to workers, each running the
+// shared block loop (blockScan) into RowBlocks, and feeds the cursor
+// from their block streams.
 type parallelSource struct {
-	ix       *Index
-	plan     *projPlan
-	fp       *filterPlan
-	policy   CachePolicy
-	merge    MergeMode
-	segs     []btree.Segment
-	width    int
-	keyKinds []tuple.Kind
-	snap     uint64 // read timestamp (snapLatest outside transactions)
-
-	cancel    chan struct{}
-	closeOnce sync.Once
-	wg        sync.WaitGroup
-
-	errMu sync.Mutex
-	err   error
+	scan  blockScan // template: every worker scans with its own copy
+	merge MergeMode
+	segs  []btree.Segment
+	pool  *segRunner
 
 	statsMu  sync.Mutex
 	segStats []QueryStats
@@ -167,28 +137,25 @@ type parallelSource struct {
 	chans   []chan *RowBlock
 }
 
-// run spawns the workers. Ordered mode runs one dedicated worker per
+// start spawns the workers. Ordered mode runs one dedicated worker per
 // segment (the plan targeted n segments), each with its own channel —
 // a single producer per stream means no claim/queue interleaving can
 // starve the merge's wait on any one head. Unordered mode oversubscribes
 // the plan and lets n workers claim segments dynamically into one
-// fan-in channel.
-func (p *parallelSource) run(n int) {
+// fan-in channel. Either way a channel buffers two blocks per producer:
+// one in flight to the consumer while the next is being resolved.
+func (p *parallelSource) start(n int) {
 	if p.merge == MergeOrdered {
 		p.chans = make([]chan *RowBlock, len(p.segs))
 		for si := range p.segs {
 			p.chans[si] = make(chan *RowBlock, 2)
 		}
 		for si := range p.segs {
-			p.wg.Add(1)
-			go func(si int) {
-				defer p.wg.Done()
+			p.pool.spawn(func() error {
 				defer close(p.chans[si])
-				w := p.newWorker()
-				if err := w.scanSegment(si, func(b *RowBlock) bool { return p.send(p.chans[si], b) }); err != nil {
-					p.setErr(err)
-				}
-			}(si)
+				b := p.scan
+				return p.scanSegment(&b, si, p.chans[si])
+			})
 		}
 		p.lt = newLoserTree(p, p.chans)
 		return
@@ -197,63 +164,56 @@ func (p *parallelSource) run(n int) {
 		n = len(p.segs)
 	}
 	p.out = make(chan *RowBlock, 2*n)
-	var next atomic.Int32
-	for i := 0; i < n; i++ {
-		p.wg.Add(1)
-		go func() {
-			defer p.wg.Done()
-			w := p.newWorker()
-			for {
-				si := int(next.Add(1)) - 1
-				if si >= len(p.segs) {
-					return
-				}
-				select {
-				case <-p.cancel:
-					return
-				default:
-				}
-				if err := w.scanSegment(si, func(b *RowBlock) bool { return p.send(p.out, b) }); err != nil {
-					p.setErr(err)
-					return
-				}
-			}
-		}()
+	scans := make([]blockScan, n)
+	for w := range scans {
+		scans[w] = p.scan
 	}
+	p.pool.claim(n, len(p.segs), func(w, si int) error { return p.scanSegment(&scans[w], si, p.out) })
 	go func() {
-		p.wg.Wait()
+		p.pool.wg.Wait() // the error is the cursor's to collect, in step
 		close(p.out)
 	}()
 }
 
-func (p *parallelSource) send(ch chan *RowBlock, b *RowBlock) bool {
-	select {
-	case ch <- b:
-		return true
-	case <-p.cancel:
-		p.recycle(b)
-		return false
+// scanSegment streams segment si's rows as blocks into ch until the
+// segment is exhausted or the cursor was closed. A block whose entries
+// were all rejected ships too: it carries the heap reads that rejected
+// them to the cursor's stats.
+func (p *parallelSource) scanSegment(b *blockScan, si int, ch chan *RowBlock) error {
+	b.open(p.segs[si])
+	defer b.close()
+	var prev QueryStats
+	for b.fill() > 0 {
+		blk := rowBlockPool.Get().(*RowBlock)
+		blk.reset(len(b.r.plan.idx))
+		for i := 0; i < b.eb.Len(); i++ {
+			_, rid, how, err := b.resolve(blk.nextRow(), i)
+			if err != nil {
+				p.recycle(blk)
+				return err
+			}
+			if how >= tierLeaf {
+				blk.commit(b.eb.Key(i), rid)
+			}
+		}
+		blk.stats = QueryStats{
+			Rows:        int64(blk.n),
+			CacheHits:   b.stats.CacheHits - prev.CacheHits,
+			HeapReads:   b.stats.HeapReads - prev.HeapReads,
+			LeafFetches: b.stats.LeafFetches - prev.LeafFetches,
+		}
+		prev = b.stats
+		p.statsMu.Lock()
+		p.segStats[si].Add(blk.stats)
+		p.statsMu.Unlock()
+		select {
+		case ch <- blk:
+		case <-p.pool.cancel:
+			p.recycle(blk)
+			return nil
+		}
 	}
-}
-
-func (p *parallelSource) setErr(err error) {
-	p.errMu.Lock()
-	if p.err == nil {
-		p.err = err
-	}
-	p.errMu.Unlock()
-}
-
-func (p *parallelSource) firstErr() error {
-	p.errMu.Lock()
-	defer p.errMu.Unlock()
-	return p.err
-}
-
-func (p *parallelSource) getBlock(si int) *RowBlock {
-	b := rowBlockPool.Get().(*RowBlock)
-	b.reset(p.width, si)
-	return b
+	return b.bt.Err()
 }
 
 func (p *parallelSource) recycle(b *RowBlock) { rowBlockPool.Put(b) }
@@ -273,12 +233,6 @@ func (p *parallelSource) flushPending(c *Cursor) {
 	p.pending = QueryStats{}
 }
 
-func (p *parallelSource) addSegStats(si int, d QueryStats) {
-	p.statsMu.Lock()
-	p.segStats[si].Add(d)
-	p.statsMu.Unlock()
-}
-
 func (p *parallelSource) segmentStats() []QueryStats {
 	p.statsMu.Lock()
 	defer p.statsMu.Unlock()
@@ -292,9 +246,7 @@ func (p *parallelSource) step(c *Cursor) bool {
 		s := p.lt.next()
 		p.flushPending(c)
 		if s < 0 {
-			if err := p.firstErr(); err != nil {
-				c.err = err
-			}
+			c.err = p.pool.firstErr()
 			return false
 		}
 		st := &p.lt.streams[s]
@@ -313,9 +265,7 @@ func (p *parallelSource) step(c *Cursor) bool {
 	for p.cur == nil {
 		blk, ok := <-p.out
 		if !ok {
-			if err := p.firstErr(); err != nil {
-				c.err = err
-			}
+			c.err = p.pool.firstErr()
 			return false
 		}
 		p.takeStats(blk)
@@ -336,181 +286,6 @@ func (p *parallelSource) step(c *Cursor) bool {
 // queued in channels are dropped to the GC — workers blocked on a send
 // observe the cancel and return.
 func (p *parallelSource) close() {
-	p.closeOnce.Do(func() { close(p.cancel) })
-	p.wg.Wait()
-}
-
-// --- segment worker ------------------------------------------------------
-
-// segWorker is one worker's reusable scratch for scanning segments:
-// the entry block filled under the leaf latch, the per-entry cache
-// captures aligned with it (hit flags plus a payload slab — the entry
-// visitor fires under the latch, everything downstream runs without
-// it), and decode buffers.
-type segWorker struct {
-	p        *parallelSource
-	useCache bool
-	needKey  bool
-	eb       btree.EntryBlock
-	hits     []bool
-	payloads []byte
-	poffs    []int32
-	keyVals  []tuple.Value
-	heapRow  tuple.Row
-	heapBuf  []byte
-	keyBuf   []byte // scratch: a fetched row's key, checked against its entry
-}
-
-func (p *parallelSource) newWorker() *segWorker {
-	w := &segWorker{p: p}
-	w.useCache = p.ix.useScanCache(p.policy, p.plan, p.fp)
-	w.needKey = (w.useCache && p.plan.coverable) || (p.fp != nil && len(p.fp.key) > 0)
-	return w
-}
-
-// visit captures the cache probe for one served entry. Runs under the
-// shared leaf latch, aligned one-to-one with the entries NextBlock
-// pushes.
-func (w *segWorker) visit(l *btree.Leaf, pos int) {
-	hit := false
-	if w.p.ix.cache.Prepare(l) {
-		if pl, ok := w.p.ix.cache.LookupInto(w.payloads, l, l.ValueAt(pos)); ok {
-			w.payloads = pl
-			hit = true
-		}
-	}
-	if len(w.poffs) == 0 {
-		w.poffs = append(w.poffs, 0)
-	}
-	w.poffs = append(w.poffs, int32(len(w.payloads)))
-	w.hits = append(w.hits, hit)
-}
-
-func (w *segWorker) resetCaptures() {
-	w.hits = w.hits[:0]
-	w.payloads = w.payloads[:0]
-	w.poffs = w.poffs[:0]
-}
-
-// scanSegment streams the segment's rows as blocks through send, which
-// returns false when the query was cancelled. Stats deltas are folded
-// into the per-segment accounting whether or not the block ships.
-func (w *segWorker) scanSegment(si int, send func(*RowBlock) bool) error {
-	p := w.p
-	seg := p.segs[si]
-	var bopts []btree.CursorOption
-	if w.useCache {
-		bopts = append(bopts, btree.WithEntryVisitor(w.visit))
-	}
-	bt := p.ix.tree.NewCursor(seg.Lo, seg.Hi, bopts...)
-	defer bt.Close()
-	var prevFetches int64
-	for {
-		w.resetCaptures()
-		k := bt.NextBlock(&w.eb, blockRows)
-		if k == 0 {
-			return bt.Err()
-		}
-		blk := p.getBlock(si)
-		blk.stats.LeafFetches = bt.LeafFetches() - prevFetches
-		prevFetches = bt.LeafFetches()
-		for i := 0; i < k; i++ {
-			if err := w.resolve(blk, i); err != nil {
-				p.recycle(blk)
-				return err
-			}
-		}
-		blk.stats.Rows = int64(blk.n)
-		p.addSegStats(si, blk.stats)
-		if blk.n == 0 {
-			p.recycle(blk)
-			continue
-		}
-		if !send(blk) {
-			return nil
-		}
-	}
-}
-
-// resolve turns entry i of the current block fill into a committed row
-// in blk, or drops it when a filter rejects it. The tier order matches
-// the serial source exactly: key bytes, then cached payload, then heap.
-func (w *segWorker) resolve(blk *RowBlock, i int) error {
-	p := w.p
-	key := w.eb.Key(i)
-	rid := storage.UnpackRID(w.eb.Value(i))
-	hit := false
-	var payload []byte
-	if w.useCache && w.hits[i] {
-		payload = w.payloads[w.poffs[i]:w.poffs[i+1]]
-		hit = true
-	}
-	// MVCC visibility, mirroring the serial indexSource: unique entries
-	// resolve through the version chain under a pinned snapshot, every
-	// other shape is a per-RID check.
-	if p.snap != snapLatest && p.ix.unique {
-		vrid, ok := p.ix.table.resolveVisible(rid, p.snap)
-		if !ok {
-			return nil
-		}
-		if vrid != rid {
-			hit = false // cache payload describes the newest version
-			rid = vrid
-		}
-	} else if !p.ix.table.ridVisible(rid, p.snap) {
-		return nil
-	}
-	keyDecoded := false
-	if w.needKey {
-		kv, err := tuple.DecodeKeyInto(w.keyVals[:0], key, p.keyKinds...)
-		if err != nil {
-			return fmt.Errorf("core: decoding key: %w", err)
-		}
-		w.keyVals = kv
-		keyDecoded = true
-	}
-	fp := p.fp
-	if fp != nil && len(fp.key) > 0 && !fp.passKey(w.keyVals) {
-		return nil
-	}
-	if hit && fp != nil && len(fp.cached) > 0 {
-		pass, ok := fp.passCached(p.ix, payload)
-		if ok && !pass {
-			return nil
-		}
-		if !ok {
-			hit = false
-		}
-	}
-	if hit && keyDecoded && p.plan.coverable && (fp == nil || !fp.needsHeap) {
-		if _, ok := p.ix.assembleInto(blk.nextRow(), w.keyVals, payload, p.plan); ok {
-			blk.commit(key, rid)
-			blk.stats.CacheHits++
-			return nil
-		}
-	}
-	rec, err := p.ix.table.file.GetInto(w.heapBuf[:0], rid)
-	if err != nil {
-		if errors.Is(err, storage.ErrDeleted) {
-			return nil // racing delete committed after the entry was read
-		}
-		return fmt.Errorf("core: fetching %v: %w", rid, err)
-	}
-	w.heapBuf = rec[:0]
-	row, _, err := tuple.DecodeInto(w.heapRow, p.ix.table.schema, rec)
-	if err != nil {
-		return fmt.Errorf("core: decoding %v: %w", rid, err)
-	}
-	w.heapRow = row
-	blk.stats.HeapReads++
-	var same bool
-	if w.keyBuf, same = p.ix.stillIndexes(w.keyBuf, row, rid, key); !same {
-		return nil // the slot was freed and reused since the entry was read
-	}
-	if fp != nil && !fp.passRow(row) {
-		return nil
-	}
-	projectRowInto(blk.nextRow(), row, p.plan.idx)
-	blk.commit(key, rid)
-	return nil
+	p.pool.stop()
+	p.pool.wg.Wait()
 }

@@ -100,27 +100,6 @@ func TestParallelQueryMatchesSerial(t *testing.T) {
 	}
 }
 
-func TestParallelQueryBounded(t *testing.T) {
-	_, _, ix := newQueryFixture(t, 4000, true)
-	lo := []tuple.Value{tuple.Int64(713)}
-	hi := []tuple.Value{tuple.Int64(2891)}
-	serial, err := ix.Query(WithKeyRange(lo, hi))
-	if err != nil {
-		t.Fatalf("Query: %v", err)
-	}
-	serialKeys, _, _ := drainKeys(t, serial)
-	for _, mode := range []MergeMode{MergeOrdered, MergeUnordered} {
-		cur, err := ix.Query(WithKeyRange(lo, hi), WithParallel(4), WithMergeMode(mode))
-		if err != nil {
-			t.Fatalf("Query: %v", err)
-		}
-		keys, _, _ := drainKeys(t, cur)
-		if len(keys) != len(serialKeys) {
-			t.Fatalf("mode %v: got %d rows in [713,2891), want %d", mode, len(keys), len(serialKeys))
-		}
-	}
-}
-
 func TestParallelQueryLimit(t *testing.T) {
 	_, _, ix := newQueryFixture(t, 3000, true)
 	cur, err := ix.Query(WithParallel(4), WithLimit(37))
@@ -195,7 +174,11 @@ func TestParallelQueryValidation(t *testing.T) {
 // TestParallelQueryRacingWriters runs parallel scans (both merge modes)
 // while writers split the scanned leaves with inserts and delete rows
 // outside the asserted set. Every stable row must be served exactly
-// once; ordered mode must stay sorted throughout. Run with -race.
+// once; ordered mode must stay sorted throughout. Beside the scans,
+// Aggregate — pushed down and through the cursor, serial and parallel —
+// must keep returning the stable rows' sum(a): the rows writers insert
+// into or delete from the scanned range carry a = 0, the ones a third
+// writer churns beyond it a = 1 (see aggInvariant). Run with -race.
 func TestParallelQueryRacingWriters(t *testing.T) {
 	e, err := NewEngine(Options{PageSize: 1024, BufferPoolPages: 4096})
 	if err != nil {
@@ -210,12 +193,19 @@ func TestParallelQueryRacingWriters(t *testing.T) {
 	// Stable rows at ids ≡ 0 (mod 4): present before any scan starts and
 	// never touched by writers, so each must be served exactly once.
 	stableIDs := make(map[int64]bool, stable)
+	var stableSum int64
 	for i := 0; i < stable; i++ {
 		id := int64(4 * i)
 		if _, err := tb.Insert(intRow(int(id))); err != nil {
 			t.Fatalf("Insert: %v", err)
 		}
 		stableIDs[id] = true
+		stableSum += intRow(int(id))[1].Int
+	}
+	zeroA := func(id int64) tuple.Row {
+		row := intRow(int(id))
+		row[1] = tuple.Int64(0)
+		return row
 	}
 	// Victim rows interleaved at ids ≡ 2 (mod 4): deleted mid-scan.
 	type victim struct {
@@ -225,7 +215,7 @@ func TestParallelQueryRacingWriters(t *testing.T) {
 	var vs []victim
 	for i := 0; i < stable; i += 2 {
 		id := int64(4*i + 2)
-		rid, err := tb.Insert(intRow(int(id)))
+		rid, err := tb.Insert(zeroA(id))
 		if err != nil {
 			t.Fatalf("Insert: %v", err)
 		}
@@ -249,7 +239,7 @@ func TestParallelQueryRacingWriters(t *testing.T) {
 				return
 			default:
 			}
-			if _, err := tb.Insert(intRow(int(id))); err != nil {
+			if _, err := tb.Insert(zeroA(id)); err != nil {
 				t.Errorf("racing insert: %v", err)
 				return
 			}
@@ -273,7 +263,18 @@ func TestParallelQueryRacingWriters(t *testing.T) {
 			}
 		}
 	}()
+	// Writer 3: churns rows beyond the scanned range into the freed slots.
+	writers.Add(1)
+	go func() {
+		defer writers.Done()
+		churnOutside(t, tb, 1<<40, stop) // ids no racing insert reaches
+	}()
 	var scans sync.WaitGroup
+	scans.Add(1)
+	go func() {
+		defer scans.Done()
+		aggInvariant(t, ix, 4*stable, stableSum, 6)
+	}()
 	for _, mode := range []MergeMode{MergeOrdered, MergeUnordered} {
 		for _, n := range []int{2, 4} {
 			scans.Add(1)

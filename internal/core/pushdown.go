@@ -168,9 +168,6 @@ func (fp *filterPlan) passKey(keyVals []tuple.Value) bool {
 // ok=false means a payload field failed to decode — the caller must
 // fall back to the heap row, where passRow re-evaluates everything.
 func (fp *filterPlan) passCached(ix *Index, payload []byte) (pass, ok bool) {
-	if len(payload) != ix.payloadWidth {
-		return false, false
-	}
 	for _, f := range fp.cached {
 		v, vok := ix.decodePayloadField(payload, f.ci)
 		if !vok {

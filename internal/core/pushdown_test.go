@@ -35,92 +35,6 @@ func collectIDs(t *testing.T, cur *Cursor, err error) ([]int64, QueryStats) {
 	return ids, cur.Stats()
 }
 
-func assertIDs(t *testing.T, name string, got, want []int64) {
-	t.Helper()
-	if len(got) != len(want) {
-		t.Fatalf("%s: %d rows, want %d", name, len(got), len(want))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("%s: row %d = %d, want %d", name, i, got[i], want[i])
-		}
-	}
-}
-
-// Rows: id=i, a=3i, b=i%97, blob="padding-padding-%06d".
-func TestFilterKeyTier(t *testing.T) {
-	const rows = 2000
-	_, _, ix := newQueryFixture(t, rows, true)
-	// A key filter rejects on decoded key bytes: rejected rows touch
-	// neither cache nor heap, so the tier counters only count survivors.
-	cur, err := ix.Query(
-		WithProjection("id", "a"),
-		WithFilter(Filter{Field: "id", Op: CmpGe, Value: tuple.Int64(500)},
-			Filter{Field: "id", Op: CmpLt, Value: tuple.Int64(700)}),
-	)
-	ids, stats := collectIDs(t, cur, err)
-	assertIDs(t, "key filter", ids, bruteFilter(rows, func(i int) bool { return i >= 500 && i < 700 }))
-	if got := stats.CacheHits + stats.HeapReads; got != 200 {
-		t.Fatalf("key-rejected rows were materialized: %d tier answers, want 200", got)
-	}
-}
-
-func TestFilterCachedTier(t *testing.T) {
-	const rows = 2000
-	_, _, ix := newQueryFixture(t, rows, true)
-	if _, err := ix.WarmCache(); err != nil {
-		t.Fatalf("WarmCache: %v", err)
-	}
-	// b = i % 97 is a cached field; with a warm cache and a coverable
-	// projection the filter evaluates on cached payloads — zero heap.
-	cur, err := ix.Query(
-		WithProjection("id", "b"),
-		WithFilter(Filter{Field: "b", Op: CmpEq, Value: tuple.Int32(13)}),
-	)
-	ids, stats := collectIDs(t, cur, err)
-	assertIDs(t, "cached filter", ids, bruteFilter(rows, func(i int) bool { return i%97 == 13 }))
-	if stats.HeapReads != 0 {
-		t.Fatalf("cached-tier filter read the heap %d times", stats.HeapReads)
-	}
-	if stats.CacheHits != int64(len(ids)) {
-		t.Fatalf("cache hits %d, want %d", stats.CacheHits, len(ids))
-	}
-}
-
-func TestFilterHeapTier(t *testing.T) {
-	const rows = 500
-	_, _, ix := newQueryFixture(t, rows, true)
-	if _, err := ix.WarmCache(); err != nil {
-		t.Fatalf("WarmCache: %v", err)
-	}
-	// blob is neither key nor cached: the filter needs the heap row, and
-	// every key-surviving entry pays a heap read.
-	want := bruteFilter(rows, func(i int) bool {
-		return intRow(i)[3].Str == "padding-padding-000123"
-	})
-	cur, err := ix.Query(
-		WithFilter(Filter{Field: "blob", Op: CmpEq, Value: tuple.String("padding-padding-000123")}),
-	)
-	ids, stats := collectIDs(t, cur, err)
-	assertIDs(t, "heap filter", ids, want)
-	if stats.HeapReads != rows {
-		t.Fatalf("heap-tier filter read the heap %d times, want %d", stats.HeapReads, rows)
-	}
-	// Mixing in a cached filter still rejects cheaply before the heap.
-	cur, err = ix.Query(
-		WithFilter(
-			Filter{Field: "b", Op: CmpLt, Value: tuple.Int32(10)},
-			Filter{Field: "blob", Op: CmpNe, Value: tuple.String("padding-padding-000004")}),
-	)
-	ids, stats = collectIDs(t, cur, err)
-	assertIDs(t, "mixed filter", ids, bruteFilter(rows, func(i int) bool {
-		return i%97 < 10 && i != 4
-	}))
-	if stats.HeapReads >= rows {
-		t.Fatalf("cached pre-filter did not cut heap reads: %d", stats.HeapReads)
-	}
-}
-
 func TestFilterValidationAndHeapScan(t *testing.T) {
 	_, tb, ix := newQueryFixture(t, 300, true)
 	if _, err := ix.Query(WithFilter(Filter{Field: "nope", Op: CmpEq, Value: tuple.Int64(1)})); err == nil {
@@ -138,41 +52,6 @@ func TestFilterValidationAndHeapScan(t *testing.T) {
 	want := bruteFilter(300, func(i int) bool { return 3*i > 600 })
 	if len(ids) != len(want) {
 		t.Fatalf("heap-scan filter: %d rows, want %d", len(ids), len(want))
-	}
-}
-
-func TestParallelQueryWithFilters(t *testing.T) {
-	const rows = 4000
-	_, _, ix := newQueryFixture(t, rows, true)
-	if _, err := ix.WarmCache(); err != nil {
-		t.Fatalf("WarmCache: %v", err)
-	}
-	want := bruteFilter(rows, func(i int) bool { return i%97 < 30 && i >= 1000 })
-	filters := WithFilter(
-		Filter{Field: "b", Op: CmpLt, Value: tuple.Int32(30)},
-		Filter{Field: "id", Op: CmpGe, Value: tuple.Int64(1000)})
-	for _, mode := range []MergeMode{MergeOrdered, MergeUnordered} {
-		cur, err := ix.Query(WithProjection("id", "b"), filters, WithParallel(4), WithMergeMode(mode))
-		ids, stats := collectIDs(t, cur, err)
-		if mode == MergeOrdered {
-			assertIDs(t, "parallel ordered filtered", ids, want)
-		} else {
-			seen := make(map[int64]int)
-			for _, id := range ids {
-				seen[id]++
-			}
-			for _, id := range want {
-				if seen[id] != 1 {
-					t.Fatalf("unordered filtered: id %d served %d times", id, seen[id])
-				}
-			}
-			if len(ids) != len(want) {
-				t.Fatalf("unordered filtered: %d rows, want %d", len(ids), len(want))
-			}
-		}
-		if stats.HeapReads != 0 {
-			t.Fatalf("mode %v: pushed filters still read heap %d times", mode, stats.HeapReads)
-		}
 	}
 }
 

@@ -198,9 +198,7 @@ func (ix *Index) query(cfg queryConfig) (*Cursor, error) {
 		}
 		return ix.parallelQuery(cfg, plan, fp, start, end)
 	}
-	s := ix.newIndexSource(start, end, plan, fp, cfg.policy, cfg.reverse)
-	s.snap = cfg.snapshotTS()
-	return &Cursor{src: s, limit: cfg.limit, reverse: cfg.reverse}, nil
+	return ix.newIndexSource(start, end, plan, fp, &cfg), nil
 }
 
 // resolveQuery turns a queryConfig into the pieces every index read
@@ -233,47 +231,38 @@ func (ix *Index) resolveQuery(cfg queryConfig) (plan *projPlan, fp *filterPlan, 
 	return plan, fp, start, end, nil
 }
 
-// useScanCache reports whether a scan should probe the §2.1 cache: the
-// policy allows it, the index has one, and either the projection is
-// coverable (cache hits answer rows) or cached-tier filters exist
-// (cache hits reject rows before the heap).
-func (ix *Index) useScanCache(policy CachePolicy, plan *projPlan, fp *filterPlan) bool {
-	if policy != CacheFirst || ix.cache == nil {
-		return false
-	}
-	return plan.coverable || (fp != nil && len(fp.cached) > 0)
-}
-
 // newIndexSource builds the serial row source over encoded bounds —
-// shared by Query and the per-segment fallback path of Aggregate.
-func (ix *Index) newIndexSource(start, end []byte, plan *projPlan, fp *filterPlan, policy CachePolicy, reverse bool) *indexSource {
-	s := &indexSource{ix: ix, plan: plan, fp: fp, snap: snapLatest, keyKinds: ix.keyKinds}
-	s.keyBuf = s.keyArr[:0]
+// shared by Query and the cursor path of Aggregate — inside the cursor
+// whose stats it counts into.
+func (ix *Index) newIndexSource(start, end []byte, plan *projPlan, fp *filterPlan, cfg *queryConfig) *Cursor {
+	s := &indexSource{}
+	cur := &Cursor{src: s, limit: cfg.limit, reverse: cfg.reverse}
+	s.r = ix.newResolver(plan, fp, cfg.policy, cfg.snapshotTS(), &cur.stats)
 	// Options are set by index: append would move them to the heap.
 	var bopts [2]btree.CursorOption
 	n := 0
-	if reverse {
+	if cfg.reverse {
 		bopts[n] = btree.Reverse()
 		n++
 	}
-	if ix.useScanCache(policy, plan, fp) {
+	if s.r.probe {
 		bopts[n] = btree.WithEntryVisitor(s.probeCache)
 		n++
 	}
 	s.bt = ix.tree.NewCursor(start, end, bopts[:n]...)
-	return s
+	return cur
 }
 
-// probeCache is the scan's entry visitor: it probes the §2.1 cache
-// under the latch the cursor already holds — the §2.1.1 leaf-answer
-// flow, batched into the scan.
+// probeCache is the serial scan's entry visitor: it probes the §2.1
+// cache under the latch the cursor already holds — the §2.1.1
+// leaf-answer flow, batched into the scan.
 func (s *indexSource) probeCache(l *btree.Leaf, pos int) {
 	s.hit = false
-	if !s.ix.cache.Prepare(l) {
+	if !s.r.ix.cache.Prepare(l) {
 		return
 	}
-	if p, ok := s.ix.cache.LookupInto(s.payload[:0], l, l.ValueAt(pos)); ok {
-		s.payload = p
+	if p, ok := s.r.ix.cache.LookupInto(s.r.payload[:0], l, l.ValueAt(pos)); ok {
+		s.r.payload = p
 		s.hit = true
 	}
 }

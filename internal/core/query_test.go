@@ -174,57 +174,6 @@ func TestIndexQueryRangePrefixReverse(t *testing.T) {
 	}
 }
 
-func TestIndexQueryCacheFirstVsHeapOnly(t *testing.T) {
-	_, tb, ix := newQueryFixture(t, 800, true)
-	if _, err := ix.WarmCache(); err != nil {
-		t.Fatalf("WarmCache: %v", err)
-	}
-	proj := []string{"id", "a", "b"} // key + cached fields: coverable
-	cur, err := tb.Query(WithIndex("by_id"), WithProjection(proj...))
-	if err != nil {
-		t.Fatalf("Query: %v", err)
-	}
-	defer cur.Close()
-	for cur.Next() {
-		row := cur.Row()
-		if row[1].Int != row[0].Int*3 || int64(row[2].Int) != row[0].Int%97 {
-			t.Fatalf("cache-path row wrong: %v", row)
-		}
-	}
-	st := cur.Stats()
-	if st.Rows != 800 {
-		t.Fatalf("served %d rows", st.Rows)
-	}
-	if st.CacheHits != st.Rows {
-		t.Errorf("warm cache-first scan: %d/%d cache hits, want all", st.CacheHits, st.Rows)
-	}
-	if st.CacheHits+st.HeapReads != st.Rows {
-		t.Errorf("hits %d + heap %d ≠ rows %d", st.CacheHits, st.HeapReads, st.Rows)
-	}
-	// HeapOnly must bypass the cache entirely.
-	cur, err = ix.Query(WithProjection(proj...), WithCachePolicy(HeapOnly))
-	if err != nil {
-		t.Fatalf("Query: %v", err)
-	}
-	defer cur.Close()
-	for cur.Next() {
-	}
-	if st := cur.Stats(); st.CacheHits != 0 || st.HeapReads != 800 {
-		t.Errorf("heap-only scan: hits=%d heap=%d", st.CacheHits, st.HeapReads)
-	}
-	// Uncoverable projection falls back to the heap per row.
-	cur, err = ix.Query(WithProjection("id", "blob"))
-	if err != nil {
-		t.Fatalf("Query: %v", err)
-	}
-	defer cur.Close()
-	for cur.Next() {
-	}
-	if st := cur.Stats(); st.CacheHits != 0 || st.HeapReads != 800 {
-		t.Errorf("uncoverable scan: hits=%d heap=%d", st.CacheHits, st.HeapReads)
-	}
-}
-
 func TestCursorLifecyclePinsAndDoubleClose(t *testing.T) {
 	e, tb, _ := newQueryFixture(t, 600, false)
 	cur, err := tb.Query(WithIndex("by_id"))
