@@ -44,7 +44,9 @@ func WithReverse() QueryOption {
 	return func(q *wire.QueryReq) { q.Reverse = true }
 }
 
-// WithPageSize sets rows per streamed page (0 = server default).
+// WithPageSize sets rows per streamed page (0 = server default). The
+// server also closes a page on its encoded size, so a page may hold
+// fewer rows than asked for.
 func WithPageSize(n uint32) QueryOption {
 	return func(q *wire.QueryReq) { q.PageSize = n }
 }

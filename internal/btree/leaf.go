@@ -23,6 +23,11 @@ type Leaf struct {
 // PageID returns the leaf's page id.
 func (l *Leaf) PageID() storage.PageID { return l.fr.ID() }
 
+// Version returns the leaf's directory version: it moves whenever a key
+// enters or leaves the page, so two visits that read the same version
+// saw the same keys.
+func (l *Leaf) Version() uint32 { return l.n.version() }
+
 // Exclusive reports whether the visit holds the frame latch exclusively.
 // Cache mutations (insert, swap, zero) are only legal when true; the
 // visit acquires the exclusive latch with TryLock and falls back to a

@@ -67,30 +67,34 @@ type aggBound struct {
 	op   AggOp
 	pos  int // schema position, -1 = count(*)
 	kind tuple.Kind
-	// src is where the field sits in the rows fold is handed: pos for
-	// full-schema rows, its place in the pushdown's own projection.
+	// src is where the field sits in the rows fold is handed: its place
+	// in the aggregate's own projection.
 	src int
 }
 
 // bindAggSpecs resolves and validates specs against the table schema.
-func (t *Table) bindAggSpecs(specs []AggSpec) ([]aggBound, error) {
+// idx is the projection an aggregate reads — the aggregated fields and
+// nothing else, so no path materializes a field it does not fold.
+func (t *Table) bindAggSpecs(specs []AggSpec) (bounds []aggBound, idx []int, err error) {
 	if len(specs) == 0 {
-		return nil, fmt.Errorf("core: Aggregate needs at least one AggSpec")
+		return nil, nil, fmt.Errorf("core: Aggregate needs at least one AggSpec")
 	}
-	bounds := make([]aggBound, len(specs))
+	bounds = make([]aggBound, len(specs))
+	idx = make([]int, 0, len(specs))
 	for i, sp := range specs {
 		b := aggBound{op: sp.Op, pos: -1}
 		if sp.Field == "" {
 			if sp.Op != AggCount {
-				return nil, fmt.Errorf("core: %v needs a field", sp.Op)
+				return nil, nil, fmt.Errorf("core: %v needs a field", sp.Op)
 			}
 		} else {
 			pos := t.schema.Index(sp.Field)
 			if pos < 0 {
-				return nil, fmt.Errorf("core: aggregate field %q not in %s", sp.Field, t.schema)
+				return nil, nil, fmt.Errorf("core: aggregate field %q not in %s", sp.Field, t.schema)
 			}
-			b.pos, b.src = pos, pos
+			b.pos, b.src = pos, len(idx)
 			b.kind = t.schema.Field(pos).Kind
+			idx = append(idx, pos)
 		}
 		switch sp.Op {
 		case AggCount:
@@ -98,15 +102,15 @@ func (t *Table) bindAggSpecs(specs []AggSpec) ([]aggBound, error) {
 			switch b.kind {
 			case tuple.KindInt64, tuple.KindInt32, tuple.KindInt16, tuple.KindInt8, tuple.KindFloat64:
 			default:
-				return nil, fmt.Errorf("core: sum(%s): kind %v is not summable", sp.Field, b.kind)
+				return nil, nil, fmt.Errorf("core: sum(%s): kind %v is not summable", sp.Field, b.kind)
 			}
 		case AggMin, AggMax:
 		default:
-			return nil, fmt.Errorf("core: unknown aggregate op %d", int(sp.Op))
+			return nil, nil, fmt.Errorf("core: unknown aggregate op %d", int(sp.Op))
 		}
 		bounds[i] = b
 	}
-	return bounds, nil
+	return bounds, idx, nil
 }
 
 // aggAcc is one aggregate's accumulator.
@@ -256,7 +260,7 @@ func (t *Table) Aggregate(specs []AggSpec, opts ...QueryOption) (AggResult, erro
 	if cfg.parallel > 1 {
 		return AggResult{}, fmt.Errorf("core: WithParallel on %q requires an index (add WithIndex)", t.name)
 	}
-	bounds, err := t.bindAggSpecs(specs)
+	bounds, idx, err := t.bindAggSpecs(specs)
 	if err != nil {
 		return AggResult{}, err
 	}
@@ -265,7 +269,7 @@ func (t *Table) Aggregate(specs []AggSpec, opts ...QueryOption) (AggResult, erro
 		return AggResult{}, err
 	}
 	st := newAggState(bounds)
-	if err := foldCursor(&Cursor{src: &heapSource{t: t, pages: t.file.Pages(), filters: filters, snap: snapLatest}}, st); err != nil {
+	if err := foldCursor(&Cursor{src: t.newHeapSource(idx, filters, false, snapLatest)}, st); err != nil {
 		return AggResult{}, err
 	}
 	return AggResult{Values: st.result(), Rows: st.rows, Segments: 1, Stats: st.stats}, nil
@@ -306,7 +310,7 @@ func (ix *Index) aggregate(cfg queryConfig, specs []AggSpec) (AggResult, error) 
 	if err := validateAggConfig(cfg); err != nil {
 		return AggResult{}, err
 	}
-	bounds, err := ix.table.bindAggSpecs(specs)
+	bounds, idx, err := ix.table.bindAggSpecs(specs)
 	if err != nil {
 		return AggResult{}, err
 	}
@@ -314,26 +318,10 @@ func (ix *Index) aggregate(cfg queryConfig, specs []AggSpec) (AggResult, error) 
 	if err != nil {
 		return AggResult{}, err
 	}
-	// The pushdown's projection is the aggregated fields and nothing
-	// else. It goes ahead when the leaf can always answer: CacheFirst,
+	// The pushdown goes ahead when the leaf can always answer: CacheFirst,
 	// and every aggregated or filtered field a key or cached field.
-	var idx []int
-	for _, b := range bounds {
-		if b.pos >= 0 {
-			idx = append(idx, b.pos)
-		}
-	}
 	plan := ix.buildProjPlan(nil, idx)
 	pushdown := cfg.policy == CacheFirst && fp.coverable() && plan.coverable
-	if pushdown {
-		k := 0
-		for i := range bounds {
-			if bounds[i].pos >= 0 {
-				bounds[i].src = k
-				k++
-			}
-		}
-	}
 	segs := []btree.Segment{{Lo: start, Hi: end}}
 	workers := 1
 	if cfg.parallel > 1 {
@@ -363,7 +351,9 @@ func (ix *Index) aggregate(cfg queryConfig, specs []AggSpec) (AggResult, error) 
 		if pushdown {
 			return aggSegmentPushdown(&scans[w], segs[si], st)
 		}
-		return ix.aggSegmentCursor(segs[si], fp, &cfg, st)
+		// The exact-but-unpushed path, and the reference pushdown is tested
+		// against: a serial cursor over the segment, same plan and filters.
+		return foldCursor(ix.newIndexSource(segs[si].Lo, segs[si].Hi, &plan, fp, &cfg), st)
 	})
 	if err := pool.wait(); err != nil {
 		return AggResult{}, err
@@ -391,13 +381,6 @@ func foldCursor(cur *Cursor, st *aggState) error {
 	}
 	st.stats.Add(cur.Stats())
 	return cur.Err()
-}
-
-// aggSegmentCursor is the exact-but-unpushed path: a serial cursor over
-// the segment with the same filters, folding materialized full rows.
-// Also the reference implementation pushdown is tested against.
-func (ix *Index) aggSegmentCursor(seg btree.Segment, fp *filterPlan, cfg *queryConfig, st *aggState) error {
-	return foldCursor(ix.newIndexSource(seg.Lo, seg.Hi, ix.projAll, fp, cfg), st)
 }
 
 // aggSegmentPushdown folds the segment through the shared block loop

@@ -388,7 +388,7 @@ func (s *stageScratch) endTrip() {
 			a[i] = 0xDB
 		}
 		for i := range v {
-			v[i] = tuple.Value{Kind: 0xDB, Int: -0x2424242424242425, Str: "\xdb\xdb\xdb\xdb dead scratch"}
+			v[i] = poisonValue
 		}
 	}
 	s.arena, s.vals = s.arena[:0], s.vals[:0]
@@ -396,11 +396,16 @@ func (s *stageScratch) endTrip() {
 
 var poisonScratch atomic.Bool
 
+// poisonValue is what PoisonScratch leaves where no value may be read.
+var poisonValue = tuple.Value{Kind: 0xDB, Int: -0x2424242424242425, Str: "\xdb\xdb\xdb\xdb dead scratch"}
+
 // PoisonScratch is wire.PoisonReleased for the pipelines' scratch:
 // while on, a trip's arena and pre-image rows are overwritten with 0xDB
 // as the trip ends, so a pre-image value (tuple.DecodeAlias views the
 // arena) or a carved key kept past its trip reads as garbage at once
-// instead of as plausible stale data. Nothing outside tests calls it.
+// instead of as plausible stale data. A reader's decoded heap row gets
+// the same treatment at every position outside its field set
+// (decodeFields). Nothing outside tests calls it.
 func PoisonScratch(on bool) { poisonScratch.Store(on) }
 
 // entryKey is Index.entryKey carved from the arena. Keys have no size

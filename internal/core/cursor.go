@@ -175,9 +175,10 @@ func (c *Cursor) All() iter.Seq2[storage.RID, tuple.Row] {
 // set by the entry visitor wired in newIndexSource), from the heap
 // otherwise. All scratch is cursor-owned and reused per row.
 type indexSource struct {
-	r   resolver
-	bt  *btree.Cursor
-	hit bool
+	r    resolver
+	bt   *btree.Cursor
+	gate cacheGate
+	hit  bool
 }
 
 func (s *indexSource) step(c *Cursor) bool {
@@ -204,13 +205,15 @@ func (s *indexSource) close() { s.bt.Close() }
 // heapSource streams rows in heap order. It snapshots one page at a
 // time under the page latch — record bytes are copied into a reused
 // buffer, so no latch or pin is held while caller code runs — then
-// decodes lazily per Next into reused scratch. Pages appended after
-// the query opened are not visited.
+// decodes lazily per Next into reused scratch, the fields the projection
+// and the filters read and no others. Pages appended after the query
+// opened are not visited.
 type heapSource struct {
 	t       *Table
 	pages   []storage.PageID
 	reverse bool
-	projIdx []int // nil = all fields
+	projIdx []int  // nil = all fields
+	need    []bool // projIdx ∪ the filters' fields (nil = all)
 	filters []boundFilter
 	snap    uint64 // read timestamp (snapLatest outside transactions)
 
@@ -243,7 +246,7 @@ func (s *heapSource) step(c *Cursor) bool {
 		if !s.t.ridVisible(c.rid, s.snap) {
 			continue
 		}
-		row, _, err := tuple.DecodeInto(s.decRow, s.t.schema, rec)
+		row, err := decodeFields(s.decRow, s.t.schema, rec, s.need)
 		if err != nil {
 			c.err = fmt.Errorf("core: decoding %v: %w", c.rid, err)
 			return false

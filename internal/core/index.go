@@ -99,6 +99,12 @@ type projPlan struct {
 	// field. usesKey / usesPayload say which sources appear at all.
 	steps                []asmStep
 	usesKey, usesPayload bool
+	// need is what a heap record is decoded into when this plan's reader
+	// falls through to the heap (tuple.DecodeFields; nil = every field):
+	// the projection, plus the key fields — stillIndexes re-encodes them
+	// to check the row against its entry — plus the cached fields, which
+	// a point lookup's cache fill reads from the same decoded row.
+	need []bool
 }
 
 // asmStep says where projected field i comes from on the cache-hit
@@ -112,6 +118,7 @@ type asmStep struct {
 // pass an immutable names slice.
 func (ix *Index) buildProjPlan(names []string, idx []int) projPlan {
 	p := projPlan{names: names, idx: idx, coverable: true}
+	p.need = fieldSet(ix.table.schema.NumFields(), idx, ix.keyFields, ix.cachedFields)
 	p.steps = make([]asmStep, len(idx))
 	for i, pos := range idx {
 		if ki := indexOf(ix.keyFields, pos); ki >= 0 {
@@ -129,6 +136,56 @@ func (ix *Index) buildProjPlan(names []string, idx []int) projPlan {
 		break
 	}
 	return p
+}
+
+// fieldSet marks the given schema positions in a set over n fields, the
+// shape tuple.DecodeFields takes: nil when no field is left out.
+func fieldSet(n int, groups ...[]int) []bool {
+	set, left := make([]bool, n), n
+	for _, g := range groups {
+		for _, pos := range g {
+			if !set[pos] {
+				set[pos] = true
+				left--
+			}
+		}
+	}
+	if left == 0 {
+		return nil
+	}
+	return set
+}
+
+// withFilters returns need widened by the fields filters read. need may
+// be a cached plan's: it is copied before the first write.
+func withFilters(need []bool, filters []boundFilter) []bool {
+	owned := false
+	for _, f := range filters {
+		if need == nil || need[f.pos] {
+			continue
+		}
+		if !owned {
+			need, owned = append([]bool(nil), need...), true
+		}
+		need[f.pos] = true
+	}
+	return need
+}
+
+// decodeFields decodes the fields of rec that need marks into dst (see
+// tuple.DecodeFields). Under PoisonScratch every position outside need
+// is overwritten, so a reader of a field it did not declare fails at
+// once instead of passing on whatever fixed-width value sat there.
+func decodeFields(dst tuple.Row, s *tuple.Schema, rec []byte, need []bool) (tuple.Row, error) {
+	row, _, err := tuple.DecodeFields(dst, s, rec, need)
+	if err == nil && need != nil && poisonScratch.Load() {
+		for i := range row {
+			if !need[i] {
+				row[i] = poisonValue
+			}
+		}
+	}
+	return row, err
 }
 
 func indexOf(s []int, v int) int {

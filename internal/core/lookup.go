@@ -16,8 +16,8 @@ import (
 
 // lookupScratch bundles what a point lookup needs — the encoded search
 // key and the resolver with its scratch (cache payload and, on a cache
-// miss, the heap record, the full row decoded from it and that row's
-// re-encoded key) — so the hot path reuses them via a sync.Pool instead
+// miss, the heap record, the plan's fields decoded from it and that
+// row's re-encoded key) — so the hot path reuses them via a sync.Pool instead
 // of allocating per call.
 type lookupScratch struct {
 	key   []byte
@@ -32,7 +32,7 @@ var lookupScratchPool = sync.Pool{New: func() any { return new(lookupScratch) }}
 // decoded key bytes.
 func (sc *lookupScratch) aim(ix *Index, plan *projPlan, keyVals []tuple.Value) {
 	r := &sc.r
-	r.ix, r.plan, r.snap, r.stats = ix, plan, snapLatest, &sc.stats
+	r.ix, r.plan, r.need, r.snap, r.stats = ix, plan, plan.need, snapLatest, &sc.stats
 	// Only probe the cache when the plan can be answered from it — an
 	// uncoverable projection would scan the slots just to throw the
 	// payload away.
@@ -286,6 +286,7 @@ func (ix *Index) WarmCache() (int, error) {
 	installed := 0
 	sc := lookupScratchPool.Get().(*lookupScratch)
 	defer lookupScratchPool.Put(sc)
+	need := fieldSet(ix.table.schema.NumFields(), ix.cachedFields) // all encodePayloadInto reads
 	var (
 		rowBuf tuple.Row
 		rids   []storage.RID
@@ -319,7 +320,7 @@ func (ix *Index) WarmCache() (int, error) {
 			if leafInstalled >= budget {
 				return false
 			}
-			row, _, derr := tuple.DecodeInto(rowBuf, ix.table.schema, rec)
+			row, derr := decodeFields(rowBuf, ix.table.schema, rec, need)
 			if derr != nil {
 				visErr = derr
 				return false

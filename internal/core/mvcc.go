@@ -340,9 +340,21 @@ func (t *Table) gcLocked(watermark uint64) int {
 	}
 	vs.mu.RUnlock()
 
+	// A collected version is decoded for its index entries' keys alone.
+	var keyFields [][]int
+	t.mu.RLock()
+	for _, ix := range t.indexes {
+		keyFields = append(keyFields, ix.keyFields)
+	}
+	t.mu.RUnlock()
+	need := fieldSet(t.schema.NumFields(), keyFields...)
+
 	removed := 0
 	gone := make(map[uint64]struct{})
-	var row tuple.Row
+	var (
+		row tuple.Row
+		rec []byte
+	)
 	for _, c := range cands {
 		if !c.dead {
 			vs.mu.Lock()
@@ -353,7 +365,7 @@ func (t *Table) gcLocked(watermark uint64) int {
 		// Physical removal order: heap row, then index entries, then
 		// meta (see the package comment for why this order is safe
 		// against concurrent snapshot readers).
-		rec, err := t.file.Get(c.rid)
+		got, err := t.file.GetInto(rec[:0], c.rid)
 		if err != nil {
 			if errors.Is(err, storage.ErrDeleted) {
 				// Row already gone (a crash between checkpointed pages and
@@ -364,9 +376,8 @@ func (t *Table) gcLocked(watermark uint64) int {
 			}
 			continue
 		}
-		var derr error
-		row, _, derr = tuple.DecodeInto(row[:0], t.schema, rec)
-		if derr != nil {
+		rec = got
+		if row, err = decodeFields(row[:0], t.schema, rec, need); err != nil {
 			continue
 		}
 		if err := t.file.Delete(c.rid); err != nil {

@@ -166,10 +166,20 @@ func (t *Table) query(cfg *queryConfig) (*Cursor, error) {
 		return nil, err
 	}
 	return &Cursor{
-		src:     &heapSource{t: t, pages: t.file.Pages(), reverse: cfg.reverse, projIdx: projIdx, filters: filters, snap: cfg.snapshotTS()},
+		src:     t.newHeapSource(projIdx, filters, cfg.reverse, cfg.snapshotTS()),
 		limit:   cfg.limit,
 		reverse: cfg.reverse,
 	}, nil
+}
+
+// newHeapSource builds the heap-order row source projecting projIdx
+// (nil = every field) from the rows that pass filters.
+func (t *Table) newHeapSource(projIdx []int, filters []boundFilter, reverse bool, snap uint64) *heapSource {
+	s := &heapSource{t: t, pages: t.file.Pages(), reverse: reverse, projIdx: projIdx, filters: filters, snap: snap}
+	if projIdx != nil {
+		s.need = withFilters(fieldSet(t.schema.NumFields(), projIdx), filters)
+	}
+	return s
 }
 
 // Query opens a cursor over the index's key range. The default policy
@@ -258,7 +268,7 @@ func (ix *Index) newIndexSource(start, end []byte, plan *projPlan, fp *filterPla
 // leaf-answer flow, batched into the scan.
 func (s *indexSource) probeCache(l *btree.Leaf, pos int) {
 	s.hit = false
-	if !s.r.ix.cache.Prepare(l) {
+	if !s.gate.prepare(s.r.ix.cache, l) {
 		return
 	}
 	if p, ok := s.r.ix.cache.LookupInto(s.r.payload[:0], l, l.ValueAt(pos)); ok {

@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/btree"
+	"repro/internal/idxcache"
 	"repro/internal/storage"
 	"repro/internal/tuple"
 )
@@ -59,6 +60,9 @@ type resolver struct {
 	// key bytes. Off when the plan reads none, and for point lookups,
 	// whose caller supplied the values it searched for.
 	decodeKey bool
+	// need is the field set a fetched heap record is decoded into: the
+	// plan's, widened by the fields the heap-tier filters read.
+	need []bool
 	// stats is where CacheHits and HeapReads are counted: the cursor's,
 	// the block loop's, or a point lookup's scratch.
 	stats *QueryStats
@@ -79,11 +83,16 @@ type resolver struct {
 // or rejects it before the heap (cached-tier filters).
 func (ix *Index) newResolver(plan *projPlan, fp *filterPlan, policy CachePolicy, snap uint64, stats *QueryStats) resolver {
 	probe := policy == CacheFirst && ix.cache != nil && (plan.coverable || (fp != nil && len(fp.cached) > 0))
+	need := plan.need
+	if fp != nil {
+		need = withFilters(need, fp.rest)
+	}
 	return resolver{
 		ix: ix, plan: plan, fp: fp, snap: snap, stats: stats,
 		probe:     probe,
 		leaf:      probe && plan.coverable && fp.coverable(),
 		decodeKey: plan.usesKey,
+		need:      need,
 	}
 }
 
@@ -150,7 +159,7 @@ func (r *resolver) resolve(dst tuple.Row, key []byte, packed uint64, payload []b
 		return nil, rid, tierSkip, fmt.Errorf("core: fetching %v: %w", rid, err)
 	}
 	r.heapBuf = rec[:0]
-	row, _, err := tuple.DecodeInto(r.heapRow, ix.table.schema, rec)
+	row, err := decodeFields(r.heapRow, ix.table.schema, rec, r.need)
 	if err != nil {
 		return nil, rid, tierSkip, fmt.Errorf("core: decoding %v: %w", rid, err)
 	}
@@ -178,6 +187,30 @@ func (r *resolver) decode(key []byte) error {
 	return nil
 }
 
+// cacheGate keeps a scan's answer to "is this leaf's §2.1 cache usable?"
+// (idxcache.Cache.Prepare) for as long as it cannot change. A scan holds
+// its leaves shared, so it repairs nothing itself: the answer for a leaf
+// moves only when the leaf's keys do (its version), the whole cache is
+// invalidated (CSNidx) or a predicate is logged (the log's head). Until
+// one of them does, asking again walks the same pending predicates to
+// the same verdict — once per entry, where once per leaf is enough. (A
+// leaf another visitor repaired meanwhile stays unusable until the scan
+// leaves it: hits lost, never a stale one served.)
+type cacheGate struct {
+	page           storage.PageID // InvalidPageID: nothing kept
+	ver, csn, head uint32
+	usable         bool
+}
+
+// prepare is c.Prepare(l), remembered.
+func (g *cacheGate) prepare(c *idxcache.Cache, l *btree.Leaf) bool {
+	page, ver, csn, head := l.PageID(), l.Version(), c.CSN(), c.Log().HeadSeq()
+	if g.page != page || g.ver != ver || g.csn != csn || g.head != head {
+		*g = cacheGate{page: page, ver: ver, csn: csn, head: head, usable: c.Prepare(l)}
+	}
+	return g.usable
+}
+
 // --- block loop ----------------------------------------------------------
 
 // blockScan is the one block loop of the index read path, shared by the
@@ -198,6 +231,7 @@ type blockScan struct {
 	stats    QueryStats // this segment's running totals; r counts into it
 	bt       *btree.Cursor
 	eb       btree.EntryBlock
+	gate     cacheGate
 	hits     []bool
 	payloads []byte
 	poffs    []int32
@@ -221,7 +255,7 @@ func (b *blockScan) close() { b.bt.Close() }
 // appended to the slab. Runs under the shared leaf latch.
 func (b *blockScan) capture(l *btree.Leaf, pos int) {
 	hit := false
-	if b.r.ix.cache.Prepare(l) {
+	if b.gate.prepare(b.r.ix.cache, l) {
 		if pl, ok := b.r.ix.cache.LookupInto(b.payloads, l, l.ValueAt(pos)); ok {
 			b.payloads = pl
 			hit = true

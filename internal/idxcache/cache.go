@@ -20,6 +20,7 @@ type Stats struct {
 	PageInvalidations int64 // page caches zeroed (CSN mismatch or predicate hit)
 	FullInvalidations int64 // CSNidx bumps
 	SkippedNoLatch    int64 // cache writes abandoned: exclusive latch unavailable
+	MatchRanges       int64 // walks of the predicate log against a page's key range
 }
 
 // HitRate returns Hits/Lookups, or 0 before any lookup.
@@ -51,7 +52,7 @@ type Cache struct {
 	lookups, hits, misses     atomic.Int64
 	inserts, evictions, swaps atomic.Int64
 	pageInval, fullInval      atomic.Int64
-	skipped                   atomic.Int64
+	skipped, matchRanges      atomic.Int64
 }
 
 // Config parameterizes a Cache.
@@ -123,6 +124,7 @@ func (c *Cache) Stats() Stats {
 		PageInvalidations: c.pageInval.Load(),
 		FullInvalidations: c.fullInval.Load(),
 		SkippedNoLatch:    c.skipped.Load(),
+		MatchRanges:       c.matchRanges.Load(),
 	}
 }
 
@@ -181,6 +183,9 @@ func (c *Cache) Prepare(l *btree.Leaf) bool {
 		return true
 	}
 	min, max, ok := l.KeyRange()
+	if ok {
+		c.matchRanges.Add(1)
+	}
 	if ok && c.log.MatchRange(applied, min, max) {
 		if !l.Exclusive() {
 			c.skipped.Add(1)

@@ -3,6 +3,7 @@ package idxcache
 import (
 	"bytes"
 	"sync"
+	"sync/atomic"
 )
 
 // PredLog is the in-memory invalidation log of Section 2.1.2. When a
@@ -13,10 +14,15 @@ import (
 // its threshold, the owner escalates: bump CSNidx (invalidating every
 // page cache at once) and clear the log.
 type PredLog struct {
-	mu      sync.Mutex
-	keys    [][]byte
-	baseSeq uint32 // sequence number of keys[0] minus one
-	headSeq uint32 // sequence number of the latest appended predicate
+	mu sync.Mutex
+	// The pending keys sit back to back in slab; key i ends at ends[i].
+	// Clear drops both, keeping their capacity.
+	slab    []byte
+	ends    []int
+	baseSeq uint32 // sequence number of key 0 minus one
+	// headSeq is the sequence number of the latest appended predicate:
+	// written under mu, read without it.
+	headSeq atomic.Uint32
 	limit   int
 }
 
@@ -32,24 +38,21 @@ func NewPredLog(limit int) *PredLog {
 func (p *PredLog) Append(key []byte) (escalate bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.keys = append(p.keys, append([]byte(nil), key...))
-	p.headSeq++
-	return len(p.keys) > p.limit
+	p.slab = append(p.slab, key...)
+	p.ends = append(p.ends, len(p.slab))
+	p.headSeq.Add(1)
+	return len(p.ends) > p.limit
 }
 
 // HeadSeq returns the sequence number of the newest predicate. A page
 // whose AppliedSeq equals HeadSeq has nothing pending.
-func (p *PredLog) HeadSeq() uint32 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.headSeq
-}
+func (p *PredLog) HeadSeq() uint32 { return p.headSeq.Load() }
 
 // Pending returns the number of buffered predicates.
 func (p *PredLog) Pending() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return len(p.keys)
+	return len(p.ends)
 }
 
 // MatchRange reports whether any predicate with sequence number greater
@@ -58,13 +61,17 @@ func (p *PredLog) Pending() int {
 func (p *PredLog) MatchRange(afterSeq uint32, min, max []byte) bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	// keys[i] has sequence baseSeq+1+i.
+	// Key i has sequence baseSeq+1+i.
 	start := 0
 	if afterSeq > p.baseSeq {
 		start = int(afterSeq - p.baseSeq)
 	}
-	for i := start; i < len(p.keys); i++ {
-		k := p.keys[i]
+	for i := start; i < len(p.ends); i++ {
+		lo := 0
+		if i > 0 {
+			lo = p.ends[i-1]
+		}
+		k := p.slab[lo:p.ends[i]]
 		if bytes.Compare(k, min) >= 0 && bytes.Compare(k, max) <= 0 {
 			return true
 		}
@@ -77,6 +84,6 @@ func (p *PredLog) MatchRange(afterSeq uint32, min, max []byte) bool {
 func (p *PredLog) Clear() {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.baseSeq = p.headSeq
-	p.keys = p.keys[:0]
+	p.baseSeq = p.headSeq.Load()
+	p.slab, p.ends = p.slab[:0], p.ends[:0]
 }

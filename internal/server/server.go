@@ -714,10 +714,18 @@ func (c *conn) handleGet(id uint64, rq *request) error {
 	return nil
 }
 
+// maxPageBytes closes a query page on its encoded size, whatever row
+// count the client asked for: a page is one frame, and a frame past
+// wire.MaxFrame cannot be sent. The bound is the frame pool's, so a page
+// overshoots what the pool keeps by one row at most; pages of the
+// default 256 rows rarely reach it.
+const maxPageBytes = wire.MaxPooledBuffer
+
 // handleQuery streams the cursor as pages, each encoded row by row
 // into its own response buffer — no row is cloned and no page is
-// materialized. A page goes to the writer the moment it is full, so the
-// handler fills the next one while the previous one is on the wire.
+// materialized. A page goes to the writer the moment it is full — by
+// rows or by bytes — so the handler fills the next one while the
+// previous one is on the wire.
 func (c *conn) handleQuery(id uint64, rq *request) error {
 	m := &rq.query
 	cur, ct, err := c.openCursor(m)
@@ -732,6 +740,7 @@ func (c *conn) handleQuery(id uint64, rq *request) error {
 	if pageSize <= 0 {
 		pageSize = c.s.cfg.PageSize
 	}
+	pageSize = min(pageSize, maxPageBytes) // a row is a byte at least
 	var page wire.PageBuilder
 	b := wire.NewFrame()
 	page.Begin(b.B, pageSize)
@@ -741,7 +750,7 @@ func (c *conn) handleQuery(id uint64, rq *request) error {
 		if m.WithRIDs {
 			rq.rids = append(rq.rids, cur.RID().Pack())
 		}
-		if page.Rows() >= pageSize {
+		if page.Rows() >= pageSize || page.Size() >= maxPageBytes {
 			b.B = page.Finish(rq.rids, false)
 			c.send(b, id, wire.TQueryPage)
 			b = wire.NewFrame()

@@ -1,6 +1,7 @@
 package server_test
 
 import (
+	"bufio"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -17,6 +18,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/server"
 	"repro/internal/tuple"
+	"repro/internal/wire"
 )
 
 // fixture starts a WAL-backed engine plus a server on a loopback
@@ -676,4 +678,106 @@ func TestPipelinedOutOfOrder(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+// TestOversizedPageRequest: the page size is the client's to choose, the
+// frame limit is not. A full-row scan of more than wire.MaxFrame bytes
+// asked for as one page must arrive as several, each closed on its
+// encoded size, and the server must outlive the request — before pages
+// were bounded by bytes, the handler goroutine panicked in FinishFrame
+// and took the process with it.
+func TestOversizedPageRequest(t *testing.T) {
+	f := startServer(t, nil)
+	defer f.stop(t)
+	schema, err := tuple.NewSchema(
+		tuple.Field{Name: "id", Kind: tuple.KindInt64},
+		tuple.Field{Name: "pad", Kind: tuple.KindString},
+	)
+	if err != nil {
+		t.Fatalf("schema: %v", err)
+	}
+	tb, err := f.eng.CreateTable("big", schema)
+	if err != nil {
+		t.Fatalf("CreateTable: %v", err)
+	}
+	const rows, padLen = 10_500, 2048 // 20.5 MiB of pad alone
+	pad := strings.Repeat("p", padLen-8)
+	for lo := 0; lo < rows; lo += 500 {
+		var b core.Batch
+		for id := lo; id < lo+500; id++ {
+			b.Insert(tuple.Row{tuple.Int64(int64(id)), tuple.String(fmt.Sprintf("%08d", id) + pad)})
+		}
+		if _, err := tb.Apply(&b); err != nil {
+			t.Fatalf("load: %v", err)
+		}
+	}
+
+	conn, err := net.Dial("tcp", f.addr)
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer conn.Close()
+	req := wire.QueryReq{Table: "big", PageSize: 1 << 30}
+	if _, err := conn.Write(wire.AppendFrame(nil, 1, wire.TQuery, req.Marshal(nil))); err != nil {
+		t.Fatalf("write: %v", err)
+	}
+	br := bufio.NewReader(conn)
+	var (
+		buf   []byte
+		page  wire.QueryPage
+		seen  = make([]bool, rows)
+		pages int
+	)
+	for !page.Last {
+		conn.SetReadDeadline(time.Now().Add(30 * time.Second))
+		fr, nb, err := wire.ReadFrame(br, buf)
+		if err != nil {
+			t.Fatalf("after %d pages: %v", pages, err)
+		}
+		buf = nb
+		if fr.Type != wire.TQueryPage {
+			t.Fatalf("frame type %d after %d pages", fr.Type, pages)
+		}
+		if len(fr.Payload) > wire.MaxPooledBuffer+2*padLen {
+			t.Fatalf("page %d: %d payload bytes, bound is %d + one row", pages, len(fr.Payload), wire.MaxPooledBuffer)
+		}
+		if err := page.Unmarshal(fr.Payload); err != nil {
+			t.Fatalf("page %d: %v", pages, err)
+		}
+		pages++
+		for _, r := range page.Rows {
+			id := r[0].Int
+			if id < 0 || id >= rows || seen[id] || len(r[1].Str) != padLen || r[1].Str[:8] != fmt.Sprintf("%08d", id) {
+				t.Fatalf("page %d: bad or repeated row id %d", pages, id)
+			}
+			seen[id] = true
+		}
+	}
+	for id, ok := range seen {
+		if !ok {
+			t.Fatalf("row %d never arrived (%d pages)", id, pages)
+		}
+	}
+	if min := rows * padLen / (wire.MaxPooledBuffer + 2*padLen); pages < min {
+		t.Fatalf("%d rows arrived in %d pages, want at least %d", rows, pages, min)
+	}
+
+	// The server is still there, for this connection's owner and others.
+	cl, err := client.Dial(f.addr)
+	if err != nil {
+		t.Fatalf("Dial after the scan: %v", err)
+	}
+	defer cl.Close()
+	got, err := cl.Query("big", client.WithPageSize(1<<30), client.WithLimit(100))
+	if err != nil {
+		t.Fatalf("Query after the scan: %v", err)
+	}
+	defer got.Close()
+	n := 0
+	for got.Next() {
+		n++
+	}
+	if err := got.Err(); err != nil || n != 100 {
+		t.Fatalf("Query after the scan: %d rows, %v", n, err)
+	}
 }

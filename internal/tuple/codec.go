@@ -16,7 +16,8 @@ import (
 //	              uvarint length + raw bytes (omitted when NULL)
 //
 // The fixed-at-offset layout lets point queries decode a single field
-// without touching the rest of the row; DecodeField exploits this.
+// without touching the rest of the row; DecodeField exploits this for
+// one field, DecodeFields for the set of fields a reader asked for.
 
 // Encode appends the row's encoding to dst and returns the extended
 // slice. The row must match the schema exactly.
@@ -113,7 +114,21 @@ func Decode(s *Schema, data []byte) (Row, int, error) {
 // fresh slice when dst was too small; string and bytes values are
 // copied out of data either way (the result never aliases the page).
 func DecodeInto(dst Row, s *Schema, data []byte) (Row, int, error) {
-	return decode(dst, s, data, false)
+	return decode(dst, s, data, nil, false)
+}
+
+// DecodeFields is DecodeInto materialising only the fields a reader
+// asked for: need[i] marks schema position i, nil marks them all. A
+// CHAR, string or bytes field outside the set is stepped over — its
+// length is read, its bytes are neither copied nor allocated — and its
+// position holds an empty value of the field's kind, NULL flag intact;
+// the other fixed-width fields cost nothing extra and are filled either
+// way. The byte count is DecodeInto's.
+func DecodeFields(dst Row, s *Schema, data []byte, need []bool) (Row, int, error) {
+	if need != nil && len(need) != s.NumFields() {
+		return nil, 0, fmt.Errorf("tuple: field set has %d entries, schema has %d fields", len(need), s.NumFields())
+	}
+	return decode(dst, s, data, need, false)
 }
 
 // DecodeAlias is DecodeInto without the copies: string and bytes
@@ -122,7 +137,7 @@ func DecodeInto(dst Row, s *Schema, data []byte) (Row, int, error) {
 // writer that reads a pre-image into its own scratch, derives keys from
 // it and drops it decodes without allocating.
 func DecodeAlias(dst Row, s *Schema, data []byte) (Row, int, error) {
-	return decode(dst, s, data, true)
+	return decode(dst, s, data, nil, true)
 }
 
 // aliasString returns b's bytes as a string without copying them. The
@@ -132,7 +147,8 @@ func aliasString(b []byte) string {
 	return unsafe.String(unsafe.SliceData(b), len(b))
 }
 
-func decode(dst Row, s *Schema, data []byte, alias bool) (Row, int, error) {
+// decode is the one decode loop. need is DecodeFields' field set.
+func decode(dst Row, s *Schema, data []byte, need []bool, alias bool) (Row, int, error) {
 	bitmapLen := (s.NumFields() + 7) / 8
 	if len(data) < bitmapLen+s.FixedWidth() {
 		return nil, 0, fmt.Errorf("tuple: row truncated: %d bytes, need at least %d", len(data), bitmapLen+s.FixedWidth())
@@ -171,10 +187,12 @@ func decode(dst Row, s *Schema, data []byte, alias bool) (Row, int, error) {
 			}
 			off++
 		case KindChar:
-			if raw := trimCharPadding(data[off : off+f.Size]); alias {
-				v.Str = aliasString(raw)
-			} else {
-				v.Str = string(raw)
+			if need == nil || need[i] {
+				if raw := trimCharPadding(data[off : off+f.Size]); alias {
+					v.Str = aliasString(raw)
+				} else {
+					v.Str = string(raw)
+				}
 			}
 			off += f.Size
 		}
@@ -201,6 +219,7 @@ func decode(dst Row, s *Schema, data []byte, alias bool) (Row, int, error) {
 		raw := data[off : off+int(n)]
 		off += int(n)
 		switch {
+		case need != nil && !need[i]:
 		case f.Kind == KindString && alias:
 			r[i].Str = aliasString(raw)
 		case f.Kind == KindString:

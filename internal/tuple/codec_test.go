@@ -338,3 +338,75 @@ func TestRowsPackedBackToBack(t *testing.T) {
 		t.Errorf("consumed %d of %d bytes", off, len(buf))
 	}
 }
+
+// randomSchema draws 1–12 fields of random kinds.
+func randomSchema(rng *rand.Rand) *Schema {
+	kinds := []Kind{KindInt64, KindInt32, KindInt16, KindInt8, KindBool, KindFloat64, KindChar, KindString, KindBytes, KindTimestamp}
+	fields := make([]Field, 1+rng.Intn(12))
+	for i := range fields {
+		f := Field{Name: "f" + string(rune('a'+i)), Kind: kinds[rng.Intn(len(kinds))]}
+		if f.Kind == KindChar {
+			f.Size = 1 + rng.Intn(9)
+		}
+		fields[i] = f
+	}
+	return MustSchema(fields...)
+}
+
+// TestPropertyDecodeFields: over random schemas, rows, NULL patterns and
+// field sets, DecodeFields agrees with Decode at every position in the
+// set, consumes the same bytes, keeps kind and NULL flag everywhere, and
+// — decoding into a reused row — allocates nothing for a set without
+// CHAR, string or bytes fields.
+func TestPropertyDecodeFields(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	for iter := 0; iter < 500; iter++ {
+		s := randomSchema(rng)
+		row := randomRow(rng, s)
+		enc, err := Encode(s, row, nil)
+		if err != nil {
+			t.Fatalf("Encode: %v", err)
+		}
+		enc = append(enc, 0xAA, 0xBB) // the next record's bytes: not ours to read
+		full, n, err := Decode(s, enc)
+		if err != nil {
+			t.Fatalf("Decode: %v", err)
+		}
+		need := make([]bool, s.NumFields())
+		owning := false // does the set hold a field whose value owns memory?
+		for i := range need {
+			need[i] = rng.Intn(2) == 0
+			if k := s.Field(i).Kind; need[i] && (k == KindChar || k == KindString || k == KindBytes) {
+				owning = true
+			}
+		}
+		got, gn, err := DecodeFields(nil, s, enc, need)
+		if err != nil || gn != n {
+			t.Fatalf("%s need %v: consumed %d (%v), Decode consumed %d", s, need, gn, err, n)
+		}
+		for i := range got {
+			if got[i].Kind != full[i].Kind || got[i].Null != full[i].Null {
+				t.Fatalf("%s need %v: position %d is %v, Decode says %v", s, need, i, got[i], full[i])
+			}
+			if need[i] && !got[i].Equal(full[i]) {
+				t.Fatalf("%s need %v: position %d = %v, want %v", s, need, i, got[i], full[i])
+			}
+			if !need[i] && (got[i].Str != "" || got[i].Raw != nil) {
+				t.Fatalf("%s need %v: position %d materialised %v", s, need, i, got[i])
+			}
+		}
+		if all, an, err := DecodeFields(nil, s, enc, nil); err != nil || an != n || !all.Equal(full) {
+			t.Fatalf("%s: nil set decoded %v (%d bytes, %v), want %v", s, all, an, err, full)
+		}
+		if !owning {
+			if a := testing.AllocsPerRun(10, func() { got, _, _ = DecodeFields(got, s, enc, need) }); a != 0 {
+				t.Fatalf("%s need %v: %v allocs into a reused row, want 0", s, need, a)
+			}
+		}
+	}
+	s := testSchema(t)
+	enc, _ := Encode(s, testRow(), nil)
+	if _, _, err := DecodeFields(nil, s, enc, make([]bool, s.NumFields()-1)); err == nil {
+		t.Fatal("a field set of the wrong length was accepted")
+	}
+}

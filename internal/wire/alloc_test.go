@@ -49,3 +49,32 @@ func TestFrameCodecAllocFree(t *testing.T) {
 		t.Errorf("ReadFrame into a warm buffer: %v allocs, want 0", n)
 	}
 }
+
+// A page decodes into one slab, not one slice per row: a reused page
+// costs nothing for rows without strings, a fresh one its Rows, its
+// slab and its RIDs.
+func TestQueryPageDecodeAllocs(t *testing.T) {
+	var page QueryPage
+	for i := 0; i < 128; i++ {
+		page.Rows = append(page.Rows, tuple.Row{tuple.Int64(int64(i)), tuple.Int32(7), tuple.Bool(i%3 == 0)})
+		page.RIDs = append(page.RIDs, uint64(i)<<16|3)
+	}
+	payload := page.Marshal(nil)
+	var into QueryPage
+	decode := func(m *QueryPage) {
+		if err := m.Unmarshal(payload); err != nil || len(m.Rows) != 128 {
+			t.Fatalf("decode: %d rows, %v", len(m.Rows), err)
+		}
+	}
+	decode(&into) // warm
+	if n := testing.AllocsPerRun(100, func() { decode(&into) }); n != 0 {
+		t.Errorf("128-row page into a reused page: %v allocs, want 0", n)
+	}
+	fresh := func() {
+		into = QueryPage{}
+		decode(&into)
+	}
+	if n := testing.AllocsPerRun(100, fresh); n > 3 {
+		t.Errorf("128-row page into a fresh page: %v allocs, want <= 3", n)
+	}
+}

@@ -314,6 +314,9 @@ type QueryPage struct {
 	Rows []tuple.Row
 	RIDs []uint64
 	Last bool
+	// slab backs a decoded page's rows: Unmarshal carves every row from
+	// it, and the next Unmarshal into the same page overwrites it.
+	slab []tuple.Value
 }
 
 // Marshal appends the page payload to dst.
@@ -356,6 +359,9 @@ func (p *PageBuilder) AppendRow(r tuple.Row) {
 // Rows returns how many rows the open page holds.
 func (p *PageBuilder) Rows() int { return p.rows }
 
+// Size returns how many payload bytes the open page holds so far.
+func (p *PageBuilder) Size() int { return len(p.buf) - p.start }
+
 // Finish closes the page with its RIDs (parallel to the rows, or empty)
 // and its Last flag, and returns the extended buffer.
 func (p *PageBuilder) Finish(rids []uint64, last bool) []byte {
@@ -381,24 +387,40 @@ func (p *PageBuilder) Finish(rids []uint64, last bool) []byte {
 	return b
 }
 
-// Unmarshal decodes the payload.
+// Unmarshal decodes the payload. The rows are capped sub-slices of one
+// slab the page owns, sized from the first row's width and reused from
+// one page to the next, so a page costs O(1) allocations however many
+// rows it holds (their strings and byte slices aside, which each row
+// owns). A page whose rows outgrow that estimate still decodes: append
+// moves the slab on and the earlier rows keep the old one.
 func (m *QueryPage) Unmarshal(b []byte) error {
 	r := reader{b: b}
 	m.Last = r.byte() != 0
 	n := r.count(2)
-	old := m.Rows[:cap(m.Rows)] // earlier rows lend their backing arrays
 	if m.Rows = m.Rows[:0]; cap(m.Rows) < n {
 		m.Rows = make([]tuple.Row, 0, n)
 	}
+	slab := m.slab[:0]
 	for i := 0; i < n && r.err == nil; i++ {
-		var row tuple.Row
-		if i < len(old) {
-			row = old[i]
+		w := r.count(2)
+		if i == 0 {
+			// A value is two bytes at least: a corrupt count cannot size the
+			// slab past what the payload could hold.
+			if want := min(n*w, (len(b)-r.off)/2+1); cap(slab) < want {
+				slab = make([]tuple.Value, 0, want)
+			}
 		}
-		m.Rows = append(m.Rows, r.row(row))
+		lo := len(slab)
+		for j := 0; j < w && r.err == nil; j++ {
+			slab = append(slab, r.value())
+		}
+		m.Rows = append(m.Rows, slab[lo:len(slab):len(slab)])
 	}
+	m.slab = slab
 	n = r.count(1)
-	m.RIDs = m.RIDs[:0]
+	if m.RIDs = m.RIDs[:0]; cap(m.RIDs) < n {
+		m.RIDs = make([]uint64, 0, n)
+	}
 	for i := 0; i < n && r.err == nil; i++ {
 		m.RIDs = append(m.RIDs, r.uvarint())
 	}
