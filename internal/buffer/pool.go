@@ -18,9 +18,17 @@
 // victim from a sibling rather than failing. Unpin is lock-free (atomic
 // pin count and dirty bit), which matters because every page access
 // pays it.
+//
+// Page memory is not on the Go heap: a pool maps one anonymous arena of
+// capacity × page size when it is built and every frame's Data is a
+// slice of it, so the collector neither scans the cache nor paces
+// itself by its size, and a page costs RSS only once touched. Close
+// returns the arena; ARCHITECTURE.md "Pool memory" has the lifetime
+// rules.
 package buffer
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 	"sync/atomic"
@@ -81,6 +89,10 @@ func (s Stats) HitRate() float64 {
 	return float64(s.Hits) / float64(total)
 }
 
+// ErrPoolClosed is returned by every operation that would touch page
+// memory after Close.
+var ErrPoolClosed = errors.New("buffer: pool is closed")
+
 // Pool is a buffer pool of fixed total capacity, sharded by page id.
 //
 // Invariants every caller can rely on (and must preserve):
@@ -100,6 +112,11 @@ func (s Stats) HitRate() float64 {
 //  4. Volatile writes: mutating Data without ever passing dirty=true
 //     to Unpin is allowed and produces a cache-style change that
 //     eviction silently drops and FlushAll never writes.
+//  5. Lifetime: Data is memory the pool mapped, and a successful Close
+//     unmaps it. Close refuses while any frame is pinned, so (1) covers
+//     this too: a pinned frame's Data stays valid, and a *Frame kept
+//     past its Unpin must not be read — after Close that is a fault,
+//     before it another page's bytes.
 type Pool struct {
 	disk     storage.DiskManager
 	pageSize int
@@ -109,6 +126,27 @@ type Pool struct {
 	noSteal  atomic.Bool  // dirty frames immune to eviction (WAL mode)
 	mask     uint64
 	shards   []shard
+
+	arena    *arena // frame n's data is page n of arena.mem, n < nframes
+	cleanup  runtime.Cleanup
+	closed   atomic.Bool // Close was called; checked under each shard's mutex
+	released atomic.Bool // the arena is unmapped
+}
+
+// arena is a pool's page memory: one anonymous mapping of capacity ×
+// page size. It is a heap object of its own so that the cleanup which
+// unmaps mem can hang off it. The Pool and every frameChunk point at
+// it, so the collector finds it unreachable only when the pool and
+// every *Frame are: a finalizer on the Pool could not promise that.
+type arena struct{ mem []byte }
+
+// frameChunk is the unit a shard allocates Frame structs in. Frames are
+// made as pages are first used, like the pages themselves — a slab of
+// capacity frames up front would be 80 B × capacity of resident heap
+// for a pool that may never fill.
+type frameChunk struct {
+	arena  *arena
+	frames [64]Frame
 }
 
 // maxShards caps the shard count; beyond this, shard selection noise
@@ -158,13 +196,20 @@ func NewPoolShards(disk storage.DiskManager, capacity, shards int) (*Pool, error
 	if shards < 1 || shards&(shards-1) != 0 {
 		return nil, fmt.Errorf("buffer: shard count must be a power of two, got %d", shards)
 	}
+	mem, err := mapArena(capacity * disk.PageSize())
+	if err != nil {
+		return nil, fmt.Errorf("buffer: map %d-page arena: %w", capacity, err)
+	}
 	p := &Pool{
 		disk:     disk,
 		pageSize: disk.PageSize(),
 		maxCap:   capacity,
 		mask:     uint64(shards - 1),
 		shards:   make([]shard, shards),
+		arena:    &arena{mem: mem},
 	}
+	// The backstop for pools nobody closes; Close stops it.
+	p.cleanup = runtime.AddCleanup(p.arena, unmapArena, mem)
 	perShard := capacity/shards + 1
 	for i := range p.shards {
 		p.shards[i].table = make(map[storage.PageID]*Frame, perShard)
@@ -223,6 +268,10 @@ func (p *Pool) Fetch(id storage.PageID) (*Frame, error) {
 	}
 	s := p.shardOf(id)
 	s.mu.Lock()
+	if p.closed.Load() {
+		s.mu.Unlock()
+		return nil, ErrPoolClosed
+	}
 	if f, ok := s.table[id]; ok {
 		f.pins.Add(1)
 		f.ref = true
@@ -259,6 +308,9 @@ func (p *Pool) Fetch(id storage.PageID) (*Frame, error) {
 //
 // nblb:acquires-pin
 func (p *Pool) NewPage() (*Frame, error) {
+	if p.closed.Load() {
+		return nil, ErrPoolClosed // before the disk grows a page nobody can reach
+	}
 	id, err := p.disk.Allocate()
 	if err != nil {
 		return nil, err
@@ -270,9 +322,7 @@ func (p *Pool) NewPage() (*Frame, error) {
 		s.mu.Unlock()
 		return nil, err
 	}
-	for i := range f.data {
-		f.data[i] = 0
-	}
+	clear(f.data)
 	s.install(f, id)
 	p.markDirty(f) // a new page must eventually reach disk
 	s.mu.Unlock()
@@ -315,7 +365,14 @@ func (p *Pool) SetNoSteal(v bool) { p.noSteal.Store(v) }
 // a clock victim within s, or a frame stolen from a sibling shard.
 // Caller holds s.mu; when stealing, s.mu is dropped and re-acquired, so
 // the caller must re-check its table lookup afterwards.
+//
+// The closed checks here, under s.mu, are what Close's pin count relies
+// on: a frame handed out after Close looked at s would be pinned over
+// memory Close is about to unmap.
 func (p *Pool) frameFor(s *shard) (*Frame, error) {
+	if p.closed.Load() {
+		return nil, ErrPoolClosed
+	}
 	if n := len(s.free); n > 0 {
 		f := s.free[n-1]
 		s.free[n-1] = nil
@@ -328,7 +385,10 @@ func (p *Pool) frameFor(s *shard) (*Frame, error) {
 			break
 		}
 		if p.nframes.CompareAndSwap(n, n+1) {
-			f := &Frame{data: make([]byte, p.pageSize), slot: len(s.frames)}
+			f := s.newFrame(p.arena)
+			lo, hi := int(n)*p.pageSize, int(n+1)*p.pageSize
+			f.data = p.arena.mem[lo:hi:hi]
+			f.slot = len(s.frames)
 			s.frames = append(s.frames, f)
 			return f, nil
 		}
@@ -350,6 +410,10 @@ func (p *Pool) frameFor(s *shard) (*Frame, error) {
 	}
 	f.slot = len(s.frames)
 	s.frames = append(s.frames, f)
+	if p.closed.Load() {
+		s.releaseFrame(f)
+		return nil, ErrPoolClosed
+	}
 	return f, nil
 }
 
@@ -363,6 +427,10 @@ func (p *Pool) steal(self *shard) (*Frame, error) {
 			continue
 		}
 		o.mu.Lock()
+		if p.closed.Load() {
+			o.mu.Unlock()
+			return nil, ErrPoolClosed
+		}
 		var f *Frame
 		var err error
 		if n := len(o.free); n > 0 {
@@ -419,55 +487,47 @@ func (p *Pool) Unpin(f *Frame, dirty bool) {
 //
 // nblb:blocking-io
 func (p *Pool) FlushAll() error {
-	var pinned []*Frame
-	for i := range p.shards {
-		s := &p.shards[i]
-		s.mu.Lock()
-		pinned = pinned[:0]
-		for _, f := range s.frames {
-			if f.id == storage.InvalidPageID || !f.dirty.Load() {
-				continue
-			}
-			f.pins.Add(1)
-			pinned = append(pinned, f)
+	return p.eachDirty(func(s *shard, f *Frame) error {
+		if !p.clearDirty(f) {
+			return nil
 		}
-		s.mu.Unlock()
-		for i, f := range pinned {
-			f.Latch.RLock()
-			var err error
-			if p.clearDirty(f) {
-				if err = p.disk.WritePage(f.id, f.data); err != nil {
-					p.markDirty(f)
-				} else {
-					s.writebacks.Inc()
-				}
-			}
-			f.Latch.RUnlock()
-			p.Unpin(f, false)
-			if err != nil {
-				for _, g := range pinned[i+1:] {
-					p.Unpin(g, false)
-				}
-				return fmt.Errorf("buffer: flush %v: %w", f.id, err)
-			}
+		if err := p.disk.WritePage(f.id, f.data); err != nil {
+			p.markDirty(f)
+			return fmt.Errorf("buffer: flush %v: %w", f.id, err)
 		}
-	}
-	return nil
+		s.writebacks.Inc()
+		return nil
+	})
 }
 
 // DirtyPages calls fn with the id and a latched snapshot view of every
 // dirty resident page, without clearing dirty bits — the checkpoint's
 // double-write file is built from this walk before FlushAll commits the
 // same set in place. fn must not retain data past the call. Pin and
-// latch discipline match FlushAll: candidates are pinned under the
-// shard lock and read under a shared frame latch outside it.
+// latch discipline match FlushAll.
 //
 // nblb:blocking-io
 func (p *Pool) DirtyPages(fn func(id storage.PageID, data []byte) error) error {
+	return p.eachDirty(func(_ *shard, f *Frame) error {
+		if !f.dirty.Load() {
+			return nil
+		}
+		return fn(f.id, f.data)
+	})
+}
+
+// eachDirty calls visit for every frame that was dirty when its shard
+// was looked at: candidates are pinned under the shard lock and visited
+// under a shared frame latch outside it. It stops at the first error.
+func (p *Pool) eachDirty(visit func(s *shard, f *Frame) error) error {
 	var pinned []*Frame
 	for i := range p.shards {
 		s := &p.shards[i]
 		s.mu.Lock()
+		if p.closed.Load() {
+			s.mu.Unlock()
+			return ErrPoolClosed
+		}
 		pinned = pinned[:0]
 		for _, f := range s.frames {
 			if f.id == storage.InvalidPageID || !f.dirty.Load() {
@@ -479,10 +539,7 @@ func (p *Pool) DirtyPages(fn func(id storage.PageID, data []byte) error) error {
 		s.mu.Unlock()
 		for i, f := range pinned {
 			f.Latch.RLock()
-			var err error
-			if f.dirty.Load() {
-				err = fn(f.id, f.data)
-			}
+			err := visit(s, f)
 			f.Latch.RUnlock()
 			p.Unpin(f, false)
 			if err != nil {
@@ -545,6 +602,10 @@ func (p *Pool) EvictAll() error {
 	for i := range p.shards {
 		s := &p.shards[i]
 		s.mu.Lock()
+		if p.closed.Load() {
+			s.mu.Unlock()
+			return ErrPoolClosed
+		}
 		for _, f := range s.frames {
 			if f.id == storage.InvalidPageID || f.pins.Load() > 0 {
 				continue
@@ -559,6 +620,27 @@ func (p *Pool) EvictAll() error {
 			s.free = append(s.free, f)
 		}
 		s.mu.Unlock()
+	}
+	return nil
+}
+
+// Close returns the pool's page memory to the OS. Every later Fetch,
+// NewPage, FlushAll, DirtyPages and EvictAll returns ErrPoolClosed;
+// dirty pages are not flushed (the owner does that first). While any
+// frame is pinned Close fails and leaves the arena mapped — a leaked
+// mapping beats a fault inside whoever holds the pin — and may be
+// called again once the pins are gone. Closing a closed pool is a no-op.
+func (p *Pool) Close() error {
+	p.closed.Store(true)
+	// Every section that touches page memory checks closed under the
+	// shard mutex PinnedFrames takes next, so a pin this count misses
+	// cannot exist afterwards either.
+	if n := p.PinnedFrames(); n > 0 {
+		return fmt.Errorf("buffer: close with %d pinned frames; arena left mapped", n)
+	}
+	if p.released.CompareAndSwap(false, true) {
+		p.cleanup.Stop()
+		unmapArena(p.arena.mem)
 	}
 	return nil
 }

@@ -16,12 +16,24 @@ type shard struct {
 	table  map[storage.PageID]*Frame // resident pages
 	frames []*Frame                  // every frame this shard owns (clock order)
 	free   []*Frame                  // detached frames ready for reuse
+	spare  []Frame                   // frames of the newest frameChunk not yet handed out
 	hand   int                       // clock hand into frames
 
 	hits       metrics.Counter
 	misses     metrics.Counter
 	evictions  metrics.Counter
 	writebacks metrics.Counter
+}
+
+// newFrame returns a Frame struct no one has used, from the shard's
+// current chunk or a new one. Caller holds s.mu.
+func (s *shard) newFrame(a *arena) *Frame {
+	if len(s.spare) == 0 {
+		s.spare = (&frameChunk{arena: a}).frames[:]
+	}
+	f := &s.spare[0]
+	s.spare = s.spare[1:]
+	return f
 }
 
 // install binds a detached frame to a page id and pins it. Caller holds

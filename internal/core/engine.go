@@ -22,6 +22,9 @@ type Options struct {
 	// PageSize in bytes. Defaults to storage.DefaultPageSize.
 	PageSize int
 	// BufferPoolPages is the pool capacity in pages. Defaults to 4096.
+	// The pool reserves BufferPoolPages × PageSize of address space
+	// outside the Go heap and costs that much RSS once every page has
+	// been touched; Close returns it.
 	BufferPoolPages int
 	// PoolShards overrides the buffer pool's shard count (must be a
 	// power of two). 0 picks automatically from GOMAXPROCS and the
@@ -181,6 +184,7 @@ func NewEngine(opts Options, extra ...EngineOption) (*Engine, error) {
 			if e.wal != nil {
 				e.wal.Close()
 			}
+			e.pool.Close()
 			disk.Close()
 			return nil, fmt.Errorf("core: recovery: %w", err)
 		}
@@ -312,11 +316,13 @@ func (e *Engine) Restart() error {
 
 // Close flushes and releases the engine. The disk is closed even when
 // the flush (or final checkpoint) fails — resources are never leaked on
-// an error path — and every failure is reported joined.
+// an error path — and every failure is reported joined. The pool's page
+// memory goes back to the OS here, not at the next collection; a cursor
+// still open keeps it mapped and is reported as an error.
 func (e *Engine) Close() error {
 	if e.wal != nil {
 		err := e.Checkpoint()
-		return errors.Join(err, e.wal.Close(), e.disk.Close())
+		return errors.Join(err, e.pool.Close(), e.wal.Close(), e.disk.Close())
 	}
-	return errors.Join(e.pool.FlushAll(), e.disk.Close())
+	return errors.Join(e.pool.FlushAll(), e.pool.Close(), e.disk.Close())
 }

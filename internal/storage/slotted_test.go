@@ -114,6 +114,66 @@ func TestSlottedCompactionReclaims(t *testing.T) {
 	}
 }
 
+// Compact against a model, on pages churned until their records lie in
+// no particular order: every live record keeps its slot and its bytes,
+// the records end up packed against the end of the page, everything
+// between the slot directory and the first record reads as zero (the
+// §2.2 join cache lives there and must never see a dead record's
+// bytes), and none of it costs an allocation.
+func TestSlottedCompactPacksZeroesAndAllocatesNothing(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for round := range 50 {
+		p := newTestPage(8192)
+		model := map[uint16][]byte{}
+		for range 400 {
+			switch op := rng.Intn(10); {
+			case op < 5 || len(model) == 0:
+				rec := bytes.Repeat([]byte{byte(1 + rng.Intn(255))}, rng.Intn(200)) // zero-length too
+				if s, err := p.Insert(rec); err == nil {
+					model[s] = rec
+				}
+			case op < 8:
+				for s := range model {
+					if err := p.Delete(s); err != nil {
+						t.Fatal(err)
+					}
+					delete(model, s)
+					break
+				}
+			default:
+				for s := range model {
+					rec := bytes.Repeat([]byte{byte(1 + rng.Intn(255))}, rng.Intn(300))
+					if err := p.Update(s, rec); err == nil {
+						model[s] = rec
+					}
+					break
+				}
+			}
+		}
+		if allocs := testing.AllocsPerRun(1, p.Compact); allocs != 0 {
+			t.Fatalf("round %d: Compact of %d live records made %.0f allocations", round, len(model), allocs)
+		}
+		used := 0
+		for s, want := range model {
+			got, err := p.Get(s)
+			if err != nil || !bytes.Equal(got, want) {
+				t.Fatalf("round %d: slot %d reads %d bytes (%v) after Compact, want %d", round, s, len(got), err, len(want))
+			}
+			used += len(want)
+		}
+		if p.LiveRecords() != len(model) {
+			t.Fatalf("round %d: %d live records after Compact, want %d", round, p.LiveRecords(), len(model))
+		}
+		lo, hi := p.FreeBounds()
+		if hi != len(p.Data())-used {
+			t.Fatalf("round %d: records start at %d, want them packed down to %d", round, hi, len(p.Data())-used)
+		}
+		if i := bytes.IndexFunc(p.Data()[lo:hi], func(r rune) bool { return r != 0 }); i >= 0 {
+			t.Fatalf("round %d: free region reads %#x at byte %d of %d", round, p.Data()[lo+i], i, hi-lo)
+		}
+	}
+}
+
 func TestSlottedUpdateInPlaceAndGrow(t *testing.T) {
 	p := newTestPage(256)
 	s, _ := p.Insert([]byte("0123456789"))

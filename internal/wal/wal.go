@@ -30,8 +30,12 @@ import (
 )
 
 const (
-	// frameOverhead is the on-disk size of a frame minus its payload.
-	frameOverhead = 4 + 4 + 8 + 1
+	// frameHeader is the prefix of a frame that says how long it is and
+	// which record it holds: length, CRC and LSN.
+	frameHeader = 4 + 4 + 8
+	// frameOverhead is the on-disk size of a frame minus its payload:
+	// the header and the type byte.
+	frameOverhead = frameHeader + 1
 	// maxFrame caps a frame so a corrupt length field cannot drive a
 	// giant allocation during a recovery scan.
 	maxFrame = 1 << 28
@@ -118,26 +122,24 @@ func (l *Log) scan() error {
 	size := st.Size()
 	var off int64
 	var last uint64
-	hdr := make([]byte, 8)
-	for {
-		if size-off < frameOverhead {
-			break
-		}
-		if _, err := l.f.ReadAt(hdr, off); err != nil {
+	r := frameReader{f: l.f, size: size}
+	for size-off >= frameOverhead {
+		hdr, err := r.at(off, frameHeader)
+		if err != nil {
 			break
 		}
 		flen := int64(binary.LittleEndian.Uint32(hdr))
 		if flen < 9 || flen > maxFrame || off+8+flen > size {
 			break
 		}
-		body := make([]byte, flen)
-		if _, err := l.f.ReadAt(body, off+8); err != nil {
+		frame, err := r.at(off, int(8+flen))
+		if err != nil {
 			break
 		}
-		if crc32.Checksum(body, castagnoli) != binary.LittleEndian.Uint32(hdr[4:]) {
+		if crc32.Checksum(frame[8:], castagnoli) != binary.LittleEndian.Uint32(frame[4:]) {
 			break
 		}
-		lsn := binary.LittleEndian.Uint64(body)
+		lsn := binary.LittleEndian.Uint64(frame[8:])
 		if last != 0 && lsn != last+1 {
 			break
 		}
@@ -278,7 +280,8 @@ func (l *Log) Stats() Stats {
 }
 
 // Replay calls fn for every record with LSN ≥ from, in LSN order.
-// Intended for recovery (no concurrent appends).
+// Intended for recovery (no concurrent appends). payload is a view of
+// the read buffer, valid until fn returns.
 func (l *Log) Replay(from uint64, fn func(lsn uint64, typ uint8, payload []byte) error) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -286,20 +289,19 @@ func (l *Log) Replay(from uint64, fn func(lsn uint64, typ uint8, payload []byte)
 }
 
 func (l *Log) replayLocked(from uint64, fn func(lsn uint64, typ uint8, payload []byte) error) error {
-	var off int64
-	hdr := make([]byte, 8)
-	for off < l.offset {
-		if _, err := l.f.ReadAt(hdr, off); err != nil {
+	r := frameReader{f: l.f, size: l.offset}
+	for off := int64(0); off < l.offset; {
+		hdr, err := r.at(off, frameHeader)
+		if err != nil {
 			return fmt.Errorf("wal: replay read: %w", err)
 		}
 		flen := int64(binary.LittleEndian.Uint32(hdr))
-		body := make([]byte, flen)
-		if _, err := l.f.ReadAt(body, off+8); err != nil {
-			return fmt.Errorf("wal: replay read: %w", err)
-		}
-		lsn := binary.LittleEndian.Uint64(body)
-		if lsn >= from {
-			if err := fn(lsn, body[8], body[9:]); err != nil {
+		if lsn := binary.LittleEndian.Uint64(hdr[8:]); lsn >= from {
+			frame, err := r.at(off, int(8+flen))
+			if err != nil {
+				return fmt.Errorf("wal: replay read: %w", err)
+			}
+			if err := fn(lsn, frame[frameHeader], frame[frameOverhead:]); err != nil {
 				return err
 			}
 		}
@@ -308,9 +310,44 @@ func (l *Log) replayLocked(from uint64, fn func(lsn uint64, typ uint8, payload [
 	return nil
 }
 
+// frameReader reads frames of the first size bytes of f through one
+// buffer, so that walking a log costs one allocation, not one per
+// record, and a record nobody wants is skipped by its header.
+type frameReader struct {
+	f    *os.File
+	size int64
+	buf  []byte // f[base : base+len(buf)]
+	base int64
+}
+
+// at returns the n bytes at off, valid until the next call. A miss
+// refills from off with at least readChunk bytes, so the headers of
+// small records come many to a read.
+func (r *frameReader) at(off int64, n int) ([]byte, error) {
+	if off < r.base || off+int64(n) > r.base+int64(len(r.buf)) {
+		const readChunk = 16 << 10
+		want := int(min(int64(max(n, readChunk)), r.size-off))
+		if want < n {
+			return nil, io.ErrUnexpectedEOF
+		}
+		if cap(r.buf) < want {
+			r.buf = make([]byte, want)
+		}
+		r.buf, r.base = r.buf[:want], off
+		if _, err := r.f.ReadAt(r.buf, off); err != nil {
+			r.buf = r.buf[:0]
+			return nil, err
+		}
+	}
+	return r.buf[off-r.base:][:n], nil
+}
+
 // TruncateTo drops every record with LSN < keep by streaming the
 // survivors to a temp file and atomically renaming it over the log.
-// Called after a checkpoint makes the dropped prefix redundant.
+// Called after a checkpoint makes the dropped prefix redundant. LSNs
+// are dense and ordered, so the survivors are a suffix of the file:
+// the dropped records are walked by header only, and the suffix is
+// copied in one piece.
 //
 // nblb:blocking-io
 func (l *Log) TruncateTo(keep uint64) error {
@@ -324,28 +361,23 @@ func (l *Log) TruncateTo(keep uint64) error {
 	if err != nil {
 		return fmt.Errorf("wal: truncate: %w", err)
 	}
-	var kept int64
 	var off int64
-	hdr := make([]byte, 8)
+	r := frameReader{f: l.f, size: l.offset}
 	for off < l.offset {
-		if _, err := l.f.ReadAt(hdr, off); err != nil {
+		hdr, err := r.at(off, frameHeader)
+		if err != nil {
 			tf.Close()
 			return fmt.Errorf("wal: truncate read: %w", err)
 		}
-		flen := int64(binary.LittleEndian.Uint32(hdr))
-		frame := make([]byte, 8+flen)
-		if _, err := l.f.ReadAt(frame, off); err != nil {
-			tf.Close()
-			return fmt.Errorf("wal: truncate read: %w", err)
+		if binary.LittleEndian.Uint64(hdr[8:]) >= keep {
+			break
 		}
-		if binary.LittleEndian.Uint64(frame[8:]) >= keep {
-			if _, err := tf.WriteAt(frame, kept); err != nil {
-				tf.Close()
-				return fmt.Errorf("wal: truncate write: %w", err)
-			}
-			kept += 8 + flen
-		}
-		off += 8 + flen
+		off += 8 + int64(binary.LittleEndian.Uint32(hdr))
+	}
+	kept, err := io.Copy(tf, io.NewSectionReader(l.f, off, l.offset-off))
+	if err != nil {
+		tf.Close()
+		return fmt.Errorf("wal: truncate copy: %w", err)
 	}
 	if err := tf.Sync(); err != nil {
 		tf.Close()
