@@ -191,8 +191,7 @@ func (c *Client) readRoundTrip(typ uint8, req *wire.Buffer) (response, error) {
 		if err == nil {
 			return resp, nil
 		}
-		var se *ServerError
-		if errors.As(err, &se) {
+		if _, ok := err.(*ServerError); ok {
 			return response{}, err
 		}
 		lastErr = err

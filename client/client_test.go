@@ -3,7 +3,9 @@ package client
 import (
 	"bufio"
 	"errors"
+	"fmt"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -108,5 +110,114 @@ func TestLateResponseAfterTimeoutNotMisdelivered(t *testing.T) {
 	// out, and requests right behind them were answered.
 	if late == 0 || answered == 0 {
 		t.Fatalf("%d stalled Gets timed out, %d prompt Gets were answered: the race was never set up", late, answered)
+	}
+}
+
+// pageServer is a one-connection wire server for tests: it answers every
+// Query with pages, each a TQueryPage frame, the last one flagged Last.
+func pageServer(t *testing.T, pages [][]Row) string {
+	t.Helper()
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { l.Close() })
+	go func() {
+		nc, err := l.Accept()
+		if err != nil {
+			return
+		}
+		defer nc.Close()
+		br := bufio.NewReader(nc)
+		var buf []byte
+		for {
+			f, b, err := wire.ReadFrame(br, buf)
+			if buf = b; err != nil {
+				return
+			}
+			for i, rows := range pages {
+				page := wire.QueryPage{Rows: rows, Last: i == len(pages)-1}
+				out := page.Marshal(wire.BeginFrame(nil))
+				wire.FinishFrame(out, 0, f.ReqID, wire.TQueryPage)
+				if _, err := nc.Write(out); err != nil {
+					return
+				}
+			}
+		}
+	}()
+	return l.Addr().String()
+}
+
+// TestStreamedStringsOutliveTheirPage: a decoded string is a view of its
+// page's private copy of the payload — not of the response buffer, which
+// goes back to its pool (poisoned here) the moment the page is decoded,
+// and not of the page's row slab, which the next page overwrites. A
+// value kept from page 1 reads the same after page 2 and after Close.
+func TestStreamedStringsOutliveTheirPage(t *testing.T) {
+	wire.PoisonReleased(true)
+	t.Cleanup(func() { wire.PoisonReleased(false) })
+	pages := make([][]Row, 3)
+	for p := range pages {
+		for i := 0; i < 4; i++ {
+			id := int64(p*4 + i)
+			pages[p] = append(pages[p], Row{Int64(id), String(fmt.Sprintf("row-%03d-%s", id, strings.Repeat("x", 40)))})
+		}
+	}
+	cl, err := Dial(pageServer(t, pages), WithPoolSize(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	rows, err := cl.Query("t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rows.Next() {
+		t.Fatalf("no first row: %v", rows.Err())
+	}
+	kept := rows.Row()[1]
+	want := pages[0][0][1].Str
+	n := 1
+	for ; rows.Next(); n++ {
+		if got := rows.Row()[1].Str; got != pages[n/4][n%4][1].Str {
+			t.Fatalf("row %d = %q", n, got)
+		}
+	}
+	if err := rows.Err(); err != nil || n != 12 {
+		t.Fatalf("stream ended after %d rows: %v", n, err)
+	}
+	if kept.Str != want {
+		t.Fatalf("a string from page 1 after page 3: %q, want %q", kept.Str, want)
+	}
+	rows.Close()
+	if kept.Str != want {
+		t.Fatalf("a string from page 1 after Close: %q, want %q", kept.Str, want)
+	}
+}
+
+// TestDecodedBytesAreCapped: byte values share their page's copy of the
+// payload, so each is capped at its own length — an append to one
+// reallocates instead of writing over the value behind it.
+func TestDecodedBytesAreCapped(t *testing.T) {
+	addr := pageServer(t, [][]Row{{{Bytes([]byte("abc")), Bytes([]byte("def"))}}})
+	cl, err := Dial(addr, WithPoolSize(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	rows, err := cl.Query("t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rows.Close()
+	if !rows.Next() {
+		t.Fatalf("no row: %v", rows.Err())
+	}
+	a, b := rows.Row()[0].Raw, rows.Row()[1].Raw
+	if cap(a) != len(a) || cap(b) != len(b) {
+		t.Fatalf("cap/len %d/%d and %d/%d, want cap == len", cap(a), len(a), cap(b), len(b))
+	}
+	if grown := append(a, "XYZ"...); string(grown) != "abcXYZ" || string(b) != "def" {
+		t.Fatalf("append to the first value: %q, and the second reads %q", grown, b)
 	}
 }

@@ -8,7 +8,8 @@ import (
 )
 
 // QueryOption configures Client.Query, mirroring the embedded
-// core.Query options.
+// core.Query options. Options copy the values and names they are given
+// into the stream, so the caller's slices are not retained.
 type QueryOption func(*wire.QueryReq)
 
 // WithIndex routes the query through the named index (key order, key
@@ -20,18 +21,18 @@ func WithIndex(name string) QueryOption {
 // WithKeyRange bounds an index query to lo ≤ key < hi (nil =
 // unbounded; bounds may be key-field prefixes).
 func WithKeyRange(lo, hi Row) QueryOption {
-	return func(q *wire.QueryReq) { q.Lo, q.Hi = lo, hi }
+	return func(q *wire.QueryReq) { q.Lo, q.Hi = append(q.Lo[:0], lo...), append(q.Hi[:0], hi...) }
 }
 
 // WithPrefix bounds an index query to keys whose leading fields equal
 // the given values.
 func WithPrefix(vals ...Value) QueryOption {
-	return func(q *wire.QueryReq) { q.Prefix = vals }
+	return func(q *wire.QueryReq) { q.Prefix = append(q.Prefix[:0], vals...) }
 }
 
 // WithProjection restricts rows to the named fields.
 func WithProjection(fields ...string) QueryOption {
-	return func(q *wire.QueryReq) { q.Projection = fields }
+	return func(q *wire.QueryReq) { q.Projection = append(q.Projection[:0], fields...) }
 }
 
 // WithLimit stops the stream after n rows.
@@ -83,14 +84,20 @@ func (c *Client) Query(table string, opts ...QueryOption) (*Rows, error) {
 	if err != nil {
 		return nil, err
 	}
-	return cc.query(&wire.QueryReq{Table: table}, opts, c.cfg.timeout)
+	return cc.query(table, 0, opts, c.cfg.timeout)
 }
 
-// query applies opts to m and opens the stream on cc.
-func (cc *clientConn) query(m *wire.QueryReq, opts []QueryOption, timeout time.Duration) (*Rows, error) {
+// query opens a stream on cc: the request is built in the Rows it
+// returns, which is the one allocation a query's setup makes.
+func (cc *clientConn) query(table string, txnID uint64, opts []QueryOption, timeout time.Duration) (*Rows, error) {
+	r := &Rows{cc: cc, timeout: timeout}
+	m := &r.req
+	m.Table, m.TxnID = table, txnID
+	m.Lo, m.Hi, m.Prefix, m.Projection = r.bounds[0][:0], r.bounds[1][:0], r.bounds[2][:0], r.names[:0]
 	for _, o := range opts {
 		o(m)
 	}
+	r.page.Seed(r.rowArr[:], r.valArr[:], r.ridArr[:])
 	w, err := cc.register()
 	if err != nil {
 		return nil, err
@@ -103,7 +110,8 @@ func (cc *clientConn) query(m *wire.QueryReq, opts []QueryOption, timeout time.D
 		cc.release(w)
 		return nil, err
 	}
-	return &Rows{cc: cc, w: w, timeout: timeout}, nil
+	r.w = w
+	return r, nil
 }
 
 // maxBufferedPages bounds how many response pages the reader goroutine
@@ -123,6 +131,16 @@ type Rows struct {
 	rid  uint64
 	err  error
 	done bool
+
+	// The request and inline backing for what the options copy into it
+	// and for a small first page, so a short query allocates only its
+	// Rows.
+	req    wire.QueryReq
+	bounds [3][2]Value // Lo, Hi, Prefix
+	names  [4]string   // Projection
+	rowArr [2]Row
+	valArr [16]Value
+	ridArr [2]uint64
 }
 
 // Next advances to the next row, fetching pages as needed. It returns
@@ -154,8 +172,9 @@ func (r *Rows) Next() bool {
 func (r *Rows) fetchPage() bool {
 	resp, err := r.cc.recv(r.w, r.timeout)
 	if err == nil {
-		// The page is decoded over the previous one: its rows are the
-		// stream's own memory, not views of the response buffer.
+		// The page is decoded over the previous one; its values' strings
+		// and bytes are views of the page's own copy of the payload, not of
+		// the response buffer, and outlive the next page.
 		err = r.page.Unmarshal(resp.Payload)
 		resp.release()
 		if err != nil {
@@ -166,8 +185,7 @@ func (r *Rows) fetchPage() bool {
 	}
 	// The last page and a server error are each the server's last word
 	// on the request: the waiter is free for the next one.
-	var se *ServerError
-	if err == nil && r.page.Last || errors.As(err, &se) {
+	if _, isServer := err.(*ServerError); err == nil && r.page.Last || isServer {
 		r.cc.release(r.w)
 	}
 	if err != nil {
@@ -180,7 +198,10 @@ func (r *Rows) fetchPage() bool {
 }
 
 // Row returns the current row. The slice is owned by the stream and
-// overwritten by the next page fetch: copy values that must outlive it.
+// overwritten by the next page fetch, but the values taken out of it
+// stay valid: their strings and byte slices are views of their page's
+// private copy of the payload, which is never written — and which one
+// kept value keeps reachable (at most 64 KiB and a row per page).
 func (r *Rows) Row() Row { return r.row }
 
 // RID returns the current row's packed RID when the query used

@@ -72,7 +72,7 @@ func (t *Txn) Query(table string, opts ...QueryOption) (*Rows, error) {
 	if t.done {
 		return nil, errors.New("client: transaction finished")
 	}
-	return t.cc.query(&wire.QueryReq{Table: table, TxnID: t.id}, opts, t.timeout)
+	return t.cc.query(table, t.id, opts, t.timeout)
 }
 
 // Commit atomically applies every staged write. On ErrTxnConflict the
@@ -85,8 +85,7 @@ func (t *Txn) Commit() error {
 	}
 	t.done = true
 	err := t.finish(wire.TTxnCommit)
-	var se *ServerError
-	if errors.As(err, &se) && se.Code == wire.ErrCodeTxnConflict {
+	if se, ok := err.(*ServerError); ok && se.Code == wire.ErrCodeTxnConflict {
 		return ErrTxnConflict
 	}
 	return err

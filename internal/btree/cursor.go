@@ -37,7 +37,7 @@ type Cursor struct {
 	start   []byte // inclusive lower bound, nil = first key; copied
 	end     []byte // exclusive upper bound, nil = past the last key; copied
 	reverse bool
-	onEntry func(l *Leaf, pos int)
+	onEntry EntryVisitor
 
 	fr      *buffer.Frame // current leaf, pinned across Next calls
 	leaf    Leaf          // reusable view handed to onEntry
@@ -71,20 +71,35 @@ func Reverse() CursorOption {
 	return func(c *Cursor) { c.reverse = true }
 }
 
-// WithEntryVisitor registers fn to run for every served entry while the
-// leaf is still latched (shared) and pinned — the hook the index cache
-// uses to probe leaf free space during range scans without a second
-// latch acquisition. fn must not retain l, must not mutate the page, and
-// sees Exclusive() == false.
-func WithEntryVisitor(fn func(l *Leaf, pos int)) CursorOption {
-	return func(c *Cursor) { c.onEntry = fn }
+// EntryVisitor is called for every served entry while the leaf is
+// still latched (shared) and pinned — the hook the index cache uses to
+// probe leaf free space during range scans without a second latch
+// acquisition. VisitEntry must not retain l, must not mutate the page,
+// and sees Exclusive() == false. An interface rather than a func, so a
+// reader that is its own visitor binds itself without a closure.
+type EntryVisitor interface {
+	VisitEntry(l *Leaf, pos int)
+}
+
+// WithEntryVisitor registers v to run for every served entry.
+func WithEntryVisitor(v EntryVisitor) CursorOption {
+	return func(c *Cursor) { c.onEntry = v }
 }
 
 // NewCursor opens a cursor over start ≤ key < end (nil bounds are
 // unbounded). The first Next performs the descent; constructing a
 // cursor does no I/O.
 func (t *Tree) NewCursor(start, end []byte, opts ...CursorOption) *Cursor {
-	c := &Cursor{t: t}
+	c := new(Cursor)
+	t.OpenCursor(c, start, end, opts...)
+	return c
+}
+
+// OpenCursor is NewCursor into c, which it overwrites: a reader that
+// embeds its cursor opens it without a second allocation. c must not
+// hold a pin (a fresh or closed cursor).
+func (t *Tree) OpenCursor(c *Cursor, start, end []byte, opts ...CursorOption) {
+	*c = Cursor{t: t}
 	if len(start) > 0 {
 		c.start = append(c.inline[0][:0], start...)
 	}
@@ -95,7 +110,6 @@ func (t *Tree) NewCursor(start, end []byte, opts ...CursorOption) *Cursor {
 	for _, o := range opts {
 		o(c)
 	}
-	return c
 }
 
 // Key returns the current key. It aliases cursor scratch: valid until
@@ -213,7 +227,7 @@ func (c *Cursor) serveLocked(n node, pos int) {
 	c.started = true
 	if c.onEntry != nil {
 		c.leaf = Leaf{fr: c.fr, n: n}
-		c.onEntry(&c.leaf, pos)
+		c.onEntry.VisitEntry(&c.leaf, pos)
 		c.leaf = Leaf{}
 	}
 }

@@ -268,6 +268,11 @@ func TestCursorEmptyAndSingleLeaf(t *testing.T) {
 	}
 }
 
+// visitFunc adapts a function to EntryVisitor.
+type visitFunc func(l *Leaf, pos int)
+
+func (f visitFunc) VisitEntry(l *Leaf, pos int) { f(l, pos) }
+
 func TestCursorEntryVisitor(t *testing.T) {
 	tr := newTestTree(t, 512, 512)
 	const n = 500
@@ -275,7 +280,7 @@ func TestCursorEntryVisitor(t *testing.T) {
 		tr.Insert(intKey(i), uint64(i))
 	}
 	visits := 0
-	c := tr.NewCursor(nil, nil, WithEntryVisitor(func(l *Leaf, pos int) {
+	c := tr.NewCursor(nil, nil, WithEntryVisitor(visitFunc(func(l *Leaf, pos int) {
 		if l.Exclusive() {
 			t.Error("entry visitor must see a shared latch")
 		}
@@ -283,7 +288,7 @@ func TestCursorEntryVisitor(t *testing.T) {
 			t.Errorf("visitor pos mismatch: %d vs %d", l.ValueAt(pos), visits)
 		}
 		visits++
-	}))
+	})))
 	defer c.Close()
 	if got := collectCursor(t, c); len(got) != n || visits != n {
 		t.Fatalf("served %d, visited %d, want %d", len(got), visits, n)

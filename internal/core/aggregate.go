@@ -314,7 +314,7 @@ func (ix *Index) aggregate(cfg queryConfig, specs []AggSpec) (AggResult, error) 
 	if err != nil {
 		return AggResult{}, err
 	}
-	_, fp, start, end, err := ix.resolveQuery(cfg)
+	_, fp, start, end, err := ix.resolveQuery(&cfg, nil, nil)
 	if err != nil {
 		return AggResult{}, err
 	}
@@ -353,7 +353,9 @@ func (ix *Index) aggregate(cfg queryConfig, specs []AggSpec) (AggResult, error) 
 		}
 		// The exact-but-unpushed path, and the reference pushdown is tested
 		// against: a serial cursor over the segment, same plan and filters.
-		return foldCursor(ix.newIndexSource(segs[si].Lo, segs[si].Hi, &plan, fp, &cfg), st)
+		cur := newCursor(nil)
+		ix.openIndexSource(cur, &cfg, segs[si].Lo, segs[si].Hi, &plan, fp)
+		return foldCursor(cur, st)
 	})
 	if err := pool.wait(); err != nil {
 		return AggResult{}, err

@@ -431,7 +431,7 @@ func (s *stageScratch) preImage(t *Table, rid storage.RID) (tuple.Row, error) {
 		return nil, err
 	}
 	s.arena = buf
-	row, _, err := tuple.DecodeAlias(carve(&s.vals, t.schema.NumFields(), maxVals), t.schema, buf[off:])
+	row, _, err := tuple.DecodeAlias(carve(&s.vals, t.schema.NumFields(), maxVals), t.schema, buf[off:], nil)
 	return row, err
 }
 

@@ -39,6 +39,10 @@ import (
 // pool (Pool.PinnedFrames observes this in tests). Heap-order cursors
 // hold no pin between calls — each page is snapshotted into cursor
 // scratch under its latch and released before Next returns.
+//
+// A serial index cursor is one allocation: the options it was opened
+// with, its source (resolver and btree cursor included), its encoded
+// bounds and its row scratch are all fields of the Cursor.
 type Cursor struct {
 	src     rowSource
 	rid     storage.RID
@@ -50,6 +54,10 @@ type Cursor struct {
 	stats   QueryStats
 	done    bool
 	err     error
+
+	cfg    queryConfig    // the options Query applied
+	ix     indexSource    // src, when the cursor is a serial index scan
+	rowArr [8]tuple.Value // backs row while it fits
 }
 
 // rowSource is one row-producing strategy behind a Cursor. step
@@ -172,13 +180,15 @@ func (c *Cursor) All() iter.Seq2[storage.RID, tuple.Row] {
 // indexSource drives a pinned-frame btree cursor and turns each entry
 // into a row through its resolver: from the index cache when the
 // projection is covered and the entry is cached (hit and r.payload are
-// set by the entry visitor wired in newIndexSource), from the heap
-// otherwise. All scratch is cursor-owned and reused per row.
+// set by VisitEntry, the entry visitor openIndexSource wires), from the
+// heap otherwise. All scratch is cursor-owned and reused per row.
 type indexSource struct {
 	r    resolver
-	bt   *btree.Cursor
+	bt   btree.Cursor
 	gate cacheGate
 	hit  bool
+	// bounds hold the encoded key range until bt copies it in.
+	bounds [2][32]byte
 }
 
 func (s *indexSource) step(c *Cursor) bool {
@@ -246,7 +256,7 @@ func (s *heapSource) step(c *Cursor) bool {
 		if !s.t.ridVisible(c.rid, s.snap) {
 			continue
 		}
-		row, err := decodeFields(s.decRow, s.t.schema, rec, s.need)
+		row, err := decodeFields(s.decRow, s.t.schema, rec, s.need, false)
 		if err != nil {
 			c.err = fmt.Errorf("core: decoding %v: %w", c.rid, err)
 			return false

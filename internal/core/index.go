@@ -173,11 +173,20 @@ func withFilters(need []bool, filters []boundFilter) []bool {
 }
 
 // decodeFields decodes the fields of rec that need marks into dst (see
-// tuple.DecodeFields). Under PoisonScratch every position outside need
+// tuple.DecodeFields) — as views of rec when view is set (see
+// tuple.DecodeAlias). Under PoisonScratch every position outside need
 // is overwritten, so a reader of a field it did not declare fails at
 // once instead of passing on whatever fixed-width value sat there.
-func decodeFields(dst tuple.Row, s *tuple.Schema, rec []byte, need []bool) (tuple.Row, error) {
-	row, _, err := tuple.DecodeFields(dst, s, rec, need)
+func decodeFields(dst tuple.Row, s *tuple.Schema, rec []byte, need []bool, view bool) (tuple.Row, error) {
+	var (
+		row tuple.Row
+		err error
+	)
+	if view {
+		row, _, err = tuple.DecodeAlias(dst, s, rec, need)
+	} else {
+		row, _, err = tuple.DecodeFields(dst, s, rec, need)
+	}
 	if err == nil && need != nil && poisonScratch.Load() {
 		for i := range row {
 			if !need[i] {

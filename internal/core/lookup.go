@@ -23,16 +23,42 @@ type lookupScratch struct {
 	key   []byte
 	r     resolver
 	stats QueryStats // where r counts; a lookup reports LookupResult instead
+	out   tuple.Row  // LookupFunc's projected row
 }
 
 var lookupScratchPool = sync.Pool{New: func() any { return new(lookupScratch) }}
 
+func getLookupScratch() *lookupScratch {
+	sc := lookupScratchPool.Get().(*lookupScratch)
+	sc.r.bind()
+	return sc
+}
+
+// release returns the scratch to its pool. Under PoisonScratch the heap
+// record and the rows decoded from it are overwritten first, so a view
+// LookupFunc handed out and someone kept past fn reads as garbage.
+func (sc *lookupScratch) release() {
+	if poisonScratch.Load() {
+		rec, row, out := sc.r.heapBuf[:cap(sc.r.heapBuf)], sc.r.heapRow[:cap(sc.r.heapRow)], sc.out[:cap(sc.out)]
+		for i := range rec {
+			rec[i] = 0xDB
+		}
+		for i := range row {
+			row[i] = poisonValue
+		}
+		for i := range out {
+			out[i] = poisonValue
+		}
+	}
+	lookupScratchPool.Put(sc)
+}
+
 // aim points the scratch's resolver at one lookup: latest state, no
 // filters, and the key values the caller searched for standing in for
-// decoded key bytes.
-func (sc *lookupScratch) aim(ix *Index, plan *projPlan, keyVals []tuple.Value) {
+// decoded key bytes. view makes a heap answer a view of the scratch.
+func (sc *lookupScratch) aim(ix *Index, plan *projPlan, keyVals []tuple.Value, view bool) {
 	r := &sc.r
-	r.ix, r.plan, r.need, r.snap, r.stats = ix, plan, plan.need, snapLatest, &sc.stats
+	r.ix, r.plan, r.need, r.snap, r.stats, r.view = ix, plan, plan.need, snapLatest, &sc.stats, view
 	// Only probe the cache when the plan can be answered from it — an
 	// uncoverable projection would scan the slots just to throw the
 	// payload away.
@@ -84,6 +110,35 @@ func (ix *Index) Lookup(project []string, keyVals ...tuple.Value) (tuple.Row, Lo
 // The returned row aliases dst's backing array; it is only valid until
 // the next LookupInto with the same dst.
 func (ix *Index) LookupInto(dst tuple.Row, project []string, keyVals ...tuple.Value) (tuple.Row, LookupResult, error) {
+	sc := getLookupScratch()
+	defer sc.release()
+	return ix.lookup(sc, dst, project, keyVals, false)
+}
+
+// LookupFunc is Lookup handing the row to fn instead of returning it.
+// fn runs once — with a nil row when the key is not found — after the
+// leaf was released (no latch is held) and before the lookup's scratch
+// goes back to its pool. The row is a view: on a heap answer its strings
+// and byte slices alias that scratch, so neither the row nor any value
+// in it may be kept past fn's return. A caller that encodes what it
+// read — the server's Get — serves a row without copying it.
+func (ix *Index) LookupFunc(project []string, fn func(tuple.Row, LookupResult), keyVals ...tuple.Value) error {
+	sc := getLookupScratch()
+	defer sc.release()
+	row, res, err := ix.lookup(sc, sc.out, project, keyVals, true)
+	if err != nil {
+		return err
+	}
+	if row != nil {
+		sc.out = row
+	}
+	fn(row, res)
+	return nil
+}
+
+// lookup is LookupInto and LookupFunc over the scratch sc: view says
+// whether a heap answer may alias sc.
+func (ix *Index) lookup(sc *lookupScratch, dst tuple.Row, project []string, keyVals []tuple.Value, view bool) (tuple.Row, LookupResult, error) {
 	if !ix.unique {
 		return nil, LookupResult{}, fmt.Errorf("core: Lookup requires a unique index; use LookupAll on %q", ix.name)
 	}
@@ -91,14 +146,12 @@ func (ix *Index) LookupInto(dst tuple.Row, project []string, keyVals ...tuple.Va
 	if err != nil {
 		return nil, LookupResult{}, err
 	}
-	sc := lookupScratchPool.Get().(*lookupScratch)
-	defer lookupScratchPool.Put(sc)
 	key, err := ix.searchKeyInto(sc.key[:0], keyVals)
 	if err != nil {
 		return nil, LookupResult{}, err
 	}
 	sc.key = key
-	sc.aim(ix, plan, keyVals)
+	sc.aim(ix, plan, keyVals, view)
 	var (
 		res    LookupResult
 		outRow tuple.Row
@@ -189,8 +242,8 @@ func (ix *Index) LookupMany(project []string, keys [][]tuple.Value) ([]tuple.Row
 	})
 	rows := make([]tuple.Row, len(keys))
 	results := make([]LookupResult, len(keys))
-	sc := lookupScratchPool.Get().(*lookupScratch)
-	defer lookupScratchPool.Put(sc)
+	sc := getLookupScratch()
+	defer sc.release()
 	i, tries := 0, 0
 	for i < len(entries) {
 		start := i
@@ -209,7 +262,7 @@ func (ix *Index) LookupMany(project []string, keys [][]tuple.Value) ([]tuple.Row
 				if i > start && (maxKey == nil || bytes.Compare(e.enc, maxKey) > 0) {
 					return
 				}
-				sc.aim(ix, plan, keys[e.pos])
+				sc.aim(ix, plan, keys[e.pos], false)
 				var how tier
 				if rows[e.pos], results[e.pos], how, visErr = ix.lookupInLeaf(l, e.enc, nil, sc); visErr != nil {
 					return
@@ -284,8 +337,8 @@ func (ix *Index) WarmCache() (int, error) {
 		return 0, fmt.Errorf("core: index %q has no cache", ix.name)
 	}
 	installed := 0
-	sc := lookupScratchPool.Get().(*lookupScratch)
-	defer lookupScratchPool.Put(sc)
+	sc := getLookupScratch()
+	defer sc.release()
 	need := fieldSet(ix.table.schema.NumFields(), ix.cachedFields) // all encodePayloadInto reads
 	var (
 		rowBuf tuple.Row
@@ -320,7 +373,7 @@ func (ix *Index) WarmCache() (int, error) {
 			if leafInstalled >= budget {
 				return false
 			}
-			row, derr := decodeFields(rowBuf, ix.table.schema, rec, need)
+			row, derr := decodeFields(rowBuf, ix.table.schema, rec, need, false)
 			if derr != nil {
 				visErr = derr
 				return false
@@ -565,10 +618,11 @@ func (ix *Index) encodePayloadInto(dst []byte, row tuple.Row) ([]byte, bool) {
 	return buf, true
 }
 
-// prefixSuccessor returns the smallest byte string greater than every
-// string with the given prefix, or nil if none exists (all 0xFF).
-func prefixSuccessor(prefix []byte) []byte {
-	end := append([]byte(nil), prefix...)
+// prefixSuccessorInto returns the smallest byte string greater than
+// every string with the given prefix, or nil if none exists (all 0xFF),
+// built in dst's backing array when it fits.
+func prefixSuccessorInto(dst, prefix []byte) []byte {
+	end := append(dst[:0], prefix...)
 	for i := len(end) - 1; i >= 0; i-- {
 		if end[i] != 0xFF {
 			end[i]++

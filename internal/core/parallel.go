@@ -90,9 +90,10 @@ func (b *RowBlock) key(i int) []byte { return b.keys[b.koffs[i]:b.koffs[i+1]] }
 
 var rowBlockPool = sync.Pool{New: func() any { return new(RowBlock) }}
 
-// parallelQuery plans the range into per-subtree segments and opens a
-// cursor over the merged worker streams.
-func (ix *Index) parallelQuery(cfg queryConfig, plan *projPlan, fp *filterPlan, start, end []byte) (*Cursor, error) {
+// parallelQuery plans the range into per-subtree segments and makes c
+// a cursor over the merged worker streams.
+func (ix *Index) parallelQuery(c *Cursor, plan *projPlan, fp *filterPlan, start, end []byte) (*Cursor, error) {
+	cfg := &c.cfg
 	if cfg.merge != MergeOrdered && cfg.merge != MergeUnordered {
 		return nil, fmt.Errorf("core: unknown merge mode %d", int(cfg.merge))
 	}
@@ -113,7 +114,8 @@ func (ix *Index) parallelQuery(cfg queryConfig, plan *projPlan, fp *filterPlan, 
 		pool:     newSegRunner(),
 	}
 	p.start(n)
-	return &Cursor{src: p, limit: cfg.limit}, nil
+	c.src, c.limit = p, cfg.limit
+	return c, nil
 }
 
 // parallelSource fans a segmented scan out to workers, each running the

@@ -38,6 +38,24 @@ type queryConfig struct {
 	merge    MergeMode
 	snap     uint64
 	snapSet  bool
+	// vals backs the bound values the options copy in (see keep).
+	vals  [4]tuple.Value
+	nvals int
+}
+
+// keep copies an option's bound values into the config: the caller's
+// slice is not retained, and while the values fit inline a bound costs
+// no allocation. nil stays nil — "no bound".
+func (c *queryConfig) keep(vals []tuple.Value) []tuple.Value {
+	if vals == nil {
+		return nil
+	}
+	if n := c.nvals + len(vals); n <= len(c.vals) {
+		kept := append(c.vals[c.nvals:c.nvals:n], vals...)
+		c.nvals = n
+		return kept
+	}
+	return append([]tuple.Value{}, vals...)
 }
 
 // snapshotTS is the effective read timestamp: the pinned snapshot when
@@ -69,14 +87,14 @@ func WithIndex(name string) QueryOption {
 // a one-field lo on a two-field index starts at the first key whose
 // leading field reaches lo.
 func WithKeyRange(lo, hi []tuple.Value) QueryOption {
-	return func(c *queryConfig) { c.lo, c.hi = lo, hi }
+	return func(c *queryConfig) { c.lo, c.hi = c.keep(lo), c.keep(hi) }
 }
 
 // WithPrefix bounds an index query to keys whose leading fields equal
 // vals exactly — the non-unique "all entries for this key" read.
 // Mutually exclusive with WithKeyRange.
 func WithPrefix(vals ...tuple.Value) QueryOption {
-	return func(c *queryConfig) { c.prefix = vals }
+	return func(c *queryConfig) { c.prefix = c.keep(vals) }
 }
 
 // WithProjection restricts rows to the named fields, in that order.
@@ -136,20 +154,30 @@ func WithMergeMode(m MergeMode) QueryOption {
 // their leaf are served exactly once even while concurrent writers
 // split the scanned leaves.
 func (t *Table) Query(opts ...QueryOption) (*Cursor, error) {
-	var cfg queryConfig
-	for _, o := range opts {
-		o(&cfg)
-	}
-	return t.query(&cfg)
+	return t.query(newCursor(opts))
 }
 
-func (t *Table) query(cfg *queryConfig) (*Cursor, error) {
+// newCursor allocates a cursor with opts applied to its config — the
+// one allocation an index query makes: its source, bounds and row
+// scratch all live inside it.
+func newCursor(opts []QueryOption) *Cursor {
+	c := new(Cursor)
+	c.row = c.rowArr[:0]
+	for _, o := range opts {
+		o(&c.cfg)
+	}
+	return c
+}
+
+// query opens c over the table, as its config says.
+func (t *Table) query(c *Cursor) (*Cursor, error) {
+	cfg := &c.cfg
 	if cfg.index != "" {
 		ix, err := t.Index(cfg.index)
 		if err != nil {
 			return nil, err
 		}
-		return ix.query(*cfg)
+		return ix.query(c)
 	}
 	if cfg.lo != nil || cfg.hi != nil || cfg.prefix != nil {
 		return nil, fmt.Errorf("core: key bounds on %q require an index (add WithIndex)", t.name)
@@ -165,11 +193,9 @@ func (t *Table) query(cfg *queryConfig) (*Cursor, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Cursor{
-		src:     t.newHeapSource(projIdx, filters, cfg.reverse, cfg.snapshotTS()),
-		limit:   cfg.limit,
-		reverse: cfg.reverse,
-	}, nil
+	c.src = t.newHeapSource(projIdx, filters, cfg.reverse, cfg.snapshotTS())
+	c.limit, c.reverse = cfg.limit, cfg.reverse
+	return c, nil
 }
 
 // newHeapSource builds the heap-order row source projecting projIdx
@@ -187,18 +213,18 @@ func (t *Table) newHeapSource(projIdx []int, filters []boundFilter, reverse bool
 // cursor contract (pin lifetime, Close, scratch rows, writer
 // interaction) is the same as Table.Query's.
 func (ix *Index) Query(opts ...QueryOption) (*Cursor, error) {
-	var cfg queryConfig
-	for _, o := range opts {
-		o(&cfg)
-	}
-	if cfg.index != "" {
+	c := newCursor(opts)
+	if c.cfg.index != "" {
 		return nil, fmt.Errorf("core: WithIndex is only valid on Table.Query")
 	}
-	return ix.query(cfg)
+	return ix.query(c)
 }
 
-func (ix *Index) query(cfg queryConfig) (*Cursor, error) {
-	plan, fp, start, end, err := ix.resolveQuery(cfg)
+// query opens c over the index, as its config says. The bounds are
+// encoded into c's own arrays, which the btree cursor copies from.
+func (ix *Index) query(c *Cursor) (*Cursor, error) {
+	cfg := &c.cfg
+	plan, fp, start, end, err := ix.resolveQuery(cfg, c.ix.bounds[0][:0], c.ix.bounds[1][:0])
 	if err != nil {
 		return nil, err
 	}
@@ -206,15 +232,16 @@ func (ix *Index) query(cfg queryConfig) (*Cursor, error) {
 		if cfg.reverse {
 			return nil, fmt.Errorf("core: WithParallel does not support WithReverse")
 		}
-		return ix.parallelQuery(cfg, plan, fp, start, end)
+		return ix.parallelQuery(c, plan, fp, start, end)
 	}
-	return ix.newIndexSource(start, end, plan, fp, &cfg), nil
+	ix.openIndexSource(c, cfg, start, end, plan, fp)
+	return c, nil
 }
 
 // resolveQuery turns a queryConfig into the pieces every index read
 // path shares: the projection plan, the classified filter plan, and the
-// encoded key bounds.
-func (ix *Index) resolveQuery(cfg queryConfig) (plan *projPlan, fp *filterPlan, start, end []byte, err error) {
+// key bounds, encoded into lo and hi (nil: fresh memory).
+func (ix *Index) resolveQuery(cfg *queryConfig, lo, hi []byte) (plan *projPlan, fp *filterPlan, start, end []byte, err error) {
 	if cfg.prefix != nil && (cfg.lo != nil || cfg.hi != nil) {
 		return nil, nil, nil, nil, fmt.Errorf("core: WithPrefix and WithKeyRange are mutually exclusive")
 	}
@@ -225,29 +252,31 @@ func (ix *Index) resolveQuery(cfg queryConfig) (plan *projPlan, fp *filterPlan, 
 		return nil, nil, nil, nil, err
 	}
 	if cfg.prefix != nil {
-		p, perr := ix.boundKey(cfg.prefix)
+		p, perr := ix.boundKey(lo, cfg.prefix)
 		if perr != nil {
 			return nil, nil, nil, nil, perr
 		}
-		start, end = p, prefixSuccessor(p)
+		start, end = p, prefixSuccessorInto(hi, p)
 	} else {
-		if start, err = ix.boundKey(cfg.lo); err != nil {
+		if start, err = ix.boundKey(lo, cfg.lo); err != nil {
 			return nil, nil, nil, nil, err
 		}
-		if end, err = ix.boundKey(cfg.hi); err != nil {
+		if end, err = ix.boundKey(hi, cfg.hi); err != nil {
 			return nil, nil, nil, nil, err
 		}
 	}
 	return plan, fp, start, end, nil
 }
 
-// newIndexSource builds the serial row source over encoded bounds —
-// shared by Query and the cursor path of Aggregate — inside the cursor
-// whose stats it counts into.
-func (ix *Index) newIndexSource(start, end []byte, plan *projPlan, fp *filterPlan, cfg *queryConfig) *Cursor {
-	s := &indexSource{}
-	cur := &Cursor{src: s, limit: cfg.limit, reverse: cfg.reverse}
-	s.r = ix.newResolver(plan, fp, cfg.policy, cfg.snapshotTS(), &cur.stats)
+// openIndexSource makes c a serial index cursor over encoded bounds —
+// shared by Query and the cursor path of Aggregate. The source, its
+// resolver and its btree cursor are c's own fields, so this allocates
+// nothing.
+func (ix *Index) openIndexSource(c *Cursor, cfg *queryConfig, start, end []byte, plan *projPlan, fp *filterPlan) {
+	s := &c.ix
+	c.src, c.limit, c.reverse = s, cfg.limit, cfg.reverse
+	s.r = ix.newResolver(plan, fp, cfg.policy, cfg.snapshotTS(), &c.stats)
+	s.r.bind()
 	// Options are set by index: append would move them to the heap.
 	var bopts [2]btree.CursorOption
 	n := 0
@@ -256,17 +285,16 @@ func (ix *Index) newIndexSource(start, end []byte, plan *projPlan, fp *filterPla
 		n++
 	}
 	if s.r.probe {
-		bopts[n] = btree.WithEntryVisitor(s.probeCache)
+		bopts[n] = btree.WithEntryVisitor(s)
 		n++
 	}
-	s.bt = ix.tree.NewCursor(start, end, bopts[:n]...)
-	return cur
+	ix.tree.OpenCursor(&s.bt, start, end, bopts[:n]...)
 }
 
-// probeCache is the serial scan's entry visitor: it probes the §2.1
+// VisitEntry is the serial scan's entry visitor: it probes the §2.1
 // cache under the latch the cursor already holds — the §2.1.1
 // leaf-answer flow, batched into the scan.
-func (s *indexSource) probeCache(l *btree.Leaf, pos int) {
+func (s *indexSource) VisitEntry(l *btree.Leaf, pos int) {
 	s.hit = false
 	if !s.gate.prepare(s.r.ix.cache, l) {
 		return
@@ -277,9 +305,9 @@ func (s *indexSource) probeCache(l *btree.Leaf, pos int) {
 	}
 }
 
-// boundKey encodes a (possibly partial) key bound, kind-checking each
-// value against the corresponding key field.
-func (ix *Index) boundKey(vals []tuple.Value) ([]byte, error) {
+// boundKey encodes a (possibly partial) key bound into dst, kind-checking
+// each value against the corresponding key field. No values: nil.
+func (ix *Index) boundKey(dst []byte, vals []tuple.Value) ([]byte, error) {
 	if len(vals) == 0 {
 		return nil, nil
 	}
@@ -293,7 +321,7 @@ func (ix *Index) boundKey(vals []tuple.Value) ([]byte, error) {
 			return nil, fmt.Errorf("core: index %q bound field %d: kind %v, want %v", ix.name, i, v.Kind, want)
 		}
 	}
-	return tuple.EncodeKey(nil, vals...)
+	return tuple.EncodeKey(dst, vals...)
 }
 
 // projPositions maps projected names to schema positions (nil = all

@@ -444,8 +444,8 @@ func (f *readFixture) checkAggregates(c *readCase, w readWant) {
 }
 
 // checkLookups answers a scrambled key set — present, updated, deleted,
-// inserted, never-existing and repeated keys — through LookupMany and
-// LookupInto, against the model and against each other
+// inserted, never-existing and repeated keys — through LookupMany,
+// LookupInto and LookupFunc, against the model and against each other
 // (TestLookupManyMatchesSingleLookups, TestLookupManyCacheHits).
 func (f *readFixture) checkLookups(c *readCase) {
 	f.t.Helper()
@@ -482,6 +482,17 @@ func (f *readFixture) checkLookups(c *readCase) {
 		want := projectModel(f.tb.schema, model, c.project)
 		if !row.Equal(want) || !manyRows[i].Equal(want) {
 			f.t.Errorf("id %d: rows %v (LookupInto) / %v (LookupMany), model says %v", id, row, manyRows[i], want)
+		}
+		// LookupFunc's row is a view: it is compared inside fn.
+		calls := 0
+		err = ix.LookupFunc(c.project, func(view tuple.Row, fres LookupResult) {
+			calls++
+			if fres != res || !view.Equal(want) {
+				f.t.Errorf("id %d: LookupFunc %v %+v, LookupInto %+v, model says %v", id, view, fres, res, want)
+			}
+		}, keys[i]...)
+		if err != nil || calls != 1 {
+			f.t.Errorf("id %d: LookupFunc called fn %d times: %v", id, calls, err)
 		}
 		if res.RID != manyRes[i].RID {
 			f.t.Errorf("id %d: RID %v (LookupInto) vs %v (LookupMany)", id, res.RID, manyRes[i].RID)

@@ -67,14 +67,33 @@ type resolver struct {
 	// the block loop's, or a point lookup's scratch.
 	stats *QueryStats
 
+	// view: a heap answer's strings and byte slices alias heapBuf instead
+	// of being copied out (LookupFunc; see there for who may hold them).
+	view bool
+
 	keyVals []tuple.Value
 	payload []byte // single-entry probe scratch (Lookup, serial cursor)
 	heapRow tuple.Row
 	heapBuf []byte
-	// keyBuf is scratch for a fetched row's key, checked against its
-	// entry; keyArr backs it so a one-row query pays no allocation.
-	keyBuf []byte
-	keyArr [32]byte
+	keyBuf  []byte // a fetched row's key, checked against its entry
+
+	// Inline backing for the scratch above (see bind), so a one-row
+	// answer grows nothing.
+	keyValArr  [2]tuple.Value
+	payloadArr [32]byte
+	recArr     [256]byte
+	rowArr     [8]tuple.Value
+	keyArr     [32]byte
+}
+
+// bind points the resolver's empty scratch at its inline arrays. It runs
+// where the resolver sits for good — in a cursor, a pooled lookup
+// scratch, a worker's blockScan — since a copy made afterwards would
+// share the original's arrays.
+func (r *resolver) bind() {
+	if r.heapBuf == nil {
+		r.keyVals, r.payload, r.heapBuf, r.heapRow, r.keyBuf = r.keyValArr[:0], r.payloadArr[:0], r.recArr[:0], r.rowArr[:0], r.keyArr[:0]
+	}
 }
 
 // newResolver builds the resolver for plan and fp under policy at snap.
@@ -159,15 +178,12 @@ func (r *resolver) resolve(dst tuple.Row, key []byte, packed uint64, payload []b
 		return nil, rid, tierSkip, fmt.Errorf("core: fetching %v: %w", rid, err)
 	}
 	r.heapBuf = rec[:0]
-	row, err := decodeFields(r.heapRow, ix.table.schema, rec, r.need)
+	row, err := decodeFields(r.heapRow, ix.table.schema, rec, r.need, r.view)
 	if err != nil {
 		return nil, rid, tierSkip, fmt.Errorf("core: decoding %v: %w", rid, err)
 	}
 	r.heapRow = row
 	r.stats.HeapReads++
-	if r.keyBuf == nil {
-		r.keyBuf = r.keyArr[:0]
-	}
 	var same bool
 	if r.keyBuf, same = ix.stillIndexes(r.keyBuf, row, rid, key); !same {
 		return nil, rid, tierStale, nil
@@ -229,7 +245,7 @@ func (g *cacheGate) prepare(c *idxcache.Cache, l *btree.Leaf) bool {
 type blockScan struct {
 	r        resolver
 	stats    QueryStats // this segment's running totals; r counts into it
-	bt       *btree.Cursor
+	bt       btree.Cursor
 	eb       btree.EntryBlock
 	gate     cacheGate
 	hits     []bool
@@ -242,18 +258,19 @@ type blockScan struct {
 func (b *blockScan) open(seg btree.Segment) {
 	b.stats = QueryStats{}
 	b.r.stats = &b.stats
+	b.r.bind()
 	if b.r.probe {
-		b.bt = b.r.ix.tree.NewCursor(seg.Lo, seg.Hi, btree.WithEntryVisitor(b.capture))
+		b.r.ix.tree.OpenCursor(&b.bt, seg.Lo, seg.Hi, btree.WithEntryVisitor(b))
 	} else {
-		b.bt = b.r.ix.tree.NewCursor(seg.Lo, seg.Hi)
+		b.r.ix.tree.OpenCursor(&b.bt, seg.Lo, seg.Hi)
 	}
 }
 
 func (b *blockScan) close() { b.bt.Close() }
 
-// capture is the entry visitor: the cache probe for one served entry,
-// appended to the slab. Runs under the shared leaf latch.
-func (b *blockScan) capture(l *btree.Leaf, pos int) {
+// VisitEntry is the block loop's entry visitor: the cache probe for one
+// served entry, appended to the slab. Runs under the shared leaf latch.
+func (b *blockScan) VisitEntry(l *btree.Leaf, pos int) {
 	hit := false
 	if b.gate.prepare(b.r.ix.cache, l) {
 		if pl, ok := b.r.ix.cache.LookupInto(b.payloads, l, l.ValueAt(pos)); ok {

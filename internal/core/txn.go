@@ -281,12 +281,9 @@ func (tx *Txn) Query(t *Table, opts ...QueryOption) (*Cursor, error) {
 	if tx.done {
 		return nil, ErrTxnDone
 	}
-	var cfg queryConfig
-	for _, o := range opts {
-		o(&cfg)
-	}
-	cfg.pinSnapshot(tx.startTS)
-	return t.query(&cfg)
+	c := newCursor(opts)
+	c.cfg.pinSnapshot(tx.startTS)
+	return t.query(c)
 }
 
 // Abort discards the staged writes and releases the snapshot.

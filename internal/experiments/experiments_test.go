@@ -79,39 +79,24 @@ func TestFig2bShapes(t *testing.T) {
 	}
 }
 
+// TestFig2cShapes checks the figure's shape in counts, which repeat:
+// the hot trace that anchors T_hit is all cache hits and no heap page;
+// the mix that solves T_miss has hits and misses both; the curve has its
+// 11 points; the report still states break-even. Its latencies are wall
+// clock on whatever box runs the test, so they are printed, not asserted.
 func TestFig2cShapes(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timing-sensitive")
-	}
-	if raceEnabled {
-		t.Skip("wall-clock shapes are skewed by race instrumentation")
-	}
 	cfg := DefaultFig2cConfig()
-	cfg.Pages, cfg.Lookups = 4000, 20000
-	// Wall-clock measurements jitter; accept the shape if any of three
-	// attempts shows it cleanly.
-	var res Fig2cResult
-	var err error
-	ok := false
-	for attempt := 0; attempt < 3 && !ok; attempt++ {
-		cfg.Seed = int64(attempt + 1)
-		res, err = RunFig2c(cfg)
-		if err != nil {
-			t.Fatalf("RunFig2c: %v", err)
-		}
-		ok = res.HitNs < res.MissNs && res.OverheadNs > 0 && res.SpeedupAtFull > 1.0
+	cfg.Pages, cfg.Lookups = 4000, 5000
+	res, err := RunFig2c(cfg)
+	if err != nil {
+		t.Fatalf("RunFig2c: %v", err)
 	}
-	// A hit must beat a miss; the miss must cost more than nocache
-	// (probe + fill overhead); a hit avoids the heap so it undercuts
-	// the no-cache baseline.
-	if res.HitNs >= res.MissNs {
-		t.Errorf("hit %.0fns not cheaper than miss %.0fns", res.HitNs, res.MissNs)
+	if res.HotCacheHits != cfg.Lookups || res.HotHeapAccesses != 0 {
+		t.Errorf("hot trace: %d of %d lookups hit the cache, %d touched the heap; want all hits, no heap",
+			res.HotCacheHits, cfg.Lookups, res.HotHeapAccesses)
 	}
-	if res.OverheadNs <= 0 {
-		t.Errorf("cache overhead %.0fns should be positive", res.OverheadNs)
-	}
-	if res.SpeedupAtFull <= 1.0 {
-		t.Errorf("speedup at full hit rate %.2f, want > 1", res.SpeedupAtFull)
+	if res.MixHitRate <= 0 || res.MixHitRate >= 1 {
+		t.Errorf("mixed trace hit rate %.3f, want strictly between 0 and 1", res.MixHitRate)
 	}
 	if len(res.Points) != 11 {
 		t.Errorf("%d curve points", len(res.Points))
@@ -121,6 +106,7 @@ func TestFig2cShapes(t *testing.T) {
 	if !strings.Contains(buf.String(), "break-even") {
 		t.Error("Print output missing break-even")
 	}
+	t.Logf("\n%s", buf.String())
 }
 
 func TestFig3Shapes(t *testing.T) {

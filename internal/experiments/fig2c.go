@@ -45,7 +45,11 @@ type Fig2cResult struct {
 	MixNs      float64 // uniform workload (measured hit rate MixHitRate)
 	MixHitRate float64
 	MissNs     float64 // solved: (MixNs − h·HitNs)/(1−h)
-	Points     []Fig2cPoint
+	// How the timed hot trace's lookups were answered: the T_hit anchor
+	// is only a hit latency if every one was a cache hit that touched no
+	// heap page.
+	HotCacheHits, HotHeapAccesses int
+	Points                        []Fig2cPoint
 	// OverheadNs is MissNs−NoCacheNs: what a lookup pays for probing and
 	// filling the cache without benefiting (paper: ~0.3µs).
 	OverheadNs float64
@@ -82,16 +86,26 @@ func RunFig2c(cfg Fig2cConfig) (_ Fig2cResult, err error) {
 		keys[i] = fig2cKey(i)
 	}
 
-	// Identify verified cache-resident keys.
-	var hot []int
-	for i := 0; i < cfg.Pages; i++ {
-		_, res, err := ixCache.Lookup(proj, keys[i]...)
-		if err != nil {
-			return Fig2cResult{}, err
+	// Identify verified cache-resident keys: those that hit in a pass in
+	// which every lookup hit. A miss fills the cache, and a fill can evict
+	// an entry verified earlier in the same pass.
+	hot := make([]int, cfg.Pages)
+	for i := range hot {
+		hot[i] = i
+	}
+	for n := -1; n != len(hot); {
+		n = len(hot)
+		still := hot[:0]
+		for _, i := range hot {
+			_, res, err := ixCache.Lookup(proj, keys[i]...)
+			if err != nil {
+				return Fig2cResult{}, err
+			}
+			if res.CacheHit {
+				still = append(still, i)
+			}
 		}
-		if res.CacheHit {
-			hot = append(hot, i)
-		}
+		hot = still
 	}
 	if len(hot) == 0 {
 		return Fig2cResult{}, fmt.Errorf("experiments: no cache-resident keys after warmup")
@@ -114,19 +128,21 @@ func RunFig2c(cfg Fig2cConfig) (_ Fig2cResult, err error) {
 	if _, err := timeLookups(ixPlain, proj, uniTrace); err != nil {
 		return Fig2cResult{}, err
 	}
-	res.NoCacheNs, err = timeLookups(ixPlain, proj, uniTrace)
+	plain, err := timeLookups(ixPlain, proj, uniTrace)
 	if err != nil {
 		return Fig2cResult{}, err
 	}
+	res.NoCacheNs = plain.ns
 
 	if _, err := timeLookups(ixCache, proj, hotTrace); err != nil {
 		return Fig2cResult{}, err
 	}
 	stBefore := ixCache.Cache().Stats()
-	res.HitNs, err = timeLookups(ixCache, proj, hotTrace)
+	hits, err := timeLookups(ixCache, proj, hotTrace)
 	if err != nil {
 		return Fig2cResult{}, err
 	}
+	res.HitNs, res.HotCacheHits, res.HotHeapAccesses = hits.ns, hits.hits, hits.heap
 	stAfter := ixCache.Cache().Stats()
 	hotHit := ratioOf(stAfter.Hits-stBefore.Hits, stAfter.Lookups-stBefore.Lookups)
 	if hotHit < 0.95 {
@@ -137,10 +153,11 @@ func RunFig2c(cfg Fig2cConfig) (_ Fig2cResult, err error) {
 		return Fig2cResult{}, err
 	}
 	stBefore = ixCache.Cache().Stats()
-	res.MixNs, err = timeLookups(ixCache, proj, uniTrace)
+	mix, err := timeLookups(ixCache, proj, uniTrace)
 	if err != nil {
 		return Fig2cResult{}, err
 	}
+	res.MixNs = mix.ns
 	stAfter = ixCache.Cache().Stats()
 	res.MixHitRate = ratioOf(stAfter.Hits-stBefore.Hits, stAfter.Lookups-stBefore.Lookups)
 	if res.MixHitRate >= 0.99 {
@@ -205,18 +222,33 @@ func buildFig2cEngine(cfg Fig2cConfig, cached bool) (*core.Engine, *core.Index, 
 	return e, ix, nil
 }
 
-func timeLookups(ix *core.Index, proj []string, trace [][]tuple.Value) (float64, error) {
+// lookupTally is one timed pass over a trace: ns per lookup, and how
+// many lookups were cache hits and how many touched the heap.
+type lookupTally struct {
+	ns         float64
+	hits, heap int
+}
+
+func timeLookups(ix *core.Index, proj []string, trace [][]tuple.Value) (lookupTally, error) {
+	var t lookupTally
 	start := time.Now()
 	for _, key := range trace {
 		_, res, err := ix.Lookup(proj, key...)
 		if err != nil {
-			return 0, err
+			return t, err
 		}
 		if !res.Found {
-			return 0, fmt.Errorf("experiments: trace key not found")
+			return t, fmt.Errorf("experiments: trace key not found")
+		}
+		if res.CacheHit {
+			t.hits++
+		}
+		if res.HeapAccess {
+			t.heap++
 		}
 	}
-	return float64(time.Since(start).Nanoseconds()) / float64(len(trace)), nil
+	t.ns = float64(time.Since(start).Nanoseconds()) / float64(len(trace))
+	return t, nil
 }
 
 // Print renders the measured endpoints and the derived curve.

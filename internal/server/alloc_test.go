@@ -16,10 +16,19 @@ import (
 // at the commit before the request path was pooled measured Get 34,
 // CoveredPointQuery 61, ApplyInsert 43, ApplyUpdate 49, and before a
 // cycle reused its result and the pre-image its scratch, ApplyInsert 7
-// and ApplyUpdate 11. The range scan is the served benchmark's: 100 rows
-// of (id, score, flag) with the §2.1 cache cold, so every row is a heap
-// record with two strings in it; before a record was decoded into the
-// fields its reader asked for and a page into one slab it measured 319.
+// and ApplyUpdate 11. The range scans are the served benchmark's: 100
+// rows of (id, score, flag), answered from the §2.1 cache when warm and
+// from heap records with two strings in them when cold; before a record
+// was decoded into the fields its reader asked for and a page into one
+// slab the cold one measured 319.
+//
+// A read allocates its answer and little else: a Get its row and the
+// one copy of the payload its strings are views of (client side — the
+// server encodes the row LookupFunc shows it), a query its Rows and its
+// Cursor, a longer page its rows and slab. Before the cursor, the Rows
+// and each message's strings were one allocation apiece, Get measured
+// 5, CoveredPointQuery 17, ApplyInsert and ApplyUpdate 5, Txn 77 and
+// both range scans 20.
 //
 // Skipped under -race: the race detector instruments allocations and
 // changes the counts.
@@ -41,6 +50,9 @@ func TestServedAllocBudgets(t *testing.T) {
 		want[i] = itemRow(int64(i), 0)
 	}
 	updates := [2]client.Row{itemRow(5, 1), itemRow(5, 2)}
+	// The transaction moves ids 10 and 11 between versions 1 and 2.
+	txnRows := [2][2]client.Row{{itemRow(10, 1), itemRow(11, 1)}, {itemRow(10, 2), itemRow(11, 2)}}
+	txnLo, txnHi := client.Row{client.Int64(10)}, client.Row{client.Int64(12)}
 	fresh := make([]client.Row, 0, 1000) // more than warm-up + measured runs
 	for i := 0; i < cap(fresh); i++ {
 		fresh = append(fresh, itemRow(int64(n+i), 0))
@@ -62,7 +74,21 @@ func TestServedAllocBudgets(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	ver := 0
+	ver, txnVer := 0, 0
+	scan := func(lo int64) {
+		rows, err := cl.Query("items", client.WithIndex("by_id"),
+			client.WithKeyRange(client.Row{client.Int64(lo)}, client.Row{client.Int64(lo + 100)}),
+			client.WithProjection(itemsCovered...))
+		fail(err)
+		got := lo
+		for ; rows.Next(); got++ {
+			same(rows.Row(), want[got][:3])
+		}
+		fail(rows.Err())
+		if got != lo+100 {
+			t.Fatalf("scan from %d served %d rows", lo, got-lo)
+		}
+	}
 	tb, err := f.eng.Table("items")
 	fail(err)
 	byID, err := tb.Index("by_id")
@@ -74,7 +100,7 @@ func TestServedAllocBudgets(t *testing.T) {
 		before func() // runs once, ahead of the warm-up
 		op     func()
 	}{
-		{"Get", 7, nil, func() {
+		{"Get", 4, nil, func() {
 			id := next()
 			row, found, err := cl.Get("items", "by_id", client.Int64(id))
 			fail(err)
@@ -83,13 +109,13 @@ func TestServedAllocBudgets(t *testing.T) {
 			}
 			same(row, want[id])
 		}},
-		{"CoveredPointQuery", 19, nil, func() {
+		{"CoveredPointQuery", 4, nil, func() {
 			id := next()
 			row, err := coveredPoint(cl, id)
 			fail(err)
 			same(row, want[id][:3])
 		}},
-		{"ApplyInsert", 7, nil, func() {
+		{"ApplyInsert", 6, nil, func() {
 			var b client.Batch
 			b.Insert(fresh[0])
 			fresh = fresh[1:]
@@ -99,7 +125,7 @@ func TestServedAllocBudgets(t *testing.T) {
 				t.Fatalf("apply: %v", res.Err(0))
 			}
 		}},
-		{"ApplyUpdate", 7, nil, func() {
+		{"ApplyUpdate", 6, nil, func() {
 			ver++
 			var b client.Batch
 			b.Update(rids[5], updates[ver&1])
@@ -110,26 +136,38 @@ func TestServedAllocBudgets(t *testing.T) {
 			}
 			rids[5] = res.RIDs[0]
 		}},
-		// Scans probe the cache and never fill or repair it: invalidated
-		// once, it stays cold for as long as nothing but scans runs.
-		{"CoveredRangeScanCold", 22, func() {
-			byID.Cache().InvalidateAll()
-			coldHits = byID.Cache().Stats().Hits
-		}, func() {
-			lo := 100 + next()%1000
-			rows, err := cl.Query("items", client.WithIndex("by_id"),
-				client.WithKeyRange(client.Row{client.Int64(lo)}, client.Row{client.Int64(lo + 100)}),
-				client.WithProjection(itemsCovered...))
+		// A snapshot read of two rows, two updates staged, one commit.
+		{"Txn", 57, nil, func() {
+			txnVer ^= 1
+			tx, err := cl.Begin()
 			fail(err)
-			got := lo
-			for ; rows.Next(); got++ {
-				same(rows.Row(), want[got][:3])
+			rows, err := tx.Query("items", client.WithIndex("by_id"), client.WithKeyRange(txnLo, txnHi), client.WithRIDs())
+			fail(err)
+			var b client.Batch
+			for i := 0; rows.Next(); i++ {
+				if id := rows.Row()[0].Int; id != int64(10+i) {
+					t.Fatalf("txn read id %d, want %d", id, 10+i)
+				}
+				b.Update(rows.RID(), txnRows[txnVer][i])
 			}
 			fail(rows.Err())
-			if got != lo+100 {
-				t.Fatalf("scan from %d served %d rows", lo, got-lo)
+			res, err := tx.Apply("items", &b)
+			fail(err)
+			if res.Applied != 2 {
+				t.Fatalf("txn stage: %v %v", res.Err(0), res.Err(1))
 			}
+			fail(tx.Commit())
 		}},
+		{"CoveredRangeScanWarm", 6, func() {
+			_, err := byID.WarmCache()
+			fail(err)
+		}, func() { scan(100 + next()%1000) }},
+		// Scans probe the cache and never fill or repair it: invalidated
+		// once, it stays cold for as long as nothing but scans runs.
+		{"CoveredRangeScanCold", 6, func() {
+			byID.Cache().InvalidateAll()
+			coldHits = byID.Cache().Stats().Hits
+		}, func() { scan(100 + next()%1000) }},
 	}
 	for _, tc := range cases {
 		if tc.before != nil {
@@ -139,7 +177,7 @@ func TestServedAllocBudgets(t *testing.T) {
 			tc.op()
 		}
 		got := testing.AllocsPerRun(500, tc.op)
-		t.Logf("%-18s %5.1f allocs/op (budget %.0f)", tc.name, got, tc.budget)
+		t.Logf("%-20s %5.1f allocs/op (budget %.0f)", tc.name, got, tc.budget)
 		if got > tc.budget {
 			t.Errorf("%s: %.1f allocs/op, budget %.0f", tc.name, got, tc.budget)
 		}

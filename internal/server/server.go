@@ -391,7 +391,7 @@ func (c *conn) closeRead() {
 // request is the recycled context one request owns from its frame's
 // arrival to its handler's return: the frame as read, the decoded
 // message, and the scratch its handler needs. A warm request serves a
-// Get without allocating anything but the strings of the row it reads.
+// Get without allocating at all.
 //
 // Ownership: the reader goroutine fills in and frame, then hands the
 // request to its handler goroutine, which decodes, answers into a
@@ -412,8 +412,7 @@ type request struct {
 	apply  wire.ApplyReq
 	result wire.ApplyResp // the Apply's attributed outcome
 
-	row  tuple.Row // Index.LookupInto's destination
-	rids []uint64  // RIDs of the query page being built
+	rids []uint64 // RIDs of the query page being built
 }
 
 var requestPool sync.Pool // of *request
@@ -437,7 +436,6 @@ const maxPooledOps = 64
 func (rq *request) release() {
 	rq.c, rq.frame = nil, wire.Frame{}
 	rq.in = wire.Recycle(rq.in)
-	rq.row = wire.RecycleRow(rq.row)
 	rq.get.Key = wire.RecycleRow(rq.get.Key)
 	rq.query.Lo = wire.RecycleRow(rq.query.Lo)
 	rq.query.Hi = wire.RecycleRow(rq.query.Hi)
@@ -692,24 +690,28 @@ func (c *conn) handleTxnApply(m *wire.ApplyReq, out *wire.ApplyResp) error {
 	return nil
 }
 
+// handleGet encodes the answer while the lookup still holds it: the row
+// LookupFunc hands over is a view of the engine's scratch, so it is
+// written into the frame before fn returns and never copied.
 func (c *conn) handleGet(id uint64, rq *request) error {
 	m := &rq.get
 	ix, err := c.s.lookupIndex(m.Table, m.Index)
 	if err != nil {
 		return err
 	}
-	row, lres, err := ix.LookupInto(rq.row, nil, m.Key...)
+	b := wire.NewFrame()
+	err = ix.LookupFunc(nil, func(row tuple.Row, lres core.LookupResult) {
+		resp := wire.GetResp{Found: lres.Found}
+		if lres.Found {
+			resp.RID = lres.RID.Pack()
+			resp.Row = row
+		}
+		b.B = resp.Marshal(b.B)
+	}, m.Key...)
 	if err != nil {
+		b.Release()
 		return err
 	}
-	resp := wire.GetResp{Found: lres.Found}
-	if lres.Found {
-		resp.RID = lres.RID.Pack()
-		resp.Row = row
-		rq.row = row // keep the (possibly grown) scratch
-	}
-	b := wire.NewFrame()
-	b.B = resp.Marshal(b.B)
 	c.send(b, id, wire.TGetResp)
 	return nil
 }

@@ -131,13 +131,17 @@ func DecodeFields(dst Row, s *Schema, data []byte, need []bool) (Row, int, error
 	return decode(dst, s, data, need, false)
 }
 
-// DecodeAlias is DecodeInto without the copies: string and bytes
+// DecodeAlias is DecodeFields without the copies: string and bytes
 // values alias data. The row is a view — it is valid only until data
 // is next written, and no value of it may be retained past that — so a
 // writer that reads a pre-image into its own scratch, derives keys from
-// it and drops it decodes without allocating.
-func DecodeAlias(dst Row, s *Schema, data []byte) (Row, int, error) {
-	return decode(dst, s, data, nil, true)
+// it and drops it decodes without allocating, and so does a reader that
+// encodes what it read before its scratch is reused.
+func DecodeAlias(dst Row, s *Schema, data []byte, need []bool) (Row, int, error) {
+	if need != nil && len(need) != s.NumFields() {
+		return nil, 0, fmt.Errorf("tuple: field set has %d entries, schema has %d fields", len(need), s.NumFields())
+	}
+	return decode(dst, s, data, need, true)
 }
 
 // aliasString returns b's bytes as a string without copying them. The

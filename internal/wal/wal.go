@@ -20,6 +20,7 @@ package wal
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -74,17 +75,37 @@ type Stats struct {
 	Bytes   int64 // current log file size
 }
 
+// ErrPoisoned is returned, wrapping the first failed fsync's error, by
+// every Append, Sync and Commit after that failure. A failed fsync may
+// have dropped the dirty pages it was to write, and a retry can then
+// succeed without them: no later sync may vouch for records the failed
+// one covered, so the log stops taking writes (fail-stop) instead of
+// acking them. Replay and Stats keep working.
+var ErrPoisoned = errors.New("wal: poisoned by a failed fsync; the log takes no more writes")
+
+// logFile is what a Log needs of its file: *os.File, or a test's
+// wrapper that fails on cue.
+type logFile interface {
+	io.ReaderAt
+	io.WriterAt
+	Sync() error
+	Truncate(size int64) error
+	Stat() (os.FileInfo, error)
+	Close() error
+}
+
 // Log is an append-only redo log over a single file. All methods are
 // safe for concurrent use.
 type Log struct {
 	mu           sync.Mutex // serializes file writes, fsync, truncation; nblb:lock wal-mu
-	f            *os.File
+	f            logFile
 	path         string
 	offset       int64
 	nextLSN      uint64
 	lastAppended uint64
 	closed       bool
 	frameBuf     []byte // append scratch, reused under mu
+	poison       error  // ErrPoisoned wrapping the first failed fsync; sticky
 
 	synced  atomic.Uint64 // highest LSN known durable
 	appends atomic.Int64
@@ -93,6 +114,7 @@ type Log struct {
 	cmu     sync.Mutex // group-commit leader election; nblb:lock wal-commit-mu
 	cond    *sync.Cond
 	syncing bool
+	parked  int // committers waiting for a leader's fsync (tests observe it)
 }
 
 // Open opens (or creates) the log at path, scans the valid record
@@ -174,6 +196,9 @@ func (l *Log) Append(typ uint8, payload []byte) (uint64, error) {
 	if l.closed {
 		return 0, fmt.Errorf("wal: append on closed log")
 	}
+	if l.poison != nil {
+		return 0, l.poison
+	}
 	lsn := l.nextLSN
 	if need := 8 + 9 + len(payload); cap(l.frameBuf) < need {
 		l.frameBuf = make([]byte, need)
@@ -206,7 +231,8 @@ func (l *Log) Append(typ uint8, payload []byte) (uint64, error) {
 	return lsn, nil
 }
 
-// Sync makes every appended record durable.
+// Sync makes every appended record durable. Its first failure poisons
+// the log (see ErrPoisoned).
 //
 // nblb:blocking-io
 func (l *Log) Sync() error {
@@ -215,9 +241,13 @@ func (l *Log) Sync() error {
 	if l.closed {
 		return fmt.Errorf("wal: sync on closed log")
 	}
+	if l.poison != nil {
+		return l.poison
+	}
 	target := l.lastAppended
 	if err := l.f.Sync(); err != nil {
-		return fmt.Errorf("wal: sync: %w", err)
+		l.poison = fmt.Errorf("%w: %w", ErrPoisoned, err)
+		return l.poison
 	}
 	l.synced.Store(target)
 	l.syncs.Add(1)
@@ -229,7 +259,9 @@ func (l *Log) Sync() error {
 // the first committer to arrive becomes the leader and runs one fsync
 // covering every record appended so far; the rest park on a condition
 // variable and are woken by the leader's broadcast. Under concurrency
-// this amortizes one fsync over many commits.
+// this amortizes one fsync over many commits. When the leader's fsync
+// fails, the woken committers' own attempts find the log poisoned: each
+// of them gets ErrPoisoned, and none is acked.
 //
 // nblb:blocking-io
 func (l *Log) Commit(lsn uint64) error {
@@ -251,7 +283,9 @@ func (l *Log) Commit(lsn uint64) error {
 			}
 			continue
 		}
+		l.parked++
 		l.cond.Wait()
+		l.parked--
 	}
 	l.cmu.Unlock()
 	return nil
@@ -314,7 +348,7 @@ func (l *Log) replayLocked(from uint64, fn func(lsn uint64, typ uint8, payload [
 // buffer, so that walking a log costs one allocation, not one per
 // record, and a record nobody wants is skipped by its header.
 type frameReader struct {
-	f    *os.File
+	f    io.ReaderAt
 	size int64
 	buf  []byte // f[base : base+len(buf)]
 	base int64

@@ -4,6 +4,7 @@ package wire
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"repro/internal/tuple"
@@ -76,5 +77,57 @@ func TestQueryPageDecodeAllocs(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(100, fresh); n > 3 {
 		t.Errorf("128-row page into a fresh page: %v allocs, want <= 3", n)
+	}
+}
+
+// A decoded message copies its payload once, whatever it holds: a Get
+// answer costs its row and one copy of the payload that every string of
+// the row is a view of — 2 allocations for one string or for many,
+// where each string used to be one more. A page without strings decodes
+// into a seeded page's arrays without allocating.
+func TestDecodeCopiesPayloadOnce(t *testing.T) {
+	for k := 1; k <= 6; k++ {
+		resp := GetResp{Found: true, RID: 7, Row: tuple.Row{tuple.Int64(1)}}
+		for i := 0; i < k; i++ {
+			resp.Row = append(resp.Row, tuple.String(strings.Repeat("s", 10+i)), tuple.Int32(int32(i)))
+		}
+		payload := resp.Marshal(nil)
+		var got GetResp
+		decode := func() {
+			got = GetResp{}
+			if err := got.Unmarshal(payload); err != nil || len(got.Row) != len(resp.Row) {
+				t.Fatalf("decode: %v, %v", got.Row, err)
+			}
+		}
+		if n := testing.AllocsPerRun(100, decode); n != 2 {
+			t.Errorf("GetResp with %d strings: %v allocs, want 2", k, n)
+		}
+		for i := range got.Row {
+			if !got.Row[i].Equal(resp.Row[i]) {
+				t.Fatalf("value %d = %v, want %v", i, got.Row[i], resp.Row[i])
+			}
+		}
+	}
+
+	var page QueryPage
+	for i := 0; i < 3; i++ {
+		page.Rows = append(page.Rows, tuple.Row{tuple.Int64(int64(i)), tuple.Int32(7), tuple.Bool(i%2 == 0)})
+		page.RIDs = append(page.RIDs, uint64(i))
+	}
+	payload := page.Marshal(nil)
+	var (
+		into QueryPage
+		rows [3]tuple.Row
+		vals [9]tuple.Value
+		rids [3]uint64
+	)
+	seeded := func() {
+		into.Seed(rows[:], vals[:], rids[:])
+		if err := into.Unmarshal(payload); err != nil || len(into.Rows) != 3 || len(into.RIDs) != 3 {
+			t.Fatalf("decode: %d rows, %v", len(into.Rows), err)
+		}
+	}
+	if n := testing.AllocsPerRun(100, seeded); n != 0 {
+		t.Errorf("3-row fixed-width page into a seeded page: %v allocs, want 0", n)
 	}
 }

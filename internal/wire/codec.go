@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"unsafe"
 
 	"repro/internal/tuple"
 )
@@ -73,10 +74,20 @@ func AppendRow(dst []byte, r tuple.Row) []byte {
 
 // reader walks a payload, latching the first error so decode code can
 // read fields unconditionally and check once at the end.
+//
+// A payload usually sits in a pooled buffer that outlives the decode
+// only until its release, so nothing decoded may alias it. String and
+// bytes values instead alias own: one private copy of the payload, made
+// at the first such value and never written again. A message then costs
+// one copy however many strings it carries, and its strings are as
+// immutable as any — at the price that one kept string keeps the whole
+// copy reachable (a frame's payload; a page is at most MaxPooledBuffer
+// plus one row).
 type reader struct {
 	b   []byte
 	off int
 	err error
+	own []byte // private copy of b, made by view
 }
 
 func (r *reader) fail(err error) {
@@ -154,7 +165,26 @@ func (r *reader) count(minPer int) int {
 	return int(n)
 }
 
-func (r *reader) string() string { return string(r.take(int(r.uvarint()))) }
+// view reads n bytes and returns them from the reader's private copy
+// of the payload, capped so an append to them cannot reach the bytes
+// that follow.
+func (r *reader) view(n int) []byte {
+	if r.take(n) == nil || n == 0 {
+		return nil
+	}
+	if r.own == nil {
+		r.own = append([]byte(nil), r.b...)
+	}
+	return r.own[r.off-n : r.off : r.off]
+}
+
+// string reads a length-prefixed string as a view of the private copy
+// (see reader). The copy is never written, which is what makes the
+// unsafe conversion a string.
+func (r *reader) string() string {
+	b := r.view(int(r.uvarint()))
+	return unsafe.String(unsafe.SliceData(b), len(b))
+}
 
 // name reads a string that usually repeats from one message to the
 // next on a reused receiver (table, index and field names): when it
@@ -167,13 +197,7 @@ func (r *reader) name(prev string) string {
 	return string(b)
 }
 
-func (r *reader) bytes() []byte {
-	b := r.take(int(r.uvarint()))
-	if len(b) == 0 {
-		return nil
-	}
-	return append([]byte(nil), b...)
-}
+func (r *reader) bytes() []byte { return r.view(int(r.uvarint())) }
 
 func (r *reader) value() tuple.Value {
 	kind := tuple.Kind(r.byte())

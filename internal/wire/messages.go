@@ -58,11 +58,12 @@ func (m *ApplyReq) Marshal(dst []byte) []byte {
 	return dst
 }
 
-// Unmarshal decodes the payload. Like every Unmarshal here it copies
-// what it keeps out of b and reuses the receiver's slices (and, for
+// Unmarshal decodes the payload. Like every Unmarshal here it keeps
+// nothing that aliases b — string and bytes values share one private
+// copy of it (see reader) — and reuses the receiver's slices (and, for
 // names, its strings) when they fit, so a receiver decoded into again
-// and again stops allocating; a zero receiver gets fresh memory that
-// the caller owns.
+// and again stops allocating but for that copy; a zero receiver gets
+// fresh memory that the caller owns.
 func (m *ApplyReq) Unmarshal(b []byte) error {
 	r := reader{b: b}
 	m.Table = r.name(m.Table)
@@ -387,12 +388,21 @@ func (p *PageBuilder) Finish(rids []uint64, last bool) []byte {
 	return b
 }
 
+// Seed hands the page backing arrays for its Rows and its slab to
+// decode into: a reader that keeps them inline decodes a page that fits
+// them without allocating.
+func (m *QueryPage) Seed(rows []tuple.Row, vals []tuple.Value, rids []uint64) {
+	m.Rows, m.slab, m.RIDs = rows[:0], vals[:0], rids[:0]
+}
+
 // Unmarshal decodes the payload. The rows are capped sub-slices of one
 // slab the page owns, sized from the first row's width and reused from
 // one page to the next, so a page costs O(1) allocations however many
-// rows it holds (their strings and byte slices aside, which each row
-// owns). A page whose rows outgrow that estimate still decodes: append
-// moves the slab on and the earlier rows keep the old one.
+// rows it holds — one more, the payload's private copy, when it carries
+// strings or bytes (see reader): the next page's decode overwrites the
+// rows, never the values' bytes. A page whose rows outgrow that estimate
+// still decodes: append moves the slab on and the earlier rows keep the
+// old one.
 func (m *QueryPage) Unmarshal(b []byte) error {
 	r := reader{b: b}
 	m.Last = r.byte() != 0
