@@ -105,8 +105,12 @@ func (b *Batch) Op(i int) BatchOp {
 	return BatchOp{Kind: op.kind, RID: op.rid}
 }
 
-// Reset empties the batch for reuse, keeping its capacity.
-func (b *Batch) Reset() { b.ops = b.ops[:0] }
+// Reset empties the batch for reuse, keeping its capacity but no
+// reference to the rows it queued.
+func (b *Batch) Reset() {
+	clear(b.ops)
+	b.ops = b.ops[:0]
+}
 
 // ApplyOption configures Table.Apply.
 type ApplyOption func(*applyConfig)
@@ -350,11 +354,16 @@ type stageScratch struct {
 	recs   [][]byte
 	rids   []storage.RID
 	insOps []int
-	// arena backs the encoded records, pre-image records and index entry
-	// keys of one trip: they are carved from it back to back instead of
-	// allocated one by one. A chunk that fills up is left to the slices
-	// that alias it and a larger one takes over, so nothing carved ever
-	// moves. vals is the same for the pre-images' decoded rows.
+	stageArena
+}
+
+// stageArena backs the encoded records, pre-image records and index
+// entry keys of one pipeline trip, or of one transaction's whole stage:
+// they are carved from arena back to back instead of allocated one by
+// one. A chunk that fills up is left to the slices that alias it and a
+// larger one takes over, so nothing carved ever moves. vals is the same
+// for the pre-images' decoded rows.
+type stageArena struct {
 	arena []byte
 	vals  []tuple.Value
 }
@@ -379,9 +388,21 @@ func carve[T any](arena *[]T, n, keep int) []T {
 	return a[off : off : off+n]
 }
 
+// reserve makes room for n more bytes and nv more values in the current
+// chunks, starting larger ones when they are short, so a stage whose
+// size is known up front carves from one chunk of each.
+func (s *stageArena) reserve(n, nv int) {
+	if cap(s.arena)-len(s.arena) < n {
+		s.arena = make([]byte, 0, max(n, min(2*cap(s.arena), maxArena)))
+	}
+	if cap(s.vals)-len(s.vals) < nv {
+		s.vals = make([]tuple.Value, 0, max(nv, min(2*cap(s.vals), maxVals)))
+	}
+}
+
 // endTrip empties the arena and vals: whatever was carved from them is
 // dead. Under PoisonScratch it is overwritten first.
-func (s *stageScratch) endTrip() {
+func (s *stageArena) endTrip() {
 	if poisonScratch.Load() {
 		a, v := s.arena[:cap(s.arena)], s.vals[:cap(s.vals)]
 		for i := range a {
@@ -399,19 +420,20 @@ var poisonScratch atomic.Bool
 // poisonValue is what PoisonScratch leaves where no value may be read.
 var poisonValue = tuple.Value{Kind: 0xDB, Int: -0x2424242424242425, Str: "\xdb\xdb\xdb\xdb dead scratch"}
 
-// PoisonScratch is wire.PoisonReleased for the pipelines' scratch:
-// while on, a trip's arena and pre-image rows are overwritten with 0xDB
-// as the trip ends, so a pre-image value (tuple.DecodeAlias views the
-// arena) or a carved key kept past its trip reads as garbage at once
-// instead of as plausible stale data. A reader's decoded heap row gets
-// the same treatment at every position outside its field set
+// PoisonScratch is wire.PoisonReleased for the write paths' scratch:
+// while on, a pipeline trip's arena and pre-image rows are overwritten
+// with 0xDB as the trip ends, and a transaction's as Commit or Abort
+// returns, so a pre-image value (tuple.DecodeAlias views the arena), a
+// staged record or a carved key kept past its owner reads as garbage at
+// once instead of as plausible stale data. A reader's decoded heap row
+// gets the same treatment at every position outside its field set
 // (decodeFields). Nothing outside tests calls it.
 func PoisonScratch(on bool) { poisonScratch.Store(on) }
 
 // entryKey is Index.entryKey carved from the arena. Keys have no size
 // known up front, so one is appended at the arena's end and, should
 // that outgrow the chunk, append's copy becomes the new chunk.
-func (s *stageScratch) entryKey(ix *Index, row tuple.Row, rid storage.RID) ([]byte, error) {
+func (s *stageArena) entryKey(ix *Index, row tuple.Row, rid storage.RID) ([]byte, error) {
 	off := len(s.arena)
 	buf, err := ix.appendEntryKey(s.arena, row, rid)
 	if err != nil {
@@ -424,7 +446,7 @@ func (s *stageScratch) entryKey(ix *Index, row tuple.Row, rid storage.RID) ([]by
 // preImage loads and decodes the row at rid into the scratch: the
 // record is read onto the arena's end (as entryKey appends a key) and
 // the row is a view of it carved from vals. Both die with the trip.
-func (s *stageScratch) preImage(t *Table, rid storage.RID) (tuple.Row, error) {
+func (s *stageArena) preImage(t *Table, rid storage.RID) (tuple.Row, error) {
 	off := len(s.arena)
 	buf, err := t.file.GetInto(s.arena, rid)
 	if err != nil {
@@ -480,9 +502,9 @@ func (e *Engine) putPipeline(p *pipeline) {
 }
 
 // preflight readies one op for the stages: the pre-image loads and the
-// new row encodes, sized once and carved from sc's arena. op.oldRow is
-// a view of that arena: it lives as long as sc's current trip does.
-func (t *Table) preflight(op *stagedOp, sc *stageScratch) (err error) {
+// new row encodes, sized once and carved from sc. op.oldRow is a view of
+// sc: it lives as long as sc's current trip (or transaction) does.
+func (t *Table) preflight(op *stagedOp, sc *stageArena) (err error) {
 	if op.kind != BatchInsert {
 		if op.oldRow, err = sc.preImage(t, op.rid); err != nil {
 			return fmt.Errorf("core: %v of %v: %w", op.kind, op.rid, err)
@@ -542,7 +564,7 @@ func (p *pipeline) failRun(ix *Index, err error) {
 func (p *pipeline) run() {
 	if p.vers == nil {
 		for i := range p.ops {
-			if err := p.t.preflight(&p.ops[i], &p.stageScratch); err != nil && p.fail(i, err) {
+			if err := p.t.preflight(&p.ops[i], &p.stageArena); err != nil && p.fail(i, err) {
 				// Ops before i proceed through the stages; i and
 				// everything after are never started.
 				p.ops = p.ops[:i]
@@ -917,8 +939,8 @@ func (p *pipeline) entryOp(ix *Index, op *stagedOp, key []byte, keyChanged bool)
 		// The entry still points at the version being superseded.
 		return btree.RunUpsert, op.rid.Pack()
 	}
-	if c := p.vers.tx.claimed[claimID{ix, string(key)}]; c.occupant != 0 {
-		return btree.RunUpsert, c.occupant
+	if c := p.vers.tx.claimed.find(ix, key); c != nil && c.val.occupant != 0 {
+		return btree.RunUpsert, c.val.occupant
 	}
 	return btree.RunInsertIfAbsent, 0
 }

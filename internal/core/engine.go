@@ -116,9 +116,12 @@ type Engine struct {
 	// at most.
 	clock        atomic.Uint64
 	txnMu        sync.Mutex     // nblb:lock txnMu
+	txnRec       []byte         // the committing transaction's recTxn payload (txnMu)
 	snapMu       sync.Mutex     // nblb:lock snapMu
 	snaps        map[uint64]int // startTS → live snapshot count
 	deadVersions atomic.Int64   // GC backlog: versions awaiting physical removal
+	gcFloor      atomic.Int64   // the backlog the last GC pass left behind
+	gcPasses     atomic.Int64   // GC passes run
 }
 
 // NewEngine creates an engine with the given options. Functional

@@ -265,14 +265,20 @@ func (e *Engine) gcWatermark() uint64 {
 	return w
 }
 
-// gcDeadThreshold is the dead-version backlog at which a commit or
-// snapshot release triggers a GC pass opportunistically.
+// gcDeadThreshold is how far the dead-version backlog must grow past
+// what the last GC pass left behind before a commit or snapshot release
+// triggers the next pass opportunistically.
 const gcDeadThreshold = 256
 
-// maybeGC runs a GC pass when the dead-version backlog crosses the
-// threshold. Called after commits and snapshot releases.
+// maybeGC runs a GC pass once the dead-version backlog has grown by
+// gcDeadThreshold since the last pass ended. Called after commits and
+// snapshot releases. Counting from what the last pass left, not from
+// zero, keeps passes proportional to new dead versions: a snapshot held
+// open pins the backlog above any fixed bar, and a bar on the backlog
+// itself would then run a whole-map pass, the commit gate held
+// exclusively, after every later commit.
 func (e *Engine) maybeGC() {
-	if e.deadVersions.Load() >= gcDeadThreshold {
+	if e.deadVersions.Load()-e.gcFloor.Load() >= gcDeadThreshold {
 		e.RunGC()
 	}
 }
@@ -307,7 +313,9 @@ func (e *Engine) RunGC() int {
 	for _, t := range tables {
 		removed += t.gcLocked(watermark)
 	}
-	e.deadVersions.Add(int64(-removed))
+	// Every backlog move happens under the gate, so the floor is exact.
+	e.gcFloor.Store(e.deadVersions.Add(int64(-removed)))
+	e.gcPasses.Add(1)
 	return removed
 }
 
@@ -352,8 +360,8 @@ func (t *Table) gcLocked(watermark uint64) int {
 	removed := 0
 	gone := make(map[uint64]struct{})
 	var (
-		row tuple.Row
-		rec []byte
+		row      tuple.Row
+		rec, key []byte // reused across the pass: the tree and the cache copy keys
 	)
 	for _, c := range cands {
 		if !c.dead {
@@ -389,10 +397,11 @@ func (t *Table) gcLocked(watermark uint64) int {
 		wal.TestPoint("gc:unlinked")
 		t.mu.RLock()
 		for _, ix := range t.indexes {
-			key, kerr := ix.entryKey(row, c.rid)
+			k, kerr := ix.appendEntryKey(key[:0], row, c.rid)
 			if kerr != nil {
 				continue
 			}
+			key = k
 			if ix.unique {
 				// Compare-and-delete: the entry may have been upserted to a
 				// newer version of the key; only remove it while it still

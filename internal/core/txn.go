@@ -46,23 +46,33 @@ var ErrTxnConflict = errors.New("core: transaction conflict")
 //   - Cursors from Query must be exhausted or closed before Commit or
 //     Abort: finishing the transaction releases its snapshot, after
 //     which the GC may unlink versions the cursor could still visit.
+//
+// A Txn is one object that owns its whole stage, reused across its
+// Applies: the first table's side and the table list are inline, staged
+// ops append straight onto their table's, the three staging sets are
+// stageSets, and one arena holds every staged record, pre-image, claimed
+// key and undo key until Commit or Abort returns (see ARCHITECTURE.md,
+// "MVCC snapshot transactions").
 type Txn struct {
 	e       *Engine
 	startTS uint64
 	done    bool
+	nBatch  int // batches staged (for error attribution)
 
-	tables  []*txnTable
-	byName  map[string]*txnTable
-	claimed map[claimID]claimRef     // staged unique entry keys
-	freed   map[claimID]struct{}     // unique entry keys this txn's updates/deletes release
-	writes  map[writeTarget]struct{} // staged update/delete targets
-	nBatch  int                      // batches staged (for error attribution)
+	tables []*txnTable // in staging order; backed by tab0 while one table stages
+	tab0   [1]*txnTable
+	first  txnTable // the first table's side
+
+	claimed stageSet[*Index, claimRef]      // staged unique entry keys
+	freed   stageSet[*Index, struct{}]      // unique entry keys this txn's updates/deletes release
+	writes  stageSet[writeTarget, stagedAt] // staged update/delete targets
+	sc      stageArena
 }
 
-// claimID names one unique index entry.
-type claimID struct {
-	ix  *Index
-	key string
+// stagedAt names a staged op for error attribution: its batch, counted
+// from 0 in staging order, and its position in that batch.
+type stagedAt struct {
+	batch, op int
 }
 
 // claimRef records which staged op claimed a unique key — for
@@ -70,18 +80,21 @@ type claimID struct {
 // and, once the commit pre-check has looked, the packed RID occupying
 // the key in the tree (0 = none).
 type claimRef struct {
-	entry    []byte
-	batch    int
-	op       int
+	stagedAt
 	tt       *txnTable
 	pos      int // the claiming op's position in tt.ops
 	occupant uint64
 }
 
 type writeTarget struct {
-	table string
-	rid   storage.RID
+	t   *Table
+	rid storage.RID
 }
+
+// txnOpBytes is what Apply reserves in the arena per staged op: a
+// record of up to ~240 bytes, its pre-image and a few keys. A larger row
+// just carves a further chunk.
+const txnOpBytes = 512
 
 // txnTable is a transaction's side of one table: the staged ops, and
 // the undo log of the commit in flight — the counters it moved and
@@ -111,11 +124,14 @@ type entryUndo struct {
 // ApplyRun reports each entry found: an if-absent entry whose key
 // existed wrote nothing, anything else wrote over Prev or afresh.
 func (tt *txnTable) noteEntries(ix *Index, run []btree.RunEntry) {
+	tt.entries = slices.Grow(tt.entries, len(run))
 	for i := range run {
 		if e := &run[i]; e.Op != btree.RunInsertIfAbsent || !e.Existed {
-			// The key is copied: the run's keys live in the pipeline's
-			// arena, which is recycled before a rollback would read them.
-			tt.entries = append(tt.entries, entryUndo{ix: ix, key: bytes.Clone(e.Key), val: e.Prev, restore: e.Existed})
+			// The key is copied into the transaction's arena: the run's keys
+			// live in the pipeline's, which is recycled before a rollback
+			// would read them.
+			key := append(carve(&tt.tx.sc.arena, len(e.Key), maxArena), e.Key...)
+			tt.entries = append(tt.entries, entryUndo{ix: ix, key: key, val: e.Prev, restore: e.Existed})
 		}
 	}
 }
@@ -128,16 +144,22 @@ func (e *Engine) Begin() *Txn {
 // StartTS returns the transaction's snapshot timestamp.
 func (tx *Txn) StartTS() uint64 { return tx.startTS }
 
+// table returns t's side of the transaction, adding it when t has none.
+// A transaction touches few tables, so a scan finds it.
 func (tx *Txn) table(t *Table) *txnTable {
-	if tx.byName == nil {
-		tx.byName = make(map[string]*txnTable)
+	for _, tt := range tx.tables {
+		if tt.t == t {
+			return tt
+		}
 	}
-	tt := tx.byName[t.name]
-	if tt == nil {
-		tt = &txnTable{tx: tx, t: t}
-		tx.byName[t.name] = tt
-		tx.tables = append(tx.tables, tt)
+	tt := &tx.first
+	if len(tx.tables) == 0 {
+		tx.tables = tx.tab0[:0]
+	} else {
+		tt = new(txnTable)
 	}
+	*tt = txnTable{tx: tx, t: t}
+	tx.tables = append(tx.tables, tt)
 	return tt
 }
 
@@ -165,47 +187,58 @@ func (tx *Txn) Apply(t *Table, b *Batch) (Result, error) {
 	if b == nil || len(b.ops) == 0 {
 		return res, nil
 	}
-	batchNo := tx.nBatch
-
-	staged := append([]stagedOp(nil), b.ops...)
-	var sc stageScratch // the staged records keep what they carve from it
-	type claim struct {
-		id  claimID
-		ref claimRef
-	}
-	var claims []claim
-	var frees []claimID
-	var targets []writeTarget
-	claimedAt := func(id claimID) (claimRef, bool) {
-		if c, ok := tx.claimed[id]; ok {
-			return c, true
-		}
-		for _, c := range claims {
-			if c.id == id {
-				return c.ref, true
-			}
-		}
-		return claimRef{}, false
-	}
 
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	tt := tx.byName[t.name] // nil until the table's first batch stages
-	base := 0
-	if tt != nil {
-		base = len(tt.ops)
-	}
-	for i := range staged {
-		op := &staged[i]
-		if op.kind != BatchInsert {
-			tgt := writeTarget{t.name, op.rid}
-			if _, dup := tx.writes[tgt]; dup || slices.Contains(targets, tgt) {
-				return res, res.fail(i, fmt.Errorf("core: row %v already written in this transaction", op.rid))
-			}
-			targets = append(targets, tgt)
+	// The batch stages in place. Should any op fail, everything it added
+	// is cut back off: ops, set members, a table it brought in, and the
+	// arena, whose carvings since the mark nothing references any more.
+	nTables, sc := len(tx.tables), tx.sc
+	nClaimed, nFreed, nWrites := len(tx.claimed.members), len(tx.freed.members), len(tx.writes.members)
+	tt := tx.table(t)
+	base := len(tt.ops)
+	tt.ops = append(tt.ops, b.ops...)
+	pre := 0
+	for i := range b.ops {
+		if b.ops[i].kind != BatchInsert {
+			pre++
 		}
-		if err := t.preflight(op, &sc); err != nil {
-			return res, res.fail(i, err)
+	}
+	tx.sc.reserve(len(b.ops)*txnOpBytes, pre*t.schema.NumFields())
+	if i, err := tx.stage(tt, base); err != nil {
+		clear(tt.ops[base:])
+		tt.ops = tt.ops[:base]
+		tx.claimed.truncate(nClaimed)
+		tx.freed.truncate(nFreed)
+		tx.writes.truncate(nWrites)
+		tx.tables = tx.tables[:nTables]
+		tx.sc = sc
+		return res, res.fail(i, err)
+	}
+	tx.nBatch++
+	res.Applied = len(b.ops)
+	return res, nil
+}
+
+// stage readies tt.ops[base:] — one batch — for Commit: each op's record
+// encodes and its pre-image loads into the transaction's arena, and its
+// target and unique keys are checked against, then added to, the
+// transaction's own stage. It reports the batch position of an op that
+// fails.
+func (tx *Txn) stage(tt *txnTable, base int) (int, error) {
+	t := tt.t
+	for i := base; i < len(tt.ops); i++ {
+		op, at := &tt.ops[i], stagedAt{tx.nBatch, i - base}
+		if op.kind != BatchInsert {
+			tgt := writeTarget{t, op.rid}
+			if w := tx.writes.find(tgt, nil); w != nil {
+				return at.op, fmt.Errorf("core: row %v already written by op %d of batch %d in this transaction",
+					op.rid, w.val.op, w.val.batch)
+			}
+			tx.writes.add(tgt, nil, at)
+		}
+		if err := t.preflight(op, &tx.sc); err != nil {
+			return at.op, err
 		}
 		// Unique-key accounting against the transaction's own stage.
 		for _, ix := range t.indexes {
@@ -215,58 +248,36 @@ func (tx *Txn) Apply(t *Table, b *Batch) (Result, error) {
 			var oldKey, newKey []byte
 			var err error
 			if op.oldRow != nil {
-				if oldKey, err = ix.entryKey(op.oldRow, op.rid); err != nil {
-					return res, res.fail(i, err)
+				if oldKey, err = tx.sc.entryKey(ix, op.oldRow, op.rid); err != nil {
+					return at.op, err
 				}
 			}
 			if op.kind != BatchDelete {
-				if newKey, err = ix.entryKey(op.row, storage.InvalidRID); err != nil {
-					return res, res.fail(i, err)
+				if newKey, err = tx.sc.entryKey(ix, op.row, storage.InvalidRID); err != nil {
+					return at.op, err
 				}
 			}
-			if oldKey != nil && newKey != nil && string(oldKey) == string(newKey) {
+			if oldKey != nil && newKey != nil && bytes.Equal(oldKey, newKey) {
 				continue // key unchanged: the version chain carries it
 			}
 			if newKey != nil {
-				id := claimID{ix, string(newKey)}
-				if c, dup := claimedAt(id); dup {
-					return res, res.fail(i, fmt.Errorf(
+				if c := tx.claimed.find(ix, newKey); c != nil {
+					return at.op, fmt.Errorf(
 						"core: index %q: duplicate key staged by op %d of batch %d in this transaction",
-						ix.name, c.op, c.batch))
+						ix.name, c.val.op, c.val.batch)
 				}
-				claims = append(claims, claim{id, claimRef{entry: newKey, batch: batchNo, op: i, pos: base + i}})
+				tx.claimed.add(ix, newKey, claimRef{stagedAt: at, tt: tt, pos: i})
 			}
-			if oldKey != nil {
-				frees = append(frees, claimID{ix, string(oldKey)})
+			// A key stays freed even when re-claimed: the commit pre-check
+			// uses the freed set to recognize that the durable occupant of
+			// a claimed key is a row this transaction itself kills (the
+			// conflict check has already proven nobody else touched it).
+			if oldKey != nil && tx.freed.find(ix, oldKey) == nil {
+				tx.freed.add(ix, oldKey, struct{}{})
 			}
 		}
 	}
-
-	// The whole batch validated — merge it into the stage.
-	tt = tx.table(t)
-	tt.ops = append(tt.ops, staged...)
-	if tx.claimed == nil {
-		tx.claimed = make(map[claimID]claimRef)
-		tx.freed = make(map[claimID]struct{})
-		tx.writes = make(map[writeTarget]struct{})
-	}
-	for _, c := range claims {
-		c.ref.tt = tt
-		tx.claimed[c.id] = c.ref
-	}
-	// A key stays freed even when re-claimed: the commit pre-check uses
-	// the freed set to recognize that the durable occupant of a claimed
-	// key is a row this transaction itself kills (the conflict check has
-	// already proven nobody else touched that row).
-	for _, f := range frees {
-		tx.freed[f] = struct{}{}
-	}
-	for _, w := range targets {
-		tx.writes[w] = struct{}{}
-	}
-	tx.nBatch++
-	res.Applied = len(staged)
-	return res, nil
+	return 0, nil
 }
 
 // Query opens a cursor over t reading as-of the transaction's start
@@ -292,6 +303,14 @@ func (tx *Txn) Abort() {
 		return
 	}
 	tx.done = true
+	tx.finish()
+}
+
+// finish ends a transaction that Commit or Abort has marked done: its
+// arena dies (poisoned under PoisonScratch), its snapshot is released,
+// and a GC pass runs if the backlog calls for one.
+func (tx *Txn) finish() {
+	tx.sc.endTrip()
 	tx.e.releaseSnapshot(tx.startTS)
 	tx.e.maybeGC()
 }
@@ -317,10 +336,7 @@ func (tx *Txn) Commit() error {
 	}
 	tx.done = true
 	e := tx.e
-	defer func() {
-		e.releaseSnapshot(tx.startTS)
-		e.maybeGC()
-	}()
+	defer tx.finish()
 	if len(tx.tables) == 0 {
 		return nil
 	}
@@ -354,19 +370,20 @@ func (tx *Txn) Commit() error {
 	// it found — a dead or freed holder the new version chains to — is
 	// recorded so the index stage can tell if a raw Apply (which shares
 	// the gate) changed the entry since, without searching again.
-	for id, c := range tx.claimed {
-		v, found, err := id.ix.tree.Search(c.entry)
+	for i := range tx.claimed.members {
+		m := &tx.claimed.members[i]
+		ix, c := m.owner, &m.val
+		v, found, err := ix.tree.Search(m.key)
 		if err != nil {
 			return err
 		}
 		if !found {
 			continue
 		}
-		if _, freed := tx.freed[id]; !freed && id.ix.table.ridVisible(storage.UnpackRID(v), snapLatest) {
-			return fmt.Errorf("core: index %q: duplicate key (op %d of batch %d)", id.ix.name, c.op, c.batch)
+		if tx.freed.find(ix, m.key) == nil && ix.table.ridVisible(storage.UnpackRID(v), snapLatest) {
+			return fmt.Errorf("core: index %q: duplicate key (op %d of batch %d)", ix.name, c.op, c.batch)
 		}
 		c.occupant = v
-		tx.claimed[id] = c
 		c.tt.ops[c.pos].prev = v
 	}
 
@@ -451,13 +468,16 @@ func commitSeam(n int) int {
 //
 // Caller holds txnMu and commitGate shared. Each table's undo log
 // records exactly what landed — on error the caller MUST run
-// rollbackEffects before the gate drops.
+// rollbackEffects before the gate drops. The payload is built in the
+// engine's txnRec, which txnMu serialises: it stays valid until the
+// caller drops txnMu, and the log copies it on Append.
 func (tx *Txn) commitEffects(ts uint64) ([]byte, error) {
-	p := tx.e.getPipeline()
-	defer tx.e.putPipeline(p)
+	e := tx.e
+	p := e.getPipeline()
+	defer e.putPipeline(p)
 	var payload []byte
 	if p.wb != nil {
-		payload = binary.AppendUvarint(nil, ts)
+		payload = binary.AppendUvarint(e.txnRec[:0], ts)
 		payload = binary.AppendUvarint(payload, uint64(len(tx.tables)))
 	}
 	for _, tt := range tx.tables {
@@ -473,6 +493,9 @@ func (tx *Txn) commitEffects(ts uint64) ([]byte, error) {
 			payload = binary.AppendUvarint(payload, uint64(len(p.wb.payload())))
 			payload = append(payload, p.wb.payload()...)
 		}
+	}
+	if cap(payload) <= maxArena { // a huge commit's buffer is not kept
+		e.txnRec = payload
 	}
 	return payload, nil
 }

@@ -411,6 +411,7 @@ type request struct {
 	query  wire.QueryReq
 	apply  wire.ApplyReq
 	result wire.ApplyResp // the Apply's attributed outcome
+	batch  core.Batch     // a transaction's Apply, staged from (Txn.Apply copies the ops)
 
 	rids []uint64 // RIDs of the query page being built
 }
@@ -650,7 +651,7 @@ func (rq *request) handle() {
 func (c *conn) handleApply(id uint64, rq *request) error {
 	m := &rq.apply
 	if m.TxnID != 0 {
-		if err := c.handleTxnApply(m, &rq.result); err != nil {
+		if err := c.handleTxnApply(rq); err != nil {
 			return err
 		}
 	} else if err := c.s.applyOps(m.Table, m.Ops, &rq.result); err != nil {
@@ -666,7 +667,8 @@ func (c *conn) handleApply(id uint64, rq *request) error {
 // the write coalescer deliberately: a transaction's writes must not be
 // folded into other connections' batches — they become durable only at
 // the transaction's own commit record.
-func (c *conn) handleTxnApply(m *wire.ApplyReq, out *wire.ApplyResp) error {
+func (c *conn) handleTxnApply(rq *request) error {
+	m := &rq.apply
 	ct, err := c.txn(m.TxnID)
 	if err != nil {
 		return err
@@ -678,14 +680,20 @@ func (c *conn) handleTxnApply(m *wire.ApplyReq, out *wire.ApplyResp) error {
 	if len(m.Ops) == 0 {
 		return errors.New("server: empty batch")
 	}
-	var b core.Batch
-	stageOps(&b, m.Ops)
-	res, aerr := ct.txn.Apply(tb, &b)
+	stageOps(&rq.batch, m.Ops)
+	res, aerr := ct.txn.Apply(tb, &rq.batch)
 	// Staged writes have no RIDs yet (rows land in the heap at commit);
 	// the response reports per-op acceptance only.
-	sliceResult(out, &res, aerr, 0, len(m.Ops))
-	// The transaction aliases the staged rows until it commits: they
-	// leave the request with it instead of returning to the pool.
+	sliceResult(&rq.result, &res, aerr, 0, len(m.Ops))
+	// The transaction copied the ops but aliases the staged rows until it
+	// commits: they leave the request with it instead of returning to the
+	// pool, and the batch keeps only its capacity (a large one not even
+	// that).
+	if len(m.Ops) > maxPooledOps {
+		rq.batch = core.Batch{}
+	} else {
+		rq.batch.Reset()
+	}
 	m.Ops = nil
 	return nil
 }
