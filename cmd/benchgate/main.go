@@ -22,9 +22,9 @@ import (
 	"strings"
 )
 
-// keep is the share of a reference throughput a fresh run must hold:
-// the sweeps are short, and same-code runs on a shared runner differ by
-// up to a fifth.
+// keep is the share of its paired side's throughput a fresh point must
+// hold: the sweeps are short, and the two sides of a pair measured in one
+// run on a shared runner differ by up to a fifth even on the same code.
 const keep = 0.80
 
 // point is one decoded JSON object: a whole summary, or one element of
@@ -32,19 +32,17 @@ const keep = 0.80
 type point = map[string]any
 
 // series lists the gated series as "file/series": the fields that key a
-// point in it, and the top-level fields describing its workload, which
-// must be equal before a baseline row compares two files — a changed
-// workload is a baseline refresh, not a regression.
+// point in it, and, for a series with baseline rows, the top-level
+// fields describing its workload, which must be equal before a baseline
+// row compares two files — a changed workload is a baseline refresh, not
+// a regression.
 var series = map[string]struct{ key, shape string }{
-	"throughput/points":    {"goroutines", "rows"},
 	"scan/points":          {"mode", "rows"},
 	"scan/parallel":        {"segments mode", "rows"},
-	"write/points":         {"goroutines", "preload_rows ops_per_point update_frac"},
-	"write/heap_points":    {"goroutines", "heap_ops_per_point heap_record_bytes heap_shards"},
-	"write/batch_points":   {"goroutines batch_size", "batch_ops_per_point batch_sizes"},
-	"write/durable_points": {"goroutines", "durable_ops_per_point durable_batch_size"},
-	"write/txn_points":     {"goroutines", "txn_ops_per_point txn_batch_size"},
-	"serve/coalesced":      {"conns", "ops_per_conn batch_ops value_bytes"},
+	"write/batch_points":   {"goroutines batch_size", ""},
+	"write/durable_points": {"goroutines", ""},
+	"write/txn_points":     {"goroutines", ""},
+	"serve/coalesced":      {"conns", ""},
 }
 
 // What a rule holds its metric against.
@@ -67,37 +65,25 @@ type rule struct {
 	ref, refAt    string
 	op            string // "≥", ">", "≤" or "="
 	factor, slack float64
-	wall          bool   // wall-clock metric: a baseline row needs the same GOMAXPROCS on both sides
 	cpus          string // key field counting the workers a point needs: with fewer usable CPUs it is unverified, not gated
 	why           string // what a failure means; printed with it
 }
 
+// rules holds only what repeats: counts held against the committed
+// baseline, and ratios between two paths measured in the same run.
 var rules = []rule{
-	{in: "throughput/points", metric: "sharded_ops_per_sec", vs: baseline, op: "≥", factor: keep, wall: true, cpus: "goroutines", why: "parallel cache-hit lookups lost throughput"},
-	{in: "scan/points", metric: "rows_per_sec", vs: baseline, op: "≥", factor: keep, wall: true, why: "a serial scan mode lost throughput"},
 	{in: "scan/points", metric: "allocs_per_row", vs: baseline, op: "≤", factor: 1, slack: 0.5, why: "a serial scan mode allocates more per row (machine-independent, so held tight)"},
 	{in: "scan/points", metric: "disk_reads_per_pass", vs: baseline, op: "≤", factor: 2 - keep, slack: 1, why: "a serial scan mode reads more pages per pass (machine-independent)"},
 	{in: "scan/points", metric: "leaf_fetches", at: "mode=cursor-cache-first-reverse", vs: sibling, ref: "points", refAt: "mode=cursor-cache-first", op: "=", factor: 1, why: "reverse and forward scans must fetch the same leaves (doubly linked leaves)"},
-	{in: "scan/parallel", metric: "rows_per_sec", at: "segments=1 mode=ordered", vs: top, ref: "serial_rows_per_sec", op: "≥", factor: keep, why: "an ordered parallel scan that falls back to serial must not tax the query"},
-	{in: "scan/parallel", metric: "rows_per_sec", at: "segments=1 mode=unordered", vs: top, ref: "serial_rows_per_sec", op: "≥", factor: keep, why: "an unordered parallel scan that falls back to serial must not tax the query"},
 	{in: "scan/parallel", metric: "speedup_vs_serial", at: "segments=4 mode=unordered", op: ">", slack: 1, cpus: "segments", why: "four unordered segments on four CPUs must beat the serial scan outright"},
-	{in: "scan/parallel", metric: "rows_per_sec", vs: baseline, op: "≥", factor: keep, wall: true, cpus: "segments", why: "a parallel scan leg lost throughput"},
 	{in: "scan/parallel", metric: "allocs_per_row", vs: baseline, op: "≤", factor: 1, slack: 0.5, why: "a parallel scan leg allocates more per row (block pooling regressed)"},
-	{in: "write/points", metric: "crabbed_ops_per_sec", vs: baseline, op: "≥", factor: keep, wall: true, why: "latch-crabbing tree writes lost throughput"},
-	{in: "write/heap_points", metric: "sharded_ops_per_sec", vs: baseline, op: "≥", factor: keep, wall: true, why: "sharded heap inserts lost throughput"},
 	{in: "write/batch_points", metric: "batched_ops_per_sec", vs: field, ref: "one_row_ops_per_sec", op: "≥", factor: 1, why: "batched Apply must never lose to one-row inserts of the same rows (fewer descents, latches, shard locks)"},
-	{in: "write/batch_points", metric: "batched_ops_per_sec", vs: baseline, op: "≥", factor: keep, wall: true, why: "batched Apply lost throughput"},
-	{in: "write/batch_points", metric: "one_row_ops_per_sec", vs: baseline, op: "≥", factor: keep, wall: true, why: "one-row inserts lost throughput (batches must not win by slowing the single-op path)"},
 	{in: "write/durable_points", metric: "ops_per_fsync", vs: top, ref: "durable_batch_size", op: "≥", factor: 1, why: "group commit fsyncs at most once per Apply, so an fsync covers at least one batch"},
 	{in: "write/durable_points", metric: "sync_none_ops_per_sec", best: true, vs: field, ref: "nondurable_ops_per_sec", op: "≥", factor: 0.90, why: "logging without commit-path fsyncs must stay within 10% of the WAL-off engine's best"},
-	{in: "write/durable_points", metric: "group_commit_ops_per_sec", vs: baseline, op: "≥", factor: keep, wall: true, why: "group-commit ingest lost throughput"},
 	{in: "write/txn_points", metric: "txn_ops_per_sec", at: "goroutines=1", vs: field, ref: "raw_ops_per_sec", op: "≥", factor: 0.25, why: "an uncontended transaction must keep a quarter of raw batched throughput (else the commit path picked up accidental work)"},
-	{in: "write/txn_points", metric: "txn_ops_per_sec", vs: baseline, op: "≥", factor: keep, wall: true, why: "transactional ingest lost throughput"},
 	{in: "serve/coalesced", metric: "ops_per_sec", vs: sibling, ref: "direct", op: "≥", factor: keep, why: "coalescing must not cost throughput against per-request commits (a lone writer's cycle is a direct Apply)"},
 	{in: "serve/coalesced", metric: "ops_per_fsync", at: "last", vs: sibling, ref: "direct", op: ">", factor: 1, why: "at the highest connection count the coalescer must share fsyncs better than per-request commits"},
 	{in: "serve/coalesced", metric: "ops_per_cycle", at: "last", op: ">", slack: 1, why: "at the highest connection count shared batches must form"},
-	{in: "serve/coalesced", metric: "ops_per_sec", vs: baseline, op: "≥", factor: keep, wall: true, why: "served coalesced writes lost throughput"},
-	{in: "serve/coalesced", metric: "ops_per_fsync", at: "last", vs: baseline, op: "≥", factor: keep, wall: true, why: "rows per fsync at the highest connection count eroded"},
 }
 
 // gate evaluates rules over the summaries of two directories.
@@ -188,13 +174,9 @@ func (g *gate) check(r rule) {
 	if r.vs == baseline {
 		base = g.load(g.base, file)
 	}
-	same := strings.Fields(s.shape) // what must match before a baseline row compares
-	if r.wall {
-		same = append(same, "gomaxprocs")
-	}
-	for _, f := range same {
+	for _, f := range strings.Fields(s.shape) { // what must match before a baseline row compares
 		if base != nil && !reflect.DeepEqual(base[f], fresh[f]) {
-			g.notef("%s %s: baseline has %s %v, this run %v — comparison skipped; a changed workload or machine is a baseline refresh", r.in, r.metric, f, base[f], fresh[f])
+			g.notef("%s %s: baseline has %s %v, this run %v — comparison skipped; a changed workload is a baseline refresh", r.in, r.metric, f, base[f], fresh[f])
 			base = nil
 		}
 	}
@@ -229,8 +211,8 @@ func (g *gate) check(r rule) {
 		if r.vs == baseline && base == nil {
 			continue
 		}
-		if need, _ := num(p, r.cpus); need > usableCPUs(fresh) || base != nil && need > usableCPUs(base) {
-			g.notef("%s needs %v CPUs, more than this run or its baseline had — unverified, not gated", what, need)
+		if need, _ := num(p, r.cpus); need > usableCPUs(fresh) {
+			g.notef("%s needs %v CPUs, more than this run had — unverified, not gated", what, need)
 			continue
 		}
 		want, refName := 0.0, r.ref

@@ -1,13 +1,13 @@
 // Command nblb-bench regenerates every figure and in-text analysis of
-// "No Bits Left Behind" (CIDR 2011) as text tables, plus the four
-// tracked sweeps (throughput, scan, write, serve).
+// "No Bits Left Behind" (CIDR 2011) as text tables, plus the three
+// tracked sweeps (scan, write, serve).
 //
 // Usage:
 //
 //	nblb-bench                      # everything
 //	nblb-bench -exp fig2c,fig3      # some experiments (-h lists them)
 //	nblb-bench -quick               # shrunken workloads for a fast smoke run
-//	nblb-bench -exp throughput,scan,write,serve -quick -out bench-out
+//	nblb-bench -exp scan,write,serve -quick -out bench-out
 //
 // -out names a directory; the tracked sweeps write their
 // BENCH_<exp>.json summaries there for cmd/benchgate to compare with
@@ -137,15 +137,6 @@ var experimentList = []struct {
 		}
 		return show(experiments.RunAblatePredLog(cfg))
 	}},
-	{"throughput", func(quick bool, seed int64, out string) error {
-		cfg := experiments.DefaultThroughputConfig()
-		cfg.Seed = seed
-		if quick {
-			cfg.Rows, cfg.Lookups = 4000, 40000
-			cfg.Goroutines = []int{1, 4, 8}
-		}
-		return track("throughput", out)(experiments.RunThroughput(cfg))
-	}},
 	{"scan", func(quick bool, seed int64, out string) error {
 		cfg := experiments.DefaultScanConfig()
 		cfg.Seed = seed
@@ -154,12 +145,9 @@ var experimentList = []struct {
 		}
 		return track("scan", out)(experiments.RunScan(cfg))
 	}},
-	{"write", func(quick bool, seed int64, out string) error {
+	{"write", func(quick bool, _ int64, out string) error {
 		cfg := experiments.DefaultWriteConfig()
-		cfg.Seed = seed
 		if quick {
-			cfg.Preload, cfg.Ops = 5000, 20000
-			cfg.HeapOps = 40000
 			cfg.BatchOps = 20000
 			cfg.DurableOps = 10000
 			cfg.Goroutines = []int{1, 2, 4}

@@ -67,7 +67,8 @@ type Tree struct {
 	maxSepLen atomic.Int64
 	// latchRetries counts optimistic descents that found a full leaf
 	// and fell back to the pessimistic full-path hold — the crabbing
-	// contention metric BENCH_write.json tracks.
+	// contention metric the served benchmark reports as
+	// btree.latch_retries.
 	latchRetries atomic.Int64
 }
 

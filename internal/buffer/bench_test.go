@@ -17,7 +17,7 @@ func benchPool(b *testing.B, capacity, shards, nPages int) (*Pool, []storage.Pag
 	if err != nil {
 		b.Fatal(err)
 	}
-	p, err := NewPoolShards(disk, capacity, shards)
+	p, err := newPoolShards(disk, capacity, shards)
 	if err != nil {
 		b.Fatal(err)
 	}

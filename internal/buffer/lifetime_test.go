@@ -156,7 +156,7 @@ func TestPoolCloseRacingFetch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := NewPoolShards(disk, 8, 4)
+	p, err := newPoolShards(disk, 8, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -181,7 +181,7 @@ func NewPool(disk storage.DiskManager, capacity int) (*Pool, error) {
 	if capacity < 1 {
 		return nil, fmt.Errorf("buffer: capacity must be at least 1, got %d", capacity)
 	}
-	return NewPoolShards(disk, capacity, defaultShardCount(capacity))
+	return newPoolShards(disk, capacity, defaultShardCount(capacity))
 }
 
 // NewPoolShards creates a pool with an explicit shard count, which must
@@ -189,7 +189,7 @@ func NewPool(disk storage.DiskManager, capacity int) (*Pool, error) {
 // count above the capacity merely leaves some shards borrowing frames
 // from siblings. Benchmarks use shards == 1 to reproduce the classic
 // single-mutex pool.
-func NewPoolShards(disk storage.DiskManager, capacity, shards int) (*Pool, error) {
+func newPoolShards(disk storage.DiskManager, capacity, shards int) (*Pool, error) {
 	if capacity < 1 {
 		return nil, fmt.Errorf("buffer: capacity must be at least 1, got %d", capacity)
 	}

@@ -11,12 +11,12 @@ import (
 func TestNewPoolShardsValidation(t *testing.T) {
 	disk, _ := storage.NewMemDisk(256)
 	for _, bad := range []int{0, -1, 3, 6, 12} {
-		if _, err := NewPoolShards(disk, 16, bad); err == nil {
+		if _, err := newPoolShards(disk, 16, bad); err == nil {
 			t.Errorf("shards=%d should be rejected (not a power of two)", bad)
 		}
 	}
 	for _, good := range []int{1, 2, 4, 64} {
-		p, err := NewPoolShards(disk, 16, good)
+		p, err := newPoolShards(disk, 16, good)
 		if err != nil {
 			t.Fatalf("shards=%d: %v", good, err)
 		}
@@ -47,7 +47,7 @@ func TestCrossShardSteal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := NewPoolShards(disk, 2, 4)
+	p, err := newPoolShards(disk, 2, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestCrossShardSteal(t *testing.T) {
 // harvest one of those free frames, not fail with "all frames pinned".
 func TestStealHarvestsSiblingFreeFrames(t *testing.T) {
 	disk, _ := storage.NewMemDisk(256)
-	p, err := NewPoolShards(disk, 2, 4)
+	p, err := newPoolShards(disk, 2, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,7 @@ func TestStealHarvestsSiblingFreeFrames(t *testing.T) {
 // verifying contents and the global capacity bound.
 func TestShardedPoolContentsSurviveChurn(t *testing.T) {
 	disk, _ := storage.NewMemDisk(256)
-	p, err := NewPoolShards(disk, 16, 4)
+	p, err := newPoolShards(disk, 16, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +199,7 @@ func TestShardedPoolContentsSurviveChurn(t *testing.T) {
 // test run against a multi-shard pool: EvictAll must reach every shard.
 func TestShardedEvictAllDropsVolatileWrites(t *testing.T) {
 	disk, _ := storage.NewMemDisk(256)
-	p, err := NewPoolShards(disk, 32, 4)
+	p, err := newPoolShards(disk, 32, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -116,18 +116,8 @@ func (b *Batch) Reset() {
 type ApplyOption func(*applyConfig)
 
 type applyConfig struct {
-	fill     float64
 	wantRIDs bool
 	isolate  bool
-}
-
-// WithBatchFillFactor caps how full this batch's heap inserts pack any
-// page (fraction of the page size), overriding the table's
-// WithHeapFillFactor for the run only — bulk loads that want extra
-// update headroom get it without reconfiguring the table. 0 keeps the
-// table policy.
-func WithBatchFillFactor(ff float64) ApplyOption {
-	return func(c *applyConfig) { c.fill = ff }
 }
 
 // WithResultRIDs makes Apply record each op's resulting RID in
@@ -554,7 +544,7 @@ func (p *pipeline) failRun(ix *Index, err error) {
 //     run (btree.Tree.ApplyRun) per index — entries leave the indexes
 //     before their heap rows die, so readers cannot chase a freed RID.
 //  3. Heap: deletes and updates per RID, then every new record through
-//     the sharded heap in one shard-affine run (heap.File.InsertRunFill)
+//     the sharded heap in one shard-affine run (heap.File.InsertRun)
 //     under one shard-mutex acquisition instead of one per row.
 //  4. Index upserts (inserts, update key moves and relocations), again
 //     one key-sorted run per index: one crabbed descent and one
@@ -759,7 +749,7 @@ func (p *pipeline) heapStage() bool {
 		vs.mu.Lock()
 		vs.any.Store(true)
 	}
-	placed, err := t.file.InsertRunFill(p.recs[:allow], rids, p.fill)
+	placed, err := t.file.InsertRun(p.recs[:allow], rids)
 	if err == nil && allow < len(p.recs) {
 		err = errInjectedCommitFailure
 	}

@@ -26,10 +26,6 @@ type Options struct {
 	// outside the Go heap and costs that much RSS once every page has
 	// been touched; Close returns it.
 	BufferPoolPages int
-	// PoolShards overrides the buffer pool's shard count (must be a
-	// power of two). 0 picks automatically from GOMAXPROCS and the
-	// capacity. Benchmarks use 1 to reproduce the single-mutex pool.
-	PoolShards int
 	// HeapInsertShards is the default heap insert shard count for
 	// tables created on this engine (per-table WithHeapInsertShards
 	// wins). 0 picks automatically (min(8, GOMAXPROCS)); 1 reproduces
@@ -169,12 +165,7 @@ func NewEngine(opts Options, extra ...EngineOption) (*Engine, error) {
 		disk = e.counter
 	}
 	e.disk = disk
-	if opts.PoolShards > 0 {
-		e.pool, err = buffer.NewPoolShards(disk, opts.BufferPoolPages, opts.PoolShards)
-	} else {
-		e.pool, err = buffer.NewPool(disk, opts.BufferPoolPages)
-	}
-	if err != nil {
+	if e.pool, err = buffer.NewPool(disk, opts.BufferPoolPages); err != nil {
 		disk.Close()
 		return nil, err
 	}

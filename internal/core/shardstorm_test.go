@@ -9,13 +9,14 @@ import (
 )
 
 // TestEvictionStormAcrossShards runs concurrent Lookup / Insert /
-// WarmCache traffic against an engine whose buffer pool is explicitly
-// multi-shard and far smaller than the working set, so victim selection
+// WarmCache traffic against an engine whose buffer pool is multi-shard
+// (a 48-frame pool splits four ways at every GOMAXPROCS) and far
+// smaller than the working set, so victim selection
 // constantly crosses shard boundaries (frames migrate between shards
 // under steal). Run with -race; values served must always be exactly
 // what was inserted.
 func TestEvictionStormAcrossShards(t *testing.T) {
-	e, err := NewEngine(Options{PageSize: 1024, BufferPoolPages: 48, PoolShards: 4})
+	e, err := NewEngine(Options{PageSize: 1024, BufferPoolPages: 48})
 	if err != nil {
 		t.Fatalf("NewEngine: %v", err)
 	}

@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"strings"
 	"testing"
-
-	"repro/internal/storage"
 )
 
 // The experiment tests run reduced configurations and assert the
@@ -413,56 +411,21 @@ func TestScanShapes(t *testing.T) {
 	}
 }
 
+// TestWriteShapes checks the three table sweeps in counts: every cell
+// present and measured, and rows per fsync at least the batch size. The
+// batched-vs-one-row and txn-vs-raw ratios are wall clock, so benchgate
+// holds them, in a process that runs nothing else.
 func TestWriteShapes(t *testing.T) {
 	cfg := DefaultWriteConfig()
-	cfg.Preload, cfg.Ops = 2000, 8000
-	cfg.HeapOps = 20000
 	cfg.BatchOps = 8000
 	cfg.BatchSizes = []int{32}
 	cfg.DurableOps = 4000
 	cfg.DurableBatchSize = 32
+	cfg.TxnOps = 4000
 	cfg.Goroutines = []int{1, 2}
 	res, err := RunWrite(cfg)
 	if err != nil {
 		t.Fatalf("RunWrite: %v", err)
-	}
-	if res.Preload != cfg.Preload || len(res.Points) != 2 {
-		t.Fatalf("shape: preload=%d points=%d", res.Preload, len(res.Points))
-	}
-	for _, p := range res.Points {
-		if p.CrabbedOpsPerSec <= 0 {
-			t.Errorf("g=%d: nonpositive throughput %+v", p.Goroutines, p)
-		}
-		if p.LatchRetries == 0 {
-			t.Errorf("g=%d: expected some pessimistic fallbacks on a split-heavy mix", p.Goroutines)
-		}
-		if p.AllocsPerOp > 1 {
-			t.Errorf("g=%d: %.2f allocs/op, want ~0 (crabbed writes are allocation-free off the split path)",
-				p.Goroutines, p.AllocsPerOp)
-		}
-	}
-	if len(res.HeapPoints) != 2 {
-		t.Fatalf("heap shape: %d points, want 2", len(res.HeapPoints))
-	}
-	// Space overhead against a perfectly packed file: one insert's
-	// footprint (record + slot entry) into an empty page's usable bytes,
-	// plus at most one partially filled tail page per insert shard.
-	page := storage.AsSlotted(make([]byte, 8192))
-	page.Init()
-	usable := page.AvailableBytes()
-	if _, err := page.Insert(make([]byte, cfg.HeapRecordBytes)); err != nil {
-		t.Fatal(err)
-	}
-	perRecord := usable - page.AvailableBytes()
-	maxPages := (cfg.HeapOps*perRecord+usable-1)/usable + cfg.HeapShards
-	for _, p := range res.HeapPoints {
-		if p.ShardedOpsPerSec <= 0 {
-			t.Errorf("heap g=%d: nonpositive throughput %+v", p.Goroutines, p)
-		}
-		if p.ShardedPages <= 0 || p.ShardedPages > maxPages {
-			t.Errorf("heap g=%d: %d pages, want 1..%d (packed size + one tail page per shard)",
-				p.Goroutines, p.ShardedPages, maxPages)
-		}
 	}
 	if want := len(cfg.Goroutines) * len(cfg.BatchSizes); len(res.BatchPoints) != want {
 		t.Fatalf("batch shape: %d points, want %d", len(res.BatchPoints), want)
@@ -470,13 +433,6 @@ func TestWriteShapes(t *testing.T) {
 	for _, p := range res.BatchPoints {
 		if p.OneRowOpsPerSec <= 0 || p.BatchedOpsPerSec <= 0 {
 			t.Errorf("batch g=%d size=%d: nonpositive throughput %+v", p.Goroutines, p.BatchSize, p)
-		}
-		// The deterministic amortization must not collapse; the strict
-		// ≥1.0 requirement is benchgate's, on an otherwise idle runner —
-		// the unit test leaves headroom for suite-parallel noise.
-		if !raceEnabled && p.BatchedOpsPerSec < 0.8*p.OneRowOpsPerSec {
-			t.Errorf("batch g=%d size=%d: batched %.0f ops/s vs one-row %.0f — amortization collapsed",
-				p.Goroutines, p.BatchSize, p.BatchedOpsPerSec, p.OneRowOpsPerSec)
 		}
 	}
 	if len(res.DurablePoints) != len(cfg.Goroutines) {
@@ -492,6 +448,14 @@ func TestWriteShapes(t *testing.T) {
 		if p.OpsPerFsync < float64(cfg.DurableBatchSize) {
 			t.Errorf("durable g=%d: %.1f rows/fsync, want ≥ batch size %d",
 				p.Goroutines, p.OpsPerFsync, cfg.DurableBatchSize)
+		}
+	}
+	if len(res.TxnPoints) != len(cfg.Goroutines) {
+		t.Fatalf("txn shape: %d points, want %d", len(res.TxnPoints), len(cfg.Goroutines))
+	}
+	for _, p := range res.TxnPoints {
+		if p.RawOpsPerSec <= 0 || p.TxnOpsPerSec <= 0 {
+			t.Errorf("txn g=%d: nonpositive throughput %+v", p.Goroutines, p)
 		}
 	}
 }

@@ -11,9 +11,9 @@ import (
 )
 
 // Env is the machine a BENCH_*.json summary was measured on, embedded
-// in every result so the gate never compares wall clock across
-// differently sized runs. GOMAXPROCS alone can claim parallelism an
-// oversubscribed container cannot deliver, hence both.
+// in every result so the gate can leave unverified a leg that needs more
+// workers than the run could execute at once. GOMAXPROCS alone can claim
+// parallelism an oversubscribed container cannot deliver, hence both.
 type Env struct {
 	NumCPU     int `json:"num_cpu"`
 	GOMAXPROCS int `json:"gomaxprocs"`
@@ -61,7 +61,8 @@ func runWorkers(g int, fn func(w int) error) (time.Duration, error) {
 }
 
 // sample is one timed run: its throughput and whatever second number
-// the sweep reports from the same run (pages written, rows per fsync).
+// the sweep reports from the same run (allocations per row, rows per
+// fsync).
 type sample struct{ opsPerSec, aux float64 }
 
 // bestOf runs every variant reps times, a GC before each, and keeps each

@@ -13,7 +13,7 @@ import (
 // ScanConfig parameterizes the range-scan experiment: a full-table
 // sweep through the unified Query/Cursor API, comparing the heap-only
 // cursor and the cache-first cursor whose coverable projection is answered from the §2.1 index cache. Tracked
-// PR-over-PR via BENCH_scan.json, like the throughput sweep.
+// PR-over-PR via BENCH_scan.json.
 type ScanConfig struct {
 	Rows   int
 	Passes int // measured passes per mode (after one warmup)
@@ -42,8 +42,7 @@ type ScanPoint struct {
 // ParallelScanPoint is one (segments, merge mode) leg of the parallel
 // sweep. SpeedupVsSerial is measured against the same-run serial
 // cache-first cursor, so it is valid on whatever machine produced the
-// file — cross-file wall-clock comparison still requires matching
-// GOMAXPROCS.
+// file; rows per second are reported, never compared across files.
 type ParallelScanPoint struct {
 	Segments        int     `json:"segments"`
 	Mode            string  `json:"mode"` // "ordered" | "unordered"
@@ -191,10 +190,10 @@ func RunScan(cfg ScanConfig) (_ ScanResult, err error) {
 	}
 
 	// Parallel sweep: segmented workers over the same warmed cache-first
-	// scan, both merge modes. n=1 exercises the serial fallback (the
-	// gate holds it to serial throughput); n≥2 legs only express real
-	// speedup on multicore runners, so the gate conditions the strict
-	// unordered-beats-serial check on the runner's CPUs.
+	// scan, both merge modes. n=1 is the serial path (WithParallel(1)
+	// runs no workers); n≥2 legs only express real speedup on multicore
+	// runners, so the gate conditions the strict unordered-beats-serial
+	// check on the runner's CPUs.
 	for _, n := range []int{1, 2, 4} {
 		for _, mode := range []core.MergeMode{core.MergeOrdered, core.MergeUnordered} {
 			modeName := "ordered"
@@ -206,8 +205,8 @@ func RunScan(cfg ScanConfig) (_ ScanResult, err error) {
 			if _, err := scan(); err != nil { // warmup
 				return ScanResult{}, err
 			}
-			// Best-of-3: the gate's n=1-holds-serial check would otherwise
-			// flake on short quick-mode runs.
+			// Best-of-3: the gate's four-segment speedup check would
+			// otherwise flake on short quick-mode runs.
 			total := int64(cfg.Rows) * int64(cfg.Passes)
 			best, err := bestOf(3, func() (sample, error) {
 				var ms0, ms1 runtime.MemStats

@@ -1,43 +1,22 @@
 package experiments
 
 import (
-	"encoding/binary"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
-	"runtime"
 
-	"repro/internal/btree"
-	"repro/internal/buffer"
 	"repro/internal/core"
-	"repro/internal/heap"
-	"repro/internal/storage"
 	"repro/internal/tuple"
-	"repro/internal/workload"
 )
 
-// WriteConfig parameterizes the parallel-ingest experiments, driven by
+// WriteConfig parameterizes the table-ingest experiments, driven by
 // increasing goroutine counts and tracked PR-over-PR via
-// BENCH_write.json:
-//
-//   - the tree sweep: an insert/update mix against the latch-crabbing
-//     B+Tree;
-//   - the heap sweep: raw record ingest into a heap file with
-//     HeapShards insert shards and per-shard free-space maps;
-//   - the batch, durable and txn sweeps: full-stack table ingest, each
-//     racing two or three live paths (see BatchPoint, DurablePoint,
-//     TxnPoint).
+// BENCH_write.json: the batch, durable and txn sweeps each race two or
+// three live paths over the same rows (see BatchPoint, DurablePoint,
+// TxnPoint).
 type WriteConfig struct {
-	Preload    int     // keys loaded before measurement (the update targets)
-	Ops        int     // operations per goroutine count (split across goroutines)
-	UpdateFrac float64 // fraction of ops that upsert an existing key; the rest insert fresh keys
-	Goroutines []int   // goroutine counts to sweep
-	Seed       int64
-
-	HeapOps         int // heap records inserted per goroutine count
-	HeapRecordBytes int // size of each inserted heap record
-	HeapShards      int // insert shards of the heap under test
+	Goroutines []int // goroutine counts to sweep
 
 	BatchOps   int   // table rows ingested per (goroutines, batch size) point
 	BatchSizes []int // batch sizes to sweep for the Apply-vs-one-row series
@@ -49,20 +28,10 @@ type WriteConfig struct {
 	TxnBatchSize int // rows per transaction (and per raw Apply) in that sweep
 }
 
-// DefaultWriteConfig sweeps 1..8 writers over a 50/50 insert/update mix
-// for the tree, and the same writer counts over fixed-size record
-// ingest for the heap.
+// DefaultWriteConfig sweeps 1..8 writers.
 func DefaultWriteConfig() WriteConfig {
 	return WriteConfig{
-		Preload:    20000,
-		Ops:        100000,
-		UpdateFrac: 0.5,
 		Goroutines: []int{1, 2, 4, 8},
-		Seed:       1,
-
-		HeapOps:         150000,
-		HeapRecordBytes: 64,
-		HeapShards:      8,
 
 		BatchOps:   60000,
 		BatchSizes: []int{16, 128},
@@ -73,32 +42,6 @@ func DefaultWriteConfig() WriteConfig {
 		TxnOps:       30000,
 		TxnBatchSize: 64,
 	}
-}
-
-// WritePoint is one goroutine count of the tree sweep.
-type WritePoint struct {
-	Goroutines       int     `json:"goroutines"`
-	CrabbedOpsPerSec float64 `json:"crabbed_ops_per_sec"`
-	// AllocsPerOp is the heap allocations per write — optimistic descents
-	// are allocation-free, so this approximates the split rate times the
-	// split path's allocation cost.
-	AllocsPerOp float64 `json:"crabbed_allocs_per_op"`
-	// LatchRetries counts optimistic descents that found a full leaf
-	// and fell back to the pessimistic full-path hold during the
-	// measurement (≈ the number of leaf splits).
-	LatchRetries int64 `json:"latch_retries"`
-}
-
-// HeapPoint is one goroutine count of the heap-ingest sweep: insert
-// throughput of the sharded heap (HeapShards insert shards, bucketed
-// per-shard free-space maps, goroutine-affine routing).
-type HeapPoint struct {
-	Goroutines       int     `json:"goroutines"`
-	ShardedOpsPerSec float64 `json:"sharded_ops_per_sec"`
-	// ShardedPages is the file size the run produced: sharding may cost
-	// up to shards−1 partially filled tail pages over a packed file, and
-	// this makes that space overhead visible PR-over-PR.
-	ShardedPages int `json:"sharded_pages"`
 }
 
 // BatchPoint is one (goroutine count, batch size) cell of the
@@ -160,16 +103,6 @@ type TxnPoint struct {
 // PRs.
 type WriteResult struct {
 	Env
-	Preload    int          `json:"preload_rows"`
-	Ops        int          `json:"ops_per_point"`
-	UpdateFrac float64      `json:"update_frac"`
-	Points     []WritePoint `json:"points"`
-
-	HeapOps         int         `json:"heap_ops_per_point"`
-	HeapRecordBytes int         `json:"heap_record_bytes"`
-	HeapShards      int         `json:"heap_shards"`
-	HeapPoints      []HeapPoint `json:"heap_points"`
-
 	BatchOps    int          `json:"batch_ops_per_point"`
 	BatchSizes  []int        `json:"batch_sizes"`
 	BatchPoints []BatchPoint `json:"batch_points"`
@@ -183,37 +116,16 @@ type WriteResult struct {
 	TxnPoints    []TxnPoint `json:"txn_points"`
 }
 
-// RunWrite measures the five write sweeps at every goroutine count.
+// RunWrite measures the three write sweeps at every goroutine count.
 func RunWrite(cfg WriteConfig) (WriteResult, error) {
 	res := WriteResult{
 		Env:              currentEnv(),
-		Preload:          cfg.Preload,
-		Ops:              cfg.Ops,
-		UpdateFrac:       cfg.UpdateFrac,
-		HeapOps:          cfg.HeapOps,
-		HeapRecordBytes:  cfg.HeapRecordBytes,
-		HeapShards:       cfg.HeapShards,
 		BatchOps:         cfg.BatchOps,
 		BatchSizes:       cfg.BatchSizes,
 		DurableOps:       cfg.DurableOps,
 		DurableBatchSize: cfg.DurableBatchSize,
 		TxnOps:           cfg.TxnOps,
 		TxnBatchSize:     cfg.TxnBatchSize,
-	}
-	for _, g := range cfg.Goroutines {
-		pt, err := measureWrites(cfg, g)
-		if err != nil {
-			return WriteResult{}, err
-		}
-		res.Points = append(res.Points, pt)
-	}
-	for _, g := range cfg.Goroutines {
-		best, err := bestOf(2, func() (sample, error) { return measureHeapIngest(cfg, g) })
-		if err != nil {
-			return WriteResult{}, err
-		}
-		res.HeapPoints = append(res.HeapPoints, HeapPoint{
-			Goroutines: g, ShardedOpsPerSec: best[0].opsPerSec, ShardedPages: int(best[0].aux)})
 	}
 	// The table sweeps each race two or three live paths over the same
 	// rows. Best-of-3 per side: benchgate holds a floor on each pair's
@@ -377,134 +289,9 @@ func batchIngestSchema() *tuple.Schema {
 	)
 }
 
-// measureHeapIngest runs cfg.HeapOps fixed-size inserts split across g
-// goroutines against a fresh sharded heap and returns aggregate
-// ops/second plus, as aux, the resulting file size in pages.
-func measureHeapIngest(cfg WriteConfig, g int) (sample, error) {
-	disk, err := storage.NewMemDisk(8192)
-	if err != nil {
-		return sample{}, err
-	}
-	pool, err := buffer.NewPool(disk, 1<<14)
-	if err != nil {
-		return sample{}, err
-	}
-	file, err := heap.NewFile(pool, heap.WithInsertShards(cfg.HeapShards))
-	if err != nil {
-		return sample{}, err
-	}
-	perG := cfg.HeapOps / g
-	elapsed, err := runWorkers(g, func(w int) error {
-		rec := make([]byte, cfg.HeapRecordBytes)
-		rec[0] = byte(w)
-		for n := 0; n < perG; n++ {
-			if _, err := file.Insert(rec); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return sample{}, err
-	}
-	return sample{opsPerSec: float64(perG*g) / elapsed.Seconds(), aux: float64(file.NumPages())}, nil
-}
-
-func writeKey(buf *[8]byte, k int) []byte {
-	binary.BigEndian.PutUint64(buf[:], uint64(k))
-	return buf[:]
-}
-
-// buildWriteTree creates a fresh tree preloaded with cfg.Preload keys
-// in shuffled order (so leaves sit at the random-insert steady state,
-// not the packed ascending-load shape).
-func buildWriteTree(cfg WriteConfig) (*btree.Tree, error) {
-	disk, err := storage.NewMemDisk(8192)
-	if err != nil {
-		return nil, err
-	}
-	pool, err := buffer.NewPool(disk, 1<<14)
-	if err != nil {
-		return nil, err
-	}
-	tree, err := btree.New(pool)
-	if err != nil {
-		return nil, err
-	}
-	order := make([]int, cfg.Preload)
-	for i := range order {
-		order[i] = i
-	}
-	rng := workload.NewRand(cfg.Seed)
-	rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
-	var kb [8]byte
-	for _, k := range order {
-		if _, err := tree.Insert(writeKey(&kb, k), uint64(k)); err != nil {
-			return nil, err
-		}
-	}
-	return tree, nil
-}
-
-// measureWrites runs cfg.Ops operations split across g goroutines
-// against a fresh preloaded tree.
-func measureWrites(cfg WriteConfig, g int) (WritePoint, error) {
-	tree, err := buildWriteTree(cfg)
-	if err != nil {
-		return WritePoint{}, err
-	}
-	preRetries := tree.LatchRetries() // preload splits are not the measurement
-	perG := cfg.Ops / g
-	var ms0, ms1 runtime.MemStats
-	runtime.ReadMemStats(&ms0)
-	elapsed, err := runWorkers(g, func(w int) error {
-		rng := workload.NewRand(cfg.Seed + int64(w)*104729)
-		var kb [8]byte
-		// Fresh-key inserts come from a per-worker disjoint range, so
-		// workers never upsert each other's inserts by accident.
-		nextFresh := cfg.Preload + w*perG
-		for n := 0; n < perG; n++ {
-			var k int
-			if rng.Float64() < cfg.UpdateFrac {
-				k = rng.Intn(cfg.Preload)
-			} else {
-				k = nextFresh
-				nextFresh++
-			}
-			if _, err := tree.Insert(writeKey(&kb, k), uint64(k)); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	runtime.ReadMemStats(&ms1)
-	if err != nil {
-		return WritePoint{}, err
-	}
-	total := float64(perG * g)
-	return WritePoint{
-		Goroutines:       g,
-		CrabbedOpsPerSec: total / elapsed.Seconds(),
-		AllocsPerOp:      float64(ms1.Mallocs-ms0.Mallocs) / total,
-		LatchRetries:     tree.LatchRetries() - preRetries,
-	}, nil
-}
-
 // Print renders the sweeps as tables.
 func (r WriteResult) Print(w io.Writer) {
-	fmt.Fprintf(w, "Parallel insert/update throughput, %d preloaded rows, %.0f%% updates, GOMAXPROCS=%d on %d CPUs\n",
-		r.Preload, r.UpdateFrac*100, r.GOMAXPROCS, r.NumCPU)
-	fmt.Fprintf(w, "%12s %18s %12s %14s\n", "goroutines", "crabbed ops/s", "allocs/op", "latch retries")
-	for _, p := range r.Points {
-		fmt.Fprintf(w, "%12d %18.0f %12.3f %14d\n", p.Goroutines, p.CrabbedOpsPerSec, p.AllocsPerOp, p.LatchRetries)
-	}
-	fmt.Fprintf(w, "\nHeap ingest throughput, %d records of %dB, %d insert shards\n",
-		r.HeapOps, r.HeapRecordBytes, r.HeapShards)
-	fmt.Fprintf(w, "%12s %18s %14s\n", "goroutines", "sharded ops/s", "sharded pgs")
-	for _, p := range r.HeapPoints {
-		fmt.Fprintf(w, "%12d %18.0f %14d\n", p.Goroutines, p.ShardedOpsPerSec, p.ShardedPages)
-	}
-	fmt.Fprintf(w, "\nTable ingest throughput, %d rows per point: batched Apply vs one-row Insert\n", r.BatchOps)
+	fmt.Fprintf(w, "Table ingest throughput, %d rows per point: batched Apply vs one-row Insert\n", r.BatchOps)
 	fmt.Fprintf(w, "%12s %12s %18s %18s %10s\n",
 		"goroutines", "batch size", "one-row ops/s", "batched ops/s", "speedup")
 	for _, p := range r.BatchPoints {

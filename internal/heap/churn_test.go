@@ -262,6 +262,70 @@ func TestHeapCrossShardReuse(t *testing.T) {
 	}
 }
 
+// TestHeapShardedIngestPacks counts what sharding costs in space: after
+// g concurrent writers insert the same fixed-size records, the file is
+// at most one partially filled tail page per insert shard larger than a
+// perfectly packed one. Pages repeat from run to run; throughput would
+// not.
+func TestHeapShardedIngestPacks(t *testing.T) {
+	const (
+		pageSize = 8192
+		records  = 20000
+		size     = 64
+		shards   = 8
+	)
+	// One record's footprint (record + slot entry) against an empty
+	// page's usable bytes gives the packed file size.
+	page := storage.AsSlotted(make([]byte, pageSize))
+	page.Init()
+	usable := page.AvailableBytes()
+	if _, err := page.Insert(make([]byte, size)); err != nil {
+		t.Fatal(err)
+	}
+	packed := (records*(usable-page.AvailableBytes()) + usable - 1) / usable
+	for _, g := range []int{1, 2, 4} {
+		disk, err := storage.NewMemDisk(pageSize)
+		if err != nil {
+			t.Fatalf("NewMemDisk: %v", err)
+		}
+		pool, err := buffer.NewPool(disk, 1024)
+		if err != nil {
+			t.Fatalf("NewPool: %v", err)
+		}
+		f, err := NewFile(pool, WithInsertShards(shards))
+		if err != nil {
+			t.Fatalf("NewFile: %v", err)
+		}
+		var wg sync.WaitGroup
+		errCh := make(chan error, g)
+		for w := 0; w < g; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				rec := make([]byte, size)
+				rec[0] = byte(w)
+				for n := 0; n < records/g; n++ {
+					if _, err := f.Insert(rec); err != nil {
+						errCh <- err
+						return
+					}
+				}
+			}(w)
+		}
+		wg.Wait()
+		close(errCh)
+		for err := range errCh {
+			t.Fatal(err)
+		}
+		if got, limit := f.NumPages(), packed+f.InsertShards(); got > limit {
+			t.Errorf("g=%d: %d pages, want ≤ %d (packed %d + one tail page per shard)", g, got, limit, packed)
+		}
+		if err := pool.Close(); err != nil {
+			t.Fatalf("Close: %v", err)
+		}
+	}
+}
+
 // TestHeapAppendOnlyForcesSingleShard: append-only placement has one
 // global tail by definition, so the shard option must be overridden.
 func TestHeapAppendOnlyForcesSingleShard(t *testing.T) {

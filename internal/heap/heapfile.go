@@ -357,7 +357,7 @@ func (f *File) Insert(rec []byte) (storage.RID, error) {
 		return storage.InvalidRID, fmt.Errorf("heap: cannot insert empty record")
 	}
 	h := f.hints.Get().(*shardHint)
-	rid, err := f.insert(h.idx, rec, f.budget)
+	rid, err := f.insert(h.idx, rec)
 	f.hints.Put(h)
 	return rid, err
 }
@@ -371,25 +371,8 @@ func (f *File) Insert(rec []byte) (storage.RID, error) {
 // that is also the index of the record that failed, and rids beyond it
 // are untouched.
 func (f *File) InsertRun(recs [][]byte, rids []storage.RID) (int, error) {
-	return f.InsertRunFill(recs, rids, 0)
-}
-
-// InsertRunFill is InsertRun with a fill-factor override for this run
-// only (0 = the file's configured policy). A lower factor makes this
-// batch leave more update headroom in every page it touches without
-// changing the file's policy; the advisory free-space maps keep
-// recording file-policy values, so later inserts still see the space
-// this run declined.
-func (f *File) InsertRunFill(recs [][]byte, rids []storage.RID, ff float64) (int, error) {
 	if len(rids) < len(recs) {
 		return 0, fmt.Errorf("heap: InsertRun needs %d rid slots, got %d", len(recs), len(rids))
-	}
-	budget := f.budget
-	if ff > 0 {
-		if ff > 1 {
-			ff = 1
-		}
-		budget = int(ff * float64(f.pool.Disk().PageSize()))
 	}
 	h := f.hints.Get().(*shardHint)
 	defer f.hints.Put(h)
@@ -406,7 +389,7 @@ func (f *File) InsertRunFill(recs [][]byte, rids []storage.RID, ff float64) (int
 				home.mu.Unlock()
 				return i, fmt.Errorf("heap: cannot insert empty record (run index %d)", i)
 			}
-			rid, ok, err := f.insertLocked(home, recs[i], budget)
+			rid, ok, err := f.insertLocked(home, recs[i])
 			if err != nil {
 				home.mu.Unlock()
 				return i, err
@@ -423,7 +406,7 @@ func (f *File) InsertRunFill(recs [][]byte, rids []storage.RID, ff float64) (int
 		}
 		// The home shard is out of space for recs[i]: take the one-record
 		// slow path (siblings, then extension), then resume the fast lane.
-		rid, err := f.insert(h.idx, recs[i], budget)
+		rid, err := f.insert(h.idx, recs[i])
 		if err != nil {
 			return i, err
 		}
@@ -433,10 +416,10 @@ func (f *File) InsertRunFill(recs [][]byte, rids []storage.RID, ff float64) (int
 	return i, nil
 }
 
-func (f *File) insert(homeIdx int, rec []byte, budget int) (storage.RID, error) {
+func (f *File) insert(homeIdx int, rec []byte) (storage.RID, error) {
 	home := &f.shards[homeIdx]
 	home.mu.Lock()
-	rid, ok, err := f.insertLocked(home, rec, budget)
+	rid, ok, err := f.insertLocked(home, rec)
 	home.mu.Unlock()
 	if err != nil {
 		return storage.InvalidRID, err
@@ -451,7 +434,7 @@ func (f *File) insert(homeIdx int, rec []byte, budget int) (storage.RID, error) 
 	for d := 1; d < len(f.shards); d++ {
 		s := &f.shards[(homeIdx+d)%len(f.shards)]
 		s.mu.Lock()
-		rid, ok, err = f.insertLocked(s, rec, budget)
+		rid, ok, err = f.insertLocked(s, rec)
 		s.mu.Unlock()
 		if err != nil {
 			return storage.InvalidRID, err
@@ -465,7 +448,7 @@ func (f *File) insert(homeIdx int, rec []byte, budget int) (storage.RID, error) 
 	// inserter may have extended (or a delete freed space) meanwhile.
 	home.mu.Lock()
 	defer home.mu.Unlock()
-	rid, ok, err = f.insertLocked(home, rec, budget)
+	rid, ok, err = f.insertLocked(home, rec)
 	if err != nil {
 		return storage.InvalidRID, err
 	}
@@ -476,7 +459,7 @@ func (f *File) insert(homeIdx int, rec []byte, budget int) (storage.RID, error) 
 	if err != nil {
 		return storage.InvalidRID, err
 	}
-	rid, ok, err = f.tryPage(home, id, rec, budget)
+	rid, ok, err = f.tryPage(home, id, rec)
 	if err != nil {
 		return storage.InvalidRID, err
 	}
@@ -488,26 +471,14 @@ func (f *File) insert(homeIdx int, rec []byte, budget int) (storage.RID, error) 
 
 // insertLocked attempts to place rec in one of s's pages, correcting
 // stale advisory entries as it goes. Returns ok=false (no error) when
-// the shard has no page that fits. budget is the insert-admission cap
-// for this record (usually f.budget; InsertRunFill may override it).
-// Caller holds s.mu.
-func (f *File) insertLocked(s *insertShard, rec []byte, budget int) (storage.RID, bool, error) {
+// the shard has no page that fits. Caller holds s.mu.
+func (f *File) insertLocked(s *insertShard, rec []byte) (storage.RID, bool, error) {
 	need := len(rec) + slotOverhead
-	if budget < f.budget {
-		// Advisory entries are recorded against the file's budget, so a
-		// stricter per-run budget must inflate the pick threshold by the
-		// difference: an advisory ≥ need+(f.budget−budget) implies the
-		// page passes the stricter admission check, and a page tryPage
-		// rejects can never be re-picked (the corrected file-level
-		// advisory falls below the inflated need) — the same termination
-		// argument as the stale-entry loop below.
-		need += f.budget - budget
-	}
 	// Hot-page fast path: the page that took the last insert usually
 	// takes the next one too, so skip the bucket scan while its
 	// advisory still covers need.
 	if !f.appendOnly && s.cur != storage.InvalidPageID && s.fsm.free[s.cur] >= need {
-		rid, ok, err := f.tryPage(s, s.cur, rec, budget)
+		rid, ok, err := f.tryPage(s, s.cur, rec)
 		if err != nil || ok {
 			return rid, ok, err
 		}
@@ -523,7 +494,7 @@ func (f *File) insertLocked(s *insertShard, rec []byte, budget int) (storage.RID
 		} else if target == storage.InvalidPageID {
 			return storage.InvalidRID, false, nil
 		}
-		rid, ok, err := f.tryPage(s, target, rec, budget)
+		rid, ok, err := f.tryPage(s, target, rec)
 		if err != nil || ok {
 			return rid, ok, err
 		}
@@ -541,10 +512,8 @@ func (f *File) insertLocked(s *insertShard, rec []byte, budget int) (storage.RID
 // honoring the insert-admission budget: a page holding records already
 // at the budget refuses further inserts (still below 100% physically).
 // Whatever happens, the shard's advisory entry for target is refreshed
-// with the truth observed under the latch — always against the file's
-// own fill policy, even when the caller's budget is an override, so
-// advisories stay comparable across runs. Caller holds s.mu.
-func (f *File) tryPage(s *insertShard, target storage.PageID, rec []byte, budget int) (storage.RID, bool, error) {
+// with the truth observed under the latch. Caller holds s.mu.
+func (f *File) tryPage(s *insertShard, target storage.PageID, rec []byte) (storage.RID, bool, error) {
 	fr, err := f.pool.Fetch(target)
 	if err != nil {
 		return storage.InvalidRID, false, err
@@ -552,7 +521,7 @@ func (f *File) tryPage(s *insertShard, target storage.PageID, rec []byte, budget
 	fr.Latch.Lock()
 	sp := storage.AsSlotted(fr.Data())
 	var slot uint16
-	if budget < f.pool.Disk().PageSize() && sp.LiveRecords() > 0 && sp.UsedBytes()+len(rec) > budget {
+	if f.budget < f.pool.Disk().PageSize() && sp.LiveRecords() > 0 && sp.UsedBytes()+len(rec) > f.budget {
 		err = storage.ErrNoSpace
 	} else {
 		slot, err = sp.Insert(rec)

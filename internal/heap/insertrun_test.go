@@ -70,44 +70,6 @@ func TestInsertRunBasic(t *testing.T) {
 	}
 }
 
-// TestInsertRunFillOverride checks a per-run fill override caps how
-// full this batch packs pages without changing the file's policy: the
-// run's pages keep at least the override headroom, and a later
-// file-policy insert can still use the space the run declined.
-func TestInsertRunFillOverride(t *testing.T) {
-	f := newTestFile(t, WithInsertShards(1))
-	pageSize := 512
-	recs := runRecs(40, 100, 'o')
-	rids := make([]storage.RID, len(recs))
-	if _, err := f.InsertRunFill(recs, rids, 0.5); err != nil {
-		t.Fatalf("InsertRunFill: %v", err)
-	}
-	// Every page the run touched must hold at most ~half a page of
-	// records (one record of slack: admission checks before the insert).
-	budget := pageSize / 2
-	for _, id := range f.Pages() {
-		err := f.VisitPage(id, func(sp *storage.SlottedPage, _ bool) {
-			if used := sp.UsedBytes(); used > budget+100 {
-				t.Errorf("page %v packed to %d bytes under a %d-byte run budget", id, used, budget)
-			}
-		})
-		if err != nil {
-			t.Fatalf("VisitPage: %v", err)
-		}
-	}
-	pagesAfterRun := f.NumPages()
-	// File-policy inserts reuse the headroom the run left behind: the
-	// file must absorb more records without growing proportionally.
-	for i := 0; i < 20; i++ {
-		if _, err := f.Insert(runRecs(1, 100, 'p')[0]); err != nil {
-			t.Fatalf("Insert: %v", err)
-		}
-	}
-	if grown := f.NumPages() - pagesAfterRun; grown > 2 {
-		t.Errorf("file grew %d pages though the run left headroom on %d pages", grown, pagesAfterRun)
-	}
-}
-
 // TestInsertRunConcurrent storms InsertRun from 8 goroutines over 4
 // shards (forcing slow-path fallbacks when shards exhaust) and checks
 // no RID is handed out twice and the final accounting is exact. Run

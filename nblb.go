@@ -73,8 +73,7 @@ const (
 	BatchDelete = core.BatchDelete
 )
 
-// ApplyOption configures Table.Apply (sync index maintenance, per-run
-// heap fill factor, per-op result RIDs).
+// ApplyOption configures Table.Apply (per-op result RIDs).
 type ApplyOption = core.ApplyOption
 
 // ApplyResult reports what one Table.Apply did (ops applied, first
@@ -221,14 +220,9 @@ var (
 	WithHeapInsertShards = core.WithHeapInsertShards
 )
 
-// Apply options (see Table.Apply).
-var (
-	// WithBatchFillFactor caps how full this batch's heap inserts pack
-	// any page, overriding the table's heap fill factor for the run.
-	WithBatchFillFactor = core.WithBatchFillFactor
-	// WithResultRIDs records each op's resulting RID in ApplyResult.
-	WithResultRIDs = core.WithResultRIDs
-)
+// WithResultRIDs is the Apply option (see Table.Apply) that records
+// each op's resulting RID in ApplyResult.
+var WithResultRIDs = core.WithResultRIDs
 
 // Query options (see Table.Query / Index.Query).
 var (
