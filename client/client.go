@@ -32,8 +32,9 @@ type (
 	// Row is an ordered list of values.
 	Row = tuple.Row
 	// ApplyResult reports per-op outcomes of an Apply: Applied counts
-	// successes, OpErrs[i] is "" for op i's success, RIDs[i] its
-	// resulting packed RID.
+	// successes, RIDs[i] is op i's resulting packed RID, and Err(i) its
+	// error or nil. OpErrs holds the errors as strings ("" for a
+	// success); it is nil when every op applied.
 	ApplyResult = wire.ApplyResp
 	// Kind tags a field's declared type.
 	Kind = tuple.Kind

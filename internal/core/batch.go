@@ -42,7 +42,7 @@ type BatchOp struct {
 type stagedOp struct {
 	kind BatchOpKind
 	rid  storage.RID // update/delete target
-	row  tuple.Row   // insert/update: the new row (aliased, not copied)
+	row  tuple.Row   // insert/update: the new row (the caller's; a view of rec once a Txn stages it)
 
 	rec    []byte      // pre-flight: the encoded new row
 	oldRow tuple.Row   // pre-flight: the pre-image (update/delete)
@@ -443,7 +443,13 @@ func (s *stageArena) preImage(t *Table, rid storage.RID) (tuple.Row, error) {
 		return nil, err
 	}
 	s.arena = buf
-	row, _, err := tuple.DecodeAlias(carve(&s.vals, t.schema.NumFields(), maxVals), t.schema, buf[off:], nil)
+	return s.rowView(t, buf[off:])
+}
+
+// rowView decodes rec, a record carved from the arena, as a row carved
+// from vals whose strings and bytes are views of rec.
+func (s *stageArena) rowView(t *Table, rec []byte) (tuple.Row, error) {
+	row, _, err := tuple.DecodeAlias(carve(&s.vals, t.schema.NumFields(), maxVals), t.schema, rec, nil)
 	return row, err
 }
 

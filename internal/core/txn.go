@@ -172,8 +172,10 @@ func (tx *Txn) table(t *Table) *txnTable {
 // none of the batch. Duplicates against already-committed state are
 // checked at Commit, under the commit lock.
 //
-// Like Batch itself, staged rows are aliased, not copied: they must
-// stay unchanged until Commit returns.
+// Apply keeps nothing of b: each staged row is encoded into the
+// transaction's arena and staged as a view of that record, so b and its
+// rows are the caller's again — to reuse or overwrite — once Apply
+// returns.
 func (tx *Txn) Apply(t *Table, b *Batch) (Result, error) {
 	res := Result{ErrIndex: -1}
 	if tx.done {
@@ -198,13 +200,15 @@ func (tx *Txn) Apply(t *Table, b *Batch) (Result, error) {
 	tt := tx.table(t)
 	base := len(tt.ops)
 	tt.ops = append(tt.ops, b.ops...)
-	pre := 0
+	// Each op decodes one row into vals — its staged row or its pre-image
+	// — and an update both.
+	rows := len(b.ops)
 	for i := range b.ops {
-		if b.ops[i].kind != BatchInsert {
-			pre++
+		if b.ops[i].kind == BatchUpdate {
+			rows++
 		}
 	}
-	tx.sc.reserve(len(b.ops)*txnOpBytes, pre*t.schema.NumFields())
+	tx.sc.reserve(len(b.ops)*txnOpBytes, rows*t.schema.NumFields())
 	if i, err := tx.stage(tt, base); err != nil {
 		clear(tt.ops[base:])
 		tt.ops = tt.ops[:base]
@@ -221,10 +225,11 @@ func (tx *Txn) Apply(t *Table, b *Batch) (Result, error) {
 }
 
 // stage readies tt.ops[base:] — one batch — for Commit: each op's record
-// encodes and its pre-image loads into the transaction's arena, and its
-// target and unique keys are checked against, then added to, the
-// transaction's own stage. It reports the batch position of an op that
-// fails.
+// encodes and its pre-image loads into the transaction's arena, its row
+// becomes a view of that record (so the stage keeps nothing of the
+// caller's), and its target and unique keys are checked against, then
+// added to, the transaction's own stage. It reports the batch position
+// of an op that fails.
 func (tx *Txn) stage(tt *txnTable, base int) (int, error) {
 	t := tt.t
 	for i := base; i < len(tt.ops); i++ {
@@ -239,6 +244,12 @@ func (tx *Txn) stage(tt *txnTable, base int) (int, error) {
 		}
 		if err := t.preflight(op, &tx.sc); err != nil {
 			return at.op, err
+		}
+		if op.kind != BatchDelete {
+			var err error
+			if op.row, err = tx.sc.rowView(t, op.rec); err != nil {
+				return at.op, err
+			}
 		}
 		// Unique-key accounting against the transaction's own stage.
 		for _, ix := range t.indexes {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/storage"
 	"repro/internal/tuple"
@@ -199,6 +200,88 @@ func TestTxnLargeStageStaysLinear(t *testing.T) {
 	}
 	same("LookupMany", got)
 	if err := tb.indexes["by_k"].Tree().CheckIntegrity(); err != nil {
+		t.Fatalf("CheckIntegrity: %v", err)
+	}
+}
+
+// TestTxnApplyKeepsNothingOfBatch: a transaction stages its own copies,
+// not the caller's rows. After each Apply everything the batch held is
+// overwritten — the rows' value slots, their bytes values and the buffer
+// their strings are views of, as a server's decoded request views its
+// frame — and the batch is reset and reused; Commit must still land
+// exactly what was staged, index keys (computed from the staged rows at
+// commit) included.
+func TestTxnApplyKeepsNothingOfBatch(t *testing.T) {
+	e := newTestEngine(t)
+	tb, err := e.CreateTable("docs", tuple.MustSchema(
+		tuple.Field{Name: "name", Kind: tuple.KindString},
+		tuple.Field{Name: "body", Kind: tuple.KindBytes},
+	))
+	if err != nil {
+		t.Fatalf("CreateTable: %v", err)
+	}
+	ix, err := tb.CreateIndex("by_name", []string{"name"})
+	if err != nil {
+		t.Fatalf("CreateIndex: %v", err)
+	}
+	seed, err := tb.Insert(tuple.Row{tuple.String("seed"), tuple.Bytes([]byte("seed body"))})
+	if err != nil {
+		t.Fatalf("Insert: %v", err)
+	}
+
+	frame := make([]byte, 256) // what the staged strings view; never reallocated
+	used := 0
+	var rows []tuple.Row
+	row := func(name string) tuple.Row {
+		s := unsafe.String(&frame[used], len(name))
+		used += copy(frame[used:], name)
+		r := tuple.Row{tuple.String(s), tuple.Bytes([]byte(name + " body"))}
+		rows = append(rows, r)
+		return r
+	}
+	tx := e.Begin()
+	var b Batch
+	stage := func() {
+		t.Helper()
+		if res, err := tx.Apply(tb, &b); err != nil || res.Applied != b.Len() {
+			t.Fatalf("Apply: %+v %v", res, err)
+		}
+		for i := range frame {
+			frame[i] = 0xDB
+		}
+		for _, r := range rows {
+			for i := range r[1].Raw {
+				r[1].Raw[i] = 0xDB
+			}
+			r[0], r[1] = tuple.String("poisoned"), tuple.Bytes([]byte("poisoned"))
+		}
+		b.Reset()
+		used, rows = 0, nil
+	}
+	b.Insert(row("alpha")).Insert(row("beta")).Update(seed, row("seed2"))
+	stage()
+	b.Insert(row("gamma"))
+	stage()
+	if err := tx.Commit(); err != nil {
+		t.Fatalf("Commit: %v", err)
+	}
+
+	for _, name := range []string{"alpha", "beta", "seed2", "gamma"} {
+		got, res, err := ix.Lookup(nil, tuple.String(name))
+		if err != nil || !res.Found {
+			t.Fatalf("Lookup %q: found=%v err=%v", name, res.Found, err)
+		}
+		if got[0].Str != name || string(got[1].Raw) != name+" body" {
+			t.Fatalf("Lookup %q = %v", name, got)
+		}
+	}
+	if _, res, err := ix.Lookup(nil, tuple.String("seed")); err != nil || res.Found {
+		t.Fatalf("the updated row's old key still finds a row: found=%v err=%v", res.Found, err)
+	}
+	if n := tb.Rows(); n != 4 {
+		t.Fatalf("Rows() = %d, want 4", n)
+	}
+	if err := ix.Tree().CheckIntegrity(); err != nil {
 		t.Fatalf("CheckIntegrity: %v", err)
 	}
 }

@@ -31,7 +31,12 @@ import (
 // both range scans 20. A transaction allocates like a batch: before the
 // Txn owned its stage (ops, claim sets, keys, records and undo log in
 // one arena) and a transaction's Apply staged from the request's batch,
-// Txn measured 55.
+// Txn measured 55. A one-op write allocates only what its caller keeps,
+// the client's batch and its answer's RIDs: before the server decoded
+// a request as views of its frame, a transaction staged rows of its own
+// (so the request's ops went back to their pool) and an all-success
+// answer dropped its error list, ApplyInsert and ApplyUpdate measured 4
+// and Txn 22.
 //
 // Skipped under -race: the race detector instruments allocations and
 // changes the counts.
@@ -118,7 +123,7 @@ func TestServedAllocBudgets(t *testing.T) {
 			fail(err)
 			same(row, want[id][:3])
 		}},
-		{"ApplyInsert", 6, nil, func() {
+		{"ApplyInsert", 4, nil, func() {
 			var b client.Batch
 			b.Insert(fresh[0])
 			fresh = fresh[1:]
@@ -128,7 +133,7 @@ func TestServedAllocBudgets(t *testing.T) {
 				t.Fatalf("apply: %v", res.Err(0))
 			}
 		}},
-		{"ApplyUpdate", 6, nil, func() {
+		{"ApplyUpdate", 4, nil, func() {
 			ver++
 			var b client.Batch
 			b.Update(rids[5], updates[ver&1])
@@ -140,7 +145,7 @@ func TestServedAllocBudgets(t *testing.T) {
 			rids[5] = res.RIDs[0]
 		}},
 		// A snapshot read of two rows, two updates staged, one commit.
-		{"Txn", 24, nil, func() {
+		{"Txn", 19, nil, func() {
 			txnVer ^= 1
 			tx, err := cl.Begin()
 			fail(err)

@@ -149,11 +149,12 @@ func (c *coalescer) lead(j *applyJob) {
 // sliceResult extracts ops [off, off+n) of a batch result into out,
 // reusing its slices. A batch-level error (err != nil, or res.Err from
 // a non-attributable failure) fails every op that has no more specific
-// per-op error.
+// per-op error. The error list is filled in only once an op fails: an
+// answer whose every op applied carries none.
 func sliceResult(out *wire.ApplyResp, res *core.Result, err error, off, n int) {
 	out.Applied = 0
 	out.RIDs = append(out.RIDs[:0], make([]uint64, n)...)
-	out.OpErrs = append(out.OpErrs[:0], make([]string, n)...)
+	out.OpErrs = out.OpErrs[:0]
 	if err == nil {
 		err = res.Err
 	}
@@ -162,15 +163,21 @@ func sliceResult(out *wire.ApplyResp, res *core.Result, err error, off, n int) {
 		if gi < len(res.RIDs) && res.RIDs[gi].Valid() {
 			out.RIDs[i] = res.RIDs[gi].Pack()
 		}
+		var msg string
 		switch {
 		case gi < len(res.OpErrs) && res.OpErrs[gi] != nil:
-			out.OpErrs[i] = res.OpErrs[gi].Error()
+			msg = res.OpErrs[gi].Error()
 		case err != nil && gi >= res.Applied:
 			// Without isolation results, Applied is the count of the
 			// leading ops that landed before the batch failed.
-			out.OpErrs[i] = err.Error()
+			msg = err.Error()
 		default:
 			out.Applied++
+			continue
 		}
+		if len(out.OpErrs) == 0 {
+			out.OpErrs = append(out.OpErrs, make([]string, n)...)
+		}
+		out.OpErrs[i] = msg
 	}
 }

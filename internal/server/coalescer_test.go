@@ -140,8 +140,8 @@ func TestCoalescerLoneJobLeadsItself(t *testing.T) {
 	if !strings.Contains(stack, "TestCoalescerLoneJobLeadsItself") {
 		t.Errorf("the lone job's cycle ran on another goroutine:\n%s", stack)
 	}
-	if out.Applied != 1 || len(out.OpErrs) != 1 || out.OpErrs[0] != "" {
-		t.Errorf("result = %+v, want one applied op", out)
+	if out.Applied != 1 || out.OpErrs != nil || out.Err(0) != nil {
+		t.Errorf("result = %+v, want one applied op and no error list", out)
 	}
 	c.checkIdle(t, 1, 1)
 }
@@ -211,7 +211,7 @@ func TestCoalescerFailedCycleReleasesBaton(t *testing.T) {
 		}
 	}
 	for _, out := range append(late, lone) {
-		if out.Applied != 1 || out.OpErrs[0] != "" {
+		if out.Applied != 1 || out.Err(0) != nil {
 			t.Errorf("job outside the failed cycle: result %+v, want one applied op", *out)
 		}
 	}

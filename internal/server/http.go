@@ -183,11 +183,15 @@ func (s *Server) httpApply(w http.ResponseWriter, r *http.Request) {
 		httpErr(w, http.StatusBadRequest, err)
 		return
 	}
+	errs := resp.OpErrs
+	if len(errs) == 0 { // every op applied: the JSON still lists one "" per op
+		errs = make([]string, len(ops))
+	}
 	out := struct {
 		Applied int      `json:"applied"`
 		RIDs    []uint64 `json:"rids"`
 		Errors  []string `json:"errors"`
-	}{resp.Applied, resp.RIDs, resp.OpErrs}
+	}{resp.Applied, resp.RIDs, errs}
 	writeJSON(w, http.StatusOK, out)
 }
 

@@ -187,6 +187,235 @@ func stormWorker(cl *client.Client, g, n, txnRows, workers, rounds int) error {
 	return nil
 }
 
+// TestPoisonedTxnStagedRows: a transaction's Apply requests are decoded
+// as views of their frames, and those frames are released — poisoned —
+// as each Apply is answered, long before the commit lands the rows.
+// Other requests recycle the buffers in between. The commit must land
+// exactly the rows that were staged, index entries included.
+func TestPoisonedTxnStagedRows(t *testing.T) {
+	poisonReleased(t)
+	f := startServer(t, nil)
+	defer f.stop(t)
+	const n = 64
+	rids := setupItems(t, f.eng, n)
+	cl, err := client.Dial(f.addr, client.WithPoolSize(1))
+	if err != nil {
+		t.Fatalf("Dial: %v", err)
+	}
+	defer cl.Close()
+
+	churn := func(id int64) {
+		t.Helper()
+		if _, err := coveredPoint(cl, id); err != nil {
+			t.Fatal(err)
+		}
+		var b client.Batch
+		b.Update(rids[id], itemRow(id, 9))
+		res, err := cl.Apply("items", &b)
+		if err != nil || res.Applied != 1 {
+			t.Fatalf("raw Apply %d: %v %v", id, err, res.Err(0))
+		}
+		rids[id] = res.RIDs[0]
+	}
+	tx, err := cl.Begin()
+	if err != nil {
+		t.Fatalf("Begin: %v", err)
+	}
+	// Three staged Applies: ids 0-7 move to version 1, ids n..n+7 are new
+	// at version 5, id 8 goes; ids 32 and up take raw updates meanwhile.
+	for round := 0; round < 3; round++ {
+		var b client.Batch
+		switch round {
+		case 0:
+			for id := int64(0); id < 8; id++ {
+				b.Update(rids[id], itemRow(id, 1))
+			}
+		case 1:
+			for id := int64(n); id < n+8; id++ {
+				b.Insert(itemRow(id, 5))
+			}
+		case 2:
+			b.Delete(rids[8])
+		}
+		if res, err := tx.Apply("items", &b); err != nil || res.Applied != b.Len() {
+			t.Fatalf("stage %d: %v %+v", round, err, res)
+		}
+		for id := int64(32 + 8*round); id < int64(40+8*round); id++ {
+			churn(id)
+		}
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatalf("Commit: %v", err)
+	}
+
+	want := func(id int64) (ver int, found bool) {
+		switch {
+		case id < 8:
+			return 1, true
+		case id == 8:
+			return 0, false
+		case id >= n:
+			return 5, true
+		case id >= 32 && id < 56:
+			return 9, true
+		}
+		return 0, true
+	}
+	for id := int64(0); id < n+8; id++ {
+		wantVer, wantFound := want(id)
+		row, found, err := cl.Get("items", "by_id", client.Int64(id))
+		if err != nil || found != wantFound {
+			t.Fatalf("Get %d: found=%v err=%v, want found=%v", id, found, err, wantFound)
+		}
+		if !found {
+			continue
+		}
+		if ver, err := checkItem(row, id, false); err != nil || ver != wantVer {
+			t.Fatalf("id %d: version %d, want %d: %v", id, ver, wantVer, err)
+		}
+	}
+	tb, err := f.eng.Table("items")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := tb.Rows(); got != n+8-1 {
+		t.Fatalf("table holds %d rows, want %d", got, n+8-1)
+	}
+}
+
+// TestPoisonedCoalescedApplyStorm: writers on their own connections
+// insert and then update rows through one-op Applies, so their requests
+// share coalesced cycles whose batches view every follower's frame.
+// Every frame is poisoned as its request is answered; every acked row
+// must read back exactly as written.
+func TestPoisonedCoalescedApplyStorm(t *testing.T) {
+	poisonReleased(t)
+	f := startServer(t, nil)
+	defer f.stop(t)
+	setupItems(t, f.eng, 0)
+	const writers, perWriter = 8, 30
+	var wg sync.WaitGroup
+	errc := make(chan error, writers)
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			errc <- stormWriter(f.addr, int64(w*perWriter), perWriter)
+		}(w)
+	}
+	wg.Wait()
+	close(errc)
+	for err := range errc {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	cl, err := client.Dial(f.addr)
+	if err != nil {
+		t.Fatalf("Dial: %v", err)
+	}
+	defer cl.Close()
+	for id := int64(0); id < writers*perWriter; id++ {
+		row, found, err := cl.Get("items", "by_id", client.Int64(id))
+		if err != nil || !found {
+			t.Fatalf("Get %d: found=%v err=%v", id, found, err)
+		}
+		if ver, err := checkItem(row, id, false); err != nil || ver != 1 {
+			t.Fatalf("id %d: version %d, want 1: %v", id, ver, err)
+		}
+	}
+	if pins := f.eng.Pool().PinnedFrames(); pins != 0 {
+		t.Errorf("%d buffer frames still pinned after the storm", pins)
+	}
+}
+
+// stormWriter inserts ids [first, first+n) one Apply each on its own
+// connection, then updates each to version 1 through the RID its insert
+// was answered with.
+func stormWriter(addr string, first int64, n int) error {
+	cl, err := client.Dial(addr, client.WithPoolSize(1))
+	if err != nil {
+		return err
+	}
+	defer cl.Close()
+	rids := make([]uint64, n)
+	for ver := 0; ver < 2; ver++ {
+		for i := range rids {
+			id := first + int64(i)
+			var b client.Batch
+			if ver == 0 {
+				b.Insert(itemRow(id, 0))
+			} else {
+				b.Update(rids[i], itemRow(id, 1))
+			}
+			res, err := cl.Apply("items", &b)
+			if err != nil || res.Applied != 1 || res.Err(0) != nil {
+				return fmt.Errorf("id %d version %d: %v %v", id, ver, err, res.Err(0))
+			}
+			rids[i] = res.RIDs[0]
+		}
+	}
+	return nil
+}
+
+// TestPoisonedCatalogNames: a table's and an index's names go into the
+// catalog, so CreateTable and CreateIndex decode them as copies, not as
+// views of their frames. After the frames are poisoned and recycled,
+// every name the catalog holds must still read as sent.
+func TestPoisonedCatalogNames(t *testing.T) {
+	poisonReleased(t)
+	f := startServer(t, nil)
+	defer f.stop(t)
+	cl, err := client.Dial(f.addr, client.WithPoolSize(1))
+	if err != nil {
+		t.Fatalf("Dial: %v", err)
+	}
+	defer cl.Close()
+	const table, index = "catalog_table", "catalog_index"
+	fields := []client.Field{
+		{Name: "catalog_id", Kind: tuple.KindInt64},
+		{Name: "catalog_name", Kind: tuple.KindString},
+	}
+	if err := cl.CreateTable(table, fields...); err != nil {
+		t.Fatalf("CreateTable: %v", err)
+	}
+	if err := cl.CreateIndex(table, index, []string{"catalog_name", "catalog_id"}, true); err != nil {
+		t.Fatalf("CreateIndex: %v", err)
+	}
+	for i := int64(0); i < 16; i++ { // recycle the frames both requests came in
+		var b client.Batch
+		b.Insert(client.Row{client.Int64(i), client.String(fmt.Sprintf("row-%02d", i))})
+		if res, err := cl.Apply(table, &b); err != nil || res.Applied != 1 {
+			t.Fatalf("Apply %d: %v %v", i, err, res.Err(0))
+		}
+	}
+
+	if got := f.eng.Tables(); len(got) != 1 || got[0] != table {
+		t.Fatalf("catalog tables = %q, want [%q]", got, table)
+	}
+	tb, err := f.eng.Table(table)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, fl := range tb.Schema().Fields() {
+		if fl.Name != fields[i].Name {
+			t.Fatalf("field %d = %q, want %q", i, fl.Name, fields[i].Name)
+		}
+	}
+	ix, err := tb.Index(index)
+	if err != nil || ix.Name() != index {
+		t.Fatalf("index %q: %v", index, err)
+	}
+	if got := ix.KeyFieldNames(); len(got) != 2 || got[0] != "catalog_name" || got[1] != "catalog_id" {
+		t.Fatalf("index fields = %q", got)
+	}
+	row, found, err := cl.Get(table, index, client.String("row-07"), client.Int64(7))
+	if err != nil || !found || row[0].Int != 7 {
+		t.Fatalf("Get through the index: %v found=%v err=%v", row, found, err)
+	}
+}
+
 // TestPoisonedCorpusReplay drives the wire fuzz corpus through a live
 // server whose released buffers are poisoned: hostile payloads take the
 // error paths, which must release exactly what they own.

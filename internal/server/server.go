@@ -396,22 +396,25 @@ func (c *conn) closeRead() {
 // Ownership: the reader goroutine fills in and frame, then hands the
 // request to its handler goroutine, which decodes, answers into a
 // separate pooled wire.Buffer (owned by the writer once queued) and
-// releases the request. Nothing in it may be referenced after release
-// — whoever needs a decoded row for longer takes it out first (see
-// handleTxnApply).
+// releases the request. Nothing in it may be referenced after release:
+// the hot messages' strings and bytes are views of in, so whoever needs
+// a decoded value for longer copies it first — the engine encodes a
+// write's rows before Apply returns, and a transaction stages copies
+// (core.Txn.Apply keeps nothing of its batch).
 type request struct {
 	c     *conn
 	run   func() // rq.handle, bound once: `go rq.run()` builds no closure
 	in    []byte // the frame; frame.Payload aliases it
 	frame wire.Frame
 
-	// Decoded messages of the hot request types. Unmarshal reuses their
-	// slices and names; the rare types decode into handler locals.
+	// Decoded messages of the hot request types, views of in. Unmarshal
+	// reuses their slices and names; the rare types decode into handler
+	// locals, as copies.
 	get    wire.GetReq
 	query  wire.QueryReq
 	apply  wire.ApplyReq
 	result wire.ApplyResp // the Apply's attributed outcome
-	batch  core.Batch     // a transaction's Apply, staged from (Txn.Apply copies the ops)
+	batch  core.Batch     // a transaction's Apply, staged from
 
 	rids []uint64 // RIDs of the query page being built
 }
@@ -442,11 +445,12 @@ func (rq *request) release() {
 	rq.query.Hi = wire.RecycleRow(rq.query.Hi)
 	rq.query.Prefix = wire.RecycleRow(rq.query.Prefix)
 	if ops := rq.apply.Ops[:cap(rq.apply.Ops)]; len(ops) > maxPooledOps {
-		rq.apply.Ops = nil
+		rq.apply.Ops, rq.batch = nil, core.Batch{}
 	} else {
 		for i := range ops {
 			ops[i].Row = wire.RecycleRow(ops[i].Row)
 		}
+		rq.batch.Reset()
 	}
 	requestPool.Put(rq)
 }
@@ -685,16 +689,6 @@ func (c *conn) handleTxnApply(rq *request) error {
 	// Staged writes have no RIDs yet (rows land in the heap at commit);
 	// the response reports per-op acceptance only.
 	sliceResult(&rq.result, &res, aerr, 0, len(m.Ops))
-	// The transaction copied the ops but aliases the staged rows until it
-	// commits: they leave the request with it instead of returning to the
-	// pool, and the batch keeps only its capacity (a large one not even
-	// that).
-	if len(m.Ops) > maxPooledOps {
-		rq.batch = core.Batch{}
-	} else {
-		rq.batch.Reset()
-	}
-	m.Ops = nil
 	return nil
 }
 

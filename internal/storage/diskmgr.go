@@ -127,6 +127,7 @@ type FileDisk struct {
 	f        *os.File
 	pageSize int
 	numPages uint64
+	zero     []byte // one zero page, written by every grow; made by the first
 }
 
 // NewFileDisk opens (or creates) the file at path. An existing file's
@@ -161,8 +162,10 @@ func NewFileDisk(path string, pageSize int) (*FileDisk, error) {
 }
 
 func (d *FileDisk) grow() error {
-	zero := make([]byte, d.pageSize)
-	if _, err := d.f.WriteAt(zero, int64(d.numPages)*int64(d.pageSize)); err != nil {
+	if d.zero == nil {
+		d.zero = make([]byte, d.pageSize)
+	}
+	if _, err := d.f.WriteAt(d.zero, int64(d.numPages)*int64(d.pageSize)); err != nil {
 		return fmt.Errorf("storage: grow file: %w", err)
 	}
 	d.numPages++

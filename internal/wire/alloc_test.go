@@ -6,6 +6,7 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/tuple"
 )
@@ -80,11 +81,13 @@ func TestQueryPageDecodeAllocs(t *testing.T) {
 	}
 }
 
-// A decoded message copies its payload once, whatever it holds: a Get
+// A decoded response copies its payload once, whatever it holds: a Get
 // answer costs its row and one copy of the payload that every string of
 // the row is a view of — 2 allocations for one string or for many,
 // where each string used to be one more. A page without strings decodes
-// into a seeded page's arrays without allocating.
+// into a seeded page's arrays without allocating. A request the server
+// answers copies nothing: its strings and bytes are views of the
+// payload itself.
 func TestDecodeCopiesPayloadOnce(t *testing.T) {
 	for k := 1; k <= 6; k++ {
 		resp := GetResp{Found: true, RID: 7, Row: tuple.Row{tuple.Int64(1)}}
@@ -129,5 +132,28 @@ func TestDecodeCopiesPayloadOnce(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(100, seeded); n != 0 {
 		t.Errorf("3-row fixed-width page into a seeded page: %v allocs, want 0", n)
+	}
+
+	req := ApplyReq{Table: "t", Ops: []Op{{Kind: OpInsert, Row: sampleRow()}, {Kind: OpUpdate, RID: 9, Row: sampleRow()}}}
+	reqPayload := req.Marshal(nil)
+	var apply ApplyReq
+	decodeReq := func() {
+		if err := apply.Unmarshal(reqPayload); err != nil || len(apply.Ops) != 2 {
+			t.Fatalf("decode: %+v, %v", apply, err)
+		}
+	}
+	decodeReq() // warm the receiver
+	if n := testing.AllocsPerRun(100, decodeReq); n != 0 {
+		t.Errorf("ApplyReq with strings into a reused receiver: %v allocs, want 0", n)
+	}
+	lo := uintptr(unsafe.Pointer(unsafe.SliceData(reqPayload)))
+	inPayload := func(p *byte) bool {
+		a := uintptr(unsafe.Pointer(p))
+		return a >= lo && a < lo+uintptr(len(reqPayload))
+	}
+	for _, op := range apply.Ops {
+		if s, raw := op.Row[7].Str, op.Row[8].Raw; !inPayload(unsafe.StringData(s)) || !inPayload(unsafe.SliceData(raw)) {
+			t.Fatalf("decoded ApplyReq values %q, %v are not views of the payload", s, raw)
+		}
 	}
 }

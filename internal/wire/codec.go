@@ -75,19 +75,30 @@ func AppendRow(dst []byte, r tuple.Row) []byte {
 // reader walks a payload, latching the first error so decode code can
 // read fields unconditionally and check once at the end.
 //
-// A payload usually sits in a pooled buffer that outlives the decode
-// only until its release, so nothing decoded may alias it. String and
-// bytes values instead alias own: one private copy of the payload, made
-// at the first such value and never written again. A message then costs
-// one copy however many strings it carries, and its strings are as
-// immutable as any — at the price that one kept string keeps the whole
-// copy reachable (a frame's payload; a page is at most MaxPooledBuffer
-// plus one row).
+// String and bytes values alias own, and each message decodes under
+// one of two rules about what own is:
+//
+//   - A response, and a request whose names go into the catalog
+//     (CreateTableReq, CreateIndexReq): the payload sits in a pooled
+//     buffer that outlives the decode only until its release, and what
+//     is decoded outlives that. own is one private copy of the payload,
+//     made at the first such value and never written again. A message
+//     then costs one copy however many strings it carries, and its
+//     strings are as immutable as any — at the price that one kept
+//     string keeps the whole copy reachable (a frame's payload; a page is
+//     at most MaxPooledBuffer plus one row).
+//   - A request the server answers from its own frame (ApplyReq, GetReq,
+//     QueryReq): own is the payload itself. The server does not write
+//     that frame until it has answered, and nothing decoded from it is
+//     kept past the answer — the engine encodes rows and keys before it
+//     returns, and a transaction stages its own copies — so the views
+//     are immutable for as long as anything reads them, and the decode
+//     copies nothing.
 type reader struct {
 	b   []byte
 	off int
 	err error
-	own []byte // private copy of b, made by view
+	own []byte // what views alias: b itself, or a private copy made by view
 }
 
 func (r *reader) fail(err error) {
@@ -165,9 +176,9 @@ func (r *reader) count(minPer int) int {
 	return int(n)
 }
 
-// view reads n bytes and returns them from the reader's private copy
-// of the payload, capped so an append to them cannot reach the bytes
-// that follow.
+// view reads n bytes and returns them from own (see reader), copying
+// the payload there first if the message has no view of it yet, capped
+// so an append to them cannot reach the bytes that follow.
 func (r *reader) view(n int) []byte {
 	if r.take(n) == nil || n == 0 {
 		return nil
@@ -178,8 +189,8 @@ func (r *reader) view(n int) []byte {
 	return r.own[r.off-n : r.off : r.off]
 }
 
-// string reads a length-prefixed string as a view of the private copy
-// (see reader). The copy is never written, which is what makes the
+// string reads a length-prefixed string as a view of own (see reader).
+// own is not written while the string is read, which is what makes the
 // unsafe conversion a string.
 func (r *reader) string() string {
 	b := r.view(int(r.uvarint()))

@@ -54,6 +54,7 @@ func TestMessageRoundTrips(t *testing.T) {
 		}}, &ApplyReq{}},
 		{"ApplyResp", &ApplyResp{Applied: 2, RIDs: []uint64{7, 0, 9},
 			OpErrs: []string{"", "dup key", ""}}, &ApplyResp{}},
+		{"ApplyRespAllApplied", &ApplyResp{Applied: 3, RIDs: []uint64{7, 0, 9}}, &ApplyResp{}},
 		{"GetReq", &GetReq{Table: "t", Index: "by_id", Key: row[:1]}, &GetReq{}},
 		{"GetResp", &GetResp{Found: true, RID: 99, Row: row}, &GetResp{}},
 		{"GetRespMiss", &GetResp{}, &GetResp{}},
@@ -181,6 +182,31 @@ func TestQueryReqCompat(t *testing.T) {
 	}
 }
 
+// TestApplyRespErrorListOptional: an answer whose ops all applied comes
+// without an error list, and older servers sent one "" per op. Both
+// forms must decode to the same outcome, so old and new peers agree on
+// Applied, RIDs and every Err(i).
+func TestApplyRespErrorListOptional(t *testing.T) {
+	rids := []uint64{7, 0, 9}
+	for _, sent := range []ApplyResp{
+		{Applied: 3, RIDs: rids},
+		{Applied: 3, RIDs: rids, OpErrs: []string{"", "", ""}},
+	} {
+		var m ApplyResp
+		if err := m.Unmarshal(sent.Marshal(nil)); err != nil {
+			t.Fatalf("%d errors listed: %v", len(sent.OpErrs), err)
+		}
+		if m.Applied != 3 || !reflect.DeepEqual(m.RIDs, rids) {
+			t.Fatalf("%d errors listed: decoded %+v", len(sent.OpErrs), m)
+		}
+		for i := 0; i <= len(rids); i++ {
+			if err := m.Err(i); err != nil {
+				t.Fatalf("%d errors listed: Err(%d) = %v", len(sent.OpErrs), i, err)
+			}
+		}
+	}
+}
+
 func TestTruncatedMessagesRejected(t *testing.T) {
 	full := (&ApplyReq{Table: "t", Ops: []Op{{Kind: OpInsert, Row: sampleRow()}}}).Marshal(nil)
 	for cut := 0; cut < len(full); cut++ {
@@ -205,6 +231,29 @@ func FuzzApplyReqDecode(f *testing.F) {
 			return
 		}
 		var m2 ApplyReq
+		if err := m2.Unmarshal(m.Marshal(nil)); err != nil {
+			t.Fatalf("re-decode of re-encode failed: %v", err)
+		}
+		if !reflect.DeepEqual(m, m2) {
+			t.Fatalf("round trip mutated message:\n got %+v\nwant %+v", m2, m)
+		}
+	})
+}
+
+// FuzzApplyRespDecode is FuzzApplyReqDecode for the write's answer, as a
+// client decodes it: both forms of the error list — one string per op,
+// and none when every op applied — seed it.
+func FuzzApplyRespDecode(f *testing.F) {
+	f.Add([]byte{})
+	f.Add((&ApplyResp{Applied: 2, RIDs: []uint64{7, 0, 9}, OpErrs: []string{"", "dup key", ""}}).Marshal(nil))
+	f.Add((&ApplyResp{Applied: 3, RIDs: []uint64{7, 8, 9}, OpErrs: []string{"", "", ""}}).Marshal(nil))
+	f.Add((&ApplyResp{Applied: 3, RIDs: []uint64{7, 8, 9}}).Marshal(nil))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var m ApplyResp
+		if err := m.Unmarshal(data); err != nil {
+			return
+		}
+		var m2 ApplyResp
 		if err := m2.Unmarshal(m.Marshal(nil)); err != nil {
 			t.Fatalf("re-decode of re-encode failed: %v", err)
 		}

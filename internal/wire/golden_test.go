@@ -99,6 +99,8 @@ func goldenCases(t *testing.T) []goldenCase {
 		{name: "ApplyReqEmpty", id: 4, typ: TApply, msg: &ApplyReq{}},
 		{name: "ApplyResp", id: 5, typ: TApplyResp, msg: &ApplyResp{Applied: 2, RIDs: []uint64{7, 0, 9},
 			OpErrs: []string{"", "dup key", ""}}},
+		// Every op applied: the server sends no error list (a count of 0).
+		{name: "ApplyRespAllApplied", id: 24, typ: TApplyResp, msg: &ApplyResp{Applied: 3, RIDs: []uint64{7, 0, 9}}},
 		{name: "GetReq", id: 6, typ: TGet, msg: &GetReq{Table: "t", Index: "by_id", Key: row[:1]}},
 		{name: "GetResp", id: 7, typ: TGetResp, msg: &GetResp{Found: true, RID: 99, Row: row}},
 		{name: "GetRespMiss", id: 8, typ: TGetResp, msg: &GetResp{}},

@@ -58,14 +58,15 @@ func (m *ApplyReq) Marshal(dst []byte) []byte {
 	return dst
 }
 
-// Unmarshal decodes the payload. Like every Unmarshal here it keeps
-// nothing that aliases b — string and bytes values share one private
-// copy of it (see reader) — and reuses the receiver's slices (and, for
-// names, its strings) when they fit, so a receiver decoded into again
-// and again stops allocating but for that copy; a zero receiver gets
+// Unmarshal decodes the payload. Its string and bytes values are views
+// of b, which must not be written while they are read (see reader):
+// the server decodes a request from its own frame and answers before
+// it reuses it. Like every Unmarshal here it reuses the receiver's
+// slices (and, for names, its strings) when they fit, so a receiver
+// decoded into again and again stops allocating; a zero receiver gets
 // fresh memory that the caller owns.
 func (m *ApplyReq) Unmarshal(b []byte) error {
-	r := reader{b: b}
+	r := reader{b: b, own: b}
 	m.Table = r.name(m.Table)
 	n := r.count(2)
 	old := m.Ops[:cap(m.Ops)] // earlier ops lend their rows' backing arrays
@@ -104,9 +105,11 @@ func (m *ApplyReq) Unmarshal(b []byte) error {
 	return r.done()
 }
 
-// ApplyResp reports per-op outcomes. OpErrs[i] is "" for a success;
-// RIDs[i] is the op's resulting packed RID (0 when unknown). Applied
-// counts successes, so a client can cheaply detect partial failure.
+// ApplyResp reports per-op outcomes. RIDs[i] is the op's resulting
+// packed RID (0 when unknown). Applied counts successes, so a client
+// can cheaply detect partial failure. OpErrs[i] is op i's error, ""
+// for a success; the server sends it empty when every op applied, and
+// an op past its end succeeded — read outcomes through Err.
 type ApplyResp struct {
 	Applied int
 	RIDs    []uint64
@@ -170,9 +173,10 @@ func (m *GetReq) Marshal(dst []byte) []byte {
 	return AppendRow(dst, m.Key)
 }
 
-// Unmarshal decodes the payload.
+// Unmarshal decodes the payload; its key's strings are views of b, as
+// an ApplyReq's are.
 func (m *GetReq) Unmarshal(b []byte) error {
-	r := reader{b: b}
+	r := reader{b: b, own: b}
 	m.Table = r.name(m.Table)
 	m.Index = r.name(m.Index)
 	m.Key = r.row(m.Key)
@@ -273,9 +277,10 @@ func (m *QueryReq) Marshal(dst []byte) []byte {
 	return dst
 }
 
-// Unmarshal decodes the payload.
+// Unmarshal decodes the payload; its bounds' strings are views of b, as
+// an ApplyReq's are.
 func (m *QueryReq) Unmarshal(b []byte) error {
-	r := reader{b: b}
+	r := reader{b: b, own: b}
 	m.Table = r.name(m.Table)
 	m.Index = r.name(m.Index)
 	m.Lo = r.row(m.Lo)
