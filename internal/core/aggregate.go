@@ -353,7 +353,8 @@ func (ix *Index) aggregate(cfg queryConfig, specs []AggSpec) (AggResult, error) 
 		}
 		// The exact-but-unpushed path, and the reference pushdown is tested
 		// against: a serial cursor over the segment, same plan and filters.
-		cur := newCursor(nil)
+		cur := new(Cursor)
+		cur.reopen(nil, false)
 		ix.openIndexSource(cur, &cfg, segs[si].Lo, segs[si].Hi, &plan, fp)
 		return foldCursor(cur, st)
 	})

@@ -24,11 +24,12 @@ import (
 //	for rid, row := range cur.All() { ... }
 //
 // Row returns cursor-owned scratch that is overwritten by the next
-// Next: copy (Row.Clone) to retain. On the cache-resident path — an
-// index query whose projection is covered by key plus cached fields —
-// iteration performs zero heap allocations per row once the scratch
-// has grown. Cursors are not safe for concurrent use; the underlying
-// table is (writers proceed while a cursor is open).
+// Next: copy (Row.Clone) to retain — and from a QueryInto cursor, copy
+// its strings and bytes too (see Table.QueryInto). On the cache-resident
+// path — an index query whose projection is covered by key plus cached
+// fields — iteration performs zero heap allocations per row once the
+// scratch has grown. Cursors are not safe for concurrent use; the
+// underlying table is (writers proceed while a cursor is open).
 //
 // Pin lifetime: an index cursor holds exactly one buffer-pool pin — on
 // its current leaf page — between Next calls, and no latch (the leaf
@@ -42,7 +43,8 @@ import (
 //
 // A serial index cursor is one allocation: the options it was opened
 // with, its source (resolver and btree cursor included), its encoded
-// bounds and its row scratch are all fields of the Cursor.
+// bounds and its row scratch are all fields of the Cursor. A Cursor that
+// is reopened (Table.QueryInto, Txn.QueryInto) is none.
 type Cursor struct {
 	src     rowSource
 	rid     storage.RID
@@ -101,6 +103,9 @@ func (c *Cursor) Next() bool {
 		c.finish()
 		return false
 	}
+	if c.ix.r.view {
+		c.ix.r.poison(c.row) // the previous row's views die here
+	}
 	if !c.src.step(c) {
 		c.finish()
 		return false
@@ -156,6 +161,9 @@ func (c *Cursor) finish() {
 	if !c.done {
 		c.done = true
 		c.src.close()
+		if c.ix.r.view {
+			c.ix.r.poison(c.row)
+		}
 	}
 }
 

@@ -38,18 +38,7 @@ func getLookupScratch() *lookupScratch {
 // record and the rows decoded from it are overwritten first, so a view
 // LookupFunc handed out and someone kept past fn reads as garbage.
 func (sc *lookupScratch) release() {
-	if poisonScratch.Load() {
-		rec, row, out := sc.r.heapBuf[:cap(sc.r.heapBuf)], sc.r.heapRow[:cap(sc.r.heapRow)], sc.out[:cap(sc.out)]
-		for i := range rec {
-			rec[i] = 0xDB
-		}
-		for i := range row {
-			row[i] = poisonValue
-		}
-		for i := range out {
-			out[i] = poisonValue
-		}
-	}
+	sc.r.poison(sc.out)
 	lookupScratchPool.Put(sc)
 }
 

@@ -92,10 +92,10 @@ var rowBlockPool = sync.Pool{New: func() any { return new(RowBlock) }}
 
 // parallelQuery plans the range into per-subtree segments and makes c
 // a cursor over the merged worker streams.
-func (ix *Index) parallelQuery(c *Cursor, plan *projPlan, fp *filterPlan, start, end []byte) (*Cursor, error) {
+func (ix *Index) parallelQuery(c *Cursor, plan *projPlan, fp *filterPlan, start, end []byte) error {
 	cfg := &c.cfg
 	if cfg.merge != MergeOrdered && cfg.merge != MergeUnordered {
-		return nil, fmt.Errorf("core: unknown merge mode %d", int(cfg.merge))
+		return fmt.Errorf("core: unknown merge mode %d", int(cfg.merge))
 	}
 	n := cfg.parallel
 	target := n
@@ -104,7 +104,7 @@ func (ix *Index) parallelQuery(c *Cursor, plan *projPlan, fp *filterPlan, start,
 	}
 	segs, err := ix.tree.PlanSegments(start, end, target)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	p := &parallelSource{
 		scan:     blockScan{r: ix.newResolver(plan, fp, cfg.policy, cfg.snapshotTS(), nil)},
@@ -115,7 +115,7 @@ func (ix *Index) parallelQuery(c *Cursor, plan *projPlan, fp *filterPlan, start,
 	}
 	p.start(n)
 	c.src, c.limit = p, cfg.limit
-	return c, nil
+	return nil
 }
 
 // parallelSource fans a segmented scan out to workers, each running the

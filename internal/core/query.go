@@ -38,6 +38,10 @@ type queryConfig struct {
 	merge    MergeMode
 	snap     uint64
 	snapSet  bool
+	// view: a serial index scan's heap answers alias the resolver's
+	// record buffer instead of copying strings and bytes out. QueryInto
+	// sets it; no option does.
+	view bool
 	// vals backs the bound values the options copy in (see keep).
 	vals  [4]tuple.Value
 	nvals int
@@ -153,49 +157,86 @@ func WithMergeMode(m MergeMode) QueryOption {
 // per-leaf version counter, so rows present when the scan reached
 // their leaf are served exactly once even while concurrent writers
 // split the scanned leaves.
+//
+// Query is QueryInto on a fresh Cursor, except that its rows own their
+// strings and bytes: a Row.Clone of one outlives the cursor.
 func (t *Table) Query(opts ...QueryOption) (*Cursor, error) {
-	return t.query(newCursor(opts))
+	c := new(Cursor)
+	c.reopen(opts, false)
+	return c.opened(t.query(c))
 }
 
-// newCursor allocates a cursor with opts applied to its config — the
-// one allocation an index query makes: its source, bounds and row
-// scratch all live inside it.
-func newCursor(opts []QueryOption) *Cursor {
-	c := new(Cursor)
+// QueryInto is Query opening c in place, so a caller that keeps one
+// Cursor across its queries (the server keeps one per pooled request)
+// pays for no cursor after the first. c must be zero or closed; an open
+// c is closed first. On error c is left closed.
+//
+// Its rows are views: on a serial index scan a heap answer's strings and
+// byte slices alias the cursor's record buffer, which the next Next or
+// Close overwrites. Neither the row nor any value in it may be kept past
+// that — copy the strings to retain them (Row.Clone does not). A caller
+// that encodes each row before asking for the next serves it without a
+// copy.
+func (t *Table) QueryInto(c *Cursor, opts ...QueryOption) error {
+	c.reopen(opts, true)
+	_, err := c.opened(t.query(c))
+	return err
+}
+
+// reopen readies c for a new query: an open c is closed, then c is
+// cleared in place — the one allocation an index query makes is the
+// Cursor itself, since its source, bounds and row scratch all live
+// inside it — and opts are applied to its config. view is the config's
+// view flag (QueryInto's, never an option's).
+func (c *Cursor) reopen(opts []QueryOption, view bool) {
+	if c.src != nil {
+		c.finish()
+	}
+	*c = Cursor{}
 	c.row = c.rowArr[:0]
 	for _, o := range opts {
 		o(&c.cfg)
 	}
-	return c
+	c.cfg.view = view
+}
+
+// opened finishes an open: the cursor on success, nil and a closed c on
+// error.
+func (c *Cursor) opened(err error) (*Cursor, error) {
+	if err != nil {
+		c.done = true
+		return nil, err
+	}
+	return c, nil
 }
 
 // query opens c over the table, as its config says.
-func (t *Table) query(c *Cursor) (*Cursor, error) {
+func (t *Table) query(c *Cursor) error {
 	cfg := &c.cfg
 	if cfg.index != "" {
 		ix, err := t.Index(cfg.index)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		return ix.query(c)
 	}
 	if cfg.lo != nil || cfg.hi != nil || cfg.prefix != nil {
-		return nil, fmt.Errorf("core: key bounds on %q require an index (add WithIndex)", t.name)
+		return fmt.Errorf("core: key bounds on %q require an index (add WithIndex)", t.name)
 	}
 	if cfg.parallel > 1 {
-		return nil, fmt.Errorf("core: WithParallel on %q requires an index (add WithIndex)", t.name)
+		return fmt.Errorf("core: WithParallel on %q requires an index (add WithIndex)", t.name)
 	}
 	projIdx, err := t.projPositions(cfg.project)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	filters, err := t.heapFilters(cfg.filters)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	c.src = t.newHeapSource(projIdx, filters, cfg.reverse, cfg.snapshotTS())
 	c.limit, c.reverse = cfg.limit, cfg.reverse
-	return c, nil
+	return nil
 }
 
 // newHeapSource builds the heap-order row source projecting projIdx
@@ -213,29 +254,30 @@ func (t *Table) newHeapSource(projIdx []int, filters []boundFilter, reverse bool
 // cursor contract (pin lifetime, Close, scratch rows, writer
 // interaction) is the same as Table.Query's.
 func (ix *Index) Query(opts ...QueryOption) (*Cursor, error) {
-	c := newCursor(opts)
+	c := new(Cursor)
+	c.reopen(opts, false)
 	if c.cfg.index != "" {
 		return nil, fmt.Errorf("core: WithIndex is only valid on Table.Query")
 	}
-	return ix.query(c)
+	return c.opened(ix.query(c))
 }
 
 // query opens c over the index, as its config says. The bounds are
 // encoded into c's own arrays, which the btree cursor copies from.
-func (ix *Index) query(c *Cursor) (*Cursor, error) {
+func (ix *Index) query(c *Cursor) error {
 	cfg := &c.cfg
 	plan, fp, start, end, err := ix.resolveQuery(cfg, c.ix.bounds[0][:0], c.ix.bounds[1][:0])
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if cfg.parallel > 1 {
 		if cfg.reverse {
-			return nil, fmt.Errorf("core: WithParallel does not support WithReverse")
+			return fmt.Errorf("core: WithParallel does not support WithReverse")
 		}
 		return ix.parallelQuery(c, plan, fp, start, end)
 	}
 	ix.openIndexSource(c, cfg, start, end, plan, fp)
-	return c, nil
+	return nil
 }
 
 // resolveQuery turns a queryConfig into the pieces every index read
@@ -276,6 +318,7 @@ func (ix *Index) openIndexSource(c *Cursor, cfg *queryConfig, start, end []byte,
 	s := &c.ix
 	c.src, c.limit, c.reverse = s, cfg.limit, cfg.reverse
 	s.r = ix.newResolver(plan, fp, cfg.policy, cfg.snapshotTS(), &c.stats)
+	s.r.view = cfg.view
 	s.r.bind()
 	// Options are set by index: append would move them to the heap.
 	var bopts [2]btree.CursorOption

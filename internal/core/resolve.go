@@ -68,7 +68,8 @@ type resolver struct {
 	stats *QueryStats
 
 	// view: a heap answer's strings and byte slices alias heapBuf instead
-	// of being copied out (LookupFunc; see there for who may hold them).
+	// of being copied out (LookupFunc and QueryInto; see there for who may
+	// hold them).
 	view bool
 
 	keyVals []tuple.Value
@@ -93,6 +94,26 @@ type resolver struct {
 func (r *resolver) bind() {
 	if r.heapBuf == nil {
 		r.keyVals, r.payload, r.heapBuf, r.heapRow, r.keyBuf = r.keyValArr[:0], r.payloadArr[:0], r.recArr[:0], r.rowArr[:0], r.keyArr[:0]
+	}
+}
+
+// poison overwrites, under PoisonScratch, the record a view answer
+// aliases, the row decoded from it and out, the row handed over: a view
+// kept past its lifetime then reads as garbage instead of as plausible
+// stale data.
+func (r *resolver) poison(out tuple.Row) {
+	if !poisonScratch.Load() {
+		return
+	}
+	rec, row, out := r.heapBuf[:cap(r.heapBuf)], r.heapRow[:cap(r.heapRow)], out[:cap(out)]
+	for i := range rec {
+		rec[i] = 0xDB
+	}
+	for i := range row {
+		row[i] = poisonValue
+	}
+	for i := range out {
+		out[i] = poisonValue
 	}
 }
 

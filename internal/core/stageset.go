@@ -89,6 +89,12 @@ func (s *stageSet[O, V]) index(i int) {
 	s.spill[k] = int32(i + 1)
 }
 
+// reset empties the set for a new transaction, back on its inline array.
+func (s *stageSet[O, V]) reset() {
+	clear(s.inline[:])
+	s.members, s.spill = nil, nil
+}
+
 // truncate removes every member added after the set held n.
 func (s *stageSet[O, V]) truncate(n int) {
 	for i := len(s.members) - 1; i >= n && s.spill != nil; i-- {

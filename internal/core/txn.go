@@ -52,7 +52,8 @@ var ErrTxnConflict = errors.New("core: transaction conflict")
 // ops append straight onto their table's, the three staging sets are
 // stageSets, and one arena holds every staged record, pre-image, claimed
 // key and undo key until Commit or Abort returns (see ARCHITECTURE.md,
-// "MVCC snapshot transactions").
+// "MVCC snapshot transactions"). BeginInto reuses all of it for the
+// next transaction.
 type Txn struct {
 	e       *Engine
 	startTS uint64
@@ -137,8 +138,30 @@ func (tt *txnTable) noteEntries(ix *Index, run []btree.RunEntry) {
 }
 
 // Begin starts a transaction reading as-of the current committed state.
+// It is BeginInto on a fresh Txn.
 func (e *Engine) Begin() *Txn {
-	return &Txn{e: e, startTS: e.registerSnapshot()}
+	tx := new(Txn)
+	e.BeginInto(tx)
+	return tx
+}
+
+// BeginInto is Begin starting tx in place, so a caller that recycles its
+// transactions (the server keeps a few per connection) pays for no Txn
+// after the first. A finished Txn keeps the capacity of its stage — its
+// arena, staged ops, undo log and staging sets, up to the bounds a
+// pooled pipeline keeps — and the next transaction stages into it.
+//
+// The reuse rule: tx must be zero or finished (an open tx is aborted
+// first), and whoever used it for the previous transaction must be done
+// with it — the Txn is the new transaction from here on, and nothing the
+// previous one staged, claimed or logged for undo is visible to it.
+// Cursors of the previous transaction were closed before its Commit or
+// Abort, as ever.
+func (e *Engine) BeginInto(tx *Txn) {
+	if tx.e != nil && !tx.done {
+		tx.Abort()
+	}
+	tx.e, tx.startTS, tx.done, tx.nBatch = e, e.registerSnapshot(), false, 0
 }
 
 // StartTS returns the transaction's snapshot timestamp.
@@ -154,13 +177,46 @@ func (tx *Txn) table(t *Table) *txnTable {
 	}
 	tt := &tx.first
 	if len(tx.tables) == 0 {
+		// first is empty (zero, emptied by reset, or cut back by a failed
+		// Apply) and its ops and undo log keep their capacity.
 		tx.tables = tx.tab0[:0]
+		tt.tx, tt.t = tx, t
 	} else {
-		tt = new(txnTable)
+		tt = &txnTable{tx: tx, t: t}
 	}
-	*tt = txnTable{tx: tx, t: t}
 	tx.tables = append(tx.tables, tt)
 	return tt
+}
+
+// maxKeptOps bounds the staged ops and undo entries a finished Txn keeps
+// the capacity of, as maxArena bounds its arena.
+const maxKeptOps = 64
+
+// reset empties a finished transaction's stage for the next one: every
+// reference into it goes, what it grew stays (up to the bounds). Its
+// arena was emptied (and poisoned) by endTrip.
+func (tx *Txn) reset() {
+	f := &tx.first
+	clear(f.ops)
+	clear(f.entries)
+	ops, entries := f.ops[:0], f.entries[:0]
+	if cap(ops) > maxKeptOps {
+		ops = nil
+	}
+	if cap(entries) > maxKeptOps {
+		entries = nil
+	}
+	tx.first = txnTable{ops: ops, entries: entries}
+	tx.tables = nil
+	tx.claimed.reset()
+	tx.freed.reset()
+	tx.writes.reset()
+	if cap(tx.sc.arena) > maxArena {
+		tx.sc.arena = nil
+	}
+	if cap(tx.sc.vals) > maxVals {
+		tx.sc.vals = nil
+	}
 }
 
 // Apply stages a batch against t. Nothing is written: rows encode, the
@@ -299,11 +355,31 @@ func (tx *Txn) stage(tt *txnTable, base int) (int, error) {
 // It does NOT see this transaction's own staged writes. Cursors must be
 // drained or closed before Commit/Abort — finishing the transaction
 // releases the snapshot that protects their versions from GC.
+//
+// Query is QueryInto on a fresh Cursor, except that its rows own their
+// strings and bytes.
 func (tx *Txn) Query(t *Table, opts ...QueryOption) (*Cursor, error) {
+	c := new(Cursor)
+	return c.opened(tx.query(c, t, opts, false))
+}
+
+// QueryInto is Query opening c in place, under Table.QueryInto's reuse
+// and view rules: c must be zero or closed (an open c is closed first,
+// a failed open leaves it closed), and a row's strings and bytes alias
+// the cursor's record buffer until the next Next or Close. A snapshot
+// read bypasses the cache, so every row it serves is such a view.
+func (tx *Txn) QueryInto(c *Cursor, t *Table, opts ...QueryOption) error {
+	_, err := c.opened(tx.query(c, t, opts, true))
+	return err
+}
+
+// query reopens c with opts and view and opens it over t as-of the
+// transaction's snapshot.
+func (tx *Txn) query(c *Cursor, t *Table, opts []QueryOption, view bool) error {
+	c.reopen(opts, view)
 	if tx.done {
-		return nil, ErrTxnDone
+		return ErrTxnDone
 	}
-	c := newCursor(opts)
 	c.cfg.pinSnapshot(tx.startTS)
 	return t.query(c)
 }
@@ -318,10 +394,12 @@ func (tx *Txn) Abort() {
 }
 
 // finish ends a transaction that Commit or Abort has marked done: its
-// arena dies (poisoned under PoisonScratch), its snapshot is released,
-// and a GC pass runs if the backlog calls for one.
+// arena dies (poisoned under PoisonScratch), its stage is emptied for a
+// BeginInto, its snapshot is released, and a GC pass runs if the backlog
+// calls for one.
 func (tx *Txn) finish() {
 	tx.sc.endTrip()
+	tx.reset()
 	tx.e.releaseSnapshot(tx.startTS)
 	tx.e.maybeGC()
 }

@@ -13,10 +13,14 @@ import (
 // snapshot, its cursor and its first staged batch need, because the
 // Txn owns its stage: tables, staged ops, claim sets, keys, records,
 // pre-images and undo log all live in it and grow only past the
-// inline sizes. Before it did, the same transaction measured 35. The
-// budget is the measured figure + 2, and includes the amortised share
-// of the GC passes its dead versions trigger. (Not under -race: the
-// detector changes allocation counts.)
+// inline sizes. Before it did, the same transaction measured 35. A Txn
+// recycled through BeginInto and a Cursor reopened through QueryInto
+// cost nothing of that: the stage keeps its capacity from one
+// transaction to the next, and the server runs its transactions so.
+// The Begin/Query budget is the measured figure + 2; the recycled one,
+// measured 0, is held to 1. Both include the amortised share of the GC
+// passes the dead versions trigger. (Not under -race: the detector
+// changes allocation counts.)
 func TestTxnAllocations(t *testing.T) {
 	const rows = 2000
 	e, tb, _ := newQueryFixture(t, rows, true)
@@ -29,13 +33,8 @@ func TestTxnAllocations(t *testing.T) {
 	}
 	ver := 0
 	var b Batch
-	txn := func() {
+	run := func(tx *Txn, cur *Cursor) {
 		ver ^= 1
-		tx := e.Begin()
-		cur, err := tx.Query(tb, WithIndex("by_id"), WithKeyRange(lo, hi), WithProjection(covered...))
-		if err != nil {
-			t.Fatalf("Query: %v", err)
-		}
 		b.Reset()
 		for i := 0; cur.Next(); i++ {
 			if id := cur.Row()[0].Int; id != int64(10+i) {
@@ -54,13 +53,39 @@ func TestTxnAllocations(t *testing.T) {
 			t.Fatalf("Commit: %v", err)
 		}
 	}
-	for i := 0; i < 200; i++ { // warm the pools and the plan cache
-		txn()
+	var (
+		tx  Txn
+		cur Cursor
+	)
+	cases := []struct {
+		name   string
+		budget float64
+		txn    func()
+	}{
+		{"Begin/Query", 8, func() {
+			tx := e.Begin()
+			cur, err := tx.Query(tb, WithIndex("by_id"), WithKeyRange(lo, hi), WithProjection(covered...))
+			if err != nil {
+				t.Fatalf("Query: %v", err)
+			}
+			run(tx, cur)
+		}},
+		{"BeginInto/QueryInto", 1, func() {
+			e.BeginInto(&tx)
+			if err := tx.QueryInto(&cur, tb, WithIndex("by_id"), WithKeyRange(lo, hi), WithProjection(covered...)); err != nil {
+				t.Fatalf("QueryInto: %v", err)
+			}
+			run(&tx, &cur)
+		}},
 	}
-	const budget = 8
-	got := testing.AllocsPerRun(500, txn)
-	t.Logf("transaction: %.1f allocs/op (budget %d)", got, budget)
-	if got > budget {
-		t.Errorf("transaction: %.1f allocs/op, budget %d", got, budget)
+	for _, tc := range cases {
+		for i := 0; i < 200; i++ { // warm the pools, the plan cache and the recycled stage
+			tc.txn()
+		}
+		got := testing.AllocsPerRun(500, tc.txn)
+		t.Logf("%-20s %.1f allocs/op (budget %.0f)", tc.name, got, tc.budget)
+		if got > tc.budget {
+			t.Errorf("%s: %.1f allocs/op, budget %.0f", tc.name, got, tc.budget)
+		}
 	}
 }

@@ -24,8 +24,8 @@ import (
 //
 // A read allocates its answer and little else: a Get its row and the
 // one copy of the payload its strings are views of (client side — the
-// server encodes the row LookupFunc shows it), a query its Rows and its
-// Cursor, a longer page its rows and slab. Before the cursor, the Rows
+// server encodes the row LookupFunc shows it), a query its Rows, a
+// longer page its rows and slab. Before the cursor, the Rows
 // and each message's strings were one allocation apiece, Get measured
 // 5, CoveredPointQuery 17, ApplyInsert and ApplyUpdate 5, Txn 77 and
 // both range scans 20. A transaction allocates like a batch: before the
@@ -36,7 +36,12 @@ import (
 // a request as views of its frame, a transaction staged rows of its own
 // (so the request's ops went back to their pool) and an all-success
 // answer dropped its error list, ApplyInsert and ApplyUpdate measured 4
-// and Txn 22.
+// and Txn 22. A served query or transaction allocates only what the
+// client keeps — the transaction its handle, its Rows, the page's
+// payload copy, its answer's RIDs and the caller's batch: before each
+// request reused its cursor, the binary handler read rows as views and
+// a connection recycled its transactions, CoveredPointQuery measured 2,
+// Txn 17 and both range scans 4.
 //
 // Skipped under -race: the race detector instruments allocations and
 // changes the counts.
@@ -117,7 +122,7 @@ func TestServedAllocBudgets(t *testing.T) {
 			}
 			same(row, want[id])
 		}},
-		{"CoveredPointQuery", 4, nil, func() {
+		{"CoveredPointQuery", 3, nil, func() {
 			id := next()
 			row, err := coveredPoint(cl, id)
 			fail(err)
@@ -145,7 +150,7 @@ func TestServedAllocBudgets(t *testing.T) {
 			rids[5] = res.RIDs[0]
 		}},
 		// A snapshot read of two rows, two updates staged, one commit.
-		{"Txn", 19, nil, func() {
+		{"Txn", 8, nil, func() {
 			txnVer ^= 1
 			tx, err := cl.Begin()
 			fail(err)
@@ -166,13 +171,13 @@ func TestServedAllocBudgets(t *testing.T) {
 			}
 			fail(tx.Commit())
 		}},
-		{"CoveredRangeScanWarm", 6, func() {
+		{"CoveredRangeScanWarm", 5, func() {
 			_, err := byID.WarmCache()
 			fail(err)
 		}, func() { scan(100 + next()%1000) }},
 		// Scans probe the cache and never fill or repair it: invalidated
 		// once, it stays cold for as long as nothing but scans runs.
-		{"CoveredRangeScanCold", 6, func() {
+		{"CoveredRangeScanCold", 5, func() {
 			byID.Cache().InvalidateAll()
 			coldHits = byID.Cache().Stats().Hits
 		}, func() { scan(100 + next()%1000) }},

@@ -218,7 +218,7 @@ func (s *Server) httpRows(w http.ResponseWriter, r *http.Request) {
 		httpErr(w, http.StatusNotFound, err)
 		return
 	}
-	cur, err := s.openCursor(&req, nil)
+	cur, err := s.openCursor(&req, nil, nil)
 	if err != nil {
 		httpErr(w, http.StatusBadRequest, err)
 		return

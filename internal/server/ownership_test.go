@@ -1,10 +1,13 @@
 package server_test
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
+	"net"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/client"
 	"repro/internal/core"
@@ -476,5 +479,298 @@ func TestPoisonedSlowStream(t *testing.T) {
 	}
 	if err := rows.Err(); err != nil || id != n {
 		t.Fatalf("stream ended at %d of %d: %v", id, n, err)
+	}
+}
+
+// TestPoisonedTxnRecycleStorm: workers pipeline transactions over one
+// connection — snapshot reads, staged updates, commits and aborts — so
+// the connection recycles each finished transaction into the next
+// Begin, while side connections open transactions, stage into them and
+// drop. Every committed version must read back, and nothing an abort or
+// a disconnect staged.
+func TestPoisonedTxnRecycleStorm(t *testing.T) {
+	poisonReleased(t)
+	f := startServer(t, nil)
+	defer f.stop(t)
+	const (
+		workers   = 8
+		perWorker = 4 // ids g, g+workers, ... belong to worker g
+		rounds    = 24
+		droppers  = 2
+		n         = workers * perWorker
+	)
+	setupItems(t, f.eng, n+droppers)
+	cl, err := client.Dial(f.addr, client.WithPoolSize(1))
+	if err != nil {
+		t.Fatalf("Dial: %v", err)
+	}
+	defer cl.Close()
+
+	versions := make([]int, n) // what each id's committed version must be
+	var wg sync.WaitGroup
+	errc := make(chan error, workers+droppers)
+	for g := 0; g < workers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			errc <- recycleWorker(cl, g, workers, perWorker, rounds, versions)
+		}(g)
+	}
+	for d := 0; d < droppers; d++ {
+		wg.Add(1)
+		go func(id int64) {
+			defer wg.Done()
+			errc <- dropWorker(f.addr, id, rounds/4)
+		}(int64(n + d))
+	}
+	wg.Wait()
+	close(errc)
+	for err := range errc {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	for id := int64(0); id < n+droppers; id++ {
+		want := 0
+		if id < n {
+			want = versions[id]
+		}
+		if ver, _, err := currentItem(cl, id); err != nil || ver != want {
+			t.Fatalf("id %d: version %d, want %d: %v", id, ver, want, err)
+		}
+	}
+	if pins := f.eng.Pool().PinnedFrames(); pins != 0 {
+		t.Errorf("%d buffer frames still pinned after the storm", pins)
+	}
+}
+
+// recycleWorker runs rounds transactions over worker g's own ids: read
+// the row through the snapshot, stage its next version, commit (or,
+// every third round, abort), and read the outcome back outside.
+func recycleWorker(cl *client.Client, g, workers, perWorker, rounds int, versions []int) error {
+	for r := 0; r < rounds; r++ {
+		id := int64(g + workers*(r%perWorker))
+		tx, err := cl.Begin()
+		if err != nil {
+			return fmt.Errorf("worker %d: Begin: %w", g, err)
+		}
+		ver, rid, err := currentItem(tx, id)
+		if err != nil || ver != versions[id] {
+			tx.Abort()
+			return fmt.Errorf("worker %d: txn read of %d: version %d, want %d: %v", g, id, ver, versions[id], err)
+		}
+		var b client.Batch
+		b.Update(rid, itemRow(id, ver+1))
+		if res, err := tx.Apply("items", &b); err != nil || res.Applied != 1 {
+			tx.Abort()
+			return fmt.Errorf("worker %d: stage %d: %v %v", g, id, err, res.Err(0))
+		}
+		if r%3 == 2 {
+			err = tx.Abort()
+		} else if err = tx.Commit(); err == nil {
+			versions[id]++
+		}
+		if err != nil {
+			return fmt.Errorf("worker %d: finish %d: %w", g, id, err)
+		}
+		if got, _, err := currentItem(cl, id); err != nil || got != versions[id] {
+			return fmt.Errorf("worker %d: id %d after round %d: version %d, want %d: %v", g, id, r, got, versions[id], err)
+		}
+	}
+	return nil
+}
+
+// dropWorker opens a connection, stages an update of id in a
+// transaction and drops the connection with the transaction open, times
+// times over: the server aborts what it staged.
+func dropWorker(addr string, id int64, times int) error {
+	for i := 0; i < times; i++ {
+		cl, err := client.Dial(addr, client.WithPoolSize(1))
+		if err != nil {
+			return err
+		}
+		tx, err := cl.Begin()
+		if err != nil {
+			cl.Close()
+			return err
+		}
+		_, rid, err := currentItem(tx, id)
+		if err == nil {
+			var b client.Batch
+			b.Update(rid, itemRow(id, 100+i))
+			_, err = tx.Apply("items", &b)
+		}
+		cl.Close()
+		if err != nil {
+			return fmt.Errorf("dropper %d: %w", id, err)
+		}
+	}
+	return nil
+}
+
+// rawConn speaks the wire protocol directly, so a test can send what
+// the client never would: frames naming a transaction that has finished.
+type rawConn struct {
+	nc  net.Conn
+	br  *bufio.Reader
+	buf []byte
+	seq uint64
+}
+
+// rawReply is a request's last response frame, plus the rows of a query.
+type rawReply struct {
+	typ     uint8
+	payload []byte
+	rows    int
+}
+
+// exchange writes every request at once — pipelined, so the server
+// handles them concurrently — and returns each one's reply, in order.
+func (r *rawConn) exchange(reqs ...wire.Frame) ([]rawReply, error) {
+	var out []byte
+	ids := make(map[uint64]int, len(reqs))
+	for i, q := range reqs {
+		r.seq++
+		ids[r.seq] = i
+		out = wire.AppendFrame(out, r.seq, q.Type, q.Payload)
+	}
+	if _, err := r.nc.Write(out); err != nil {
+		return nil, err
+	}
+	replies := make([]rawReply, len(reqs))
+	for pending := len(reqs); pending > 0; {
+		r.nc.SetReadDeadline(time.Now().Add(10 * time.Second))
+		fr, buf, err := wire.ReadFrame(r.br, r.buf)
+		if err != nil {
+			return nil, err
+		}
+		r.buf = buf
+		i, ok := ids[fr.ReqID]
+		if !ok {
+			return nil, fmt.Errorf("reply to unknown request %d", fr.ReqID)
+		}
+		rp := &replies[i]
+		rp.typ, rp.payload = fr.Type, append(rp.payload[:0], fr.Payload...)
+		if fr.Type == wire.TQueryPage {
+			var page wire.QueryPage
+			if err := page.Unmarshal(fr.Payload); err != nil {
+				return nil, err
+			}
+			rp.rows += len(page.Rows)
+			if !page.Last {
+				continue
+			}
+		}
+		pending--
+	}
+	return replies, nil
+}
+
+// TestPoisonedStaleTxnIDs: a connection recycles each finished
+// transaction into its next Begin, but ids are never reused — so frames
+// that name a finished transaction, pipelined beside the live one that
+// now runs in its connTxn, are refused as unknown and touch nothing.
+func TestPoisonedStaleTxnIDs(t *testing.T) {
+	poisonReleased(t)
+	f := startServer(t, nil)
+	defer f.stop(t)
+	setupItems(t, f.eng, 0)
+	nc, err := net.Dial("tcp", f.addr)
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer nc.Close()
+	rc := &rawConn{nc: nc, br: bufio.NewReader(nc)}
+
+	frame := func(typ uint8, payload []byte) wire.Frame { return wire.Frame{Type: typ, Payload: payload} }
+	insert := func(txn uint64, id int64) wire.Frame {
+		m := wire.ApplyReq{Table: "items", TxnID: txn, Ops: []wire.Op{{Kind: wire.OpInsert, Row: itemRow(id, 0)}}}
+		return frame(wire.TApply, m.Marshal(nil))
+	}
+	query := func(txn uint64) wire.Frame {
+		m := wire.QueryReq{Table: "items", Index: "by_id", TxnID: txn}
+		return frame(wire.TQuery, m.Marshal(nil))
+	}
+	finish := func(typ uint8, txn uint64) wire.Frame {
+		m := wire.TxnFinishReq{TxnID: txn}
+		return frame(typ, m.Marshal(nil))
+	}
+	begin := func() uint64 {
+		t.Helper()
+		rp, err := rc.exchange(frame(wire.TTxnBegin, nil))
+		if err != nil || rp[0].typ != wire.TTxnBeginResp {
+			t.Fatalf("Begin: %v %+v", err, rp)
+		}
+		var m wire.TxnBeginResp
+		if err := m.Unmarshal(rp[0].payload); err != nil {
+			t.Fatal(err)
+		}
+		return m.TxnID
+	}
+	refused := func(rp rawReply, what string, txn uint64) {
+		t.Helper()
+		var m wire.ErrResp
+		if rp.typ != wire.TErr || m.Unmarshal(rp.payload) != nil || m.Msg != fmt.Sprintf("server: unknown transaction %d", txn) {
+			t.Fatalf("%s naming finished transaction %d: reply type %d %q, want unknown transaction", what, txn, rp.typ, m.Msg)
+		}
+	}
+
+	const rounds = 16
+	prev := begin()
+	if rp, err := rc.exchange(finish(wire.TTxnCommit, prev)); err != nil || rp[0].typ != wire.TOK {
+		t.Fatalf("first Commit: %v %+v", err, rp)
+	}
+	for r := int64(0); r < rounds; r++ {
+		cur := begin()
+		if cur == prev {
+			t.Fatalf("transaction id %d reused", cur)
+		}
+		// Row 2r is staged by the live transaction, row 2r+1 by frames
+		// naming the finished one; finishing the finished one again must
+		// not finish the live one.
+		rp, err := rc.exchange(
+			insert(prev, 2*r+1), query(prev), finish(wire.TTxnCommit, prev), finish(wire.TTxnAbort, prev),
+			insert(cur, 2*r), query(cur))
+		if err != nil {
+			t.Fatalf("round %d: %v", r, err)
+		}
+		refused(rp[0], "Apply", prev)
+		refused(rp[1], "Query", prev)
+		refused(rp[2], "Commit", prev)
+		refused(rp[3], "Abort", prev)
+		var ar wire.ApplyResp
+		if rp[4].typ != wire.TApplyResp || ar.Unmarshal(rp[4].payload) != nil || ar.Applied != 1 {
+			t.Fatalf("round %d: live Apply: reply type %d %+v", r, rp[4].typ, ar)
+		}
+		if rp[5].typ != wire.TQueryPage || rp[5].rows != int(r) {
+			t.Fatalf("round %d: live snapshot read %d rows (reply type %d), want %d", r, rp[5].rows, rp[5].typ, r)
+		}
+		if rp, err := rc.exchange(finish(wire.TTxnCommit, cur)); err != nil || rp[0].typ != wire.TOK {
+			t.Fatalf("round %d: Commit: %v %+v", r, err, rp)
+		}
+		prev = cur
+	}
+
+	tb, err := f.eng.Table("items")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix, err := tb.Index("by_id")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for id := int64(0); id < 2*rounds; id++ {
+		row, res, err := ix.Lookup(nil, tuple.Int64(id))
+		if err != nil || res.Found != (id%2 == 0) {
+			t.Fatalf("id %d: found=%v err=%v, want found=%v", id, res.Found, err, id%2 == 0)
+		}
+		if res.Found {
+			if _, err := checkItem(row, id, false); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if got := tb.Rows(); got != rounds {
+		t.Fatalf("table holds %d rows, want %d", got, rounds)
 	}
 }

@@ -321,49 +321,29 @@ type conn struct {
 
 	// Open snapshot transactions, scoped to this connection. A dropped
 	// connection aborts them all (serve's epilogue), so an abandoned
-	// transaction can never pin the GC watermark forever.
+	// transaction can never pin the GC watermark forever. Ids are never
+	// reused; the connTxns behind them are — idle keeps the last finished
+	// one for beginTxn (the client pins a transaction to one connection,
+	// so a connection rarely has two open at once).
 	txnMu  sync.Mutex
 	txns   map[uint64]*connTxn
 	txnSeq uint64
+	idle   *connTxn
 }
 
-// connTxn wraps a core transaction with the server-side cursor
-// accounting the engine cannot do itself: core documents that cursors
-// must be drained before Commit/Abort (finishing releases the snapshot
-// that protects their versions from GC), but a pipelined client can
-// race TTxnCommit/TTxnAbort against an in-flight snapshot Query. The
-// stream counter turns that race into a wait — finishTxn blocks until
-// every streaming cursor has drained, so the snapshot stays pinned for
-// exactly as long as a cursor can still visit its versions.
+// connTxn is a core transaction, held inline so a connection recycles
+// both, with the server-side use accounting the engine cannot do
+// itself: core documents that cursors must be drained before
+// Commit/Abort (finishing releases the snapshot that protects their
+// versions from GC), but a pipelined client can race TTxnCommit or
+// TTxnAbort against an in-flight snapshot Query or a staging Apply. The
+// users counter turns that race into a wait — finishTxn blocks until
+// every handler using the transaction is done with it, so the snapshot
+// stays pinned for exactly as long as a cursor can still visit its
+// versions, and the Txn is recycled only once nobody holds it.
 type connTxn struct {
-	txn *core.Txn
-
-	mu       sync.Mutex
-	finished bool
-	streams  sync.WaitGroup
-}
-
-// acquireStream registers one streaming cursor; it fails once the
-// transaction has been handed to commit/abort. Callers must release
-// with streams.Done after the cursor is closed.
-func (ct *connTxn) acquireStream() bool {
-	ct.mu.Lock()
-	defer ct.mu.Unlock()
-	if ct.finished {
-		return false
-	}
-	ct.streams.Add(1)
-	return true
-}
-
-// finish marks the transaction closed to new cursors and waits for the
-// ones still streaming, then yields the core transaction.
-func (ct *connTxn) finish() *core.Txn {
-	ct.mu.Lock()
-	ct.finished = true
-	ct.mu.Unlock()
-	ct.streams.Wait()
-	return ct.txn
+	txn   core.Txn
+	users sync.WaitGroup // handlers resolved through useTxn and not yet done
 }
 
 func newConn(s *Server, nc net.Conn) *conn {
@@ -400,7 +380,10 @@ func (c *conn) closeRead() {
 // the hot messages' strings and bytes are views of in, so whoever needs
 // a decoded value for longer copies it first — the engine encodes a
 // write's rows before Apply returns, and a transaction stages copies
-// (core.Txn.Apply keeps nothing of its batch).
+// (core.Txn.Apply keeps nothing of its batch). A query's cursor is the
+// request's too, and its rows are views of the cursor's scratch: each is
+// encoded into its page before the next is read, and the cursor is
+// closed before release.
 type request struct {
 	c     *conn
 	run   func() // rq.handle, bound once: `go rq.run()` builds no closure
@@ -416,7 +399,8 @@ type request struct {
 	result wire.ApplyResp // the Apply's attributed outcome
 	batch  core.Batch     // a transaction's Apply, staged from
 
-	rids []uint64 // RIDs of the query page being built
+	cur  core.Cursor // a query's, reopened by each (QueryInto); zeroed on release
+	rids []uint64    // RIDs of the query page being built
 }
 
 var requestPool sync.Pool // of *request
@@ -436,9 +420,11 @@ const maxPooledOps = 64
 
 // release returns the request to the pool. Slices keep their capacity
 // (up to the pool bounds); under the wire poison hook their contents
-// are overwritten first.
+// are overwritten first. The closed cursor keeps nothing: reopening
+// zeroes it anyway, so what its last query reached (index, plan, heap
+// buffers) would only stay reachable from the pool.
 func (rq *request) release() {
-	rq.c, rq.frame = nil, wire.Frame{}
+	rq.c, rq.frame, rq.cur = nil, wire.Frame{}, core.Cursor{}
 	rq.in = wire.Recycle(rq.in)
 	rq.get.Key = wire.RecycleRow(rq.get.Key)
 	rq.query.Lo = wire.RecycleRow(rq.query.Lo)
@@ -477,11 +463,10 @@ func (c *conn) serve() {
 		go rq.run()
 	}
 	c.hwg.Wait()
-	// All handlers have returned, so no cursor can still be streaming:
-	// finish() never waits here.
+	// All handlers have returned, so nobody uses a transaction any more.
 	c.txnMu.Lock()
 	for id, ct := range c.txns {
-		ct.finish().Abort()
+		ct.txn.Abort()
 		delete(c.txns, id)
 	}
 	c.txnMu.Unlock()
@@ -490,47 +475,70 @@ func (c *conn) serve() {
 	c.nc.Close()
 }
 
-// beginTxn opens a transaction and registers it under a fresh
-// connection-local id.
-func (c *conn) beginTxn() (uint64, *core.Txn) {
-	txn := c.s.eng.Begin()
+// beginTxn opens a transaction — in the idle connTxn when the connection
+// has one — and registers it under a fresh connection-local id.
+func (c *conn) beginTxn() (id, startTS uint64) {
 	c.txnMu.Lock()
+	defer c.txnMu.Unlock()
+	ct := c.idle
+	if ct != nil {
+		c.idle = nil
+	} else {
+		ct = new(connTxn)
+	}
+	c.s.eng.BeginInto(&ct.txn)
 	c.txnSeq++
-	id := c.txnSeq
 	if c.txns == nil {
 		c.txns = make(map[uint64]*connTxn)
 	}
-	c.txns[id] = &connTxn{txn: txn}
-	c.txnMu.Unlock()
-	return id, txn
+	c.txns[c.txnSeq] = ct
+	return c.txnSeq, ct.txn.StartTS()
 }
 
-// txn resolves a connection-local transaction id.
-func (c *conn) txn(id uint64) (*connTxn, error) {
+// useTxn resolves a connection-local transaction id for a handler that
+// stages into it or reads through it; the caller calls users.Done once
+// it is done with the transaction (for a cursor: after Close). An id is
+// registered under the lock finishTxn removes it under, so a finished —
+// perhaps already recycled — transaction is never resolved.
+func (c *conn) useTxn(id uint64) (*connTxn, error) {
 	c.txnMu.Lock()
+	defer c.txnMu.Unlock()
 	ct := c.txns[id]
-	c.txnMu.Unlock()
 	if ct == nil {
 		return nil, fmt.Errorf("server: unknown transaction %d", id)
 	}
+	ct.users.Add(1)
 	return ct, nil
 }
 
-// finishTxn removes a transaction from the registry for commit/abort,
-// waiting out any cursor still streaming its snapshot.
-func (c *conn) finishTxn(payload []byte) (*core.Txn, error) {
+// finishTxn commits or aborts a transaction: it leaves the registry,
+// every handler still using it (a streaming cursor, a staging Apply)
+// finishes, and once Commit or Abort has returned its connTxn is idle.
+func (c *conn) finishTxn(payload []byte, commit bool) error {
 	var m wire.TxnFinishReq
 	if err := m.Unmarshal(payload); err != nil {
-		return nil, err
+		return err
 	}
 	c.txnMu.Lock()
 	ct := c.txns[m.TxnID]
 	delete(c.txns, m.TxnID)
 	c.txnMu.Unlock()
 	if ct == nil {
-		return nil, fmt.Errorf("server: unknown transaction %d", m.TxnID)
+		return fmt.Errorf("server: unknown transaction %d", m.TxnID)
 	}
-	return ct.finish(), nil
+	ct.users.Wait()
+	var err error
+	if commit {
+		err = ct.txn.Commit()
+	} else {
+		ct.txn.Abort()
+	}
+	c.txnMu.Lock()
+	if c.idle == nil {
+		c.idle = ct
+	}
+	c.txnMu.Unlock()
+	return err
 }
 
 // writeLoop is the only goroutine that touches the socket's write side
@@ -615,22 +623,13 @@ func (rq *request) handle() {
 			c.ack(id)
 		}
 	case wire.TTxnBegin:
-		txnID, txn := c.beginTxn()
-		m := wire.TxnBeginResp{TxnID: txnID, StartTS: txn.StartTS()}
+		var m wire.TxnBeginResp
+		m.TxnID, m.StartTS = c.beginTxn()
 		b := wire.NewFrame()
 		b.B = m.Marshal(b.B)
 		c.send(b, id, wire.TTxnBeginResp)
-	case wire.TTxnCommit:
-		var txn *core.Txn
-		if txn, err = c.finishTxn(payload); err == nil {
-			if err = txn.Commit(); err == nil {
-				c.ack(id)
-			}
-		}
-	case wire.TTxnAbort:
-		var txn *core.Txn
-		if txn, err = c.finishTxn(payload); err == nil {
-			txn.Abort()
+	case wire.TTxnCommit, wire.TTxnAbort:
+		if err = c.finishTxn(payload, rq.frame.Type == wire.TTxnCommit); err == nil {
 			c.ack(id)
 		}
 	case wire.TStats:
@@ -673,10 +672,11 @@ func (c *conn) handleApply(id uint64, rq *request) error {
 // the transaction's own commit record.
 func (c *conn) handleTxnApply(rq *request) error {
 	m := &rq.apply
-	ct, err := c.txn(m.TxnID)
+	ct, err := c.useTxn(m.TxnID)
 	if err != nil {
 		return err
 	}
+	defer ct.users.Done()
 	tb, err := c.s.eng.Table(m.Table)
 	if err != nil {
 		return err
@@ -725,19 +725,20 @@ func (c *conn) handleGet(id uint64, rq *request) error {
 // default 256 rows rarely reach it.
 const maxPageBytes = wire.MaxPooledBuffer
 
-// handleQuery streams the cursor as pages, each encoded row by row
-// into its own response buffer — no row is cloned and no page is
-// materialized. A page goes to the writer the moment it is full — by
-// rows or by bytes — so the handler fills the next one while the
-// previous one is on the wire.
+// handleQuery streams the request's cursor as pages, each encoded row
+// by row into its own response buffer — no row is cloned and no page is
+// materialized, and a row is a view (core.Table.QueryInto) encoded
+// before the next is read. A page goes to the writer the moment it is
+// full — by rows or by bytes — so the handler fills the next one while
+// the previous one is on the wire.
 func (c *conn) handleQuery(id uint64, rq *request) error {
-	m := &rq.query
-	cur, ct, err := c.openCursor(m)
+	m, cur := &rq.query, &rq.cur
+	ct, err := c.openCursor(m, cur)
 	if err != nil {
 		return err
 	}
 	if ct != nil {
-		defer ct.streams.Done() // runs after Close: the snapshot stays pinned until then
+		defer ct.users.Done() // runs after Close: the snapshot stays pinned until then
 	}
 	defer cur.Close()
 	pageSize := int(m.PageSize)
@@ -814,42 +815,41 @@ func (s *Server) lookupIndex(table, index string) (*core.Index, error) {
 	return tb.Index(index)
 }
 
-// openCursor resolves a query against the connection: a TxnID routes
-// the scan through that transaction's snapshot — it reads the Begin
-// snapshot and excludes the transaction's own staged writes (core.Txn
-// has no read-your-own-writes) — everything else falls through to the
-// shared latest-read path, including rows that arrived via other
-// connections' coalesced batches, which become visible to snapshots
-// begun after their group commit. A transactional cursor registers
-// with the connTxn it returns, so commit/abort waits out its stream;
-// the caller must call its streams.Done after the cursor is closed.
-func (c *conn) openCursor(m *wire.QueryReq) (*core.Cursor, *connTxn, error) {
+// openCursor opens the query into cur, resolved against the connection:
+// a TxnID routes the scan through that transaction's snapshot — it
+// reads the Begin snapshot and excludes the transaction's own staged
+// writes (core.Txn has no read-your-own-writes) — everything else falls
+// through to the shared latest-read path, including rows that arrived
+// via other connections' coalesced batches, which become visible to
+// snapshots begun after their group commit. A transactional cursor uses
+// the connTxn it returns, so commit/abort waits out its stream; the
+// caller must call its users.Done after the cursor is closed.
+func (c *conn) openCursor(m *wire.QueryReq, cur *core.Cursor) (*connTxn, error) {
 	if m.TxnID == 0 {
-		cur, err := c.s.openCursor(m, nil)
-		return cur, nil, err
+		_, err := c.s.openCursor(m, nil, cur)
+		return nil, err
 	}
-	ct, err := c.txn(m.TxnID)
+	ct, err := c.useTxn(m.TxnID)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	if !ct.acquireStream() {
-		return nil, nil, fmt.Errorf("server: transaction %d already finished", m.TxnID)
+	if _, err := c.s.openCursor(m, &ct.txn, cur); err != nil {
+		ct.users.Done()
+		return nil, err
 	}
-	cur, err := c.s.openCursor(m, ct.txn)
-	if err != nil {
-		ct.streams.Done()
-		return nil, nil, err
-	}
-	return cur, ct, nil
+	return ct, nil
 }
 
-// openCursor opens the query's cursor, through txn's snapshot when one
-// is given. The options are built and consumed in this one frame on
-// purpose: core's option constructors inline and Query only calls what
-// it is handed, so the closures stay on this stack — a query costs no
-// allocation per option. Absent bounds are tested by length: a reused
-// QueryReq decodes them as empty, not nil.
-func (s *Server) openCursor(m *wire.QueryReq, txn *core.Txn) (*core.Cursor, error) {
+// openCursor opens the query into cur, through txn's snapshot when one
+// is given; cur's rows are views (QueryInto). The HTTP listener, which
+// keeps rows across Next and has no transactions, passes a nil cur and
+// gets a fresh cursor whose rows own their strings (Query). The options
+// are built and consumed in
+// this one frame on purpose: core's option constructors inline and
+// Query only calls what it is handed, so the closures stay on this
+// stack — a query costs no allocation per option. Absent bounds are
+// tested by length: a reused QueryReq decodes them as empty, not nil.
+func (s *Server) openCursor(m *wire.QueryReq, txn *core.Txn, cur *core.Cursor) (*core.Cursor, error) {
 	tb, err := s.eng.Table(m.Table)
 	if err != nil {
 		return nil, err
@@ -887,8 +887,11 @@ func (s *Server) openCursor(m *wire.QueryReq, txn *core.Txn) (*core.Cursor, erro
 			add(core.WithMergeMode(core.MergeUnordered))
 		}
 	}
-	if txn != nil {
-		return txn.Query(tb, opts[:n]...)
+	switch {
+	case cur == nil:
+		return tb.Query(opts[:n]...)
+	case txn != nil:
+		return cur, txn.QueryInto(cur, tb, opts[:n]...)
 	}
-	return tb.Query(opts[:n]...)
+	return cur, tb.QueryInto(cur, opts[:n]...)
 }

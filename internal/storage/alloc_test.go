@@ -8,10 +8,10 @@ import (
 	"testing"
 )
 
-// Extending a file writes one zero page the FileDisk keeps: after the
-// first, an Allocate costs no allocation (a benchmark load extends the
-// file thousands of times), and every page it adds still reads as zeros.
-// (Not under -race: the detector changes allocation counts.)
+// Extending a file truncates it to its new length, which writes nothing
+// and costs no allocation (a benchmark load extends the file thousands
+// of times), and every page it adds still reads as zeros. (Not under
+// -race: the detector changes allocation counts.)
 func TestFileDiskAllocateAllocatesNothing(t *testing.T) {
 	d, err := NewFileDisk(filepath.Join(t.TempDir(), "pages.db"), 256)
 	if err != nil {

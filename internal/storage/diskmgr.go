@@ -121,13 +121,15 @@ func (d *MemDisk) Close() error {
 }
 
 // FileDisk is a DiskManager over a single file: page i lives at byte
-// offset i*PageSize.
+// offset i*PageSize. Page reads, writes and syncs run concurrently —
+// positional I/O on an *os.File needs no lock — so a pool miss never
+// waits behind a checkpoint's fsync; only the file's growth is
+// serialised.
 type FileDisk struct {
-	mu       sync.Mutex
 	f        *os.File
 	pageSize int
-	numPages uint64
-	zero     []byte // one zero page, written by every grow; made by the first
+	mu       sync.Mutex    // serialises Allocate
+	numPages atomic.Uint64 // stored after the file has grown to hold them
 }
 
 // NewFileDisk opens (or creates) the file at path. An existing file's
@@ -150,10 +152,10 @@ func NewFileDisk(path string, pageSize int) (*FileDisk, error) {
 		f.Close()
 		return nil, fmt.Errorf("storage: %s length %d is not a multiple of page size %d", path, st.Size(), pageSize)
 	}
-	d.numPages = uint64(st.Size()) / uint64(pageSize)
-	if d.numPages == 0 {
+	d.numPages.Store(uint64(st.Size()) / uint64(pageSize))
+	if d.numPages.Load() == 0 {
 		// Materialize the reserved page 0.
-		if err := d.grow(); err != nil {
+		if _, err := d.Allocate(); err != nil {
 			f.Close()
 			return nil, err
 		}
@@ -161,33 +163,22 @@ func NewFileDisk(path string, pageSize int) (*FileDisk, error) {
 	return d, nil
 }
 
-func (d *FileDisk) grow() error {
-	if d.zero == nil {
-		d.zero = make([]byte, d.pageSize)
-	}
-	if _, err := d.f.WriteAt(d.zero, int64(d.numPages)*int64(d.pageSize)); err != nil {
-		return fmt.Errorf("storage: grow file: %w", err)
-	}
-	d.numPages++
-	return nil
-}
-
-// Allocate implements DiskManager.
+// Allocate implements DiskManager. The file is extended, not written:
+// the new page is a hole that reads as zeros until its first write.
 func (d *FileDisk) Allocate() (PageID, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	id := PageID(d.numPages)
-	if err := d.grow(); err != nil {
-		return InvalidPageID, err
+	n := d.numPages.Load()
+	if err := d.f.Truncate(int64(n+1) * int64(d.pageSize)); err != nil {
+		return InvalidPageID, fmt.Errorf("storage: grow file: %w", err)
 	}
-	return id, nil
+	d.numPages.Store(n + 1)
+	return PageID(n), nil
 }
 
 // ReadPage implements DiskManager.
 func (d *FileDisk) ReadPage(id PageID, buf []byte) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if uint64(id) >= d.numPages {
+	if uint64(id) >= d.numPages.Load() {
 		return fmt.Errorf("storage: read of unallocated %v", id)
 	}
 	if len(buf) != d.pageSize {
@@ -202,9 +193,7 @@ func (d *FileDisk) ReadPage(id PageID, buf []byte) error {
 
 // WritePage implements DiskManager.
 func (d *FileDisk) WritePage(id PageID, buf []byte) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if uint64(id) >= d.numPages {
+	if uint64(id) >= d.numPages.Load() {
 		return fmt.Errorf("storage: write of unallocated %v", id)
 	}
 	if len(buf) != d.pageSize {
@@ -217,11 +206,7 @@ func (d *FileDisk) WritePage(id PageID, buf []byte) error {
 }
 
 // NumPages implements DiskManager.
-func (d *FileDisk) NumPages() uint64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.numPages
-}
+func (d *FileDisk) NumPages() uint64 { return d.numPages.Load() }
 
 // PageSize implements DiskManager.
 func (d *FileDisk) PageSize() int { return d.pageSize }
@@ -229,18 +214,10 @@ func (d *FileDisk) PageSize() int { return d.pageSize }
 // Sync flushes the file to stable storage.
 //
 // nblb:blocking-io
-func (d *FileDisk) Sync() error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.f.Sync()
-}
+func (d *FileDisk) Sync() error { return d.f.Sync() }
 
 // Close implements DiskManager.
-func (d *FileDisk) Close() error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.f.Close()
-}
+func (d *FileDisk) Close() error { return d.f.Close() }
 
 // CountingDisk wraps a DiskManager and counts page reads and writes.
 // The simulation experiments convert these counts into time via
