@@ -9,7 +9,7 @@ import (
 	"os"
 
 	nblb "repro"
-	"repro/internal/encoding"
+	"repro/internal/tuple"
 	"repro/internal/wiki"
 )
 
@@ -84,7 +84,7 @@ func main() {
 	// Compare against the declared-width codec.
 	var declared int
 	for _, r := range sample {
-		n, err := encoding.DeclaredSize(table.Schema(), r)
+		n, err := tuple.DeclaredSize(table.Schema(), r)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/btree"
+	"repro/internal/heap"
 	"repro/internal/storage"
 	"repro/internal/tuple"
 )
@@ -46,6 +47,7 @@ type stagedOp struct {
 
 	rec    []byte      // pre-flight: the encoded new row
 	oldRow tuple.Row   // pre-flight: the pre-image (update/delete)
+	oldSum uint32      // pre-flight: the pre-image record's heap.RecordSum
 	newRID storage.RID // heap stage: where the new record landed
 	// prev is the packed RID of the version this op's record chains back
 	// to; only a transaction's commit pre-check sets it (0 = none).
@@ -435,15 +437,17 @@ func (s *stageArena) entryKey(ix *Index, row tuple.Row, rid storage.RID) ([]byte
 
 // preImage loads and decodes the row at rid into the scratch: the
 // record is read onto the arena's end (as entryKey appends a key) and
-// the row is a view of it carved from vals. Both die with the trip.
-func (s *stageArena) preImage(t *Table, rid storage.RID) (tuple.Row, error) {
+// the row is a view of it carved from vals. Both die with the trip. sum
+// is the record's heap.RecordSum, for the log record that removes it.
+func (s *stageArena) preImage(t *Table, rid storage.RID) (row tuple.Row, sum uint32, err error) {
 	off := len(s.arena)
 	buf, err := t.file.GetInto(s.arena, rid)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	s.arena = buf
-	return s.rowView(t, buf[off:])
+	row, err = s.rowView(t, buf[off:])
+	return row, heap.RecordSum(buf[off:]), err
 }
 
 // rowView decodes rec, a record carved from the arena, as a row carved
@@ -502,7 +506,7 @@ func (e *Engine) putPipeline(p *pipeline) {
 // sc: it lives as long as sc's current trip (or transaction) does.
 func (t *Table) preflight(op *stagedOp, sc *stageArena) (err error) {
 	if op.kind != BatchInsert {
-		if op.oldRow, err = sc.preImage(t, op.rid); err != nil {
+		if op.oldRow, op.oldSum, err = sc.preImage(t, op.rid); err != nil {
 			return fmt.Errorf("core: %v of %v: %w", op.kind, op.rid, err)
 		}
 	}
@@ -556,8 +560,13 @@ func (p *pipeline) failRun(ix *Index, err error) {
 //     one key-sorted run per index: one crabbed descent and one
 //     exclusive leaf latch per leaf run instead of per key.
 //
+// A trip that brings the table to its layout sample first adopts the
+// packed record layout (layout.go): a raw trip's records are then
+// written in it, a commit's were encoded when they staged.
+//
 // Caller holds the commit gate and t.mu shared.
 func (p *pipeline) run() {
+	p.adoptLayout()
 	if p.vers == nil {
 		for i := range p.ops {
 			if err := p.t.preflight(&p.ops[i], &p.stageArena); err != nil && p.fail(i, err) {
@@ -680,11 +689,11 @@ func (p *pipeline) indexDeletes() bool {
 func (p *pipeline) landed(i int, newRID storage.RID) {
 	op := &p.ops[i]
 	op.newRID = newRID
-	old := newRID
+	old := storage.InvalidRID // an insert replaces no record
 	if op.kind == BatchUpdate {
 		old = op.rid
 	}
-	p.wb.put(old, newRID, op.rec)
+	p.wb.put(old, newRID, op.rec, op.oldSum)
 	if p.res.RIDs != nil {
 		p.res.RIDs[i] = newRID
 	}
@@ -718,11 +727,14 @@ func (p *pipeline) heapStage() bool {
 		case op.kind == BatchDelete:
 			if err = t.file.Delete(op.rid); err == nil {
 				p.addRows(-1)
-				p.wb.del(op.rid)
+				p.wb.del(op.rid, op.oldSum)
 			}
 		default:
 			var newRID storage.RID
 			if newRID, err = t.file.Update(op.rid, op.rec); err == nil {
+				if newRID != op.rid {
+					vs.forget(newRID) // its new slot may hold a tombstone
+				}
 				p.landed(i, newRID)
 			}
 		}
@@ -759,6 +771,9 @@ func (p *pipeline) heapStage() bool {
 	if err == nil && allow < len(p.recs) {
 		err = errInjectedCommitFailure
 	}
+	if p.stamp == 0 {
+		vs.forget(rids[:placed]...)
+	}
 	inserted := 0
 	for k, i := range p.insOps[:placed] {
 		op := &p.ops[i]
@@ -786,7 +801,7 @@ func (p *pipeline) heapStage() bool {
 			p.vers.dead++
 			if op.kind == BatchDelete {
 				p.addRows(-1)
-				p.wb.del(op.rid)
+				p.wb.del(op.rid, op.oldSum)
 			}
 		}
 	}

@@ -220,7 +220,7 @@ func TestApplyDuplicateKeyAttribution(t *testing.T) {
 
 // TestApplyStormVsCacheFirstScan is the batch-vs-readers atomicity
 // test: an 8-goroutine Apply storm (batched inserts of disjoint
-// ascending stripes + batched in-place updates) runs while CacheFirst
+// ascending stripes + batched updates) runs while CacheFirst
 // cursors scan the cached index mid-storm. Per-op atomicity means a
 // scan never observes a half-applied row: every projected row must
 // satisfy the fixedRow invariant — whether it was assembled from the
@@ -288,9 +288,15 @@ func TestApplyStormVsCacheFirstScan(t *testing.T) {
 					id := int64(slot)
 					b.Update(preRIDs[slot], fixedRow(id, id+int64(bn)*1000))
 				}
-				if _, err := tb.Apply(&b); err != nil {
+				res, err := tb.Apply(&b, WithResultRIDs())
+				if err != nil {
 					errCh <- fmt.Errorf("updater %d: %w", w, err)
 					return
+				}
+				// A value outside the table's profiled domain grows its
+				// record, which may then move: follow it.
+				for i, rid := range res.RIDs {
+					preRIDs[(w+(bn*batchSize+i)*updaters)%preload] = rid
 				}
 			}
 		}(w)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -152,6 +153,9 @@ func (e *Engine) snapshotManifest(beginLSN uint64) *manifest {
 		}
 		for _, id := range t.file.Pages() {
 			mt.HeapPages = append(mt.HeapPages, uint64(id))
+		}
+		if l := t.schema.Packed(); l != nil {
+			mt.Layout = l.Spec()
 		}
 		t.vers.mu.RLock()
 		for rid, vm := range t.vers.m {
@@ -383,6 +387,11 @@ func (e *Engine) recover() error {
 	if err != nil {
 		return err
 	}
+	for _, t := range e.tables {
+		if err := t.file.FinishRedo(t.redoMoved); err != nil {
+			return err
+		}
+	}
 
 	// No snapshot survives a crash, so no version history needs to
 	// either: a full GC pass at watermark = clock (nothing registered,
@@ -473,6 +482,16 @@ func (e *Engine) redoRecord(typ uint8, payload []byte) error {
 	case recDropTable:
 		delete(e.tables, string(payload))
 		return nil
+	case recAdoptLayout:
+		var d ddlAdoptLayout
+		if err := json.Unmarshal(payload, &d); err != nil {
+			return fmt.Errorf("core: redo adopt layout: %w", err)
+		}
+		t, ok := e.tables[d.Table]
+		if !ok || t.schema.Packed() != nil {
+			return nil // dropped later in the log, or adopted in the checkpoint's manifest
+		}
+		return t.adoptSpec(d.Layout)
 	case recBatch:
 		return e.redoBatch(payload)
 	case recTxn:
@@ -502,7 +521,9 @@ func (e *Engine) redoRecord(typ uint8, payload []byte) error {
 }
 
 // redoBatch replays one recBatch-format payload (a raw Apply's record,
-// or one table's slice of a recTxn record).
+// or one table's slice of a recTxn record): its heap actions, then its
+// index runs. A run's delete replays only once the heap says its entry
+// is dead (redoKeeps).
 func (e *Engine) redoBatch(payload []byte) error {
 	table, actions, err := decodeBatch(payload)
 	if err != nil {
@@ -516,27 +537,100 @@ func (e *Engine) redoBatch(payload []byte) error {
 		a := &actions[i]
 		switch a.kind {
 		case actPut:
-			if a.rid != a.newRID {
-				// Relocated update: the pre-image's slot died.
-				if err := t.file.RedoDelete(a.rid); err != nil {
-					return err
+			switch {
+			case a.rid == a.newRID:
+				err = t.file.RedoPut(a.rid, a.rec)
+			case relocated(a.rid, a.newRID):
+				// The pre-image's slot died.
+				if err = t.file.RedoDelete(a.rid, a.sum); err == nil {
+					err = t.file.RedoInsert(a.newRID, a.rec)
 				}
-			}
-			if err := t.file.RedoPut(a.newRID, a.rec); err != nil {
-				return err
+			default:
+				err = t.file.RedoInsert(a.newRID, a.rec)
 			}
 		case actDel:
-			if err := t.file.RedoDelete(a.rid); err != nil {
+			err = t.file.RedoDelete(a.rid, a.sum)
+		}
+		if err != nil {
+			return err
+		}
+	}
+	for i := range actions {
+		a := &actions[i]
+		if a.kind != actIdx {
+			continue
+		}
+		ix, ok := t.indexes[a.index]
+		if !ok {
+			continue // dropped with a later table rebuild
+		}
+		run := a.entries[:0]
+		for _, en := range a.entries {
+			if en.Op == btree.RunDelete {
+				v, found, err := ix.tree.Search(en.Key)
+				if err != nil {
+					return err
+				}
+				if !found || t.redoKeeps(ix, storage.UnpackRID(v), en.Key) {
+					continue
+				}
+			}
+			run = append(run, en)
+		}
+		if _, err := ix.tree.ApplyRun(run); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// redoKeeps reports whether the record redo has for rid so far carries
+// key in ix. A replayed delete of that entry is then an Apply's whose
+// log record landed after that of the Apply that reused its slot, or
+// one the checkpoint image already holds the reuse of: the entry is the
+// later row's and stays.
+func (t *Table) redoKeeps(ix *Index, rid storage.RID, key []byte) bool {
+	rec, ok := t.file.RedoRecord(rid)
+	if !ok {
+		return false
+	}
+	row, _, err := tuple.DecodeFields(nil, t.schema, rec, nil)
+	if err != nil {
+		return false
+	}
+	k, err := ix.appendEntryKey(nil, row, rid)
+	return err == nil && bytes.Equal(k, key)
+}
+
+// redoMoved points the index entries of the row rec, which redo could
+// not put back at from, at the RID it moved to (heap.File.FinishRedo).
+// A non-unique entry at from stays if the row still in that slot has
+// the same key.
+func (t *Table) redoMoved(from, to storage.RID, rec []byte) error {
+	row, _, err := tuple.DecodeFields(nil, t.schema, rec, nil)
+	if err != nil {
+		return fmt.Errorf("core: redo moving %v: %w", from, err)
+	}
+	t.vers.forget(to)
+	for _, ix := range t.indexes {
+		old, err := ix.appendEntryKey(nil, row, from)
+		if err != nil {
+			return err
+		}
+		if !ix.unique && !t.redoKeeps(ix, from, old) { // the RID is part of the key
+			if _, err := ix.tree.ApplyRun([]btree.RunEntry{{Key: old, Op: btree.RunDelete}}); err != nil {
 				return err
 			}
-		case actIdx:
-			ix, ok := t.indexes[a.index]
-			if !ok {
-				continue // index dropped with a later table rebuild
-			}
-			if _, err := ix.tree.ApplyRun(a.entries); err != nil {
-				return err
-			}
+		}
+		key, err := ix.appendEntryKey(nil, row, to)
+		if err != nil {
+			return err
+		}
+		if _, err := ix.tree.ApplyRun([]btree.RunEntry{{Key: key, Value: to.Pack(), Op: btree.RunUpsert}}); err != nil {
+			return err
+		}
+		if ix.cache != nil {
+			ix.cache.NotifyUpdate(key)
 		}
 	}
 	return nil
@@ -630,6 +724,11 @@ func (e *Engine) rebuildTable(mt *manifestTable) error {
 		indexes: make(map[string]*Index),
 	}
 	t.rows.Store(mt.Rows)
+	if mt.Layout != nil {
+		if err := t.adoptSpec(mt.Layout); err != nil {
+			return fmt.Errorf("core: manifest table %q: %w", mt.Name, err)
+		}
+	}
 	for _, v := range mt.Versions {
 		t.vers.set(storage.UnpackRID(v.RID), versionMeta{born: v.Born, dead: v.Dead, prev: v.Prev})
 		if v.Dead != 0 {

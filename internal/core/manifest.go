@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 
 	"repro/internal/storage"
+	"repro/internal/tuple"
 )
 
 // The manifest is the engine's durable catalog: one small JSON file
@@ -18,10 +19,12 @@ import (
 // pages live. It is rewritten atomically (tmp + rename) at every
 // checkpoint and describes the on-disk state as of CheckpointLSN —
 // recovery rebuilds the catalog from it and replays the WAL suffix on
-// top.
+// top. Version 2 records each table's packed record layout; a version-1
+// file, written before records named their layout, is refused like any
+// other version.
 const (
 	manifestMagic   = "nblb-manifest"
-	manifestVersion = 1
+	manifestVersion = 2
 )
 
 type manifest struct {
@@ -44,7 +47,10 @@ type manifestTable struct {
 	HeapFillFactor   float64         `json:"heap_fill_factor,omitempty"`
 	HeapInsertShards int             `json:"heap_insert_shards"`
 	HeapPages        []uint64        `json:"heap_pages"`
-	Indexes          []manifestIndex `json:"indexes,omitempty"`
+	// Layout is the packed record layout the table adopted (absent: none
+	// yet, every record is in the declared layout).
+	Layout  []tuple.FieldPacking `json:"layout,omitempty"`
+	Indexes []manifestIndex      `json:"indexes,omitempty"`
 	// Versions are the table's MVCC metas still live at checkpoint time
 	// (a checkpoint can land while dead versions await GC or while a
 	// snapshot pins history). Recovery reloads them, then a full GC pass

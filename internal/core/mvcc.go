@@ -102,6 +102,21 @@ func (vs *versionStore) tombstone(rid storage.RID) {
 	vs.mu.Unlock()
 }
 
+// forget drops the metas at rids, where a raw write without a stamp
+// just placed records: a record with no meta is visible to all, as such
+// a record is, and a collected version's tombstone left there would hide
+// it. Dropping a tombstone here is its death by RID reuse.
+func (vs *versionStore) forget(rids ...storage.RID) {
+	if !vs.any.Load() {
+		return
+	}
+	vs.mu.Lock()
+	for _, rid := range rids {
+		delete(vs.m, rid)
+	}
+	vs.mu.Unlock()
+}
+
 // sweepTombstones drops collected-version tombstones outright. ONLY
 // safe when no scan can be in flight (recovery, before the engine is
 // shared); at runtime tombstones die by RID reuse instead.
@@ -125,9 +140,10 @@ const snapLatest = ^uint64(0)
 // row opens a window where the scan would see "no meta = visible to
 // all" and serve the collected version. The retained born/dead keep it
 // invisible to every snapshot instead. A tombstone dies when its RID is
-// reused (the insert's set() clobbers it — safe, because reuse requires
-// the commitGate GC held while clearing every chain pointer to the
-// slot) and is skipped by GC candidate scans and checkpoint manifests.
+// reused (the write's set() or forget() clobbers it — safe, because
+// reuse requires the commitGate GC held while clearing every chain
+// pointer to the slot) and is skipped by GC candidate scans and
+// checkpoint manifests.
 const tombstonePrev = ^uint64(0)
 
 // testInvertVisibility deliberately inverts the born/snap comparison —

@@ -63,6 +63,10 @@ type Table struct {
 	// entry are visible to every snapshot — the empty map is the
 	// pre-transactional state and costs nothing.
 	vers versionStore
+
+	// adopting is set by the one trip that adopts the schema's packed
+	// record layout (layout.go).
+	adopting atomic.Bool
 }
 
 func newTable(e *Engine, name string, schema *tuple.Schema, opts ...TableOption) (*Table, error) {
@@ -72,6 +76,14 @@ func newTable(e *Engine, name string, schema *tuple.Schema, opts ...TableOption)
 	}
 	if cfg.heapInsertShards == 0 {
 		cfg.heapInsertShards = e.heapShards
+	}
+	if schema != nil {
+		// The table adopts a record layout on its schema (layout.go): it
+		// owns a copy, so a schema handed to two tables adopts twice.
+		var err error
+		if schema, err = tuple.NewSchema(schema.Fields()...); err != nil {
+			return nil, err
+		}
 	}
 	return buildTable(e, name, schema, cfg)
 }
@@ -111,7 +123,9 @@ func buildTable(e *Engine, name string, schema *tuple.Schema, cfg tableConfig) (
 // Name returns the table name.
 func (t *Table) Name() string { return t.name }
 
-// Schema returns the table schema.
+// Schema returns the table schema: the table's own copy of the one it
+// was created with, carrying the record layout it adopted, so it decodes
+// the table's heap records.
 func (t *Table) Schema() *tuple.Schema { return t.schema }
 
 // Heap exposes the underlying heap file (stats, partition experiments).

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/btree"
 	"repro/internal/storage"
+	"repro/internal/tuple"
 )
 
 // WAL record types. The log itself treats these as opaque (see
@@ -28,6 +29,9 @@ const (
 	// the transaction whole (the record only exists if commit reached the
 	// log) and flattened — post-GC state, no version metadata.
 	recTxn uint8 = 7
+	// recAdoptLayout is a table's adoption of its packed record layout,
+	// logged before any record written in it.
+	recAdoptLayout uint8 = 8
 )
 
 // Action kinds within a batch record.
@@ -43,10 +47,15 @@ const (
 // landed.
 type walAction struct {
 	kind uint8
-	// actPut: rid is the pre-image's address, newRID the post-image's
-	// (equal unless the update relocated the record). actDel: rid only.
+	// actPut: rid is the pre-image's address (InvalidRID for an insert),
+	// newRID the post-image's (equal to rid for an update in place).
+	// actDel: rid only.
 	rid, newRID storage.RID
 	rec         []byte
+	// sum is heap.RecordSum of the record the action removed from rid:
+	// every actDel, and an actPut that relocated. Redo removes only a
+	// record that still has it (heap.File.RedoDelete).
+	sum uint32
 	// actIdx: the target index and the sorted run applied to its tree.
 	index   string
 	entries []btree.RunEntry
@@ -71,7 +80,10 @@ func (w *walBatch) reset(table string) {
 	w.buf = append(w.buf, table...)
 }
 
-func (w *walBatch) put(rid, newRID storage.RID, rec []byte) {
+// put logs rec landing at newRID in place of the record at rid
+// (InvalidRID: an insert). sum is the replaced record's, logged only
+// when it stayed behind at another RID.
+func (w *walBatch) put(rid, newRID storage.RID, rec []byte, sum uint32) {
 	if w == nil {
 		return
 	}
@@ -79,17 +91,21 @@ func (w *walBatch) put(rid, newRID storage.RID, rec []byte) {
 	w.buf = append(w.buf, actPut)
 	w.buf = binary.AppendUvarint(w.buf, rid.Pack())
 	w.buf = binary.AppendUvarint(w.buf, newRID.Pack())
+	if relocated(rid, newRID) {
+		w.buf = binary.LittleEndian.AppendUint32(w.buf, sum)
+	}
 	w.buf = binary.AppendUvarint(w.buf, uint64(len(rec)))
 	w.buf = append(w.buf, rec...)
 }
 
-func (w *walBatch) del(rid storage.RID) {
+func (w *walBatch) del(rid storage.RID, sum uint32) {
 	if w == nil {
 		return
 	}
 	w.n++
 	w.buf = append(w.buf, actDel)
 	w.buf = binary.AppendUvarint(w.buf, rid.Pack())
+	w.buf = binary.LittleEndian.AppendUint32(w.buf, sum)
 }
 
 // idx records a run applied to the named index.
@@ -113,6 +129,10 @@ func (w *walBatch) idx(name string, entries ...btree.RunEntry) {
 		w.buf = binary.AppendUvarint(w.buf, e.Value)
 	}
 }
+
+// relocated reports whether a put moved an existing record from rid to
+// newRID, leaving a delete of rid to redo.
+func relocated(rid, newRID storage.RID) bool { return rid.Valid() && rid != newRID }
 
 func (w *walBatch) empty() bool { return w == nil || w.n == 0 }
 
@@ -151,6 +171,14 @@ func (d *batchDecoder) bytes(n uint64) []byte {
 	return b
 }
 
+func (d *batchDecoder) uint32() uint32 {
+	b := d.bytes(4)
+	if d.err != nil {
+		return 0
+	}
+	return binary.LittleEndian.Uint32(b)
+}
+
 func (d *batchDecoder) byte() byte {
 	b := d.bytes(1)
 	if d.err != nil {
@@ -170,9 +198,13 @@ func decodeBatch(payload []byte) (table string, actions []walAction, err error) 
 		case actPut:
 			a.rid = storage.UnpackRID(d.uvarint())
 			a.newRID = storage.UnpackRID(d.uvarint())
+			if relocated(a.rid, a.newRID) {
+				a.sum = d.uint32()
+			}
 			a.rec = d.bytes(d.uvarint())
 		case actDel:
 			a.rid = storage.UnpackRID(d.uvarint())
+			a.sum = d.uint32()
 		case actIdx:
 			a.index = string(d.bytes(d.uvarint()))
 			ne := d.uvarint()
@@ -237,6 +269,12 @@ type ddlCreateIndex struct {
 	PredLogLimit int      `json:"pred_log_limit,omitempty"`
 	CacheSeed    int64    `json:"cache_seed,omitempty"`
 	FillFactor   float64  `json:"fill_factor,omitempty"`
+}
+
+// ddlAdoptLayout is the JSON payload of a recAdoptLayout record.
+type ddlAdoptLayout struct {
+	Table  string               `json:"table"`
+	Layout []tuple.FieldPacking `json:"layout"`
 }
 
 func encodeJSON(v any) []byte {

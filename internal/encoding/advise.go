@@ -2,6 +2,7 @@ package encoding
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"repro/internal/tuple"
@@ -110,12 +111,11 @@ func Advise(p *ColumnProfile) Recommendation {
 			rec.Enc, rec.Bits, rec.Note = EncInt, 0, "all NULL"
 			break
 		}
-		span := uint64(p.MaxInt-p.MinInt) + 1
 		rec.Enc = EncInt
-		rec.Bits = BitsFor(span)
+		rec.Bits = spanBits(p.MinInt, p.MaxInt)
 		rec.Offset = p.MinInt
 		switch {
-		case span <= 2:
+		case rec.Bits <= 1:
 			rec.Note = fmt.Sprintf("%s holds 0/1-like range [%d,%d]: boolean in disguise", f.Kind, p.MinInt, p.MaxInt)
 		default:
 			rec.Note = fmt.Sprintf("%s holds [%d,%d]: %d bits suffice", f.Kind, p.MinInt, p.MaxInt, rec.Bits)
@@ -126,9 +126,8 @@ func Advise(p *ColumnProfile) Recommendation {
 		rec.Note = "timestamp to 32-bit epoch"
 	case tuple.KindFloat64:
 		if nonNull > 0 && p.AllIntegralFloats {
-			span := uint64(p.MaxInt-p.MinInt) + 1
 			rec.Enc = EncInt
-			rec.Bits = BitsFor(span)
+			rec.Bits = spanBits(p.MinInt, p.MaxInt)
 			rec.Offset = p.MinInt
 			rec.Note = "float column holds only integers"
 		} else {
@@ -145,6 +144,16 @@ func Advise(p *ColumnProfile) Recommendation {
 	return rec
 }
 
+// spanBits is the bits an offset from lo needs to reach hi: 64 for the
+// whole int64 range, whose span one uint64 cannot count.
+func spanBits(lo, hi int64) int {
+	d := uint64(hi) - uint64(lo)
+	if d == math.MaxUint64 {
+		return 64
+	}
+	return BitsFor(d + 1)
+}
+
 func adviseString(p *ColumnProfile, rec Recommendation) Recommendation {
 	nonNull := p.Rows - p.Nulls
 	if nonNull == 0 {
@@ -158,9 +167,8 @@ func adviseString(p *ColumnProfile, rec Recommendation) Recommendation {
 		return rec
 	}
 	if p.AllNumeric && p.MaxLen <= 18 && p.Field.Kind != tuple.KindBytes {
-		span := uint64(p.MaxInt-p.MinInt) + 1
 		rec.Enc = EncNumericString
-		rec.Bits = BitsFor(span)
+		rec.Bits = spanBits(p.MinInt, p.MaxInt)
 		rec.Offset = p.MinInt
 		rec.StrLen = p.MaxLen
 		rec.Note = fmt.Sprintf("numeric string [%d,%d] stored as %d-bit int", p.MinInt, p.MaxInt, rec.Bits)

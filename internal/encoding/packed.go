@@ -13,7 +13,11 @@ import (
 // value takes exactly its recommended bit width, nulls take one bit,
 // and the row has no padding between fields. This is what "removing
 // these unused bits increases the data density" (Section 4.1) looks
-// like in practice.
+// like in practice. It is the codec of the waste report, not the
+// engine's: it has the dictionary and numeric-string encodings, and a
+// value outside the profile is an error. The engine stores what the same
+// advice allows with strings verbatim and an escape for such values
+// (RecordPacking, tuple.Layout).
 type PackedCodec struct {
 	schema *tuple.Schema
 	recs   []Recommendation
@@ -240,11 +244,27 @@ func (c *PackedCodec) DecodeRows(buf []byte, n int) ([]tuple.Row, error) {
 	return rows, nil
 }
 
-// DeclaredSize returns the bytes the declared-width row codec
-// (tuple.Encode) uses for a row — the baseline the packed codec is
-// measured against.
-func DeclaredSize(s *tuple.Schema, r tuple.Row) (int, error) {
-	return tuple.EncodedSize(s, r)
+// RecordPacking turns the advisor's recommendation for each profiled
+// column into the field packing of a tuple.Layout: booleans in one bit,
+// integers and integral doubles as offsets from the profiled minimum in
+// the advised bits, timestamps as offsets from theirs in the advised 32.
+// Strings stay verbatim — a dictionary or regenerated digit string could
+// not be a view of the record — and true doubles keep their 64 bits.
+func RecordPacking(profiles []*ColumnProfile) []tuple.FieldPacking {
+	out := make([]tuple.FieldPacking, len(profiles))
+	for i, p := range profiles {
+		switch rec := Advise(p); {
+		case rec.Enc == EncBool:
+			out[i].Bits = 1
+		case rec.Enc == EncInt:
+			out[i] = tuple.FieldPacking{Bits: rec.Bits, Offset: rec.Offset}
+		case rec.Enc == EncEpoch32 && p.Field.Kind == tuple.KindTimestamp:
+			out[i] = tuple.FieldPacking{Bits: rec.Bits, Offset: p.MinInt}
+		case rec.Enc == EncFloat:
+			out[i].Bits = rec.Bits
+		}
+	}
+	return out
 }
 
 func valueBytes(v tuple.Value) []byte {

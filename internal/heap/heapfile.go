@@ -187,6 +187,11 @@ type File struct {
 		pages []storage.PageID
 		owner map[storage.PageID]int // page → shard index
 	}
+
+	// redoHeld keeps the redo puts that could not land at their RID
+	// until a later action on the slot resolves them or FinishRedo places
+	// them (redo.go). Only single-threaded recovery touches it.
+	redoHeld map[storage.RID]redoHold
 }
 
 // Option configures a heap file.

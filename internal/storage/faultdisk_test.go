@@ -252,4 +252,23 @@ func TestSlottedPutAt(t *testing.T) {
 	if err := p.PutAt(6, huge); err != ErrNoSpace {
 		t.Fatalf("got %v, want ErrNoSpace", err)
 	}
+
+	// A refused replacement leaves the slot's old record in place.
+	if err := p.PutAt(5, huge); err != ErrNoSpace {
+		t.Fatalf("got %v, want ErrNoSpace", err)
+	}
+	got, err = p.Get(5)
+	if err != nil || len(got) != 100 || got[0] != 0x79 {
+		t.Fatalf("Get(5) after refused PutAt = %d bytes, %v", len(got), err)
+	}
+
+	// A replacement that fits only once its own old bytes are reclaimed
+	// compacts and succeeds.
+	grown := bytes.Repeat([]byte{0x55}, 100+p.FreeSpace()+p.reclaimable()-1)
+	if err := p.PutAt(5, grown); err != nil {
+		t.Fatalf("grow in place: %v", err)
+	}
+	if got, _ = p.Get(5); !bytes.Equal(got, grown) {
+		t.Fatalf("Get(5) after growth = %d bytes", len(got))
+	}
 }

@@ -211,19 +211,20 @@ func (p *SlottedPage) Insert(rec []byte) (uint16, error) {
 // A live slot holding identical bytes is a no-op (idempotent replay); a
 // live slot with different bytes is replaced; a dead or not-yet-existing
 // slot is (re)created, extending the slot directory with dead entries as
-// needed. Returns ErrNoSpace only when the record cannot fit even after
-// compaction, which a faithful redo stream never triggers (the original
-// insert fit the same page).
+// needed. Returns ErrNoSpace, leaving the page unchanged, when the
+// record cannot fit even after compaction: a redo replayed onto a page
+// image that already holds later, larger records of its neighbours.
 func (p *SlottedPage) PutAt(slot uint16, rec []byte) error {
 	if len(rec) == 0 {
 		return fmt.Errorf("storage: cannot put empty record")
 	}
+	old := 0 // bytes of the live record rec replaces
 	if int(slot) < p.numSlots() {
 		if off, l := p.slot(int(slot)); off != deadSlotOffset {
 			if l == len(rec) && bytes.Equal(p.data[off:off+l], rec) {
 				return nil
 			}
-			p.setSlot(int(slot), deadSlotOffset, 0)
+			old = l
 		}
 	}
 	need := len(rec)
@@ -232,13 +233,14 @@ func (p *SlottedPage) PutAt(slot uint16, rec []byte) error {
 		grow = int(slot) - p.numSlots() + 1
 		need += grow * slotSize
 	}
+	if p.FreeSpace() < need && p.reclaimable()+old < need-p.FreeSpace() {
+		return ErrNoSpace
+	}
+	if old > 0 {
+		p.setSlot(int(slot), deadSlotOffset, 0)
+	}
 	if p.FreeSpace() < need {
-		if p.reclaimable() >= need-p.FreeSpace() {
-			p.Compact()
-		}
-		if p.FreeSpace() < need {
-			return ErrNoSpace
-		}
+		p.Compact()
 	}
 	if grow > 0 {
 		base := p.numSlots()

@@ -7,99 +7,166 @@ import (
 	"unsafe"
 )
 
-// Row wire format ("declared" physical layout):
+// Row wire format. Every record starts with a tag byte naming its
+// layout: TagDeclared, or TagPacked for the layout the schema adopted
+// (layout.go). The declared layout:
 //
+//	tag           TagDeclared
 //	null bitmap   ceil(nFields/8) bytes, bit i set = field i is NULL
 //	fixed section every fixed-width field at its schema offset
 //	              (NULL fields still occupy their slot, zeroed)
 //	var section   for each variable-length field in schema order:
 //	              uvarint length + raw bytes (omitted when NULL)
 //
-// The fixed-at-offset layout lets point queries decode a single field
-// without touching the rest of the row; DecodeField exploits this for
-// one field, DecodeFields for the set of fields a reader asked for.
+// Both layouts put every fixed-width field where it can be read without
+// touching the rest of the row; DecodeField exploits this for one
+// field, DecodeFields for the set of fields a reader asked for. Both
+// store strings and bytes verbatim, so a decoded row can be a view.
 
-// Encode appends the row's encoding to dst and returns the extended
-// slice. The row must match the schema exactly.
+// Encode appends the row's encoding, in the schema's adopted layout if
+// it has one, to dst and returns the extended slice. The row must match
+// the schema exactly.
 func Encode(s *Schema, r Row, dst []byte) ([]byte, error) {
-	if len(r) != s.NumFields() {
-		return nil, fmt.Errorf("tuple: row has %d values, schema has %d fields", len(r), s.NumFields())
+	if err := s.check(r); err != nil {
+		return nil, err
 	}
-	bitmapLen := (s.NumFields() + 7) / 8
+	if l := s.Packed(); l != nil {
+		return l.encode(s, r, dst), nil
+	}
 	start := len(dst)
-	dst = append(dst, make([]byte, bitmapLen+s.FixedWidth())...)
-	bitmap := dst[start : start+bitmapLen]
-	off := start + bitmapLen
-	for i := 0; i < s.NumFields(); i++ {
-		f := s.Field(i)
+	dst = append(dst, make([]byte, s.declaredHead())...)
+	rec := dst[start:]
+	rec[0] = TagDeclared
+	for i, f := range s.fields {
+		switch v := r[i]; {
+		case v.Null:
+			rec[1+i/8] |= 1 << (i % 8)
+		case s.fixedOff[i] >= 0:
+			putFixed(rec[s.declaredAt(i):], f, v)
+		}
+	}
+	return appendVar(s, r, dst), nil
+}
+
+// check reports why r cannot be encoded under s, if it cannot.
+func (s *Schema) check(r Row) error {
+	if len(r) != s.NumFields() {
+		return fmt.Errorf("tuple: row has %d values, schema has %d fields", len(r), s.NumFields())
+	}
+	for i, f := range s.fields {
 		v := r[i]
 		if v.Kind != f.Kind {
-			return nil, fmt.Errorf("tuple: field %q: value kind %v does not match declared %v", f.Name, v.Kind, f.Kind)
+			return fmt.Errorf("tuple: field %q: value kind %v does not match declared %v", f.Name, v.Kind, f.Kind)
 		}
 		if v.Null {
-			bitmap[i/8] |= 1 << (i % 8)
+			continue
 		}
 		switch f.Kind {
-		case KindInt64, KindTimestamp:
-			binary.LittleEndian.PutUint64(dst[off:], uint64(v.Int))
-			off += 8
-		case KindFloat64:
-			binary.LittleEndian.PutUint64(dst[off:], math.Float64bits(v.Float))
-			off += 8
 		case KindInt32:
-			if !v.Null && (v.Int > math.MaxInt32 || v.Int < math.MinInt32) {
-				return nil, fmt.Errorf("tuple: field %q: %d overflows INT", f.Name, v.Int)
+			if v.Int > math.MaxInt32 || v.Int < math.MinInt32 {
+				return fmt.Errorf("tuple: field %q: %d overflows INT", f.Name, v.Int)
 			}
-			binary.LittleEndian.PutUint32(dst[off:], uint32(int32(v.Int)))
-			off += 4
 		case KindInt16:
-			if !v.Null && (v.Int > math.MaxInt16 || v.Int < math.MinInt16) {
-				return nil, fmt.Errorf("tuple: field %q: %d overflows SMALLINT", f.Name, v.Int)
+			if v.Int > math.MaxInt16 || v.Int < math.MinInt16 {
+				return fmt.Errorf("tuple: field %q: %d overflows SMALLINT", f.Name, v.Int)
 			}
-			binary.LittleEndian.PutUint16(dst[off:], uint16(int16(v.Int)))
-			off += 2
 		case KindInt8:
-			if !v.Null && (v.Int > math.MaxInt8 || v.Int < math.MinInt8) {
-				return nil, fmt.Errorf("tuple: field %q: %d overflows TINYINT", f.Name, v.Int)
+			if v.Int > math.MaxInt8 || v.Int < math.MinInt8 {
+				return fmt.Errorf("tuple: field %q: %d overflows TINYINT", f.Name, v.Int)
 			}
-			dst[off] = byte(int8(v.Int))
-			off++
-		case KindBool:
-			if v.Int != 0 {
-				dst[off] = 1
-			}
-			off++
 		case KindChar:
 			if len(v.Str) > f.Size {
-				return nil, fmt.Errorf("tuple: field %q: value %d bytes exceeds CHAR(%d)", f.Name, len(v.Str), f.Size)
+				return fmt.Errorf("tuple: field %q: value %d bytes exceeds CHAR(%d)", f.Name, len(v.Str), f.Size)
 			}
-			copy(dst[off:off+f.Size], v.Str)
-			off += f.Size
 		case KindString, KindBytes:
-			// handled in the var section below
+			if n := varLen(v); f.Size > 0 && n > f.Size {
+				return fmt.Errorf("tuple: field %q: value %d bytes exceeds declared max %d", f.Name, n, f.Size)
+			}
 		}
 	}
+	return nil
+}
+
+// putFixed writes v, not NULL, at f's declared width at the start of b.
+func putFixed(b []byte, f Field, v Value) {
+	switch f.Kind {
+	case KindInt64, KindTimestamp:
+		binary.LittleEndian.PutUint64(b, uint64(v.Int))
+	case KindFloat64:
+		binary.LittleEndian.PutUint64(b, math.Float64bits(v.Float))
+	case KindInt32:
+		binary.LittleEndian.PutUint32(b, uint32(v.Int))
+	case KindInt16:
+		binary.LittleEndian.PutUint16(b, uint16(v.Int))
+	case KindInt8:
+		b[0] = byte(v.Int)
+	case KindBool:
+		if v.Int != 0 {
+			b[0] = 1
+		}
+	case KindChar:
+		copy(b[:f.Size], v.Str)
+	}
+}
+
+// fixedValue reads a value of kind k, CHAR excepted, stored at its
+// declared width at the start of b.
+func fixedValue(k Kind, b []byte) Value {
+	v := Value{Kind: k}
+	switch k {
+	case KindInt64, KindTimestamp:
+		v.Int = int64(binary.LittleEndian.Uint64(b))
+	case KindFloat64:
+		v.Float = math.Float64frombits(binary.LittleEndian.Uint64(b))
+	case KindInt32:
+		v.Int = int64(int32(binary.LittleEndian.Uint32(b)))
+	case KindInt16:
+		v.Int = int64(int16(binary.LittleEndian.Uint16(b)))
+	case KindInt8:
+		v.Int = int64(int8(b[0]))
+	case KindBool:
+		if b[0] != 0 {
+			v.Int = 1
+		}
+	}
+	return v
+}
+
+// appendVar appends r's var section.
+func appendVar(s *Schema, r Row, dst []byte) []byte {
 	for _, i := range s.varIdx {
-		f := s.Field(i)
 		v := r[i]
 		if v.Null {
 			continue
 		}
-		n := len(v.Raw)
-		if f.Kind == KindString {
-			n = len(v.Str)
-		}
-		if f.Size > 0 && n > f.Size {
-			return nil, fmt.Errorf("tuple: field %q: value %d bytes exceeds declared max %d", f.Name, n, f.Size)
-		}
-		dst = binary.AppendUvarint(dst, uint64(n))
-		if f.Kind == KindString {
+		dst = binary.AppendUvarint(dst, uint64(varLen(v)))
+		if v.Kind == KindString {
 			dst = append(dst, v.Str...) // straight from the string: no []byte copy
 		} else {
 			dst = append(dst, v.Raw...)
 		}
 	}
-	return dst, nil
+	return dst
+}
+
+// varLen is the byte length of a string or bytes value.
+func varLen(v Value) int {
+	if v.Kind == KindString {
+		return len(v.Str)
+	}
+	return len(v.Raw)
+}
+
+// varSize is the bytes r's var section takes.
+func varSize(s *Schema, r Row) int {
+	n := 0
+	for _, i := range s.varIdx {
+		if v := r[i]; !v.Null {
+			l := varLen(v)
+			n += uvarintLen(uint64(l)) + l
+		}
+	}
+	return n
 }
 
 // Decode parses an encoded row. It returns the row and the number of
@@ -151,61 +218,78 @@ func aliasString(b []byte) string {
 	return unsafe.String(unsafe.SliceData(b), len(b))
 }
 
+// charString is a CHAR slot's value: its bytes up to the zero padding,
+// a view of them under alias.
+func charString(b []byte, alias bool) string {
+	if b = trimCharPadding(b); alias {
+		return aliasString(b)
+	}
+	return string(b)
+}
+
+// layoutOf returns the layout the record data names: nil for the
+// declared one, whose fixed part it also checks is there.
+func (s *Schema) layoutOf(data []byte) (*Layout, error) {
+	if len(data) == 0 {
+		return nil, fmt.Errorf("tuple: empty record")
+	}
+	switch data[0] {
+	case TagDeclared:
+		if n := s.declaredHead(); len(data) < n {
+			return nil, fmt.Errorf("tuple: row truncated: %d bytes, need at least %d", len(data), n)
+		}
+		return nil, nil
+	case TagPacked:
+		if l := s.Packed(); l != nil {
+			return l, nil
+		}
+	}
+	return nil, fmt.Errorf("tuple: record in layout %d, which schema %s does not have", data[0], s)
+}
+
+// null reports whether field i of a record is NULL.
+func null(data []byte, i int) bool { return data[1+i/8]&(1<<(i%8)) != 0 }
+
 // decode is the one decode loop. need is DecodeFields' field set.
 func decode(dst Row, s *Schema, data []byte, need []bool, alias bool) (Row, int, error) {
-	bitmapLen := (s.NumFields() + 7) / 8
-	if len(data) < bitmapLen+s.FixedWidth() {
-		return nil, 0, fmt.Errorf("tuple: row truncated: %d bytes, need at least %d", len(data), bitmapLen+s.FixedWidth())
+	l, err := s.layoutOf(data)
+	if err != nil {
+		return nil, 0, err
 	}
-	bitmap := data[:bitmapLen]
-	off := bitmapLen
 	var r Row
 	if cap(dst) >= s.NumFields() {
 		r = dst[:s.NumFields()]
 	} else {
 		r = make(Row, s.NumFields())
 	}
-	for i := 0; i < s.NumFields(); i++ {
-		f := s.Field(i)
-		null := bitmap[i/8]&(1<<(i%8)) != 0
-		v := Value{Kind: f.Kind, Null: null}
-		switch f.Kind {
-		case KindInt64, KindTimestamp:
-			v.Int = int64(binary.LittleEndian.Uint64(data[off:]))
-			off += 8
-		case KindFloat64:
-			v.Float = math.Float64frombits(binary.LittleEndian.Uint64(data[off:]))
-			off += 8
-		case KindInt32:
-			v.Int = int64(int32(binary.LittleEndian.Uint32(data[off:])))
-			off += 4
-		case KindInt16:
-			v.Int = int64(int16(binary.LittleEndian.Uint16(data[off:])))
-			off += 2
-		case KindInt8:
-			v.Int = int64(int8(data[off]))
-			off++
-		case KindBool:
-			if data[off] != 0 {
-				v.Int = 1
-			}
-			off++
-		case KindChar:
-			if need == nil || need[i] {
-				if raw := trimCharPadding(data[off : off+f.Size]); alias {
-					v.Str = aliasString(raw)
-				} else {
-					v.Str = string(raw)
-				}
-			}
-			off += f.Size
+	off := s.declaredHead()
+	var (
+		esc    uint64
+		packed []byte
+	)
+	if l != nil {
+		if off, esc, err = l.fixedEnd(data); err != nil {
+			return nil, 0, err
 		}
-		if null {
-			// Zero out any payload decoded from the zeroed slot.
+		packed = data[l.bitsAt:l.charAt]
+	}
+	for i, f := range s.fields {
+		switch want := need == nil || need[i]; {
+		case null(data, i):
 			r[i] = Value{Kind: f.Kind, Null: true}
-			continue
+		case s.fixedOff[i] < 0:
+			r[i] = Value{Kind: f.Kind} // the var section below fills it
+		case l != nil:
+			l.fill(&r[i], data, packed, i, esc, want, alias)
+		case f.Kind == KindChar:
+			r[i] = Value{Kind: f.Kind}
+			if want {
+				at := s.declaredAt(i)
+				r[i].Str = charString(data[at:at+f.Size], alias)
+			}
+		default:
+			r[i] = fixedValue(f.Kind, data[s.declaredAt(i):])
 		}
-		r[i] = v
 	}
 	for _, i := range s.varIdx {
 		if r[i].Null {
@@ -238,55 +322,45 @@ func decode(dst Row, s *Schema, data []byte, need []bool, alias bool) (Row, int,
 }
 
 // DecodeField decodes only the idx-th field of an encoded row. For
-// fixed-width fields this touches just the null bitmap and the field's
-// slot; variable-length fields require walking the var section.
+// fixed-width fields this touches just the null bitmap, the field's slot
+// and, in the packed layout, the escape bitmap; variable-length fields
+// require walking the var section.
 func DecodeField(s *Schema, data []byte, idx int) (Value, error) {
 	if idx < 0 || idx >= s.NumFields() {
 		return Value{}, fmt.Errorf("tuple: field index %d out of range", idx)
 	}
-	bitmapLen := (s.NumFields() + 7) / 8
-	if len(data) < bitmapLen+s.FixedWidth() {
-		return Value{}, fmt.Errorf("tuple: row truncated")
+	l, err := s.layoutOf(data)
+	if err != nil {
+		return Value{}, err
+	}
+	off := s.declaredHead()
+	var esc uint64
+	if l != nil {
+		if off, esc, err = l.fixedEnd(data); err != nil {
+			return Value{}, err
+		}
 	}
 	f := s.Field(idx)
-	if data[idx/8]&(1<<(idx%8)) != 0 {
+	switch {
+	case null(data, idx):
 		return Value{Kind: f.Kind, Null: true}, nil
-	}
-	if w := f.width(); w >= 0 {
-		off := bitmapLen
-		for i := 0; i < idx; i++ {
-			if fw := s.Field(i).width(); fw >= 0 {
-				off += fw
-			}
-		}
-		v := Value{Kind: f.Kind}
-		switch f.Kind {
-		case KindInt64, KindTimestamp:
-			v.Int = int64(binary.LittleEndian.Uint64(data[off:]))
-		case KindFloat64:
-			v.Float = math.Float64frombits(binary.LittleEndian.Uint64(data[off:]))
-		case KindInt32:
-			v.Int = int64(int32(binary.LittleEndian.Uint32(data[off:])))
-		case KindInt16:
-			v.Int = int64(int16(binary.LittleEndian.Uint16(data[off:])))
-		case KindInt8:
-			v.Int = int64(int8(data[off]))
-		case KindBool:
-			if data[off] != 0 {
-				v.Int = 1
-			}
-		case KindChar:
-			v.Str = string(trimCharPadding(data[off : off+f.Size]))
-		}
+	case s.fixedOff[idx] < 0:
+	case l != nil:
+		var v Value
+		l.fill(&v, data, data[l.bitsAt:l.charAt], idx, esc, true, false)
 		return v, nil
+	case f.Kind == KindChar:
+		at := s.declaredAt(idx)
+		return Value{Kind: f.Kind, Str: charString(data[at:at+f.Size], false)}, nil
+	default:
+		return fixedValue(f.Kind, data[s.declaredAt(idx):]), nil
 	}
 	// Variable-length: walk preceding non-NULL var fields.
-	off := bitmapLen + s.FixedWidth()
 	for _, vi := range s.varIdx {
 		if vi > idx {
 			break
 		}
-		if data[vi/8]&(1<<(vi%8)) != 0 {
+		if null(data, vi) {
 			continue // NULL: not present in var section
 		}
 		n, sz := binary.Uvarint(data[off:])
@@ -315,22 +389,30 @@ func EncodedSize(s *Schema, r Row) (int, error) {
 	if len(r) != s.NumFields() {
 		return 0, fmt.Errorf("tuple: row has %d values, schema has %d fields", len(r), s.NumFields())
 	}
-	n := (s.NumFields()+7)/8 + s.FixedWidth()
-	for _, i := range s.varIdx {
-		v := r[i]
-		if v.Null {
-			continue
-		}
-		var l int
-		if s.Field(i).Kind == KindString {
-			l = len(v.Str)
-		} else {
-			l = len(v.Raw)
-		}
-		n += uvarintLen(uint64(l)) + l
+	if l := s.Packed(); l != nil {
+		return l.size(s, r), nil
 	}
-	return n, nil
+	return DeclaredSize(s, r)
 }
+
+// DeclaredSize returns the bytes the row takes in the declared layout,
+// whichever layout the schema adopted: the baseline a packed layout is
+// measured against.
+func DeclaredSize(s *Schema, r Row) (int, error) {
+	if len(r) != s.NumFields() {
+		return 0, fmt.Errorf("tuple: row has %d values, schema has %d fields", len(r), s.NumFields())
+	}
+	return s.declaredHead() + varSize(s, r), nil
+}
+
+// nullLen is the bytes of a record's null bitmap.
+func (s *Schema) nullLen() int { return (len(s.fields) + 7) / 8 }
+
+// declaredHead is the bytes of a declared record before its var section.
+func (s *Schema) declaredHead() int { return 1 + s.nullLen() + s.fixedWidth }
+
+// declaredAt is where fixed-width field i sits in a declared record.
+func (s *Schema) declaredAt(i int) int { return 1 + s.nullLen() + s.fixedOff[i] }
 
 func uvarintLen(v uint64) int {
 	n := 1

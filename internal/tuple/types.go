@@ -3,15 +3,17 @@
 //
 // A Schema records the *declared* types of a table's fields. Following
 // the paper's Section 4.1, declared types are treated as hints: the
-// encoding analyzer (internal/encoding) may choose a narrower physical
-// representation. This package implements the straightforward "declared"
-// physical layout; the bit-packed optimized layout lives in
-// internal/encoding.
+// encoding analyzer (internal/encoding) chooses narrower widths from a
+// profile of real rows, and a schema may adopt them once as its packed
+// record layout (layout.go). Every record names the layout it was
+// written in, so rows in the declared layout stay readable after the
+// adoption.
 package tuple
 
 import (
 	"fmt"
 	"strings"
+	"sync/atomic"
 )
 
 // Kind enumerates declared field types.
@@ -113,7 +115,10 @@ type Schema struct {
 	byName map[string]int
 
 	fixedWidth int   // total bytes of the fixed section
+	fixedOff   []int // declared fixed-section offset per field (-1: variable length)
 	varIdx     []int // indexes of variable-length fields, in order
+
+	packed atomic.Pointer[Layout] // the adopted layout; nil until Adopt
 }
 
 // NewSchema builds a schema, validating field names and kinds.
@@ -122,8 +127,9 @@ func NewSchema(fields ...Field) (*Schema, error) {
 		return nil, fmt.Errorf("tuple: schema needs at least one field")
 	}
 	s := &Schema{
-		fields: append([]Field(nil), fields...),
-		byName: make(map[string]int, len(fields)),
+		fields:   append([]Field(nil), fields...),
+		byName:   make(map[string]int, len(fields)),
+		fixedOff: make([]int, len(fields)),
 	}
 	for i, f := range s.fields {
 		if f.Name == "" {
@@ -147,8 +153,10 @@ func NewSchema(fields ...Field) (*Schema, error) {
 		}
 		s.byName[f.Name] = i
 		if w := f.width(); w >= 0 {
+			s.fixedOff[i] = s.fixedWidth
 			s.fixedWidth += w
 		} else {
+			s.fixedOff[i] = -1
 			s.varIdx = append(s.varIdx, i)
 		}
 	}
@@ -185,9 +193,6 @@ func (s *Schema) Index(name string) int {
 
 // IsFixed reports whether every field has a fixed width.
 func (s *Schema) IsFixed() bool { return len(s.varIdx) == 0 }
-
-// FixedWidth returns the byte width of the fixed section of a row.
-func (s *Schema) FixedWidth() int { return s.fixedWidth }
 
 // Project returns a schema containing only the named fields, in the
 // given order.
