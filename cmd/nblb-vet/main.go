@@ -1,5 +1,5 @@
 // nblb-vet runs the engine's static-analysis suite (internal/analysis):
-// lockorder, pinleak, walseam, and deprecated.
+// lockorder, pinleak and walseam.
 //
 //	nblb-vet ./...
 //	nblb-vet -analyzers lockorder,pinleak ./internal/core/

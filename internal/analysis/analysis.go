@@ -1,6 +1,6 @@
 // Package analysis is nblb's static-analysis suite: a small, stdlib-only
 // framework in the shape of golang.org/x/tools/go/analysis (which this
-// repo deliberately does not depend on) plus the four engine-specific
+// repo deliberately does not depend on) plus the three engine-specific
 // analyzers behind cmd/nblb-vet:
 //
 //   - lockorder:  acquisition edges must not invert the documented
@@ -13,8 +13,6 @@
 //     critical section except through approved commit/checkpoint entry
 //     points, and wal.TestPoint names must be covered by the crash
 //     matrix.
-//   - deprecated-internal: internal packages and commands must not call
-//     Deprecated: APIs.
 //
 // Analyzers read intent from machine-checkable source annotations:
 //
@@ -33,7 +31,7 @@
 // Diagnostics are suppressed by a //nolint:nblb-<analyzer> comment on
 // the flagged line, which MUST carry a reason after " // ":
 //
-//	old.Call() //nolint:nblb-deprecated // measured legacy path, see bench
+//	f, err := p.frameFor(s) //nolint:nblb-lockorder // the two shard locks are never held together
 //
 // A reasonless nolint is itself reported. See docs/analysis.md.
 package analysis
@@ -175,7 +173,7 @@ func SortDiagnostics(diags []Diagnostic) {
 
 // All returns the full suite in the order nblb-vet runs it.
 func All() []*Analyzer {
-	return []*Analyzer{LockOrder, PinLeak, WALSeam, DeprecatedInternal}
+	return []*Analyzer{LockOrder, PinLeak, WALSeam}
 }
 
 // ByName resolves a comma-separated analyzer list ("lockorder,pinleak").

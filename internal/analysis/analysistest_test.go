@@ -19,7 +19,7 @@ import (
 type fixtureSpec struct {
 	name      string   // directory under testdata/src
 	pkgs      []string // sub-packages in dependency order; nil = the dir itself
-	analyzers string   // ByName selector; "" = all four
+	analyzers string   // ByName selector; "" = all three
 }
 
 var fixtures = []fixtureSpec{
@@ -29,7 +29,6 @@ var fixtures = []fixtureSpec{
 	{name: "pinleak_basic"},
 	{name: "pinleak_latch"},
 	{name: "walseam_gate", pkgs: []string{"wal", "a"}},
-	{name: "deprecated_basic", pkgs: []string{"lib", "use"}},
 }
 
 func TestAnalyzersGolden(t *testing.T) {

@@ -9,7 +9,7 @@ import (
 
 // World accumulates cross-package knowledge as packages are added in
 // dependency order: annotation bindings, function bodies for
-// inter-procedural summaries, and deprecation marks. The nblb-vet
+// inter-procedural summaries. The nblb-vet
 // driver adds every repro package before running analyzers, so
 // summaries and annotations span the whole module.
 type World struct {
@@ -23,8 +23,6 @@ type World struct {
 	funcTags map[string]map[string]bool
 	// carriers holds types tagged nblb:carries-pin, keyed by type key.
 	carriers map[string]bool
-	// deprecated marks functions whose doc comment says "Deprecated:".
-	deprecated map[string]string // key → first line of the deprecation note
 	// funcs holds every function declaration seen, for summaries.
 	funcs map[string]*funcDecl
 
@@ -44,13 +42,12 @@ type funcDecl struct {
 // scanned from source annotations (AddPackage).
 func NewWorld(fset *token.FileSet) *World {
 	return &World{
-		Fset:       fset,
-		locks:      map[string]string{},
-		funcTags:   map[string]map[string]bool{},
-		carriers:   map[string]bool{},
-		deprecated: map[string]string{},
-		funcs:      map[string]*funcDecl{},
-		summaries:  map[string]*funcSummary{},
+		Fset:      fset,
+		locks:     map[string]string{},
+		funcTags:  map[string]map[string]bool{},
+		carriers:  map[string]bool{},
+		funcs:     map[string]*funcDecl{},
+		summaries: map[string]*funcSummary{},
 	}
 }
 
@@ -74,9 +71,6 @@ func (w *World) scanFile(pkg *types.Package, info *types.Info, f *ast.File) {
 			w.funcs[key] = &funcDecl{decl: d, info: info, pkg: pkg}
 			for _, tag := range nblbTags(d.Doc) {
 				w.addFuncTag(key, tag)
-			}
-			if note := deprecationNote(d.Doc); note != "" {
-				w.deprecated[key] = note
 			}
 		case *ast.GenDecl:
 			w.scanGenDecl(pkg, d)
@@ -191,13 +185,6 @@ func (w *World) IsCarrier(typeKey string) bool {
 	return w.carriers[typeKey]
 }
 
-// DeprecationNote returns the Deprecated: note for a function key, if
-// its defining package has been added to the world.
-func (w *World) DeprecationNote(key string) (string, bool) {
-	n, ok := w.deprecated[key]
-	return n, ok
-}
-
 // nblbTags extracts "nblb:<tag...>" directives from comment groups.
 func nblbTags(groups ...*ast.CommentGroup) []string {
 	var out []string
@@ -222,20 +209,6 @@ func nblbTags(groups ...*ast.CommentGroup) []string {
 		}
 	}
 	return out
-}
-
-// deprecationNote returns the first Deprecated: line of a doc comment.
-func deprecationNote(doc *ast.CommentGroup) string {
-	if doc == nil {
-		return ""
-	}
-	for _, line := range strings.Split(doc.Text(), "\n") {
-		line = strings.TrimSpace(line)
-		if strings.HasPrefix(line, "Deprecated:") {
-			return line
-		}
-	}
-	return ""
 }
 
 // --- object keys -----------------------------------------------------

@@ -46,6 +46,7 @@ type stagedOp struct {
 	row  tuple.Row   // insert/update: the new row (the caller's; a view of rec once a Txn stages it)
 
 	rec    []byte      // pre-flight: the encoded new row
+	esc    uint64      // pre-flight: rec's escape bitmap (tuple.EncodeEscapes)
 	oldRow tuple.Row   // pre-flight: the pre-image (update/delete)
 	oldSum uint32      // pre-flight: the pre-image record's heap.RecordSum
 	newRID storage.RID // heap stage: where the new record landed
@@ -451,9 +452,11 @@ func (s *stageArena) preImage(t *Table, rid storage.RID) (row tuple.Row, sum uin
 }
 
 // rowView decodes rec, a record carved from the arena, as a row carved
-// from vals whose strings and bytes are views of rec.
+// from vals whose strings and bytes are views of rec — or, a string its
+// string slot rebuilds, of the arena's end, appended to as entryKey
+// appends a key.
 func (s *stageArena) rowView(t *Table, rec []byte) (tuple.Row, error) {
-	row, _, err := tuple.DecodeAlias(carve(&s.vals, t.schema.NumFields(), maxVals), t.schema, rec, nil)
+	row, _, err := tuple.DecodeAlias(carve(&s.vals, t.schema.NumFields(), maxVals), t.schema, rec, nil, &s.arena)
 	return row, err
 }
 
@@ -513,7 +516,7 @@ func (t *Table) preflight(op *stagedOp, sc *stageArena) (err error) {
 	if op.kind != BatchDelete {
 		n, err := tuple.EncodedSize(t.schema, op.row)
 		if err == nil {
-			op.rec, err = tuple.Encode(t.schema, op.row, carve(&sc.arena, n, maxArena))
+			op.rec, op.esc, err = tuple.EncodeEscapes(t.schema, op.row, carve(&sc.arena, n, maxArena))
 		}
 		if err != nil {
 			return fmt.Errorf("core: encoding row for %q: %w", t.name, err)
@@ -694,6 +697,7 @@ func (p *pipeline) landed(i int, newRID storage.RID) {
 		old = op.rid
 	}
 	p.wb.put(old, newRID, op.rec, op.oldSum)
+	p.t.countEscapes(op.rec, op.esc)
 	if p.res.RIDs != nil {
 		p.res.RIDs[i] = newRID
 	}

@@ -264,7 +264,7 @@ func (s *heapSource) step(c *Cursor) bool {
 		if !s.t.ridVisible(c.rid, s.snap) {
 			continue
 		}
-		row, err := decodeFields(s.decRow, s.t.schema, rec, s.need, false)
+		row, err := decodeFields(s.decRow, s.t.schema, rec, s.need, nil)
 		if err != nil {
 			c.err = fmt.Errorf("core: decoding %v: %w", c.rid, err)
 			return false

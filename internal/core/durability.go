@@ -320,7 +320,7 @@ func (e *Engine) recover() error {
 			return err
 		}
 		for i := range m.Tables {
-			if err := e.rebuildTable(&m.Tables[i]); err != nil {
+			if err := e.rebuildTable(&m.Tables[i], m.Version); err != nil {
 				return err
 			}
 		}
@@ -482,7 +482,7 @@ func (e *Engine) redoRecord(typ uint8, payload []byte) error {
 	case recDropTable:
 		delete(e.tables, string(payload))
 		return nil
-	case recAdoptLayout:
+	case recAdoptLayout, recAdoptStrings:
 		var d ddlAdoptLayout
 		if err := json.Unmarshal(payload, &d); err != nil {
 			return fmt.Errorf("core: redo adopt layout: %w", err)
@@ -491,7 +491,7 @@ func (e *Engine) redoRecord(typ uint8, payload []byte) error {
 		if !ok || t.schema.Packed() != nil {
 			return nil // dropped later in the log, or adopted in the checkpoint's manifest
 		}
-		return t.adoptSpec(d.Layout)
+		return t.adoptSpec(d.Layout, typ == recAdoptStrings)
 	case recBatch:
 		return e.redoBatch(payload)
 	case recTxn:
@@ -687,7 +687,7 @@ func (t *Table) replayCreateIndex(d *ddlCreateIndex) error {
 // restart cold with their CSN seeded past the checkpoint's, so any
 // cache payload persisted in a leaf before the crash can never be
 // served against a fresh predicate log.
-func (e *Engine) rebuildTable(mt *manifestTable) error {
+func (e *Engine) rebuildTable(mt *manifestTable, version int) error {
 	schema, err := tuple.NewSchema(fieldsFromManifest(mt.Fields)...)
 	if err != nil {
 		return fmt.Errorf("core: manifest table %q: %w", mt.Name, err)
@@ -725,7 +725,7 @@ func (e *Engine) rebuildTable(mt *manifestTable) error {
 	}
 	t.rows.Store(mt.Rows)
 	if mt.Layout != nil {
-		if err := t.adoptSpec(mt.Layout); err != nil {
+		if err := t.adoptSpec(mt.Layout, version > manifestNoStrings); err != nil {
 			return fmt.Errorf("core: manifest table %q: %w", mt.Name, err)
 		}
 	}

@@ -173,17 +173,18 @@ func withFilters(need []bool, filters []boundFilter) []bool {
 }
 
 // decodeFields decodes the fields of rec that need marks into dst (see
-// tuple.DecodeFields) — as views of rec when view is set (see
+// tuple.DecodeFields) — as views when scratch is set: of rec, and of
+// *scratch for the strings a string slot rebuilds (see
 // tuple.DecodeAlias). Under PoisonScratch every position outside need
 // is overwritten, so a reader of a field it did not declare fails at
 // once instead of passing on whatever fixed-width value sat there.
-func decodeFields(dst tuple.Row, s *tuple.Schema, rec []byte, need []bool, view bool) (tuple.Row, error) {
+func decodeFields(dst tuple.Row, s *tuple.Schema, rec []byte, need []bool, scratch *[]byte) (tuple.Row, error) {
 	var (
 		row tuple.Row
 		err error
 	)
-	if view {
-		row, _, err = tuple.DecodeAlias(dst, s, rec, need)
+	if scratch != nil {
+		row, _, err = tuple.DecodeAlias(dst, s, rec, need, scratch)
 	} else {
 		row, _, err = tuple.DecodeFields(dst, s, rec, need)
 	}

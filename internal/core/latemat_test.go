@@ -127,7 +127,7 @@ func TestUndeclaredFieldIsPoisoned(t *testing.T) {
 		t.Fatal(err)
 	}
 	need := fieldSet(s.NumFields(), []int{0, 3})
-	row, err := decodeFields(nil, s, rec, need, false)
+	row, err := decodeFields(nil, s, rec, need, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+
 	"repro/internal/encoding"
 	"repro/internal/storage"
 	"repro/internal/tuple"
@@ -39,7 +41,9 @@ func (p *pipeline) adoptLayout() {
 // adopt profiles the rows the heap holds, up to layoutSample of them,
 // and the rows ops stage, then logs the layout the advisor picks for
 // them before publishing it: the DDL record precedes every record
-// written in the layout.
+// written in the layout. A layout with string slots is logged under its
+// own record type, so a binary that predates them refuses the log
+// instead of replaying the adoption without them.
 func (t *Table) adopt(ops []stagedOp) error {
 	var sample []tuple.Row
 	err := t.file.Scan(func(_ storage.RID, rec []byte) bool {
@@ -71,19 +75,27 @@ func (t *Table) adopt(ops []stagedOp) error {
 		return err
 	}
 	if e := t.engine; e.wal != nil {
-		if _, err := e.wal.Append(recAdoptLayout, encodeJSON(ddlAdoptLayout{Table: t.name, Layout: l.Spec()})); err != nil {
+		typ := recAdoptLayout
+		if l.HasStringSlots() {
+			typ = recAdoptStrings
+		}
+		if _, err := e.wal.Append(typ, encodeJSON(ddlAdoptLayout{Table: t.name, Layout: l.Spec()})); err != nil {
 			return err
 		}
 	}
 	return t.schema.Adopt(l)
 }
 
-// adoptSpec adopts the layout a manifest or a recAdoptLayout record
-// names.
-func (t *Table) adoptSpec(spec []tuple.FieldPacking) error {
+// adoptSpec adopts the layout a manifest or an adoption record names.
+// slots says whether its source may name string slots: a version-2
+// manifest and a recAdoptLayout record may not.
+func (t *Table) adoptSpec(spec []tuple.FieldPacking, slots bool) error {
 	l, err := tuple.NewLayout(t.schema, spec)
 	if err != nil {
 		return err
+	}
+	if !slots && l.HasStringSlots() {
+		return fmt.Errorf("core: table %q: a layout with string slots from a source that predates them", t.name)
 	}
 	t.adopting.Store(true)
 	return t.schema.Adopt(l)

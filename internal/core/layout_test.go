@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
 	"os"
@@ -130,7 +129,7 @@ func TestReopenPackedLayoutFromWAL(t *testing.T) {
 }
 
 // TestReopenPackedLayoutFromManifest: after a checkpoint the layout is a
-// field of the table's manifest entry (manifest version 2), and the
+// field of the table's manifest entry (manifest version 3), and the
 // reopened table decodes every row with it. A version-1 manifest is
 // refused.
 func TestReopenPackedLayoutFromManifest(t *testing.T) {
@@ -148,8 +147,8 @@ func TestReopenPackedLayoutFromManifest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Version != 2 || len(m.Tables) != 1 || !reflect.DeepEqual(m.Tables[0].Layout, spec) {
-		t.Fatalf("manifest version %d, tables %+v: want version 2 with layout %v", m.Version, m.Tables, spec)
+	if m.Version != 3 || len(m.Tables) != 1 || !reflect.DeepEqual(m.Tables[0].Layout, spec) {
+		t.Fatalf("manifest version %d, tables %+v: want version 3 with layout %v", m.Version, m.Tables, spec)
 	}
 	if err := e.Close(); err != nil {
 		t.Fatal(err)
@@ -172,22 +171,7 @@ func TestReopenPackedLayoutFromManifest(t *testing.T) {
 	}
 
 	// The same file at version 1 is refused.
-	path := filepath.Join(dir, "db.manifest")
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var raw map[string]any
-	if err := json.Unmarshal(data, &raw); err != nil {
-		t.Fatal(err)
-	}
-	raw["version"] = 1
-	if data, err = json.Marshal(raw); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	setManifestVersion(t, filepath.Join(dir, "db.manifest"), 1)
 	if e3, err := NewEngine(noCheckpointOptions(dir)); err == nil {
 		e3.Close()
 		t.Fatal("a version-1 manifest was accepted")

@@ -362,7 +362,7 @@ func (ix *Index) WarmCache() (int, error) {
 			if leafInstalled >= budget {
 				return false
 			}
-			row, derr := decodeFields(rowBuf, ix.table.schema, rec, need, false)
+			row, derr := decodeFields(rowBuf, ix.table.schema, rec, need, nil)
 			if derr != nil {
 				visErr = derr
 				return false

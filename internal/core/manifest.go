@@ -19,12 +19,16 @@ import (
 // pages live. It is rewritten atomically (tmp + rename) at every
 // checkpoint and describes the on-disk state as of CheckpointLSN —
 // recovery rebuilds the catalog from it and replays the WAL suffix on
-// top. Version 2 records each table's packed record layout; a version-1
-// file, written before records named their layout, is refused like any
-// other version.
+// top. Version 2 records each table's packed record layout, and version
+// 3 lets that layout hold string slots. A version-2 file still opens,
+// and is refused if its layout has string slots; a version-1 file,
+// written before records named their layout, is refused like any other
+// version. A binary that reads only version 2 refuses version 3, so it
+// never misreads a string slot.
 const (
-	manifestMagic   = "nblb-manifest"
-	manifestVersion = 2
+	manifestMagic     = "nblb-manifest"
+	manifestVersion   = 3
+	manifestNoStrings = 2 // the oldest version read: no string slots
 )
 
 type manifest struct {
@@ -48,7 +52,8 @@ type manifestTable struct {
 	HeapInsertShards int             `json:"heap_insert_shards"`
 	HeapPages        []uint64        `json:"heap_pages"`
 	// Layout is the packed record layout the table adopted (absent: none
-	// yet, every record is in the declared layout).
+	// yet, every record is in the declared layout); string slots only
+	// from version 3 on.
 	Layout  []tuple.FieldPacking `json:"layout,omitempty"`
 	Indexes []manifestIndex      `json:"indexes,omitempty"`
 	// Versions are the table's MVCC metas still live at checkpoint time
@@ -139,7 +144,7 @@ func loadManifest(path string) (*manifest, error) {
 	if m.Magic != manifestMagic {
 		return nil, fmt.Errorf("core: %s is not a manifest (magic %q)", path, m.Magic)
 	}
-	if m.Version != manifestVersion {
+	if m.Version != manifestVersion && m.Version != manifestNoStrings {
 		return nil, fmt.Errorf("core: manifest %s has unsupported version %d", path, m.Version)
 	}
 	return &m, nil

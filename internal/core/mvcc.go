@@ -401,7 +401,7 @@ func (t *Table) gcLocked(watermark uint64) int {
 			continue
 		}
 		rec = got
-		if row, err = decodeFields(row[:0], t.schema, rec, need, false); err != nil {
+		if row, err = decodeFields(row[:0], t.schema, rec, need, nil); err != nil {
 			continue
 		}
 		if err := t.file.Delete(c.rid); err != nil {

@@ -67,15 +67,16 @@ type resolver struct {
 	// the block loop's, or a point lookup's scratch.
 	stats *QueryStats
 
-	// view: a heap answer's strings and byte slices alias heapBuf instead
-	// of being copied out (LookupFunc and QueryInto; see there for who may
-	// hold them).
+	// view: a heap answer's strings and byte slices alias heapBuf, and the
+	// strings its string slots rebuild alias strs, instead of being copied
+	// out (LookupFunc and QueryInto; see there for who may hold them).
 	view bool
 
 	keyVals []tuple.Value
 	payload []byte // single-entry probe scratch (Lookup, serial cursor)
 	heapRow tuple.Row
 	heapBuf []byte
+	strs    []byte // a view answer's rebuilt strings
 	keyBuf  []byte // a fetched row's key, checked against its entry
 
 	// Inline backing for the scratch above (see bind), so a one-row
@@ -83,6 +84,7 @@ type resolver struct {
 	keyValArr  [2]tuple.Value
 	payloadArr [32]byte
 	recArr     [256]byte
+	strArr     [64]byte
 	rowArr     [8]tuple.Value
 	keyArr     [32]byte
 }
@@ -94,20 +96,24 @@ type resolver struct {
 func (r *resolver) bind() {
 	if r.heapBuf == nil {
 		r.keyVals, r.payload, r.heapBuf, r.heapRow, r.keyBuf = r.keyValArr[:0], r.payloadArr[:0], r.recArr[:0], r.rowArr[:0], r.keyArr[:0]
+		r.strs = r.strArr[:0]
 	}
 }
 
 // poison overwrites, under PoisonScratch, the record a view answer
-// aliases, the row decoded from it and out, the row handed over: a view
-// kept past its lifetime then reads as garbage instead of as plausible
-// stale data.
+// aliases, the strings rebuilt for it, the row decoded from it and out,
+// the row handed over: a view kept past its lifetime then reads as
+// garbage instead of as plausible stale data.
 func (r *resolver) poison(out tuple.Row) {
 	if !poisonScratch.Load() {
 		return
 	}
-	rec, row, out := r.heapBuf[:cap(r.heapBuf)], r.heapRow[:cap(r.heapRow)], out[:cap(out)]
+	rec, strs, row, out := r.heapBuf[:cap(r.heapBuf)], r.strs[:cap(r.strs)], r.heapRow[:cap(r.heapRow)], out[:cap(out)]
 	for i := range rec {
 		rec[i] = 0xDB
+	}
+	for i := range strs {
+		strs[i] = 0xDB
 	}
 	for i := range row {
 		row[i] = poisonValue
@@ -199,7 +205,11 @@ func (r *resolver) resolve(dst tuple.Row, key []byte, packed uint64, payload []b
 		return nil, rid, tierSkip, fmt.Errorf("core: fetching %v: %w", rid, err)
 	}
 	r.heapBuf = rec[:0]
-	row, err := decodeFields(r.heapRow, ix.table.schema, rec, r.need, r.view)
+	var strs *[]byte
+	if r.view {
+		r.strs, strs = r.strs[:0], &r.strs
+	}
+	row, err := decodeFields(r.heapRow, ix.table.schema, rec, r.need, strs)
 	if err != nil {
 		return nil, rid, tierSkip, fmt.Errorf("core: decoding %v: %w", rid, err)
 	}

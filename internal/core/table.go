@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 
@@ -67,6 +68,55 @@ type Table struct {
 	// adopting is set by the one trip that adopts the schema's packed
 	// record layout (layout.go).
 	adopting atomic.Bool
+
+	// The escape counters Stats reports: records written in the packed
+	// layout, those of them carrying an escape, and per escape bit how
+	// many escaped it.
+	packedRecs, escapedRecs atomic.Int64
+	escapes                 [64]atomic.Int64
+}
+
+// TableStats is what a table's writes did since the engine opened it.
+type TableStats struct {
+	// Packed counts the records written in the table's packed layout.
+	Packed int64
+	// Escaped counts those of them holding at least one value outside the
+	// layout's domain, and Escapes, per schema field, those holding one in
+	// that field. The gain of the packed layout rests on these staying
+	// small (ARCHITECTURE.md, "What the gain rests on").
+	Escaped int64
+	Escapes []int64
+}
+
+// Stats returns the table's counters.
+func (t *Table) Stats() TableStats {
+	st := TableStats{
+		Packed:  t.packedRecs.Load(),
+		Escaped: t.escapedRecs.Load(),
+		Escapes: make([]int64, t.schema.NumFields()),
+	}
+	if l := t.schema.Packed(); l != nil {
+		for k, i := range l.EscapeFields() {
+			st.Escapes[i] = t.escapes[k].Load()
+		}
+	}
+	return st
+}
+
+// countEscapes adds a record written to the table, and the escape bitmap
+// its encoder reported, to the escape counters.
+func (t *Table) countEscapes(rec []byte, esc uint64) {
+	if rec[0] != tuple.TagPacked {
+		return
+	}
+	t.packedRecs.Add(1)
+	if esc == 0 {
+		return
+	}
+	t.escapedRecs.Add(1)
+	for ; esc != 0; esc &= esc - 1 {
+		t.escapes[bits.TrailingZeros64(esc)].Add(1)
+	}
 }
 
 func newTable(e *Engine, name string, schema *tuple.Schema, opts ...TableOption) (*Table, error) {

@@ -32,6 +32,10 @@ const (
 	// recAdoptLayout is a table's adoption of its packed record layout,
 	// logged before any record written in it.
 	recAdoptLayout uint8 = 8
+	// recAdoptStrings is recAdoptLayout for a layout with string slots. A
+	// binary that predates them fails on the unknown type rather than
+	// decode the JSON without the slots' fields and misread every record.
+	recAdoptStrings uint8 = 9
 )
 
 // Action kinds within a batch record.

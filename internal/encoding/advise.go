@@ -22,8 +22,10 @@ const (
 	// EncEpoch32 stores a 32-bit epoch (timestamps, incl. timestamp14
 	// strings, regenerated on decode).
 	EncEpoch32
-	// EncNumericString stores a digit string as offset integer plus a
-	// 5-bit length (leading zeros preserved by re-padding).
+	// EncNumericString stores a string as the prefix the column shares,
+	// kept once, and the decimal after it as an offset integer, plus a
+	// 5-bit digit count unless every value has the same one (leading
+	// zeros come back by re-padding).
 	EncNumericString
 	// EncDict stores an index into a value dictionary in Bits bits.
 	EncDict
@@ -64,11 +66,15 @@ type Recommendation struct {
 	Offset int64
 	// Dict is the value dictionary for EncDict, sorted.
 	Dict []string
-	// DictOverheadBits is the dictionary's own storage amortized per
-	// row; it counts toward the encoding's true cost.
-	DictOverheadBits float64
-	// StrLen is the digit-string length cap for EncNumericString.
-	StrLen int
+	// OverheadBits is what the encoding stores once per column — a
+	// dictionary, a shared prefix — amortized per row; it counts toward
+	// the encoding's true cost.
+	OverheadBits float64
+	// Prefix is the prefix every EncNumericString value starts with, and
+	// Digits the digit count of the decimal after it when every value has
+	// the same one (0: each value stores its own).
+	Prefix string
+	Digits int
 	// Nullable reserves a null bit per value.
 	Nullable bool
 	// Note explains the decision for the report.
@@ -82,12 +88,10 @@ func (r Recommendation) BitsPerValue(p *ColumnProfile) float64 {
 	if r.Enc == EncRaw {
 		bits = 8*p.AvgLen() + 16 // 2-byte length prefix
 	}
-	if r.Enc == EncNumericString {
-		bits += 5 // stored length for zero-padding reconstruction
+	if r.Enc == EncNumericString && r.Digits == 0 {
+		bits += tuple.DigitCountBits // stored digit count for zero-padding reconstruction
 	}
-	if r.Enc == EncDict {
-		bits += r.DictOverheadBits
-	}
+	bits += r.OverheadBits
 	if r.Nullable {
 		bits++
 	}
@@ -166,12 +170,24 @@ func adviseString(p *ColumnProfile, rec Recommendation) Recommendation {
 		rec.Note = "14-byte string timestamp to 4-byte epoch (the paper's flagship case)"
 		return rec
 	}
-	if p.AllNumeric && p.MaxLen <= 18 && p.Field.Kind != tuple.KindBytes {
+	// Digits after the shared prefix: numbers stored as text. A column
+	// whose values are all its prefix (a constant) has no digits to store
+	// and is left to the dictionary.
+	if lo, hi, minLen, maxLen, ok := p.Rest(); ok && maxLen > 0 && p.Field.Kind != tuple.KindBytes {
 		rec.Enc = EncNumericString
-		rec.Bits = spanBits(p.MinInt, p.MaxInt)
-		rec.Offset = p.MinInt
-		rec.StrLen = p.MaxLen
-		rec.Note = fmt.Sprintf("numeric string [%d,%d] stored as %d-bit int", p.MinInt, p.MaxInt, rec.Bits)
+		rec.Prefix = p.Prefix
+		rec.Bits = spanBits(lo, hi)
+		rec.Offset = lo
+		rec.OverheadBits = float64(8*len(p.Prefix)) / float64(nonNull)
+		count := fmt.Sprintf(" + %d-bit digit count", tuple.DigitCountBits)
+		if minLen == maxLen {
+			rec.Digits, count = maxLen, ""
+		}
+		if p.Prefix == "" {
+			rec.Note = fmt.Sprintf("numeric string [%d,%d] stored as %d-bit int%s", lo, hi, rec.Bits, count)
+		} else {
+			rec.Note = fmt.Sprintf("prefix %q kept once, digits [%d,%d] stored as %d-bit int%s", p.Prefix, lo, hi, rec.Bits, count)
+		}
 		return rec
 	}
 	if !p.DistinctOverflow && p.Field.Kind != tuple.KindBytes {
@@ -187,7 +203,7 @@ func adviseString(p *ColumnProfile, rec Recommendation) Recommendation {
 			rec.Enc = EncDict
 			rec.Bits = bits
 			rec.Dict = dict
-			rec.DictOverheadBits = overhead
+			rec.OverheadBits = overhead
 			rec.Note = fmt.Sprintf("%d distinct values: %d-bit dictionary index (+%.1f amortized dict bits)", len(dict), bits, overhead)
 			return rec
 		}

@@ -1,6 +1,7 @@
 package encoding
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -73,13 +74,6 @@ func mask(n int) uint64 {
 		return ^uint64(0)
 	}
 	return 1<<uint(n) - 1
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 func TestBitsFor(t *testing.T) {
@@ -380,6 +374,126 @@ func TestWasteReportInvariants(t *testing.T) {
 	for _, c := range report.Columns {
 		if c.WastePct() < 0 || c.WastePct() > 100 {
 			t.Errorf("column %s WastePct = %f", c.Rec.Field.Name, c.WastePct())
+		}
+	}
+}
+
+// The profile's prefix is the longest one every value shares, and the
+// decimals after it are re-read as the prefix narrows: the bytes cut off
+// it become their leading digits.
+func TestProfilePrefixAndRest(t *testing.T) {
+	type rest struct {
+		prefix         string
+		lo, hi         int64
+		minLen, maxLen int
+		ok             bool
+	}
+	for _, c := range []struct {
+		values []string
+		want   rest
+	}{
+		{[]string{"item-0000000000000199900", "item-0000000000000001812", "item-0000000000000054321"},
+			rest{"item-0000000000000", 1812, 199900, 6, 6, true}},
+		{[]string{"a7", "a70", "a700"}, rest{"a7", 0, 0, 0, 2, true}},
+		{[]string{"a7", "a81"}, rest{"a", 7, 81, 1, 2, true}},
+		{[]string{"5", "17", "123"}, rest{"", 5, 123, 1, 3, true}},
+		{[]string{"0", "000"}, rest{"0", 0, 0, 0, 2, true}},
+		{[]string{"x-1", "y-1"}, rest{"", 0, 0, 0, 0, false}},                  // a cut that is not a decimal
+		{[]string{"id-1", "id-1x"}, rest{"id-1", 0, 0, 0, 0, false}},           // a remainder that is not one
+		{[]string{"n0000000000000000001", "n1"}, rest{"n", 0, 0, 0, 0, false}}, // 19 digits
+		{[]string{"n000000000000000001", "n1"}, rest{"n", 1, 1, 1, 18, true}},
+	} {
+		p := NewColumnProfile(tuple.Field{Name: "s", Kind: tuple.KindString})
+		p.Observe(tuple.Null(tuple.KindString))
+		for _, v := range c.values {
+			p.Observe(tuple.String(v))
+		}
+		lo, hi, minLen, maxLen, ok := p.Rest()
+		got := rest{p.Prefix, lo, hi, minLen, maxLen, ok}
+		if !ok {
+			got = rest{prefix: p.Prefix}
+		}
+		if got != c.want {
+			t.Errorf("%q: prefix and rest %+v, want %+v", c.values, got, c.want)
+		}
+	}
+}
+
+// A column of prefixed decimals — the benchmark's names have this shape,
+// as do wiki titles — advises a numeric string with its prefix, and the
+// engine's packing is the same advice as a string slot; a column with a
+// non-digit remainder, or a constant one, is left alone.
+func TestAdvisePrefixedNumericString(t *testing.T) {
+	p := NewColumnProfile(tuple.Field{Name: "name", Kind: tuple.KindString})
+	for _, id := range []int{199900, 1812, 54321} {
+		p.Observe(tuple.String(fmt.Sprintf("item-%019d", id)))
+	}
+	rec := Advise(p)
+	if rec.Enc != EncNumericString || rec.Prefix != "item-0000000000000" || rec.Digits != 6 ||
+		rec.Bits != 18 || rec.Offset != 1812 {
+		t.Fatalf("advice %+v", rec)
+	}
+	if got := RecordPacking([]*ColumnProfile{p})[0]; got != (tuple.FieldPacking{Bits: 18, Offset: 1812, Prefix: "item-0000000000000", Digits: 6}) {
+		t.Fatalf("packing %+v", got)
+	}
+	if bits := rec.BitsPerValue(p); bits != 18+8*18.0/3 {
+		t.Errorf("%v bits per value, want 18 plus the prefix amortized", bits)
+	}
+	for _, values := range [][]string{{"0123abcd/x", "89ab0123/x"}, {"same", "same"}} {
+		q := NewColumnProfile(tuple.Field{Name: "body", Kind: tuple.KindString})
+		for _, v := range values {
+			q.Observe(tuple.String(v))
+		}
+		if got := RecordPacking([]*ColumnProfile{q})[0]; got != (tuple.FieldPacking{}) {
+			t.Errorf("%q packs as %+v, want verbatim", values, got)
+		}
+	}
+}
+
+// PackedCodec's numeric strings round-trip with and without a stored
+// digit count, leading zeros and an empty remainder included, and
+// rebuild by the engine's rule (tuple.AppendDigits).
+func TestPackedCodecNumericStrings(t *testing.T) {
+	schema := tuple.MustSchema(tuple.Field{Name: "fixed", Kind: tuple.KindString}, tuple.Field{Name: "varying", Kind: tuple.KindChar, Size: 12})
+	rows := []tuple.Row{
+		{tuple.String("user-0042"), tuple.Char("r-0")},
+		{tuple.String("user-0000"), tuple.Char("r-000")},
+		{tuple.String("user-1999"), tuple.Char("r-")},
+		{tuple.String("user-0100"), tuple.Char("r-987654")},
+	}
+	i := 0
+	report := AnalyzeRows("t", schema, func() (tuple.Row, bool) {
+		if i == len(rows) {
+			return nil, false
+		}
+		i++
+		return rows[i-1], true
+	})
+	recs := []Recommendation{report.Columns[0].Rec, report.Columns[1].Rec}
+	if recs[0].Enc != EncNumericString || recs[0].Prefix != "user-" || recs[0].Digits != 4 ||
+		recs[1].Enc != EncNumericString || recs[1].Prefix != "r-" || recs[1].Digits != 0 {
+		t.Fatalf("advice %+v", recs)
+	}
+	codec, err := NewPackedCodec(schema, recs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf, err := codec.EncodeRows(rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, err := codec.DecodeRows(buf, len(rows))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for j := range rows {
+		if !rows[j].Equal(back[j]) {
+			t.Errorf("row %d: %v, want %v", j, back[j], rows[j])
+		}
+	}
+	for _, bad := range []string{"user-042", "usr-0042", "user-004x"} {
+		if err := codec.Encode(tuple.Row{tuple.String(bad), tuple.Char("r-1")}, NewBitWriter()); err == nil {
+			t.Errorf("%q outside the profile was accepted", bad)
 		}
 	}
 }

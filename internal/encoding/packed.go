@@ -14,10 +14,11 @@ import (
 // and the row has no padding between fields. This is what "removing
 // these unused bits increases the data density" (Section 4.1) looks
 // like in practice. It is the codec of the waste report, not the
-// engine's: it has the dictionary and numeric-string encodings, and a
-// value outside the profile is an error. The engine stores what the same
-// advice allows with strings verbatim and an escape for such values
-// (RecordPacking, tuple.Layout).
+// engine's: it has the dictionary encoding, and a value outside the
+// profile is an error. The engine stores what the same advice allows,
+// dictionaries aside, with an escape for such values (RecordPacking,
+// tuple.Layout), and rebuilds a digit string by the same rule
+// (tuple.AppendDigits).
 type PackedCodec struct {
 	schema *tuple.Schema
 	recs   []Recommendation
@@ -93,14 +94,15 @@ func (c *PackedCodec) Encode(row tuple.Row, w *BitWriter) error {
 			}
 			w.WriteBits(uint64(epoch), 32)
 		case EncNumericString:
-			n := int64(0)
-			for j := 0; j < len(v.Str); j++ {
-				n = n*10 + int64(v.Str[j]-'0')
-			}
-			if n < r.Offset || (r.Bits < 64 && uint64(n-r.Offset) >= 1<<uint(r.Bits)) {
+			rest, ok := strings.CutPrefix(v.Str, r.Prefix)
+			n, digits := parseDecimal(rest)
+			if !ok || !digits || (r.Digits > 0 && len(rest) != r.Digits) ||
+				n < r.Offset || (r.Bits < 64 && uint64(n-r.Offset) >= 1<<uint(r.Bits)) {
 				return fmt.Errorf("encoding: field %q: %q outside profiled range", r.Field.Name, v.Str)
 			}
-			w.WriteBits(uint64(len(v.Str)), 5)
+			if r.Digits == 0 {
+				w.WriteBits(uint64(len(rest)), tuple.DigitCountBits)
+			}
 			w.WriteBits(uint64(n-r.Offset), r.Bits)
 		case EncDict:
 			idx, ok := c.dicts[i][v.Str]
@@ -175,19 +177,18 @@ func (c *PackedCodec) Decode(rd *BitReader) (tuple.Row, error) {
 				v.Str = FormatTS14(int64(bits))
 			}
 		case EncNumericString:
-			strLen, err := rd.ReadBits(5)
-			if err != nil {
-				return nil, err
+			width := uint64(r.Digits)
+			if width == 0 {
+				var err error
+				if width, err = rd.ReadBits(tuple.DigitCountBits); err != nil {
+					return nil, err
+				}
 			}
 			bits, err := rd.ReadBits(r.Bits)
 			if err != nil {
 				return nil, err
 			}
-			s := fmt.Sprintf("%d", int64(bits)+r.Offset)
-			if len(s) < int(strLen) {
-				s = strings.Repeat("0", int(strLen)-len(s)) + s
-			}
-			v.Str = s
+			v.Str = string(tuple.AppendDigits([]byte(r.Prefix), bits+uint64(r.Offset), int(width)))
 		case EncDict:
 			idx, err := rd.ReadBits(r.Bits)
 			if err != nil {
@@ -247,9 +248,14 @@ func (c *PackedCodec) DecodeRows(buf []byte, n int) ([]tuple.Row, error) {
 // RecordPacking turns the advisor's recommendation for each profiled
 // column into the field packing of a tuple.Layout: booleans in one bit,
 // integers and integral doubles as offsets from the profiled minimum in
-// the advised bits, timestamps as offsets from theirs in the advised 32.
-// Strings stay verbatim — a dictionary or regenerated digit string could
-// not be a view of the record — and true doubles keep their 64 bits.
+// the advised bits, timestamps as offsets from theirs in the advised 32,
+// and a VARCHAR the advisor reads as a numeric string as a string slot:
+// its shared prefix once, in the layout, and the decimal after it as an
+// offset in the advised bits, with its digit count fixed when the sample
+// fixes it. A reader rebuilds such a string into scratch it owns
+// (tuple.DecodeAlias). Every other string stays verbatim — a dictionary
+// entry would have to live beside the table, and CHAR keeps its declared
+// width — and true doubles keep their 64 bits.
 func RecordPacking(profiles []*ColumnProfile) []tuple.FieldPacking {
 	out := make([]tuple.FieldPacking, len(profiles))
 	for i, p := range profiles {
@@ -262,6 +268,8 @@ func RecordPacking(profiles []*ColumnProfile) []tuple.FieldPacking {
 			out[i] = tuple.FieldPacking{Bits: rec.Bits, Offset: p.MinInt}
 		case rec.Enc == EncFloat:
 			out[i].Bits = rec.Bits
+		case rec.Enc == EncNumericString && p.Field.Kind == tuple.KindString:
+			out[i] = tuple.FieldPacking{Bits: rec.Bits, Offset: rec.Offset, Prefix: rec.Prefix, Digits: rec.Digits}
 		}
 	}
 	return out

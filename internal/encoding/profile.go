@@ -2,6 +2,7 @@ package encoding
 
 import (
 	"math"
+	"strings"
 
 	"repro/internal/tuple"
 )
@@ -18,8 +19,7 @@ type ColumnProfile struct {
 	Rows  int64
 	Nulls int64
 
-	// Numeric statistics (Int*, Bool, Timestamp kinds and numeric
-	// strings).
+	// Numeric statistics (Int*, Bool and Timestamp kinds).
 	MinInt, MaxInt int64
 	intSeen        bool
 
@@ -30,10 +30,13 @@ type ColumnProfile struct {
 	// String/char statistics.
 	MaxLen         int
 	TotalLen       int64
-	AllDigits      bool
 	AllTimestamp14 bool
-	AllNumeric     bool // parseable as int64
 	strSeen        bool
+	// Prefix is the longest prefix every non-NULL string value observed
+	// shares; Rest describes what follows it.
+	Prefix  string
+	rest    [tuple.MaxDigits + 1]span // per remainder length: the decimals seen that long
+	restOff bool                      // a remainder was no decimal of at most MaxDigits digits
 
 	distinct         map[string]struct{}
 	distinctBytes    int64 // total bytes across distinct values
@@ -44,9 +47,7 @@ type ColumnProfile struct {
 func NewColumnProfile(f tuple.Field) *ColumnProfile {
 	return &ColumnProfile{
 		Field:             f,
-		AllDigits:         true,
 		AllTimestamp14:    true,
-		AllNumeric:        true,
 		AllIntegralFloats: true,
 		distinct:          make(map[string]struct{}),
 	}
@@ -80,9 +81,8 @@ func (p *ColumnProfile) Observe(v tuple.Value) {
 		p.observeString(v.Str)
 	case tuple.KindBytes:
 		p.strSeen = true
-		p.AllDigits = false
 		p.AllTimestamp14 = false
-		p.AllNumeric = false
+		p.restOff = true
 		if len(v.Raw) > p.MaxLen {
 			p.MaxLen = len(v.Raw)
 		}
@@ -106,38 +106,110 @@ func (p *ColumnProfile) observeInt(x int64) {
 }
 
 func (p *ColumnProfile) observeString(s string) {
-	p.strSeen = true
 	if len(s) > p.MaxLen {
 		p.MaxLen = len(s)
 	}
 	p.TotalLen += int64(len(s))
-	digits := len(s) > 0
-	for i := 0; i < len(s); i++ {
-		if s[i] < '0' || s[i] > '9' {
-			digits = false
-			break
-		}
-	}
-	if !digits {
-		p.AllDigits = false
+	if _, ok := ParseTS14(s); !ok {
 		p.AllTimestamp14 = false
-		p.AllNumeric = false
-	} else {
-		if _, ok := ParseTS14(s); !ok {
-			p.AllTimestamp14 = false
-		}
-		// Fits in int64? 18 digits always do.
-		if len(s) > 18 {
-			p.AllNumeric = false
-		} else {
-			n := int64(0)
-			for i := 0; i < len(s); i++ {
-				n = n*10 + int64(s[i]-'0')
+	}
+	p.observeRest(s)
+	p.strSeen = true
+	p.observeDistinct(s)
+}
+
+// span is the least and greatest of a set of decimals.
+type span struct {
+	lo, hi int64
+	seen   bool
+}
+
+func (sp *span) add(lo, hi int64) {
+	if !sp.seen {
+		*sp = span{lo: lo, hi: hi, seen: true}
+		return
+	}
+	sp.lo, sp.hi = min(sp.lo, lo), max(sp.hi, hi)
+}
+
+// observeRest narrows Prefix to what s shares with it and notes the
+// decimal s carries after it. Narrowing moves every earlier remainder:
+// the bytes cut off the prefix become its leading digits, which shifts
+// each remainder length's span by the same amount.
+func (p *ColumnProfile) observeRest(s string) {
+	if !p.strSeen {
+		p.Prefix = strings.Clone(s) // s may be a view of a reader's scratch
+	}
+	k := 0
+	for k < len(p.Prefix) && k < len(s) && p.Prefix[k] == s[k] {
+		k++
+	}
+	if cut := p.Prefix[k:]; cut != "" && !p.restOff {
+		c, ok := parseDecimal(cut)
+		var moved [tuple.MaxDigits + 1]span
+		for n, sp := range p.rest {
+			if sp.seen && ok {
+				if ok = n+len(cut) <= tuple.MaxDigits; ok {
+					lead := c * pow10(n)
+					moved[n+len(cut)] = span{lo: lead + sp.lo, hi: lead + sp.hi, seen: true}
+				}
 			}
-			p.observeInt(n)
+		}
+		p.rest, p.restOff = moved, !ok
+	}
+	p.Prefix = p.Prefix[:k]
+	if n, ok := parseDecimal(s[k:]); ok {
+		p.rest[len(s)-k].add(n, n)
+	} else {
+		p.restOff = true
+	}
+}
+
+// Rest describes the decimals that follow Prefix in the values observed:
+// their span and their fewest and most digits. ok is false when some
+// value's remainder is not a decimal of at most tuple.MaxDigits digits,
+// and when no string was observed.
+func (p *ColumnProfile) Rest() (lo, hi int64, minLen, maxLen int, ok bool) {
+	if p.restOff || !p.strSeen {
+		return 0, 0, 0, 0, false
+	}
+	var all span
+	minLen = -1
+	for n, sp := range p.rest {
+		if sp.seen {
+			all.add(sp.lo, sp.hi)
+			if minLen < 0 {
+				minLen = n
+			}
+			maxLen = n
 		}
 	}
-	p.observeDistinct(s)
+	return all.lo, all.hi, minLen, maxLen, true
+}
+
+// parseDecimal reads s, at most tuple.MaxDigits digits 0–9 and nothing
+// else, as a number; the empty string is 0.
+func parseDecimal(s string) (int64, bool) {
+	if len(s) > tuple.MaxDigits {
+		return 0, false
+	}
+	var n int64
+	for i := 0; i < len(s); i++ {
+		d := s[i] - '0'
+		if d > 9 {
+			return 0, false
+		}
+		n = n*10 + int64(d)
+	}
+	return n, true
+}
+
+func pow10(n int) int64 {
+	x := int64(1)
+	for ; n > 0; n-- {
+		x *= 10
+	}
+	return x
 }
 
 func (p *ColumnProfile) observeDistinct(key string) {

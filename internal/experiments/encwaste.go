@@ -169,9 +169,9 @@ func (r EncWasteResult) Print(w io.Writer) {
 	for _, rep := range r.Reports {
 		fmt.Fprintf(w, "\ntable %-10s rows=%d declared=%s optimal=%s waste=%.1f%%\n",
 			rep.Name, rep.Rows, fmtBytes(rep.DeclaredBytes()), fmtBytes(rep.OptimalBytes()), rep.WastePct())
-		fmt.Fprintf(w, "  %-18s %-10s %10s %10s %7s  %s\n", "column", "enc", "decl bits", "opt bits", "waste%", "note")
+		fmt.Fprintf(w, "  %-18s %-14s %10s %10s %7s  %s\n", "column", "enc", "decl bits", "opt bits", "waste%", "note")
 		for _, c := range rep.Columns {
-			fmt.Fprintf(w, "  %-18s %-10s %10.1f %10.1f %6.1f%%  %s\n",
+			fmt.Fprintf(w, "  %-18s %-14s %10.1f %10.1f %6.1f%%  %s\n",
 				c.Rec.Field.Name, c.Rec.Enc, c.DeclaredBits, c.OptimalBits, c.WastePct(), c.Rec.Note)
 		}
 	}

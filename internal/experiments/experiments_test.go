@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+
+	"repro/internal/encoding"
 )
 
 // The experiment tests run reduced configurations and assert the
@@ -159,8 +161,21 @@ func TestEncWasteShapes(t *testing.T) {
 		t.Fatalf("%d reports", len(res.Reports))
 	}
 	byName := map[string]float64{}
+	prefixes := map[string]string{}
 	for _, rep := range res.Reports {
 		byName[rep.Name] = rep.WastePct()
+		for _, c := range rep.Columns {
+			if c.Rec.Enc == encoding.EncNumericString {
+				prefixes[c.Rec.Field.Name] = c.Rec.Prefix
+			}
+		}
+	}
+	// Titles and user names are a shared prefix and a decimal: the advisor
+	// keeps the prefix once and stores the decimal (they were raw before
+	// it read prefixes, and the revision and page tables' waste rose with
+	// them: 54 → 62 % and 50 → 80 % at 20k rows).
+	if !strings.HasPrefix(prefixes["page_title"], "Article_0") || prefixes["rev_user_text"] != "User_" {
+		t.Errorf("numeric-string prefixes %q, want page_title \"Article_0…\" and rev_user_text \"User_\"", prefixes)
 	}
 	// Metadata tables waste a lot; the text table wastes almost nothing.
 	for _, name := range []string{"revision", "page", "cartel"} {

@@ -21,17 +21,29 @@ import (
 // Both layouts put every fixed-width field where it can be read without
 // touching the rest of the row; DecodeField exploits this for one
 // field, DecodeFields for the set of fields a reader asked for. Both
-// store strings and bytes verbatim, so a decoded row can be a view.
+// store bytes and CHAR verbatim, and strings too, but for the packed
+// layout's string slots: a decoded row can be a view of the record, and
+// a string rebuilt from a slot a view of the reader's scratch.
 
 // Encode appends the row's encoding, in the schema's adopted layout if
 // it has one, to dst and returns the extended slice. The row must match
 // the schema exactly.
 func Encode(s *Schema, r Row, dst []byte) ([]byte, error) {
+	rec, _, err := EncodeEscapes(s, r, dst)
+	return rec, err
+}
+
+// EncodeEscapes is Encode also reporting the record's escape bitmap: bit
+// k is set when the value of field Layout.EscapeFields()[k] fell outside
+// the packed layout's domain and was stored at its declared width (a
+// string: verbatim). A declared record has none.
+func EncodeEscapes(s *Schema, r Row, dst []byte) ([]byte, uint64, error) {
 	if err := s.check(r); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	if l := s.Packed(); l != nil {
-		return l.encode(s, r, dst), nil
+		rec, esc := l.encode(s, r, dst)
+		return rec, esc, nil
 	}
 	start := len(dst)
 	dst = append(dst, make([]byte, s.declaredHead())...)
@@ -45,7 +57,7 @@ func Encode(s *Schema, r Row, dst []byte) ([]byte, error) {
 			putFixed(rec[s.declaredAt(i):], f, v)
 		}
 	}
-	return appendVar(s, r, dst), nil
+	return appendVar(s, r, dst, nil, 0), 0, nil
 }
 
 // check reports why r cannot be encoded under s, if it cannot.
@@ -132,11 +144,12 @@ func fixedValue(k Kind, b []byte) Value {
 	return v
 }
 
-// appendVar appends r's var section.
-func appendVar(s *Schema, r Row, dst []byte) []byte {
+// appendVar appends r's var section in layout l (nil: declared) for the
+// escape bitmap esc.
+func appendVar(s *Schema, r Row, dst []byte, l *Layout, esc uint64) []byte {
 	for _, i := range s.varIdx {
 		v := r[i]
-		if v.Null {
+		if v.Null || l.inSlot(i, esc) {
 			continue
 		}
 		dst = binary.AppendUvarint(dst, uint64(varLen(v)))
@@ -157,11 +170,12 @@ func varLen(v Value) int {
 	return len(v.Raw)
 }
 
-// varSize is the bytes r's var section takes.
-func varSize(s *Schema, r Row) int {
+// varSize is the bytes r's var section takes in layout l (nil:
+// declared) for the escape bitmap esc.
+func varSize(s *Schema, r Row, l *Layout, esc uint64) int {
 	n := 0
 	for _, i := range s.varIdx {
-		if v := r[i]; !v.Null {
+		if v := r[i]; !v.Null && !l.inSlot(i, esc) {
 			l := varLen(v)
 			n += uvarintLen(uint64(l)) + l
 		}
@@ -181,7 +195,7 @@ func Decode(s *Schema, data []byte) (Row, int, error) {
 // fresh slice when dst was too small; string and bytes values are
 // copied out of data either way (the result never aliases the page).
 func DecodeInto(dst Row, s *Schema, data []byte) (Row, int, error) {
-	return decode(dst, s, data, nil, false)
+	return decode(dst, s, data, nil, false, nil)
 }
 
 // DecodeFields is DecodeInto materialising only the fields a reader
@@ -195,20 +209,23 @@ func DecodeFields(dst Row, s *Schema, data []byte, need []bool) (Row, int, error
 	if need != nil && len(need) != s.NumFields() {
 		return nil, 0, fmt.Errorf("tuple: field set has %d entries, schema has %d fields", len(need), s.NumFields())
 	}
-	return decode(dst, s, data, need, false)
+	return decode(dst, s, data, need, false, nil)
 }
 
 // DecodeAlias is DecodeFields without the copies: string and bytes
-// values alias data. The row is a view — it is valid only until data
-// is next written, and no value of it may be retained past that — so a
-// writer that reads a pre-image into its own scratch, derives keys from
-// it and drops it decodes without allocating, and so does a reader that
-// encodes what it read before its scratch is reused.
-func DecodeAlias(dst Row, s *Schema, data []byte, need []bool) (Row, int, error) {
+// values alias data, and a string the record's layout rebuilds (a string
+// slot, see Layout) is appended to *scratch and aliases that. The row is
+// a view — it is valid only until data or those scratch bytes are next
+// written, and no value of it may be retained past that — so a writer
+// that reads a pre-image into its own scratch, derives keys from it and
+// drops it decodes without allocating, and so does a reader that encodes
+// what it read before its scratch is reused. A nil scratch gives each
+// rebuilt string an allocation of its own.
+func DecodeAlias(dst Row, s *Schema, data []byte, need []bool, scratch *[]byte) (Row, int, error) {
 	if need != nil && len(need) != s.NumFields() {
 		return nil, 0, fmt.Errorf("tuple: field set has %d entries, schema has %d fields", len(need), s.NumFields())
 	}
-	return decode(dst, s, data, need, true)
+	return decode(dst, s, data, need, true, scratch)
 }
 
 // aliasString returns b's bytes as a string without copying them. The
@@ -250,8 +267,9 @@ func (s *Schema) layoutOf(data []byte) (*Layout, error) {
 // null reports whether field i of a record is NULL.
 func null(data []byte, i int) bool { return data[1+i/8]&(1<<(i%8)) != 0 }
 
-// decode is the one decode loop. need is DecodeFields' field set.
-func decode(dst Row, s *Schema, data []byte, need []bool, alias bool) (Row, int, error) {
+// decode is the one decode loop. need is DecodeFields' field set; alias
+// and scratch are DecodeAlias's.
+func decode(dst Row, s *Schema, data []byte, need []bool, alias bool, scratch *[]byte) (Row, int, error) {
 	l, err := s.layoutOf(data)
 	if err != nil {
 		return nil, 0, err
@@ -278,7 +296,11 @@ func decode(dst Row, s *Schema, data []byte, need []bool, alias bool) (Row, int,
 		case null(data, i):
 			r[i] = Value{Kind: f.Kind, Null: true}
 		case s.fixedOff[i] < 0:
-			r[i] = Value{Kind: f.Kind} // the var section below fills it
+			// The var section below fills it, unless a string slot holds it.
+			r[i] = Value{Kind: f.Kind}
+			if want && l.inSlot(i, esc) {
+				r[i].Str = l.slots[i].rebuild(packed, scratch)
+			}
 		case l != nil:
 			l.fill(&r[i], data, packed, i, esc, want, alias)
 		case f.Kind == KindChar:
@@ -292,7 +314,7 @@ func decode(dst Row, s *Schema, data []byte, need []bool, alias bool) (Row, int,
 		}
 	}
 	for _, i := range s.varIdx {
-		if r[i].Null {
+		if r[i].Null || l.inSlot(i, esc) {
 			continue
 		}
 		f := s.Field(i)
@@ -322,9 +344,10 @@ func decode(dst Row, s *Schema, data []byte, need []bool, alias bool) (Row, int,
 }
 
 // DecodeField decodes only the idx-th field of an encoded row. For
-// fixed-width fields this touches just the null bitmap, the field's slot
-// and, in the packed layout, the escape bitmap; variable-length fields
-// require walking the var section.
+// fixed-width fields and string slots that did not escape this touches
+// just the null bitmap, the field's slot and, in the packed layout, the
+// escape bitmap; other variable-length fields require walking the var
+// section.
 func DecodeField(s *Schema, data []byte, idx int) (Value, error) {
 	if idx < 0 || idx >= s.NumFields() {
 		return Value{}, fmt.Errorf("tuple: field index %d out of range", idx)
@@ -344,6 +367,8 @@ func DecodeField(s *Schema, data []byte, idx int) (Value, error) {
 	switch {
 	case null(data, idx):
 		return Value{Kind: f.Kind, Null: true}, nil
+	case s.fixedOff[idx] < 0 && l.inSlot(idx, esc):
+		return Value{Kind: f.Kind, Str: l.slots[idx].rebuild(data[l.bitsAt:l.charAt], nil)}, nil
 	case s.fixedOff[idx] < 0:
 	case l != nil:
 		var v Value
@@ -360,8 +385,8 @@ func DecodeField(s *Schema, data []byte, idx int) (Value, error) {
 		if vi > idx {
 			break
 		}
-		if null(data, vi) {
-			continue // NULL: not present in var section
+		if null(data, vi) || l.inSlot(vi, esc) {
+			continue // NULL or in a string slot: not present in var section
 		}
 		n, sz := binary.Uvarint(data[off:])
 		if sz <= 0 {
@@ -402,7 +427,7 @@ func DeclaredSize(s *Schema, r Row) (int, error) {
 	if len(r) != s.NumFields() {
 		return 0, fmt.Errorf("tuple: row has %d values, schema has %d fields", len(r), s.NumFields())
 	}
-	return s.declaredHead() + varSize(s, r), nil
+	return s.declaredHead() + varSize(s, r, nil, 0), nil
 }
 
 // nullLen is the bytes of a record's null bitmap.

@@ -69,7 +69,7 @@ func TestDecodeAliasIsAView(t *testing.T) {
 	dst := make(Row, s.NumFields())
 	var view Row
 	allocs := testing.AllocsPerRun(100, func() {
-		if view, _, err = DecodeAlias(dst, s, enc, nil); err != nil {
+		if view, _, err = DecodeAlias(dst, s, enc, nil, nil); err != nil {
 			t.Fatalf("DecodeAlias: %v", err)
 		}
 	})

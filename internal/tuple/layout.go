@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"strings"
 )
 
 // Record tags: the first byte of every encoded row names the layout it
@@ -22,36 +23,55 @@ const (
 // value before it is stored there. Only integers, timestamps and
 // integral doubles narrower than their declared width are stored as
 // offsets: any other fixed-width field keeps its declared width (a
-// boolean one bit), and CHAR, string and bytes fields are stored
-// verbatim, so the zero FieldPacking fits them.
+// boolean one bit), and CHAR and bytes fields are stored verbatim.
+//
+// A string (VARCHAR) field with a non-zero packing is a string slot:
+// every value in its domain is Prefix followed by a decimal of at most
+// 18 digits, stored as an offset in Bits bits. Digits is that decimal's
+// digit count when it is fixed, so leading zeros come back by re-padding
+// and the count takes no bits; 0 means each record stores its count in 5
+// bits. A string field with the zero FieldPacking is stored verbatim.
 type FieldPacking struct {
-	Bits   int   `json:"bits,omitempty"`
-	Offset int64 `json:"offset,omitempty"`
+	Bits   int    `json:"bits,omitempty"`
+	Offset int64  `json:"offset,omitempty"`
+	Prefix string `json:"prefix,omitempty"`
+	Digits int    `json:"digits,omitempty"`
 }
 
-// maxEscapes bounds the fields of one layout that are stored as offsets,
-// so a record's escape bitmap is one word. Fields past it keep their
-// declared width.
-const maxEscapes = 64
+const (
+	// maxEscapes bounds the fields of one layout that are stored as
+	// offsets or string slots, so a record's escape bitmap is one word.
+	// Fields past it keep their declared width, or stay verbatim.
+	maxEscapes = 64
+	// MaxDigits is the longest decimal a string slot stores: every
+	// 18-digit number fits an int64.
+	MaxDigits = 18
+	// DigitCountBits is the width of a string slot's stored digit count.
+	DigitCountBits = 5
+)
 
 // Layout is a schema's packed record layout:
 //
 //	tag            TagPacked
 //	null bitmap    as in the declared layout
-//	escape bitmap  ceil(offset fields/8) bytes: bit k set = the k-th
-//	               offset field holds a value outside its domain
+//	escape bitmap  ceil((offset fields + string slots)/8) bytes: bit k
+//	               set = the k-th of them holds a value outside its
+//	               domain
 //	packed section each offset field as value−Offset in Bits bits, each
-//	               other fixed-width field but CHAR at its declared
-//	               width (a boolean in one bit), LSB first, at fixed
-//	               bit offsets
+//	               string slot as its digit count (when not fixed) and
+//	               its decimal−Offset, each other fixed-width field but
+//	               CHAR at its declared width (a boolean in one bit),
+//	               LSB first, at fixed bit offsets
 //	CHAR section   each CHAR field verbatim at its declared size
-//	escape area    each escaped field at its declared width, in field
-//	               order
-//	var section    as in the declared layout
+//	escape area    each escaped offset field at its declared width, in
+//	               field order
+//	var section    as in the declared layout, less the string slots
+//	               that did not escape
 //
-// A value the domain cannot hold escapes to its declared width; it is
-// never an error. Every fixed-width field is found in O(1): the escape
-// area's offsets are popcounts of the escape bitmap.
+// A value the domain cannot hold escapes, to its declared width or, a
+// string, verbatim into the var section; it is never an error. Every
+// fixed-width field and every string slot that did not escape is found
+// in O(1): the escape area's offsets are popcounts of the escape bitmap.
 type Layout struct {
 	slots   []slot
 	escaped []int // the field of each escape bit
@@ -72,9 +92,15 @@ type slot struct {
 	kind   Kind
 	size   int   // declared bytes
 	at     int   // bit offset in the packed section; CHAR: record offset
-	bits   int   // width in the packed section
-	esc    int   // escape bit, -1 for a field stored at its declared width
+	bits   int   // width in the packed section (a string slot's decimal)
+	esc    int   // escape bit, -1 for a field stored at its declared width or verbatim
 	offset int64 // subtracted before storing
+
+	// A string slot's prefix, its fixed digit count, and the width of the
+	// count it stores instead when that is 0.
+	prefix  string
+	digits  int
+	lenBits int
 }
 
 // NewLayout builds the packed layout for s from one FieldPacking per
@@ -89,8 +115,28 @@ func NewLayout(s *Schema, spec []FieldPacking) (*Layout, error) {
 	for i, f := range s.fields {
 		p, sl := spec[i], &l.slots[i]
 		sl.kind, sl.size, sl.esc = f.Kind, f.width(), -1
+		if (p.Prefix != "" || p.Digits != 0) && f.Kind != KindString {
+			return nil, fmt.Errorf("tuple: field %q: a %v field has no string slot", f.Name, f.Kind)
+		}
 		switch f.Kind {
-		case KindString, KindBytes:
+		case KindString:
+			if p == (FieldPacking{}) || nesc == maxEscapes {
+				continue
+			}
+			if p.Bits < 0 || p.Bits > 64 || p.Digits < 0 || p.Digits > MaxDigits {
+				return nil, fmt.Errorf("tuple: field %q: string slot of %d bits, %d digits", f.Name, p.Bits, p.Digits)
+			}
+			sl.bits, sl.offset, sl.esc = p.Bits, p.Offset, nesc
+			sl.prefix, sl.digits = p.Prefix, p.Digits
+			if p.Digits == 0 {
+				sl.lenBits = DigitCountBits
+			}
+			l.escaped = append(l.escaped, i)
+			nesc++
+			sl.at = nbits
+			nbits += sl.lenBits + sl.bits
+			continue
+		case KindBytes:
 			continue
 		case KindChar:
 			sl.at = nchar
@@ -133,11 +179,26 @@ func (l *Layout) Spec() []FieldPacking {
 	spec := make([]FieldPacking, len(l.slots))
 	for i, sl := range l.slots {
 		if sl.kind != KindChar {
-			spec[i] = FieldPacking{Bits: sl.bits, Offset: sl.offset}
+			spec[i] = FieldPacking{Bits: sl.bits, Offset: sl.offset, Prefix: sl.prefix, Digits: sl.digits}
 		}
 	}
 	return spec
 }
+
+// HasStringSlots reports whether the layout stores any string as a slot:
+// a file holding such records needs a reader that knows string slots.
+func (l *Layout) HasStringSlots() bool {
+	for _, i := range l.escaped {
+		if l.slots[i].kind == KindString {
+			return true
+		}
+	}
+	return false
+}
+
+// EscapeFields returns the field each escape bit stands for: bit k of a
+// record's escape bitmap (EncodeEscapes) is field EscapeFields()[k].
+func (l *Layout) EscapeFields() []int { return append([]int(nil), l.escaped...) }
 
 // Packed returns the layout Encode writes s's rows in, nil while s has
 // adopted none.
@@ -156,8 +217,13 @@ func (s *Schema) Adopt(l *Layout) error {
 	return nil
 }
 
-// fits reports whether v, not NULL, is inside an offset field's domain.
+// fits reports whether v, not NULL, is inside an offset field's or a
+// string slot's domain.
 func (sl *slot) fits(v *Value) bool {
+	if sl.kind == KindString {
+		_, _, ok := sl.split(v.Str)
+		return ok
+	}
 	x := v.Int
 	if sl.kind == KindFloat64 {
 		const two63 = 1 << 63
@@ -170,6 +236,87 @@ func (sl *slot) fits(v *Value) bool {
 		}
 	}
 	return (uint64(x)-uint64(sl.offset))>>sl.bits == 0
+}
+
+// split returns what a string slot stores for s: the decimal after its
+// prefix as an offset from the slot's, and the decimal's digit count. ok
+// is false for a value outside the slot's domain: without the prefix,
+// with anything but 0–9 after it, with more than MaxDigits digits or
+// another count than a fixed one, or a decimal the bits cannot hold.
+func (sl *slot) split(s string) (stored uint64, width int, ok bool) {
+	if !strings.HasPrefix(s, sl.prefix) {
+		return 0, 0, false
+	}
+	rest := s[len(sl.prefix):]
+	if len(rest) > MaxDigits || (sl.lenBits == 0 && len(rest) != sl.digits) {
+		return 0, 0, false
+	}
+	var n uint64
+	for i := 0; i < len(rest); i++ {
+		d := rest[i] - '0'
+		if d > 9 {
+			return 0, 0, false
+		}
+		n = n*10 + uint64(d)
+	}
+	stored = n - uint64(sl.offset)
+	return stored, len(rest), stored>>sl.bits == 0
+}
+
+// rebuild is a string slot's value in a packed record whose packed
+// section is packed: the prefix, then the decimal re-padded to its digit
+// count. With a scratch it is appended to *scratch and is a view of it;
+// without one it is a string of its own, one allocation. Its frames are
+// kept small: a served read runs on a fresh goroutine, whose stack grows
+// (a copy of it) when the deepest call of the read path does not fit.
+func (sl *slot) rebuild(packed []byte, scratch *[]byte) string {
+	width := sl.digits
+	if sl.lenBits > 0 {
+		width = int(loadBits(packed, sl.at, sl.lenBits))
+	}
+	var b []byte
+	if scratch != nil {
+		b = *scratch
+	} else {
+		b = make([]byte, 0, len(sl.prefix)+max(width, 20)) // 20: the digits of any uint64
+	}
+	start := len(b)
+	b = AppendDigits(append(b, sl.prefix...), loadBits(packed, sl.at+sl.lenBits, sl.bits)+uint64(sl.offset), width)
+	if scratch != nil {
+		*scratch = b
+	}
+	return aliasString(b[start:])
+}
+
+// AppendDigits appends n in decimal to dst, left-padded with zeros to
+// width digits: the one rule a digit string is rebuilt by, in a string
+// slot and in the §4.1 report's codec (encoding.PackedCodec). Zero has no
+// digit of its own, so width 0 writes nothing for it and width 3 writes
+// "000".
+func AppendDigits(dst []byte, n uint64, width int) []byte {
+	k := 0
+	for x := n; x > 0; x /= 10 {
+		k++
+	}
+	start := len(dst)
+	dst = append(dst, make([]byte, max(k, width))...)
+	for i := len(dst) - 1; i >= start; i-- {
+		dst[i] = byte('0' + n%10)
+		n /= 10
+	}
+	return dst
+}
+
+// inSlot reports whether var field i of a record whose escape bitmap is
+// esc is stored in l's packed section — a string slot its value did not
+// escape — instead of the var section. A nil l is the declared layout,
+// which has no slots.
+func (l *Layout) inSlot(i int, esc uint64) bool {
+	if l == nil {
+		return false
+	}
+	sl := &l.slots[i]
+	return sl.esc >= 0 && esc&(1<<sl.esc) == 0
 }
 
 // escapesOf returns the escape bitmap r takes in l.
@@ -216,11 +363,13 @@ func (l *Layout) fixedEnd(data []byte) (int, uint64, error) {
 
 // size is the bytes Encode writes for r in l.
 func (l *Layout) size(s *Schema, r Row) int {
-	return l.escAt + l.escOffset(l.escapesOf(r), maxEscapes) + varSize(s, r)
+	esc := l.escapesOf(r)
+	return l.escAt + l.escOffset(esc, maxEscapes) + varSize(s, r, l, esc)
 }
 
-// encode appends r, already validated, in l.
-func (l *Layout) encode(s *Schema, r Row, dst []byte) []byte {
+// encode appends r, already validated, in l, and returns its escape
+// bitmap.
+func (l *Layout) encode(s *Schema, r Row, dst []byte) ([]byte, uint64) {
 	esc := l.escapesOf(r)
 	start := len(dst)
 	dst = append(dst, make([]byte, l.escAt+l.escOffset(esc, maxEscapes))...)
@@ -232,13 +381,19 @@ func (l *Layout) encode(s *Schema, r Row, dst []byte) []byte {
 	packed, at := rec[l.bitsAt:l.charAt], l.escAt
 	for i := range l.slots {
 		v, sl := &r[i], &l.slots[i]
+		escaped := sl.esc >= 0 && esc&(1<<sl.esc) != 0
 		switch {
 		case v.Null:
 			rec[1+i/8] |= 1 << (i % 8)
 		case sl.kind == KindChar:
 			copy(rec[sl.at:], v.Str)
+		case sl.kind == KindString && sl.esc >= 0 && !escaped:
+			stored, width, _ := sl.split(v.Str)
+			storeBits(packed, sl.at, sl.lenBits, uint64(width))
+			storeBits(packed, sl.at+sl.lenBits, sl.bits, stored)
 		case sl.kind == KindString, sl.kind == KindBytes:
-		case sl.esc >= 0 && esc&(1<<sl.esc) != 0:
+			// verbatim, in the var section
+		case escaped:
 			putFixed(rec[at:], s.fields[i], *v)
 			at += sl.size
 		case sl.esc >= 0:
@@ -257,7 +412,7 @@ func (l *Layout) encode(s *Schema, r Row, dst []byte) []byte {
 			storeBits(packed, sl.at, sl.bits, uint64(v.Int))
 		}
 	}
-	return appendVar(s, r, dst)
+	return appendVar(s, r, dst, l, esc), esc
 }
 
 // fill sets *v to fixed-width field i of a packed record: data is the

@@ -2,8 +2,10 @@ package tuple_test
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/encoding"
@@ -69,14 +71,42 @@ func fuzzValue(rng *rand.Rand, f tuple.Field, wide bool) tuple.Value {
 		}
 		return tuple.Char(string(b))
 	case tuple.KindString:
-		b := make([]byte, rng.Intn(12))
-		rng.Read(b)
-		return tuple.String(string(b))
+		return tuple.String(fuzzString(rng, f, wide))
 	default:
 		b := make([]byte, rng.Intn(12))
 		rng.Read(b)
 		return tuple.Bytes(b)
 	}
+}
+
+// fuzzString draws a string of f. Most fields hold what a string slot
+// stores — a prefix the field's values share (none, ASCII, or with
+// non-ASCII bytes) and a decimal of a fixed or a varying digit count;
+// the rest hold random bytes. A wide draw also reaches what must escape
+// a slot: a prefix cut short, the empty string, leading zeros, 18 and
+// 19 digits, a non-digit after the prefix, a decimal past the sample's.
+func fuzzString(rng *rand.Rand, f tuple.Field, wide bool) string {
+	c := int(f.Name[0])
+	prefix, width := []string{"", "item-000", "é/"}[c%3], c%4 // width 0: varying
+	if c%5 == 4 {
+		b := make([]byte, rng.Intn(12))
+		rng.Read(b)
+		return string(b)
+	}
+	digits := func(n uint64, w int) string { return string(tuple.AppendDigits(nil, n, w)) }
+	if wide && rng.Intn(2) == 0 {
+		edges := []string{
+			prefix[:len(prefix)/2], "", prefix + "0", prefix + "000",
+			prefix + digits(uint64(rng.Int63n(1e18)), 18), prefix + digits(uint64(rng.Int63()), 19),
+			prefix + "12a", prefix + "\xff9", prefix + digits(uint64(rng.Intn(1e6)), width),
+			prefix + digits(uint64(rng.Intn(10)), width+1),
+		}
+		return edges[rng.Intn(len(edges))]
+	}
+	if width == 0 {
+		return prefix + digits(uint64(rng.Intn(200)), rng.Intn(4))
+	}
+	return prefix + digits(uint64(rng.Intn(min(200, int(math.Pow10(width))))), width)
 }
 
 func fuzzRow(rng *rand.Rand, s *tuple.Schema, wide bool) tuple.Row {
@@ -105,9 +135,10 @@ func sameValue(a, b tuple.Value) bool {
 
 // FuzzRecordLayout: over a random schema and a layout the advisor picks
 // from a profile of a random sample, every row — NULLs, out-of-domain
-// values, the kinds' extremes, NaN, ±Inf, −0 and empty strings included
-// — encodes to EncodedSize bytes, and every decode entry point returns
-// what the declared codec returns for it. A declared record stays
+// values, the kinds' extremes, NaN, ±Inf, −0, and strings in and out of
+// a string slot's domain included — encodes to EncodedSize bytes, and
+// every decode entry point returns what the declared codec returns for
+// it, DecodeAlias with and without scratch. A declared record stays
 // readable by the schema that adopted the layout.
 func FuzzRecordLayout(f *testing.F) {
 	for _, seed := range []int64{1, 2, 3, 42, 2011} {
@@ -182,8 +213,14 @@ func FuzzRecordLayout(f *testing.F) {
 			}
 			got, gn, err = tuple.DecodeFields(nil, packed, rec, need)
 			check("DecodeFields", got, gn, err, need)
-			got, gn, err = tuple.DecodeAlias(nil, packed, rec, nil)
+			got, gn, err = tuple.DecodeAlias(nil, packed, rec, nil, nil)
 			check("DecodeAlias", got, gn, err, nil)
+			scratch := []byte("kept")
+			got, gn, err = tuple.DecodeAlias(nil, packed, rec, need, &scratch)
+			check("DecodeAlias with scratch", got, gn, err, need)
+			if string(scratch[:4]) != "kept" {
+				t.Fatalf("%s: DecodeAlias wrote over the scratch it was handed: %q", packed, scratch)
+			}
 			for i := range wantRow {
 				v, err := tuple.DecodeField(packed, rec, i)
 				if err != nil || !sameValue(v, wantRow[i]) {
@@ -232,5 +269,158 @@ func TestPackedRecordNeedsItsLayout(t *testing.T) {
 	// 16 does not fit 4 bits: it escapes to the declared 8 bytes.
 	if rec, _ = tuple.Encode(s, tuple.Row{tuple.Int64(16)}, nil); len(rec) != 12 {
 		t.Errorf("escaped record is %d bytes, want 12", len(rec))
+	}
+}
+
+// TestStringSlotEdges: a string slot holds exactly the values of its
+// domain — its prefix, then a decimal of its digit count that its bits
+// hold — and everything else escapes to the var section verbatim. Each
+// value round-trips through every decode entry point.
+func TestStringSlotEdges(t *testing.T) {
+	s := tuple.MustSchema(
+		tuple.Field{Name: "fixed", Kind: tuple.KindString},
+		tuple.Field{Name: "varying", Kind: tuple.KindString},
+		tuple.Field{Name: "plain", Kind: tuple.KindString},
+	)
+	l, err := tuple.NewLayout(s, []tuple.FieldPacking{
+		{Bits: 8, Offset: 100, Prefix: "item-000", Digits: 3}, // "item-000" + 100..355
+		{Bits: 10}, // any digit count, 0..1023
+		{},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Adopt(l); err != nil {
+		t.Fatal(err)
+	}
+	if !l.HasStringSlots() || fmt.Sprint(l.EscapeFields()) != "[0 1]" {
+		t.Fatalf("slots %v, escape fields %v", l.HasStringSlots(), l.EscapeFields())
+	}
+	cases := []struct {
+		v      tuple.Value
+		field  int
+		escape bool
+	}{
+		{tuple.String("item-000100"), 0, false},
+		{tuple.String("item-000355"), 0, false},
+		{tuple.String("item-000099"), 0, true},  // below the offset
+		{tuple.String("item-000356"), 0, true},  // past the bits
+		{tuple.String("item-00010"), 0, true},   // another digit count
+		{tuple.String("item-0001000"), 0, true}, // another digit count
+		{tuple.String("item-00"), 0, true},      // the prefix longer than the value
+		{tuple.String(""), 0, true},
+		{tuple.String("item-00012x"), 0, true},
+		{tuple.String("item-000\xff99"), 0, true},
+		{tuple.String("ítem-000200"), 0, true},
+		{tuple.Null(tuple.KindString), 0, false},
+		{tuple.String(""), 1, false}, // no digits: 0 of them
+		{tuple.String("0"), 1, false},
+		{tuple.String("000"), 1, false},
+		{tuple.String("0001023"), 1, false},
+		{tuple.String("1024"), 1, true},
+		{tuple.String("000000000000000042"), 1, false}, // 18 digits
+		{tuple.String("0000000000000000042"), 1, true}, // 19
+		{tuple.String("-1"), 1, true},
+		{tuple.String("١٢"), 1, true}, // digits, not 0–9
+	}
+	for _, c := range cases {
+		row := tuple.Row{tuple.String("item-000200"), tuple.String("7"), tuple.String("0")}
+		row[c.field] = c.v
+		rec, esc, err := tuple.EncodeEscapes(s, row, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := esc&(1<<c.field) != 0; got != c.escape {
+			t.Errorf("%q in field %d: escaped %v, want %v", c.v.Str, c.field, got, c.escape)
+		}
+		if n, err := tuple.EncodedSize(s, row); err != nil || n != len(rec) {
+			t.Errorf("%q: EncodedSize %d (%v), Encode wrote %d", c.v.Str, n, err, len(rec))
+		}
+		// An escaped value is in the record verbatim, a slotted one is not
+		// (checked where a value is too long to occur by chance).
+		if len(c.v.Str) >= 3 && strings.Contains(string(rec), c.v.Str) != c.escape {
+			t.Errorf("%q: stored verbatim %v, escaped %v", c.v.Str, !c.escape, c.escape)
+		}
+		scratch := make([]byte, 0, 4) // too small: the rebuild grows it
+		entries := map[string]func() (tuple.Row, error){
+			"Decode": func() (tuple.Row, error) { r, _, err := tuple.Decode(s, rec); return r, err },
+			"DecodeFields": func() (tuple.Row, error) {
+				r, _, err := tuple.DecodeFields(nil, s, rec, []bool{true, true, false})
+				return r, err
+			},
+			"DecodeAlias": func() (tuple.Row, error) {
+				r, _, err := tuple.DecodeAlias(nil, s, rec, nil, &scratch)
+				return r, err
+			},
+		}
+		for name, decode := range entries {
+			got, err := decode()
+			if err != nil || !got[c.field].Equal(c.v) || got[c.field].Null != c.v.Null {
+				t.Errorf("%s of %q in field %d: %v (%v)", name, c.v.Str, c.field, got, err)
+			}
+		}
+		if v, err := tuple.DecodeField(s, rec, c.field); err != nil || !v.Equal(c.v) || v.Null != c.v.Null {
+			t.Errorf("DecodeField of %q in field %d: %v (%v)", c.v.Str, c.field, v, err)
+		}
+		if v, err := tuple.DecodeField(s, rec, 2); err != nil || v.Str != "0" {
+			t.Errorf("DecodeField of the verbatim field after %q: %v (%v)", c.v.Str, v, err)
+		}
+	}
+}
+
+// A rebuilt string read as a view is a view of the scratch: the next
+// decode into the same scratch overwrites it.
+func TestStringSlotRebuildsIntoScratch(t *testing.T) {
+	s, rec := slotRecord(t, "item-001812")
+	if len(rec) != 6 { // tag, null bitmap, escape bitmap, 20 bits
+		t.Fatalf("record is %d bytes, want 6", len(rec))
+	}
+	scratch := make([]byte, 0, 64)
+	view, _, err := tuple.DecodeAlias(nil, s, rec, nil, &scratch)
+	if err != nil || view[0].Str != "item-001812" {
+		t.Fatalf("view reads %v (%v)", view, err)
+	}
+	_, other := slotRecord(t, "item-199900")
+	reused := scratch[:0]
+	if _, _, err := tuple.DecodeAlias(nil, s, other, nil, &reused); err != nil {
+		t.Fatal(err)
+	}
+	if view[0].Str != "item-199900" {
+		t.Fatalf("the first view reads %q after the scratch was reused: it is not a view of it", view[0].Str)
+	}
+}
+
+// slotRecord encodes name under a schema of one VARCHAR stored as the
+// string slot "item-" + six digits in 20 bits.
+func slotRecord(t *testing.T, name string) (*tuple.Schema, []byte) {
+	t.Helper()
+	s := tuple.MustSchema(tuple.Field{Name: "name", Kind: tuple.KindString})
+	l, err := tuple.NewLayout(s, []tuple.FieldPacking{{Bits: 20, Prefix: "item-", Digits: 6}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Adopt(l); err != nil {
+		t.Fatal(err)
+	}
+	rec, err := tuple.Encode(s, tuple.Row{tuple.String(name)}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s, rec
+}
+
+func TestAppendDigits(t *testing.T) {
+	for _, c := range []struct {
+		n     uint64
+		width int
+		want  string
+	}{
+		{0, 0, ""}, {0, 1, "0"}, {0, 3, "000"}, {7, 0, "7"}, {1812, 6, "001812"},
+		{199900, 6, "199900"}, {123, 2, "123"}, {999999999999999999, 18, "999999999999999999"},
+		{math.MaxUint64, 22, "0018446744073709551615"},
+	} {
+		if got := string(tuple.AppendDigits([]byte("x"), c.n, c.width)); got != "x"+c.want {
+			t.Errorf("AppendDigits(%d, %d) = %q, want %q", c.n, c.width, got, "x"+c.want)
+		}
 	}
 }
