@@ -333,7 +333,8 @@ func (ix *Index) aggregate(cfg queryConfig, specs []AggSpec) (AggResult, error) 
 	states := make([]*aggState, len(segs))
 	var scans []blockScan
 	if pushdown {
-		r := ix.newResolver(&plan, fp, cfg.policy, snapLatest, nil)
+		var r resolver
+		r.reset(ix, &plan, fp, cfg.policy, snapLatest, nil)
 		// Pushed down, the leaf answers every entry it can: on a cache hit
 		// when some needed field lives in the payload, and from key bytes
 		// alone — no probe at all — when none does.

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"iter"
+	"runtime"
 
 	"repro/internal/btree"
 	"repro/internal/storage"
@@ -39,7 +40,9 @@ import (
 // mid-scan without Close leaks its pin and eventually starves the
 // pool (Pool.PinnedFrames observes this in tests). Heap-order cursors
 // hold no pin between calls — each page is snapshotted into cursor
-// scratch under its latch and released before Next returns.
+// scratch under its latch and released before Next returns — and
+// neither does a point cursor (see pointSource), whose one row is
+// resolved inside Next.
 //
 // A serial index cursor is one allocation: the options it was opened
 // with, its source (resolver and btree cursor included), its encoded
@@ -80,6 +83,10 @@ type QueryStats struct {
 	CacheHits int64
 	// HeapReads counts rows fetched from the heap.
 	HeapReads int64
+	// CacheFills counts cache entries installed after a heap answer. Only
+	// a point query — WithPrefix binding every key field of a unique
+	// index — fills; scans only probe.
+	CacheFills int64
 	// LeafFetches counts index leaf pages fetched (index queries).
 	LeafFetches int64
 }
@@ -89,6 +96,7 @@ func (s *QueryStats) Add(o QueryStats) {
 	s.Rows += o.Rows
 	s.CacheHits += o.CacheHits
 	s.HeapReads += o.HeapReads
+	s.CacheFills += o.CacheFills
 	s.LeafFetches += o.LeafFetches
 }
 
@@ -195,6 +203,10 @@ type indexSource struct {
 	bt   btree.Cursor
 	gate cacheGate
 	hit  bool
+	// point is a pointSource's encoded search key; fill says whether its
+	// heap answer installs the cache entry it missed.
+	point []byte
+	fill  bool
 	// bounds hold the encoded key range until bt copies it in.
 	bounds [2][32]byte
 }
@@ -217,6 +229,74 @@ func (s *indexSource) step(c *Cursor) bool {
 }
 
 func (s *indexSource) close() { s.bt.Close() }
+
+// --- point source --------------------------------------------------------
+
+// lookupRetries bounds how often a point read re-descends after finding
+// a stale entry (see tierStale) before it answers not-found.
+const lookupRetries = 64
+
+// pointSource is a serial index cursor whose bound binds every key field
+// of a unique index by equality, so it names one entry. Its step is the
+// paper's §2.1.1 point query in one VisitLeaf: find the entry, probe the
+// leaf's cache, resolve, and after a heap answer fill the cache under the
+// same latch — where an indexSource runs a btree cursor and only probes.
+// It is the cursor's own indexSource under another name (no allocation,
+// no pin held between calls); openPointSource sets Cursor.limit to 1.
+type pointSource indexSource
+
+func (s *pointSource) step(c *Cursor) bool {
+	r, key := &s.r, s.point
+	ix := r.ix
+	for try := 0; ; try++ {
+		var (
+			row tuple.Row
+			rid storage.RID
+			how tier
+			err error
+		)
+		verr := ix.tree.VisitLeaf(key, func(l *btree.Leaf) {
+			c.stats.LeafFetches++
+			packed, found := l.Find(key)
+			if !found {
+				return
+			}
+			var payload []byte
+			prepared, hit := r.probe && ix.cache.Prepare(l), false
+			if prepared {
+				if payload, hit = ix.cache.LookupInto(r.payload[:0], l, packed); hit {
+					r.payload = payload[:0]
+				}
+			}
+			row, rid, how, err = r.resolve(c.row, key, packed, payload, hit)
+			// The fill: a heap answer installs the entry it missed, when the
+			// latch is exclusive (§2.1.3: give up rather than wait).
+			if how == tierHeap && s.fill && l.Exclusive() && (prepared || ix.cache.Prepare(l)) &&
+				ix.admit(l, packed, r.heapRow, &r.payload) {
+				c.stats.CacheFills++
+			}
+		})
+		if err == nil {
+			err = verr
+		}
+		if err != nil {
+			c.err = err
+			return false
+		}
+		if how >= tierLeaf {
+			c.row, c.rid, c.key = row, rid, key
+			return true
+		}
+		// A stale entry at the latest state is a writer mid-move, about to
+		// repoint it; under a pinned snapshot it stays stale.
+		if how != tierStale || r.snap != snapLatest || try == lookupRetries {
+			return false
+		}
+		runtime.Gosched()
+	}
+}
+
+func (s *pointSource) close() {}
 
 // --- heap-order source ---------------------------------------------------
 

@@ -15,8 +15,9 @@ import (
 // did, the two queries here cost 12 and 11 allocations. The snapshot
 // read of a transaction takes the heap tier (it bypasses the cache),
 // whose record and row scratch are inline too. A Cursor reopened by
-// QueryInto — the server keeps one per pooled request — costs nothing.
-// (Not under -race: the detector changes allocation counts.)
+// QueryInto — the server keeps one per pooled request — costs nothing,
+// and so does a warm LookupInto, whose point cursor is pooled. (Not
+// under -race: the detector changes allocation counts.)
 func TestOneRowQueryIsOneAllocation(t *testing.T) {
 	const rows = 2000
 	e, tb, ix := newQueryFixture(t, rows, true)
@@ -46,7 +47,10 @@ func TestOneRowQueryIsOneAllocation(t *testing.T) {
 	}
 	tx := e.Begin()
 	defer tx.Abort()
-	var cur Cursor
+	var (
+		cur Cursor
+		dst tuple.Row
+	)
 	cases := []struct {
 		name   string
 		budget float64
@@ -64,6 +68,14 @@ func TestOneRowQueryIsOneAllocation(t *testing.T) {
 		{"Txn.QueryInto", 0, read(func(id int64) (*Cursor, error) {
 			return &cur, tx.QueryInto(&cur, tb, WithIndex("by_id"), WithPrefix(tuple.Int64(id)), WithProjection(covered...))
 		}, false)},
+		{"Index.LookupInto", 0, func() {
+			id = (id*31 + 7) % rows
+			row, res, err := ix.LookupInto(dst, covered, tuple.Int64(id))
+			if err != nil || !res.CacheHit || row[0].Int != id || row[1].Int != 3*id || row[2].Int != id%97 {
+				t.Fatalf("id %d: %v %+v %v, want a cache hit", id, row, res, err)
+			}
+			dst = row
+		}},
 	}
 	for _, tc := range cases {
 		tc.op() // warm the plan cache

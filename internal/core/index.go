@@ -66,6 +66,7 @@ type Index struct {
 	name      string
 	keyFields []int
 	keyKinds  []tuple.Kind // kinds of keyFields, for decoding entry keys; immutable
+	keyNames  []string     // names of keyFields (KeyFieldNames); immutable
 	unique    bool
 	cfg       indexConfig // resolved creation config (checkpoint manifest)
 	tree      *btree.Tree
@@ -282,6 +283,7 @@ func (t *Table) newIndexShell(name string, fields []string, cfg indexConfig) (*I
 		}
 		ix.keyFields = append(ix.keyFields, pos)
 		ix.keyKinds = append(ix.keyKinds, t.schema.Field(pos).Kind)
+		ix.keyNames = append(ix.keyNames, t.schema.Field(pos).Name)
 	}
 	if len(cfg.cachedFields) > 0 {
 		if cfg.nonUnique {
@@ -393,14 +395,9 @@ func (ix *Index) Cache() *idxcache.Cache { return ix.cache }
 // Unique reports whether the index enforces unique keys.
 func (ix *Index) Unique() bool { return ix.unique }
 
-// KeyFieldNames returns the names of the key fields in order.
-func (ix *Index) KeyFieldNames() []string {
-	names := make([]string, len(ix.keyFields))
-	for i, pos := range ix.keyFields {
-		names[i] = ix.table.schema.Field(pos).Name
-	}
-	return names
-}
+// KeyFieldNames returns the names of the key fields in order. The slice
+// is the index's own, shared by every caller: it must not be modified.
+func (ix *Index) KeyFieldNames() []string { return ix.keyNames }
 
 // CachedFieldNames returns the names of the cached fields in order.
 func (ix *Index) CachedFieldNames() []string {
@@ -445,24 +442,13 @@ func (ix *Index) stillIndexes(scratch []byte, row tuple.Row, rid storage.RID, ke
 	return k, bytes.Equal(k, key)
 }
 
-// searchKey builds the lookup key from caller-supplied key values.
-func (ix *Index) searchKey(keyVals []tuple.Value) ([]byte, error) {
-	return ix.searchKeyInto(nil, keyVals)
-}
-
-// searchKeyInto is searchKey appending into dst — the hot path passes a
-// pooled scratch buffer so key encoding is allocation-free.
-func (ix *Index) searchKeyInto(dst []byte, keyVals []tuple.Value) ([]byte, error) {
+// searchKey encodes a full key — one value per key field, each of its
+// field's kind — into dst.
+func (ix *Index) searchKey(dst []byte, keyVals []tuple.Value) ([]byte, error) {
 	if len(keyVals) != len(ix.keyFields) {
 		return nil, fmt.Errorf("core: index %q wants %d key values, got %d", ix.name, len(ix.keyFields), len(keyVals))
 	}
-	for i, v := range keyVals {
-		want := ix.table.schema.Field(ix.keyFields[i]).Kind
-		if v.Kind != want {
-			return nil, fmt.Errorf("core: index %q key field %d: kind %v, want %v", ix.name, i, v.Kind, want)
-		}
-	}
-	return tuple.EncodeKey(dst, keyVals...)
+	return ix.boundKey(dst, keyVals)
 }
 
 func appendRIDSuffix(key []byte, rid storage.RID) []byte {

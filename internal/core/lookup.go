@@ -1,11 +1,9 @@
 package core
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
-	"runtime"
 	"sort"
 	"sync"
 
@@ -13,52 +11,6 @@ import (
 	"repro/internal/storage"
 	"repro/internal/tuple"
 )
-
-// lookupScratch bundles what a point lookup needs — the encoded search
-// key and the resolver with its scratch (cache payload and, on a cache
-// miss, the heap record, the plan's fields decoded from it and that
-// row's re-encoded key) — so the hot path reuses them via a sync.Pool instead
-// of allocating per call.
-type lookupScratch struct {
-	key   []byte
-	r     resolver
-	stats QueryStats // where r counts; a lookup reports LookupResult instead
-	out   tuple.Row  // LookupFunc's projected row
-}
-
-var lookupScratchPool = sync.Pool{New: func() any { return new(lookupScratch) }}
-
-func getLookupScratch() *lookupScratch {
-	sc := lookupScratchPool.Get().(*lookupScratch)
-	sc.r.bind()
-	return sc
-}
-
-// release returns the scratch to its pool. Under PoisonScratch the heap
-// record and the rows decoded from it are overwritten first, so a view
-// LookupFunc handed out and someone kept past fn reads as garbage.
-func (sc *lookupScratch) release() {
-	sc.r.poison(sc.out)
-	lookupScratchPool.Put(sc)
-}
-
-// aim points the scratch's resolver at one lookup: latest state, no
-// filters, and the key values the caller searched for standing in for
-// decoded key bytes. view makes a heap answer a view of the scratch.
-func (sc *lookupScratch) aim(ix *Index, plan *projPlan, keyVals []tuple.Value, view bool) {
-	r := &sc.r
-	r.ix, r.plan, r.need, r.snap, r.stats, r.view = ix, plan, plan.need, snapLatest, &sc.stats, view
-	// Only probe the cache when the plan can be answered from it — an
-	// uncoverable projection would scan the slots just to throw the
-	// payload away.
-	r.probe = ix.cache != nil && plan.coverable
-	r.leaf = r.probe
-	r.keyVals = keyVals
-}
-
-// lookupRetries bounds how often a point lookup re-descends after
-// finding a stale entry (see tierStale) before it answers not-found.
-const lookupRetries = 64
 
 // LookupResult describes how a point lookup was answered — the paper's
 // three-tier hierarchy made observable.
@@ -84,14 +36,18 @@ type LookupResult struct {
 // cached payload plus the key fields cover the projection, answer
 // without touching the heap. Otherwise fetch the heap row while the
 // leaf is still pinned and install the missing cache entry (a volatile
-// write that never dirties the page).
+// write that never dirties the page). It is Query(WithPrefix(keyVals...))
+// — a point cursor, see pointSource — with the answer path reported.
 func (ix *Index) Lookup(project []string, keyVals ...tuple.Value) (tuple.Row, LookupResult, error) {
 	return ix.LookupInto(nil, project, keyVals...)
 }
 
+// pointCursors recycles the cursors LookupInto reads through.
+var pointCursors = sync.Pool{New: func() any { return new(Cursor) }}
+
 // LookupInto is Lookup writing the projected row into dst when its
 // capacity suffices (the returned row may still be a fresh slice when
-// dst was too small). Together with the pooled scratch this makes a
+// dst was too small). Together with the pooled cursor this makes a
 // lookup allocation-free for callers that reuse the returned row across
 // calls: a cache hit pays zero heap allocations, a miss only the
 // strings and byte slices the row's values own.
@@ -99,187 +55,46 @@ func (ix *Index) Lookup(project []string, keyVals ...tuple.Value) (tuple.Row, Lo
 // The returned row aliases dst's backing array; it is only valid until
 // the next LookupInto with the same dst.
 func (ix *Index) LookupInto(dst tuple.Row, project []string, keyVals ...tuple.Value) (tuple.Row, LookupResult, error) {
-	sc := getLookupScratch()
-	defer sc.release()
-	return ix.lookup(sc, dst, project, keyVals, false)
-}
-
-// LookupFunc is Lookup handing the row to fn instead of returning it.
-// fn runs once — with a nil row when the key is not found — after the
-// leaf was released (no latch is held) and before the lookup's scratch
-// goes back to its pool. The row is a view: on a heap answer its strings
-// and byte slices alias that scratch, so neither the row nor any value
-// in it may be kept past fn's return. A caller that encodes what it
-// read — the server's Get — serves a row without copying it.
-func (ix *Index) LookupFunc(project []string, fn func(tuple.Row, LookupResult), keyVals ...tuple.Value) error {
-	sc := getLookupScratch()
-	defer sc.release()
-	row, res, err := ix.lookup(sc, sc.out, project, keyVals, true)
-	if err != nil {
-		return err
-	}
-	if row != nil {
-		sc.out = row
-	}
-	fn(row, res)
-	return nil
-}
-
-// lookup is LookupInto and LookupFunc over the scratch sc: view says
-// whether a heap answer may alias sc.
-func (ix *Index) lookup(sc *lookupScratch, dst tuple.Row, project []string, keyVals []tuple.Value, view bool) (tuple.Row, LookupResult, error) {
 	if !ix.unique {
 		return nil, LookupResult{}, fmt.Errorf("core: Lookup requires a unique index; use LookupAll on %q", ix.name)
 	}
+	c := pointCursors.Get().(*Cursor)
+	defer func() {
+		*c = Cursor{} // keeps nothing of this lookup, dst included
+		pointCursors.Put(c)
+	}()
+	// The key values are copied in and the projection is never stored, so
+	// neither escapes: a caller's variadic key costs no allocation.
+	c.cfg.prefix = c.cfg.keep(keyVals)
 	plan, err := ix.resolveProjection(project)
 	if err != nil {
 		return nil, LookupResult{}, err
 	}
-	key, err := ix.searchKeyInto(sc.key[:0], keyVals)
+	key, err := ix.searchKey(c.ix.bounds[0][:0], c.cfg.prefix)
 	if err != nil {
 		return nil, LookupResult{}, err
 	}
-	sc.key = key
-	sc.aim(ix, plan, keyVals, view)
+	ix.openPointSource(c, key, plan, nil)
+	c.row = dst
 	var (
-		res    LookupResult
-		outRow tuple.Row
-		how    tier
-		visErr error
+		row tuple.Row
+		res LookupResult
 	)
-	for try := 0; ; try++ {
-		err = ix.tree.VisitLeaf(key, func(l *btree.Leaf) {
-			outRow, res, how, visErr = ix.lookupInLeaf(l, key, dst, sc)
-		})
-		if err != nil {
-			return nil, LookupResult{}, err
-		}
-		if visErr != nil {
-			return nil, LookupResult{}, visErr
-		}
-		if how != tierStale || try == lookupRetries {
-			return outRow, res, nil
-		}
-		runtime.Gosched() // let the writer that moved the row repoint the entry
+	if c.Next() {
+		row = c.row
+		res = LookupResult{Found: true, RID: c.rid, CacheHit: c.stats.CacheHits > 0, CacheFilled: c.stats.CacheFills > 0}
+		res.HeapAccess = !res.CacheHit
 	}
-}
-
-// lookupInLeaf answers one point lookup against an already-pinned leaf:
-// the Section 2.1.1 flow of Lookup, factored out so LookupMany can run
-// it for every key that lands on the same leaf under a single visit.
-// The entry resolves like any scan's; what is Lookup's own is the probe
-// before and, after a heap answer, the cache fill — both under the leaf
-// latch the visit holds. A stale entry (tierStale) is answered
-// not-found; callers re-descend first.
-func (ix *Index) lookupInLeaf(l *btree.Leaf, key []byte, dst tuple.Row, sc *lookupScratch) (tuple.Row, LookupResult, tier, error) {
-	packed, found := l.Find(key)
-	if !found {
-		return nil, LookupResult{}, tierSkip, nil
+	if err := c.Close(); err != nil {
+		return nil, LookupResult{}, err
 	}
-	r := &sc.r
-	var payload []byte
-	prepared, hit := r.probe && ix.cache.Prepare(l), false
-	if prepared {
-		if payload, hit = ix.cache.LookupInto(r.payload[:0], l, packed); hit {
-			r.payload = payload[:0]
-		}
-	}
-	row, rid, how, err := r.resolve(dst, key, packed, payload, hit)
-	if err != nil || how < tierLeaf {
-		return nil, LookupResult{}, how, err
-	}
-	res := LookupResult{Found: true, RID: rid, CacheHit: how == tierLeaf, HeapAccess: how == tierHeap}
-	// A heap-answered miss installs the missing cache entry (a volatile
-	// write that never dirties the page) — point lookups fill, scans only
-	// probe.
-	if how == tierHeap && ix.cache != nil && l.Exclusive() && (prepared || ix.cache.Prepare(l)) {
-		if payload, ok := ix.encodePayloadInto(r.payload[:0], r.heapRow); ok {
-			r.payload = payload[:0]
-			res.CacheFilled = ix.cache.Insert(l, packed, payload)
-		}
-	}
-	return row, res, how, nil
-}
-
-// LookupMany answers a batch of point lookups on a unique index. The
-// encoded keys are sorted so every key falling on the same B+Tree leaf
-// is answered under one descent and one pin (per-leaf key groups),
-// instead of paying a root-to-leaf walk per key. rows and results are
-// returned in input order; rows[i] is nil when keys[i] has no match.
-func (ix *Index) LookupMany(project []string, keys [][]tuple.Value) ([]tuple.Row, []LookupResult, error) {
-	if !ix.unique {
-		return nil, nil, fmt.Errorf("core: LookupMany requires a unique index; use LookupAll on %q", ix.name)
-	}
-	plan, err := ix.resolveProjection(project)
-	if err != nil {
-		return nil, nil, err
-	}
-	type searchEntry struct {
-		enc []byte
-		pos int
-	}
-	entries := make([]searchEntry, len(keys))
-	for i, kv := range keys {
-		enc, err := ix.searchKeyInto(nil, kv)
-		if err != nil {
-			return nil, nil, fmt.Errorf("core: LookupMany key %d: %w", i, err)
-		}
-		entries[i] = searchEntry{enc: enc, pos: i}
-	}
-	sort.Slice(entries, func(i, j int) bool {
-		return bytes.Compare(entries[i].enc, entries[j].enc) < 0
-	})
-	rows := make([]tuple.Row, len(keys))
-	results := make([]LookupResult, len(keys))
-	sc := getLookupScratch()
-	defer sc.release()
-	i, tries := 0, 0
-	for i < len(entries) {
-		start := i
-		var visErr error
-		err := ix.tree.VisitLeaf(entries[i].enc, func(l *btree.Leaf) {
-			// The leaf covers every sorted key ≤ its last key: answer
-			// them all while the leaf is pinned. Keys beyond it descend
-			// again on the next outer iteration — as does a key whose
-			// entry was stale, up to lookupRetries times.
-			var maxKey []byte
-			if nk := l.NumKeys(); nk > 0 {
-				maxKey = l.KeyAt(nk - 1)
-			}
-			for ; i < len(entries); i++ {
-				e := entries[i]
-				if i > start && (maxKey == nil || bytes.Compare(e.enc, maxKey) > 0) {
-					return
-				}
-				sc.aim(ix, plan, keys[e.pos], false)
-				var how tier
-				if rows[e.pos], results[e.pos], how, visErr = ix.lookupInLeaf(l, e.enc, nil, sc); visErr != nil {
-					return
-				}
-				if how == tierStale && tries < lookupRetries {
-					tries++
-					return
-				}
-				tries = 0
-			}
-		})
-		if err != nil {
-			return nil, nil, err
-		}
-		if visErr != nil {
-			return nil, nil, visErr
-		}
-		if tries > 0 {
-			runtime.Gosched() // let the writer that moved the row repoint the entry
-		}
-	}
-	return rows, results, nil
+	return row, res, nil
 }
 
 // LookupRID returns just the RID for a key, touching neither cache nor
 // heap (the plain B+Tree lookup every engine has).
 func (ix *Index) LookupRID(keyVals ...tuple.Value) (storage.RID, bool, error) {
-	key, err := ix.searchKey(keyVals)
+	key, err := ix.searchKey(nil, keyVals)
 	if err != nil {
 		return storage.InvalidRID, false, err
 	}
@@ -320,20 +135,20 @@ func (ix *Index) LookupAll(keyVals ...tuple.Value) ([]tuple.Row, error) {
 // warm are gathered, sorted by heap page, and fetched through
 // heap.File.GetRun — one page pin and latch per distinct heap page
 // instead of per row — and all scratch (RID/payload buffers, decoded
-// row) is pooled, so warming N entries costs O(1) allocations.
+// row) is reused across leaves, so warming N entries costs O(1)
+// allocations. Entries go in through admit, as a point cursor's fill.
 func (ix *Index) WarmCache() (int, error) {
 	if ix.cache == nil {
 		return 0, fmt.Errorf("core: index %q has no cache", ix.name)
 	}
 	installed := 0
-	sc := getLookupScratch()
-	defer sc.release()
 	need := fieldSet(ix.table.schema.NumFields(), ix.cachedFields) // all encodePayloadInto reads
 	var (
-		rowBuf tuple.Row
-		rids   []storage.RID
-		packs  []uint64
-		visErr error
+		rowBuf  tuple.Row
+		payload []byte
+		rids    []storage.RID
+		packs   []uint64
+		visErr  error
 	)
 	err := ix.tree.VisitAllLeaves(func(l *btree.Leaf) bool {
 		if !ix.cache.Prepare(l) {
@@ -368,12 +183,7 @@ func (ix *Index) WarmCache() (int, error) {
 				return false
 			}
 			rowBuf = row
-			payload, ok := ix.encodePayloadInto(sc.r.payload[:0], row)
-			if !ok {
-				return true
-			}
-			sc.r.payload = payload[:0]
-			if ix.cache.Insert(l, packs[i], payload) {
+			if ix.admit(l, packs[i], row, &payload) {
 				installed++
 				leafInstalled++
 			}
@@ -388,6 +198,20 @@ func (ix *Index) WarmCache() (int, error) {
 		return installed, err
 	}
 	return installed, visErr
+}
+
+// admit installs row's cached fields as packed's §2.1 cache entry on l,
+// encoding them in *buf (scratch: Insert copies the payload into the
+// page). It is the one place a cache entry is written — a point cursor's
+// fill after a heap answer and WarmCache's bulk load — and runs under
+// the leaf's latch once idxcache.Cache.Prepare said its cache is usable.
+func (ix *Index) admit(l *btree.Leaf, packed uint64, row tuple.Row, buf *[]byte) bool {
+	payload, ok := ix.encodePayloadInto((*buf)[:0], row)
+	if !ok {
+		return false
+	}
+	*buf = payload[:0]
+	return ix.cache.Insert(l, packed, payload)
 }
 
 // ridsByPage sorts the WarmCache gather by heap page, keeping the

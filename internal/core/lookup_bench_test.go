@@ -158,26 +158,3 @@ func BenchmarkLookupMixedParallel(b *testing.B) {
 		}
 	})
 }
-
-// BenchmarkLookupManyHit measures the batched path against the same
-// warmed index: 64-key batches, one descent per leaf group.
-func BenchmarkLookupManyHit(b *testing.B) {
-	const rows = 8000
-	ix := benchIndex(b, rows, 1<<14, true)
-	if _, err := ix.WarmCache(); err != nil {
-		b.Fatal(err)
-	}
-	const batch = 64
-	keys := make([][]tuple.Value, batch)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for n := 0; n < b.N; n++ {
-		for k := range keys {
-			keys[k] = pageKey((n*batch + k*37) % rows)
-		}
-		if _, _, err := ix.LookupMany(benchProj, keys); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(batch, "keys/op")
-}

@@ -7,7 +7,7 @@ import (
 	"repro/internal/tuple"
 )
 
-func lookupManyFixture(t *testing.T, rows int, cached bool) (*Table, *Index) {
+func pageFixture(t *testing.T, rows int, cached bool) (*Table, *Index) {
 	t.Helper()
 	e := newTestEngine(t)
 	tb, err := e.CreateTable("page", pagesSchema())
@@ -38,7 +38,7 @@ func pageKey(i int) []tuple.Value {
 // correct values and actually reuses the provided backing array.
 func TestLookupIntoReusesBuffer(t *testing.T) {
 	const rows = 100
-	_, ix := lookupManyFixture(t, rows, true)
+	_, ix := pageFixture(t, rows, true)
 	if _, err := ix.WarmCache(); err != nil {
 		t.Fatalf("WarmCache: %v", err)
 	}
@@ -72,7 +72,7 @@ func TestLookupIntoReusesBuffer(t *testing.T) {
 // projection-plan cache from many goroutines using distinct and
 // repeated projections (run with -race).
 func TestProjectionPlanCacheConcurrent(t *testing.T) {
-	_, ix := lookupManyFixture(t, 50, false)
+	_, ix := pageFixture(t, 50, false)
 	projs := [][]string{
 		nil,
 		{"latest_rev"},
@@ -113,5 +113,34 @@ func TestProjectionPlanCacheConcurrent(t *testing.T) {
 	}
 	if _, _, err := ix.Lookup([]string{"no_such_field"}, pageKey(0)...); err == nil {
 		t.Error("unknown projection field should error")
+	}
+}
+
+// TestLookupRefusesWhatIsNotAPoint: Lookup is a point query, so it
+// refuses what names no single row — a non-unique index, too few or too
+// many key values, a value of the wrong kind — instead of answering the
+// first row of a prefix.
+func TestLookupRefusesWhatIsNotAPoint(t *testing.T) {
+	tb, ix := pageFixture(t, 20, true)
+	byRev, err := tb.CreateIndex("by_rev", []string{"latest_rev"}, NonUnique())
+	if err != nil {
+		t.Fatalf("CreateIndex: %v", err)
+	}
+	for _, bad := range []struct {
+		name string
+		ix   *Index
+		key  []tuple.Value
+	}{
+		{"non-unique index", byRev, []tuple.Value{tuple.Int64(10)}},
+		{"a key prefix", ix, []tuple.Value{tuple.Int32(0)}},
+		{"a value too many", ix, append(pageKey(1), tuple.Int64(1))},
+		{"wrong kind", ix, []tuple.Value{tuple.Int64(0), tuple.String("Title_00001")}},
+	} {
+		if row, res, err := bad.ix.Lookup(nil, bad.key...); err == nil {
+			t.Errorf("%s: answered %v %+v, want an error", bad.name, row, res)
+		}
+	}
+	if _, res, err := ix.Lookup(nil, pageKey(1)...); err != nil || !res.Found {
+		t.Fatalf("Lookup(1): %+v %v", res, err)
 	}
 }

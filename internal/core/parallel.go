@@ -107,12 +107,12 @@ func (ix *Index) parallelQuery(c *Cursor, plan *projPlan, fp *filterPlan, start,
 		return err
 	}
 	p := &parallelSource{
-		scan:     blockScan{r: ix.newResolver(plan, fp, cfg.policy, cfg.snapshotTS(), nil)},
 		merge:    cfg.merge,
 		segs:     segs,
 		segStats: make([]QueryStats, len(segs)),
 		pool:     newSegRunner(),
 	}
+	p.scan.r.reset(ix, plan, fp, cfg.policy, cfg.snapshotTS(), nil)
 	p.start(n)
 	c.src, c.limit = p, cfg.limit
 	return nil

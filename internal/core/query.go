@@ -13,8 +13,11 @@ type CachePolicy int
 const (
 	// CacheFirst (the default) answers coverable projections from the
 	// §2.1 index cache in leaf free space, falling back to the heap per
-	// row on cache misses. Range scans probe the cache but never fill
-	// it — filling on scans would flood the slots with cold tuples.
+	// row on cache misses. The query's shape decides the fill: a point
+	// query — every key field of a unique index bound by WithPrefix, at
+	// the latest state — installs the entry it missed; range scans probe
+	// the cache but never fill it — filling on scans would flood the
+	// slots with cold tuples.
 	CacheFirst CachePolicy = iota
 	// HeapOnly bypasses the index cache entirely and fetches every row
 	// from the heap — the baseline the paper's measurements compare
@@ -276,6 +279,10 @@ func (ix *Index) query(c *Cursor) error {
 		}
 		return ix.parallelQuery(c, plan, fp, start, end)
 	}
+	if ix.unique && len(cfg.prefix) == len(ix.keyFields) && !cfg.reverse {
+		ix.openPointSource(c, start, plan, fp)
+		return nil
+	}
 	ix.openIndexSource(c, cfg, start, end, plan, fp)
 	return nil
 }
@@ -317,9 +324,7 @@ func (ix *Index) resolveQuery(cfg *queryConfig, lo, hi []byte) (plan *projPlan, 
 func (ix *Index) openIndexSource(c *Cursor, cfg *queryConfig, start, end []byte, plan *projPlan, fp *filterPlan) {
 	s := &c.ix
 	c.src, c.limit, c.reverse = s, cfg.limit, cfg.reverse
-	s.r = ix.newResolver(plan, fp, cfg.policy, cfg.snapshotTS(), &c.stats)
-	s.r.view = cfg.view
-	s.r.bind()
+	s.aim(ix, cfg, plan, fp, &c.stats)
 	// Options are set by index: append would move them to the heap.
 	var bopts [2]btree.CursorOption
 	n := 0
@@ -332,6 +337,26 @@ func (ix *Index) openIndexSource(c *Cursor, cfg *queryConfig, start, end []byte,
 		n++
 	}
 	ix.tree.OpenCursor(&s.bt, start, end, bopts[:n]...)
+}
+
+// openPointSource makes c a point cursor (pointSource) on key, the
+// encoded full key of c's WithPrefix. A leaf answer takes the key values
+// the caller searched for instead of decoding them from the entry.
+func (ix *Index) openPointSource(c *Cursor, key []byte, plan *projPlan, fp *filterPlan) {
+	s, cfg := &c.ix, &c.cfg
+	c.src, c.limit = (*pointSource)(s), 1
+	s.aim(ix, cfg, plan, fp, &c.stats)
+	s.r.keyVals, s.r.decodeKey = append(s.r.keyVals, cfg.prefix...), false
+	s.point = key
+	s.fill = cfg.policy == CacheFirst && ix.cache != nil && s.r.snap == snapLatest
+}
+
+// aim points the source's resolver at plan and fp under cfg's policy and
+// snapshot, counting into stats, and binds its scratch where it sits.
+func (s *indexSource) aim(ix *Index, cfg *queryConfig, plan *projPlan, fp *filterPlan, stats *QueryStats) {
+	s.r.reset(ix, plan, fp, cfg.policy, cfg.snapshotTS(), stats)
+	s.r.view = cfg.view
+	s.r.bind()
 }
 
 // VisitEntry is the serial scan's entry visitor: it probes the §2.1

@@ -290,8 +290,8 @@ func sameRows(got, want []tuple.Row, gotKeys []int64, ordered, reverse bool) err
 // TestReadPathDifferential is the read-side twin of
 // TestWritePathDifferential: every case is answered by every index read
 // path — serial Query forward and reverse, WithParallel ordered and
-// unordered, Aggregate pushed down and through the cursor, LookupMany
-// and LookupInto per key — and all of them must agree with the
+// unordered, Aggregate pushed down and through the cursor, LookupInto
+// and a point QueryInto per key — and all of them must agree with the
 // in-memory model on the rows and on which tier answered how many
 // entries. The per-path tests this table replaced are named on the rows
 // that carry their assertions.
@@ -444,65 +444,63 @@ func (f *readFixture) checkAggregates(c *readCase, w readWant) {
 }
 
 // checkLookups answers a scrambled key set — present, updated, deleted,
-// inserted, never-existing and repeated keys — through LookupMany,
-// LookupInto and LookupFunc, against the model and against each other
-// (TestLookupManyMatchesSingleLookups, TestLookupManyCacheHits).
+// inserted, never-existing and repeated keys — through LookupInto and a
+// kept cursor's point QueryInto, against the model and against each
+// other.
 func (f *readFixture) checkLookups(c *readCase) {
 	f.t.Helper()
 	ix := f.tb.indexes[c.index]
 	ids := []int64{2398, 0, 34, 36, 14, 28, 22, 44, 500, 9999, 7, 47, 2398, 9, 1554, 84, -5}
-	keys := make([][]tuple.Value, len(ids))
-	for i, id := range ids {
-		keys[i] = []tuple.Value{tuple.Int64(id)}
-	}
-	manyRows, manyRes, err := ix.LookupMany(c.project, keys)
-	if err != nil {
-		f.t.Fatalf("LookupMany: %v", err)
-	}
 	w := f.want(&readCase{index: c.index, project: c.project, lo: -1, hi: -1})
 	coverable := w.cacheHits > 0
-	var dst tuple.Row
-	for i, id := range ids {
-		row, res, err := ix.LookupInto(dst, c.project, keys[i]...)
+	var (
+		dst tuple.Row
+		cur Cursor
+	)
+	for _, id := range ids {
+		key := tuple.Int64(id)
+		row, res, err := ix.LookupInto(dst, c.project, key)
 		if err != nil {
 			f.t.Fatalf("LookupInto %d: %v", id, err)
 		}
 		dst = row
-		model, live := f.latest[id]
-		if res.Found != live || manyRes[i].Found != live {
-			f.t.Errorf("id %d: Found = %v (LookupInto) / %v (LookupMany), model says %v", id, res.Found, manyRes[i].Found, live)
-			continue
+		if err := f.tb.QueryInto(&cur, WithIndex(c.index), WithPrefix(key), WithProjection(c.project...)); err != nil {
+			f.t.Fatalf("QueryInto %d: %v", id, err)
 		}
-		if !live {
-			if row != nil || manyRows[i] != nil {
+		// The cursor's row is a view: it is compared before Close.
+		found := cur.Next()
+		model, live := f.latest[id]
+		st := cur.Stats()
+		switch {
+		case res.Found != live || found != live:
+			f.t.Errorf("id %d: Found = %v (LookupInto) / %v (QueryInto), model says %v", id, res.Found, found, live)
+		case !live:
+			if row != nil {
 				f.t.Errorf("id %d: absent key returned a row", id)
 			}
-			continue
-		}
-		want := projectModel(f.tb.schema, model, c.project)
-		if !row.Equal(want) || !manyRows[i].Equal(want) {
-			f.t.Errorf("id %d: rows %v (LookupInto) / %v (LookupMany), model says %v", id, row, manyRows[i], want)
-		}
-		// LookupFunc's row is a view: it is compared inside fn.
-		calls := 0
-		err = ix.LookupFunc(c.project, func(view tuple.Row, fres LookupResult) {
-			calls++
-			if fres != res || !view.Equal(want) {
-				f.t.Errorf("id %d: LookupFunc %v %+v, LookupInto %+v, model says %v", id, view, fres, res, want)
+		default:
+			want := projectModel(f.tb.schema, model, c.project)
+			if !row.Equal(want) || !cur.Row().Equal(want) {
+				f.t.Errorf("id %d: rows %v (LookupInto) / %v (QueryInto), model says %v", id, row, cur.Row(), want)
 			}
-		}, keys[i]...)
-		if err != nil || calls != 1 {
-			f.t.Errorf("id %d: LookupFunc called fn %d times: %v", id, calls, err)
-		}
-		if res.RID != manyRes[i].RID {
-			f.t.Errorf("id %d: RID %v (LookupInto) vs %v (LookupMany)", id, res.RID, manyRes[i].RID)
-		}
-		// The cache is warm: a coverable projection is answered from the
-		// leaf, anything else from the heap — by both paths alike.
-		for _, r := range []LookupResult{res, manyRes[i]} {
-			if r.CacheHit != coverable || r.HeapAccess == coverable {
-				f.t.Errorf("id %d: tiers %+v, want cache hit = %v", id, r, coverable)
+			if res.RID != cur.RID() {
+				f.t.Errorf("id %d: RID %v (LookupInto) vs %v (QueryInto)", id, res.RID, cur.RID())
 			}
+			// The cache is warm: a coverable projection is answered from the
+			// leaf, anything else from the heap — by both paths alike, each
+			// after one leaf.
+			if res.CacheHit != coverable || res.HeapAccess == coverable {
+				f.t.Errorf("id %d: LookupInto tiers %+v, want cache hit = %v", id, res, coverable)
+			}
+			if (st.CacheHits == 1) != coverable || (st.HeapReads == 1) == coverable || st.LeafFetches != 1 {
+				f.t.Errorf("id %d: QueryInto stats %+v, want cache hit = %v after one leaf", id, st, coverable)
+			}
+		}
+		if cur.Next() {
+			f.t.Errorf("id %d: QueryInto served a second row %v", id, cur.Row())
+		}
+		if err := cur.Close(); err != nil {
+			f.t.Errorf("id %d: QueryInto: %v", id, err)
 		}
 	}
 }
@@ -560,14 +558,17 @@ func TestLookupStaleEntryNotServed(t *testing.T) {
 		if res.Found && row[0].Int != id {
 			t.Errorf("LookupInto(%d) served id %d", id, row[0].Int)
 		}
-		rows, many, err := ix.LookupMany([]string{"id", "blob"}, [][]tuple.Value{key, {tuple.Int64(id + 1)}})
-		if err != nil {
-			t.Errorf("LookupMany(%d): %v", id, err)
-			return res.Found
-		}
-		for k, r := range rows {
-			if many[k].Found && r[0].Int != id+int64(k) {
-				t.Errorf("LookupMany(%d)[%d] served id %d", id, k, r[0].Int)
+		for _, k := range []int64{id, id + 1} {
+			cur, err := ix.Query(WithPrefix(tuple.Int64(k)), WithProjection("id", "blob"))
+			if err != nil {
+				t.Errorf("Query(%d): %v", k, err)
+				continue
+			}
+			if cur.Next() && cur.Row()[0].Int != k {
+				t.Errorf("Query(%d) served id %d", k, cur.Row()[0].Int)
+			}
+			if err := cur.Close(); err != nil {
+				t.Errorf("Query(%d): %v", k, err)
 			}
 		}
 		return res.Found

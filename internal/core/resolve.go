@@ -25,7 +25,7 @@ const (
 	// reader fetches with no heap latch held since it read the entry, so
 	// a racing delete (or relocating update) can free the slot, and an
 	// insert reuse it, in between. Scans skip (the row's own entry serves
-	// it); a point lookup re-descends, because the writer that moved the
+	// it); a point read re-descends, because the writer that moved the
 	// row is about to repoint the entry.
 	tierStale
 	// tierLeaf: answered from the index leaf — key bytes plus the §2.1
@@ -35,9 +35,9 @@ const (
 	tierHeap
 )
 
-// resolver is the one place an index entry becomes a row. Lookup, the
-// serial cursor, the parallel segment workers and the pushdown aggregate
-// all hand it (key, packed RID, cache probe result) and get back the
+// resolver is the one place an index entry becomes a row. The serial
+// cursor (range or point step), the parallel segment workers and the
+// pushdown aggregate all hand it (key, packed RID, cache probe result) and get back the
 // projected row and the tier that answered; they differ only in the
 // data set here and in what they do with the row. The tier order is the
 // paper's §2.1.1: MVCC visibility → key-byte filters → cached-payload
@@ -57,23 +57,23 @@ type resolver struct {
 	// aggregate over key fields only).
 	leaf bool
 	// decodeKey: a leaf answer takes key values decoded from the entry's
-	// key bytes. Off when the plan reads none, and for point lookups,
+	// key bytes. Off when the plan reads none, and for a point step,
 	// whose caller supplied the values it searched for.
 	decodeKey bool
 	// need is the field set a fetched heap record is decoded into: the
 	// plan's, widened by the fields the heap-tier filters read.
 	need []bool
-	// stats is where CacheHits and HeapReads are counted: the cursor's,
-	// the block loop's, or a point lookup's scratch.
+	// stats is where CacheHits and HeapReads are counted: the cursor's
+	// or the block loop's.
 	stats *QueryStats
 
 	// view: a heap answer's strings and byte slices alias heapBuf, and the
 	// strings its string slots rebuild alias strs, instead of being copied
-	// out (LookupFunc and QueryInto; see there for who may hold them).
+	// out (QueryInto; see there for who may hold them).
 	view bool
 
 	keyVals []tuple.Value
-	payload []byte // single-entry probe scratch (Lookup, serial cursor)
+	payload []byte // single-entry probe scratch (serial cursor)
 	heapRow tuple.Row
 	heapBuf []byte
 	strs    []byte // a view answer's rebuilt strings
@@ -90,9 +90,8 @@ type resolver struct {
 }
 
 // bind points the resolver's empty scratch at its inline arrays. It runs
-// where the resolver sits for good — in a cursor, a pooled lookup
-// scratch, a worker's blockScan — since a copy made afterwards would
-// share the original's arrays.
+// where the resolver sits for good — in a cursor or a worker's blockScan
+// — since a copy made afterwards would share the original's arrays.
 func (r *resolver) bind() {
 	if r.heapBuf == nil {
 		r.keyVals, r.payload, r.heapBuf, r.heapRow, r.keyBuf = r.keyValArr[:0], r.payloadArr[:0], r.recArr[:0], r.rowArr[:0], r.keyArr[:0]
@@ -123,22 +122,22 @@ func (r *resolver) poison(out tuple.Row) {
 	}
 }
 
-// newResolver builds the resolver for plan and fp under policy at snap.
-// The cache is probed when the policy allows it, the index has one, and
-// a hit is worth something: it answers the row (coverable projection)
-// or rejects it before the heap (cached-tier filters).
-func (ix *Index) newResolver(plan *projPlan, fp *filterPlan, policy CachePolicy, snap uint64, stats *QueryStats) resolver {
-	probe := policy == CacheFirst && ix.cache != nil && (plan.coverable || (fp != nil && len(fp.cached) > 0))
-	need := plan.need
+// reset readies r, in place, to resolve ix's entries for plan and fp
+// under policy at snap. The cache is probed when the policy allows it,
+// the index has one, and a hit is worth something: it answers the row
+// (coverable projection) or rejects it before the heap (cached-tier
+// filters). In place, because a resolver is ~1 KB: returned by value it
+// would be a temporary in every caller's frame, and a served Get's
+// goroutine pays a stack copy for each frame that outgrows its stack.
+func (r *resolver) reset(ix *Index, plan *projPlan, fp *filterPlan, policy CachePolicy, snap uint64, stats *QueryStats) {
+	*r = resolver{}
+	r.ix, r.plan, r.fp, r.snap, r.stats = ix, plan, fp, snap, stats
+	r.probe = policy == CacheFirst && ix.cache != nil && (plan.coverable || (fp != nil && len(fp.cached) > 0))
+	r.leaf = r.probe && plan.coverable && fp.coverable()
+	r.decodeKey = plan.usesKey
+	r.need = plan.need
 	if fp != nil {
-		need = withFilters(need, fp.rest)
-	}
-	return resolver{
-		ix: ix, plan: plan, fp: fp, snap: snap, stats: stats,
-		probe:     probe,
-		leaf:      probe && plan.coverable && fp.coverable(),
-		decodeKey: plan.usesKey,
-		need:      need,
+		r.need = withFilters(r.need, fp.rest)
 	}
 }
 
@@ -269,8 +268,8 @@ func (g *cacheGate) prepare(c *idxcache.Cache, l *btree.Leaf) bool {
 // held at all.
 //
 // Lock order: a scan holds at most one leaf latch at a time (inside
-// NextBlock), and the cache probe under it follows Lookup's established
-// index-leaf → heap-page order trivially — it touches no heap page. The
+// NextBlock), and the cache probe under it follows the point step's
+// established index-leaf → heap-page order trivially — it touches no heap page. The
 // heap fetch runs after the entries were copied out of the leaf, with
 // no leaf latch held. Callers never send on a channel from under fill.
 type blockScan struct {

@@ -8,8 +8,8 @@ import (
 	"repro/internal/tuple"
 )
 
-// TestEvictionStormAcrossShards runs concurrent Lookup / Insert /
-// WarmCache traffic against an engine whose buffer pool is multi-shard
+// TestEvictionStormAcrossShards runs concurrent Lookup / point Query /
+// Insert / WarmCache traffic against an engine whose buffer pool is multi-shard
 // (a 48-frame pool splits four ways at every GOMAXPROCS) and far
 // smaller than the working set, so victim selection
 // constantly crosses shard boundaries (frames migrate between shards
@@ -75,33 +75,30 @@ func TestEvictionStormAcrossShards(t *testing.T) {
 			}
 		}(g)
 	}
-	// Batch reader: LookupMany over shuffled key groups.
+	// Cursor reader: a kept cursor's point QueryInto over shuffled keys.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
+		var cur Cursor
 		for n := 0; ; n++ {
 			select {
 			case <-stop:
 				return
 			default:
 			}
-			keys := make([][]tuple.Value, 24)
-			for k := range keys {
-				i := (n*29 + k*67) % preload
-				keys[k] = []tuple.Value{tuple.Int32(0), tuple.String(fmt.Sprintf("Title_%05d", i))}
-			}
-			rows, res, err := ix.LookupMany([]string{"latest_rev"}, keys)
+			i := (n * 67) % preload
+			err := tb.QueryInto(&cur, WithIndex("name_title"), WithProjection("latest_rev"),
+				WithPrefix(tuple.Int32(0), tuple.String(fmt.Sprintf("Title_%05d", i))))
 			if err != nil {
-				errs <- fmt.Errorf("batch reader: %w", err)
+				errs <- fmt.Errorf("cursor reader: %w", err)
 				return
 			}
-			for k := range keys {
-				i := (n*29 + k*67) % preload
-				if !res[k].Found || rows[k][0].Int != int64(i*10) {
-					errs <- fmt.Errorf("batch reader: key %d wrong", i)
-					return
-				}
+			if !cur.Next() || cur.Row()[0].Int != int64(i*10) {
+				errs <- fmt.Errorf("cursor reader: key %d wrong: %v %v", i, cur.Row(), cur.Err())
+				cur.Close()
+				return
 			}
+			cur.Close()
 		}
 	}()
 	// Warmer: repeatedly refills leaf caches while eviction drops them.

@@ -120,18 +120,16 @@ func loadSlots(t *testing.T, e *Engine) (*Table, map[int64]tuple.Row) {
 func checkSlotRows(t *testing.T, tbl *Table, want map[int64]tuple.Row) {
 	t.Helper()
 	checkReopenRows(t, tbl, want)
-	ix := mustIndex(t, tbl, "by_id")
+	var cur Cursor
 	for id, row := range want {
-		err := ix.LookupFunc(nil, func(got tuple.Row, _ LookupResult) {
-			if !got.Equal(row) {
-				t.Fatalf("LookupFunc(%d) = %v, want %v", id, got, row)
-			}
-		}, tuple.Int64(id))
-		if err != nil {
+		if err := tbl.QueryInto(&cur, WithIndex("by_id"), WithPrefix(tuple.Int64(id))); err != nil {
 			t.Fatal(err)
 		}
+		if !cur.Next() || !cur.Row().Equal(row) {
+			t.Fatalf("point QueryInto(%d) = %v (%v), want %v", id, cur.Row(), cur.Err(), row)
+		}
+		cur.Close()
 	}
-	var cur Cursor
 	if err := tbl.QueryInto(&cur, WithIndex("by_id")); err != nil {
 		t.Fatal(err)
 	}
@@ -384,19 +382,25 @@ func walTypes(t *testing.T, path string) map[uint8]int {
 
 // TestRebuiltStringsAreViews: a string a string slot rebuilds for a view
 // read is a view of the reader's scratch, as a verbatim one is of its
-// record — LookupFunc's until fn returns, a QueryInto cursor's until the
-// next Next or Close — and reads as poison after that. Latest and
-// transaction reads share the rule.
+// record — a QueryInto cursor's, point or range, until the next Next or
+// Close — and reads as poison after that. Latest and transaction reads
+// share the rule.
 func TestRebuiltStringsAreViews(t *testing.T) {
 	e := newTestEngine(t)
 	tbl, want := loadSlots(t, e)
-	ix := mustIndex(t, tbl, "by_id")
-	var kept string
-	if err := ix.LookupFunc(nil, func(row tuple.Row, _ LookupResult) { kept = row[slotName].Str }, tuple.Int64(100)); err != nil {
+	var point Cursor
+	if err := tbl.QueryInto(&point, WithIndex("by_id"), WithPrefix(tuple.Int64(100))); err != nil {
+		t.Fatal(err)
+	}
+	if !point.Next() {
+		t.Fatalf("point QueryInto(100): no row: %v", point.Err())
+	}
+	kept := point.Row()[slotName].Str
+	if err := point.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if !poisoned(kept) {
-		t.Fatalf("LookupFunc: a rebuilt string kept past fn reads %q, want poison", kept)
+		t.Fatalf("point QueryInto: a rebuilt string kept past Close reads %q, want poison", kept)
 	}
 
 	tx := e.Begin()
@@ -505,9 +509,13 @@ func TestTxnStagedRowKeepsRebuiltString(t *testing.T) {
 	for cur.Next() {
 	}
 	cur.Close()
-	if err := byName.LookupFunc(nil, func(tuple.Row, LookupResult) {}, tuple.String("user-00008")); err != nil {
+	if err := tb.QueryInto(&cur, WithIndex("by_name"), WithPrefix(tuple.String("user-00008"))); err != nil {
 		t.Fatal(err)
 	}
+	if !cur.Next() {
+		t.Fatalf("point QueryInto(user-00008): no row: %v", cur.Err())
+	}
+	cur.Close()
 	other := e.Begin()
 	b.Reset()
 	b.Insert(user(3000, 999))

@@ -188,17 +188,17 @@ func TestTxnLargeStageStaysLinear(t *testing.T) {
 			keys = append(keys, []tuple.Value{tuple.Int64(k)})
 		}
 	}
-	rows, found, err := tb.indexes["by_k"].LookupMany(nil, keys)
-	if err != nil {
-		t.Fatalf("LookupMany: %v", err)
-	}
 	got := make(map[int64]int64)
-	for i, r := range found {
-		if r.Found {
-			got[rows[i][0].Int] = rows[i][1].Int
+	for _, k := range keys {
+		row, res, err := tb.indexes["by_k"].Lookup(nil, k...)
+		if err != nil {
+			t.Fatalf("Lookup: %v", err)
+		}
+		if res.Found {
+			got[row[0].Int] = row[1].Int
 		}
 	}
-	same("LookupMany", got)
+	same("Lookup", got)
 	if err := tb.indexes["by_k"].Tree().CheckIntegrity(); err != nil {
 		t.Fatalf("CheckIntegrity: %v", err)
 	}

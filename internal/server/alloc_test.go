@@ -24,7 +24,7 @@ import (
 //
 // A read allocates its answer and little else: a Get its row and the
 // one copy of the payload its strings are views of (client side — the
-// server encodes the row LookupFunc shows it), a query its Rows, a
+// server encodes the row its point cursor shows it), a query its Rows, a
 // longer page its rows and slab. Before the cursor, the Rows
 // and each message's strings were one allocation apiece, Get measured
 // 5, CoveredPointQuery 17, ApplyInsert and ApplyUpdate 5, Txn 77 and

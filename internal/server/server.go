@@ -424,7 +424,11 @@ const maxPooledOps = 64
 // zeroes it anyway, so what its last query reached (index, plan, heap
 // buffers) would only stay reachable from the pool.
 func (rq *request) release() {
-	rq.c, rq.frame, rq.cur = nil, wire.Frame{}, core.Cursor{}
+	// One assignment each: a tuple assignment would build the ~3 KB zero
+	// Cursor as a temporary in this frame, and the handler's goroutine
+	// would copy its stack to make room.
+	rq.c, rq.frame = nil, wire.Frame{}
+	rq.cur = core.Cursor{}
 	rq.in = wire.Recycle(rq.in)
 	rq.get.Key = wire.RecycleRow(rq.get.Key)
 	rq.query.Lo = wire.RecycleRow(rq.query.Lo)
@@ -692,30 +696,55 @@ func (c *conn) handleTxnApply(rq *request) error {
 	return nil
 }
 
-// handleGet encodes the answer while the lookup still holds it: the row
-// LookupFunc hands over is a view of the engine's scratch, so it is
-// written into the frame before fn returns and never copied.
+// handleGet answers a Get as a point query (core.Table.QueryInto with
+// the whole key as its prefix) on the request's kept cursor: the row is
+// a view until Next or Close, as every binary-protocol read's is, so it
+// is encoded into the frame before the cursor closes and never copied.
 func (c *conn) handleGet(id uint64, rq *request) error {
-	m := &rq.get
-	ix, err := c.s.lookupIndex(m.Table, m.Index)
+	m, cur := &rq.get, &rq.cur
+	tb, err := c.s.pointTable(m)
 	if err != nil {
+		return err
+	}
+	opts := [3]core.QueryOption{core.WithIndex(m.Index), core.WithPrefix(m.Key...), core.WithLimit(1)}
+	if err := tb.QueryInto(cur, opts[:]...); err != nil {
+		return err
+	}
+	defer cur.Close()
+	resp := wire.GetResp{Found: cur.Next()}
+	if resp.Found {
+		resp.RID, resp.Row = cur.RID().Pack(), cur.Row()
+	}
+	if err := cur.Err(); err != nil {
 		return err
 	}
 	b := wire.NewFrame()
-	err = ix.LookupFunc(nil, func(row tuple.Row, lres core.LookupResult) {
-		resp := wire.GetResp{Found: lres.Found}
-		if lres.Found {
-			resp.RID = lres.RID.Pack()
-			resp.Row = row
-		}
-		b.B = resp.Marshal(b.B)
-	}, m.Key...)
-	if err != nil {
-		b.Release()
-		return err
-	}
+	b.B = resp.Marshal(b.B)
 	c.send(b, id, wire.TGetResp)
 	return nil
+}
+
+// pointTable resolves a Get's table and checks that its key names one
+// row: the index is unique and the key binds every one of its fields.
+func (s *Server) pointTable(m *wire.GetReq) (*core.Table, error) {
+	tb, err := s.eng.Table(m.Table)
+	if err != nil {
+		return nil, err
+	}
+	if m.Index == "" {
+		return nil, errors.New("server: index name required for get")
+	}
+	ix, err := tb.Index(m.Index)
+	if err != nil {
+		return nil, err
+	}
+	if !ix.Unique() {
+		return nil, fmt.Errorf("server: get requires a unique index; query %q by prefix", m.Index)
+	}
+	if n := len(ix.KeyFieldNames()); len(m.Key) != n {
+		return nil, fmt.Errorf("server: index %q wants %d key values, got %d", m.Index, n, len(m.Key))
+	}
+	return tb, nil
 }
 
 // maxPageBytes closes a query page on its encoded size, whatever row
@@ -803,17 +832,6 @@ func (c *conn) handleCreateIndex(payload []byte) error {
 }
 
 // --- shared helpers (also used by the HTTP listener) ---
-
-func (s *Server) lookupIndex(table, index string) (*core.Index, error) {
-	tb, err := s.eng.Table(table)
-	if err != nil {
-		return nil, err
-	}
-	if index == "" {
-		return nil, errors.New("server: index name required for get")
-	}
-	return tb.Index(index)
-}
 
 // openCursor opens the query into cur, resolved against the connection:
 // a TxnID routes the scan through that transaction's snapshot — it
