@@ -1,8 +1,10 @@
 // Command nblb-server serves an nblb database over the network: the
-// pipelined binary protocol (internal/wire) on -addr, and an optional
-// HTTP/JSON fallback on -http. Writes from every connection flow
-// through the cross-connection coalescer, so many small client batches
-// share leaf-grouped index runs and one WAL group commit.
+// pipelined binary protocol (internal/wire, spoken by package client)
+// on -addr — the one data protocol — and an optional admin-only HTTP
+// listener on -http (GET /v1/stats, POST /v1/checkpoint). Writes from
+// every connection flow through the cross-connection coalescer, so many
+// small client batches share leaf-grouped index runs and one WAL group
+// commit.
 //
 // SIGINT/SIGTERM shut down gracefully: accepting stops, in-flight
 // requests finish and their responses flush (which empties the
@@ -34,15 +36,10 @@ func main() {
 	var (
 		dbPath   = flag.String("db", "", "database file path (required; created if absent)")
 		addr     = flag.String("addr", ":4410", "binary-protocol listen address")
-		httpAddr = flag.String("http", "", "HTTP/JSON listen address (empty = disabled)")
-		noWAL    = flag.Bool("no-wal", false, "disable the write-ahead log (volatile between checkpoints)")
+		httpAddr = flag.String("http", "", "admin HTTP listen address: stats and checkpoint (empty = disabled)")
+		noWAL    = flag.Bool("no-wal", false, "disable the write-ahead log (the catalog lives in the WAL manifest: nothing survives a restart)")
 		syncMode = flag.String("sync", "group", "WAL sync policy: group, always, none")
 		poolPgs  = flag.Int("pool", 0, "buffer pool size in pages (0 = default)")
-
-		noCoalesce = flag.Bool("no-coalesce", false, "disable cross-connection write coalescing")
-		maxOps     = flag.Int("coalesce-ops", server.DefaultMaxOps, "max ops per shared coalesced batch")
-		pageSize   = flag.Int("page-size", server.DefaultPageSize, "default rows per query page")
-		inflight   = flag.Int("max-inflight", server.DefaultMaxInflight, "max concurrently executing requests per connection")
 
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "graceful-shutdown drain budget before connections are severed")
 	)
@@ -73,15 +70,7 @@ func main() {
 		log.Fatalf("nblb-server: open %s: %v", *dbPath, err)
 	}
 
-	srv, err := server.New(server.Config{
-		Engine: eng,
-		Coalesce: server.CoalesceConfig{
-			Disabled: *noCoalesce,
-			MaxOps:   *maxOps,
-		},
-		PageSize:    *pageSize,
-		MaxInflight: *inflight,
-	})
+	srv, err := server.New(server.Config{Engine: eng})
 	if err != nil {
 		log.Fatalf("nblb-server: %v", err)
 	}
@@ -93,7 +82,7 @@ func main() {
 	}()
 	if *httpAddr != "" {
 		go func() {
-			log.Printf("nblb-server: HTTP/JSON on %s", *httpAddr)
+			log.Printf("nblb-server: admin HTTP on %s", *httpAddr)
 			errc <- listenHTTP(srv, *httpAddr)
 		}()
 	}

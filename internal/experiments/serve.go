@@ -129,10 +129,7 @@ func runServePoint(cfg ServeConfig, conns int, coalesce bool) (_ ServePoint, err
 		return p, err
 	}
 
-	srv, err := server.New(server.Config{
-		Engine:   eng,
-		Coalesce: server.CoalesceConfig{Disabled: !coalesce},
-	})
+	srv, err := server.New(server.Config{Engine: eng, NoCoalesce: !coalesce})
 	if err != nil {
 		return p, err
 	}

@@ -1,5 +1,5 @@
-// Package metrics provides counters, histograms, and the latency cost
-// model shared by the simulation-backed experiments.
+// Package metrics provides the atomic Counter and the latency cost model
+// shared by the simulation-backed experiments.
 //
 // The paper's Figure 2(b) experiment is itself a simulation: the index
 // and buffer pool are "large in-memory arrays" and a buffer-pool miss
@@ -8,13 +8,7 @@
 // read) so the experiment is deterministic and machine-independent.
 package metrics
 
-import (
-	"fmt"
-	"sort"
-	"strings"
-	"sync"
-	"sync/atomic"
-)
+import "sync/atomic"
 
 // Counter is a monotonically increasing atomic counter.
 type Counter struct {
@@ -32,71 +26,3 @@ func (c *Counter) Value() int64 { return c.v.Load() }
 
 // Reset sets the counter back to zero.
 func (c *Counter) Reset() { c.v.Store(0) }
-
-// Ratio returns c / (c + other), or 0 if both are zero. It is the usual
-// way to turn a hit counter and a miss counter into a hit rate.
-func Ratio(hits, misses int64) float64 {
-	total := hits + misses
-	if total == 0 {
-		return 0
-	}
-	return float64(hits) / float64(total)
-}
-
-// Set is a named collection of counters, useful for engine-wide stats.
-type Set struct {
-	mu       sync.Mutex
-	counters map[string]*Counter
-}
-
-// NewSet returns an empty counter set.
-func NewSet() *Set {
-	return &Set{counters: make(map[string]*Counter)}
-}
-
-// Get returns the counter with the given name, creating it if needed.
-func (s *Set) Get(name string) *Counter {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	c, ok := s.counters[name]
-	if !ok {
-		c = &Counter{}
-		s.counters[name] = c
-	}
-	return c
-}
-
-// Snapshot returns a copy of all counter values at this instant.
-func (s *Set) Snapshot() map[string]int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make(map[string]int64, len(s.counters))
-	for name, c := range s.counters {
-		out[name] = c.Value()
-	}
-	return out
-}
-
-// Reset zeroes every counter in the set.
-func (s *Set) Reset() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, c := range s.counters {
-		c.Reset()
-	}
-}
-
-// String renders the set sorted by name, one counter per line.
-func (s *Set) String() string {
-	snap := s.Snapshot()
-	names := make([]string, 0, len(snap))
-	for name := range snap {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	var b strings.Builder
-	for _, name := range names {
-		fmt.Fprintf(&b, "%s=%d\n", name, snap[name])
-	}
-	return b.String()
-}

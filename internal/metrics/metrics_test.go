@@ -1,7 +1,6 @@
 package metrics
 
 import (
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -35,63 +34,6 @@ func TestCounterConcurrent(t *testing.T) {
 	wg.Wait()
 	if c.Value() != 10000 {
 		t.Errorf("Value = %d, want 10000", c.Value())
-	}
-}
-
-func TestRatio(t *testing.T) {
-	if Ratio(0, 0) != 0 {
-		t.Error("Ratio(0,0) should be 0")
-	}
-	if Ratio(3, 1) != 0.75 {
-		t.Errorf("Ratio(3,1) = %f", Ratio(3, 1))
-	}
-}
-
-func TestSet(t *testing.T) {
-	s := NewSet()
-	s.Get("a").Inc()
-	s.Get("a").Inc()
-	s.Get("b").Add(7)
-	snap := s.Snapshot()
-	if snap["a"] != 2 || snap["b"] != 7 {
-		t.Errorf("snapshot = %v", snap)
-	}
-	str := s.String()
-	if !strings.Contains(str, "a=2") || !strings.Contains(str, "b=7") {
-		t.Errorf("String() = %q", str)
-	}
-	s.Reset()
-	if s.Get("a").Value() != 0 {
-		t.Error("Reset failed")
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	h := NewHistogram()
-	if h.Mean() != 0 || h.Quantile(0.5) != 0 {
-		t.Error("empty histogram should report zeros")
-	}
-	for i := 1; i <= 100; i++ {
-		h.Observe(float64(i))
-	}
-	if h.Count() != 100 {
-		t.Errorf("Count = %d", h.Count())
-	}
-	if h.Mean() != 50.5 {
-		t.Errorf("Mean = %f", h.Mean())
-	}
-	if h.Quantile(0.5) != 50 {
-		t.Errorf("p50 = %f", h.Quantile(0.5))
-	}
-	if h.Min() != 1 || h.Max() != 100 {
-		t.Errorf("min/max = %f/%f", h.Min(), h.Max())
-	}
-	if !strings.Contains(h.Summary(), "n=100") {
-		t.Errorf("Summary = %q", h.Summary())
-	}
-	h.Reset()
-	if h.Count() != 0 {
-		t.Error("Reset failed")
 	}
 }
 

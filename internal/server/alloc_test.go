@@ -46,7 +46,7 @@ import (
 // Skipped under -race: the race detector instruments allocations and
 // changes the counts.
 func TestServedAllocBudgets(t *testing.T) {
-	f := startServer(t, nil)
+	f := startServer(t)
 	defer f.stop(t)
 	const n = 2000
 	rids := setupItems(t, f.eng, n)

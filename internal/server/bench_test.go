@@ -12,7 +12,7 @@ import (
 // TestServedAllocBudgets, which gates the same numbers).
 
 func benchServed(b *testing.B, n int) (*client.Client, []uint64) {
-	f := startServer(b, nil)
+	f := startServer(b)
 	b.Cleanup(func() { f.stop(b) })
 	rids := setupItems(b, f.eng, n)
 	cl, err := client.Dial(f.addr, client.WithPoolSize(1))

@@ -45,7 +45,7 @@ type coalescer struct {
 	// and result RIDs); a field so that tests can hold a cycle open or fail it.
 	land   func(*core.Result, *core.Batch) error
 	maxOps int
-	solo   bool // CoalesceConfig.Disabled: every job is a cycle of its own
+	solo   bool // Config.NoCoalesce: every job is a cycle of its own
 	stats  *Stats
 
 	mu     sync.Mutex  // nblb:lock coalescer-mu

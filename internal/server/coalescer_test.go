@@ -127,7 +127,7 @@ func seq(first, last uint64) []uint64 {
 // write path arms none is structural — coalescer.go does not import
 // time.)
 func TestCoalescerLoneJobLeadsItself(t *testing.T) {
-	c := &coalescer{maxOps: DefaultMaxOps, stats: new(Stats)}
+	c := &coalescer{maxOps: maxCycleOps, stats: new(Stats)}
 	var stack string
 	c.land = func(res *core.Result, b *core.Batch) error {
 		buf := make([]byte, 4<<10)
@@ -147,14 +147,14 @@ func TestCoalescerLoneJobLeadsItself(t *testing.T) {
 }
 
 // Jobs that arrive while a cycle is in flight form the next cycle, in
-// arrival order, and more than MaxOps of them split FIFO.
+// arrival order, and more than maxOps of them split FIFO.
 func TestCoalescerParkedJobsShareNextCycle(t *testing.T) {
 	for _, tc := range []struct {
 		name       string
 		k, maxOps  uint64
 		wantCycles [][]uint64 // after the first
 	}{
-		{"one following cycle", 5, DefaultMaxOps, [][]uint64{seq(1, 5)}},
+		{"one following cycle", 5, maxCycleOps, [][]uint64{seq(1, 5)}},
 		{"split at MaxOps", 10, 4, [][]uint64{seq(1, 4), seq(5, 8), seq(9, 10)}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -190,7 +190,7 @@ func TestCoalescerParkedJobsShareNextCycle(t *testing.T) {
 // behind it run. (A panic in Apply is not caught anywhere — request
 // handlers do not recover, so it ends the process, not a cycle.)
 func TestCoalescerFailedCycleReleasesBaton(t *testing.T) {
-	c, cycles := heldCoalescer(DefaultMaxOps)
+	c, cycles := heldCoalescer(maxCycleOps)
 	var wg sync.WaitGroup
 	lone := c.job(&wg, 0)
 	first := nextCycle(t, cycles)

@@ -64,7 +64,7 @@ func readCorpus(t *testing.T, dir string) [][]byte {
 func TestFuzzCorpusReplayIntegrity(t *testing.T) { replayFuzzCorpus(t) }
 
 func replayFuzzCorpus(t *testing.T) {
-	f := startServer(t, nil)
+	f := startServer(t)
 	defer f.stop(t)
 	cl, err := client.Dial(f.addr)
 	if err != nil {

@@ -13,7 +13,7 @@ import (
 // rather than served as the first row of a prefix or a scan, and the
 // connection keeps serving.
 func TestGetRefusesWhatIsNotAPoint(t *testing.T) {
-	f := startServer(t, nil)
+	f := startServer(t)
 	defer f.stop(t)
 	setupItems(t, f.eng, 50)
 	tb, err := f.eng.Table("items")

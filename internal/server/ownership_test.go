@@ -52,7 +52,7 @@ func currentItem(q interface {
 // with released buffers poisoned, and validate every row they read.
 func TestPoisonedPipelinedStorm(t *testing.T) {
 	poisonReleased(t)
-	f := startServer(t, nil)
+	f := startServer(t)
 	defer f.stop(t)
 	const (
 		n       = 448 // rows that plain reads, scans and raw updates share
@@ -197,7 +197,7 @@ func stormWorker(cl *client.Client, g, n, txnRows, workers, rounds int) error {
 // exactly the rows that were staged, index entries included.
 func TestPoisonedTxnStagedRows(t *testing.T) {
 	poisonReleased(t)
-	f := startServer(t, nil)
+	f := startServer(t)
 	defer f.stop(t)
 	const n = 64
 	rids := setupItems(t, f.eng, n)
@@ -293,7 +293,7 @@ func TestPoisonedTxnStagedRows(t *testing.T) {
 // must read back exactly as written.
 func TestPoisonedCoalescedApplyStorm(t *testing.T) {
 	poisonReleased(t)
-	f := startServer(t, nil)
+	f := startServer(t)
 	defer f.stop(t)
 	setupItems(t, f.eng, 0)
 	const writers, perWriter = 8, 30
@@ -368,7 +368,7 @@ func stormWriter(addr string, first int64, n int) error {
 // every name the catalog holds must still read as sent.
 func TestPoisonedCatalogNames(t *testing.T) {
 	poisonReleased(t)
-	f := startServer(t, nil)
+	f := startServer(t)
 	defer f.stop(t)
 	cl, err := client.Dial(f.addr, client.WithPoolSize(1))
 	if err != nil {
@@ -433,7 +433,7 @@ func TestPoisonedCorpusReplay(t *testing.T) {
 // response buffer someone else now owns.
 func TestPoisonedSlowStream(t *testing.T) {
 	poisonReleased(t)
-	f := startServer(t, nil)
+	f := startServer(t)
 	defer f.stop(t)
 	const n = 200
 	setupItems(t, f.eng, n)
@@ -490,7 +490,7 @@ func TestPoisonedSlowStream(t *testing.T) {
 // a disconnect staged.
 func TestPoisonedTxnRecycleStorm(t *testing.T) {
 	poisonReleased(t)
-	f := startServer(t, nil)
+	f := startServer(t)
 	defer f.stop(t)
 	const (
 		workers   = 8
@@ -672,7 +672,7 @@ func (r *rawConn) exchange(reqs ...wire.Frame) ([]rawReply, error) {
 // now runs in its connTxn, are refused as unknown and touch nothing.
 func TestPoisonedStaleTxnIDs(t *testing.T) {
 	poisonReleased(t)
-	f := startServer(t, nil)
+	f := startServer(t)
 	defer f.stop(t)
 	setupItems(t, f.eng, 0)
 	nc, err := net.Dial("tcp", f.addr)

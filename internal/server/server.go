@@ -1,9 +1,10 @@
 // Package server is nblb's network frontend: a pipelined
-// length-prefixed binary protocol (internal/wire) over TCP, an
-// HTTP/JSON fallback for curl-ability, and — the load-bearing piece —
-// a cross-connection write coalescer that drains many connections'
-// small batches into shared core.Batches so thousands of writers ride
-// the leaf-grouped ApplyRun path and share one WAL group commit.
+// length-prefixed binary protocol (internal/wire) over TCP, the one
+// data protocol; an admin-only HTTP listener (stats, checkpoint); and —
+// the load-bearing piece — a cross-connection write coalescer that
+// drains many connections' small batches into shared core.Batches so
+// thousands of writers ride the leaf-grouped ApplyRun path and share
+// one WAL group commit.
 //
 // Concurrency model, per connection: one reader goroutine reads each
 // frame into a pooled request context and starts a capped handler
@@ -37,36 +38,26 @@ import (
 	"repro/internal/wire"
 )
 
-// Defaults for Config zero values.
 const (
-	DefaultMaxOps      = 128
-	DefaultPageSize    = 256
-	DefaultMaxInflight = 64
+	// maxCycleOps closes a coalesced cycle once it holds this many ops.
+	maxCycleOps = 128
+	// defaultPageSize is the rows per query page of a request that names
+	// none (client.WithPageSize names its own).
+	defaultPageSize = 256
+	// maxInflight caps concurrently executing requests per connection;
+	// further pipelined frames wait in the kernel buffer.
+	maxInflight = 64
 )
-
-// CoalesceConfig tunes the cross-connection write coalescer.
-type CoalesceConfig struct {
-	// Disabled makes every ApplyReq a cycle of its own: requests never
-	// wait for one another and each pays its own group commit. It is the
-	// control leg of the serve sweep, not a tuning knob.
-	Disabled bool
-	// MaxOps closes a shared batch once it holds this many ops (default
-	// 128).
-	MaxOps int
-}
 
 // Config configures a Server.
 type Config struct {
 	// Engine is the embedded engine to serve. Required; the server
 	// does not open or close it.
 	Engine *core.Engine
-	// Coalesce tunes cross-connection write coalescing.
-	Coalesce CoalesceConfig
-	// PageSize is the default rows per query page (default 256).
-	PageSize int
-	// MaxInflight caps concurrently executing requests per connection
-	// (default 64); further pipelined frames wait in the kernel buffer.
-	MaxInflight int
+	// NoCoalesce makes every ApplyReq a cycle of its own: requests never
+	// wait for one another and each pays its own group commit. It is the
+	// direct leg of the serve sweep, not a tuning knob.
+	NoCoalesce bool
 }
 
 // Stats are the server's monotonic counters (atomic; read via
@@ -90,9 +81,9 @@ type StatsSnapshot struct {
 	Tables          []string `json:"tables"`
 }
 
-// Server serves an engine over TCP (binary protocol) and optionally
-// HTTP. Create with New, start with Serve/ListenAndServe, stop with
-// Shutdown.
+// Server serves an engine over TCP (binary protocol) and optionally an
+// admin HTTP listener. Create with New, start with Serve/ListenAndServe,
+// stop with Shutdown.
 type Server struct {
 	cfg   Config
 	eng   *core.Engine
@@ -112,15 +103,6 @@ type Server struct {
 func New(cfg Config) (*Server, error) {
 	if cfg.Engine == nil {
 		return nil, errors.New("server: Config.Engine is required")
-	}
-	if cfg.Coalesce.MaxOps <= 0 {
-		cfg.Coalesce.MaxOps = DefaultMaxOps
-	}
-	if cfg.PageSize <= 0 {
-		cfg.PageSize = DefaultPageSize
-	}
-	if cfg.MaxInflight <= 0 {
-		cfg.MaxInflight = DefaultMaxInflight
 	}
 	return &Server{
 		cfg:       cfg,
@@ -300,8 +282,8 @@ func (s *Server) coalescerFor(name string, tb *core.Table) *coalescer {
 			land: func(res *core.Result, b *core.Batch) error {
 				return tb.ApplyInto(res, b, core.WithErrorIsolation(), core.WithResultRIDs())
 			},
-			maxOps: s.cfg.Coalesce.MaxOps,
-			solo:   s.cfg.Coalesce.Disabled,
+			maxOps: maxCycleOps,
+			solo:   s.cfg.NoCoalesce,
 			stats:  &s.stats,
 		}
 		s.coal[name] = c
@@ -350,10 +332,10 @@ func newConn(s *Server, nc net.Conn) *conn {
 	return &conn{
 		s:  s,
 		nc: nc,
-		// Sized so a full window of handlers (MaxInflight, default 64)
-		// streaming a few pages each rarely blocks on the writer.
+		// Sized so a full window of handlers (maxInflight) streaming a
+		// few pages each rarely blocks on the writer.
 		outc: make(chan *wire.Buffer, 256),
-		sem:  make(chan struct{}, s.cfg.MaxInflight),
+		sem:  make(chan struct{}, maxInflight),
 	}
 }
 
@@ -460,7 +442,7 @@ func (c *conn) serve() {
 		rq.c, rq.frame = c, f
 		c.s.stats.Requests.Add(1)
 		// The semaphore is acquired here, on the reader, so a connection
-		// that pipelines past MaxInflight backpressures in the kernel
+		// that pipelines past maxInflight backpressures in the kernel
 		// instead of being disconnected.
 		c.sem <- struct{}{}
 		c.hwg.Add(1)
@@ -772,7 +754,7 @@ func (c *conn) handleQuery(id uint64, rq *request) error {
 	defer cur.Close()
 	pageSize := int(m.PageSize)
 	if pageSize <= 0 {
-		pageSize = c.s.cfg.PageSize
+		pageSize = defaultPageSize
 	}
 	pageSize = min(pageSize, maxPageBytes) // a row is a byte at least
 	var page wire.PageBuilder
@@ -831,8 +813,6 @@ func (c *conn) handleCreateIndex(payload []byte) error {
 	return err
 }
 
-// --- shared helpers (also used by the HTTP listener) ---
-
 // openCursor opens the query into cur, resolved against the connection:
 // a TxnID routes the scan through that transaction's snapshot — it
 // reads the Begin snapshot and excludes the transaction's own staged
@@ -844,14 +824,13 @@ func (c *conn) handleCreateIndex(payload []byte) error {
 // caller must call its users.Done after the cursor is closed.
 func (c *conn) openCursor(m *wire.QueryReq, cur *core.Cursor) (*connTxn, error) {
 	if m.TxnID == 0 {
-		_, err := c.s.openCursor(m, nil, cur)
-		return nil, err
+		return nil, c.s.openCursor(m, nil, cur)
 	}
 	ct, err := c.useTxn(m.TxnID)
 	if err != nil {
 		return nil, err
 	}
-	if _, err := c.s.openCursor(m, &ct.txn, cur); err != nil {
+	if err := c.s.openCursor(m, &ct.txn, cur); err != nil {
 		ct.users.Done()
 		return nil, err
 	}
@@ -859,18 +838,16 @@ func (c *conn) openCursor(m *wire.QueryReq, cur *core.Cursor) (*connTxn, error) 
 }
 
 // openCursor opens the query into cur, through txn's snapshot when one
-// is given; cur's rows are views (QueryInto). The HTTP listener, which
-// keeps rows across Next and has no transactions, passes a nil cur and
-// gets a fresh cursor whose rows own their strings (Query). The options
-// are built and consumed in
-// this one frame on purpose: core's option constructors inline and
-// Query only calls what it is handed, so the closures stay on this
-// stack — a query costs no allocation per option. Absent bounds are
-// tested by length: a reused QueryReq decodes them as empty, not nil.
-func (s *Server) openCursor(m *wire.QueryReq, txn *core.Txn, cur *core.Cursor) (*core.Cursor, error) {
+// is given; cur's rows are views (QueryInto). The options are built and
+// consumed in this one frame on purpose: core's option constructors
+// inline and QueryInto only calls what it is handed, so the closures
+// stay on this stack — a query costs no allocation per option. Absent
+// bounds are tested by length: a reused QueryReq decodes them as empty,
+// not nil.
+func (s *Server) openCursor(m *wire.QueryReq, txn *core.Txn, cur *core.Cursor) error {
 	tb, err := s.eng.Table(m.Table)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	var opts [8]core.QueryOption // one slot per option below; filled by index, as append would move them to the heap
 	n := 0
@@ -905,11 +882,8 @@ func (s *Server) openCursor(m *wire.QueryReq, txn *core.Txn, cur *core.Cursor) (
 			add(core.WithMergeMode(core.MergeUnordered))
 		}
 	}
-	switch {
-	case cur == nil:
-		return tb.Query(opts[:n]...)
-	case txn != nil:
-		return cur, txn.QueryInto(cur, tb, opts[:n]...)
+	if txn != nil {
+		return txn.QueryInto(cur, tb, opts[:n]...)
 	}
-	return cur, tb.QueryInto(cur, opts[:n]...)
+	return tb.QueryInto(cur, opts[:n]...)
 }

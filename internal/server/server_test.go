@@ -30,18 +30,14 @@ type fixture struct {
 	addr string
 }
 
-func startServer(t testing.TB, cfgTweak func(*server.Config)) *fixture {
+func startServer(t testing.TB) *fixture {
 	t.Helper()
 	dir := t.TempDir()
 	eng, err := core.NewEngine(core.Options{Path: filepath.Join(dir, "db")}, core.WithWAL())
 	if err != nil {
 		t.Fatalf("NewEngine: %v", err)
 	}
-	cfg := server.Config{Engine: eng}
-	if cfgTweak != nil {
-		cfgTweak(&cfg)
-	}
-	srv, err := server.New(cfg)
+	srv, err := server.New(server.Config{Engine: eng})
 	if err != nil {
 		t.Fatalf("server.New: %v", err)
 	}
@@ -87,7 +83,7 @@ func setupKV(t *testing.T, cl *client.Client) {
 }
 
 func TestServerEndToEnd(t *testing.T) {
-	f := startServer(t, nil)
+	f := startServer(t)
 	defer f.stop(t)
 	cl, err := client.Dial(f.addr)
 	if err != nil {
@@ -196,7 +192,7 @@ func TestServerEndToEnd(t *testing.T) {
 // TestApplyErrorAttribution: a batch mixing a duplicate key and good
 // ops comes back with per-op errors — the dup fails, neighbors apply.
 func TestApplyErrorAttribution(t *testing.T) {
-	f := startServer(t, nil)
+	f := startServer(t)
 	defer f.stop(t)
 	cl, err := client.Dial(f.addr)
 	if err != nil {
@@ -238,7 +234,7 @@ func TestApplyErrorAttribution(t *testing.T) {
 // invariants: every acked key readable, exactly one winner per
 // contended key, index row count == acked successes.
 func TestStorm(t *testing.T) {
-	f := startServer(t, nil)
+	f := startServer(t)
 	defer f.stop(t)
 	setup, err := client.Dial(f.addr)
 	if err != nil {
@@ -363,7 +359,7 @@ func TestStorm(t *testing.T) {
 // TestGracefulShutdown: every op acked before Shutdown must be
 // readable after the engine reopens from disk — no acked write lost.
 func TestGracefulShutdown(t *testing.T) {
-	f := startServer(t, nil)
+	f := startServer(t)
 	cl, err := client.Dial(f.addr)
 	if err != nil {
 		t.Fatalf("Dial: %v", err)
@@ -424,7 +420,7 @@ func TestGracefulShutdown(t *testing.T) {
 // TestShutdownIdempotent: double Shutdown and post-shutdown Serve are
 // clean errors, not hangs or panics.
 func TestShutdownIdempotent(t *testing.T) {
-	f := startServer(t, nil)
+	f := startServer(t)
 	ctx := context.Background()
 	if err := f.srv.Shutdown(ctx); err != nil {
 		t.Fatalf("first Shutdown: %v", err)
@@ -442,7 +438,7 @@ func TestShutdownIdempotent(t *testing.T) {
 // from many connections produce fewer WAL appends than ops — shared
 // batches under one group commit.
 func TestCoalescingShares(t *testing.T) {
-	f := startServer(t, nil)
+	f := startServer(t)
 	defer f.stop(t)
 	cl, err := client.Dial(f.addr)
 	if err != nil {
@@ -489,11 +485,18 @@ func TestCoalescingShares(t *testing.T) {
 		st.WALAppends, st.WALSyncs)
 }
 
-// TestHTTPFallback exercises the curl-able JSON listener end to end,
-// including writes that ride the same coalescer as binary traffic.
-func TestHTTPFallback(t *testing.T) {
-	f := startServer(t, nil)
+// TestAdminHTTP: the HTTP listener serves admin only — stats list the
+// tables the binary protocol created, a checkpoint answers 200 — and
+// the JSON data plane it once had is gone.
+func TestAdminHTTP(t *testing.T) {
+	f := startServer(t)
 	defer f.stop(t)
+	cl, err := client.Dial(f.addr)
+	if err != nil {
+		t.Fatalf("Dial: %v", err)
+	}
+	defer cl.Close()
+	setupKV(t, cl)
 	hl, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("http listen: %v", err)
@@ -501,66 +504,40 @@ func TestHTTPFallback(t *testing.T) {
 	go f.srv.ServeHTTP(hl)
 	base := "http://" + hl.Addr().String()
 
-	post := func(path, body string) (int, map[string]any) {
-		t.Helper()
-		resp, err := http.Post(base+path, "application/json", strings.NewReader(body))
-		if err != nil {
-			t.Fatalf("POST %s: %v", path, err)
-		}
-		defer resp.Body.Close()
-		var doc map[string]any
-		json.NewDecoder(resp.Body).Decode(&doc)
-		return resp.StatusCode, doc
-	}
-
-	if code, doc := post("/v1/tables",
-		`{"name":"kv","fields":[{"name":"id","kind":"int64"},{"name":"val","kind":"string"}]}`); code != 201 {
-		t.Fatalf("create table: %d %v", code, doc)
-	}
-	if code, doc := post("/v1/tables/kv/indexes",
-		`{"name":"by_id","fields":["id"],"unique":true}`); code != 201 {
-		t.Fatalf("create index: %d %v", code, doc)
-	}
-	code, doc := post("/v1/tables/kv/apply",
-		`{"ops":[{"op":"insert","row":[1,"one"]},{"op":"insert","row":[2,"two"]},{"op":"insert","row":[1,"dup"]}]}`)
-	if code != 200 {
-		t.Fatalf("apply: %d %v", code, doc)
-	}
-	if doc["applied"].(float64) != 2 {
-		t.Errorf("applied = %v", doc["applied"])
-	}
-	errs := doc["errors"].([]any)
-	if errs[0] != "" || errs[1] != "" || errs[2] == "" {
-		t.Errorf("errors = %v", errs)
-	}
-
-	resp, err := http.Get(base + "/v1/tables/kv/rows?index=by_id&project=val")
-	if err != nil {
-		t.Fatalf("rows: %v", err)
-	}
-	var rowsDoc struct {
-		Fields []string `json:"fields"`
-		Rows   [][]any  `json:"rows"`
-	}
-	json.NewDecoder(resp.Body).Decode(&rowsDoc)
-	resp.Body.Close()
-	if len(rowsDoc.Rows) != 2 || rowsDoc.Fields[0] != "val" {
-		t.Errorf("rows = %+v", rowsDoc)
-	}
-
-	resp, err = http.Get(base + "/v1/stats")
+	resp, err := http.Get(base + "/v1/stats")
 	if err != nil {
 		t.Fatalf("stats: %v", err)
 	}
 	var st server.StatsSnapshot
-	json.NewDecoder(resp.Body).Decode(&st)
+	err = json.NewDecoder(resp.Body).Decode(&st)
 	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("stats: %d %v", resp.StatusCode, err)
+	}
 	if len(st.Tables) != 1 || st.Tables[0] != "kv" {
 		t.Errorf("stats tables = %v", st.Tables)
 	}
 
-	if code, _ := post("/v1/checkpoint", ""); code != 200 {
-		t.Errorf("checkpoint: %d", code)
+	for _, c := range []struct {
+		method, path string
+		want         int
+	}{
+		{"POST", "/v1/checkpoint", http.StatusOK},
+		{"POST", "/v1/tables", http.StatusNotFound},
+		{"GET", "/v1/tables/kv/rows", http.StatusNotFound},
+	} {
+		req, err := http.NewRequest(c.method, base+c.path, strings.NewReader("{}"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatalf("%s %s: %v", c.method, c.path, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != c.want {
+			t.Errorf("%s %s = %d, want %d", c.method, c.path, resp.StatusCode, c.want)
+		}
 	}
 }
 
@@ -569,7 +546,7 @@ func TestHTTPFallback(t *testing.T) {
 // mode the same multiset — and an absurd worker count is clamped
 // server-side rather than rejected.
 func TestParallelQueryOverWire(t *testing.T) {
-	f := startServer(t, nil)
+	f := startServer(t)
 	defer f.stop(t)
 	cl, err := client.Dial(f.addr)
 	if err != nil {
@@ -647,7 +624,7 @@ func TestParallelQueryOverWire(t *testing.T) {
 // TestPipelinedOutOfOrder: many in-flight requests on ONE connection
 // complete correctly (request IDs demultiplex).
 func TestPipelinedOutOfOrder(t *testing.T) {
-	f := startServer(t, nil)
+	f := startServer(t)
 	defer f.stop(t)
 	cl, err := client.Dial(f.addr, client.WithPoolSize(1))
 	if err != nil {
@@ -687,7 +664,7 @@ func TestPipelinedOutOfOrder(t *testing.T) {
 // were bounded by bytes, the handler goroutine panicked in FinishFrame
 // and took the process with it.
 func TestOversizedPageRequest(t *testing.T) {
-	f := startServer(t, nil)
+	f := startServer(t)
 	defer f.stop(t)
 	schema, err := tuple.NewSchema(
 		tuple.Field{Name: "id", Kind: tuple.KindInt64},

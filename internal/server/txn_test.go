@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"repro/client"
-	"repro/internal/server"
 	"repro/internal/tuple"
 )
 
@@ -29,7 +28,7 @@ func collectIDs(t *testing.T, rows *client.Rows) map[int64]string {
 }
 
 func TestTxnOverWire(t *testing.T) {
-	f := startServer(t, nil)
+	f := startServer(t)
 	defer f.stop(t)
 	cl, err := client.Dial(f.addr)
 	if err != nil {
@@ -96,7 +95,7 @@ func TestTxnOverWire(t *testing.T) {
 // silently drops rows — so every stream that opened successfully must
 // deliver the complete Begin snapshot, abort notwithstanding.
 func TestTxnFinishWaitsForStreamingCursor(t *testing.T) {
-	f := startServer(t, func(cfg *server.Config) { cfg.PageSize = 32 })
+	f := startServer(t)
 	defer f.stop(t)
 	cl, err := client.Dial(f.addr)
 	if err != nil {
@@ -170,8 +169,9 @@ func TestTxnFinishWaitsForStreamingCursor(t *testing.T) {
 		}
 
 		// Open the victim's stream, then abort immediately — the abort
-		// frame chases the query frame down the same pipelined connection.
-		stream, err := victim.Query("kv", client.WithIndex("by_id"))
+		// frame chases the query frame down the same pipelined connection;
+		// 32-row pages keep the server streaming while the abort arrives.
+		stream, err := victim.Query("kv", client.WithIndex("by_id"), client.WithPageSize(32))
 		if err != nil {
 			t.Fatalf("victim Query: %v", err)
 		}
@@ -204,7 +204,7 @@ func TestTxnFinishWaitsForStreamingCursor(t *testing.T) {
 }
 
 func TestTxnConflictOverWire(t *testing.T) {
-	f := startServer(t, nil)
+	f := startServer(t)
 	defer f.stop(t)
 	cl, err := client.Dial(f.addr)
 	if err != nil {
@@ -274,7 +274,7 @@ func TestTxnConflictOverWire(t *testing.T) {
 // must stay invisible to that transaction's cursors, and a snapshot
 // begun afterwards must see every coalesced write.
 func TestTxnSnapshotVsCoalescedWrites(t *testing.T) {
-	f := startServer(t, nil)
+	f := startServer(t)
 	defer f.stop(t)
 	cl, err := client.Dial(f.addr)
 	if err != nil {
@@ -352,7 +352,7 @@ func TestTxnSnapshotVsCoalescedWrites(t *testing.T) {
 // TestTxnDisconnectAborts proves the server rolls back transactions
 // orphaned by a dropped connection: staged writes must never surface.
 func TestTxnDisconnectAborts(t *testing.T) {
-	f := startServer(t, nil)
+	f := startServer(t)
 	defer f.stop(t)
 
 	cl1, err := client.Dial(f.addr, client.WithPoolSize(1))
@@ -409,7 +409,7 @@ func TestTxnDisconnectAborts(t *testing.T) {
 }
 
 func TestTxnAbortOverWire(t *testing.T) {
-	f := startServer(t, nil)
+	f := startServer(t)
 	defer f.stop(t)
 	cl, err := client.Dial(f.addr)
 	if err != nil {

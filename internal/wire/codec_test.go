@@ -152,6 +152,44 @@ func TestQueryPageSlab(t *testing.T) {
 	}
 }
 
+// TestQueryPageEmptyRows: an empty row (a projection of no fields)
+// encodes in one byte, so a page of them is shorter than two bytes a
+// row, and it must still decode to what was encoded. A row count the
+// payload cannot hold is still refused, and one it could only hold as
+// empty rows pre-allocates no more than two bytes a row would.
+func TestQueryPageEmptyRows(t *testing.T) {
+	for _, n := range []int{3, 4, 100} {
+		want := QueryPage{Rows: make([]tuple.Row, n), Last: true}
+		var into QueryPage
+		if err := into.Unmarshal(want.Marshal(nil)); err != nil {
+			t.Fatalf("%d empty rows: %v", n, err)
+		}
+		if len(into.Rows) != n || !into.Last {
+			t.Fatalf("%d empty rows: got %d rows, last %v", n, len(into.Rows), into.Last)
+		}
+		for j, r := range into.Rows {
+			if len(r) != 0 {
+				t.Fatalf("%d empty rows: row %d has %d values", n, j, len(r))
+			}
+		}
+	}
+	lying := appendUvarint([]byte{0}, 1000)
+	if err := new(QueryPage).Unmarshal(append(lying, make([]byte, 100)...)); err == nil {
+		t.Fatal("page of 1000 rows in 100 bytes accepted")
+	}
+	// The first row's width is corrupt, so decoding stops there: what
+	// Rows holds is what the count pre-allocated.
+	lying = appendUvarint(lying, 1<<20)
+	lying = append(lying, make([]byte, 1000)...)
+	var page QueryPage
+	if err := page.Unmarshal(lying); err == nil {
+		t.Fatal("row of 2^20 values in 1000 bytes accepted")
+	}
+	if most := (len(lying)-3)/2 + 1; cap(page.Rows) > most {
+		t.Fatalf("a count of 1000 over %d bytes pre-allocated %d rows, want ≤ %d", len(lying)-3, cap(page.Rows), most)
+	}
+}
+
 // TestQueryReqCompat pins the flag-gated Parallel encoding: a request
 // without Parallel set marshals to exactly the pre-parallel format, and
 // an old-format payload (flags byte last, bit 8 clear) still decodes.
@@ -289,6 +327,9 @@ func FuzzQueryPageDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add((&QueryPage{Rows: []tuple.Row{sampleRow()}, RIDs: []uint64{3}, Last: true}).Marshal(nil))
 	f.Add((&QueryPage{Rows: []tuple.Row{nanRow()}, Last: true}).Marshal(nil))
+	// Four empty rows, one width written in two bytes: its re-encoding is
+	// one byte a row, which a two-byte-a-row bound refused.
+	f.Add([]byte("0\x04\x00\x80\x00\x00\x00\x00"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var m QueryPage
 		if err := m.Unmarshal(data); err != nil {

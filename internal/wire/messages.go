@@ -411,9 +411,12 @@ func (m *QueryPage) Seed(rows []tuple.Row, vals []tuple.Value, rids []uint64) {
 func (m *QueryPage) Unmarshal(b []byte) error {
 	r := reader{b: b}
 	m.Last = r.byte() != 0
-	n := r.count(2)
-	if m.Rows = m.Rows[:0]; cap(m.Rows) < n {
-		m.Rows = make([]tuple.Row, 0, n)
+	n := r.count(1) // an empty row is one byte: its width
+	// A row of values is two bytes at least: a corrupt count cannot size
+	// Rows past that, and a page of empty rows grows it by append.
+	m.Rows = m.Rows[:0]
+	if want := min(n, (len(b)-r.off)/2+1); cap(m.Rows) < want {
+		m.Rows = make([]tuple.Row, 0, want)
 	}
 	slab := m.slab[:0]
 	for i := 0; i < n && r.err == nil; i++ {

@@ -6,20 +6,17 @@ import (
 )
 
 // Server serves an Engine over the network: the pipelined binary
-// protocol on TCP plus an optional HTTP/JSON fallback, with
+// protocol on TCP — the one data protocol, spoken by Client — plus an
+// optional admin-only HTTP listener (stats, checkpoint), with
 // cross-connection write coalescing (writes that arrive while another
 // is landing share the next Table.Apply and its WAL group commit). Create
 // with NewServer, start with Server.ListenAndServe or Server.Serve,
 // stop with Server.Shutdown. cmd/nblb-server wraps this in a binary.
 type Server = server.Server
 
-// ServerConfig configures NewServer. The zero value of every field
-// except Engine is usable (defaults documented on the fields).
+// ServerConfig configures NewServer: the Engine to serve (required) and
+// NoCoalesce, which gives every write its own group commit.
 type ServerConfig = server.Config
-
-// CoalesceConfig tunes the server's cross-connection write coalescer
-// (batch size cap, or disabling it outright).
-type CoalesceConfig = server.CoalesceConfig
 
 // ServerStats is the server's JSON stats snapshot (connection and
 // request counters, coalescing effectiveness, WAL appends vs syncs).
