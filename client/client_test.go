@@ -148,6 +148,76 @@ func pageServer(t *testing.T, pages [][]Row) string {
 	return l.Addr().String()
 }
 
+// firstPageServer is a one-connection wire server for tests that answers
+// every query with page and then stalls, as if the rest were still to
+// come.
+func firstPageServer(t *testing.T, page []Row) string {
+	t.Helper()
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { l.Close() })
+	go func() {
+		nc, err := l.Accept()
+		if err != nil {
+			return
+		}
+		defer nc.Close()
+		br := bufio.NewReader(nc)
+		var buf []byte
+		for {
+			f, b, err := wire.ReadFrame(br, buf)
+			if buf = b; err != nil {
+				return
+			}
+			out := (&wire.QueryPage{Rows: page}).Marshal(wire.BeginFrame(nil))
+			wire.FinishFrame(out, 0, f.ReqID, wire.TQueryPage)
+			if _, err := nc.Write(out); err != nil {
+				return
+			}
+		}
+	}()
+	return l.Addr().String()
+}
+
+// TestAbandonedStreamIsNotATimeout: closing an unfinished stream severs
+// its connection, so every other request in flight on that connection
+// fails at once. It must fail saying so — not with ErrTimeout, which
+// made the neighbours of an abandoned stream report a time-out far
+// short of the client's timeout.
+func TestAbandonedStreamIsNotATimeout(t *testing.T) {
+	page := []Row{{Int64(0)}, {Int64(1)}, {Int64(2)}, {Int64(3)}}
+	cl, err := Dial(firstPageServer(t, page), WithPoolSize(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	a, err := cl.Query("t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := cl.Query("t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !a.Next() || !b.Next() {
+		t.Fatalf("no first rows: %v, %v", a.Err(), b.Err())
+	}
+	a.Close()
+	n := 1
+	for b.Next() {
+		n++
+	}
+	err = b.Err()
+	if n != len(page) || err == nil {
+		t.Fatalf("B read %d rows, then %v; want its first page, then an error", n, err)
+	}
+	if errors.Is(err, ErrTimeout) || !errors.Is(err, errAbandoned) {
+		t.Fatalf("B's request on the abandoned connection failed with %q, want %q", err, errAbandoned)
+	}
+}
+
 // TestStreamedStringsOutliveTheirPage: a decoded string is a view of its
 // page's private copy of the payload — not of the response buffer, which
 // goes back to its pool (poisoned here) the moment the page is decoded,

@@ -223,8 +223,13 @@ func (r *Rows) Close() error {
 	return nil
 }
 
+// errAbandoned is what the other requests in flight on a connection get
+// when a stream abandons it: they did not time out, their connection was
+// closed under them.
+var errAbandoned = errors.New("client: connection closed: a query stream on it was abandoned")
+
 // abandon gives up on a stream in mid-flight by closing its connection:
 // the server may still be streaming pages, and the reader must not
 // stall behind a channel nobody drains. The waiter dies with the
-// connection.
-func (r *Rows) abandon() { r.cc.close(ErrTimeout) }
+// connection, and so does every other request on it.
+func (r *Rows) abandon() { r.cc.close(errAbandoned) }

@@ -129,14 +129,6 @@ var experimentList = []struct {
 		}
 		return show(experiments.RunAblatePlacement(cfg))
 	}},
-	{"ablate-predlog", func(quick bool, seed int64, _ string) error {
-		cfg := experiments.DefaultAblatePredLogConfig()
-		cfg.Seed = seed
-		if quick {
-			cfg.Rows, cfg.Ops = 1000, 5000
-		}
-		return show(experiments.RunAblatePredLog(cfg))
-	}},
 	{"scan", func(quick bool, seed int64, out string) error {
 		cfg := experiments.DefaultScanConfig()
 		cfg.Seed = seed

@@ -134,7 +134,7 @@ func (t *Tree) ApplyRun(entries []RunEntry) (RunStats, error) {
 		rightmost := n.rightSibling() == uint64(storage.InvalidPageID)
 		bound = bound[:0]
 		if k := n.nKeys(); k > 0 {
-			bound = append(bound, n.key(k-1)...)
+			bound = n.appendKey(bound, k-1)
 		}
 		dirty := false
 		split := false

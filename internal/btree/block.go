@@ -1,10 +1,6 @@
 package btree
 
-import (
-	"bytes"
-
-	"repro/internal/storage"
-)
+import "repro/internal/storage"
 
 // EntryBlock is a vectorized batch of index entries filled by
 // Cursor.NextBlock: key bytes packed into one flat slab delimited by
@@ -48,6 +44,17 @@ func (b *EntryBlock) push(key []byte, val uint64) {
 	b.vals = append(b.vals, val)
 }
 
+// pushKey appends the entry at directory position i of n. Caller holds
+// n's latch.
+func (b *EntryBlock) pushKey(n node, i int) {
+	if len(b.offs) == 0 {
+		b.offs = append(b.offs, 0)
+	}
+	b.keys = n.appendKey(b.keys, i)
+	b.offs = append(b.offs, int32(len(b.keys)))
+	b.vals = append(b.vals, n.value(i))
+}
+
 // NextBlock fills b with up to max entries, advancing the cursor past
 // them, and returns how many were served. Zero means the range is
 // exhausted or the cursor failed (check Err). The cursor's own
@@ -76,14 +83,9 @@ func (c *Cursor) NextBlock(b *EntryBlock, max int) int {
 	for {
 		c.fr.Latch.RLock()
 		n := asNode(c.fr.Data())
-		if v := n.version(); c.stale || v != c.ver {
-			c.pos = c.reposForward(n)
-			c.ver = v
-			c.stale = false
-		}
+		c.revalidate(n)
 		for c.pos < n.nKeys() && b.Len() < max {
-			k := n.key(c.pos)
-			if c.end != nil && bytes.Compare(k, c.end) >= 0 {
+			if c.pos >= c.stop {
 				c.fr.Latch.RUnlock()
 				c.finish()
 				return b.Len()

@@ -1,8 +1,6 @@
 package btree
 
 import (
-	"bytes"
-
 	"repro/internal/buffer"
 	"repro/internal/storage"
 )
@@ -42,8 +40,9 @@ type Cursor struct {
 	fr      *buffer.Frame // current leaf, pinned across Next calls
 	leaf    Leaf          // reusable view handed to onEntry
 	pos     int           // next directory position to serve (forward only)
-	ver     uint32        // leaf version pos was derived against
-	stale   bool          // pos must be re-derived before use
+	stop    int           // first position at or past end (forward only)
+	ver     uint32        // leaf version pos and stop were derived against
+	stale   bool          // pos and stop must be re-derived before use
 	key     []byte        // scratch: last served key, the resume point
 	val     uint64
 	started bool // at least one key served; key is valid
@@ -182,14 +181,9 @@ func (c *Cursor) nextForward() bool {
 			}
 			continue
 		}
-		if v := n.version(); c.stale || v != c.ver {
-			c.pos = c.reposForward(n)
-			c.ver = v
-			c.stale = false
-		}
+		c.revalidate(n)
 		if c.pos < n.nKeys() {
-			k := n.key(c.pos)
-			if c.end != nil && bytes.Compare(k, c.end) >= 0 {
+			if c.pos >= c.stop {
 				c.fr.Latch.RUnlock()
 				c.finish()
 				return false
@@ -222,7 +216,7 @@ func (c *Cursor) nextForward() bool {
 // serveLocked copies out the entry at pos and runs the entry visitor.
 // Caller holds the frame latch (shared).
 func (c *Cursor) serveLocked(n node, pos int) {
-	c.key = append(c.key[:0], n.key(pos)...)
+	c.key = n.appendKey(c.key[:0], pos)
 	c.val = n.value(pos)
 	c.started = true
 	if c.onEntry != nil {
@@ -258,6 +252,22 @@ func (c *Cursor) seekForward() bool {
 	c.fr = fr
 	c.stale = true
 	return true
+}
+
+// revalidate re-derives pos and stop if the leaf changed since they
+// were derived: stop is where the range's end falls in this leaf, so
+// serving an entry needs no key comparison. Caller holds the frame
+// latch (shared).
+func (c *Cursor) revalidate(n node) {
+	if v := n.version(); c.stale || v != c.ver {
+		c.pos = c.reposForward(n)
+		c.stop = n.nKeys()
+		if c.end != nil {
+			c.stop, _ = n.search(c.end)
+		}
+		c.ver = v
+		c.stale = false
+	}
 }
 
 // reposForward derives the first directory position strictly past the
@@ -313,8 +323,7 @@ func (c *Cursor) nextReverse() bool {
 		}
 		pos := c.reposReverse(n)
 		if pos >= 0 {
-			k := n.key(pos)
-			if c.start != nil && bytes.Compare(k, c.start) < 0 {
+			if c.start != nil && n.cmpKey(pos, c.start) < 0 {
 				c.fr.Latch.RUnlock()
 				c.finish()
 				return false

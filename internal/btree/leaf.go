@@ -47,8 +47,8 @@ func (l *Leaf) Find(key []byte) (uint64, bool) {
 // NumKeys returns the number of keys in the leaf.
 func (l *Leaf) NumKeys() int { return l.n.nKeys() }
 
-// KeyAt returns the key at position i (aliases the page).
-func (l *Leaf) KeyAt(i int) []byte { return l.n.key(i) }
+// AppendKey appends the key at position i to dst.
+func (l *Leaf) AppendKey(dst []byte, i int) []byte { return l.n.appendKey(dst, i) }
 
 // ValueAt returns the value at position i.
 func (l *Leaf) ValueAt(i int) uint64 { return l.n.value(i) }
@@ -88,10 +88,11 @@ func (l *Leaf) SetCacheEntrySize(v int) { l.n.setCacheEntrySize(v) }
 // last as the page fills, so the cache concentrates hot items there.
 //
 // K is estimated as the mean cell size of the keys currently in the
-// page; an empty page assumes a 24-byte cell.
+// page (suffixes: the page prefix is stored once, above the cells); an
+// empty page assumes a 24-byte cell.
 func (l *Leaf) StablePoint() int {
 	h := nodeHeaderSize
-	pf := len(l.n.data) - nodeFooterSize
+	pf := l.n.pageEnd() - l.n.prefixLen() // where the key cells start
 	avgCell := 24
 	if k := l.n.nKeys(); k > 0 {
 		avgCell = (pf - l.n.keyStart()) / k
@@ -103,16 +104,12 @@ func (l *Leaf) StablePoint() int {
 	return h + int(nStar*float64(dirEntrySize))
 }
 
-// KeyRange returns the smallest and largest keys in the leaf (aliasing
-// the page), or ok=false for an empty leaf. The predicate log uses it
-// to decide whether an invalidation predicate could match this page.
-func (l *Leaf) KeyRange() (min, max []byte, ok bool) {
-	k := l.n.nKeys()
-	if k == 0 {
-		return nil, nil, false
-	}
-	return l.n.key(0), l.n.key(k - 1), true
-}
+// Covers reports whether key lies within the leaf's key range, its
+// smallest key ≤ key ≤ its largest (false for an empty leaf). The
+// predicate log uses it to decide whether an invalidation predicate
+// could match this page; it compares in place, so the check copies no
+// key out of the page.
+func (l *Leaf) Covers(key []byte) bool { return l.n.covers(key) }
 
 // MarkDirty flags the page for write-back. Regular index maintenance
 // uses it; cache operations never do.

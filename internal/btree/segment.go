@@ -69,10 +69,10 @@ func (t *Tree) PlanSegments(start, end []byte, target int) ([]Segment, error) {
 			// (unbounded at the node's edges); keep the children that
 			// intersect [start, end) and the separators strictly inside it.
 			for ci := 0; ci <= nk; ci++ {
-				if ci < nk && start != nil && bytes.Compare(n.key(ci), start) <= 0 {
+				if ci < nk && start != nil && n.cmpKey(ci, start) <= 0 {
 					continue // child entirely below the range
 				}
-				if ci > 0 && end != nil && bytes.Compare(n.key(ci-1), end) >= 0 {
+				if ci > 0 && end != nil && n.cmpKey(ci-1, end) >= 0 {
 					break // this and all further children are past the range
 				}
 				if ci == 0 {
@@ -82,14 +82,13 @@ func (t *Tree) PlanSegments(start, end []byte, target int) ([]Segment, error) {
 				}
 			}
 			for i := 0; i < nk; i++ {
-				k := n.key(i)
-				if start != nil && bytes.Compare(k, start) <= 0 {
+				if start != nil && n.cmpKey(i, start) <= 0 {
 					continue
 				}
-				if end != nil && bytes.Compare(k, end) >= 0 {
+				if end != nil && n.cmpKey(i, end) >= 0 {
 					break
 				}
-				seps = append(seps, append([]byte(nil), k...))
+				seps = append(seps, n.appendKey(nil, i))
 			}
 			fr.Latch.RUnlock()
 			t.pool.Unpin(fr, false)

@@ -16,10 +16,15 @@ type Stats struct {
 	LeafPages     int
 	InternalPages int
 	Keys          int64
-	// KeyBytes is the total key payload stored in leaves (the paper's
-	// "360 MB of key data" for Wikipedia's name_title index).
+	// KeyBytes is the total key payload in leaves, each key counted
+	// whole (the paper's "360 MB of key data" for Wikipedia's
+	// name_title index).
 	KeyBytes int64
-	// UsedBytes counts directory + cell bytes across all nodes.
+	// StoredKeyBytes is what the leaves store of that payload: every
+	// key's suffix plus one prefix per page.
+	StoredKeyBytes int64
+	// UsedBytes counts directory, cell and page-prefix bytes across all
+	// nodes.
 	UsedBytes int64
 	// UsableBytes counts page capacity (excluding headers/footers).
 	UsableBytes int64
@@ -49,8 +54,9 @@ func (t *Tree) Stats() (Stats, error) {
 			st.LeafPages++
 			st.Keys += int64(n.nKeys())
 			for i := 0; i < n.nKeys(); i++ {
-				st.KeyBytes += int64(len(n.key(i)))
+				st.KeyBytes += int64(n.keyLen(i))
 			}
+			st.StoredKeyBytes += int64(n.storedKeyBytes())
 			st.LeafFreeBytes += int64(n.freeSpace())
 			leafFillSum += n.fill()
 		} else {
@@ -103,7 +109,7 @@ func (t *Tree) walk(id storage.PageID, fn func(id storage.PageID, n node) error)
 //
 //   - every page footer magic intact (cache writes stayed in bounds)
 //   - keys strictly increasing within every node
-//   - directory offsets inside the key-cell region
+//   - directory offsets inside the key-cell region, below the prefix
 //   - child separators consistent with parent keys
 //   - leaf sibling chain strictly increasing, with every left link
 //     mirroring the right link it doubles
@@ -133,19 +139,20 @@ func (t *Tree) checkNode(id storage.PageID, lower, upper []byte) error {
 	if !n.footerOK() {
 		return fmt.Errorf("btree: %v footer magic destroyed", id)
 	}
-	if n.dirEnd() < nodeHeaderSize || n.dirEnd() > n.keyStart() || n.keyStart() > len(n.data)-nodeFooterSize {
-		return fmt.Errorf("btree: %v region bounds corrupt: dirEnd=%d keyStart=%d", id, n.dirEnd(), n.keyStart())
+	cellsEnd := n.pageEnd() - n.prefixLen()
+	if n.dirEnd() < nodeHeaderSize || n.dirEnd() > n.keyStart() || n.keyStart() > cellsEnd {
+		return fmt.Errorf("btree: %v region bounds corrupt: dirEnd=%d keyStart=%d prefixLen=%d", id, n.dirEnd(), n.keyStart(), n.prefixLen())
 	}
 	if n.dirEnd() != nodeHeaderSize+n.nKeys()*dirEntrySize {
 		return fmt.Errorf("btree: %v dirEnd inconsistent with nKeys", id)
 	}
-	var prev []byte
+	var prev, k []byte
 	for i := 0; i < n.nKeys(); i++ {
 		off := n.dirEntry(i)
-		if off < n.keyStart() || off+cellSize(len(n.cellKey(off))) > len(n.data)-nodeFooterSize {
+		if off < n.keyStart() || off+cellSize(n.keyLen(i)-n.prefixLen()) > cellsEnd {
 			return fmt.Errorf("btree: %v directory entry %d points outside cell region", id, i)
 		}
-		k := n.key(i)
+		k = n.appendKey(k[:0], i)
 		if prev != nil && bytes.Compare(prev, k) >= 0 {
 			return fmt.Errorf("btree: %v keys out of order at %d", id, i)
 		}
@@ -169,14 +176,14 @@ func (t *Tree) checkNode(id storage.PageID, lower, upper []byte) error {
 	spans := make([]childSpan, 0, n.nKeys()+1)
 	var firstUpper []byte
 	if n.nKeys() > 0 {
-		firstUpper = append([]byte(nil), n.key(0)...)
+		firstUpper = n.appendKey(nil, 0)
 	}
 	spans = append(spans, childSpan{storage.PageID(n.leftmostChild()), copyBytes(lower), firstUpper})
 	for i := 0; i < n.nKeys(); i++ {
-		lo := append([]byte(nil), n.key(i)...)
+		lo := n.appendKey(nil, i)
 		var hi []byte
 		if i+1 < n.nKeys() {
-			hi = append([]byte(nil), n.key(i+1)...)
+			hi = n.appendKey(nil, i+1)
 		} else {
 			hi = copyBytes(upper)
 		}
@@ -218,13 +225,12 @@ func (t *Tree) checkLeafChain() error {
 			return fmt.Errorf("btree: leaf %v left link %v, want %v (chain asymmetric)", id, got, prev)
 		}
 		if n.nKeys() > 0 {
-			first := n.key(0)
-			if prevLast != nil && bytes.Compare(prevLast, first) >= 0 {
+			if prevLast != nil && n.cmpKey(0, prevLast) <= 0 {
 				fr.Latch.RUnlock()
 				t.pool.Unpin(fr, false)
 				return fmt.Errorf("btree: leaf chain out of order at %v", id)
 			}
-			prevLast = append(prevLast[:0], n.key(n.nKeys()-1)...)
+			prevLast = n.appendKey(prevLast[:0], n.nKeys()-1)
 		}
 		count += int64(n.nKeys())
 		next := storage.PageID(n.rightSibling())

@@ -1,8 +1,8 @@
 package btree
 
 import (
-	"bytes"
 	"fmt"
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/buffer"
@@ -382,35 +382,34 @@ func (t *Tree) insertPessimistic(key []byte, value uint64, ifAbsent bool) (bool,
 	return false, fmt.Errorf("btree: pessimistic insert failed to settle")
 }
 
-// longestKeyIn returns the longest key currently in the node — the
-// upper bound on any separator a split of this node can push up (the
-// up-separator is always one of the node's pre-split keys).
+// longestKeyIn returns the longest key currently in the node — with
+// the incoming key, the upper bound on any separator a split of this
+// node can push up (the up-separator is one of the merged keys).
 func longestKeyIn(n node) int {
 	longest := 0
 	for i := 0; i < n.nKeys(); i++ {
-		if l := len(n.key(i)); l > longest {
-			longest = l
-		}
+		longest = max(longest, n.keyLen(i))
 	}
 	return longest
 }
 
 // pendingSepFits dry-runs the split chain before any page is mutated:
 // walking up from the leaf, a node that cannot absorb the incoming
-// separator splits and pushes up one of its own keys, bounded by its
-// longest. The chain must be absorbed by some retained node — or reach
-// path[0] with rootHeld (path[0] is the root, exclusively latched, so
-// growing it in place is legal). A false return means the safe-node
-// bound the descent used was stale; the caller restarts conservatively
-// rather than splitting past the retained latches.
-func pendingSepFits(path []latchedNode, rootHeld bool) bool {
-	sepLen := longestKeyIn(path[len(path)-1].n)
+// separator splits and pushes up one of its own keys or the incoming
+// one, bounded by the longer. The chain must be absorbed by some
+// retained node — or reach path[0] with rootHeld (path[0] is the root,
+// exclusively latched, so growing it in place is legal). A false return
+// means the safe-node bound the descent used was stale; the caller
+// restarts conservatively rather than splitting past the retained
+// latches.
+func pendingSepFits(path []latchedNode, key []byte, rootHeld bool) bool {
+	sepLen := max(len(key), longestKeyIn(path[len(path)-1].n))
 	for i := len(path) - 2; i >= 0; i-- {
 		n := path[i].n
-		if n.canInsert(sepLen) {
+		if n.canAbsorb(key, sepLen) {
 			return true
 		}
-		sepLen = longestKeyIn(n)
+		sepLen = max(sepLen, longestKeyIn(n))
 	}
 	return rootHeld
 }
@@ -505,7 +504,7 @@ func (t *Tree) insertLatched(key []byte, value uint64, sepBound int, ifAbsent bo
 	// safe-node bound was stale — a concurrent writer published a
 	// longer key after this descent loaded it), bail and let the caller
 	// escalate instead of splitting past the latches we hold.
-	if !pendingSepFits(path, path[0].fr.ID() == t.root) {
+	if !pendingSepFits(path, key, path[0].fr.ID() == t.root) {
 		releasePath(false)
 		return false, false, nil
 	}
@@ -587,6 +586,7 @@ func (t *Tree) insertLatched(key []byte, value uint64, sepBound int, ifAbsent bo
 	}
 	rn := initNode(rootE.fr.Data(), nodeInternal)
 	rn.setLeftmostChild(uint64(leftID))
+	rn.clearCells(sep)
 	if err := rn.insertAt(0, sep, uint64(rightID)); err != nil {
 		releasePath(true)
 		return false, false, fmt.Errorf("btree: root grow insert: %w", err)
@@ -601,88 +601,99 @@ func (t *Tree) insertLatched(key []byte, value uint64, sepBound int, ifAbsent bo
 	return true, true, nil
 }
 
-// splitPosition returns how many existing cells stay in the left half
-// when a full node splits to absorb an incoming cell of newCell bytes
-// at directory position insPos: the cut point where the merged
-// sequence's running byte count passes half its total, clamped so both
-// halves keep at least one existing cell.
-func splitPosition(n node, k, insPos, newCell int) int {
-	half := (n.usedBytes() + newCell) / 2
-	run, splitPos := 0, k/2
-	for v := 0; v <= k; v++ {
-		var sz int
-		if v == insPos {
-			sz = newCell
-		} else {
-			e := v
-			if v > insPos {
-				e = v - 1
-			}
-			sz = cellSize(len(n.key(e))) + dirEntrySize
-		}
-		if run+sz > half {
-			// Cut BEFORE the virtual cell that crosses the halfway mark,
-			// so the left half never exceeds half the merged bytes (the
-			// crossing cell lands right). Existing cells going left are
-			// those among virtual [0..v).
-			splitPos = v
-			if insPos < v {
-				splitPos--
-			}
-			break
-		}
-		run += sz
-	}
-	if splitPos >= k {
-		splitPos = k - 1
-	}
-	if splitPos < 1 {
-		splitPos = 1
-	}
-	return splitPos
-}
-
 // nodeSafe reports whether a node cannot split from this insert: a leaf
 // must fit the incoming key, an internal node must fit the longest
-// separator the tree could push up (sepBound).
+// separator the tree could push up (sepBound) from its child covering
+// key.
 func (t *Tree) nodeSafe(n node, key []byte, sepBound int) bool {
 	if n.isLeaf() {
-		return n.canInsert(len(key))
+		return n.canInsert(key)
 	}
-	return n.canInsert(sepBound)
+	return n.canAbsorb(key, sepBound)
 }
 
-// splitLeafInsert splits the exclusively latched leaf and inserts
-// (key, value) into the proper half. It wires all sibling links —
-// including the old right neighbor's left pointer, taken exclusively in
-// left→right order — and returns the separator (copied) and new page
-// id for propagation. leaf stays latched; the caller releases it dirty.
+// splitStage recycles the block a split stages a full node's entries
+// through, so after warmup a split copies keys without allocating
+// beyond the separator it returns.
+var splitStage = sync.Pool{New: func() any { return new(EntryBlock) }}
+
+// stageMerged copies n's entries into b with (key, value) merged in at
+// its sorted position ins: the sequence a split distributes.
+func stageMerged(b *EntryBlock, n node, ins int, key []byte, value uint64) {
+	b.Reset()
+	for i := 0; i < n.nKeys(); i++ {
+		if i == ins {
+			b.push(key, value)
+		}
+		b.pushKey(n, i)
+	}
+	if ins == n.nKeys() {
+		b.push(key, value)
+	}
+}
+
+// splitCut returns where a full node's staged entries split: the left
+// page takes entries [0, cut) and the right page the rest — all of them
+// in a leaf; in an internal node entry cut moves up as the separator
+// instead. Each side keeps at least one key. Of the cuts that leave
+// both pages within usable bytes it takes the one whose fuller page is
+// emptiest, sizing each page with its own shared prefix stored once —
+// so a key that shares little with the others is split off from the
+// keys it would make longer, and both pages always fit: the old page
+// without the new key did.
+func splitCut(b *EntryBlock, leaf bool, usable int) (int, error) {
+	m := b.Len()
+	total := len(b.keys)
+	skip, last := 0, m-1 // skip: the moved-up entry; last: the final legal cut
+	if !leaf {
+		skip, last = 1, m-2
+	}
+	best, bestSize := -1, 0
+	for cut := 1; cut <= last; cut++ {
+		leftBytes := int(b.offs[cut])
+		rightBytes := total - leftBytes - skip*len(b.Key(cut))
+		l := runBytes(cut, leftBytes, b.Key(0), b.Key(cut-1))
+		r := runBytes(m-cut-skip, rightBytes, b.Key(cut+skip), b.Key(m-1))
+		if size := max(l, r); size <= usable && (best < 0 || size < bestSize) {
+			best, bestSize = cut, size
+		}
+	}
+	if best < 0 {
+		return 0, fmt.Errorf("btree: no split of a %d-entry node fits", m)
+	}
+	return best, nil
+}
+
+// splitLeafInsert splits the exclusively latched leaf around (key,
+// value): the leaf's entries and the new one are staged in order and
+// redistributed over the leaf and a fresh right page, each under its
+// own shared prefix. It wires all sibling links — including the old
+// right neighbor's left pointer, taken exclusively in left→right order
+// — and returns the separator (copied) and new page id for
+// propagation. leaf stays latched; the caller releases it dirty.
 func (t *Tree) splitLeafInsert(leaf latchedNode, key []byte, value uint64) ([]byte, storage.PageID, error) {
 	n := leaf.n
+	b := splitStage.Get().(*EntryBlock)
+	defer splitStage.Put(b)
+	insPos, _ := n.search(key)
+	stageMerged(b, n, insPos, key, value)
+	cut, err := splitCut(b, true, n.usableBytes())
+	if err != nil {
+		return nil, storage.InvalidPageID, err
+	}
 	rfr, err := t.pool.NewPage()
 	if err != nil {
 		return nil, storage.InvalidPageID, err
 	}
 	rn := initNode(rfr.Data(), nodeLeaf)
-	k := n.nKeys()
-	// Find the split position by walking the MERGED sequence (existing
-	// cells plus the incoming one at its sorted position) and cutting at
-	// half its byte count: budgeting the incoming cell into the halves
-	// is what guarantees the post-split insert always fits, even at the
-	// maximum key length (each half ends ≤ (used+new)/2 + one cell, and
-	// maxKeyLen caps a cell at about a quarter of the page).
-	insPos, _ := n.search(key)
-	splitPos := splitPosition(n, k, insPos, cellSize(len(key))+dirEntrySize)
-	for i := splitPos; i < k; i++ {
-		if err := rn.insertAt(i-splitPos, n.key(i), n.value(i)); err != nil {
-			t.pool.Unpin(rfr, false)
-			return nil, storage.InvalidPageID, fmt.Errorf("btree: split copy: %w", err)
-		}
+	if err := rn.fillFrom(b, cut, b.Len()); err != nil {
+		t.pool.Unpin(rfr, false)
+		return nil, storage.InvalidPageID, fmt.Errorf("btree: split copy: %w", err)
 	}
-	// Truncate the left node to splitPos keys and compact.
-	n.setNKeys(splitPos)
-	n.setDirEnd(nodeHeaderSize + splitPos*dirEntrySize)
-	n.compactCells()
+	if err := n.fillFrom(b, 0, cut); err != nil {
+		t.pool.Unpin(rfr, false)
+		return nil, storage.InvalidPageID, fmt.Errorf("btree: split copy: %w", err)
+	}
 	// Wire the chain in both directions. The new node is unreachable by
 	// descent until the parent is updated (the caller holds the parent
 	// exclusively), but reverse scans can reach it through the old right
@@ -692,21 +703,7 @@ func (t *Tree) splitLeafInsert(leaf latchedNode, key []byte, value uint64) ([]by
 	rn.setRightSibling(oldRight)
 	rn.setLeftSibling(uint64(leaf.fr.ID()))
 	n.setRightSibling(uint64(rfr.ID()))
-	sep := append([]byte(nil), rn.key(0)...)
-
-	// Insert the pending key into whichever half covers it, while both
-	// halves are still exclusively held.
-	if bytes.Compare(key, sep) < 0 {
-		pos, _ := n.search(key)
-		err = n.insertAt(pos, key, value)
-	} else {
-		pos, _ := rn.search(key)
-		err = rn.insertAt(pos, key, value)
-	}
-	if err != nil {
-		t.pool.Unpin(rfr, true)
-		return nil, storage.InvalidPageID, fmt.Errorf("btree: insert after split failed: %w", err)
-	}
+	sep := append([]byte(nil), b.Key(cut)...)
 	rightID := rfr.ID()
 	t.pool.Unpin(rfr, true)
 
@@ -726,46 +723,37 @@ func (t *Tree) splitLeafInsert(leaf latchedNode, key []byte, value uint64) ([]by
 	return sep, rightID, nil
 }
 
-// splitInternalInsert splits the exclusively latched internal node (the
-// middle key moves up) and inserts (sep → childID) into the proper
-// half. Returns the new separator (copied) and right node id for the
-// next level up. parent stays latched; the caller releases it dirty.
+// splitInternalInsert splits the exclusively latched internal node
+// around (sep → childID): the merged entries are staged in order, the
+// one at the cut moves up, and the rest are redistributed over the node
+// and a fresh right page. Returns the new separator (copied) and right
+// node id for the next level up. parent stays latched; the caller
+// releases it dirty.
 func (t *Tree) splitInternalInsert(parent latchedNode, sep []byte, childID storage.PageID) ([]byte, storage.PageID, error) {
 	n := parent.n
+	b := splitStage.Get().(*EntryBlock)
+	defer splitStage.Put(b)
+	insPos, _ := n.search(sep)
+	stageMerged(b, n, insPos, sep, uint64(childID))
+	cut, err := splitCut(b, false, n.usableBytes())
+	if err != nil {
+		return nil, storage.InvalidPageID, err
+	}
 	rfr, err := t.pool.NewPage()
 	if err != nil {
 		return nil, storage.InvalidPageID, err
 	}
 	rn := initNode(rfr.Data(), nodeInternal)
-	k := n.nKeys()
-	// Byte-aware middle, budgeting the incoming separator like the leaf
-	// split does, so the post-split insert into either half cannot
-	// overflow (the pushed-up middle key leaving the node only helps).
-	insPos, _ := n.search(sep)
-	mid := splitPosition(n, k, insPos, cellSize(len(sep))+dirEntrySize)
-	upSep := append([]byte(nil), n.key(mid)...)
-	rn.setLeftmostChild(n.value(mid))
-	for i := mid + 1; i < k; i++ {
-		if err := rn.insertAt(i-mid-1, n.key(i), n.value(i)); err != nil {
-			t.pool.Unpin(rfr, false)
-			return nil, storage.InvalidPageID, fmt.Errorf("btree: split copy: %w", err)
-		}
+	rn.setLeftmostChild(b.Value(cut))
+	if err := rn.fillFrom(b, cut+1, b.Len()); err != nil {
+		t.pool.Unpin(rfr, false)
+		return nil, storage.InvalidPageID, fmt.Errorf("btree: split copy: %w", err)
 	}
-	n.setNKeys(mid)
-	n.setDirEnd(nodeHeaderSize + mid*dirEntrySize)
-	n.compactCells()
-
-	if bytes.Compare(sep, upSep) < 0 {
-		pos, _ := n.search(sep)
-		err = n.insertAt(pos, sep, uint64(childID))
-	} else {
-		pos, _ := rn.search(sep)
-		err = rn.insertAt(pos, sep, uint64(childID))
+	if err := n.fillFrom(b, 0, cut); err != nil {
+		t.pool.Unpin(rfr, false)
+		return nil, storage.InvalidPageID, fmt.Errorf("btree: split copy: %w", err)
 	}
-	if err != nil {
-		t.pool.Unpin(rfr, true)
-		return nil, storage.InvalidPageID, fmt.Errorf("btree: insert after internal split: %w", err)
-	}
+	upSep := append([]byte(nil), b.Key(cut)...)
 	rightID := rfr.ID()
 	t.pool.Unpin(rfr, true)
 	return upSep, rightID, nil

@@ -363,9 +363,8 @@ func TestVisitLeafFindsKey(t *testing.T) {
 		if lo >= hi {
 			t.Error("leaf should have free space")
 		}
-		min, max, ok := l.KeyRange()
-		if !ok || bytes.Compare(min, max) > 0 {
-			t.Error("KeyRange wrong")
+		if !l.Covers(intKey(42)) || l.Covers(intKey(1<<40)) || l.Covers(nil) {
+			t.Error("Covers wrong")
 		}
 	})
 	if err != nil {

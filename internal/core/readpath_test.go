@@ -62,7 +62,8 @@ func newReadFixture(t *testing.T) *readFixture {
 		}
 		f.latest[int64(2*i)], f.snap[int64(2*i)] = intRow(2*i), intRow(2*i)
 	}
-	byID, err := tb.CreateIndex("by_id", []string{"id"}, WithCache("a", "b"), WithFillFactor(0.4))
+	// 0.3 leaves every key's payload room in the cache (see newQueryFixture).
+	byID, err := tb.CreateIndex("by_id", []string{"id"}, WithCache("a", "b"), WithFillFactor(0.3))
 	if err != nil {
 		t.Fatalf("CreateIndex by_id: %v", err)
 	}

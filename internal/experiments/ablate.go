@@ -4,10 +4,7 @@ import (
 	"fmt"
 	"io"
 
-	"repro/internal/core"
 	"repro/internal/idxcache"
-	"repro/internal/tuple"
-	"repro/internal/wiki"
 	"repro/internal/workload"
 )
 
@@ -124,132 +121,5 @@ func (r AblatePlacementResult) Print(w io.Writer) {
 	fmt.Fprintf(w, "%-20s %8s %10s %10s\n", "policy", "bucketN", "steady", "shrink")
 	for _, row := range r.Rows {
 		fmt.Fprintf(w, "%-20s %8d %10.3f %10.3f\n", row.Policy, row.BucketN, row.HitSteady, row.HitShrink)
-	}
-}
-
-// --- A2: predicate-log threshold ablation ------------------------------
-
-// AblatePredLogConfig parameterizes the invalidation ablation.
-type AblatePredLogConfig struct {
-	Rows      int
-	Ops       int
-	UpdatePct int // percentage of operations that are updates
-	Seed      int64
-	Limits    []int // predicate-log thresholds; 0 = always escalate
-}
-
-// DefaultAblatePredLogConfig mixes 10% updates into lookups.
-func DefaultAblatePredLogConfig() AblatePredLogConfig {
-	return AblatePredLogConfig{
-		Rows: 5000, Ops: 30000, UpdatePct: 10, Seed: 1,
-		Limits: []int{0, 16, 256, 4096},
-	}
-}
-
-// AblatePredLogRow is one threshold's outcome.
-type AblatePredLogRow struct {
-	Limit             int
-	CacheHitRate      float64
-	FullInvalidations int64
-	PageInvalidations int64
-}
-
-// AblatePredLogResult is the sweep.
-type AblatePredLogResult struct {
-	Config AblatePredLogConfig
-	Rows   []AblatePredLogRow
-}
-
-// RunAblatePredLog measures how the predicate-log threshold trades
-// invalidation granularity against cache hit rate under a read/update
-// mix. Limit 0 escalates every update to a full CSN bump (the paper's
-// naive baseline); higher limits confine invalidation to the pages the
-// updated keys actually live on.
-func RunAblatePredLog(cfg AblatePredLogConfig) (AblatePredLogResult, error) {
-	res := AblatePredLogResult{Config: cfg}
-	for _, limit := range cfg.Limits {
-		row, err := runPredLogOnce(cfg, limit)
-		if err != nil {
-			return AblatePredLogResult{}, err
-		}
-		res.Rows = append(res.Rows, row)
-	}
-	return res, nil
-}
-
-func runPredLogOnce(cfg AblatePredLogConfig, limit int) (_ AblatePredLogRow, err error) {
-	e, err := core.NewEngine(core.Options{PageSize: 8192, BufferPoolPages: 1 << 14})
-	if err != nil {
-		return AblatePredLogRow{}, err
-	}
-	defer closeEngine(e, &err)
-	tb, err := e.CreateTable("page", wiki.PageSchema())
-	if err != nil {
-		return AblatePredLogRow{}, err
-	}
-	gen := wiki.NewGenerator(wiki.Config{Pages: cfg.Rows, RevisionsPerPage: 1, Alpha: 0.5, Seed: cfg.Seed})
-	for i := 0; i < cfg.Rows; i++ {
-		if _, err := tb.Insert(gen.PageRow(i, int64(i))); err != nil {
-			return AblatePredLogRow{}, err
-		}
-	}
-	opts := []core.IndexOption{
-		core.WithFillFactor(0.68),
-		core.WithCache(wiki.CachedPageFields()...),
-		core.WithCacheSeed(cfg.Seed),
-	}
-	if limit > 0 {
-		opts = append(opts, core.WithPredLogLimit(limit))
-	} else {
-		opts = append(opts, core.WithPredLogLimit(-1)) // negative: escalate on every append
-	}
-	ix, err := tb.CreateIndex("name_title", []string{"page_namespace", "page_title"}, opts...)
-	if err != nil {
-		return AblatePredLogRow{}, err
-	}
-	if _, err := ix.WarmCache(); err != nil {
-		return AblatePredLogRow{}, err
-	}
-	rng := workload.NewRand(cfg.Seed + 77)
-	zipf := workload.NewZipf(workload.NewRand(cfg.Seed+78), cfg.Rows, 0.8)
-	proj := []string{"page_latest", "page_len"}
-	for op := 0; op < cfg.Ops; op++ {
-		i := zipf.Next()
-		key := fig2cKey(i)
-		if rng.Intn(100) < cfg.UpdatePct {
-			rid, found, err := ix.LookupRID(key...)
-			if err != nil || !found {
-				return AblatePredLogRow{}, fmt.Errorf("experiments: update target missing: %v", err)
-			}
-			row, err := tb.Get(rid)
-			if err != nil {
-				return AblatePredLogRow{}, err
-			}
-			row[4] = tuple.Int64(row[4].Int + 1) // bump page_latest (a cached field)
-			if _, err := tb.Update(rid, row); err != nil {
-				return AblatePredLogRow{}, err
-			}
-			continue
-		}
-		if _, _, err := ix.Lookup(proj, key...); err != nil {
-			return AblatePredLogRow{}, err
-		}
-	}
-	st := ix.Cache().Stats()
-	return AblatePredLogRow{
-		Limit:             limit,
-		CacheHitRate:      st.HitRate(),
-		FullInvalidations: st.FullInvalidations,
-		PageInvalidations: st.PageInvalidations,
-	}, nil
-}
-
-// Print renders the sweep.
-func (r AblatePredLogResult) Print(w io.Writer) {
-	fmt.Fprintf(w, "Ablation A2: predicate-log threshold (%d%% updates in %d ops over %d rows)\n",
-		r.Config.UpdatePct, r.Config.Ops, r.Config.Rows)
-	fmt.Fprintf(w, "%8s %12s %12s %12s\n", "limit", "hit rate", "full inval", "page inval")
-	for _, row := range r.Rows {
-		fmt.Fprintf(w, "%8d %12.3f %12d %12d\n", row.Limit, row.CacheHitRate, row.FullInvalidations, row.PageInvalidations)
 	}
 }

@@ -339,29 +339,6 @@ func TestAblatePlacementShapes(t *testing.T) {
 	}
 }
 
-func TestAblatePredLogShapes(t *testing.T) {
-	cfg := DefaultAblatePredLogConfig()
-	cfg.Rows, cfg.Ops = 800, 6000
-	res, err := RunAblatePredLog(cfg)
-	if err != nil {
-		t.Fatalf("RunAblatePredLog: %v", err)
-	}
-	if len(res.Rows) != len(cfg.Limits) {
-		t.Fatalf("%d rows", len(res.Rows))
-	}
-	first, last := res.Rows[0], res.Rows[len(res.Rows)-1]
-	// Fine-grained invalidation must beat always-escalate on hit rate
-	// and full invalidations.
-	if last.CacheHitRate <= first.CacheHitRate {
-		t.Errorf("limit %d hit rate %.3f not above limit %d's %.3f",
-			last.Limit, last.CacheHitRate, first.Limit, first.CacheHitRate)
-	}
-	if last.FullInvalidations >= first.FullInvalidations {
-		t.Errorf("full invalidations did not drop: %d vs %d",
-			last.FullInvalidations, first.FullInvalidations)
-	}
-}
-
 func TestScanShapes(t *testing.T) {
 	cfg := DefaultScanConfig()
 	cfg.Rows, cfg.Passes = 5000, 2

@@ -104,9 +104,12 @@ func RunScan(cfg ScanConfig) (_ ScanResult, err error) {
 		}
 	}
 	// The low fill factor leaves enough leaf free space to cache every
-	// key's payload, so the cache-first pass runs fully resident.
+	// key's payload, so the cache-first pass runs fully resident. The
+	// keys share all but their last bytes with their page's prefix, so a
+	// leaf filled to 0.3 holds a few more of them (88) than one filled to
+	// 0.4 held whole keys (77), and still has room for every payload.
 	ix, err := tb.CreateIndex("by_id", []string{"id"},
-		core.WithCache("a", "b"), core.WithFillFactor(0.4), core.WithCacheSeed(cfg.Seed))
+		core.WithCache("a", "b"), core.WithFillFactor(0.3), core.WithCacheSeed(cfg.Seed))
 	if err != nil {
 		return ScanResult{}, err
 	}

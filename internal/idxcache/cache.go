@@ -182,11 +182,11 @@ func (c *Cache) Prepare(l *btree.Leaf) bool {
 	if applied == head {
 		return true
 	}
-	min, max, ok := l.KeyRange()
+	ok := l.NumKeys() > 0
 	if ok {
 		c.matchRanges.Add(1)
 	}
-	if ok && c.log.MatchRange(applied, min, max) {
+	if ok && c.log.MatchRange(applied, l) {
 		if !l.Exclusive() {
 			c.skipped.Add(1)
 			return false

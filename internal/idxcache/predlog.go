@@ -1,7 +1,6 @@
 package idxcache
 
 import (
-	"bytes"
 	"sync"
 	"sync/atomic"
 )
@@ -28,7 +27,7 @@ type PredLog struct {
 
 // NewPredLog creates a log that reports escalation beyond limit pending
 // predicates. limit ≤ 0 means "escalate immediately on any append"
-// (i.e. fine-grained invalidation disabled — the A2 ablation baseline).
+// (i.e. fine-grained invalidation disabled).
 func NewPredLog(limit int) *PredLog {
 	return &PredLog{limit: limit}
 }
@@ -55,10 +54,16 @@ func (p *PredLog) Pending() int {
 	return len(p.ends)
 }
 
+// KeySpan is a page's key range: Covers reports whether key lies within
+// it, both ends inclusive. *btree.Leaf is one.
+type KeySpan interface {
+	Covers(key []byte) bool
+}
+
 // MatchRange reports whether any predicate with sequence number greater
-// than afterSeq falls within [min, max] (inclusive). Pages call this
-// with their key range to decide whether their cache must be zeroed.
-func (p *PredLog) MatchRange(afterSeq uint32, min, max []byte) bool {
+// than afterSeq falls within page. Pages call this with their key range
+// to decide whether their cache must be zeroed.
+func (p *PredLog) MatchRange(afterSeq uint32, page KeySpan) bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	// Key i has sequence baseSeq+1+i.
@@ -71,8 +76,7 @@ func (p *PredLog) MatchRange(afterSeq uint32, min, max []byte) bool {
 		if i > 0 {
 			lo = p.ends[i-1]
 		}
-		k := p.slab[lo:p.ends[i]]
-		if bytes.Compare(k, min) >= 0 && bytes.Compare(k, max) <= 0 {
+		if page.Covers(p.slab[lo:p.ends[i]]) {
 			return true
 		}
 	}
