@@ -308,23 +308,18 @@ func BenchmarkEncWastePacked(b *testing.B) {
 		j++
 		return r, true
 	})
-	recs := make([]encoding.Recommendation, len(report.Columns))
-	for i, c := range report.Columns {
-		recs[i] = c.Rec
-	}
-	codec, err := encoding.NewPackedCodec(schema, recs)
+	packed, err := encoding.PackedSchema(schema, report)
 	if err != nil {
 		b.Fatal(err)
 	}
-	w := encoding.NewBitWriter()
+	var buf []byte
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		w.Reset()
-		if err := codec.Encode(rows[i%len(rows)], w); err != nil {
+		if buf, err = tuple.Encode(packed, rows[i%len(rows)], buf[:0]); err != nil {
 			b.Fatal(err)
 		}
 	}
-	b.ReportMetric(float64(w.Len())/8, "bytes/row")
+	b.ReportMetric(float64(len(buf)), "bytes/row")
 }
 
 func BenchmarkEncDeclaredCodec(b *testing.B) {

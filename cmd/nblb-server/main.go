@@ -50,22 +50,20 @@ func main() {
 		os.Exit(2)
 	}
 
-	opts := core.Options{Path: *dbPath, BufferPoolPages: *poolPgs}
-	var extra []core.EngineOption
-	if !*noWAL {
-		extra = append(extra, core.WithWAL())
+	opts := core.Options{Path: *dbPath, BufferPoolPages: *poolPgs, WAL: !*noWAL}
+	if opts.WAL {
 		switch *syncMode {
 		case "group":
-			extra = append(extra, core.WithSyncPolicy(core.SyncGroupCommit))
+			opts.SyncPolicy = core.SyncGroupCommit
 		case "always":
-			extra = append(extra, core.WithSyncPolicy(core.SyncAlways))
+			opts.SyncPolicy = core.SyncAlways
 		case "none":
-			extra = append(extra, core.WithSyncPolicy(core.SyncNone))
+			opts.SyncPolicy = core.SyncNone
 		default:
 			log.Fatalf("nblb-server: unknown -sync %q (want group, always, none)", *syncMode)
 		}
 	}
-	eng, err := core.NewEngine(opts, extra...)
+	eng, err := core.NewEngine(opts)
 	if err != nil {
 		log.Fatalf("nblb-server: open %s: %v", *dbPath, err)
 	}

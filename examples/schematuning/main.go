@@ -1,6 +1,6 @@
 // Schematuning: Section 4.1. Analyze a table whose declared types
-// over-allocate, print the advisor's findings, and pack rows at their
-// true widths.
+// over-allocate, print the advisor's findings, and store rows in the
+// record layout they describe.
 package main
 
 import (
@@ -47,49 +47,39 @@ func main() {
 			c.Rec.Field.Name, c.Rec.Enc, c.DeclaredBits, c.OptimalBits, c.Rec.Note)
 	}
 
-	// Realize the recommendations: pack a sample and verify losslessness.
-	recs := make([]nblb.Recommendation, len(report.Columns))
-	for i, c := range report.Columns {
-		recs[i] = c.Rec
-	}
-	codec, err := nblb.NewPackedCodec(table.Schema(), recs)
+	// Realize the recommendations: store a sample in the record layout
+	// they describe and verify losslessness.
+	packed, err := nblb.PackedSchema(table.Schema(), report)
 	if err != nil {
 		log.Fatal(err)
 	}
-	var sample []nblb.Row
 	cur, err := table.Query(nblb.WithLimit(1000))
 	if err != nil {
 		log.Fatal(err)
 	}
+	var (
+		rec              []byte
+		stored, declared int
+		n                int
+	)
 	for _, row := range cur.All() {
-		sample = append(sample, row.Clone())
+		if rec, err = tuple.Encode(packed, row, rec[:0]); err != nil {
+			log.Fatal(err)
+		}
+		back, _, err := tuple.Decode(packed, rec)
+		if err != nil || !row.Equal(back) {
+			fmt.Fprintln(os.Stderr, "round-trip mismatch!", err)
+			os.Exit(1)
+		}
+		d, err := tuple.DeclaredSize(table.Schema(), row)
+		if err != nil {
+			log.Fatal(err)
+		}
+		stored, declared, n = stored+len(rec), declared+d, n+1
 	}
 	if err := cur.Err(); err != nil {
 		log.Fatal(err)
 	}
-	packed, err := codec.EncodeRows(sample)
-	if err != nil {
-		log.Fatal(err)
-	}
-	back, err := codec.DecodeRows(packed, len(sample))
-	if err != nil {
-		log.Fatal(err)
-	}
-	for i := range sample {
-		if !sample[i].Equal(back[i]) {
-			fmt.Fprintln(os.Stderr, "round-trip mismatch!")
-			os.Exit(1)
-		}
-	}
-	// Compare against the declared-width codec.
-	var declared int
-	for _, r := range sample {
-		n, err := tuple.DeclaredSize(table.Schema(), r)
-		if err != nil {
-			log.Fatal(err)
-		}
-		declared += n
-	}
 	fmt.Printf("\npacked %d rows: %d bytes vs %d declared (%.1fx denser), losslessly\n",
-		len(sample), len(packed), declared, float64(declared)/float64(len(packed)))
+		n, stored, declared, float64(declared)/float64(stored))
 }

@@ -94,9 +94,6 @@ type Recommendation = encoding.Recommendation
 // TableReport aggregates per-column waste findings.
 type TableReport = encoding.TableReport
 
-// PackedCodec encodes rows at their recommended bit widths.
-type PackedCodec = encoding.PackedCodec
-
 // AnalyzeTable profiles every row of a table and reports the encoding
 // waste its declared types hide — §4.1's automated analysis. The
 // profiler pulls rows straight off a streaming cursor, so the analysis
@@ -119,9 +116,15 @@ func AnalyzeTable(t *Table) (TableReport, error) {
 	return report, nil
 }
 
-// NewPackedCodec builds a bit-packed row codec from recommendations.
-func NewPackedCodec(schema *Schema, recs []Recommendation) (*PackedCodec, error) {
-	return encoding.NewPackedCodec(schema, recs)
+// PackedSchema returns a copy of schema whose rows encode in the packed
+// record layout the report's recommendations describe — what a table
+// holding the report's rows stores: every value at its recommended bit
+// width, a string as its number in a string slot (digits, dictionary
+// index or timestamp epoch), and a value outside the profile escaped to
+// its declared form. Rows encode and decode through the tuple codec
+// (internal/tuple Encode and Decode) under the returned schema.
+func PackedSchema(schema *Schema, report TableReport) (*Schema, error) {
+	return encoding.PackedSchema(schema, report)
 }
 
 // --- §4.2 semantic IDs -----------------------------------------------------

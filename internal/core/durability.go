@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"slices"
 	"sort"
 
 	"repro/internal/btree"
@@ -482,7 +483,7 @@ func (e *Engine) redoRecord(typ uint8, payload []byte) error {
 	case recDropTable:
 		delete(e.tables, string(payload))
 		return nil
-	case recAdoptLayout, recAdoptStrings:
+	case recAdoptLayout, recAdoptStrings, recAdoptRules:
 		var d ddlAdoptLayout
 		if err := json.Unmarshal(payload, &d); err != nil {
 			return fmt.Errorf("core: redo adopt layout: %w", err)
@@ -491,7 +492,8 @@ func (e *Engine) redoRecord(typ uint8, payload []byte) error {
 		if !ok || t.schema.Packed() != nil {
 			return nil // dropped later in the log, or adopted in the checkpoint's manifest
 		}
-		return t.adoptSpec(d.Layout, typ == recAdoptStrings)
+		slots := tuple.StringSlots(slices.Index(adoptTypes[:], typ)) // what the record's type may name
+		return t.adoptSpec(d.Layout, slots)
 	case recBatch:
 		return e.redoBatch(payload)
 	case recTxn:
@@ -725,7 +727,7 @@ func (e *Engine) rebuildTable(mt *manifestTable, version int) error {
 	}
 	t.rows.Store(mt.Rows)
 	if mt.Layout != nil {
-		if err := t.adoptSpec(mt.Layout, version > manifestNoStrings); err != nil {
+		if err := t.adoptSpec(mt.Layout, manifestSlots[version]); err != nil {
 			return fmt.Errorf("core: manifest table %q: %w", mt.Name, err)
 		}
 	}

@@ -54,25 +54,6 @@ type Options struct {
 	Disk storage.DiskManager
 }
 
-// EngineOption mutates Options — the facade's functional-option form.
-type EngineOption func(*Options)
-
-// WithWAL enables write-ahead logging (see Options.WAL).
-func WithWAL() EngineOption {
-	return func(o *Options) { o.WAL = true }
-}
-
-// WithSyncPolicy sets the commit durability policy (see SyncPolicy).
-func WithSyncPolicy(p SyncPolicy) EngineOption {
-	return func(o *Options) { o.SyncPolicy = p }
-}
-
-// WithCheckpointEvery sets the WAL growth budget between automatic
-// checkpoints.
-func WithCheckpointEvery(bytes int64) EngineOption {
-	return func(o *Options) { o.CheckpointBytes = bytes }
-}
-
 // Engine is an embedded storage engine instance.
 type Engine struct {
 	pool    *buffer.Pool
@@ -120,13 +101,8 @@ type Engine struct {
 	gcPasses     atomic.Int64   // GC passes run
 }
 
-// NewEngine creates an engine with the given options. Functional
-// options, when given, are applied to opts first — the facade's
-// Open(Options, ...EngineOption) form.
-func NewEngine(opts Options, extra ...EngineOption) (*Engine, error) {
-	for _, o := range extra {
-		o(&opts)
-	}
+// NewEngine creates an engine with the given options.
+func NewEngine(opts Options) (*Engine, error) {
 	if opts.PageSize == 0 {
 		opts.PageSize = storage.DefaultPageSize
 	}

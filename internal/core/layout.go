@@ -41,9 +41,10 @@ func (p *pipeline) adoptLayout() {
 // adopt profiles the rows the heap holds, up to layoutSample of them,
 // and the rows ops stage, then logs the layout the advisor picks for
 // them before publishing it: the DDL record precedes every record
-// written in the layout. A layout with string slots is logged under its
-// own record type, so a binary that predates them refuses the log
-// instead of replaying the adoption without them.
+// written in the layout. A layout with string slots is logged under the
+// record type of the slots it holds (adoptTypes), so a binary that
+// predates them refuses the log instead of replaying the adoption
+// without them.
 func (t *Table) adopt(ops []stagedOp) error {
 	var sample []tuple.Row
 	err := t.file.Scan(func(_ storage.RID, rec []byte) bool {
@@ -75,11 +76,7 @@ func (t *Table) adopt(ops []stagedOp) error {
 		return err
 	}
 	if e := t.engine; e.wal != nil {
-		typ := recAdoptLayout
-		if l.HasStringSlots() {
-			typ = recAdoptStrings
-		}
-		if _, err := e.wal.Append(typ, encodeJSON(ddlAdoptLayout{Table: t.name, Layout: l.Spec()})); err != nil {
+		if _, err := e.wal.Append(adoptTypes[l.StringSlots()], encodeJSON(ddlAdoptLayout{Table: t.name, Layout: l.Spec()})); err != nil {
 			return err
 		}
 	}
@@ -87,14 +84,15 @@ func (t *Table) adopt(ops []stagedOp) error {
 }
 
 // adoptSpec adopts the layout a manifest or an adoption record names.
-// slots says whether its source may name string slots: a version-2
-// manifest and a recAdoptLayout record may not.
-func (t *Table) adoptSpec(spec []tuple.FieldPacking, slots bool) error {
+// slots is what string slots its source may name: a version-2 manifest
+// and a recAdoptLayout record none, a version-3 manifest and a
+// recAdoptStrings record digit slots only.
+func (t *Table) adoptSpec(spec []tuple.FieldPacking, slots tuple.StringSlots) error {
 	l, err := tuple.NewLayout(t.schema, spec)
 	if err != nil {
 		return err
 	}
-	if !slots && l.HasStringSlots() {
+	if l.StringSlots() > slots {
 		return fmt.Errorf("core: table %q: a layout with string slots from a source that predates them", t.name)
 	}
 	t.adopting.Store(true)

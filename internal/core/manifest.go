@@ -19,17 +19,21 @@ import (
 // pages live. It is rewritten atomically (tmp + rename) at every
 // checkpoint and describes the on-disk state as of CheckpointLSN —
 // recovery rebuilds the catalog from it and replays the WAL suffix on
-// top. Version 2 records each table's packed record layout, and version
-// 3 lets that layout hold string slots. A version-2 file still opens,
-// and is refused if its layout has string slots; a version-1 file,
-// written before records named their layout, is refused like any other
-// version. A binary that reads only version 2 refuses version 3, so it
-// never misreads a string slot.
+// top. Version 2 records each table's packed record layout, version 3
+// lets that layout hold digit slots on VARCHARs, and version 4 any string
+// slot. A version-2 or -3 file still opens, and is refused if its layout
+// has slots its version does not; a version-1 file, written before
+// records named their layout, is refused like any other version. A
+// binary that reads only older versions refuses a newer one, so it never
+// misreads a string slot.
 const (
-	manifestMagic     = "nblb-manifest"
-	manifestVersion   = 3
-	manifestNoStrings = 2 // the oldest version read: no string slots
+	manifestMagic   = "nblb-manifest"
+	manifestVersion = 4
 )
+
+// manifestSlots is what string slots a manifest of each version read may
+// name.
+var manifestSlots = map[int]tuple.StringSlots{2: tuple.NoStringSlots, 3: tuple.DigitSlots, 4: tuple.RuleSlots}
 
 type manifest struct {
 	Magic         string `json:"magic"`
@@ -52,8 +56,8 @@ type manifestTable struct {
 	HeapInsertShards int             `json:"heap_insert_shards"`
 	HeapPages        []uint64        `json:"heap_pages"`
 	// Layout is the packed record layout the table adopted (absent: none
-	// yet, every record is in the declared layout); string slots only
-	// from version 3 on.
+	// yet, every record is in the declared layout); string slots only as
+	// manifestSlots allows them.
 	Layout  []tuple.FieldPacking `json:"layout,omitempty"`
 	Indexes []manifestIndex      `json:"indexes,omitempty"`
 	// Versions are the table's MVCC metas still live at checkpoint time
@@ -144,7 +148,7 @@ func loadManifest(path string) (*manifest, error) {
 	if m.Magic != manifestMagic {
 		return nil, fmt.Errorf("core: %s is not a manifest (magic %q)", path, m.Magic)
 	}
-	if m.Version != manifestVersion && m.Version != manifestNoStrings {
+	if _, ok := manifestSlots[m.Version]; !ok {
 		return nil, fmt.Errorf("core: manifest %s has unsupported version %d", path, m.Version)
 	}
 	return &m, nil

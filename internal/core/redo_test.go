@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -223,7 +224,9 @@ func TestCrashRedoLostRoomMovesTheRecord(t *testing.T) {
 		rows []tuple.Row
 	)
 	for i := int64(0); i < 300; i++ {
-		rows = append(rows, redoRow(i, i%3, "filler"))
+		// A name of its own per row keeps the names verbatim (one name
+		// would be a dictionary slot of no bits), so 300 rows fill a page.
+		rows = append(rows, redoRow(i, i%3, fmt.Sprintf("filler-%c%c", 'a'+i%26, 'a'+i/26)))
 		b.Insert(rows[i])
 	}
 	res, err := tbl.Apply(&b, WithResultRIDs())

@@ -71,37 +71,112 @@ func escapingRows() []tuple.Row {
 // updates of rows 0–9 in another.
 func loadSlots(t *testing.T, e *Engine) (*Table, map[int64]tuple.Row) {
 	t.Helper()
-	tbl, err := e.CreateTable("slots", slotSchema())
+	tbl, want := loadTable(t, e, "slots", slotSchema(), slotRow, escapingRows())
+	l := tbl.Schema().Packed()
+	if l.StringSlots() != tuple.DigitSlots {
+		t.Fatalf("layout %v: want digit slots", l)
+	}
+	spec := l.Spec()
+	if !reflect.DeepEqual(spec[1:], []tuple.FieldPacking{{Bits: 8, Prefix: "item-000", Digits: 3}, {Bits: 6}, {}}) {
+		t.Fatalf("layout %+v: want name as \"item-000\" + 3 digits in 8 bits, code in 6 bits + a digit count, body verbatim", spec)
+	}
+	return tbl, want
+}
+
+const (
+	ruleFlags = 1 // four values: a dictionary slot
+	ruleTS    = 2 // a CHAR(14) of timestamp14s: a timestamp slot
+)
+
+func ruleSchema() *tuple.Schema {
+	return tuple.MustSchema(
+		tuple.Field{Name: "id", Kind: tuple.KindInt64},
+		tuple.Field{Name: "flags", Kind: tuple.KindString},
+		tuple.Field{Name: "ts", Kind: tuple.KindChar, Size: 14},
+		tuple.Field{Name: "body", Kind: tuple.KindString},
+	)
+}
+
+func ts14(epoch int64) string { return string(tuple.AppendTS14(nil, epoch)) }
+
+// ruleRow is row i of the rule table as loaded: flags from a dictionary
+// of four, NULL in every 13th row, and a timestamp14.
+func ruleRow(i int64) tuple.Row {
+	row := slotRow(i)
+	row[ruleFlags] = tuple.String([]string{"", "gzip", "utf-8", "utf-8,gzip"}[i%4])
+	row[ruleTS] = tuple.Char(ts14(1262304000 + 1000*i))
+	return row
+}
+
+// ruleEscapingRows are updates of rows 0–9 whose flags or timestamps
+// leave the loaded domain, and some that stay inside it at its edges:
+// three flag escapes, three timestamp escapes.
+func ruleEscapingRows() []tuple.Row {
+	flags := []string{"zstd", "gzip ", "gzi", "gzip", "", "utf-8,gzip", "", "", "", "utf-8"}
+	stamps := []string{"20111340123456", ts14(1 << 32), "2011010412345", ts14(0), ts14(1<<32 - 1)}
+	rows := make([]tuple.Row, len(flags))
+	for i := range rows {
+		rows[i] = ruleRow(int64(i))
+		rows[i][ruleFlags] = tuple.String(flags[i])
+		if i < len(stamps) {
+			rows[i][ruleTS] = tuple.Char(stamps[i])
+		}
+	}
+	rows[6][ruleFlags], rows[6][ruleTS] = tuple.Null(tuple.KindString), tuple.Null(tuple.KindChar)
+	return rows
+}
+
+// loadRuleSlots creates the rule table as loadSlots creates the slot
+// table: its layout has a dictionary slot and a timestamp slot.
+func loadRuleSlots(t *testing.T, e *Engine) (*Table, map[int64]tuple.Row) {
+	t.Helper()
+	tbl, want := loadTable(t, e, "rules", ruleSchema(), ruleRow, ruleEscapingRows())
+	l := tbl.Schema().Packed()
+	if l.StringSlots() != tuple.RuleSlots {
+		t.Fatalf("layout %v: want rule slots", l)
+	}
+	spec := l.Spec()
+	if !reflect.DeepEqual(spec[1:], []tuple.FieldPacking{
+		{Bits: 2, Rule: tuple.RuleDict, Dict: []string{"", "gzip", "utf-8", "utf-8,gzip"}},
+		{Bits: 32, Rule: tuple.RuleTS14}, {}}) {
+		t.Fatalf("layout %+v: want flags as a 2-bit dictionary, ts as a 32-bit timestamp, body verbatim", spec)
+	}
+	if got := tbl.Stats().Escapes; !reflect.DeepEqual(got, []int64{0, 3, 3, 0}) {
+		t.Fatalf("escapes per field %v, want three flags and three timestamps", got)
+	}
+	return tbl, want
+}
+
+// loadTable creates a table of schema indexed by_id on its first field:
+// row(0) alone (declared), rows 1–255 in one Apply, which adopts the
+// layout from all 256, then the updates in another.
+func loadTable(t *testing.T, e *Engine, name string, schema *tuple.Schema, row func(int64) tuple.Row, updates []tuple.Row) (*Table, map[int64]tuple.Row) {
+	t.Helper()
+	tbl, err := e.CreateTable(name, schema)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := tbl.CreateIndex("by_id", []string{"id"}); err != nil {
 		t.Fatal(err)
 	}
-	want := map[int64]tuple.Row{0: slotRow(0)}
+	want := map[int64]tuple.Row{0: row(0)}
 	if _, err := tbl.Insert(want[0]); err != nil {
 		t.Fatal(err)
 	}
 	var b Batch
 	for i := int64(1); i < 256; i++ {
-		want[i] = slotRow(i)
+		want[i] = row(i)
 		b.Insert(want[i])
 	}
 	if _, err := tbl.Apply(&b); err != nil {
 		t.Fatal(err)
 	}
-	l := tbl.Schema().Packed()
-	if l == nil || !l.HasStringSlots() {
-		t.Fatalf("layout %v: want string slots", l)
-	}
-	spec := l.Spec()
-	if n, c := spec[slotName], spec[slotCode]; n != (tuple.FieldPacking{Bits: 8, Prefix: "item-000", Digits: 3}) ||
-		c != (tuple.FieldPacking{Bits: 6}) || spec[3] != (tuple.FieldPacking{}) {
-		t.Fatalf("layout %+v: want name as \"item-000\" + 3 digits in 8 bits, code in 6 bits + a digit count, body verbatim", spec)
+	if tbl.Schema().Packed() == nil {
+		t.Fatal("no layout adopted")
 	}
 	b.Reset()
 	ix := mustIndex(t, tbl, "by_id")
-	for _, row := range escapingRows() {
+	for _, row := range updates {
 		rid, ok, err := ix.LookupRID(row[0])
 		if err != nil || !ok {
 			t.Fatalf("lookup %d: %v %v", row[0].Int, ok, err)
@@ -196,79 +271,95 @@ func TestTableStatsCountEscapes(t *testing.T) {
 	}
 }
 
+// slotTables are the tables the reopen tests recover, each with the
+// record type its adoption is logged under: digit slots, and a
+// dictionary and a timestamp slot.
+var slotTables = []struct {
+	name string
+	load func(*testing.T, *Engine) (*Table, map[int64]tuple.Row)
+	typ  uint8
+}{
+	{"slots", loadSlots, recAdoptStrings},
+	{"rules", loadRuleSlots, recAdoptRules},
+}
+
 // TestReopenStringSlotsFromWAL: a copy of the files taken without a
 // checkpoint recovers from the log alone. The adoption is logged under
-// its own record type (recAdoptStrings) and replays before the records
-// written in the layout, so every row reads back — its strings slotted,
-// escaped or NULL.
+// the record type of its slots (recAdoptStrings, recAdoptRules) and
+// replays before the records written in the layout, so every row reads
+// back — its strings slotted, escaped or NULL.
 func TestReopenStringSlotsFromWAL(t *testing.T) {
-	dir, crash := t.TempDir(), t.TempDir()
-	e, err := NewEngine(noCheckpointOptions(dir))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	tbl, want := loadSlots(t, e)
-	spec := tbl.Schema().Packed().Spec()
-	copyDBFiles(t, dir, crash)
+	for _, st := range slotTables {
+		dir, crash := t.TempDir(), t.TempDir()
+		e, err := NewEngine(noCheckpointOptions(dir))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer e.Close()
+		tbl, want := st.load(t, e)
+		spec := tbl.Schema().Packed().Spec()
+		copyDBFiles(t, dir, crash)
 
-	types := walTypes(t, filepath.Join(crash, "db.wal"))
-	if types[recAdoptStrings] != 1 || types[recAdoptLayout] != 0 {
-		t.Fatalf("log record types %v: want one recAdoptStrings and no recAdoptLayout", types)
+		types := walTypes(t, filepath.Join(crash, "db.wal"))
+		if types[st.typ] != 1 || types[recAdoptLayout]+types[recAdoptStrings]+types[recAdoptRules] != 1 {
+			t.Fatalf("%s: log record types %v: want one adoption, of type %d", st.name, types, st.typ)
+		}
+		e2, err := NewEngine(noCheckpointOptions(crash))
+		if err != nil {
+			t.Fatalf("%s: recover from the WAL: %v", st.name, err)
+		}
+		defer e2.Close()
+		tbl2, err := e2.Table(st.name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if l := tbl2.Schema().Packed(); l == nil || !reflect.DeepEqual(l.Spec(), spec) {
+			t.Fatalf("%s: recovered layout %v, want %v", st.name, l, spec)
+		}
+		checkSlotRows(t, tbl2, want)
 	}
-	e2, err := NewEngine(noCheckpointOptions(crash))
-	if err != nil {
-		t.Fatalf("recover from the WAL: %v", err)
-	}
-	defer e2.Close()
-	tbl2, err := e2.Table("slots")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if l := tbl2.Schema().Packed(); l == nil || !reflect.DeepEqual(l.Spec(), spec) {
-		t.Fatalf("recovered layout %v, want %v", l, spec)
-	}
-	checkSlotRows(t, tbl2, want)
 }
 
 // TestReopenStringSlotsFromManifest: after a checkpoint the layout, its
-// string slots' prefixes and digit counts included, is the table's
-// manifest entry, at manifest version 3, and the reopened table reads
-// every row with it.
+// string slots' prefixes, digit counts, rules and dictionaries included,
+// is the table's manifest entry, at manifest version 4, and the reopened
+// table reads every row with it.
 func TestReopenStringSlotsFromManifest(t *testing.T) {
-	dir := t.TempDir()
-	e, err := NewEngine(noCheckpointOptions(dir))
-	if err != nil {
-		t.Fatal(err)
+	for _, st := range slotTables {
+		dir := t.TempDir()
+		e, err := NewEngine(noCheckpointOptions(dir))
+		if err != nil {
+			t.Fatal(err)
+		}
+		tbl, want := st.load(t, e)
+		spec := tbl.Schema().Packed().Spec()
+		if err := e.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		m, err := loadManifest(filepath.Join(dir, "db.manifest"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.Version != 4 || len(m.Tables) != 1 || !reflect.DeepEqual(m.Tables[0].Layout, spec) {
+			t.Fatalf("manifest version %d, tables %+v: want version 4 with layout %v", m.Version, m.Tables, spec)
+		}
+		if err := e.Close(); err != nil {
+			t.Fatal(err)
+		}
+		e2, err := NewEngine(noCheckpointOptions(dir))
+		if err != nil {
+			t.Fatalf("%s: reopen: %v", st.name, err)
+		}
+		defer e2.Close()
+		tbl2, err := e2.Table(st.name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if l := tbl2.Schema().Packed(); l == nil || !reflect.DeepEqual(l.Spec(), spec) {
+			t.Fatalf("%s: reopened layout %v, want %v", st.name, l, spec)
+		}
+		checkSlotRows(t, tbl2, want)
 	}
-	tbl, want := loadSlots(t, e)
-	spec := tbl.Schema().Packed().Spec()
-	if err := e.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	m, err := loadManifest(filepath.Join(dir, "db.manifest"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Version != 3 || len(m.Tables) != 1 || !reflect.DeepEqual(m.Tables[0].Layout, spec) {
-		t.Fatalf("manifest version %d, tables %+v: want version 3 with layout %v", m.Version, m.Tables, spec)
-	}
-	if err := e.Close(); err != nil {
-		t.Fatal(err)
-	}
-	e2, err := NewEngine(noCheckpointOptions(dir))
-	if err != nil {
-		t.Fatalf("reopen: %v", err)
-	}
-	defer e2.Close()
-	tbl2, err := e2.Table("slots")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if l := tbl2.Schema().Packed(); l == nil || !reflect.DeepEqual(l.Spec(), spec) {
-		t.Fatalf("reopened layout %v, want %v", l, spec)
-	}
-	checkSlotRows(t, tbl2, want)
 }
 
 // The checks a binary that predates string slots makes on what it
@@ -339,6 +430,67 @@ func TestStringSlotFilesRefusedByVersion2(t *testing.T) {
 	defer e.Close()
 	if tbl, err := e.Table("ints"); err != nil || tbl.Schema().Packed() == nil {
 		t.Fatalf("ints reopened from version 2: %v", err)
+	}
+}
+
+// The checks a binary that knows digit slots but no other string slot
+// makes on what it reopens, as it makes them: its manifest loader
+// accepts versions 2 and 3, and its redo knows record types 1–9.
+func version3OpensManifest(m *manifest) bool { return m.Version == 2 || m.Version == 3 }
+func version3KnowsRecord(typ uint8) bool     { return typ >= recBatch && typ <= recAdoptStrings }
+
+// TestRuleSlotFilesRefusedByVersion3: files holding a dictionary or a
+// timestamp slot fail the checks of a binary that knows only digit slots
+// — their manifest is version 4 and their adoption record a type that
+// binary does not know — while a table with digit slots still logs the
+// record it replays. This binary still opens a version-3 manifest, and
+// refuses one that names a dictionary or timestamp slot.
+func TestRuleSlotFilesRefusedByVersion3(t *testing.T) {
+	open := func(dir string, rules bool) *Engine {
+		t.Helper()
+		e, err := NewEngine(noCheckpointOptions(dir))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rules {
+			loadRuleSlots(t, e)
+		}
+		loadSlots(t, e)
+		return e
+	}
+	dir, digits := t.TempDir(), t.TempDir()
+	e := open(dir, true)
+	types := walTypes(t, filepath.Join(dir, "db.wal"))
+	if types[recAdoptRules] != 1 || types[recAdoptStrings] != 1 {
+		t.Fatalf("log record types %v: want one adoption of each slot type", types)
+	}
+	for typ := range types {
+		if want := typ != recAdoptRules; version3KnowsRecord(typ) != want {
+			t.Fatalf("a version-3 binary knows record type %d: %v, want %v", typ, !want, want)
+		}
+	}
+	for _, e := range []*Engine{e, open(digits, false)} {
+		if err := e.Close(); err != nil { // Close checkpoints
+			t.Fatal(err)
+		}
+	}
+	path := filepath.Join(dir, "db.manifest")
+	if m, err := loadManifest(path); err != nil || version3OpensManifest(m) {
+		t.Fatalf("a version-3 binary opens the manifest: version %d (%v)", m.Version, err)
+	}
+	setManifestVersion(t, path, 3)
+	if e, err := NewEngine(noCheckpointOptions(dir)); err == nil {
+		e.Close()
+		t.Fatal("a version-3 manifest naming a dictionary or timestamp slot was accepted")
+	}
+	setManifestVersion(t, filepath.Join(digits, "db.manifest"), 3)
+	e, err := NewEngine(noCheckpointOptions(digits))
+	if err != nil {
+		t.Fatalf("a version-3 manifest with digit slots: %v", err)
+	}
+	defer e.Close()
+	if tbl, err := e.Table("slots"); err != nil || tbl.Schema().Packed().StringSlots() != tuple.DigitSlots {
+		t.Fatalf("slots reopened from version 3: %v", err)
 	}
 }
 
@@ -471,7 +623,7 @@ func TestTxnStagedRowKeepsRebuiltString(t *testing.T) {
 	if _, err := tb.Apply(&b); err != nil {
 		t.Fatal(err)
 	}
-	if l := tb.Schema().Packed(); l == nil || !l.HasStringSlots() {
+	if l := tb.Schema().Packed(); l == nil || l.StringSlots() != tuple.DigitSlots {
 		t.Fatalf("layout %v: want name in a string slot", l)
 	}
 	rid, ok, err := byName.LookupRID(tuple.String("user-00006"))

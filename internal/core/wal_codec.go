@@ -32,11 +32,22 @@ const (
 	// recAdoptLayout is a table's adoption of its packed record layout,
 	// logged before any record written in it.
 	recAdoptLayout uint8 = 8
-	// recAdoptStrings is recAdoptLayout for a layout with string slots. A
-	// binary that predates them fails on the unknown type rather than
-	// decode the JSON without the slots' fields and misread every record.
+	// recAdoptStrings is recAdoptLayout for a layout with digit slots on
+	// VARCHARs (tuple.DigitSlots), and recAdoptRules for one with any
+	// other string slot (tuple.RuleSlots). A binary that predates a kind
+	// of slot fails on the unknown type rather than decode the JSON
+	// without the slots' fields and misread every record.
 	recAdoptStrings uint8 = 9
+	recAdoptRules   uint8 = 10
 )
+
+// adoptTypes is the record type an adoption is logged under, by the
+// string slots its layout holds.
+var adoptTypes = [...]uint8{
+	tuple.NoStringSlots: recAdoptLayout,
+	tuple.DigitSlots:    recAdoptStrings,
+	tuple.RuleSlots:     recAdoptRules,
+}
 
 // Action kinds within a batch record.
 const (

@@ -1,3 +1,8 @@
+// Package encoding implements Section 4.1's automated schema
+// optimization: column analysis that treats declared types as hints,
+// per-column minimal-encoding recommendations (down to single bits), a
+// waste report, and the field packing (RecordPacking) that makes a
+// tuple.Layout — the engine's record codec — store what they recommend.
 package encoding
 
 import (
@@ -156,6 +161,19 @@ func spanBits(lo, hi int64) int {
 		return 64
 	}
 	return BitsFor(d + 1)
+}
+
+// BitsFor returns the minimum number of bits representing values in
+// [0, n-1]; BitsFor(1) is 0 (a constant needs no bits), BitsFor(2) is 1.
+func BitsFor(n uint64) int {
+	if n <= 1 {
+		return 0
+	}
+	bits := 0
+	for v := n - 1; v > 0; v >>= 1 {
+		bits++
+	}
+	return bits
 }
 
 func adviseString(p *ColumnProfile, rec Recommendation) Recommendation {

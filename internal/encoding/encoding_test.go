@@ -4,42 +4,16 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/tuple"
 )
 
-func TestBitWriterReaderRoundTrip(t *testing.T) {
-	w := NewBitWriter()
-	w.WriteBits(0b101, 3)
-	w.WriteBool(true)
-	w.WriteBits(0xDEADBEEF, 32)
-	w.WriteBytes([]byte{1, 2, 3})
-	w.WriteBits(0, 0) // zero-width write is a no-op
-
-	r := NewBitReader(w.Bytes())
-	if v, _ := r.ReadBits(3); v != 0b101 {
-		t.Errorf("3-bit value = %b", v)
-	}
-	if b, _ := r.ReadBool(); !b {
-		t.Error("bool = false")
-	}
-	if v, _ := r.ReadBits(32); v != 0xDEADBEEF {
-		t.Errorf("32-bit value = %x", v)
-	}
-	if bs, _ := r.ReadBytes(3); bs[0] != 1 || bs[1] != 2 || bs[2] != 3 {
-		t.Errorf("bytes = %v", bs)
-	}
-}
-
-func TestBitReaderExhaustion(t *testing.T) {
-	r := NewBitReader([]byte{0xFF})
-	if _, err := r.ReadBits(9); err == nil {
-		t.Error("reading past the end should fail")
-	}
-}
-
+// TestPropertyBitRoundTrip: integers at any width from 1 to 63 bits,
+// packed side by side across byte boundaries, read back as stored and
+// take no escape.
 func TestPropertyBitRoundTrip(t *testing.T) {
 	f := func(vals []uint64, widthsRaw []uint8) bool {
 		if len(vals) == 0 {
@@ -48,32 +22,30 @@ func TestPropertyBitRoundTrip(t *testing.T) {
 		if len(widthsRaw) == 0 {
 			widthsRaw = []uint8{17}
 		}
-		w := NewBitWriter()
-		widths := make([]int, len(vals))
+		fields := make([]tuple.Field, len(vals))
+		spec := make([]tuple.FieldPacking, len(vals))
+		row := make(tuple.Row, len(vals))
 		for i, v := range vals {
-			n := 1 + int(widthsRaw[i%len(widthsRaw)]%64)
-			widths[i] = n
-			w.WriteBits(v&mask(n), n)
+			n := 1 + int(widthsRaw[i%len(widthsRaw)]%63)
+			fields[i] = tuple.Field{Name: fmt.Sprint("f", i), Kind: tuple.KindInt64}
+			spec[i].Bits = n
+			row[i] = tuple.Int64(int64(v & (1<<uint(n) - 1)))
 		}
-		r := NewBitReader(w.Bytes())
-		for i, v := range vals {
-			got, err := r.ReadBits(widths[i])
-			if err != nil || got != v&mask(widths[i]) {
-				return false
-			}
+		s := tuple.MustSchema(fields...)
+		l, err := tuple.NewLayout(s, spec)
+		if err != nil || s.Adopt(l) != nil {
+			return false
 		}
-		return true
+		rec, esc, err := tuple.EncodeEscapes(s, row, nil)
+		if err != nil || esc != 0 {
+			return false
+		}
+		back, _, err := tuple.Decode(s, rec)
+		return err == nil && back.Equal(row)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
-}
-
-func mask(n int) uint64 {
-	if n >= 64 {
-		return ^uint64(0)
-	}
-	return 1<<uint(n) - 1
 }
 
 func TestBitsFor(t *testing.T) {
@@ -87,13 +59,13 @@ func TestBitsFor(t *testing.T) {
 
 func TestTimestamp14RoundTrip(t *testing.T) {
 	for _, epoch := range []int64{0, 1, 86399, 86400, 1262304000, 1893456000} {
-		s := FormatTS14(epoch)
+		s := string(tuple.AppendTS14(nil, epoch))
 		if len(s) != 14 {
-			t.Fatalf("FormatTS14(%d) = %q, not 14 chars", epoch, s)
+			t.Fatalf("AppendTS14(%d) = %q, not 14 chars", epoch, s)
 		}
-		back, ok := ParseTS14(s)
+		back, ok := tuple.ParseTS14(s)
 		if !ok || back != epoch {
-			t.Errorf("ParseTS14(FormatTS14(%d)) = %d, %v", epoch, back, ok)
+			t.Errorf("ParseTS14(AppendTS14(%d)) = %d, %v", epoch, back, ok)
 		}
 	}
 }
@@ -101,7 +73,7 @@ func TestTimestamp14RoundTrip(t *testing.T) {
 func TestParseTS14Rejects(t *testing.T) {
 	bad := []string{"", "2011", "2011010412345x", "00000000000000", "19691231235959", "20111340123456"}
 	for _, s := range bad {
-		if _, ok := ParseTS14(s); ok {
+		if _, ok := tuple.ParseTS14(s); ok {
 			t.Errorf("ParseTS14(%q) accepted", s)
 		}
 	}
@@ -135,11 +107,14 @@ func TestAdviseTimestampString(t *testing.T) {
 	f := tuple.Field{Name: "ts", Kind: tuple.KindChar, Size: 14}
 	p := NewColumnProfile(f)
 	for i := 0; i < 50; i++ {
-		p.Observe(tuple.Char(FormatTS14(int64(1262304000 + i*1000))))
+		p.Observe(tuple.Char(ts14(int64(1262304000 + i*1000))))
 	}
 	rec := Advise(p)
 	if rec.Enc != EncEpoch32 || rec.Bits != 32 {
 		t.Errorf("timestamp14 string should advise epoch32, got %+v", rec)
+	}
+	if got := RecordPacking([]*ColumnProfile{p})[0]; !reflect.DeepEqual(got, tuple.FieldPacking{Bits: 32, Rule: tuple.RuleTS14}) {
+		t.Errorf("timestamp14 string packs as %+v, want a 32-bit timestamp slot", got)
 	}
 }
 
@@ -173,6 +148,10 @@ func TestAdviseDictionaryOnlyWithRepetition(t *testing.T) {
 	}
 	if rec := Advise(repeated); rec.Enc != EncDict {
 		t.Errorf("3 values over 500 rows should advise dictionary, got %+v", rec)
+	}
+	want := tuple.FieldPacking{Bits: 2, Rule: tuple.RuleDict, Dict: opts}
+	if got := RecordPacking([]*ColumnProfile{repeated})[0]; !reflect.DeepEqual(got, want) {
+		t.Errorf("3 values pack as %+v, want %+v", got, want)
 	}
 	unique := NewColumnProfile(tuple.Field{Name: "body", Kind: tuple.KindString})
 	for i := 0; i < 500; i++ {
@@ -229,7 +208,7 @@ func packedTestRow(rng *rand.Rand, i int) tuple.Row {
 		tuple.Int64(int64(i % 2)),
 		tuple.Int64(int64(rng.Intn(200))),
 		tuple.Float64(rng.NormFloat64()),
-		tuple.Char(FormatTS14(int64(1262304000 + rng.Intn(1_000_000)))),
+		tuple.Char(ts14(int64(1262304000 + rng.Intn(1_000_000)))),
 		tuple.String(statuses[rng.Intn(len(statuses))]),
 		tuple.String(zeroPad(rng.Intn(100000), 3+rng.Intn(4)) + "-free-text"),
 		tuple.TimestampUnix(int64(rng.Intn(2_000_000_000))),
@@ -240,114 +219,100 @@ func packedTestRow(rng *rand.Rand, i int) tuple.Row {
 	return row
 }
 
-func TestPackedCodecRoundTripFromAdvice(t *testing.T) {
+func ts14(epoch int64) string { return string(tuple.AppendTS14(nil, epoch)) }
+
+// analyze profiles rows and returns the report and a copy of schema
+// that writes rows in the layout the report's recommendations describe.
+func analyze(t *testing.T, schema *tuple.Schema, rows []tuple.Row) (TableReport, *tuple.Schema) {
+	t.Helper()
+	i := 0
+	report := AnalyzeRows("t", schema, func() (tuple.Row, bool) {
+		if i == len(rows) {
+			return nil, false
+		}
+		i++
+		return rows[i-1], true
+	})
+	packed, err := PackedSchema(schema, report)
+	if err != nil {
+		t.Fatalf("PackedSchema: %v", err)
+	}
+	return report, packed
+}
+
+// roundTrip encodes each row under s, checks which escaped, and reads it
+// back; it returns the bytes the records took.
+func roundTrip(t *testing.T, s *tuple.Schema, rows []tuple.Row, escapes bool) int {
+	t.Helper()
+	n := 0
+	for j, row := range rows {
+		rec, esc, err := tuple.EncodeEscapes(s, row, nil)
+		if err != nil || (esc != 0) != escapes {
+			t.Fatalf("row %d %v: escapes %b, want any %v (%v)", j, row, esc, escapes, err)
+		}
+		back, _, err := tuple.Decode(s, rec)
+		if err != nil || !back.Equal(row) {
+			t.Fatalf("row %d did not round-trip:\n got %v\nwant %v (%v)", j, back, row, err)
+		}
+		n += len(rec)
+	}
+	return n
+}
+
+func TestRecordPackingRoundTripFromAdvice(t *testing.T) {
 	schema := packedTestSchema()
 	rng := rand.New(rand.NewSource(31))
 	rows := make([]tuple.Row, 400)
 	for i := range rows {
 		rows[i] = packedTestRow(rng, i)
 	}
-	i := 0
-	report := AnalyzeRows("t", schema, func() (tuple.Row, bool) {
-		if i >= len(rows) {
-			return nil, false
-		}
-		r := rows[i]
-		i++
-		return r, true
-	})
-	recs := make([]Recommendation, len(report.Columns))
-	for j, c := range report.Columns {
-		recs[j] = c.Rec
-	}
-	codec, err := NewPackedCodec(schema, recs)
-	if err != nil {
-		t.Fatalf("NewPackedCodec: %v", err)
-	}
-	buf, err := codec.EncodeRows(rows)
-	if err != nil {
-		t.Fatalf("EncodeRows: %v", err)
-	}
-	back, err := codec.DecodeRows(buf, len(rows))
-	if err != nil {
-		t.Fatalf("DecodeRows: %v", err)
-	}
-	for j := range rows {
-		if !rows[j].Equal(back[j]) {
-			t.Fatalf("row %d did not round-trip:\n got %v\nwant %v", j, back[j], rows[j])
-		}
-	}
+	_, packed := analyze(t, schema, rows)
+	stored := roundTrip(t, packed, rows, false)
 	// The packed form must actually be denser than the declared codec.
 	var declared int
 	for _, r := range rows {
-		n, err := tuple.EncodedSize(schema, r)
+		n, err := tuple.DeclaredSize(schema, r)
 		if err != nil {
 			t.Fatal(err)
 		}
 		declared += n
 	}
-	if len(buf) >= declared {
-		t.Errorf("packed %d bytes not smaller than declared %d", len(buf), declared)
+	if stored >= declared {
+		t.Errorf("packed %d bytes not smaller than declared %d", stored, declared)
 	}
 }
 
-func TestPackedCodecRejectsOutOfRange(t *testing.T) {
+// A value outside the profiled range, and a NULL in a column the profile
+// saw none in, escape: they are stored, not refused.
+func TestRecordPackingEscapesOutOfRange(t *testing.T) {
 	schema := tuple.MustSchema(tuple.Field{Name: "x", Kind: tuple.KindInt64})
-	p := NewColumnProfile(schema.Field(0))
-	for i := 0; i < 10; i++ {
-		p.Observe(tuple.Int64(int64(i)))
+	rows := make([]tuple.Row, 10)
+	for i := range rows {
+		rows[i] = tuple.Row{tuple.Int64(int64(i))}
 	}
-	rec := Advise(p)
-	codec, err := NewPackedCodec(schema, []Recommendation{rec})
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := NewBitWriter()
-	if err := codec.Encode(tuple.Row{tuple.Int64(1000)}, w); err == nil {
-		t.Error("value outside profiled range must be rejected")
-	}
-	if err := codec.Encode(tuple.Row{tuple.Null(tuple.KindInt64)}, w); err == nil {
-		t.Error("NULL in non-nullable column must be rejected")
-	}
+	_, packed := analyze(t, schema, rows)
+	roundTrip(t, packed, rows, false)
+	roundTrip(t, packed, []tuple.Row{{tuple.Int64(1000)}, {tuple.Int64(-1)}}, true)
+	roundTrip(t, packed, []tuple.Row{{tuple.Null(tuple.KindInt64)}}, false)
 }
 
-// TestPackedCodecFullWidthInt covers the Bits == 64 degenerate case of
-// the EncInt range check: `1 << 64` is 0 for a uint64, so without the
-// Bits < 64 guard (grouped exactly as in EncNumericString) every value
-// would be rejected as out of range. Extreme int64 values must round-
-// trip.
-func TestPackedCodecFullWidthInt(t *testing.T) {
+// A profile spanning the whole int64 range advises 64 bits, which the
+// layout stores at the declared width: extreme values round-trip and
+// none escapes. A narrower profile still escapes what it does not span.
+func TestRecordPackingFullWidthInt(t *testing.T) {
 	schema := tuple.MustSchema(tuple.Field{Name: "x", Kind: tuple.KindInt64})
-	rec := Recommendation{Field: schema.Field(0), Enc: EncInt, Bits: 64, Offset: math.MinInt64}
-	codec, err := NewPackedCodec(schema, []Recommendation{rec})
-	if err != nil {
-		t.Fatal(err)
-	}
+	var rows []tuple.Row
 	for _, x := range []int64{math.MinInt64, -1, 0, 1, math.MaxInt64} {
-		w := NewBitWriter()
-		if err := codec.Encode(tuple.Row{tuple.Int64(x)}, w); err != nil {
-			t.Fatalf("Encode(%d) with Bits=64: %v", x, err)
-		}
-		row, err := codec.Decode(NewBitReader(w.Bytes()))
-		if err != nil {
-			t.Fatalf("Decode(%d): %v", x, err)
-		}
-		if row[0].Int != x {
-			t.Errorf("round trip %d -> %d", x, row[0].Int)
-		}
+		rows = append(rows, tuple.Row{tuple.Int64(x)})
 	}
-	// The in-range rejection must still fire for narrower widths.
-	narrow := Recommendation{Field: schema.Field(0), Enc: EncInt, Bits: 4, Offset: 0}
-	codec, err = NewPackedCodec(schema, []Recommendation{narrow})
-	if err != nil {
-		t.Fatal(err)
+	report, packed := analyze(t, schema, rows)
+	if rec := report.Columns[0].Rec; rec.Bits != 64 || rec.Offset != math.MinInt64 {
+		t.Fatalf("advice %+v, want 64 bits from MinInt64", rec)
 	}
-	if err := codec.Encode(tuple.Row{tuple.Int64(16)}, NewBitWriter()); err == nil {
-		t.Error("16 must not fit in 4 bits")
-	}
-	if err := codec.Encode(tuple.Row{tuple.Int64(-1)}, NewBitWriter()); err == nil {
-		t.Error("below-offset value must be rejected")
-	}
+	roundTrip(t, packed, rows, false)
+
+	_, narrow := analyze(t, schema, []tuple.Row{{tuple.Int64(0)}, {tuple.Int64(15)}})
+	roundTrip(t, narrow, []tuple.Row{{tuple.Int64(16)}, {tuple.Int64(-1)}}, true)
 }
 
 func TestWasteReportInvariants(t *testing.T) {
@@ -422,7 +387,9 @@ func TestProfilePrefixAndRest(t *testing.T) {
 // A column of prefixed decimals — the benchmark's names have this shape,
 // as do wiki titles — advises a numeric string with its prefix, and the
 // engine's packing is the same advice as a string slot; a column with a
-// non-digit remainder, or a constant one, is left alone.
+// non-digit remainder is left alone, and a constant one is a dictionary
+// of one value in no bits. A prefix or a dictionary that is not valid
+// UTF-8 is left alone too.
 func TestAdvisePrefixedNumericString(t *testing.T) {
 	p := NewColumnProfile(tuple.Field{Name: "name", Kind: tuple.KindString})
 	for _, id := range []int{199900, 1812, 54321} {
@@ -433,27 +400,36 @@ func TestAdvisePrefixedNumericString(t *testing.T) {
 		rec.Bits != 18 || rec.Offset != 1812 {
 		t.Fatalf("advice %+v", rec)
 	}
-	if got := RecordPacking([]*ColumnProfile{p})[0]; got != (tuple.FieldPacking{Bits: 18, Offset: 1812, Prefix: "item-0000000000000", Digits: 6}) {
+	if got := RecordPacking([]*ColumnProfile{p})[0]; !reflect.DeepEqual(got, tuple.FieldPacking{Bits: 18, Offset: 1812, Prefix: "item-0000000000000", Digits: 6}) {
 		t.Fatalf("packing %+v", got)
 	}
 	if bits := rec.BitsPerValue(p); bits != 18+8*18.0/3 {
 		t.Errorf("%v bits per value, want 18 plus the prefix amortized", bits)
 	}
-	for _, values := range [][]string{{"0123abcd/x", "89ab0123/x"}, {"same", "same"}} {
+	for _, c := range []struct {
+		values []string
+		want   tuple.FieldPacking
+	}{
+		{[]string{"0123abcd/x", "89ab0123/x"}, tuple.FieldPacking{}},
+		{[]string{"same", "same"}, tuple.FieldPacking{Rule: tuple.RuleDict, Dict: []string{"same"}}},
+		// Not valid UTF-8, which a layout's JSON would not carry back.
+		{[]string{"\xff1", "\xff2"}, tuple.FieldPacking{}},
+		{[]string{"a\xff", "a\xff", "b"}, tuple.FieldPacking{}},
+	} {
 		q := NewColumnProfile(tuple.Field{Name: "body", Kind: tuple.KindString})
-		for _, v := range values {
+		for _, v := range c.values {
 			q.Observe(tuple.String(v))
 		}
-		if got := RecordPacking([]*ColumnProfile{q})[0]; got != (tuple.FieldPacking{}) {
-			t.Errorf("%q packs as %+v, want verbatim", values, got)
+		if got := RecordPacking([]*ColumnProfile{q})[0]; !reflect.DeepEqual(got, c.want) {
+			t.Errorf("%q packs as %+v, want %+v", c.values, got, c.want)
 		}
 	}
 }
 
-// PackedCodec's numeric strings round-trip with and without a stored
-// digit count, leading zeros and an empty remainder included, and
-// rebuild by the engine's rule (tuple.AppendDigits).
-func TestPackedCodecNumericStrings(t *testing.T) {
+// Numeric strings, VARCHAR and CHAR, round-trip through their string
+// slots with and without a stored digit count, leading zeros and an
+// empty remainder included; a value outside the profile escapes.
+func TestRecordPackingNumericStrings(t *testing.T) {
 	schema := tuple.MustSchema(tuple.Field{Name: "fixed", Kind: tuple.KindString}, tuple.Field{Name: "varying", Kind: tuple.KindChar, Size: 12})
 	rows := []tuple.Row{
 		{tuple.String("user-0042"), tuple.Char("r-0")},
@@ -461,39 +437,17 @@ func TestPackedCodecNumericStrings(t *testing.T) {
 		{tuple.String("user-1999"), tuple.Char("r-")},
 		{tuple.String("user-0100"), tuple.Char("r-987654")},
 	}
-	i := 0
-	report := AnalyzeRows("t", schema, func() (tuple.Row, bool) {
-		if i == len(rows) {
-			return nil, false
-		}
-		i++
-		return rows[i-1], true
-	})
+	report, packed := analyze(t, schema, rows)
 	recs := []Recommendation{report.Columns[0].Rec, report.Columns[1].Rec}
 	if recs[0].Enc != EncNumericString || recs[0].Prefix != "user-" || recs[0].Digits != 4 ||
 		recs[1].Enc != EncNumericString || recs[1].Prefix != "r-" || recs[1].Digits != 0 {
 		t.Fatalf("advice %+v", recs)
 	}
-	codec, err := NewPackedCodec(schema, recs)
-	if err != nil {
-		t.Fatal(err)
+	if slots := packed.Packed().StringSlots(); slots != tuple.RuleSlots {
+		t.Fatalf("string slots %v: a CHAR slot is a RuleSlots layout", slots)
 	}
-	buf, err := codec.EncodeRows(rows)
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := codec.DecodeRows(buf, len(rows))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for j := range rows {
-		if !rows[j].Equal(back[j]) {
-			t.Errorf("row %d: %v, want %v", j, back[j], rows[j])
-		}
-	}
+	roundTrip(t, packed, rows, false)
 	for _, bad := range []string{"user-042", "usr-0042", "user-004x"} {
-		if err := codec.Encode(tuple.Row{tuple.String(bad), tuple.Char("r-1")}, NewBitWriter()); err == nil {
-			t.Errorf("%q outside the profile was accepted", bad)
-		}
+		roundTrip(t, packed, []tuple.Row{{tuple.String(bad), tuple.Char("r-1")}}, true)
 	}
 }

@@ -110,7 +110,7 @@ func (p *ColumnProfile) observeString(s string) {
 		p.MaxLen = len(s)
 	}
 	p.TotalLen += int64(len(s))
-	if _, ok := ParseTS14(s); !ok {
+	if _, ok := tuple.ParseTS14(s); !ok {
 		p.AllTimestamp14 = false
 	}
 	p.observeRest(s)

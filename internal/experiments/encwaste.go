@@ -35,10 +35,20 @@ func DefaultEncWasteConfig() EncWasteConfig {
 	}
 }
 
+// EncWasteTable is one table's report beside its rows as the engine
+// stores them: in the layout RecordPacking builds from the report's
+// profiles.
+type EncWasteTable struct {
+	encoding.TableReport
+	Layout      *tuple.Layout
+	StoredBytes int64 // record bytes of every row in Layout
+	Escaped     int   // rows with a value outside Layout's domain
+}
+
 // EncWasteResult aggregates per-table reports.
 type EncWasteResult struct {
 	Config  EncWasteConfig
-	Reports []encoding.TableReport
+	Reports []EncWasteTable
 	// TotalDeclaredBytes / TotalWasteBytes extrapolate to paper scale.
 	TotalDeclaredBytes int64
 	TotalWasteBytes    int64
@@ -52,9 +62,9 @@ func (r EncWasteResult) AggregateWastePct() float64 {
 	return float64(r.TotalWasteBytes) / float64(r.TotalDeclaredBytes) * 100
 }
 
-// RunEncWaste generates the three tables, runs the analyzer on each,
-// and verifies the recommendations with a pack/unpack round trip on a
-// sample of rows.
+// RunEncWaste generates the four tables, runs the analyzer on each, and
+// stores every row in the record layout the recommendations describe,
+// verifying that each reads back.
 func RunEncWaste(cfg EncWasteConfig) (EncWasteResult, error) {
 	res := EncWasteResult{Config: cfg}
 	gen := wiki.NewGenerator(wiki.Config{
@@ -125,34 +135,32 @@ func (r *EncWasteResult) analyze(name string, schema *tuple.Schema, rows []tuple
 		i++
 		return row, true
 	})
-	// Round-trip verification on a sample: the recommendations must be
-	// lossless for the data that produced them.
-	recs := make([]encoding.Recommendation, len(report.Columns))
-	for j, c := range report.Columns {
-		recs[j] = c.Rec
-	}
-	codec, err := encoding.NewPackedCodec(schema, recs)
+	// Store every row in the layout the recommendations describe and read
+	// it back: they must be lossless for the data that produced them, and
+	// what the records take is what a loaded table's heap holds.
+	packed, err := encoding.PackedSchema(schema, report)
 	if err != nil {
-		return fmt.Errorf("experiments: building codec for %s: %w", name, err)
+		return fmt.Errorf("experiments: layout for %s: %w", name, err)
 	}
-	sample := rows
-	if len(sample) > 500 {
-		sample = sample[:500]
-	}
-	buf, err := codec.EncodeRows(sample)
-	if err != nil {
-		return fmt.Errorf("experiments: packing %s: %w", name, err)
-	}
-	back, err := codec.DecodeRows(buf, len(sample))
-	if err != nil {
-		return fmt.Errorf("experiments: unpacking %s: %w", name, err)
-	}
-	for j := range sample {
-		if !sample[j].Equal(back[j]) {
-			return fmt.Errorf("experiments: %s row %d did not round-trip through packed codec", name, j)
+	tb := EncWasteTable{TableReport: report, Layout: packed.Packed()}
+	var (
+		rec  []byte
+		back tuple.Row
+	)
+	for j, row := range rows {
+		var esc uint64
+		if rec, esc, err = tuple.EncodeEscapes(packed, row, rec[:0]); err != nil {
+			return fmt.Errorf("experiments: packing %s row %d: %w", name, j, err)
+		}
+		if back, _, err = tuple.DecodeInto(back, packed, rec); err != nil || !row.Equal(back) {
+			return fmt.Errorf("experiments: %s row %d did not round-trip through its layout (%v)", name, j, err)
+		}
+		tb.StoredBytes += int64(len(rec))
+		if esc != 0 {
+			tb.Escaped++
 		}
 	}
-	r.Reports = append(r.Reports, report)
+	r.Reports = append(r.Reports, tb)
 	return nil
 }
 
@@ -167,8 +175,8 @@ func maxInt(a, b int) int {
 func (r EncWasteResult) Print(w io.Writer) {
 	fmt.Fprintf(w, "Section 4.1: encoding waste analysis (declared types as hints)\n")
 	for _, rep := range r.Reports {
-		fmt.Fprintf(w, "\ntable %-10s rows=%d declared=%s optimal=%s waste=%.1f%%\n",
-			rep.Name, rep.Rows, fmtBytes(rep.DeclaredBytes()), fmtBytes(rep.OptimalBytes()), rep.WastePct())
+		fmt.Fprintf(w, "\ntable %-10s rows=%d declared=%s optimal=%s waste=%.1f%% stored=%s\n",
+			rep.Name, rep.Rows, fmtBytes(rep.DeclaredBytes()), fmtBytes(rep.OptimalBytes()), rep.WastePct(), fmtBytes(rep.StoredBytes))
 		fmt.Fprintf(w, "  %-18s %-14s %10s %10s %7s  %s\n", "column", "enc", "decl bits", "opt bits", "waste%", "note")
 		for _, c := range rep.Columns {
 			fmt.Fprintf(w, "  %-18s %-14s %10.1f %10.1f %6.1f%%  %s\n",

@@ -197,6 +197,37 @@ func TestEncWasteShapes(t *testing.T) {
 	}
 }
 
+// TestEncWasteStoresOptimal: each report table's rows, stored in the
+// layout RecordPacking builds from the report's own profiles, round-trip
+// (RunEncWaste fails otherwise) and none escapes. They take no more than
+// the report's optimal bytes per row plus what every packed record adds
+// to it: a tag byte, the null and escape bitmaps, and the byte its
+// packed section's bits round up to. A verbatim string's uvarint length
+// is at most the 16 bits the report charges while it is under 16 KiB.
+func TestEncWasteStoresOptimal(t *testing.T) {
+	cfg := DefaultEncWasteConfig()
+	cfg.Rows = 2500
+	res, err := RunEncWaste(cfg)
+	if err != nil {
+		t.Fatalf("RunEncWaste: %v", err)
+	}
+	for _, tb := range res.Reports {
+		if tb.Escaped != 0 {
+			t.Errorf("%s: %d of %d rows escaped the layout their own profiles gave", tb.Name, tb.Escaped, tb.Rows)
+		}
+		var optimal float64
+		for _, c := range tb.Columns {
+			optimal += c.OptimalBits / 8
+		}
+		allowance := 1 + (len(tb.Columns)+7)/8 + (len(tb.Layout.EscapeFields())+7)/8 + 1
+		stored := float64(tb.StoredBytes) / float64(tb.Rows)
+		t.Logf("%-8s stored %6.2f B/row, optimal %6.2f + %d", tb.Name, stored, optimal, allowance)
+		if stored > optimal+float64(allowance) {
+			t.Errorf("%s: rows take %.2f bytes, more than optimal %.2f plus %d", tb.Name, stored, optimal, allowance)
+		}
+	}
+}
+
 func TestCapacityShapes(t *testing.T) {
 	cfg := DefaultCapacityConfig()
 	cfg.Pages = 3000

@@ -119,8 +119,7 @@ func runServePoint(cfg ServeConfig, conns int, coalesce bool) (_ ServePoint, err
 	}
 	defer os.RemoveAll(dir)
 
-	eng, err := core.NewEngine(core.Options{Path: filepath.Join(dir, "db")},
-		core.WithWAL(), core.WithSyncPolicy(core.SyncGroupCommit))
+	eng, err := core.NewEngine(core.Options{Path: filepath.Join(dir, "db"), WAL: true, SyncPolicy: core.SyncGroupCommit})
 	if err != nil {
 		return p, err
 	}

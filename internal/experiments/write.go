@@ -203,7 +203,6 @@ type ingest struct {
 // per log fsync (0 without a WAL).
 func (in ingest) measure() (_ sample, err error) {
 	opts := core.Options{BufferPoolPages: 1 << 14}
-	var extra []core.EngineOption
 	if in.disk != inMemory {
 		dir, err := os.MkdirTemp("", "nblb-durable-bench")
 		if err != nil {
@@ -215,12 +214,12 @@ func (in ingest) measure() (_ sample, err error) {
 	if in.disk == fileGroupCommit || in.disk == fileSyncNone {
 		// The sweep measures the commit path; a large budget keeps
 		// automatic checkpoints out of the timed window.
-		extra = append(extra, core.WithWAL(), core.WithCheckpointEvery(1<<30))
+		opts.WAL, opts.CheckpointBytes = true, 1<<30
 		if in.disk == fileSyncNone {
-			extra = append(extra, core.WithSyncPolicy(core.SyncNone))
+			opts.SyncPolicy = core.SyncNone
 		}
 	}
-	e, err := core.NewEngine(opts, extra...)
+	e, err := core.NewEngine(opts)
 	if err != nil {
 		return sample{}, err
 	}

@@ -222,7 +222,7 @@ func TestCoalescerFailedCycleReleasesBaton(t *testing.T) {
 // job completes, every op is counted through a cycle and lands, and
 // no frame stays pinned. Meant for -race.
 func TestCoalescerStorm(t *testing.T) {
-	eng, err := core.NewEngine(core.Options{Path: filepath.Join(t.TempDir(), "db")}, core.WithWAL())
+	eng, err := core.NewEngine(core.Options{Path: filepath.Join(t.TempDir(), "db"), WAL: true})
 	if err != nil {
 		t.Fatal(err)
 	}

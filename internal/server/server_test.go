@@ -33,7 +33,7 @@ type fixture struct {
 func startServer(t testing.TB) *fixture {
 	t.Helper()
 	dir := t.TempDir()
-	eng, err := core.NewEngine(core.Options{Path: filepath.Join(dir, "db")}, core.WithWAL())
+	eng, err := core.NewEngine(core.Options{Path: filepath.Join(dir, "db"), WAL: true})
 	if err != nil {
 		t.Fatalf("NewEngine: %v", err)
 	}
@@ -393,7 +393,7 @@ func TestGracefulShutdown(t *testing.T) {
 
 	// Reopen from the same files: recovery + checkpoint must surface
 	// every acked row.
-	eng, err := core.NewEngine(core.Options{Path: filepath.Join(f.dir, "db")}, core.WithWAL())
+	eng, err := core.NewEngine(core.Options{Path: filepath.Join(f.dir, "db"), WAL: true})
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}

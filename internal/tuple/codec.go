@@ -21,9 +21,10 @@ import (
 // Both layouts put every fixed-width field where it can be read without
 // touching the rest of the row; DecodeField exploits this for one
 // field, DecodeFields for the set of fields a reader asked for. Both
-// store bytes and CHAR verbatim, and strings too, but for the packed
-// layout's string slots: a decoded row can be a view of the record, and
-// a string rebuilt from a slot a view of the reader's scratch.
+// store bytes verbatim, and strings too, but for the packed layout's
+// string slots: a decoded row can be a view of the record, and a string
+// rebuilt from a slot a view of the reader's scratch or a string of the
+// layout's dictionary.
 
 // Encode appends the row's encoding, in the schema's adopted layout if
 // it has one, to dst and returns the extended slice. The row must match
@@ -147,34 +148,34 @@ func fixedValue(k Kind, b []byte) Value {
 // appendVar appends r's var section in layout l (nil: declared) for the
 // escape bitmap esc.
 func appendVar(s *Schema, r Row, dst []byte, l *Layout, esc uint64) []byte {
-	for _, i := range s.varIdx {
+	for _, i := range l.varFields(s) {
 		v := r[i]
 		if v.Null || l.inSlot(i, esc) {
 			continue
 		}
 		dst = binary.AppendUvarint(dst, uint64(varLen(v)))
-		if v.Kind == KindString {
-			dst = append(dst, v.Str...) // straight from the string: no []byte copy
-		} else {
+		if v.Kind == KindBytes {
 			dst = append(dst, v.Raw...)
+		} else {
+			dst = append(dst, v.Str...) // straight from the string: no []byte copy
 		}
 	}
 	return dst
 }
 
-// varLen is the byte length of a string or bytes value.
+// varLen is the byte length of a string, CHAR or bytes value.
 func varLen(v Value) int {
-	if v.Kind == KindString {
-		return len(v.Str)
+	if v.Kind == KindBytes {
+		return len(v.Raw)
 	}
-	return len(v.Raw)
+	return len(v.Str)
 }
 
 // varSize is the bytes r's var section takes in layout l (nil:
 // declared) for the escape bitmap esc.
 func varSize(s *Schema, r Row, l *Layout, esc uint64) int {
 	n := 0
-	for _, i := range s.varIdx {
+	for _, i := range l.varFields(s) {
 		if v := r[i]; !v.Null && !l.inSlot(i, esc) {
 			l := varLen(v)
 			n += uvarintLen(uint64(l)) + l
@@ -295,11 +296,13 @@ func decode(dst Row, s *Schema, data []byte, need []bool, alias bool, scratch *[
 		switch want := need == nil || need[i]; {
 		case null(data, i):
 			r[i] = Value{Kind: f.Kind, Null: true}
-		case s.fixedOff[i] < 0:
+		case s.fixedOff[i] < 0 || l.slotted(i):
 			// The var section below fills it, unless a string slot holds it.
 			r[i] = Value{Kind: f.Kind}
 			if want && l.inSlot(i, esc) {
-				r[i].Str = l.slots[i].rebuild(packed, scratch)
+				if r[i].Str, err = l.slots[i].rebuild(packed, scratch); err != nil {
+					return nil, 0, err
+				}
 			}
 		case l != nil:
 			l.fill(&r[i], data, packed, i, esc, want, alias)
@@ -313,7 +316,7 @@ func decode(dst Row, s *Schema, data []byte, need []bool, alias bool, scratch *[
 			r[i] = fixedValue(f.Kind, data[s.declaredAt(i):])
 		}
 	}
-	for _, i := range s.varIdx {
+	for _, i := range l.varFields(s) {
 		if r[i].Null || l.inSlot(i, esc) {
 			continue
 		}
@@ -330,6 +333,8 @@ func decode(dst Row, s *Schema, data []byte, need []bool, alias bool, scratch *[
 		off += int(n)
 		switch {
 		case need != nil && !need[i]:
+		case f.Kind == KindChar:
+			r[i].Str = charString(raw, alias)
 		case f.Kind == KindString && alias:
 			r[i].Str = aliasString(raw)
 		case f.Kind == KindString:
@@ -346,8 +351,8 @@ func decode(dst Row, s *Schema, data []byte, need []bool, alias bool, scratch *[
 // DecodeField decodes only the idx-th field of an encoded row. For
 // fixed-width fields and string slots that did not escape this touches
 // just the null bitmap, the field's slot and, in the packed layout, the
-// escape bitmap; other variable-length fields require walking the var
-// section.
+// escape bitmap; other variable-length fields and escaped CHAR slots
+// require walking the var section.
 func DecodeField(s *Schema, data []byte, idx int) (Value, error) {
 	if idx < 0 || idx >= s.NumFields() {
 		return Value{}, fmt.Errorf("tuple: field index %d out of range", idx)
@@ -367,9 +372,10 @@ func DecodeField(s *Schema, data []byte, idx int) (Value, error) {
 	switch {
 	case null(data, idx):
 		return Value{Kind: f.Kind, Null: true}, nil
-	case s.fixedOff[idx] < 0 && l.inSlot(idx, esc):
-		return Value{Kind: f.Kind, Str: l.slots[idx].rebuild(data[l.bitsAt:l.charAt], nil)}, nil
-	case s.fixedOff[idx] < 0:
+	case l.inSlot(idx, esc):
+		str, err := l.slots[idx].rebuild(data[l.bitsAt:l.charAt], nil)
+		return Value{Kind: f.Kind, Str: str}, err
+	case s.fixedOff[idx] < 0 || l.slotted(idx):
 	case l != nil:
 		var v Value
 		l.fill(&v, data, data[l.bitsAt:l.charAt], idx, esc, true, false)
@@ -381,7 +387,7 @@ func DecodeField(s *Schema, data []byte, idx int) (Value, error) {
 		return fixedValue(f.Kind, data[s.declaredAt(idx):]), nil
 	}
 	// Variable-length: walk preceding non-NULL var fields.
-	for _, vi := range s.varIdx {
+	for _, vi := range l.varFields(s) {
 		if vi > idx {
 			break
 		}
@@ -398,10 +404,13 @@ func DecodeField(s *Schema, data []byte, idx int) (Value, error) {
 		}
 		if vi == idx {
 			raw := data[off : off+int(n)]
-			if f.Kind == KindString {
-				return Value{Kind: f.Kind, Str: string(raw)}, nil
+			switch f.Kind {
+			case KindBytes:
+				return Value{Kind: f.Kind, Raw: append([]byte(nil), raw...)}, nil
+			case KindChar:
+				return Value{Kind: f.Kind, Str: charString(raw, false)}, nil
 			}
-			return Value{Kind: f.Kind, Raw: append([]byte(nil), raw...)}, nil
+			return Value{Kind: f.Kind, Str: string(raw)}, nil
 		}
 		off += int(n)
 	}

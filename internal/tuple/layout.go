@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"strings"
 )
 
@@ -23,19 +24,56 @@ const (
 // value before it is stored there. Only integers, timestamps and
 // integral doubles narrower than their declared width are stored as
 // offsets: any other fixed-width field keeps its declared width (a
-// boolean one bit), and CHAR and bytes fields are stored verbatim.
+// boolean one bit), and bytes fields are stored verbatim.
 //
-// A string (VARCHAR) field with a non-zero packing is a string slot:
-// every value in its domain is Prefix followed by a decimal of at most
-// 18 digits, stored as an offset in Bits bits. Digits is that decimal's
-// digit count when it is fixed, so leading zeros come back by re-padding
-// and the count takes no bits; 0 means each record stores its count in 5
-// bits. A string field with the zero FieldPacking is stored verbatim.
+// A string field — VARCHAR or CHAR — with a non-zero packing is a string
+// slot: it stores a number in Bits bits, and Rule maps that number to
+// the string. A string field with the zero FieldPacking is stored
+// verbatim, a CHAR at its declared size.
 type FieldPacking struct {
 	Bits   int    `json:"bits,omitempty"`
 	Offset int64  `json:"offset,omitempty"`
 	Prefix string `json:"prefix,omitempty"`
 	Digits int    `json:"digits,omitempty"`
+	// Rule is a string slot's rule, and Dict a RuleDict slot's
+	// dictionary: sorted, no value twice.
+	Rule StringRule `json:"rule,omitempty"`
+	Dict []string   `json:"dict,omitempty"`
+}
+
+// StringRule is how a string slot maps the number it stores to a string.
+type StringRule uint8
+
+const (
+	// RuleDigits: the string is Prefix followed by a decimal of at most
+	// MaxDigits digits, stored as an offset from Offset. Digits is the
+	// decimal's digit count when it is fixed, so leading zeros come back
+	// by re-padding and the count takes no bits; 0 means each record
+	// stores its count in DigitCountBits bits.
+	RuleDigits StringRule = iota
+	// RuleDict: the string is Dict[n].
+	RuleDict
+	// RuleTS14: the string is a timestamp14 (ParseTS14), stored as its
+	// epoch's offset from Offset.
+	RuleTS14
+)
+
+// StringSlots is what string slots a layout holds, in the order readers
+// learned them: a reader that knows a kind knows those before it.
+type StringSlots uint8
+
+const (
+	// NoStringSlots: every string is stored verbatim.
+	NoStringSlots StringSlots = iota
+	// DigitSlots: RuleDigits slots on VARCHAR fields, and no others.
+	DigitSlots
+	// RuleSlots: a RuleDict or RuleTS14 slot, or a slot on a CHAR field.
+	RuleSlots
+)
+
+// zero reports whether p is the zero FieldPacking.
+func (p *FieldPacking) zero() bool {
+	return p.Bits == 0 && p.Offset == 0 && p.Prefix == "" && p.Digits == 0 && p.Rule == RuleDigits && len(p.Dict) == 0
 }
 
 const (
@@ -58,15 +96,16 @@ const (
 //	               set = the k-th of them holds a value outside its
 //	               domain
 //	packed section each offset field as value−Offset in Bits bits, each
-//	               string slot as its digit count (when not fixed) and
-//	               its decimal−Offset, each other fixed-width field but
-//	               CHAR at its declared width (a boolean in one bit),
-//	               LSB first, at fixed bit offsets
-//	CHAR section   each CHAR field verbatim at its declared size
+//	               string slot as its digit count (a RuleDigits slot
+//	               whose count is not fixed) and its number, each other
+//	               fixed-width field but CHAR at its declared width (a
+//	               boolean in one bit), LSB first, at fixed bit offsets
+//	CHAR section   each CHAR field that is no slot verbatim at its
+//	               declared size
 //	escape area    each escaped offset field at its declared width, in
 //	               field order
 //	var section    as in the declared layout, less the string slots
-//	               that did not escape
+//	               that did not escape, plus the CHAR slots that did
 //
 // A value the domain cannot hold escapes, to its declared width or, a
 // string, verbatim into the var section; it is never an error. Every
@@ -75,6 +114,7 @@ const (
 type Layout struct {
 	slots   []slot
 	escaped []int // the field of each escape bit
+	vars    []int // the fields the var section may hold, in field order
 
 	nullLen int // null bitmap bytes
 	escLen  int // escape bitmap bytes
@@ -92,15 +132,19 @@ type slot struct {
 	kind   Kind
 	size   int   // declared bytes
 	at     int   // bit offset in the packed section; CHAR: record offset
-	bits   int   // width in the packed section (a string slot's decimal)
+	bits   int   // width in the packed section (a string slot's number)
 	esc    int   // escape bit, -1 for a field stored at its declared width or verbatim
 	offset int64 // subtracted before storing
 
-	// A string slot's prefix, its fixed digit count, and the width of the
-	// count it stores instead when that is 0.
+	// A string slot's rule; a RuleDigits slot's prefix, its fixed digit
+	// count, and the width of the count it stores instead when that is
+	// 0; a RuleDict slot's dictionary.
+	str     bool
+	rule    StringRule
 	prefix  string
 	digits  int
 	lenBits int
+	dict    []string
 }
 
 // NewLayout builds the packed layout for s from one FieldPacking per
@@ -113,36 +157,32 @@ func NewLayout(s *Schema, spec []FieldPacking) (*Layout, error) {
 	l := &Layout{slots: make([]slot, len(spec)), nullLen: s.nullLen()}
 	nbits, nesc, nchar := 0, 0, 0
 	for i, f := range s.fields {
-		p, sl := spec[i], &l.slots[i]
+		p, sl := &spec[i], &l.slots[i]
 		sl.kind, sl.size, sl.esc = f.Kind, f.width(), -1
-		if (p.Prefix != "" || p.Digits != 0) && f.Kind != KindString {
+		str := f.Kind == KindString || f.Kind == KindChar
+		if !str && (p.Prefix != "" || p.Digits != 0 || p.Rule != RuleDigits || len(p.Dict) != 0) {
 			return nil, fmt.Errorf("tuple: field %q: a %v field has no string slot", f.Name, f.Kind)
 		}
-		switch f.Kind {
-		case KindString:
-			if p == (FieldPacking{}) || nesc == maxEscapes {
-				continue
+		switch {
+		case str && !p.zero() && nesc < maxEscapes:
+			if err := sl.setString(p); err != nil {
+				return nil, fmt.Errorf("tuple: field %q: %w", f.Name, err)
 			}
-			if p.Bits < 0 || p.Bits > 64 || p.Digits < 0 || p.Digits > MaxDigits {
-				return nil, fmt.Errorf("tuple: field %q: string slot of %d bits, %d digits", f.Name, p.Bits, p.Digits)
-			}
-			sl.bits, sl.offset, sl.esc = p.Bits, p.Offset, nesc
-			sl.prefix, sl.digits = p.Prefix, p.Digits
-			if p.Digits == 0 {
-				sl.lenBits = DigitCountBits
-			}
+			sl.esc = nesc
 			l.escaped = append(l.escaped, i)
+			l.vars = append(l.vars, i)
 			nesc++
 			sl.at = nbits
 			nbits += sl.lenBits + sl.bits
 			continue
-		case KindBytes:
+		case f.Kind == KindString, f.Kind == KindBytes:
+			l.vars = append(l.vars, i)
 			continue
-		case KindChar:
+		case f.Kind == KindChar:
 			sl.at = nchar
 			nchar += f.Size
 			continue
-		case KindBool:
+		case f.Kind == KindBool:
 			sl.bits = 1
 		default:
 			declared := 8 * f.Kind.FixedSize()
@@ -164,13 +204,49 @@ func NewLayout(s *Schema, spec []FieldPacking) (*Layout, error) {
 	l.escLen = (nesc + 7) / 8
 	l.bitsAt = 1 + l.nullLen + l.escLen
 	l.charAt = l.bitsAt + (nbits+7)/8
-	for i, f := range s.fields {
-		if f.Kind == KindChar {
-			l.slots[i].at += l.charAt
+	for i := range l.slots {
+		if sl := &l.slots[i]; sl.kind == KindChar && !sl.str {
+			sl.at += l.charAt
 		}
 	}
 	l.escAt = l.charAt + nchar
 	return l, nil
+}
+
+// setString makes sl the string slot p describes.
+func (sl *slot) setString(p *FieldPacking) error {
+	if p.Bits < 0 || p.Bits > 64 {
+		return fmt.Errorf("string slot of %d bits", p.Bits)
+	}
+	digits := p.Prefix != "" || p.Digits != 0
+	switch p.Rule {
+	case RuleDigits:
+		if p.Digits < 0 || p.Digits > MaxDigits || len(p.Dict) != 0 {
+			return fmt.Errorf("digit slot of %d digits and %d dictionary values", p.Digits, len(p.Dict))
+		}
+		if p.Digits == 0 {
+			sl.lenBits = DigitCountBits
+		}
+	case RuleDict:
+		if len(p.Dict) == 0 || digits || p.Offset != 0 {
+			return fmt.Errorf("dictionary slot of %d values, with a prefix, digits or an offset", len(p.Dict))
+		}
+		for k := 1; k < len(p.Dict); k++ {
+			if p.Dict[k-1] >= p.Dict[k] {
+				return fmt.Errorf("dictionary slot: %q before %q", p.Dict[k-1], p.Dict[k])
+			}
+		}
+		sl.dict = slices.Clone(p.Dict)
+	case RuleTS14:
+		if digits || len(p.Dict) != 0 {
+			return fmt.Errorf("timestamp slot with a prefix, digits or a dictionary")
+		}
+	default:
+		return fmt.Errorf("string slot of unknown rule %d", p.Rule)
+	}
+	sl.str, sl.rule, sl.bits, sl.offset = true, p.Rule, p.Bits, p.Offset
+	sl.prefix, sl.digits = p.Prefix, p.Digits
+	return nil
 }
 
 // Spec returns the layout's packing per field, normalised: what
@@ -178,22 +254,27 @@ func NewLayout(s *Schema, spec []FieldPacking) (*Layout, error) {
 func (l *Layout) Spec() []FieldPacking {
 	spec := make([]FieldPacking, len(l.slots))
 	for i, sl := range l.slots {
-		if sl.kind != KindChar {
-			spec[i] = FieldPacking{Bits: sl.bits, Offset: sl.offset, Prefix: sl.prefix, Digits: sl.digits}
+		if sl.str || sl.kind != KindChar {
+			spec[i] = FieldPacking{Bits: sl.bits, Offset: sl.offset, Prefix: sl.prefix, Digits: sl.digits,
+				Rule: sl.rule, Dict: slices.Clone(sl.dict)}
 		}
 	}
 	return spec
 }
 
-// HasStringSlots reports whether the layout stores any string as a slot:
-// a file holding such records needs a reader that knows string slots.
-func (l *Layout) HasStringSlots() bool {
+// StringSlots reports what string slots the layout holds: a file holding
+// its records needs a reader that knows them.
+func (l *Layout) StringSlots() StringSlots {
+	has := NoStringSlots
 	for _, i := range l.escaped {
-		if l.slots[i].kind == KindString {
-			return true
+		switch sl := &l.slots[i]; {
+		case sl.str && (sl.rule != RuleDigits || sl.kind == KindChar):
+			return RuleSlots
+		case sl.str:
+			has = DigitSlots
 		}
 	}
-	return false
+	return has
 }
 
 // EscapeFields returns the field each escape bit stands for: bit k of a
@@ -218,11 +299,13 @@ func (s *Schema) Adopt(l *Layout) error {
 }
 
 // fits reports whether v, not NULL, is inside an offset field's or a
-// string slot's domain.
+// string slot's domain. A CHAR value that ends in a zero byte is outside
+// every slot's: the declared layout reads it back without that byte, as
+// the var section does.
 func (sl *slot) fits(v *Value) bool {
-	if sl.kind == KindString {
+	if sl.str {
 		_, _, ok := sl.split(v.Str)
-		return ok
+		return ok && !(sl.kind == KindChar && strings.HasSuffix(v.Str, "\x00"))
 	}
 	x := v.Int
 	if sl.kind == KindFloat64 {
@@ -238,12 +321,22 @@ func (sl *slot) fits(v *Value) bool {
 	return (uint64(x)-uint64(sl.offset))>>sl.bits == 0
 }
 
-// split returns what a string slot stores for s: the decimal after its
-// prefix as an offset from the slot's, and the decimal's digit count. ok
-// is false for a value outside the slot's domain: without the prefix,
-// with anything but 0–9 after it, with more than MaxDigits digits or
-// another count than a fixed one, or a decimal the bits cannot hold.
+// split returns the number a string slot stores for s and, a RuleDigits
+// slot's, the decimal's digit count. ok is false for a value outside the
+// slot's domain, or a number the bits cannot hold: for RuleDigits a
+// value without the prefix, with anything but 0–9 after it, with more
+// than MaxDigits digits or another count than a fixed one; for RuleDict
+// a value not in the dictionary; for RuleTS14 one ParseTS14 refuses.
 func (sl *slot) split(s string) (stored uint64, width int, ok bool) {
+	switch sl.rule {
+	case RuleDict:
+		i, found := slices.BinarySearch(sl.dict, s)
+		return uint64(i), 0, found && uint64(i)>>sl.bits == 0
+	case RuleTS14:
+		epoch, ok := ParseTS14(s)
+		stored = uint64(epoch) - uint64(sl.offset)
+		return stored, 0, ok && stored>>sl.bits == 0
+	}
 	if !strings.HasPrefix(s, sl.prefix) {
 		return 0, 0, false
 	}
@@ -264,12 +357,21 @@ func (sl *slot) split(s string) (stored uint64, width int, ok bool) {
 }
 
 // rebuild is a string slot's value in a packed record whose packed
-// section is packed: the prefix, then the decimal re-padded to its digit
-// count. With a scratch it is appended to *scratch and is a view of it;
-// without one it is a string of its own, one allocation. Its frames are
-// kept small: a served read runs on a fresh goroutine, whose stack grows
-// (a copy of it) when the deepest call of the read path does not fit.
-func (sl *slot) rebuild(packed []byte, scratch *[]byte) string {
+// section is packed. A RuleDict value is the dictionary's own string. A
+// RuleDigits value (the prefix, then the decimal re-padded to its digit
+// count) and a RuleTS14 value are built: with a scratch they are
+// appended to *scratch and are a view of it; without one each is a
+// string of its own, one allocation. Its frames are kept small: a served
+// read runs on a fresh goroutine, whose stack grows (a copy of it) when
+// the deepest call of the read path does not fit.
+func (sl *slot) rebuild(packed []byte, scratch *[]byte) (string, error) {
+	n := loadBits(packed, sl.at+sl.lenBits, sl.bits)
+	if sl.rule == RuleDict {
+		if n >= uint64(len(sl.dict)) {
+			return "", sl.badIndex(n)
+		}
+		return sl.dict[n], nil
+	}
 	width := sl.digits
 	if sl.lenBits > 0 {
 		width = int(loadBits(packed, sl.at, sl.lenBits))
@@ -278,19 +380,27 @@ func (sl *slot) rebuild(packed []byte, scratch *[]byte) string {
 	if scratch != nil {
 		b = *scratch
 	} else {
-		b = make([]byte, 0, len(sl.prefix)+max(width, 20)) // 20: the digits of any uint64
+		b = make([]byte, 0, len(sl.prefix)+max(width, 20)) // 20: the digits of any uint64, a timestamp14's 14
 	}
 	start := len(b)
-	b = AppendDigits(append(b, sl.prefix...), loadBits(packed, sl.at+sl.lenBits, sl.bits)+uint64(sl.offset), width)
+	if n += uint64(sl.offset); sl.rule == RuleTS14 {
+		b = AppendTS14(b, int64(n))
+	} else {
+		b = AppendDigits(append(b, sl.prefix...), n, width)
+	}
 	if scratch != nil {
 		*scratch = b
 	}
-	return aliasString(b[start:])
+	return aliasString(b[start:]), nil
+}
+
+// badIndex is the error of a dictionary slot that stores index n.
+func (sl *slot) badIndex(n uint64) error {
+	return fmt.Errorf("tuple: dictionary index %d of a dictionary of %d values", n, len(sl.dict))
 }
 
 // AppendDigits appends n in decimal to dst, left-padded with zeros to
-// width digits: the one rule a digit string is rebuilt by, in a string
-// slot and in the §4.1 report's codec (encoding.PackedCodec). Zero has no
+// width digits: the one rule a digit string is rebuilt by. Zero has no
 // digit of its own, so width 0 writes nothing for it and width 3 writes
 // "000".
 func AppendDigits(dst []byte, n uint64, width int) []byte {
@@ -307,16 +417,84 @@ func AppendDigits(dst []byte, n uint64, width int) []byte {
 	return dst
 }
 
-// inSlot reports whether var field i of a record whose escape bitmap is
-// esc is stored in l's packed section — a string slot its value did not
-// escape — instead of the var section. A nil l is the declared layout,
-// which has no slots.
-func (l *Layout) inSlot(i int, esc uint64) bool {
-	if l == nil {
-		return false
+// MediaWiki stores timestamps as 14-character digit strings
+// ("20110104123456") — the paper's flagship encoding-waste example: 14
+// bytes for a value a 4-byte integer holds. AppendTS14 and ParseTS14 are
+// exact inverses over ParseTS14's domain, so a RuleTS14 slot stores the
+// epoch and rebuilds the string losslessly.
+//
+// The calendar mapping is a simplified proleptic one (365-day years,
+// 31-day months): the slot needs digits-in/digits-out fidelity, not
+// calendar correctness.
+
+// AppendTS14 appends epoch seconds as a timestamp14 to dst. An epoch
+// ParseTS14 returns gives 14 digits; any other is read as unsigned and
+// gives digits all the same.
+func AppendTS14(dst []byte, epoch int64) []byte {
+	e := uint64(epoch)
+	days, secs := e/86400, e%86400
+	doy := days % 365
+	dst = AppendDigits(dst, 1970+days/365, 4)
+	dst = AppendDigits(dst, doy/31+1, 2)
+	dst = AppendDigits(dst, doy%31+1, 2)
+	dst = AppendDigits(dst, secs/3600, 2)
+	dst = AppendDigits(dst, secs%3600/60, 2)
+	return AppendDigits(dst, secs%60, 2)
+}
+
+// ParseTS14 parses a timestamp14 back to epoch seconds. It returns
+// ok=false when the string is not one: another length, a non-digit, or
+// a field outside the ranges AppendTS14 writes.
+func ParseTS14(s string) (int64, bool) {
+	if len(s) != 14 {
+		return 0, false
 	}
-	sl := &l.slots[i]
-	return sl.esc >= 0 && esc&(1<<sl.esc) == 0
+	for i := 0; i < 14; i++ {
+		if s[i] < '0' || s[i] > '9' {
+			return 0, false
+		}
+	}
+	num := func(a, b int) int {
+		n := 0
+		for _, c := range s[a:b] {
+			n = n*10 + int(c-'0')
+		}
+		return n
+	}
+	year, month, day := num(0, 4), num(4, 6), num(6, 8)
+	hh, mm, ss := num(8, 10), num(10, 12), num(12, 14)
+	if year < 1970 || month < 1 || month > 12 || day < 1 || day > 31 ||
+		hh > 23 || mm > 59 || ss > 59 {
+		return 0, false
+	}
+	doy := (month-1)*31 + (day - 1)
+	if doy >= 365 {
+		return 0, false
+	}
+	days := int64(year-1970)*365 + int64(doy)
+	return days*86400 + int64(hh)*3600 + int64(mm)*60 + int64(ss), true
+}
+
+// inSlot reports whether field i of a record whose escape bitmap is esc
+// is a string stored in l's packed section — a string slot its value
+// did not escape — instead of the var section. A nil l is the declared
+// layout, which has no slots.
+func (l *Layout) inSlot(i int, esc uint64) bool {
+	return l.slotted(i) && esc&(1<<l.slots[i].esc) == 0
+}
+
+// slotted reports whether field i is a string slot of l: in its packed
+// section, or in its var section when escaped.
+func (l *Layout) slotted(i int) bool { return l != nil && l.slots[i].str }
+
+// varFields returns the fields a record in l (nil: declared) may hold in
+// its var section, in field order: VARCHAR and bytes fields and, in a
+// packed layout, CHAR slots.
+func (l *Layout) varFields(s *Schema) []int {
+	if l == nil {
+		return s.varIdx
+	}
+	return l.vars
 }
 
 // escapesOf returns the escape bitmap r takes in l.
@@ -385,14 +563,14 @@ func (l *Layout) encode(s *Schema, r Row, dst []byte) ([]byte, uint64) {
 		switch {
 		case v.Null:
 			rec[1+i/8] |= 1 << (i % 8)
-		case sl.kind == KindChar:
-			copy(rec[sl.at:], v.Str)
-		case sl.kind == KindString && sl.esc >= 0 && !escaped:
+		case sl.str && !escaped:
 			stored, width, _ := sl.split(v.Str)
 			storeBits(packed, sl.at, sl.lenBits, uint64(width))
 			storeBits(packed, sl.at+sl.lenBits, sl.bits, stored)
-		case sl.kind == KindString, sl.kind == KindBytes:
+		case sl.str, sl.kind == KindString, sl.kind == KindBytes:
 			// verbatim, in the var section
+		case sl.kind == KindChar:
+			copy(rec[sl.at:], v.Str)
 		case escaped:
 			putFixed(rec[at:], s.fields[i], *v)
 			at += sl.size
@@ -415,9 +593,9 @@ func (l *Layout) encode(s *Schema, r Row, dst []byte) ([]byte, uint64) {
 	return appendVar(s, r, dst, l, esc), esc
 }
 
-// fill sets *v to fixed-width field i of a packed record: data is the
-// record, packed its packed section and esc its escape bitmap. A CHAR
-// field outside the set (want false) stays empty.
+// fill sets *v to fixed-width field i, no string slot, of a packed
+// record: data is the record, packed its packed section and esc its
+// escape bitmap. A CHAR field outside the set (want false) stays empty.
 func (l *Layout) fill(v *Value, data, packed []byte, i int, esc uint64, want, alias bool) {
 	sl := &l.slots[i]
 	*v = Value{Kind: sl.kind}

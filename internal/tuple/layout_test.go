@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -17,13 +18,17 @@ var allKinds = []tuple.Kind{
 	tuple.KindFloat64, tuple.KindChar, tuple.KindString, tuple.KindBytes, tuple.KindTimestamp,
 }
 
-// fuzzSchema draws 1–12 fields over every kind.
+// fuzzSchema draws 1–12 fields over every kind, a CHAR(14) among the
+// CHARs: a timestamp14's width.
 func fuzzSchema(rng *rand.Rand) *tuple.Schema {
 	fields := make([]tuple.Field, 1+rng.Intn(12))
 	for i := range fields {
 		f := tuple.Field{Name: string(rune('a' + i)), Kind: allKinds[rng.Intn(len(allKinds))]}
 		if f.Kind == tuple.KindChar {
 			f.Size = 1 + rng.Intn(9)
+			if rng.Intn(3) == 0 {
+				f.Size = 14
+			}
 		}
 		fields[i] = f
 	}
@@ -65,6 +70,13 @@ func fuzzValue(rng *rand.Rand, f tuple.Field, wide bool) tuple.Value {
 		}
 		return tuple.Float64(float64(small))
 	case tuple.KindChar:
+		switch {
+		case f.Size == 14:
+			return tuple.Char(fuzzTS14(rng, wide))
+		case f.Name[0]%2 == 0:
+			v := fuzzDictString(rng, wide)
+			return tuple.Char(v[:min(len(v), f.Size)])
+		}
 		b := make([]byte, rng.Intn(f.Size+1))
 		for i := range b {
 			b[i] = byte('a' + rng.Intn(26))
@@ -81,17 +93,24 @@ func fuzzValue(rng *rand.Rand, f tuple.Field, wide bool) tuple.Value {
 
 // fuzzString draws a string of f. Most fields hold what a string slot
 // stores — a prefix the field's values share (none, ASCII, or with
-// non-ASCII bytes) and a decimal of a fixed or a varying digit count;
-// the rest hold random bytes. A wide draw also reaches what must escape
-// a slot: a prefix cut short, the empty string, leading zeros, 18 and
-// 19 digits, a non-digit after the prefix, a decimal past the sample's.
+// non-ASCII bytes) and a decimal of a fixed or a varying digit count, a
+// few values of a dictionary, or timestamp14s; the rest hold random
+// bytes. A wide draw also reaches what must escape a slot: a prefix cut
+// short, the empty string, leading zeros, 18 and 19 digits, a non-digit
+// after the prefix, a decimal past the sample's, and fuzzDictString's
+// and fuzzTS14's own.
 func fuzzString(rng *rand.Rand, f tuple.Field, wide bool) string {
 	c := int(f.Name[0])
 	prefix, width := []string{"", "item-000", "é/"}[c%3], c%4 // width 0: varying
-	if c%5 == 4 {
+	switch c % 6 {
+	case 3:
 		b := make([]byte, rng.Intn(12))
 		rng.Read(b)
 		return string(b)
+	case 4:
+		return fuzzDictString(rng, wide)
+	case 5:
+		return fuzzTS14(rng, wide)
 	}
 	digits := func(n uint64, w int) string { return string(tuple.AppendDigits(nil, n, w)) }
 	if wide && rng.Intn(2) == 0 {
@@ -107,6 +126,31 @@ func fuzzString(rng *rand.Rand, f tuple.Field, wide bool) string {
 		return prefix + digits(uint64(rng.Intn(200)), rng.Intn(4))
 	}
 	return prefix + digits(uint64(rng.Intn(min(200, int(math.Pow10(width))))), width)
+}
+
+// fuzzDictString draws one of a few values, as a dictionary slot holds;
+// a wide draw also reaches values no sample holds.
+func fuzzDictString(rng *rand.Rand, wide bool) string {
+	values := []string{"", "gzip", "utf-8", "utf-8,gzip"}
+	if wide && rng.Intn(2) == 0 {
+		values = []string{"gzi", "gzip ", "utf-8,gzip,x", "\xff"}
+	}
+	return values[rng.Intn(len(values))]
+}
+
+// fuzzTS14 draws a timestamp14 within a sample's span; a wide draw also
+// reaches the edges of a 32-bit epoch, epochs past it, and strings that
+// are no timestamp14.
+func fuzzTS14(rng *rand.Rand, wide bool) string {
+	ts := func(epoch int64) string { return string(tuple.AppendTS14(nil, epoch)) }
+	if wide && rng.Intn(2) == 0 {
+		edges := []string{
+			ts(0), ts(1<<32 - 1), ts(1 << 32), ts(rng.Int63n(2.5e11)),
+			"20111340123456", "20110132123456", "2011010412345", "2011010412345x", "19691231235959", "",
+		}
+		return edges[rng.Intn(len(edges))]
+	}
+	return ts(1262304000 + rng.Int63n(1e6))
 }
 
 func fuzzRow(rng *rand.Rand, s *tuple.Schema, wide bool) tuple.Row {
@@ -138,8 +182,10 @@ func sameValue(a, b tuple.Value) bool {
 // values, the kinds' extremes, NaN, ±Inf, −0, and strings in and out of
 // a string slot's domain included — encodes to EncodedSize bytes, and
 // every decode entry point returns what the declared codec returns for
-// it, DecodeAlias with and without scratch. A declared record stays
-// readable by the schema that adopted the layout.
+// it, DecodeAlias with and without scratch. Strings include
+// low-cardinality values and timestamp14s, VARCHAR and CHAR(14), and
+// values outside a dictionary's or a timestamp slot's domain. A declared
+// record stays readable by the schema that adopted the layout.
 func FuzzRecordLayout(f *testing.F) {
 	for _, seed := range []int64{1, 2, 3, 42, 2011} {
 		f.Add(seed, uint8(16), uint8(8))
@@ -274,18 +320,32 @@ func TestPackedRecordNeedsItsLayout(t *testing.T) {
 
 // TestStringSlotEdges: a string slot holds exactly the values of its
 // domain — its prefix, then a decimal of its digit count that its bits
-// hold — and everything else escapes to the var section verbatim. Each
-// value round-trips through every decode entry point.
+// hold; a dictionary value whose index its bits hold; a timestamp14
+// whose epoch's offset its bits hold — and everything else escapes to
+// the var section verbatim, a CHAR slot's value too. Each value
+// round-trips through every decode entry point.
 func TestStringSlotEdges(t *testing.T) {
+	const epoch = 1262304000
+	ts := func(e int64) string { return string(tuple.AppendTS14(nil, e)) }
 	s := tuple.MustSchema(
 		tuple.Field{Name: "fixed", Kind: tuple.KindString},
 		tuple.Field{Name: "varying", Kind: tuple.KindString},
 		tuple.Field{Name: "plain", Kind: tuple.KindString},
+		tuple.Field{Name: "dict", Kind: tuple.KindString},
+		tuple.Field{Name: "ts", Kind: tuple.KindChar, Size: 14},
+		tuple.Field{Name: "since", Kind: tuple.KindString},
+		tuple.Field{Name: "code", Kind: tuple.KindChar, Size: 6},
+		tuple.Field{Name: "flags", Kind: tuple.KindChar, Size: 4},
 	)
 	l, err := tuple.NewLayout(s, []tuple.FieldPacking{
 		{Bits: 8, Offset: 100, Prefix: "item-000", Digits: 3}, // "item-000" + 100..355
 		{Bits: 10}, // any digit count, 0..1023
 		{},
+		{Bits: 1, Rule: tuple.RuleDict, Dict: []string{"", "gzip", "utf-8"}}, // "utf-8" past the bits
+		{Bits: 32, Rule: tuple.RuleTS14},
+		{Bits: 20, Offset: epoch, Rule: tuple.RuleTS14}, // epoch..epoch+2^20-1
+		{Bits: 4, Prefix: "c-"},                         // "c-" + 0..15, any digit count
+		{Bits: 1, Rule: tuple.RuleDict, Dict: []string{"ab", "ab\x00"}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -293,8 +353,8 @@ func TestStringSlotEdges(t *testing.T) {
 	if err := s.Adopt(l); err != nil {
 		t.Fatal(err)
 	}
-	if !l.HasStringSlots() || fmt.Sprint(l.EscapeFields()) != "[0 1]" {
-		t.Fatalf("slots %v, escape fields %v", l.HasStringSlots(), l.EscapeFields())
+	if l.StringSlots() != tuple.RuleSlots || fmt.Sprint(l.EscapeFields()) != "[0 1 3 4 5 6 7]" {
+		t.Fatalf("slots %v, escape fields %v", l.StringSlots(), l.EscapeFields())
 	}
 	cases := []struct {
 		v      tuple.Value
@@ -322,15 +382,49 @@ func TestStringSlotEdges(t *testing.T) {
 		{tuple.String("0000000000000000042"), 1, true}, // 19
 		{tuple.String("-1"), 1, true},
 		{tuple.String("١٢"), 1, true}, // digits, not 0–9
+		{tuple.String(""), 3, false},
+		{tuple.String("gzip"), 3, false},
+		{tuple.String("utf-8"), 3, true}, // in the dictionary, past the bits
+		{tuple.String("gzi"), 3, true},   // not in it
+		{tuple.String("gzip "), 3, true},
+		{tuple.Null(tuple.KindString), 3, false},
+		{tuple.Char("20110104123456"), 4, false},
+		{tuple.Char(ts(0)), 4, false},
+		{tuple.Char(ts(1<<32 - 1)), 4, false},
+		{tuple.Char(ts(1 << 32)), 4, true}, // past the bits
+		{tuple.Char("20111340123456"), 4, true},
+		{tuple.Char("20110132123456"), 4, true},
+		{tuple.Char("19691231235959"), 4, true},
+		{tuple.Char("2011010412345"), 4, true},
+		{tuple.Char("2011010412345x"), 4, true},
+		{tuple.Char(""), 4, true},
+		{tuple.Null(tuple.KindChar), 4, false},
+		{tuple.String(ts(epoch)), 5, false},
+		{tuple.String(ts(epoch + 1<<20 - 1)), 5, false},
+		{tuple.String(ts(epoch - 1)), 5, true},     // below the offset
+		{tuple.String(ts(epoch + 1<<20)), 5, true}, // past the bits
+		{tuple.Char("c-"), 6, false},
+		{tuple.Char("c-0015"), 6, false},
+		{tuple.Char("c-16"), 6, true},
+		{tuple.Char("d-1"), 6, true},
+		{tuple.Char("ab"), 7, false},
+		{tuple.Char("ab\x00"), 7, true}, // in the dictionary, but CHAR reads back without the zero
+		{tuple.Char("abc"), 7, true},
 	}
 	for _, c := range cases {
-		row := tuple.Row{tuple.String("item-000200"), tuple.String("7"), tuple.String("0")}
+		row := tuple.Row{tuple.String("item-000200"), tuple.String("7"), tuple.String("0"), tuple.String("gzip"),
+			tuple.Char("20110104123456"), tuple.String(ts(epoch + 5)), tuple.Char("c-3"), tuple.Char("ab")}
 		row[c.field] = c.v
+		want := c.v
+		if want.Kind == tuple.KindChar {
+			want.Str = strings.TrimRight(want.Str, "\x00") // as the declared layout reads it
+		}
+		bit := slices.Index(l.EscapeFields(), c.field)
 		rec, esc, err := tuple.EncodeEscapes(s, row, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := esc&(1<<c.field) != 0; got != c.escape {
+		if got := esc&(1<<bit) != 0; got != c.escape {
 			t.Errorf("%q in field %d: escaped %v, want %v", c.v.Str, c.field, got, c.escape)
 		}
 		if n, err := tuple.EncodedSize(s, row); err != nil || n != len(rec) {
@@ -342,10 +436,11 @@ func TestStringSlotEdges(t *testing.T) {
 			t.Errorf("%q: stored verbatim %v, escaped %v", c.v.Str, !c.escape, c.escape)
 		}
 		scratch := make([]byte, 0, 4) // too small: the rebuild grows it
+		need := []bool{true, true, false, true, true, true, true, true}
 		entries := map[string]func() (tuple.Row, error){
 			"Decode": func() (tuple.Row, error) { r, _, err := tuple.Decode(s, rec); return r, err },
 			"DecodeFields": func() (tuple.Row, error) {
-				r, _, err := tuple.DecodeFields(nil, s, rec, []bool{true, true, false})
+				r, _, err := tuple.DecodeFields(nil, s, rec, need)
 				return r, err
 			},
 			"DecodeAlias": func() (tuple.Row, error) {
@@ -355,15 +450,44 @@ func TestStringSlotEdges(t *testing.T) {
 		}
 		for name, decode := range entries {
 			got, err := decode()
-			if err != nil || !got[c.field].Equal(c.v) || got[c.field].Null != c.v.Null {
+			if err != nil || !got[c.field].Equal(want) || got[c.field].Null != c.v.Null {
 				t.Errorf("%s of %q in field %d: %v (%v)", name, c.v.Str, c.field, got, err)
 			}
 		}
-		if v, err := tuple.DecodeField(s, rec, c.field); err != nil || !v.Equal(c.v) || v.Null != c.v.Null {
+		if v, err := tuple.DecodeField(s, rec, c.field); err != nil || !v.Equal(want) || v.Null != c.v.Null {
 			t.Errorf("DecodeField of %q in field %d: %v (%v)", c.v.Str, c.field, v, err)
 		}
 		if v, err := tuple.DecodeField(s, rec, 2); err != nil || v.Str != "0" {
 			t.Errorf("DecodeField of the verbatim field after %q: %v (%v)", c.v.Str, v, err)
+		}
+	}
+}
+
+// A record whose dictionary slot stores an index past the end of its
+// dictionary — one no encoder writes — is an error at every decode entry
+// point, not a panic.
+func TestDictionaryIndexPastEnd(t *testing.T) {
+	for _, f := range []tuple.Field{{Name: "s", Kind: tuple.KindString}, {Name: "c", Kind: tuple.KindChar, Size: 4}} {
+		s, rec := oneSlot(t, f, tuple.FieldPacking{Bits: 2, Rule: tuple.RuleDict, Dict: []string{"a", "b", "c"}}, "c")
+		rec[3] |= 3 // tag, null bitmap, escape bitmap, then the index: 2 → 3
+		scratch := make([]byte, 0, 8)
+		for name, decode := range map[string]func() error{
+			"Decode":     func() error { _, _, err := tuple.Decode(s, rec); return err },
+			"DecodeInto": func() error { _, _, err := tuple.DecodeInto(make(tuple.Row, 1), s, rec); return err },
+			"DecodeFields": func() error {
+				_, _, err := tuple.DecodeFields(nil, s, rec, []bool{true})
+				return err
+			},
+			"DecodeAlias": func() error { _, _, err := tuple.DecodeAlias(nil, s, rec, nil, nil); return err },
+			"DecodeAlias with scratch": func() error {
+				_, _, err := tuple.DecodeAlias(nil, s, rec, nil, &scratch)
+				return err
+			},
+			"DecodeField": func() error { _, err := tuple.DecodeField(s, rec, 0); return err },
+		} {
+			if err := decode(); err == nil {
+				t.Errorf("%v: %s read index 3 of a dictionary of 3", f.Kind, name)
+			}
 		}
 	}
 }
@@ -394,17 +518,24 @@ func TestStringSlotRebuildsIntoScratch(t *testing.T) {
 // string slot "item-" + six digits in 20 bits.
 func slotRecord(t *testing.T, name string) (*tuple.Schema, []byte) {
 	t.Helper()
-	s := tuple.MustSchema(tuple.Field{Name: "name", Kind: tuple.KindString})
-	l, err := tuple.NewLayout(s, []tuple.FieldPacking{{Bits: 20, Prefix: "item-", Digits: 6}})
+	return oneSlot(t, tuple.Field{Name: "name", Kind: tuple.KindString}, tuple.FieldPacking{Bits: 20, Prefix: "item-", Digits: 6}, name)
+}
+
+// oneSlot encodes v under a schema of the one string field f stored as
+// the string slot p; v must not escape it.
+func oneSlot(t *testing.T, f tuple.Field, p tuple.FieldPacking, v string) (*tuple.Schema, []byte) {
+	t.Helper()
+	s := tuple.MustSchema(f)
+	l, err := tuple.NewLayout(s, []tuple.FieldPacking{p})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Adopt(l); err != nil {
 		t.Fatal(err)
 	}
-	rec, err := tuple.Encode(s, tuple.Row{tuple.String(name)}, nil)
-	if err != nil {
-		t.Fatal(err)
+	rec, esc, err := tuple.EncodeEscapes(s, tuple.Row{{Kind: f.Kind, Str: v}}, nil)
+	if err != nil || esc != 0 {
+		t.Fatalf("%q escaped %v (%v)", v, esc != 0, err)
 	}
 	return s, rec
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 
-	"repro/internal/encoding"
 	"repro/internal/tuple"
 	"repro/internal/workload"
 )
@@ -157,10 +156,10 @@ func maxInt64(a, b int64) int64 {
 	return b
 }
 
-// timestamp14 renders epoch seconds as MediaWiki's 14-char string via
-// the canonical codec in internal/encoding, so the Section 4 packed
-// codec can round-trip generated timestamps exactly.
-func timestamp14(epoch int64) string { return encoding.FormatTS14(epoch) }
+// timestamp14 renders epoch seconds as MediaWiki's 14-char string by
+// the rule a record layout's timestamp slot rebuilds it with, so a
+// packed record round-trips generated timestamps exactly.
+func timestamp14(epoch int64) string { return string(tuple.AppendTS14(nil, epoch)) }
 
 var commentWords = []string{
 	"fix typo", "revert vandalism", "add citation", "update infobox",

@@ -3,7 +3,6 @@ package wiki
 import (
 	"testing"
 
-	"repro/internal/encoding"
 	"repro/internal/tuple"
 )
 
@@ -114,7 +113,7 @@ func TestTimestamp14Parseable(t *testing.T) {
 	revs, _ := g.Revisions()
 	for _, r := range revs {
 		ts := r.Row[6].Str
-		if _, ok := encoding.ParseTS14(ts); !ok {
+		if _, ok := tuple.ParseTS14(ts); !ok {
 			t.Fatalf("generated timestamp %q not parseable", ts)
 		}
 	}

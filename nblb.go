@@ -13,8 +13,10 @@
 //   - Vertical partitioning (§3.2): a cost-model advisor splits columns
 //     by cache membership and update rate.
 //   - Automated schema optimization (§4.1): declared types are hints; an
-//     analyzer infers minimal encodings (down to single bits) and a
-//     bit-packed codec realizes them.
+//     analyzer infers minimal encodings (down to single bits), and every
+//     table stores its records in the packed layout they describe once
+//     it holds 128 rows (PackedSchema builds the same layout from a
+//     report).
 //   - Semantic IDs (§4.2): partition bits embedded in identifiers
 //     replace per-tuple routing tables; uniqueness-only IDs reduce to
 //     the tuple's physical address.
@@ -126,10 +128,10 @@ const (
 )
 
 // SyncPolicy selects when an acked write reaches stable storage under
-// the write-ahead log (see WithWAL).
+// the write-ahead log (see Options.WAL).
 type SyncPolicy = core.SyncPolicy
 
-// Sync policies for WithSyncPolicy.
+// Sync policies for Options.SyncPolicy.
 const (
 	// SyncGroupCommit (the default) makes every write durable before it
 	// is acked, coalescing concurrent committers into one shared fsync.
@@ -142,32 +144,15 @@ const (
 	SyncNone = core.SyncNone
 )
 
-// EngineOption tweaks Options in Open's functional-option form.
-type EngineOption = core.EngineOption
-
-// Durability options (see Open).
-var (
-	// WithWAL enables the redo write-ahead log: every batch appends one
-	// checksummed record before it is acked, fuzzy checkpoints bound the
-	// log's growth, and Open replays any suffix a crash left behind.
-	// Requires Options.Path; the log lives beside the database file.
-	WithWAL = core.WithWAL
-	// WithSyncPolicy selects commit durability (default SyncGroupCommit).
-	WithSyncPolicy = core.WithSyncPolicy
-	// WithCheckpointEvery sets the WAL growth budget between automatic
-	// checkpoints (default 4 MiB).
-	WithCheckpointEvery = core.WithCheckpointEvery
-)
-
 // Open creates an engine. A zero Options value yields an in-memory
 // engine with 8 KiB pages and a 4096-page buffer pool.
 //
-// With WithWAL (or Options.WAL) the engine is durable: acked writes
-// survive process crashes per the configured SyncPolicy, and Open
-// doubles as recovery — it rebuilds the catalog from the last
-// checkpoint's manifest and replays the log's suffix.
-func Open(opts Options, extra ...EngineOption) (*Engine, error) {
-	return core.NewEngine(opts, extra...)
+// With Options.WAL the engine is durable: acked writes survive process
+// crashes per Options.SyncPolicy, and Open doubles as recovery — it
+// rebuilds the catalog from the last checkpoint's manifest and replays
+// the log's suffix.
+func Open(opts Options) (*Engine, error) {
+	return core.NewEngine(opts)
 }
 
 // NewSchema builds a table schema.

@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/tuple"
 	"repro/internal/wiki"
 )
 
@@ -177,13 +178,9 @@ func TestFacadeAnalyzeTableAndPack(t *testing.T) {
 	if report.WastePct() < 30 {
 		t.Errorf("cartel waste %.1f%% suspiciously low", report.WastePct())
 	}
-	recs := make([]Recommendation, len(report.Columns))
-	for i, c := range report.Columns {
-		recs[i] = c.Rec
-	}
-	codec, err := NewPackedCodec(tb.Schema(), recs)
+	packed, err := PackedSchema(tb.Schema(), report)
 	if err != nil {
-		t.Fatalf("NewPackedCodec: %v", err)
+		t.Fatalf("PackedSchema: %v", err)
 	}
 	var rows []Row
 	cur, err := tb.Query()
@@ -196,18 +193,21 @@ func TestFacadeAnalyzeTableAndPack(t *testing.T) {
 	if err := cur.Close(); err != nil {
 		t.Fatalf("cursor: %v", err)
 	}
-	buf, err := codec.EncodeRows(rows)
-	if err != nil {
-		t.Fatalf("EncodeRows: %v", err)
-	}
-	back, err := codec.DecodeRows(buf, len(rows))
-	if err != nil {
-		t.Fatalf("DecodeRows: %v", err)
-	}
-	for i := range rows {
-		if !rows[i].Equal(back[i]) {
-			t.Fatalf("row %d round trip failed", i)
+	// Every row back to back, as a heap page holds them: each in the
+	// packed layout, none escaped, each read back whole.
+	var buf []byte
+	for i, row := range rows {
+		var esc uint64
+		if buf, esc, err = tuple.EncodeEscapes(packed, row, buf); err != nil || esc != 0 {
+			t.Fatalf("row %d: escapes %b (%v)", i, esc, err)
 		}
+	}
+	for i, row := range rows {
+		back, n, err := tuple.Decode(packed, buf)
+		if err != nil || buf[0] != tuple.TagPacked || !back.Equal(row) {
+			t.Fatalf("row %d round trip: %v, want %v (%v)", i, back, row, err)
+		}
+		buf = buf[n:]
 	}
 }
 
