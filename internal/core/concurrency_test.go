@@ -151,15 +151,17 @@ func TestConcurrentInsertsDisjointTables(t *testing.T) {
 // path: sharded heap placement feeding latch-crabbing index
 // maintenance, with no stage serialized on a table-wide lock. Every
 // row must be findable afterwards and the index structurally intact.
-// The shard count is pinned explicitly so the multi-shard heap path is
-// exercised even on a GOMAXPROCS=1 runner.
+// The table is created under GOMAXPROCS=4, so its heap has four shards
+// and the multi-shard heap path is exercised even on a 1-CPU runner.
 func TestParallelIngest(t *testing.T) {
 	e, err := NewEngine(Options{PageSize: 1024, BufferPoolPages: 4096})
 	if err != nil {
 		t.Fatalf("NewEngine: %v", err)
 	}
 	defer e.Close()
-	tb, err := e.CreateTable("page", pagesSchema(), WithHeapInsertShards(4))
+	prev := runtime.GOMAXPROCS(4)
+	tb, err := e.CreateTable("page", pagesSchema())
+	runtime.GOMAXPROCS(prev)
 	if err != nil {
 		t.Fatalf("CreateTable: %v", err)
 	}
@@ -224,32 +226,16 @@ func TestParallelIngest(t *testing.T) {
 	}
 }
 
-// TestHeapInsertShardsPlumbing checks the engine-wide default and the
-// per-table override reach the heap layer, and that append-only tables
-// stay single-tailed regardless.
+// TestHeapInsertShardsPlumbing checks that a table's heap gets
+// min(8, GOMAXPROCS) insert shards, and that append-only tables stay
+// single-tailed.
 func TestHeapInsertShardsPlumbing(t *testing.T) {
-	e, err := NewEngine(Options{PageSize: 1024, BufferPoolPages: 256, HeapInsertShards: 2})
+	e, err := NewEngine(Options{PageSize: 1024, BufferPoolPages: 256})
 	if err != nil {
 		t.Fatalf("NewEngine: %v", err)
 	}
 	defer e.Close()
-	def, err := e.CreateTable("def", pagesSchema())
-	if err != nil {
-		t.Fatalf("CreateTable: %v", err)
-	}
-	if got := def.Heap().InsertShards(); got != 2 {
-		t.Errorf("engine default: %d shards, want 2", got)
-	}
-	over, err := e.CreateTable("over", pagesSchema(), WithHeapInsertShards(4))
-	if err != nil {
-		t.Fatalf("CreateTable: %v", err)
-	}
-	if got := over.Heap().InsertShards(); got != 4 {
-		t.Errorf("per-table override: %d shards, want 4", got)
-	}
-	// Explicit 0 means "automatic", overriding the engine default —
-	// not "fall back to the engine default".
-	auto, err := e.CreateTable("auto", pagesSchema(), WithHeapInsertShards(0))
+	auto, err := e.CreateTable("auto", pagesSchema())
 	if err != nil {
 		t.Fatalf("CreateTable: %v", err)
 	}
@@ -258,9 +244,9 @@ func TestHeapInsertShardsPlumbing(t *testing.T) {
 		want = 8
 	}
 	if got := auto.Heap().InsertShards(); got != want {
-		t.Errorf("explicit automatic: %d shards, want min(8, GOMAXPROCS)=%d", got, want)
+		t.Errorf("automatic: %d shards, want min(8, GOMAXPROCS)=%d", got, want)
 	}
-	ao, err := e.CreateTable("ao", pagesSchema(), WithAppendOnlyHeap(), WithHeapInsertShards(4))
+	ao, err := e.CreateTable("ao", pagesSchema(), WithAppendOnlyHeap())
 	if err != nil {
 		t.Fatalf("CreateTable: %v", err)
 	}

@@ -9,7 +9,6 @@ import (
 	"sort"
 
 	"repro/internal/btree"
-	"repro/internal/heap"
 	"repro/internal/storage"
 	"repro/internal/tuple"
 	"repro/internal/wal"
@@ -144,14 +143,7 @@ func (e *Engine) snapshotManifest(beginLSN uint64) *manifest {
 	for _, n := range names {
 		t := e.tables[n]
 		t.mu.RLock()
-		mt := manifestTable{
-			Name:             t.name,
-			Fields:           manifestFields(t.schema),
-			Rows:             t.rows.Load(),
-			AppendOnly:       t.cfg.appendOnly,
-			HeapFillFactor:   t.cfg.heapFillFactor,
-			HeapInsertShards: t.file.InsertShards(),
-		}
+		mt := manifestTable{tableSpec: t.spec, Rows: t.rows.Load()}
 		for _, id := range t.file.Pages() {
 			mt.HeapPages = append(mt.HeapPages, uint64(id))
 		}
@@ -177,17 +169,10 @@ func (e *Engine) snapshotManifest(beginLSN uint64) *manifest {
 		for _, iname := range ixNames {
 			ix := t.indexes[iname]
 			mi := manifestIndex{
-				Name:         ix.name,
-				KeyFields:    ix.KeyFieldNames(),
-				NonUnique:    !ix.unique,
-				CachedFields: ix.cfg.cachedFields,
-				BucketN:      ix.cfg.bucketN,
-				PredLogLimit: ix.cfg.predLogLimit,
-				CacheSeed:    ix.cfg.cacheSeed,
-				FillFactor:   ix.cfg.fillFactor,
-				Root:         uint64(ix.tree.Root()),
-				Height:       ix.tree.Height(),
-				NumKeys:      ix.tree.Len(),
+				indexSpec: ix.spec,
+				Root:      uint64(ix.tree.Root()),
+				Height:    ix.tree.Height(),
+				NumKeys:   ix.tree.Len(),
 			}
 			if ix.cache != nil {
 				mi.CacheCSN = ix.cache.CSN()
@@ -459,14 +444,19 @@ func (e *Engine) redoRecord(typ uint8, payload []byte) error {
 	case recCheckpointBegin, recCheckpointEnd:
 		return nil
 	case recCreateTable:
-		var d ddlCreateTable
-		if err := json.Unmarshal(payload, &d); err != nil {
+		var spec tableSpec
+		if err := json.Unmarshal(payload, &spec); err != nil {
 			return fmt.Errorf("core: redo create table: %w", err)
 		}
-		if _, ok := e.tables[d.Name]; ok {
+		if _, ok := e.tables[spec.Name]; ok {
 			return nil // effects already in the checkpoint image
 		}
-		return e.replayCreateTable(&d)
+		t, err := openTable(e, spec, nil)
+		if err != nil {
+			return fmt.Errorf("core: redo create table %q: %w", spec.Name, err)
+		}
+		e.tables[spec.Name] = t
+		return nil
 	case recCreateIndex:
 		var d ddlCreateIndex
 		if err := json.Unmarshal(payload, &d); err != nil {
@@ -479,7 +469,18 @@ func (e *Engine) redoRecord(typ uint8, payload []byte) error {
 		if _, ok := t.indexes[d.Name]; ok {
 			return nil
 		}
-		return t.replayCreateIndex(&d)
+		// Built from the replayed table state — the rows the original build
+		// saw — so the tree is logically the same (later index runs in the
+		// log apply by key, not by page).
+		ix, err := t.newIndexShell(d.indexSpec)
+		if err != nil {
+			return fmt.Errorf("core: redo create index %q: %w", d.Name, err)
+		}
+		if err := ix.build(); err != nil {
+			return err
+		}
+		t.indexes[d.Name] = ix
+		return nil
 	case recDropTable:
 		delete(e.tables, string(payload))
 		return nil
@@ -638,92 +639,19 @@ func (t *Table) redoMoved(from, to storage.RID, rec []byte) error {
 	return nil
 }
 
-// replayCreateTable redoes a create-table record: same construction as
-// CreateTable, minus validation already done originally and minus
-// logging. The shard count in the record is resolved, so the rebuilt
-// heap has the original's shape regardless of this process's GOMAXPROCS.
-func (e *Engine) replayCreateTable(d *ddlCreateTable) error {
-	schema, err := tuple.NewSchema(fieldsFromManifest(d.Fields)...)
-	if err != nil {
-		return fmt.Errorf("core: redo create table %q: %w", d.Name, err)
-	}
-	cfg := tableConfig{
-		appendOnly:       d.AppendOnly,
-		heapFillFactor:   d.HeapFillFactor,
-		heapInsertShards: d.HeapInsertShards,
-	}
-	t, err := buildTable(e, d.Name, schema, cfg)
-	if err != nil {
-		return err
-	}
-	e.tables[d.Name] = t
-	return nil
-}
-
-// replayCreateIndex redoes a create-index record against the replayed
-// table state — the same rows the original build saw, so the resulting
-// tree is logically identical (later index runs in the log apply by
-// key, not by page, so physical layout differences are harmless).
-func (t *Table) replayCreateIndex(d *ddlCreateIndex) error {
-	cfg := indexConfig{
-		cachedFields: d.CachedFields,
-		bucketN:      d.BucketN,
-		predLogLimit: d.PredLogLimit,
-		cacheSeed:    d.CacheSeed,
-		fillFactor:   d.FillFactor,
-		nonUnique:    d.NonUnique,
-	}
-	ix, err := t.newIndexShell(d.Name, d.KeyFields, cfg)
-	if err != nil {
-		return fmt.Errorf("core: redo create index %q: %w", d.Name, err)
-	}
-	if err := ix.build(cfg.fillFactor); err != nil {
-		return err
-	}
-	t.indexes[d.Name] = ix
-	return nil
-}
-
 // rebuildTable reopens a table from its manifest entry: the heap over
 // its recorded pages, each index over its recorded root. Index caches
 // restart cold with their CSN seeded past the checkpoint's, so any
 // cache payload persisted in a leaf before the crash can never be
 // served against a fresh predicate log.
 func (e *Engine) rebuildTable(mt *manifestTable, version int) error {
-	schema, err := tuple.NewSchema(fieldsFromManifest(mt.Fields)...)
-	if err != nil {
-		return fmt.Errorf("core: manifest table %q: %w", mt.Name, err)
-	}
-	cfg := tableConfig{
-		appendOnly:       mt.AppendOnly,
-		heapFillFactor:   mt.HeapFillFactor,
-		heapInsertShards: mt.HeapInsertShards,
-	}
-	var hopts []heap.Option
-	if cfg.appendOnly {
-		hopts = append(hopts, heap.AppendOnly())
-	}
-	if cfg.heapFillFactor != 0 {
-		hopts = append(hopts, heap.WithFillFactor(cfg.heapFillFactor))
-	}
-	if cfg.heapInsertShards > 0 {
-		hopts = append(hopts, heap.WithInsertShards(cfg.heapInsertShards))
-	}
 	pages := make([]storage.PageID, len(mt.HeapPages))
 	for i, id := range mt.HeapPages {
 		pages[i] = storage.PageID(id)
 	}
-	f, err := heap.Open(e.pool, pages, hopts...)
+	t, err := openTable(e, mt.tableSpec, pages)
 	if err != nil {
-		return fmt.Errorf("core: reopening heap for %q: %w", mt.Name, err)
-	}
-	t := &Table{
-		engine:  e,
-		name:    mt.Name,
-		schema:  schema,
-		file:    f,
-		cfg:     cfg,
-		indexes: make(map[string]*Index),
+		return fmt.Errorf("core: manifest: %w", err)
 	}
 	t.rows.Store(mt.Rows)
 	if mt.Layout != nil {
@@ -739,15 +667,7 @@ func (e *Engine) rebuildTable(mt *manifestTable, version int) error {
 	}
 	for i := range mt.Indexes {
 		mi := &mt.Indexes[i]
-		icfg := indexConfig{
-			cachedFields: mi.CachedFields,
-			bucketN:      mi.BucketN,
-			predLogLimit: mi.PredLogLimit,
-			cacheSeed:    mi.CacheSeed,
-			fillFactor:   mi.FillFactor,
-			nonUnique:    mi.NonUnique,
-		}
-		ix, err := t.newIndexShell(mi.Name, mi.KeyFields, icfg)
+		ix, err := t.newIndexShell(mi.indexSpec)
 		if err != nil {
 			return fmt.Errorf("core: manifest index %q on %q: %w", mi.Name, mt.Name, err)
 		}

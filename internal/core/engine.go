@@ -26,11 +26,6 @@ type Options struct {
 	// outside the Go heap and costs that much RSS once every page has
 	// been touched; Close returns it.
 	BufferPoolPages int
-	// HeapInsertShards is the default heap insert shard count for
-	// tables created on this engine (per-table WithHeapInsertShards
-	// wins). 0 picks automatically (min(8, GOMAXPROCS)); 1 reproduces
-	// the classic single-mutex heap insert path.
-	HeapInsertShards int
 	// Path, when non-empty, backs the engine with a file on disk;
 	// otherwise an in-memory disk is used.
 	Path string
@@ -59,8 +54,6 @@ type Engine struct {
 	pool    *buffer.Pool
 	disk    storage.DiskManager
 	counter *storage.CountingDisk // nil unless Options.CountIO
-
-	heapShards int // default insert shard count for new tables' heaps
 
 	// WAL state (nil/zero without Options.WAL). commitGate orders
 	// mutations against checkpoints and GC: every Apply, txn commit,
@@ -132,7 +125,6 @@ func NewEngine(opts Options) (*Engine, error) {
 	}
 	e := &Engine{
 		tables:     make(map[string]*Table),
-		heapShards: opts.HeapInsertShards,
 		syncPolicy: opts.SyncPolicy,
 		ckptBytes:  opts.CheckpointBytes,
 	}
@@ -174,6 +166,13 @@ func (e *Engine) CreateTable(name string, schema *tuple.Schema, opts ...TableOpt
 	if name == "" {
 		return nil, fmt.Errorf("core: table name must not be empty")
 	}
+	if schema == nil {
+		return nil, fmt.Errorf("core: table %q needs a schema", name)
+	}
+	spec := tableSpec{Name: name, Fields: manifestFields(schema)}
+	for _, o := range opts {
+		o(&spec)
+	}
 	if e.wal != nil {
 		e.commitGate.RLock()
 		defer e.commitGate.RUnlock()
@@ -183,20 +182,13 @@ func (e *Engine) CreateTable(name string, schema *tuple.Schema, opts ...TableOpt
 	if _, exists := e.tables[name]; exists {
 		return nil, fmt.Errorf("core: table %q already exists", name)
 	}
-	t, err := newTable(e, name, schema, opts...)
+	t, err := openTable(e, spec, nil)
 	if err != nil {
 		return nil, err
 	}
 	e.tables[name] = t
 	if e.wal != nil {
-		rec := ddlCreateTable{
-			Name:             name,
-			Fields:           manifestFields(schema),
-			AppendOnly:       t.cfg.appendOnly,
-			HeapFillFactor:   t.cfg.heapFillFactor,
-			HeapInsertShards: t.file.InsertShards(), // resolved, not the request
-		}
-		lsn, err := e.wal.Append(recCreateTable, encodeJSON(rec))
+		lsn, err := e.wal.Append(recCreateTable, encodeJSON(spec))
 		if err != nil {
 			delete(e.tables, name)
 			return nil, err

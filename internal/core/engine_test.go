@@ -307,10 +307,7 @@ func TestNonUniqueIndexLookupAll(t *testing.T) {
 		r[1] = tuple.Int32(int32(i % 3))
 		tb.Insert(r)
 	}
-	rows, err := ix.LookupAll(tuple.Int32(1))
-	if err != nil {
-		t.Fatalf("LookupAll: %v", err)
-	}
+	rows := prefixRows(t, ix, tuple.Int32(1))
 	want := 0
 	for i := 0; i < 20; i++ {
 		if i%3 == 1 {
@@ -318,7 +315,7 @@ func TestNonUniqueIndexLookupAll(t *testing.T) {
 		}
 	}
 	if len(rows) != want {
-		t.Errorf("LookupAll returned %d rows, want %d", len(rows), want)
+		t.Errorf("prefix query returned %d rows, want %d", len(rows), want)
 	}
 	// Cache on non-unique index must be rejected.
 	if _, err := tb.CreateIndex("bad", []string{"namespace"}, NonUnique(), WithCache("len")); err == nil {

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -13,50 +14,44 @@ import (
 )
 
 // IndexOption configures index creation.
-type IndexOption func(*indexConfig)
+type IndexOption func(*indexSpec)
 
-type indexConfig struct {
-	cachedFields []string
-	bucketN      int
-	predLogLimit int
-	cacheSeed    int64
-	fillFactor   float64
-	nonUnique    bool
+// indexSpec is an index's definition: what CreateIndex and its options
+// set. A recCreateIndex record and a manifest entry embed one, so
+// creation, replay and reopen all build an index from the same value.
+type indexSpec struct {
+	Name         string   `json:"name"`
+	KeyFields    []string `json:"key_fields"`
+	NonUnique    bool     `json:"non_unique,omitempty"`
+	CachedFields []string `json:"cached_fields,omitempty"`
+	CacheSeed    int64    `json:"cache_seed"`
+	FillFactor   float64  `json:"fill_factor"`
 }
 
 // WithCache enables the Section 2.1 index cache on this index, caching
 // the named non-key fields in leaf free space. All cached fields must
-// be fixed width, and an index with a cache must be unique.
+// be fixed width, and an index with a cache must be unique. The cache
+// has idxcache's default bucket size and predicate-log limit.
 func WithCache(fields ...string) IndexOption {
-	return func(c *indexConfig) { c.cachedFields = fields }
-}
-
-// WithCacheBucket sets the swap-policy bucket size N (default 4).
-func WithCacheBucket(n int) IndexOption {
-	return func(c *indexConfig) { c.bucketN = n }
-}
-
-// WithPredLogLimit sets the predicate-log escalation threshold.
-func WithPredLogLimit(n int) IndexOption {
-	return func(c *indexConfig) { c.predLogLimit = n }
+	return func(s *indexSpec) { s.CachedFields = slices.Clone(fields) }
 }
 
 // WithCacheSeed fixes the cache's placement randomness.
 func WithCacheSeed(seed int64) IndexOption {
-	return func(c *indexConfig) { c.cacheSeed = seed }
+	return func(s *indexSpec) { s.CacheSeed = seed }
 }
 
 // WithFillFactor sets the bulk-build fill factor used when the index is
 // created over an already-populated table (default 0.68, the canonical
 // B+Tree steady state the paper cites).
 func WithFillFactor(ff float64) IndexOption {
-	return func(c *indexConfig) { c.fillFactor = ff }
+	return func(s *indexSpec) { s.FillFactor = ff }
 }
 
 // NonUnique permits duplicate keys (entries are disambiguated by RID).
 // Non-unique indexes cannot carry a cache.
 func NonUnique() IndexOption {
-	return func(c *indexConfig) { c.nonUnique = true }
+	return func(s *indexSpec) { s.NonUnique = true }
 }
 
 // Index is a B+Tree over one or more fields of a table, optionally with
@@ -66,9 +61,8 @@ type Index struct {
 	name      string
 	keyFields []int
 	keyKinds  []tuple.Kind // kinds of keyFields, for decoding entry keys; immutable
-	keyNames  []string     // names of keyFields (KeyFieldNames); immutable
 	unique    bool
-	cfg       indexConfig // resolved creation config (checkpoint manifest)
+	spec      indexSpec
 	tree      *btree.Tree
 
 	cache        *idxcache.Cache
@@ -217,9 +211,9 @@ const maxProjPlans = 64
 // already holds rows, the index is bulk-loaded at the configured fill
 // factor; otherwise it starts empty and fills via normal inserts.
 func (t *Table) CreateIndex(name string, fields []string, opts ...IndexOption) (*Index, error) {
-	cfg := indexConfig{fillFactor: 0.68, bucketN: 4, predLogLimit: 1024, cacheSeed: 1}
+	spec := indexSpec{Name: name, KeyFields: slices.Clone(fields), FillFactor: 0.68, CacheSeed: 1}
 	for _, o := range opts {
-		o(&cfg)
+		o(&spec)
 	}
 	if name == "" {
 		return nil, fmt.Errorf("core: index name must not be empty")
@@ -237,29 +231,18 @@ func (t *Table) CreateIndex(name string, fields []string, opts ...IndexOption) (
 	if _, exists := t.indexes[name]; exists {
 		return nil, fmt.Errorf("core: index %q already exists on %q", name, t.name)
 	}
-	ix, err := t.newIndexShell(name, fields, cfg)
+	ix, err := t.newIndexShell(spec)
 	if err != nil {
 		return nil, err
 	}
-	if err := ix.build(cfg.fillFactor); err != nil {
+	if err := ix.build(); err != nil {
 		return nil, err
 	}
 	t.indexes[name] = ix
 	if e.wal != nil {
-		// The record captures the full config; replay rebuilds the tree
-		// from the replayed table state, which build() saw here.
-		rec := ddlCreateIndex{
-			Table:        t.name,
-			Name:         name,
-			KeyFields:    fields,
-			NonUnique:    cfg.nonUnique,
-			CachedFields: cfg.cachedFields,
-			BucketN:      cfg.bucketN,
-			PredLogLimit: cfg.predLogLimit,
-			CacheSeed:    cfg.cacheSeed,
-			FillFactor:   cfg.fillFactor,
-		}
-		lsn, err := e.wal.Append(recCreateIndex, encodeJSON(rec))
+		// Replay rebuilds the tree from the replayed table state, which
+		// build saw here.
+		lsn, err := e.wal.Append(recCreateIndex, encodeJSON(ddlCreateIndex{Table: t.name, indexSpec: spec}))
 		if err != nil {
 			delete(t.indexes, name)
 			return nil, err
@@ -271,29 +254,29 @@ func (t *Table) CreateIndex(name string, fields []string, opts ...IndexOption) (
 	return ix, nil
 }
 
-// newIndexShell resolves and validates an index's configuration —
-// everything about creation except building the tree and registering
-// it. Shared by CreateIndex, WAL replay, and manifest reopen.
-func (t *Table) newIndexShell(name string, fields []string, cfg indexConfig) (*Index, error) {
-	ix := &Index{table: t, name: name, unique: !cfg.nonUnique, cfg: cfg}
-	for _, f := range fields {
+// newIndexShell validates spec and builds the index it defines, short of
+// its tree and its place in the table. CreateIndex, WAL replay and
+// manifest reopen all build indexes here.
+func (t *Table) newIndexShell(spec indexSpec) (*Index, error) {
+	name := spec.Name
+	ix := &Index{table: t, name: name, unique: !spec.NonUnique, spec: spec}
+	for _, f := range spec.KeyFields {
 		pos := t.schema.Index(f)
 		if pos < 0 {
 			return nil, fmt.Errorf("core: index %q: no field %q in %s", name, f, t.schema)
 		}
 		ix.keyFields = append(ix.keyFields, pos)
 		ix.keyKinds = append(ix.keyKinds, t.schema.Field(pos).Kind)
-		ix.keyNames = append(ix.keyNames, t.schema.Field(pos).Name)
 	}
-	if len(cfg.cachedFields) > 0 {
-		if cfg.nonUnique {
+	if len(spec.CachedFields) > 0 {
+		if spec.NonUnique {
 			return nil, fmt.Errorf("core: index %q: cache requires a unique index", name)
 		}
-		if len(cfg.cachedFields) > 8 {
+		if len(spec.CachedFields) > 8 {
 			return nil, fmt.Errorf("core: index %q: at most 8 cached fields (null bitmap is one byte)", name)
 		}
 		width := 1 // null bitmap byte
-		for _, f := range cfg.cachedFields {
+		for _, f := range spec.CachedFields {
 			pos := t.schema.Index(f)
 			if pos < 0 {
 				return nil, fmt.Errorf("core: index %q: no cached field %q", name, f)
@@ -307,12 +290,7 @@ func (t *Table) newIndexShell(name string, fields []string, cfg indexConfig) (*I
 			width += w
 		}
 		ix.payloadWidth = width
-		cache, err := idxcache.New(idxcache.Config{
-			PayloadSize:  width,
-			BucketN:      cfg.bucketN,
-			PredLogLimit: cfg.predLogLimit,
-			Seed:         cfg.cacheSeed,
-		})
+		cache, err := idxcache.New(idxcache.Config{PayloadSize: width, Seed: spec.CacheSeed})
 		if err != nil {
 			return nil, err
 		}
@@ -327,9 +305,9 @@ func (t *Table) newIndexShell(name string, fields []string, cfg indexConfig) (*I
 	return ix, nil
 }
 
-// build constructs the tree: bulk-loaded from a sorted scan when the
-// table has rows, empty otherwise.
-func (ix *Index) build(ff float64) error {
+// build constructs the tree: bulk-loaded at the spec's fill factor from
+// a sorted scan when the table has rows, empty otherwise.
+func (ix *Index) build() error {
 	t := ix.table
 	if t.rows.Load() == 0 {
 		tree, err := btree.New(t.engine.pool)
@@ -368,7 +346,7 @@ func (ix *Index) build(ff float64) error {
 		}
 	}
 	i := 0
-	tree, err := btree.BulkLoad(t.engine.pool, ff, func() ([]byte, uint64, bool) {
+	tree, err := btree.BulkLoad(t.engine.pool, ix.spec.FillFactor, func() ([]byte, uint64, bool) {
 		if i >= len(entries) {
 			return nil, 0, false
 		}
@@ -397,7 +375,7 @@ func (ix *Index) Unique() bool { return ix.unique }
 
 // KeyFieldNames returns the names of the key fields in order. The slice
 // is the index's own, shared by every caller: it must not be modified.
-func (ix *Index) KeyFieldNames() []string { return ix.keyNames }
+func (ix *Index) KeyFieldNames() []string { return ix.spec.KeyFields }
 
 // CachedFieldNames returns the names of the cached fields in order.
 func (ix *Index) CachedFieldNames() []string {

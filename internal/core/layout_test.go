@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/storage"
@@ -207,7 +208,9 @@ func TestReopenGrowingUpdateRelocates(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer e.Close()
-	tbl, err := e.CreateTable("wide", wideSchema(), WithHeapInsertShards(1))
+	prev := runtime.GOMAXPROCS(1) // a one-shard heap
+	tbl, err := e.CreateTable("wide", wideSchema())
+	runtime.GOMAXPROCS(prev)
 	if err != nil {
 		t.Fatal(err)
 	}

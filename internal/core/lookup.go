@@ -56,7 +56,7 @@ var pointCursors = sync.Pool{New: func() any { return new(Cursor) }}
 // the next LookupInto with the same dst.
 func (ix *Index) LookupInto(dst tuple.Row, project []string, keyVals ...tuple.Value) (tuple.Row, LookupResult, error) {
 	if !ix.unique {
-		return nil, LookupResult{}, fmt.Errorf("core: Lookup requires a unique index; use LookupAll on %q", ix.name)
+		return nil, LookupResult{}, fmt.Errorf("core: Lookup requires a unique index; query %q with WithPrefix", ix.name)
 	}
 	c := pointCursors.Get().(*Cursor)
 	defer func() {
@@ -107,23 +107,6 @@ func (ix *Index) LookupRID(keyVals ...tuple.Value) (storage.RID, bool, error) {
 		return storage.InvalidRID, false, nil // newest version deleted, entry awaits GC
 	}
 	return rid, true, nil
-}
-
-// LookupAll returns every row matching the key values on a non-unique
-// index (or the single match on a unique one). It is a convenience
-// wrapper over Query(WithPrefix(...)) that materializes the result;
-// large matches should iterate the cursor instead.
-func (ix *Index) LookupAll(keyVals ...tuple.Value) ([]tuple.Row, error) {
-	cur, err := ix.Query(WithPrefix(keyVals...))
-	if err != nil {
-		return nil, err
-	}
-	defer cur.Close()
-	var rows []tuple.Row
-	for cur.Next() {
-		rows = append(rows, cur.Row().Clone())
-	}
-	return rows, cur.Err()
 }
 
 // WarmCache fills every leaf's cache with the rows its keys point at,

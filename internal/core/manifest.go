@@ -47,14 +47,11 @@ type manifest struct {
 	Tables []manifestTable `json:"tables"`
 }
 
+// manifestTable is a table's spec and its state at the checkpoint.
 type manifestTable struct {
-	Name             string          `json:"name"`
-	Fields           []manifestField `json:"fields"`
-	Rows             int64           `json:"rows"`
-	AppendOnly       bool            `json:"append_only,omitempty"`
-	HeapFillFactor   float64         `json:"heap_fill_factor,omitempty"`
-	HeapInsertShards int             `json:"heap_insert_shards"`
-	HeapPages        []uint64        `json:"heap_pages"`
+	tableSpec
+	Rows      int64    `json:"rows"`
+	HeapPages []uint64 `json:"heap_pages"`
 	// Layout is the packed record layout the table adopted (absent: none
 	// yet, every record is in the declared layout); string slots only as
 	// manifestSlots allows them.
@@ -82,19 +79,14 @@ type manifestField struct {
 	Size int    `json:"size,omitempty"`
 }
 
+// manifestIndex is an index's spec and its tree and cache state at the
+// checkpoint.
 type manifestIndex struct {
-	Name         string   `json:"name"`
-	KeyFields    []string `json:"key_fields"`
-	NonUnique    bool     `json:"non_unique,omitempty"`
-	CachedFields []string `json:"cached_fields,omitempty"`
-	BucketN      int      `json:"bucket_n"`
-	PredLogLimit int      `json:"pred_log_limit"`
-	CacheSeed    int64    `json:"cache_seed"`
-	FillFactor   float64  `json:"fill_factor"`
-	Root         uint64   `json:"root"`
-	Height       int      `json:"height"`
-	NumKeys      int64    `json:"num_keys"`
-	CacheCSN     uint32   `json:"cache_csn"`
+	indexSpec
+	Root     uint64 `json:"root"`
+	Height   int    `json:"height"`
+	NumKeys  int64  `json:"num_keys"`
+	CacheCSN uint32 `json:"cache_csn"`
 }
 
 // writeManifestAtomic persists m at path with the classic tmp + fsync +

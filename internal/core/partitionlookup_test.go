@@ -8,8 +8,19 @@ import (
 )
 
 // Additional index edge-case coverage: composite keys with NULLs,
-// range-style LookupAll prefixes, and index maintenance across the
-// full CRUD lifecycle of a row.
+// key-prefix queries, and index maintenance across the full CRUD
+// lifecycle of a row.
+
+// prefixRows reads every row whose leading key fields equal keyVals.
+func prefixRows(t *testing.T, ix *Index, keyVals ...tuple.Value) []tuple.Row {
+	t.Helper()
+	cur, err := ix.Query(WithPrefix(keyVals...))
+	if err != nil {
+		t.Fatalf("Query: %v", err)
+	}
+	_, rows, _ := drainKeys(t, cur)
+	return rows
+}
 
 func TestLookupWithNullKeyComponent(t *testing.T) {
 	e := newTestEngine(t)
@@ -65,23 +76,14 @@ func TestLookupAllPrefixDoesNotBleed(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		tb.Insert(tuple.Row{tuple.String("ab"), tuple.Int32(int32(i))})
 	}
-	rows, err := ix.LookupAll(tuple.String("a"))
-	if err != nil {
-		t.Fatalf("LookupAll: %v", err)
-	}
-	if len(rows) != 5 {
+	if rows := prefixRows(t, ix, tuple.String("a")); len(rows) != 5 {
 		t.Errorf("group \"a\" returned %d rows, want 5", len(rows))
 	}
-	rows, err = ix.LookupAll(tuple.String("ab"))
-	if err != nil {
-		t.Fatalf("LookupAll: %v", err)
-	}
-	if len(rows) != 3 {
+	if rows := prefixRows(t, ix, tuple.String("ab")); len(rows) != 3 {
 		t.Errorf("group \"ab\" returned %d rows, want 3", len(rows))
 	}
-	rows, err = ix.LookupAll(tuple.String("zzz"))
-	if err != nil || len(rows) != 0 {
-		t.Errorf("missing group returned %d rows, err=%v", len(rows), err)
+	if rows := prefixRows(t, ix, tuple.String("zzz")); len(rows) != 0 {
+		t.Errorf("missing group returned %d rows", len(rows))
 	}
 }
 
@@ -165,9 +167,8 @@ func TestManyIndexesOnOneTable(t *testing.T) {
 			t.Errorf("indexes disagree on row %d", i)
 		}
 	}
-	rows, err := byLen.LookupAll(tuple.Int32(100))
-	if err != nil || len(rows) != 1 {
-		t.Errorf("by_len: %d rows, err=%v", len(rows), err)
+	if rows := prefixRows(t, byLen, tuple.Int32(100)); len(rows) != 1 {
+		t.Errorf("by_len: %d rows", len(rows))
 	}
 	// Delete through one index; all must forget the row.
 	rid, _, _ := pk.LookupRID(tuple.Int64(7))

@@ -348,16 +348,13 @@ func TestLookupAllStillWorks(t *testing.T) {
 	if err != nil {
 		t.Fatalf("CreateIndex: %v", err)
 	}
-	rows, err := ix.LookupAll(tuple.Int64(1))
-	if err != nil {
-		t.Fatalf("LookupAll: %v", err)
-	}
+	rows := prefixRows(t, ix, tuple.Int64(1))
 	if len(rows) != 10 {
-		t.Fatalf("LookupAll returned %d rows, want 10", len(rows))
+		t.Fatalf("prefix query returned %d rows, want 10", len(rows))
 	}
 	for _, r := range rows {
 		if r[0].Int != 1 || r[1].Int%3 != 1 {
-			t.Fatalf("LookupAll wrong row: %v", r)
+			t.Fatalf("prefix query wrong row: %v", r)
 		}
 	}
 }

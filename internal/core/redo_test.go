@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -40,7 +41,9 @@ func newRedoTable(t *testing.T, dir string) (*Engine, *Table) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { e.Close() })
-	tbl, err := e.CreateTable("t", redoSchema(), WithHeapInsertShards(1))
+	prev := runtime.GOMAXPROCS(1) // a one-shard heap
+	tbl, err := e.CreateTable("t", redoSchema())
+	runtime.GOMAXPROCS(prev)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,40 +12,29 @@ import (
 )
 
 // TableOption configures table creation.
-type TableOption func(*tableConfig)
+type TableOption func(*tableSpec)
 
-type tableConfig struct {
-	appendOnly       bool
-	heapFillFactor   float64
-	heapInsertShards int
+// tableSpec is a table's definition: what CreateTable and its options
+// set. A recCreateTable record is one, and a manifest entry embeds one,
+// so creation, replay and reopen all build a table from the same value.
+type tableSpec struct {
+	Name           string          `json:"name"`
+	Fields         []manifestField `json:"fields"`
+	AppendOnly     bool            `json:"append_only,omitempty"`
+	HeapFillFactor float64         `json:"heap_fill_factor,omitempty"`
 }
 
 // WithAppendOnlyHeap forces inserts to always extend the tail page,
 // never refilling older pages' free space — the placement policy whose
 // locality waste Section 3.1 measures.
 func WithAppendOnlyHeap() TableOption {
-	return func(c *tableConfig) { c.appendOnly = true }
+	return func(s *tableSpec) { s.AppendOnly = true }
 }
 
 // WithHeapFillFactor reserves 1−ff of each heap page for update
 // headroom and the Section 2.2 join cache.
 func WithHeapFillFactor(ff float64) TableOption {
-	return func(c *tableConfig) { c.heapFillFactor = ff }
-}
-
-// WithHeapInsertShards sets the table's heap insert shard count —
-// parallel inserters contend per shard, each of which owns a tail page
-// and a free-space map. n < 1 picks automatically (min(8, GOMAXPROCS)),
-// overriding any engine-wide Options.HeapInsertShards default; that
-// default applies only when the option is absent. Ignored under
-// WithAppendOnlyHeap, which needs a single tail.
-func WithHeapInsertShards(n int) TableOption {
-	return func(c *tableConfig) {
-		if n < 1 {
-			n = -1 // explicit "automatic", distinct from option-absent 0
-		}
-		c.heapInsertShards = n
-	}
+	return func(s *tableSpec) { s.HeapFillFactor = ff }
 }
 
 // Table is a heap-backed table plus its indexes.
@@ -54,7 +43,7 @@ type Table struct {
 	name   string
 	schema *tuple.Schema
 	file   *heap.File
-	cfg    tableConfig // resolved creation config (checkpoint manifest)
+	spec   tableSpec
 
 	mu      sync.RWMutex // nblb:lock table-mu
 	indexes map[string]*Index
@@ -119,53 +108,35 @@ func (t *Table) countEscapes(rec []byte, esc uint64) {
 	}
 }
 
-func newTable(e *Engine, name string, schema *tuple.Schema, opts ...TableOption) (*Table, error) {
-	var cfg tableConfig
-	for _, o := range opts {
-		o(&cfg)
-	}
-	if cfg.heapInsertShards == 0 {
-		cfg.heapInsertShards = e.heapShards
-	}
-	if schema != nil {
-		// The table adopts a record layout on its schema (layout.go): it
-		// owns a copy, so a schema handed to two tables adopts twice.
-		var err error
-		if schema, err = tuple.NewSchema(schema.Fields()...); err != nil {
-			return nil, err
-		}
-	}
-	return buildTable(e, name, schema, cfg)
-}
-
-// buildTable constructs a table from an already-resolved config — the
-// shared tail of user-driven creation and WAL/manifest replay.
-func buildTable(e *Engine, name string, schema *tuple.Schema, cfg tableConfig) (*Table, error) {
-	if schema == nil {
-		return nil, fmt.Errorf("core: table %q needs a schema", name)
+// openTable builds the table spec defines over the heap pages hold (nil:
+// a new, empty heap). CreateTable, WAL replay and manifest reopen all
+// build tables here. The heap has min(8, GOMAXPROCS) insert shards, or one
+// when append-only; the count only decides where new rows land, so a
+// heap reopened on another machine reads and redoes the same pages.
+func openTable(e *Engine, spec tableSpec, pages []storage.PageID) (*Table, error) {
+	// The table adopts a record layout on its schema (layout.go): it owns
+	// the schema built here, so two tables never share one.
+	schema, err := tuple.NewSchema(fieldsFromManifest(spec.Fields)...)
+	if err != nil {
+		return nil, fmt.Errorf("core: table %q: %w", spec.Name, err)
 	}
 	var hopts []heap.Option
-	if cfg.appendOnly {
+	if spec.AppendOnly {
 		hopts = append(hopts, heap.AppendOnly())
 	}
-	if cfg.heapFillFactor != 0 {
-		hopts = append(hopts, heap.WithFillFactor(cfg.heapFillFactor))
+	if spec.HeapFillFactor != 0 {
+		hopts = append(hopts, heap.WithFillFactor(spec.HeapFillFactor))
 	}
-	if cfg.heapInsertShards > 0 {
-		hopts = append(hopts, heap.WithInsertShards(cfg.heapInsertShards))
-	}
-	// A negative count (explicit "automatic") passes no option: the
-	// heap's own default applies.
-	f, err := heap.NewFile(e.pool, hopts...)
+	f, err := heap.Open(e.pool, pages, hopts...)
 	if err != nil {
-		return nil, fmt.Errorf("core: creating heap for %q: %w", name, err)
+		return nil, fmt.Errorf("core: opening heap for %q: %w", spec.Name, err)
 	}
 	return &Table{
 		engine:  e,
-		name:    name,
+		name:    spec.Name,
 		schema:  schema,
 		file:    f,
-		cfg:     cfg,
+		spec:    spec,
 		indexes: make(map[string]*Index),
 	}, nil
 }
@@ -214,7 +185,7 @@ func (t *Table) Index(name string) (*Index, error) {
 // Insert is safe for concurrent use, and no stage of it serializes on
 // a table-wide lock: the heap placement rides the heap file's sharded
 // insert path (each inserting goroutine is affine to one of the heap's
-// insert shards, see WithHeapInsertShards), and index maintenance rides
+// insert shards, see openTable), and index maintenance rides
 // the B+Tree's latch-crabbing write path, so parallel inserters contend
 // per heap shard and per leaf page rather than per table. t.mu is only
 // held shared, to pin the index set — it does not serialize writers

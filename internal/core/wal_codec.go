@@ -262,28 +262,11 @@ func decodeTxn(payload []byte) (ts uint64, subs [][]byte, err error) {
 	return ts, subs, nil
 }
 
-// ddlCreateTable is the JSON payload of a recCreateTable record. The
-// heap configuration is recorded resolved (actual shard count), so
-// replay reconstructs the same file shape the original call produced.
-type ddlCreateTable struct {
-	Name             string          `json:"name"`
-	Fields           []manifestField `json:"fields"`
-	AppendOnly       bool            `json:"append_only,omitempty"`
-	HeapFillFactor   float64         `json:"heap_fill_factor,omitempty"`
-	HeapInsertShards int             `json:"heap_insert_shards,omitempty"`
-}
-
-// ddlCreateIndex is the JSON payload of a recCreateIndex record.
+// ddlCreateIndex is the JSON payload of a recCreateIndex record: the
+// index's table and its spec. A recCreateTable payload is a tableSpec.
 type ddlCreateIndex struct {
-	Table        string   `json:"table"`
-	Name         string   `json:"name"`
-	KeyFields    []string `json:"key_fields"`
-	NonUnique    bool     `json:"non_unique,omitempty"`
-	CachedFields []string `json:"cached_fields,omitempty"`
-	BucketN      int      `json:"bucket_n,omitempty"`
-	PredLogLimit int      `json:"pred_log_limit,omitempty"`
-	CacheSeed    int64    `json:"cache_seed,omitempty"`
-	FillFactor   float64  `json:"fill_factor,omitempty"`
+	Table string `json:"table"`
+	indexSpec
 }
 
 // ddlAdoptLayout is the JSON payload of a recAdoptLayout record.

@@ -13,10 +13,12 @@ import (
 )
 
 // Open reconstructs a heap file over pages that already exist on disk —
-// the checkpoint manifest's page list, in allocation order. Each page
-// is read once to seed the advisory free-space maps; ownership is dealt
-// round-robin across the insert shards. Options must match the ones the
-// file was created with (the manifest records them).
+// the checkpoint manifest's page list, in allocation order — or, given
+// none, creates an empty one as NewFile does. Each page is read once to
+// seed the advisory free-space maps; ownership is dealt round-robin
+// across the insert shards, so their number need not be the one the
+// file was written with. AppendOnly and the fill factor must match the
+// file's creation (the manifest records them).
 func Open(pool *buffer.Pool, pages []storage.PageID, opts ...Option) (*File, error) {
 	f := newShell(pool, opts...)
 	if len(pages) == 0 {

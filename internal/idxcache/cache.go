@@ -65,8 +65,8 @@ type Config struct {
 	BucketN int
 	// PredLogLimit is the predicate-log escalation threshold. Beyond
 	// this many pending predicates, the whole cache is invalidated via
-	// a CSNidx bump. Defaults to 1024. Zero means every update
-	// escalates (fine-grained invalidation off).
+	// a CSNidx bump. Zero means the default, 1024. A negative limit
+	// makes every update escalate (fine-grained invalidation off).
 	PredLogLimit int
 	// Seed drives placement randomness deterministically.
 	Seed int64

@@ -237,16 +237,21 @@ func TestCachePredicateOutsideRangeKeepsCache(t *testing.T) {
 }
 
 func TestCachePredLogEscalation(t *testing.T) {
-	c := mustCache(t, Config{PayloadSize: 8, PredLogLimit: 3, Seed: 7})
-	before := c.CSN()
-	for i := 0; i < 4; i++ {
-		c.NotifyUpdate(k64(i))
-	}
-	if c.CSN() == before {
-		t.Error("exceeding the predicate-log limit should bump CSNidx")
-	}
-	if c.Log().Pending() != 0 {
-		t.Error("escalation should clear the log")
+	for _, tc := range []struct{ limit, updates int }{
+		{3, 4},  // one past the limit
+		{-1, 1}, // a negative limit escalates on every update
+	} {
+		c := mustCache(t, Config{PayloadSize: 8, PredLogLimit: tc.limit, Seed: 7})
+		before := c.CSN()
+		for i := 0; i < tc.updates; i++ {
+			c.NotifyUpdate(k64(i))
+		}
+		if c.CSN() == before {
+			t.Errorf("limit %d: exceeding the predicate-log limit should bump CSNidx", tc.limit)
+		}
+		if c.Log().Pending() != 0 {
+			t.Errorf("limit %d: escalation should clear the log", tc.limit)
+		}
 	}
 }
 

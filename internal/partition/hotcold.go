@@ -40,13 +40,13 @@ type Config struct {
 	KeyFields []string
 	// FillFactor for partition indexes (0 = default 0.68).
 	FillFactor float64
-	// TableOptions apply to both partition tables (heap fill factor,
-	// insert shards, …). Append-only placement is always forced last —
-	// the paper's clustering policy relocates tuples to "the end of the
-	// table", which needs a single tail — so a WithHeapInsertShards here
-	// is overridden down to one shard; ingest parallelism in a hot/cold
-	// pair comes from the two partitions' independent heaps and the
-	// latch-crabbed partition indexes instead.
+	// TableOptions apply to both partition tables (heap fill factor).
+	// Append-only placement is always forced last — the paper's
+	// clustering policy relocates tuples to "the end of the table",
+	// which needs a single tail — so each partition heap has one insert
+	// shard; ingest parallelism in a hot/cold pair comes from the two
+	// partitions' independent heaps and the latch-crabbed partition
+	// indexes instead.
 	TableOptions []core.TableOption
 }
 

@@ -27,9 +27,9 @@ type groupTable struct {
 
 // NewVerticalTable materializes a split on an engine. The primary key
 // field is added to every group. Table names are "<name>_g<i>". opts
-// apply to every group table — WithHeapInsertShards in particular
-// configures each group heap's parallel-ingest lanes, since the groups
-// are ordinary (non-append-only) tables.
+// apply to every group table. The groups are ordinary tables, so unless
+// opts make them append-only each group heap has its own min(8,
+// GOMAXPROCS) parallel-ingest lanes.
 func NewVerticalTable(e *core.Engine, name string, schema *tuple.Schema, pkField string, groups [][]string, opts ...core.TableOption) (*VerticalTable, error) {
 	if schema.Index(pkField) < 0 {
 		return nil, fmt.Errorf("vertical: pk field %q not in schema", pkField)

@@ -179,12 +179,9 @@ var (
 
 // Index options.
 var (
-	// WithCache enables the §2.1 index cache over the named fields.
+	// WithCache enables the §2.1 index cache over the named fields
+	// (swap buckets of 4, predicate log escalating past 1024 entries).
 	WithCache = core.WithCache
-	// WithCacheBucket sets the swap-policy bucket size.
-	WithCacheBucket = core.WithCacheBucket
-	// WithPredLogLimit sets the predicate-log escalation threshold.
-	WithPredLogLimit = core.WithPredLogLimit
 	// WithCacheSeed fixes cache placement randomness.
 	WithCacheSeed = core.WithCacheSeed
 	// WithFillFactor sets the bulk-build fill factor (default 0.68).
@@ -193,16 +190,12 @@ var (
 	NonUnique = core.NonUnique
 	// WithAppendOnlyHeap gives a table the append-at-tail placement
 	// policy §3.1 critiques (and its clustering exploits). Forces a
-	// single heap insert shard (one global tail).
+	// single heap insert shard (one global tail); any other heap has
+	// min(8, GOMAXPROCS).
 	WithAppendOnlyHeap = core.WithAppendOnlyHeap
 	// WithHeapFillFactor reserves 1−ff of each heap page for in-place
 	// update headroom and the §2.2 join cache.
 	WithHeapFillFactor = core.WithHeapFillFactor
-	// WithHeapInsertShards sets a table's heap insert shard count —
-	// the parallel-ingest knob (0 = automatic; 1 = the classic
-	// single-mutex insert path; see Options.HeapInsertShards for the
-	// engine-wide default).
-	WithHeapInsertShards = core.WithHeapInsertShards
 )
 
 // WithResultRIDs is the Apply option (see Table.Apply) that records
