@@ -19,10 +19,9 @@ const (
 	// Tree.Delete; deleting an absent key is a no-op, not an error).
 	RunDelete
 	// RunInsertIfAbsent stores the entry's value only when the key is
-	// not already present; an existing entry is left untouched (the
-	// same semantics as Tree.InsertIfAbsent). Callers detect the
-	// collision via Existed — with the survivor's value intact, which
-	// is what unique-index maintenance needs.
+	// not already present; an existing entry is left untouched.
+	// Callers detect the collision via Existed — with the survivor's
+	// value intact, which is what unique-index maintenance needs.
 	RunInsertIfAbsent
 )
 

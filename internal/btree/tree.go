@@ -276,18 +276,6 @@ func (t *Tree) Search(key []byte) (uint64, bool, error) {
 // Insert stores value under key, replacing any existing value (upsert).
 // It reports whether the key was newly inserted.
 func (t *Tree) Insert(key []byte, value uint64) (bool, error) {
-	return t.insert(key, value, false)
-}
-
-// InsertIfAbsent stores value under key only if the key is not already
-// present; an existing entry is left untouched. It reports whether the
-// key was inserted. This is the write unique-index maintenance wants: a
-// duplicate is detected without clobbering the survivor's value.
-func (t *Tree) InsertIfAbsent(key []byte, value uint64) (bool, error) {
-	return t.insert(key, value, true)
-}
-
-func (t *Tree) insert(key []byte, value uint64, ifAbsent bool) (bool, error) {
 	if len(key) == 0 {
 		return false, fmt.Errorf("btree: empty key")
 	}
@@ -303,11 +291,6 @@ func (t *Tree) insert(key []byte, value uint64, ifAbsent bool) (bool, error) {
 	n := asNode(fr.Data())
 	pos, found := n.search(key)
 	if found {
-		if ifAbsent {
-			fr.Latch.Unlock()
-			t.pool.Unpin(fr, false)
-			return false, nil
-		}
 		n.setCellValue(n.dirEntry(pos), value)
 		fr.Latch.Unlock()
 		t.pool.Unpin(fr, true)
@@ -324,7 +307,7 @@ func (t *Tree) insert(key []byte, value uint64, ifAbsent bool) (bool, error) {
 	fr.Latch.Unlock()
 	t.pool.Unpin(fr, false)
 	t.latchRetries.Add(1)
-	return t.insertPessimistic(key, value, ifAbsent)
+	return t.insertPessimistic(key, value, false)
 }
 
 // Delete removes key and reports whether it was present. Nodes are not

@@ -13,10 +13,10 @@ import (
 type MergeMode int
 
 const (
-	// MergeOrdered serves rows in global key order by running a loser
-	// tree over the segment heads. Throughput is bounded by the merge
-	// (one consumer goroutine), but the cursor contract is identical to
-	// a serial index scan.
+	// MergeOrdered serves rows in global key order: the cursor reads the
+	// planned segments' streams one after another in plan order, which
+	// is key order (segments are disjoint and sorted). The cursor
+	// contract is identical to a serial index scan.
 	MergeOrdered MergeMode = iota
 	// MergeUnordered interleaves blocks as workers finish them — no
 	// cross-segment ordering, maximum scan throughput. Rows within one
@@ -30,17 +30,18 @@ const (
 // amortize latch and channel costs, small enough to stay cache-warm.
 const blockRows = 256
 
-// segmentsPerWorker oversubscribes unordered plans so the dynamic
+// segmentsPerWorker oversubscribes every segmented plan — a parallel
+// cursor's, ordered or not, and a parallel Aggregate's — so the dynamic
 // claim evens out segment-size skew.
 const segmentsPerWorker = 4
 
-// RowBlock is a vectorized batch of assembled rows shipped from a scan
+// rowBlock is a vectorized batch of assembled rows shipped from a scan
 // worker to the consuming cursor: a columnar-ish slab of n*width
 // values (row i is a 3-index sub-slice, so rows can't append over each
 // other), the encoded keys delimited by offsets, RIDs, and the stats
 // delta attributable to the block. Blocks are pooled; a consumed block
 // is recycled as soon as the cursor steps past its last row.
-type RowBlock struct {
+type rowBlock struct {
 	width int
 	vals  []tuple.Value
 	keys  []byte
@@ -50,7 +51,7 @@ type RowBlock struct {
 	stats QueryStats
 }
 
-func (b *RowBlock) reset(width int) {
+func (b *rowBlock) reset(width int) {
 	b.width = width
 	b.n = 0
 	b.vals = b.vals[:0]
@@ -63,7 +64,7 @@ func (b *RowBlock) reset(width int) {
 // nextRow returns the slab slice for the next (uncommitted) row. A row
 // rejected by a filter is simply never committed; the same slice is
 // handed out again.
-func (b *RowBlock) nextRow() tuple.Row {
+func (b *rowBlock) nextRow() tuple.Row {
 	lo := b.n * b.width
 	hi := lo + b.width
 	for len(b.vals) < hi {
@@ -73,125 +74,123 @@ func (b *RowBlock) nextRow() tuple.Row {
 }
 
 // commit finalizes the row last handed out by nextRow.
-func (b *RowBlock) commit(key []byte, rid storage.RID) {
+func (b *rowBlock) commit(key []byte, rid storage.RID) {
 	b.keys = append(b.keys, key...)
 	b.koffs = append(b.koffs, int32(len(b.keys)))
 	b.rids = append(b.rids, rid)
 	b.n++
 }
 
-func (b *RowBlock) row(i int) tuple.Row {
+func (b *rowBlock) row(i int) tuple.Row {
 	lo := i * b.width
 	hi := lo + b.width
 	return b.vals[lo:hi:hi]
 }
 
-func (b *RowBlock) key(i int) []byte { return b.keys[b.koffs[i]:b.koffs[i+1]] }
+func (b *rowBlock) key(i int) []byte { return b.keys[b.koffs[i]:b.koffs[i+1]] }
 
-var rowBlockPool = sync.Pool{New: func() any { return new(RowBlock) }}
+var rowBlockPool = sync.Pool{New: func() any { return new(rowBlock) }}
 
 // parallelQuery plans the range into per-subtree segments and makes c
-// a cursor over the merged worker streams.
+// a cursor over the worker streams.
 func (ix *Index) parallelQuery(c *Cursor, plan *projPlan, fp *filterPlan, start, end []byte) error {
 	cfg := &c.cfg
 	if cfg.merge != MergeOrdered && cfg.merge != MergeUnordered {
 		return fmt.Errorf("core: unknown merge mode %d", int(cfg.merge))
 	}
-	n := cfg.parallel
-	target := n
-	if cfg.merge == MergeUnordered {
-		target = n * segmentsPerWorker
-	}
-	segs, err := ix.tree.PlanSegments(start, end, target)
+	segs, err := ix.tree.PlanSegments(start, end, cfg.parallel*segmentsPerWorker)
 	if err != nil {
 		return err
 	}
 	p := &parallelSource{
-		merge:    cfg.merge,
 		segs:     segs,
 		segStats: make([]QueryStats, len(segs)),
 		pool:     newSegRunner(),
 	}
 	p.scan.r.reset(ix, plan, fp, cfg.policy, cfg.snapshotTS(), nil)
-	p.start(n)
+	p.start(min(cfg.parallel, len(segs)), cfg.merge == MergeOrdered)
 	c.src, c.limit = p, cfg.limit
 	return nil
 }
 
 // parallelSource fans a segmented scan out to workers, each running the
-// shared block loop (blockScan) into RowBlocks, and feeds the cursor
+// shared block loop (blockScan) into rowBlocks, and feeds the cursor
 // from their block streams.
 type parallelSource struct {
-	scan  blockScan // template: every worker scans with its own copy
-	merge MergeMode
-	segs  []btree.Segment
-	pool  *segRunner
+	scan blockScan // template: every worker scans with its own copy
+	segs []btree.Segment
+	pool *segRunner
 
 	statsMu  sync.Mutex
 	segStats []QueryStats
 
+	// chans are the block streams the cursor reads, in order: one per
+	// segment when ordered, one shared fan-in when unordered.
+	chans []chan *rowBlock
+
 	// Consumer-owned state (step/close run on the cursor's goroutine).
-	pending QueryStats
-	out     chan *RowBlock // unordered fan-in
-	cur     *RowBlock
-	pos     int
-	lt      *loserTree // ordered merge
-	chans   []chan *RowBlock
+	si  int // the stream being read
+	cur *rowBlock
+	pos int
 }
 
-// start spawns the workers. Ordered mode runs one dedicated worker per
-// segment (the plan targeted n segments), each with its own channel —
-// a single producer per stream means no claim/queue interleaving can
-// starve the merge's wait on any one head. Unordered mode oversubscribes
-// the plan and lets n workers claim segments dynamically into one
-// fan-in channel. Either way a channel buffers two blocks per producer:
-// one in flight to the consumer while the next is being resolved.
-func (p *parallelSource) start(n int) {
-	if p.merge == MergeOrdered {
-		p.chans = make([]chan *RowBlock, len(p.segs))
-		for si := range p.segs {
-			p.chans[si] = make(chan *RowBlock, 2)
-		}
-		for si := range p.segs {
-			p.pool.spawn(func() error {
-				defer close(p.chans[si])
-				b := p.scan
-				return p.scanSegment(&b, si, p.chans[si])
-			})
-		}
-		p.lt = newLoserTree(p, p.chans)
-		return
+// start runs workers on the runner's claim loop. An ordered scan sends
+// each segment's blocks to that segment's own channel, which the worker
+// closes once the segment is done and its error, if any, is kept; an
+// unordered scan sends every block to one channel, closed once all
+// workers have returned. A channel buffers two blocks per producer: one
+// in flight to the consumer while the next is being resolved.
+//
+// The ordered cursor waits on the lowest unfinished segment, and it
+// always has a live producer or a closed channel: segments are claimed
+// in increasing order, and a worker stops claiming only when none is
+// left, the cursor closed, or its segment failed — which the cursor
+// meets first.
+func (p *parallelSource) start(workers int, ordered bool) {
+	nch, buf := 1, 2*workers
+	if ordered {
+		nch, buf = len(p.segs), 2
 	}
-	if n > len(p.segs) {
-		n = len(p.segs)
+	p.chans = make([]chan *rowBlock, nch)
+	for i := range p.chans {
+		p.chans[i] = make(chan *rowBlock, buf)
 	}
-	p.out = make(chan *RowBlock, 2*n)
-	scans := make([]blockScan, n)
+	scans := make([]blockScan, workers)
 	for w := range scans {
 		scans[w] = p.scan
 	}
-	p.pool.claim(n, len(p.segs), func(w, si int) error { return p.scanSegment(&scans[w], si, p.out) })
-	go func() {
-		p.pool.wg.Wait() // the error is the cursor's to collect, in step
-		close(p.out)
-	}()
+	p.pool.claim(workers, len(p.segs), func(w, si int) error {
+		if !ordered {
+			return p.scanSegment(&scans[w], si, p.chans[0])
+		}
+		err := p.scanSegment(&scans[w], si, p.chans[si])
+		p.pool.keep(err) // before the close: the cursor looks for it there
+		close(p.chans[si])
+		return err
+	})
+	if !ordered {
+		go func() {
+			p.pool.wg.Wait()
+			close(p.chans[0])
+		}()
+	}
 }
 
 // scanSegment streams segment si's rows as blocks into ch until the
 // segment is exhausted or the cursor was closed. A block whose entries
 // were all rejected ships too: it carries the heap reads that rejected
 // them to the cursor's stats.
-func (p *parallelSource) scanSegment(b *blockScan, si int, ch chan *RowBlock) error {
+func (p *parallelSource) scanSegment(b *blockScan, si int, ch chan *rowBlock) error {
 	b.open(p.segs[si])
 	defer b.close()
 	var prev QueryStats
 	for b.fill() > 0 {
-		blk := rowBlockPool.Get().(*RowBlock)
+		blk := rowBlockPool.Get().(*rowBlock)
 		blk.reset(len(b.r.plan.idx))
 		for i := 0; i < b.eb.Len(); i++ {
 			_, rid, how, err := b.resolve(blk.nextRow(), i)
 			if err != nil {
-				p.recycle(blk)
+				rowBlockPool.Put(blk)
 				return err
 			}
 			if how >= tierLeaf {
@@ -211,28 +210,11 @@ func (p *parallelSource) scanSegment(b *blockScan, si int, ch chan *RowBlock) er
 		select {
 		case ch <- blk:
 		case <-p.pool.cancel:
-			p.recycle(blk)
+			rowBlockPool.Put(blk)
 			return nil
 		}
 	}
 	return b.bt.Err()
-}
-
-func (p *parallelSource) recycle(b *RowBlock) { rowBlockPool.Put(b) }
-
-// takeStats folds a received block's delta into the consumer's pending
-// stats. Rows is excluded — Cursor.Next counts served rows itself.
-func (p *parallelSource) takeStats(b *RowBlock) {
-	p.pending.CacheHits += b.stats.CacheHits
-	p.pending.HeapReads += b.stats.HeapReads
-	p.pending.LeafFetches += b.stats.LeafFetches
-}
-
-func (p *parallelSource) flushPending(c *Cursor) {
-	c.stats.CacheHits += p.pending.CacheHits
-	c.stats.HeapReads += p.pending.HeapReads
-	c.stats.LeafFetches += p.pending.LeafFetches
-	p.pending = QueryStats{}
 }
 
 func (p *parallelSource) segmentStats() []QueryStats {
@@ -243,37 +225,35 @@ func (p *parallelSource) segmentStats() []QueryStats {
 	return out
 }
 
+// step serves the next row, reading the streams in order. A stream
+// that closes while the runner holds an error ends the cursor with it,
+// so an ordered cursor never serves a row past a failed segment. A
+// block's stats fold into the cursor's as it arrives; Rows is left out
+// — Cursor.Next counts served rows itself.
 func (p *parallelSource) step(c *Cursor) bool {
-	if p.merge == MergeOrdered {
-		s := p.lt.next()
-		p.flushPending(c)
-		if s < 0 {
-			c.err = p.pool.firstErr()
-			return false
-		}
-		st := &p.lt.streams[s]
-		c.row = st.blk.row(st.pos)
-		c.key = st.blk.key(st.pos)
-		c.rid = st.blk.rids[st.pos]
-		return true
-	}
 	if p.cur != nil {
-		p.pos++
-		if p.pos >= p.cur.n {
-			p.recycle(p.cur)
+		if p.pos++; p.pos >= p.cur.n {
+			rowBlockPool.Put(p.cur)
 			p.cur = nil
 		}
 	}
 	for p.cur == nil {
-		blk, ok := <-p.out
-		if !ok {
-			c.err = p.pool.firstErr()
+		if p.si == len(p.chans) {
 			return false
 		}
-		p.takeStats(blk)
-		p.flushPending(c)
+		blk, ok := <-p.chans[p.si]
+		if !ok {
+			if c.err = p.pool.firstErr(); c.err != nil {
+				return false
+			}
+			p.si++
+			continue
+		}
+		c.stats.CacheHits += blk.stats.CacheHits
+		c.stats.HeapReads += blk.stats.HeapReads
+		c.stats.LeafFetches += blk.stats.LeafFetches
 		if blk.n == 0 {
-			p.recycle(blk)
+			rowBlockPool.Put(blk)
 			continue
 		}
 		p.cur, p.pos = blk, 0

@@ -2,9 +2,13 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/storage"
 	"repro/internal/tuple"
@@ -28,73 +32,110 @@ func drainKeys(t *testing.T, cur *Cursor) ([][]byte, []tuple.Row, QueryStats) {
 	return keys, rows, stats
 }
 
+// TestParallelQueryMatchesSerial checks both merge modes against the
+// serial scan on two inputs: a dense key range, and the same range with
+// most keys past its first quarter deleted. Deletes merge no leaves, so
+// the plan still splits the sparse tail into segments; at n=2 the scan
+// runs eight segments of very different sizes on two workers.
 func TestParallelQueryMatchesSerial(t *testing.T) {
-	_, _, ix := newQueryFixture(t, 6000, true)
-	if _, err := ix.WarmCache(); err != nil {
-		t.Fatalf("WarmCache: %v", err)
+	const stored = 6000
+	_, _, dense := newQueryFixture(t, stored, true)
+	_, skewTb, skewed := newQueryFixture(t, stored, true)
+	cur, err := skewed.Query()
+	if err != nil {
+		t.Fatalf("Query: %v", err)
+	}
+	var victims []storage.RID
+	for cur.Next() {
+		if id := cur.Row()[0].Int; id >= stored/4 && id%64 != 0 {
+			victims = append(victims, cur.RID())
+		}
+	}
+	if err := cur.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	for _, rid := range victims {
+		if err := skewTb.Delete(rid); err != nil {
+			t.Fatalf("Delete: %v", err)
+		}
+	}
+	inputs := []struct {
+		name string
+		ix   *Index
+		want int // rows the range holds
+		ns   []int
+	}{
+		{"dense", dense, stored, []int{2, 4, 7}},
+		{"skewed", skewed, stored - len(victims), []int{2}},
 	}
 	proj := WithProjection("id", "a", "b")
-	serialCur, err := ix.Query(proj)
-	if err != nil {
-		t.Fatalf("serial Query: %v", err)
-	}
-	serialKeys, serialRows, serialStats := drainKeys(t, serialCur)
-	if len(serialKeys) != 6000 {
-		t.Fatalf("serial scanned %d rows", len(serialKeys))
-	}
-	for _, mode := range []MergeMode{MergeOrdered, MergeUnordered} {
-		for _, n := range []int{2, 4, 7} {
-			name := fmt.Sprintf("mode=%v/n=%d", mode, n)
-			cur, err := ix.Query(proj, WithParallel(n), WithMergeMode(mode))
-			if err != nil {
-				t.Fatalf("%s: Query: %v", name, err)
-			}
-			keys, rows, stats := drainKeys(t, cur)
-			if len(keys) != len(serialKeys) {
-				t.Fatalf("%s: got %d rows, want %d", name, len(keys), len(serialKeys))
-			}
-			if mode == MergeOrdered {
-				for i := range keys {
-					if !bytes.Equal(keys[i], serialKeys[i]) {
-						t.Fatalf("%s: row %d out of order: key %x want %x", name, i, keys[i], serialKeys[i])
+	for _, in := range inputs {
+		ix := in.ix
+		if _, err := ix.WarmCache(); err != nil {
+			t.Fatalf("%s: WarmCache: %v", in.name, err)
+		}
+		serialCur, err := ix.Query(proj)
+		if err != nil {
+			t.Fatalf("%s: serial Query: %v", in.name, err)
+		}
+		serialKeys, serialRows, serialStats := drainKeys(t, serialCur)
+		if len(serialKeys) != in.want {
+			t.Fatalf("%s: serial scanned %d rows, want %d", in.name, len(serialKeys), in.want)
+		}
+		for _, mode := range []MergeMode{MergeOrdered, MergeUnordered} {
+			for _, n := range in.ns {
+				name := fmt.Sprintf("%s/mode=%v/n=%d", in.name, mode, n)
+				cur, err := ix.Query(proj, WithParallel(n), WithMergeMode(mode))
+				if err != nil {
+					t.Fatalf("%s: Query: %v", name, err)
+				}
+				keys, rows, stats := drainKeys(t, cur)
+				if len(keys) != len(serialKeys) {
+					t.Fatalf("%s: got %d rows, want %d", name, len(keys), len(serialKeys))
+				}
+				if mode == MergeOrdered {
+					for i := range keys {
+						if !bytes.Equal(keys[i], serialKeys[i]) {
+							t.Fatalf("%s: row %d out of order: key %x want %x", name, i, keys[i], serialKeys[i])
+						}
+						if len(rows[i]) != 3 || rows[i][0].Int != serialRows[i][0].Int {
+							t.Fatalf("%s: row %d mismatch: %v want %v", name, i, rows[i], serialRows[i])
+						}
 					}
-					if len(rows[i]) != 3 || rows[i][0].Int != serialRows[i][0].Int {
-						t.Fatalf("%s: row %d mismatch: %v want %v", name, i, rows[i], serialRows[i])
+				} else {
+					seen := make(map[string]int, len(keys))
+					for _, k := range keys {
+						seen[string(k)]++
+					}
+					for _, k := range serialKeys {
+						if seen[string(k)] != 1 {
+							t.Fatalf("%s: key %x served %d times", name, k, seen[string(k)])
+						}
 					}
 				}
-			} else {
-				seen := make(map[string]int, len(keys))
-				for _, k := range keys {
-					seen[string(k)]++
+				// Row-level counters sum to the serial scan's: every row is
+				// answered exactly once by exactly one tier. Leaf fetches may
+				// exceed serial — adjacent segments share boundary leaves.
+				segStats := cur.SegmentStats()
+				if len(segStats) <= n {
+					t.Fatalf("%s: %d segment stats for %d workers, want more segments than workers", name, len(segStats), n)
 				}
-				for _, k := range serialKeys {
-					if seen[string(k)] != 1 {
-						t.Fatalf("%s: key %x served %d times", name, k, seen[string(k)])
-					}
+				var sum QueryStats
+				for _, s := range segStats {
+					sum.Add(s)
 				}
-			}
-			// Row-level counters sum to the serial scan's: every row is
-			// answered exactly once by exactly one tier. Leaf fetches may
-			// exceed serial — adjacent segments share boundary leaves.
-			segStats := cur.SegmentStats()
-			if len(segStats) == 0 {
-				t.Fatalf("%s: no segment stats", name)
-			}
-			var sum QueryStats
-			for _, s := range segStats {
-				sum.Add(s)
-			}
-			if sum.Rows != serialStats.Rows || sum.CacheHits != serialStats.CacheHits || sum.HeapReads != serialStats.HeapReads {
-				t.Fatalf("%s: segment stats %+v don't sum to serial %+v", name, sum, serialStats)
-			}
-			if sum.LeafFetches < serialStats.LeafFetches {
-				t.Fatalf("%s: segment leaf fetches %d < serial %d", name, sum.LeafFetches, serialStats.LeafFetches)
-			}
-			if stats.Rows != serialStats.Rows {
-				t.Fatalf("%s: cursor rows %d want %d", name, stats.Rows, serialStats.Rows)
-			}
-			if got := stats.CacheHits + stats.HeapReads; got != sum.CacheHits+sum.HeapReads {
-				t.Fatalf("%s: cursor tier counters %d, segment sum %d", name, got, sum.CacheHits+sum.HeapReads)
+				if sum.Rows != serialStats.Rows || sum.CacheHits != serialStats.CacheHits || sum.HeapReads != serialStats.HeapReads {
+					t.Fatalf("%s: segment stats %+v don't sum to serial %+v", name, sum, serialStats)
+				}
+				if sum.LeafFetches < serialStats.LeafFetches {
+					t.Fatalf("%s: segment leaf fetches %d < serial %d", name, sum.LeafFetches, serialStats.LeafFetches)
+				}
+				if stats.Rows != serialStats.Rows {
+					t.Fatalf("%s: cursor rows %d want %d", name, stats.Rows, serialStats.Rows)
+				}
+				if got := stats.CacheHits + stats.HeapReads; got != sum.CacheHits+sum.HeapReads {
+					t.Fatalf("%s: cursor tier counters %d, segment sum %d", name, got, sum.CacheHits+sum.HeapReads)
+				}
 			}
 		}
 	}
@@ -323,5 +364,127 @@ func TestParallelQueryRacingWriters(t *testing.T) {
 	writers.Wait()
 	if err := ix.Tree().CheckIntegrity(); err != nil {
 		t.Fatalf("CheckIntegrity after race: %v", err)
+	}
+}
+
+// TestParallelQueryReadFault fails one page read in the middle of a
+// parallel scan, at several depths. The table is built clean, closed,
+// and reopened behind a FaultDisk with a pool far smaller than the
+// table, so every scan reads from disk. An ordered cursor, limited or
+// not, must serve exactly a key prefix of the serial scan and, when it
+// comes up short, report the fault; an unordered one must serve no row
+// twice, and a full-range one that met the fault must report it. Close
+// must leave no frame pinned and no worker running.
+func TestParallelQueryReadFault(t *testing.T) {
+	const rows, limit = 20000, 5000
+	path := filepath.Join(t.TempDir(), "db")
+	e, err := NewEngine(Options{PageSize: 1024, BufferPoolPages: 4096, Path: path, WAL: true})
+	if err != nil {
+		t.Fatalf("NewEngine (build): %v", err)
+	}
+	tb, err := e.CreateTable("t", pinleakSchema())
+	if err != nil {
+		t.Fatalf("CreateTable: %v", err)
+	}
+	if _, err := tb.CreateIndex("by_id", []string{"id"}); err != nil {
+		t.Fatalf("CreateIndex: %v", err)
+	}
+	var b Batch
+	for i := 0; i < rows; i++ {
+		b.Insert(pinleakRow(i))
+	}
+	if _, err := tb.Apply(&b); err != nil {
+		t.Fatalf("bulk Apply: %v", err)
+	}
+	if err := e.Close(); err != nil {
+		t.Fatalf("Close (build): %v", err)
+	}
+
+	inner, err := storage.NewFileDisk(path, 1024)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fd := storage.NewFaultDisk(inner, storage.FaultPlan{})
+	e2, err := NewEngine(Options{PageSize: 1024, BufferPoolPages: 64, Path: path, WAL: true, Disk: fd})
+	if err != nil {
+		t.Fatalf("NewEngine (fault): %v", err)
+	}
+	defer e2.Close()
+	tb2, err := e2.Table("t")
+	if err != nil {
+		t.Fatalf("Table: %v", err)
+	}
+	ix, err := tb2.Index("by_id")
+	if err != nil {
+		t.Fatalf("Index: %v", err)
+	}
+	serialCur, err := ix.Query()
+	if err != nil {
+		t.Fatalf("serial Query: %v", err)
+	}
+	serial, _, _ := drainKeys(t, serialCur)
+	if len(serial) != rows {
+		t.Fatalf("serial scan served %d rows, want %d", len(serial), rows)
+	}
+	inSerial := make(map[string]bool, rows)
+	for _, k := range serial {
+		inSerial[string(k)] = true
+	}
+	baseline := runtime.NumGoroutine()
+
+	for _, depth := range []int64{32, 64, 128, 256, 512, 1024} {
+		for _, mode := range []MergeMode{MergeOrdered, MergeUnordered} {
+			for _, lim := range []int{0, limit} {
+				name := fmt.Sprintf("depth=%d/mode=%v/limit=%d", depth, mode, lim)
+				fd.Rearm(storage.FaultPlan{Op: storage.FaultRead, After: depth})
+				var keys [][]byte
+				cur, err := ix.Query(WithParallel(4), WithMergeMode(mode), WithLimit(lim))
+				if err == nil { // the fault can fire while Query plans the segments
+					for cur.Next() {
+						keys = append(keys, append([]byte(nil), cur.Key()...))
+					}
+					err = cur.Err()
+					cur.Close()
+				}
+				want := rows
+				if lim > 0 {
+					want = lim
+				}
+				if err != nil && !errors.Is(err, storage.ErrInjected) {
+					t.Fatalf("%s: error does not wrap storage.ErrInjected: %v", name, err)
+				}
+				if err == nil && len(keys) != want {
+					t.Fatalf("%s: served %d of %d rows with no error", name, len(keys), want)
+				}
+				if mode == MergeOrdered {
+					for i, k := range keys {
+						if !bytes.Equal(k, serial[i]) {
+							t.Fatalf("%s: row %d is key %x, want %x: not a prefix of the serial scan", name, i, k, serial[i])
+						}
+					}
+				} else {
+					seen := make(map[string]bool, len(keys))
+					for _, k := range keys {
+						if seen[string(k)] || !inSerial[string(k)] {
+							t.Fatalf("%s: key %x served twice or never stored", name, k)
+						}
+						seen[string(k)] = true
+					}
+				}
+				if lim == 0 && fd.Fired() && err == nil {
+					t.Fatalf("%s: the fault fired and the full-range cursor reported nothing", name)
+				}
+				if pins := e2.Pool().PinnedFrames(); pins != 0 {
+					t.Fatalf("%s: %d frames still pinned after Close", name, pins)
+				}
+				n := runtime.NumGoroutine()
+				for deadline := time.Now().Add(5 * time.Second); n > baseline && time.Now().Before(deadline); n = runtime.NumGoroutine() {
+					time.Sleep(time.Millisecond)
+				}
+				if n > baseline {
+					t.Fatalf("%s: %d goroutines after Close, %d before the scans", name, n, baseline)
+				}
+			}
+		}
 	}
 }

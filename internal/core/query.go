@@ -129,22 +129,26 @@ func WithCachePolicy(p CachePolicy) QueryOption {
 	return func(c *queryConfig) { c.policy = p }
 }
 
-// WithParallel executes an index range scan as per-subtree segments on
-// n workers, each driving its own pinned-frame cursor and emitting
+// WithParallel executes an index range scan as per-subtree segments —
+// about four per worker, claimed by min(n, segments) workers in plan
+// order — each worker driving its own pinned-frame cursor and emitting
 // vectorized row blocks. n ≤ 1 keeps the serial path. Results arrive
-// in key order by default (loser-tree merge over segment heads); pass
-// WithMergeMode(MergeUnordered) to interleave for maximum throughput.
-// Parallel scans require an index and forward iteration; WithLimit
-// still bounds the row count (under MergeUnordered the limited prefix
-// is whichever rows arrived first). See Cursor.SegmentStats for
-// per-segment accounting.
+// in key order by default (the cursor reads the segments' streams in
+// plan order); pass WithMergeMode(MergeUnordered) to interleave for
+// maximum throughput. Parallel scans require an index and forward
+// iteration; WithLimit still bounds the row count (under
+// MergeUnordered the limited prefix is whichever rows arrived first).
+// A read error ends the cursor: an ordered one has then served a key
+// prefix of the range. See Cursor.SegmentStats for per-segment
+// accounting.
 func WithParallel(n int) QueryOption {
 	return func(c *queryConfig) { c.parallel = n }
 }
 
 // WithMergeMode selects how a parallel query's segment streams combine:
-// MergeOrdered (default) or MergeUnordered. No effect on serial
-// queries.
+// MergeOrdered (default, one stream per segment read in plan order) or
+// MergeUnordered (one fan-in stream). Both modes run the same plan on
+// the same workers. No effect on serial queries.
 func WithMergeMode(m MergeMode) QueryOption {
 	return func(c *queryConfig) { c.merge = m }
 }

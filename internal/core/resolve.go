@@ -348,38 +348,39 @@ type segRunner struct {
 
 func newSegRunner() *segRunner { return &segRunner{cancel: make(chan struct{})} }
 
-// spawn runs fn on its own goroutine, keeping its error.
-func (sr *segRunner) spawn(fn func() error) {
-	sr.wg.Add(1)
-	go func() {
-		defer sr.wg.Done()
-		if err := fn(); err != nil {
-			sr.errMu.Lock()
-			if sr.err == nil {
-				sr.err = err
-			}
-			sr.errMu.Unlock()
-		}
-	}()
-}
-
-// claim spawns workers goroutines that take segments 0..n-1 in claim
+// claim starts workers goroutines that take segments 0..n-1 in claim
 // order — oversubscribed plans even out segment-size skew this way —
 // each until none is left, its fn fails, or the runner is stopped.
 func (sr *segRunner) claim(workers, n int, fn func(w, si int) error) {
+	sr.wg.Add(workers)
 	for w := 0; w < workers; w++ {
-		sr.spawn(func() error {
+		go func() {
+			defer sr.wg.Done()
 			for {
 				si := int(sr.next.Add(1)) - 1
 				if si >= n || sr.stopped() {
-					return nil
+					return
 				}
 				if err := fn(w, si); err != nil {
-					return err
+					sr.keep(err)
+					return
 				}
 			}
-		})
+		}()
 	}
+}
+
+// keep records err unless an earlier error was kept. A nil err is a
+// no-op.
+func (sr *segRunner) keep(err error) {
+	if err == nil {
+		return
+	}
+	sr.errMu.Lock()
+	if sr.err == nil {
+		sr.err = err
+	}
+	sr.errMu.Unlock()
 }
 
 // stop tells the workers their consumer is gone. Idempotent.
@@ -394,7 +395,7 @@ func (sr *segRunner) stopped() bool {
 	}
 }
 
-// wait blocks until every spawned goroutine has returned and reports
+// wait blocks until every worker has returned and reports
 // the first error any of them hit.
 func (sr *segRunner) wait() error {
 	sr.wg.Wait()

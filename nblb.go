@@ -230,9 +230,9 @@ var (
 	// WithParallel executes an index range scan as per-subtree segments
 	// on n workers with vectorized row blocks (n ≤ 1 = serial).
 	WithParallel = core.WithParallel
-	// WithMergeMode picks MergeOrdered (loser-tree, global key order,
-	// the default) or MergeUnordered (channel fan-in, max throughput)
-	// for parallel scans.
+	// WithMergeMode picks MergeOrdered (global key order, the default:
+	// segments read in plan order) or MergeUnordered (channel fan-in,
+	// max throughput) for parallel scans.
 	WithMergeMode = core.WithMergeMode
 )
 
@@ -258,7 +258,8 @@ type MergeMode = core.MergeMode
 
 // Merge modes for WithMergeMode.
 const (
-	// MergeOrdered serves rows in global key order (loser-tree merge).
+	// MergeOrdered serves rows in global key order (segments in plan
+	// order).
 	MergeOrdered = core.MergeOrdered
 	// MergeUnordered interleaves segment blocks as workers finish them.
 	MergeUnordered = core.MergeUnordered
