@@ -77,7 +77,7 @@ var rules = []rule{
 	{in: "scan/points", metric: "leaf_fetches", at: "mode=cursor-cache-first-reverse", vs: sibling, ref: "points", refAt: "mode=cursor-cache-first", op: "=", factor: 1, why: "reverse and forward scans must fetch the same leaves (doubly linked leaves)"},
 	{in: "scan/parallel", metric: "speedup_vs_serial", at: "segments=4 mode=unordered", op: ">", slack: 1, cpus: "segments", why: "four unordered segments on four CPUs must beat the serial scan outright"},
 	{in: "scan/parallel", metric: "allocs_per_row", vs: baseline, op: "≤", factor: 1, slack: 0.5, why: "a parallel scan leg allocates more per row (block pooling regressed)"},
-	{in: "write/batch_points", metric: "batched_ops_per_sec", vs: field, ref: "one_row_ops_per_sec", op: "≥", factor: 1, why: "batched Apply must never lose to one-row inserts of the same rows (fewer descents, latches, shard locks)"},
+	{in: "write/batch_points", metric: "batched_ops_per_sec", vs: field, ref: "one_row_ops_per_sec", op: "≥", factor: 1, why: "batched Apply must never lose to one-row inserts of the same rows (fewer descents, latches, heap-lock acquisitions)"},
 	{in: "write/durable_points", metric: "ops_per_fsync", vs: top, ref: "durable_batch_size", op: "≥", factor: 1, why: "group commit fsyncs at most once per Apply, so an fsync covers at least one batch"},
 	{in: "write/durable_points", metric: "sync_none_ops_per_sec", best: true, vs: field, ref: "nondurable_ops_per_sec", op: "≥", factor: 0.90, why: "logging without commit-path fsyncs must stay within 10% of the WAL-off engine's best"},
 	{in: "write/txn_points", metric: "txn_ops_per_sec", at: "goroutines=1", vs: field, ref: "raw_ops_per_sec", op: "≥", factor: 0.25, why: "an uncontended transaction must keep a quarter of raw batched throughput (else the commit path picked up accidental work)"},

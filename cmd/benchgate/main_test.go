@@ -125,7 +125,7 @@ var violations = map[string]func(s sides){
 	"a parallel scan leg allocates more per row (block pooling regressed)": func(s sides) {
 		set(s.fresh["scan"], "parallel.1.allocs_per_row", 0.6)
 	},
-	"batched Apply must never lose to one-row inserts of the same rows (fewer descents, latches, shard locks)": func(s sides) {
+	"batched Apply must never lose to one-row inserts of the same rows (fewer descents, latches, heap-lock acquisitions)": func(s sides) {
 		set(s.fresh["write"], "batch_points.0.batched_ops_per_sec", 499.0)
 	},
 	"group commit fsyncs at most once per Apply, so an fsync covers at least one batch": func(s sides) {

@@ -29,7 +29,7 @@ func main() {
 	}
 
 	// Bulk ingest goes through the unified Batch API: heap placement in
-	// shard-affine runs, index entries applied in leaf-grouped sorted
+	// one run under one lock, index entries applied in leaf-grouped sorted
 	// runs — one descent per leaf run instead of per row. (One-row
 	// users.Insert still works; it is a one-op batch underneath.)
 	var batch nblb.Batch

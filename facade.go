@@ -76,7 +76,7 @@ type VerticalTable = vertical.VerticalTable
 type VerticalCursor = vertical.Cursor
 
 // NewVerticalTable materializes a split on the engine. opts apply to
-// every group table (heap insert shards, fill factor, …). Bulk ingest
+// every group table (append-only heap, heap fill factor). Bulk ingest
 // should use VerticalTable.InsertBatch, which fans one logical batch
 // out as one leaf-grouped batch per group.
 func NewVerticalTable(e *Engine, name string, schema *Schema, pkField string, groups [][]string, opts ...TableOption) (*VerticalTable, error) {

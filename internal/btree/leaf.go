@@ -17,7 +17,6 @@ type Leaf struct {
 	fr        *buffer.Frame
 	n         node
 	exclusive bool
-	dirty     bool
 }
 
 // PageID returns the leaf's page id.
@@ -111,10 +110,6 @@ func (l *Leaf) StablePoint() int {
 // key out of the page.
 func (l *Leaf) Covers(key []byte) bool { return l.n.covers(key) }
 
-// MarkDirty flags the page for write-back. Regular index maintenance
-// uses it; cache operations never do.
-func (l *Leaf) MarkDirty() { l.dirty = true }
-
 // leafPool recycles Leaf views: &Leaf{} escapes to the heap via the
 // visitor closure, and VisitLeaf runs once per point lookup.
 var leafPool = sync.Pool{New: func() any { return new(Leaf) }}
@@ -123,9 +118,10 @@ var leafPool = sync.Pool{New: func() any { return new(Leaf) }}
 // latch is acquired — during the read-coupled descent, before the
 // parent's latch is dropped — exclusively if that succeeds without
 // blocking (enabling cache writes), otherwise shared; fn must check
-// Leaf.Exclusive before mutating. The page is unpinned dirty only if fn
-// called MarkDirty. The Leaf is recycled after fn returns; fn must not
-// retain it. Writers to other leaves proceed concurrently with fn.
+// Leaf.Exclusive before mutating. The page is unpinned clean: what fn
+// writes is volatile, like every cache write. The Leaf is recycled
+// after fn returns; fn must not retain it. Writers to other leaves
+// proceed concurrently with fn.
 func (t *Tree) VisitLeaf(key []byte, fn func(l *Leaf)) error {
 	fr, exclusive, err := t.descendLatched(func(n node) storage.PageID {
 		return storage.PageID(n.childFor(key))
@@ -141,10 +137,9 @@ func (t *Tree) VisitLeaf(key []byte, fn func(l *Leaf)) error {
 	} else {
 		fr.Latch.RUnlock()
 	}
-	dirty := l.dirty
 	*l = Leaf{}
 	leafPool.Put(l)
-	t.pool.Unpin(fr, dirty)
+	t.pool.Unpin(fr, false)
 	return nil
 }
 
@@ -175,7 +170,7 @@ func (t *Tree) VisitAllLeaves(fn func(l *Leaf) bool) error {
 		} else {
 			fr.Latch.RUnlock()
 		}
-		t.pool.Unpin(fr, l.dirty)
+		t.pool.Unpin(fr, false)
 		if !cont {
 			return nil
 		}

@@ -68,8 +68,8 @@ type Frame struct {
 // ID returns the page id held by this frame.
 func (f *Frame) ID() storage.PageID { return f.id }
 
-// Data returns the page buffer. Mutating it without a subsequent
-// MarkDirty produces a volatile, cache-style change.
+// Data returns the page buffer. Mutating it and unpinning the frame
+// clean produces a volatile, cache-style change.
 func (f *Frame) Data() []byte { return f.data }
 
 // Stats is a snapshot of pool counters.

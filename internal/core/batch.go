@@ -230,8 +230,8 @@ func (t *Table) Apply(b *Batch, opts ...ApplyOption) (Result, error) {
 // overwritten; the returned error is res.Err.
 //
 // Like every table write, it holds the table mutex only shared (to
-// pin the index set): parallel Applies contend per heap shard and per
-// index leaf, never on the table.
+// pin the index set): parallel Applies contend on the heap's insert
+// mutex and per index leaf, never on the table.
 //
 // nblb:commit-entry — the audited mutate+log-append critical section.
 func (t *Table) ApplyInto(res *Result, b *Batch, opts ...ApplyOption) error {
@@ -556,9 +556,9 @@ func (p *pipeline) failRun(ix *Index, err error) {
 //  2. Index deletes: delete ops' entries, one key-sorted leaf-grouped
 //     run (btree.Tree.ApplyRun) per index — entries leave the indexes
 //     before their heap rows die, so readers cannot chase a freed RID.
-//  3. Heap: deletes and updates per RID, then every new record through
-//     the sharded heap in one shard-affine run (heap.File.InsertRun)
-//     under one shard-mutex acquisition instead of one per row.
+//  3. Heap: deletes and updates per RID, then every new record in one
+//     run (heap.File.InsertRun) under one acquisition of the heap's
+//     insert mutex instead of one per row.
 //  4. Index upserts (inserts, update key moves and relocations), again
 //     one key-sorted run per index: one crabbed descent and one
 //     exclusive leaf latch per leaf run instead of per key.

@@ -7,7 +7,6 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"runtime"
 	"testing"
 
 	"repro/internal/tuple"
@@ -72,13 +71,6 @@ func TestReopenCatalogSpec(t *testing.T) {
 			}
 			if !reflect.DeepEqual(ix2.spec, ix.spec) {
 				t.Errorf("%s: index spec %+v, created %+v", how, ix2.spec, ix.spec)
-			}
-			want := min(8, runtime.GOMAXPROCS(0))
-			if tbl.spec.AppendOnly {
-				want = 1
-			}
-			if got := tbl2.file.InsertShards(); got != want {
-				t.Errorf("%s: %q heap has %d insert shards, want %d", how, c.name, got, want)
 			}
 			if tbl2.Rows() != 50 {
 				t.Errorf("%s: %q has %d rows, want 50", how, c.name, tbl2.Rows())

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 	"testing"
 
@@ -148,25 +147,18 @@ func TestConcurrentInsertsDisjointTables(t *testing.T) {
 
 // TestParallelIngest drives concurrent Table.Insert goroutines through
 // a table with a cached unique index — the end-to-end parallel-ingest
-// path: sharded heap placement feeding latch-crabbing index
-// maintenance, with no stage serialized on a table-wide lock. Every
-// row must be findable afterwards and the index structurally intact.
-// The table is created under GOMAXPROCS=4, so its heap has four shards
-// and the multi-shard heap path is exercised even on a 1-CPU runner.
+// path: heap placement feeding latch-crabbing index maintenance, with
+// no stage serialized on a table-wide lock. Every row must be findable
+// afterwards and the index structurally intact.
 func TestParallelIngest(t *testing.T) {
 	e, err := NewEngine(Options{PageSize: 1024, BufferPoolPages: 4096})
 	if err != nil {
 		t.Fatalf("NewEngine: %v", err)
 	}
 	defer e.Close()
-	prev := runtime.GOMAXPROCS(4)
 	tb, err := e.CreateTable("page", pagesSchema())
-	runtime.GOMAXPROCS(prev)
 	if err != nil {
 		t.Fatalf("CreateTable: %v", err)
-	}
-	if got := tb.Heap().InsertShards(); got != 4 {
-		t.Fatalf("heap has %d insert shards, want 4", got)
 	}
 	ix, err := tb.CreateIndex("name_title", []string{"namespace", "title"},
 		WithCache("latest_rev"), WithCacheSeed(1))
@@ -223,34 +215,5 @@ func TestParallelIngest(t *testing.T) {
 	}
 	if pins := e.Pool().PinnedFrames(); pins != 0 {
 		t.Errorf("%d pinned frames after quiesce, want 0", pins)
-	}
-}
-
-// TestHeapInsertShardsPlumbing checks that a table's heap gets
-// min(8, GOMAXPROCS) insert shards, and that append-only tables stay
-// single-tailed.
-func TestHeapInsertShardsPlumbing(t *testing.T) {
-	e, err := NewEngine(Options{PageSize: 1024, BufferPoolPages: 256})
-	if err != nil {
-		t.Fatalf("NewEngine: %v", err)
-	}
-	defer e.Close()
-	auto, err := e.CreateTable("auto", pagesSchema())
-	if err != nil {
-		t.Fatalf("CreateTable: %v", err)
-	}
-	want := runtime.GOMAXPROCS(0)
-	if want > 8 {
-		want = 8
-	}
-	if got := auto.Heap().InsertShards(); got != want {
-		t.Errorf("automatic: %d shards, want min(8, GOMAXPROCS)=%d", got, want)
-	}
-	ao, err := e.CreateTable("ao", pagesSchema(), WithAppendOnlyHeap())
-	if err != nil {
-		t.Fatalf("CreateTable: %v", err)
-	}
-	if got := ao.Heap().InsertShards(); got != 1 {
-		t.Errorf("append-only table: %d shards, want 1", got)
 	}
 }

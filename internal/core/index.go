@@ -377,15 +377,6 @@ func (ix *Index) Unique() bool { return ix.unique }
 // is the index's own, shared by every caller: it must not be modified.
 func (ix *Index) KeyFieldNames() []string { return ix.spec.KeyFields }
 
-// CachedFieldNames returns the names of the cached fields in order.
-func (ix *Index) CachedFieldNames() []string {
-	names := make([]string, len(ix.cachedFields))
-	for i, pos := range ix.cachedFields {
-		names[i] = ix.table.schema.Field(pos).Name
-	}
-	return names
-}
-
 // entryKey builds the stored key for a row: the encoded key fields,
 // plus the packed RID for non-unique indexes (disambiguation suffix).
 func (ix *Index) entryKey(row tuple.Row, rid storage.RID) ([]byte, error) {

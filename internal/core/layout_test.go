@@ -6,7 +6,6 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"runtime"
 	"testing"
 
 	"repro/internal/storage"
@@ -208,9 +207,7 @@ func TestReopenGrowingUpdateRelocates(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer e.Close()
-	prev := runtime.GOMAXPROCS(1) // a one-shard heap
 	tbl, err := e.CreateTable("wide", wideSchema())
-	runtime.GOMAXPROCS(prev)
 	if err != nil {
 		t.Fatal(err)
 	}

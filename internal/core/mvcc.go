@@ -47,8 +47,8 @@ import (
 // GC: watermark = min(active snapshot startTS), else the clock. A
 // version with dead ≤ watermark is invisible to every live and future
 // snapshot (future snaps start ≥ clock ≥ watermark), so it is removed
-// physically — heap row first (freed space returns to the per-shard
-// free-space maps), then its index entries, then its meta. That order
+// physically — heap row first (freed space returns to the heap's
+// free-space map), then its index entries, then its meta. That order
 // makes the prune safe against concurrent readers: while the row still
 // exists its meta exists, so no reader can resolve it as visible; after
 // the row is gone a stale resolve hits storage.ErrDeleted and skips.

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"runtime"
 	"strings"
 	"testing"
 
@@ -33,7 +32,7 @@ func redoRow(id, tag int64, name string) tuple.Row {
 }
 
 // newRedoTable opens a WAL engine that never checkpoints on its own,
-// with a one-shard table indexed uniquely by id and non-uniquely by tag.
+// with a table indexed uniquely by id and non-uniquely by tag.
 func newRedoTable(t *testing.T, dir string) (*Engine, *Table) {
 	t.Helper()
 	e, err := NewEngine(noCheckpointOptions(dir))
@@ -41,9 +40,7 @@ func newRedoTable(t *testing.T, dir string) (*Engine, *Table) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { e.Close() })
-	prev := runtime.GOMAXPROCS(1) // a one-shard heap
 	tbl, err := e.CreateTable("t", redoSchema())
-	runtime.GOMAXPROCS(prev)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 
 	"repro/internal/tuple"
@@ -15,6 +16,68 @@ func walTestOptions(dir string) Options {
 		PageSize:        4096,
 		BufferPoolPages: 256,
 		WAL:             true,
+	}
+}
+
+// TestSyncPolicies commits one-row Applies from 8 writers under each
+// SyncPolicy and checks the log's counters around them: SyncAlways
+// fsyncs once per append, group commit at least once and at most once
+// per append, SyncNone never.
+func TestSyncPolicies(t *testing.T) {
+	const (
+		writers   = 8
+		perWriter = 10 // 80 rows: below the layout sample, so no adoption record
+	)
+	for _, tc := range []struct {
+		name   string
+		policy SyncPolicy
+		ok     func(appends, syncs int64) bool
+	}{
+		{"always", SyncAlways, func(a, s int64) bool { return s == a }},
+		{"group_commit", SyncGroupCommit, func(a, s int64) bool { return 1 <= s && s <= a }},
+		{"none", SyncNone, func(a, s int64) bool { return s == 0 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			opts := noCheckpointOptions(t.TempDir())
+			opts.SyncPolicy = tc.policy
+			e, err := NewEngine(opts)
+			if err != nil {
+				t.Fatalf("NewEngine: %v", err)
+			}
+			defer e.Close()
+			tb, err := e.CreateTable("t", reopenSchema(t))
+			if err != nil {
+				t.Fatal(err)
+			}
+			before := e.WALStats()
+			var wg sync.WaitGroup
+			errs := make(chan error, writers)
+			for w := 0; w < writers; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					for i := 0; i < perWriter; i++ {
+						if _, err := tb.Insert(reopenRow(w*perWriter + i)); err != nil {
+							errs <- err
+							return
+						}
+					}
+				}(w)
+			}
+			wg.Wait()
+			close(errs)
+			for err := range errs {
+				t.Fatal(err)
+			}
+			after := e.WALStats()
+			appends, syncs := after.Appends-before.Appends, after.Syncs-before.Syncs
+			if appends != writers*perWriter {
+				t.Errorf("%d appends, want one per Apply (%d)", appends, writers*perWriter)
+			}
+			if !tc.ok(appends, syncs) {
+				t.Errorf("%d syncs for %d appends", syncs, appends)
+			}
+		})
 	}
 }
 

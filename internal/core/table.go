@@ -110,9 +110,7 @@ func (t *Table) countEscapes(rec []byte, esc uint64) {
 
 // openTable builds the table spec defines over the heap pages hold (nil:
 // a new, empty heap). CreateTable, WAL replay and manifest reopen all
-// build tables here. The heap has min(8, GOMAXPROCS) insert shards, or one
-// when append-only; the count only decides where new rows land, so a
-// heap reopened on another machine reads and redoes the same pages.
+// build tables here.
 func openTable(e *Engine, spec tableSpec, pages []storage.PageID) (*Table, error) {
 	// The table adopts a record layout on its schema (layout.go): it owns
 	// the schema built here, so two tables never share one.
@@ -183,13 +181,12 @@ func (t *Table) Index(name string) (*Index, error) {
 // costs this wrapper pays in full.
 //
 // Insert is safe for concurrent use, and no stage of it serializes on
-// a table-wide lock: the heap placement rides the heap file's sharded
-// insert path (each inserting goroutine is affine to one of the heap's
-// insert shards, see openTable), and index maintenance rides
-// the B+Tree's latch-crabbing write path, so parallel inserters contend
-// per heap shard and per leaf page rather than per table. t.mu is only
-// held shared, to pin the index set — it does not serialize writers
-// against each other.
+// a table-wide lock: the heap placement holds the heap file's insert
+// mutex only while it places, and index maintenance rides the B+Tree's
+// latch-crabbing write path, so parallel inserters contend on the heap
+// lane and per leaf page rather than per table. t.mu is only held
+// shared, to pin the index set — it does not serialize writers against
+// each other.
 func (t *Table) Insert(row tuple.Row) (storage.RID, error) {
 	var b Batch
 	b.Insert(row)

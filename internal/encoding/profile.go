@@ -53,10 +53,6 @@ func NewColumnProfile(f tuple.Field) *ColumnProfile {
 	}
 }
 
-// Distinct returns the number of distinct non-null values seen, valid
-// only when DistinctOverflow is false.
-func (p *ColumnProfile) Distinct() int { return len(p.distinct) }
-
 // Observe feeds one value into the profile.
 func (p *ColumnProfile) Observe(v tuple.Value) {
 	p.Rows++

@@ -46,9 +46,9 @@ func DefaultWriteConfig() WriteConfig {
 
 // BatchPoint is one (goroutine count, batch size) cell of the
 // Apply-vs-one-row table-ingest sweep. Both variants drive the full
-// stack — encode, sharded heap, unique index — over ascending
-// per-worker key ranges; the batched side goes through Table.Apply
-// (shard-affine heap runs + leaf-grouped index runs), the one-row side
+// stack — encode, heap, unique index — over ascending per-worker key
+// ranges; the batched side goes through Table.Apply (one heap run per
+// batch + leaf-grouped index runs), the one-row side
 // through Table.Insert per row.
 type BatchPoint struct {
 	Goroutines       int     `json:"goroutines"`

@@ -11,9 +11,9 @@ import (
 	"repro/internal/storage"
 )
 
-// newShardedFile builds a file with an explicit shard count on a
-// generous pool, so shard behavior is tested regardless of GOMAXPROCS.
-func newShardedFile(t *testing.T, shards int, opts ...Option) *File {
+// newChurnFile builds a file of 1 KiB pages on a pool that never evicts
+// in these tests.
+func newChurnFile(t *testing.T, opts ...Option) *File {
 	t.Helper()
 	disk, err := storage.NewMemDisk(1024)
 	if err != nil {
@@ -23,7 +23,7 @@ func newShardedFile(t *testing.T, shards int, opts ...Option) *File {
 	if err != nil {
 		t.Fatalf("NewPool: %v", err)
 	}
-	f, err := NewFile(pool, append([]Option{WithInsertShards(shards)}, opts...)...)
+	f, err := NewFile(pool, opts...)
 	if err != nil {
 		t.Fatalf("NewFile: %v", err)
 	}
@@ -31,21 +31,17 @@ func newShardedFile(t *testing.T, shards int, opts ...Option) *File {
 }
 
 // TestHeapShardedChurn drives concurrent Insert/Delete/Update traffic
-// against the per-shard free-space maps and then verifies the survivors
-// against per-goroutine models: no RID lost or corrupted, no RID handed
-// to two owners, byte accounting in Stats exact, and the fill-factor
-// budget honored on every page. Run under -race this also exercises the
-// shard-mutex / frame-latch / meta ordering.
+// through the insert lane and then verifies the survivors against
+// per-goroutine models: no RID lost or corrupted, no RID handed to two
+// owners, and byte accounting in Stats exact. Run under -race this also
+// exercises the insert-mutex / frame-latch / meta ordering.
 func TestHeapShardedChurn(t *testing.T) {
 	const (
 		workers    = 8
 		opsPerG    = 2500
 		fillFactor = 0.8
 	)
-	f := newShardedFile(t, 4, WithFillFactor(fillFactor))
-	if got := f.InsertShards(); got != 4 {
-		t.Fatalf("InsertShards() = %d, want 4", got)
-	}
+	f := newChurnFile(t, WithFillFactor(fillFactor))
 
 	models := make([]map[storage.RID][]byte, workers)
 	var wg sync.WaitGroup
@@ -161,7 +157,7 @@ func TestHeapShardedChurn(t *testing.T) {
 // its budget — two inserters racing into one page must not overshoot.
 func TestHeapShardedBudget(t *testing.T) {
 	const fillFactor = 0.8
-	f := newShardedFile(t, 4, WithFillFactor(fillFactor))
+	f := newChurnFile(t, WithFillFactor(fillFactor))
 	var wg sync.WaitGroup
 	errCh := make(chan error, 8)
 	for w := 0; w < 8; w++ {
@@ -208,15 +204,14 @@ func TestHeapShardedBudget(t *testing.T) {
 	}
 }
 
-// TestHeapCrossShardReuse pins down the fallback path: space freed in
-// pages owned by other shards must be found and refilled before the
-// file grows, even though the deleting and reinserting goroutine is
-// affine to a single shard.
+// TestHeapCrossShardReuse: space freed anywhere in the file must be
+// found and refilled before the file grows, whichever goroutine filled
+// the pages and whichever frees them.
 func TestHeapCrossShardReuse(t *testing.T) {
 	const rec = 100
-	f := newShardedFile(t, 4)
+	f := newChurnFile(t)
 
-	// Phase 1: parallel ingest spreads page ownership across shards.
+	// Phase 1: four goroutines fill the file in parallel.
 	var wg sync.WaitGroup
 	rids := make([][]storage.RID, 4)
 	errCh := make(chan error, 4)
@@ -241,8 +236,7 @@ func TestHeapCrossShardReuse(t *testing.T) {
 	}
 
 	// Phase 2: one goroutine deletes everything, then reinserts the
-	// same volume. Its home shard does not own most of the freed pages,
-	// so reuse requires the cross-shard fallback.
+	// same volume into the pages it emptied.
 	for _, rs := range rids {
 		for _, rid := range rs {
 			if err := f.Delete(rid); err != nil {
@@ -256,23 +250,20 @@ func TestHeapCrossShardReuse(t *testing.T) {
 			t.Fatalf("re-Insert %d: %v", i, err)
 		}
 	}
-	if grew := f.NumPages() - pagesBefore; grew > f.InsertShards() {
-		t.Errorf("freed space not reused across shards: file grew by %d pages (%d → %d)",
-			grew, pagesBefore, f.NumPages())
+	if got := f.NumPages(); got != pagesBefore {
+		t.Errorf("freed space not reused: file grew from %d to %d pages", pagesBefore, got)
 	}
 }
 
-// TestHeapShardedIngestPacks counts what sharding costs in space: after
-// g concurrent writers insert the same fixed-size records, the file is
-// at most one partially filled tail page per insert shard larger than a
-// perfectly packed one. Pages repeat from run to run; throughput would
-// not.
+// TestHeapShardedIngestPacks counts what concurrent ingest costs in
+// space: after g concurrent writers insert the same fixed-size records,
+// the file is at most one page larger than a perfectly packed one.
+// Pages repeat from run to run; throughput would not.
 func TestHeapShardedIngestPacks(t *testing.T) {
 	const (
 		pageSize = 8192
 		records  = 20000
 		size     = 64
-		shards   = 8
 	)
 	// One record's footprint (record + slot entry) against an empty
 	// page's usable bytes gives the packed file size.
@@ -292,7 +283,7 @@ func TestHeapShardedIngestPacks(t *testing.T) {
 		if err != nil {
 			t.Fatalf("NewPool: %v", err)
 		}
-		f, err := NewFile(pool, WithInsertShards(shards))
+		f, err := NewFile(pool)
 		if err != nil {
 			t.Fatalf("NewFile: %v", err)
 		}
@@ -317,21 +308,12 @@ func TestHeapShardedIngestPacks(t *testing.T) {
 		for err := range errCh {
 			t.Fatal(err)
 		}
-		if got, limit := f.NumPages(), packed+f.InsertShards(); got > limit {
-			t.Errorf("g=%d: %d pages, want ≤ %d (packed %d + one tail page per shard)", g, got, limit, packed)
+		if got := f.NumPages(); got > packed+1 {
+			t.Errorf("g=%d: %d pages, want ≤ %d (packed + 1)", g, got, packed+1)
 		}
 		if err := pool.Close(); err != nil {
 			t.Fatalf("Close: %v", err)
 		}
-	}
-}
-
-// TestHeapAppendOnlyForcesSingleShard: append-only placement has one
-// global tail by definition, so the shard option must be overridden.
-func TestHeapAppendOnlyForcesSingleShard(t *testing.T) {
-	f := newShardedFile(t, 4, AppendOnly())
-	if got := f.InsertShards(); got != 1 {
-		t.Errorf("append-only file has %d insert shards, want 1", got)
 	}
 }
 

@@ -1,29 +1,24 @@
 // Package heap implements heap files: unordered collections of records
-// stored in slotted pages, addressed by RID, with in-memory free-space
-// maps for insert placement.
+// stored in slotted pages, addressed by RID, with an in-memory
+// free-space map for insert placement.
 //
-// The insert path is sharded. A file owns N insert shards, each with
-// its own mutex, tail page, and free-space map (pages bucketed by
-// remaining insert budget), so parallel inserters contend per shard
-// rather than per file. Goroutines are routed to shards with an
-// affinity hint (see shardHint); a shard that cannot satisfy an insert
-// falls back to its siblings' free space before extending the file, so
-// space freed by deletes is reused no matter which shard owns it.
+// Inserts go through one lane: a mutex, a free-space map (pages
+// bucketed by remaining insert budget), a tail page and a hot page.
+// Every insert, and every InsertRun, holds the lane's mutex while it
+// places; the bucketed map keeps each pick O(1), and space freed by
+// deletes anywhere in the file feeds the next insert.
 //
 // The default placement policy refills freed space anywhere in the
 // file. AppendOnly forces the append-biased policy ("append to table")
 // the paper criticizes in Section 3.1 — tuple placement follows
-// insertion order, not access pattern, so hot tuples end up scattered —
-// which needs a single global tail and therefore a single shard.
+// insertion order, not access pattern, so hot tuples end up scattered.
 // internal/partition implements the paper's fix on top of this layer
 // (delete + re-append clustering and hot/cold partitions).
 package heap
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/buffer"
 	"repro/internal/storage"
@@ -37,22 +32,22 @@ const pageFlagHeap uint16 = 0x48 // 'H'
 // rarely sends an insert to a page that then refuses it.
 const slotOverhead = 8
 
-// fsmBuckets is the number of free-space buckets per shard. Pages are
-// bucketed by advisory free bytes in units of budget/fsmBuckets, so a
-// pick scans at most a handful of candidates instead of every page.
-// The bucket width bounds the reclaim granularity: freed space smaller
-// than one quantum (budget/64 — 128B on the default 8KiB pages) may
-// sit in the bottom bucket among genuinely full pages where only the
-// boundary probes can find it, so fine buckets keep the strandable
-// slack per page small (PostgreSQL's FSM makes the same trade at 1/256
+// fsmBuckets is the number of free-space buckets. Pages are bucketed
+// by advisory free bytes in units of budget/fsmBuckets, so a pick scans
+// at most a handful of candidates instead of every page. The bucket
+// width bounds the reclaim granularity: freed space smaller than one
+// quantum (budget/64 — 128B on the default 8KiB pages) may sit in the
+// bottom bucket among genuinely full pages where only the boundary
+// probes can find it, so fine buckets keep the strandable slack per
+// page small (PostgreSQL's FSM makes the same trade at 1/256
 // granularity).
 const fsmBuckets = 64
 
-// freeSpaceMap tracks the advisory insertable bytes of the pages one
-// insert shard owns, bucketed by remaining budget so picks are O(1).
-// Values are advisory; the slotted page is the source of truth at
-// insert time, and a failed insert corrects the entry (see File.tryPage).
-// Guarded by the owning shard's mutex.
+// freeSpaceMap tracks the advisory insertable bytes of a file's pages,
+// bucketed by remaining budget so picks are O(1). Values are advisory;
+// the slotted page is the source of truth at insert time, and a failed
+// insert corrects the entry (see File.tryPage). Guarded by the file's
+// insert mutex.
 type freeSpaceMap struct {
 	budget int // per-page insert budget (fill factor × page size)
 	free   map[storage.PageID]int
@@ -123,46 +118,20 @@ func (m *freeSpaceMap) pick(need int) (storage.PageID, bool) {
 	return storage.InvalidPageID, false
 }
 
-// insertShard is one lane of the insert path: a mutex, the shard's
-// free-space map, and the tail page it last allocated. The mutex is
-// held across the whole placement attempt (pick, fetch, page insert),
-// so two inserters in one shard never race for the same page's space.
-type insertShard struct {
-	mu   sync.Mutex // nblb:lock heap-shard
-	fsm  freeSpaceMap
-	tail storage.PageID
-	// cur is the page that accepted this shard's last insert — the hot
-	// page. Inserts try it before consulting the free-space map, so the
-	// common streak of inserts into one page skips the bucket scan.
-	cur storage.PageID
-}
-
-// shardHint is a goroutine-affinity token: a pooled pointer carrying
-// the shard a goroutine was round-robin-assigned on first insert.
-// sync.Pool is P-local, so a goroutine keeps drawing the same hint (and
-// therefore the same shard) while it runs, and concurrent inserters
-// hold distinct hints — goroutine-affine round-robin without goroutine
-// ids or per-insert atomics on a shared counter.
-type shardHint struct {
-	idx int
-}
-
-// File is a heap file. It is safe for concurrent use: see the
-// "Concurrency" section of the package documentation, and the method
-// comments for the exact contract.
+// File is a heap file. It is safe for concurrent use; the method
+// comments give the exact contract.
 //
 // Lock ordering (enforced by construction, documented in
-// ARCHITECTURE.md): a shard mutex may be held while taking a frame
+// ARCHITECTURE.md): the insert mutex may be held while taking a frame
 // latch or the meta lock; the reverse orders are forbidden — advisory
 // free-space updates after Delete/Update release the frame latch before
-// locking the owning shard, and meta is never held while a shard mutex
-// or latch is awaited.
+// taking the insert mutex, and meta is never held while the insert
+// mutex or a latch is awaited.
 type File struct {
 	pool *buffer.Pool
 
 	// appendOnly forces inserts to ignore free space in earlier pages
 	// and always fill the last page, the paper's "append to table".
-	// It implies a single insert shard (one global tail).
 	appendOnly bool
 	// fillFactor caps how full inserts pack a page (1.0 = to the brim).
 	// Reserved space serves in-place update headroom and, per the
@@ -171,21 +140,29 @@ type File struct {
 	// budget is the per-page insertable byte cap: fillFactor × page size.
 	budget int
 
-	reqShards int // WithInsertShards request; 0 = automatic
-	shards    []insertShard
-	nextShard atomic.Uint32
-	hints     sync.Pool // of *shardHint
+	// mu is the insert lane. It is held across a whole placement attempt
+	// (pick, fetch, page insert), so two inserters never race for one
+	// page's space, and it guards the fields below it.
+	mu sync.Mutex // nblb:lock heap-shard
+	// fsm holds every page of the file with its advisory insertable
+	// bytes: a page belongs to the file when it is in the map.
+	fsm freeSpaceMap
+	// tail is the page the file gained last, append-only placement's
+	// target.
+	tail storage.PageID
+	// cur is the page that accepted the last insert — the hot page.
+	// Inserts try it before consulting the free-space map, so the common
+	// streak of inserts into one page skips the bucket scan. Before the
+	// first insert it is InvalidPageID, which the map reads as full.
+	cur storage.PageID
 
-	// meta guards the file's page catalog: every page in allocation
-	// order, plus the shard that owns each page's free-space entry.
-	// Ownership never changes after allocation, so a reader may release
-	// meta before acting on what it looked up.
+	// meta guards the file's page list, in allocation order, so scans
+	// read it without waiting on the insert lane.
 	//
 	// nblb:lock heap-meta
 	meta struct {
 		sync.RWMutex
 		pages []storage.PageID
-		owner map[storage.PageID]int // page → shard index
 	}
 
 	// redoHeld keeps the redo puts that could not land at their RID
@@ -200,8 +177,7 @@ type Option func(*File)
 // AppendOnly makes inserts always go to the tail page, even when older
 // pages have free space. Clustering experiments rely on this to get the
 // paper's "relocate hot tuples by deleting then appending them to the
-// end of the table" semantics. Append-only placement needs one global
-// tail, so it forces a single insert shard, overriding WithInsertShards.
+// end of the table" semantics.
 func AppendOnly() Option {
 	return func(f *File) { f.appendOnly = true }
 }
@@ -219,82 +195,15 @@ func WithFillFactor(ff float64) Option {
 	}
 }
 
-// WithInsertShards sets the number of insert shards (n < 1 picks
-// automatically: min(8, GOMAXPROCS)). More shards admit more parallel
-// inserters at the cost of up to n partially filled tail pages.
-// Ignored under AppendOnly, which needs a single tail.
-func WithInsertShards(n int) Option {
-	return func(f *File) { f.reqShards = n }
-}
-
-// defaultInsertShards sizes the shard count to the machine: inserts
-// serialize below on the buffer pool and disk, so past a small multiple
-// of the CPU count extra shards only cost tail pages.
-func defaultInsertShards() int {
-	n := runtime.GOMAXPROCS(0)
-	if n > 8 {
-		n = 8
-	}
-	if n < 1 {
-		n = 1
-	}
-	return n
-}
-
-// NewFile creates an empty heap file in the pool's disk.
+// NewFile creates an empty heap file in the pool's disk: Open over no
+// pages.
 func NewFile(pool *buffer.Pool, opts ...Option) (*File, error) {
-	f := newShell(pool, opts...)
-	s := &f.shards[0]
-	s.mu.Lock()
-	_, err := f.addPageLocked(0)
-	s.mu.Unlock()
-	if err != nil {
-		return nil, err
-	}
-	return f, nil
+	return Open(pool, nil, opts...)
 }
 
-// newShell builds a File with options applied and shards initialized,
-// without allocating or adopting any page — shared by NewFile and the
-// recovery path's Open.
-func newShell(pool *buffer.Pool, opts ...Option) *File {
-	f := &File{
-		pool:       pool,
-		fillFactor: 1.0,
-	}
-	for _, o := range opts {
-		o(f)
-	}
-	n := f.reqShards
-	if n < 1 {
-		n = defaultInsertShards()
-	}
-	if f.appendOnly {
-		n = 1
-	}
-	f.budget = int(f.fillFactor * float64(pool.Disk().PageSize()))
-	f.shards = make([]insertShard, n)
-	for i := range f.shards {
-		f.shards[i].fsm = newFreeSpaceMap(f.budget)
-		f.shards[i].tail = storage.InvalidPageID
-		f.shards[i].cur = storage.InvalidPageID
-	}
-	f.meta.owner = make(map[storage.PageID]int)
-	f.hints.New = func() any {
-		return &shardHint{idx: int(f.nextShard.Add(1)-1) % len(f.shards)}
-	}
-	return f
-}
-
-// InsertShards returns the number of insert shards the file routes
-// across.
-func (f *File) InsertShards() int { return len(f.shards) }
-
-// addPageLocked allocates and formats a fresh heap page owned by shard
-// si, registering it in the page catalog and the shard's free-space
-// map. Caller holds shards[si].mu (taking meta while holding a shard
-// mutex is the allowed order).
-func (f *File) addPageLocked(si int) (storage.PageID, error) {
+// addPageLocked allocates and formats a fresh heap page and makes it
+// the file's tail. Caller holds f.mu.
+func (f *File) addPageLocked() (storage.PageID, error) {
 	fr, err := f.pool.NewPage()
 	if err != nil {
 		return storage.InvalidPageID, err
@@ -305,14 +214,19 @@ func (f *File) addPageLocked(si int) (storage.PageID, error) {
 	id := fr.ID()
 	free := f.advisoryFree(sp)
 	f.pool.Unpin(fr, true)
+	f.registerLocked(id, free)
+	return id, nil
+}
+
+// registerLocked makes id the file's newest page, free its advisory
+// insertable bytes. Caller holds f.mu (taking meta under it is the
+// allowed order).
+func (f *File) registerLocked(id storage.PageID, free int) {
 	f.meta.Lock()
 	f.meta.pages = append(f.meta.pages, id)
-	f.meta.owner[id] = si
 	f.meta.Unlock()
-	s := &f.shards[si]
-	s.fsm.set(id, free)
-	s.tail = id
-	return id, nil
+	f.fsm.set(id, free)
+	f.tail = id
 }
 
 // advisoryFree computes a page's advisory insertable bytes: available
@@ -349,163 +263,91 @@ func (f *File) Pages() []storage.PageID {
 
 // Insert stores rec and returns its RID.
 //
-// Inserts are routed to the calling goroutine's affine shard; when that
-// shard has no page with enough budget the insert falls back to the
-// sibling shards' free space, and only extends the file when no shard's
-// map can place the record — so deletes anywhere keep feeding inserts
-// everywhere. Placement is approximate, not exact: free slivers below
-// the bucket quantum (budget/64 per page) can be missed by the bounded
-// boundary probes, so the file may grow while that much per-page slack
-// remains — the price of O(1) picks over the exact linear scan.
+// The record goes to the page with room that the free-space map picks —
+// so deletes anywhere in the file keep feeding inserts — and the file
+// only grows when no page can take it. Placement is approximate, not
+// exact: free slivers below the bucket quantum (budget/64 per page) can
+// be missed by the bounded boundary probes, so the file may grow while
+// that much per-page slack remains — the price of O(1) picks over the
+// exact linear scan.
 func (f *File) Insert(rec []byte) (storage.RID, error) {
 	if len(rec) == 0 {
 		return storage.InvalidRID, fmt.Errorf("heap: cannot insert empty record")
 	}
-	h := f.hints.Get().(*shardHint)
-	rid, err := f.insert(h.idx, rec)
-	f.hints.Put(h)
-	return rid, err
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.placeLocked(rec)
 }
 
 // InsertRun places a batch of records and fills rids[i] with record i's
-// address. The whole run routes through the calling goroutine's affine
-// shard under a single mutex acquisition — the batch counterpart of
-// Insert's per-record lock/unlock — falling back to the per-record slow
-// path (sibling shards, then file extension) only for records the home
-// shard cannot place. Returns the number of records placed; on error
-// that is also the index of the record that failed, and rids beyond it
-// are untouched.
+// address, under a single acquisition of the insert mutex — the batch
+// counterpart of Insert's per-record lock/unlock. Returns the number of
+// records placed; on error that is also the index of the record that
+// failed, and rids beyond it are untouched.
 func (f *File) InsertRun(recs [][]byte, rids []storage.RID) (int, error) {
 	if len(rids) < len(recs) {
 		return 0, fmt.Errorf("heap: InsertRun needs %d rid slots, got %d", len(recs), len(rids))
 	}
-	h := f.hints.Get().(*shardHint)
-	defer f.hints.Put(h)
-	home := &f.shards[h.idx]
-	i := 0
-	for i < len(recs) {
-		// Fast lane: every consecutive record the home shard can place
-		// lands under this one lock acquisition.
-		home.mu.Lock()
-		for i < len(recs) {
-			if len(recs[i]) == 0 {
-				// Validated at placement time, not upfront, so the return
-				// is always both the count placed and the failing index.
-				home.mu.Unlock()
-				return i, fmt.Errorf("heap: cannot insert empty record (run index %d)", i)
-			}
-			rid, ok, err := f.insertLocked(home, recs[i])
-			if err != nil {
-				home.mu.Unlock()
-				return i, err
-			}
-			if !ok {
-				break
-			}
-			rids[i] = rid
-			i++
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	for i, rec := range recs {
+		if len(rec) == 0 {
+			// Validated at placement time, not upfront, so the return is
+			// always both the count placed and the failing index.
+			return i, fmt.Errorf("heap: cannot insert empty record (run index %d)", i)
 		}
-		home.mu.Unlock()
-		if i >= len(recs) {
-			break
-		}
-		// The home shard is out of space for recs[i]: take the one-record
-		// slow path (siblings, then extension), then resume the fast lane.
-		rid, err := f.insert(h.idx, recs[i])
+		rid, err := f.placeLocked(rec)
 		if err != nil {
 			return i, err
 		}
 		rids[i] = rid
-		i++
 	}
-	return i, nil
+	return len(recs), nil
 }
 
-func (f *File) insert(homeIdx int, rec []byte) (storage.RID, error) {
-	home := &f.shards[homeIdx]
-	home.mu.Lock()
-	rid, ok, err := f.insertLocked(home, rec)
-	home.mu.Unlock()
+// placeLocked puts rec in a page with room, or extends the file with a
+// page that takes it. Caller holds f.mu.
+func (f *File) placeLocked(rec []byte) (storage.RID, error) {
+	rid, ok, err := f.insertLocked(rec)
+	if err != nil || ok {
+		return rid, err
+	}
+	id, err := f.addPageLocked()
 	if err != nil {
 		return storage.InvalidRID, err
 	}
-	if ok {
-		return rid, nil
+	rid, ok, err = f.tryPage(id, rec)
+	if err == nil && !ok {
+		err = fmt.Errorf("heap: record of %d bytes does not fit in an empty page", len(rec))
 	}
-	// Cross-shard fallback: the home shard has no page that fits, but a
-	// sibling might (deletes land space in whichever shard owns the
-	// page). Shard mutexes are taken one at a time — never two at once —
-	// so the fallback cannot deadlock with other inserters.
-	for d := 1; d < len(f.shards); d++ {
-		s := &f.shards[(homeIdx+d)%len(f.shards)]
-		s.mu.Lock()
-		rid, ok, err = f.insertLocked(s, rec)
-		s.mu.Unlock()
-		if err != nil {
-			return storage.InvalidRID, err
-		}
-		if ok {
-			return rid, nil
-		}
-	}
-	// No shard can satisfy the insert: extend the file with a page owned
-	// by the home shard. Re-check under the lock first — a concurrent
-	// inserter may have extended (or a delete freed space) meanwhile.
-	home.mu.Lock()
-	defer home.mu.Unlock()
-	rid, ok, err = f.insertLocked(home, rec)
-	if err != nil {
-		return storage.InvalidRID, err
-	}
-	if ok {
-		return rid, nil
-	}
-	id, err := f.addPageLocked(homeIdx)
-	if err != nil {
-		return storage.InvalidRID, err
-	}
-	rid, ok, err = f.tryPage(home, id, rec)
-	if err != nil {
-		return storage.InvalidRID, err
-	}
-	if !ok {
-		return storage.InvalidRID, fmt.Errorf("heap: record of %d bytes does not fit in an empty page", len(rec))
-	}
-	return rid, nil
+	return rid, err
 }
 
-// insertLocked attempts to place rec in one of s's pages, correcting
-// stale advisory entries as it goes. Returns ok=false (no error) when
-// the shard has no page that fits. Caller holds s.mu.
-func (f *File) insertLocked(s *insertShard, rec []byte) (storage.RID, bool, error) {
+// insertLocked attempts to place rec in one of the file's pages,
+// correcting stale advisory entries as it goes. Returns ok=false (no
+// error) when no page fits. Caller holds f.mu.
+func (f *File) insertLocked(rec []byte) (storage.RID, bool, error) {
+	if f.appendOnly {
+		return f.tryPage(f.tail, rec)
+	}
 	need := len(rec) + slotOverhead
 	// Hot-page fast path: the page that took the last insert usually
-	// takes the next one too, so skip the bucket scan while its
-	// advisory still covers need.
-	if !f.appendOnly && s.cur != storage.InvalidPageID && s.fsm.free[s.cur] >= need {
-		rid, ok, err := f.tryPage(s, s.cur, rec)
+	// takes the next one too, so skip the bucket scan while its advisory
+	// still covers need.
+	if f.fsm.free[f.cur] >= need {
+		rid, ok, err := f.tryPage(f.cur, rec)
 		if err != nil || ok {
 			return rid, ok, err
 		}
 	}
 	for {
-		target := s.tail
-		if !f.appendOnly {
-			t, ok := s.fsm.pick(need)
-			if !ok {
-				return storage.InvalidRID, false, nil
-			}
-			target = t
-		} else if target == storage.InvalidPageID {
+		target, ok := f.fsm.pick(need)
+		if !ok {
 			return storage.InvalidRID, false, nil
 		}
-		rid, ok, err := f.tryPage(s, target, rec)
+		rid, ok, err := f.tryPage(target, rec)
 		if err != nil || ok {
 			return rid, ok, err
-		}
-		if f.appendOnly {
-			// The tail refused the record; only a fresh tail helps.
-			return storage.InvalidRID, false, nil
 		}
 		// tryPage corrected the page's advisory below need, so the next
 		// pick cannot return it again: the loop terminates after at most
@@ -516,9 +358,9 @@ func (f *File) insertLocked(s *insertShard, rec []byte) (storage.RID, bool, erro
 // tryPage pins and latches target and attempts the page-level insert,
 // honoring the insert-admission budget: a page holding records already
 // at the budget refuses further inserts (still below 100% physically).
-// Whatever happens, the shard's advisory entry for target is refreshed
-// with the truth observed under the latch. Caller holds s.mu.
-func (f *File) tryPage(s *insertShard, target storage.PageID, rec []byte) (storage.RID, bool, error) {
+// Whatever happens, the advisory entry for target is refreshed with the
+// truth observed under the latch. Caller holds f.mu.
+func (f *File) tryPage(target storage.PageID, rec []byte) (storage.RID, bool, error) {
 	fr, err := f.pool.Fetch(target)
 	if err != nil {
 		return storage.InvalidRID, false, err
@@ -533,9 +375,9 @@ func (f *File) tryPage(s *insertShard, target storage.PageID, rec []byte) (stora
 	}
 	free := f.advisoryFree(sp)
 	fr.Latch.Unlock()
-	s.fsm.set(target, free)
+	f.fsm.set(target, free)
 	if err == nil {
-		s.cur = target
+		f.cur = target
 		f.pool.Unpin(fr, true)
 		return storage.RID{Page: target, Slot: slot}, true, nil
 	}
@@ -546,21 +388,16 @@ func (f *File) tryPage(s *insertShard, target storage.PageID, rec []byte) (stora
 	return storage.InvalidRID, false, nil
 }
 
-// noteFree publishes an advisory free-space observation to the owning
-// shard's map. Callers must hold no frame latch and no shard mutex:
-// frame latches order before shard mutexes would invert the insert
-// path's shard→latch order and deadlock.
+// noteFree publishes an advisory free-space observation of one of the
+// file's pages. Callers must hold no frame latch and not f.mu: a frame
+// latch ordered before the insert mutex would invert the insert path's
+// mutex→latch order and deadlock.
 func (f *File) noteFree(id storage.PageID, free int) {
-	f.meta.RLock()
-	si, ok := f.meta.owner[id]
-	f.meta.RUnlock()
-	if !ok {
-		return
+	f.mu.Lock()
+	if _, ok := f.fsm.free[id]; ok {
+		f.fsm.set(id, free)
 	}
-	s := &f.shards[si]
-	s.mu.Lock()
-	s.fsm.set(id, free)
-	s.mu.Unlock()
+	f.mu.Unlock()
 }
 
 // Get returns a copy of the record at rid.
@@ -633,8 +470,7 @@ func (f *File) GetRun(rids []storage.RID, fn func(i int, rec []byte) bool) error
 }
 
 // Delete removes the record at rid. The freed space is reported to the
-// page's owning shard, so later inserts — from any shard, via the
-// cross-shard fallback — reclaim it.
+// free-space map, so later inserts reclaim it.
 func (f *File) Delete(rid storage.RID) error {
 	fr, err := f.pool.Fetch(rid.Page)
 	if err != nil {
@@ -654,9 +490,11 @@ func (f *File) Delete(rid storage.RID) error {
 }
 
 // Update replaces the record at rid in place. If the new payload no
-// longer fits in its page, the record is moved: it is deleted and
-// reinserted elsewhere, and the new RID is returned. Callers that
-// maintain indexes must compare the returned RID with the argument.
+// longer fits in its page, the record is moved: the new copy is placed
+// elsewhere first, so a placement that fails (no page can be allocated)
+// leaves the old one untouched, and only then is the old copy deleted.
+// The new RID is returned; callers that maintain indexes must compare
+// it with the argument.
 func (f *File) Update(rid storage.RID, rec []byte) (storage.RID, error) {
 	fr, err := f.pool.Fetch(rid.Page)
 	if err != nil {
@@ -676,10 +514,17 @@ func (f *File) Update(rid storage.RID, rec []byte) (storage.RID, error) {
 	if err != storage.ErrNoSpace {
 		return storage.InvalidRID, err
 	}
-	if err := f.Delete(rid); err != nil {
+	to, err := f.Insert(rec)
+	if err != nil {
 		return storage.InvalidRID, fmt.Errorf("heap: relocating update: %w", err)
 	}
-	return f.Insert(rec)
+	if err := f.Delete(rid); err != nil {
+		// The old copy stays, so the new one goes; the error to report is
+		// the one that kept the old copy.
+		_ = f.Delete(to)
+		return storage.InvalidRID, fmt.Errorf("heap: relocating update: %w", err)
+	}
+	return to, nil
 }
 
 // VisitPage pins the page and runs fn over its slotted view. The frame

@@ -23,7 +23,7 @@ func runRecs(n, size int, tag byte) [][]byte {
 }
 
 func TestInsertRunBasic(t *testing.T) {
-	f := newTestFile(t, WithInsertShards(4))
+	f := newTestFile(t)
 	recs := runRecs(500, 40, 'r')
 	rids := make([]storage.RID, len(recs))
 	n, err := f.InsertRun(recs, rids)
@@ -70,12 +70,11 @@ func TestInsertRunBasic(t *testing.T) {
 	}
 }
 
-// TestInsertRunConcurrent storms InsertRun from 8 goroutines over 4
-// shards (forcing slow-path fallbacks when shards exhaust) and checks
-// no RID is handed out twice and the final accounting is exact. Run
-// under -race in CI.
+// TestInsertRunConcurrent storms InsertRun from 8 goroutines (their
+// runs extending the file as pages fill) and checks no RID is handed
+// out twice and the final accounting is exact. Run under -race in CI.
 func TestInsertRunConcurrent(t *testing.T) {
-	f := newTestFile(t, WithInsertShards(4))
+	f := newTestFile(t)
 	const (
 		workers = 8
 		perRun  = 64

@@ -14,26 +14,26 @@ import (
 
 // Open reconstructs a heap file over pages that already exist on disk —
 // the checkpoint manifest's page list, in allocation order — or, given
-// none, creates an empty one as NewFile does. Each page is read once to
-// seed the advisory free-space maps; ownership is dealt round-robin
-// across the insert shards, so their number need not be the one the
-// file was written with. AppendOnly and the fill factor must match the
-// file's creation (the manifest records them).
+// none, creates an empty one: a file always has at least one page. Each
+// page is read once to seed the advisory free-space map. AppendOnly and
+// the fill factor must match the file's creation (the manifest records
+// them).
 func Open(pool *buffer.Pool, pages []storage.PageID, opts ...Option) (*File, error) {
-	f := newShell(pool, opts...)
+	f := &File{pool: pool, fillFactor: 1.0, cur: storage.InvalidPageID}
+	for _, o := range opts {
+		o(f)
+	}
+	f.budget = int(f.fillFactor * float64(pool.Disk().PageSize()))
+	f.fsm = newFreeSpaceMap(f.budget)
+	f.mu.Lock()
+	defer f.mu.Unlock()
 	if len(pages) == 0 {
-		// Match NewFile's invariant: a file always owns at least one page.
-		s := &f.shards[0]
-		s.mu.Lock()
-		_, err := f.addPageLocked(0)
-		s.mu.Unlock()
-		if err != nil {
+		if _, err := f.addPageLocked(); err != nil {
 			return nil, err
 		}
-		return f, nil
 	}
-	for i, id := range pages {
-		if err := f.adoptPageShard(id, i%len(f.shards)); err != nil {
+	for _, id := range pages {
+		if err := f.adoptLocked(id); err != nil {
 			return nil, err
 		}
 	}
@@ -42,27 +42,29 @@ func Open(pool *buffer.Pool, pages []storage.PageID, opts ...Option) (*File, err
 
 // adoptPage registers a page the file does not yet own — the redo path
 // hits this when the log references a page allocated after the last
-// checkpoint. A virgin (all-zero) page is formatted as an empty heap
-// page; a page carrying non-heap flags is an error (the redo stream
-// disagrees with the disk about page ownership).
+// checkpoint.
 func (f *File) adoptPage(id storage.PageID) error {
-	f.meta.RLock()
-	_, known := f.meta.owner[id]
-	n := len(f.meta.pages)
-	f.meta.RUnlock()
-	if known {
-		return nil
-	}
-	return f.adoptPageShard(id, n%len(f.shards))
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.adoptLocked(id)
 }
 
-// adoptPageShard adopts id into shard si. Recovery is single-threaded,
-// so the shard mutex here only preserves the documented lock order
-// (shard before latch, meta inside shard).
-func (f *File) adoptPageShard(id storage.PageID, si int) error {
-	s := &f.shards[si]
-	s.mu.Lock()
-	defer s.mu.Unlock()
+// owns reports whether id is one of the file's pages.
+func (f *File) owns(id storage.PageID) bool {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	_, ok := f.fsm.free[id]
+	return ok
+}
+
+// adoptLocked makes id the file's tail unless the file already owns it.
+// A virgin (all-zero) page is formatted as an empty heap page; a page
+// carrying non-heap flags is an error (the redo stream disagrees with
+// the disk about page ownership). Caller holds f.mu.
+func (f *File) adoptLocked(id storage.PageID) error {
+	if _, known := f.fsm.free[id]; known {
+		return nil
+	}
 	fr, err := f.pool.Fetch(id)
 	if err != nil {
 		return err
@@ -85,12 +87,7 @@ func (f *File) adoptPageShard(id storage.PageID, si int) error {
 	free := f.advisoryFree(sp)
 	fr.Latch.Unlock()
 	f.pool.Unpin(fr, dirty)
-	f.meta.Lock()
-	f.meta.pages = append(f.meta.pages, id)
-	f.meta.owner[id] = si
-	f.meta.Unlock()
-	s.fsm.set(id, free)
-	s.tail = id
+	f.registerLocked(id, free)
 	return nil
 }
 
@@ -220,10 +217,7 @@ func (f *File) RedoRecord(rid storage.RID) ([]byte, bool) {
 	if h, ok := f.redoHeld[rid]; ok {
 		return h.rec, true
 	}
-	f.meta.RLock()
-	_, known := f.meta.owner[rid.Page]
-	f.meta.RUnlock()
-	if !known {
+	if !f.owns(rid.Page) {
 		return nil, false
 	}
 	rec, err := f.Get(rid)
@@ -250,10 +244,7 @@ func (f *File) RedoDelete(rid storage.RID, sum uint32) error {
 		}
 		kill = true
 	}
-	f.meta.RLock()
-	_, known := f.meta.owner[rid.Page]
-	f.meta.RUnlock()
-	if !known {
+	if !f.owns(rid.Page) {
 		return nil
 	}
 	fr, err := f.pool.Fetch(rid.Page)

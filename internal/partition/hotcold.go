@@ -42,11 +42,10 @@ type Config struct {
 	FillFactor float64
 	// TableOptions apply to both partition tables (heap fill factor).
 	// Append-only placement is always forced last — the paper's
-	// clustering policy relocates tuples to "the end of the table",
-	// which needs a single tail — so each partition heap has one insert
-	// shard; ingest parallelism in a hot/cold pair comes from the two
+	// clustering policy relocates tuples to "the end of the table".
+	// Ingest parallelism in a hot/cold pair comes from the two
 	// partitions' independent heaps and the latch-crabbed partition
-	// indexes instead.
+	// indexes.
 	TableOptions []core.TableOption
 }
 
@@ -92,12 +91,6 @@ func (hc *HotCold) Hot() *core.Table { return hc.hot }
 
 // Cold returns the cold partition table.
 func (hc *HotCold) Cold() *core.Table { return hc.cold }
-
-// HotIndex returns the hot partition's lookup index.
-func (hc *HotCold) HotIndex() *core.Index { return hc.hotIx }
-
-// ColdIndex returns the cold partition's lookup index.
-func (hc *HotCold) ColdIndex() *core.Index { return hc.coldIx }
 
 // Forwarding returns the forwarding table for relocated tuples.
 func (hc *HotCold) Forwarding() *Forwarding { return hc.fwd }

@@ -191,9 +191,6 @@ func (s *Schema) Index(name string) int {
 	return i
 }
 
-// IsFixed reports whether every field has a fixed width.
-func (s *Schema) IsFixed() bool { return len(s.varIdx) == 0 }
-
 // Project returns a schema containing only the named fields, in the
 // given order.
 func (s *Schema) Project(names ...string) (*Schema, error) {

@@ -60,15 +60,6 @@ func TimestampUnix(sec int64) Value { return Value{Kind: KindTimestamp, Int: sec
 // Null returns a NULL value of the given kind.
 func Null(k Kind) Value { return Value{Kind: k, Null: true} }
 
-// IsNumeric reports whether the value kind stores into Value.Int.
-func (v Value) IsNumeric() bool {
-	switch v.Kind {
-	case KindInt64, KindInt32, KindInt16, KindInt8, KindBool, KindTimestamp:
-		return true
-	}
-	return false
-}
-
 // AsTime converts a TIMESTAMP value to time.Time (UTC).
 func (v Value) AsTime() time.Time { return time.Unix(v.Int, 0).UTC() }
 

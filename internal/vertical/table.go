@@ -27,9 +27,8 @@ type groupTable struct {
 
 // NewVerticalTable materializes a split on an engine. The primary key
 // field is added to every group. Table names are "<name>_g<i>". opts
-// apply to every group table. The groups are ordinary tables, so unless
-// opts make them append-only each group heap has its own min(8,
-// GOMAXPROCS) parallel-ingest lanes.
+// apply to every group table. The groups are ordinary tables, each with
+// its own heap.
 func NewVerticalTable(e *core.Engine, name string, schema *tuple.Schema, pkField string, groups [][]string, opts ...core.TableOption) (*VerticalTable, error) {
 	if schema.Index(pkField) < 0 {
 		return nil, fmt.Errorf("vertical: pk field %q not in schema", pkField)
@@ -88,8 +87,9 @@ func NewVerticalTable(e *core.Engine, name string, schema *tuple.Schema, pkField
 func (vt *VerticalTable) NumGroups() int { return len(vt.groups) }
 
 // Insert stores a logical row across all groups. Each group's insert
-// is individually thread-safe (sharded heap placement + index latch
-// crabbing, so parallel ingesters contend per heap shard and per leaf),
+// is individually thread-safe (heap placement under the heap's insert
+// mutex + index latch crabbing, so parallel ingesters contend per group
+// heap and per leaf),
 // but the logical row lands group by group: a concurrent reader can
 // observe a pk whose later groups have not been written yet. Callers
 // needing cross-group atomicity must serialize above this layer.
@@ -100,7 +100,7 @@ func (vt *VerticalTable) Insert(row tuple.Row) error {
 }
 
 // InsertBatch stores a batch of logical rows: one core.Batch fans out
-// per group, so each group's heap sees one shard-affine insert run and
+// per group, so each group's heap sees one insert run and
 // each group's pk index one leaf-grouped sorted run, instead of
 // len(rows) one-row pipelines per group. The cross-group visibility
 // caveat of Insert applies batch-wide — groups land in order, so a

@@ -294,13 +294,6 @@ func (l *Log) Commit(lsn uint64) error {
 // SyncedLSN returns the highest LSN known durable.
 func (l *Log) SyncedLSN() uint64 { return l.synced.Load() }
 
-// AppendedLSN returns the highest LSN appended.
-func (l *Log) AppendedLSN() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.lastAppended
-}
-
 // Size returns the current log file size in bytes.
 func (l *Log) Size() int64 {
 	l.mu.Lock()

@@ -29,11 +29,6 @@ type Config struct {
 	Seed int64
 }
 
-// DefaultConfig matches the paper's published ratios at laptop scale.
-func DefaultConfig() Config {
-	return Config{Pages: 2000, RevisionsPerPage: 20, Alpha: 0.5, Seed: 1}
-}
-
 // NewGenerator builds a generator. It panics on nonsensical configs
 // (programmer error in experiment setup).
 func NewGenerator(cfg Config) *Generator {

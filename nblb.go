@@ -82,8 +82,8 @@ type ApplyOption = core.ApplyOption
 // failed op, per-op RIDs when requested).
 type ApplyResult = core.Result
 
-// TableOption configures CreateTable (heap placement policy, fill
-// factor, insert shards).
+// TableOption configures CreateTable (heap placement policy, heap fill
+// factor).
 type TableOption = core.TableOption
 
 // QueryStats counts how a cursor's rows were answered (cache vs heap).
@@ -189,9 +189,8 @@ var (
 	// NonUnique permits duplicate keys.
 	NonUnique = core.NonUnique
 	// WithAppendOnlyHeap gives a table the append-at-tail placement
-	// policy §3.1 critiques (and its clustering exploits). Forces a
-	// single heap insert shard (one global tail); any other heap has
-	// min(8, GOMAXPROCS).
+	// policy §3.1 critiques (and its clustering exploits): every insert
+	// fills the heap's tail page.
 	WithAppendOnlyHeap = core.WithAppendOnlyHeap
 	// WithHeapFillFactor reserves 1−ff of each heap page for in-place
 	// update headroom and the §2.2 join cache.
