@@ -85,7 +85,7 @@ var experimentList = []struct {
 		cfg := experiments.DefaultCapacityConfig()
 		cfg.Seed = seed
 		if quick {
-			cfg.Pages = 4000
+			cfg.Pages, cfg.ItemsRows = 4000, 20_000
 		}
 		return show(experiments.RunCapacity(cfg))
 	}},

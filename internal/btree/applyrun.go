@@ -159,9 +159,12 @@ func (t *Tree) ApplyRun(entries []RunEntry) (RunStats, error) {
 			default:
 				if found {
 					if e.Op != RunInsertIfAbsent {
-						n.setCellValue(n.dirEntry(pos), e.Value)
-						dirty = true
-						st.Updated++
+						if n.setValue(pos, e.Value) == nil {
+							dirty = true
+							st.Updated++
+						} else {
+							split = true // a wider value the leaf has no room to widen to
+						}
 					}
 				} else if ierr := n.insertAt(pos, e.Key, e.Value); ierr == nil {
 					dirty = true
@@ -189,20 +192,29 @@ func (t *Tree) ApplyRun(entries []RunEntry) (RunStats, error) {
 			// The leaf cannot absorb entries[j]: give up the run's latch
 			// and push this one key through the pessimistic split path,
 			// exactly like a one-row insert whose optimistic attempt
-			// found a full leaf. The run resumes after it. The push is
-			// if-absent whatever the entry's op: when a concurrent writer
-			// slipped the key in since the latch dropped, the run resumes
-			// AT this entry instead, so the next leaf run applies it under
-			// the latch and reports what it found there.
+			// found a full leaf. The run resumes after it. A new key's
+			// push is if-absent whatever the entry's op: when a
+			// concurrent writer slipped the key in since the latch
+			// dropped, the run resumes AT this entry instead, so the next
+			// leaf run applies it under the latch and reports what it
+			// found there. A present key's wider value is an upsert, and
+			// the push reports what it replaced.
+			e := &entries[j]
 			t.latchRetries.Add(1)
 			st.Splits++
-			ins, perr := t.insertPessimistic(entries[j].Key, entries[j].Value, true)
+			ins, prev, perr := t.insertPessimistic(e.Key, e.Value, !e.Existed)
 			if perr != nil {
 				st.Done = j
 				return st, perr
 			}
-			if ins {
+			switch {
+			case ins:
+				e.Existed, e.Prev = false, 0
 				st.Inserted++
+				j++
+			case e.Existed:
+				e.Prev = prev
+				st.Updated++
 				j++
 			}
 		}

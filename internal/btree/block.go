@@ -15,6 +15,9 @@ type EntryBlock struct {
 	keys []byte
 	offs []int32 // len = Len()+1; entry i is keys[offs[i]:offs[i+1]]
 	vals []uint64
+	// widths is splitCut's scratch: per entry, the widest value from it
+	// to the end.
+	widths []uint8
 }
 
 // Len returns the number of entries in the block.

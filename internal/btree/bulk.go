@@ -101,6 +101,8 @@ type levelBuilder struct {
 	prev *buffer.Frame
 	// pages lists every page written, as (first key, page id).
 	pages EntryBlock
+	// width is the widest value the staged page stores (0: none yet).
+	width int
 }
 
 // stored returns the index of the first staged entry the page stores a
@@ -113,22 +115,27 @@ func (b *levelBuilder) stored() int {
 }
 
 // add stages (key, value), first writing out the staged page when the
-// key would take it past the budget.
+// entry would take it past the budget at the page's value width.
 func (b *levelBuilder) add(key []byte, value uint64) error {
 	s := b.stored()
+	w := max(b.width, valueWidth(value))
 	if b.stage.Len() > s {
 		count := b.stage.Len() - s + 1
 		keyBytes := len(b.stage.keys) - int(b.stage.offs[s]) + len(key)
-		if runBytes(count, keyBytes, b.stage.Key(s), key) > b.budget {
+		if runBytes(count, keyBytes, w, b.stage.Key(s), key) > b.budget {
 			if err := b.flush(); err != nil {
 				return err
 			}
+			w = valueWidth(value)
 		}
 	}
-	if b.typ == nodeLeaf && b.stage.Len() == 0 && runBytes(1, len(key), key, key) > b.budget {
+	if b.typ == nodeLeaf && b.stage.Len() == 0 && runBytes(1, len(key), w, key, key) > b.budget {
 		return fmt.Errorf("btree: key of %d bytes exceeds bulk-load budget", len(key))
 	}
 	b.stage.push(key, value)
+	if b.stage.Len() > s {
+		b.width = w // an internal page's first entry is its leftmost child, kept in the header
+	}
 	return nil
 }
 
@@ -162,6 +169,7 @@ func (b *levelBuilder) flush() error {
 	}
 	b.pages.push(b.stage.Key(0), uint64(fr.ID()))
 	b.stage.Reset()
+	b.width = 0
 	return nil
 }
 

@@ -150,7 +150,10 @@ func TestOpenReattachesTree(t *testing.T) {
 	for i := 0; i < 300; i++ {
 		tr.Insert(intKey(i), uint64(i))
 	}
-	reopened := Open(tr.Pool(), tr.Root(), tr.Height(), tr.Len())
+	reopened, err := Open(tr.Pool(), tr.Root(), tr.Height(), tr.Len())
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := 0; i < 300; i += 17 {
 		v, found, err := reopened.Search(intKey(i))
 		if err != nil || !found || v != uint64(i) {

@@ -20,21 +20,28 @@
 // stored suffix is not a key, so nothing outside this file reads one:
 // callers compare through cmpKey and copy through appendKey.
 //
-// Values are fixed 8-byte payloads: packed RIDs in leaves, child page
-// ids in internal nodes. Keys are opaque memcomparable byte strings
-// (tuple.EncodeKey), so composite keys need no schema here.
+// Values are packed RIDs in leaves and child page ids in internal
+// nodes, each stored in the page's value width: the bytes its widest
+// value needs (§4.1: a field takes the bits its values need). The width
+// is a page property like the prefix: splits, root growth and bulk
+// builds set it from the values they place; a put that needs a wider
+// value re-encodes every cell in place; a delete never narrows it. Keys
+// are opaque memcomparable byte strings (tuple.EncodeKey), so composite
+// keys need no schema here.
 package btree
 
 import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"sync"
 )
 
 // Node header layout (nodeHeaderSize bytes at offset 0):
 //
-//	[0:2)   type/flags: nodeLeaf or nodeInternal
+//	[0:1)   type: nodeLeaf or nodeInternal
+//	[1:2)   value width — the bytes every cell's value takes, 1 to 8
 //	[2:4)   nKeys
 //	[4:6)   dirEnd    first byte past the directory
 //	[6:8)   keyStart  first byte of the key-cell region
@@ -53,8 +60,9 @@ import (
 //	        scans symmetric with forward ones (one sibling fetch per
 //	        leaf instead of one descent per leaf)
 //
-// A key cell is [suffix length:2][suffix][value:8]; the key it stores
-// is the page prefix followed by the suffix.
+// A key cell is [suffix length:2][suffix][value:w], w the page's value
+// width and the value little-endian; the key it stores is the page
+// prefix followed by the suffix.
 //
 // Footer: 4-byte magic at the very end of the page. Cache writes and key
 // inserts must never touch it; integrity checks verify that.
@@ -63,6 +71,7 @@ const (
 	nodeFooterSize = 4
 
 	offType        = 0
+	offWidth       = 1
 	offNKeys       = 2
 	offDirEnd      = 4
 	offKeyStart    = 6
@@ -76,21 +85,25 @@ const (
 	offLeftSib     = 40
 	dirEntrySize   = 2
 	cellHeaderSize = 2 // uint16 suffix length
-	valueSize      = 8
+	maxValueWidth  = 8 // a uint64
 )
 
 // footerMagic marks a well-formed index page end. It doubles as the
 // page-format version: 0xB17C0DE5 had a 40-byte header, 0xB17C0DE6
-// added the left-sibling link, and 0xB17C0DE7 stores keys as suffixes
-// of a page prefix — pages persisted by an older layout fail footerOK
-// loudly instead of being misread.
-const footerMagic uint32 = 0xB17C0DE7
+// added the left-sibling link, 0xB17C0DE7 stored keys as suffixes of a
+// page prefix, and 0xB17C0DE8 stores values at the page's width — pages
+// persisted by an older layout fail footerOK (and Open) loudly instead
+// of being misread.
+const footerMagic uint32 = 0xB17C0DE8
 
 // Node type tags.
 const (
 	nodeLeaf     uint16 = 1
 	nodeInternal uint16 = 2
 )
+
+// valueWidth returns the bytes v takes as a stored value: 1 to 8.
+func valueWidth(v uint64) int { return max(1, (bits.Len64(v)+7)/8) }
 
 // ErrNodeFull signals the caller must split before inserting.
 var errNodeFull = fmt.Errorf("btree: node full")
@@ -104,13 +117,14 @@ type node struct {
 func asNode(data []byte) node { return node{data: data} }
 
 // initNode formats the buffer as an empty node of the given type, with
-// an empty page prefix.
+// an empty page prefix and a one-byte value width.
 func initNode(data []byte, typ uint16) node {
 	for i := range data {
 		data[i] = 0
 	}
 	n := node{data: data}
 	n.setType(typ)
+	n.setWidth(1)
 	n.setNKeys(0)
 	n.setDirEnd(nodeHeaderSize)
 	n.setKeyStart(n.pageEnd())
@@ -118,9 +132,13 @@ func initNode(data []byte, typ uint16) node {
 	return n
 }
 
-func (n node) typ() uint16      { return binary.LittleEndian.Uint16(n.data[offType:]) }
-func (n node) setType(t uint16) { binary.LittleEndian.PutUint16(n.data[offType:], t) }
+func (n node) typ() uint16      { return uint16(n.data[offType]) }
+func (n node) setType(t uint16) { n.data[offType] = byte(t) }
 func (n node) isLeaf() bool     { return n.typ() == nodeLeaf }
+
+// width is the bytes every cell's value takes on this page.
+func (n node) width() int     { return int(n.data[offWidth]) }
+func (n node) setWidth(w int) { n.data[offWidth] = byte(w) }
 
 func (n node) nKeys() int     { return int(binary.LittleEndian.Uint16(n.data[offNKeys:])) }
 func (n node) setNKeys(k int) { binary.LittleEndian.PutUint16(n.data[offNKeys:], uint16(k)) }
@@ -192,10 +210,11 @@ func (n node) setVersion(v uint32) {
 	binary.LittleEndian.PutUint32(n.data[offVersion:], v)
 }
 
+// footer returns the page's footer magic.
+func (n node) footer() uint32 { return binary.LittleEndian.Uint32(n.data[n.pageEnd():]) }
+
 // footerOK verifies the footer magic survived.
-func (n node) footerOK() bool {
-	return binary.LittleEndian.Uint32(n.data[n.pageEnd():]) == footerMagic
-}
+func (n node) footerOK() bool { return n.footer() == footerMagic }
 
 // freeSpace returns the bytes between the directory and the key cells —
 // the cache region's current extent.
@@ -222,15 +241,43 @@ func (n node) storedSuffix(i int) []byte {
 	return n.data[off+cellHeaderSize : off+cellHeaderSize+slen]
 }
 
-// cellValue returns the 8-byte value of the cell at off.
+// cellValue returns the value of the cell at off.
 func (n node) cellValue(off int) uint64 {
 	slen := int(binary.LittleEndian.Uint16(n.data[off:]))
-	return binary.LittleEndian.Uint64(n.data[off+cellHeaderSize+slen:])
+	b := n.data[off+cellHeaderSize+slen:]
+	w := n.width()
+	if len(b) >= 8 {
+		return binary.LittleEndian.Uint64(b) & (^uint64(0) >> (64 - 8*w))
+	}
+	var v uint64
+	for i := w - 1; i >= 0; i-- {
+		v = v<<8 | uint64(b[i])
+	}
+	return v
 }
 
-func (n node) setCellValue(off int, v uint64) {
+// putValue stores v in the w bytes at b, little-endian.
+func putValue(b []byte, v uint64, w int) {
+	for i := 0; i < w; i++ {
+		b[i] = byte(v >> (8 * i))
+	}
+}
+
+// setValue overwrites the value at directory position pos. A value
+// wider than the page's width widens the page first, re-encoding every
+// cell; errNodeFull (nothing changed) when that does not fit. A value
+// is never truncated.
+func (n node) setValue(pos int, v uint64) error {
+	if w := valueWidth(v); w > n.width() {
+		if n.freeSpace() < n.nKeys()*(w-n.width()) {
+			return errNodeFull
+		}
+		n.reencode(n.prefixLen(), w)
+	}
+	off := n.dirEntry(pos)
 	slen := int(binary.LittleEndian.Uint16(n.data[off:]))
-	binary.LittleEndian.PutUint64(n.data[off+cellHeaderSize+slen:], v)
+	putValue(n.data[off+cellHeaderSize+slen:], v, n.width())
+	return nil
 }
 
 // keyLen returns the length of the key at directory position i.
@@ -273,8 +320,8 @@ func (n node) covers(key []byte) bool {
 func (n node) value(i int) uint64 { return n.cellValue(n.dirEntry(i)) }
 
 // cellSize returns the bytes a cell with the given suffix length
-// occupies.
-func cellSize(suffixLen int) int { return cellHeaderSize + suffixLen + valueSize }
+// occupies at value width w.
+func cellSize(suffixLen, w int) int { return cellHeaderSize + suffixLen + w }
 
 // sharedPrefix returns the length of the longest common prefix of a
 // and b.
@@ -338,23 +385,26 @@ func (n node) childFor(key []byte) uint64 {
 	return n.value(pos - 1)
 }
 
-// insertCost returns the free bytes inserting key takes — its cell and
-// directory entry, plus, when key falls outside the page prefix, the
-// growth of every other cell re-encoded under the shorter prefix (less
-// the prefix bytes that frees) — and the prefix length afterwards.
-func (n node) insertCost(key []byte) (cost, plen int) {
-	plen = n.prefixLen()
+// insertCost returns the free bytes inserting (key, value) takes — its
+// cell and directory entry, plus, when key falls outside the page
+// prefix, the growth of every other cell re-encoded under the shorter
+// prefix (less the prefix bytes that frees), plus, when value is wider
+// than the page's width, the growth of every other cell re-encoded at
+// the wider width — and the prefix length and width afterwards.
+func (n node) insertCost(key []byte, value uint64) (cost, plen, w int) {
+	k := n.nKeys()
+	plen, w = n.prefixLen(), max(n.width(), valueWidth(value))
 	if l := sharedPrefix(n.prefix(), key); l < plen {
-		grow := plen - l
-		cost = (n.nKeys() - 1) * grow
+		cost = (k - 1) * (plen - l)
 		plen = l
 	}
-	return cost + cellSize(len(key)-plen) + dirEntrySize, plen
+	cost += k * (w - n.width())
+	return cost + cellSize(len(key)-plen, w) + dirEntrySize, plen, w
 }
 
-// canInsert reports whether key fits.
-func (n node) canInsert(key []byte) bool {
-	cost, _ := n.insertCost(key)
+// canInsert reports whether (key, value) fits.
+func (n node) canInsert(key []byte, value uint64) bool {
+	cost, _, _ := n.insertCost(key, value)
 	return n.freeSpace() >= cost
 }
 
@@ -362,10 +412,12 @@ func (n node) canInsert(key []byte) bool {
 // of at most sepLen bytes that a split below its child covering key can
 // push up. A child between two of the node's keys only holds keys that
 // share the page prefix; an edge child's separator may share none of
-// it, which costs a re-encode of every other cell at worst.
+// it, which costs a re-encode of every other cell at worst. The
+// separator's child is a page not allocated yet, so its id is charged
+// at the widest width, re-encoding every cell at it.
 func (n node) canAbsorb(key []byte, sepLen int) bool {
-	cost := cellSize(sepLen) + dirEntrySize
 	k := n.nKeys()
+	cost := cellSize(sepLen, maxValueWidth) + dirEntrySize + k*(maxValueWidth-n.width())
 	if pos, found := n.search(key); (found && pos == k-1) || (!found && (pos == 0 || pos == k)) {
 		cost += max(k-1, 0) * n.prefixLen()
 	}
@@ -376,21 +428,22 @@ func (n node) canAbsorb(key []byte, sepLen int) bool {
 // directory and carving the cell out of the free region's key side.
 // The overwritten free-space bytes are exactly "the periphery of the
 // cache space" the paper lets index inserts clobber. A key outside the
-// page prefix shrinks the prefix first, re-encoding every cell.
+// page prefix shrinks the prefix first, and a value wider than the
+// page's width widens it, re-encoding every cell.
 func (n node) insertAt(pos int, key []byte, value uint64) error {
-	cost, plen := n.insertCost(key)
+	cost, plen, w := n.insertCost(key, value)
 	if n.freeSpace() < cost {
 		return errNodeFull
 	}
-	if plen < n.prefixLen() {
-		n.reencode(plen)
+	if plen < n.prefixLen() || w > n.width() {
+		n.reencode(plen, w)
 	}
 	// Carve the cell below keyStart.
 	suffix := key[plen:]
-	newStart := n.keyStart() - cellSize(len(suffix))
+	newStart := n.keyStart() - cellSize(len(suffix), w)
 	binary.LittleEndian.PutUint16(n.data[newStart:], uint16(len(suffix)))
 	copy(n.data[newStart+cellHeaderSize:], suffix)
-	binary.LittleEndian.PutUint64(n.data[newStart+cellHeaderSize+len(suffix):], value)
+	putValue(n.data[newStart+cellHeaderSize+len(suffix):], value, w)
 	n.setKeyStart(newStart)
 	// Shift directory entries right of pos.
 	k := n.nKeys()
@@ -428,29 +481,31 @@ func (n node) deleteAt(pos int) {
 var compactScratch = sync.Pool{New: func() any { return new([]byte) }}
 
 // compactCells rewrites the key-cell region without holes, preserving
-// directory order and the page prefix, and zeroes everything between
-// dirEnd and the new keyStart (the enlarged cache region starts clean).
+// directory order, the page prefix and the width, and zeroes everything
+// between dirEnd and the new keyStart (the enlarged cache region starts
+// clean).
 func (n node) compactCells() {
-	n.reencode(n.prefixLen())
+	n.reencode(n.prefixLen(), n.width())
 	for i := n.dirEnd(); i < n.keyStart(); i++ {
 		n.data[i] = 0
 	}
 }
 
 // reencode rewrites the prefix and key-cell region without holes under
-// a page prefix of plen ≤ prefixLen bytes, preserving directory order:
-// each cell's suffix gains the prefix bytes past plen. Cells are staged
+// a page prefix of plen ≤ prefixLen bytes and a value width of
+// w ≥ width, preserving directory order: each cell's suffix gains the
+// prefix bytes past plen, and its value takes w bytes. Cells are staged
 // through a pooled scratch buffer at their final relative positions,
 // then copied back in one pass. The bytes the region grows into are
 // free space, which inserts may overwrite.
-func (n node) reencode(plen int) {
+func (n node) reencode(plen, w int) {
 	k := n.nKeys()
 	pf := n.pageEnd()
 	old := n.prefix()
 	grow := len(old) - plen
 	total := plen
 	for i := 0; i < k; i++ {
-		total += cellSize(len(n.storedSuffix(i)) + grow)
+		total += cellSize(len(n.storedSuffix(i))+grow, w)
 	}
 	bufp := compactScratch.Get().(*[]byte)
 	buf := *bufp
@@ -465,32 +520,34 @@ func (n node) reencode(plen int) {
 	for i := k - 1; i >= 0; i-- {
 		s := n.storedSuffix(i)
 		slen := grow + len(s)
-		top -= cellSize(slen)
+		top -= cellSize(slen, w)
 		binary.LittleEndian.PutUint16(buf[top:], uint16(slen))
 		copy(buf[top+cellHeaderSize:], old[plen:])
 		copy(buf[top+cellHeaderSize+grow:], s)
-		binary.LittleEndian.PutUint64(buf[top+cellHeaderSize+slen:], n.value(i))
+		putValue(buf[top+cellHeaderSize+slen:], n.value(i), w)
 		n.setDirEntry(i, newStart+top)
 	}
 	copy(n.data[newStart:pf], buf)
 	*bufp = buf
 	compactScratch.Put(bufp)
 	n.setPrefixLen(plen)
+	n.setWidth(w)
 	n.setKeyStart(newStart)
 	n.bumpVersion()
 }
 
 // clearCells empties the node's directory and cells, zeroes everything
-// between the header and the footer, and makes prefix the page prefix;
-// the other header fields stay. Every key inserted afterwards must
-// start with prefix or shrink it.
-func (n node) clearCells(prefix []byte) {
+// between the header and the footer, and makes prefix the page prefix
+// and w its value width; the other header fields stay. Every key
+// inserted afterwards must start with prefix or shrink it.
+func (n node) clearCells(prefix []byte, w int) {
 	pf := n.pageEnd()
 	for i := nodeHeaderSize; i < pf; i++ {
 		n.data[i] = 0
 	}
 	copy(n.data[pf-len(prefix):pf], prefix)
 	n.setPrefixLen(len(prefix))
+	n.setWidth(w)
 	n.setNKeys(0)
 	n.setDirEnd(nodeHeaderSize)
 	n.setKeyStart(pf - len(prefix))
@@ -498,13 +555,18 @@ func (n node) clearCells(prefix []byte) {
 }
 
 // fillFrom empties the node (clearCells) and appends the staged entries
-// [lo, hi) of b under their shared prefix.
+// [lo, hi) of b under their shared prefix, at the width of the widest
+// of their values.
 func (n node) fillFrom(b *EntryBlock, lo, hi int) error {
 	var prefix []byte
+	w := 1
 	if lo < hi {
 		prefix = b.Key(lo)[:sharedPrefix(b.Key(lo), b.Key(hi-1))]
+		for i := lo; i < hi; i++ {
+			w = max(w, valueWidth(b.Value(i)))
+		}
 	}
-	n.clearCells(prefix)
+	n.clearCells(prefix, w)
 	for i := lo; i < hi; i++ {
 		if err := n.insertAt(n.nKeys(), b.Key(i), b.Value(i)); err != nil {
 			return err
@@ -522,7 +584,7 @@ func (n node) usableBytes() int {
 func (n node) usedBytes() int {
 	used := n.nKeys()*dirEntrySize + n.prefixLen()
 	for i := 0; i < n.nKeys(); i++ {
-		used += cellSize(len(n.storedSuffix(i)))
+		used += cellSize(len(n.storedSuffix(i)), n.width())
 	}
 	return used
 }
@@ -543,12 +605,13 @@ func (n node) fill() float64 {
 }
 
 // runBytes returns the bytes keys first..last (sorted; count of them,
-// keyBytes their total length) take on a page of their own: a cell
-// and directory entry each, with their shared prefix stored once.
-func runBytes(count, keyBytes int, first, last []byte) int {
+// keyBytes their total length) take on a page of their own at value
+// width w: a cell and directory entry each, with their shared prefix
+// stored once.
+func runBytes(count, keyBytes, w int, first, last []byte) int {
 	if count == 0 {
 		return 0
 	}
 	plen := sharedPrefix(first, last)
-	return keyBytes + count*(cellSize(0)+dirEntrySize) - (count-1)*plen
+	return keyBytes + count*(cellSize(0, w)+dirEntrySize) - (count-1)*plen
 }

@@ -79,9 +79,15 @@ func (h *nodeHarness) check(step int) {
 	if n.usedBytes()+n.freeSpace() != n.usableBytes() {
 		t.Fatalf("step %d: used %d + free %d != usable %d", step, n.usedBytes(), n.freeSpace(), n.usableBytes())
 	}
+	if w := n.width(); w < 1 || w > maxValueWidth {
+		t.Fatalf("step %d: value width %d", step, w)
+	}
 	var k []byte
 	for i, want := range m.keys {
-		if off := n.dirEntry(i); off < hi || off+cellSize(n.keyLen(i)-n.prefixLen()) > n.pageEnd()-n.prefixLen() {
+		if valueWidth(m.vals[i]) > n.width() {
+			t.Fatalf("step %d: value %d = %#x wider than the page's %d bytes", step, i, m.vals[i], n.width())
+		}
+		if off := n.dirEntry(i); off < hi || off+cellSize(n.keyLen(i)-n.prefixLen(), n.width()) > n.pageEnd()-n.prefixLen() {
 			t.Fatalf("step %d: cell %d at %d outside [%d, %d)", step, i, off, hi, n.pageEnd()-n.prefixLen())
 		}
 		k = n.appendKey(k[:0], i)
@@ -131,12 +137,14 @@ func probesAround(key []byte) [][]byte {
 }
 
 // split distributes the staged entries over two fresh pages as a tree
-// split does and keeps the half named by right, checking both.
-func (h *nodeHarness) split(step int, right bool) {
+// split does, checks both, and keeps the right half when right is set,
+// the left one otherwise. It reports false, changing nothing, when no
+// cut fits both pages.
+func (h *nodeHarness) split(step int, right bool) bool {
 	b := &h.stage
 	cut, err := splitCut(b, h.typ == nodeLeaf, h.n.usableBytes())
 	if err != nil {
-		h.t.Fatalf("step %d: %v", step, err)
+		return false
 	}
 	from := cut
 	if h.typ == nodeInternal {
@@ -151,27 +159,99 @@ func (h *nodeHarness) split(step int, right bool) {
 			h.t.Fatalf("step %d: filling split half %d: %v", step, side, err)
 		}
 		var m nodeModel
+		w := 1
 		for i := half.lo; i < half.hi; i++ {
 			m.insert(len(m.keys), b.Key(i), b.Value(i))
+			w = max(w, valueWidth(b.Value(i)))
 		}
 		h.n, h.m = half.n, m
 		h.check(step)
 		if want := sharedPrefix(b.Key(half.lo), b.Key(half.hi-1)); h.n.prefixLen() != want {
 			h.t.Fatalf("step %d: half %d prefix %d, want %d", step, side, h.n.prefixLen(), want)
 		}
+		if h.n.width() != w {
+			h.t.Fatalf("step %d: half %d width %d, want %d", step, side, h.n.width(), w)
+		}
 		if side == 0 && !right {
 			break
 		}
 	}
+	return true
 }
 
-// FuzzNodeOps drives one index page through random inserts, deletes,
-// splits, compactions and bulk rebuilds with variable-length composite
-// (string, int) keys, checking it against a sorted-map model after
-// every step. The first byte picks the node type and page size; then
-// every three bytes are one operation and its two key bytes.
+// put stores (key, v) as a tree does: in place when it fits, else by
+// splitting the page around it and keeping the half right names. When
+// no cut takes the put (v far wider than the page's values), the page
+// splits as it stands, the half key belongs to is kept, and the put is
+// tried again there.
+func (h *nodeHarness) put(step int, key []byte, v uint64, right bool) {
+	t := h.t
+	for {
+		pos, found := h.n.search(key)
+		if _, wfound := h.m.find(key); found != wfound {
+			t.Fatalf("step %d: search found=%v, model %v", step, found, wfound)
+		}
+		var err error
+		if found {
+			need := h.n.nKeys() * (valueWidth(v) - h.n.width())
+			if err = h.n.setValue(pos, v); err == nil {
+				h.m.vals[pos] = v
+				return
+			}
+			if h.n.freeSpace() >= need {
+				t.Fatalf("step %d: widening by %d bytes refused with %d free", step, need, h.n.freeSpace())
+			}
+		} else {
+			fits := h.n.canInsert(key, v)
+			if err = h.n.insertAt(pos, key, v); err == nil {
+				if !fits {
+					t.Fatalf("step %d: insert fit where canInsert said it would not", step)
+				}
+				h.m.insert(pos, key, v)
+				return
+			}
+			if fits {
+				t.Fatalf("step %d: canInsert said fits, insert said full", step)
+			}
+		}
+		if !errors.Is(err, errNodeFull) {
+			t.Fatalf("step %d: put: %v", step, err)
+		}
+		h.check(step) // a refused put changes nothing
+		stageMerged(&h.stage, h.n, pos, key, v, found)
+		if found && h.typ == nodeInternal {
+			return // a tree never rewrites a child id in place
+		}
+		if h.split(step, right) {
+			return
+		}
+		h.stage.Reset()
+		for i := range h.m.keys {
+			h.stage.pushKey(h.n, i)
+		}
+		cut, err := splitCut(&h.stage, h.typ == nodeLeaf, h.n.usableBytes())
+		if err != nil {
+			t.Fatalf("step %d: a page's own %d entries have no cut: %v", step, h.stage.Len(), err)
+		}
+		h.split(step, bytes.Compare(key, h.stage.Key(cut)) >= 0)
+	}
+}
+
+// fuzzValue draws a value of 1 to 8 bytes: w picks the width.
+func fuzzValue(step int, w byte) uint64 {
+	n := 1 + int(w)%8
+	v := uint64(step+1) * 0x9E3779B97F4A7C15
+	return v>>(64-8*n) | 1<<(8*n-1)
+}
+
+// FuzzNodeOps drives one index page through random inserts, upserts,
+// deletes, splits, compactions and bulk rebuilds with variable-length
+// composite (string, int) keys and values of 1 to 8 bytes, checking it
+// against a sorted-map model after every step. The first byte picks the
+// node type and page size; then every three bytes are one operation and
+// its two key bytes, which also pick the value's width.
 func FuzzNodeOps(f *testing.F) {
-	const split, rebuild, compact = 3, 4, 5
+	const split, rebuild, compact, upsert = 3, 4, 5, 6
 	// seed joins runs of operations after the config byte.
 	seed := func(cfg byte, runs ...[][]byte) []byte {
 		out := []byte{cfg}
@@ -200,6 +280,18 @@ func FuzzNodeOps(f *testing.F) {
 	f.Add(seed(0, ins(7, 0, 40), op(rebuild, 0, 0), op(2, 5, 0), op(2, 0, 0), op(compact, 0, 0), ins(7, 200, 201)))
 	// A zero-length prefix: the keys' first bytes differ.
 	f.Add(seed(2, ins(250, 0, 5), ins(8, 0, 5), op(rebuild, 0, 0), ins(11, 7, 8), op(split, 0, 1), op(split, 0, 0)))
+	// Narrow values fill a page; upserts and an insert widen it past its
+	// room, so the page splits around the put or, with no cut that
+	// takes it, as it stands first.
+	narrow := func(from, to int) (ops [][]byte) {
+		for b := from; b < to; b++ {
+			ops = append(ops, []byte{0, 8, byte(b)})
+		}
+		return ops
+	}
+	f.Add(seed(0, narrow(0, 60), op(upsert, 3, 7), op(upsert, 40, 6), ins(15, 0, 1)))
+	f.Add(seed(0, narrow(0, 60), op(rebuild, 0, 0), op(upsert, 0, 7), op(upsert, 59, 7)))
+	f.Add(seed(1, narrow(0, 60), op(upsert, 5, 7), ins(7, 0, 3)))
 
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		if len(ops) == 0 {
@@ -215,33 +307,19 @@ func FuzzNodeOps(f *testing.F) {
 		for step := 0; len(ops) >= 3; step++ {
 			op, a, b := ops[0], ops[1], ops[2]
 			ops = ops[3:]
-			switch op % 6 {
+			switch op % 7 {
 			case 0, 1: // insert; a key that does not fit splits the page
 				key := fuzzKey(t, a, b)
-				pos, found := h.n.search(key)
-				if _, wfound := h.m.find(key); found != wfound {
-					t.Fatalf("step %d: search found=%v, model %v", step, found, wfound)
-				}
-				if found {
+				if _, found := h.m.find(key); found {
 					continue
 				}
-				fits := h.n.canInsert(key)
-				switch err := h.n.insertAt(pos, key, uint64(step)); {
-				case err == nil:
-					if !fits {
-						t.Fatalf("step %d: insert fit where canInsert said it would not", step)
-					}
-					h.m.insert(pos, key, uint64(step))
-				case errors.Is(err, errNodeFull):
-					if fits {
-						t.Fatalf("step %d: canInsert said fits, insert said full", step)
-					}
-					h.check(step) // a refused insert changes nothing
-					stageMerged(&h.stage, h.n, pos, key, uint64(step))
-					h.split(step, b&1 == 1)
-				default:
-					t.Fatalf("step %d: insert: %v", step, err)
+				h.put(step, key, fuzzValue(step, a+b), b&1 == 1)
+			case upsert: // a new value, of any width, for a present key
+				if len(h.m.keys) == 0 {
+					continue
 				}
+				key := h.m.keys[int(a)%len(h.m.keys)]
+				h.put(step, key, fuzzValue(step, b), b&1 == 1)
 			case 2: // delete
 				if len(h.m.keys) == 0 {
 					continue
@@ -263,7 +341,9 @@ func FuzzNodeOps(f *testing.F) {
 				for i := range h.m.keys {
 					h.stage.pushKey(h.n, i)
 				}
-				h.split(step, b&1 == 1)
+				if !h.split(step, b&1 == 1) {
+					t.Fatalf("step %d: a page's own entries have no cut", step)
+				}
 			case rebuild: // rebuild as a bulk load does: prefix from first and last key
 				h.stage.Reset()
 				for i := range h.m.keys {

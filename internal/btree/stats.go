@@ -108,6 +108,7 @@ func (t *Tree) walk(id storage.PageID, fn func(id storage.PageID, n node) error)
 // violation found:
 //
 //   - every page footer magic intact (cache writes stayed in bounds)
+//   - every page's value width in [1, 8]
 //   - keys strictly increasing within every node
 //   - directory offsets inside the key-cell region, below the prefix
 //   - child separators consistent with parent keys
@@ -146,10 +147,13 @@ func (t *Tree) checkNode(id storage.PageID, lower, upper []byte) error {
 	if n.dirEnd() != nodeHeaderSize+n.nKeys()*dirEntrySize {
 		return fmt.Errorf("btree: %v dirEnd inconsistent with nKeys", id)
 	}
+	if w := n.width(); w < 1 || w > maxValueWidth {
+		return fmt.Errorf("btree: %v value width %d outside [1, %d]", id, w, maxValueWidth)
+	}
 	var prev, k []byte
 	for i := 0; i < n.nKeys(); i++ {
 		off := n.dirEntry(i)
-		if off < n.keyStart() || off+cellSize(n.keyLen(i)-n.prefixLen()) > cellsEnd {
+		if off < n.keyStart() || off+cellSize(n.keyLen(i)-n.prefixLen(), n.width()) > cellsEnd {
 			return fmt.Errorf("btree: %v directory entry %d points outside cell region", id, i)
 		}
 		k = n.appendKey(k[:0], i)

@@ -9,8 +9,9 @@ import (
 	"repro/internal/storage"
 )
 
-// Tree is a B+Tree mapping memcomparable keys to 8-byte values (packed
-// RIDs). Concurrency is per-node latch crabbing (Bayer/Schkolnick), not
+// Tree is a B+Tree mapping memcomparable keys to uint64 values (packed
+// RIDs), each page storing its values in the bytes its widest one
+// needs. Concurrency is per-node latch crabbing (Bayer/Schkolnick), not
 // a tree-wide lock: many readers AND many writers proceed in parallel,
 // serialized only on the individual pages they touch.
 //
@@ -31,11 +32,12 @@ import (
 //     releasing all ancestors the moment a child is "safe" (cannot
 //     split), so the retained latch set is exactly the split's blast
 //     radius. LatchRetries counts these fallbacks.
-//   - The safe-node rule: a leaf is safe if the incoming key fits; an
+//   - The safe-node rule: a leaf is safe if the incoming entry fits; an
 //     internal node is safe if it can absorb a separator of
 //     maxSepLen bytes — an upper bound on any separator this tree can
 //     ever push up, maintained as the longest key ever inserted
-//     (separators are always copies of existing keys).
+//     (separators are always copies of existing keys) — whose child id
+//     takes the widest value width.
 //   - The root page id is IMMUTABLE (B-link-style root growth): a root
 //     split copies the halved root into a fresh left page and
 //     re-initialises the root page itself as an internal node over the
@@ -87,16 +89,28 @@ func New(pool *buffer.Pool) (*Tree, error) {
 }
 
 // Open re-attaches to an existing tree given its root (for reopening
-// file-backed trees). The separator-length bound for the safe-node rule
-// is unknown for a reopened tree, so it starts at the maximum key
-// length — maximally conservative (more pessimistic holds), never
-// incorrect.
-func Open(pool *buffer.Pool, root storage.PageID, height int, numKeys int64) *Tree {
+// file-backed trees). It reads the root page first: a page written in
+// another index page format (footerMagic) fails the open instead of
+// being misread. The separator-length bound for the safe-node rule is
+// unknown for a reopened tree, so it starts at the maximum key length —
+// maximally conservative (more pessimistic holds), never incorrect.
+func Open(pool *buffer.Pool, root storage.PageID, height int, numKeys int64) (*Tree, error) {
+	fr, err := pool.Fetch(root)
+	if err != nil {
+		return nil, fmt.Errorf("btree: reading root %v: %w", root, err)
+	}
+	fr.Latch.RLock()
+	magic := asNode(fr.Data()).footer()
+	fr.Latch.RUnlock()
+	pool.Unpin(fr, false)
+	if magic != footerMagic {
+		return nil, fmt.Errorf("btree: root %v is not an index page of this format (footer %#x, want %#x): written by another version", root, magic, footerMagic)
+	}
 	t := &Tree{pool: pool, root: root}
 	t.height.Store(int64(height))
 	t.numKeys.Store(numKeys)
 	t.maxSepLen.Store(int64(t.maxKeyLen()))
-	return t
+	return t, nil
 }
 
 // Root returns the root page id (fixed for the tree's lifetime).
@@ -291,23 +305,25 @@ func (t *Tree) Insert(key []byte, value uint64) (bool, error) {
 	n := asNode(fr.Data())
 	pos, found := n.search(key)
 	if found {
-		n.setCellValue(n.dirEntry(pos), value)
-		fr.Latch.Unlock()
-		t.pool.Unpin(fr, true)
-		return false, nil
-	}
-	if err := n.insertAt(pos, key, value); err == nil {
+		if n.setValue(pos, value) == nil {
+			fr.Latch.Unlock()
+			t.pool.Unpin(fr, true)
+			return false, nil
+		}
+	} else if err := n.insertAt(pos, key, value); err == nil {
 		fr.Latch.Unlock()
 		t.pool.Unpin(fr, true)
 		t.numKeys.Add(1)
 		return true, nil
 	}
-	// Leaf full: give up the optimistic latch and retry with the
+	// Leaf full (a new key, or a value wider than the page has room
+	// to widen to): give up the optimistic latch and retry with the
 	// pessimistic crabbing descent that may hold the split path.
 	fr.Latch.Unlock()
 	t.pool.Unpin(fr, false)
 	t.latchRetries.Add(1)
-	return t.insertPessimistic(key, value, false)
+	ins, _, err := t.insertPessimistic(key, value, false)
+	return ins, err
 }
 
 // Delete removes key and reports whether it was present. Nodes are not
@@ -348,21 +364,28 @@ type latchedNode struct {
 // so on arrival the latch set is exactly the nodes a split can touch.
 // Because the root grows in place under its own page latch, an unsafe
 // root needs no special lock — it simply stays on the retained path.
-func (t *Tree) insertPessimistic(key []byte, value uint64, ifAbsent bool) (bool, error) {
+// It puts value under key — an upsert, or an insert only when ifAbsent
+// — and returns whether the key was new and, when it was not, the value
+// it held.
+func (t *Tree) insertPessimistic(key []byte, value uint64, ifAbsent bool) (inserted bool, prev uint64, err error) {
 	// Escalation ladder. maxSepLen is a snapshot: a longer key published
 	// by a concurrent writer after the load can make the safe-node rule
 	// too optimistic, which pendingSepFits detects before any page is
-	// mutated (the descent then bails). The last rung uses the absolute
-	// key-length bound, under which a "safe" verdict can never be wrong
-	// and an unsafe path retains the root — so it always settles.
-	for _, sepBound := range [2]int{int(t.maxSepLen.Load()), t.maxKeyLen()} {
-		ins, done, err := t.insertLatched(key, value, sepBound, ifAbsent)
+	// mutated (the descent then bails). Every later attempt uses the
+	// absolute key-length bound, under which a "safe" verdict can never
+	// be wrong and an unsafe path retains the root, so it cannot bail.
+	// An attempt also ends undone when its split could not take the put
+	// (splitLeafPut): the leaf then split as it stood, and each such
+	// split leaves the key's leaf fewer entries to widen.
+	sepBound := int(t.maxSepLen.Load())
+	for attempt := 0; attempt < 64; attempt++ {
+		ins, prev, done, err := t.insertLatched(key, value, sepBound, ifAbsent)
 		if done || err != nil {
-			return ins, err
+			return ins, prev, err
 		}
+		sepBound = t.maxKeyLen()
 	}
-	// Unreachable: the last rung cannot bail (see above).
-	return false, fmt.Errorf("btree: pessimistic insert failed to settle")
+	return false, 0, fmt.Errorf("btree: pessimistic insert failed to settle")
 }
 
 // longestKeyIn returns the longest key currently in the node — with
@@ -397,13 +420,14 @@ func pendingSepFits(path []latchedNode, key []byte, rootHeld bool) bool {
 	return rootHeld
 }
 
-// insertLatched performs one pessimistic descent+insert. It bails
-// (done=false) only when the safe-node bound it descended under turns
-// out stale at the dry-run (pendingSepFits); the caller then escalates
-// the bound. An unsafe root needs no special handling — it stays on
-// the retained path, exclusively latched, and the grow branch rebuilds
-// it in place.
-func (t *Tree) insertLatched(key []byte, value uint64, sepBound int, ifAbsent bool) (inserted, done bool, err error) {
+// insertLatched performs one pessimistic descent+put. It returns
+// done=false, having put nothing, when the safe-node bound it descended
+// under turns out stale at the dry-run (pendingSepFits: nothing
+// changed), or when the leaf had to split without the put; the caller
+// then tries again. An unsafe root needs no special handling — it stays
+// on the retained path, exclusively latched, and the grow branch
+// rebuilds it in place.
+func (t *Tree) insertLatched(key []byte, value uint64, sepBound int, ifAbsent bool) (inserted bool, prev uint64, done bool, err error) {
 	var pathArr [8]latchedNode
 	path := pathArr[:0]
 	releasePath := func(dirty bool) {
@@ -416,14 +440,14 @@ func (t *Tree) insertLatched(key []byte, value uint64, sepBound int, ifAbsent bo
 
 	fr, err := t.pool.Fetch(t.root)
 	if err != nil {
-		return false, false, err
+		return false, 0, false, err
 	}
 	fr.Latch.Lock()
 	n := asNode(fr.Data())
 	path = append(path, latchedNode{fr, n})
 
 	for !n.isLeaf() {
-		if t.nodeSafe(n, key, sepBound) {
+		if t.nodeSafe(n, key, value, sepBound) {
 			// Everything above n can no longer be touched by a split.
 			above := path[:len(path)-1]
 			for _, e := range above {
@@ -436,7 +460,7 @@ func (t *Tree) insertLatched(key []byte, value uint64, sepBound int, ifAbsent bo
 		cfr, err := t.pool.Fetch(child)
 		if err != nil {
 			releasePath(false)
-			return false, false, err
+			return false, 0, false, err
 		}
 		cfr.Latch.Lock()
 		n = asNode(cfr.Data())
@@ -446,7 +470,7 @@ func (t *Tree) insertLatched(key []byte, value uint64, sepBound int, ifAbsent bo
 	// too (the common shape here is "leaf full", but a concurrent delete
 	// may have made room since the optimistic attempt).
 	leaf := path[len(path)-1]
-	if t.nodeSafe(leaf.n, key, sepBound) && len(path) > 1 {
+	if t.nodeSafe(leaf.n, key, value, sepBound) && len(path) > 1 {
 		for _, e := range path[:len(path)-1] {
 			e.fr.Latch.Unlock()
 			t.pool.Unpin(e.fr, false)
@@ -468,18 +492,19 @@ func (t *Tree) insertLatched(key []byte, value uint64, sepBound int, ifAbsent bo
 	}
 	pos, found := leaf.n.search(key)
 	if found {
+		prev = leaf.n.value(pos)
 		if ifAbsent {
 			releasePath(false)
-			return false, true, nil
+			return false, prev, true, nil
 		}
-		leaf.n.setCellValue(leaf.n.dirEntry(pos), value)
-		releaseLeafDirty()
-		return false, true, nil
-	}
-	if err := leaf.n.insertAt(pos, key, value); err == nil {
+		if leaf.n.setValue(pos, value) == nil {
+			releaseLeafDirty()
+			return false, prev, true, nil
+		}
+	} else if err := leaf.n.insertAt(pos, key, value); err == nil {
 		releaseLeafDirty()
 		t.numKeys.Add(1)
-		return true, true, nil
+		return true, 0, true, nil
 	}
 
 	// A split is unavoidable. Before mutating anything, dry-run the
@@ -489,20 +514,29 @@ func (t *Tree) insertLatched(key []byte, value uint64, sepBound int, ifAbsent bo
 	// escalate instead of splitting past the latches we hold.
 	if !pendingSepFits(path, key, path[0].fr.ID() == t.root) {
 		releasePath(false)
-		return false, false, nil
+		return false, 0, false, nil
 	}
 
 	// Split the leaf and propagate up through the retained path. All
 	// latches stay held until the whole multi-level update is complete:
 	// readers cannot pass the deepest retained ancestor meanwhile, so
 	// they never observe a half-linked split.
-	sep, rightID, err := t.splitLeafInsert(leaf, key, value)
+	sep, rightID, placed, err := t.splitLeafPut(leaf, key, value, found)
 	if err != nil {
 		// The split may have mutated the leaf before failing; release
 		// everything dirty so whatever state exists reaches disk rather
 		// than desyncing from the sibling chain.
 		releasePath(true)
-		return false, false, err
+		return false, 0, false, err
+	}
+	// settle ends a split that reached a node which absorbed it: the put
+	// landed, or the leaf split without it and the caller tries again.
+	inserted = placed && !found
+	settle := func() (bool, uint64, bool, error) {
+		if inserted {
+			t.numKeys.Add(1)
+		}
+		return inserted, prev, placed, nil
 	}
 	// releaseMutated unpins path entries from dirtyFrom on dirty (they
 	// were split or received the separator) and shallower ones clean
@@ -520,17 +554,16 @@ func (t *Tree) insertLatched(key []byte, value uint64, sepBound int, ifAbsent bo
 		ppos, pfound := parent.n.search(sep)
 		if pfound {
 			releaseMutated(i + 1)
-			return false, false, fmt.Errorf("btree: separator key already in parent")
+			return false, 0, false, fmt.Errorf("btree: separator key already in parent")
 		}
 		if err := parent.n.insertAt(ppos, sep, uint64(rightID)); err == nil {
 			releaseMutated(i)
-			t.numKeys.Add(1)
-			return true, true, nil
+			return settle()
 		}
 		sep, rightID, err = t.splitInternalInsert(parent, sep, rightID)
 		if err != nil {
 			releasePath(true)
-			return false, false, err
+			return false, 0, false, err
 		}
 	}
 	// The split propagated past the whole retained path — only possible
@@ -545,7 +578,7 @@ func (t *Tree) insertLatched(key []byte, value uint64, sepBound int, ifAbsent bo
 	lfr, err := t.pool.NewPage()
 	if err != nil {
 		releasePath(true)
-		return false, false, err
+		return false, 0, false, err
 	}
 	copy(lfr.Data(), rootE.fr.Data())
 	wasLeaf := rootE.n.isLeaf()
@@ -560,7 +593,7 @@ func (t *Tree) insertLatched(key []byte, value uint64, sepBound int, ifAbsent bo
 		rfr, err := t.pool.Fetch(rightID)
 		if err != nil {
 			releasePath(true)
-			return false, false, err
+			return false, 0, false, err
 		}
 		rfr.Latch.Lock()
 		asNode(rfr.Data()).setLeftSibling(uint64(leftID))
@@ -569,10 +602,10 @@ func (t *Tree) insertLatched(key []byte, value uint64, sepBound int, ifAbsent bo
 	}
 	rn := initNode(rootE.fr.Data(), nodeInternal)
 	rn.setLeftmostChild(uint64(leftID))
-	rn.clearCells(sep)
+	rn.clearCells(sep, valueWidth(uint64(rightID)))
 	if err := rn.insertAt(0, sep, uint64(rightID)); err != nil {
 		releasePath(true)
-		return false, false, fmt.Errorf("btree: root grow insert: %w", err)
+		return false, 0, false, fmt.Errorf("btree: root grow insert: %w", err)
 	}
 	// Cursors pinned at the old root-as-leaf revalidate on the version
 	// counter; carry it forward (bumped) across the re-init so they can
@@ -580,17 +613,16 @@ func (t *Tree) insertLatched(key []byte, value uint64, sepBound int, ifAbsent bo
 	rn.setVersion(oldVer + 1)
 	t.height.Add(1)
 	releasePath(true)
-	t.numKeys.Add(1)
-	return true, true, nil
+	return settle()
 }
 
-// nodeSafe reports whether a node cannot split from this insert: a leaf
-// must fit the incoming key, an internal node must fit the longest
-// separator the tree could push up (sepBound) from its child covering
-// key.
-func (t *Tree) nodeSafe(n node, key []byte, sepBound int) bool {
+// nodeSafe reports whether a node cannot split from this put: a leaf
+// must fit the incoming entry as a new one (an upsert of a present key
+// needs less), an internal node must fit the longest separator the tree
+// could push up (sepBound) from its child covering key.
+func (t *Tree) nodeSafe(n node, key []byte, value uint64, sepBound int) bool {
 	if n.isLeaf() {
-		return n.canInsert(key)
+		return n.canInsert(key, value)
 	}
 	return n.canAbsorb(key, sepBound)
 }
@@ -601,12 +633,16 @@ func (t *Tree) nodeSafe(n node, key []byte, sepBound int) bool {
 var splitStage = sync.Pool{New: func() any { return new(EntryBlock) }}
 
 // stageMerged copies n's entries into b with (key, value) merged in at
-// its sorted position ins: the sequence a split distributes.
-func stageMerged(b *EntryBlock, n node, ins int, key []byte, value uint64) {
+// its sorted position ins — in place of entry ins when replace, which
+// holds key — the sequence a split distributes.
+func stageMerged(b *EntryBlock, n node, ins int, key []byte, value uint64, replace bool) {
 	b.Reset()
 	for i := 0; i < n.nKeys(); i++ {
 		if i == ins {
 			b.push(key, value)
+			if replace {
+				continue
+			}
 		}
 		b.pushKey(n, i)
 	}
@@ -620,10 +656,12 @@ func stageMerged(b *EntryBlock, n node, ins int, key []byte, value uint64) {
 // in a leaf; in an internal node entry cut moves up as the separator
 // instead. Each side keeps at least one key. Of the cuts that leave
 // both pages within usable bytes it takes the one whose fuller page is
-// emptiest, sizing each page with its own shared prefix stored once —
-// so a key that shares little with the others is split off from the
-// keys it would make longer, and both pages always fit: the old page
-// without the new key did.
+// emptiest, sizing each page with its own shared prefix stored once and
+// its own value width — so a key that shares little with the others,
+// or a value much wider than theirs, is split off from the entries it
+// would make longer. Entries as a page held them always have a cut:
+// each side takes no more than the page did. A merged entry whose value
+// is far wider than the page's may have none (splitLeafPut).
 func splitCut(b *EntryBlock, leaf bool, usable int) (int, error) {
 	m := b.Len()
 	total := len(b.keys)
@@ -631,12 +669,20 @@ func splitCut(b *EntryBlock, leaf bool, usable int) (int, error) {
 	if !leaf {
 		skip, last = 1, m-2
 	}
-	best, bestSize := -1, 0
+	// b.widths[i] is the widest value among entries i..m-1: the width
+	// of a right page starting there.
+	b.widths = append(b.widths[:0], make([]uint8, m+1)...)
+	b.widths[m] = 1
+	for i := m - 1; i >= 0; i-- {
+		b.widths[i] = max(b.widths[i+1], uint8(valueWidth(b.vals[i])))
+	}
+	best, bestSize, lw := -1, 0, 1
 	for cut := 1; cut <= last; cut++ {
+		lw = max(lw, valueWidth(b.vals[cut-1]))
 		leftBytes := int(b.offs[cut])
 		rightBytes := total - leftBytes - skip*len(b.Key(cut))
-		l := runBytes(cut, leftBytes, b.Key(0), b.Key(cut-1))
-		r := runBytes(m-cut-skip, rightBytes, b.Key(cut+skip), b.Key(m-1))
+		l := runBytes(cut, leftBytes, lw, b.Key(0), b.Key(cut-1))
+		r := runBytes(m-cut-skip, rightBytes, int(b.widths[cut+skip]), b.Key(cut+skip), b.Key(m-1))
 		if size := max(l, r); size <= usable && (best < 0 || size < bestSize) {
 			best, bestSize = cut, size
 		}
@@ -647,35 +693,48 @@ func splitCut(b *EntryBlock, leaf bool, usable int) (int, error) {
 	return best, nil
 }
 
-// splitLeafInsert splits the exclusively latched leaf around (key,
-// value): the leaf's entries and the new one are staged in order and
+// splitLeafPut splits the exclusively latched leaf around putting
+// (key, value) — a new entry, or in place of the entry holding key when
+// found: the leaf's entries and the put are staged in order and
 // redistributed over the leaf and a fresh right page, each under its
-// own shared prefix. It wires all sibling links — including the old
-// right neighbor's left pointer, taken exclusively in left→right order
-// — and returns the separator (copied) and new page id for
-// propagation. leaf stays latched; the caller releases it dirty.
-func (t *Tree) splitLeafInsert(leaf latchedNode, key []byte, value uint64) ([]byte, storage.PageID, error) {
+// own shared prefix and value width. When no cut fits both pages (the
+// put's value is so much wider than the page's that neither half has
+// room to widen), it splits the leaf as it stands and reports placed =
+// false: the caller puts again into a leaf of fewer entries. It wires
+// all sibling links — including the old right neighbor's left pointer,
+// taken exclusively in left→right order — and returns the separator
+// (copied) and new page id for propagation. leaf stays latched; the
+// caller releases it dirty.
+func (t *Tree) splitLeafPut(leaf latchedNode, key []byte, value uint64, found bool) (sep []byte, rightID storage.PageID, placed bool, err error) {
 	n := leaf.n
 	b := splitStage.Get().(*EntryBlock)
 	defer splitStage.Put(b)
 	insPos, _ := n.search(key)
-	stageMerged(b, n, insPos, key, value)
+	stageMerged(b, n, insPos, key, value, found)
 	cut, err := splitCut(b, true, n.usableBytes())
+	placed = err == nil
+	if !placed {
+		b.Reset()
+		for i := 0; i < n.nKeys(); i++ {
+			b.pushKey(n, i)
+		}
+		cut, err = splitCut(b, true, n.usableBytes())
+	}
 	if err != nil {
-		return nil, storage.InvalidPageID, err
+		return nil, storage.InvalidPageID, false, err
 	}
 	rfr, err := t.pool.NewPage()
 	if err != nil {
-		return nil, storage.InvalidPageID, err
+		return nil, storage.InvalidPageID, false, err
 	}
 	rn := initNode(rfr.Data(), nodeLeaf)
 	if err := rn.fillFrom(b, cut, b.Len()); err != nil {
 		t.pool.Unpin(rfr, false)
-		return nil, storage.InvalidPageID, fmt.Errorf("btree: split copy: %w", err)
+		return nil, storage.InvalidPageID, false, fmt.Errorf("btree: split copy: %w", err)
 	}
 	if err := n.fillFrom(b, 0, cut); err != nil {
 		t.pool.Unpin(rfr, false)
-		return nil, storage.InvalidPageID, fmt.Errorf("btree: split copy: %w", err)
+		return nil, storage.InvalidPageID, false, fmt.Errorf("btree: split copy: %w", err)
 	}
 	// Wire the chain in both directions. The new node is unreachable by
 	// descent until the parent is updated (the caller holds the parent
@@ -686,8 +745,8 @@ func (t *Tree) splitLeafInsert(leaf latchedNode, key []byte, value uint64) ([]by
 	rn.setRightSibling(oldRight)
 	rn.setLeftSibling(uint64(leaf.fr.ID()))
 	n.setRightSibling(uint64(rfr.ID()))
-	sep := append([]byte(nil), b.Key(cut)...)
-	rightID := rfr.ID()
+	sep = append([]byte(nil), b.Key(cut)...)
+	rightID = rfr.ID()
 	t.pool.Unpin(rfr, true)
 
 	if oldRight != uint64(storage.InvalidPageID) {
@@ -696,14 +755,14 @@ func (t *Tree) splitLeafInsert(leaf latchedNode, key []byte, value uint64) ([]by
 		// uses, so this cannot deadlock against another split.
 		ofr, err := t.pool.Fetch(storage.PageID(oldRight))
 		if err != nil {
-			return nil, storage.InvalidPageID, err
+			return nil, storage.InvalidPageID, false, err
 		}
 		ofr.Latch.Lock()
 		asNode(ofr.Data()).setLeftSibling(uint64(rightID))
 		ofr.Latch.Unlock()
 		t.pool.Unpin(ofr, true)
 	}
-	return sep, rightID, nil
+	return sep, rightID, placed, nil
 }
 
 // splitInternalInsert splits the exclusively latched internal node
@@ -717,7 +776,7 @@ func (t *Tree) splitInternalInsert(parent latchedNode, sep []byte, childID stora
 	b := splitStage.Get().(*EntryBlock)
 	defer splitStage.Put(b)
 	insPos, _ := n.search(sep)
-	stageMerged(b, n, insPos, sep, uint64(childID))
+	stageMerged(b, n, insPos, sep, uint64(childID), false)
 	cut, err := splitCut(b, false, n.usableBytes())
 	if err != nil {
 		return nil, storage.InvalidPageID, err

@@ -671,7 +671,9 @@ func (e *Engine) rebuildTable(mt *manifestTable, version int) error {
 		if err != nil {
 			return fmt.Errorf("core: manifest index %q on %q: %w", mi.Name, mt.Name, err)
 		}
-		ix.tree = btree.Open(e.pool, storage.PageID(mi.Root), mi.Height, mi.NumKeys)
+		if ix.tree, err = btree.Open(e.pool, storage.PageID(mi.Root), mi.Height, mi.NumKeys); err != nil {
+			return fmt.Errorf("core: manifest index %q on %q: %w", mi.Name, mt.Name, err)
+		}
 		if ix.cache != nil {
 			ix.cache.SeedCSN(mi.CacheCSN + 1)
 		}

@@ -67,10 +67,10 @@ type Index struct {
 
 	cache        *idxcache.Cache
 	cachedFields []int
-	payloadWidth int
-	// payloadOff[i] is the byte offset of cachedFields[i]'s value within
-	// the cache payload (after the null-bitmap byte).
-	payloadOff []int
+	// payload is how a cache payload stores cachedFields: at their
+	// declared widths until the table adopts a packed layout, then at
+	// the layout's while the data fits them (payloadPlan).
+	payload atomic.Pointer[payloadPlan]
 
 	// Projection-plan cache: an immutable slice of resolved plans behind
 	// an atomic pointer, grown copy-on-write. Point lookups resolve
@@ -275,22 +275,19 @@ func (t *Table) newIndexShell(spec indexSpec) (*Index, error) {
 		if len(spec.CachedFields) > 8 {
 			return nil, fmt.Errorf("core: index %q: at most 8 cached fields (null bitmap is one byte)", name)
 		}
-		width := 1 // null bitmap byte
 		for _, f := range spec.CachedFields {
 			pos := t.schema.Index(f)
 			if pos < 0 {
 				return nil, fmt.Errorf("core: index %q: no cached field %q", name, f)
 			}
-			w := fixedValueWidth(t.schema.Field(pos))
-			if w < 0 {
+			if fixedValueWidth(t.schema.Field(pos)) < 0 {
 				return nil, fmt.Errorf("core: index %q: cached field %q is not fixed width", name, f)
 			}
 			ix.cachedFields = append(ix.cachedFields, pos)
-			ix.payloadOff = append(ix.payloadOff, width)
-			width += w
 		}
-		ix.payloadWidth = width
-		cache, err := idxcache.New(idxcache.Config{PayloadSize: width, Seed: spec.CacheSeed})
+		plan := ix.newPayloadPlan(t.schema.Packed(), 0)
+		ix.payload.Store(plan)
+		cache, err := idxcache.New(idxcache.Config{PayloadSize: plan.size, Seed: spec.CacheSeed})
 		if err != nil {
 			return nil, err
 		}

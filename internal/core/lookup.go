@@ -142,7 +142,7 @@ func (ix *Index) WarmCache() (int, error) {
 		// fetch run stops once that many landed — but an entry that
 		// fails to install (encode declined, slot contention) spends no
 		// budget, exactly like the pre-batched warm loop.
-		budget := ix.cache.SlotsIn(l)
+		budget, _ := ix.cache.SlotsIn(l)
 		if budget <= 0 {
 			return true
 		}
@@ -185,15 +185,16 @@ func (ix *Index) WarmCache() (int, error) {
 
 // admit installs row's cached fields as packed's §2.1 cache entry on l,
 // encoding them in *buf (scratch: Insert copies the payload into the
-// page). It is the one place a cache entry is written — a point cursor's
+// page); a row the payload plan cannot hold is counted, not installed. It is the one place a cache entry is written — a point cursor's
 // fill after a heap answer and WarmCache's bulk load — and runs under
 // the leaf's latch once idxcache.Cache.Prepare said its cache is usable.
 func (ix *Index) admit(l *btree.Leaf, packed uint64, row tuple.Row, buf *[]byte) bool {
 	payload, ok := ix.encodePayloadInto((*buf)[:0], row)
-	if !ok {
-		return false
+	if ok {
+		*buf = payload[:0]
+	} else {
+		payload = nil // outside the plan: Insert counts it not admitted
 	}
-	*buf = payload[:0]
 	return ix.cache.Insert(l, packed, payload)
 }
 
@@ -314,36 +315,128 @@ func (ix *Index) assembleInto(dst tuple.Row, keyVals []tuple.Value, payload []by
 	return row, true
 }
 
-// decodePayloadField extracts the ci-th cached field from a payload
-// (ok=false for one of the wrong width, or a kind it cannot hold).
+// payloadPlan is how a §2.1 cache payload stores an index's cached
+// fields: a null-bitmap byte, then each field at a fixed byte offset.
+// Before the table adopts a packed layout every field takes its
+// declared width. After, a field the layout stores as an offset (§4.1)
+// takes the layout's width rounded up to whole bytes, when that is
+// narrower than declared, and holds its value's offset from the
+// layout's minimum as a signed number: the rounding's spare bits are
+// room on both sides of the range the layout was profiled on. A row
+// whose value lies outside that domain is not admitted (idxcache counts
+// it), and the field escapes: later plans store it at its declared
+// width, as a heap record stores an escaped value. A payload has no
+// escape area of its own, and a field whose sample was too narrow for
+// the data would otherwise keep every later row out.
+//
+// The declared plan is the widest. The packed plan is narrower, and
+// after it plans only widen, a field at a time, until every field is
+// back at its declared width — which is the declared plan again. So a
+// payload's width names its encoding, and a payload of another width
+// than a reader's plan is a miss, never a misread.
+type payloadPlan struct {
+	layout  *tuple.Layout // the layout the plan follows; nil: declared
+	escaped uint64        // bit ci: cached field ci escaped to its declared width
+	size    int
+	fields  []payloadField // one per cached field
+}
+
+// payloadField is where a payload keeps one cached field.
+type payloadField struct {
+	kind  tuple.Kind
+	at    int // byte offset in the payload
+	width int // bytes
+	// rel marks an offset field: value − min, signed, in width bytes.
+	// Any other field is stored at its declared width.
+	rel bool
+	min int64
+}
+
+// newPayloadPlan returns the payload plan for a table in layout l (nil:
+// declared widths) with the cached fields escaped marks at their
+// declared widths.
+func (ix *Index) newPayloadPlan(l *tuple.Layout, escaped uint64) *payloadPlan {
+	p := &payloadPlan{layout: l, escaped: escaped, size: 1} // the null-bitmap byte
+	var spec []tuple.FieldPacking
+	if l != nil {
+		spec = l.Spec()
+	}
+	for ci, pos := range ix.cachedFields {
+		f := ix.table.schema.Field(pos)
+		pf := payloadField{kind: f.Kind, at: p.size, width: fixedValueWidth(f)}
+		if spec != nil && escaped&(1<<ci) == 0 && f.Kind != tuple.KindChar && f.Kind != tuple.KindBool {
+			if w := (spec[pos].Bits + 7) / 8; w < pf.width {
+				pf.rel, pf.min, pf.width = true, spec[pos].Offset, w
+			}
+		}
+		p.fields = append(p.fields, pf)
+		p.size += pf.width
+	}
+	return p
+}
+
+// currentPayloadPlan returns the index's payload plan, moving it to the
+// table's packed layout once the table has adopted one.
+func (ix *Index) currentPayloadPlan() *payloadPlan {
+	p := ix.payload.Load()
+	if l := ix.table.schema.Packed(); l != p.layout {
+		ix.payload.CompareAndSwap(p, ix.newPayloadPlan(l, 0))
+		p = ix.payload.Load()
+	}
+	return p
+}
+
+// escapePayloadField widens the payload plan p to store cached field ci
+// at its declared width, unless a newer plan already moved on.
+func (ix *Index) escapePayloadField(p *payloadPlan, ci int) {
+	ix.payload.CompareAndSwap(p, ix.newPayloadPlan(p.layout, p.escaped|1<<ci))
+}
+
+// decodePayloadField extracts the ci-th cached field from a payload in
+// O(1) (ok=false for a payload of another width than the index's plan).
 func (ix *Index) decodePayloadField(payload []byte, ci int) (tuple.Value, bool) {
-	if len(payload) != ix.payloadWidth {
+	p := ix.currentPayloadPlan()
+	if len(payload) != p.size {
 		return tuple.Value{}, false
 	}
-	f := ix.table.schema.Field(ix.cachedFields[ci])
+	pf := &p.fields[ci]
 	if payload[0]&(1<<ci) != 0 {
-		return tuple.Value{Kind: f.Kind, Null: true}, true
+		return tuple.Value{Kind: pf.kind, Null: true}, true
 	}
-	off := ix.payloadOff[ci]
-	v := tuple.Value{Kind: f.Kind}
-	switch f.Kind {
+	b := payload[pf.at : pf.at+pf.width]
+	v := tuple.Value{Kind: pf.kind}
+	if pf.rel {
+		var u uint64
+		for i := len(b) - 1; i >= 0; i-- {
+			u = u<<8 | uint64(b[i])
+		}
+		if sh := 64 - 8*len(b); sh > 0 && sh < 64 {
+			u = uint64(int64(u<<sh) >> sh) // sign-extend
+		}
+		x := int64(u + uint64(pf.min))
+		if pf.kind == tuple.KindFloat64 {
+			v.Float = float64(x)
+		} else {
+			v.Int = x
+		}
+		return v, true
+	}
+	switch pf.kind {
 	case tuple.KindInt64, tuple.KindTimestamp:
-		v.Int = int64(binary.LittleEndian.Uint64(payload[off:]))
+		v.Int = int64(binary.LittleEndian.Uint64(b))
 	case tuple.KindFloat64:
-		v.Float = math.Float64frombits(binary.LittleEndian.Uint64(payload[off:]))
+		v.Float = math.Float64frombits(binary.LittleEndian.Uint64(b))
 	case tuple.KindInt32:
-		v.Int = int64(int32(binary.LittleEndian.Uint32(payload[off:])))
+		v.Int = int64(int32(binary.LittleEndian.Uint32(b)))
 	case tuple.KindInt16:
-		v.Int = int64(int16(binary.LittleEndian.Uint16(payload[off:])))
+		v.Int = int64(int16(binary.LittleEndian.Uint16(b)))
 	case tuple.KindInt8:
-		v.Int = int64(int8(payload[off]))
+		v.Int = int64(int8(b[0]))
 	case tuple.KindBool:
-		if payload[off] != 0 {
+		if b[0] != 0 {
 			v.Int = 1
 		}
 	case tuple.KindChar:
-		end := off + fixedValueWidth(f)
-		b := payload[off:end]
 		for len(b) > 0 && b[len(b)-1] == 0 {
 			b = b[:len(b)-1]
 		}
@@ -352,6 +445,31 @@ func (ix *Index) decodePayloadField(payload []byte, ci int) (tuple.Value, bool) 
 		return tuple.Value{}, false
 	}
 	return v, true
+}
+
+// offsetOf returns what an offset field stores for v, and whether v is
+// inside its domain: an integer (a double only when integral, and not
+// −0) whose offset from min is a signed number of width bytes. The
+// offset wraps as decodePayloadField's sum does, so any value it admits
+// reads back exactly.
+func (pf *payloadField) offsetOf(v tuple.Value) (uint64, bool) {
+	x := v.Int
+	if pf.kind == tuple.KindFloat64 {
+		const two63 = 1 << 63
+		if !(v.Float >= -two63 && v.Float < two63) {
+			return 0, false
+		}
+		x = int64(v.Float)
+		if math.Float64bits(float64(x)) != math.Float64bits(v.Float) {
+			return 0, false
+		}
+	}
+	d := int64(uint64(x) - uint64(pf.min))
+	if pf.width == 0 {
+		return 0, d == 0
+	}
+	half := int64(1) << (8*pf.width - 1)
+	return uint64(d), pf.width == 8 || (d >= -half && d < half)
 }
 
 // projectRowInto projects row through projIdx, reusing dst's backing
@@ -364,52 +482,59 @@ func projectRowInto(dst tuple.Row, row tuple.Row, projIdx []int) tuple.Row {
 	return out
 }
 
-// encodePayloadInto serializes the cached fields of a row into the
-// fixed payload layout — one null-bitmap byte, then each field's fixed
-// bytes — appending into dst (the hot path
-// passes pooled scratch; idxcache.Insert copies the payload into the
-// page, so the buffer is immediately reusable).
+// encodePayloadInto serializes the cached fields of a row in the
+// index's payload plan, appending into dst (the hot path passes pooled
+// scratch; idxcache.Insert copies the payload into the page, so the
+// buffer is immediately reusable). ok is false for a row a packed plan
+// cannot hold — a value outside an offset field's domain — and the
+// field escapes (payloadPlan).
 func (ix *Index) encodePayloadInto(dst []byte, row tuple.Row) ([]byte, bool) {
+	p := ix.currentPayloadPlan()
 	var buf []byte
-	if cap(dst) >= ix.payloadWidth {
-		buf = dst[:ix.payloadWidth]
-		for i := range buf {
-			buf[i] = 0
-		}
+	if cap(dst) >= p.size {
+		buf = dst[:p.size]
+		clear(buf)
 	} else {
-		buf = make([]byte, ix.payloadWidth)
+		buf = make([]byte, p.size)
 	}
-	off := 1
 	for i, pos := range ix.cachedFields {
-		v := row[pos]
-		f := ix.table.schema.Field(pos)
-		w := fixedValueWidth(f)
+		v, pf := row[pos], &p.fields[i]
+		b := buf[pf.at : pf.at+pf.width]
 		if v.Null {
 			buf[0] |= 1 << i
-			off += w
 			continue
 		}
-		switch f.Kind {
+		if pf.rel {
+			u, ok := pf.offsetOf(v)
+			if !ok {
+				ix.escapePayloadField(p, i)
+				return nil, false
+			}
+			for k := range b {
+				b[k] = byte(u >> (8 * k))
+			}
+			continue
+		}
+		switch pf.kind {
 		case tuple.KindInt64, tuple.KindTimestamp:
-			binary.LittleEndian.PutUint64(buf[off:], uint64(v.Int))
+			binary.LittleEndian.PutUint64(b, uint64(v.Int))
 		case tuple.KindFloat64:
-			binary.LittleEndian.PutUint64(buf[off:], math.Float64bits(v.Float))
+			binary.LittleEndian.PutUint64(b, math.Float64bits(v.Float))
 		case tuple.KindInt32:
-			binary.LittleEndian.PutUint32(buf[off:], uint32(int32(v.Int)))
+			binary.LittleEndian.PutUint32(b, uint32(int32(v.Int)))
 		case tuple.KindInt16:
-			binary.LittleEndian.PutUint16(buf[off:], uint16(int16(v.Int)))
+			binary.LittleEndian.PutUint16(b, uint16(int16(v.Int)))
 		case tuple.KindInt8:
-			buf[off] = byte(int8(v.Int))
+			b[0] = byte(int8(v.Int))
 		case tuple.KindBool:
 			if v.Int != 0 {
-				buf[off] = 1
+				b[0] = 1
 			}
 		case tuple.KindChar:
-			copy(buf[off:off+w], v.Str)
+			copy(b, v.Str)
 		default:
 			return nil, false
 		}
-		off += w
 	}
 	return buf, true
 }

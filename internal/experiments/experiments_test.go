@@ -230,7 +230,7 @@ func TestEncWasteStoresOptimal(t *testing.T) {
 
 func TestCapacityShapes(t *testing.T) {
 	cfg := DefaultCapacityConfig()
-	cfg.Pages = 3000
+	cfg.Pages, cfg.ItemsRows = 3000, 20_000 // -quick's items fixture
 	res, err := RunCapacity(cfg)
 	if err != nil {
 		t.Fatalf("RunCapacity: %v", err)
@@ -238,16 +238,51 @@ func TestCapacityShapes(t *testing.T) {
 	if res.MeasuredFill < 0.55 || res.MeasuredFill > 0.75 {
 		t.Errorf("measured fill %.2f far from configured 0.68", res.MeasuredFill)
 	}
-	if res.MeasuredSlots == 0 {
+	if res.Measured.Slots == 0 {
 		t.Error("no cache slots measured")
 	}
 	if res.MeasuredCoverage <= 0.2 {
 		t.Errorf("coverage %.2f too low", res.MeasuredCoverage)
 	}
+	// The parent of the per-page value width counted 4,973 whole slots of
+	// 22 bytes (an 8-byte RID and a 14-byte payload) on this fixture.
+	if res.Items.Slots < 4973 {
+		t.Errorf("items fixture: %d whole slots, fewer than the 4,973 of 8-byte RID tags", res.Items.Slots)
+	}
 	// Closed form with the paper's inputs must land near their 7.9M.
 	items := res.PaperEstimate.Items()
 	if items < 5_000_000 || items > 10_000_000 {
 		t.Errorf("paper-input estimate %d items, want ≈7.9M", items)
+	}
+}
+
+// TestCapacityPrintsCountedEntrySize: the entry size printed beside a
+// slot count is the one idxcache.SlotsIn counted the slots at — the
+// slots fit the leaves' free bytes at that size, neither more nor
+// fewer than alignment allows — not the paper's 25-byte item.
+func TestCapacityPrintsCountedEntrySize(t *testing.T) {
+	cfg := DefaultCapacityConfig()
+	cfg.Pages, cfg.ItemsRows = 3000, 5000
+	res, err := RunCapacity(cfg)
+	if err != nil {
+		t.Fatalf("RunCapacity: %v", err)
+	}
+	var buf bytes.Buffer
+	res.Print(&buf)
+	for _, room := range []struct {
+		line string
+		r    CacheRoom
+	}{{"cache slots", res.Measured}, {"whole slots", res.Items}} {
+		r := room.r
+		want := fmt.Sprintf("%s    %d (entry size %s)", room.line, r.Slots, r.entrySizes())
+		if !strings.Contains(buf.String(), want) {
+			t.Errorf("output lacks %q:\n%s", want, buf.String())
+		}
+		// Each leaf loses less than two entries to slot alignment.
+		if hi, lo := r.LeafSlack/int64(r.EntryMin), r.LeafSlack/int64(r.EntryMax)-2*int64(r.LeafPages); r.Slots > hi || r.Slots < lo {
+			t.Errorf("%s: %d slots in %d free leaf bytes is not a count at entry size %s (want %d..%d)",
+				room.line, r.Slots, r.LeafSlack, r.entrySizes(), lo, hi)
+		}
 	}
 }
 

@@ -1,7 +1,6 @@
 package idxcache
 
 import (
-	"encoding/binary"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -21,6 +20,9 @@ type Stats struct {
 	FullInvalidations int64 // CSNidx bumps
 	SkippedNoLatch    int64 // cache writes abandoned: exclusive latch unavailable
 	MatchRanges       int64 // walks of the predicate log against a page's key range
+	// NotAdmitted counts rows Insert was handed no payload for: their
+	// cached values lie outside the caller's payload plan.
+	NotAdmitted int64
 }
 
 // HitRate returns Hits/Lookups, or 0 before any lookup.
@@ -31,12 +33,15 @@ func (s Stats) HitRate() float64 {
 	return float64(s.Hits) / float64(s.Lookups)
 }
 
-// Cache manages the index cache of one B+Tree: entry geometry, the
+// Cache manages the index cache of one B+Tree: the payload width, the
 // global CSNidx, the predicate log, and placement randomness. The
-// per-page state lives entirely in the pages themselves.
+// per-page state — slot geometry included — lives entirely in the pages
+// themselves.
 type Cache struct {
-	payloadSize int
-	entrySize   int
+	// payloadSize is the width of the payloads the cache is handed; a
+	// page whose slots hold another width starts over at its next
+	// Prepare.
+	payloadSize atomic.Int32
 	bucketN     int
 
 	csnIdx atomic.Uint32
@@ -53,12 +58,14 @@ type Cache struct {
 	inserts, evictions, swaps atomic.Int64
 	pageInval, fullInval      atomic.Int64
 	skipped, matchRanges      atomic.Int64
+	notAdmitted               atomic.Int64
 }
 
 // Config parameterizes a Cache.
 type Config struct {
-	// PayloadSize is the fixed width of the cached field values.
-	// (The paper's Wikipedia example caches 4 fields in 25-byte items.)
+	// PayloadSize is the width of the cached field values until Insert
+	// is handed payloads of another width. (The paper's Wikipedia
+	// example caches 4 fields in 25-byte items.)
 	PayloadSize int
 	// BucketN is the number of slots per bucket for the swap policy.
 	// Defaults to 4.
@@ -74,8 +81,8 @@ type Config struct {
 
 // New creates a cache manager for entries of the given payload size.
 func New(cfg Config) (*Cache, error) {
-	if cfg.PayloadSize <= 0 {
-		return nil, fmt.Errorf("idxcache: payload size must be positive, got %d", cfg.PayloadSize)
+	if cfg.PayloadSize <= 0 || cfg.PayloadSize > maxPayload {
+		return nil, fmt.Errorf("idxcache: payload size must be in [1, %d], got %d", maxPayload, cfg.PayloadSize)
 	}
 	if cfg.BucketN == 0 {
 		cfg.BucketN = 4
@@ -87,11 +94,10 @@ func New(cfg Config) (*Cache, error) {
 		cfg.PredLogLimit = 1024
 	}
 	c := &Cache{
-		payloadSize: cfg.PayloadSize,
-		entrySize:   ridBytes + cfg.PayloadSize,
-		bucketN:     cfg.BucketN,
-		log:         NewPredLog(cfg.PredLogLimit),
+		bucketN: cfg.BucketN,
+		log:     NewPredLog(cfg.PredLogLimit),
 	}
+	c.payloadSize.Store(int32(cfg.PayloadSize))
 	c.rngState.Store(uint64(cfg.Seed))
 	c.scratch.New = func() any { s := make([]int, 0, 512); return &s }
 	// Start CSNidx at 1 so freshly formatted pages (CSNp = 0) are
@@ -100,11 +106,8 @@ func New(cfg Config) (*Cache, error) {
 	return c, nil
 }
 
-// EntrySize returns the slot width: 8 bytes of RID plus the payload.
-func (c *Cache) EntrySize() int { return c.entrySize }
-
 // PayloadSize returns the cached-field width.
-func (c *Cache) PayloadSize() int { return c.payloadSize }
+func (c *Cache) PayloadSize() int { return int(c.payloadSize.Load()) }
 
 // CSN returns the current global CSNidx.
 func (c *Cache) CSN() uint32 { return c.csnIdx.Load() }
@@ -125,6 +128,7 @@ func (c *Cache) Stats() Stats {
 		FullInvalidations: c.fullInval.Load(),
 		SkippedNoLatch:    c.skipped.Load(),
 		MatchRanges:       c.matchRanges.Load(),
+		NotAdmitted:       c.notAdmitted.Load(),
 	}
 }
 
@@ -158,23 +162,26 @@ func (c *Cache) NotifyUpdate(key []byte) {
 	}
 }
 
-// Prepare validates the page's cache against CSNidx and the predicate
-// log, zeroing it as needed. It returns false when the cache on this
-// page is unusable for this visit (invalid but the visit lacks the
-// exclusive latch to repair it). Callers must Prepare before Lookup or
-// Insert on a leaf.
+// Prepare validates the page's cache against CSNidx, the payload width
+// and the predicate log, zeroing it as needed. It returns false when the
+// cache on this page is unusable for this visit (invalid but the visit
+// lacks the exclusive latch to repair it). Callers must Prepare before
+// Lookup or Insert on a leaf.
+//
+// A page starting over takes slots of the page's tag width (tagWidth)
+// plus the payload width, recorded in the leaf header's cacheEntrySize
+// (slotFormat), so a page whose slots were cut for another payload
+// width reads as invalid here.
 func (c *Cache) Prepare(l *btree.Leaf) bool {
-	csn := c.csnIdx.Load()
-	if l.CSN() != csn || l.CacheEntrySize() != c.entrySize {
+	csn, payload := c.csnIdx.Load(), c.PayloadSize()
+	if f := l.CacheEntrySize(); l.CSN() != csn || f == 0 || formatPayload(f) != payload {
 		if !l.Exclusive() {
 			c.skipped.Add(1)
 			return false
 		}
-		c.zeroRegion(l)
+		c.reformat(l, tagWidth(l), payload)
 		l.SetCSN(csn)
-		l.SetCacheEntrySize(c.entrySize)
 		l.SetAppliedSeq(c.log.HeadSeq())
-		c.pageInval.Add(1)
 		return true
 	}
 	head := c.log.HeadSeq()
@@ -198,6 +205,14 @@ func (c *Cache) Prepare(l *btree.Leaf) bool {
 		l.SetAppliedSeq(head)
 	}
 	return true
+}
+
+// reformat zeroes the page's cache and cuts its slots anew: tag bytes
+// of RID plus payload bytes. Exclusive latch required.
+func (c *Cache) reformat(l *btree.Leaf, tag, payload int) {
+	c.zeroRegion(l)
+	l.SetCacheEntrySize(slotFormat(tag, payload))
+	c.pageInval.Add(1)
 }
 
 // zeroRegion wipes the page's free region. Exclusive latch required.
@@ -227,21 +242,22 @@ func (c *Cache) Lookup(l *btree.Leaf, rid uint64) ([]byte, bool) {
 // needs it.
 func (c *Cache) LookupInto(dst []byte, l *btree.Leaf, rid uint64) ([]byte, bool) {
 	c.lookups.Add(1)
-	if rid == 0 {
+	f := l.CacheEntrySize()
+	tag, e := formatTag(f), formatEntry(f)
+	if rid == 0 || f == 0 || !fitsTag(rid, tag) {
 		c.misses.Add(1)
 		return nil, false
 	}
 	lo, hi := l.FreeRegion()
-	e := c.entrySize
 	data := l.Data()
 	first := (lo + e - 1) / e * e
 	for off := first; off+e <= hi; off += e {
-		if binary.LittleEndian.Uint64(data[off:]) != rid {
+		if loadTag(data, off, tag) != rid {
 			continue
 		}
-		payload := append(dst, data[off+ridBytes:off+e]...)
+		payload := append(dst, data[off+tag:off+e]...)
 		if l.Exclusive() {
-			c.promoteAt(l, data, off, lo, hi)
+			c.promoteAt(l, data, off, lo, hi, e)
 		}
 		c.hits.Add(1)
 		return payload, true
@@ -255,9 +271,9 @@ func (c *Cache) LookupInto(dst []byte, l *btree.Leaf, rid uint64) ([]byte, bool)
 // policy). The distance ranking is generated lazily and only up to
 // off's own rank — the promotion target always ranks better, so the
 // peripheral remainder is never materialized on the hit path.
-func (c *Cache) promoteAt(l *btree.Leaf, data []byte, off, lo, hi int) {
+func (c *Cache) promoteAt(l *btree.Leaf, data []byte, off, lo, hi, e int) {
 	rankPtr := c.scratch.Get().(*[]int)
-	ranks, rank := slotRankTo(lo, hi, c.entrySize, l.StablePoint(), off, *rankPtr)
+	ranks, rank := slotRankTo(lo, hi, e, l.StablePoint(), off, *rankPtr)
 	defer func() { *rankPtr = ranks; c.scratch.Put(rankPtr) }()
 	if rank < 0 {
 		return
@@ -267,15 +283,15 @@ func (c *Cache) promoteAt(l *btree.Leaf, data []byte, off, lo, hi int) {
 		return
 	}
 	target := (bucket-1)*c.bucketN + c.randIntn(c.bucketN)
-	c.swapSlots(data, ranks[rank], ranks[target])
+	swapSlots(data, ranks[rank], ranks[target], e)
 	c.swaps.Add(1)
 }
 
-func (c *Cache) swapSlots(data []byte, a, b int) {
+func swapSlots(data []byte, a, b, e int) {
 	if a == b {
 		return
 	}
-	for i := 0; i < c.entrySize; i++ {
+	for i := 0; i < e; i++ {
 		data[a+i], data[b+i] = data[b+i], data[a+i]
 	}
 }
@@ -284,19 +300,35 @@ func (c *Cache) swapSlots(data []byte, a, b int) {
 // free slot, or — when no slot is free — over a random entry in the
 // most peripheral bucket. It requires the exclusive latch and a
 // Prepare'd page; it reports whether the entry was stored.
+//
+// An empty payload stores nothing and counts as not admitted: the
+// caller's payload plan cannot hold the row's values. A payload of
+// another width than the cache's makes it the cache's width (the
+// caller's plan changed), and a RID wider than the page's slot tags
+// (the leaf widened since its cache was cut): either starts this
+// page's cache over.
 func (c *Cache) Insert(l *btree.Leaf, rid uint64, payload []byte) bool {
 	if rid == 0 {
 		return false
 	}
-	if len(payload) != c.payloadSize {
+	if len(payload) == 0 || len(payload) > maxPayload {
+		c.notAdmitted.Add(1)
 		return false
 	}
 	if !l.Exclusive() {
 		c.skipped.Add(1)
 		return false
 	}
+	if len(payload) != c.PayloadSize() {
+		c.payloadSize.Store(int32(len(payload)))
+	}
+	f := l.CacheEntrySize()
+	if tag := formatTag(f); f == 0 || formatPayload(f) != len(payload) || !fitsTag(rid, tag) {
+		c.reformat(l, max(tagWidth(l), ridWidth(rid)), len(payload))
+		f = l.CacheEntrySize()
+	}
+	tag, e := formatTag(f), formatEntry(f)
 	lo, hi := l.FreeRegion()
-	e := c.entrySize
 	data := l.Data()
 	first := (lo + e - 1) / e * e
 	if first+e > hi {
@@ -306,9 +338,9 @@ func (c *Cache) Insert(l *btree.Leaf, rid uint64, payload []byte) bool {
 	// cached, and reservoir-sample a random free slot along the way.
 	freeOff, freeSeen := -1, 0
 	for off := first; off+e <= hi; off += e {
-		v := binary.LittleEndian.Uint64(data[off:])
+		v := loadTag(data, off, tag)
 		if v == rid {
-			copy(data[off+ridBytes:], payload)
+			copy(data[off+tag:], payload)
 			c.inserts.Add(1)
 			return true
 		}
@@ -336,8 +368,8 @@ func (c *Cache) Insert(l *btree.Leaf, rid uint64, payload []byte) bool {
 		c.scratch.Put(rankPtr)
 		c.evictions.Add(1)
 	}
-	binary.LittleEndian.PutUint64(data[off:], rid)
-	copy(data[off+ridBytes:], payload)
+	storeTag(data[off:], rid, tag)
+	copy(data[off+tag:], payload)
 	c.inserts.Add(1)
 	return true
 }
@@ -355,9 +387,15 @@ func (c *Cache) randIntn(n int) int {
 	return int(x % uint64(n))
 }
 
-// SlotsIn returns how many cache slots the page currently offers — the
-// per-page capacity number behind the paper's Section 2.1.4 analysis.
-func (c *Cache) SlotsIn(l *btree.Leaf) int {
+// SlotsIn returns how many whole cache slots the page currently offers
+// — the per-page capacity number behind the paper's Section 2.1.4
+// analysis — and the entry size it counted them at: the page's own, or
+// the one its next Prepare would cut.
+func (c *Cache) SlotsIn(l *btree.Leaf) (slots, entrySize int) {
+	e := tagWidth(l) + c.PayloadSize()
+	if f := l.CacheEntrySize(); l.CSN() == c.csnIdx.Load() && f != 0 && formatPayload(f) == c.PayloadSize() {
+		e = formatEntry(f)
+	}
 	lo, hi := l.FreeRegion()
-	return numSlots(lo, hi, c.entrySize)
+	return numSlots(lo, hi, e), e
 }

@@ -92,7 +92,7 @@ func TestCacheInsertLookupRoundTrip(t *testing.T) {
 func TestCacheSurvivesIndexInserts(t *testing.T) {
 	tr := newCacheTree(t, 4096)
 	c := mustCache(t, Config{PayloadSize: 16, Seed: 2})
-	tr.Insert(k64(0), 1)
+	tr.Insert(k64(0), 1000) // the leaf's RIDs take two bytes: tags fit every rid below
 	// Fill the cache on the (single) leaf.
 	installed := 0
 	tr.VisitLeaf(k64(0), func(l *btree.Leaf) {
@@ -149,7 +149,7 @@ func TestCacheEvictionPeripheralBucket(t *testing.T) {
 	tr.Insert(k64(0), 1)
 	tr.VisitLeaf(k64(0), func(l *btree.Leaf) {
 		c.Prepare(l)
-		slots := c.SlotsIn(l)
+		slots, _ := c.SlotsIn(l)
 		if slots < 4 {
 			t.Skipf("page too small: %d slots", slots)
 		}
@@ -273,8 +273,9 @@ func TestCacheRefreshOverwritesInPlace(t *testing.T) {
 		lo, hi := l.FreeRegion()
 		used := 0
 		data := l.Data()
-		for off := (lo + c.EntrySize() - 1) / c.EntrySize() * c.EntrySize(); off+c.EntrySize() <= hi; off += c.EntrySize() {
-			if binary.LittleEndian.Uint64(data[off:]) != 0 {
+		_, e := c.SlotsIn(l)
+		for off := (lo + e - 1) / e * e; off+e <= hi; off += e {
+			if data[off] != 0 { // the one-byte tag of rid 7
 				used++
 			}
 		}
@@ -302,8 +303,61 @@ func TestCacheInsertRejectsBadArgs(t *testing.T) {
 		if c.Insert(l, 0, pay(c, 1)) {
 			t.Error("rid 0 must be rejected (marks empty slots)")
 		}
-		if c.Insert(l, 5, []byte{1, 2}) {
-			t.Error("wrong payload size must be rejected")
+		if c.Insert(l, 5, nil) {
+			t.Error("an empty payload must be rejected")
+		}
+	})
+	if got := c.Stats().NotAdmitted; got != 1 {
+		t.Errorf("NotAdmitted = %d, want 1 (the empty payload)", got)
+	}
+}
+
+// TestWidenedLeafNeverHitsOldSlots widens a leaf under its cache: a
+// key whose RID needs five bytes joins a leaf of one-byte RIDs whose
+// cache holds one-byte tags. A lookup of the wide RID misses even where
+// its low byte equals a cached tag, and installing it cuts the page's
+// slots anew, so no slot written at the old width is read again.
+func TestWidenedLeafNeverHitsOldSlots(t *testing.T) {
+	tr := newCacheTree(t, 1024)
+	c := mustCache(t, Config{PayloadSize: 4, Seed: 11})
+	for i := 0; i < 20; i++ {
+		tr.Insert(k64(i), uint64(i+1))
+	}
+	tr.VisitLeaf(k64(0), func(l *btree.Leaf) {
+		if !c.Prepare(l) {
+			t.Fatal("prepare failed")
+		}
+		for i := 0; i < 20; i++ {
+			if !c.Insert(l, uint64(i+1), pay(c, byte(i+1))) {
+				t.Fatalf("insert %d failed", i)
+			}
+		}
+		if _, e := c.SlotsIn(l); e != 1+c.PayloadSize() {
+			t.Fatalf("entry size %d, want a one-byte tag plus %d", e, c.PayloadSize())
+		}
+	})
+	const wide = 0x07_0000_0007 // low byte: rid 7, which is cached
+	tr.Insert(k64(20), wide)
+	tr.VisitLeaf(k64(0), func(l *btree.Leaf) {
+		if !c.Prepare(l) {
+			t.Fatal("prepare failed")
+		}
+		if got, ok := c.Lookup(l, wide); ok {
+			t.Fatalf("wide rid hit a one-byte slot: payload %v", got)
+		}
+		if !c.Insert(l, wide, pay(c, 0xEE)) {
+			t.Fatal("installing the wide rid failed")
+		}
+		if _, e := c.SlotsIn(l); e != 5+c.PayloadSize() {
+			t.Errorf("entry size %d after the wide install, want a five-byte tag plus %d", e, c.PayloadSize())
+		}
+		for i := 0; i < 20; i++ {
+			if got, ok := c.Lookup(l, uint64(i+1)); ok {
+				t.Errorf("rid %d hit a slot written at the old width: %v", i+1, got)
+			}
+		}
+		if got, ok := c.Lookup(l, wide); !ok || got[0] != 0xEE {
+			t.Errorf("wide rid: %v %v", got, ok)
 		}
 	})
 }

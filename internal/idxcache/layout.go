@@ -17,12 +17,71 @@
 //   - Cache writes never dirty the page: contents are volatile and
 //     protected by the CSNp/CSNidx scheme plus a predicate log.
 //
-// Entry layout within a slot: 8-byte packed RID (nonzero; zero marks an
-// empty slot) followed by the fixed-width cached payload.
+// Entry layout within a slot: the packed RID as a tag of the page's tag
+// width (nonzero; zero marks an empty slot), little-endian, followed by
+// the cached payload. A page's tag width is the bytes the widest RID
+// among its entries needs when its cache is cut (§4.1 applied to §2.1's
+// own items): every RID a lookup probes there is an entry of that leaf,
+// so it fits the tag unless the leaf widened since, and one that does
+// not fit is a miss, never a partial match.
 package idxcache
 
-// ridBytes is the slot header: the packed RID identifying the entry.
-const ridBytes = 8
+import (
+	"encoding/binary"
+	"math/bits"
+
+	"repro/internal/btree"
+)
+
+// maxPayload bounds a payload so a slot format fits the header's 16
+// bits (slotFormat).
+const maxPayload = 1<<13 - 1 - 8
+
+// slotFormat packs a page's slot geometry into the leaf header's
+// cacheEntrySize field: the entry size (tag plus payload) above the
+// tag width's three bits. Zero is a page whose cache was never cut.
+func slotFormat(tag, payload int) int { return (tag+payload)<<3 | (tag - 1) }
+
+// formatTag returns a slot format's tag width, formatEntry its entry
+// size and formatPayload its payload width.
+func formatTag(f int) int     { return f&7 + 1 }
+func formatEntry(f int) int   { return f >> 3 }
+func formatPayload(f int) int { return formatEntry(f) - formatTag(f) }
+
+// ridWidth returns the bytes rid takes as a tag: 1 to 8.
+func ridWidth(rid uint64) int { return max(1, (bits.Len64(rid)+7)/8) }
+
+// fitsTag reports whether rid fits a tag of w bytes.
+func fitsTag(rid uint64, w int) bool { return w == 8 || rid>>(8*w) == 0 }
+
+// tagWidth returns the tag width a page's cache is cut at: the bytes the
+// widest RID among its entries needs.
+func tagWidth(l *btree.Leaf) int {
+	var widest uint64
+	for i := 0; i < l.NumKeys(); i++ {
+		widest = max(widest, l.ValueAt(i))
+	}
+	return ridWidth(widest)
+}
+
+// loadTag reads the w-byte tag of the slot at off.
+func loadTag(data []byte, off, w int) uint64 {
+	if off+8 <= len(data) {
+		return binary.LittleEndian.Uint64(data[off:]) & (^uint64(0) >> (64 - 8*w))
+	}
+	var v uint64
+	for i := w - 1; i >= 0; i-- {
+		v = v<<8 | uint64(data[off+i])
+	}
+	return v
+}
+
+// storeTag writes rid as a w-byte tag at b.
+func storeTag(b []byte, rid uint64, w int) {
+	for i := 0; i < w; i++ {
+		b[i] = byte(rid >> (8 * i))
+	}
+}
 
 // slotRank enumerates the cache slots of a free region [lo, hi) with
 // entry size e, ordered by distance from the stable point s (closest
