@@ -1,5 +1,5 @@
 // nblb-vet runs the engine's static-analysis suite (internal/analysis):
-// lockorder, pinleak and walseam.
+// lockorder, pinleak, walseam and deadexport.
 //
 //	nblb-vet ./...
 //	nblb-vet -analyzers lockorder,pinleak ./internal/core/
@@ -52,6 +52,12 @@ func run() int {
 		return 2
 	}
 	world := analysis.NewWorld(loader.Fset)
+	rest, err := loader.ParseRest()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		return 2
+	}
+	world.AddRefFiles(rest)
 	diags, err := analysis.RunPackages(world, pkgs, analyzers)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)

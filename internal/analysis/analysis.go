@@ -1,6 +1,6 @@
 // Package analysis is nblb's static-analysis suite: a small, stdlib-only
 // framework in the shape of golang.org/x/tools/go/analysis (which this
-// repo deliberately does not depend on) plus the three engine-specific
+// repo deliberately does not depend on) plus the four engine-specific
 // analyzers behind cmd/nblb-vet:
 //
 //   - lockorder:  acquisition edges must not invert the documented
@@ -13,6 +13,8 @@
 //     critical section except through approved commit/checkpoint entry
 //     points, and wal.TestPoint names must be covered by the crash
 //     matrix.
+//   - deadexport: an exported name under internal/ needs a user outside
+//     its own tests (deadexport_allow.go lists the ones kept on purpose).
 //
 // Analyzers read intent from machine-checkable source annotations:
 //
@@ -173,7 +175,7 @@ func SortDiagnostics(diags []Diagnostic) {
 
 // All returns the full suite in the order nblb-vet runs it.
 func All() []*Analyzer {
-	return []*Analyzer{LockOrder, PinLeak, WALSeam}
+	return []*Analyzer{LockOrder, PinLeak, WALSeam, DeadExport}
 }
 
 // ByName resolves a comma-separated analyzer list ("lockorder,pinleak").

@@ -1,6 +1,8 @@
 package analysis
 
 import (
+	"go/ast"
+	"go/parser"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -14,12 +16,15 @@ import (
 // under testdata/src/<name> is a little module of one or more packages,
 // loaded in declared order (dependencies first), and every diagnostic
 // the suite produces must be matched by a `// want "regexp"` comment on
-// the flagged line — no more, no less.
+// the flagged line — no more, no less. A fixture's _test.go files are
+// parsed, not type-checked, and handed to the World as reference files,
+// as nblb-vet hands it the repository's tests.
 
 type fixtureSpec struct {
-	name      string   // directory under testdata/src
-	pkgs      []string // sub-packages in dependency order; nil = the dir itself
-	analyzers string   // ByName selector; "" = all three
+	name      string            // directory under testdata/src
+	pkgs      []string          // sub-packages in dependency order; nil = the dir itself
+	analyzers string            // ByName selector; "" = all of them
+	allow     map[string]string // deadexport allowlist entries for the run
 }
 
 var fixtures = []fixtureSpec{
@@ -29,6 +34,8 @@ var fixtures = []fixtureSpec{
 	{name: "pinleak_basic"},
 	{name: "pinleak_latch"},
 	{name: "walseam_gate", pkgs: []string{"wal", "a"}},
+	{name: "deadexport_basic", pkgs: []string{"internal/lib", "user"},
+		allow: map[string]string{"deadexport_basic/internal/lib.Hook": "a test hook"}},
 }
 
 func TestAnalyzersGolden(t *testing.T) {
@@ -49,6 +56,10 @@ func runFixture(t *testing.T, root string, fx fixtureSpec) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	for key, why := range fx.allow {
+		exportAllow[key] = why
+		defer delete(exportAllow, key)
+	}
 	loader := NewLoader(root) // module root works for stdlib export data
 	base := filepath.Join(root, "testdata", "src", fx.name)
 	dirs := fx.pkgs
@@ -56,6 +67,7 @@ func runFixture(t *testing.T, root string, fx fixtureSpec) {
 		dirs = []string{""}
 	}
 	var pkgs []*LoadedPackage
+	var tests []*ast.File
 	for _, sub := range dirs {
 		dir := filepath.Join(base, sub)
 		importPath := fx.name
@@ -66,18 +78,51 @@ func runFixture(t *testing.T, root string, fx fixtureSpec) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		lp, err := loader.CheckFiles(importPath, dir, files)
+		var srcs []string
+		for _, name := range files {
+			if !strings.HasSuffix(name, "_test.go") {
+				srcs = append(srcs, name)
+				continue
+			}
+			f, err := parser.ParseFile(loader.Fset, name, nil, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tests = append(tests, f)
+		}
+		lp, err := loader.checkFiles(importPath, dir, srcs)
 		if err != nil {
 			t.Fatalf("typecheck %s: %v", importPath, err)
 		}
 		pkgs = append(pkgs, lp)
 	}
 	world := NewWorld(loader.Fset)
+	world.AddRefFiles(tests)
 	diags, err := RunPackages(world, pkgs, analyzers)
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkExpectations(t, base, diags)
+}
+
+// checkFiles type-checks a fixture package's files as importPath, a
+// package of the module under analysis (fixture dirs are not
+// go-list-able, they live under testdata/).
+func (l *Loader) checkFiles(importPath, dir string, filenames []string) (*LoadedPackage, error) {
+	var files []*ast.File
+	for _, name := range filenames {
+		f, err := parser.ParseFile(l.Fset, name, nil, parser.ParseComments)
+		if err != nil {
+			return nil, err
+		}
+		files = append(files, f)
+	}
+	lp, err := l.check(importPath, dir, files)
+	if err != nil {
+		return nil, err
+	}
+	lp.Main = true
+	return lp, nil
 }
 
 func goFilesIn(dir string) ([]string, error) {

@@ -8,7 +8,7 @@ package analysis
 func RunPackages(world *World, pkgs []*LoadedPackage, analyzers []*Analyzer) ([]Diagnostic, error) {
 	var diags []Diagnostic
 	for _, lp := range pkgs {
-		world.AddPackage(lp.Pkg, lp.Info, lp.Files)
+		world.AddPackage(lp)
 	}
 	for _, lp := range pkgs {
 		for _, a := range analyzers {

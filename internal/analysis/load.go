@@ -14,6 +14,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"sort"
+	"strings"
 )
 
 // LoadedPackage is one source-analyzed package: syntax, types, and the
@@ -24,6 +25,9 @@ type LoadedPackage struct {
 	Files []*ast.File
 	Pkg   *types.Package
 	Info  *types.Info
+	// Main: the package belongs to the module under analysis, not to one
+	// it reaches through a replace directive.
+	Main bool
 }
 
 // Loader turns `go list` package metadata into type-checked syntax
@@ -39,6 +43,7 @@ type Loader struct {
 	exportFiles map[string]string         // import path → export data file
 	sources     map[string]*listPackage   // import path → go list record
 	loaded      map[string]*LoadedPackage // import path → checked package
+	checked     map[string]bool           // file names type-checked so far
 	gcImporter  types.ImporterFrom
 }
 
@@ -49,8 +54,11 @@ type listPackage struct {
 	Standard   bool
 	GoFiles    []string
 	Imports    []string
-	Module     *struct{ Path string }
-	Error      *struct{ Err string }
+	Module     *struct {
+		Path string
+		Main bool
+	}
+	Error *struct{ Err string }
 }
 
 // NewLoader creates a loader rooted at dir (the module root).
@@ -61,6 +69,7 @@ func NewLoader(dir string) *Loader {
 		exportFiles: map[string]string{},
 		sources:     map[string]*listPackage{},
 		loaded:      map[string]*LoadedPackage{},
+		checked:     map[string]bool{},
 	}
 	l.gcImporter = importer.ForCompiler(l.Fset, "gc", l.lookupExport).(types.ImporterFrom)
 	return l
@@ -159,6 +168,7 @@ func (l *Loader) loadSource(path string, stack []string) (*LoadedPackage, error)
 	if err != nil {
 		return nil, err
 	}
+	lp.Main = src.Module.Main
 	return lp, nil
 }
 
@@ -183,22 +193,41 @@ func (l *Loader) check(importPath, dir string, files []*ast.File) (*LoadedPackag
 	}
 	lp := &LoadedPackage{Path: importPath, Dir: dir, Files: files, Pkg: pkg, Info: info}
 	l.loaded[importPath] = lp
+	for _, f := range files {
+		l.checked[l.Fset.File(f.Pos()).Name()] = true
+	}
 	return lp, nil
 }
 
-// CheckFiles type-checks an ad-hoc file list as importPath — the
-// analysistest fixture path (fixture dirs are not go-list-able, they
-// live under testdata/).
-func (l *Loader) CheckFiles(importPath, dir string, filenames []string) (*LoadedPackage, error) {
-	var files []*ast.File
-	for _, name := range filenames {
-		f, err := parser.ParseFile(l.Fset, name, nil, parser.ParseComments)
+// ParseRest parses every Go file under the loader's directory that was
+// not type-checked — tests, nested modules, packages outside the
+// patterns — for analyzers that only need their syntax
+// (World.AddRefFiles). testdata, vendor and dot or underscore
+// directories are skipped, as the go tool skips them.
+func (l *Loader) ParseRest() ([]*ast.File, error) {
+	var out []*ast.File
+	err := filepath.WalkDir(l.Dir, func(path string, d os.DirEntry, err error) error {
 		if err != nil {
-			return nil, err
+			return err
 		}
-		files = append(files, f)
-	}
-	return l.check(importPath, dir, files)
+		name := d.Name()
+		if d.IsDir() {
+			if path != l.Dir && (name == "testdata" || name == "vendor" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(name, ".go") || l.checked[path] {
+			return nil
+		}
+		f, err := parser.ParseFile(l.Fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		out = append(out, f)
+		return nil
+	})
+	return out, err
 }
 
 func (l *Loader) importPkg(path, fromDir string) (*types.Package, error) {

@@ -28,6 +28,13 @@ type World struct {
 
 	// summaries memoizes per-function lock/IO effects (see summary.go).
 	summaries map[string]*funcSummary
+
+	// pkgs holds every package added, by import path; refFiles the
+	// syntax-only files outside them (AddRefFiles). deadexport's index
+	// over both is built on first use.
+	pkgs     map[string]*LoadedPackage
+	refFiles []*ast.File
+	exports  *exportRefs
 }
 
 // funcDecl pairs a function's AST with its package's type info, so
@@ -48,16 +55,25 @@ func NewWorld(fset *token.FileSet) *World {
 		carriers:  map[string]bool{},
 		funcs:     map[string]*funcDecl{},
 		summaries: map[string]*funcSummary{},
+		pkgs:      map[string]*LoadedPackage{},
 	}
 }
 
 // AddPackage scans one type-checked package's annotations and function
 // bodies into the world. Call in dependency order, before running
 // analyzers on the package.
-func (w *World) AddPackage(pkg *types.Package, info *types.Info, files []*ast.File) {
-	for _, f := range files {
-		w.scanFile(pkg, info, f)
+func (w *World) AddPackage(lp *LoadedPackage) {
+	w.pkgs[lp.Path] = lp
+	for _, f := range lp.Files {
+		w.scanFile(lp.Pkg, lp.Info, f)
 	}
+}
+
+// AddRefFiles adds files that were parsed but not type-checked —
+// tests, nested modules (Loader.ParseRest) — whose references to the
+// loaded packages count for deadexport. Call before running analyzers.
+func (w *World) AddRefFiles(files []*ast.File) {
+	w.refFiles = append(w.refFiles, files...)
 }
 
 func (w *World) scanFile(pkg *types.Package, info *types.Info, f *ast.File) {

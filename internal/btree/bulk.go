@@ -187,21 +187,3 @@ func (b *levelBuilder) release() {
 		b.prev = nil
 	}
 }
-
-// PairSource adapts a slice of (key, value) pairs into the iterator
-// BulkLoad consumes.
-type PairSource struct {
-	Keys   [][]byte
-	Values []uint64
-	i      int
-}
-
-// Next implements the BulkLoad iterator contract.
-func (p *PairSource) Next() ([]byte, uint64, bool) {
-	if p.i >= len(p.Keys) {
-		return nil, 0, false
-	}
-	k, v := p.Keys[p.i], p.Values[p.i]
-	p.i++
-	return k, v, true
-}

@@ -119,7 +119,7 @@ func TestVisitAllLeavesCoversEveryKey(t *testing.T) {
 	err := tr.VisitAllLeaves(func(l *Leaf) bool {
 		seen += l.NumKeys()
 		for i := 0; i < l.NumKeys(); i++ {
-			k := l.AppendKey(nil, i)
+			k := l.n.appendKey(nil, i)
 			v := l.ValueAt(i)
 			if binary.BigEndian.Uint64(k) != v {
 				t.Errorf("leaf key/value mismatch")

@@ -46,9 +46,6 @@ func (l *Leaf) Find(key []byte) (uint64, bool) {
 // NumKeys returns the number of keys in the leaf.
 func (l *Leaf) NumKeys() int { return l.n.nKeys() }
 
-// AppendKey appends the key at position i to dst.
-func (l *Leaf) AppendKey(dst []byte, i int) []byte { return l.n.appendKey(dst, i) }
-
 // ValueAt returns the value at position i.
 func (l *Leaf) ValueAt(i int) uint64 { return l.n.value(i) }
 

@@ -140,7 +140,7 @@ func TestWideUpsertSplitsLeafAsItStands(t *testing.T) {
 	before := 0
 	if err := tr.VisitLeaf(intKey(1000), func(l *Leaf) {
 		before = l.NumKeys()
-		mid = l.AppendKey(nil, before/2)
+		mid = l.n.appendKey(nil, before/2)
 	}); err != nil {
 		t.Fatal(err)
 	}

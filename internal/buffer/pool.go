@@ -553,17 +553,6 @@ func (p *Pool) eachDirty(visit func(s *shard, f *Frame) error) error {
 	return nil
 }
 
-// Resident reports whether the page is currently in the pool (used by
-// tests and the partition experiment's "does the index fit in RAM"
-// accounting).
-func (p *Pool) Resident(id storage.PageID) bool {
-	s := p.shardOf(id)
-	s.mu.Lock()
-	_, ok := s.table[id]
-	s.mu.Unlock()
-	return ok
-}
-
 // PinnedFrames returns the number of frames with a nonzero pin count.
 // Tests use it to assert that cursors and lookups release every pin
 // they take (a quiescent pool must report 0).

@@ -54,7 +54,7 @@ func TestPoolEvictionWritesBackDirty(t *testing.T) {
 		}
 		p.Unpin(g, true)
 	}
-	if p.Resident(id) {
+	if resident(p, id) {
 		t.Fatal("page should have been evicted")
 	}
 	buf := make([]byte, 256)
@@ -108,7 +108,7 @@ func TestPoolPinnedPagesNotEvicted(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewPage: %v", err)
 	}
-	if !p.Resident(f1.ID()) {
+	if !resident(p, f1.ID()) {
 		t.Error("pinned page was evicted")
 	}
 	p.Unpin(f1, true)
@@ -164,4 +164,13 @@ func TestPoolCapacityValidation(t *testing.T) {
 	if _, err := NewPool(disk, 0); err == nil {
 		t.Error("zero capacity should fail")
 	}
+}
+
+// resident reports whether the page is currently in the pool.
+func resident(p *Pool, id storage.PageID) bool {
+	s := p.shardOf(id)
+	s.mu.Lock()
+	_, ok := s.table[id]
+	s.mu.Unlock()
+	return ok
 }

@@ -77,10 +77,10 @@ func TestCrossShardSteal(t *testing.T) {
 		if err != nil {
 			t.Fatalf("cross-shard fetch should steal a frame: %v", err)
 		}
-		if p.Resident(id2) {
+		if resident(p, id2) {
 			t.Error("victim page still resident after cross-shard steal")
 		}
-		if !p.Resident(f1.ID()) {
+		if !resident(p, f1.ID()) {
 			t.Error("pinned page was stolen")
 		}
 		p.Unpin(f, false)

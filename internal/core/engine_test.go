@@ -295,7 +295,7 @@ func TestUniqueIndexRejectsDuplicates(t *testing.T) {
 	}
 }
 
-func TestNonUniqueIndexLookupAll(t *testing.T) {
+func TestNonUniqueIndexPrefixQuery(t *testing.T) {
 	e := newTestEngine(t)
 	tb, _ := e.CreateTable("page", pagesSchema())
 	ix, err := tb.CreateIndex("by_ns", []string{"namespace"}, NonUnique())
@@ -316,6 +316,11 @@ func TestNonUniqueIndexLookupAll(t *testing.T) {
 	}
 	if len(rows) != want {
 		t.Errorf("prefix query returned %d rows, want %d", len(rows), want)
+	}
+	for _, r := range rows {
+		if r[1].Int != 1 || r[0].Int%3 != 1 {
+			t.Errorf("prefix query wrong row: %v", r)
+		}
 	}
 	// Cache on non-unique index must be rejected.
 	if _, err := tb.CreateIndex("bad", []string{"namespace"}, NonUnique(), WithCache("len")); err == nil {

@@ -91,9 +91,9 @@ type projPlan struct {
 	// plan build instead of being rediscovered on every lookup.
 	coverable bool
 	// steps drive assembleInto when coverable: one source per projected
-	// field. usesKey / usesPayload say which sources appear at all.
-	steps                []asmStep
-	usesKey, usesPayload bool
+	// field. usesKey says whether a key source appears at all.
+	steps   []asmStep
+	usesKey bool
 	// need is what a heap record is decoded into when this plan's reader
 	// falls through to the heap (tuple.DecodeFields; nil = every field):
 	// the projection, plus the key fields — stillIndexes re-encodes them
@@ -123,7 +123,6 @@ func (ix *Index) buildProjPlan(names []string, idx []int) projPlan {
 		}
 		if ci := indexOf(ix.cachedFields, pos); ci >= 0 {
 			p.steps[i] = asmStep{src: ci}
-			p.usesPayload = true
 			continue
 		}
 		p.coverable = false

@@ -58,12 +58,12 @@ func newTwoStringFixture(t *testing.T, rows, pageSize int, opts ...IndexOption) 
 // TestHeapTierZeroAllocsPerRow is TestQueryScanZeroAllocsPerRow's heap
 // twin: every row comes from a heap record that carries two strings, the
 // reader asked for fixed-width fields only, and so no string is built —
-// through the serial cursor, the parallel one, the heap-order scan and
-// an aggregate folded through the cursor. Before records were decoded by
-// field set each row cost two allocations on every one of these paths.
+// through the serial cursor, the parallel one and the heap-order scan.
+// Before records were decoded by field set each row cost two
+// allocations on every one of these paths.
 func TestHeapTierZeroAllocsPerRow(t *testing.T) {
 	const rows = 2000
-	tb, ix := newTwoStringFixture(t, rows, 1024)
+	tb, _ := newTwoStringFixture(t, rows, 1024)
 	drain := func(opts ...QueryOption) func() QueryStats {
 		return func() QueryStats {
 			cur, err := tb.Query(append(opts, WithProjection("id", "a", "b"))...)
@@ -82,16 +82,6 @@ func TestHeapTierZeroAllocsPerRow(t *testing.T) {
 			return cur.Stats()
 		}
 	}
-	fold := func(agg func() (AggResult, error)) func() QueryStats {
-		return func() QueryStats {
-			res, err := agg()
-			if err != nil || res.Pushdown || res.Values[0].Int != 3*rows*(rows-1)/2 {
-				t.Fatalf("Aggregate: %+v, %v", res, err)
-			}
-			return res.Stats
-		}
-	}
-	specs := []AggSpec{{Op: AggSum, Field: "a"}, {Op: AggCount}}
 	cases := []struct {
 		name string
 		scan func() QueryStats
@@ -99,8 +89,6 @@ func TestHeapTierZeroAllocsPerRow(t *testing.T) {
 		{"serial", drain(WithIndex("by_id"))},
 		{"parallel", drain(WithIndex("by_id"), WithParallel(2))},
 		{"heap order", drain()},
-		{"aggregate through the cursor", fold(func() (AggResult, error) { return ix.Aggregate(specs) })},
-		{"aggregate over the heap", fold(func() (AggResult, error) { return tb.Aggregate(specs) })},
 	}
 	for _, tc := range cases {
 		if st := tc.scan(); st.Rows != rows || st.HeapReads != rows { // also warms pools and plans

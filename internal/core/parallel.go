@@ -30,9 +30,8 @@ const (
 // amortize latch and channel costs, small enough to stay cache-warm.
 const blockRows = 256
 
-// segmentsPerWorker oversubscribes every segmented plan — a parallel
-// cursor's, ordered or not, and a parallel Aggregate's — so the dynamic
-// claim evens out segment-size skew.
+// segmentsPerWorker oversubscribes a parallel cursor's segment plan,
+// ordered or not, so the dynamic claim evens out segment-size skew.
 const segmentsPerWorker = 4
 
 // rowBlock is a vectorized batch of assembled rows shipped from a scan

@@ -216,10 +216,10 @@ func TestParallelQueryValidation(t *testing.T) {
 // while writers split the scanned leaves with inserts and delete rows
 // outside the asserted set. Every stable row must be served exactly
 // once; ordered mode must stay sorted throughout. Beside the scans,
-// Aggregate — pushed down and through the cursor, serial and parallel —
-// must keep returning the stable rows' sum(a): the rows writers insert
-// into or delete from the scanned range carry a = 0, the ones a third
-// writer churns beyond it a = 1 (see aggInvariant). Run with -race.
+// range cursors — CacheFirst and HeapOnly, serial and parallel — must
+// keep serving the stable rows' sum(a): the rows writers insert into or
+// delete from the scanned range carry a = 0, the ones a third writer
+// churns beyond it a = 1 (see rangeSumInvariant). Run with -race.
 func TestParallelQueryRacingWriters(t *testing.T) {
 	e, err := NewEngine(Options{PageSize: 1024, BufferPoolPages: 4096})
 	if err != nil {
@@ -314,7 +314,7 @@ func TestParallelQueryRacingWriters(t *testing.T) {
 	scans.Add(1)
 	go func() {
 		defer scans.Done()
-		aggInvariant(t, ix, 4*stable, stableSum, 6)
+		rangeSumInvariant(t, ix, 4*stable, stableSum, 6)
 	}()
 	for _, mode := range []MergeMode{MergeOrdered, MergeUnordered} {
 		for _, n := range []int{2, 4} {

@@ -58,7 +58,7 @@ func TestLookupWithNullKeyComponent(t *testing.T) {
 	}
 }
 
-func TestLookupAllPrefixDoesNotBleed(t *testing.T) {
+func TestPrefixQueryDoesNotBleed(t *testing.T) {
 	e := newTestEngine(t)
 	schema := tuple.MustSchema(
 		tuple.Field{Name: "grp", Kind: tuple.KindString, Size: 8},

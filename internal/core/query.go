@@ -321,10 +321,9 @@ func (ix *Index) resolveQuery(cfg *queryConfig, lo, hi []byte) (plan *projPlan, 
 	return plan, fp, start, end, nil
 }
 
-// openIndexSource makes c a serial index cursor over encoded bounds —
-// shared by Query and the cursor path of Aggregate. The source, its
-// resolver and its btree cursor are c's own fields, so this allocates
-// nothing.
+// openIndexSource makes c a serial index cursor over encoded bounds.
+// The source, its resolver and its btree cursor are c's own fields, so
+// this allocates nothing.
 func (ix *Index) openIndexSource(c *Cursor, cfg *queryConfig, start, end []byte, plan *projPlan, fp *filterPlan) {
 	s := &c.ix
 	c.src, c.limit, c.reverse = s, cfg.limit, cfg.reverse

@@ -334,27 +334,3 @@ func TestQueryConcurrentInserts(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestLookupAllStillWorks(t *testing.T) {
-	e := newTestEngine(t)
-	tb, _ := e.CreateTable("multi", tuple.MustSchema(
-		tuple.Field{Name: "k", Kind: tuple.KindInt64},
-		tuple.Field{Name: "v", Kind: tuple.KindInt64},
-	))
-	for i := 0; i < 30; i++ {
-		tb.Insert(tuple.Row{tuple.Int64(int64(i % 3)), tuple.Int64(int64(i))})
-	}
-	ix, err := tb.CreateIndex("by_k", []string{"k"}, NonUnique())
-	if err != nil {
-		t.Fatalf("CreateIndex: %v", err)
-	}
-	rows := prefixRows(t, ix, tuple.Int64(1))
-	if len(rows) != 10 {
-		t.Fatalf("prefix query returned %d rows, want 10", len(rows))
-	}
-	for _, r := range rows {
-		if r[0].Int != 1 || r[1].Int%3 != 1 {
-			t.Fatalf("prefix query wrong row: %v", r)
-		}
-	}
-}

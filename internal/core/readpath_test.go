@@ -144,7 +144,6 @@ func (c *readCase) opts(extra ...QueryOption) []QueryOption {
 type readWant struct {
 	rows            []tuple.Row // projected, in index order (ties by id)
 	full            []tuple.Row // the same rows, unprojected
-	pushdown        bool        // Aggregate may push this case down
 	cacheHits, heap int64       // tier counters with every by_id entry cached
 }
 
@@ -179,7 +178,7 @@ func (f *readFixture) want(c *readCase) readWant {
 		heapFilter = heapFilter || tierOf(flt.Field) == 2
 	}
 	probe := c.index == "by_id" && !c.snap && c.policy == CacheFirst && (coverable || cachedFilter)
-	w := readWant{pushdown: c.index == "by_id" && c.policy == CacheFirst && !heapFilter}
+	var w readWant
 	for _, row := range model {
 		if k := c.keyOf(row); (c.lo >= 0 && k < c.lo) || (c.hi >= 0 && k >= c.hi) {
 			continue
@@ -291,8 +290,8 @@ func sameRows(got, want []tuple.Row, gotKeys []int64, ordered, reverse bool) err
 // TestReadPathDifferential is the read-side twin of
 // TestWritePathDifferential: every case is answered by every index read
 // path — serial Query forward and reverse, WithParallel ordered and
-// unordered, Aggregate pushed down and through the cursor, LookupInto
-// and a point QueryInto per key — and all of them must agree with the
+// unordered, LookupInto and a point QueryInto per key — and all of them
+// must agree with the
 // in-memory model on the rows and on which tier answered how many
 // entries. The per-path tests this table replaced are named on the rows
 // that carry their assertions.
@@ -368,9 +367,6 @@ func TestReadPathDifferential(t *testing.T) {
 					}
 				}
 			}
-			if !c.snap { // aggregates and point lookups read latest state
-				f.checkAggregates(c, w)
-			}
 		})
 	}
 	// Point lookups last: they fill the cache, which would move the tier
@@ -391,56 +387,6 @@ func TestReadPathDifferential(t *testing.T) {
 	f.snapTx.Abort()
 	if n := f.tb.engine.Pool().PinnedFrames(); n != 0 {
 		t.Errorf("%d frames left pinned", n)
-	}
-}
-
-// checkAggregates folds c's rows four ways — CacheFirst (pushed down
-// when the model says it can be) and HeapOnly (the cursor path), serial
-// and parallel — against the model's fold.
-func (f *readFixture) checkAggregates(c *readCase, w readWant) {
-	f.t.Helper()
-	specs := []AggSpec{{Op: AggCount}, {Op: AggCount, Field: "b"}, {Op: AggSum, Field: "a"}, {Op: AggMin, Field: "id"}, {Op: AggMax, Field: "b"}}
-	want := []tuple.Value{tuple.Int64(int64(len(w.full))), tuple.Int64(int64(len(w.full))), tuple.Int64(0), tuple.Null(tuple.KindInt64), tuple.Null(tuple.KindInt32)}
-	for i, row := range w.full {
-		want[2].Int += row[1].Int
-		if i == 0 || row[0].Int < want[3].Int {
-			want[3] = row[0]
-		}
-		if i == 0 || row[2].Int > want[4].Int {
-			want[4] = row[2]
-		}
-	}
-	opts := []QueryOption{WithKeyRange(c.bound(c.lo), c.bound(c.hi))}
-	if len(c.filters) > 0 {
-		opts = append(opts, WithFilter(c.filters...))
-	}
-	ix := f.tb.indexes[c.index]
-	for _, policy := range []CachePolicy{CacheFirst, HeapOnly} {
-		cp := *c
-		cp.policy = policy
-		w := f.want(&cp)
-		for _, par := range []int{1, 3} {
-			name := fmt.Sprintf("aggregate policy=%d parallel=%d", policy, par)
-			res, err := ix.Aggregate(specs, append(opts, WithCachePolicy(policy), WithParallel(par))...)
-			if err != nil {
-				f.t.Fatalf("%s: %v", name, err)
-			}
-			if res.Pushdown != w.pushdown {
-				f.t.Errorf("%s: Pushdown = %v, want %v", name, res.Pushdown, w.pushdown)
-			}
-			assertAggEqual(f.t, name, res, AggResult{Values: want, Rows: int64(len(w.full))})
-			// Through the cursor the fold reads full rows: every entry a
-			// Query of the case would answer from either tier is a heap
-			// read. Pushed down, the aggregated fields (id, a, b) are the
-			// projection, and each of those entries is a cache hit.
-			hits, heap := int64(0), w.heap+w.cacheHits
-			if res.Pushdown {
-				hits, heap = heap, 0
-			}
-			if res.Stats.CacheHits != hits || res.Stats.HeapReads != heap {
-				f.t.Errorf("%s: stats %+v, model says %d cache hits, %d heap reads", name, res.Stats, hits, heap)
-			}
-		}
 	}
 }
 
@@ -674,30 +620,55 @@ func TestLookupStaleEntryNotServed(t *testing.T) {
 	})
 }
 
-// aggInvariant is the Aggregate leg of TestParallelQueryRacingWriters:
-// every row the writers touch inside [0, hi) carries a = 0, every row
-// they churn outside it a = 1, so sum(a) over the range is the stable
-// rows' and must never move — unless a fold reads, through a deleted
-// row's stale entry, whatever row now sits in its slot.
-func aggInvariant(t *testing.T, ix *Index, hi, wantSum int64, rounds int) {
-	specs := []AggSpec{{Op: AggCount}, {Op: AggSum, Field: "a"}}
+// rangeSumInvariant is the range-sum leg of
+// TestParallelQueryRacingWriters: every row the writers touch inside
+// [0, hi) carries a = 0, every row they churn outside it a = 1, so
+// sum(a) over the range is the stable rows' and must never move — unless
+// a reader serves, through a deleted row's stale entry, whatever row now
+// sits in its slot. Each round reads the range through a cursor under
+// both cache policies, serial and parallel.
+func rangeSumInvariant(t *testing.T, ix *Index, hi, wantSum int64, rounds int) {
 	for ; rounds > 0 && !t.Failed(); rounds-- {
 		for _, policy := range []CachePolicy{CacheFirst, HeapOnly} {
 			for _, par := range []int{1, 4} {
-				res, err := ix.Aggregate(specs, WithKeyRange(nil, []tuple.Value{tuple.Int64(hi)}),
-					WithCachePolicy(policy), WithParallel(par))
-				if err != nil {
-					t.Errorf("Aggregate policy=%d parallel=%d: %v", policy, par, err)
-					return
-				}
-				if res.Values[1].Int != wantSum {
-					t.Errorf("Aggregate policy=%d parallel=%d: sum(a) = %d over %d rows, want %d",
-						policy, par, res.Values[1].Int, res.Rows, wantSum)
+				if !rangeSum(t, ix, hi, wantSum, policy, par) {
 					return
 				}
 			}
 		}
 	}
+}
+
+// rangeSum reads [0, hi) once and reports whether it served sum(a) =
+// wantSum and no id at or past hi.
+func rangeSum(t *testing.T, ix *Index, hi, wantSum int64, policy CachePolicy, par int) bool {
+	name := fmt.Sprintf("range sum policy=%d parallel=%d", policy, par)
+	cur, err := ix.Query(WithKeyRange(nil, []tuple.Value{tuple.Int64(hi)}), WithProjection("id", "a"),
+		WithCachePolicy(policy), WithParallel(par))
+	if err != nil {
+		t.Errorf("%s: %v", name, err)
+		return false
+	}
+	defer cur.Close()
+	var sum, rows int64
+	for cur.Next() {
+		row := cur.Row()
+		if row[0].Int >= hi {
+			t.Errorf("%s: served id %d, past the range's end %d", name, row[0].Int, hi)
+			return false
+		}
+		sum += row[1].Int
+		rows++
+	}
+	if err := cur.Err(); err != nil {
+		t.Errorf("%s: %v", name, err)
+		return false
+	}
+	if sum != wantSum {
+		t.Errorf("%s: sum(a) = %d over %d rows, want %d", name, sum, rows, wantSum)
+		return false
+	}
+	return true
 }
 
 // churnOutside inserts and deletes rows with ids ≥ base and a = 1, so

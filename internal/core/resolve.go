@@ -36,8 +36,8 @@ const (
 )
 
 // resolver is the one place an index entry becomes a row. The serial
-// cursor (range or point step), the parallel segment workers and the
-// pushdown aggregate all hand it (key, packed RID, cache probe result) and get back the
+// cursor (range or point step) and the parallel segment workers both
+// hand it (key, packed RID, cache probe result) and get back the
 // projected row and the tier that answered; they differ only in the
 // data set here and in what they do with the row. The tier order is the
 // paper's §2.1.1: MVCC visibility → key-byte filters → cached-payload
@@ -52,9 +52,9 @@ type resolver struct {
 	// probe: the reader probes the §2.1 cache for every entry, under the
 	// leaf latch it holds anyway, and passes what it found.
 	probe bool
-	// leaf: an entry may be answered from its leaf alone — on a cache hit
-	// when the reader probes, from key bytes when it does not (a pushdown
-	// aggregate over key fields only).
+	// leaf: an entry whose probe hit may be answered from its leaf alone
+	// (key bytes plus the cached payload). Set only when probe is: every
+	// projected and filtered field is a key or cached field.
 	leaf bool
 	// decodeKey: a leaf answer takes key values decoded from the entry's
 	// key bytes. Off when the plan reads none, and for a point step,
@@ -183,7 +183,7 @@ func (r *resolver) resolve(dst tuple.Row, key []byte, packed uint64, payload []b
 			hit = false // payload unusable; the heap row re-evaluates
 		}
 	}
-	if r.leaf && (hit || !r.probe) {
+	if r.leaf && hit {
 		if !decoded {
 			if err := r.decode(key); err != nil {
 				return nil, rid, tierSkip, err
@@ -259,13 +259,13 @@ func (g *cacheGate) prepare(c *idxcache.Cache, l *btree.Leaf) bool {
 
 // --- block loop ----------------------------------------------------------
 
-// blockScan is the one block loop of the index read path, shared by the
-// parallel segment workers and the pushdown aggregate: fill copies up to
-// blockRows entries out of the leaves — one latch acquisition per leaf —
-// while the entry visitor captures each entry's cache probe under that
-// same latch (hit flags plus a payload slab, aligned one-to-one with
-// the entries); resolve then turns entry i into a row with no latch
-// held at all.
+// blockScan is the one block loop of the index read path, run by the
+// parallel cursor's segment workers: fill copies up to blockRows
+// entries out of the leaves — one latch acquisition per leaf — while
+// the entry visitor captures each entry's cache probe under that same
+// latch (hit flags plus a payload slab, aligned one-to-one with the
+// entries); resolve then turns entry i into a row with no latch held
+// at all.
 //
 // Lock order: a scan holds at most one leaf latch at a time (inside
 // NextBlock), and the cache probe under it follows the point step's
@@ -334,9 +334,9 @@ func (b *blockScan) resolve(dst tuple.Row, i int) (tuple.Row, storage.RID, tier,
 
 // --- segment runner ------------------------------------------------------
 
-// segRunner is the goroutine pool segmented reads run on — a parallel
-// cursor's workers and Index.Aggregate's. It keeps the first error and
-// a stop signal for work whose consumer went away.
+// segRunner is the goroutine pool a parallel cursor's workers run on.
+// It keeps the first error and a stop signal for work whose consumer
+// went away.
 type segRunner struct {
 	wg     sync.WaitGroup
 	next   atomic.Int32
@@ -393,13 +393,6 @@ func (sr *segRunner) stopped() bool {
 	default:
 		return false
 	}
-}
-
-// wait blocks until every worker has returned and reports
-// the first error any of them hit.
-func (sr *segRunner) wait() error {
-	sr.wg.Wait()
-	return sr.firstErr()
 }
 
 func (sr *segRunner) firstErr() error {

@@ -271,11 +271,11 @@ func (d *Divergence) Error() string {
 		d.Seed, d.Step, d.Detail, FormatSchedule(d.Schedule))
 }
 
-// Run executes the schedule for seed against a fresh engine and the
+// run executes the schedule for seed against a fresh engine and the
 // oracle. On divergence it shrinks the schedule to a minimal failing
 // reproduction and returns the Divergence; nil means the schedule
 // passed.
-func Run(seed int64, cfg Config) *Divergence {
+func run(seed int64, cfg Config) *Divergence {
 	steps := Generate(seed, cfg)
 	d := execute(seed, steps)
 	if d == nil {

@@ -51,12 +51,12 @@ func TestSeedCorpus(t *testing.T) {
 		if err != nil {
 			t.Fatalf("corpus line %q: %v", line, err)
 		}
-		if d := Run(seed, Config{}); d != nil {
+		if d := run(seed, Config{}); d != nil {
 			t.Fatalf("corpus seed %d diverged:\n%v", seed, d)
 		}
 		// Replay under the storm shape too: seed 550 found a GC
 		// prev-chain cycle only this config's key pressure exposed.
-		if d := Run(seed, Config{Slots: 6, Keys: 6, Steps: 120, MaxBatch: 6}); d != nil {
+		if d := run(seed, Config{Slots: 6, Keys: 6, Steps: 120, MaxBatch: 6}); d != nil {
 			t.Fatalf("corpus seed %d (storm config) diverged:\n%v", seed, d)
 		}
 		n++
@@ -75,7 +75,7 @@ func TestSeedCorpus(t *testing.T) {
 func TestRandomSchedules(t *testing.T) {
 	n := schedules(300)
 	for seed := int64(0); seed < int64(n); seed++ {
-		if d := Run(seed, Config{}); d != nil {
+		if d := run(seed, Config{}); d != nil {
 			t.Fatalf("schedule diverged:\n%v", d)
 		}
 	}
@@ -91,7 +91,7 @@ func TestRandomSchedulesLongStorms(t *testing.T) {
 	}
 	cfg := Config{Slots: 6, Keys: 6, Steps: 120, MaxBatch: 6}
 	for seed := int64(0); seed < int64(n); seed++ {
-		if d := Run(seed, cfg); d != nil {
+		if d := run(seed, cfg); d != nil {
 			t.Fatalf("long-storm schedule diverged:\n%v", d)
 		}
 	}
@@ -105,7 +105,7 @@ func TestHarnessDetectsInvertedVisibility(t *testing.T) {
 	core.TestingSetInvertVisibility(true)
 	defer core.TestingSetInvertVisibility(false)
 	for seed := int64(0); seed < 50; seed++ {
-		if d := Run(seed, Config{}); d != nil {
+		if d := run(seed, Config{}); d != nil {
 			t.Logf("harness caught the sabotage (seed %d, step %d): %s", d.Seed, d.Step, d.Detail)
 			if len(d.Schedule) == 0 {
 				t.Fatal("divergence reported with an empty schedule")
@@ -123,7 +123,7 @@ func TestShrinkerMinimizes(t *testing.T) {
 	core.TestingSetInvertVisibility(true)
 	defer core.TestingSetInvertVisibility(false)
 	for seed := int64(0); seed < 50; seed++ {
-		d := Run(seed, Config{})
+		d := run(seed, Config{})
 		if d == nil {
 			continue
 		}

@@ -47,13 +47,6 @@ func (p *PredLog) Append(key []byte) (escalate bool) {
 // whose AppliedSeq equals HeadSeq has nothing pending.
 func (p *PredLog) HeadSeq() uint32 { return p.headSeq.Load() }
 
-// Pending returns the number of buffered predicates.
-func (p *PredLog) Pending() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.ends)
-}
-
 // KeySpan is a page's key range: Covers reports whether key lies within
 // it, both ends inclusive. *btree.Leaf is one.
 type KeySpan interface {

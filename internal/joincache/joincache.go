@@ -85,9 +85,6 @@ func New(payloadSize int, seed int64) (*Cache, error) {
 	return c, nil
 }
 
-// EntrySize returns the slot width.
-func (c *Cache) EntrySize() int { return c.entrySize }
-
 // Stats snapshots the counters.
 func (c *Cache) Stats() Stats {
 	return Stats{

@@ -27,7 +27,7 @@ func newTestHeap(t *testing.T) *heap.File {
 }
 
 func pay(c *Cache, b byte) []byte {
-	p := make([]byte, c.EntrySize()-8)
+	p := make([]byte, c.entrySize-8)
 	for i := range p {
 		p[i] = b
 	}

@@ -1,19 +1,14 @@
 // Package latch provides short-term page latches with a try-acquire
 // path. Section 2.1.3 of the paper requires that index-cache writes
 // take only short latches and "give up a write operation if the latch
-// is not immediately available"; TryLock supports exactly that, and the
-// give-up counter makes the behaviour observable in tests and stats.
+// is not immediately available"; TryLock supports exactly that.
 package latch
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "sync"
 
 // Latch is a reader/writer page latch. The zero value is ready to use.
 type Latch struct {
-	mu      sync.RWMutex
-	giveUps atomic.Int64
+	mu sync.RWMutex
 }
 
 // Lock acquires the latch exclusively, blocking.
@@ -29,25 +24,6 @@ func (l *Latch) RLock() { l.mu.RLock() }
 func (l *Latch) RUnlock() { l.mu.RUnlock() }
 
 // TryLock attempts an exclusive acquire without blocking. On failure it
-// records a give-up and returns false — the caller abandons its cache
-// write, per the paper's protocol.
-func (l *Latch) TryLock() bool {
-	if l.mu.TryLock() {
-		return true
-	}
-	l.giveUps.Add(1)
-	return false
-}
-
-// TryRLock attempts a shared acquire without blocking.
-func (l *Latch) TryRLock() bool {
-	if l.mu.TryRLock() {
-		return true
-	}
-	l.giveUps.Add(1)
-	return false
-}
-
-// GiveUps returns how many try-acquires failed, i.e. how many cache
-// maintenance operations were abandoned rather than waited for.
-func (l *Latch) GiveUps() int64 { return l.giveUps.Load() }
+// returns false — the caller abandons its cache write, per the paper's
+// protocol.
+func (l *Latch) TryLock() bool { return l.mu.TryLock() }

@@ -2,6 +2,7 @@ package latch
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -10,12 +11,6 @@ func TestTryLockGivesUpWhenHeld(t *testing.T) {
 	l.Lock()
 	if l.TryLock() {
 		t.Fatal("TryLock succeeded while held exclusively")
-	}
-	if l.TryRLock() {
-		t.Fatal("TryRLock succeeded while held exclusively")
-	}
-	if l.GiveUps() != 2 {
-		t.Errorf("GiveUps = %d, want 2", l.GiveUps())
 	}
 	l.Unlock()
 	if !l.TryLock() {
@@ -30,10 +25,6 @@ func TestSharedHoldersBlockExclusiveTry(t *testing.T) {
 	if l.TryLock() {
 		t.Fatal("TryLock succeeded under a shared hold")
 	}
-	if !l.TryRLock() {
-		t.Fatal("TryRLock should succeed alongside another reader")
-	}
-	l.RUnlock()
 	l.RUnlock()
 }
 
@@ -41,16 +32,19 @@ func TestConcurrentCounting(t *testing.T) {
 	var l Latch
 	l.Lock()
 	var wg sync.WaitGroup
+	var giveUps atomic.Int64
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			l.TryLock()
+			if !l.TryLock() {
+				giveUps.Add(1)
+			}
 		}()
 	}
 	wg.Wait()
 	l.Unlock()
-	if l.GiveUps() != 8 {
-		t.Errorf("GiveUps = %d, want 8", l.GiveUps())
+	if giveUps.Load() != 8 {
+		t.Errorf("%d of 8 TryLocks gave up under an exclusive hold, want 8", giveUps.Load())
 	}
 }

@@ -3,7 +3,6 @@ package semid
 import (
 	"fmt"
 
-	"repro/internal/storage"
 	"repro/internal/tuple"
 )
 
@@ -58,14 +57,3 @@ func FindReducible(schema *tuple.Schema, uniqueOnly []string, derived map[string
 	}
 	return out, nil
 }
-
-// RIDProxy demonstrates the physical-address proxy: the "ID" handed to
-// the application is the packed RID itself, so no ID column is stored
-// at all. Mapping is the identity in both directions.
-type RIDProxy struct{}
-
-// IDFor returns the application-visible ID of a stored tuple.
-func (RIDProxy) IDFor(rid storage.RID) uint64 { return rid.Pack() }
-
-// RIDFor inverts IDFor.
-func (RIDProxy) RIDFor(id uint64) storage.RID { return storage.UnpackRID(id) }

@@ -4,7 +4,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"repro/internal/storage"
 	"repro/internal/wiki"
 )
 
@@ -127,13 +126,5 @@ func TestFindReducible(t *testing.T) {
 	}
 	if _, err := FindReducible(wiki.RevisionSchema(), nil, map[string]string{"rev_id": "nope"}); err == nil {
 		t.Error("unknown determinant should fail")
-	}
-}
-
-func TestRIDProxyRoundTrip(t *testing.T) {
-	p := RIDProxy{}
-	rid := storage.RID{Page: 42, Slot: 7}
-	if p.RIDFor(p.IDFor(rid)) != rid {
-		t.Error("RID proxy round trip failed")
 	}
 }

@@ -204,22 +204,8 @@ func TestSchemaValidation(t *testing.T) {
 	if _, err := NewSchema(Field{Name: "a", Kind: KindChar}); err == nil {
 		t.Error("CHAR without size should fail")
 	}
-	if _, err := NewSchema(Field{Name: "a", Kind: KindInvalid}); err == nil {
+	if _, err := NewSchema(Field{Name: "a", Kind: Kind(0)}); err == nil {
 		t.Error("invalid kind should fail")
-	}
-}
-
-func TestSchemaProject(t *testing.T) {
-	s := testSchema(t)
-	p, err := s.Project("name", "id")
-	if err != nil {
-		t.Fatalf("Project: %v", err)
-	}
-	if p.NumFields() != 2 || p.Field(0).Name != "name" || p.Field(1).Name != "id" {
-		t.Errorf("projection wrong: %s", p)
-	}
-	if _, err := s.Project("missing"); err == nil {
-		t.Error("projecting missing field should fail")
 	}
 }
 

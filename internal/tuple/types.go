@@ -21,7 +21,8 @@ type Kind uint8
 
 // Declared field kinds.
 const (
-	KindInvalid   Kind = iota
+	// The zero Kind declares no type.
+	_             Kind = iota
 	KindInt64          // 8-byte signed integer
 	KindInt32          // 4-byte signed integer
 	KindInt16          // 2-byte signed integer
@@ -189,20 +190,6 @@ func (s *Schema) Index(name string) int {
 		return -1
 	}
 	return i
-}
-
-// Project returns a schema containing only the named fields, in the
-// given order.
-func (s *Schema) Project(names ...string) (*Schema, error) {
-	fields := make([]Field, 0, len(names))
-	for _, name := range names {
-		i := s.Index(name)
-		if i < 0 {
-			return nil, fmt.Errorf("tuple: no field %q in schema", name)
-		}
-		fields = append(fields, s.fields[i])
-	}
-	return NewSchema(fields...)
 }
 
 // String renders the schema as "(name TYPE, ...)".

@@ -83,9 +83,6 @@ func NewVerticalTable(e *core.Engine, name string, schema *tuple.Schema, pkField
 	return vt, nil
 }
 
-// NumGroups returns the number of physical groups.
-func (vt *VerticalTable) NumGroups() int { return len(vt.groups) }
-
 // Insert stores a logical row across all groups. Each group's insert
 // is individually thread-safe (heap placement under the heap's insert
 // mutex + index latch crabbing, so parallel ingesters contend per group
@@ -204,8 +201,8 @@ func (vt *VerticalTable) GetFields(pk tuple.Value, names []string) (tuple.Row, i
 // Cursor streams logical rows in primary-key order by driving the
 // first group's pk index with a core cursor — the pk projection is
 // covered by the index key, so the driving scan never touches a heap —
-// and merging the other needed groups per row. GroupReads accumulates
-// the merge cost the advisor's cost model prices.
+// and merging the other needed groups per row. groupReads counts the
+// group-table accesses, the merge cost the advisor's cost model prices.
 type Cursor struct {
 	vt         *VerticalTable
 	pks        *core.Cursor
@@ -273,10 +270,6 @@ func (c *Cursor) Next() bool {
 // Row returns the current logical (or projected) row.
 func (c *Cursor) Row() tuple.Row { return c.row }
 
-// GroupReads returns the cumulative number of group-table accesses the
-// scan has paid — the merge cost of the vertical split.
-func (c *Cursor) GroupReads() int { return c.groupReads }
-
 // Err returns the first error the cursor hit.
 func (c *Cursor) Err() error { return c.err }
 
@@ -286,84 +279,6 @@ func (c *Cursor) Close() error {
 		c.err = cerr
 	}
 	return c.err
-}
-
-// Aggregate computes simple aggregates over the logical table, routing
-// each spec to the physical group holding its field and running one
-// core aggregate per touched group over that group's pk index —
-// count(*) and primary-key aggregates are answered by the first group
-// without touching any other heap. opts (key bounds, WithParallel,
-// WithFilter, cache policy) apply to every touched group's scan;
-// because each group stores only the pk plus its own fields, filters
-// may reference the primary key, or non-pk fields only when every
-// touched group holds them (in practice: single-group aggregates).
-// Results come back in spec order. The int reports how many group
-// tables were touched — the merge cost the advisor models.
-//
-// The same visibility caveat as Insert applies: rows land group by
-// group, so aggregates racing an insert can observe a pk in one group
-// and not yet in another; per-group row counts may differ transiently.
-func (vt *VerticalTable) Aggregate(specs []core.AggSpec, opts ...core.QueryOption) (core.AggResult, int, error) {
-	if len(specs) == 0 {
-		return core.AggResult{}, 0, fmt.Errorf("vertical: Aggregate needs at least one AggSpec")
-	}
-	// Route each spec to its owning group. count(*) and pk specs go to
-	// group 0 (every group holds the pk; the first is as good as any).
-	perGroup := make([][]core.AggSpec, len(vt.groups))
-	srcIdx := make([][]int, len(vt.groups)) // spec index, to reorder results
-	for i, sp := range specs {
-		gi := 0
-		if sp.Field != "" && sp.Field != vt.pkField {
-			pos := vt.schema.Index(sp.Field)
-			if pos < 0 {
-				return core.AggResult{}, 0, fmt.Errorf("vertical: no field %q in schema", sp.Field)
-			}
-			gi = -1
-			for g := range vt.groups {
-				for _, p := range vt.groups[g].logicalPos {
-					if p == pos {
-						gi = g
-						break
-					}
-				}
-			}
-			if gi < 0 {
-				return core.AggResult{}, 0, fmt.Errorf("vertical: field %q not covered by any group", sp.Field)
-			}
-		}
-		perGroup[gi] = append(perGroup[gi], sp)
-		srcIdx[gi] = append(srcIdx[gi], i)
-	}
-	// Force the pk index; a stray WithIndex in opts must not redirect a
-	// group scan to an index that doesn't exist there.
-	opts = append(opts[:len(opts):len(opts)], core.WithIndex("pk"))
-	out := core.AggResult{Values: make([]tuple.Value, len(specs))}
-	touched := 0
-	for gi := range vt.groups {
-		if len(perGroup[gi]) == 0 {
-			continue
-		}
-		res, err := vt.groups[gi].table.Aggregate(perGroup[gi], opts...)
-		if err != nil {
-			return core.AggResult{}, touched, fmt.Errorf("vertical: group %d: %w", gi, err)
-		}
-		for j, si := range srcIdx[gi] {
-			out.Values[si] = res.Values[j]
-		}
-		if touched == 0 {
-			out.Rows = res.Rows
-			out.Pushdown = res.Pushdown
-			out.Segments = res.Segments
-		} else {
-			out.Pushdown = out.Pushdown && res.Pushdown
-			if res.Segments > out.Segments {
-				out.Segments = res.Segments
-			}
-		}
-		out.Stats.Add(res.Stats)
-		touched++
-	}
-	return out, touched, nil
 }
 
 // UpdateFields modifies the named fields of the row with the given pk,

@@ -108,8 +108,8 @@ func TestVerticalTableRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewVerticalTable: %v", err)
 	}
-	if vt.NumGroups() != 3 {
-		t.Fatalf("NumGroups = %d", vt.NumGroups())
+	if len(vt.groups) != 3 {
+		t.Fatalf("NumGroups = %d", len(vt.groups))
 	}
 	for i := 0; i < 100; i++ {
 		if err := vt.Insert(testRow(i)); err != nil {
@@ -241,8 +241,8 @@ func TestVerticalQueryStreamsLogicalRows(t *testing.T) {
 	if want != n {
 		t.Fatalf("scanned %d rows, want %d", want, n)
 	}
-	if cur.GroupReads() != n*vt.NumGroups() {
-		t.Errorf("full scan touched %d groups, want %d", cur.GroupReads(), n*vt.NumGroups())
+	if cur.groupReads != n*len(vt.groups) {
+		t.Errorf("full scan touched %d groups, want %d", cur.groupReads, n*len(vt.groups))
 	}
 	// Projected scan touches only the groups holding the fields.
 	cur, err = vt.Query([]string{"id", "hot_a"}, core.WithLimit(10))
@@ -261,8 +261,8 @@ func TestVerticalQueryStreamsLogicalRows(t *testing.T) {
 	if served != 10 {
 		t.Fatalf("limit served %d", served)
 	}
-	if cur.GroupReads() != 10 {
-		t.Errorf("projected scan touched %d groups, want 10 (one per row)", cur.GroupReads())
+	if cur.groupReads != 10 {
+		t.Errorf("projected scan touched %d groups, want 10 (one per row)", cur.groupReads)
 	}
 	if _, err := vt.Query([]string{"nope"}); err == nil {
 		t.Fatal("unknown field must error")
@@ -308,78 +308,5 @@ func TestVerticalQueryIgnoresStrayProjection(t *testing.T) {
 	}
 	if want != 20 {
 		t.Fatalf("served %d rows, want 20", want)
-	}
-}
-
-func TestVerticalAggregateRoutesGroups(t *testing.T) {
-	e := newEngine(t)
-	groups := [][]string{{"hot_a", "hot_b"}, {"written"}, {"cold_blob"}}
-	vt, err := NewVerticalTable(e, "agg", testSchema(), "id", groups)
-	if err != nil {
-		t.Fatalf("NewVerticalTable: %v", err)
-	}
-	const rows = 300
-	for i := 0; i < rows; i++ {
-		if err := vt.Insert(testRow(i)); err != nil {
-			t.Fatalf("Insert %d: %v", i, err)
-		}
-	}
-	// pk-only aggregates touch exactly one group.
-	res, touched, err := vt.Aggregate([]core.AggSpec{
-		{Op: core.AggCount},
-		{Op: core.AggMin, Field: "id"},
-		{Op: core.AggMax, Field: "id"},
-	})
-	if err != nil {
-		t.Fatalf("Aggregate: %v", err)
-	}
-	if touched != 1 {
-		t.Errorf("pk-only aggregate touched %d groups, want 1", touched)
-	}
-	if res.Rows != rows || res.Values[0].Int != rows || res.Values[1].Int != 0 || res.Values[2].Int != rows-1 {
-		t.Errorf("pk aggregate wrong: %+v", res)
-	}
-	if !res.Pushdown {
-		t.Error("key-only aggregate should push down")
-	}
-	// Specs spanning groups touch only the owning groups, results in
-	// spec order.
-	res, touched, err = vt.Aggregate([]core.AggSpec{
-		{Op: core.AggSum, Field: "written"},
-		{Op: core.AggMax, Field: "hot_b"},
-		{Op: core.AggCount},
-	}, core.WithParallel(2))
-	if err != nil {
-		t.Fatalf("Aggregate: %v", err)
-	}
-	if touched != 2 {
-		t.Errorf("two-group aggregate touched %d groups", touched)
-	}
-	var wantSum int64
-	for i := 0; i < rows; i++ {
-		wantSum += int64(i * 4)
-	}
-	if res.Values[0].Int != wantSum || int64(res.Values[1].Int) != int64((rows-1)*3) || res.Values[2].Int != rows {
-		t.Errorf("cross-group aggregate wrong: %+v", res.Values)
-	}
-	// pk filters apply to every touched group.
-	res, _, err = vt.Aggregate([]core.AggSpec{{Op: core.AggCount}, {Op: core.AggSum, Field: "hot_a"}},
-		core.WithFilter(core.Filter{Field: "id", Op: core.CmpLt, Value: tuple.Int64(10)}))
-	if err != nil {
-		t.Fatalf("filtered Aggregate: %v", err)
-	}
-	if res.Rows != 10 || res.Values[0].Int != 10 || res.Values[1].Int != 90 {
-		t.Errorf("filtered aggregate wrong: rows=%d vals=%+v", res.Rows, res.Values)
-	}
-	// A filter on a field the touched groups don't hold must error.
-	if _, _, err := vt.Aggregate([]core.AggSpec{{Op: core.AggSum, Field: "written"}},
-		core.WithFilter(core.Filter{Field: "hot_a", Op: core.CmpGt, Value: tuple.Int64(0)})); err == nil {
-		t.Error("cross-group filter must error")
-	}
-	if _, _, err := vt.Aggregate(nil); err == nil {
-		t.Error("empty specs must error")
-	}
-	if _, _, err := vt.Aggregate([]core.AggSpec{{Op: core.AggSum, Field: "nope"}}); err == nil {
-		t.Error("unknown field must error")
 	}
 }

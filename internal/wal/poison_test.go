@@ -78,7 +78,7 @@ func TestFailedSyncPoisonsTheLog(t *testing.T) {
 	if f.calls != 1 {
 		t.Errorf("%d fsyncs reached the file, want the failed one only", f.calls)
 	}
-	if got := l.SyncedLSN(); got != 0 {
+	if got := l.synced.Load(); got != 0 {
 		t.Errorf("SyncedLSN %d after the failed fsync, want 0", got)
 	}
 	if lsns, _, _ := collect(t, l, 0); len(lsns) != 4 {

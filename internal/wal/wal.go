@@ -291,9 +291,6 @@ func (l *Log) Commit(lsn uint64) error {
 	return nil
 }
 
-// SyncedLSN returns the highest LSN known durable.
-func (l *Log) SyncedLSN() uint64 { return l.synced.Load() }
-
 // Size returns the current log file size in bytes.
 func (l *Log) Size() int64 {
 	l.mu.Lock()

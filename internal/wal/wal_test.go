@@ -208,7 +208,7 @@ func TestGroupCommitCoalescesSyncs(t *testing.T) {
 					errs <- err
 					return
 				}
-				if l.SyncedLSN() < lsn {
+				if l.synced.Load() < lsn {
 					errs <- fmt.Errorf("commit returned before lsn %d durable", lsn)
 					return
 				}

@@ -86,61 +86,6 @@ func TestZipfValidation(t *testing.T) {
 	mustPanic(t, func() { NewZipf(rng, 10, -1) })
 }
 
-func TestHotSetSkew(t *testing.T) {
-	rng := NewRand(6)
-	h := NewHotSet(rng, 1000, 0.05, 0.999)
-	if len(h.Hot()) != 50 {
-		t.Fatalf("hot set size %d, want 50", len(h.Hot()))
-	}
-	hotDraws := 0
-	const draws = 100000
-	for i := 0; i < draws; i++ {
-		if h.IsHot(h.Next()) {
-			hotDraws++
-		}
-	}
-	frac := float64(hotDraws) / draws
-	if frac < 0.995 {
-		t.Errorf("hot fraction %.4f, want ≈0.999", frac)
-	}
-}
-
-func TestHotSetMembershipConsistent(t *testing.T) {
-	rng := NewRand(7)
-	h := NewHotSet(rng, 100, 0.1, 0.9)
-	seen := map[int]bool{}
-	for _, id := range h.Hot() {
-		if !h.IsHot(id) {
-			t.Errorf("Hot() member %d not IsHot", id)
-		}
-		if seen[id] {
-			t.Errorf("duplicate hot id %d", id)
-		}
-		seen[id] = true
-	}
-}
-
-func TestHotSetValidation(t *testing.T) {
-	rng := NewRand(8)
-	mustPanic(t, func() { NewHotSet(rng, 0, 0.1, 0.9) })
-	mustPanic(t, func() { NewHotSet(rng, 10, 0, 0.9) })
-	mustPanic(t, func() { NewHotSet(rng, 10, 0.1, 1.5) })
-}
-
-func TestUniform(t *testing.T) {
-	rng := NewRand(9)
-	u := NewUniform(rng, 10)
-	if u.N() != 10 {
-		t.Errorf("N = %d", u.N())
-	}
-	for i := 0; i < 1000; i++ {
-		if v := u.Next(); v < 0 || v >= 10 {
-			t.Fatalf("value %d out of range", v)
-		}
-	}
-	mustPanic(t, func() { NewUniform(rng, 0) })
-}
-
 func TestDeterminism(t *testing.T) {
 	a := NewZipf(NewRand(42), 100, 0.5)
 	b := NewZipf(NewRand(42), 100, 0.5)

@@ -71,9 +71,6 @@ func NewZipf(rng *rand.Rand, n int, alpha float64) *Zipf {
 // N returns the number of distinct ranks.
 func (z *Zipf) N() int { return z.n }
 
-// Alpha returns the skew exponent.
-func (z *Zipf) Alpha() float64 { return z.alpha }
-
 // Next draws the next rank. Rank 0 is the most popular.
 func (z *Zipf) Next() int {
 	if z.cdf != nil {

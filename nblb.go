@@ -264,27 +264,6 @@ const (
 	MergeUnordered = core.MergeUnordered
 )
 
-// AggOp is a simple aggregate operator for Table.Aggregate /
-// Index.Aggregate.
-type AggOp = core.AggOp
-
-// Aggregate operators.
-const (
-	AggCount = core.AggCount
-	AggSum   = core.AggSum
-	AggMin   = core.AggMin
-	AggMax   = core.AggMax
-)
-
-// AggSpec names one aggregate: an operator and the field it folds
-// (empty for count(*)).
-type AggSpec = core.AggSpec
-
-// AggResult is an Aggregate call's outcome: one value per spec, the
-// matched row count, and whether evaluation was pushed below the
-// cursor onto key bytes and cached payloads.
-type AggResult = core.AggResult
-
 // Txn is a multi-op snapshot transaction: Engine.Begin pins a snapshot,
 // Txn.Apply stages batches, Txn.Query opens snapshot-isolated cursors
 // as-of the start timestamp, and Txn.Commit applies everything
