@@ -772,32 +772,6 @@ func (pc *pinChecker) tryAcquireCond(cond ast.Expr, st pathState) (*resource, st
 	return r, branch
 }
 
-// findByAlias returns the most recent resource (optionally of a kind)
-// holding obj as an alias and not yet done on this path.
-func (pc *pinChecker) findByAlias(obj types.Object, kind string, st pathState) *resource {
-	for i := len(pc.resources) - 1; i >= 0; i-- {
-		r := pc.resources[i]
-		if kind != "" && r.kind != kind {
-			continue
-		}
-		if !r.aliases[obj] {
-			continue
-		}
-		if s, ok := st[r]; ok && s != stDone {
-			return r
-		}
-	}
-	// Fall back to any-state match (for escape marking of already-done
-	// resources we still want silent).
-	for i := len(pc.resources) - 1; i >= 0; i-- {
-		r := pc.resources[i]
-		if (kind == "" || r.kind == kind) && r.aliases[obj] {
-			return r
-		}
-	}
-	return nil
-}
-
 // --- small helpers ---------------------------------------------------
 
 func identObj(info *types.Info, e ast.Expr) types.Object {

@@ -31,9 +31,9 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"sync"
 	"sync/atomic"
 
-	"repro/internal/latch"
 	"repro/internal/storage"
 )
 
@@ -54,7 +54,8 @@ type Frame struct {
 
 	// Latch guards the frame's data. The buffer pool hands out frames
 	// without holding it; callers latch around their accesses. Cache
-	// writes use Latch.TryLock per the paper's give-up protocol.
+	// writes use Latch.TryLock: §2.1.3 has them give up when the latch
+	// is not immediately available.
 	//
 	// Invariant: a caller may only hold the latch while holding a pin,
 	// and must release the latch before the pin. Eviction asserts this
@@ -62,7 +63,7 @@ type Frame struct {
 	// treat a latched frame as immune to eviction.
 	//
 	// nblb:lock frame-latch
-	Latch latch.Latch
+	Latch sync.RWMutex
 }
 
 // ID returns the page id held by this frame.

@@ -159,6 +159,52 @@ func TestPoolHitRate(t *testing.T) {
 	}
 }
 
+// pinnedTwice returns a fresh page's frame pinned twice: f and g are
+// the same frame, as two callers would hold it.
+func pinnedTwice(t *testing.T) (p *Pool, f, g *Frame) {
+	t.Helper()
+	p, _ = newTestPool(t, 4)
+	f, err := p.NewPage()
+	if err != nil {
+		t.Fatalf("NewPage: %v", err)
+	}
+	if g, err = p.Fetch(f.ID()); err != nil || g != f {
+		t.Fatalf("Fetch: %v (frame %p, want %p)", err, g, f)
+	}
+	return p, f, g
+}
+
+// TestTryLockGivesUpWhenHeld is §2.1.3's give-up rule on a frame: a
+// cache write's TryLock fails at once while another caller holds the
+// frame's latch exclusively, and succeeds once it is released.
+func TestTryLockGivesUpWhenHeld(t *testing.T) {
+	p, f, g := pinnedTwice(t)
+	f.Latch.Lock()
+	if g.Latch.TryLock() {
+		t.Fatal("TryLock succeeded while held exclusively")
+	}
+	f.Latch.Unlock()
+	if !g.Latch.TryLock() {
+		t.Fatal("TryLock failed on a free latch")
+	}
+	g.Latch.Unlock()
+	p.Unpin(g, false)
+	p.Unpin(f, false)
+}
+
+// TestSharedHoldersBlockExclusiveTry: a reader's shared hold makes a
+// cache write give up too.
+func TestSharedHoldersBlockExclusiveTry(t *testing.T) {
+	p, f, g := pinnedTwice(t)
+	f.Latch.RLock()
+	if g.Latch.TryLock() {
+		t.Fatal("TryLock succeeded under a shared hold")
+	}
+	f.Latch.RUnlock()
+	p.Unpin(g, false)
+	p.Unpin(f, false)
+}
+
 func TestPoolCapacityValidation(t *testing.T) {
 	disk, _ := storage.NewMemDisk(256)
 	if _, err := NewPool(disk, 0); err == nil {

@@ -2,7 +2,6 @@ package idxcache
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/btree"
@@ -52,8 +51,6 @@ type Cache struct {
 	// lock. Deterministic for a given seed and draw order.
 	rngState atomic.Uint64
 
-	scratch sync.Pool // *[]int rank buffers
-
 	lookups, hits, misses     atomic.Int64
 	inserts, evictions, swaps atomic.Int64
 	pageInval, fullInval      atomic.Int64
@@ -70,11 +67,6 @@ type Config struct {
 	// BucketN is the number of slots per bucket for the swap policy.
 	// Defaults to 4.
 	BucketN int
-	// PredLogLimit is the predicate-log escalation threshold. Beyond
-	// this many pending predicates, the whole cache is invalidated via
-	// a CSNidx bump. Zero means the default, 1024. A negative limit
-	// makes every update escalate (fine-grained invalidation off).
-	PredLogLimit int
 	// Seed drives placement randomness deterministically.
 	Seed int64
 }
@@ -90,16 +82,9 @@ func New(cfg Config) (*Cache, error) {
 	if cfg.BucketN < 1 {
 		return nil, fmt.Errorf("idxcache: bucket size must be positive, got %d", cfg.BucketN)
 	}
-	if cfg.PredLogLimit == 0 {
-		cfg.PredLogLimit = 1024
-	}
-	c := &Cache{
-		bucketN: cfg.BucketN,
-		log:     NewPredLog(cfg.PredLogLimit),
-	}
+	c := &Cache{bucketN: cfg.BucketN, log: NewPredLog()}
 	c.payloadSize.Store(int32(cfg.PayloadSize))
 	c.rngState.Store(uint64(cfg.Seed))
-	c.scratch.New = func() any { s := make([]int, 0, 512); return &s }
 	// Start CSNidx at 1 so freshly formatted pages (CSNp = 0) are
 	// treated as invalid and zeroed before first use.
 	c.csnIdx.Store(1)
@@ -224,22 +209,15 @@ func (c *Cache) zeroRegion(l *btree.Leaf) {
 	}
 }
 
-// Lookup scans the page's cache slots for rid. On a hit it returns a
-// copy of the payload and, when the visit holds the exclusive latch,
+// LookupInto scans the page's cache slots for rid. On a hit it appends
+// the payload to dst and, when the visit holds the exclusive latch,
 // promotes the entry by swapping it with a random entry in the adjacent
-// bucket closer to the stable point.
-func (c *Cache) Lookup(l *btree.Leaf, rid uint64) ([]byte, bool) {
-	return c.LookupInto(nil, l, rid)
-}
-
-// LookupInto is Lookup appending the payload to dst instead of
-// allocating — the point-lookup hot path passes a pooled scratch buffer
-// so cache hits cost zero heap allocations. The copy is taken before
-// any promotion swap, so dst never aliases moving page bytes.
+// bucket closer to the stable point. The point-lookup hot path passes a
+// pooled scratch buffer, so cache hits cost zero heap allocations. The
+// copy is taken before any promotion swap, so dst never aliases moving
+// page bytes.
 //
-// The scan walks slots in address order (sequential memory access); the
-// distance-from-S ranking is only computed on a hit, when promotion
-// needs it.
+// The scan walks slots in address order (sequential memory access).
 func (c *Cache) LookupInto(dst []byte, l *btree.Leaf, rid uint64) ([]byte, bool) {
 	c.lookups.Add(1)
 	f := l.CacheEntrySize()
@@ -249,15 +227,15 @@ func (c *Cache) LookupInto(dst []byte, l *btree.Leaf, rid uint64) ([]byte, bool)
 		return nil, false
 	}
 	lo, hi := l.FreeRegion()
+	o := slotsOf(lo, hi, e, l.StablePoint())
 	data := l.Data()
-	first := (lo + e - 1) / e * e
-	for off := first; off+e <= hi; off += e {
+	for off := o.first; off+e <= hi; off += e {
 		if loadTag(data, off, tag) != rid {
 			continue
 		}
 		payload := append(dst, data[off+tag:off+e]...)
 		if l.Exclusive() {
-			c.promoteAt(l, data, off, lo, hi, e)
+			c.promoteAt(data, o, off)
 		}
 		c.hits.Add(1)
 		return payload, true
@@ -268,22 +246,14 @@ func (c *Cache) LookupInto(dst []byte, l *btree.Leaf, rid uint64) ([]byte, bool)
 
 // promoteAt swaps the entry at absolute offset off with a random slot
 // in the adjacent bucket closer to the stable point (the Section 2.1.1
-// policy). The distance ranking is generated lazily and only up to
-// off's own rank — the promotion target always ranks better, so the
-// peripheral remainder is never materialized on the hit path.
-func (c *Cache) promoteAt(l *btree.Leaf, data []byte, off, lo, hi, e int) {
-	rankPtr := c.scratch.Get().(*[]int)
-	ranks, rank := slotRankTo(lo, hi, e, l.StablePoint(), off, *rankPtr)
-	defer func() { *rankPtr = ranks; c.scratch.Put(rankPtr) }()
-	if rank < 0 {
-		return
-	}
-	bucket := rank / c.bucketN
+// policy).
+func (c *Cache) promoteAt(data []byte, o slotOrder, off int) {
+	bucket := o.rank(off) / c.bucketN
 	if bucket == 0 {
 		return
 	}
 	target := (bucket-1)*c.bucketN + c.randIntn(c.bucketN)
-	swapSlots(data, ranks[rank], ranks[target], e)
+	swapSlots(data, off, o.offset(target), o.e)
 	c.swaps.Add(1)
 }
 
@@ -329,15 +299,15 @@ func (c *Cache) Insert(l *btree.Leaf, rid uint64, payload []byte) bool {
 	}
 	tag, e := formatTag(f), formatEntry(f)
 	lo, hi := l.FreeRegion()
-	data := l.Data()
-	first := (lo + e - 1) / e * e
-	if first+e > hi {
+	o := slotsOf(lo, hi, e, l.StablePoint())
+	if o.n == 0 {
 		return false
 	}
+	data := l.Data()
 	// One sequential pass: refresh in place if the rid is already
 	// cached, and reservoir-sample a random free slot along the way.
 	freeOff, freeSeen := -1, 0
-	for off := first; off+e <= hi; off += e {
+	for off := o.first; off+e <= hi; off += e {
 		v := loadTag(data, off, tag)
 		if v == rid {
 			copy(data[off+tag:], payload)
@@ -354,18 +324,9 @@ func (c *Cache) Insert(l *btree.Leaf, rid uint64, payload []byte) bool {
 	off := freeOff
 	if off < 0 {
 		// No free slot: evict a random item from the most peripheral
-		// bucket of the distance ranking.
-		rankPtr := c.scratch.Get().(*[]int)
-		ranks := slotRank(lo, hi, e, l.StablePoint(), *rankPtr)
-		if len(ranks) == 0 {
-			*rankPtr = ranks
-			c.scratch.Put(rankPtr)
-			return false
-		}
-		lastBucketStart := (len(ranks) - 1) / c.bucketN * c.bucketN
-		off = ranks[lastBucketStart+c.randIntn(len(ranks)-lastBucketStart)]
-		*rankPtr = ranks
-		c.scratch.Put(rankPtr)
+		// bucket.
+		last := (o.n - 1) / c.bucketN * c.bucketN
+		off = o.offset(last + c.randIntn(o.n-last))
 		c.evictions.Add(1)
 	}
 	storeTag(data[off:], rid, tag)
@@ -397,5 +358,5 @@ func (c *Cache) SlotsIn(l *btree.Leaf) (slots, entrySize int) {
 		e = formatEntry(f)
 	}
 	lo, hi := l.FreeRegion()
-	return numSlots(lo, hi, e), e
+	return slotsOf(lo, hi, e, l.StablePoint()).n, e
 }

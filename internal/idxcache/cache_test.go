@@ -66,7 +66,7 @@ func TestCacheInsertLookupRoundTrip(t *testing.T) {
 			}
 		}
 		for i := 0; i < 5; i++ {
-			got, ok := c.Lookup(l, uint64(i+1))
+			got, ok := c.LookupInto(nil, l, uint64(i+1))
 			if !ok {
 				t.Fatalf("Lookup %d missed", i)
 			}
@@ -76,7 +76,7 @@ func TestCacheInsertLookupRoundTrip(t *testing.T) {
 				}
 			}
 		}
-		if _, ok := c.Lookup(l, 999); ok {
+		if _, ok := c.LookupInto(nil, l, 999); ok {
 			t.Error("lookup of uncached rid hit")
 		}
 	})
@@ -115,7 +115,7 @@ func TestCacheSurvivesIndexInserts(t *testing.T) {
 				return
 			}
 			for _, rid := range hot {
-				c.Lookup(l, rid)
+				c.LookupInto(nil, l, rid)
 			}
 		})
 	}
@@ -133,7 +133,7 @@ func TestCacheSurvivesIndexInserts(t *testing.T) {
 			t.Fatal("prepare failed")
 		}
 		for _, rid := range hot {
-			if _, ok := c.Lookup(l, rid); ok {
+			if _, ok := c.LookupInto(nil, l, rid); ok {
 				survived++
 			}
 		}
@@ -143,21 +143,58 @@ func TestCacheSurvivesIndexInserts(t *testing.T) {
 	}
 }
 
+// slotOf returns the offset of rid's slot on the page, or -1.
+func slotOf(l *btree.Leaf, rid uint64) int {
+	f := l.CacheEntrySize()
+	lo, hi := l.FreeRegion()
+	o := slotsOf(lo, hi, formatEntry(f), l.StablePoint())
+	for r := 0; r < o.n; r++ {
+		if off := o.offset(r); loadTag(l.Data(), off, formatTag(f)) == rid {
+			return off
+		}
+	}
+	return -1
+}
+
+// TestCacheEvictionPeripheralBucket overfills a page: every insert past
+// its capacity evicts an entry whose slot ranks in the outermost
+// bucket. Then hits under the exclusive latch move an entry one bucket
+// toward S per hit, until it reaches the innermost bucket and stays.
 func TestCacheEvictionPeripheralBucket(t *testing.T) {
+	const bucketN = 2
 	tr := newCacheTree(t, 1024)
-	c := mustCache(t, Config{PayloadSize: 24, BucketN: 2, Seed: 3})
+	c := mustCache(t, Config{PayloadSize: 24, BucketN: bucketN, Seed: 3})
 	tr.Insert(k64(0), 1)
 	tr.VisitLeaf(k64(0), func(l *btree.Leaf) {
 		c.Prepare(l)
-		slots, _ := c.SlotsIn(l)
+		slots, e := c.SlotsIn(l)
 		if slots < 4 {
 			t.Skipf("page too small: %d slots", slots)
 		}
-		// Overfill: every insert beyond capacity must evict.
+		lo, hi := l.FreeRegion()
+		o := slotsOf(lo, hi, e, l.StablePoint())
+		outer := (slots - 1) / bucketN
 		for i := 0; i < slots+10; i++ {
-			if !c.Insert(l, uint64(i+1), pay(c, byte(i))) {
+			rid := uint64(i + 1)
+			if !c.Insert(l, rid, pay(c, byte(i))) {
 				t.Fatalf("insert %d failed", i)
 			}
+			if b := o.rank(slotOf(l, rid)) / bucketN; i >= slots && b != outer {
+				t.Errorf("insert %d evicted from bucket %d, want the outermost, %d", i, b, outer)
+			}
+		}
+		// The last rid installed sits in the outermost bucket.
+		rid := uint64(slots + 10)
+		for b := outer; b >= 0; b-- {
+			if got := o.rank(slotOf(l, rid)) / bucketN; got != b {
+				t.Fatalf("rid %d in bucket %d, want %d", rid, got, b)
+			}
+			if _, ok := c.LookupInto(nil, l, rid); !ok {
+				t.Fatalf("rid %d missed", rid)
+			}
+		}
+		if got := o.rank(slotOf(l, rid)) / bucketN; got != 0 {
+			t.Errorf("a hit in the innermost bucket moved rid %d to bucket %d", rid, got)
 		}
 	})
 	st := c.Stats()
@@ -179,7 +216,7 @@ func TestCacheCSNInvalidation(t *testing.T) {
 		if !c.Prepare(l) {
 			t.Fatal("prepare failed")
 		}
-		if _, ok := c.Lookup(l, 1); ok {
+		if _, ok := c.LookupInto(nil, l, 1); ok {
 			t.Error("entry survived full invalidation")
 		}
 		if l.CSN() != c.CSN() {
@@ -190,7 +227,7 @@ func TestCacheCSNInvalidation(t *testing.T) {
 
 func TestCachePredicateInvalidation(t *testing.T) {
 	tr := newCacheTree(t, 1024)
-	c := mustCache(t, Config{PayloadSize: 8, PredLogLimit: 100, Seed: 5})
+	c := mustCache(t, Config{PayloadSize: 8, Seed: 5})
 	for i := 0; i < 5; i++ {
 		tr.Insert(k64(i), uint64(i+1))
 	}
@@ -205,7 +242,7 @@ func TestCachePredicateInvalidation(t *testing.T) {
 		if !c.Prepare(l) {
 			t.Fatal("prepare failed")
 		}
-		if _, ok := c.Lookup(l, 1); ok {
+		if _, ok := c.LookupInto(nil, l, 1); ok {
 			t.Error("entry survived matching predicate (page zeroed expected)")
 		}
 	})
@@ -216,7 +253,7 @@ func TestCachePredicateInvalidation(t *testing.T) {
 
 func TestCachePredicateOutsideRangeKeepsCache(t *testing.T) {
 	tr := newCacheTree(t, 1024)
-	c := mustCache(t, Config{PayloadSize: 8, PredLogLimit: 100, Seed: 6})
+	c := mustCache(t, Config{PayloadSize: 8, Seed: 6})
 	for i := 0; i < 5; i++ {
 		tr.Insert(k64(i), uint64(i+1))
 	}
@@ -230,28 +267,27 @@ func TestCachePredicateOutsideRangeKeepsCache(t *testing.T) {
 		if !c.Prepare(l) {
 			t.Fatal("prepare failed")
 		}
-		if _, ok := c.Lookup(l, 1); !ok {
+		if _, ok := c.LookupInto(nil, l, 1); !ok {
 			t.Error("non-matching predicate destroyed the cache")
 		}
 	})
 }
 
 func TestCachePredLogEscalation(t *testing.T) {
-	for _, tc := range []struct{ limit, updates int }{
-		{3, 4},  // one past the limit
-		{-1, 1}, // a negative limit escalates on every update
-	} {
-		c := mustCache(t, Config{PayloadSize: 8, PredLogLimit: tc.limit, Seed: 7})
-		before := c.CSN()
-		for i := 0; i < tc.updates; i++ {
-			c.NotifyUpdate(k64(i))
-		}
-		if c.CSN() == before {
-			t.Errorf("limit %d: exceeding the predicate-log limit should bump CSNidx", tc.limit)
-		}
-		if len(c.Log().ends) != 0 {
-			t.Errorf("limit %d: escalation should clear the log", tc.limit)
-		}
+	c := mustCache(t, Config{PayloadSize: 8, Seed: 7})
+	before := c.CSN()
+	for i := 0; i < predLogLimit; i++ {
+		c.NotifyUpdate(k64(i))
+	}
+	if c.CSN() != before {
+		t.Fatal("a predicate log at its limit must not escalate")
+	}
+	c.NotifyUpdate(k64(predLogLimit)) // one past the limit
+	if c.CSN() == before {
+		t.Error("exceeding the predicate-log limit should bump CSNidx")
+	}
+	if len(c.Log().ends) != 0 {
+		t.Error("escalation should clear the log")
 	}
 }
 
@@ -263,7 +299,7 @@ func TestCacheRefreshOverwritesInPlace(t *testing.T) {
 		c.Prepare(l)
 		c.Insert(l, 7, pay(c, 0x01))
 		c.Insert(l, 7, pay(c, 0x02)) // same rid: refresh
-		got, ok := c.Lookup(l, 7)
+		got, ok := c.LookupInto(nil, l, 7)
 		if !ok || got[0] != 0x02 {
 			t.Errorf("refresh failed: %v %v", got, ok)
 		}
@@ -274,8 +310,9 @@ func TestCacheRefreshOverwritesInPlace(t *testing.T) {
 		used := 0
 		data := l.Data()
 		_, e := c.SlotsIn(l)
-		for off := (lo + e - 1) / e * e; off+e <= hi; off += e {
-			if data[off] != 0 { // the one-byte tag of rid 7
+		o := slotsOf(lo, hi, e, l.StablePoint())
+		for r := 0; r < o.n; r++ {
+			if data[o.offset(r)] != 0 { // the one-byte tag of rid 7
 				used++
 			}
 		}
@@ -342,7 +379,7 @@ func TestWidenedLeafNeverHitsOldSlots(t *testing.T) {
 		if !c.Prepare(l) {
 			t.Fatal("prepare failed")
 		}
-		if got, ok := c.Lookup(l, wide); ok {
+		if got, ok := c.LookupInto(nil, l, wide); ok {
 			t.Fatalf("wide rid hit a one-byte slot: payload %v", got)
 		}
 		if !c.Insert(l, wide, pay(c, 0xEE)) {
@@ -352,11 +389,11 @@ func TestWidenedLeafNeverHitsOldSlots(t *testing.T) {
 			t.Errorf("entry size %d after the wide install, want a five-byte tag plus %d", e, c.PayloadSize())
 		}
 		for i := 0; i < 20; i++ {
-			if got, ok := c.Lookup(l, uint64(i+1)); ok {
+			if got, ok := c.LookupInto(nil, l, uint64(i+1)); ok {
 				t.Errorf("rid %d hit a slot written at the old width: %v", i+1, got)
 			}
 		}
-		if got, ok := c.Lookup(l, wide); !ok || got[0] != 0xEE {
+		if got, ok := c.LookupInto(nil, l, wide); !ok || got[0] != 0xEE {
 			t.Errorf("wide rid: %v %v", got, ok)
 		}
 	})
@@ -364,10 +401,11 @@ func TestWidenedLeafNeverHitsOldSlots(t *testing.T) {
 
 func TestCacheStressWithIndexChurn(t *testing.T) {
 	tr := newCacheTree(t, 2048)
-	c := mustCache(t, Config{PayloadSize: 17, PredLogLimit: 64, Seed: 10})
+	c := mustCache(t, Config{PayloadSize: 17, Seed: 10})
 	// Interleave index inserts/deletes with cache fills and lookups; the
 	// index must stay intact and the cache must never return a payload
-	// for the wrong rid.
+	// for the wrong rid. Every 15th round pushes the predicate log past
+	// its limit, so whole-cache invalidations interleave too.
 	for round := 0; round < 40; round++ {
 		base := round * 50
 		for i := 0; i < 50; i++ {
@@ -383,7 +421,7 @@ func TestCacheStressWithIndexChurn(t *testing.T) {
 				p := make([]byte, c.PayloadSize())
 				binary.LittleEndian.PutUint64(p, rid)
 				c.Insert(l, rid, p)
-				if got, ok := c.Lookup(l, rid); ok {
+				if got, ok := c.LookupInto(nil, l, rid); ok {
 					if binary.LittleEndian.Uint64(got) != rid {
 						t.Fatalf("cache returned wrong payload for rid %d", rid)
 					}
@@ -397,9 +435,17 @@ func TestCacheStressWithIndexChurn(t *testing.T) {
 				c.NotifyUpdate(key)
 			}
 		}
+		if round%15 == 7 {
+			for i := 0; i <= predLogLimit; i++ {
+				c.NotifyUpdate(k64(1<<40 + i))
+			}
+		}
 	}
 	if err := tr.CheckIntegrity(); err != nil {
 		t.Fatalf("integrity after churn: %v", err)
+	}
+	if got := c.Stats().FullInvalidations; got < 3 {
+		t.Errorf("%d predicate-log escalations, want ≥ 3", got)
 	}
 }
 
@@ -411,7 +457,7 @@ func (s span) Covers(key []byte) bool {
 }
 
 func TestPredLogMatchRange(t *testing.T) {
-	log := NewPredLog(100)
+	log := NewPredLog()
 	log.Append([]byte("m"))
 	if !log.MatchRange(0, span{"a", "z"}) {
 		t.Error("predicate inside range should match")

@@ -35,7 +35,7 @@ import (
 func TestCacheContentionNeverCorrupts(t *testing.T) {
 	const keys, readers = 50, 8
 	tr := newCacheTree(t, 4096)
-	c := mustCache(t, Config{PayloadSize: 16, PredLogLimit: 128, Seed: 1})
+	c := mustCache(t, Config{PayloadSize: 16, Seed: 1})
 	for i := 0; i < keys; i++ {
 		if _, err := tr.Insert(k64(i), uint64(i+1)); err != nil {
 			t.Fatalf("Insert: %v", err)
@@ -50,7 +50,7 @@ func TestCacheContentionNeverCorrupts(t *testing.T) {
 			if !c.Prepare(l) {
 				return // non-exclusive visit over invalid cache: skip
 			}
-			if got, ok := c.Lookup(l, rid); ok {
+			if got, ok := c.LookupInto(nil, l, rid); ok {
 				wrong = binary.LittleEndian.Uint64(got) != rid
 				return
 			}

@@ -10,10 +10,15 @@
 //   - Index key inserts overwrite the periphery of the region freely;
 //     the cache keeps hot items near the stable point S where they are
 //     overwritten last.
-//   - Slots are grouped into buckets of N; a newly inserted item lands
-//     in a random free slot (evicting a random peripheral item when
-//     full), and a lookup hit swaps the item with a random entry in the
-//     adjacent bucket closer to S.
+//   - Slots are ranked by distance from S, the lower offset first on a
+//     tie, and grouped into buckets of N consecutive ranks; a newly
+//     inserted item lands in a random free slot (evicting a random item
+//     of the last bucket when full), and a lookup hit swaps the item
+//     with a random entry in the adjacent bucket closer to S.
+//   - A rank is a closed form of the slot index (slotOrder): with c the
+//     slot nearest S, ranks alternate around c starting on S's side, and
+//     continue on the longer side once the shorter one runs out. No
+//     visit materialises the order.
 //   - Cache writes never dirty the page: contents are volatile and
 //     protected by the CSNp/CSNidx scheme plus a predicate log.
 //
@@ -83,126 +88,83 @@ func storeTag(b []byte, rid uint64, w int) {
 	}
 }
 
-// slotRank enumerates the cache slots of a free region [lo, hi) with
-// entry size e, ordered by distance from the stable point s (closest
-// first). The returned offsets are absolute page offsets, each a
-// multiple of e, with off ≥ lo and off+e ≤ hi.
+// slotOrder is one visit's view of a free region's cache slots in
+// §2.1.1's order: by distance from the stable point S, the lower offset
+// first on a tie. Rank 0 is the last slot index growth will overwrite,
+// so hot entries climb toward it and eviction takes from the far end.
 //
-// The ordering is what gives the cache its "hot in the middle" shape:
-// rank 0 is the last slot index growth will overwrite.
-func slotRank(lo, hi, e, s int, out []int) []int {
-	out = out[:0]
-	if e <= 0 || hi-lo < e {
-		return out
-	}
-	first := (lo + e - 1) / e * e // first aligned offset ≥ lo
-	if first+e > hi {
-		return out
-	}
-	last := (hi - e) / e * e // last aligned offset with room for a slot
-	n := (last-first)/e + 1
-
-	// Index of the slot whose start is nearest S.
-	i0 := (s - first + e/2) / e
-	if i0 < 0 {
-		i0 = 0
-	}
-	if i0 >= n {
-		i0 = n - 1
-	}
-	dist := func(i int) int {
-		d := first + i*e - s
-		if d < 0 {
-			return -d
-		}
-		return d
-	}
-	l, r := i0, i0+1
-	for l >= 0 || r < n {
-		switch {
-		case l < 0:
-			out = append(out, first+r*e)
-			r++
-		case r >= n:
-			out = append(out, first+l*e)
-			l--
-		case dist(l) <= dist(r):
-			out = append(out, first+l*e)
-			l--
-		default:
-			out = append(out, first+r*e)
-			r++
-		}
-	}
-	return out
+// The order is a closed form of the slot index. Slot i starts at
+// first+i*e; c is the slot nearest S. Ranks alternate around c, starting
+// on S's side of c's offset (below it when S lies on it): rank 2k-1 is
+// k slots toward that side, rank 2k k slots away from it. Once the
+// shorter side runs out, ranks continue on the longer one: rank r > 2m
+// is r-m slots out, where m is the shorter side's slot count.
+type slotOrder struct {
+	first, e, n int // first aligned offset, entry size, slot count
+	c           int // index of the slot nearest S: rank 0
+	m           int // slots the shorter side of c has
+	near        int // ±1: the side of c odd ranks take; even ones take the other
+	long        int // ±1: the side ranks past 2m continue on
 }
 
-// slotRankTo is slotRank stopping as soon as the slot at absolute
-// offset target has been emitted: it returns the rank prefix and
-// target's rank index, or -1 when target is not an aligned slot of the
-// region. The prefix is identical to slotRank's first rank+1 entries,
-// so promotion — which only ever swaps toward better ranks — never
-// needs the rest.
-func slotRankTo(lo, hi, e, s, target int, out []int) ([]int, int) {
-	out = out[:0]
-	if e <= 0 || hi-lo < e {
-		return out, -1
+// slotsOf returns the slot order of the free region [lo, hi) with entry
+// size e around the stable point s. Slots start at absolute page
+// offsets that are multiples of e, so a slot keeps its offset as the
+// region grows and shrinks around it. An entry size e <= 0 has no slots.
+func slotsOf(lo, hi, e, s int) slotOrder {
+	if e <= 0 {
+		return slotOrder{}
 	}
 	first := (lo + e - 1) / e * e
-	if first+e > hi {
-		return out, -1
+	o := slotOrder{first: first, e: e, n: max(0, (hi-first)/e)}
+	if o.n == 0 {
+		return o
 	}
-	last := (hi - e) / e * e
-	n := (last-first)/e + 1
-
-	i0 := (s - first + e/2) / e
-	if i0 < 0 {
-		i0 = 0
+	// The nearest slot, rounding a midpoint down to the lower offset.
+	o.c = min(max(0, s-first+(e-1)/2)/e, o.n-1)
+	below, above := o.c, o.n-1-o.c
+	o.m = min(below, above)
+	o.near, o.long = -1, -1
+	if s > first+o.c*e {
+		o.near = 1
 	}
-	if i0 >= n {
-		i0 = n - 1
+	if above > below {
+		o.long = 1
 	}
-	dist := func(i int) int {
-		d := first + i*e - s
-		if d < 0 {
-			return -d
-		}
-		return d
-	}
-	l, r := i0, i0+1
-	for l >= 0 || r < n {
-		var off int
-		switch {
-		case l < 0:
-			off = first + r*e
-			r++
-		case r >= n:
-			off = first + l*e
-			l--
-		case dist(l) <= dist(r):
-			off = first + l*e
-			l--
-		default:
-			off = first + r*e
-			r++
-		}
-		out = append(out, off)
-		if off == target {
-			return out, len(out) - 1
-		}
-	}
-	return out, -1
+	return o
 }
 
-// numSlots returns how many aligned slots fit in [lo, hi).
-func numSlots(lo, hi, e int) int {
-	if e <= 0 || hi-lo < e {
-		return 0
+// offset returns the offset of the slot of rank r, 0 ≤ r < n.
+func (o slotOrder) offset(r int) int {
+	i := o.c
+	switch {
+	case r > 2*o.m:
+		i += o.long * (r - o.m)
+	case r%2 == 1:
+		i += o.near * (r + 1) / 2
+	default:
+		i -= o.near * r / 2
 	}
-	first := (lo + e - 1) / e * e
-	if first+e > hi {
-		return 0
+	return o.first + i*o.e
+}
+
+// rank returns the rank of the slot at offset off, or -1 when off is not
+// a slot start of the region.
+func (o slotOrder) rank(off int) int {
+	d := off - o.first
+	if o.n == 0 || d < 0 || d%o.e != 0 || d/o.e >= o.n {
+		return -1
 	}
-	last := (hi - e) / e * e
-	return (last-first)/e + 1
+	d = d/o.e - o.c
+	k := max(d, -d)
+	switch {
+	case d == 0:
+		return 0
+	case k > o.m:
+		return o.m + k
+	case d*o.near > 0:
+		return 2*k - 1
+	default:
+		return 2 * k
+	}
 }

@@ -22,15 +22,14 @@ type PredLog struct {
 	// headSeq is the sequence number of the latest appended predicate:
 	// written under mu, read without it.
 	headSeq atomic.Uint32
-	limit   int
 }
 
-// NewPredLog creates a log that reports escalation beyond limit pending
-// predicates. limit ≤ 0 means "escalate immediately on any append"
-// (i.e. fine-grained invalidation disabled).
-func NewPredLog(limit int) *PredLog {
-	return &PredLog{limit: limit}
-}
+// predLogLimit is the escalation threshold: beyond this many pending
+// predicates, the owner invalidates the whole cache with a CSNidx bump.
+const predLogLimit = 1024
+
+// NewPredLog creates an empty log.
+func NewPredLog() *PredLog { return &PredLog{} }
 
 // Append records the predicate and reports whether the log has
 // exceeded its threshold and should be escalated to a full CSN bump.
@@ -40,7 +39,7 @@ func (p *PredLog) Append(key []byte) (escalate bool) {
 	p.slab = append(p.slab, key...)
 	p.ends = append(p.ends, len(p.slab))
 	p.headSeq.Add(1)
-	return len(p.ends) > p.limit
+	return len(p.ends) > predLogLimit
 }
 
 // HeadSeq returns the sequence number of the newest predicate. A page

@@ -14,8 +14,7 @@
 // the page); validity hangs on a cache sequence number stored in the
 // slotted page's reserved header word (CSNp = CSNjc). Invalidation is
 // coarse — any update to the referenced table bumps the global CSN —
-// because the paper sketches this direction without a finer protocol;
-// DESIGN.md records the simplification.
+// because the paper sketches this direction without a finer protocol.
 package joincache
 
 import (
