@@ -238,7 +238,7 @@ func fig3Lookup(b *testing.B, clusterFrac float64, partitioned bool) {
 			for _, idx := range latest {
 				hot = append(hot, rids[idx])
 			}
-			if _, err := ClusterFraction(tb, hot, clusterFrac, nil); err != nil {
+			if _, err := ClusterFraction(tb, hot, clusterFrac); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -113,3 +113,31 @@ func ExampleTable_Query() {
 	// id=12 views=36
 	// rows=3 cacheHits=3 heapReads=0
 }
+
+// ExampleEngine_DropTable removes a table from the catalog; the name is
+// free for a new table at once.
+func ExampleEngine_DropTable() {
+	db, err := nblb.Open(nblb.Options{})
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer db.Close()
+
+	schema := nblb.MustSchema(nblb.Field{Name: "id", Kind: nblb.KindInt64})
+	for _, name := range []string{"drafts", "posts"} {
+		if _, err := db.CreateTable(name, schema); err != nil {
+			log.Fatal(err)
+		}
+	}
+	if err := db.DropTable("drafts"); err != nil {
+		log.Fatal(err)
+	}
+	fmt.Println(db.Tables())
+	if _, err := db.CreateTable("drafts", schema); err != nil {
+		log.Fatal(err)
+	}
+	fmt.Println(db.Tables())
+	// Output:
+	// [posts]
+	// [drafts posts]
+}

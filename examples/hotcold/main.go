@@ -70,11 +70,11 @@ func main() {
 	for _, idx := range latest {
 		hot = append(hot, rids[idx])
 	}
-	fwd := nblb.NewForwarding()
-	if _, err := nblb.Cluster(table, hot, fwd); err != nil {
+	moved, err := nblb.Cluster(table, hot)
+	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("clustered %d hot tuples (forwarding entries: %d)\n", len(hot), fwd.Len())
+	fmt.Printf("clustered %d hot tuples (moved RIDs: %d)\n", len(hot), len(moved))
 	run("clustered:", func(idx int) error {
 		_, _, err := byRev.Lookup(nil, keyOf(idx))
 		return err

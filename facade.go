@@ -16,21 +16,10 @@ type AccessTracker = partition.AccessTracker
 // NewAccessTracker returns an empty tracker.
 func NewAccessTracker() *AccessTracker { return partition.NewAccessTracker() }
 
-// Forwarding maps relocated tuples' old RIDs to their new homes.
-type Forwarding = partition.Forwarding
-
-// NewForwarding returns an empty forwarding table.
-func NewForwarding() *Forwarding { return partition.NewForwarding() }
-
 // HotCold is a table split into hot and cold partitions with per-
-// partition lookup indexes. Batched mutations route per partition via
-// ApplyHot/ApplyCold, which record forwarding entries for relocated
-// updates automatically.
+// partition lookup indexes: InsertHot/InsertCold place a row, Lookup
+// tries hot first, Stats reports the two indexes' sizes.
 type HotCold = partition.HotCold
-
-// HotColdCursor is a merged key-ordered cursor over both partitions
-// (from HotCold.Query); Hot reports which partition served each row.
-type HotColdCursor = partition.Cursor
 
 // HotColdConfig configures NewHotCold.
 type HotColdConfig = partition.Config
@@ -39,14 +28,14 @@ type HotColdConfig = partition.Config
 func NewHotCold(cfg HotColdConfig) (*HotCold, error) { return partition.New(cfg) }
 
 // Cluster relocates hot tuples to the end of the table (delete +
-// append), recording moves in fwd when non-nil.
-func Cluster(t *Table, hot []RID, fwd *Forwarding) (map[RID]RID, error) {
-	return partition.Cluster(t, hot, fwd)
+// append) and returns each moved tuple's old RID → new RID.
+func Cluster(t *Table, hot []RID) (map[RID]RID, error) {
+	return partition.Cluster(t, hot)
 }
 
 // ClusterFraction clusters only the leading fraction of the hot list.
-func ClusterFraction(t *Table, hot []RID, frac float64, fwd *Forwarding) (map[RID]RID, error) {
-	return partition.ClusterFraction(t, hot, frac, fwd)
+func ClusterFraction(t *Table, hot []RID, frac float64) (map[RID]RID, error) {
+	return partition.ClusterFraction(t, hot, frac)
 }
 
 // --- §3.2 vertical partitioning ------------------------------------------
@@ -70,10 +59,6 @@ func DefaultVerticalCostModel() VerticalCostModel { return vertical.DefaultCostM
 
 // VerticalTable stores a logical table as multiple column-group tables.
 type VerticalTable = vertical.VerticalTable
-
-// VerticalCursor streams logical rows in pk order from a
-// VerticalTable.Query, merging column groups per row.
-type VerticalCursor = vertical.Cursor
 
 // NewVerticalTable materializes a split on the engine. opts apply to
 // every group table (append-only heap, heap fill factor). Bulk ingest

@@ -13,8 +13,9 @@
 //     critical section except through approved commit/checkpoint entry
 //     points, and wal.TestPoint names must be covered by the crash
 //     matrix.
-//   - deadexport: an exported name under internal/ needs a user outside
-//     its own tests (deadexport_allow.go lists the ones kept on purpose).
+//   - deadexport: a name under internal/ needs a use outside its own
+//     package's tests, counted through go/types in every loaded file
+//     (tests and the nested benchmark module included).
 //
 // Analyzers read intent from machine-checkable source annotations:
 //

@@ -2,10 +2,10 @@ package analysis
 
 import (
 	"go/ast"
-	"go/parser"
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -16,15 +16,14 @@ import (
 // under testdata/src/<name> is a little module of one or more packages,
 // loaded in declared order (dependencies first), and every diagnostic
 // the suite produces must be matched by a `// want "regexp"` comment on
-// the flagged line — no more, no less. A fixture's _test.go files are
-// parsed, not type-checked, and handed to the World as reference files,
-// as nblb-vet hands it the repository's tests.
+// the flagged line — no more, no less. A fixture's tests are
+// type-checked as `go list -test` reports a package's: in-package tests
+// with their package, external tests as p_test importing that variant.
 
 type fixtureSpec struct {
-	name      string            // directory under testdata/src
-	pkgs      []string          // sub-packages in dependency order; nil = the dir itself
-	analyzers string            // ByName selector; "" = all of them
-	allow     map[string]string // deadexport allowlist entries for the run
+	name      string   // directory under testdata/src
+	pkgs      []string // sub-packages in dependency order; nil = the dir itself
+	analyzers string   // ByName selector; "" = all of them
 }
 
 var fixtures = []fixtureSpec{
@@ -34,8 +33,7 @@ var fixtures = []fixtureSpec{
 	{name: "pinleak_basic"},
 	{name: "pinleak_latch"},
 	{name: "walseam_gate", pkgs: []string{"wal", "a"}},
-	{name: "deadexport_basic", pkgs: []string{"internal/lib", "user"},
-		allow: map[string]string{"deadexport_basic/internal/lib.Hook": "a test hook"}},
+	{name: "deadexport_basic", pkgs: []string{"internal/lib", "user"}},
 }
 
 func TestAnalyzersGolden(t *testing.T) {
@@ -51,14 +49,17 @@ func TestAnalyzersGolden(t *testing.T) {
 	}
 }
 
+// fixturePkg is one fixture directory's files, split as go list splits
+// a package's.
+type fixturePkg struct {
+	path, dir             string
+	srcs, inTests, xTests []*ast.File
+}
+
 func runFixture(t *testing.T, root string, fx fixtureSpec) {
 	analyzers, err := ByName(fx.analyzers)
 	if err != nil {
 		t.Fatal(err)
-	}
-	for key, why := range fx.allow {
-		exportAllow[key] = why
-		defer delete(exportAllow, key)
 	}
 	loader := NewLoader(root) // module root works for stdlib export data
 	base := filepath.Join(root, "testdata", "src", fx.name)
@@ -66,63 +67,59 @@ func runFixture(t *testing.T, root string, fx fixtureSpec) {
 	if dirs == nil {
 		dirs = []string{""}
 	}
-	var pkgs []*LoadedPackage
-	var tests []*ast.File
+	var fps []fixturePkg
 	for _, sub := range dirs {
-		dir := filepath.Join(base, sub)
-		importPath := fx.name
+		fp := fixturePkg{path: fx.name, dir: filepath.Join(base, sub)}
 		if sub != "" {
-			importPath = fx.name + "/" + sub
+			fp.path = fx.name + "/" + sub
 		}
-		files, err := goFilesIn(dir)
+		names, err := goFilesIn(fp.dir)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var srcs []string
-		for _, name := range files {
-			if !strings.HasSuffix(name, "_test.go") {
-				srcs = append(srcs, name)
-				continue
-			}
-			f, err := parser.ParseFile(loader.Fset, name, nil, 0)
+		for _, name := range names {
+			f, err := loader.parse(name)
 			if err != nil {
 				t.Fatal(err)
 			}
-			tests = append(tests, f)
+			switch {
+			case !strings.HasSuffix(name, "_test.go"):
+				fp.srcs = append(fp.srcs, f)
+			case strings.HasSuffix(f.Name.Name, "_test"):
+				fp.xTests = append(fp.xTests, f)
+			default:
+				fp.inTests = append(fp.inTests, f)
+			}
 		}
-		lp, err := loader.checkFiles(importPath, dir, srcs)
+		fps = append(fps, fp)
+	}
+	var pkgs []*LoadedPackage
+	check := func(id, path, dir string, files []*ast.File, importMap map[string]string) *LoadedPackage {
+		lp, err := loader.check(id, path, dir, files, importMap)
 		if err != nil {
-			t.Fatalf("typecheck %s: %v", importPath, err)
+			t.Fatal(err)
 		}
 		pkgs = append(pkgs, lp)
+		return lp
 	}
-	world := NewWorld(loader.Fset)
-	world.AddRefFiles(tests)
-	diags, err := RunPackages(world, pkgs, analyzers)
+	for _, fp := range fps {
+		check(fp.path, fp.path, fp.dir, fp.srcs, nil).Main = true
+	}
+	for _, fp := range fps {
+		if len(fp.inTests)+len(fp.xTests) == 0 {
+			continue
+		}
+		variant := fp.path + " [" + fp.path + ".test]"
+		check(variant, fp.path, fp.dir, append(slices.Clip(fp.srcs), fp.inTests...), nil).Ref = true
+		if len(fp.xTests) > 0 {
+			check(fp.path+"_test ["+fp.path+".test]", fp.path+"_test", fp.dir, fp.xTests, map[string]string{fp.path: variant}).Ref = true
+		}
+	}
+	diags, err := RunPackages(NewWorld(loader.Fset), pkgs, analyzers)
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkExpectations(t, base, diags)
-}
-
-// checkFiles type-checks a fixture package's files as importPath, a
-// package of the module under analysis (fixture dirs are not
-// go-list-able, they live under testdata/).
-func (l *Loader) checkFiles(importPath, dir string, filenames []string) (*LoadedPackage, error) {
-	var files []*ast.File
-	for _, name := range filenames {
-		f, err := parser.ParseFile(l.Fset, name, nil, parser.ParseComments)
-		if err != nil {
-			return nil, err
-		}
-		files = append(files, f)
-	}
-	lp, err := l.check(importPath, dir, files)
-	if err != nil {
-		return nil, err
-	}
-	lp.Main = true
-	return lp, nil
 }
 
 func goFilesIn(dir string) ([]string, error) {

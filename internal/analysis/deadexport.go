@@ -2,34 +2,29 @@ package analysis
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 	"path/filepath"
 	"slices"
-	"strconv"
 	"strings"
 )
 
-// DeadExport flags an exported name that only its own tests use. It
-// judges the package-level funcs, types, vars and consts and the
-// exported methods declared in the non-test files of the module's
-// internal/ packages. A name counts as used when any other file refers
-// to it: a non-test file of any loaded package (its own included), or a
-// file the World only parsed (World.AddRefFiles) that lies outside the
-// declaring package's directory — another package's tests, the nested
-// benchmark module. A method also counts as used when:
-//
-//   - a parsed-only file outside its directory selects a member of that
-//     name (without types, the receiver is unknown), or
-//   - its type implements an interface that declares it and that the
-//     loaded code mentions (sort.Interface, storage.DiskManager, ...):
-//     the call goes through the interface.
-//
-// Names kept for callers outside the repository (the facade's type
-// aliases) or for tests by design are listed in exportAllow, each with
-// its reason.
+// DeadExport flags a name that only its own package's tests use, or
+// nothing at all. It judges the package-level funcs, types, vars and
+// consts and the methods declared in the non-test files of the module's
+// internal/ packages, exported or not. Every use it counts is an
+// identifier that go/types resolves to the name, in any file the Loader
+// type-checked — non-test files, test variants, the nested modules'
+// packages — except a _test.go file in the name's own directory (its
+// in-package and external tests alike), a method's receiver naming its
+// own type, and a function's body naming the function itself. A method
+// also counts as used when its type implements an interface that
+// declares it and that the analyzed packages mention (sort.Interface,
+// storage.DiskManager, ...), or error or fmt.Stringer, which fmt calls
+// without the code naming them.
 var DeadExport = &Analyzer{
 	Name: "deadexport",
-	Doc:  "an exported name under internal/ needs a caller outside its own tests",
+	Doc:  "a name under internal/ needs a use outside its own package's tests",
 	Run:  runDeadExport,
 }
 
@@ -39,11 +34,8 @@ type exportRefs struct {
 	// keys: "pkgpath.Name" and "pkgpath.Type.Method" used somewhere that
 	// counts.
 	keys map[string]bool
-	// methods: member name → directories of parsed-only files that
-	// select a member of that name.
-	methods map[string]map[string]bool
-	// ifaces: method name → the interfaces the loaded code mentions that
-	// declare it.
+	// ifaces: method name → the interfaces that make a method of that
+	// name used (see DeadExport).
 	ifaces map[string][]*types.Interface
 }
 
@@ -55,14 +47,14 @@ func runDeadExport(pass *Pass) error {
 	x := pass.World.exportIndex()
 	judge := func(id *ast.Ident) {
 		obj := pass.Info.Defs[id]
-		key := exportKey(obj)
-		if key == "" || x.keys[key] || exportAllow[key] != "" {
+		key := useKey(obj)
+		if key == "" || x.keys[key] || id.Name == "init" || id.Name == "_" {
 			return
 		}
-		if fn, ok := obj.(*types.Func); ok && fn.Signature().Recv() != nil && (x.selectedOutside(fn.Name(), lp.Dir) || x.viaInterface(fn)) {
+		if fn, ok := obj.(*types.Func); ok && fn.Signature().Recv() != nil && x.viaInterface(fn) {
 			return
 		}
-		pass.Reportf(id.Pos(), "%s%s is exported but only its own tests use it (delete it, or allowlist it in deadexport_allow.go with a reason)",
+		pass.Reportf(id.Pos(), "%s%s has no use outside its own package's tests (delete it, or move it into a _test.go file)",
 			pass.Pkg.Name(), strings.TrimPrefix(key, lp.Path))
 	}
 	for _, f := range pass.Files {
@@ -87,10 +79,10 @@ func runDeadExport(pass *Pass) error {
 	return nil
 }
 
-// exportKey is the key of an exported package-level object or method,
-// "" for anything else (locals, fields, unexported names).
-func exportKey(obj types.Object) string {
-	if obj == nil || obj.Pkg() == nil || !obj.Exported() {
+// useKey is the key of a package-level object or method, "" for
+// anything else (locals, fields).
+func useKey(obj types.Object) string {
+	if obj == nil || obj.Pkg() == nil {
 		return ""
 	}
 	switch o := obj.(type) {
@@ -102,15 +94,6 @@ func exportKey(obj types.Object) string {
 		}
 	}
 	return ""
-}
-
-func (x *exportRefs) selectedOutside(name, dir string) bool {
-	for d := range x.methods[name] {
-		if d != dir {
-			return true
-		}
-	}
-	return false
 }
 
 func (x *exportRefs) viaInterface(fn *types.Func) bool {
@@ -127,17 +110,24 @@ func (x *exportRefs) viaInterface(fn *types.Func) bool {
 }
 
 // exportIndex builds, on first use, the uses deadexport counts: every
-// type-checked file's resolved identifiers, every parsed-only file's
-// selectors, and the interfaces the type-checked code mentions.
+// type-checked file's resolved identifiers (each file once: a test
+// variant repeats its package's files), and the interfaces the analyzed
+// packages mention.
 func (w *World) exportIndex() *exportRefs {
 	if w.exports != nil {
 		return w.exports
 	}
-	x := &exportRefs{keys: map[string]bool{}, methods: map[string]map[string]bool{}, ifaces: map[string][]*types.Interface{}}
+	x := &exportRefs{keys: map[string]bool{}, ifaces: map[string][]*types.Interface{}}
+	stringer := types.NewInterfaceType([]*types.Func{types.NewFunc(token.NoPos, nil, "String",
+		types.NewSignatureType(nil, nil, nil, nil, types.NewTuple(types.NewParam(token.NoPos, nil, "", types.Typ[types.String])), false))}, nil)
 	seen := map[types.Type]bool{}
+	x.mention(stringer.Complete(), seen)
+	x.mention(types.Universe.Lookup("error").Type(), seen)
+	scanned := map[*ast.File]bool{}
 	for _, lp := range w.pkgs {
 		for _, f := range lp.Files {
-			x.scanTyped(lp.Info, f)
+			scanned[f] = true
+			x.scanTyped(w.Fset, lp.Info, f)
 		}
 		for _, tv := range lp.Info.Types {
 			x.mention(tv.Type, seen)
@@ -148,17 +138,28 @@ func (w *World) exportIndex() *exportRefs {
 			}
 		}
 	}
-	for _, f := range w.refFiles {
-		x.scanParsed(w, f)
+	for _, lp := range w.refs {
+		for _, f := range lp.Files {
+			if !scanned[f] {
+				scanned[f] = true
+				x.scanTyped(w.Fset, lp.Info, f)
+			}
+		}
 	}
 	w.exports = x
 	return x
 }
 
-// scanTyped records the uses in one type-checked file. A method's
-// receiver naming its own type, and a function's body naming the
-// function itself, are not uses from elsewhere.
-func (x *exportRefs) scanTyped(info *types.Info, f *ast.File) {
+// scanTyped records the uses in one type-checked file. A use in a test
+// file of the name's own directory, a method's receiver naming its own
+// type, and a function's body naming the function itself are not uses
+// from elsewhere.
+func (x *exportRefs) scanTyped(fset *token.FileSet, info *types.Info, f *ast.File) {
+	name := fset.File(f.Pos()).Name()
+	testDir := ""
+	if strings.HasSuffix(name, "_test.go") {
+		testDir = filepath.Dir(name)
+	}
 	for _, decl := range f.Decls {
 		var self types.Object
 		var recv *ast.FieldList
@@ -169,70 +170,20 @@ func (x *exportRefs) scanTyped(info *types.Info, f *ast.File) {
 			if fl, ok := n.(*ast.FieldList); ok && fl == recv {
 				return false
 			}
-			if id, ok := n.(*ast.Ident); ok {
-				if obj := info.Uses[id]; obj != nil && obj != self {
-					if key := exportKey(obj); key != "" {
-						x.keys[key] = true
-					}
-				}
+			id, ok := n.(*ast.Ident)
+			if !ok {
+				return true
+			}
+			obj := info.Uses[id]
+			if obj == nil || obj == self {
+				return true
+			}
+			if key := useKey(obj); key != "" && (testDir == "" || filepath.Dir(fset.Position(obj.Pos()).Filename) != testDir) {
+				x.keys[key] = true
 			}
 			return true
 		})
 	}
-}
-
-// scanParsed records the uses in one file the World has only parsed:
-// pkg.Name through its imports, any other x.Name by member name. What
-// the file imports from its own directory (an external test package's
-// import of the package under test) does not count.
-func (x *exportRefs) scanParsed(w *World, f *ast.File) {
-	dir := filepath.Dir(w.Fset.File(f.Pos()).Name())
-	imports := map[string]string{} // local name → import path
-	var dots []string
-	for _, spec := range f.Imports {
-		path, err := strconv.Unquote(spec.Path.Value)
-		if err != nil {
-			continue
-		}
-		lp := w.pkgs[path]
-		if lp != nil && lp.Dir == dir {
-			continue
-		}
-		name := path[strings.LastIndex(path, "/")+1:]
-		if lp != nil {
-			name = lp.Pkg.Name()
-		}
-		if spec.Name != nil {
-			name = spec.Name.Name
-		}
-		switch name {
-		case "_":
-		case ".":
-			dots = append(dots, path)
-		default:
-			imports[name] = path
-		}
-	}
-	ast.Inspect(f, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.SelectorExpr:
-			if id, ok := n.X.(*ast.Ident); ok {
-				if path, ok := imports[id.Name]; ok {
-					x.keys[path+"."+n.Sel.Name] = true
-					return false
-				}
-			}
-			if x.methods[n.Sel.Name] == nil {
-				x.methods[n.Sel.Name] = map[string]bool{}
-			}
-			x.methods[n.Sel.Name][dir] = true
-		case *ast.Ident:
-			for _, path := range dots {
-				x.keys[path+"."+n.Name] = true
-			}
-		}
-		return true
-	})
 }
 
 // mention records the interfaces t names, however deeply: a parameter

@@ -13,6 +13,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -28,6 +29,10 @@ type LoadedPackage struct {
 	// Main: the package belongs to the module under analysis, not to one
 	// it reaches through a replace directive.
 	Main bool
+	// Ref: the package is checked only for the uses it makes of the
+	// others (deadexport): a test variant, or a nested module's package.
+	// No analyzer runs on it.
+	Ref bool
 }
 
 // Loader turns `go list` package metadata into type-checked syntax
@@ -36,29 +41,40 @@ type LoadedPackage struct {
 // annotations and function bodies), while everything else — the
 // standard library, should dependencies ever appear — is imported from
 // the compiler's export data as surfaced by `go list -export`.
+//
+// Test variants are checked as `go list -test` reports them: a
+// package's in-package tests with its own files ("p [p.test]"), its
+// external tests as p_test, and each resolves its imports through its
+// ImportMap. So are the packages of the modules nested under Dir (the
+// benchmark module), whose imports of this module resolve to the
+// packages already checked.
 type Loader struct {
 	Fset *token.FileSet
 	Dir  string // working directory for go list (module root)
 
 	exportFiles map[string]string         // import path → export data file
-	sources     map[string]*listPackage   // import path → go list record
-	loaded      map[string]*LoadedPackage // import path → checked package
-	checked     map[string]bool           // file names type-checked so far
+	sources     map[string]*listPackage   // package ID → go list record
+	loaded      map[string]*LoadedPackage // package ID → checked package
+	parsed      map[string]*ast.File      // file name → syntax, shared by a package and its test variant
 	gcImporter  types.ImporterFrom
 }
 
 type listPackage struct {
-	ImportPath string
+	ImportPath string // the package ID: "p [p.test]" for a test variant
 	Dir        string
 	Export     string
 	Standard   bool
+	ForTest    string
 	GoFiles    []string
 	Imports    []string
+	ImportMap  map[string]string
 	Module     *struct {
 		Path string
 		Main bool
 	}
 	Error *struct{ Err string }
+
+	ref bool
 }
 
 // NewLoader creates a loader rooted at dir (the module root).
@@ -69,37 +85,41 @@ func NewLoader(dir string) *Loader {
 		exportFiles: map[string]string{},
 		sources:     map[string]*listPackage{},
 		loaded:      map[string]*LoadedPackage{},
-		checked:     map[string]bool{},
+		parsed:      map[string]*ast.File{},
 	}
 	l.gcImporter = importer.ForCompiler(l.Fset, "gc", l.lookupExport).(types.ImporterFrom)
 	return l
 }
 
 // Load resolves the patterns (e.g. "./...") and returns the matched
-// module packages type-checked from source, in dependency order.
+// module packages type-checked from source, with their test variants,
+// the nested modules' packages and the module's unmatched ones (Ref),
+// in dependency order.
 func (l *Loader) Load(patterns ...string) ([]*LoadedPackage, error) {
-	pkgs, err := l.goList(patterns)
+	ids, err := l.listSources(l.Dir, patterns, false)
 	if err != nil {
 		return nil, err
 	}
-	var roots []string
-	for _, p := range pkgs {
-		if p.Error != nil {
-			return nil, fmt.Errorf("analysis: go list: %s: %s", p.ImportPath, p.Error.Err)
-		}
-		if p.Standard || p.Module == nil {
-			if p.Export != "" {
-				l.exportFiles[p.ImportPath] = p.Export
-			}
-			continue
-		}
-		l.sources[p.ImportPath] = p
-		roots = append(roots, p.ImportPath)
+	// The rest of the tree only supplies uses (Ref): every nested module,
+	// and the rest of this one when the patterns name less of it.
+	refDirs, err := l.nestedModules()
+	if err != nil {
+		return nil, err
 	}
-	sort.Strings(roots)
+	if !slices.Equal(patterns, []string{"./..."}) {
+		refDirs = append(refDirs, l.Dir)
+	}
+	for _, dir := range refDirs {
+		more, err := l.listSources(dir, []string{"./..."}, true)
+		if err != nil {
+			return nil, err
+		}
+		ids = append(ids, more...)
+	}
+	sort.Strings(ids)
 	var out []*LoadedPackage
-	for _, path := range roots {
-		lp, err := l.loadSource(path, nil)
+	for _, id := range ids {
+		lp, err := l.loadSource(id, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -108,6 +128,50 @@ func (l *Loader) Load(patterns ...string) ([]*LoadedPackage, error) {
 	// Dependency order: a package sorts after everything it imports.
 	sort.SliceStable(out, func(i, j int) bool { return l.depRank(out[i].Path) < l.depRank(out[j].Path) })
 	return out, nil
+}
+
+// listSources lists the patterns and their tests in dir and records the
+// module packages not seen before; it returns their IDs. A test main
+// ("p.test") is generated code and is left out.
+func (l *Loader) listSources(dir string, patterns []string, ref bool) ([]string, error) {
+	pkgs, err := l.goList(dir, true, patterns)
+	if err != nil {
+		return nil, err
+	}
+	var ids []string
+	for _, p := range pkgs {
+		if p.Error != nil {
+			return nil, fmt.Errorf("analysis: go list: %s: %s", p.ImportPath, p.Error.Err)
+		}
+		if p.Standard || p.Module == nil || l.sources[p.ImportPath] != nil || strings.HasSuffix(p.ImportPath, ".test") {
+			continue
+		}
+		p.ref = ref || p.ForTest != ""
+		l.sources[p.ImportPath] = p
+		ids = append(ids, p.ImportPath)
+	}
+	return ids, nil
+}
+
+// nestedModules returns the directories under Dir that hold a module of
+// their own. testdata, vendor and dot or underscore directories are
+// skipped, as the go tool skips them.
+func (l *Loader) nestedModules() ([]string, error) {
+	var dirs []string
+	err := filepath.WalkDir(l.Dir, func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		name := d.Name()
+		if d.IsDir() && path != l.Dir && (name == "testdata" || name == "vendor" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
+			return filepath.SkipDir
+		}
+		if name == "go.mod" && filepath.Dir(path) != l.Dir {
+			dirs = append(dirs, filepath.Dir(path))
+		}
+		return nil
+	})
+	return dirs, err
 }
 
 func (l *Loader) depRank(path string) int {
@@ -134,21 +198,19 @@ func (l *Loader) depRank(path string) int {
 }
 
 // loadSource parses and type-checks one module package (and its module
-// dependencies, recursively).
-func (l *Loader) loadSource(path string, stack []string) (*LoadedPackage, error) {
-	if lp, ok := l.loaded[path]; ok {
+// dependencies, recursively) by its package ID.
+func (l *Loader) loadSource(id string, stack []string) (*LoadedPackage, error) {
+	if lp, ok := l.loaded[id]; ok {
 		return lp, nil
 	}
-	for _, s := range stack {
-		if s == path {
-			return nil, fmt.Errorf("analysis: import cycle through %q", path)
-		}
+	if slices.Contains(stack, id) {
+		return nil, fmt.Errorf("analysis: import cycle through %q", id)
 	}
-	src, ok := l.sources[path]
+	src, ok := l.sources[id]
 	if !ok {
-		return nil, fmt.Errorf("analysis: no source metadata for %q", path)
+		return nil, fmt.Errorf("analysis: no source metadata for %q", id)
 	}
-	stack = append(stack, path)
+	stack = append(stack, id)
 	for _, imp := range src.Imports {
 		if _, isSrc := l.sources[imp]; isSrc {
 			if _, err := l.loadSource(imp, stack); err != nil {
@@ -158,23 +220,38 @@ func (l *Loader) loadSource(path string, stack []string) (*LoadedPackage, error)
 	}
 	var files []*ast.File
 	for _, name := range src.GoFiles {
-		f, err := parser.ParseFile(l.Fset, filepath.Join(src.Dir, name), nil, parser.ParseComments)
+		f, err := l.parse(filepath.Join(src.Dir, name))
 		if err != nil {
 			return nil, err
 		}
 		files = append(files, f)
 	}
-	lp, err := l.check(path, src.Dir, files)
+	path, _, _ := strings.Cut(id, " [")
+	lp, err := l.check(id, path, src.Dir, files, src.ImportMap)
 	if err != nil {
 		return nil, err
 	}
-	lp.Main = src.Module.Main
+	lp.Main, lp.Ref = src.Module.Main, src.ref
 	return lp, nil
 }
 
-// check type-checks a parsed file set as the package at importPath and
-// registers it for import by later packages.
-func (l *Loader) check(importPath, dir string, files []*ast.File) (*LoadedPackage, error) {
+// parse parses a file once; a test variant shares its package's syntax.
+func (l *Loader) parse(name string) (*ast.File, error) {
+	if f, ok := l.parsed[name]; ok {
+		return f, nil
+	}
+	f, err := parser.ParseFile(l.Fset, name, nil, parser.ParseComments)
+	if err != nil {
+		return nil, err
+	}
+	l.parsed[name] = f
+	return f, nil
+}
+
+// check type-checks a parsed file set as the package at path, resolving
+// its imports through importMap, and registers it under id for import
+// by later packages.
+func (l *Loader) check(id, path, dir string, files []*ast.File, importMap map[string]string) (*LoadedPackage, error) {
 	info := &types.Info{
 		Types:      map[ast.Expr]types.TypeAndValue{},
 		Defs:       map[*ast.Ident]types.Object{},
@@ -185,49 +262,18 @@ func (l *Loader) check(importPath, dir string, files []*ast.File) (*LoadedPackag
 		Instances:  map[*ast.Ident]types.Instance{},
 	}
 	conf := types.Config{Importer: importerFunc(func(p string) (*types.Package, error) {
+		if mapped, ok := importMap[p]; ok {
+			p = mapped
+		}
 		return l.importPkg(p, dir)
 	})}
-	pkg, err := conf.Check(importPath, l.Fset, files, info)
+	pkg, err := conf.Check(path, l.Fset, files, info)
 	if err != nil {
-		return nil, fmt.Errorf("analysis: typecheck %s: %w", importPath, err)
+		return nil, fmt.Errorf("analysis: typecheck %s: %w", id, err)
 	}
-	lp := &LoadedPackage{Path: importPath, Dir: dir, Files: files, Pkg: pkg, Info: info}
-	l.loaded[importPath] = lp
-	for _, f := range files {
-		l.checked[l.Fset.File(f.Pos()).Name()] = true
-	}
+	lp := &LoadedPackage{Path: path, Dir: dir, Files: files, Pkg: pkg, Info: info}
+	l.loaded[id] = lp
 	return lp, nil
-}
-
-// ParseRest parses every Go file under the loader's directory that was
-// not type-checked — tests, nested modules, packages outside the
-// patterns — for analyzers that only need their syntax
-// (World.AddRefFiles). testdata, vendor and dot or underscore
-// directories are skipped, as the go tool skips them.
-func (l *Loader) ParseRest() ([]*ast.File, error) {
-	var out []*ast.File
-	err := filepath.WalkDir(l.Dir, func(path string, d os.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		name := d.Name()
-		if d.IsDir() {
-			if path != l.Dir && (name == "testdata" || name == "vendor" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(name, ".go") || l.checked[path] {
-			return nil
-		}
-		f, err := parser.ParseFile(l.Fset, path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
-		out = append(out, f)
-		return nil
-	})
-	return out, err
 }
 
 func (l *Loader) importPkg(path, fromDir string) (*types.Package, error) {
@@ -253,7 +299,7 @@ func (l *Loader) importPkg(path, fromDir string) (*types.Package, error) {
 func (l *Loader) lookupExport(path string) (io.ReadCloser, error) {
 	file, ok := l.exportFiles[path]
 	if !ok {
-		if _, err := l.goList([]string{path}); err != nil {
+		if _, err := l.goList(l.Dir, false, []string{path}); err != nil {
 			return nil, err
 		}
 		if file, ok = l.exportFiles[path]; !ok {
@@ -263,17 +309,19 @@ func (l *Loader) lookupExport(path string) (io.ReadCloser, error) {
 	return os.Open(file)
 }
 
-// goList runs `go list -export -json -deps` and records every returned
-// package's metadata (export files for binary packages, source file
-// lists for module packages).
-func (l *Loader) goList(patterns []string) ([]*listPackage, error) {
-	args := append([]string{
+// goList runs `go list -export -json -deps` in dir, with -test if test
+// is set, and records the export data files it reports.
+func (l *Loader) goList(dir string, test bool, patterns []string) ([]*listPackage, error) {
+	args := []string{
 		"list", "-e", "-export",
-		"-json=ImportPath,Dir,Export,Standard,GoFiles,Imports,Module,Error",
+		"-json=ImportPath,Dir,Export,Standard,ForTest,GoFiles,Imports,ImportMap,Module,Error",
 		"-deps",
-	}, patterns...)
-	cmd := exec.Command("go", args...)
-	cmd.Dir = l.Dir
+	}
+	if test {
+		args = append(args, "-test")
+	}
+	cmd := exec.Command("go", append(args, patterns...)...)
+	cmd.Dir = dir
 	var stderr bytes.Buffer
 	cmd.Stderr = &stderr
 	out, err := cmd.Output()

@@ -29,12 +29,12 @@ type World struct {
 	// summaries memoizes per-function lock/IO effects (see summary.go).
 	summaries map[string]*funcSummary
 
-	// pkgs holds every package added, by import path; refFiles the
-	// syntax-only files outside them (AddRefFiles). deadexport's index
-	// over both is built on first use.
-	pkgs     map[string]*LoadedPackage
-	refFiles []*ast.File
-	exports  *exportRefs
+	// pkgs holds every analyzed package added, by import path; refs the
+	// packages checked only for their uses (LoadedPackage.Ref).
+	// deadexport's index over both is built on first use.
+	pkgs    map[string]*LoadedPackage
+	refs    []*LoadedPackage
+	exports *exportRefs
 }
 
 // funcDecl pairs a function's AST with its package's type info, so
@@ -61,19 +61,16 @@ func NewWorld(fset *token.FileSet) *World {
 
 // AddPackage scans one type-checked package's annotations and function
 // bodies into the world. Call in dependency order, before running
-// analyzers on the package.
+// analyzers on the package. A Ref package is only kept for its uses.
 func (w *World) AddPackage(lp *LoadedPackage) {
+	if lp.Ref {
+		w.refs = append(w.refs, lp)
+		return
+	}
 	w.pkgs[lp.Path] = lp
 	for _, f := range lp.Files {
 		w.scanFile(lp.Pkg, lp.Info, f)
 	}
-}
-
-// AddRefFiles adds files that were parsed but not type-checked —
-// tests, nested modules (Loader.ParseRest) — whose references to the
-// loaded packages count for deadexport. Call before running analyzers.
-func (w *World) AddRefFiles(files []*ast.File) {
-	w.refFiles = append(w.refFiles, files...)
 }
 
 func (w *World) scanFile(pkg *types.Package, info *types.Info, f *ast.File) {

@@ -167,7 +167,7 @@ func TestApplyRunSplitPropagation(t *testing.T) {
 	if err := tr.CheckIntegrity(); err != nil {
 		t.Fatalf("CheckIntegrity: %v", err)
 	}
-	if pinned := tr.Pool().PinnedFrames(); pinned != 0 {
+	if pinned := tr.pool.PinnedFrames(); pinned != 0 {
 		t.Errorf("%d frames still pinned after the run", pinned)
 	}
 }

@@ -150,7 +150,7 @@ func TestOpenReattachesTree(t *testing.T) {
 	for i := 0; i < 300; i++ {
 		tr.Insert(intKey(i), uint64(i))
 	}
-	reopened, err := Open(tr.Pool(), tr.Root(), tr.Height(), tr.Len())
+	reopened, err := Open(tr.pool, tr.Root(), tr.Height(), tr.Len())
 	if err != nil {
 		t.Fatal(err)
 	}

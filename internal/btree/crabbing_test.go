@@ -62,7 +62,7 @@ func TestConcurrentWritersMultiLevelSplits(t *testing.T) {
 	if err := tr.CheckIntegrity(); err != nil {
 		t.Fatalf("integrity: %v", err)
 	}
-	if pins := tr.Pool().PinnedFrames(); pins != 0 {
+	if pins := tr.pool.PinnedFrames(); pins != 0 {
 		t.Errorf("%d pinned frames after quiesce, want 0", pins)
 	}
 	if tr.LatchRetries() == 0 {

@@ -142,7 +142,7 @@ func TestCursorResumableAfterClose(t *testing.T) {
 	}
 	c.Close() // releases the pin mid-scan
 	c.Close() // double close is a no-op
-	if pins := tr.Pool().PinnedFrames(); pins != 0 {
+	if pins := tr.pool.PinnedFrames(); pins != 0 {
 		t.Fatalf("after Close: %d pinned frames, want 0", pins)
 	}
 	for c.Next() { // resumes from the last served key via a fresh descent
@@ -170,18 +170,18 @@ func TestCursorPinAccounting(t *testing.T) {
 	if !c.Next() {
 		t.Fatal("empty cursor")
 	}
-	if pins := tr.Pool().PinnedFrames(); pins != 1 {
+	if pins := tr.pool.PinnedFrames(); pins != 1 {
 		t.Fatalf("mid-scan: %d pinned frames, want exactly the cursor's leaf", pins)
 	}
 	c.Close()
-	if pins := tr.Pool().PinnedFrames(); pins != 0 {
+	if pins := tr.pool.PinnedFrames(); pins != 0 {
 		t.Fatalf("after Close: %d pinned frames, want 0", pins)
 	}
 	// Exhaustion must also release the pin without an explicit Close.
 	c2 := tr.NewCursor(intKey(1990), nil)
 	for c2.Next() {
 	}
-	if pins := tr.Pool().PinnedFrames(); pins != 0 {
+	if pins := tr.pool.PinnedFrames(); pins != 0 {
 		t.Fatalf("after exhaustion: %d pinned frames, want 0", pins)
 	}
 }

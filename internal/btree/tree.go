@@ -127,9 +127,6 @@ func (t *Tree) Len() int64 { return t.numKeys.Load() }
 // splits the crabbing protocol paid for).
 func (t *Tree) LatchRetries() int64 { return t.latchRetries.Load() }
 
-// Pool returns the buffer pool the tree runs on.
-func (t *Tree) Pool() *buffer.Pool { return t.pool }
-
 // maxKeyLen bounds keys so a handful of cells always fit per page.
 func (t *Tree) maxKeyLen() int {
 	return (t.pool.Disk().PageSize() - nodeHeaderSize - nodeFooterSize) / 4

@@ -81,15 +81,6 @@ type Stats struct {
 	Writebacks int64
 }
 
-// HitRate returns Hits/(Hits+Misses), or 0 when no fetches happened.
-func (s Stats) HitRate() float64 {
-	total := s.Hits + s.Misses
-	if total == 0 {
-		return 0
-	}
-	return float64(s.Hits) / float64(total)
-}
-
 // ErrPoolClosed is returned by every operation that would touch page
 // memory after Close.
 var ErrPoolClosed = errors.New("buffer: pool is closed")

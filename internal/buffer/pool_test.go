@@ -150,8 +150,8 @@ func TestPoolHitRate(t *testing.T) {
 		}
 		p.Unpin(g, false)
 	}
-	if hr := p.Stats().HitRate(); hr < 0.89 || hr > 1.0 {
-		t.Errorf("hit rate %f, want ~0.9+", hr)
+	if st := p.Stats(); st.Hits != 9 || st.Misses != 0 {
+		t.Errorf("hits %d, misses %d; want 9 and 0", st.Hits, st.Misses)
 	}
 	p.ResetStats()
 	if p.Stats().Hits != 0 {

@@ -29,8 +29,8 @@ func (k BatchOpKind) String() string {
 }
 
 // BatchOp is the public view of one queued operation (Batch.Op), enough
-// for callers that post-process Apply results — e.g. the hot/cold
-// partition recording forwarding entries for relocated updates.
+// for callers that post-process Apply results — e.g. pairing an
+// update's target with the relocated RID Result.RIDs reports.
 type BatchOp struct {
 	Kind BatchOpKind
 	// RID is the update/delete target (InvalidRID for inserts).
@@ -687,8 +687,8 @@ func (p *pipeline) indexDeletes() bool {
 
 // landed publishes op i's heap write the moment it lands, not at the
 // end: a later stage failing must not hide where an already-durable op
-// put its row (the hot/cold partition's forwarding updates depend on
-// relocated RIDs being reported even for a batch that then errors).
+// put its row (a caller redirecting old RIDs depends on relocated RIDs
+// being reported even for a batch that then errors).
 func (p *pipeline) landed(i int, newRID storage.RID) {
 	op := &p.ops[i]
 	op.newRID = newRID

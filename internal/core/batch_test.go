@@ -177,9 +177,9 @@ func TestApplyFirstErrorTruncates(t *testing.T) {
 	}
 }
 
-// TestApplyErrorStillReportsHeapRIDs pins the contract HotCold's
-// forwarding depends on: when a later stage fails the batch, the RIDs
-// of ops whose heap writes already landed are still reported.
+// TestApplyErrorStillReportsHeapRIDs pins the contract a caller
+// redirecting old RIDs depends on: when a later stage fails the batch,
+// the RIDs of ops whose heap writes already landed are still reported.
 func TestApplyErrorStillReportsHeapRIDs(t *testing.T) {
 	tb, _ := newBatchFixture(t, false)
 	if _, err := tb.Insert(fixedRow(7, 70)); err != nil {

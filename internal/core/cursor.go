@@ -49,16 +49,15 @@ import (
 // bounds and its row scratch are all fields of the Cursor. A Cursor that
 // is reopened (Table.QueryInto, Txn.QueryInto) is none.
 type Cursor struct {
-	src     rowSource
-	rid     storage.RID
-	row     tuple.Row
-	key     []byte
-	limit   int
-	served  int
-	reverse bool
-	stats   QueryStats
-	done    bool
-	err     error
+	src    rowSource
+	rid    storage.RID
+	row    tuple.Row
+	key    []byte
+	limit  int
+	served int
+	stats  QueryStats
+	done   bool
+	err    error
 
 	cfg    queryConfig    // the options Query applied
 	ix     indexSource    // src, when the cursor is a serial index scan
@@ -130,32 +129,11 @@ func (c *Cursor) Row() tuple.Row { return c.row }
 // RID returns the current row's physical address.
 func (c *Cursor) RID() storage.RID { return c.rid }
 
-// Key returns the current encoded index key for index-backed cursors
-// (nil for heap-order scans). Like Row it aliases scratch; copy to
-// retain. Merging iterators (hot/cold) order on it.
-func (c *Cursor) Key() []byte { return c.key }
-
 // Err returns the first error the cursor hit, if any.
 func (c *Cursor) Err() error { return c.err }
 
-// Reverse reports whether the cursor iterates in descending order.
-// Merging iterators (hot/cold) use it to orient their comparisons.
-func (c *Cursor) Reverse() bool { return c.reverse }
-
 // Stats returns the running answer-path counters.
 func (c *Cursor) Stats() QueryStats { return c.stats }
-
-// SegmentStats returns per-segment answer-path counters for a parallel
-// cursor (nil for serial cursors). The slice is complete — one entry
-// per planned segment, summing to the serial scan's totals — once the
-// cursor is exhausted or closed; reading it mid-scan returns a
-// snapshot of finished work only.
-func (c *Cursor) SegmentStats() []QueryStats {
-	if p, ok := c.src.(*parallelSource); ok {
-		return p.segmentStats()
-	}
-	return nil
-}
 
 // Close releases the cursor's resources (leaf pin included). It is
 // idempotent — double Close and Close after exhaustion are no-ops —

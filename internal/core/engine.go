@@ -247,35 +247,6 @@ func (e *Engine) DropTable(name string) error {
 	return nil
 }
 
-// Restart simulates a crash/restart cycle for cache-consistency tests:
-// all dirty pages flush, every frame is evicted, and each table's
-// cached indexes bump their CSNidx so persisted stale cache bytes can
-// never be served (the Section 2.1.2 full-invalidation path).
-func (e *Engine) Restart() error {
-	if e.wal != nil {
-		// A checkpoint is the WAL engine's flush: it cleans every dirty
-		// frame, which EvictAll below needs under the no-steal policy.
-		if err := e.Checkpoint(); err != nil {
-			return err
-		}
-	} else if err := e.pool.FlushAll(); err != nil {
-		return err
-	}
-	if err := e.pool.EvictAll(); err != nil {
-		return err
-	}
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	for _, t := range e.tables {
-		for _, ix := range t.indexes {
-			if ix.cache != nil {
-				ix.cache.InvalidateAll()
-			}
-		}
-	}
-	return nil
-}
-
 // Close flushes and releases the engine. The disk is closed even when
 // the flush (or final checkpoint) fails — resources are never leaked on
 // an error path — and every failure is reported joined. The pool's page

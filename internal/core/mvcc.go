@@ -19,8 +19,8 @@ import (
 // The design in one paragraph: commit timestamps come from a per-engine
 // clock stamped under txnMu at WAL group-commit time. Updates are
 // out-of-place — the new version is a fresh heap record, and the OLD
-// record's forwarding hop (the hot/cold relocation machinery) is reused
-// as the "older version" pointer, stored in versionMeta.prev. A row
+// record's RID becomes the "older version" pointer (a forwarding hop run
+// backwards), stored in versionMeta.prev. A row
 // with no versionMeta is visible to every snapshot: that is the
 // pre-transactional state, so engines that never call Begin pay one
 // atomic load per visibility check and nothing else. Snapshot cursors
@@ -214,9 +214,6 @@ func (t *Table) resolveVisible(rid storage.RID, snap uint64) (storage.RID, bool)
 		rid = storage.UnpackRID(m.prev)
 	}
 }
-
-// Clock returns the engine's last committed transaction timestamp.
-func (e *Engine) Clock() uint64 { return e.clock.Load() }
 
 // rawStampTS allocates a commit timestamp for a raw (non-transactional)
 // Apply when any snapshot is pinned, so the batch's inserts can be

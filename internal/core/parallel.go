@@ -216,14 +216,6 @@ func (p *parallelSource) scanSegment(b *blockScan, si int, ch chan *rowBlock) er
 	return b.bt.Err()
 }
 
-func (p *parallelSource) segmentStats() []QueryStats {
-	p.statsMu.Lock()
-	defer p.statsMu.Unlock()
-	out := make([]QueryStats, len(p.segStats))
-	copy(out, p.segStats)
-	return out
-}
-
 // step serves the next row, reading the streams in order. A stream
 // that closes while the runner holds an error ends the cursor with it,
 // so an ordered cursor never serves a row past a failed segment. A

@@ -25,7 +25,7 @@ const (
 	HeapOnly
 )
 
-// QueryOption configures Table.Query and Index.Query.
+// QueryOption configures Table.Query (and Txn.Query).
 type QueryOption func(*queryConfig)
 
 type queryConfig struct {
@@ -84,7 +84,7 @@ func (c *queryConfig) pinSnapshot(ts uint64) {
 }
 
 // WithIndex routes a Table.Query through the named index, yielding rows
-// in key order and enabling key bounds. Invalid on Index.Query.
+// in key order and enabling key bounds.
 func WithIndex(name string) QueryOption {
 	return func(c *queryConfig) { c.index = name }
 }
@@ -139,8 +139,7 @@ func WithCachePolicy(p CachePolicy) QueryOption {
 // iteration; WithLimit still bounds the row count (under
 // MergeUnordered the limited prefix is whichever rows arrived first).
 // A read error ends the cursor: an ordered one has then served a key
-// prefix of the range. See Cursor.SegmentStats for per-segment
-// accounting.
+// prefix of the range.
 func WithParallel(n int) QueryOption {
 	return func(c *queryConfig) { c.parallel = n }
 }
@@ -242,7 +241,7 @@ func (t *Table) query(c *Cursor) error {
 		return err
 	}
 	c.src = t.newHeapSource(projIdx, filters, cfg.reverse, cfg.snapshotTS())
-	c.limit, c.reverse = cfg.limit, cfg.reverse
+	c.limit = cfg.limit
 	return nil
 }
 
@@ -254,19 +253,6 @@ func (t *Table) newHeapSource(projIdx []int, filters []boundFilter, reverse bool
 		s.need = withFilters(fieldSet(t.schema.NumFields(), projIdx), filters)
 	}
 	return s
-}
-
-// Query opens a cursor over the index's key range. The default policy
-// answers coverable projections straight from the index cache. The
-// cursor contract (pin lifetime, Close, scratch rows, writer
-// interaction) is the same as Table.Query's.
-func (ix *Index) Query(opts ...QueryOption) (*Cursor, error) {
-	c := new(Cursor)
-	c.reopen(opts, false)
-	if c.cfg.index != "" {
-		return nil, fmt.Errorf("core: WithIndex is only valid on Table.Query")
-	}
-	return c.opened(ix.query(c))
 }
 
 // query opens c over the index, as its config says. The bounds are
@@ -326,7 +312,7 @@ func (ix *Index) resolveQuery(cfg *queryConfig, lo, hi []byte) (plan *projPlan, 
 // this allocates nothing.
 func (ix *Index) openIndexSource(c *Cursor, cfg *queryConfig, start, end []byte, plan *projPlan, fp *filterPlan) {
 	s := &c.ix
-	c.src, c.limit, c.reverse = s, cfg.limit, cfg.reverse
+	c.src, c.limit = s, cfg.limit
 	s.aim(ix, cfg, plan, fp, &c.stats)
 	// Options are set by index: append would move them to the heap.
 	var bopts [2]btree.CursorOption

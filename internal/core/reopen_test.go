@@ -183,9 +183,10 @@ func TestReopenCleanClose(t *testing.T) {
 	if names := schemaFieldNames(tbl2.Schema()); len(names) != 4 || names[0] != "id" || names[3] != "name" {
 		t.Fatalf("schema after reopen: %v", names)
 	}
-	ixs := tbl2.Indexes()
-	if len(ixs) != 2 || ixs["by_id"] == nil || ixs["by_grp"] == nil {
-		t.Fatalf("indexes after reopen: %v", ixs)
+	byID, errID := tbl2.Index("by_id")
+	byGrp, errGrp := tbl2.Index("by_grp")
+	if len(tbl2.indexes) != 2 || errID != nil || errGrp != nil {
+		t.Fatalf("indexes after reopen: %v, %v, %v", tbl2.indexes, errID, errGrp)
 	}
 
 	wantVal := func(i int) int64 {
@@ -227,7 +228,6 @@ func TestReopenCleanClose(t *testing.T) {
 	}
 
 	// Index-order cursor over the non-unique index.
-	byGrp := ixs["by_grp"]
 	n := 0
 	prev := int32(-1)
 	icur, err := byGrp.Query()
@@ -253,7 +253,6 @@ func TestReopenCleanClose(t *testing.T) {
 	// Point lookups, twice: the first pass seeds the reopened (cold)
 	// index cache, the second must serve identical data — stale bytes a
 	// pre-close leaf flush persisted must never surface.
-	byID := ixs["by_id"]
 	for pass := 0; pass < 2; pass++ {
 		for i := 0; i < rows; i++ {
 			row, _, err := byID.Lookup([]string{"id", "val"}, tuple.Int64(int64(i)))

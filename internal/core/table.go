@@ -65,33 +65,6 @@ type Table struct {
 	escapes                 [64]atomic.Int64
 }
 
-// TableStats is what a table's writes did since the engine opened it.
-type TableStats struct {
-	// Packed counts the records written in the table's packed layout.
-	Packed int64
-	// Escaped counts those of them holding at least one value outside the
-	// layout's domain, and Escapes, per schema field, those holding one in
-	// that field. The gain of the packed layout rests on these staying
-	// small (ARCHITECTURE.md, "What the gain rests on").
-	Escaped int64
-	Escapes []int64
-}
-
-// Stats returns the table's counters.
-func (t *Table) Stats() TableStats {
-	st := TableStats{
-		Packed:  t.packedRecs.Load(),
-		Escaped: t.escapedRecs.Load(),
-		Escapes: make([]int64, t.schema.NumFields()),
-	}
-	if l := t.schema.Packed(); l != nil {
-		for k, i := range l.EscapeFields() {
-			st.Escapes[i] = t.escapes[k].Load()
-		}
-	}
-	return st
-}
-
 // countEscapes adds a record written to the table, and the escape bitmap
 // its encoder reported, to the escape counters.
 func (t *Table) countEscapes(rec []byte, esc uint64) {
@@ -153,17 +126,6 @@ func (t *Table) Heap() *heap.File { return t.file }
 // Rows returns the live row count.
 func (t *Table) Rows() int64 { return t.rows.Load() }
 
-// Indexes returns the table's indexes by name.
-func (t *Table) Indexes() map[string]*Index {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	out := make(map[string]*Index, len(t.indexes))
-	for k, v := range t.indexes {
-		out[k] = v
-	}
-	return out
-}
-
 // Index returns the named index, or an error.
 func (t *Table) Index(name string) (*Index, error) {
 	t.mu.RLock()
@@ -221,20 +183,6 @@ func (t *Table) Update(rid storage.RID, newRow tuple.Row) (storage.RID, error) {
 		return storage.InvalidRID, err
 	}
 	return res.RIDs[0], nil
-}
-
-// Delete removes the row at rid, maintaining indexes and invalidating
-// affected cache entries. Heap slot reuse makes invalidation mandatory:
-// a future tuple could receive the same RID, and a stale cache entry
-// keyed by that RID would otherwise serve the old tuple's bytes.
-// Index entries go first, then the heap row (via a one-op Batch), so a
-// concurrent index reader can never hold an entry whose heap row is
-// already gone.
-func (t *Table) Delete(rid storage.RID) error {
-	var b Batch
-	b.Delete(rid)
-	_, err := t.Apply(&b)
-	return err
 }
 
 // Relocate moves the row at rid by deleting and reinserting it — the

@@ -523,13 +523,6 @@ var testCommitFailAfter atomic.Int64
 // errInjectedCommitFailure is the error TestingFailCommitAfter injects.
 var errInjectedCommitFailure = errors.New("core: injected commit failure")
 
-// TestingFailCommitAfter arms a one-shot commit failure at the n-th
-// landing step, counted across tables in commit order: each record of a
-// table's heap run is one step (so a run can die with only some of its
-// records placed), then each of its index upsert runs is one. n = 0
-// disarms. Test support only.
-func TestingFailCommitAfter(n int) { testCommitFailAfter.Store(int64(n)) }
-
 // commitSeam is the injection seam: a commit about to take n landing
 // steps asks how many may land before the armed failure (n when none
 // is armed or it lies further on).

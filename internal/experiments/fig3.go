@@ -123,8 +123,7 @@ func RunFig3(cfg Fig3Config) (Fig3Result, error) {
 			for _, idx := range latest {
 				hot = append(hot, rids[idx])
 			}
-			fwd := partition.NewForwarding()
-			if _, err := partition.ClusterFraction(tb, hot, clusterFrac, fwd); err != nil {
+			if _, err := partition.ClusterFraction(tb, hot, clusterFrac); err != nil {
 				return nil, nil, err
 			}
 		}

@@ -20,7 +20,9 @@ import (
 // inserts stealing cache space at a constant rate (the paper's Shrink
 // curve overwrites half the cache over the run).
 type Sim struct {
-	slots   []uint64 // item id + 1; 0 = empty
+	slots   []uint64       // item id + 1; 0 = empty
+	at      map[uint64]int // item id + 1 → its slot
+	empty   int            // empty slots
 	bucketN int
 	rng     *rand.Rand
 
@@ -42,6 +44,8 @@ func NewSim(rng *rand.Rand, capacity, bucketN int) (*Sim, error) {
 	}
 	return &Sim{
 		slots:   make([]uint64, capacity),
+		at:      make(map[uint64]int, capacity),
+		empty:   capacity,
 		bucketN: bucketN,
 		rng:     rng,
 	}, nil
@@ -55,41 +59,51 @@ func (s *Sim) Capacity() int { return len(s.slots) }
 func (s *Sim) Lookup(item int) bool {
 	s.lookups++
 	id := uint64(item) + 1
-	for i, v := range s.slots {
-		if v != id {
-			continue
-		}
-		s.hits++
-		if !s.NoPromote {
-			b := i / s.bucketN
-			if b > 0 {
-				j := (b-1)*s.bucketN + s.rng.Intn(s.bucketN)
-				s.slots[i], s.slots[j] = s.slots[j], s.slots[i]
-			}
-		}
-		return true
+	i, ok := s.at[id]
+	if !ok {
+		s.insert(id)
+		return false
 	}
-	s.insert(id)
-	return false
+	s.hits++
+	if b := i / s.bucketN; b > 0 && !s.NoPromote {
+		j := (b-1)*s.bucketN + s.rng.Intn(s.bucketN)
+		s.put(i, s.slots[j])
+		s.put(j, id)
+	}
+	return true
+}
+
+// put stores id (0 = empty) in slot i and indexes it there.
+func (s *Sim) put(i int, id uint64) {
+	s.slots[i] = id
+	if id != 0 {
+		s.at[id] = i
+	}
 }
 
 func (s *Sim) insert(id uint64) {
 	if len(s.slots) == 0 {
 		return
 	}
-	var free []int
-	for i, v := range s.slots {
-		if v == 0 {
-			free = append(free, i)
+	if s.empty > 0 {
+		// The r-th empty slot in slot order, as a free list would hold it.
+		r := s.rng.Intn(s.empty)
+		for i, v := range s.slots {
+			if v != 0 {
+				continue
+			}
+			if r == 0 {
+				s.put(i, id)
+				s.empty--
+				return
+			}
+			r--
 		}
-	}
-	if len(free) > 0 {
-		s.slots[free[s.rng.Intn(len(free))]] = id
-		return
 	}
 	lastBucketStart := (len(s.slots) - 1) / s.bucketN * s.bucketN
 	i := lastBucketStart + s.rng.Intn(len(s.slots)-lastBucketStart)
-	s.slots[i] = id
+	delete(s.at, s.slots[i])
+	s.put(i, id)
 }
 
 // Shrink removes the k most peripheral slots, discarding their
@@ -101,6 +115,13 @@ func (s *Sim) Shrink(k int) {
 	}
 	if k > len(s.slots) {
 		k = len(s.slots)
+	}
+	for _, v := range s.slots[len(s.slots)-k:] {
+		if v == 0 {
+			s.empty--
+		} else {
+			delete(s.at, v)
+		}
 	}
 	s.slots = s.slots[:len(s.slots)-k]
 }

@@ -12,9 +12,10 @@
 // offsets aligned to the entry size, so they survive the region
 // shrinking as records are inserted; writes are volatile (never dirty
 // the page); validity hangs on a cache sequence number stored in the
-// slotted page's reserved header word (CSNp = CSNjc). Invalidation is
-// coarse — any update to the referenced table bumps the global CSN —
-// because the paper sketches this direction without a finer protocol.
+// slotted page's reserved header word (CSNp = CSNjc), so a fresh page's
+// region is zeroed before its first use. The paper sketches no
+// invalidation protocol for this direction, and nothing here updates a
+// referenced table, so CSNjc is a constant.
 package joincache
 
 import (
@@ -40,7 +41,6 @@ type Stats struct {
 	Inserts           int64
 	Evictions         int64
 	PageInvalidations int64
-	FullInvalidations int64
 	SkippedNoLatch    int64
 }
 
@@ -58,14 +58,12 @@ type Cache struct {
 	payloadSize int
 	entrySize   int
 
-	csn atomic.Uint32
-
 	mu  sync.Mutex
 	rng *rand.Rand
 
 	lookups, hits, misses atomic.Int64
 	inserts, evictions    atomic.Int64
-	pageInval, fullInval  atomic.Int64
+	pageInval             atomic.Int64
 	skipped               atomic.Int64
 }
 
@@ -80,7 +78,6 @@ func New(payloadSize int, seed int64) (*Cache, error) {
 		entrySize:   keyBytes + payloadSize,
 		rng:         rand.New(rand.NewSource(seed)),
 	}
-	c.csn.Store(1) // fresh pages (reserved word 0) start invalid
 	return c, nil
 }
 
@@ -93,23 +90,17 @@ func (c *Cache) Stats() Stats {
 		Inserts:           c.inserts.Load(),
 		Evictions:         c.evictions.Load(),
 		PageInvalidations: c.pageInval.Load(),
-		FullInvalidations: c.fullInval.Load(),
 		SkippedNoLatch:    c.skipped.Load(),
 	}
 }
 
-// InvalidateAll drops every page's join cache at once: called whenever
-// the referenced table is updated.
-func (c *Cache) InvalidateAll() {
-	c.csn.Add(1)
-	c.fullInval.Add(1)
-}
+// csn is CSNjc: fresh pages (reserved word 0) start invalid.
+const csn = 1
 
-// Prepare validates the page's cache region against the global CSN,
+// Prepare validates the page's cache region against CSNjc,
 // zeroing it when stale. Requires the exclusive latch for repairs;
 // returns false when the cache is unusable for this visit.
 func (c *Cache) Prepare(sp *storage.SlottedPage, exclusive bool) bool {
-	csn := c.csn.Load()
 	if sp.Reserved() == csn {
 		return true
 	}
@@ -207,15 +198,4 @@ func (c *Cache) Insert(sp *storage.SlottedPage, exclusive bool, fk uint64, paylo
 	copy(data[off+keyBytes:], payload)
 	c.inserts.Add(1)
 	return true
-}
-
-// SlotsIn returns the page's current join-cache capacity.
-func (c *Cache) SlotsIn(sp *storage.SlottedPage) int {
-	lo, hi := c.region(sp)
-	e := c.entrySize
-	first := (lo + e - 1) / e * e
-	if first+e > hi {
-		return 0
-	}
-	return (hi - first) / e
 }

@@ -71,25 +71,6 @@ func TestJoinCacheInsertLookup(t *testing.T) {
 	}
 }
 
-func TestJoinCacheInvalidateAll(t *testing.T) {
-	f := newTestHeap(t)
-	c, _ := New(8, 2)
-	rid, _ := f.Insert([]byte("row"))
-	f.VisitPage(rid.Page, func(sp *storage.SlottedPage, excl bool) {
-		c.Prepare(sp, excl)
-		c.Insert(sp, excl, 7, pay(c, 1))
-	})
-	c.InvalidateAll() // referenced table changed
-	f.VisitPage(rid.Page, func(sp *storage.SlottedPage, excl bool) {
-		if !c.Prepare(sp, excl) {
-			t.Fatal("Prepare failed")
-		}
-		if _, ok := c.Lookup(sp, 7); ok {
-			t.Error("entry survived invalidation")
-		}
-	})
-}
-
 func TestJoinCacheSurvivesRecordInserts(t *testing.T) {
 	f := newTestHeap(t)
 	c, _ := New(8, 3)
@@ -220,4 +201,15 @@ func TestJoinCacheValidation(t *testing.T) {
 	if c.Stats().SkippedNoLatch == 0 {
 		t.Error("skipped counter not incremented")
 	}
+}
+
+// SlotsIn returns the page's current join-cache capacity.
+func (c *Cache) SlotsIn(sp *storage.SlottedPage) int {
+	lo, hi := c.region(sp)
+	e := c.entrySize
+	first := (lo + e - 1) / e * e
+	if first+e > hi {
+		return 0
+	}
+	return (hi - first) / e
 }

@@ -18,9 +18,6 @@ type Counter struct {
 // Inc adds one to the counter.
 func (c *Counter) Inc() { c.v.Add(1) }
 
-// Add adds delta to the counter.
-func (c *Counter) Add(delta int64) { c.v.Add(delta) }
-
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
 

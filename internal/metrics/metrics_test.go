@@ -8,8 +8,9 @@ import (
 
 func TestCounterBasics(t *testing.T) {
 	var c Counter
-	c.Inc()
-	c.Add(4)
+	for range 5 {
+		c.Inc()
+	}
 	if c.Value() != 5 {
 		t.Errorf("Value = %d", c.Value())
 	}

@@ -36,8 +36,8 @@ func TestTrackerHottest(t *testing.T) {
 	if len(hot) != 2 || hot[0] != a || hot[1] != b {
 		t.Errorf("Hottest(2) = %v", hot)
 	}
-	if tr.Total() != 16 || tr.Count(a) != 10 {
-		t.Errorf("Total=%d Count(a)=%d", tr.Total(), tr.Count(a))
+	if tr.Count(a) != 10 {
+		t.Errorf("Count(a)=%d", tr.Count(a))
 	}
 }
 
@@ -56,31 +56,8 @@ func TestTrackerHotSetByCoverage(t *testing.T) {
 	if len(all) != 2 {
 		t.Errorf("full coverage should return both, got %v", all)
 	}
-	tr.Reset()
-	if tr.Total() != 0 || len(tr.HotSetByCoverage(0.5)) != 0 {
-		t.Error("Reset did not clear")
-	}
-}
-
-func TestForwardingChainsAndCompression(t *testing.T) {
-	f := NewForwarding()
-	a := storage.RID{Page: 1, Slot: 1}
-	b := storage.RID{Page: 2, Slot: 2}
-	c := storage.RID{Page: 3, Slot: 3}
-	f.Record(a, b)
-	f.Record(b, c)
-	if got := f.Resolve(a); got != c {
-		t.Errorf("Resolve(a) = %v, want %v", got, c)
-	}
-	// Untracked RIDs resolve to themselves.
-	d := storage.RID{Page: 9, Slot: 9}
-	if got := f.Resolve(d); got != d {
-		t.Errorf("Resolve(d) = %v", got)
-	}
-	// Self-move is a no-op.
-	f.Record(d, d)
-	if f.Len() != 2 {
-		t.Errorf("Len = %d, want 2", f.Len())
+	if empty := NewAccessTracker().HotSetByCoverage(0.5); len(empty) != 0 {
+		t.Errorf("an empty tracker's hot set = %v", empty)
 	}
 }
 
@@ -124,8 +101,7 @@ func TestClusterRelocatesToTail(t *testing.T) {
 		hot = append(hot, rids[i])
 	}
 	lastPageBefore := tb.Heap().Pages()[tb.Heap().NumPages()-1]
-	fwd := NewForwarding()
-	moved, err := Cluster(tb, hot, fwd)
+	moved, err := Cluster(tb, hot)
 	if err != nil {
 		t.Fatalf("Cluster: %v", err)
 	}
@@ -136,9 +112,6 @@ func TestClusterRelocatesToTail(t *testing.T) {
 	for old, new := range moved {
 		if new.Page < lastPageBefore {
 			t.Errorf("tuple %v moved to %v, before old tail %v", old, new, lastPageBefore)
-		}
-		if fwd.Resolve(old) != new {
-			t.Errorf("forwarding for %v wrong", old)
 		}
 	}
 	// Index still finds every row, at its new location.
@@ -159,15 +132,15 @@ func TestClusterRelocatesToTail(t *testing.T) {
 func TestClusterFractionBounds(t *testing.T) {
 	e := newEngine(t)
 	tb, _ := e.CreateTable("revision", wiki.RevisionSchema(), core.WithAppendOnlyHeap())
-	if _, err := ClusterFraction(tb, nil, -0.1, nil); err == nil {
+	if _, err := ClusterFraction(tb, nil, -0.1); err == nil {
 		t.Error("negative fraction should fail")
 	}
-	if _, err := ClusterFraction(tb, nil, 1.1, nil); err == nil {
+	if _, err := ClusterFraction(tb, nil, 1.1); err == nil {
 		t.Error("fraction > 1 should fail")
 	}
 }
 
-func TestHotColdLookupAndMoves(t *testing.T) {
+func TestHotColdLookupAndStats(t *testing.T) {
 	e := newEngine(t)
 	hc, err := New(Config{
 		Engine: e, Name: "revision", Schema: wiki.RevisionSchema(),
@@ -201,26 +174,6 @@ func TestHotColdLookupAndMoves(t *testing.T) {
 	if err != nil || row != nil {
 		t.Fatalf("missing lookup: %v %v", row, err)
 	}
-	// Demote a hot row; it must now be served from cold.
-	if _, err := hc.Demote(tuple.Int64(1)); err != nil {
-		t.Fatalf("Demote: %v", err)
-	}
-	_, inHot, err = hc.Lookup(tuple.Int64(1))
-	if err != nil || inHot {
-		t.Fatalf("after demote: inHot=%v err=%v", inHot, err)
-	}
-	// Promote it back.
-	if _, err := hc.Promote(tuple.Int64(1)); err != nil {
-		t.Fatalf("Promote: %v", err)
-	}
-	_, inHot, err = hc.Lookup(tuple.Int64(1))
-	if err != nil || !inHot {
-		t.Fatalf("after promote: inHot=%v err=%v", inHot, err)
-	}
-	// Demote of a key not in hot fails.
-	if _, err := hc.Demote(tuple.Int64(2)); err == nil {
-		t.Error("demoting a cold key should fail")
-	}
 	st, err := hc.Stats()
 	if err != nil {
 		t.Fatalf("Stats: %v", err)
@@ -239,113 +192,5 @@ func TestHotColdLookupAndMoves(t *testing.T) {
 func TestHotColdConfigValidation(t *testing.T) {
 	if _, err := New(Config{}); err == nil {
 		t.Error("incomplete config should fail")
-	}
-}
-
-func TestHotColdQueryMergesPartitionsInKeyOrder(t *testing.T) {
-	e := newEngine(t)
-	hc, err := New(Config{
-		Engine: e, Name: "revision", Schema: wiki.RevisionSchema(),
-		KeyFields: []string{"rev_id"},
-	})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	const n = 120
-	hotKeys := map[int64]bool{}
-	for i := 0; i < n; i++ {
-		row := revRowForTest(i)
-		if i%3 == 0 {
-			if _, err := hc.InsertHot(row); err != nil {
-				t.Fatalf("InsertHot: %v", err)
-			}
-			hotKeys[row[0].Int] = true
-		} else if _, err := hc.InsertCold(row); err != nil {
-			t.Fatalf("InsertCold: %v", err)
-		}
-	}
-	cur, err := hc.Query()
-	if err != nil {
-		t.Fatalf("Query: %v", err)
-	}
-	defer cur.Close()
-	var last int64
-	served := 0
-	for cur.Next() {
-		id := cur.Row()[0].Int
-		if served > 0 && id <= last {
-			t.Fatalf("merged order broken: %d after %d", id, last)
-		}
-		if cur.Hot() != hotKeys[id] {
-			t.Errorf("key %d: Hot()=%v, want %v", id, cur.Hot(), hotKeys[id])
-		}
-		last = id
-		served++
-	}
-	if err := cur.Err(); err != nil {
-		t.Fatalf("Err: %v", err)
-	}
-	if served != n {
-		t.Fatalf("merged scan served %d rows, want %d", served, n)
-	}
-	if err := cur.Close(); err != nil { // double close
-		t.Fatalf("second Close: %v", err)
-	}
-	// Bounded merged scan: rev_id in [10, 40).
-	cur, err = hc.Query(core.WithKeyRange(
-		[]tuple.Value{tuple.Int64(10)}, []tuple.Value{tuple.Int64(40)}))
-	if err != nil {
-		t.Fatalf("bounded Query: %v", err)
-	}
-	defer cur.Close()
-	want := int64(10)
-	for cur.Next() {
-		if got := cur.Row()[0].Int; got != want {
-			t.Fatalf("bounded merge: got %d, want %d", got, want)
-		}
-		want++
-	}
-	if want != 40 {
-		t.Fatalf("bounded merge ended at %d", want)
-	}
-}
-
-func TestHotColdQueryReverseMerge(t *testing.T) {
-	e := newEngine(t)
-	hc, err := New(Config{
-		Engine: e, Name: "revision", Schema: wiki.RevisionSchema(),
-		KeyFields: []string{"rev_id"},
-	})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	const n = 80
-	for i := 0; i < n; i++ {
-		if i%2 == 0 {
-			_, err = hc.InsertHot(revRowForTest(i))
-		} else {
-			_, err = hc.InsertCold(revRowForTest(i))
-		}
-		if err != nil {
-			t.Fatalf("insert: %v", err)
-		}
-	}
-	cur, err := hc.Query(core.WithReverse())
-	if err != nil {
-		t.Fatalf("Query: %v", err)
-	}
-	defer cur.Close()
-	want := int64(n) // rev_id is i+1, so the largest is n
-	for cur.Next() {
-		if got := cur.Row()[0].Int; got != want {
-			t.Fatalf("reverse merge: got %d, want %d", got, want)
-		}
-		want--
-	}
-	if err := cur.Err(); err != nil {
-		t.Fatalf("Err: %v", err)
-	}
-	if want != 0 {
-		t.Fatalf("reverse merge served %d rows, want %d", n-int(want), n)
 	}
 }

@@ -3,8 +3,7 @@
 // identifies hot tuples; Cluster relocates them (delete + append) so
 // they share pages; HotCold splits them into a separate partition whose
 // index is small enough to stay resident — the configuration that gives
-// the paper its 8.4× win. A Forwarding table keeps old RIDs resolvable
-// after moves.
+// the paper its 8.4× win.
 package partition
 
 import (
@@ -35,13 +34,6 @@ func (a *AccessTracker) Record(rid storage.RID) {
 	a.counts[rid]++
 	a.total++
 	a.mu.Unlock()
-}
-
-// Total returns the number of recorded accesses.
-func (a *AccessTracker) Total() int64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.total
 }
 
 // Count returns the access count of one RID.
@@ -102,12 +94,4 @@ func (a *AccessTracker) HotSetByCoverage(frac float64) []storage.RID {
 		}
 	}
 	return all
-}
-
-// Reset clears all counts.
-func (a *AccessTracker) Reset() {
-	a.mu.Lock()
-	a.counts = make(map[storage.RID]int64)
-	a.total = 0
-	a.mu.Unlock()
 }

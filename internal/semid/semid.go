@@ -95,9 +95,6 @@ func (r *TableRouter) Route(id uint64) (uint64, error) {
 	return p, nil
 }
 
-// Len returns the number of routed tuples.
-func (r *TableRouter) Len() int { return len(r.m) }
-
 // MemoryBytes implements Router: ~48 bytes per entry for a Go map of
 // uint64→uint64 (two words plus bucket overhead) — the point is the
 // linear growth, not the constant.

@@ -90,8 +90,8 @@ func TestRoutersAgree(t *testing.T) {
 			t.Fatalf("routers disagree: %d vs %d (want %d)", tp, ep, part)
 		}
 	}
-	if table.Len() != 1000 {
-		t.Errorf("table Len = %d", table.Len())
+	if len(table.m) != 1000 {
+		t.Errorf("table routes %d ids", len(table.m))
 	}
 	if table.MemoryBytes() <= embedded.MemoryBytes() {
 		t.Error("table router must cost more memory than the embedded one")

@@ -18,8 +18,8 @@ const InvalidPageID PageID = 0
 func (p PageID) String() string { return fmt.Sprintf("page:%d", uint64(p)) }
 
 // RID identifies a record: the page holding it and the slot within that
-// page. RIDs are what B+Tree leaves point at, what the forwarding table
-// maps between, and (Section 4.2) what a "semantic ID" can embed.
+// page. RIDs are what B+Tree leaves point at and (Section 4.2) what a
+// "semantic ID" can embed.
 type RID struct {
 	Page PageID
 	Slot uint16

@@ -198,89 +198,6 @@ func (vt *VerticalTable) GetFields(pk tuple.Value, names []string) (tuple.Row, i
 	return out, touched, nil
 }
 
-// Cursor streams logical rows in primary-key order by driving the
-// first group's pk index with a core cursor — the pk projection is
-// covered by the index key, so the driving scan never touches a heap —
-// and merging the other needed groups per row. groupReads counts the
-// group-table accesses, the merge cost the advisor's cost model prices.
-type Cursor struct {
-	vt         *VerticalTable
-	pks        *core.Cursor
-	names      []string // nil = full logical row
-	row        tuple.Row
-	groupReads int
-	err        error
-}
-
-// Query opens a pk-ordered cursor over the logical table. names
-// restricts the output to those fields (nil = all), touching only the
-// groups that hold them; opts (key bounds, limit, reverse) apply to
-// the driving pk scan. The projection and index of the driving scan
-// are fixed — names is the projection mechanism here, so a caller
-// WithProjection or WithIndex in opts is overridden, never honored.
-func (vt *VerticalTable) Query(names []string, opts ...core.QueryOption) (*Cursor, error) {
-	for _, n := range names {
-		if n != vt.pkField && vt.schema.Index(n) < 0 {
-			return nil, fmt.Errorf("vertical: no field %q in schema", n)
-		}
-	}
-	// Forced options go last: later options win, so a stray projection
-	// or index in opts cannot redirect the pk-driving scan (values of a
-	// non-pk column being misread as primary keys).
-	opts = append(opts[:len(opts):len(opts)],
-		core.WithIndex("pk"),
-		core.WithProjection(vt.pkField),
-	)
-	pks, err := vt.groups[0].table.Query(opts...)
-	if err != nil {
-		return nil, err
-	}
-	return &Cursor{vt: vt, pks: pks, names: names}, nil
-}
-
-// Next advances to the next logical row.
-func (c *Cursor) Next() bool {
-	if c.err != nil {
-		return false
-	}
-	if !c.pks.Next() {
-		c.err = c.pks.Err()
-		return false
-	}
-	pk := c.pks.Row()[0]
-	var (
-		row     tuple.Row
-		touched int
-		err     error
-	)
-	if c.names == nil {
-		row, touched, err = c.vt.Get(pk)
-	} else {
-		row, touched, err = c.vt.GetFields(pk, c.names)
-	}
-	if err != nil {
-		c.err = err
-		return false
-	}
-	c.row = row
-	c.groupReads += touched
-	return true
-}
-
-// Row returns the current logical (or projected) row.
-func (c *Cursor) Row() tuple.Row { return c.row }
-
-// Err returns the first error the cursor hit.
-func (c *Cursor) Err() error { return c.err }
-
-// Close releases the driving pk cursor. Idempotent.
-func (c *Cursor) Close() error {
-	if cerr := c.pks.Close(); c.err == nil {
-		c.err = cerr
-	}
-	return c.err
-}
-
 // UpdateFields modifies the named fields of the row with the given pk,
 // touching only the groups holding them — the write-density win of the
 // update-rate split.

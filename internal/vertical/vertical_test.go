@@ -195,118 +195,3 @@ func TestVerticalTableValidation(t *testing.T) {
 		t.Error("duplicated field across groups should fail")
 	}
 }
-
-func TestVerticalQueryStreamsLogicalRows(t *testing.T) {
-	e, err := core.NewEngine(core.Options{PageSize: 1024, BufferPoolPages: 1024})
-	if err != nil {
-		t.Fatalf("NewEngine: %v", err)
-	}
-	defer e.Close()
-	schema := testSchema()
-	vt, err := NewVerticalTable(e, "v", schema, "id",
-		[][]string{{"hot_a", "hot_b"}, {"written"}, {"cold_blob"}})
-	if err != nil {
-		t.Fatalf("NewVerticalTable: %v", err)
-	}
-	const n = 60
-	for i := 0; i < n; i++ {
-		err := vt.Insert(tuple.Row{
-			tuple.Int64(int64(i)),
-			tuple.Int64(int64(i * 2)),
-			tuple.Int32(int32(i % 7)),
-			tuple.Int64(int64(i * 5)),
-			tuple.String("blob"),
-		})
-		if err != nil {
-			t.Fatalf("Insert: %v", err)
-		}
-	}
-	// Full logical rows in pk order.
-	cur, err := vt.Query(nil)
-	if err != nil {
-		t.Fatalf("Query: %v", err)
-	}
-	defer cur.Close()
-	want := int64(0)
-	for cur.Next() {
-		row := cur.Row()
-		if row[0].Int != want || row[1].Int != want*2 || row[3].Int != want*5 {
-			t.Fatalf("row %d wrong: %v", want, row)
-		}
-		want++
-	}
-	if err := cur.Err(); err != nil {
-		t.Fatalf("Err: %v", err)
-	}
-	if want != n {
-		t.Fatalf("scanned %d rows, want %d", want, n)
-	}
-	if cur.groupReads != n*len(vt.groups) {
-		t.Errorf("full scan touched %d groups, want %d", cur.groupReads, n*len(vt.groups))
-	}
-	// Projected scan touches only the groups holding the fields.
-	cur, err = vt.Query([]string{"id", "hot_a"}, core.WithLimit(10))
-	if err != nil {
-		t.Fatalf("projected Query: %v", err)
-	}
-	defer cur.Close()
-	served := 0
-	for cur.Next() {
-		row := cur.Row()
-		if len(row) != 2 || row[1].Int != row[0].Int*2 {
-			t.Fatalf("projected row wrong: %v", row)
-		}
-		served++
-	}
-	if served != 10 {
-		t.Fatalf("limit served %d", served)
-	}
-	if cur.groupReads != 10 {
-		t.Errorf("projected scan touched %d groups, want 10 (one per row)", cur.groupReads)
-	}
-	if _, err := vt.Query([]string{"nope"}); err == nil {
-		t.Fatal("unknown field must error")
-	}
-}
-
-func TestVerticalQueryIgnoresStrayProjection(t *testing.T) {
-	e, err := core.NewEngine(core.Options{PageSize: 1024, BufferPoolPages: 512})
-	if err != nil {
-		t.Fatalf("NewEngine: %v", err)
-	}
-	defer e.Close()
-	vt, err := NewVerticalTable(e, "v", testSchema(), "id",
-		[][]string{{"hot_a", "hot_b"}, {"written"}, {"cold_blob"}})
-	if err != nil {
-		t.Fatalf("NewVerticalTable: %v", err)
-	}
-	for i := 0; i < 20; i++ {
-		if err := vt.Insert(tuple.Row{
-			tuple.Int64(int64(i)), tuple.Int64(int64(i * 2)),
-			tuple.Int32(0), tuple.Int64(0), tuple.String("b"),
-		}); err != nil {
-			t.Fatalf("Insert: %v", err)
-		}
-	}
-	// A caller projection must not redirect the pk-driving scan into
-	// reading hot_a values as primary keys.
-	cur, err := vt.Query([]string{"id", "hot_a"}, core.WithProjection("hot_a"))
-	if err != nil {
-		t.Fatalf("Query: %v", err)
-	}
-	defer cur.Close()
-	want := int64(0)
-	for cur.Next() {
-		row := cur.Row()
-		if row[0].Int != want || row[1].Int != want*2 {
-			t.Fatalf("stray projection corrupted scan: %v (want pk %d)", row, want)
-		}
-		want++
-	}
-	if err := cur.Err(); err != nil {
-		t.Fatalf("Err: %v", err)
-	}
-	if want != 20 {
-		t.Fatalf("served %d rows, want 20", want)
-	}
-}

@@ -38,9 +38,6 @@ func NewGenerator(cfg Config) *Generator {
 	return &Generator{rng: workload.NewRand(cfg.Seed), cfg: cfg}
 }
 
-// Config returns the generator's configuration.
-func (g *Generator) Config() Config { return g.cfg }
-
 // PageTitle returns the deterministic title of page i.
 func PageTitle(i int) string { return fmt.Sprintf("Article_%07d", i) }
 

@@ -68,9 +68,6 @@ func NewZipf(rng *rand.Rand, n int, alpha float64) *Zipf {
 	return z
 }
 
-// N returns the number of distinct ranks.
-func (z *Zipf) N() int { return z.n }
-
 // Next draws the next rank. Rank 0 is the most popular.
 func (z *Zipf) Next() int {
 	if z.cdf != nil {

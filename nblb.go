@@ -48,7 +48,7 @@ type Index = core.Index
 // heap).
 type LookupResult = core.LookupResult
 
-// Cursor streams rows from a Table.Query or Index.Query: Next / Row /
+// Cursor streams rows from a Table.Query: Next / Row /
 // RID / Err / Close, plus All for range-over-func iteration. Rows are
 // cursor scratch — Clone to retain.
 type Cursor = core.Cursor
@@ -201,7 +201,7 @@ var (
 // each op's resulting RID in ApplyResult.
 var WithResultRIDs = core.WithResultRIDs
 
-// Query options (see Table.Query / Index.Query).
+// Query options (see Table.Query).
 var (
 	// WithIndex routes a Table.Query through the named index (key
 	// order, key bounds).

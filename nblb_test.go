@@ -138,13 +138,12 @@ func TestFacadeClusterTracker(t *testing.T) {
 	if len(hot) != 10 {
 		t.Fatalf("hot set size %d, want 10", len(hot))
 	}
-	fwd := NewForwarding()
-	moved, err := Cluster(tb, hot, fwd)
+	moved, err := Cluster(tb, hot)
 	if err != nil {
 		t.Fatalf("Cluster: %v", err)
 	}
-	if len(moved) != 10 || fwd.Len() != 10 {
-		t.Fatalf("moved=%d fwd=%d", len(moved), fwd.Len())
+	if len(moved) != 10 {
+		t.Fatalf("moved=%d", len(moved))
 	}
 	// Index remains correct for all rows.
 	for i := 0; i < 200; i++ {
