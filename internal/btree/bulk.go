@@ -91,7 +91,7 @@ func BulkLoad(pool *buffer.Pool, ff float64, next func() (key []byte, value uint
 // bulk-built page knows its first and last key before it writes a cell.
 type levelBuilder struct {
 	pool   *buffer.Pool
-	typ    uint16
+	typ    storage.PageKind
 	budget int
 	// stage holds the page being built. An internal page's entry 0 is
 	// its leftmost child, whose key the page does not store.

@@ -36,11 +36,13 @@ import (
 	"fmt"
 	"math/bits"
 	"sync"
+
+	"repro/internal/storage"
 )
 
 // Node header layout (nodeHeaderSize bytes at offset 0):
 //
-//	[0:1)   type: nodeLeaf or nodeInternal
+//	[0:1)   page kind: nodeLeaf or nodeInternal (storage.KindOf)
 //	[1:2)   value width — the bytes every cell's value takes, 1 to 8
 //	[2:4)   nKeys
 //	[4:6)   dirEnd    first byte past the directory
@@ -64,13 +66,13 @@ import (
 // width and the value little-endian; the key it stores is the page
 // prefix followed by the suffix.
 //
-// Footer: 4-byte magic at the very end of the page. Cache writes and key
-// inserts must never touch it; integrity checks verify that.
+// Footer: 4-byte magic at the very end of the page, a canary: cache
+// writes and key inserts must never touch it, and CheckIntegrity
+// verifies they did not.
 const (
 	nodeHeaderSize = 48
 	nodeFooterSize = 4
 
-	offType        = 0
 	offWidth       = 1
 	offNKeys       = 2
 	offDirEnd      = 4
@@ -88,18 +90,15 @@ const (
 	maxValueWidth  = 8 // a uint64
 )
 
-// footerMagic marks a well-formed index page end. It doubles as the
-// page-format version: 0xB17C0DE5 had a 40-byte header, 0xB17C0DE6
-// added the left-sibling link, 0xB17C0DE7 stored keys as suffixes of a
-// page prefix, and 0xB17C0DE8 stores values at the page's width — pages
-// persisted by an older layout fail footerOK (and Open) loudly instead
-// of being misread.
+// footerMagic ends every index page. It is no format version — the
+// manifest's version is the file's — only the canary initNode writes
+// and CheckIntegrity reads.
 const footerMagic uint32 = 0xB17C0DE8
 
-// Node type tags.
+// Node kinds, byte 0 of the page like every page's kind.
 const (
-	nodeLeaf     uint16 = 1
-	nodeInternal uint16 = 2
+	nodeLeaf     = storage.KindIndexLeaf
+	nodeInternal = storage.KindIndexInternal
 )
 
 // valueWidth returns the bytes v takes as a stored value: 1 to 8.
@@ -116,14 +115,12 @@ type node struct {
 
 func asNode(data []byte) node { return node{data: data} }
 
-// initNode formats the buffer as an empty node of the given type, with
+// initNode formats the buffer as an empty node of the given kind, with
 // an empty page prefix and a one-byte value width.
-func initNode(data []byte, typ uint16) node {
-	for i := range data {
-		data[i] = 0
-	}
+func initNode(data []byte, typ storage.PageKind) node {
+	clear(data)
+	storage.SetKind(data, typ)
 	n := node{data: data}
-	n.setType(typ)
 	n.setWidth(1)
 	n.setNKeys(0)
 	n.setDirEnd(nodeHeaderSize)
@@ -132,9 +129,8 @@ func initNode(data []byte, typ uint16) node {
 	return n
 }
 
-func (n node) typ() uint16      { return uint16(n.data[offType]) }
-func (n node) setType(t uint16) { n.data[offType] = byte(t) }
-func (n node) isLeaf() bool     { return n.typ() == nodeLeaf }
+func (n node) typ() storage.PageKind { return storage.KindOf(n.data) }
+func (n node) isLeaf() bool          { return n.typ() == nodeLeaf }
 
 // width is the bytes every cell's value takes on this page.
 func (n node) width() int     { return int(n.data[offWidth]) }
@@ -212,9 +208,6 @@ func (n node) setVersion(v uint32) {
 
 // footer returns the page's footer magic.
 func (n node) footer() uint32 { return binary.LittleEndian.Uint32(n.data[n.pageEnd():]) }
-
-// footerOK verifies the footer magic survived.
-func (n node) footerOK() bool { return n.footer() == footerMagic }
 
 // freeSpace returns the bytes between the directory and the key cells —
 // the cache region's current extent.

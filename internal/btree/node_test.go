@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/storage"
 	"repro/internal/tuple"
 )
 
@@ -52,7 +53,7 @@ func fuzzKey(t *testing.T, a, b byte) []byte {
 // nodeHarness is one node page and its model.
 type nodeHarness struct {
 	t     *testing.T
-	typ   uint16
+	typ   storage.PageKind
 	n     node
 	m     nodeModel
 	stage EntryBlock
@@ -63,11 +64,11 @@ type nodeHarness struct {
 func (h *nodeHarness) check(step int) {
 	t, n, m := h.t, h.n, &h.m
 	t.Helper()
-	if !n.footerOK() {
+	if n.footer() != footerMagic {
 		t.Fatalf("step %d: footer destroyed", step)
 	}
 	if n.typ() != h.typ {
-		t.Fatalf("step %d: type %d, want %d", step, n.typ(), h.typ)
+		t.Fatalf("step %d: kind %v, want %v", step, n.typ(), h.typ)
 	}
 	if n.nKeys() != len(m.keys) {
 		t.Fatalf("step %d: %d keys, model has %d", step, n.nKeys(), len(m.keys))

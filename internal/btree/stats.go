@@ -137,7 +137,7 @@ func (t *Tree) checkNode(id storage.PageID, lower, upper []byte) error {
 		fr.Latch.RUnlock()
 		t.pool.Unpin(fr, false)
 	}()
-	if !n.footerOK() {
+	if n.footer() != footerMagic {
 		return fmt.Errorf("btree: %v footer magic destroyed", id)
 	}
 	cellsEnd := n.pageEnd() - n.prefixLen()

@@ -89,22 +89,22 @@ func New(pool *buffer.Pool) (*Tree, error) {
 }
 
 // Open re-attaches to an existing tree given its root (for reopening
-// file-backed trees). It reads the root page first: a page written in
-// another index page format (footerMagic) fails the open instead of
-// being misread. The separator-length bound for the safe-node rule is
-// unknown for a reopened tree, so it starts at the maximum key length —
-// maximally conservative (more pessimistic holds), never incorrect.
+// file-backed trees). It reads the root page first: a root that is no
+// index page fails the open instead of being misread. The
+// separator-length bound for the safe-node rule is unknown for a
+// reopened tree, so it starts at the maximum key length — maximally
+// conservative (more pessimistic holds), never incorrect.
 func Open(pool *buffer.Pool, root storage.PageID, height int, numKeys int64) (*Tree, error) {
 	fr, err := pool.Fetch(root)
 	if err != nil {
 		return nil, fmt.Errorf("btree: reading root %v: %w", root, err)
 	}
 	fr.Latch.RLock()
-	magic := asNode(fr.Data()).footer()
+	kind := asNode(fr.Data()).typ()
 	fr.Latch.RUnlock()
 	pool.Unpin(fr, false)
-	if magic != footerMagic {
-		return nil, fmt.Errorf("btree: root %v is not an index page of this format (footer %#x, want %#x): written by another version", root, magic, footerMagic)
+	if kind != nodeLeaf && kind != nodeInternal {
+		return nil, fmt.Errorf("btree: root %v is not an index page: its kind is %v", root, kind)
 	}
 	t := &Tree{pool: pool, root: root}
 	t.height.Store(int64(height))

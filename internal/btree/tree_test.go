@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/buffer"
@@ -389,4 +390,32 @@ func TestStablePointWithinFreeRegion(t *testing.T) {
 			t.Errorf("stable point %d outside plausible range [%d,%d]", s, lo, hi)
 		}
 	})
+}
+
+// TestOpenChecksRootKind: Open reads the root's kind, byte 0, and
+// refuses a page that is not an index leaf or internal node.
+func TestOpenChecksRootKind(t *testing.T) {
+	tr := newTestTree(t, 512, 64)
+	for i := 0; i < 200; i++ {
+		if _, err := tr.Insert(intKey(i), uint64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := Open(tr.pool, tr.Root(), tr.Height(), tr.Len()); err != nil {
+		t.Fatalf("Open of an internal root: %v", err)
+	}
+	for _, kind := range []storage.PageKind{storage.KindUnformatted, storage.KindHeap} {
+		fr, err := tr.pool.NewPage()
+		if err != nil {
+			t.Fatal(err)
+		}
+		storage.SetKind(fr.Data(), kind)
+		id := fr.ID()
+		tr.pool.Unpin(fr, true)
+		_, err = Open(tr.pool, id, 1, 0)
+		want := fmt.Sprintf("root %v is not an index page: its kind is %v", id, kind)
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("Open of a %v page: %v; want an error containing %q", kind, err, want)
+		}
+	}
 }

@@ -262,6 +262,9 @@ func (e *Engine) recover() error {
 	// the no-steal policy guarantees the main file still holds exactly
 	// the previous checkpoint's images.
 	if m, pages, ok := readDW(e.dwPath, e.disk.PageSize()); ok {
+		if err := m.check(e.dwPath); err != nil {
+			return err
+		}
 		var maxID uint64
 		for _, p := range pages {
 			if uint64(p.id) >= maxID {
@@ -306,7 +309,7 @@ func (e *Engine) recover() error {
 			return err
 		}
 		for i := range m.Tables {
-			if err := e.rebuildTable(&m.Tables[i], m.Version); err != nil {
+			if err := e.rebuildTable(&m.Tables[i]); err != nil {
 				return err
 			}
 		}
@@ -644,7 +647,7 @@ func (t *Table) redoMoved(from, to storage.RID, rec []byte) error {
 // restart cold with their CSN seeded past the checkpoint's, so any
 // cache payload persisted in a leaf before the crash can never be
 // served against a fresh predicate log.
-func (e *Engine) rebuildTable(mt *manifestTable, version int) error {
+func (e *Engine) rebuildTable(mt *manifestTable) error {
 	pages := make([]storage.PageID, len(mt.HeapPages))
 	for i, id := range mt.HeapPages {
 		pages[i] = storage.PageID(id)
@@ -655,7 +658,7 @@ func (e *Engine) rebuildTable(mt *manifestTable, version int) error {
 	}
 	t.rows.Store(mt.Rows)
 	if mt.Layout != nil {
-		if err := t.adoptSpec(mt.Layout, manifestSlots[version]); err != nil {
+		if err := t.adoptSpec(mt.Layout, tuple.RuleSlots); err != nil {
 			return fmt.Errorf("core: manifest table %q: %w", mt.Name, err)
 		}
 	}

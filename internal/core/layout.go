@@ -84,9 +84,9 @@ func (t *Table) adopt(ops []stagedOp) error {
 }
 
 // adoptSpec adopts the layout a manifest or an adoption record names.
-// slots is what string slots its source may name: a version-2 manifest
-// and a recAdoptLayout record none, a version-3 manifest and a
-// recAdoptStrings record digit slots only.
+// slots is what string slots its source may name: a recAdoptLayout
+// record none, a recAdoptStrings record digit slots only, a manifest or
+// a recAdoptRules record any.
 func (t *Table) adoptSpec(spec []tuple.FieldPacking, slots tuple.StringSlots) error {
 	l, err := tuple.NewLayout(t.schema, spec)
 	if err != nil {

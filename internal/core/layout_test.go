@@ -129,7 +129,7 @@ func TestReopenPackedLayoutFromWAL(t *testing.T) {
 }
 
 // TestReopenPackedLayoutFromManifest: after a checkpoint the layout is a
-// field of the table's manifest entry (manifest version 4), and the
+// field of the table's manifest entry (manifest version 5), and the
 // reopened table decodes every row with it. A version-1 manifest is
 // refused.
 func TestReopenPackedLayoutFromManifest(t *testing.T) {
@@ -147,8 +147,8 @@ func TestReopenPackedLayoutFromManifest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Version != 4 || len(m.Tables) != 1 || !reflect.DeepEqual(m.Tables[0].Layout, spec) {
-		t.Fatalf("manifest version %d, tables %+v: want version 4 with layout %v", m.Version, m.Tables, spec)
+	if m.Version != 5 || len(m.Tables) != 1 || !reflect.DeepEqual(m.Tables[0].Layout, spec) {
+		t.Fatalf("manifest version %d, tables %+v: want version 5 with layout %v", m.Version, m.Tables, spec)
 	}
 	if err := e.Close(); err != nil {
 		t.Fatal(err)

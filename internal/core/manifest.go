@@ -19,21 +19,13 @@ import (
 // pages live. It is rewritten atomically (tmp + rename) at every
 // checkpoint and describes the on-disk state as of CheckpointLSN —
 // recovery rebuilds the catalog from it and replays the WAL suffix on
-// top. Version 2 records each table's packed record layout, version 3
-// lets that layout hold digit slots on VARCHARs, and version 4 any string
-// slot. A version-2 or -3 file still opens, and is refused if its layout
-// has slots its version does not; a version-1 file, written before
-// records named their layout, is refused like any other version. A
-// binary that reads only older versions refuses a newer one, so it never
-// misreads a string slot.
+// top. Its version is the file's only format version (pages name their
+// kind, not a version). Version 5 moved the heap page header, so any
+// other version is refused, naming it, before any page is read.
 const (
 	manifestMagic   = "nblb-manifest"
-	manifestVersion = 4
+	manifestVersion = 5
 )
-
-// manifestSlots is what string slots a manifest of each version read may
-// name.
-var manifestSlots = map[int]tuple.StringSlots{2: tuple.NoStringSlots, 3: tuple.DigitSlots, 4: tuple.RuleSlots}
 
 type manifest struct {
 	Magic         string `json:"magic"`
@@ -53,8 +45,7 @@ type manifestTable struct {
 	Rows      int64    `json:"rows"`
 	HeapPages []uint64 `json:"heap_pages"`
 	// Layout is the packed record layout the table adopted (absent: none
-	// yet, every record is in the declared layout); string slots only as
-	// manifestSlots allows them.
+	// yet, every record is in the declared layout).
 	Layout  []tuple.FieldPacking `json:"layout,omitempty"`
 	Indexes []manifestIndex      `json:"indexes,omitempty"`
 	// Versions are the table's MVCC metas still live at checkpoint time
@@ -137,13 +128,22 @@ func loadManifest(path string) (*manifest, error) {
 	if err := json.Unmarshal(data, &m); err != nil {
 		return nil, fmt.Errorf("core: parse manifest %s: %w", path, err)
 	}
-	if m.Magic != manifestMagic {
-		return nil, fmt.Errorf("core: %s is not a manifest (magic %q)", path, m.Magic)
-	}
-	if _, ok := manifestSlots[m.Version]; !ok {
-		return nil, fmt.Errorf("core: manifest %s has unsupported version %d", path, m.Version)
+	if err := m.check(path); err != nil {
+		return nil, err
 	}
 	return &m, nil
+}
+
+// check refuses a manifest this binary cannot open: another file's, or
+// another format version's.
+func (m *manifest) check(path string) error {
+	if m.Magic != manifestMagic {
+		return fmt.Errorf("core: %s is not a manifest (magic %q)", path, m.Magic)
+	}
+	if m.Version != manifestVersion {
+		return fmt.Errorf("core: manifest %s is format version %d; this binary opens version %d only", path, m.Version, manifestVersion)
+	}
+	return nil
 }
 
 func syncDirBestEffort(dir string) error {

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/tuple"
@@ -322,7 +323,7 @@ func TestReopenStringSlotsFromWAL(t *testing.T) {
 
 // TestReopenStringSlotsFromManifest: after a checkpoint the layout, its
 // string slots' prefixes, digit counts, rules and dictionaries included,
-// is the table's manifest entry, at manifest version 4, and the reopened
+// is the table's manifest entry, at manifest version 5, and the reopened
 // table reads every row with it.
 func TestReopenStringSlotsFromManifest(t *testing.T) {
 	for _, st := range slotTables {
@@ -340,8 +341,8 @@ func TestReopenStringSlotsFromManifest(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if m.Version != 4 || len(m.Tables) != 1 || !reflect.DeepEqual(m.Tables[0].Layout, spec) {
-			t.Fatalf("manifest version %d, tables %+v: want version 4 with layout %v", m.Version, m.Tables, spec)
+		if m.Version != 5 || len(m.Tables) != 1 || !reflect.DeepEqual(m.Tables[0].Layout, spec) {
+			t.Fatalf("manifest version %d, tables %+v: want version 5 with layout %v", m.Version, m.Tables, spec)
 		}
 		if err := e.Close(); err != nil {
 			t.Fatal(err)
@@ -370,35 +371,27 @@ func version2KnowsRecord(typ uint8) bool     { return typ >= recBatch && typ <= 
 
 // TestStringSlotFilesRefusedByVersion2: files holding string slots fail
 // a version-2 binary's checks instead of being misread — their manifest
-// is version 3 and their adoption record a type that binary does not
-// know — while a table without string slots still logs the record it
-// replays. This binary still opens a version-2 manifest, and refuses one
-// that names string slots.
+// is a later version and their adoption record a type that binary does
+// not know — while a table without string slots still logs the record
+// it replays. This binary refuses a version-2 manifest.
 func TestStringSlotFilesRefusedByVersion2(t *testing.T) {
-	open := func(dir string, slots bool) *Engine {
-		t.Helper()
-		e, err := NewEngine(noCheckpointOptions(dir))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if slots {
-			loadSlots(t, e)
-		}
-		ints, err := e.CreateTable("ints", wideSchema())
-		if err != nil {
-			t.Fatal(err)
-		}
-		var b Batch
-		for i := int64(0); i < layoutSample; i++ {
-			b.Insert(wideRow(i, i%5))
-		}
-		if _, err := ints.Apply(&b); err != nil || ints.Schema().Packed() == nil {
-			t.Fatalf("ints adopted %v (%v)", ints.Schema().Packed(), err)
-		}
-		return e
+	dir := t.TempDir()
+	e, err := NewEngine(noCheckpointOptions(dir))
+	if err != nil {
+		t.Fatal(err)
 	}
-	dir, plain := t.TempDir(), t.TempDir()
-	e := open(dir, true)
+	loadSlots(t, e)
+	ints, err := e.CreateTable("ints", wideSchema())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b Batch
+	for i := int64(0); i < layoutSample; i++ {
+		b.Insert(wideRow(i, i%5))
+	}
+	if _, err := ints.Apply(&b); err != nil || ints.Schema().Packed() == nil {
+		t.Fatalf("ints adopted %v (%v)", ints.Schema().Packed(), err)
+	}
 	types := walTypes(t, filepath.Join(dir, "db.wal"))
 	if types[recAdoptStrings] != 1 || types[recAdoptLayout] != 1 {
 		t.Fatalf("log record types %v: want one adoption of each type", types)
@@ -408,28 +401,19 @@ func TestStringSlotFilesRefusedByVersion2(t *testing.T) {
 			t.Fatalf("a version-2 binary knows record type %d: %v, want %v", typ, !want, want)
 		}
 	}
-	for _, e := range []*Engine{e, open(plain, false)} {
-		if err := e.Close(); err != nil { // Close checkpoints
-			t.Fatal(err)
-		}
+	if err := e.Close(); err != nil { // Close checkpoints
+		t.Fatal(err)
 	}
 	path := filepath.Join(dir, "db.manifest")
 	if m, err := loadManifest(path); err != nil || version2OpensManifest(m) {
 		t.Fatalf("a version-2 binary opens the manifest: version %d (%v)", m.Version, err)
 	}
 	setManifestVersion(t, path, 2)
-	if e, err := NewEngine(noCheckpointOptions(dir)); err == nil {
-		e.Close()
-		t.Fatal("a version-2 manifest naming string slots was accepted")
-	}
-	setManifestVersion(t, filepath.Join(plain, "db.manifest"), 2)
-	e, err := NewEngine(noCheckpointOptions(plain))
-	if err != nil {
-		t.Fatalf("a version-2 manifest without string slots: %v", err)
-	}
-	defer e.Close()
-	if tbl, err := e.Table("ints"); err != nil || tbl.Schema().Packed() == nil {
-		t.Fatalf("ints reopened from version 2: %v", err)
+	if e, err := NewEngine(noCheckpointOptions(dir)); err == nil || !strings.Contains(err.Error(), "format version 2") {
+		if err == nil {
+			e.Close()
+		}
+		t.Fatalf("a version-2 manifest: %v; want it refused, naming version 2", err)
 	}
 }
 
@@ -441,25 +425,17 @@ func version3KnowsRecord(typ uint8) bool     { return typ >= recBatch && typ <= 
 
 // TestRuleSlotFilesRefusedByVersion3: files holding a dictionary or a
 // timestamp slot fail the checks of a binary that knows only digit slots
-// — their manifest is version 4 and their adoption record a type that
-// binary does not know — while a table with digit slots still logs the
-// record it replays. This binary still opens a version-3 manifest, and
-// refuses one that names a dictionary or timestamp slot.
+// — their manifest is a later version and their adoption record a type
+// that binary does not know — while a table with digit slots still logs
+// the record it replays. This binary refuses a version-3 manifest.
 func TestRuleSlotFilesRefusedByVersion3(t *testing.T) {
-	open := func(dir string, rules bool) *Engine {
-		t.Helper()
-		e, err := NewEngine(noCheckpointOptions(dir))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rules {
-			loadRuleSlots(t, e)
-		}
-		loadSlots(t, e)
-		return e
+	dir := t.TempDir()
+	e, err := NewEngine(noCheckpointOptions(dir))
+	if err != nil {
+		t.Fatal(err)
 	}
-	dir, digits := t.TempDir(), t.TempDir()
-	e := open(dir, true)
+	loadRuleSlots(t, e)
+	loadSlots(t, e)
 	types := walTypes(t, filepath.Join(dir, "db.wal"))
 	if types[recAdoptRules] != 1 || types[recAdoptStrings] != 1 {
 		t.Fatalf("log record types %v: want one adoption of each slot type", types)
@@ -469,28 +445,19 @@ func TestRuleSlotFilesRefusedByVersion3(t *testing.T) {
 			t.Fatalf("a version-3 binary knows record type %d: %v, want %v", typ, !want, want)
 		}
 	}
-	for _, e := range []*Engine{e, open(digits, false)} {
-		if err := e.Close(); err != nil { // Close checkpoints
-			t.Fatal(err)
-		}
+	if err := e.Close(); err != nil { // Close checkpoints
+		t.Fatal(err)
 	}
 	path := filepath.Join(dir, "db.manifest")
 	if m, err := loadManifest(path); err != nil || version3OpensManifest(m) {
 		t.Fatalf("a version-3 binary opens the manifest: version %d (%v)", m.Version, err)
 	}
 	setManifestVersion(t, path, 3)
-	if e, err := NewEngine(noCheckpointOptions(dir)); err == nil {
-		e.Close()
-		t.Fatal("a version-3 manifest naming a dictionary or timestamp slot was accepted")
-	}
-	setManifestVersion(t, filepath.Join(digits, "db.manifest"), 3)
-	e, err := NewEngine(noCheckpointOptions(digits))
-	if err != nil {
-		t.Fatalf("a version-3 manifest with digit slots: %v", err)
-	}
-	defer e.Close()
-	if tbl, err := e.Table("slots"); err != nil || tbl.Schema().Packed().StringSlots() != tuple.DigitSlots {
-		t.Fatalf("slots reopened from version 3: %v", err)
+	if e, err := NewEngine(noCheckpointOptions(dir)); err == nil || !strings.Contains(err.Error(), "format version 3") {
+		if err == nil {
+			e.Close()
+		}
+		t.Fatalf("a version-3 manifest: %v; want it refused, naming version 3", err)
 	}
 }
 

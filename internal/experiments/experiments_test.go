@@ -368,13 +368,35 @@ func TestJoinCacheShapes(t *testing.T) {
 	if res.Saved() < 0.3 {
 		t.Errorf("only %.1f%% of dimension lookups eliminated", 100*res.Saved())
 	}
-	if res.DimLookupsCached >= res.DimLookupsBaseline {
+	if res.DimLookupsCached >= int64(cfg.Queries) {
 		t.Error("cached run did not reduce dimension lookups")
 	}
 	var buf bytes.Buffer
 	res.Print(&buf)
 	if !strings.Contains(buf.String(), "eliminated") {
 		t.Error("Print output missing summary")
+	}
+}
+
+// TestJoinCacheServesCurrentRows: in the update leg, page rows change
+// between rounds of joins and the cache is invalidated; every joined
+// payload served, in either leg, must equal the page row's current
+// page_latest and page_len.
+func TestJoinCacheServesCurrentRows(t *testing.T) {
+	cfg := DefaultJoinCacheConfig()
+	cfg.Pages, cfg.Queries = 200, 4000
+	res, err := RunJoinCache(cfg)
+	if err != nil {
+		t.Fatalf("RunJoinCache: %v", err)
+	}
+	if want := (joinRounds - 1) * 20; res.Updates != want {
+		t.Fatalf("%d page rows updated, want %d", res.Updates, want)
+	}
+	if res.UpdateHitRate < 0.1 {
+		t.Fatalf("update-leg hit rate %.2f: the cache served almost nothing", res.UpdateHitRate)
+	}
+	if res.Stale != 0 {
+		t.Fatalf("%d joined payloads served differ from the page row", res.Stale)
 	}
 }
 

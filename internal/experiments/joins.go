@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -23,6 +24,13 @@ type JoinCacheConfig struct {
 	Seed             int64
 }
 
+// The update leg splits the queries into joinRounds rounds; between two,
+// joinUpdateShare of the page rows get a new page_latest and page_len.
+const (
+	joinRounds      = 10
+	joinUpdateShare = 0.1
+)
+
 // DefaultJoinCacheConfig joins against 1000 articles.
 func DefaultJoinCacheConfig() JoinCacheConfig {
 	return JoinCacheConfig{Pages: 1000, RevisionsPerPage: 10, Queries: 30000, Seed: 1}
@@ -31,26 +39,37 @@ func DefaultJoinCacheConfig() JoinCacheConfig {
 // JoinCacheResult measures dimension-side work avoided.
 type JoinCacheResult struct {
 	Config JoinCacheConfig
-	// HitRate is the join-cache hit rate over the run.
+	// HitRate is the join-cache hit rate over the read-only leg.
 	HitRate float64
-	// DimLookupsBaseline / DimLookupsCached count page-table index
-	// lookups performed without and with the join cache.
-	DimLookupsBaseline int64
-	DimLookupsCached   int64
+	// DimLookupsCached counts the page-table index lookups the
+	// read-only leg made; without the cache, each query makes one.
+	DimLookupsCached int64
+	// UpdateHitRate is the hit rate of the update leg, which updates
+	// Updates page rows between its rounds and invalidates the cache.
+	UpdateHitRate float64
+	Updates       int
+	// Stale counts joined payloads served, in either leg, that differ
+	// from the page row's current values: a sound cache serves none.
+	Stale int64
 }
 
 // Saved returns the fraction of dimension lookups eliminated.
 func (r JoinCacheResult) Saved() float64 {
-	if r.DimLookupsBaseline == 0 {
-		return 0
-	}
-	return 1 - float64(r.DimLookupsCached)/float64(r.DimLookupsBaseline)
+	return 1 - float64(r.DimLookupsCached)/float64(max(1, r.Config.Queries))
+}
+
+// joinPayload is the joined payload: page_latest (8B) + page_len (4B).
+func joinPayload(latest, length tuple.Value) []byte {
+	payload := make([]byte, 12)
+	binary.LittleEndian.PutUint64(payload, uint64(latest.Int))
+	binary.LittleEndian.PutUint32(payload[8:], uint32(length.Int))
+	return payload
 }
 
 // RunJoinCache replays a zipfian join workload — "fetch revision X and
-// its page's title-length and latest pointer" — twice: once resolving
-// every join through the page table's index, once probing the revision
-// page's join cache first.
+// its page's title-length and latest pointer" — probing the revision
+// page's join cache first, then replays it again through a second cache
+// while page rows are updated between rounds of queries.
 func RunJoinCache(cfg JoinCacheConfig) (_ JoinCacheResult, err error) {
 	e, err := core.NewEngine(core.Options{PageSize: 4096, BufferPoolPages: 1 << 14})
 	if err != nil {
@@ -66,8 +85,13 @@ func RunJoinCache(cfg JoinCacheConfig) (_ JoinCacheResult, err error) {
 	if err != nil {
 		return JoinCacheResult{}, err
 	}
-	for i := 0; i < cfg.Pages; i++ {
-		if _, err := pageTable.Insert(gen.PageRow(i, int64(i))); err != nil {
+	// pageRows[fk-1] is page row fk as the table holds it now, at
+	// pageRIDs[fk-1].
+	pageRows := make([]tuple.Row, cfg.Pages)
+	pageRIDs := make([]storage.RID, cfg.Pages)
+	for i := range pageRows {
+		pageRows[i] = gen.PageRow(i, int64(i))
+		if pageRIDs[i], err = pageTable.Insert(pageRows[i]); err != nil {
 			return JoinCacheResult{}, err
 		}
 	}
@@ -75,6 +99,7 @@ func RunJoinCache(cfg JoinCacheConfig) (_ JoinCacheResult, err error) {
 	if err != nil {
 		return JoinCacheResult{}, err
 	}
+	latest, length := wiki.PageSchema().Index("page_latest"), wiki.PageSchema().Index("page_len")
 	// The revision heap keeps a 75% fill factor — reserved update
 	// headroom, the same slack the index cache exploits — which the
 	// join cache recycles.
@@ -93,12 +118,6 @@ func RunJoinCache(cfg JoinCacheConfig) (_ JoinCacheResult, err error) {
 		rids[i] = rid
 	}
 
-	// The joined payload: page_latest (8B) + page_len (4B).
-	jc, err := joincache.New(12, cfg.Seed)
-	if err != nil {
-		return JoinCacheResult{}, err
-	}
-
 	zipf := workload.NewZipf(workload.NewRand(cfg.Seed+9), len(revs), 0.8)
 	trace := make([]int, cfg.Queries)
 	for i := range trace {
@@ -107,48 +126,64 @@ func RunJoinCache(cfg JoinCacheConfig) (_ JoinCacheResult, err error) {
 
 	res := JoinCacheResult{Config: cfg}
 
-	// Baseline: every query resolves the join via the page-table index.
-	for _, ri := range trace {
-		fk := revs[ri].Row[1].Int // rev_page
-		_, lr, err := pageByID.Lookup([]string{"page_latest", "page_len"}, tuple.Int64(fk))
-		if err != nil || !lr.Found {
-			return JoinCacheResult{}, fmt.Errorf("experiments: baseline join lookup: %v", err)
-		}
-		res.DimLookupsBaseline++
-	}
-
-	// Cached: probe the revision page's free space first.
-	for _, ri := range trace {
-		rid := rids[ri]
-		fk := uint64(revs[ri].Row[1].Int)
-		hit := false
-		err := revTable.Heap().VisitPage(rid.Page, func(sp *storage.SlottedPage, excl bool) {
-			if !jc.Prepare(sp, excl) {
-				return
-			}
-			if payload, ok := jc.Lookup(sp, fk); ok {
-				// Decode the joined fields; they must be well-formed.
-				_ = binary.LittleEndian.Uint64(payload)
-				hit = true
-				return
-			}
-			// Miss: resolve through the dimension index and fill.
-			row, lr, lerr := pageByID.Lookup([]string{"page_latest", "page_len"}, tuple.Int64(int64(fk)))
-			if lerr != nil || !lr.Found {
-				return
-			}
-			res.DimLookupsCached++
-			payload := make([]byte, 12)
-			binary.LittleEndian.PutUint64(payload, uint64(row[0].Int))
-			binary.LittleEndian.PutUint32(payload[8:], uint32(row[1].Int))
-			jc.Insert(sp, excl, fk, payload)
-		})
+	// A leg replays the trace through a fresh cache, probing the revision
+	// page's free space first and checking every payload served against
+	// the page row. With updates, between two rounds a share of the page
+	// rows change and the cache is invalidated.
+	rng := workload.NewRand(cfg.Seed + 17)
+	per := max(1, len(trace)/joinRounds)
+	leg := func(share float64) (*joincache.Cache, error) {
+		jc, err := joincache.New(12, cfg.Seed)
 		if err != nil {
-			return JoinCacheResult{}, err
+			return nil, err
 		}
-		_ = hit
+		for at, ri := range trace {
+			if at > 0 && at%per == 0 && share > 0 {
+				for range int(share * float64(cfg.Pages)) {
+					i := rng.Intn(cfg.Pages)
+					row := gen.PageRow(i, pageRows[i][latest].Int+int64(len(revs))) // a new page_len too
+					if pageRIDs[i], err = pageTable.Update(pageRIDs[i], row); err != nil {
+						return nil, err
+					}
+					pageRows[i] = row
+					res.Updates++
+				}
+				jc.Invalidate()
+			}
+			rid, fk := rids[ri], uint64(revs[ri].Row[1].Int)
+			err := revTable.Heap().VisitPage(rid.Page, func(sp *storage.SlottedPage, excl bool) {
+				if !jc.Prepare(sp, rid.Page, excl) {
+					return
+				}
+				if payload, ok := jc.Lookup(sp, fk); ok {
+					if row := pageRows[fk-1]; !bytes.Equal(payload, joinPayload(row[latest], row[length])) {
+						res.Stale++
+					}
+					return
+				}
+				// Miss: resolve through the dimension index and fill.
+				row, lr, lerr := pageByID.Lookup([]string{"page_latest", "page_len"}, tuple.Int64(int64(fk)))
+				if lerr == nil && lr.Found {
+					jc.Insert(sp, excl, fk, joinPayload(row[0], row[1]))
+				}
+			})
+			if err != nil {
+				return nil, err
+			}
+		}
+		return jc, nil
 	}
-	res.HitRate = jc.Stats().HitRate()
+	ro, err := leg(0)
+	if err != nil {
+		return JoinCacheResult{}, err
+	}
+	// Every miss resolved the join through the dimension index.
+	res.HitRate, res.DimLookupsCached = ro.HitRate(), ro.Misses.Load()
+	upd, err := leg(joinUpdateShare)
+	if err != nil {
+		return JoinCacheResult{}, err
+	}
+	res.UpdateHitRate = upd.HitRate()
 	return res, nil
 }
 
@@ -159,5 +194,8 @@ func (r JoinCacheResult) Print(w io.Writer) {
 		r.Config.Queries, r.Config.Pages*r.Config.RevisionsPerPage)
 	fmt.Fprintf(w, "join-cache hit rate:          %.1f%%\n", 100*r.HitRate)
 	fmt.Fprintf(w, "dimension index lookups:      %d → %d (%.1f%% eliminated)\n",
-		r.DimLookupsBaseline, r.DimLookupsCached, 100*r.Saved())
+		r.Config.Queries, r.DimLookupsCached, 100*r.Saved())
+	fmt.Fprintf(w, "with updates (%d rounds, %d page rows updated): hit rate %.1f%%\n",
+		joinRounds, r.Updates, 100*r.UpdateHitRate)
+	fmt.Fprintf(w, "stale joined rows served:     %d\n", r.Stale)
 }

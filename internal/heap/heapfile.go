@@ -24,9 +24,6 @@ import (
 	"repro/internal/storage"
 )
 
-// pageFlagHeap tags heap pages in the slotted-page flags word.
-const pageFlagHeap uint16 = 0x48 // 'H'
-
 // slotOverhead pads an insert's space requirement when picking a page:
 // a possible new slot-directory entry plus slack, so the advisory map
 // rarely sends an insert to a page that then refuses it.
@@ -210,7 +207,6 @@ func (f *File) addPageLocked() (storage.PageID, error) {
 	}
 	sp := storage.AsSlotted(fr.Data())
 	sp.Init()
-	sp.SetFlags(pageFlagHeap)
 	id := fr.ID()
 	free := f.advisoryFree(sp)
 	f.pool.Unpin(fr, true)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/buffer"
@@ -303,5 +304,41 @@ func TestHeapFuzzAgainstModel(t *testing.T) {
 	st, _ := f.Stats()
 	if st.LiveRecords != len(model) {
 		t.Errorf("LiveRecords=%d model=%d", st.LiveRecords, len(model))
+	}
+}
+
+// TestRedoAdoptChecksKind: redo adopts a page the log names but the file
+// does not own. An unformatted page becomes a heap page; a page of any
+// other kind is refused, naming the page and its kind.
+func TestRedoAdoptChecksKind(t *testing.T) {
+	f := newTestFile(t)
+	newPage := func(kind storage.PageKind) storage.PageID {
+		fr, err := f.pool.NewPage()
+		if err != nil {
+			t.Fatal(err)
+		}
+		storage.SetKind(fr.Data(), kind)
+		id := fr.ID()
+		f.pool.Unpin(fr, true)
+		return id
+	}
+	fresh := newPage(storage.KindUnformatted)
+	if err := f.RedoInsert(storage.RID{Page: fresh, Slot: 0}, []byte("row")); err != nil {
+		t.Fatalf("redo onto an unformatted page: %v", err)
+	}
+	if got, err := f.Get(storage.RID{Page: fresh, Slot: 0}); err != nil || string(got) != "row" {
+		t.Fatalf("adopted page reads %q (%v)", got, err)
+	}
+	leaf := newPage(storage.KindIndexLeaf)
+	err := f.RedoPut(storage.RID{Page: leaf, Slot: 0}, []byte("row"))
+	if err == nil {
+		t.Fatal("redo adopted an index leaf as a heap page")
+	}
+	want := fmt.Sprintf("cannot adopt page %v: its kind is index leaf", leaf)
+	if !strings.Contains(err.Error(), want) {
+		t.Fatalf("adopt failed with %q; want it to contain %q", err, want)
+	}
+	if f.owns(leaf) {
+		t.Fatal("the refused page joined the file")
 	}
 }

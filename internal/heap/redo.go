@@ -40,15 +40,6 @@ func Open(pool *buffer.Pool, pages []storage.PageID, opts ...Option) (*File, err
 	return f, nil
 }
 
-// adoptPage registers a page the file does not yet own — the redo path
-// hits this when the log references a page allocated after the last
-// checkpoint.
-func (f *File) adoptPage(id storage.PageID) error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.adoptLocked(id)
-}
-
 // owns reports whether id is one of the file's pages.
 func (f *File) owns(id storage.PageID) bool {
 	f.mu.Lock()
@@ -58,9 +49,9 @@ func (f *File) owns(id storage.PageID) bool {
 }
 
 // adoptLocked makes id the file's tail unless the file already owns it.
-// A virgin (all-zero) page is formatted as an empty heap page; a page
-// carrying non-heap flags is an error (the redo stream disagrees with
-// the disk about page ownership). Caller holds f.mu.
+// An unformatted (all-zero) page is formatted as an empty heap page; a
+// page of another kind is an error (the redo stream disagrees with the
+// disk about page ownership). Caller holds f.mu.
 func (f *File) adoptLocked(id storage.PageID) error {
 	if _, known := f.fsm.free[id]; known {
 		return nil
@@ -71,18 +62,14 @@ func (f *File) adoptLocked(id storage.PageID) error {
 	}
 	fr.Latch.Lock()
 	sp := storage.AsSlotted(fr.Data())
-	dirty := false
-	switch sp.Flags() {
-	case pageFlagHeap:
-	case 0:
+	kind := storage.KindOf(sp.Data())
+	dirty := kind == storage.KindUnformatted
+	if dirty {
 		sp.Init()
-		sp.SetFlags(pageFlagHeap)
-		dirty = true
-	default:
-		flags := sp.Flags()
+	} else if kind != storage.KindHeap {
 		fr.Latch.Unlock()
 		f.pool.Unpin(fr, false)
-		return fmt.Errorf("heap: cannot adopt page %v: flags %#x are not a heap page's", id, flags)
+		return fmt.Errorf("heap: cannot adopt page %v: its kind is %v, not heap", id, kind)
 	}
 	free := f.advisoryFree(sp)
 	fr.Latch.Unlock()
@@ -145,7 +132,11 @@ func (f *File) redoPut(rid storage.RID, rec []byte, insert bool) error {
 // putAt puts rec at rid unless the slot holds another record and
 // insert is set, or the page has no room. kill empties the slot first.
 func (f *File) putAt(rid storage.RID, rec []byte, insert, kill bool) (placed bool, err error) {
-	if err := f.adoptPage(rid.Page); err != nil {
+	// The log may name a page allocated after the last checkpoint.
+	f.mu.Lock()
+	err = f.adoptLocked(rid.Page)
+	f.mu.Unlock()
+	if err != nil {
 		return false, err
 	}
 	fr, err := f.pool.Fetch(rid.Page)

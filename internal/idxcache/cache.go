@@ -304,25 +304,32 @@ func (c *Cache) Insert(l *btree.Leaf, rid uint64, payload []byte) bool {
 		return false
 	}
 	data := l.Data()
-	// One sequential pass: refresh in place if the rid is already
-	// cached, and reservoir-sample a random free slot along the way.
-	freeOff, freeSeen := -1, 0
+	// One sequential pass refreshes in place if the rid is already
+	// cached, and counts the free slots; one draw then picks the free
+	// slot, a second walk finds it.
+	free := 0
 	for off := o.first; off+e <= hi; off += e {
-		v := loadTag(data, off, tag)
-		if v == rid {
+		switch loadTag(data, off, tag) {
+		case rid:
 			copy(data[off+tag:], payload)
 			c.inserts.Add(1)
 			return true
-		}
-		if v == 0 {
-			freeSeen++
-			if c.randIntn(freeSeen) == 0 {
-				freeOff = off
-			}
+		case 0:
+			free++
 		}
 	}
-	off := freeOff
-	if off < 0 {
+	var off int
+	if free > 0 {
+		r := c.randIntn(free)
+		for off = o.first; ; off += e {
+			if loadTag(data, off, tag) == 0 {
+				if r == 0 {
+					break
+				}
+				r--
+			}
+		}
+	} else {
 		// No free slot: evict a random item from the most peripheral
 		// bucket.
 		last := (o.n - 1) / c.bucketN * c.bucketN

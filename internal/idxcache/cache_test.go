@@ -203,6 +203,59 @@ func TestCacheEvictionPeripheralBucket(t *testing.T) {
 	}
 }
 
+// TestCacheInsertPlacementUniformAndSeeded: an insert into a page with
+// free slots lands on one of them, each about equally often across
+// seeds, and a seed always picks the same one.
+func TestCacheInsertPlacementUniformAndSeeded(t *testing.T) {
+	tr := newCacheTree(t, 1024)
+	tr.Insert(k64(0), 1)
+	tr.VisitLeaf(k64(0), func(l *btree.Leaf) {
+		fill := mustCache(t, Config{PayloadSize: 24, Seed: 1})
+		fill.Prepare(l)
+		slots, e := fill.SlotsIn(l)
+		for rid := uint64(1); rid <= uint64(slots/3); rid++ {
+			fill.Insert(l, rid, pay(fill, 1))
+		}
+		taken := map[int]bool{}
+		for rid := uint64(1); rid <= uint64(slots/3); rid++ {
+			taken[slotOf(l, rid)] = true
+		}
+		free := slots - len(taken)
+		// place inserts rid 200 (a one-byte tag, like the leaf's) with a cache of the given seed, returns
+		// its slot and frees it again.
+		place := func(seed int64) int {
+			c := mustCache(t, Config{PayloadSize: 24, Seed: seed})
+			c.Prepare(l)
+			if !c.Insert(l, 200, pay(c, 2)) {
+				t.Fatal("insert failed")
+			}
+			off := slotOf(l, 200)
+			clear(l.Data()[off : off+e])
+			return off
+		}
+		const perSlot = 200
+		counts := map[int]int{}
+		for seed := int64(0); seed < int64(perSlot*free); seed++ {
+			off := place(seed)
+			if taken[off] {
+				t.Fatalf("seed %d placed over an occupied slot", seed)
+			}
+			counts[off]++
+			if again := place(seed); again != off {
+				t.Fatalf("seed %d placed at %d, then at %d", seed, off, again)
+			}
+		}
+		if len(counts) != free {
+			t.Fatalf("inserts used %d of %d free slots", len(counts), free)
+		}
+		for off, n := range counts {
+			if n < perSlot/2 || n > perSlot*3/2 {
+				t.Errorf("slot at %d chosen %d times, want about %d", off, n, perSlot)
+			}
+		}
+	})
+}
+
 func TestCacheCSNInvalidation(t *testing.T) {
 	tr := newCacheTree(t, 1024)
 	c := mustCache(t, Config{PayloadSize: 8, Seed: 4})

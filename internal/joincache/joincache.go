@@ -1,21 +1,20 @@
 // Package joincache implements the Section 2.2 extension sketched in
 // the paper: "data pages can cache the results of foreign key joins, to
-// avoid additional disk accesses for join queries."
+// avoid additional disk accesses for join queries." A heap page's free
+// space (between its slot directory and record data) caches
+// referenced-table rows keyed by the foreign-key value, so a query that
+// fetched a fact row's page anyway resolves the join there.
 //
-// The free space of a *heap* page (between its slot directory and
-// record data) is recycled as a cache of referenced-table rows, keyed
-// by the foreign-key value. A query that fetched a fact row's page
-// anyway can then resolve the join without touching the dimension
-// table's index or heap.
-//
-// The slot machinery mirrors the index cache: entries live at absolute
-// offsets aligned to the entry size, so they survive the region
-// shrinking as records are inserted; writes are volatile (never dirty
-// the page); validity hangs on a cache sequence number stored in the
-// slotted page's reserved header word (CSNp = CSNjc), so a fresh page's
-// region is zeroed before its first use. The paper sketches no
-// invalidation protocol for this direction, and nothing here updates a
-// referenced table, so CSNjc is a constant.
+// As in the index cache, entries sit at absolute offsets aligned to the
+// entry size, so they survive the region shrinking as records are
+// inserted, and writes are volatile (never dirty the page). The page
+// carries no CSN: the Cache keeps each page's CSNp by page id, and a
+// page whose CSNp is not the current CSNjc — never prepared, or
+// prepared before the last Invalidate, which an update to the
+// referenced table calls — has its region zeroed on its next exclusive
+// Prepare. Zeroing is volatile too, so a page evicted clean after it
+// and read back holds the entries of its last write-back: the Cache is
+// sound while the pages it visits stay resident, as in -exp joincache.
 package joincache
 
 import (
@@ -33,38 +32,22 @@ import (
 // therefore not cacheable and simply misses).
 const keyBytes = 8
 
-// Stats counts join-cache activity.
-type Stats struct {
-	Lookups           int64
-	Hits              int64
-	Misses            int64
-	Inserts           int64
-	Evictions         int64
-	PageInvalidations int64
-	SkippedNoLatch    int64
-}
-
-// HitRate returns Hits/Lookups.
-func (s Stats) HitRate() float64 {
-	if s.Lookups == 0 {
-		return 0
-	}
-	return float64(s.Hits) / float64(s.Lookups)
-}
-
 // Cache manages join-result caching across the heap pages of one fact
 // table, for one (referenced table, payload projection) pair.
 type Cache struct {
 	payloadSize int
 	entrySize   int
 
+	// csn is CSNjc. It starts at 1, so a page with no CSNp is stale.
+	csn     atomic.Uint64
+	pageCSN sync.Map // page id → CSNp, the CSNjc its region was zeroed at
+
 	mu  sync.Mutex
 	rng *rand.Rand
 
-	lookups, hits, misses atomic.Int64
-	inserts, evictions    atomic.Int64
-	pageInval             atomic.Int64
-	skipped               atomic.Int64
+	// The cache's activity, counted as it happens.
+	Lookups, Hits, Misses, Inserts, Evictions atomic.Int64
+	PageInvalidations, SkippedNoLatch         atomic.Int64
 }
 
 // New creates a join cache whose entries carry payloadSize bytes of
@@ -73,78 +56,68 @@ func New(payloadSize int, seed int64) (*Cache, error) {
 	if payloadSize <= 0 {
 		return nil, fmt.Errorf("joincache: payload size must be positive, got %d", payloadSize)
 	}
-	c := &Cache{
-		payloadSize: payloadSize,
-		entrySize:   keyBytes + payloadSize,
-		rng:         rand.New(rand.NewSource(seed)),
-	}
+	c := &Cache{payloadSize: payloadSize, entrySize: keyBytes + payloadSize, rng: rand.New(rand.NewSource(seed))}
+	c.csn.Store(1)
 	return c, nil
 }
 
-// Stats snapshots the counters.
-func (c *Cache) Stats() Stats {
-	return Stats{
-		Lookups:           c.lookups.Load(),
-		Hits:              c.hits.Load(),
-		Misses:            c.misses.Load(),
-		Inserts:           c.inserts.Load(),
-		Evictions:         c.evictions.Load(),
-		PageInvalidations: c.pageInval.Load(),
-		SkippedNoLatch:    c.skipped.Load(),
-	}
+// HitRate returns Hits/Lookups.
+func (c *Cache) HitRate() float64 {
+	return float64(c.Hits.Load()) / float64(max(1, c.Lookups.Load()))
 }
 
-// csn is CSNjc: fresh pages (reserved word 0) start invalid.
-const csn = 1
+// Invalidate makes every cached join result stale: it bumps CSNjc, so
+// each page's region is zeroed on its next exclusive Prepare. Call it
+// once an update to the referenced table is visible.
+func (c *Cache) Invalidate() { c.csn.Add(1) }
 
-// Prepare validates the page's cache region against CSNjc,
-// zeroing it when stale. Requires the exclusive latch for repairs;
-// returns false when the cache is unusable for this visit.
-func (c *Cache) Prepare(sp *storage.SlottedPage, exclusive bool) bool {
-	if sp.Reserved() == csn {
+// Prepare validates page id's cache region, whose slotted view is sp,
+// against CSNjc, zeroing it when stale. Requires the exclusive latch
+// for repairs; returns false when the cache is unusable for this visit.
+func (c *Cache) Prepare(sp *storage.SlottedPage, id storage.PageID, exclusive bool) bool {
+	csn := c.csn.Load()
+	if v, _ := c.pageCSN.Load(id); v == csn {
 		return true
 	}
 	if !exclusive {
-		c.skipped.Add(1)
+		c.SkippedNoLatch.Add(1)
 		return false
 	}
-	lo, hi := c.region(sp)
-	data := sp.Data()
-	for i := lo; i < hi; i++ {
-		data[i] = 0
-	}
-	sp.SetReserved(csn)
-	c.pageInval.Add(1)
+	lo, hi := sp.FreeBounds()
+	clear(sp.Data()[lo:hi])
+	c.pageCSN.Store(id, csn)
+	c.PageInvalidations.Add(1)
 	return true
 }
 
-// region returns the page's free-space bounds. The slotted page's
-// FreeSpace boundaries move with inserts exactly like the index page's.
-func (c *Cache) region(sp *storage.SlottedPage) (lo, hi int) {
-	return sp.FreeBounds()
+// slots returns the first whole slot's offset in the page's free region
+// (which moves with inserts, as an index page's does) and its end.
+func (c *Cache) slots(sp *storage.SlottedPage) (first, hi int) {
+	lo, hi := sp.FreeBounds()
+	e := c.entrySize
+	return (lo + e - 1) / e * e, hi
 }
 
 // Lookup scans the page's slots for the FK key.
 func (c *Cache) Lookup(sp *storage.SlottedPage, fk uint64) ([]byte, bool) {
-	c.lookups.Add(1)
+	c.Lookups.Add(1)
 	stored := fk + 1
 	if stored == 0 {
-		c.misses.Add(1)
+		c.Misses.Add(1)
 		return nil, false
 	}
-	lo, hi := c.region(sp)
+	first, hi := c.slots(sp)
 	e := c.entrySize
 	data := sp.Data()
-	first := (lo + e - 1) / e * e
 	for off := first; off+e <= hi; off += e {
 		if binary.LittleEndian.Uint64(data[off:]) != stored {
 			continue
 		}
 		payload := append([]byte(nil), data[off+keyBytes:off+e]...)
-		c.hits.Add(1)
+		c.Hits.Add(1)
 		return payload, true
 	}
-	c.misses.Add(1)
+	c.Misses.Add(1)
 	return nil, false
 }
 
@@ -152,7 +125,7 @@ func (c *Cache) Lookup(sp *storage.SlottedPage, fk uint64) ([]byte, bool) {
 // random occupied slot when full. Exclusive latch required.
 func (c *Cache) Insert(sp *storage.SlottedPage, exclusive bool, fk uint64, payload []byte) bool {
 	if !exclusive {
-		c.skipped.Add(1)
+		c.SkippedNoLatch.Add(1)
 		return false
 	}
 	if len(payload) != c.payloadSize {
@@ -162,40 +135,46 @@ func (c *Cache) Insert(sp *storage.SlottedPage, exclusive bool, fk uint64, paylo
 	if stored == 0 {
 		return false
 	}
-	lo, hi := c.region(sp)
+	first, hi := c.slots(sp)
 	e := c.entrySize
 	data := sp.Data()
-	first := (lo + e - 1) / e * e
 	if first+e > hi {
 		return false
 	}
-	freeOff, freeSeen := -1, 0
-	slotCount := 0
-	c.mu.Lock()
+	// One pass refreshes the entry in place if fk is cached and counts
+	// the free slots; one draw then picks the r-th free slot, or the
+	// r-th slot to evict when none is free.
+	free := 0
 	for off := first; off+e <= hi; off += e {
-		slotCount++
-		v := binary.LittleEndian.Uint64(data[off:])
-		if v == stored {
-			c.mu.Unlock()
+		switch binary.LittleEndian.Uint64(data[off:]) {
+		case stored:
 			copy(data[off+keyBytes:], payload)
-			c.inserts.Add(1)
+			c.Inserts.Add(1)
 			return true
-		}
-		if v == 0 {
-			freeSeen++
-			if c.rng.Intn(freeSeen) == 0 {
-				freeOff = off
-			}
+		case 0:
+			free++
 		}
 	}
-	off := freeOff
-	if off < 0 {
-		off = first + c.rng.Intn(slotCount)*e
-		c.evictions.Add(1)
+	n := free
+	if free == 0 {
+		n = (hi - first) / e
+		c.Evictions.Add(1)
 	}
+	c.mu.Lock()
+	r := c.rng.Intn(n)
 	c.mu.Unlock()
+	off := first + r*e
+	for o := first; free > 0; o += e {
+		if binary.LittleEndian.Uint64(data[o:]) == 0 {
+			if r == 0 {
+				off = o
+				break
+			}
+			r--
+		}
+	}
 	binary.LittleEndian.PutUint64(data[off:], stored)
 	copy(data[off+keyBytes:], payload)
-	c.inserts.Add(1)
+	c.Inserts.Add(1)
 	return true
 }

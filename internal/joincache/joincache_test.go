@@ -2,6 +2,7 @@ package joincache
 
 import (
 	"bytes"
+	"sync"
 	"testing"
 
 	"repro/internal/buffer"
@@ -48,7 +49,7 @@ func TestJoinCacheInsertLookup(t *testing.T) {
 		if !excl {
 			t.Fatal("uncontended visit should be exclusive")
 		}
-		if !c.Prepare(sp, excl) {
+		if !c.Prepare(sp, rid.Page, excl) {
 			t.Fatal("Prepare failed")
 		}
 		if !c.Insert(sp, excl, 42, pay(c, 0xAB)) {
@@ -65,9 +66,8 @@ func TestJoinCacheInsertLookup(t *testing.T) {
 	if err != nil {
 		t.Fatalf("VisitPage: %v", err)
 	}
-	st := c.Stats()
-	if st.Hits != 1 || st.Misses != 1 || st.Inserts != 1 {
-		t.Errorf("stats: %+v", st)
+	if c.Hits.Load() != 1 || c.Misses.Load() != 1 || c.Inserts.Load() != 1 {
+		t.Errorf("hits %d, misses %d, inserts %d; want 1 each", c.Hits.Load(), c.Misses.Load(), c.Inserts.Load())
 	}
 }
 
@@ -76,7 +76,7 @@ func TestJoinCacheSurvivesRecordInserts(t *testing.T) {
 	c, _ := New(8, 3)
 	rid, _ := f.Insert([]byte("first"))
 	f.VisitPage(rid.Page, func(sp *storage.SlottedPage, excl bool) {
-		c.Prepare(sp, excl)
+		c.Prepare(sp, rid.Page, excl)
 		for k := uint64(1); k <= 5; k++ {
 			c.Insert(sp, excl, k, pay(c, byte(k)))
 		}
@@ -100,7 +100,7 @@ func TestJoinCacheSurvivesRecordInserts(t *testing.T) {
 	}
 	survived := 0
 	f.VisitPage(rid.Page, func(sp *storage.SlottedPage, excl bool) {
-		if !c.Prepare(sp, excl) {
+		if !c.Prepare(sp, rid.Page, excl) {
 			return
 		}
 		for k := uint64(1); k <= 5; k++ {
@@ -131,7 +131,7 @@ func TestJoinCacheCompactionZeroesRegion(t *testing.T) {
 	}
 	page := rids[0].Page
 	f.VisitPage(page, func(sp *storage.SlottedPage, excl bool) {
-		c.Prepare(sp, excl) // stamps CSN: cache now "valid" on this page
+		c.Prepare(sp, page, excl) // records the page's CSN: its cache is now "valid"
 	})
 	for _, r := range rids[1:] {
 		if r.Page == page {
@@ -145,7 +145,7 @@ func TestJoinCacheCompactionZeroesRegion(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.VisitPage(page, func(sp *storage.SlottedPage, excl bool) {
-		if !c.Prepare(sp, excl) {
+		if !c.Prepare(sp, page, excl) {
 			t.Fatal("Prepare failed")
 		}
 		// 0xEEEEEEEE... interpreted as a key would be (0xEE...EE − 1);
@@ -163,7 +163,7 @@ func TestJoinCacheEvictionWhenFull(t *testing.T) {
 	c, _ := New(24, 5)
 	rid, _ := f.Insert([]byte("x"))
 	f.VisitPage(rid.Page, func(sp *storage.SlottedPage, excl bool) {
-		c.Prepare(sp, excl)
+		c.Prepare(sp, rid.Page, excl)
 		slots := c.SlotsIn(sp)
 		if slots < 2 {
 			t.Skipf("only %d slots", slots)
@@ -174,8 +174,8 @@ func TestJoinCacheEvictionWhenFull(t *testing.T) {
 			}
 		}
 	})
-	if c.Stats().Evictions != 5 {
-		t.Errorf("evictions = %d, want 5", c.Stats().Evictions)
+	if c.Evictions.Load() != 5 {
+		t.Errorf("evictions = %d, want 5", c.Evictions.Load())
 	}
 }
 
@@ -187,7 +187,7 @@ func TestJoinCacheValidation(t *testing.T) {
 	c, _ := New(8, 6)
 	rid, _ := f.Insert([]byte("x"))
 	f.VisitPage(rid.Page, func(sp *storage.SlottedPage, excl bool) {
-		c.Prepare(sp, excl)
+		c.Prepare(sp, rid.Page, excl)
 		if c.Insert(sp, excl, 1, []byte{1}) {
 			t.Error("wrong payload size accepted")
 		}
@@ -198,18 +198,90 @@ func TestJoinCacheValidation(t *testing.T) {
 			t.Error("reserved fk value accepted")
 		}
 	})
-	if c.Stats().SkippedNoLatch == 0 {
+	if c.SkippedNoLatch.Load() == 0 {
 		t.Error("skipped counter not incremented")
+	}
+}
+
+// TestJoinCacheInvalidate: Invalidate makes every page's entries stale.
+// A shared visit cannot repair a stale page, so it gets no cache; the
+// next exclusive Prepare zeroes the region, and the entry misses.
+func TestJoinCacheInvalidate(t *testing.T) {
+	f := newTestHeap(t)
+	c, _ := New(8, 7)
+	rid, _ := f.Insert([]byte("x"))
+	f.VisitPage(rid.Page, func(sp *storage.SlottedPage, excl bool) {
+		c.Prepare(sp, rid.Page, excl)
+		c.Insert(sp, excl, 42, pay(c, 1))
+		if !c.Prepare(sp, rid.Page, false) {
+			t.Fatal("a fresh page refused a shared visit")
+		}
+		c.Invalidate()
+		if c.Prepare(sp, rid.Page, false) {
+			t.Fatal("a stale page accepted a shared visit")
+		}
+		if _, ok := c.Lookup(sp, 42); !ok {
+			t.Fatal("the entry is gone before the page was repaired")
+		}
+		if !c.Prepare(sp, rid.Page, true) {
+			t.Fatal("exclusive Prepare refused")
+		}
+		if _, ok := c.Lookup(sp, 42); ok {
+			t.Fatal("an entry cached before Invalidate was served")
+		}
+	})
+	if got := c.PageInvalidations.Load(); got != 2 {
+		t.Fatalf("page invalidations = %d, want 2 (first use, then Invalidate)", got)
 	}
 }
 
 // SlotsIn returns the page's current join-cache capacity.
 func (c *Cache) SlotsIn(sp *storage.SlottedPage) int {
-	lo, hi := c.region(sp)
-	e := c.entrySize
-	first := (lo + e - 1) / e * e
-	if first+e > hi {
-		return 0
+	first, hi := c.slots(sp)
+	return max(0, (hi-first)/c.entrySize)
+}
+
+// TestJoinCacheConcurrentVisits: goroutines visit pages — exclusive
+// when the latch is free, shared otherwise — while another invalidates.
+// Every entry a lookup serves is the one inserted for its key.
+func TestJoinCacheConcurrentVisits(t *testing.T) {
+	f := newTestHeap(t)
+	c, _ := New(8, 8)
+	var pages []storage.PageID
+	for len(pages) < 4 {
+		rid, err := f.Insert(bytes.Repeat([]byte{'r'}, 300))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(pages) == 0 || pages[len(pages)-1] != rid.Page {
+			pages = append(pages, rid.Page)
+		}
 	}
-	return (hi - first) / e
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 2000; i++ {
+				page, fk := pages[(i+w)%len(pages)], uint64(i%16)
+				f.VisitPage(page, func(sp *storage.SlottedPage, excl bool) {
+					if !c.Prepare(sp, page, excl) {
+						return
+					}
+					if got, ok := c.Lookup(sp, fk); ok && !bytes.Equal(got, pay(c, byte(fk))) {
+						t.Errorf("fk %d served %v", fk, got)
+					} else if !ok {
+						c.Insert(sp, excl, fk, pay(c, byte(fk)))
+					}
+				})
+				if w == 0 && i%100 == 0 {
+					c.Invalidate()
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if c.Hits.Load() == 0 {
+		t.Fatal("no lookup hit")
+	}
 }

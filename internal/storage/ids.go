@@ -1,7 +1,7 @@
 // Package storage provides the on-disk building blocks: page
-// identifiers, record identifiers, disk managers (in-memory, file
-// backed, and an I/O-counting wrapper used by the simulations), and the
-// slotted-page layout heap and index pages are built on.
+// identifiers, record identifiers, page kinds, disk managers (in-memory,
+// file backed, and an I/O-counting wrapper used by the simulations), and
+// the slotted-page layout heap pages are built on.
 package storage
 
 import "fmt"
@@ -52,3 +52,32 @@ const DefaultPageSize = 8192
 // MinPageSize bounds how small a page a disk manager accepts; below
 // this the slotted header and a single slot don't fit.
 const MinPageSize = 128
+
+// PageKind is byte 0 of every page: which layout the rest of it has.
+// A page's kind is read and set here only, by the heap and the B+tree
+// alike; the file's format version is the manifest's, not the page's.
+type PageKind uint8
+
+const (
+	// KindUnformatted is an all-zero page: allocated, never formatted.
+	KindUnformatted PageKind = iota
+	KindIndexLeaf
+	KindIndexInternal
+	KindHeap
+)
+
+// KindOf returns the kind of the page whose bytes are page.
+func KindOf(page []byte) PageKind { return PageKind(page[0]) }
+
+// SetKind makes k the kind of the page whose bytes are page.
+func SetKind(page []byte, k PageKind) { page[0] = byte(k) }
+
+var kindNames = [...]string{"unformatted", "index leaf", "index internal", "heap"}
+
+// String names the kind for errors.
+func (k PageKind) String() string {
+	if int(k) < len(kindNames) {
+		return kindNames[k]
+	}
+	return fmt.Sprintf("unknown kind %d", uint8(k))
+}

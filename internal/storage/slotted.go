@@ -18,26 +18,24 @@ import (
 // offset and length; a dead (deleted) slot has offset 0, which can never
 // be a real record offset because the header occupies it.
 //
-// Header layout (12 bytes):
+// Header layout (8 bytes):
 //
-//	[0:2)  numSlots
-//	[2:4)  freeLower  (first byte past the slot directory)
-//	[4:6)  freeUpper  (first byte of the record data region)
-//	[6:8)  flags      (page type tag, set by higher layers)
-//	[8:12) reserved   (page LSN / CSN space for higher layers)
+//	[0:1)  page kind: KindHeap
+//	[1:2)  unused
+//	[2:4)  numSlots
+//	[4:6)  freeLower  (first byte past the slot directory)
+//	[6:8)  freeUpper  (first byte of the record data region)
 type SlottedPage struct {
 	data []byte
 }
 
 const (
-	slottedHeaderSize = 12
+	slottedHeaderSize = 8
 	slotSize          = 4
 
-	offNumSlots  = 0
-	offFreeLower = 2
-	offFreeUpper = 4
-	offFlags     = 6
-	offReserved  = 8
+	offNumSlots  = 2
+	offFreeLower = 4
+	offFreeUpper = 6
 )
 
 // deadSlotOffset marks a deleted slot.
@@ -54,47 +52,18 @@ var ErrDeleted = fmt.Errorf("storage: slot deleted")
 
 // AsSlotted interprets data (a full page buffer) as a slotted page. It
 // does not validate contents; call Init on fresh pages first.
-func AsSlotted(data []byte) *SlottedPage {
-	return &SlottedPage{data: data}
-}
+func AsSlotted(data []byte) *SlottedPage { return &SlottedPage{data: data} }
 
-// Init formats the page as an empty slotted page, erasing any contents.
+// Init erases the page and formats it as an empty heap page.
 func (p *SlottedPage) Init() {
-	for i := range p.data {
-		p.data[i] = 0
-	}
-	p.setNumSlots(0)
+	clear(p.data)
+	SetKind(p.data, KindHeap)
 	p.setFreeLower(slottedHeaderSize)
-	p.setFreeUpper(uint16(len(p.data)))
+	p.setFreeUpper(len(p.data))
 }
 
 // Data returns the underlying page buffer.
 func (p *SlottedPage) Data() []byte { return p.data }
-
-// Flags returns the page-type flags word maintained by higher layers.
-func (p *SlottedPage) Flags() uint16 {
-	return binary.LittleEndian.Uint16(p.data[offFlags:])
-}
-
-// SetFlags stores the page-type flags word.
-func (p *SlottedPage) SetFlags(f uint16) {
-	binary.LittleEndian.PutUint16(p.data[offFlags:], f)
-}
-
-// Reserved returns the 4-byte reserved header word (used by the index
-// cache for the page CSN).
-func (p *SlottedPage) Reserved() uint32 {
-	return binary.LittleEndian.Uint32(p.data[offReserved:])
-}
-
-// SetReserved stores the 4-byte reserved header word.
-func (p *SlottedPage) SetReserved(v uint32) {
-	binary.LittleEndian.PutUint32(p.data[offReserved:], v)
-}
-
-func (p *SlottedPage) numSlots() int {
-	return int(binary.LittleEndian.Uint16(p.data[offNumSlots:]))
-}
 
 func (p *SlottedPage) setNumSlots(n int) {
 	binary.LittleEndian.PutUint16(p.data[offNumSlots:], uint16(n))
@@ -112,8 +81,8 @@ func (p *SlottedPage) freeUpper() int {
 	return int(binary.LittleEndian.Uint16(p.data[offFreeUpper:]))
 }
 
-func (p *SlottedPage) setFreeUpper(v uint16) {
-	binary.LittleEndian.PutUint16(p.data[offFreeUpper:], v)
+func (p *SlottedPage) setFreeUpper(v int) {
+	binary.LittleEndian.PutUint16(p.data[offFreeUpper:], uint16(v))
 }
 
 func (p *SlottedPage) slot(i int) (off, length int) {
@@ -130,25 +99,23 @@ func (p *SlottedPage) setSlot(i, off, length int) {
 }
 
 // NumSlots returns the size of the slot directory, including dead slots.
-func (p *SlottedPage) NumSlots() int { return p.numSlots() }
+func (p *SlottedPage) NumSlots() int {
+	return int(binary.LittleEndian.Uint16(p.data[offNumSlots:]))
+}
 
 // FreeSpace returns the bytes available between the slot directory and
 // the record data, i.e. the most a single insert could use (including
 // a possible new slot entry).
-func (p *SlottedPage) FreeSpace() int {
-	return p.freeUpper() - p.freeLower()
-}
+func (p *SlottedPage) FreeSpace() int { return p.freeUpper() - p.freeLower() }
 
 // FreeBounds returns the [lo, hi) byte offsets of the free region —
 // the space the Section 2.2 join cache recycles in heap pages.
-func (p *SlottedPage) FreeBounds() (lo, hi int) {
-	return p.freeLower(), p.freeUpper()
-}
+func (p *SlottedPage) FreeBounds() (lo, hi int) { return p.freeLower(), p.freeUpper() }
 
 // LiveRecords returns the number of non-dead slots.
 func (p *SlottedPage) LiveRecords() int {
 	n := 0
-	for i := 0; i < p.numSlots(); i++ {
+	for i := 0; i < p.NumSlots(); i++ {
 		if off, _ := p.slot(i); off != deadSlotOffset {
 			n++
 		}
@@ -159,7 +126,7 @@ func (p *SlottedPage) LiveRecords() int {
 // UsedBytes returns the bytes occupied by live record payloads.
 func (p *SlottedPage) UsedBytes() int {
 	n := 0
-	for i := 0; i < p.numSlots(); i++ {
+	for i := 0; i < p.NumSlots(); i++ {
 		if off, l := p.slot(i); off != deadSlotOffset {
 			n += l
 		}
@@ -176,7 +143,7 @@ func (p *SlottedPage) Insert(rec []byte) (uint16, error) {
 		return 0, fmt.Errorf("storage: cannot insert empty record")
 	}
 	slotIdx := -1
-	for i := 0; i < p.numSlots(); i++ {
+	for i := 0; i < p.NumSlots(); i++ {
 		if off, _ := p.slot(i); off == deadSlotOffset {
 			slotIdx = i
 			break
@@ -186,24 +153,34 @@ func (p *SlottedPage) Insert(rec []byte) (uint16, error) {
 	if slotIdx < 0 {
 		need += slotSize
 	}
-	if p.FreeSpace() < need {
-		if p.reclaimable() >= need-p.FreeSpace() {
-			p.Compact()
-		}
-		if p.FreeSpace() < need {
-			return 0, ErrNoSpace
-		}
+	if !p.makeRoom(need) {
+		return 0, ErrNoSpace
 	}
 	if slotIdx < 0 {
-		slotIdx = p.numSlots()
+		slotIdx = p.NumSlots()
 		p.setNumSlots(slotIdx + 1)
 		p.setFreeLower(p.freeLower() + slotSize)
 	}
-	newUpper := p.freeUpper() - len(rec)
-	copy(p.data[newUpper:], rec)
-	p.setFreeUpper(uint16(newUpper))
-	p.setSlot(slotIdx, newUpper, len(rec))
+	p.store(slotIdx, rec)
 	return uint16(slotIdx), nil
+}
+
+// makeRoom compacts the page when that gives it need contiguous free
+// bytes, and reports whether it has them.
+func (p *SlottedPage) makeRoom(need int) bool {
+	if p.FreeSpace() < need && p.reclaimable() >= need-p.FreeSpace() {
+		p.Compact()
+	}
+	return p.FreeSpace() >= need
+}
+
+// store writes rec at the top of the free space and points slot at it.
+// The caller made room.
+func (p *SlottedPage) store(slot int, rec []byte) {
+	upper := p.freeUpper() - len(rec)
+	copy(p.data[upper:], rec)
+	p.setFreeUpper(upper)
+	p.setSlot(slot, upper, len(rec))
 }
 
 // PutAt forces the given slot to hold rec — the physical-redo primitive
@@ -219,7 +196,7 @@ func (p *SlottedPage) PutAt(slot uint16, rec []byte) error {
 		return fmt.Errorf("storage: cannot put empty record")
 	}
 	old := 0 // bytes of the live record rec replaces
-	if int(slot) < p.numSlots() {
+	if int(slot) < p.NumSlots() {
 		if off, l := p.slot(int(slot)); off != deadSlotOffset {
 			if l == len(rec) && bytes.Equal(p.data[off:off+l], rec) {
 				return nil
@@ -229,8 +206,8 @@ func (p *SlottedPage) PutAt(slot uint16, rec []byte) error {
 	}
 	need := len(rec)
 	grow := 0
-	if int(slot) >= p.numSlots() {
-		grow = int(slot) - p.numSlots() + 1
+	if int(slot) >= p.NumSlots() {
+		grow = int(slot) - p.NumSlots() + 1
 		need += grow * slotSize
 	}
 	if p.FreeSpace() < need && p.reclaimable()+old < need-p.FreeSpace() {
@@ -243,17 +220,14 @@ func (p *SlottedPage) PutAt(slot uint16, rec []byte) error {
 		p.Compact()
 	}
 	if grow > 0 {
-		base := p.numSlots()
+		base := p.NumSlots()
 		for i := 0; i < grow; i++ {
 			p.setSlot(base+i, deadSlotOffset, 0)
 		}
 		p.setNumSlots(int(slot) + 1)
 		p.setFreeLower(p.freeLower() + grow*slotSize)
 	}
-	newUpper := p.freeUpper() - len(rec)
-	copy(p.data[newUpper:], rec)
-	p.setFreeUpper(uint16(newUpper))
-	p.setSlot(int(slot), newUpper, len(rec))
+	p.store(int(slot), rec)
 	return nil
 }
 
@@ -268,20 +242,14 @@ func (p *SlottedPage) AvailableBytes() int {
 // reclaimable returns the bytes below freeUpper occupied by dead
 // records, i.e. what Compact would recover.
 func (p *SlottedPage) reclaimable() int {
-	liveBytes := 0
-	for i := 0; i < p.numSlots(); i++ {
-		if off, l := p.slot(i); off != deadSlotOffset {
-			liveBytes += l
-		}
-	}
-	return len(p.data) - p.freeUpper() - liveBytes
+	return len(p.data) - p.freeUpper() - p.UsedBytes()
 }
 
 // Get returns the record in the given slot. The returned slice aliases
 // the page buffer; callers must copy if they outlive the pin.
 func (p *SlottedPage) Get(slot uint16) ([]byte, error) {
-	if int(slot) >= p.numSlots() {
-		return nil, fmt.Errorf("storage: slot %d out of range (page has %d)", slot, p.numSlots())
+	if int(slot) >= p.NumSlots() {
+		return nil, fmt.Errorf("storage: slot %d out of range (page has %d)", slot, p.NumSlots())
 	}
 	off, l := p.slot(int(slot))
 	if off == deadSlotOffset {
@@ -293,8 +261,8 @@ func (p *SlottedPage) Get(slot uint16) ([]byte, error) {
 // Delete tombstones the slot. The payload bytes become reclaimable at
 // the next compaction.
 func (p *SlottedPage) Delete(slot uint16) error {
-	if int(slot) >= p.numSlots() {
-		return fmt.Errorf("storage: slot %d out of range (page has %d)", slot, p.numSlots())
+	if int(slot) >= p.NumSlots() {
+		return fmt.Errorf("storage: slot %d out of range (page has %d)", slot, p.NumSlots())
 	}
 	off, _ := p.slot(int(slot))
 	if off == deadSlotOffset {
@@ -311,8 +279,8 @@ func (p *SlottedPage) Delete(slot uint16) error {
 // relocates the record and leaves a forwarding stub, handled by the heap
 // layer).
 func (p *SlottedPage) Update(slot uint16, rec []byte) error {
-	if int(slot) >= p.numSlots() {
-		return fmt.Errorf("storage: slot %d out of range (page has %d)", slot, p.numSlots())
+	if int(slot) >= p.NumSlots() {
+		return fmt.Errorf("storage: slot %d out of range (page has %d)", slot, p.NumSlots())
 	}
 	off, l := p.slot(int(slot))
 	if off == deadSlotOffset {
@@ -325,20 +293,12 @@ func (p *SlottedPage) Update(slot uint16, rec []byte) error {
 	}
 	// Free the old copy, then try to place the new one.
 	p.setSlot(int(slot), deadSlotOffset, 0)
-	if p.FreeSpace() < len(rec) {
-		if p.reclaimable() >= len(rec)-p.FreeSpace() {
-			p.Compact()
-		}
-		if p.FreeSpace() < len(rec) {
-			// Roll back the tombstone so the record is still readable.
-			p.setSlot(int(slot), off, l)
-			return ErrNoSpace
-		}
+	if !p.makeRoom(len(rec)) {
+		// Roll back the tombstone so the record is still readable.
+		p.setSlot(int(slot), off, l)
+		return ErrNoSpace
 	}
-	newUpper := p.freeUpper() - len(rec)
-	copy(p.data[newUpper:], rec)
-	p.setFreeUpper(uint16(newUpper))
-	p.setSlot(int(slot), newUpper, len(rec))
+	p.store(int(slot), rec)
 	return nil
 }
 
@@ -354,7 +314,7 @@ func (p *SlottedPage) Update(slot uint16, rec []byte) error {
 func (p *SlottedPage) Compact() {
 	var scratch [512]uint32
 	keys := scratch[:0]
-	for i := 0; i < p.numSlots(); i++ {
+	for i := 0; i < p.NumSlots(); i++ {
 		if off, _ := p.slot(i); off != deadSlotOffset {
 			keys = append(keys, uint32(off)<<16|uint32(i))
 		}
@@ -370,7 +330,7 @@ func (p *SlottedPage) Compact() {
 		copy(p.data[upper:upper+length], p.data[off:off+length])
 		p.setSlot(slot, upper, length)
 	}
-	p.setFreeUpper(uint16(upper))
+	p.setFreeUpper(upper)
 	// Zero the reclaimed free region: stale record bytes must never be
 	// readable as join-cache entries (Section 2.2) after the region
 	// grows.
@@ -380,7 +340,7 @@ func (p *SlottedPage) Compact() {
 // Records iterates over live records in slot order, calling fn with the
 // slot number and payload. The payload aliases the page buffer.
 func (p *SlottedPage) Records(fn func(slot uint16, rec []byte) bool) {
-	for i := 0; i < p.numSlots(); i++ {
+	for i := 0; i < p.NumSlots(); i++ {
 		off, l := p.slot(i)
 		if off == deadSlotOffset {
 			continue

@@ -308,19 +308,28 @@ func TestSlottedFuzzAgainstModel(t *testing.T) {
 	}
 }
 
-func TestSlottedFlagsAndReserved(t *testing.T) {
+func TestSlottedKindRoundTrip(t *testing.T) {
 	p := newTestPage(256)
-	p.SetFlags(0xBEEF)
-	p.SetReserved(0xCAFEBABE)
-	if p.Flags() != 0xBEEF {
-		t.Errorf("Flags = %#x", p.Flags())
+	if k := KindOf(p.Data()); k != KindHeap {
+		t.Fatalf("Init formatted a page of kind %v, want heap", k)
 	}
-	if p.Reserved() != 0xCAFEBABE {
-		t.Errorf("Reserved = %#x", p.Reserved())
+	SetKind(p.Data(), KindIndexLeaf)
+	if k := KindOf(p.Data()); k != KindIndexLeaf {
+		t.Fatalf("KindOf = %v, want index leaf", k)
 	}
-	// Insert must not clobber the header fields.
-	p.Insert([]byte("data"))
-	if p.Flags() != 0xBEEF || p.Reserved() != 0xCAFEBABE {
-		t.Error("insert clobbered header fields")
+	// Record writes, deletes and compaction must not clobber the kind.
+	s, _ := p.Insert([]byte("data"))
+	p.Insert([]byte("more data"))
+	p.Delete(s)
+	p.Compact()
+	if k := KindOf(p.Data()); k != KindIndexLeaf {
+		t.Fatalf("kind after record writes = %v, want index leaf", k)
+	}
+	p.Init()
+	if k := KindOf(p.Data()); k != KindHeap {
+		t.Fatalf("kind after Init = %v, want heap", k)
+	}
+	if got := PageKind(9).String(); got != "unknown kind 9" {
+		t.Fatalf("PageKind(9) = %q", got)
 	}
 }
