@@ -34,7 +34,7 @@
 // Diagnostics are suppressed by a //nolint:nblb-<analyzer> comment on
 // the flagged line, which MUST carry a reason after " // ":
 //
-//	f, err := p.frameFor(s) //nolint:nblb-lockorder // the two shard locks are never held together
+//	b.mu.Lock() //nolint:nblb-lockorder // <why this nesting cannot deadlock>
 //
 // A reasonless nolint is itself reported. See docs/analysis.md.
 package analysis

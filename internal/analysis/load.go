@@ -13,9 +13,11 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"sort"
 	"strings"
+	"sync"
 )
 
 // LoadedPackage is one source-analyzed package: syntax, types, and the
@@ -52,10 +54,14 @@ type Loader struct {
 	Fset *token.FileSet
 	Dir  string // working directory for go list (module root)
 
-	exportFiles map[string]string         // import path → export data file
-	sources     map[string]*listPackage   // package ID → go list record
-	loaded      map[string]*LoadedPackage // package ID → checked package
-	parsed      map[string]*ast.File      // file name → syntax, shared by a package and its test variant
+	sources map[string]*listPackage // package ID → go list record
+	parsed  map[string]*ast.File    // file name → syntax, shared by a package and its test variant
+
+	mu     sync.Mutex
+	loaded map[string]*LoadedPackage // package ID → checked package; mu
+
+	gcMu        sync.Mutex        // the gc importer is not safe for concurrent use
+	exportFiles map[string]string // import path → export data file; gcMu once checks start
 	gcImporter  types.ImporterFrom
 }
 
@@ -96,10 +102,6 @@ func NewLoader(dir string) *Loader {
 // the nested modules' packages and the module's unmatched ones (Ref),
 // in dependency order.
 func (l *Loader) Load(patterns ...string) ([]*LoadedPackage, error) {
-	ids, err := l.listSources(l.Dir, patterns, false)
-	if err != nil {
-		return nil, err
-	}
 	// The rest of the tree only supplies uses (Ref): every nested module,
 	// and the rest of this one when the patterns name less of it.
 	refDirs, err := l.nestedModules()
@@ -109,35 +111,52 @@ func (l *Loader) Load(patterns ...string) ([]*LoadedPackage, error) {
 	if !slices.Equal(patterns, []string{"./..."}) {
 		refDirs = append(refDirs, l.Dir)
 	}
-	for _, dir := range refDirs {
-		more, err := l.listSources(dir, []string{"./..."}, true)
+	// The listings run at once; their packages are recorded in order, so
+	// a package two listings report keeps the first one's record.
+	lists := make([][]*listPackage, 1+len(refDirs))
+	errs := make([]error, len(lists))
+	var wg sync.WaitGroup
+	for i := range lists {
+		dir, pats := l.Dir, patterns
+		if i > 0 {
+			dir, pats = refDirs[i-1], []string{"./..."}
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			lists[i], errs[i] = l.goList(dir, true, pats)
+		}()
+	}
+	wg.Wait()
+	var ids []string
+	for i, pkgs := range lists {
+		if errs[i] != nil {
+			return nil, errs[i]
+		}
+		more, err := l.listSources(pkgs, i > 0)
 		if err != nil {
 			return nil, err
 		}
 		ids = append(ids, more...)
 	}
 	sort.Strings(ids)
-	var out []*LoadedPackage
-	for _, id := range ids {
-		lp, err := l.loadSource(id, nil)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, lp)
+	if err := l.checkAll(ids); err != nil {
+		return nil, err
+	}
+	out := make([]*LoadedPackage, len(ids))
+	for i, id := range ids {
+		out[i] = l.loaded[id]
 	}
 	// Dependency order: a package sorts after everything it imports.
 	sort.SliceStable(out, func(i, j int) bool { return l.depRank(out[i].Path) < l.depRank(out[j].Path) })
 	return out, nil
 }
 
-// listSources lists the patterns and their tests in dir and records the
-// module packages not seen before; it returns their IDs. A test main
-// ("p.test") is generated code and is left out.
-func (l *Loader) listSources(dir string, patterns []string, ref bool) ([]string, error) {
-	pkgs, err := l.goList(dir, true, patterns)
-	if err != nil {
-		return nil, err
-	}
+// listSources records the export data and the module packages not seen
+// before of one go list -test run; it returns the packages' IDs. A test
+// main ("p.test") is generated code and is left out.
+func (l *Loader) listSources(pkgs []*listPackage, ref bool) ([]string, error) {
+	l.recordExports(pkgs)
 	var ids []string
 	for _, p := range pkgs {
 		if p.Error != nil {
@@ -197,42 +216,77 @@ func (l *Loader) depRank(path string) int {
 	return walk(path)
 }
 
-// loadSource parses and type-checks one module package (and its module
-// dependencies, recursively) by its package ID.
-func (l *Loader) loadSource(id string, stack []string) (*LoadedPackage, error) {
-	if lp, ok := l.loaded[id]; ok {
-		return lp, nil
+// checkAll parses the packages ids name, then type-checks each once
+// the module packages it imports are checked, at most GOMAXPROCS at a
+// time. On failure it returns the error of the first failed package in
+// ids order; packages importing a failed one are not checked.
+func (l *Loader) checkAll(ids []string) error {
+	files := map[string][]*ast.File{}
+	waits := map[string]int{}      // id → imports not yet checked
+	users := map[string][]string{} // id → the ids importing it
+	var ready []string
+	for _, id := range ids {
+		src := l.sources[id]
+		for _, name := range src.GoFiles {
+			f, err := l.parse(filepath.Join(src.Dir, name))
+			if err != nil {
+				return err
+			}
+			files[id] = append(files[id], f)
+		}
+		for _, imp := range src.Imports {
+			if _, isSrc := l.sources[imp]; isSrc {
+				waits[id]++
+				users[imp] = append(users[imp], id)
+			}
+		}
+		if waits[id] == 0 {
+			ready = append(ready, id)
+		}
 	}
-	if slices.Contains(stack, id) {
-		return nil, fmt.Errorf("analysis: import cycle through %q", id)
+	type result struct {
+		id  string
+		err error
 	}
-	src, ok := l.sources[id]
-	if !ok {
-		return nil, fmt.Errorf("analysis: no source metadata for %q", id)
-	}
-	stack = append(stack, id)
-	for _, imp := range src.Imports {
-		if _, isSrc := l.sources[imp]; isSrc {
-			if _, err := l.loadSource(imp, stack); err != nil {
-				return nil, err
+	results := make(chan result)
+	failed := map[string]error{}
+	checked, running, workers := 0, 0, runtime.GOMAXPROCS(0)
+	for len(ready) > 0 || running > 0 {
+		for ; len(ready) > 0 && running < workers; running++ {
+			id := ready[0]
+			ready = ready[1:]
+			go func() {
+				src := l.sources[id]
+				path, _, _ := strings.Cut(id, " [")
+				lp, err := l.check(id, path, src.Dir, files[id], src.ImportMap)
+				if err == nil {
+					lp.Main, lp.Ref = src.Module.Main, src.ref
+				}
+				results <- result{id, err}
+			}()
+		}
+		r := <-results
+		running--
+		if r.err != nil {
+			failed[r.id] = r.err
+			continue
+		}
+		checked++
+		for _, u := range users[r.id] {
+			if waits[u]--; waits[u] == 0 {
+				ready = append(ready, u)
 			}
 		}
 	}
-	var files []*ast.File
-	for _, name := range src.GoFiles {
-		f, err := l.parse(filepath.Join(src.Dir, name))
-		if err != nil {
-			return nil, err
+	for _, id := range ids {
+		if err := failed[id]; err != nil {
+			return err
 		}
-		files = append(files, f)
 	}
-	path, _, _ := strings.Cut(id, " [")
-	lp, err := l.check(id, path, src.Dir, files, src.ImportMap)
-	if err != nil {
-		return nil, err
+	if checked < len(ids) {
+		return fmt.Errorf("analysis: import cycle among %d packages", len(ids)-checked)
 	}
-	lp.Main, lp.Ref = src.Module.Main, src.ref
-	return lp, nil
+	return nil
 }
 
 // parse parses a file once; a test variant shares its package's syntax.
@@ -272,24 +326,29 @@ func (l *Loader) check(id, path, dir string, files []*ast.File, importMap map[st
 		return nil, fmt.Errorf("analysis: typecheck %s: %w", id, err)
 	}
 	lp := &LoadedPackage{Path: path, Dir: dir, Files: files, Pkg: pkg, Info: info}
+	l.mu.Lock()
 	l.loaded[id] = lp
+	l.mu.Unlock()
 	return lp, nil
 }
 
+// importPkg resolves an import: a module package from its checked
+// source, anything else from export data.
 func (l *Loader) importPkg(path, fromDir string) (*types.Package, error) {
 	if path == "unsafe" {
 		return types.Unsafe, nil
 	}
-	if lp, ok := l.loaded[path]; ok {
+	l.mu.Lock()
+	lp, ok := l.loaded[path]
+	l.mu.Unlock()
+	if ok {
 		return lp.Pkg, nil
 	}
 	if _, isSrc := l.sources[path]; isSrc {
-		lp, err := l.loadSource(path, nil)
-		if err != nil {
-			return nil, err
-		}
-		return lp.Pkg, nil
+		return nil, fmt.Errorf("analysis: %q imported before it was checked", path)
 	}
+	l.gcMu.Lock()
+	defer l.gcMu.Unlock()
 	return l.gcImporter.ImportFrom(path, fromDir, 0)
 }
 
@@ -299,9 +358,11 @@ func (l *Loader) importPkg(path, fromDir string) (*types.Package, error) {
 func (l *Loader) lookupExport(path string) (io.ReadCloser, error) {
 	file, ok := l.exportFiles[path]
 	if !ok {
-		if _, err := l.goList(l.Dir, false, []string{path}); err != nil {
+		pkgs, err := l.goList(l.Dir, false, []string{path})
+		if err != nil {
 			return nil, err
 		}
+		l.recordExports(pkgs)
 		if file, ok = l.exportFiles[path]; !ok {
 			return nil, fmt.Errorf("analysis: no export data for %q", path)
 		}
@@ -310,7 +371,7 @@ func (l *Loader) lookupExport(path string) (io.ReadCloser, error) {
 }
 
 // goList runs `go list -export -json -deps` in dir, with -test if test
-// is set, and records the export data files it reports.
+// is set.
 func (l *Loader) goList(dir string, test bool, patterns []string) ([]*listPackage, error) {
 	args := []string{
 		"list", "-e", "-export",
@@ -337,12 +398,18 @@ func (l *Loader) goList(dir string, test bool, patterns []string) ([]*listPackag
 		} else if err != nil {
 			return nil, fmt.Errorf("analysis: decoding go list output: %v", err)
 		}
-		if p.Export != "" {
-			l.exportFiles[p.ImportPath] = p.Export
-		}
 		pkgs = append(pkgs, &p)
 	}
 	return pkgs, nil
+}
+
+// recordExports records the export data files a go list run reports.
+func (l *Loader) recordExports(pkgs []*listPackage) {
+	for _, p := range pkgs {
+		if p.Export != "" {
+			l.exportFiles[p.ImportPath] = p.Export
+		}
+	}
 }
 
 type importerFunc func(string) (*types.Package, error)

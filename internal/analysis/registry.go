@@ -34,23 +34,23 @@ var LockRules = []LockRule{
 	// Heap insert path (rules 1–2).
 	{"heap-shard", "frame-latch", "rule 1"},
 	{"heap-shard", "heap-meta", "rule 2"},
-	// Descents fetch child pages (buffer shard mutex) while holding
-	// frame latches; the reverse — waiting on a latch under the shard
+	// Descents fetch child pages (buffer pool mutex) while holding
+	// frame latches; the reverse — waiting on a latch under the pool
 	// mutex — is rule 4's forbidden edge.
-	{"frame-latch", "buffer-shard", "rule 4"},
+	{"frame-latch", "buffer-pool", "rule 4"},
 }
 
 // SelfUnsafe lists locks that must never be acquired while an instance
 // of the same lock is already held: rule 3 (never two heap shard
-// mutexes) and the buffer pool's cross-shard steal contract. The frame
-// latch is deliberately absent — latch crabbing holds several at once
-// under the root→leaf, left→right protocol (rule 6), which static
-// analysis cannot order by instance.
+// mutexes) and the mutexes a re-acquire deadlocks on. The frame latch
+// is deliberately absent — latch crabbing holds several at once under
+// the root→leaf, left→right protocol (rule 6), which static analysis
+// cannot order by instance.
 var SelfUnsafe = map[string]string{
-	"heap-shard":   "rule 3: never two heap shard mutexes at once",
-	"buffer-shard": "steal() must drop its own shard before locking a sibling",
-	"txnMu":        "txnMu is non-reentrant",
-	"commitGate":   "a shared re-acquire deadlocks behind a pending exclusive waiter",
+	"heap-shard":  "rule 3: never two heap shard mutexes at once",
+	"buffer-pool": "the pool mutex is non-reentrant: Fetch, NewPage and EvictAll take it, so nothing under it may call them",
+	"txnMu":       "txnMu is non-reentrant",
+	"commitGate":  "a shared re-acquire deadlocks behind a pending exclusive waiter",
 }
 
 // Leaves lists locks under which nothing at all may be acquired: any

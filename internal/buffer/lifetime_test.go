@@ -149,14 +149,14 @@ func TestFrameAloneKeepsArenaMapped(t *testing.T) {
 
 // Readers hammer a small pool while Close is retried until no pin is in
 // its way. Whatever the interleaving, a reader either gets a frame it
-// can read or ErrPoolClosed — never memory Close has unmapped. Shards
-// are forced so that misses steal across them.
+// can read or ErrPoolClosed — never memory Close has unmapped. Four
+// readers over 8 frames and 32 pages keep misses evicting.
 func TestPoolCloseRacingFetch(t *testing.T) {
 	disk, err := storage.NewMemDisk(256)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := newPoolShards(disk, 8, 4)
+	p, err := NewPool(disk, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +193,8 @@ func TestPoolCloseRacingFetch(t *testing.T) {
 					return
 				}
 				if err != nil {
-					continue // every frame pinned for a moment: 4 readers, 8 frames, steals in flight
+					t.Errorf("4 readers over 8 frames: %v", err) // at most 4 pins at once
+					continue
 				}
 				if i%8 != 0 && f.Data()[0] != byte(id) {
 					t.Errorf("page %v reads %#x", id, f.Data()[0])

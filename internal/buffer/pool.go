@@ -10,14 +10,13 @@
 // not dirty the page"), and the CSN invalidation scheme makes losing
 // them safe.
 //
-// The pool is sharded: page ids hash to one of a power-of-two number of
-// shards, each with its own frame table, clock hand, free list, and
-// mutex, so concurrent fetches of unrelated pages never contend. Total
-// capacity is accounted globally — a hot shard may hold more frames
-// than an idle one, and a shard whose frames are all pinned steals a
-// victim from a sibling rather than failing. Unpin is lock-free (atomic
-// pin count and dirty bit), which matters because every page access
-// pays it.
+// The pool is one frame table, one clock hand and one free list under
+// one mutex, held only for bookkeeping: a miss binds a frame to its
+// page under the mutex, takes the frame's latch, and reads the page
+// with the mutex released, so a slow read never stalls hits on other
+// pages. A concurrent Fetch of the page being read waits on that latch
+// with no mutex held. Unpin is lock-free (atomic pin count and dirty
+// bit), which matters because every page access pays it.
 //
 // Page memory is not on the Go heap: a pool maps one anonymous arena of
 // capacity × page size when it is built and every frame's Data is a
@@ -39,18 +38,18 @@ import (
 
 // Frame is an in-memory copy of one page, plus bookkeeping.
 //
-// pins and dirty are atomic so Unpin never takes a shard lock; the
-// clock reference bit and id are only touched under the owning shard's
-// mutex (a frame with pins > 0 is never evicted or re-bound, so reading
-// id from a pinned frame is safe without it).
+// pins, dirty and loading are atomic so Unpin never takes the pool
+// mutex; the clock reference bit and id are only written under it (a
+// frame with pins > 0 is never evicted or re-bound, so reading id from
+// a pinned frame is safe without it).
 type Frame struct {
 	id   storage.PageID
 	data []byte
-	slot int // index within the owning shard's frames slice
 
-	pins  atomic.Int32
-	dirty atomic.Bool
-	ref   bool // clock reference bit; shard lock only
+	pins    atomic.Int32
+	dirty   atomic.Bool
+	loading atomic.Bool // a Fetch is reading the page in under Latch
+	ref     bool        // clock reference bit; pool mutex only
 
 	// Latch guards the frame's data. The buffer pool hands out frames
 	// without holding it; callers latch around their accesses. Cache
@@ -59,7 +58,7 @@ type Frame struct {
 	//
 	// Invariant: a caller may only hold the latch while holding a pin,
 	// and must release the latch before the pin. Eviction asserts this
-	// (see shard.evict) — it is what lets the latch-crabbing B+Tree
+	// (see Pool.evict) — it is what lets the latch-crabbing B+Tree
 	// treat a latched frame as immune to eviction.
 	//
 	// nblb:lock frame-latch
@@ -85,7 +84,7 @@ type Stats struct {
 // memory after Close.
 var ErrPoolClosed = errors.New("buffer: pool is closed")
 
-// Pool is a buffer pool of fixed total capacity, sharded by page id.
+// Pool is a buffer pool of fixed capacity.
 //
 // Invariants every caller can rely on (and must preserve):
 //
@@ -95,12 +94,15 @@ var ErrPoolClosed = errors.New("buffer: pool is closed")
 //  2. Latched ⇒ pinned: a caller may only hold a frame's Latch while
 //     holding a pin on it, and must release the Latch before the final
 //     Unpin. Together with (1) this means a latched frame is immune to
-//     eviction; shard.evict asserts it (panic on a latched victim).
+//     eviction; Pool.evict asserts it (panic on a latched victim).
 //  3. Latch/mutex order: pool internals never wait on a frame Latch
-//     while holding a shard mutex (callers fetch pages — which takes
+//     while holding the pool mutex (callers fetch pages — which takes
 //     the mutex — while holding latches on other frames, so the
-//     reverse nesting would deadlock). FlushAll pins candidates under
-//     the mutex and writes them back under the latch outside it.
+//     reverse nesting would deadlock). Under the mutex a latch is only
+//     ever TryLocked, on an unpinned frame, where it cannot fail.
+//     FlushAll pins candidates under the mutex and writes them back
+//     under the latch outside it; a Fetch that finds its page still
+//     being read waits on the reader's latch outside it too.
 //  4. Volatile writes: mutating Data without ever passing dirty=true
 //     to Unpin is allowed and produces a cache-style change that
 //     eviction silently drops and FlushAll never writes.
@@ -113,15 +115,24 @@ type Pool struct {
 	disk     storage.DiskManager
 	pageSize int
 	maxCap   int
-	nframes  atomic.Int64 // frames allocated across all shards, ≤ maxCap
 	ndirty   atomic.Int64 // frames with the dirty bit set (see markDirty)
 	noSteal  atomic.Bool  // dirty frames immune to eviction (WAL mode)
-	mask     uint64
-	shards   []shard
 
-	arena    *arena // frame n's data is page n of arena.mem, n < nframes
+	mu     sync.Mutex                // nblb:lock buffer-pool
+	table  map[storage.PageID]*Frame // resident pages, and pages being read in
+	frames []*Frame                  // every frame, clock order; frames[n].data is arena page n
+	free   []*Frame                  // detached frames ready for reuse
+	spare  []Frame                   // frames of the newest frameChunk not yet handed out
+	hand   int                       // clock hand into frames
+
+	hits       atomic.Int64
+	misses     atomic.Int64
+	evictions  atomic.Int64
+	writebacks atomic.Int64
+
+	arena    *arena
 	cleanup  runtime.Cleanup
-	closed   atomic.Bool // Close was called; checked under each shard's mutex
+	closed   atomic.Bool // Close was called; checked under mu
 	released atomic.Bool // the arena is unmapped
 }
 
@@ -132,61 +143,19 @@ type Pool struct {
 // every *Frame are: a finalizer on the Pool could not promise that.
 type arena struct{ mem []byte }
 
-// frameChunk is the unit a shard allocates Frame structs in. Frames are
-// made as pages are first used, like the pages themselves — a slab of
-// capacity frames up front would be 80 B × capacity of resident heap
-// for a pool that may never fill.
+// frameChunk is the unit the pool allocates Frame structs in. Frames
+// are made as pages are first used, like the pages themselves — a slab
+// of capacity frames up front would be 80 B × capacity of resident
+// heap for a pool that may never fill.
 type frameChunk struct {
 	arena  *arena
 	frames [64]Frame
 }
 
-// maxShards caps the shard count; beyond this, shard selection noise
-// outweighs any contention win.
-const maxShards = 64
-
-// minFramesPerShard keeps tiny pools coarse: a pool is only split while
-// each shard can expect at least this many frames, so single-digit
-// capacities behave exactly like the classic single-mutex pool.
-const minFramesPerShard = 8
-
-// defaultShardCount is the largest power of two ≤ min(maxShards,
-// 4·GOMAXPROCS, capacity/minFramesPerShard), and at least 1.
-func defaultShardCount(capacity int) int {
-	limit := 4 * runtime.GOMAXPROCS(0)
-	if limit > maxShards {
-		limit = maxShards
-	}
-	if byCap := capacity / minFramesPerShard; byCap < limit {
-		limit = byCap
-	}
-	n := 1
-	for n*2 <= limit {
-		n *= 2
-	}
-	return n
-}
-
-// NewPool creates a pool holding up to capacity pages, with an
-// automatically chosen shard count.
+// NewPool creates a pool holding up to capacity pages.
 func NewPool(disk storage.DiskManager, capacity int) (*Pool, error) {
 	if capacity < 1 {
 		return nil, fmt.Errorf("buffer: capacity must be at least 1, got %d", capacity)
-	}
-	return newPoolShards(disk, capacity, defaultShardCount(capacity))
-}
-
-// NewPoolShards creates a pool with an explicit shard count, which must
-// be a power of two. Capacity is shared globally across shards; a shard
-// count above the capacity merely leaves some shards borrowing frames
-// from siblings. Benchmarks use shards == 1 to reproduce the classic
-// single-mutex pool.
-func newPoolShards(disk storage.DiskManager, capacity, shards int) (*Pool, error) {
-	if capacity < 1 {
-		return nil, fmt.Errorf("buffer: capacity must be at least 1, got %d", capacity)
-	}
-	if shards < 1 || shards&(shards-1) != 0 {
-		return nil, fmt.Errorf("buffer: shard count must be a power of two, got %d", shards)
 	}
 	mem, err := mapArena(capacity * disk.PageSize())
 	if err != nil {
@@ -196,104 +165,125 @@ func newPoolShards(disk storage.DiskManager, capacity, shards int) (*Pool, error
 		disk:     disk,
 		pageSize: disk.PageSize(),
 		maxCap:   capacity,
-		mask:     uint64(shards - 1),
-		shards:   make([]shard, shards),
+		table:    make(map[storage.PageID]*Frame, capacity),
 		arena:    &arena{mem: mem},
 	}
 	// The backstop for pools nobody closes; Close stops it.
 	p.cleanup = runtime.AddCleanup(p.arena, unmapArena, mem)
-	perShard := capacity/shards + 1
-	for i := range p.shards {
-		p.shards[i].table = make(map[storage.PageID]*Frame, perShard)
-	}
 	return p, nil
-}
-
-// shardOf routes a page id to its shard via a Fibonacci hash of the id.
-func (p *Pool) shardOf(id storage.PageID) *shard {
-	h := uint64(id) * 0x9E3779B97F4A7C15
-	return &p.shards[(h>>33)&p.mask]
 }
 
 // Capacity returns the maximum number of resident pages.
 func (p *Pool) Capacity() int { return p.maxCap }
 
-// NumShards returns the number of shards the pool routes across.
-func (p *Pool) NumShards() int { return len(p.shards) }
-
 // Disk returns the underlying disk manager.
 func (p *Pool) Disk() storage.DiskManager { return p.disk }
 
-// Stats returns a snapshot aggregated across shards. Shards are read
-// without their locks (counters are atomic), so a snapshot taken during
-// concurrent traffic is approximate; quiescent snapshots are exact.
+// Stats returns a snapshot of the counters. They are atomic and read
+// without the mutex, so a snapshot taken during concurrent traffic is
+// approximate; quiescent snapshots are exact.
 func (p *Pool) Stats() Stats {
-	var st Stats
-	for i := range p.shards {
-		s := &p.shards[i]
-		st.Hits += s.hits.Value()
-		st.Misses += s.misses.Value()
-		st.Evictions += s.evictions.Value()
-		st.Writebacks += s.writebacks.Value()
+	return Stats{
+		Hits:       p.hits.Load(),
+		Misses:     p.misses.Load(),
+		Evictions:  p.evictions.Load(),
+		Writebacks: p.writebacks.Load(),
 	}
-	return st
 }
 
 // ResetStats zeroes the pool counters.
 func (p *Pool) ResetStats() {
-	for i := range p.shards {
-		s := &p.shards[i]
-		s.hits.Reset()
-		s.misses.Reset()
-		s.evictions.Reset()
-		s.writebacks.Reset()
-	}
+	p.hits.Store(0)
+	p.misses.Store(0)
+	p.evictions.Store(0)
+	p.writebacks.Store(0)
 }
 
 // Fetch pins the page into a frame, reading it from disk on a miss.
 // Callers must Unpin exactly once per Fetch.
+//
+// The read happens with the pool mutex released: the frame is bound to
+// id and exclusively latched under the mutex, so a concurrent Fetch of
+// id finds it, pins it and waits on the latch, and eviction passes it
+// over as pinned. A failed read unbinds the frame; a Fetch that waited
+// on it then retries as a fresh miss.
 //
 // nblb:acquires-pin
 func (p *Pool) Fetch(id storage.PageID) (*Frame, error) {
 	if id == storage.InvalidPageID {
 		return nil, fmt.Errorf("buffer: fetch of invalid page id")
 	}
-	s := p.shardOf(id)
-	s.mu.Lock()
-	if p.closed.Load() {
-		s.mu.Unlock()
-		return nil, ErrPoolClosed
-	}
-	if f, ok := s.table[id]; ok {
-		f.pins.Add(1)
-		f.ref = true
-		s.mu.Unlock()
-		s.hits.Inc()
-		return f, nil
-	}
-	s.misses.Inc()
-	f, err := p.frameFor(s) //nolint:nblb-lockorder // frameFor drops s.mu around the sibling steal; the two shard locks are never held together
-	if err != nil {
-		s.mu.Unlock()
+	for {
+		p.mu.Lock()
+		if p.closed.Load() {
+			p.mu.Unlock()
+			return nil, ErrPoolClosed
+		}
+		if f, ok := p.table[id]; ok {
+			f.pins.Add(1)
+			f.ref = true
+			loading := f.loading.Load() // cleared under p.mu if the read fails
+			p.mu.Unlock()
+			if loading && !p.awaitLoad(f, id) {
+				continue
+			}
+			p.hits.Add(1)
+			return f, nil
+		}
+		p.misses.Add(1)
+		f, err := p.frameFor()
+		if err != nil {
+			p.mu.Unlock()
+			return nil, err
+		}
+		if !f.Latch.TryLock() {
+			panic(fmt.Sprintf("buffer: loading into latched frame for %v (latch held without a pin)", id))
+		}
+		p.install(f, id)
+		f.loading.Store(true)
+		p.mu.Unlock()
+
+		err = p.disk.ReadPage(id, f.data)
+		if err == nil {
+			f.loading.Store(false)
+			f.Latch.Unlock()
+			return f, nil
+		}
+		p.mu.Lock()
+		delete(p.table, id)
+		f.id = storage.InvalidPageID // tells waiters the read failed
+		f.loading.Store(false)
+		f.Latch.Unlock()
+		p.dropPin(f)
+		p.mu.Unlock()
 		return nil, err
 	}
-	// frameFor may have dropped s.mu to steal from a sibling; another
-	// goroutine could have installed the page meanwhile.
-	if g, ok := s.table[id]; ok {
-		s.releaseFrame(f)
-		g.pins.Add(1)
-		g.ref = true
-		s.mu.Unlock()
-		return g, nil
+}
+
+// awaitLoad waits, holding a pin but not the mutex, for the Fetch
+// reading f in to finish, and reports whether f now holds id. On false
+// the read failed and the waiter's pin is gone.
+func (p *Pool) awaitLoad(f *Frame, id storage.PageID) bool {
+	f.Latch.RLock()
+	ok := f.id == id
+	f.Latch.RUnlock()
+	if !ok {
+		p.mu.Lock()
+		p.dropPin(f)
+		p.mu.Unlock()
 	}
-	if err := p.disk.ReadPage(id, f.data); err != nil {
-		s.releaseFrame(f)
-		s.mu.Unlock()
-		return nil, err
+	return ok
+}
+
+// dropPin releases a pin on a frame a failed read unbound; whoever
+// drops the last one parks the frame on the free list. Such a frame is
+// in no table, so no pin on it can be taken any more, and the loader
+// and its waiters drop theirs here, under p.mu.
+func (p *Pool) dropPin(f *Frame) {
+	if f.pins.Add(-1) == 0 {
+		f.ref = false
+		p.free = append(p.free, f)
 	}
-	s.install(f, id)
-	s.mu.Unlock()
-	return f, nil
 }
 
 // NewPage allocates a fresh page on disk and pins it in a zeroed frame.
@@ -307,17 +297,16 @@ func (p *Pool) NewPage() (*Frame, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := p.shardOf(id)
-	s.mu.Lock()
-	f, err := p.frameFor(s) //nolint:nblb-lockorder // frameFor drops s.mu around the sibling steal; the two shard locks are never held together
+	p.mu.Lock()
+	f, err := p.frameFor()
 	if err != nil {
-		s.mu.Unlock()
+		p.mu.Unlock()
 		return nil, err
 	}
 	clear(f.data)
-	s.install(f, id)
+	p.install(f, id)
 	p.markDirty(f) // a new page must eventually reach disk
-	s.mu.Unlock()
+	p.mu.Unlock()
 	return f, nil
 }
 
@@ -352,98 +341,120 @@ func (p *Pool) DirtyFrames() int64 { return p.ndirty.Load() }
 // between checkpoints is always the last checkpoint's.
 func (p *Pool) SetNoSteal(v bool) { p.noSteal.Store(v) }
 
-// frameFor returns a detached frame for s to install into, in order of
-// preference: s's free list, pool growth (global capacity permitting),
-// a clock victim within s, or a frame stolen from a sibling shard.
-// Caller holds s.mu; when stealing, s.mu is dropped and re-acquired, so
-// the caller must re-check its table lookup afterwards.
+// frameFor returns a detached frame to install into, in order of
+// preference: the free list, a frame not yet made (capacity
+// permitting), or a clock victim. Caller holds p.mu.
 //
-// The closed checks here, under s.mu, are what Close's pin count relies
-// on: a frame handed out after Close looked at s would be pinned over
+// The closed check here, under p.mu, is what Close's pin count relies
+// on: a frame handed out after Close looked would be pinned over
 // memory Close is about to unmap.
-func (p *Pool) frameFor(s *shard) (*Frame, error) {
+func (p *Pool) frameFor() (*Frame, error) {
 	if p.closed.Load() {
 		return nil, ErrPoolClosed
 	}
-	if n := len(s.free); n > 0 {
-		f := s.free[n-1]
-		s.free[n-1] = nil
-		s.free = s.free[:n-1]
+	if n := len(p.free); n > 0 {
+		f := p.free[n-1]
+		p.free[n-1] = nil
+		p.free = p.free[:n-1]
 		return f, nil
 	}
-	for {
-		n := p.nframes.Load()
-		if n >= int64(p.maxCap) {
-			break
+	if n := len(p.frames); n < p.maxCap {
+		if len(p.spare) == 0 {
+			p.spare = (&frameChunk{arena: p.arena}).frames[:]
 		}
-		if p.nframes.CompareAndSwap(n, n+1) {
-			f := s.newFrame(p.arena)
-			lo, hi := int(n)*p.pageSize, int(n+1)*p.pageSize
-			f.data = p.arena.mem[lo:hi:hi]
-			f.slot = len(s.frames)
-			s.frames = append(s.frames, f)
-			return f, nil
-		}
+		f := &p.spare[0]
+		p.spare = p.spare[1:]
+		lo, hi := n*p.pageSize, (n+1)*p.pageSize
+		f.data = p.arena.mem[lo:hi:hi]
+		p.frames = append(p.frames, f)
+		return f, nil
 	}
-	f, err := s.clockVictim(p)
+	f, err := p.clockVictim()
 	if err != nil {
 		return nil, err
 	}
-	if f != nil {
-		return f, nil
-	}
-	// Every local frame is pinned: borrow a victim from a sibling. The
-	// two shard locks are never held together (no ordering, no deadlock).
-	s.mu.Unlock()
-	f, err = p.steal(s)
-	s.mu.Lock()
-	if err != nil {
-		return nil, err
-	}
-	f.slot = len(s.frames)
-	s.frames = append(s.frames, f)
-	if p.closed.Load() {
-		s.releaseFrame(f)
-		return nil, ErrPoolClosed
+	if f == nil {
+		return nil, fmt.Errorf("buffer: all %d frames pinned; cannot evict", len(p.frames))
 	}
 	return f, nil
 }
 
-// steal detaches a frame from some other shard — a parked free frame
-// if it has one, else a clock victim — and transfers ownership to the
-// caller. Called with no shard locks held.
-func (p *Pool) steal(self *shard) (*Frame, error) {
-	for i := range p.shards {
-		o := &p.shards[i]
-		if o == self {
+// install binds a detached frame to a page id and pins it. Caller holds
+// p.mu.
+func (p *Pool) install(f *Frame, id storage.PageID) {
+	f.id = id
+	f.pins.Store(1)
+	f.ref = true
+	f.dirty.Store(false)
+	p.table[id] = f
+}
+
+// clockVictim sweeps the frames with the clock algorithm: a frame with
+// its reference bit set gets a second chance, pinned and detached
+// frames are skipped. Returns a detached frame ready for reuse, or nil
+// when every frame is pinned. Caller holds p.mu.
+func (p *Pool) clockVictim() (*Frame, error) {
+	n := len(p.frames)
+	noSteal := p.noSteal.Load()
+	for pass := 0; pass < 2*n; pass++ {
+		f := p.frames[p.hand]
+		p.hand++
+		if p.hand == n {
+			p.hand = 0
+		}
+		if f.id == storage.InvalidPageID || f.pins.Load() > 0 {
 			continue
 		}
-		o.mu.Lock()
-		if p.closed.Load() {
-			o.mu.Unlock()
-			return nil, ErrPoolClosed
+		if noSteal && f.dirty.Load() {
+			// WAL mode: a dirty page may hold unlogged-to-disk state;
+			// writing it back here would break the invariant that the
+			// on-disk image is always the last checkpoint's. Treat it
+			// like a pinned frame until the next checkpoint cleans it.
+			continue
 		}
-		var f *Frame
-		var err error
-		if n := len(o.free); n > 0 {
-			f = o.free[n-1]
-			o.free[n-1] = nil
-			o.free = o.free[:n-1]
-		} else {
-			f, err = o.clockVictim(p)
+		if f.ref {
+			f.ref = false
+			continue
 		}
-		if err == nil && f != nil {
-			o.removeFrame(f)
-		}
-		o.mu.Unlock()
-		if err != nil {
+		if err := p.evict(f); err != nil {
 			return nil, err
 		}
-		if f != nil {
-			return f, nil
-		}
+		return f, nil
 	}
-	return nil, fmt.Errorf("buffer: all %d frames pinned; cannot evict", p.nframes.Load())
+	return nil, nil
+}
+
+// evict detaches the (unpinned) frame's page, writing it back only if
+// dirty. Clean frames are dropped without I/O — this is the moment
+// volatile index-cache contents disappear. Caller holds p.mu. Only a
+// pool without no-steal writes a victim back here, so WAL engines
+// never do I/O under the mutex.
+//
+// The latch-crabbing B+Tree relies on the invariant that a latched
+// frame is never evicted. The pool guarantees it transitively: every
+// latch holder holds a pin (callers latch only frames they fetched and
+// unlatch before unpinning), eviction candidates must have a zero pin
+// count, and pins cannot be acquired mid-eviction because Fetch and
+// evict serialize on p.mu. The TryLock below asserts the invariant — on
+// an unpinned frame it can only fail if some caller latched without
+// pinning, which would corrupt whatever that latch was protecting.
+func (p *Pool) evict(f *Frame) error {
+	if !f.Latch.TryLock() {
+		panic(fmt.Sprintf("buffer: evicting latched frame %v (latch held without a pin)", f.id))
+	}
+	defer f.Latch.Unlock()
+	if f.dirty.Load() {
+		if err := p.disk.WritePage(f.id, f.data); err != nil {
+			return fmt.Errorf("buffer: write back %v: %w", f.id, err)
+		}
+		p.writebacks.Add(1)
+		p.clearDirty(f)
+	}
+	delete(p.table, f.id)
+	p.evictions.Add(1)
+	f.id = storage.InvalidPageID
+	f.ref = false
+	return nil
 }
 
 // Unpin releases one pin. If dirty is true the page will be written
@@ -464,22 +475,22 @@ func (p *Pool) Unpin(f *Frame, dirty bool) {
 // (including those with volatile cache writes) are not touched.
 //
 // The dirty bit is claimed with a CAS *before* the write: Unpin sets it
-// without the shard lock, so clearing it after the write could erase a
+// without the pool mutex, so clearing it after the write could erase a
 // concurrent Unpin(dirty) and silently lose that mutation's write-back.
 // Claiming first means a mutation landing mid-flush re-dirties the
 // frame and reaches disk on the next flush or eviction.
 //
-// Each candidate is pinned under the shard lock, then written under its
-// frame latch (shared) with the shard lock released. The pin keeps the
+// Each candidate is pinned under the pool mutex, then written under its
+// frame latch (shared) with the mutex released. The pin keeps the
 // frame from being evicted or rebound meanwhile; the latch keeps the
 // write from racing a concurrent page mutation. Latches must not be
-// awaited while holding the shard mutex: B+Tree descents fetch child
+// awaited while holding the pool mutex: B+Tree descents fetch child
 // pages (which needs the mutex) while holding parent latches, so that
 // nesting would deadlock.
 //
 // nblb:blocking-io
 func (p *Pool) FlushAll() error {
-	return p.eachDirty(func(s *shard, f *Frame) error {
+	return p.eachDirty(func(f *Frame) error {
 		if !p.clearDirty(f) {
 			return nil
 		}
@@ -487,7 +498,7 @@ func (p *Pool) FlushAll() error {
 			p.markDirty(f)
 			return fmt.Errorf("buffer: flush %v: %w", f.id, err)
 		}
-		s.writebacks.Inc()
+		p.writebacks.Add(1)
 		return nil
 	})
 }
@@ -500,7 +511,7 @@ func (p *Pool) FlushAll() error {
 //
 // nblb:blocking-io
 func (p *Pool) DirtyPages(fn func(id storage.PageID, data []byte) error) error {
-	return p.eachDirty(func(_ *shard, f *Frame) error {
+	return p.eachDirty(func(f *Frame) error {
 		if !f.dirty.Load() {
 			return nil
 		}
@@ -508,38 +519,34 @@ func (p *Pool) DirtyPages(fn func(id storage.PageID, data []byte) error) error {
 	})
 }
 
-// eachDirty calls visit for every frame that was dirty when its shard
-// was looked at: candidates are pinned under the shard lock and visited
+// eachDirty calls visit for every frame that was dirty when the pool
+// was looked at: candidates are pinned under the mutex and visited
 // under a shared frame latch outside it. It stops at the first error.
-func (p *Pool) eachDirty(visit func(s *shard, f *Frame) error) error {
+func (p *Pool) eachDirty(visit func(f *Frame) error) error {
 	var pinned []*Frame
-	for i := range p.shards {
-		s := &p.shards[i]
-		s.mu.Lock()
-		if p.closed.Load() {
-			s.mu.Unlock()
-			return ErrPoolClosed
+	p.mu.Lock()
+	if p.closed.Load() {
+		p.mu.Unlock()
+		return ErrPoolClosed
+	}
+	for _, f := range p.frames {
+		if f.id == storage.InvalidPageID || !f.dirty.Load() {
+			continue
 		}
-		pinned = pinned[:0]
-		for _, f := range s.frames {
-			if f.id == storage.InvalidPageID || !f.dirty.Load() {
-				continue
+		f.pins.Add(1)
+		pinned = append(pinned, f)
+	}
+	p.mu.Unlock()
+	for i, f := range pinned {
+		f.Latch.RLock()
+		err := visit(f)
+		f.Latch.RUnlock()
+		p.Unpin(f, false)
+		if err != nil {
+			for _, g := range pinned[i+1:] {
+				p.Unpin(g, false)
 			}
-			f.pins.Add(1)
-			pinned = append(pinned, f)
-		}
-		s.mu.Unlock()
-		for i, f := range pinned {
-			f.Latch.RLock()
-			err := visit(s, f)
-			f.Latch.RUnlock()
-			p.Unpin(f, false)
-			if err != nil {
-				for _, g := range pinned[i+1:] {
-					p.Unpin(g, false)
-				}
-				return err
-			}
+			return err
 		}
 	}
 	return nil
@@ -550,57 +557,43 @@ func (p *Pool) eachDirty(visit func(s *shard, f *Frame) error) error {
 // they take (a quiescent pool must report 0).
 func (p *Pool) PinnedFrames() int {
 	n := 0
-	for i := range p.shards {
-		s := &p.shards[i]
-		s.mu.Lock()
-		for _, f := range s.frames {
-			if f.pins.Load() > 0 {
-				n++
-			}
+	p.mu.Lock()
+	for _, f := range p.frames {
+		if f.pins.Load() > 0 {
+			n++
 		}
-		s.mu.Unlock()
 	}
+	p.mu.Unlock()
 	return n
 }
 
-// ResidentPages returns the number of pages currently held across all
-// shards.
+// ResidentPages returns the number of pages the pool holds.
 func (p *Pool) ResidentPages() int {
-	n := 0
-	for i := range p.shards {
-		s := &p.shards[i]
-		s.mu.Lock()
-		n += len(s.table)
-		s.mu.Unlock()
-	}
-	return n
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return len(p.table)
 }
 
 // EvictAll force-evicts every unpinned page (dirty ones are written
 // back). Tests use it to simulate a cold restart, which must drop all
 // volatile index-cache contents.
 func (p *Pool) EvictAll() error {
-	for i := range p.shards {
-		s := &p.shards[i]
-		s.mu.Lock()
-		if p.closed.Load() {
-			s.mu.Unlock()
-			return ErrPoolClosed
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.closed.Load() {
+		return ErrPoolClosed
+	}
+	for _, f := range p.frames {
+		if f.id == storage.InvalidPageID || f.pins.Load() > 0 {
+			continue
 		}
-		for _, f := range s.frames {
-			if f.id == storage.InvalidPageID || f.pins.Load() > 0 {
-				continue
-			}
-			if p.noSteal.Load() && f.dirty.Load() {
-				continue // WAL mode: dirty pages leave only via FlushAll
-			}
-			if err := s.evict(f, p); err != nil {
-				s.mu.Unlock()
-				return err
-			}
-			s.free = append(s.free, f)
+		if p.noSteal.Load() && f.dirty.Load() {
+			continue // WAL mode: dirty pages leave only via FlushAll
 		}
-		s.mu.Unlock()
+		if err := p.evict(f); err != nil {
+			return err
+		}
+		p.free = append(p.free, f)
 	}
 	return nil
 }
@@ -614,8 +607,8 @@ func (p *Pool) EvictAll() error {
 func (p *Pool) Close() error {
 	p.closed.Store(true)
 	// Every section that touches page memory checks closed under the
-	// shard mutex PinnedFrames takes next, so a pin this count misses
-	// cannot exist afterwards either.
+	// mutex PinnedFrames takes next, so a pin this count misses cannot
+	// exist afterwards either.
 	if n := p.PinnedFrames(); n > 0 {
 		return fmt.Errorf("buffer: close with %d pinned frames; arena left mapped", n)
 	}

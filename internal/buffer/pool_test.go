@@ -214,9 +214,8 @@ func TestPoolCapacityValidation(t *testing.T) {
 
 // resident reports whether the page is currently in the pool.
 func resident(p *Pool, id storage.PageID) bool {
-	s := p.shardOf(id)
-	s.mu.Lock()
-	_, ok := s.table[id]
-	s.mu.Unlock()
+	p.mu.Lock()
+	_, ok := p.table[id]
+	p.mu.Unlock()
 	return ok
 }

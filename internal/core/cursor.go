@@ -355,13 +355,14 @@ func (s *heapSource) loadNextPage(c *Cursor) bool {
 		s.recBuf = s.recBuf[:0]
 		s.offs = append(s.offs[:0], 0)
 		s.rids = s.rids[:0]
-		err := s.t.file.VisitPage(id, func(sp *storage.SlottedPage, _ bool) {
+		err := s.t.file.VisitPage(id, func(sp *storage.SlottedPage, _ bool) bool {
 			sp.Records(func(slot uint16, rec []byte) bool {
 				s.recBuf = append(s.recBuf, rec...)
 				s.offs = append(s.offs, len(s.recBuf))
 				s.rids = append(s.rids, storage.RID{Page: id, Slot: slot})
 				return true
 			})
+			return false
 		})
 		if err != nil {
 			c.err = err

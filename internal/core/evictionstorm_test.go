@@ -9,21 +9,17 @@ import (
 )
 
 // TestEvictionStormAcrossShards runs concurrent Lookup / point Query /
-// Insert / WarmCache traffic against an engine whose buffer pool is multi-shard
-// (a 48-frame pool splits four ways at every GOMAXPROCS) and far
-// smaller than the working set, so victim selection
-// constantly crosses shard boundaries (frames migrate between shards
-// under steal). Run with -race; values served must always be exactly
-// what was inserted.
+// Insert / WarmCache traffic against an engine whose 48-frame buffer
+// pool is far smaller than the working set, so nearly every fetch
+// evicts and reads with the pool mutex released while other readers
+// hit, wait on a page being read, or evict it again. Run with -race;
+// values served must always be exactly what was inserted.
 func TestEvictionStormAcrossShards(t *testing.T) {
 	e, err := NewEngine(Options{PageSize: 1024, BufferPoolPages: 48})
 	if err != nil {
 		t.Fatalf("NewEngine: %v", err)
 	}
 	defer e.Close()
-	if got := e.Pool().NumShards(); got != 4 {
-		t.Fatalf("NumShards = %d, want 4", got)
-	}
 	tb, err := e.CreateTable("page", pagesSchema())
 	if err != nil {
 		t.Fatalf("CreateTable: %v", err)

@@ -231,7 +231,7 @@ func TestReopenGrowingUpdateRelocates(t *testing.T) {
 		t.Fatalf("1000 rows fit one page: the first page is not full")
 	}
 	var free int
-	if err := tbl.Heap().VisitPage(old.Page, func(sp *storage.SlottedPage, _ bool) { free = sp.AvailableBytes() }); err != nil {
+	if err := tbl.Heap().VisitPage(old.Page, func(sp *storage.SlottedPage, _ bool) bool { free = sp.AvailableBytes(); return false }); err != nil {
 		t.Fatal(err)
 	}
 	if free >= 64 {

@@ -239,11 +239,12 @@ func TestCrashRedoLostRoomMovesTheRecord(t *testing.T) {
 	}
 	y := redoRow(1000, 1, strings.Repeat("y", 300))
 	var slot storage.RID
-	if err := tbl.Heap().VisitPage(full, func(sp *storage.SlottedPage, _ bool) {
+	if err := tbl.Heap().VisitPage(full, func(sp *storage.SlottedPage, _ bool) bool {
 		if sp.AvailableBytes() >= 300 {
 			t.Fatalf("the full page has %d bytes free", sp.AvailableBytes())
 		}
 		slot = storage.RID{Page: full, Slot: uint16(sp.NumSlots())}
+		return false
 	}); err != nil {
 		t.Fatal(err)
 	}

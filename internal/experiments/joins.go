@@ -151,21 +151,23 @@ func RunJoinCache(cfg JoinCacheConfig) (_ JoinCacheResult, err error) {
 				jc.Invalidate()
 			}
 			rid, fk := rids[ri], uint64(revs[ri].Row[1].Int)
-			err := revTable.Heap().VisitPage(rid.Page, func(sp *storage.SlottedPage, excl bool) {
-				if !jc.Prepare(sp, rid.Page, excl) {
-					return
+			err := revTable.Heap().VisitPage(rid.Page, func(sp *storage.SlottedPage, excl bool) bool {
+				usable, repaired := jc.Prepare(sp, rid.Page, excl)
+				if !usable {
+					return false
 				}
 				if payload, ok := jc.Lookup(sp, fk); ok {
 					if row := pageRows[fk-1]; !bytes.Equal(payload, joinPayload(row[latest], row[length])) {
 						res.Stale++
 					}
-					return
+					return repaired
 				}
 				// Miss: resolve through the dimension index and fill.
 				row, lr, lerr := pageByID.Lookup([]string{"page_latest", "page_len"}, tuple.Int64(int64(fk)))
 				if lerr == nil && lr.Found {
 					jc.Insert(sp, excl, fk, joinPayload(row[0], row[1]))
 				}
+				return repaired
 			})
 			if err != nil {
 				return nil, err

@@ -194,10 +194,11 @@ func TestHeapShardedBudget(t *testing.T) {
 	ff := float64(fillFactor) // force non-constant: Go rejects fractional constant→int
 	budget := int(1024 * ff)
 	for _, id := range f.Pages() {
-		if err := f.VisitPage(id, func(sp *storage.SlottedPage, _ bool) {
+		if err := f.VisitPage(id, func(sp *storage.SlottedPage, _ bool) bool {
 			if used := sp.UsedBytes(); used > budget {
 				t.Errorf("page %v holds %d bytes, budget %d", id, used, budget)
 			}
+			return false
 		}); err != nil {
 			t.Fatalf("VisitPage(%v): %v", id, err)
 		}

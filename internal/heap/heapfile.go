@@ -526,10 +526,11 @@ func (f *File) Update(rid storage.RID, rec []byte) (storage.RID, error) {
 // VisitPage pins the page and runs fn over its slotted view. The frame
 // latch is taken exclusively when that succeeds without blocking
 // (enabling volatile cache writes in the page's free space, Section 2.2
-// of the paper), shared otherwise; fn receives which. The page is
-// unpinned clean — mutations made under fn are volatile unless the
-// caller arranges otherwise, exactly like index-cache writes.
-func (f *File) VisitPage(id storage.PageID, fn func(sp *storage.SlottedPage, exclusive bool)) error {
+// of the paper), shared otherwise; fn receives which. Mutations made
+// under fn are volatile, exactly like index-cache writes, unless fn
+// returns true: then it changed bytes that must outlive an eviction,
+// and the page is unpinned dirty. Only an exclusive visit may.
+func (f *File) VisitPage(id storage.PageID, fn func(sp *storage.SlottedPage, exclusive bool) (dirty bool)) error {
 	fr, err := f.pool.Fetch(id)
 	if err != nil {
 		return err
@@ -538,13 +539,13 @@ func (f *File) VisitPage(id storage.PageID, fn func(sp *storage.SlottedPage, exc
 	if !exclusive {
 		fr.Latch.RLock()
 	}
-	fn(storage.AsSlotted(fr.Data()), exclusive)
+	dirty := fn(storage.AsSlotted(fr.Data()), exclusive)
 	if exclusive {
 		fr.Latch.Unlock()
 	} else {
 		fr.Latch.RUnlock()
 	}
-	f.pool.Unpin(fr, false)
+	f.pool.Unpin(fr, dirty && exclusive)
 	return nil
 }
 

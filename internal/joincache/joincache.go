@@ -7,14 +7,15 @@
 //
 // As in the index cache, entries sit at absolute offsets aligned to the
 // entry size, so they survive the region shrinking as records are
-// inserted, and writes are volatile (never dirty the page). The page
-// carries no CSN: the Cache keeps each page's CSNp by page id, and a
-// page whose CSNp is not the current CSNjc — never prepared, or
+// inserted, and entry writes are volatile (never dirty the page). The
+// page carries no CSN: the Cache keeps each page's CSNp by page id, and
+// a page whose CSNp is not the current CSNjc — never prepared, or
 // prepared before the last Invalidate, which an update to the
 // referenced table calls — has its region zeroed on its next exclusive
-// Prepare. Zeroing is volatile too, so a page evicted clean after it
-// and read back holds the entries of its last write-back: the Cache is
-// sound while the pages it visits stay resident, as in -exp joincache.
+// Prepare. That repair is not volatile: Prepare reports it, and the
+// caller unpins the page dirty (heap.File.VisitPage's callback returns
+// true), so a page evicted after it reads back without the entries its
+// last write-back carried.
 package joincache
 
 import (
@@ -73,21 +74,23 @@ func (c *Cache) Invalidate() { c.csn.Add(1) }
 
 // Prepare validates page id's cache region, whose slotted view is sp,
 // against CSNjc, zeroing it when stale. Requires the exclusive latch
-// for repairs; returns false when the cache is unusable for this visit.
-func (c *Cache) Prepare(sp *storage.SlottedPage, id storage.PageID, exclusive bool) bool {
+// for repairs; usable is false when the cache is unusable for this
+// visit. repaired reports a zeroing, which must reach disk before the
+// page leaves the pool: the caller unpins the page dirty.
+func (c *Cache) Prepare(sp *storage.SlottedPage, id storage.PageID, exclusive bool) (usable, repaired bool) {
 	csn := c.csn.Load()
 	if v, _ := c.pageCSN.Load(id); v == csn {
-		return true
+		return true, false
 	}
 	if !exclusive {
 		c.SkippedNoLatch.Add(1)
-		return false
+		return false, false
 	}
 	lo, hi := sp.FreeBounds()
 	clear(sp.Data()[lo:hi])
 	c.pageCSN.Store(id, csn)
 	c.PageInvalidations.Add(1)
-	return true
+	return true, true
 }
 
 // slots returns the first whole slot's offset in the page's free region

@@ -45,11 +45,11 @@ func TestJoinCacheInsertLookup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = f.VisitPage(rid.Page, func(sp *storage.SlottedPage, excl bool) {
+	err = f.VisitPage(rid.Page, func(sp *storage.SlottedPage, excl bool) bool {
 		if !excl {
 			t.Fatal("uncontended visit should be exclusive")
 		}
-		if !c.Prepare(sp, rid.Page, excl) {
+		if ok, _ := c.Prepare(sp, rid.Page, excl); !ok {
 			t.Fatal("Prepare failed")
 		}
 		if !c.Insert(sp, excl, 42, pay(c, 0xAB)) {
@@ -62,6 +62,7 @@ func TestJoinCacheInsertLookup(t *testing.T) {
 		if _, ok := c.Lookup(sp, 99); ok {
 			t.Error("lookup of uncached fk hit")
 		}
+		return false
 	})
 	if err != nil {
 		t.Fatalf("VisitPage: %v", err)
@@ -75,11 +76,12 @@ func TestJoinCacheSurvivesRecordInserts(t *testing.T) {
 	f := newTestHeap(t)
 	c, _ := New(8, 3)
 	rid, _ := f.Insert([]byte("first"))
-	f.VisitPage(rid.Page, func(sp *storage.SlottedPage, excl bool) {
+	f.VisitPage(rid.Page, func(sp *storage.SlottedPage, excl bool) bool {
 		c.Prepare(sp, rid.Page, excl)
 		for k := uint64(1); k <= 5; k++ {
 			c.Insert(sp, excl, k, pay(c, byte(k)))
 		}
+		return false
 	})
 	// Insert more records into the same page: the free region shrinks
 	// and may overwrite peripheral entries; surviving entries must be
@@ -99,9 +101,9 @@ func TestJoinCacheSurvivesRecordInserts(t *testing.T) {
 		}
 	}
 	survived := 0
-	f.VisitPage(rid.Page, func(sp *storage.SlottedPage, excl bool) {
-		if !c.Prepare(sp, rid.Page, excl) {
-			return
+	f.VisitPage(rid.Page, func(sp *storage.SlottedPage, excl bool) bool {
+		if ok, _ := c.Prepare(sp, rid.Page, excl); !ok {
+			return false
 		}
 		for k := uint64(1); k <= 5; k++ {
 			if got, ok := c.Lookup(sp, k); ok {
@@ -111,6 +113,7 @@ func TestJoinCacheSurvivesRecordInserts(t *testing.T) {
 				survived++
 			}
 		}
+		return false
 	})
 	t.Logf("%d/5 entries survived record inserts", survived)
 }
@@ -130,8 +133,9 @@ func TestJoinCacheCompactionZeroesRegion(t *testing.T) {
 		rids = append(rids, r)
 	}
 	page := rids[0].Page
-	f.VisitPage(page, func(sp *storage.SlottedPage, excl bool) {
+	f.VisitPage(page, func(sp *storage.SlottedPage, excl bool) bool {
 		c.Prepare(sp, page, excl) // records the page's CSN: its cache is now "valid"
+		return false
 	})
 	for _, r := range rids[1:] {
 		if r.Page == page {
@@ -144,8 +148,8 @@ func TestJoinCacheCompactionZeroesRegion(t *testing.T) {
 	if _, err := f.Insert(bytes.Repeat([]byte{0x11}, 200)); err != nil {
 		t.Fatal(err)
 	}
-	f.VisitPage(page, func(sp *storage.SlottedPage, excl bool) {
-		if !c.Prepare(sp, page, excl) {
+	f.VisitPage(page, func(sp *storage.SlottedPage, excl bool) bool {
+		if ok, _ := c.Prepare(sp, page, excl); !ok {
 			t.Fatal("Prepare failed")
 		}
 		// 0xEEEEEEEE... interpreted as a key would be (0xEE...EE − 1);
@@ -155,6 +159,7 @@ func TestJoinCacheCompactionZeroesRegion(t *testing.T) {
 				t.Fatal("stale record bytes served as a cache entry")
 			}
 		}
+		return false
 	})
 }
 
@@ -162,7 +167,7 @@ func TestJoinCacheEvictionWhenFull(t *testing.T) {
 	f := newTestHeap(t)
 	c, _ := New(24, 5)
 	rid, _ := f.Insert([]byte("x"))
-	f.VisitPage(rid.Page, func(sp *storage.SlottedPage, excl bool) {
+	f.VisitPage(rid.Page, func(sp *storage.SlottedPage, excl bool) bool {
 		c.Prepare(sp, rid.Page, excl)
 		slots := c.SlotsIn(sp)
 		if slots < 2 {
@@ -173,6 +178,7 @@ func TestJoinCacheEvictionWhenFull(t *testing.T) {
 				t.Fatalf("insert %d failed", k)
 			}
 		}
+		return false
 	})
 	if c.Evictions.Load() != 5 {
 		t.Errorf("evictions = %d, want 5", c.Evictions.Load())
@@ -186,7 +192,7 @@ func TestJoinCacheValidation(t *testing.T) {
 	f := newTestHeap(t)
 	c, _ := New(8, 6)
 	rid, _ := f.Insert([]byte("x"))
-	f.VisitPage(rid.Page, func(sp *storage.SlottedPage, excl bool) {
+	f.VisitPage(rid.Page, func(sp *storage.SlottedPage, excl bool) bool {
 		c.Prepare(sp, rid.Page, excl)
 		if c.Insert(sp, excl, 1, []byte{1}) {
 			t.Error("wrong payload size accepted")
@@ -197,6 +203,7 @@ func TestJoinCacheValidation(t *testing.T) {
 		if c.Insert(sp, excl, ^uint64(0), pay(c, 1)) {
 			t.Error("reserved fk value accepted")
 		}
+		return false
 	})
 	if c.SkippedNoLatch.Load() == 0 {
 		t.Error("skipped counter not incremented")
@@ -210,25 +217,26 @@ func TestJoinCacheInvalidate(t *testing.T) {
 	f := newTestHeap(t)
 	c, _ := New(8, 7)
 	rid, _ := f.Insert([]byte("x"))
-	f.VisitPage(rid.Page, func(sp *storage.SlottedPage, excl bool) {
+	f.VisitPage(rid.Page, func(sp *storage.SlottedPage, excl bool) bool {
 		c.Prepare(sp, rid.Page, excl)
 		c.Insert(sp, excl, 42, pay(c, 1))
-		if !c.Prepare(sp, rid.Page, false) {
+		if ok, _ := c.Prepare(sp, rid.Page, false); !ok {
 			t.Fatal("a fresh page refused a shared visit")
 		}
 		c.Invalidate()
-		if c.Prepare(sp, rid.Page, false) {
+		if ok, _ := c.Prepare(sp, rid.Page, false); ok {
 			t.Fatal("a stale page accepted a shared visit")
 		}
 		if _, ok := c.Lookup(sp, 42); !ok {
 			t.Fatal("the entry is gone before the page was repaired")
 		}
-		if !c.Prepare(sp, rid.Page, true) {
+		if ok, _ := c.Prepare(sp, rid.Page, true); !ok {
 			t.Fatal("exclusive Prepare refused")
 		}
 		if _, ok := c.Lookup(sp, 42); ok {
 			t.Fatal("an entry cached before Invalidate was served")
 		}
+		return false
 	})
 	if got := c.PageInvalidations.Load(); got != 2 {
 		t.Fatalf("page invalidations = %d, want 2 (first use, then Invalidate)", got)
@@ -264,15 +272,16 @@ func TestJoinCacheConcurrentVisits(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 2000; i++ {
 				page, fk := pages[(i+w)%len(pages)], uint64(i%16)
-				f.VisitPage(page, func(sp *storage.SlottedPage, excl bool) {
-					if !c.Prepare(sp, page, excl) {
-						return
+				f.VisitPage(page, func(sp *storage.SlottedPage, excl bool) bool {
+					if ok, _ := c.Prepare(sp, page, excl); !ok {
+						return false
 					}
 					if got, ok := c.Lookup(sp, fk); ok && !bytes.Equal(got, pay(c, byte(fk))) {
 						t.Errorf("fk %d served %v", fk, got)
 					} else if !ok {
 						c.Insert(sp, excl, fk, pay(c, byte(fk)))
 					}
+					return false
 				})
 				if w == 0 && i%100 == 0 {
 					c.Invalidate()
@@ -284,4 +293,59 @@ func TestJoinCacheConcurrentVisits(t *testing.T) {
 	if c.Hits.Load() == 0 {
 		t.Fatal("no lookup hit")
 	}
+}
+
+// TestJoinCacheRepairOutlivesEviction: an entry that reached disk with
+// its page, then went stale, is not served again after the page is
+// evicted and read back — the zeroing Prepare reports is written back.
+func TestJoinCacheRepairOutlivesEviction(t *testing.T) {
+	disk, _ := storage.NewMemDisk(1024)
+	pool, err := buffer.NewPool(disk, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := heap.NewFile(pool)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, _ := New(8, 9)
+	rid, err := f.Insert([]byte("fact-row")) // leaves the page dirty
+	if err != nil {
+		t.Fatal(err)
+	}
+	visit := func(fn func(sp *storage.SlottedPage)) {
+		t.Helper()
+		err := f.VisitPage(rid.Page, func(sp *storage.SlottedPage, excl bool) bool {
+			if !excl {
+				t.Fatal("uncontended visit should be exclusive")
+			}
+			_, repaired := c.Prepare(sp, rid.Page, excl)
+			fn(sp)
+			return repaired
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := pool.EvictAll(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The entry is written back with the dirty page it sits in.
+	visit(func(sp *storage.SlottedPage) { c.Insert(sp, true, 42, pay(c, 1)) })
+	visit(func(sp *storage.SlottedPage) {
+		if _, ok := c.Lookup(sp, 42); !ok {
+			t.Fatal("the entry did not reach disk with its page")
+		}
+	})
+	c.Invalidate()
+	visit(func(sp *storage.SlottedPage) {
+		if _, ok := c.Lookup(sp, 42); ok {
+			t.Fatal("an entry cached before Invalidate was served")
+		}
+	})
+	visit(func(sp *storage.SlottedPage) {
+		if got, ok := c.Lookup(sp, 42); ok {
+			t.Fatalf("stale entry served after eviction: %v", got)
+		}
+	})
 }

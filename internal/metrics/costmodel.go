@@ -1,3 +1,11 @@
+// Package metrics provides the latency cost model shared by the
+// simulation-backed experiments.
+//
+// The paper's Figure 2(b) experiment is itself a simulation: the index
+// and buffer pool are "large in-memory arrays" and a buffer-pool miss
+// reads a page from an on-disk file. CostModel captures that three-tier
+// latency hierarchy (index-cache probe, buffer-pool page access, disk
+// read) so the experiment is deterministic and machine-independent.
 package metrics
 
 import "time"

@@ -1,42 +1,9 @@
 package metrics
 
 import (
-	"sync"
 	"testing"
 	"time"
 )
-
-func TestCounterBasics(t *testing.T) {
-	var c Counter
-	for range 5 {
-		c.Inc()
-	}
-	if c.Value() != 5 {
-		t.Errorf("Value = %d", c.Value())
-	}
-	c.Reset()
-	if c.Value() != 0 {
-		t.Error("Reset failed")
-	}
-}
-
-func TestCounterConcurrent(t *testing.T) {
-	var c Counter
-	var wg sync.WaitGroup
-	for i := 0; i < 10; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := 0; j < 1000; j++ {
-				c.Inc()
-			}
-		}()
-	}
-	wg.Wait()
-	if c.Value() != 10000 {
-		t.Errorf("Value = %d, want 10000", c.Value())
-	}
-}
 
 func TestCostModelTiers(t *testing.T) {
 	m := DefaultCostModel()
