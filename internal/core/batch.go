@@ -2,11 +2,13 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"sort"
 	"sync/atomic"
 
 	"repro/internal/btree"
+	"repro/internal/buffer"
 	"repro/internal/heap"
 	"repro/internal/storage"
 	"repro/internal/tuple"
@@ -46,7 +48,6 @@ type stagedOp struct {
 	row  tuple.Row   // insert/update: the new row (the caller's; a view of rec once a Txn stages it)
 
 	rec    []byte      // pre-flight: the encoded new row
-	esc    uint64      // pre-flight: rec's escape bitmap (tuple.EncodeEscapes)
 	oldRow tuple.Row   // pre-flight: the pre-image (update/delete)
 	oldSum uint32      // pre-flight: the pre-image record's heap.RecordSum
 	newRID storage.RID // heap stage: where the new record landed
@@ -516,7 +517,7 @@ func (t *Table) preflight(op *stagedOp, sc *stageArena) (err error) {
 	if op.kind != BatchDelete {
 		n, err := tuple.EncodedSize(t.schema, op.row)
 		if err == nil {
-			op.rec, op.esc, err = tuple.EncodeEscapes(t.schema, op.row, carve(&sc.arena, n, maxArena))
+			op.rec, _, err = tuple.EncodeEscapes(t.schema, op.row, carve(&sc.arena, n, maxArena))
 		}
 		if err != nil {
 			return fmt.Errorf("core: encoding row for %q: %w", t.name, err)
@@ -562,6 +563,8 @@ func (p *pipeline) failRun(ix *Index, err error) {
 //  4. Index upserts (inserts, update key moves and relocations), again
 //     one key-sorted run per index: one crabbed descent and one
 //     exclusive leaf latch per leaf run instead of per key.
+//  5. Frees (raw only): each moved row's old copy, once stage 4 has
+//     repointed its entries (stage 2's rule), whatever stages 2–4 did.
 //
 // A trip that brings the table to its layout sample first adopts the
 // packed record layout (layout.go): a raw trip's records are then
@@ -580,13 +583,35 @@ func (p *pipeline) run() {
 			}
 		}
 	}
-	if len(p.ops) == 0 || !p.indexDeletes() || !p.heapStage() || !p.indexUpserts() {
+	ok := len(p.ops) > 0 && p.indexDeletes() && p.heapStage() && p.indexUpserts()
+	p.freeMoved()
+	if !ok {
 		return
 	}
 	p.res.Applied = len(p.ops)
 	for _, err := range p.res.OpErrs {
 		if err != nil {
 			p.res.Applied--
+		}
+	}
+}
+
+// freeMoved is stage 5. Stage 3 logged each move as a put that removes
+// the old copy, so a failed free stops the engine (its pool closes)
+// rather than serve a row recovery would not; a reopen replays it. A
+// copy already gone was freed by a racing write of the same row.
+func (p *pipeline) freeMoved() {
+	for i := range p.ops {
+		op := &p.ops[i]
+		if p.vers != nil || op.kind != BatchUpdate || !op.newRID.Valid() || op.newRID == op.rid {
+			continue
+		}
+		if err := p.t.file.Delete(op.rid); errors.Is(err, storage.ErrDeleted) {
+			p.fail(i, fmt.Errorf("core: update of %v raced a write of the same row: %w", op.rid, err))
+		} else if err != nil {
+			_ = p.t.engine.pool.Close() // closed even while pins keep it mapped
+			p.res.fail(-1, fmt.Errorf("core: freeing %v, the old copy of a relocated row: %w; the engine stops: %w", op.rid, err, buffer.ErrPoolClosed))
+			return
 		}
 	}
 }
@@ -697,7 +722,6 @@ func (p *pipeline) landed(i int, newRID storage.RID) {
 		old = op.rid
 	}
 	p.wb.put(old, newRID, op.rec, op.oldSum)
-	p.t.countEscapes(op.rec, op.esc)
 	if p.res.RIDs != nil {
 		p.res.RIDs[i] = newRID
 	}
@@ -735,7 +759,7 @@ func (p *pipeline) heapStage() bool {
 			}
 		default:
 			var newRID storage.RID
-			if newRID, err = t.file.Update(op.rid, op.rec); err == nil {
+			if newRID, err = t.file.Rewrite(op.rid, op.rec); err == nil {
 				if newRID != op.rid {
 					vs.forget(newRID) // its new slot may hold a tombstone
 				}

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"iter"
-	"runtime"
 
 	"repro/internal/btree"
 	"repro/internal/storage"
@@ -41,7 +40,7 @@ import (
 // pool (Pool.PinnedFrames observes this in tests). Heap-order cursors
 // hold no pin between calls — each page is snapshotted into cursor
 // scratch under its latch and released before Next returns — and
-// neither does a point cursor (see pointSource), whose one row is
+// neither does a point cursor (see indexSource), whose one row is
 // resolved inside Next.
 //
 // A serial index cursor is one allocation: the options it was opened
@@ -176,12 +175,15 @@ func (c *Cursor) All() iter.Seq2[storage.RID, tuple.Row] {
 // projection is covered and the entry is cached (hit and r.payload are
 // set by VisitEntry, the entry visitor openIndexSource wires), from the
 // heap otherwise. All scratch is cursor-owned and reused per row.
+// A point cursor (openPointSource) runs no btree cursor: its one step is
+// the §2.1.1 point query, one leaf visit (resolver.seek) that fills the
+// cache, and a stale entry there is not-found at once (see tierStale).
 type indexSource struct {
 	r    resolver
 	bt   btree.Cursor
 	gate cacheGate
 	hit  bool
-	// point is a pointSource's encoded search key; fill says whether its
+	// point is a point cursor's encoded search key; fill says whether its
 	// heap answer installs the cache entry it missed.
 	point []byte
 	fill  bool
@@ -190,9 +192,19 @@ type indexSource struct {
 }
 
 func (s *indexSource) step(c *Cursor) bool {
+	if s.point != nil {
+		c.stats.LeafFetches++
+		row, rid, how, err := s.r.seek(c.row, s.point, s.fill)
+		if err != nil || how < tierLeaf {
+			c.err = err
+			return false
+		}
+		c.row, c.rid, c.key = row, rid, s.point
+		return true
+	}
 	for s.bt.Next() {
 		c.stats.LeafFetches = s.bt.LeafFetches()
-		row, rid, how, err := s.r.resolve(c.row, s.bt.Key(), s.bt.Value(), s.r.payload, s.hit)
+		row, rid, how, err := s.r.resolveCopied(c.row, s.bt.Key(), s.bt.Value(), s.r.payload, s.hit)
 		if err != nil {
 			c.err = err
 			return false
@@ -207,74 +219,6 @@ func (s *indexSource) step(c *Cursor) bool {
 }
 
 func (s *indexSource) close() { s.bt.Close() }
-
-// --- point source --------------------------------------------------------
-
-// lookupRetries bounds how often a point read re-descends after finding
-// a stale entry (see tierStale) before it answers not-found.
-const lookupRetries = 64
-
-// pointSource is a serial index cursor whose bound binds every key field
-// of a unique index by equality, so it names one entry. Its step is the
-// paper's §2.1.1 point query in one VisitLeaf: find the entry, probe the
-// leaf's cache, resolve, and after a heap answer fill the cache under the
-// same latch — where an indexSource runs a btree cursor and only probes.
-// It is the cursor's own indexSource under another name (no allocation,
-// no pin held between calls); openPointSource sets Cursor.limit to 1.
-type pointSource indexSource
-
-func (s *pointSource) step(c *Cursor) bool {
-	r, key := &s.r, s.point
-	ix := r.ix
-	for try := 0; ; try++ {
-		var (
-			row tuple.Row
-			rid storage.RID
-			how tier
-			err error
-		)
-		verr := ix.tree.VisitLeaf(key, func(l *btree.Leaf) {
-			c.stats.LeafFetches++
-			packed, found := l.Find(key)
-			if !found {
-				return
-			}
-			var payload []byte
-			prepared, hit := r.probe && ix.cache.Prepare(l), false
-			if prepared {
-				if payload, hit = ix.cache.LookupInto(r.payload[:0], l, packed); hit {
-					r.payload = payload[:0]
-				}
-			}
-			row, rid, how, err = r.resolve(c.row, key, packed, payload, hit)
-			// The fill: a heap answer installs the entry it missed, when the
-			// latch is exclusive (§2.1.3: give up rather than wait).
-			if how == tierHeap && s.fill && l.Exclusive() && (prepared || ix.cache.Prepare(l)) &&
-				ix.admit(l, packed, r.heapRow, &r.payload) {
-				c.stats.CacheFills++
-			}
-		})
-		if err == nil {
-			err = verr
-		}
-		if err != nil {
-			c.err = err
-			return false
-		}
-		if how >= tierLeaf {
-			c.row, c.rid, c.key = row, rid, key
-			return true
-		}
-		// A stale entry at the latest state is a writer mid-move, about to
-		// repoint it; under a pinned snapshot it stays stale.
-		if how != tierStale || r.snap != snapLatest || try == lookupRetries {
-			return false
-		}
-		runtime.Gosched()
-	}
-}
-
-func (s *pointSource) close() {}
 
 // --- heap-order source ---------------------------------------------------
 

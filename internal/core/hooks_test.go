@@ -79,33 +79,6 @@ func (ix *Index) Query(opts ...QueryOption) (*Cursor, error) {
 	return c.opened(ix.query(c))
 }
 
-// TableStats is what a table's writes did since the engine opened it.
-type TableStats struct {
-	// Packed counts the records written in the table's packed layout.
-	Packed int64
-	// Escaped counts those of them holding at least one value outside the
-	// layout's domain, and Escapes, per schema field, those holding one in
-	// that field. The gain of the packed layout rests on these staying
-	// small (ARCHITECTURE.md, "What the gain rests on").
-	Escaped int64
-	Escapes []int64
-}
-
-// Stats returns the table's counters.
-func (t *Table) Stats() TableStats {
-	st := TableStats{
-		Packed:  t.packedRecs.Load(),
-		Escaped: t.escapedRecs.Load(),
-		Escapes: make([]int64, t.schema.NumFields()),
-	}
-	if l := t.schema.Packed(); l != nil {
-		for k, i := range l.EscapeFields() {
-			st.Escapes[i] = t.escapes[k].Load()
-		}
-	}
-	return st
-}
-
 // Delete removes the row at rid, maintaining indexes and invalidating
 // affected cache entries. Heap slot reuse makes invalidation mandatory:
 // a future tuple could receive the same RID, and a stale cache entry

@@ -395,10 +395,9 @@ func (ix *Index) appendEntryKey(dst []byte, row tuple.Row, rid storage.RID) ([]b
 
 // stillIndexes reports whether row, just fetched from rid, is the row
 // the entry under key points at, encoding its key into scratch (which
-// it returns). A reader fetches the row with no heap latch held since
-// it read the entry: a racing delete (or relocating update) can free
-// the slot and an insert reuse it, and the fetch then returns an
-// unrelated row — not to be served under this key (see tierStale).
+// it returns). Not when a scan's copied entry names a slot freed and
+// reused since, nor when an update moved the row off key in place and
+// its entry has yet to follow (see tierStale).
 func (ix *Index) stillIndexes(scratch []byte, row tuple.Row, rid storage.RID, key []byte) ([]byte, bool) {
 	k, err := ix.appendEntryKey(scratch[:0], row, rid)
 	if err != nil {

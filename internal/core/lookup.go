@@ -37,7 +37,7 @@ type LookupResult struct {
 // without touching the heap. Otherwise fetch the heap row while the
 // leaf is still pinned and install the missing cache entry (a volatile
 // write that never dirties the page). It is Query(WithPrefix(keyVals...))
-// — a point cursor, see pointSource — with the answer path reported.
+// — a point cursor, see indexSource — with the answer path reported.
 func (ix *Index) Lookup(project []string, keyVals ...tuple.Value) (tuple.Row, LookupResult, error) {
 	return ix.LookupInto(nil, project, keyVals...)
 }

@@ -328,12 +328,12 @@ func (ix *Index) openIndexSource(c *Cursor, cfg *queryConfig, start, end []byte,
 	ix.tree.OpenCursor(&s.bt, start, end, bopts[:n]...)
 }
 
-// openPointSource makes c a point cursor (pointSource) on key, the
+// openPointSource makes c a point cursor (see indexSource) on key, the
 // encoded full key of c's WithPrefix. A leaf answer takes the key values
 // the caller searched for instead of decoding them from the entry.
 func (ix *Index) openPointSource(c *Cursor, key []byte, plan *projPlan, fp *filterPlan) {
 	s, cfg := &c.ix, &c.cfg
-	c.src, c.limit = (*pointSource)(s), 1
+	c.src, c.limit = s, 1
 	s.aim(ix, cfg, plan, fp, &c.stats)
 	s.r.keyVals, s.r.decodeKey = append(s.r.keyVals, cfg.prefix...), false
 	s.point = key

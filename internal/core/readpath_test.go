@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"sort"
 	"strings"
@@ -454,46 +455,66 @@ func (f *readFixture) checkLookups(c *readCase) {
 
 // --- the stale-entry window ----------------------------------------------
 
-// TestLookupStaleEntryNotServed forces ROADMAP defect (iv): between a
-// relocating update's heap stage and its index stage the entry still
-// names the old slot — free, or already reused by another key's row. A
-// point lookup landing there must not serve that other row, nor fail
-// with storage.ErrDeleted; it re-descends and, the entry still stale,
-// answers not-found. "staged" builds the window by hand, step by step;
-// "storm" lets real writers open it at random.
+// grownRow is intRow(id) with an n-byte blob.
+func grownRow(id, n int) tuple.Row {
+	row := intRow(id)
+	row[3] = tuple.String(strings.Repeat("x", n))
+	return row
+}
+
+// newStaleFixture is a table of rows 0..rows-1 on 1 KB pages, indexed
+// by_id (unique, caching a and b). Every 7th row is wide: wide enough
+// that the heap's approximate free-space maps find the slot it vacates
+// when it moves.
+func newStaleFixture(t *testing.T, rows int) (*Table, *Index) {
+	t.Helper()
+	e, err := NewEngine(Options{PageSize: 1024, BufferPoolPages: 4096})
+	if err != nil {
+		t.Fatalf("NewEngine: %v", err)
+	}
+	t.Cleanup(func() { e.Close() })
+	tb, err := e.CreateTable("t", intSchema())
+	if err != nil {
+		t.Fatalf("CreateTable: %v", err)
+	}
+	ix, err := tb.CreateIndex("by_id", []string{"id"}, WithCache("a", "b"))
+	if err != nil {
+		t.Fatalf("CreateIndex: %v", err)
+	}
+	for i := 0; i < rows; i++ {
+		row := intRow(i)
+		if i%7 == 0 {
+			row = grownRow(i, 300)
+		}
+		if _, err := tb.Insert(row); err != nil {
+			t.Fatalf("Insert: %v", err)
+		}
+	}
+	return tb, ix
+}
+
+// reuseSlot inserts rows of ids 1000 and up until one lands at rid, and
+// reports whether one did.
+func reuseSlot(tb *Table, rid storage.RID) (bool, error) {
+	for i := 1000; i < 1400; i++ {
+		got, err := tb.Insert(intRow(i))
+		if err != nil || got == rid {
+			return err == nil, err
+		}
+	}
+	return false, nil
+}
+
+// TestLookupStaleEntryNotServed covers the entry a relocating update
+// repoints (pipeline.run): the new copy is placed while the old one
+// still serves, the entry moves to the new copy, and only then is the
+// old copy freed — where an insert may reuse its slot for another key's
+// row. A point lookup must serve the row at every step, and never
+// another key's row; an entry copied before the repoint resolves stale
+// once the slot is reused (stillIndexes), and a scan holding it re-seeks
+// to the new copy. "staged" builds the steps by hand; "storm" lets real
+// writers race real lookups.
 func TestLookupStaleEntryNotServed(t *testing.T) {
-	grown := func(id, n int) tuple.Row {
-		row := intRow(id)
-		row[3] = tuple.String(strings.Repeat("x", n))
-		return row
-	}
-	// Every 7th row is wide: wide enough that the heap's approximate
-	// free-space maps find the slot it vacates when it moves.
-	setup := func(t *testing.T, rows int) (*Table, *Index) {
-		e, err := NewEngine(Options{PageSize: 1024, BufferPoolPages: 4096})
-		if err != nil {
-			t.Fatalf("NewEngine: %v", err)
-		}
-		t.Cleanup(func() { e.Close() })
-		tb, err := e.CreateTable("t", intSchema())
-		if err != nil {
-			t.Fatalf("CreateTable: %v", err)
-		}
-		ix, err := tb.CreateIndex("by_id", []string{"id"}, WithCache("a", "b"))
-		if err != nil {
-			t.Fatalf("CreateIndex: %v", err)
-		}
-		for i := 0; i < rows; i++ {
-			row := intRow(i)
-			if i%7 == 0 {
-				row = grown(i, 300)
-			}
-			if _, err := tb.Insert(row); err != nil {
-				t.Fatalf("Insert: %v", err)
-			}
-		}
-		return tb, ix
-	}
 	// check runs every point-lookup entry on key id and fails on a row of
 	// another key or any error; it reports whether the key was found.
 	check := func(t *testing.T, ix *Index, id int64) bool {
@@ -520,54 +541,73 @@ func TestLookupStaleEntryNotServed(t *testing.T) {
 		}
 		return res.Found
 	}
+	// serves checks that a lookup of id answers the row at rid with an
+	// n-byte blob.
+	serves := func(t *testing.T, ix *Index, id int64, rid storage.RID, n int, step string) {
+		t.Helper()
+		if !check(t, ix, id) {
+			t.Fatalf("%s: id %d reads as not-found", step, id)
+		}
+		row, res, err := ix.Lookup(nil, tuple.Int64(id))
+		if err != nil || !res.Found || res.RID != rid || len(row[3].Str) != n {
+			t.Fatalf("%s: row %v, result %+v, err %v; want the %d-byte blob at %v", step, row, res, err, n, rid)
+		}
+	}
 
 	t.Run("staged", func(t *testing.T) {
-		tb, ix := setup(t, 40)
+		tb, ix := newStaleFixture(t, 40)
 		const id = 7
+		key := tuple.MustEncodeKey(tuple.Int64(id))
 		old, _, err := ix.LookupRID(tuple.Int64(id))
 		if err != nil {
 			t.Fatalf("LookupRID: %v", err)
 		}
-		// The heap stage of Update(id, grown row): the record no longer fits
-		// its page and moves; the entry is not repointed yet.
-		rec, err := tuple.Encode(tb.schema, grown(id, 900), nil)
+		// Stage 3 of Update(id, grown row): the record no longer fits its
+		// page, so the new copy is placed elsewhere and the old one stays.
+		rec, err := tuple.Encode(tb.schema, grownRow(id, 900), nil)
 		if err != nil {
 			t.Fatalf("Encode: %v", err)
 		}
-		moved, err := tb.file.Update(old, rec)
+		moved, err := tb.file.Rewrite(old, rec)
 		if err != nil || moved == old {
-			t.Fatalf("heap Update = %v, %v; want a relocation away from %v", moved, err, old)
+			t.Fatalf("heap Rewrite = %v, %v; want a new copy away from %v", moved, err, old)
 		}
-		if check(t, ix, id) {
-			t.Error("entry names a freed slot: the key must read as not-found")
-		}
-		// A racing insert reuses the freed slot for another key's row.
-		reused := false
-		for i := 1000; i < 1400 && !reused; i++ {
-			rid, err := tb.Insert(intRow(i))
-			if err != nil {
-				t.Fatalf("Insert: %v", err)
-			}
-			reused = rid == old
-		}
-		if !reused {
-			t.Fatalf("no insert reused slot %v", old)
-		}
-		if check(t, ix, id) {
-			t.Error("entry names another key's row: the key must read as not-found")
-		}
-		// The index stage lands: the key is back, with the grown row.
-		if _, err := ix.tree.Insert(tuple.MustEncodeKey(tuple.Int64(id)), moved.Pack()); err != nil {
+		serves(t, ix, id, old, 300, "before the repoint")
+		// Stage 4: the entry names the new copy.
+		if _, err := ix.tree.Insert(key, moved.Pack()); err != nil {
 			t.Fatalf("repointing the entry: %v", err)
 		}
-		row, res, err := ix.Lookup(nil, tuple.Int64(id))
-		if err != nil || !res.Found || res.RID != moved || len(row[3].Str) != 900 {
-			t.Fatalf("after the repoint: row %v, result %+v, err %v", row, res, err)
+		serves(t, ix, id, moved, 900, "after the repoint")
+		// Stage 5 frees the old copy, and a racing insert reuses its slot
+		// for another key's row.
+		if err := tb.file.Delete(old); err != nil {
+			t.Fatalf("freeing the old copy: %v", err)
+		}
+		if reused, err := reuseSlot(tb, old); err != nil || !reused {
+			t.Fatalf("no insert reused slot %v (%v)", old, err)
+		}
+		serves(t, ix, id, moved, 900, "after the free")
+		// A scan that copied the entry before the repoint resolves it only
+		// now: the row in the slot is another key's, and the scan re-seeks.
+		var r resolver
+		var stats QueryStats
+		plan, err := ix.resolveProjection(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.reset(ix, plan, nil, HeapOnly, snapLatest, &stats)
+		r.bind()
+		if row, _, how, err := r.resolve(nil, key, old.Pack(), nil, false); err != nil || how != tierStale {
+			t.Fatalf("resolving the copied entry: row %v, tier %d, err %v; want it stale", row, how, err)
+		}
+		row, rid, how, err := r.resolveCopied(nil, key, old.Pack(), nil, false)
+		if err != nil || how != tierHeap || rid != moved || len(row[3].Str) != 900 {
+			t.Fatalf("re-seek: row %v at %v, tier %d, err %v; want the new copy at %v", row, rid, how, err, moved)
 		}
 	})
 
 	t.Run("storm", func(t *testing.T) {
-		tb, ix := setup(t, 400)
+		tb, ix := newStaleFixture(t, 400)
 		const hot = 200
 		var stop atomic.Bool
 		var wg sync.WaitGroup
@@ -577,7 +617,7 @@ func TestLookupStaleEntryNotServed(t *testing.T) {
 			defer wg.Done()
 			rid, _, err := ix.LookupRID(tuple.Int64(hot))
 			for n := 0; err == nil && !stop.Load(); n++ {
-				rid, err = tb.Update(rid, grown(hot, 20+(n%2)*(300+n%400)))
+				rid, err = tb.Update(rid, grownRow(hot, 20+(n%2)*(300+n%400)))
 			}
 			if err != nil {
 				t.Errorf("relocating update: %v", err)
@@ -597,7 +637,7 @@ func TestLookupStaleEntryNotServed(t *testing.T) {
 					err = tb.Delete(rid)
 				}
 				if err == nil {
-					_, err = tb.Insert(grown(id, 10+n%200))
+					_, err = tb.Insert(grownRow(id, 10+n%200))
 				}
 				if err != nil {
 					t.Errorf("churn on id %d: %v", id, err)
@@ -613,11 +653,79 @@ func TestLookupStaleEntryNotServed(t *testing.T) {
 		}
 		stop.Store(true)
 		wg.Wait()
-		t.Logf("%d lookups of a key that always exists, %d answered not-found", lookups, missed)
+		if missed > 0 {
+			t.Errorf("%d of %d lookups of a key that always exists answered not-found", missed, lookups)
+		}
 		if err := ix.Tree().CheckIntegrity(); err != nil {
 			t.Fatalf("CheckIntegrity: %v", err)
 		}
 	})
+}
+
+// TestScanStaleEntryReseeks forces the window a scan opens between
+// copying an entry out of its leaf and resolving it: there a raw update
+// moves the row out of its page — new copy, repointed entry, freed old
+// copy — and an insert reuses the freed slot for another key's row. The
+// copied entry then names that row. The scan must serve the moved row
+// exactly once, from its new copy: a stale unique entry is re-sought
+// under its leaf latch. Serial and parallel, heap and covered
+// projections.
+func TestScanStaleEntryReseeks(t *testing.T) {
+	for _, par := range []int{1, 4} {
+		for _, project := range [][]string{{"id", "blob"}, {"id", "a"}} {
+			t.Run(fmt.Sprintf("parallel=%d/%v", par, project), func(t *testing.T) {
+				tb, ix := newStaleFixture(t, 40)
+				const id = 7
+				key := tuple.MustEncodeKey(tuple.Int64(id))
+				old, _, err := ix.LookupRID(tuple.Int64(id))
+				if err != nil {
+					t.Fatalf("LookupRID: %v", err)
+				}
+				var moved storage.RID
+				var fired atomic.Bool
+				seam := func(k []byte) {
+					if !bytes.Equal(k, key) || fired.Swap(true) {
+						return
+					}
+					var err error
+					if moved, err = tb.Update(old, grownRow(id, 900)); err != nil || moved == old {
+						t.Errorf("Update = %v, %v; want a relocation away from %v", moved, err, old)
+					}
+					if reused, err := reuseSlot(tb, old); err != nil || !reused {
+						t.Errorf("no insert reused slot %v (%v)", old, err)
+					}
+				}
+				scanSeam.Store(&seam)
+				defer scanSeam.Store(nil)
+				cur, err := ix.Query(WithKeyRange([]tuple.Value{tuple.Int64(0)}, []tuple.Value{tuple.Int64(1000)}),
+					WithProjection(project...), WithParallel(par))
+				if err != nil {
+					t.Fatalf("Query: %v", err)
+				}
+				served := map[int64]int{}
+				for cur.Next() {
+					served[cur.Row()[0].Int]++
+					if cur.Row()[0].Int == id && cur.RID() != moved {
+						t.Errorf("id %d served from %v, want its new copy at %v", id, cur.RID(), moved)
+					}
+				}
+				if err := cur.Close(); err != nil {
+					t.Fatalf("scan: %v", err)
+				}
+				if !fired.Load() {
+					t.Fatal("the scan never resolved the entry of id 7")
+				}
+				for i := int64(0); i < 40; i++ {
+					if served[i] != 1 {
+						t.Errorf("id %d served %d times, want once", i, served[i])
+					}
+				}
+				if len(served) != 40 {
+					t.Errorf("served %d ids, want 40", len(served))
+				}
+			})
+		}
+	}
 }
 
 // rangeSumInvariant is the range-sum leg of

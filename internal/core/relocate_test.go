@@ -2,9 +2,12 @@ package core
 
 import (
 	"errors"
+	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
+	"repro/internal/buffer"
 	"repro/internal/storage"
 	"repro/internal/tuple"
 )
@@ -85,6 +88,229 @@ func TestRelocatingUpdateAllocateFaultKeepsRow(t *testing.T) {
 		t.Fatalf("the grown row stayed at %v; it cannot fit its page", rid)
 	}
 	check("after the retried update", moved, grown)
+	if pins := e.Pool().PinnedFrames(); pins != 0 {
+		t.Errorf("%d frames still pinned", pins)
+	}
+}
+
+// TestRelocationFreeFaultStopsTheEngine fails the last step of a
+// relocating update: freeing the old copy, after the index entry was
+// repointed to the new one. The trip's log record already removes the
+// old copy, so a live engine that kept it would serve a row recovery
+// would not. The engine stops instead — the update and every later read
+// and write fail with buffer.ErrPoolClosed — and a reopen recovers from
+// the log: a heap-order scan reads each row once, the moved row grown.
+func TestRelocationFreeFaultStopsTheEngine(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "db")
+	inner, err := storage.NewFileDisk(path, 1024)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fd := storage.NewFaultDisk(inner, storage.FaultPlan{})
+	e, err := NewEngine(Options{PageSize: 1024, BufferPoolPages: 128, Path: path, WAL: true, Disk: fd})
+	if err != nil {
+		t.Fatalf("NewEngine: %v", err)
+	}
+	tb, err := e.CreateTable("page", pagesSchema())
+	if err != nil {
+		t.Fatalf("CreateTable: %v", err)
+	}
+	ix, err := tb.CreateIndex("by_id", []string{"page_id"})
+	if err != nil {
+		t.Fatalf("CreateIndex: %v", err)
+	}
+	var b Batch
+	for i := 0; i < 40; i++ {
+		b.Insert(pageRow(i))
+	}
+	if _, err := tb.Apply(&b); err != nil {
+		t.Fatalf("Apply: %v", err)
+	}
+	if ix.tree.Height() != 1 {
+		t.Fatalf("index height %d, want one leaf", ix.tree.Height())
+	}
+	if err := e.Checkpoint(); err != nil { // every page clean: evictable
+		t.Fatalf("Checkpoint: %v", err)
+	}
+	rid, found, err := ix.LookupRID(tuple.Int64(0))
+	if err != nil || !found {
+		t.Fatalf("LookupRID(0): found=%v err=%v", found, err)
+	}
+	grown := pageRow(0)
+	grown[7] = tuple.String(strings.Repeat("x", 600))
+
+	// Hold the index's one leaf so the update parks in its index stage,
+	// after the new copy is placed. Meanwhile the old copy's page leaves
+	// the pool, so the free must read it from disk, where the fault is
+	// armed.
+	leaf, err := e.pool.Fetch(ix.tree.Root())
+	if err != nil {
+		t.Fatal(err)
+	}
+	leaf.Latch.Lock()
+	done := make(chan error, 1)
+	go func() {
+		_, err := tb.Update(rid, grown)
+		done <- err
+	}()
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(100 * time.Microsecond) {
+		st, err := tb.file.Stats()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.LiveRecords == 41 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("the update never placed its new copy (%d records)", st.LiveRecords)
+		}
+	}
+	if err := e.pool.EvictAll(); err != nil {
+		t.Fatalf("EvictAll: %v", err)
+	}
+	fd.Rearm(storage.FaultPlan{Op: storage.FaultRead, After: 1, Mode: storage.FaultFail})
+	leaf.Latch.Unlock()
+	e.pool.Unpin(leaf, false)
+	err = <-done
+	if !fd.Fired() {
+		t.Fatalf("Update = %v; the free never read its page", err)
+	}
+	if !errors.Is(err, storage.ErrInjected) || !errors.Is(err, buffer.ErrPoolClosed) {
+		t.Fatalf("Update = %v, want the injected read fault and buffer.ErrPoolClosed", err)
+	}
+	if _, _, err := ix.Lookup(nil, tuple.Int64(1)); !errors.Is(err, buffer.ErrPoolClosed) {
+		t.Errorf("Lookup after the stop = %v, want buffer.ErrPoolClosed", err)
+	}
+	if _, err := tb.Insert(pageRow(100)); !errors.Is(err, buffer.ErrPoolClosed) {
+		t.Errorf("Insert after the stop = %v, want buffer.ErrPoolClosed", err)
+	}
+	if cur, err := tb.Query(); err == nil {
+		for cur.Next() {
+		}
+		if err := cur.Close(); !errors.Is(err, buffer.ErrPoolClosed) {
+			t.Errorf("heap scan after the stop = %v, want buffer.ErrPoolClosed", err)
+		}
+	}
+	if err := e.Close(); !errors.Is(err, buffer.ErrPoolClosed) {
+		t.Errorf("Close = %v, want the checkpoint refused with buffer.ErrPoolClosed", err)
+	}
+
+	e, err = NewEngine(Options{PageSize: 1024, BufferPoolPages: 128, Path: path, WAL: true})
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer e.Close()
+	tb, err = e.Table("page")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cur, err := tb.Query()
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[int64]int{}
+	for cur.Next() {
+		row := cur.Row()
+		seen[row[0].Int]++
+		if row[0].Int == 0 && !row.Equal(grown) {
+			t.Errorf("row 0 after the reopen = %v, want the grown row", row)
+		}
+	}
+	if err := cur.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for i := int64(0); i < 40; i++ {
+		if seen[i] != 1 {
+			t.Errorf("heap scan after the reopen read id %d %d times, want once", i, seen[i])
+		}
+	}
+	if len(seen) != 40 {
+		t.Errorf("heap scan after the reopen read %d ids, want 40", len(seen))
+	}
+	row, res, err := mustIndex(t, tb, "by_id").Lookup(nil, tuple.Int64(0))
+	if err != nil || !res.Found || !row.Equal(grown) {
+		t.Errorf("Lookup(0) after the reopen = %v (found %v, %v), want the grown row", row, res.Found, err)
+	}
+}
+
+// TestRacingWriteOfAMovingRow: a delete of a row races an update that
+// moves it, the update held in its index stage after placing the new
+// copy. Exactly one of them frees the old copy; the other fails alone
+// with storage.ErrDeleted, and the engine keeps serving — a free that
+// finds its copy already gone is not the failed free that stops it.
+func TestRacingWriteOfAMovingRow(t *testing.T) {
+	e, err := NewEngine(Options{PageSize: 1024, BufferPoolPages: 128})
+	if err != nil {
+		t.Fatalf("NewEngine: %v", err)
+	}
+	defer e.Close()
+	tb, err := e.CreateTable("page", pagesSchema())
+	if err != nil {
+		t.Fatalf("CreateTable: %v", err)
+	}
+	ix, err := tb.CreateIndex("by_id", []string{"page_id"})
+	if err != nil {
+		t.Fatalf("CreateIndex: %v", err)
+	}
+	var b Batch
+	for i := 0; i < 40; i++ {
+		b.Insert(pageRow(i))
+	}
+	if _, err := tb.Apply(&b); err != nil {
+		t.Fatalf("Apply: %v", err)
+	}
+	if ix.tree.Height() != 1 {
+		t.Fatalf("index height %d, want one leaf", ix.tree.Height())
+	}
+	rid, found, err := ix.LookupRID(tuple.Int64(0))
+	if err != nil || !found {
+		t.Fatalf("LookupRID(0): found=%v err=%v", found, err)
+	}
+	grown := pageRow(0)
+	grown[7] = tuple.String(strings.Repeat("x", 600))
+
+	leaf, err := e.pool.Fetch(ix.tree.Root())
+	if err != nil {
+		t.Fatal(err)
+	}
+	leaf.Latch.Lock()
+	updated, deleted := make(chan error, 1), make(chan error, 1)
+	go func() {
+		_, err := tb.Update(rid, grown)
+		updated <- err
+	}()
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(100 * time.Microsecond) {
+		st, err := tb.file.Stats()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.LiveRecords == 41 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("the update never placed its new copy (%d records)", st.LiveRecords)
+		}
+	}
+	go func() { deleted <- tb.Delete(rid) }()
+	time.Sleep(5 * time.Millisecond) // the delete parks on the leaf too
+	leaf.Latch.Unlock()
+	e.pool.Unpin(leaf, false)
+	uerr, derr := <-updated, <-deleted
+	if (uerr == nil) == (derr == nil) {
+		t.Fatalf("update = %v, delete = %v; want exactly one to fail", uerr, derr)
+	}
+	if err := errors.Join(uerr, derr); !errors.Is(err, storage.ErrDeleted) || errors.Is(err, buffer.ErrPoolClosed) {
+		t.Fatalf("the failed write: %v; want storage.ErrDeleted, the engine running", err)
+	}
+	if _, err := tb.Get(rid); !errors.Is(err, storage.ErrDeleted) {
+		t.Errorf("Get of the old copy = %v, want it freed", err)
+	}
+	if row, res, err := ix.Lookup(nil, tuple.Int64(1)); err != nil || !res.Found || !row.Equal(pageRow(1)) {
+		t.Errorf("Lookup(1) after the race = %v (found %v, %v)", row, res.Found, err)
+	}
+	if _, err := tb.Insert(pageRow(100)); err != nil {
+		t.Errorf("Insert after the race: %v", err)
+	}
 	if pins := e.Pool().PinnedFrames(); pins != 0 {
 		t.Errorf("%d frames still pinned", pins)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"sync"
@@ -21,12 +22,11 @@ const (
 	// tierSkip: no row — invisible at the read timestamp, or rejected by
 	// a filter.
 	tierSkip tier = iota
-	// tierStale: no row — the entry outlived the row it pointed at. A
-	// reader fetches with no heap latch held since it read the entry, so
-	// a racing delete (or relocating update) can free the slot, and an
-	// insert reuse it, in between. Scans skip (the row's own entry serves
-	// it); a point read re-descends, because the writer that moved the
-	// row is about to repoint the entry.
+	// tierStale: no row — the entry outlived its row (freed or reused
+	// since a scan copied the entry). A latest unique entry names a live
+	// row under its leaf latch (pipeline stage 5), so a point read answers
+	// not-found and a scan re-seeks once; a non-unique scan skips, and may
+	// serve a row moved meanwhile zero times or twice.
 	tierStale
 	// tierLeaf: answered from the index leaf — key bytes plus the §2.1
 	// cached payload; no heap page touched.
@@ -73,7 +73,7 @@ type resolver struct {
 	view bool
 
 	keyVals []tuple.Value
-	payload []byte // single-entry probe scratch (serial cursor)
+	payload []byte // single-entry probe scratch (serial cursor, seek)
 	heapRow tuple.Row
 	heapBuf []byte
 	strs    []byte // a view answer's rebuilt strings
@@ -224,6 +224,49 @@ func (r *resolver) resolve(dst tuple.Row, key []byte, packed uint64, payload []b
 	return projectRowInto(dst, row, r.plan.idx), rid, tierHeap, nil
 }
 
+// scanSeam, set by tests, runs where a scan has copied an entry out.
+var scanSeam atomic.Pointer[func(key []byte)]
+
+// resolveCopied resolves an entry a scan copied out of its leaf; a
+// unique one stale at the latest state is re-sought once (see tierStale).
+func (r *resolver) resolveCopied(dst tuple.Row, key []byte, packed uint64, payload []byte, hit bool) (tuple.Row, storage.RID, tier, error) {
+	if f := scanSeam.Load(); f != nil {
+		(*f)(key)
+	}
+	row, rid, how, err := r.resolve(dst, key, packed, payload, hit)
+	if how != tierStale || r.snap != snapLatest || !r.ix.unique {
+		return row, rid, how, err
+	}
+	return r.seek(dst, key, false)
+}
+
+// seek resolves the entry under key, a unique index's whole key, under
+// its leaf latch, probing the §2.1 cache when r.probe is set; with fill,
+// a heap answer installs the entry it missed if the latch is exclusive
+// (§2.1.3: give up rather than wait). No entry is tierSkip.
+func (r *resolver) seek(dst tuple.Row, key []byte, fill bool) (row tuple.Row, rid storage.RID, how tier, err error) {
+	ix := r.ix
+	verr := ix.tree.VisitLeaf(key, func(l *btree.Leaf) {
+		packed, found := l.Find(key)
+		if !found {
+			return
+		}
+		var payload []byte
+		prepared, hit := r.probe && ix.cache.Prepare(l), false
+		if prepared {
+			if payload, hit = ix.cache.LookupInto(r.payload[:0], l, packed); hit {
+				r.payload = payload[:0]
+			}
+		}
+		row, rid, how, err = r.resolve(dst, key, packed, payload, hit)
+		if how == tierHeap && fill && l.Exclusive() && (prepared || ix.cache.Prepare(l)) &&
+			ix.admit(l, packed, r.heapRow, &r.payload) {
+			r.stats.CacheFills++
+		}
+	})
+	return row, rid, how, cmp.Or(err, verr)
+}
+
 func (r *resolver) decode(key []byte) error {
 	kv, err := tuple.DecodeKeyInto(r.keyVals[:0], key, r.ix.keyKinds...)
 	if err != nil {
@@ -329,7 +372,7 @@ func (b *blockScan) resolve(dst tuple.Row, i int) (tuple.Row, storage.RID, tier,
 	if hit {
 		payload = b.payloads[b.poffs[i]:b.poffs[i+1]]
 	}
-	return b.r.resolve(dst, b.eb.Key(i), b.eb.Value(i), payload, hit)
+	return b.r.resolveCopied(dst, b.eb.Key(i), b.eb.Value(i), payload, hit)
 }
 
 // --- segment runner ------------------------------------------------------

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -9,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/storage"
 	"repro/internal/tuple"
 	"repro/internal/wal"
 )
@@ -81,6 +83,9 @@ func loadSlots(t *testing.T, e *Engine) (*Table, map[int64]tuple.Row) {
 	if !reflect.DeepEqual(spec[1:], []tuple.FieldPacking{{Bits: 8, Prefix: "item-000", Digits: 3}, {Bits: 6}, {}}) {
 		t.Fatalf("layout %+v: want name as \"item-000\" + 3 digits in 8 bits, code in 6 bits + a digit count, body verbatim", spec)
 	}
+	if got := landedEscapes(t, tbl); !reflect.DeepEqual(got, []int64{0, 4, 3, 0}) {
+		t.Fatalf("escapes per field %v, want four names and three codes", got)
+	}
 	return tbl, want
 }
 
@@ -142,10 +147,43 @@ func loadRuleSlots(t *testing.T, e *Engine) (*Table, map[int64]tuple.Row) {
 		{Bits: 32, Rule: tuple.RuleTS14}, {}}) {
 		t.Fatalf("layout %+v: want flags as a 2-bit dictionary, ts as a 32-bit timestamp, body verbatim", spec)
 	}
-	if got := tbl.Stats().Escapes; !reflect.DeepEqual(got, []int64{0, 3, 3, 0}) {
+	if got := landedEscapes(t, tbl); !reflect.DeepEqual(got, []int64{0, 3, 3, 0}) {
 		t.Fatalf("escapes per field %v, want three flags and three timestamps", got)
 	}
 	return tbl, want
+}
+
+// landedEscapes counts, per field, the packed records in tbl's heap
+// that escape its layout there: each is decoded, encoded again (which
+// must give back its bytes) and its escape bitmap read.
+func landedEscapes(t *testing.T, tbl *Table) []int64 {
+	t.Helper()
+	schema := tbl.Schema()
+	fields := schema.Packed().EscapeFields()
+	per := make([]int64, schema.NumFields())
+	err := tbl.file.Scan(func(rid storage.RID, rec []byte) bool {
+		if rec[0] != tuple.TagPacked {
+			return true
+		}
+		row, _, err := tuple.Decode(schema, rec)
+		if err != nil {
+			t.Fatalf("decoding %v: %v", rid, err)
+		}
+		again, esc, err := tuple.EncodeEscapes(schema, row, nil)
+		if err != nil || !bytes.Equal(again, rec) {
+			t.Fatalf("%v encodes again as %x (%v), want %x", rid, again, err, rec)
+		}
+		for k, f := range fields {
+			if esc&(1<<k) != 0 {
+				per[f]++
+			}
+		}
+		return true
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return per
 }
 
 // loadTable creates a table of schema indexed by_id on its first field:
@@ -229,46 +267,6 @@ func checkSlotRows(t *testing.T, tbl *Table, want map[int64]tuple.Row) {
 	}
 	if err := c.Close(); err != nil || n != len(want) {
 		t.Fatalf("heap scan served %d rows of %d (%v)", n, len(want), err)
-	}
-}
-
-// TestTableStatsCountEscapes: the table counts the records written in
-// its packed layout and, per field, those that escaped it — a raw Apply's
-// and a commit's, not an aborted transaction's.
-func TestTableStatsCountEscapes(t *testing.T) {
-	e := newTestEngine(t)
-	tbl, _ := loadSlots(t, e)
-	want := TableStats{Packed: 255 + 10, Escaped: 7, Escapes: []int64{0, 4, 3, 0}}
-	if got := tbl.Stats(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("Stats = %+v, want %+v", got, want)
-	}
-
-	rid, ok, err := mustIndex(t, tbl, "by_id").LookupRID(tuple.Int64(20))
-	if err != nil || !ok {
-		t.Fatalf("lookup 20: %v %v", ok, err)
-	}
-	row := slotRow(20)
-	row[slotName] = tuple.String("item-999999")
-	var b Batch
-	b.Update(rid, row)
-	tx := e.Begin()
-	if _, err := tx.Apply(tbl, &b); err != nil {
-		t.Fatal(err)
-	}
-	tx.Abort()
-	if got := tbl.Stats(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("Stats after an abort = %+v, want %+v", got, want)
-	}
-	tx = e.Begin()
-	if _, err := tx.Apply(tbl, &b); err != nil {
-		t.Fatal(err)
-	}
-	if err := tx.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	want = TableStats{Packed: 266, Escaped: 8, Escapes: []int64{0, 5, 3, 0}}
-	if got := tbl.Stats(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("Stats after a commit = %+v, want %+v", got, want)
 	}
 }
 

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math/bits"
 	"sync"
 	"sync/atomic"
 
@@ -57,28 +56,6 @@ type Table struct {
 	// adopting is set by the one trip that adopts the schema's packed
 	// record layout (layout.go).
 	adopting atomic.Bool
-
-	// The escape counters Stats reports: records written in the packed
-	// layout, those of them carrying an escape, and per escape bit how
-	// many escaped it.
-	packedRecs, escapedRecs atomic.Int64
-	escapes                 [64]atomic.Int64
-}
-
-// countEscapes adds a record written to the table, and the escape bitmap
-// its encoder reported, to the escape counters.
-func (t *Table) countEscapes(rec []byte, esc uint64) {
-	if rec[0] != tuple.TagPacked {
-		return
-	}
-	t.packedRecs.Add(1)
-	if esc == 0 {
-		return
-	}
-	t.escapedRecs.Add(1)
-	for ; esc != 0; esc &= esc - 1 {
-		t.escapes[bits.TrailingZeros64(esc)].Add(1)
-	}
 }
 
 // openTable builds the table spec defines over the heap pages hold (nil:
@@ -171,10 +148,10 @@ func (t *Table) Get(rid storage.RID) (tuple.Row, error) {
 // entries are invalidated via the predicate log.
 //
 // Update is safe for concurrent use against distinct RIDs. Concurrent
-// updates of the same RID are last-writer-wins per structure (heap and
-// each index order independently); callers needing read-modify-write
-// atomicity on one row must serialize above this layer. Like Insert it
-// is a one-op Batch; batch updates ride Apply.
+// writes of the same RID are last-writer-wins per structure (heap and each
+// index order independently; one that finds a moved row's old copy freed
+// fails with storage.ErrDeleted, its new copy left behind): serialize
+// above this layer. Like Insert it is a one-op Batch; batch updates ride Apply.
 func (t *Table) Update(rid storage.RID, newRow tuple.Row) (storage.RID, error) {
 	var b Batch
 	b.Update(rid, newRow)

@@ -173,6 +173,17 @@ func (d *batchDecoder) uvarint() uint64 {
 	return v
 }
 
+// count reads a count of items of at least min bytes each, and fails on
+// one the bytes left cannot hold, before the count sizes anything.
+func (d *batchDecoder) count(min int) uint64 {
+	n := d.uvarint()
+	if d.err == nil && n > uint64(len(d.buf)/min) {
+		d.err = fmt.Errorf("core: wal batch record: %d items cannot fit in %d bytes", n, len(d.buf))
+		return 0
+	}
+	return n
+}
+
 func (d *batchDecoder) bytes(n uint64) []byte {
 	if d.err != nil {
 		return nil
@@ -187,19 +198,17 @@ func (d *batchDecoder) bytes(n uint64) []byte {
 }
 
 func (d *batchDecoder) uint32() uint32 {
-	b := d.bytes(4)
-	if d.err != nil {
-		return 0
+	if b := d.bytes(4); b != nil {
+		return binary.LittleEndian.Uint32(b)
 	}
-	return binary.LittleEndian.Uint32(b)
+	return 0
 }
 
 func (d *batchDecoder) byte() byte {
-	b := d.bytes(1)
-	if d.err != nil {
-		return 0
+	if b := d.bytes(1); b != nil {
+		return b[0]
 	}
-	return b[0]
+	return 0
 }
 
 // decodeBatch parses a batch record payload: the table header followed
@@ -222,7 +231,7 @@ func decodeBatch(payload []byte) (table string, actions []walAction, err error) 
 			a.sum = d.uint32()
 		case actIdx:
 			a.index = string(d.bytes(d.uvarint()))
-			ne := d.uvarint()
+			ne := d.count(3) // an entry's op byte, key length and value
 			a.entries = make([]btree.RunEntry, 0, ne)
 			for j := uint64(0); j < ne && d.err == nil; j++ {
 				op := btree.RunUpsert
@@ -252,7 +261,7 @@ func decodeBatch(payload []byte) (table string, actions []walAction, err error) 
 func decodeTxn(payload []byte) (ts uint64, subs [][]byte, err error) {
 	d := &batchDecoder{buf: payload}
 	ts = d.uvarint()
-	n := d.uvarint()
+	n := d.count(1) // a sub-record's length takes a byte
 	for i := uint64(0); i < n && d.err == nil; i++ {
 		subs = append(subs, d.bytes(d.uvarint()))
 	}

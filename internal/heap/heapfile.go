@@ -485,13 +485,22 @@ func (f *File) Delete(rid storage.RID) error {
 	return err
 }
 
-// Update replaces the record at rid in place. If the new payload no
-// longer fits in its page, the record is moved: the new copy is placed
-// elsewhere first, so a placement that fails (no page can be allocated)
-// leaves the old one untouched, and only then is the old copy deleted.
-// The new RID is returned; callers that maintain indexes must compare
-// it with the argument.
+// Update is Rewrite plus, if the record moved, Delete of the old copy.
 func (f *File) Update(rid storage.RID, rec []byte) (storage.RID, error) {
+	to, err := f.Rewrite(rid, rec)
+	if err == nil && to != rid {
+		if err = f.Delete(rid); err != nil {
+			_ = f.Delete(to) // the old copy stays, so the new one goes
+			return storage.InvalidRID, fmt.Errorf("heap: relocating update: %w", err)
+		}
+	}
+	return to, err
+}
+
+// Rewrite replaces the record at rid in place when rec fits its page,
+// or else places rec as a new copy and returns its RID, the old copy
+// left live: for a caller to Delete once its index entries name the new.
+func (f *File) Rewrite(rid storage.RID, rec []byte) (storage.RID, error) {
 	fr, err := f.pool.Fetch(rid.Page)
 	if err != nil {
 		return storage.InvalidRID, err
@@ -512,12 +521,6 @@ func (f *File) Update(rid storage.RID, rec []byte) (storage.RID, error) {
 	}
 	to, err := f.Insert(rec)
 	if err != nil {
-		return storage.InvalidRID, fmt.Errorf("heap: relocating update: %w", err)
-	}
-	if err := f.Delete(rid); err != nil {
-		// The old copy stays, so the new one goes; the error to report is
-		// the one that kept the old copy.
-		_ = f.Delete(to)
 		return storage.InvalidRID, fmt.Errorf("heap: relocating update: %w", err)
 	}
 	return to, nil

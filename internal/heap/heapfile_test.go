@@ -2,6 +2,7 @@ package heap
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -144,6 +145,35 @@ func TestHeapUpdateInPlaceAndRelocate(t *testing.T) {
 	}
 	if _, err := f.Get(rid); err == nil {
 		t.Error("old rid should be dead after relocation")
+	}
+}
+
+// TestHeapRewriteKeepsTheOldCopy: a record that outgrows its page gets a
+// new copy elsewhere, and the old one stays readable until it is deleted.
+func TestHeapRewriteKeepsTheOldCopy(t *testing.T) {
+	f := newTestFile(t)
+	rid, _ := f.Insert(bytes.Repeat([]byte{1}, 50))
+	for i := 0; i < 20; i++ {
+		f.Insert(bytes.Repeat([]byte{2}, 100))
+	}
+	if to, err := f.Rewrite(rid, bytes.Repeat([]byte{9}, 40)); err != nil || to != rid {
+		t.Fatalf("shrinking Rewrite = %v, %v; want in place at %v", to, err, rid)
+	}
+	to, err := f.Rewrite(rid, bytes.Repeat([]byte{8}, 400))
+	if err != nil || to == rid {
+		t.Fatalf("growing Rewrite = %v, %v; want a new copy away from %v", to, err, rid)
+	}
+	if got, err := f.Get(rid); err != nil || !bytes.Equal(got, bytes.Repeat([]byte{9}, 40)) {
+		t.Fatalf("old copy after the move: %v, %v", got, err)
+	}
+	if got, err := f.Get(to); err != nil || len(got) != 400 || got[0] != 8 {
+		t.Fatalf("new copy: %d bytes, %v", len(got), err)
+	}
+	if err := f.Delete(rid); err != nil {
+		t.Fatalf("freeing the old copy: %v", err)
+	}
+	if err := f.Delete(rid); !errors.Is(err, storage.ErrDeleted) {
+		t.Fatalf("freeing it twice = %v, want storage.ErrDeleted", err)
 	}
 }
 

@@ -266,7 +266,7 @@ func (p *SlottedPage) Delete(slot uint16) error {
 	}
 	off, _ := p.slot(int(slot))
 	if off == deadSlotOffset {
-		return fmt.Errorf("storage: slot %d already deleted", slot)
+		return fmt.Errorf("%w: slot %d", ErrDeleted, slot)
 	}
 	p.setSlot(int(slot), deadSlotOffset, 0)
 	return nil
