@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -49,7 +50,7 @@ type stagedOp struct {
 
 	rec    []byte      // pre-flight: the encoded new row
 	oldRow tuple.Row   // pre-flight: the pre-image (update/delete)
-	oldSum uint32      // pre-flight: the pre-image record's heap.RecordSum
+	oldSum uint32      // pre-flight: the pre-image record's heap.RecordSum (a move's: the old copy's)
 	newRID storage.RID // heap stage: where the new record landed
 	// prev is the packed RID of the version this op's record chains back
 	// to; only a transaction's commit pre-check sets it (0 = none).
@@ -348,6 +349,7 @@ type stageScratch struct {
 	recs   [][]byte
 	rids   []storage.RID
 	insOps []int
+	moved  []int // heap stage: the ops that moved their row, for stage 5
 	stageArena
 }
 
@@ -583,9 +585,9 @@ func (p *pipeline) run() {
 			}
 		}
 	}
+	p.moved = p.moved[:0]
 	ok := len(p.ops) > 0 && p.indexDeletes() && p.heapStage() && p.indexUpserts()
-	p.freeMoved()
-	if !ok {
+	if !p.freeMoved() || !ok {
 		return
 	}
 	p.res.Applied = len(p.ops)
@@ -596,24 +598,24 @@ func (p *pipeline) run() {
 	}
 }
 
-// freeMoved is stage 5. Stage 3 logged each move as a put that removes
-// the old copy, so a failed free stops the engine (its pool closes)
-// rather than serve a row recovery would not; a reopen replays it. A
-// copy already gone was freed by a racing write of the same row.
-func (p *pipeline) freeMoved() {
-	for i := range p.ops {
+// freeMoved is stage 5 and reports whether the result stands. Stage 3
+// logged each move as a put that removes the old copy, so a failed free
+// stops the engine (its pool closes) rather than serve a row recovery
+// would not. A slot that no longer holds the old copy was freed (and
+// perhaps reused) by a racing write of the same row: the op fails.
+func (p *pipeline) freeMoved() (ok bool) {
+	ok = true
+	for _, i := range p.moved {
 		op := &p.ops[i]
-		if p.vers != nil || op.kind != BatchUpdate || !op.newRID.Valid() || op.newRID == op.rid {
-			continue
-		}
-		if err := p.t.file.Delete(op.rid); errors.Is(err, storage.ErrDeleted) {
-			p.fail(i, fmt.Errorf("core: update of %v raced a write of the same row: %w", op.rid, err))
+		if err := p.t.file.DeleteIf(op.rid, op.oldSum); errors.Is(err, storage.ErrDeleted) {
+			ok = !p.fail(i, fmt.Errorf("core: update of %v raced a write of the same row: %w", op.rid, err)) && ok
 		} else if err != nil {
 			_ = p.t.engine.pool.Close() // closed even while pins keep it mapped
 			p.res.fail(-1, fmt.Errorf("core: freeing %v, the old copy of a relocated row: %w; the engine stops: %w", op.rid, err, buffer.ErrPoolClosed))
-			return
+			return false
 		}
 	}
+	return ok
 }
 
 // runEntries is the per-index accumulation of one index stage: the run
@@ -752,6 +754,8 @@ func (p *pipeline) heapStage() bool {
 			p.insOps = append(p.insOps, i)
 		case versioned:
 			// Delete: stamped dead below, inside the run's exclusive section.
+		case slices.ContainsFunc(p.moved, func(j int) bool { return p.ops[j].rid == op.rid }):
+			err = storage.ErrDeleted // an earlier op of this trip moved the row off op.rid
 		case op.kind == BatchDelete:
 			if err = t.file.Delete(op.rid); err == nil {
 				p.addRows(-1)
@@ -759,9 +763,12 @@ func (p *pipeline) heapStage() bool {
 			}
 		default:
 			var newRID storage.RID
-			if newRID, err = t.file.Rewrite(op.rid, op.rec); err == nil {
+			var sum uint32
+			if newRID, sum, err = t.file.Rewrite(op.rid, op.rec); err == nil {
 				if newRID != op.rid {
 					vs.forget(newRID) // its new slot may hold a tombstone
+					p.moved = append(p.moved, i)
+					op.oldSum = sum // what stage 5 frees, if not the pre-image
 				}
 				p.landed(i, newRID)
 			}

@@ -14,26 +14,6 @@ import (
 // retain.
 func (c *Cursor) Key() []byte { return c.key }
 
-// SegmentStats returns per-segment answer-path counters for a parallel
-// cursor (nil for serial cursors). The slice is complete — one entry
-// per planned segment, summing to the serial scan's totals — once the
-// cursor is exhausted or closed; reading it mid-scan returns a
-// snapshot of finished work only.
-func (c *Cursor) SegmentStats() []QueryStats {
-	if p, ok := c.src.(*parallelSource); ok {
-		return p.segmentStats()
-	}
-	return nil
-}
-
-func (p *parallelSource) segmentStats() []QueryStats {
-	p.statsMu.Lock()
-	defer p.statsMu.Unlock()
-	out := make([]QueryStats, len(p.segStats))
-	copy(out, p.segStats)
-	return out
-}
-
 // Restart simulates a crash/restart cycle for cache-consistency tests:
 // all dirty pages flush, every frame is evicted, and each table's
 // cached indexes bump their CSNidx so persisted stale cache bytes can

@@ -102,9 +102,8 @@ func (ix *Index) parallelQuery(c *Cursor, plan *projPlan, fp *filterPlan, start,
 		return err
 	}
 	p := &parallelSource{
-		segs:     segs,
-		segStats: make([]QueryStats, len(segs)),
-		pool:     newSegRunner(),
+		segs: segs,
+		pool: newSegRunner(),
 	}
 	p.scan.r.reset(ix, plan, fp, cfg.policy, cfg.snapshotTS(), nil)
 	p.start(min(cfg.parallel, len(segs)), cfg.merge == MergeOrdered)
@@ -119,9 +118,6 @@ type parallelSource struct {
 	scan blockScan // template: every worker scans with its own copy
 	segs []btree.Segment
 	pool *segRunner
-
-	statsMu  sync.Mutex
-	segStats []QueryStats
 
 	// chans are the block streams the cursor reads, in order: one per
 	// segment when ordered, one shared fan-in when unordered.
@@ -197,15 +193,11 @@ func (p *parallelSource) scanSegment(b *blockScan, si int, ch chan *rowBlock) er
 			}
 		}
 		blk.stats = QueryStats{
-			Rows:        int64(blk.n),
 			CacheHits:   b.stats.CacheHits - prev.CacheHits,
 			HeapReads:   b.stats.HeapReads - prev.HeapReads,
 			LeafFetches: b.stats.LeafFetches - prev.LeafFetches,
 		}
 		prev = b.stats
-		p.statsMu.Lock()
-		p.segStats[si].Add(blk.stats)
-		p.statsMu.Unlock()
 		select {
 		case ch <- blk:
 		case <-p.pool.cancel:
@@ -219,8 +211,8 @@ func (p *parallelSource) scanSegment(b *blockScan, si int, ch chan *rowBlock) er
 // step serves the next row, reading the streams in order. A stream
 // that closes while the runner holds an error ends the cursor with it,
 // so an ordered cursor never serves a row past a failed segment. A
-// block's stats fold into the cursor's as it arrives; Rows is left out
-// — Cursor.Next counts served rows itself.
+// block's stats fold into the cursor's as it arrives; their Rows stays
+// 0 — Cursor.Next counts served rows itself.
 func (p *parallelSource) step(c *Cursor) bool {
 	if p.cur != nil {
 		if p.pos++; p.pos >= p.cur.n {
@@ -240,9 +232,7 @@ func (p *parallelSource) step(c *Cursor) bool {
 			p.si++
 			continue
 		}
-		c.stats.CacheHits += blk.stats.CacheHits
-		c.stats.HeapReads += blk.stats.HeapReads
-		c.stats.LeafFetches += blk.stats.LeafFetches
+		c.stats.Add(blk.stats)
 		if blk.n == 0 {
 			rowBlockPool.Put(blk)
 			continue

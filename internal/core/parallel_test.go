@@ -89,6 +89,9 @@ func TestParallelQueryMatchesSerial(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: Query: %v", name, err)
 				}
+				if p, ok := cur.src.(*parallelSource); !ok || len(p.segs) <= n {
+					t.Fatalf("%s: %T source, want a parallel one with more segments than workers", name, cur.src)
+				}
 				keys, rows, stats := drainKeys(t, cur)
 				if len(keys) != len(serialKeys) {
 					t.Fatalf("%s: got %d rows, want %d", name, len(keys), len(serialKeys))
@@ -113,28 +116,14 @@ func TestParallelQueryMatchesSerial(t *testing.T) {
 						}
 					}
 				}
-				// Row-level counters sum to the serial scan's: every row is
+				// Row-level counters match the serial scan's: every row is
 				// answered exactly once by exactly one tier. Leaf fetches may
 				// exceed serial — adjacent segments share boundary leaves.
-				segStats := cur.SegmentStats()
-				if len(segStats) <= n {
-					t.Fatalf("%s: %d segment stats for %d workers, want more segments than workers", name, len(segStats), n)
+				if stats.Rows != serialStats.Rows || stats.CacheHits != serialStats.CacheHits || stats.HeapReads != serialStats.HeapReads {
+					t.Fatalf("%s: stats %+v, serial %+v", name, stats, serialStats)
 				}
-				var sum QueryStats
-				for _, s := range segStats {
-					sum.Add(s)
-				}
-				if sum.Rows != serialStats.Rows || sum.CacheHits != serialStats.CacheHits || sum.HeapReads != serialStats.HeapReads {
-					t.Fatalf("%s: segment stats %+v don't sum to serial %+v", name, sum, serialStats)
-				}
-				if sum.LeafFetches < serialStats.LeafFetches {
-					t.Fatalf("%s: segment leaf fetches %d < serial %d", name, sum.LeafFetches, serialStats.LeafFetches)
-				}
-				if stats.Rows != serialStats.Rows {
-					t.Fatalf("%s: cursor rows %d want %d", name, stats.Rows, serialStats.Rows)
-				}
-				if got := stats.CacheHits + stats.HeapReads; got != sum.CacheHits+sum.HeapReads {
-					t.Fatalf("%s: cursor tier counters %d, segment sum %d", name, got, sum.CacheHits+sum.HeapReads)
+				if stats.LeafFetches < serialStats.LeafFetches {
+					t.Fatalf("%s: leaf fetches %d < serial %d", name, stats.LeafFetches, serialStats.LeafFetches)
 				}
 			}
 		}
@@ -203,12 +192,12 @@ func TestParallelQueryValidation(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Query: %v", err)
 	}
+	if _, ok := cur.src.(*parallelSource); ok {
+		t.Fatal("n=1 opened a parallel source")
+	}
 	keys, _, _ := drainKeys(t, cur)
 	if len(keys) != 100 {
 		t.Fatalf("n=1 scanned %d rows", len(keys))
-	}
-	if cur.SegmentStats() != nil {
-		t.Fatal("serial cursor must not report segment stats")
 	}
 }
 

@@ -230,7 +230,7 @@ func projectModel(schema *tuple.Schema, row tuple.Row, names []string) tuple.Row
 
 // drain runs one Query path of c and returns its rows with the key
 // field's value beside each (the projection may drop it).
-func (f *readFixture) drain(c *readCase, extra ...QueryOption) ([]tuple.Row, []int64, QueryStats, []QueryStats) {
+func (f *readFixture) drain(c *readCase, extra ...QueryOption) ([]tuple.Row, []int64, QueryStats) {
 	f.t.Helper()
 	var cur *Cursor
 	var err error
@@ -255,9 +255,9 @@ func (f *readFixture) drain(c *readCase, extra ...QueryOption) ([]tuple.Row, []i
 	if err := cur.Err(); err != nil {
 		f.t.Fatalf("%s: cursor: %v", c.name, err)
 	}
-	stats, segs := cur.Stats(), cur.SegmentStats()
+	stats := cur.Stats()
 	cur.Close()
-	return rows, keys, stats, segs
+	return rows, keys, stats
 }
 
 func rowKey(r tuple.Row) string { return fmt.Sprint(r) }
@@ -351,21 +351,12 @@ func TestReadPathDifferential(t *testing.T) {
 				{"parallel-unordered", []QueryOption{WithParallel(3), WithMergeMode(MergeUnordered)}, false, false},
 			}
 			for _, p := range paths {
-				rows, keys, stats, segs := f.drain(c, p.opts...)
+				rows, keys, stats := f.drain(c, p.opts...)
 				if err := sameRows(rows, w.rows, keys, p.ordered, p.reverse); err != nil {
 					t.Errorf("%s: %v", p.name, err)
 				}
 				if stats.Rows != int64(len(w.rows)) || stats.CacheHits != w.cacheHits || stats.HeapReads != w.heap {
 					t.Errorf("%s: stats %+v, model says %d cache hits, %d heap reads", p.name, stats, w.cacheHits, w.heap)
-				}
-				if segs != nil {
-					var sum QueryStats
-					for _, s := range segs {
-						sum.Add(s)
-					}
-					if sum.Rows != stats.Rows || sum.CacheHits != stats.CacheHits || sum.HeapReads != stats.HeapReads {
-						t.Errorf("%s: segment stats sum to %+v, cursor says %+v", p.name, sum, stats)
-					}
 				}
 			}
 		})
@@ -568,7 +559,7 @@ func TestLookupStaleEntryNotServed(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Encode: %v", err)
 		}
-		moved, err := tb.file.Rewrite(old, rec)
+		moved, sum, err := tb.file.Rewrite(old, rec)
 		if err != nil || moved == old {
 			t.Fatalf("heap Rewrite = %v, %v; want a new copy away from %v", moved, err, old)
 		}
@@ -580,7 +571,7 @@ func TestLookupStaleEntryNotServed(t *testing.T) {
 		serves(t, ix, id, moved, 900, "after the repoint")
 		// Stage 5 frees the old copy, and a racing insert reuses its slot
 		// for another key's row.
-		if err := tb.file.Delete(old); err != nil {
+		if err := tb.file.DeleteIf(old, sum); err != nil {
 			t.Fatalf("freeing the old copy: %v", err)
 		}
 		if reused, err := reuseSlot(tb, old); err != nil || !reused {

@@ -12,22 +12,16 @@ import (
 	"repro/internal/tuple"
 )
 
-// TestRelocatingUpdateAllocateFaultKeepsRow grows a row past its full
-// page while the page the moved copy needs cannot be allocated. The
-// update must fail without losing the row: the old copy stays readable
-// at its RID and through its index, and the same update succeeds once
-// the one-shot fault has fired.
-func TestRelocatingUpdateAllocateFaultKeepsRow(t *testing.T) {
-	inner, err := storage.NewMemDisk(1024)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fd := storage.NewFaultDisk(inner, storage.FaultPlan{})
-	e, err := NewEngine(Options{PageSize: 1024, BufferPoolPages: 128, Disk: fd})
+// moveFixture opens an engine on opts holding 40 page rows, indexed by
+// id in one leaf, and returns row 0's RID and a grown row 0 that cannot
+// fit its page. The caller closes the engine.
+func moveFixture(t *testing.T, opts Options) (*Engine, *Table, *Index, storage.RID, tuple.Row) {
+	t.Helper()
+	opts.PageSize, opts.BufferPoolPages = 1024, 128
+	e, err := NewEngine(opts)
 	if err != nil {
 		t.Fatalf("NewEngine: %v", err)
 	}
-	defer e.Close()
 	tb, err := e.CreateTable("page", pagesSchema())
 	if err != nil {
 		t.Fatalf("CreateTable: %v", err)
@@ -43,13 +37,99 @@ func TestRelocatingUpdateAllocateFaultKeepsRow(t *testing.T) {
 	if _, err := tb.Apply(&b); err != nil {
 		t.Fatalf("Apply: %v", err)
 	}
+	if ix.tree.Height() != 1 {
+		t.Fatalf("index height %d, want one leaf", ix.tree.Height())
+	}
 	rid, found, err := ix.LookupRID(tuple.Int64(0))
 	if err != nil || !found {
 		t.Fatalf("LookupRID(0): found=%v err=%v", found, err)
 	}
+	return e, tb, ix, rid, grownPage(0, "x")
+}
+
+// grownPage is page row i with a 600-byte body of s.
+func grownPage(i int, s string) tuple.Row {
+	row := pageRow(i)
+	row[7] = tuple.String(strings.Repeat(s, 600))
+	return row
+}
+
+// parkMove starts tb.Update(rid, grown) with the index's one leaf held,
+// so the update parks in its index stage, and returns once it has placed
+// its new copy. release lets it go on; done gets its error.
+func parkMove(t *testing.T, e *Engine, tb *Table, ix *Index, rid storage.RID, grown tuple.Row) (release func(), done <-chan error) {
+	t.Helper()
+	leaf, err := e.pool.Fetch(ix.tree.Root())
+	if err != nil {
+		t.Fatal(err)
+	}
+	leaf.Latch.Lock()
+	ch := make(chan error, 1)
+	go func() {
+		_, err := tb.Update(rid, grown)
+		ch <- err
+	}()
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(100 * time.Microsecond) {
+		st, err := tb.file.Stats()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.LiveRecords == 41 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("the update never placed its new copy (%d records)", st.LiveRecords)
+		}
+	}
+	return func() {
+		leaf.Latch.Unlock()
+		e.pool.Unpin(leaf, false)
+	}, ch
+}
+
+// scanOnce reads tb in heap order and fails unless ids 0..39 each appear
+// once, id 0 as want0.
+func scanOnce(t *testing.T, tb *Table, want0 tuple.Row) {
+	t.Helper()
+	cur, err := tb.Query()
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[int64]int{}
+	for cur.Next() {
+		row := cur.Row()
+		seen[row[0].Int]++
+		if row[0].Int == 0 && !row.Equal(want0) {
+			t.Errorf("heap scan: row 0 = %v, want %v", row, want0)
+		}
+	}
+	if err := cur.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for i := int64(0); i < 40; i++ {
+		if seen[i] != 1 {
+			t.Errorf("heap scan read id %d %d times, want once", i, seen[i])
+		}
+	}
+	if len(seen) != 40 {
+		t.Errorf("heap scan read %d ids, want 40", len(seen))
+	}
+}
+
+// TestRelocatingUpdateAllocateFaultKeepsRow grows a row past its full
+// page while the page the moved copy needs cannot be allocated. The
+// update must fail without losing the row: the old copy stays readable
+// at its RID and through its index, and the same update succeeds once
+// the one-shot fault has fired.
+func TestRelocatingUpdateAllocateFaultKeepsRow(t *testing.T) {
+	inner, err := storage.NewMemDisk(1024)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fd := storage.NewFaultDisk(inner, storage.FaultPlan{})
+	e, tb, ix, rid, grown := moveFixture(t, Options{Disk: fd})
+	defer e.Close()
 	want := pageRow(0)
-	grown := pageRow(0)
-	grown[7] = tuple.String(strings.Repeat("x", 600))
 
 	fd.Rearm(storage.FaultPlan{Op: storage.FaultAllocate, After: 1, Mode: storage.FaultFail})
 	if _, err := tb.Update(rid, grown); !errors.Is(err, storage.ErrInjected) {
@@ -107,70 +187,20 @@ func TestRelocationFreeFaultStopsTheEngine(t *testing.T) {
 		t.Fatal(err)
 	}
 	fd := storage.NewFaultDisk(inner, storage.FaultPlan{})
-	e, err := NewEngine(Options{PageSize: 1024, BufferPoolPages: 128, Path: path, WAL: true, Disk: fd})
-	if err != nil {
-		t.Fatalf("NewEngine: %v", err)
-	}
-	tb, err := e.CreateTable("page", pagesSchema())
-	if err != nil {
-		t.Fatalf("CreateTable: %v", err)
-	}
-	ix, err := tb.CreateIndex("by_id", []string{"page_id"})
-	if err != nil {
-		t.Fatalf("CreateIndex: %v", err)
-	}
-	var b Batch
-	for i := 0; i < 40; i++ {
-		b.Insert(pageRow(i))
-	}
-	if _, err := tb.Apply(&b); err != nil {
-		t.Fatalf("Apply: %v", err)
-	}
-	if ix.tree.Height() != 1 {
-		t.Fatalf("index height %d, want one leaf", ix.tree.Height())
-	}
+	e, tb, ix, rid, grown := moveFixture(t, Options{Path: path, WAL: true, Disk: fd})
 	if err := e.Checkpoint(); err != nil { // every page clean: evictable
 		t.Fatalf("Checkpoint: %v", err)
 	}
-	rid, found, err := ix.LookupRID(tuple.Int64(0))
-	if err != nil || !found {
-		t.Fatalf("LookupRID(0): found=%v err=%v", found, err)
-	}
-	grown := pageRow(0)
-	grown[7] = tuple.String(strings.Repeat("x", 600))
 
-	// Hold the index's one leaf so the update parks in its index stage,
-	// after the new copy is placed. Meanwhile the old copy's page leaves
-	// the pool, so the free must read it from disk, where the fault is
-	// armed.
-	leaf, err := e.pool.Fetch(ix.tree.Root())
-	if err != nil {
-		t.Fatal(err)
-	}
-	leaf.Latch.Lock()
-	done := make(chan error, 1)
-	go func() {
-		_, err := tb.Update(rid, grown)
-		done <- err
-	}()
-	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(100 * time.Microsecond) {
-		st, err := tb.file.Stats()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st.LiveRecords == 41 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("the update never placed its new copy (%d records)", st.LiveRecords)
-		}
-	}
+	// The update parks in its index stage, after the new copy is placed.
+	// Meanwhile the old copy's page leaves the pool, so the free must
+	// read it from disk, where the fault is armed.
+	release, done := parkMove(t, e, tb, ix, rid, grown)
 	if err := e.pool.EvictAll(); err != nil {
 		t.Fatalf("EvictAll: %v", err)
 	}
 	fd.Rearm(storage.FaultPlan{Op: storage.FaultRead, After: 1, Mode: storage.FaultFail})
-	leaf.Latch.Unlock()
-	e.pool.Unpin(leaf, false)
+	release()
 	err = <-done
 	if !fd.Fired() {
 		t.Fatalf("Update = %v; the free never read its page", err)
@@ -204,29 +234,7 @@ func TestRelocationFreeFaultStopsTheEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cur, err := tb.Query()
-	if err != nil {
-		t.Fatal(err)
-	}
-	seen := map[int64]int{}
-	for cur.Next() {
-		row := cur.Row()
-		seen[row[0].Int]++
-		if row[0].Int == 0 && !row.Equal(grown) {
-			t.Errorf("row 0 after the reopen = %v, want the grown row", row)
-		}
-	}
-	if err := cur.Close(); err != nil {
-		t.Fatal(err)
-	}
-	for i := int64(0); i < 40; i++ {
-		if seen[i] != 1 {
-			t.Errorf("heap scan after the reopen read id %d %d times, want once", i, seen[i])
-		}
-	}
-	if len(seen) != 40 {
-		t.Errorf("heap scan after the reopen read %d ids, want 40", len(seen))
-	}
+	scanOnce(t, tb, grown)
 	row, res, err := mustIndex(t, tb, "by_id").Lookup(nil, tuple.Int64(0))
 	if err != nil || !res.Found || !row.Equal(grown) {
 		t.Errorf("Lookup(0) after the reopen = %v (found %v, %v), want the grown row", row, res.Found, err)
@@ -239,62 +247,13 @@ func TestRelocationFreeFaultStopsTheEngine(t *testing.T) {
 // with storage.ErrDeleted, and the engine keeps serving — a free that
 // finds its copy already gone is not the failed free that stops it.
 func TestRacingWriteOfAMovingRow(t *testing.T) {
-	e, err := NewEngine(Options{PageSize: 1024, BufferPoolPages: 128})
-	if err != nil {
-		t.Fatalf("NewEngine: %v", err)
-	}
+	e, tb, ix, rid, grown := moveFixture(t, Options{})
 	defer e.Close()
-	tb, err := e.CreateTable("page", pagesSchema())
-	if err != nil {
-		t.Fatalf("CreateTable: %v", err)
-	}
-	ix, err := tb.CreateIndex("by_id", []string{"page_id"})
-	if err != nil {
-		t.Fatalf("CreateIndex: %v", err)
-	}
-	var b Batch
-	for i := 0; i < 40; i++ {
-		b.Insert(pageRow(i))
-	}
-	if _, err := tb.Apply(&b); err != nil {
-		t.Fatalf("Apply: %v", err)
-	}
-	if ix.tree.Height() != 1 {
-		t.Fatalf("index height %d, want one leaf", ix.tree.Height())
-	}
-	rid, found, err := ix.LookupRID(tuple.Int64(0))
-	if err != nil || !found {
-		t.Fatalf("LookupRID(0): found=%v err=%v", found, err)
-	}
-	grown := pageRow(0)
-	grown[7] = tuple.String(strings.Repeat("x", 600))
-
-	leaf, err := e.pool.Fetch(ix.tree.Root())
-	if err != nil {
-		t.Fatal(err)
-	}
-	leaf.Latch.Lock()
-	updated, deleted := make(chan error, 1), make(chan error, 1)
-	go func() {
-		_, err := tb.Update(rid, grown)
-		updated <- err
-	}()
-	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(100 * time.Microsecond) {
-		st, err := tb.file.Stats()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st.LiveRecords == 41 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("the update never placed its new copy (%d records)", st.LiveRecords)
-		}
-	}
+	release, updated := parkMove(t, e, tb, ix, rid, grown)
+	deleted := make(chan error, 1)
 	go func() { deleted <- tb.Delete(rid) }()
 	time.Sleep(5 * time.Millisecond) // the delete parks on the leaf too
-	leaf.Latch.Unlock()
-	e.pool.Unpin(leaf, false)
+	release()
 	uerr, derr := <-updated, <-deleted
 	if (uerr == nil) == (derr == nil) {
 		t.Fatalf("update = %v, delete = %v; want exactly one to fail", uerr, derr)
@@ -313,5 +272,115 @@ func TestRacingWriteOfAMovingRow(t *testing.T) {
 	}
 	if pins := e.Pool().PinnedFrames(); pins != 0 {
 		t.Errorf("%d frames still pinned", pins)
+	}
+}
+
+// TestMovedRowFreeSparesAReusedSlot: while an update that moves row 0 is
+// held in its index stage, a racing write frees the old copy and an
+// insert reuses its slot for another row. The update's free must leave
+// that row alone: the update fails alone with storage.ErrDeleted, and the
+// other row stays readable at the slot.
+func TestMovedRowFreeSparesAReusedSlot(t *testing.T) {
+	e, tb, ix, rid, grown := moveFixture(t, Options{})
+	defer e.Close()
+	release, done := parkMove(t, e, tb, ix, rid, grown)
+	if err := tb.file.Delete(rid); err != nil {
+		t.Fatalf("the racing free: %v", err)
+	}
+	other, err := tuple.Encode(tb.schema, pageRow(100), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var slot uint16
+	err = tb.file.VisitPage(rid.Page, func(sp *storage.SlottedPage, exclusive bool) bool {
+		if !exclusive {
+			t.Fatal("the page is latched: nothing else should hold it")
+		}
+		slot, err = sp.Insert(other)
+		return err == nil
+	})
+	if err != nil || slot != rid.Slot {
+		t.Fatalf("the reusing insert took slot %d (%v), want %d", slot, err, rid.Slot)
+	}
+	release()
+	if err := <-done; !errors.Is(err, storage.ErrDeleted) || errors.Is(err, buffer.ErrPoolClosed) {
+		t.Fatalf("Update = %v; want storage.ErrDeleted, the engine running", err)
+	}
+	if got, err := tb.Get(rid); err != nil || !got.Equal(pageRow(100)) {
+		t.Fatalf("the reused slot after the update's free: %v, %v; want row 100", got, err)
+	}
+	if pins := e.Pool().PinnedFrames(); pins != 0 {
+		t.Errorf("%d frames still pinned", pins)
+	}
+}
+
+// TestSameRowTwiceInOneBatch lands two ops on row 0 in one isolated
+// batch, as the server's coalescer may when two clients write the same
+// row. The first op's effect stays whole: once it has moved the row off
+// its RID, a later op there fails with storage.ErrDeleted, as it would
+// on a freed slot. An op after an in-place update moves the row as
+// usual. Each case checks the per-op errors, the lookup, and that a
+// heap-order scan reads the row once, live and again after the log
+// replays the batch.
+func TestSameRowTwiceInOneBatch(t *testing.T) {
+	small := pageRow(0)
+	small[7] = tuple.String("BODY OF ARTICLE 0") // fits in place
+	for _, tc := range []struct {
+		name       string
+		ops        func(b *Batch, rid storage.RID)
+		want       tuple.Row // row 0 after the batch
+		failSecond bool
+	}{
+		{"move then delete", func(b *Batch, rid storage.RID) { b.Update(rid, grownPage(0, "x")).Delete(rid) }, grownPage(0, "x"), true},
+		{"move then move", func(b *Batch, rid storage.RID) { b.Update(rid, grownPage(0, "x")).Update(rid, grownPage(0, "y")) }, grownPage(0, "x"), true},
+		{"move then in place", func(b *Batch, rid storage.RID) { b.Update(rid, grownPage(0, "x")).Update(rid, small) }, grownPage(0, "x"), true},
+		{"in place then move", func(b *Batch, rid storage.RID) { b.Update(rid, small).Update(rid, grownPage(0, "y")) }, grownPage(0, "y"), false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "db")
+			e, tb, ix, rid, _ := moveFixture(t, Options{Path: path, WAL: true})
+			var b Batch
+			tc.ops(&b, rid)
+			res, err := tb.Apply(&b, WithErrorIsolation())
+			if err != nil {
+				t.Fatalf("Apply: %v", err)
+			}
+			if res.OpErrs[0] != nil {
+				t.Errorf("op 0: %v", res.OpErrs[0])
+			}
+			if tc.failSecond && !errors.Is(res.OpErrs[1], storage.ErrDeleted) {
+				t.Errorf("op 1 = %v, want storage.ErrDeleted", res.OpErrs[1])
+			} else if !tc.failSecond && res.OpErrs[1] != nil {
+				t.Errorf("op 1: %v", res.OpErrs[1])
+			}
+			row, lr, err := ix.Lookup(nil, tuple.Int64(0))
+			if err != nil || !lr.Found || !row.Equal(tc.want) {
+				t.Errorf("Lookup(0) = %v (found %v, %v), want %v", row, lr.Found, err, tc.want)
+			}
+			if _, err := tb.Get(rid); !errors.Is(err, storage.ErrDeleted) {
+				t.Errorf("Get of the old copy = %v, want it freed", err)
+			}
+			scanOnce(t, tb, tc.want)
+			if tb.Rows() != 40 {
+				t.Errorf("Rows = %d, want 40", tb.Rows())
+			}
+
+			// Stop without a checkpoint: the reopen replays the batch.
+			_ = e.pool.Close()
+			_ = e.Close()
+			e, err = NewEngine(Options{PageSize: 1024, BufferPoolPages: 128, Path: path, WAL: true})
+			if err != nil {
+				t.Fatalf("reopen: %v", err)
+			}
+			defer e.Close()
+			if tb, err = e.Table("page"); err != nil {
+				t.Fatal(err)
+			}
+			scanOnce(t, tb, tc.want)
+			row, lr, err = mustIndex(t, tb, "by_id").Lookup(nil, tuple.Int64(0))
+			if err != nil || !lr.Found || !row.Equal(tc.want) {
+				t.Errorf("Lookup(0) after the reopen = %v (found %v, %v), want %v", row, lr.Found, err, tc.want)
+			}
+		})
 	}
 }

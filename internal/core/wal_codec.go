@@ -198,17 +198,19 @@ func (d *batchDecoder) bytes(n uint64) []byte {
 }
 
 func (d *batchDecoder) uint32() uint32 {
-	if b := d.bytes(4); b != nil {
-		return binary.LittleEndian.Uint32(b)
+	b := d.bytes(4)
+	if d.err != nil {
+		return 0
 	}
-	return 0
+	return binary.LittleEndian.Uint32(b)
 }
 
 func (d *batchDecoder) byte() byte {
-	if b := d.bytes(1); b != nil {
-		return b[0]
+	b := d.bytes(1)
+	if d.err != nil {
+		return 0
 	}
-	return 0
+	return b[0]
 }
 
 // decodeBatch parses a batch record payload: the table header followed

@@ -467,27 +467,36 @@ func (f *File) GetRun(rids []storage.RID, fn func(i int, rec []byte) bool) error
 
 // Delete removes the record at rid. The freed space is reported to the
 // free-space map, so later inserts reclaim it.
-func (f *File) Delete(rid storage.RID) error {
+func (f *File) Delete(rid storage.RID) error { return f.remove(rid, false, 0) }
+
+// DeleteIf is Delete of the record at rid only while it is the one whose
+// RecordSum is sum; else the slot is left and the error is storage.ErrDeleted.
+func (f *File) DeleteIf(rid storage.RID, sum uint32) error { return f.remove(rid, true, sum) }
+
+// remove frees the record at rid if the slot holds one and, with check,
+// its RecordSum is sum; if not, it returns storage.ErrDeleted.
+func (f *File) remove(rid storage.RID, check bool, sum uint32) error {
 	fr, err := f.pool.Fetch(rid.Page)
 	if err != nil {
 		return err
 	}
 	fr.Latch.Lock()
 	sp := storage.AsSlotted(fr.Data())
-	err = sp.Delete(rid.Slot)
+	rec, err := sp.Get(rid.Slot)
+	freed := err == nil && (!check || RecordSum(rec) == sum) && sp.Delete(rid.Slot) == nil
 	free := f.advisoryFree(sp)
 	fr.Latch.Unlock()
-	dirty := err == nil
-	f.pool.Unpin(fr, dirty)
-	if err == nil {
-		f.noteFree(rid.Page, free)
+	f.pool.Unpin(fr, freed)
+	if !freed {
+		return storage.ErrDeleted
 	}
-	return err
+	f.noteFree(rid.Page, free)
+	return nil
 }
 
 // Update is Rewrite plus, if the record moved, Delete of the old copy.
 func (f *File) Update(rid storage.RID, rec []byte) (storage.RID, error) {
-	to, err := f.Rewrite(rid, rec)
+	to, _, err := f.Rewrite(rid, rec)
 	if err == nil && to != rid {
 		if err = f.Delete(rid); err != nil {
 			_ = f.Delete(to) // the old copy stays, so the new one goes
@@ -499,31 +508,35 @@ func (f *File) Update(rid storage.RID, rec []byte) (storage.RID, error) {
 
 // Rewrite replaces the record at rid in place when rec fits its page,
 // or else places rec as a new copy and returns its RID, the old copy
-// left live: for a caller to Delete once its index entries name the new.
-func (f *File) Rewrite(rid storage.RID, rec []byte) (storage.RID, error) {
+// left live: for a caller to DeleteIf, with the old copy's RecordSum
+// returned as oldSum, once its index entries name the new.
+func (f *File) Rewrite(rid storage.RID, rec []byte) (to storage.RID, oldSum uint32, err error) {
 	fr, err := f.pool.Fetch(rid.Page)
 	if err != nil {
-		return storage.InvalidRID, err
+		return storage.InvalidRID, 0, err
 	}
 	fr.Latch.Lock()
 	sp := storage.AsSlotted(fr.Data())
 	err = sp.Update(rid.Slot, rec)
+	if err == storage.ErrNoSpace {
+		old, _ := sp.Get(rid.Slot) // live: Update left it as it was
+		oldSum = RecordSum(old)
+	}
 	free := f.advisoryFree(sp)
 	fr.Latch.Unlock()
 	if err == nil {
 		f.pool.Unpin(fr, true)
 		f.noteFree(rid.Page, free)
-		return rid, nil
+		return rid, 0, nil
 	}
 	f.pool.Unpin(fr, false)
 	if err != storage.ErrNoSpace {
-		return storage.InvalidRID, err
+		return storage.InvalidRID, 0, err
 	}
-	to, err := f.Insert(rec)
-	if err != nil {
-		return storage.InvalidRID, fmt.Errorf("heap: relocating update: %w", err)
+	if to, err = f.Insert(rec); err != nil {
+		return storage.InvalidRID, 0, fmt.Errorf("heap: relocating update: %w", err)
 	}
-	return to, nil
+	return to, oldSum, nil
 }
 
 // VisitPage pins the page and runs fn over its slotted view. The frame

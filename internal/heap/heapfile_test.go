@@ -150,29 +150,41 @@ func TestHeapUpdateInPlaceAndRelocate(t *testing.T) {
 
 // TestHeapRewriteKeepsTheOldCopy: a record that outgrows its page gets a
 // new copy elsewhere, and the old one stays readable until it is deleted.
+// Rewrite reports the old copy's RecordSum, and DeleteIf frees the slot
+// only while it holds the record with that sum.
 func TestHeapRewriteKeepsTheOldCopy(t *testing.T) {
 	f := newTestFile(t)
 	rid, _ := f.Insert(bytes.Repeat([]byte{1}, 50))
 	for i := 0; i < 20; i++ {
 		f.Insert(bytes.Repeat([]byte{2}, 100))
 	}
-	if to, err := f.Rewrite(rid, bytes.Repeat([]byte{9}, 40)); err != nil || to != rid {
+	shrunk := bytes.Repeat([]byte{9}, 40)
+	if to, _, err := f.Rewrite(rid, shrunk); err != nil || to != rid {
 		t.Fatalf("shrinking Rewrite = %v, %v; want in place at %v", to, err, rid)
 	}
-	to, err := f.Rewrite(rid, bytes.Repeat([]byte{8}, 400))
+	to, sum, err := f.Rewrite(rid, bytes.Repeat([]byte{8}, 400))
 	if err != nil || to == rid {
 		t.Fatalf("growing Rewrite = %v, %v; want a new copy away from %v", to, err, rid)
 	}
-	if got, err := f.Get(rid); err != nil || !bytes.Equal(got, bytes.Repeat([]byte{9}, 40)) {
+	if sum != RecordSum(shrunk) {
+		t.Fatalf("growing Rewrite reports sum %#x, want the old copy's %#x", sum, RecordSum(shrunk))
+	}
+	if got, err := f.Get(rid); err != nil || !bytes.Equal(got, shrunk) {
 		t.Fatalf("old copy after the move: %v, %v", got, err)
 	}
 	if got, err := f.Get(to); err != nil || len(got) != 400 || got[0] != 8 {
 		t.Fatalf("new copy: %d bytes, %v", len(got), err)
 	}
-	if err := f.Delete(rid); err != nil {
+	if err := f.DeleteIf(rid, sum+1); !errors.Is(err, storage.ErrDeleted) {
+		t.Fatalf("DeleteIf with another record's sum = %v, want storage.ErrDeleted", err)
+	}
+	if got, err := f.Get(rid); err != nil || !bytes.Equal(got, shrunk) {
+		t.Fatalf("old copy after a refused DeleteIf: %v, %v", got, err)
+	}
+	if err := f.DeleteIf(rid, sum); err != nil {
 		t.Fatalf("freeing the old copy: %v", err)
 	}
-	if err := f.Delete(rid); !errors.Is(err, storage.ErrDeleted) {
+	if err := f.DeleteIf(rid, sum); !errors.Is(err, storage.ErrDeleted) {
 		t.Fatalf("freeing it twice = %v, want storage.ErrDeleted", err)
 	}
 }

@@ -238,21 +238,8 @@ func (f *File) RedoDelete(rid storage.RID, sum uint32) error {
 	if !f.owns(rid.Page) {
 		return nil
 	}
-	fr, err := f.pool.Fetch(rid.Page)
-	if err != nil {
+	if err := f.remove(rid, !kill, sum); err != storage.ErrDeleted {
 		return err
-	}
-	fr.Latch.Lock()
-	sp := storage.AsSlotted(fr.Data())
-	deleted := false
-	if rec, err := sp.Get(rid.Slot); err == nil && (kill || RecordSum(rec) == sum) {
-		deleted = sp.Delete(rid.Slot) == nil
-	}
-	free := f.advisoryFree(sp)
-	fr.Latch.Unlock()
-	f.pool.Unpin(fr, deleted)
-	if deleted {
-		f.noteFree(rid.Page, free)
 	}
 	return nil
 }
