@@ -247,7 +247,7 @@ func fig3Lookup(b *testing.B, clusterFrac float64, partitioned bool) {
 			return err
 		}
 	}
-	trace := gen.RevisionTrace(4096, 0.999, revs, latest)
+	trace := gen.RevisionTrace(4096, 0.999, len(revs), latest)
 	for _, idx := range trace { // warm
 		if err := lookup(idx); err != nil {
 			b.Fatal(err)

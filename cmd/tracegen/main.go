@@ -50,7 +50,7 @@ func main() {
 	case "revision":
 		revs, latest := gen.Revisions()
 		fmt.Fprintln(w, "rev_id,is_hot")
-		for _, idx := range gen.RevisionTrace(*n, *hot, revs, latest) {
+		for _, idx := range gen.RevisionTrace(*n, *hot, len(revs), latest) {
 			hotFlag := 0
 			if revs[idx].Latest {
 				hotFlag = 1

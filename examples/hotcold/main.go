@@ -46,7 +46,7 @@ func main() {
 		len(revs), table.Heap().NumPages(), len(latest),
 		100*float64(len(latest))/float64(len(revs)))
 
-	trace := gen.RevisionTrace(20000, 0.999, revs, latest)
+	trace := gen.RevisionTrace(20000, 0.999, len(revs), latest)
 	counter := db.IOCounter()
 
 	run := func(label string, lookup func(i int) error) {

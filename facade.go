@@ -27,8 +27,9 @@ type HotColdConfig = partition.Config
 // NewHotCold creates an empty hot/cold partition pair.
 func NewHotCold(cfg HotColdConfig) (*HotCold, error) { return partition.New(cfg) }
 
-// Cluster relocates hot tuples to the end of the table (delete +
-// append) and returns each moved tuple's old RID → new RID.
+// Cluster relocates hot tuples to the end of the table (a new copy
+// appended, then the old one freed) and returns each moved tuple's old
+// RID → new RID.
 func Cluster(t *Table, hot []RID) (map[RID]RID, error) {
 	return partition.Cluster(t, hot)
 }

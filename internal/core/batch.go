@@ -56,6 +56,10 @@ type stagedOp struct {
 	// to; only a transaction's commit pre-check sets it (0 = none).
 	prev uint64
 	skip bool // isolation: the op failed, keep it out of later stages
+	// move marks Table.Relocate's update of a row to itself: pre-flight
+	// takes the row from the pre-image, and the heap stage places a new
+	// copy even where the record fits in place.
+	move bool
 }
 
 // Batch accumulates mutations for Table.Apply — the write-side builder
@@ -515,6 +519,9 @@ func (t *Table) preflight(op *stagedOp, sc *stageArena) (err error) {
 		if op.oldRow, op.oldSum, err = sc.preImage(t, op.rid); err != nil {
 			return fmt.Errorf("core: %v of %v: %w", op.kind, op.rid, err)
 		}
+		if op.move {
+			op.row = op.oldRow
+		}
 	}
 	if op.kind != BatchDelete {
 		n, err := tuple.EncodedSize(t.schema, op.row)
@@ -762,9 +769,13 @@ func (p *pipeline) heapStage() bool {
 				p.wb.del(op.rid, op.oldSum)
 			}
 		default:
-			var newRID storage.RID
-			var sum uint32
-			if newRID, sum, err = t.file.Rewrite(op.rid, op.rec); err == nil {
+			newRID, sum := storage.InvalidRID, op.oldSum
+			if op.move {
+				newRID, err = t.file.Insert(op.rec) // Rewrite without its in-place step
+			} else {
+				newRID, sum, err = t.file.Rewrite(op.rid, op.rec)
+			}
+			if err == nil {
 				if newRID != op.rid {
 					vs.forget(newRID) // its new slot may hold a tombstone
 					p.moved = append(p.moved, i)

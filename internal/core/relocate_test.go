@@ -384,3 +384,69 @@ func TestSameRowTwiceInOneBatch(t *testing.T) {
 		})
 	}
 }
+
+// TestRelocateKeepsTheRowFindable: Table.Relocate moves a row through
+// the write stages as a relocating update does — new copy, entries
+// repointed, old copy freed — so while one goroutine relocates row 0
+// 5,000 times, no point read of its key answers not-found. (As a delete
+// plus an insert it missed 10–40 % of them, between the delete's
+// entries leaving and the insert's arriving.) A heap scan then reads
+// the row once, live and again after the log replays the moves.
+func TestRelocateKeepsTheRowFindable(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "db")
+	e, tb, ix, rid, _ := moveFixture(t, Options{Path: path, WAL: true, SyncPolicy: SyncNone})
+	want := pageRow(0)
+	const relocations = 5000
+	moved := make(chan error, 1)
+	go func() {
+		var err error
+		for i := 0; i < relocations && err == nil; i++ {
+			rid, err = tb.Relocate(rid)
+		}
+		moved <- err
+	}()
+	misses, lookups := 0, 0
+	for running := true; running; lookups++ {
+		select {
+		case err := <-moved:
+			if err != nil {
+				t.Fatalf("Relocate: %v", err)
+			}
+			running = false
+		default:
+		}
+		row, lr, err := ix.Lookup(nil, tuple.Int64(0))
+		if err != nil {
+			t.Fatalf("Lookup(0): %v", err)
+		}
+		if !lr.Found {
+			misses++
+		} else if !row.Equal(want) {
+			t.Fatalf("Lookup(0) = %v, want %v", row, want)
+		}
+	}
+	if misses != 0 {
+		t.Errorf("%d of %d lookups of id 0 answered not-found during %d relocations", misses, lookups, relocations)
+	}
+	scanOnce(t, tb, want)
+	if tb.Rows() != 40 {
+		t.Errorf("Rows = %d, want 40", tb.Rows())
+	}
+
+	// Stop without a checkpoint: the reopen replays every move.
+	_ = e.pool.Close()
+	_ = e.Close()
+	e, err := NewEngine(Options{PageSize: 1024, BufferPoolPages: 128, Path: path, WAL: true})
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer e.Close()
+	if tb, err = e.Table("page"); err != nil {
+		t.Fatal(err)
+	}
+	scanOnce(t, tb, want)
+	row, lr, err := mustIndex(t, tb, "by_id").Lookup(nil, tuple.Int64(0))
+	if err != nil || !lr.Found || !row.Equal(want) {
+		t.Errorf("Lookup(0) after the reopen = %v (found %v, %v), want %v", row, lr.Found, err, want)
+	}
+}

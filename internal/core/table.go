@@ -162,28 +162,23 @@ func (t *Table) Update(rid storage.RID, newRow tuple.Row) (storage.RID, error) {
 	return res.RIDs[0], nil
 }
 
-// Relocate moves the row at rid by deleting and reinserting it — the
+// Relocate moves the row at rid to a new copy and returns its RID: the
 // paper's Section 3.1 clustering primitive ("relocates hot tuples by
 // deleting then appending them to the end of the table" when the heap
-// is append-only). Indexes are updated to the new RID and cached
-// indexes invalidated (RID reuse hazard). Returns the new RID.
+// is append-only). It is an update of the row to itself that always
+// places a new copy, so it moves through the write stages as a
+// relocating update does: the copy lands, every index entry is
+// repointed to it (cached entries invalidated: RID reuse hazard), and
+// only then is the old copy freed. A read of the row's key finds it
+// throughout, and the move rides Apply, WAL-logged like every other
+// mutation.
 func (t *Table) Relocate(rid storage.RID) (storage.RID, error) {
-	row, err := t.Get(rid)
-	if err != nil {
-		return storage.InvalidRID, fmt.Errorf("core: relocate of %v: %w", rid, err)
-	}
-	// Delete-then-insert as one batch: the pipeline takes the old entries
-	// out and frees the slot before the insert places and re-claims the
-	// keys (see Batch), and the whole move rides Apply — so it is
-	// WAL-logged like every other mutation instead of bypassing the log.
-	var b Batch
-	b.Delete(rid)
-	b.Insert(row)
+	b := Batch{ops: []stagedOp{{kind: BatchUpdate, rid: rid, move: true}}}
 	res, err := t.Apply(&b, WithResultRIDs())
 	if err != nil {
 		return storage.InvalidRID, err
 	}
-	return res.RIDs[1], nil
+	return res.RIDs[0], nil
 }
 
 // GetInto is Get decoding into dst when its capacity suffices, with

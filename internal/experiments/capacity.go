@@ -84,7 +84,8 @@ func measureRoom(ix *core.Index) (CacheRoom, error) {
 // bulk-built index and the paper's closed-form estimate evaluated with
 // their published inputs.
 type CapacityResult struct {
-	Config CapacityConfig
+	Config  CapacityConfig
+	Fixture FixtureConfig // the page table name_title is built on
 	// Measured on the real index built over the synthetic page table:
 	MeasuredKeyBytes int64 // the keys' logical payload, each key whole
 	// MeasuredStoredKeyBytes is what the leaves store of it: suffixes
@@ -105,22 +106,14 @@ type CapacityResult struct {
 // with the paper's numbers for comparison. With ItemsRows set it also
 // measures an index shaped like the served benchmark's (runItemsRoom).
 func RunCapacity(cfg CapacityConfig) (_ CapacityResult, err error) {
-	e, err := core.NewEngine(core.Options{PageSize: cfg.PageSize, BufferPoolPages: 1 << 16})
+	res := CapacityResult{Config: cfg, Fixture: FixtureConfig{Shape: PageShape, Pages: cfg.Pages, Seed: cfg.Seed,
+		PageSize: cfg.PageSize, PoolPages: 1 << 16}}
+	f, err := NewFixture(res.Fixture)
 	if err != nil {
 		return CapacityResult{}, err
 	}
-	defer closeEngine(e, &err)
-	tb, err := e.CreateTable("page", wiki.PageSchema())
-	if err != nil {
-		return CapacityResult{}, err
-	}
-	gen := wiki.NewGenerator(wiki.Config{Pages: cfg.Pages, RevisionsPerPage: 1, Alpha: 0.5, Seed: cfg.Seed})
-	for i := 0; i < cfg.Pages; i++ {
-		if _, err := tb.Insert(gen.PageRow(i, int64(i))); err != nil {
-			return CapacityResult{}, err
-		}
-	}
-	ix, err := tb.CreateIndex("name_title", []string{"page_namespace", "page_title"},
+	defer closeEngine(f.Engine, &err)
+	ix, err := f.Table.CreateIndex("name_title", []string{"page_namespace", "page_title"},
 		core.WithFillFactor(cfg.FillFactor),
 		core.WithCache(wiki.CachedPageFields()...))
 	if err != nil {
@@ -130,7 +123,6 @@ func RunCapacity(cfg CapacityConfig) (_ CapacityResult, err error) {
 	if err != nil {
 		return CapacityResult{}, err
 	}
-	res := CapacityResult{Config: cfg}
 	res.MeasuredKeyBytes = ts.KeyBytes
 	res.MeasuredStoredKeyBytes = ts.StoredKeyBytes
 	res.MeasuredFill = ts.MeanLeafFill
@@ -206,7 +198,7 @@ func itemsRow(id int64) tuple.Row {
 // which moves its payload to the layout the table adopted during the
 // load — and measures the room.
 func runItemsRoom(cfg CapacityConfig) (_ CacheRoom, err error) {
-	e, err := core.NewEngine(core.Options{PageSize: cfg.PageSize, BufferPoolPages: cfg.ItemsRows/16 + 1024})
+	e, err := FixtureConfig{PageSize: cfg.PageSize, PoolPages: cfg.ItemsRows/16 + 1024}.open()
 	if err != nil {
 		return CacheRoom{}, err
 	}
@@ -247,6 +239,7 @@ func runItemsRoom(cfg CapacityConfig) (_ CacheRoom, err error) {
 // Print renders the measured and closed-form numbers side by side.
 func (r CapacityResult) Print(w io.Writer) {
 	fmt.Fprintf(w, "Section 2.1.4: index cache capacity analysis\n")
+	fmt.Fprintf(w, "%v\n", r.Fixture)
 	fmt.Fprintf(w, "measured on synthetic name_title index (%d rows, fill %.2f):\n",
 		r.Config.Pages, r.Config.FillFactor)
 	fmt.Fprintf(w, "  key bytes      %d (stored %d: suffixes plus one prefix per leaf)\n",

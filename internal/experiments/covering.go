@@ -26,7 +26,8 @@ func DefaultCoveringConfig() CoveringConfig {
 
 // CoveringResult sizes both designs.
 type CoveringResult struct {
-	Config CoveringConfig
+	Config  CoveringConfig
+	Fixture FixtureConfig
 	// PlainIndexBytes is the name_title index alone.
 	PlainIndexBytes int64
 	// CachedIndexBytes is the same index with the cache enabled — by
@@ -42,24 +43,15 @@ type CoveringResult struct {
 
 // RunCovering builds the three indexes and compares their footprints.
 func RunCovering(cfg CoveringConfig) (_ CoveringResult, err error) {
-	e, err := core.NewEngine(core.Options{PageSize: 8192, BufferPoolPages: 1 << 16})
+	res := CoveringResult{Config: cfg, Fixture: FixtureConfig{Shape: PageShape, Pages: cfg.Pages, Seed: cfg.Seed,
+		PageSize: 8192, PoolPages: 1 << 16}}
+	f, err := NewFixture(res.Fixture)
 	if err != nil {
 		return CoveringResult{}, err
 	}
-	defer closeEngine(e, &err)
-	tb, err := e.CreateTable("page", wiki.PageSchema())
-	if err != nil {
-		return CoveringResult{}, err
-	}
-	gen := wiki.NewGenerator(wiki.Config{Pages: cfg.Pages, RevisionsPerPage: 1, Alpha: 0.5, Seed: cfg.Seed})
-	for i := 0; i < cfg.Pages; i++ {
-		if _, err := tb.Insert(gen.PageRow(i, int64(i))); err != nil {
-			return CoveringResult{}, err
-		}
-	}
-	res := CoveringResult{Config: cfg}
+	defer closeEngine(f.Engine, &err)
 
-	plain, err := tb.CreateIndex("plain", []string{"page_namespace", "page_title"},
+	plain, err := f.Table.CreateIndex("plain", []string{"page_namespace", "page_title"},
 		core.WithFillFactor(0.68))
 	if err != nil {
 		return CoveringResult{}, err
@@ -70,7 +62,7 @@ func RunCovering(cfg CoveringConfig) (_ CoveringResult, err error) {
 	}
 	res.PlainIndexBytes = ps.SizeBytes
 
-	cached, err := tb.CreateIndex("cached", []string{"page_namespace", "page_title"},
+	cached, err := f.Table.CreateIndex("cached", []string{"page_namespace", "page_title"},
 		core.WithFillFactor(0.68), core.WithCache(wiki.CachedPageFields()...))
 	if err != nil {
 		return CoveringResult{}, err
@@ -88,7 +80,7 @@ func RunCovering(cfg CoveringConfig) (_ CoveringResult, err error) {
 
 	// Covering index: the four extra fields join the key. It answers the
 	// same projections index-only, but every tuple — hot or cold — pays.
-	covering, err := tb.CreateIndex("covering", []string{
+	covering, err := f.Table.CreateIndex("covering", []string{
 		"page_namespace", "page_title",
 		"page_is_redirect", "page_latest", "page_len", "page_touched",
 	}, core.WithFillFactor(0.68))
@@ -114,6 +106,7 @@ func (r CoveringResult) Bloat() float64 {
 // Print renders the comparison.
 func (r CoveringResult) Print(w io.Writer) {
 	fmt.Fprintf(w, "§2.1 design comparison: index cache vs covering index (%d rows)\n", r.Config.Pages)
+	fmt.Fprintf(w, "%v\n", r.Fixture)
 	fmt.Fprintf(w, "%-28s %12s\n", "design", "index bytes")
 	fmt.Fprintf(w, "%-28s %12d\n", "plain name_title", r.PlainIndexBytes)
 	fmt.Fprintf(w, "%-28s %12d  (+cache holds %.0f%% of rows in existing free space)\n",

@@ -67,31 +67,16 @@ func (r EncWasteResult) AggregateWastePct() float64 {
 // verifying that each reads back.
 func RunEncWaste(cfg EncWasteConfig) (EncWasteResult, error) {
 	res := EncWasteResult{Config: cfg}
-	gen := wiki.NewGenerator(wiki.Config{
-		Pages:            maxInt(cfg.Rows/10, 10),
-		RevisionsPerPage: 10,
-		Alpha:            0.5,
-		Seed:             cfg.Seed,
-	})
 
-	// revision table
-	revs, _ := gen.Revisions()
-	if len(revs) > cfg.Rows {
-		revs = revs[:cfg.Rows]
-	}
-	revRows := make([]tuple.Row, len(revs))
-	for i, r := range revs {
-		revRows[i] = r.Row
-	}
-	if err := res.analyze("revision", wiki.RevisionSchema(), revRows); err != nil {
+	// revision table: the rows vpart's fixture draws
+	gen, revRows, _ := FixtureConfig{Shape: RevisionShape, Pages: max(cfg.Rows/10, 10), RevisionsPerPage: 10,
+		Seed: cfg.Seed}.generate()
+	if err := res.analyze("revision", wiki.RevisionSchema(), revRows[:min(cfg.Rows, len(revRows))]); err != nil {
 		return EncWasteResult{}, err
 	}
 
 	// page table
-	pageRows := make([]tuple.Row, cfg.Rows/10)
-	for i := range pageRows {
-		pageRows[i] = gen.PageRow(i, int64(i))
-	}
+	pageRows, _ := rowsOf(gen, PageShape, cfg.Rows/10)
 	if err := res.analyze("page", wiki.PageSchema(), pageRows); err != nil {
 		return EncWasteResult{}, err
 	}
@@ -162,13 +147,6 @@ func (r *EncWasteResult) analyze(name string, schema *tuple.Schema, rows []tuple
 	}
 	r.Reports = append(r.Reports, tb)
 	return nil
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // Print renders the per-table and per-column reports.

@@ -34,11 +34,12 @@ type Fig2cPoint struct {
 
 // Fig2cResult holds the measured operating points and the derived
 // curve. The paper sweeps the hit rate synthetically; we measure three
-// real operating points — the no-cache engine, a pure-hit workload on
+// real operating points — the uncached index, a pure-hit workload on
 // verified cache-resident keys, and a mixed workload — solve for the
 // per-hit and per-miss latencies, and generate the curve from them.
 type Fig2cResult struct {
-	Config Fig2cConfig
+	Config  Fig2cConfig
+	Fixture FixtureConfig
 	// Measured endpoints (ns/lookup):
 	NoCacheNs  float64 // plain index + heap fetch
 	HitNs      float64 // lookups answered from the index cache
@@ -60,21 +61,28 @@ type Fig2cResult struct {
 	BreakEvenHitRate float64
 }
 
-// RunFig2c builds two identical fully-resident engines — with and
-// without the index cache — and measures lookup latency at the three
-// operating points.
+// RunFig2c builds one fully-resident page table with two indexes on
+// the same key — one with the index cache, one without — and measures
+// lookup latency at the three operating points.
 func RunFig2c(cfg Fig2cConfig) (_ Fig2cResult, err error) {
-	withCache, ixCache, err := buildFig2cEngine(cfg, true)
+	// 8 KiB pages and a pool far above the data: every page stays resident.
+	res := Fig2cResult{Config: cfg, Fixture: FixtureConfig{Shape: PageShape, Pages: cfg.Pages, Seed: cfg.Seed,
+		PageSize: 8192, PoolPages: 1 << 16}}
+	f, err := NewFixture(res.Fixture)
 	if err != nil {
 		return Fig2cResult{}, err
 	}
-	defer closeEngine(withCache, &err)
-	noCache, ixPlain, err := buildFig2cEngine(cfg, false)
+	defer closeEngine(f.Engine, &err)
+	key := []string{"page_namespace", "page_title"}
+	ixPlain, err := f.Table.CreateIndex("plain", key, core.WithFillFactor(0.68))
 	if err != nil {
 		return Fig2cResult{}, err
 	}
-	defer closeEngine(noCache, &err)
-
+	ixCache, err := f.Table.CreateIndex("name_title", key, core.WithFillFactor(0.68),
+		core.WithCache(wiki.CachedPageFields()...), core.WithCacheSeed(cfg.Seed))
+	if err != nil {
+		return Fig2cResult{}, err
+	}
 	if _, err := ixCache.WarmCache(); err != nil {
 		return Fig2cResult{}, err
 	}
@@ -121,9 +129,7 @@ func RunFig2c(cfg Fig2cConfig) (_ Fig2cResult, err error) {
 		uniTrace[i] = keys[rng.Intn(cfg.Pages)]
 	}
 
-	res := Fig2cResult{Config: cfg}
-
-	// Warm both engines' code paths, then measure. Each measurement runs
+	// Warm both indexes' code paths, then measure. Each measurement runs
 	// its trace once untimed and once timed.
 	if _, err := timeLookups(ixPlain, proj, uniTrace); err != nil {
 		return Fig2cResult{}, err
@@ -196,32 +202,6 @@ func fig2cKey(i int) []tuple.Value {
 	}
 }
 
-func buildFig2cEngine(cfg Fig2cConfig, cached bool) (*core.Engine, *core.Index, error) {
-	e, err := core.NewEngine(core.Options{PageSize: 8192, BufferPoolPages: 1 << 16})
-	if err != nil {
-		return nil, nil, err
-	}
-	tb, err := e.CreateTable("page", wiki.PageSchema())
-	if err != nil {
-		return nil, nil, err
-	}
-	gen := wiki.NewGenerator(wiki.Config{Pages: cfg.Pages, RevisionsPerPage: 1, Alpha: 0.5, Seed: cfg.Seed})
-	for i := 0; i < cfg.Pages; i++ {
-		if _, err := tb.Insert(gen.PageRow(i, int64(i*10))); err != nil {
-			return nil, nil, err
-		}
-	}
-	opts := []core.IndexOption{core.WithFillFactor(0.68)}
-	if cached {
-		opts = append(opts, core.WithCache(wiki.CachedPageFields()...), core.WithCacheSeed(cfg.Seed))
-	}
-	ix, err := tb.CreateIndex("name_title", []string{"page_namespace", "page_title"}, opts...)
-	if err != nil {
-		return nil, nil, err
-	}
-	return e, ix, nil
-}
-
 // lookupTally is one timed pass over a trace: ns per lookup, and how
 // many lookups were cache hits and how many touched the heap.
 type lookupTally struct {
@@ -254,6 +234,7 @@ func timeLookups(ix *core.Index, proj []string, trace [][]tuple.Value) (lookupTa
 // Print renders the measured endpoints and the derived curve.
 func (r Fig2cResult) Print(w io.Writer) {
 	fmt.Fprintf(w, "Figure 2(c): cost/lookup (µs), buffer pool hit rate = 100%%\n")
+	fmt.Fprintf(w, "%v\n", r.Fixture)
 	fmt.Fprintf(w, "measured endpoints: nocache=%.3fµs hit=%.3fµs miss=%.3fµs (mix ran at hit rate %.2f)\n",
 		r.NoCacheNs/1000, r.HitNs/1000, r.MissNs/1000, r.MixHitRate)
 	fmt.Fprintf(w, "%8s %12s %12s\n", "hit%", "cache µs", "nocache µs")

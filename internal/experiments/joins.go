@@ -39,6 +39,9 @@ func DefaultJoinCacheConfig() JoinCacheConfig {
 // JoinCacheResult measures dimension-side work avoided.
 type JoinCacheResult struct {
 	Config JoinCacheConfig
+	// Fixture is the page table the joins resolve against; the revision
+	// table is drawn after it (Fixture.Add).
+	Fixture FixtureConfig
 	// HitRate is the join-cache hit rate over the read-only leg.
 	HitRate float64
 	// DimLookupsCached counts the page-table index lookups the
@@ -71,30 +74,16 @@ func joinPayload(latest, length tuple.Value) []byte {
 // page's join cache first, then replays it again through a second cache
 // while page rows are updated between rounds of queries.
 func RunJoinCache(cfg JoinCacheConfig) (_ JoinCacheResult, err error) {
-	e, err := core.NewEngine(core.Options{PageSize: 4096, BufferPoolPages: 1 << 14})
+	res := JoinCacheResult{Config: cfg, Fixture: FixtureConfig{Shape: PageShape, Pages: cfg.Pages,
+		RevisionsPerPage: cfg.RevisionsPerPage, Seed: cfg.Seed, PageSize: 4096, PoolPages: 1 << 14}}
+	pages, err := NewFixture(res.Fixture)
 	if err != nil {
 		return JoinCacheResult{}, err
 	}
-	defer closeEngine(e, &err)
-
-	gen := wiki.NewGenerator(wiki.Config{
-		Pages: cfg.Pages, RevisionsPerPage: cfg.RevisionsPerPage,
-		Alpha: 0.5, Seed: cfg.Seed,
-	})
-	pageTable, err := e.CreateTable("page", wiki.PageSchema())
-	if err != nil {
-		return JoinCacheResult{}, err
-	}
+	defer closeEngine(pages.Engine, &err)
 	// pageRows[fk-1] is page row fk as the table holds it now, at
 	// pageRIDs[fk-1].
-	pageRows := make([]tuple.Row, cfg.Pages)
-	pageRIDs := make([]storage.RID, cfg.Pages)
-	for i := range pageRows {
-		pageRows[i] = gen.PageRow(i, int64(i))
-		if pageRIDs[i], err = pageTable.Insert(pageRows[i]); err != nil {
-			return JoinCacheResult{}, err
-		}
-	}
+	pageTable, pageRows, pageRIDs := pages.Table, pages.Rows, pages.RIDs
 	pageByID, err := pageTable.CreateIndex("pk", []string{"page_id"})
 	if err != nil {
 		return JoinCacheResult{}, err
@@ -102,29 +91,18 @@ func RunJoinCache(cfg JoinCacheConfig) (_ JoinCacheResult, err error) {
 	latest, length := wiki.PageSchema().Index("page_latest"), wiki.PageSchema().Index("page_len")
 	// The revision heap keeps a 75% fill factor — reserved update
 	// headroom, the same slack the index cache exploits — which the
-	// join cache recycles.
-	revTable, err := e.CreateTable("revision", wiki.RevisionSchema(),
-		core.WithAppendOnlyHeap(), core.WithHeapFillFactor(0.75))
+	// join cache recycles. Its rows continue the page rows' stream.
+	revs, err := pages.Add(RevisionShape, core.WithHeapFillFactor(0.75))
 	if err != nil {
 		return JoinCacheResult{}, err
 	}
-	revs, _ := gen.Revisions()
-	rids := make([]storage.RID, len(revs))
-	for i, r := range revs {
-		rid, err := revTable.Insert(r.Row)
-		if err != nil {
-			return JoinCacheResult{}, err
-		}
-		rids[i] = rid
-	}
+	revTable, rids := revs.Table, revs.RIDs
 
-	zipf := workload.NewZipf(workload.NewRand(cfg.Seed+9), len(revs), 0.8)
+	zipf := workload.NewZipf(workload.NewRand(cfg.Seed+9), len(rids), 0.8)
 	trace := make([]int, cfg.Queries)
 	for i := range trace {
 		trace[i] = zipf.Next()
 	}
-
-	res := JoinCacheResult{Config: cfg}
 
 	// A leg replays the trace through a fresh cache, probing the revision
 	// page's free space first and checking every payload served against
@@ -141,7 +119,7 @@ func RunJoinCache(cfg JoinCacheConfig) (_ JoinCacheResult, err error) {
 			if at > 0 && at%per == 0 && share > 0 {
 				for range int(share * float64(cfg.Pages)) {
 					i := rng.Intn(cfg.Pages)
-					row := gen.PageRow(i, pageRows[i][latest].Int+int64(len(revs))) // a new page_len too
+					row := pages.Gen.PageRow(i, pageRows[i][latest].Int+int64(len(rids))) // a new page_len too
 					if pageRIDs[i], err = pageTable.Update(pageRIDs[i], row); err != nil {
 						return nil, err
 					}
@@ -150,7 +128,7 @@ func RunJoinCache(cfg JoinCacheConfig) (_ JoinCacheResult, err error) {
 				}
 				jc.Invalidate()
 			}
-			rid, fk := rids[ri], uint64(revs[ri].Row[1].Int)
+			rid, fk := rids[ri], uint64(revs.Rows[ri][1].Int)
 			err := revTable.Heap().VisitPage(rid.Page, func(sp *storage.SlottedPage, excl bool) bool {
 				usable, repaired := jc.Prepare(sp, rid.Page, excl)
 				if !usable {
@@ -192,6 +170,8 @@ func RunJoinCache(cfg JoinCacheConfig) (_ JoinCacheResult, err error) {
 // Print renders the comparison.
 func (r JoinCacheResult) Print(w io.Writer) {
 	fmt.Fprintf(w, "§2.2 extension: FK-join results cached in data pages' free space\n")
+	fmt.Fprintf(w, "%v; then its revision table, ~%d revisions per article, heap fill 0.75\n",
+		r.Fixture, r.Config.RevisionsPerPage)
 	fmt.Fprintf(w, "%d join queries (revision → page), zipf(0.8) over %d revisions\n",
 		r.Config.Queries, r.Config.Pages*r.Config.RevisionsPerPage)
 	fmt.Fprintf(w, "join-cache hit rate:          %.1f%%\n", 100*r.HitRate)

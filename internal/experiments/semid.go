@@ -58,7 +58,7 @@ func RunSemID(cfg SemIDConfig) (SemIDResult, error) {
 	embedded := semid.NewEmbeddedRouter(layout)
 
 	// Verify agreement before timing.
-	for _, id := range ids[:minInt(1000, len(ids))] {
+	for _, id := range ids[:min(1000, len(ids))] {
 		tp, err := table.Route(id)
 		if err != nil {
 			return SemIDResult{}, err
@@ -116,13 +116,6 @@ func timeRoutes(r semid.Router, probe []uint64) (float64, error) {
 	elapsed := time.Since(start)
 	_ = sink
 	return float64(elapsed.Nanoseconds()) / float64(len(probe)), nil
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // Print renders the comparison.

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 
-	"repro/internal/core"
 	"repro/internal/tuple"
 	"repro/internal/vertical"
 	"repro/internal/wiki"
@@ -27,14 +26,17 @@ func DefaultVPartConfig() VPartConfig {
 // VPartResult compares the advisor's split against the unsplit table.
 type VPartResult struct {
 	Config VPartConfig
-	Split  vertical.Split
+	// Fixture is the engine and revision rows the vertical table is
+	// built from: their first Config.Rows rows.
+	Fixture FixtureConfig
+	Split   vertical.Split
 	// Group touches per operation class, measured on the materialized
 	// VerticalTable.
 	HotReadTouches  float64 // narrow read (hot fields only)
 	FullReadTouches float64 // full-row read (merge cost)
 	UpdateTouches   float64 // hot-field update
-	// I/O bytes proxy: pages touched × page size on split vs unsplit
-	// for the measured mix.
+	// Page touches per op of the measured mix: split is measured (one
+	// page per group touched); unsplit is assumed, one page per op.
 	SplitIOPerOp, UnsplitIOPerOp float64
 }
 
@@ -63,7 +65,8 @@ func RunVPart(cfg VPartConfig) (_ VPartResult, err error) {
 	if err != nil {
 		return VPartResult{}, err
 	}
-	res := VPartResult{Config: cfg, Split: split}
+	res := VPartResult{Config: cfg, Split: split, Fixture: FixtureConfig{Shape: RevisionShape,
+		Pages: max(cfg.Rows/10, 10), RevisionsPerPage: 10, Seed: cfg.Seed, PageSize: 4096, PoolPages: 1 << 14}}
 
 	// Materialize: groups must exclude the pk (rev_id keys every group).
 	groups := make([][]string, 0, len(split.Groups))
@@ -78,7 +81,7 @@ func RunVPart(cfg VPartConfig) (_ VPartResult, err error) {
 			groups = append(groups, cleaned)
 		}
 	}
-	e, err := core.NewEngine(core.Options{PageSize: 4096, BufferPoolPages: 1 << 14})
+	e, err := res.Fixture.open()
 	if err != nil {
 		return VPartResult{}, err
 	}
@@ -87,18 +90,10 @@ func RunVPart(cfg VPartConfig) (_ VPartResult, err error) {
 	if err != nil {
 		return VPartResult{}, err
 	}
-	gen := wiki.NewGenerator(wiki.Config{
-		Pages:            maxInt(cfg.Rows/10, 10),
-		RevisionsPerPage: 10,
-		Alpha:            0.5,
-		Seed:             cfg.Seed,
-	})
-	revs, _ := gen.Revisions()
-	if len(revs) > cfg.Rows {
-		revs = revs[:cfg.Rows]
-	}
+	_, revs, _ := res.Fixture.generate()
+	revs = revs[:min(cfg.Rows, len(revs))]
 	for _, r := range revs {
-		if err := vt.Insert(r.Row); err != nil {
+		if err := vt.Insert(r); err != nil {
 			return VPartResult{}, err
 		}
 	}
@@ -108,7 +103,7 @@ func RunVPart(cfg VPartConfig) (_ VPartResult, err error) {
 	var hotTouches, fullTouches, updTouches int
 	nHot, nFull, nUpd := 0, 0, 0
 	for i := 0; i < cfg.Queries; i++ {
-		pk := revs[rng.Intn(len(revs))].Row[0]
+		pk := revs[rng.Intn(len(revs))][0]
 		switch {
 		case i%10 < 7: // 70% narrow hot reads
 			_, t, err := vt.GetFields(pk, hotFields)
@@ -143,8 +138,8 @@ func RunVPart(cfg VPartConfig) (_ VPartResult, err error) {
 	if nUpd > 0 {
 		res.UpdateTouches = float64(updTouches) / float64(nUpd)
 	}
-	// I/O proxy for the measured mix: group touches × 1 page each, vs
-	// the unsplit table touching exactly 1 page per op.
+	// Page touches for the measured mix: group touches × 1 page each,
+	// vs an unsplit table assumed to touch exactly 1 page per op.
 	totalOps := float64(nHot + nFull + nUpd)
 	res.SplitIOPerOp = float64(hotTouches+fullTouches+updTouches) / totalOps
 	res.UnsplitIOPerOp = 1.0
@@ -154,6 +149,7 @@ func RunVPart(cfg VPartConfig) (_ VPartResult, err error) {
 // Print renders the advisor verdict and measurements.
 func (r VPartResult) Print(w io.Writer) {
 	fmt.Fprintf(w, "Section 3.2: vertical partitioning\n")
+	fmt.Fprintf(w, "%v; its first %d rows split into a vertical table\n", r.Fixture, r.Config.Rows)
 	fmt.Fprintf(w, "advisor: %s\n", r.Split.Note)
 	for i, g := range r.Split.Groups {
 		fmt.Fprintf(w, "  group %d: %v\n", i, g)
@@ -163,6 +159,6 @@ func (r VPartResult) Print(w io.Writer) {
 		r.Split.BaselineWriteCost, r.Split.WriteCost, 100*r.Split.Gain())
 	fmt.Fprintf(w, "measured group touches/op: hot read %.2f, full read %.2f (merge cost), update %.2f\n",
 		r.HotReadTouches, r.FullReadTouches, r.UpdateTouches)
-	fmt.Fprintf(w, "page touches/op for the mix: split %.2f vs unsplit %.2f\n",
+	fmt.Fprintf(w, "page touches/op for the mix: split %.2f vs unsplit %.2f assumed (one page per op, not measured)\n",
 		r.SplitIOPerOp, r.UnsplitIOPerOp)
 }

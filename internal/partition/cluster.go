@@ -7,8 +7,9 @@ import (
 	"repro/internal/storage"
 )
 
-// Cluster relocates the given hot tuples to the end of their table by
-// deleting and re-appending each (Section 3.1's clustering algorithm).
+// Cluster relocates the given hot tuples to the end of their table
+// (Section 3.1's clustering algorithm): Table.Relocate appends a new
+// copy of each, repoints its index entries, then frees the old copy.
 // On an append-only heap the moved tuples end up packed together in
 // fresh tail pages, converting "one hot tuple per page" into pages that
 // are entirely hot. Returns the mapping from old to new RIDs, which is

@@ -130,7 +130,7 @@ func (g *Generator) Revisions() (revs []Revision, latestOfPage []int) {
 			tuple.Int64(int64(g.rng.Intn(2))), // 0/1 in a BIGINT
 			tuple.Int64(int64(g.rng.Intn(4))), // 0..3 in a BIGINT
 			tuple.Int64(int64(g.rng.Intn(60000))),
-			tuple.Int64(maxInt64(revID-1, 0)),
+			tuple.Int64(max(revID-1, 0)),
 		}
 		idx := len(revs)
 		revs = append(revs, Revision{Row: row, PageIdx: page, Latest: last})
@@ -139,13 +139,6 @@ func (g *Generator) Revisions() (revs []Revision, latestOfPage []int) {
 		}
 	}
 	return revs, latestOfPage
-}
-
-func maxInt64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // timestamp14 renders epoch seconds as MediaWiki's 14-char string by
@@ -216,15 +209,16 @@ func (g *Generator) PageLookupTrace(n int) []int {
 // RevisionTrace returns n revision accesses where hotProb of them hit
 // the latest revision of a zipf-popular page and the rest hit a random
 // historical revision — the Section 3.1 access pattern (hotProb 0.999).
-// Entries are indexes into the slice returned by Revisions.
-func (g *Generator) RevisionTrace(n int, hotProb float64, revs []Revision, latestOfPage []int) []int {
+// Entries are indexes into the slice returned by Revisions, whose
+// length is rows.
+func (g *Generator) RevisionTrace(n int, hotProb float64, rows int, latestOfPage []int) []int {
 	zipf := workload.NewZipf(g.rng, g.cfg.Pages, g.cfg.Alpha)
 	out := make([]int, n)
 	for i := range out {
 		if g.rng.Float64() < hotProb {
 			out[i] = latestOfPage[zipf.Next()]
 		} else {
-			out[i] = g.rng.Intn(len(revs))
+			out[i] = g.rng.Intn(rows)
 		}
 	}
 	return out

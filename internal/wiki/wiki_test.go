@@ -123,7 +123,7 @@ func TestTraces(t *testing.T) {
 	cfg := Config{Pages: 300, RevisionsPerPage: 10, Alpha: 0.5, Seed: 13}
 	g := NewGenerator(cfg)
 	revs, latest := g.Revisions()
-	trace := g.RevisionTrace(10000, 0.999, revs, latest)
+	trace := g.RevisionTrace(10000, 0.999, len(revs), latest)
 	hotSet := map[int]bool{}
 	for _, idx := range latest {
 		hotSet[idx] = true
