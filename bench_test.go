@@ -22,43 +22,6 @@ import (
 	"repro/internal/workload"
 )
 
-// --- Figure 2(a): the swap-cache policy ---------------------------------
-
-func BenchmarkFig2aSwapCache(b *testing.B) {
-	const items = 10000
-	zipf := workload.NewZipf(workload.NewRand(1), items, 0.5)
-	sim, err := idxcache.NewSim(workload.NewRand(2), items/4, 4)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for i := 0; i < 50000; i++ { // warm
-		sim.Lookup(zipf.Next())
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sim.Lookup(zipf.Next())
-	}
-}
-
-func BenchmarkFig2aShrinkCache(b *testing.B) {
-	const items = 10000
-	zipf := workload.NewZipf(workload.NewRand(1), items, 0.5)
-	sim, err := idxcache.NewSim(workload.NewRand(2), items/4, 4)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for i := 0; i < 50000; i++ {
-		sim.Lookup(zipf.Next())
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sim.Lookup(zipf.Next())
-		if i%64 == 63 && sim.Capacity() > items/8 {
-			sim.Shrink(1)
-		}
-	}
-}
-
 // --- Figure 2(b): the three-tier cost model -----------------------------
 
 func BenchmarkFig2bCostModel(b *testing.B) {

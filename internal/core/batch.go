@@ -561,8 +561,9 @@ func (p *pipeline) failRun(ix *Index, err error) {
 // run lands p.ops, stage by stage:
 //
 //  1. Pre-flight (raw only — a transaction pre-flights as it stages):
-//     rows encode and pre-images load, in batch order; the first
-//     failure truncates the batch at that op.
+//     rows encode and pre-images load, in batch order, and a delete of
+//     a row an earlier op updates fails; the first failure truncates
+//     the batch at that op.
 //  2. Index deletes: delete ops' entries, one key-sorted leaf-grouped
 //     run (btree.Tree.ApplyRun) per index — entries leave the indexes
 //     before their heap rows die, so readers cannot chase a freed RID.
@@ -583,8 +584,16 @@ func (p *pipeline) failRun(ix *Index, err error) {
 func (p *pipeline) run() {
 	p.adoptLayout()
 	if p.vers == nil {
+		upd := len(p.ops) // the trip's first update
 		for i := range p.ops {
-			if err := p.t.preflight(&p.ops[i], &p.stageArena); err != nil && p.fail(i, err) {
+			op := &p.ops[i]
+			err := p.t.preflight(op, &p.stageArena)
+			if op.kind == BatchUpdate {
+				upd = min(upd, i)
+			} else if err == nil && op.kind == BatchDelete && p.updates(upd, i) {
+				err = fmt.Errorf("core: delete of %v after an update of it in the same batch: %w", op.rid, storage.ErrDeleted)
+			}
+			if err != nil && p.fail(i, err) {
 				// Ops before i proceed through the stages; i and
 				// everything after are never started.
 				p.ops = p.ops[:i]
@@ -603,6 +612,20 @@ func (p *pipeline) run() {
 			p.res.Applied--
 		}
 	}
+}
+
+// updates reports whether an op in [from, i) updates op i's row. A raw
+// delete after one fails in pre-flight, as on a freed slot: the update
+// may rewrite the record in place, and the delete would free the
+// rewrite under the pre-image's sum, which redo does not match, and
+// drop the entries the update keeps.
+func (p *pipeline) updates(from, i int) bool {
+	for j := from; j < i; j++ {
+		if o := &p.ops[j]; o.kind == BatchUpdate && !o.skip && o.rid == p.ops[i].rid {
+			return true
+		}
+	}
+	return false
 }
 
 // freeMoved is stage 5 and reports whether the result stands. Stage 3

@@ -318,10 +318,10 @@ func TestMovedRowFreeSparesAReusedSlot(t *testing.T) {
 // batch, as the server's coalescer may when two clients write the same
 // row. The first op's effect stays whole: once it has moved the row off
 // its RID, a later op there fails with storage.ErrDeleted, as it would
-// on a freed slot. An op after an in-place update moves the row as
-// usual. Each case checks the per-op errors, the lookup, and that a
-// heap-order scan reads the row once, live and again after the log
-// replays the batch.
+// on a freed slot, and so does a delete after any update of the row. An
+// update after an in-place update moves the row as usual. Each case
+// checks the per-op errors, the lookup, and that a heap-order scan reads
+// the row once, live and again after the log replays the batch.
 func TestSameRowTwiceInOneBatch(t *testing.T) {
 	small := pageRow(0)
 	small[7] = tuple.String("BODY OF ARTICLE 0") // fits in place
@@ -330,11 +330,13 @@ func TestSameRowTwiceInOneBatch(t *testing.T) {
 		ops        func(b *Batch, rid storage.RID)
 		want       tuple.Row // row 0 after the batch
 		failSecond bool
+		inPlace    bool // row 0 stays at its RID
 	}{
-		{"move then delete", func(b *Batch, rid storage.RID) { b.Update(rid, grownPage(0, "x")).Delete(rid) }, grownPage(0, "x"), true},
-		{"move then move", func(b *Batch, rid storage.RID) { b.Update(rid, grownPage(0, "x")).Update(rid, grownPage(0, "y")) }, grownPage(0, "x"), true},
-		{"move then in place", func(b *Batch, rid storage.RID) { b.Update(rid, grownPage(0, "x")).Update(rid, small) }, grownPage(0, "x"), true},
-		{"in place then move", func(b *Batch, rid storage.RID) { b.Update(rid, small).Update(rid, grownPage(0, "y")) }, grownPage(0, "y"), false},
+		{"move then delete", func(b *Batch, rid storage.RID) { b.Update(rid, grownPage(0, "x")).Delete(rid) }, grownPage(0, "x"), true, false},
+		{"move then move", func(b *Batch, rid storage.RID) { b.Update(rid, grownPage(0, "x")).Update(rid, grownPage(0, "y")) }, grownPage(0, "x"), true, false},
+		{"move then in place", func(b *Batch, rid storage.RID) { b.Update(rid, grownPage(0, "x")).Update(rid, small) }, grownPage(0, "x"), true, false},
+		{"in place then move", func(b *Batch, rid storage.RID) { b.Update(rid, small).Update(rid, grownPage(0, "y")) }, grownPage(0, "y"), false, false},
+		{"in place then delete", func(b *Batch, rid storage.RID) { b.Update(rid, small).Delete(rid) }, small, true, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "db")
@@ -357,7 +359,9 @@ func TestSameRowTwiceInOneBatch(t *testing.T) {
 			if err != nil || !lr.Found || !row.Equal(tc.want) {
 				t.Errorf("Lookup(0) = %v (found %v, %v), want %v", row, lr.Found, err, tc.want)
 			}
-			if _, err := tb.Get(rid); !errors.Is(err, storage.ErrDeleted) {
+			if got, err := tb.Get(rid); tc.inPlace && (err != nil || !got.Equal(tc.want)) {
+				t.Errorf("Get(%v) = %v, %v, want %v", rid, got, err, tc.want)
+			} else if !tc.inPlace && !errors.Is(err, storage.ErrDeleted) {
 				t.Errorf("Get of the old copy = %v, want it freed", err)
 			}
 			scanOnce(t, tb, tc.want)

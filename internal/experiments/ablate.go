@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 
-	"repro/internal/idxcache"
 	"repro/internal/workload"
 )
 
@@ -40,84 +39,58 @@ type AblatePlacementRow struct {
 // AblatePlacementResult is the sweep.
 type AblatePlacementResult struct {
 	Config AblatePlacementConfig
+	Fill   float64 // the fill factor giving SizePct its room
+	Room   int     // whole cache slots the loaded leaves offer
 	Rows   []AblatePlacementRow
 }
 
 // RunAblatePlacement compares swap-toward-center against no-promotion
-// random placement (A1), and sweeps the bucket size N (A3). The paper's
-// design claim is that swapping matters specifically under shrink —
-// hot entries must migrate inward before the periphery is overwritten.
+// random placement (A1), and sweeps the bucket size N (A3), on
+// Figure 2(a)'s placeLeg. The paper's design claim is that swapping
+// matters specifically under shrink — hot entries must migrate inward
+// before the periphery is overwritten.
 func RunAblatePlacement(cfg AblatePlacementConfig) (AblatePlacementResult, error) {
-	res := AblatePlacementResult{Config: cfg}
-	capacity := cfg.Items * cfg.SizePct / 100
-	run := func(bucketN int, noPromote, shrink bool) (float64, error) {
-		zipf := workload.NewZipf(workload.NewRand(cfg.Seed+3), cfg.Items, cfg.Alpha)
-		sim, err := idxcache.NewSim(workload.NewRand(cfg.Seed+11), capacity, bucketN)
-		if err != nil {
-			return 0, err
-		}
-		sim.NoPromote = noPromote
-		// Warm phase at constant capacity, so the measured phase starts
-		// from the policy's steady-state layout (promotion matters when
-		// the periphery is about to be overwritten, not during fill).
-		for i := 0; i < cfg.Lookups; i++ {
-			sim.Lookup(zipf.Next())
-		}
-		sim.ResetStats()
-		shrinkTotal := capacity / 2
-		shrinkEvery := 0
-		if shrink && shrinkTotal > 0 {
-			shrinkEvery = cfg.Lookups / shrinkTotal
-			if shrinkEvery == 0 {
-				shrinkEvery = 1
-			}
-		}
-		for i := 0; i < cfg.Lookups; i++ {
-			sim.Lookup(zipf.Next())
-			if shrinkEvery > 0 && i%shrinkEvery == shrinkEvery-1 && sim.Capacity() > capacity-shrinkTotal {
-				sim.Shrink(1)
-			}
-		}
-		return sim.HitRate(), nil
+	fill, err := fillFor(cfg.Items, max(1, cfg.Items*cfg.SizePct/100))
+	if err != nil {
+		return AblatePlacementResult{}, err
 	}
-	// A1: policy comparison at the default bucket size.
-	for _, p := range []struct {
-		name      string
-		noPromote bool
-	}{{"swap-toward-center", false}, {"no-promotion", true}} {
-		steady, err := run(4, p.noPromote, false)
-		if err != nil {
-			return AblatePlacementResult{}, err
-		}
-		shrunk, err := run(4, p.noPromote, true)
-		if err != nil {
-			return AblatePlacementResult{}, err
-		}
-		res.Rows = append(res.Rows, AblatePlacementRow{
-			Policy: p.name, BucketN: 4, HitSteady: steady, HitShrink: shrunk,
-		})
+	if fill == 0 {
+		return AblatePlacementResult{}, fmt.Errorf("ablate-place: no fill in [%.2f, %.2f] leaves %d%% of %d items room",
+			legMinFill, legMaxFill, cfg.SizePct, cfg.Items)
 	}
+	res := AblatePlacementResult{Config: cfg, Fill: fill}
+	// A1: the policy at the default bucket size against no promotion.
+	res.Rows = []AblatePlacementRow{{Policy: "swap-toward-center", BucketN: 4}, {Policy: "no-promotion", BucketN: noPromotion}}
 	// A3: bucket-size sweep with swapping on.
 	for _, n := range cfg.BucketNs {
-		steady, err := run(n, false, false)
+		res.Rows = append(res.Rows, AblatePlacementRow{Policy: "swap", BucketN: n})
+	}
+	// Each run warms at constant room first, so the measured phase
+	// starts from the policy's steady-state layout (promotion matters
+	// when the periphery is about to be overwritten, not during fill).
+	run := func(bucketN int, shrink bool) (*placeLeg, float64, error) {
+		zipf := workload.NewZipf(workload.NewRand(cfg.Seed+3), cfg.Items, cfg.Alpha)
+		return runLeg(cfg.Items, fill, bucketN, cfg.Seed, zipf, cfg.Lookups, cfg.Lookups, shrink)
+	}
+	for i := range res.Rows {
+		r := &res.Rows[i]
+		g, steady, err := run(r.BucketN, false)
 		if err != nil {
 			return AblatePlacementResult{}, err
 		}
-		shrunk, err := run(n, false, true)
+		_, shrunk, err := run(r.BucketN, true)
 		if err != nil {
 			return AblatePlacementResult{}, err
 		}
-		res.Rows = append(res.Rows, AblatePlacementRow{
-			Policy: "swap", BucketN: n, HitSteady: steady, HitShrink: shrunk,
-		})
+		r.HitSteady, r.HitShrink, res.Room = steady, shrunk, g.loaded
 	}
 	return res, nil
 }
 
 // Print renders the sweep.
 func (r AblatePlacementResult) Print(w io.Writer) {
-	fmt.Fprintf(w, "Ablation A1/A3: cache placement policy and bucket size (cache=%d%% of %d items)\n",
-		r.Config.SizePct, r.Config.Items)
+	fmt.Fprintf(w, "Ablation A1/A3: cache placement policy and bucket size (cache=%d%% of %d items: room %.1f%% at fill %.3f)\n",
+		r.Config.SizePct, r.Config.Items, pctOf(r.Room, r.Config.Items), r.Fill)
 	fmt.Fprintf(w, "%-20s %8s %10s %10s\n", "policy", "bucketN", "steady", "shrink")
 	for _, row := range r.Rows {
 		fmt.Fprintf(w, "%-20s %8d %10.3f %10.3f\n", row.Policy, row.BucketN, row.HitSteady, row.HitShrink)

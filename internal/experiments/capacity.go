@@ -60,15 +60,14 @@ func (r CacheRoom) entrySizes() string {
 	return fmt.Sprintf("%d–%d", r.EntryMin, r.EntryMax)
 }
 
-// measureRoom counts ix's cache room leaf by leaf.
-func measureRoom(ix *core.Index) (CacheRoom, error) {
-	ts, err := ix.Tree().Stats()
+// measureRoom counts a tree's cache room leaf by leaf.
+func measureRoom(tree *btree.Tree, cache *idxcache.Cache) (CacheRoom, error) {
+	ts, err := tree.Stats()
 	if err != nil {
 		return CacheRoom{}, err
 	}
 	r := CacheRoom{Rows: ts.Keys, IndexPages: ts.Pages, LeafPages: ts.LeafPages, LeafSlack: ts.LeafFreeBytes}
-	cache := ix.Cache()
-	err = ix.Tree().VisitAllLeaves(func(l *btree.Leaf) bool {
+	err = tree.VisitAllLeaves(func(l *btree.Leaf) bool {
 		slots, e := cache.SlotsIn(l)
 		r.Slots += int64(slots)
 		if r.EntryMin == 0 || e < r.EntryMin {
@@ -126,7 +125,13 @@ func RunCapacity(cfg CapacityConfig) (_ CapacityResult, err error) {
 	res.MeasuredKeyBytes = ts.KeyBytes
 	res.MeasuredStoredKeyBytes = ts.StoredKeyBytes
 	res.MeasuredFill = ts.MeanLeafFill
-	if res.Measured, err = measureRoom(ix); err != nil {
+	// Count the room at the entry size the cache cuts once it holds
+	// values, as runItemsRoom does: an unwarmed leaf counts at its next
+	// Prepare's guess.
+	if _, err := ix.WarmCache(); err != nil {
+		return CapacityResult{}, err
+	}
+	if res.Measured, err = measureRoom(ix.Tree(), ix.Cache()); err != nil {
 		return CapacityResult{}, err
 	}
 	res.MeasuredCoverage = float64(res.Measured.Slots) / float64(cfg.Pages)
@@ -233,7 +238,7 @@ func runItemsRoom(cfg CapacityConfig) (_ CacheRoom, err error) {
 	if _, err := ix.WarmCache(); err != nil {
 		return CacheRoom{}, err
 	}
-	return measureRoom(ix)
+	return measureRoom(ix.Tree(), ix.Cache())
 }
 
 // Print renders the measured and closed-form numbers side by side.

@@ -46,6 +46,42 @@ func TestFig2aShapes(t *testing.T) {
 	}
 }
 
+// Shrink's room goes to real key growth: at both skews every reached
+// point ends with about half the slots it was loaded with and the same
+// leaves (a split adds room, so RunFig2a fails on one), and a size below
+// what the fullest load leaves is unreachable, not clamped.
+func TestFig2aShrinkTakesHalfTheRoom(t *testing.T) {
+	for _, alpha := range []float64{0.5, 0.99} {
+		cfg := DefaultFig2aConfig()
+		cfg.Items, cfg.Lookups, cfg.Alpha = 2000, 10000, alpha
+		cfg.Sizes = []int{1, 5, 25, 100}
+		res, err := RunFig2a(cfg)
+		if err != nil {
+			t.Fatalf("α=%.2f: RunFig2a: %v", alpha, err)
+		}
+		for _, p := range res.Points {
+			if p.SizePct == 1 {
+				if p.Fill != 0 {
+					t.Errorf("α=%.2f: 1%% reached at fill %.3f with %d slots", alpha, p.Fill, p.Room)
+				}
+				continue
+			}
+			if p.Fill == 0 || p.Fill > legMaxFill || p.Room < cfg.Items*p.SizePct/100 {
+				t.Fatalf("α=%.2f, %d%%: fill %.3f room %d", alpha, p.SizePct, p.Fill, p.Room)
+			}
+			if left := float64(p.Left) / float64(p.Room); left < 0.45 || left > 0.55 {
+				t.Errorf("α=%.2f, %d%%: Shrink left %d of %d slots (%.2f), want about half",
+					alpha, p.SizePct, p.Left, p.Room, left)
+			}
+		}
+		var buf bytes.Buffer
+		res.Print(&buf)
+		if !strings.Contains(buf.String(), "unreachable") {
+			t.Errorf("α=%.2f: Print does not mark 1%% unreachable:\n%s", alpha, buf.String())
+		}
+	}
+}
+
 func TestFig2bShapes(t *testing.T) {
 	cfg := DefaultFig2bConfig()
 	cfg.Lookups = 20000

@@ -202,9 +202,14 @@ func (res *Fig3Result) partitioned(f *Fixture, trace []int) (err error) {
 	return nil
 }
 
-// fig3Replay warms the hot set, replays trace through lookup and
-// converts e's I/O counts into simulated time.
+// fig3Replay warms the hot set from an evicted pool, replays trace
+// through lookup and converts e's I/O counts into simulated time. The
+// eviction makes each bar depend on its layout alone, not on the pages
+// its build left resident.
 func fig3Replay(cfg Fig3Config, e *core.Engine, latest, trace []int, lookup func(revIdx int) error) (Fig3Point, error) {
+	if err := e.Pool().EvictAll(); err != nil {
+		return Fig3Point{}, err
+	}
 	// Warm: one pass over the hot set so steady state is measured.
 	for _, idx := range latest {
 		if err := lookup(idx); err != nil {
