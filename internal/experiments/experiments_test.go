@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/encoding"
+	"repro/internal/workload"
 )
 
 // The experiment tests run reduced configurations and assert the
@@ -460,6 +461,30 @@ func TestAblatePlacementShapes(t *testing.T) {
 	if swap.HitShrink <= noPromote.HitShrink {
 		t.Errorf("swap (%.3f) should beat no-promotion (%.3f) under shrink",
 			swap.HitShrink, noPromote.HitShrink)
+	}
+}
+
+// The same claim on one placeLeg at a quarter of 10,000 items' room,
+// with its own seeds: half the lookups warm at constant room, and the
+// measured half inserts keys until half the room is gone. Swapping a
+// hit toward S at the default bucket size keeps more of the hot set
+// than never promoting it.
+func TestPlaceLegSwapBeatsNoPromotionUnderShrink(t *testing.T) {
+	const items, lookups = 10000, 60000
+	fill, err := fillFor(items, items/4)
+	if err != nil || fill == 0 {
+		t.Fatalf("fillFor: fill %.3f, %v", fill, err)
+	}
+	run := func(bucketN int) float64 {
+		zipf := workload.NewZipf(workload.NewRand(7), items, 0.5)
+		_, hit, err := runLeg(items, fill, bucketN, 99, zipf, lookups/2, lookups/2, true)
+		if err != nil {
+			t.Fatalf("bucketN %d: %v", bucketN, err)
+		}
+		return hit
+	}
+	if swap, none := run(4), run(noPromotion); swap <= none {
+		t.Errorf("swap policy (%.3f) should beat no promotion (%.3f) under shrink", swap, none)
 	}
 }
 
