@@ -13,10 +13,10 @@ type RunOp uint8
 
 const (
 	// RunUpsert stores the entry's value under its key, replacing any
-	// existing value (the same semantics as Tree.Insert).
+	// existing value (Tree.Insert is a run of one).
 	RunUpsert RunOp = iota
-	// RunDelete removes the key if present (the same semantics as
-	// Tree.Delete; deleting an absent key is a no-op, not an error).
+	// RunDelete removes the key if present (Tree.Delete is a run of
+	// one; deleting an absent key is a no-op, not an error).
 	RunDelete
 	// RunInsertIfAbsent stores the entry's value only when the key is
 	// not already present; an existing entry is left untouched.
@@ -65,10 +65,9 @@ var runScratch = sync.Pool{New: func() any { return new([]byte) }}
 // covering the next unapplied entry, and every following entry that
 // provably lands on the same leaf is applied under that single
 // exclusive leaf latch. An upsert that does not fit falls back to the
-// pessimistic split path for that one key (exactly Insert's fallback),
-// then the run resumes with a fresh descent. Duplicate keys within one
-// run are legal and apply in order (later entries see the earlier
-// ones' effects).
+// pessimistic split path for that one key, then the run resumes with a
+// fresh descent. Duplicate keys within one run are legal and apply in
+// order (later entries see the earlier ones' effects).
 //
 // Entries must be sorted (bytes.Compare on Key, ties allowed) and
 // non-empty keys within the tree's length bound; violations fail the
@@ -77,17 +76,16 @@ var runScratch = sync.Pool{New: func() any { return new([]byte) }}
 // landed — the caller owns partial-application semantics (core.Table
 // documents its batch contract on top of this).
 //
-// Concurrency matches Insert/Delete: each leaf run holds exactly one
-// exclusive leaf latch, acquired at the end of a read-coupled descent,
-// and sorted keys mean consecutive runs visit leaves strictly left to
-// right — the same latch order every other writer uses.
+// Concurrency: each leaf run holds exactly one exclusive leaf latch,
+// acquired at the end of a read-coupled descent, and sorted keys mean
+// consecutive runs visit leaves strictly left to right — the same latch
+// order every other writer uses.
 func (t *Tree) ApplyRun(entries []RunEntry) (RunStats, error) {
 	var st RunStats
 	if len(entries) == 0 {
 		return st, nil
 	}
 	maxLen := t.maxKeyLen()
-	longest := 0
 	for i := range entries {
 		e := &entries[i]
 		if len(e.Key) == 0 {
@@ -99,14 +97,7 @@ func (t *Tree) ApplyRun(entries []RunEntry) (RunStats, error) {
 		if i > 0 && bytes.Compare(entries[i-1].Key, e.Key) > 0 {
 			return st, fmt.Errorf("btree: run entries not sorted at %d", i)
 		}
-		if len(e.Key) > longest {
-			longest = len(e.Key)
-		}
 	}
-	// Publish the run's longest key once, before any descent routes on
-	// it, so concurrent pessimistic writers' safe-node checks already
-	// account for every key this run can push up.
-	t.noteSepLen(longest)
 
 	boundp := runScratch.Get().(*[]byte)
 	bound := *boundp
@@ -190,15 +181,14 @@ func (t *Tree) ApplyRun(entries []RunEntry) (RunStats, error) {
 		t.pool.Unpin(fr, dirty)
 		if split {
 			// The leaf cannot absorb entries[j]: give up the run's latch
-			// and push this one key through the pessimistic split path,
-			// exactly like a one-row insert whose optimistic attempt
-			// found a full leaf. The run resumes after it. A new key's
-			// push is if-absent whatever the entry's op: when a
-			// concurrent writer slipped the key in since the latch
-			// dropped, the run resumes AT this entry instead, so the next
-			// leaf run applies it under the latch and reports what it
-			// found there. A present key's wider value is an upsert, and
-			// the push reports what it replaced.
+			// and push this one key through the pessimistic split path.
+			// The run resumes after it. A new key's push is if-absent
+			// whatever the entry's op: when a concurrent writer slipped
+			// the key in since the latch dropped, the run resumes AT this
+			// entry instead, so the next leaf run applies it under the
+			// latch and reports what it found there. A present key's
+			// wider value is an upsert, and the push reports what it
+			// replaced.
 			e := &entries[j]
 			t.latchRetries.Add(1)
 			st.Splits++

@@ -10,7 +10,8 @@ import (
 
 // BulkLoad builds a tree from strictly increasing (key, value) pairs,
 // filling every node to the given fill factor (fraction of usable page
-// bytes, 0 < ff ≤ 1).
+// bytes, 0 < ff ≤ 1). Keys are bounded as every write path bounds
+// them: the safe-node rule relies on no key being longer.
 //
 // The fill factor is the experiment knob of the whole paper: 0.68 is
 // the canonical random-insert steady state [Yao 1978], 0.45 matches the
@@ -20,6 +21,8 @@ func BulkLoad(pool *buffer.Pool, ff float64, next func() (key []byte, value uint
 	if ff <= 0 || ff > 1 {
 		return nil, fmt.Errorf("btree: fill factor must be in (0, 1], got %g", ff)
 	}
+	t := &Tree{pool: pool}
+	maxLen := t.maxKeyLen()
 	usable := pool.Disk().PageSize() - nodeHeaderSize - nodeFooterSize
 	budget := int(float64(usable) * ff)
 
@@ -27,7 +30,6 @@ func BulkLoad(pool *buffer.Pool, ff float64, next func() (key []byte, value uint
 	var (
 		prevKey []byte
 		count   int64
-		longest int
 	)
 	for {
 		key, value, ok := next()
@@ -38,12 +40,15 @@ func BulkLoad(pool *buffer.Pool, ff float64, next func() (key []byte, value uint
 			leaves.release()
 			return nil, fmt.Errorf("btree: empty key in bulk load")
 		}
+		if len(key) > maxLen {
+			leaves.release()
+			return nil, fmt.Errorf("btree: bulk load key of %d bytes exceeds max %d", len(key), maxLen)
+		}
 		if prevKey != nil && bytes.Compare(prevKey, key) >= 0 {
 			leaves.release()
 			return nil, fmt.Errorf("btree: bulk load keys not strictly increasing at %q", key)
 		}
 		prevKey = append(prevKey[:0], key...)
-		longest = max(longest, len(key))
 		if err := leaves.add(key, value); err != nil {
 			leaves.release()
 			return nil, err
@@ -76,12 +81,9 @@ func BulkLoad(pool *buffer.Pool, ff float64, next func() (key []byte, value uint
 		height++
 	}
 
-	t := &Tree{pool: pool, root: storage.PageID(level.Value(0))}
+	t.root = storage.PageID(level.Value(0))
 	t.height.Store(int64(height))
 	t.numKeys.Store(count)
-	// Seed the safe-node separator bound with the longest loaded key, so
-	// post-load inserts get accurate safety checks from the start.
-	t.maxSepLen.Store(int64(longest))
 	return t, nil
 }
 

@@ -23,21 +23,22 @@ import (
 //   - Readers couple shared latches: the child's latch is acquired
 //     before the parent's is released, so a descent can never be routed
 //     by a separator that a concurrent split is rewriting.
-//   - Writers first descend optimistically — shared latches down the
+//   - Every write is a sorted run (ApplyRun; Insert and Delete are runs
+//     of one). It descends optimistically — shared latches down the
 //     internal levels, exclusive latch on the leaf only. If the leaf
-//     absorbs the insert (or the op is an upsert/delete, which never
-//     restructure), that is the whole critical section: one leaf.
+//     absorbs the entry (a delete always does: nodes never merge), that
+//     is the whole critical section: one leaf.
 //   - Only when the leaf must split does the writer retry
 //     pessimistically: exclusive latches crabbed down the whole path,
 //     releasing all ancestors the moment a child is "safe" (cannot
 //     split), so the retained latch set is exactly the split's blast
 //     radius. LatchRetries counts these fallbacks.
 //   - The safe-node rule: a leaf is safe if the incoming entry fits; an
-//     internal node is safe if it can absorb a separator of
-//     maxSepLen bytes — an upper bound on any separator this tree can
-//     ever push up, maintained as the longest key ever inserted
-//     (separators are always copies of existing keys) — whose child id
-//     takes the widest value width.
+//     internal node is safe if it can absorb a separator of the page's
+//     maximum key length (maxKeyLen) whose child id takes the widest
+//     value width. Separators are always copies of existing keys, and
+//     every write path refuses a longer key, so a "safe" verdict is
+//     never wrong.
 //   - The root page id is IMMUTABLE (B-link-style root growth): a root
 //     split copies the halved root into a fresh left page and
 //     re-initialises the root page itself as an internal node over the
@@ -62,11 +63,6 @@ type Tree struct {
 	height atomic.Int64 // levels, 1 = root is a leaf; reporting only
 
 	numKeys atomic.Int64
-	// maxSepLen is the longest key ever inserted (or a conservative
-	// bound for reopened/bulk-loaded trees): no separator pushed up by
-	// a split can exceed it, so it bounds the internal-node safety
-	// check without inspecting child contents.
-	maxSepLen atomic.Int64
 	// latchRetries counts optimistic descents that found a full leaf
 	// and fell back to the pessimistic full-path hold — the crabbing
 	// contention metric the served benchmark reports as
@@ -90,10 +86,7 @@ func New(pool *buffer.Pool) (*Tree, error) {
 
 // Open re-attaches to an existing tree given its root (for reopening
 // file-backed trees). It reads the root page first: a root that is no
-// index page fails the open instead of being misread. The
-// separator-length bound for the safe-node rule is unknown for a
-// reopened tree, so it starts at the maximum key length — maximally
-// conservative (more pessimistic holds), never incorrect.
+// index page fails the open instead of being misread.
 func Open(pool *buffer.Pool, root storage.PageID, height int, numKeys int64) (*Tree, error) {
 	fr, err := pool.Fetch(root)
 	if err != nil {
@@ -109,7 +102,6 @@ func Open(pool *buffer.Pool, root storage.PageID, height int, numKeys int64) (*T
 	t := &Tree{pool: pool, root: root}
 	t.height.Store(int64(height))
 	t.numKeys.Store(numKeys)
-	t.maxSepLen.Store(int64(t.maxKeyLen()))
 	return t, nil
 }
 
@@ -127,25 +119,10 @@ func (t *Tree) Len() int64 { return t.numKeys.Load() }
 // splits the crabbing protocol paid for).
 func (t *Tree) LatchRetries() int64 { return t.latchRetries.Load() }
 
-// maxKeyLen bounds keys so a handful of cells always fit per page.
+// maxKeyLen bounds keys so a handful of cells always fit per page. It
+// is also the safe-node rule's separator bound.
 func (t *Tree) maxKeyLen() int {
 	return (t.pool.Disk().PageSize() - nodeHeaderSize - nodeFooterSize) / 4
-}
-
-// noteKeyLen publishes len(key) into the separator-length bound before
-// any descent routes on it, so a concurrent pessimistic writer's safety
-// checks already account for this key.
-func (t *Tree) noteKeyLen(key []byte) { t.noteSepLen(len(key)) }
-
-// noteSepLen raises the separator-length bound to at least n (ApplyRun
-// publishes a whole run's longest key in one shot).
-func (t *Tree) noteSepLen(n int) {
-	for {
-		cur := t.maxSepLen.Load()
-		if int64(n) <= cur || t.maxSepLen.CompareAndSwap(cur, int64(n)) {
-			return
-		}
-	}
 }
 
 // leafLatchMode selects how a latched descent acquires the leaf latch.
@@ -254,8 +231,7 @@ func (t *Tree) descendLatched(pick func(n node) storage.PageID, mode leafLatchMo
 }
 
 // leafExclusive crab-descends to the leaf covering key and returns it
-// pinned and EXCLUSIVELY latched. This is the whole locking footprint
-// of upserts and deletes, and the optimistic first attempt of inserts.
+// pinned and EXCLUSIVELY latched: ApplyRun's optimistic leaf run.
 func (t *Tree) leafExclusive(key []byte) (*buffer.Frame, error) {
 	fr, _, err := t.descendLatched(func(n node) storage.PageID {
 		return storage.PageID(n.childFor(key))
@@ -285,66 +261,25 @@ func (t *Tree) Search(key []byte) (uint64, bool, error) {
 }
 
 // Insert stores value under key, replacing any existing value (upsert).
-// It reports whether the key was newly inserted.
+// It reports whether the key was newly inserted. It is a run of one
+// (ApplyRun).
 func (t *Tree) Insert(key []byte, value uint64) (bool, error) {
-	if len(key) == 0 {
-		return false, fmt.Errorf("btree: empty key")
-	}
-	if len(key) > t.maxKeyLen() {
-		return false, fmt.Errorf("btree: key of %d bytes exceeds max %d", len(key), t.maxKeyLen())
-	}
-	t.noteKeyLen(key)
-	// Optimistic: exclusive latch on the leaf only.
-	fr, err := t.leafExclusive(key)
-	if err != nil {
+	run := [1]RunEntry{{Key: key, Value: value, Op: RunUpsert}}
+	if _, err := t.ApplyRun(run[:]); err != nil {
 		return false, err
 	}
-	n := asNode(fr.Data())
-	pos, found := n.search(key)
-	if found {
-		if n.setValue(pos, value) == nil {
-			fr.Latch.Unlock()
-			t.pool.Unpin(fr, true)
-			return false, nil
-		}
-	} else if err := n.insertAt(pos, key, value); err == nil {
-		fr.Latch.Unlock()
-		t.pool.Unpin(fr, true)
-		t.numKeys.Add(1)
-		return true, nil
-	}
-	// Leaf full (a new key, or a value wider than the page has room
-	// to widen to): give up the optimistic latch and retry with the
-	// pessimistic crabbing descent that may hold the split path.
-	fr.Latch.Unlock()
-	t.pool.Unpin(fr, false)
-	t.latchRetries.Add(1)
-	ins, _, err := t.insertPessimistic(key, value, false)
-	return ins, err
+	return !run[0].Existed, nil
 }
 
-// Delete removes key and reports whether it was present. Nodes are not
-// merged (see the type comment), so a delete is always leaf-local: one
-// exclusive leaf latch, no fallback path.
+// Delete removes key and reports whether it was present. It is a run of
+// one (ApplyRun): nodes are not merged (see the type comment), so a
+// delete is one exclusive leaf latch.
 func (t *Tree) Delete(key []byte) (bool, error) {
-	if len(key) == 0 {
-		return false, fmt.Errorf("btree: empty key")
-	}
-	fr, err := t.leafExclusive(key)
-	if err != nil {
+	run := [1]RunEntry{{Key: key, Op: RunDelete}}
+	if _, err := t.ApplyRun(run[:]); err != nil {
 		return false, err
 	}
-	n := asNode(fr.Data())
-	pos, found := n.search(key)
-	if found {
-		n.deleteAt(pos)
-	}
-	fr.Latch.Unlock()
-	t.pool.Unpin(fr, found)
-	if found {
-		t.numKeys.Add(-1)
-	}
-	return found, nil
+	return run[0].Existed, nil
 }
 
 // latchedNode is one exclusively latched, pinned node on a pessimistic
@@ -365,66 +300,24 @@ type latchedNode struct {
 // — and returns whether the key was new and, when it was not, the value
 // it held.
 func (t *Tree) insertPessimistic(key []byte, value uint64, ifAbsent bool) (inserted bool, prev uint64, err error) {
-	// Escalation ladder. maxSepLen is a snapshot: a longer key published
-	// by a concurrent writer after the load can make the safe-node rule
-	// too optimistic, which pendingSepFits detects before any page is
-	// mutated (the descent then bails). Every later attempt uses the
-	// absolute key-length bound, under which a "safe" verdict can never
-	// be wrong and an unsafe path retains the root, so it cannot bail.
-	// An attempt also ends undone when its split could not take the put
+	// An attempt ends undone when its split could not take the put
 	// (splitLeafPut): the leaf then split as it stood, and each such
 	// split leaves the key's leaf fewer entries to widen.
-	sepBound := int(t.maxSepLen.Load())
 	for attempt := 0; attempt < 64; attempt++ {
-		ins, prev, done, err := t.insertLatched(key, value, sepBound, ifAbsent)
+		ins, prev, done, err := t.insertLatched(key, value, ifAbsent)
 		if done || err != nil {
 			return ins, prev, err
 		}
-		sepBound = t.maxKeyLen()
 	}
 	return false, 0, fmt.Errorf("btree: pessimistic insert failed to settle")
 }
 
-// longestKeyIn returns the longest key currently in the node — with
-// the incoming key, the upper bound on any separator a split of this
-// node can push up (the up-separator is one of the merged keys).
-func longestKeyIn(n node) int {
-	longest := 0
-	for i := 0; i < n.nKeys(); i++ {
-		longest = max(longest, n.keyLen(i))
-	}
-	return longest
-}
-
-// pendingSepFits dry-runs the split chain before any page is mutated:
-// walking up from the leaf, a node that cannot absorb the incoming
-// separator splits and pushes up one of its own keys or the incoming
-// one, bounded by the longer. The chain must be absorbed by some
-// retained node — or reach path[0] with rootHeld (path[0] is the root,
-// exclusively latched, so growing it in place is legal). A false return
-// means the safe-node bound the descent used was stale; the caller
-// restarts conservatively rather than splitting past the retained
-// latches.
-func pendingSepFits(path []latchedNode, key []byte, rootHeld bool) bool {
-	sepLen := max(len(key), longestKeyIn(path[len(path)-1].n))
-	for i := len(path) - 2; i >= 0; i-- {
-		n := path[i].n
-		if n.canAbsorb(key, sepLen) {
-			return true
-		}
-		sepLen = max(sepLen, longestKeyIn(n))
-	}
-	return rootHeld
-}
-
 // insertLatched performs one pessimistic descent+put. It returns
-// done=false, having put nothing, when the safe-node bound it descended
-// under turns out stale at the dry-run (pendingSepFits: nothing
-// changed), or when the leaf had to split without the put; the caller
+// done=false when the leaf had to split without the put; the caller
 // then tries again. An unsafe root needs no special handling — it stays
 // on the retained path, exclusively latched, and the grow branch
 // rebuilds it in place.
-func (t *Tree) insertLatched(key []byte, value uint64, sepBound int, ifAbsent bool) (inserted bool, prev uint64, done bool, err error) {
+func (t *Tree) insertLatched(key []byte, value uint64, ifAbsent bool) (inserted bool, prev uint64, done bool, err error) {
 	var pathArr [8]latchedNode
 	path := pathArr[:0]
 	releasePath := func(dirty bool) {
@@ -444,7 +337,7 @@ func (t *Tree) insertLatched(key []byte, value uint64, sepBound int, ifAbsent bo
 	path = append(path, latchedNode{fr, n})
 
 	for !n.isLeaf() {
-		if t.nodeSafe(n, key, value, sepBound) {
+		if t.nodeSafe(n, key, value) {
 			// Everything above n can no longer be touched by a split.
 			above := path[:len(path)-1]
 			for _, e := range above {
@@ -467,7 +360,7 @@ func (t *Tree) insertLatched(key []byte, value uint64, sepBound int, ifAbsent bo
 	// too (the common shape here is "leaf full", but a concurrent delete
 	// may have made room since the optimistic attempt).
 	leaf := path[len(path)-1]
-	if t.nodeSafe(leaf.n, key, value, sepBound) && len(path) > 1 {
+	if t.nodeSafe(leaf.n, key, value) && len(path) > 1 {
 		for _, e := range path[:len(path)-1] {
 			e.fr.Latch.Unlock()
 			t.pool.Unpin(e.fr, false)
@@ -504,16 +397,6 @@ func (t *Tree) insertLatched(key []byte, value uint64, sepBound int, ifAbsent bo
 		return true, 0, true, nil
 	}
 
-	// A split is unavoidable. Before mutating anything, dry-run the
-	// propagation: if the chain would escape the retained path (the
-	// safe-node bound was stale — a concurrent writer published a
-	// longer key after this descent loaded it), bail and let the caller
-	// escalate instead of splitting past the latches we hold.
-	if !pendingSepFits(path, key, path[0].fr.ID() == t.root) {
-		releasePath(false)
-		return false, 0, false, nil
-	}
-
 	// Split the leaf and propagate up through the retained path. All
 	// latches stay held until the whole multi-level update is complete:
 	// readers cannot pass the deepest retained ancestor meanwhile, so
@@ -537,8 +420,9 @@ func (t *Tree) insertLatched(key []byte, value uint64, sepBound int, ifAbsent bo
 	}
 	// releaseMutated unpins path entries from dirtyFrom on dirty (they
 	// were split or received the separator) and shallower ones clean
-	// (latched but never touched — an "unsafe by sepBound" ancestor can
-	// still absorb the shorter actual separator, ending the chain early).
+	// (latched but never touched — an ancestor unsafe by the key bound
+	// can still absorb the shorter actual separator, ending the chain
+	// early).
 	releaseMutated := func(dirtyFrom int) {
 		for j, e := range path {
 			e.fr.Latch.Unlock()
@@ -615,13 +499,13 @@ func (t *Tree) insertLatched(key []byte, value uint64, sepBound int, ifAbsent bo
 
 // nodeSafe reports whether a node cannot split from this put: a leaf
 // must fit the incoming entry as a new one (an upsert of a present key
-// needs less), an internal node must fit the longest separator the tree
-// could push up (sepBound) from its child covering key.
-func (t *Tree) nodeSafe(n node, key []byte, value uint64, sepBound int) bool {
+// needs less), an internal node must fit a separator of the longest key
+// the tree accepts from its child covering key.
+func (t *Tree) nodeSafe(n node, key []byte, value uint64) bool {
 	if n.isLeaf() {
 		return n.canInsert(key, value)
 	}
-	return n.canAbsorb(key, sepBound)
+	return n.canAbsorb(key, t.maxKeyLen())
 }
 
 // splitStage recycles the block a split stages a full node's entries

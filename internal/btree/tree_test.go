@@ -277,6 +277,28 @@ func TestBulkLoadRejectsUnsorted(t *testing.T) {
 	}
 }
 
+// TestBulkLoadRejectsOverlongKey: a bulk load bounds keys as Insert and
+// ApplyRun do, even when the fill budget could fit a longer one, so no
+// loaded key can outgrow an ancestor the safe-node rule judged safe.
+func TestBulkLoadRejectsOverlongKey(t *testing.T) {
+	disk, _ := storage.NewMemDisk(4096)
+	pool, _ := buffer.NewPool(disk, 64)
+	long := bytes.Repeat([]byte{0xff}, (&Tree{pool: pool}).maxKeyLen()+1)
+	keys := [][]byte{intKey(1), intKey(2), long}
+	i := 0
+	_, err := BulkLoad(pool, 1.0, func() ([]byte, uint64, bool) {
+		if i >= len(keys) {
+			return nil, 0, false
+		}
+		k := keys[i]
+		i++
+		return k, 0, true
+	})
+	if want := fmt.Sprintf("key of %d bytes", len(long)); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("BulkLoad with a %d-byte key = %v, want an error naming %q", len(long), err, want)
+	}
+}
+
 func TestBulkLoadEmpty(t *testing.T) {
 	disk, _ := storage.NewMemDisk(512)
 	pool, _ := buffer.NewPool(disk, 64)

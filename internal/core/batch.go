@@ -9,7 +9,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/btree"
-	"repro/internal/buffer"
 	"repro/internal/heap"
 	"repro/internal/storage"
 	"repro/internal/tuple"
@@ -640,8 +639,7 @@ func (p *pipeline) freeMoved() (ok bool) {
 		if err := p.t.file.DeleteIf(op.rid, op.oldSum); errors.Is(err, storage.ErrDeleted) {
 			ok = !p.fail(i, fmt.Errorf("core: update of %v raced a write of the same row: %w", op.rid, err)) && ok
 		} else if err != nil {
-			_ = p.t.engine.pool.Close() // closed even while pins keep it mapped
-			p.res.fail(-1, fmt.Errorf("core: freeing %v, the old copy of a relocated row: %w; the engine stops: %w", op.rid, err, buffer.ErrPoolClosed))
+			p.res.fail(-1, p.t.engine.stop(fmt.Errorf("core: freeing %v, the old copy of a relocated row: %w", op.rid, err)))
 			return false
 		}
 	}

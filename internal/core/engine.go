@@ -247,6 +247,15 @@ func (e *Engine) DropTable(name string) error {
 	return nil
 }
 
+// stop closes the pool after a failed write the engine cannot take
+// back, leaving memory that disagrees with what recovery would rebuild:
+// every later read and write fails with buffer.ErrPoolClosed, and a
+// reopen recovers from the files. It returns err reporting that.
+func (e *Engine) stop(err error) error {
+	_ = e.pool.Close() // closed even while pins keep it mapped
+	return fmt.Errorf("%w; the engine stops: %w", err, buffer.ErrPoolClosed)
+}
+
 // Close flushes and releases the engine. The disk is closed even when
 // the flush (or final checkpoint) fails — resources are never leaked on
 // an error path — and every failure is reported joined. The pool's page

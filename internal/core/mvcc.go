@@ -415,15 +415,29 @@ func (t *Table) gcLocked(watermark uint64) int {
 				continue
 			}
 			key = k
+			var err error
 			if ix.unique {
 				// Compare-and-delete: the entry may have been upserted to a
 				// newer version of the key; only remove it while it still
 				// points at the version being collected.
-				if v, found, _ := ix.tree.Search(key); !found || v != c.rid.Pack() {
+				v, found, serr := ix.tree.Search(key)
+				if err = serr; err == nil && (!found || v != c.rid.Pack()) {
 					continue
 				}
 			}
-			ix.tree.Delete(key)
+			if err == nil {
+				_, err = ix.tree.Delete(key)
+			}
+			if err != nil {
+				// The row is freed, and an entry left naming its slot would
+				// outlive the tombstone no later pass revisits. Stop the
+				// engine (a pass has no caller to report to): every later
+				// op fails with buffer.ErrPoolClosed, and recovery redoes
+				// the pass from the manifest's metas.
+				t.mu.RUnlock()
+				_ = t.engine.stop(err)
+				return removed
+			}
 			if ix.cache != nil {
 				ix.cache.NotifyUpdate(key)
 			}

@@ -497,8 +497,8 @@ func (tx *Txn) Commit() error {
 	// allocated again by the next committer.
 	if err == nil {
 		e.clock.Store(ts)
-	} else {
-		tx.rollbackEffects(ts)
+	} else if rerr := tx.rollbackEffects(ts); rerr != nil {
+		err = errors.Join(err, rerr)
 	}
 	e.commitGate.RUnlock()
 	if err != nil {
@@ -599,7 +599,10 @@ func (tx *Txn) commitEffects(ts uint64) ([]byte, error) {
 // exactly. Staged update/delete targets get their dead stamp cleared,
 // restoring the pre-commit meta (markDead preserved born and prev); ts
 // was never published, so a row dead at ts is one this commit stamped.
-func (tx *Txn) rollbackEffects(ts uint64) {
+//
+// A reversal that fails stops the engine (Engine.stop): the log has no
+// record of the commit, so recovery rebuilds the state without it.
+func (tx *Txn) rollbackEffects(ts uint64) error {
 	e := tx.e
 	for k := len(tx.tables) - 1; k >= 0; k-- {
 		tt := tx.tables[k]
@@ -607,10 +610,15 @@ func (tx *Txn) rollbackEffects(ts uint64) {
 		t.mu.RLock()
 		for j := len(tt.entries) - 1; j >= 0; j-- {
 			eu := &tt.entries[j]
+			var err error
 			if eu.restore {
-				eu.ix.tree.Insert(eu.key, eu.val)
+				_, err = eu.ix.tree.Insert(eu.key, eu.val)
 			} else {
-				eu.ix.tree.Delete(eu.key)
+				_, err = eu.ix.tree.Delete(eu.key)
+			}
+			if err != nil {
+				t.mu.RUnlock()
+				return e.stop(fmt.Errorf("core: rolling back index %q of a failed commit: %w", eu.ix.name, err))
 			}
 			if eu.ix.cache != nil {
 				eu.ix.cache.NotifyUpdate(eu.key)
@@ -625,7 +633,11 @@ func (tx *Txn) rollbackEffects(ts uint64) {
 				// scanner that copied the bytes checks the meta after this
 				// lock and sees dead-at-birth; nothing chains to newRID
 				// (its own prev is overwritten), so slot reuse is safe.
-				t.file.Delete(op.newRID)
+				if err := t.file.Delete(op.newRID); err != nil {
+					vs.mu.Unlock()
+					t.mu.RUnlock()
+					return e.stop(fmt.Errorf("core: rolling back %v, a failed commit's new row: %w", op.newRID, err))
+				}
 				vs.set(op.newRID, versionMeta{born: ts, dead: ts, prev: tombstonePrev})
 			}
 			if m := vs.m[op.rid]; op.kind != BatchInsert && m.dead == ts {
@@ -638,4 +650,5 @@ func (tx *Txn) rollbackEffects(ts uint64) {
 		t.rows.Add(-tt.delta)
 		e.deadVersions.Add(int64(-tt.dead))
 	}
+	return nil
 }

@@ -8,7 +8,10 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/buffer"
+	"repro/internal/storage"
 	"repro/internal/tuple"
+	"repro/internal/wal"
 )
 
 func kvSchema() *tuple.Schema {
@@ -304,6 +307,143 @@ func TestTxnGCUnlinksDeadVersions(t *testing.T) {
 	}
 	if tb.Rows() != int64(n/2) {
 		t.Fatalf("Rows() = %d, want %d", tb.Rows(), n/2)
+	}
+}
+
+// TestTxnGCIndexFaultStopsTheEngine fails the index descent of a GC
+// pass that collects a row a transaction deleted, after the pass freed
+// the row. The entry left behind would name a slot whose tombstone no
+// later pass revisits, so a raw insert of its key would fail as a
+// duplicate for good. The engine stops instead — every later read and
+// write fails with buffer.ErrPoolClosed — and a reopen redoes the pass
+// from the manifest's metas: the key can be inserted again.
+func TestTxnGCIndexFaultStopsTheEngine(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "db")
+	inner, err := storage.NewFileDisk(path, 1024)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fd := storage.NewFaultDisk(inner, storage.FaultPlan{})
+	e, tb, ix, rid, _ := moveFixture(t, Options{Path: path, WAL: true, Disk: fd})
+	tx := e.Begin()
+	if _, err := tx.Apply(tb, new(Batch).Delete(rid)); err != nil {
+		t.Fatalf("txn Delete: %v", err)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatalf("Commit: %v", err)
+	}
+	if err := e.Checkpoint(); err != nil { // the manifest holds the dead meta
+		t.Fatalf("Checkpoint: %v", err)
+	}
+	if err := e.pool.EvictAll(); err != nil {
+		t.Fatalf("EvictAll: %v", err)
+	}
+	// Once the pass has freed the row, the next read is the index leaf's.
+	wal.SetTestHook(func(p string) {
+		if p == "gc:unlinked" {
+			fd.Rearm(storage.FaultPlan{Op: storage.FaultRead, After: 1, Mode: storage.FaultFail})
+		}
+	})
+	e.RunGC()
+	wal.SetTestHook(nil)
+	if !fd.Fired() {
+		t.Fatal("the GC pass never read the index")
+	}
+	if _, err := tb.Insert(pageRow(0)); !errors.Is(err, buffer.ErrPoolClosed) {
+		t.Errorf("Insert after the stop = %v, want buffer.ErrPoolClosed", err)
+	}
+	if _, _, err := ix.Lookup(nil, tuple.Int64(1)); !errors.Is(err, buffer.ErrPoolClosed) {
+		t.Errorf("Lookup after the stop = %v, want buffer.ErrPoolClosed", err)
+	}
+	if err := e.Close(); !errors.Is(err, buffer.ErrPoolClosed) {
+		t.Errorf("Close = %v, want the checkpoint refused with buffer.ErrPoolClosed", err)
+	}
+
+	e, err = NewEngine(Options{PageSize: 1024, BufferPoolPages: 128, Path: path, WAL: true})
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer e.Close()
+	if tb, err = e.Table("page"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tb.Insert(pageRow(0)); err != nil {
+		t.Fatalf("raw insert of the collected key after the reopen: %v", err)
+	}
+	row, res, err := mustIndex(t, tb, "by_id").Lookup(nil, tuple.Int64(0))
+	if err != nil || !res.Found || !row.Equal(pageRow(0)) {
+		t.Errorf("Lookup(0) after the reopen = %v (found %v, %v), want the new row", row, res.Found, err)
+	}
+}
+
+// TestTxnRollbackFaultStopsTheEngine fails the rollback of a failed
+// commit: the commit's second table faults on its first page read, and
+// while that fault fires the first table's pages leave the pool, so
+// deleting the fresh index entry the first table landed faults on its
+// leaf. The entry left behind would name a row dead at birth. The
+// engine stops instead: the commit reports buffer.ErrPoolClosed beside
+// the first fault, and so does every later op.
+func TestTxnRollbackFaultStopsTheEngine(t *testing.T) {
+	inner, err := storage.NewMemDisk(1024)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fd := storage.NewFaultDisk(inner, storage.FaultPlan{})
+	e, err := NewEngine(Options{PageSize: 1024, BufferPoolPages: 128, Disk: fd})
+	if err != nil {
+		t.Fatalf("NewEngine: %v", err)
+	}
+	defer e.Close()
+	tb := kvTable(t, e)
+	tb2, err := e.CreateTable("kv2", kvSchema())
+	if err != nil {
+		t.Fatalf("CreateTable kv2: %v", err)
+	}
+	if _, err := tb2.CreateIndex("by_k2", []string{"k"}); err != nil {
+		t.Fatalf("CreateIndex kv2: %v", err)
+	}
+	rid, err := tb.Insert(kvRow(1, 10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tb2.Insert(kvRow(1, 10)); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.pool.EvictAll(); err != nil {
+		t.Fatalf("EvictAll: %v", err)
+	}
+	// kv's heap page and both index leaves back in the pool: the unique
+	// checks and kv's trip read nothing, so the first read is kv2's trip.
+	if _, err := tb.Get(rid); err != nil {
+		t.Fatal(err)
+	}
+	for _, ix := range []*Index{tb.indexes["by_k"], tb2.indexes["by_k2"]} {
+		if _, found, err := ix.LookupRID(tuple.Int64(1)); err != nil || !found {
+			t.Fatalf("LookupRID(1): found=%v err=%v", found, err)
+		}
+	}
+	fd.Rearm(storage.FaultPlan{Op: storage.FaultRead, After: 1, Mode: storage.FaultFail, OnFault: func() {
+		if err := e.pool.EvictAll(); err != nil {
+			t.Errorf("EvictAll while kv2 faults: %v", err)
+		}
+		fd.Rearm(storage.FaultPlan{Op: storage.FaultRead, After: 1, Mode: storage.FaultFail})
+	}})
+	tx := e.Begin()
+	if _, err := tx.Apply(tb, new(Batch).Insert(kvRow(4, 40))); err != nil {
+		t.Fatalf("Apply kv: %v", err)
+	}
+	if _, err := tx.Apply(tb2, new(Batch).Insert(kvRow(9, 90))); err != nil {
+		t.Fatalf("Apply kv2: %v", err)
+	}
+	err = tx.Commit()
+	if !fd.Fired() {
+		t.Fatalf("Commit = %v; the rollback never read kv's leaf", err)
+	}
+	if !errors.Is(err, storage.ErrInjected) || !errors.Is(err, buffer.ErrPoolClosed) {
+		t.Fatalf("Commit = %v, want the injected read fault and buffer.ErrPoolClosed", err)
+	}
+	if _, err := tb.Insert(kvRow(5, 50)); !errors.Is(err, buffer.ErrPoolClosed) {
+		t.Errorf("Insert after the stop = %v, want buffer.ErrPoolClosed", err)
 	}
 }
 
