@@ -68,17 +68,17 @@ var Leaves = map[string]string{
 // listed: a new crash seam needs a new matrix case FIRST, then an entry
 // here naming the test that kills at it.
 var CrashMatrixPoints = map[string]string{
-	"wal:append":                 "TestCrashMatrix (mid-append)",
-	"wal:append-partial":         "TestCrashMatrix (torn frame)",
-	"wal:synced":                 "TestCrashMatrix (post-append/pre-ack)",
-	"wal:truncate-before-rename": "TestCrashMatrix",
-	"wal:truncate-after-rename":  "TestCrashMatrix",
-	"ckpt:begin":                 "TestCrashMatrix",
-	"ckpt:flushed":               "TestCrashMatrix",
-	"ckpt:manifest":              "TestCrashMatrix + TestCrashTxnMatrix",
-	"ckpt:truncated":             "TestCrashMatrix + TestCrashTxnMatrix",
-	"txn:appended":               "TestCrashTxnMatrix (mid-commit)",
-	"gc:unlinked":                "TestCrashTxnMatrix (mid-GC)",
+	"wal:append":                 "TestCrashRecoveryMatrix (mid-append)",
+	"wal:append-partial":         "TestCrashRecoveryMatrix (torn frame)",
+	"wal:synced":                 "TestCrashRecoveryMatrix (post-append/pre-ack)",
+	"wal:truncate-before-rename": "TestCrashRecoveryMatrix",
+	"wal:truncate-after-rename":  "TestCrashRecoveryMatrix",
+	"ckpt:begin":                 "TestCrashRecoveryMatrix",
+	"ckpt:flushed":               "TestCrashRecoveryMatrix",
+	"ckpt:manifest":              "TestCrashRecoveryMatrix + TestCrashTxnRecoveryMatrix",
+	"ckpt:truncated":             "TestCrashRecoveryMatrix + TestCrashTxnRecoveryMatrix",
+	"txn:appended":               "TestCrashTxnRecoveryMatrix (mid-commit)",
+	"gc:unlinked":                "TestCrashTxnRecoveryMatrix (a GC trip landed, its record not appended)",
 	"gc:recovery":                "TestCrashGCRecovery (killed mid-recovery, before the sweep)",
 }
 

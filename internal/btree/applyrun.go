@@ -23,6 +23,11 @@ const (
 	// Callers detect the collision via Existed — with the survivor's
 	// value intact, which is what unique-index maintenance needs.
 	RunInsertIfAbsent
+	// RunDeleteIf removes the key only while it holds the entry's Value,
+	// decided under the leaf latch; a key holding another value stays.
+	// Existed and Prev report what the key held, so the entry removed
+	// something exactly when Existed and Prev == Value.
+	RunDeleteIf
 )
 
 // RunEntry is one operation of a sorted run handed to ApplyRun. Key is
@@ -140,8 +145,8 @@ func (t *Tree) ApplyRun(entries []RunEntry) (RunStats, error) {
 				e.Prev = n.value(pos)
 			}
 			switch e.Op {
-			case RunDelete:
-				if found {
+			case RunDelete, RunDeleteIf:
+				if found && (e.Op == RunDelete || e.Prev == e.Value) {
 					n.deleteAt(pos)
 					dirty = true
 					st.Deleted++

@@ -90,6 +90,50 @@ func TestApplyRunBasic(t *testing.T) {
 	}
 }
 
+// TestApplyRunDeleteIf: a conditional delete removes its key only while
+// the key holds the entry's value. An absent key is a no-op; a key
+// holding another value stays, and Existed/Prev report that value.
+func TestApplyRunDeleteIf(t *testing.T) {
+	tr := newTestTree(t, 512, 64)
+	for _, k := range []int{2, 3} {
+		if _, err := tr.Insert(intKey(k), uint64(k)); err != nil {
+			t.Fatalf("Insert %d: %v", k, err)
+		}
+	}
+	entries := []RunEntry{
+		{Key: intKey(1), Value: 1, Op: RunDeleteIf}, // absent
+		{Key: intKey(2), Value: 7, Op: RunDeleteIf}, // holds another value
+		{Key: intKey(3), Value: 3, Op: RunDeleteIf}, // holds this value
+	}
+	st, err := tr.ApplyRun(entries)
+	if err != nil {
+		t.Fatalf("ApplyRun: %v", err)
+	}
+	if st.Deleted != 1 {
+		t.Errorf("Deleted = %d, want 1", st.Deleted)
+	}
+	for i, want := range []struct {
+		existed bool
+		prev    uint64
+		found   bool
+	}{{false, 0, false}, {true, 2, true}, {true, 3, false}} {
+		e := entries[i]
+		if e.Existed != want.existed || e.Prev != want.prev {
+			t.Errorf("key %d: Existed=%v Prev=%d, want %v %d", intVal(e.Key), e.Existed, e.Prev, want.existed, want.prev)
+		}
+		v, found, err := tr.Search(e.Key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if found != want.found || (found && v != want.prev) {
+			t.Errorf("key %d after the run: found=%v v=%d, want found=%v", intVal(e.Key), found, v, want.found)
+		}
+	}
+	if got := tr.Len(); got != 1 {
+		t.Errorf("Len = %d, want 1", got)
+	}
+}
+
 func intVal(key []byte) int {
 	v := 0
 	for _, b := range key {

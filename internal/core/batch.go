@@ -271,24 +271,13 @@ func (t *Table) ApplyInto(res *Result, b *Batch, opts ...ApplyOption) error {
 	// The whole mutate+log-append runs inside the commit gate (shared):
 	// under WAL so a checkpoint can never observe effects whose record
 	// is half-appended, and even without one because RunGC holds the
-	// gate exclusively and relies on it to serialize its heap and tree
-	// surgery against concurrent raw mutations. The fsync happens after
-	// the gate drops — holding it across disk latency would stall
+	// gate exclusively for its own trips. The fsync happens after the
+	// gate drops — holding it across disk latency would stall
 	// checkpoints for nothing.
 	e.commitGate.RLock()
 	t.mu.RLock()
 	p.run()
-	// Commit epilogue. The record is appended even for a failed batch —
-	// its logged actions are exactly the effects that landed (damage-
-	// then-report), so recovery reproduces them.
-	var lsn uint64
-	if !p.wb.empty() {
-		if l, aerr := e.wal.Append(recBatch, p.wb.payload()); aerr != nil {
-			p.res.fail(-1, aerr)
-		} else {
-			lsn = l
-		}
-	}
+	lsn := p.appendRecord()
 	t.mu.RUnlock()
 	e.commitGate.RUnlock()
 	if p.wb != nil {
@@ -304,6 +293,22 @@ func (t *Table) ApplyInto(res *Result, b *Batch, opts ...ApplyOption) error {
 	return res.Err
 }
 
+// appendRecord is a raw trip's epilogue (Table.ApplyInto's and GC's):
+// it appends the record even for a failed trip, whose logged actions
+// are exactly the effects that landed. A failed append stops the
+// engine, which would otherwise serve effects the log never replays.
+func (p *pipeline) appendRecord() (lsn uint64) {
+	if p.wb.empty() {
+		return 0
+	}
+	e := p.t.engine
+	lsn, err := e.wal.Append(recBatch, p.wb.payload())
+	if err != nil {
+		p.failAll(e.stop(err))
+	}
+	return lsn
+}
+
 // zeroed returns s resized to n zero elements, reallocating only when
 // its capacity is short.
 func zeroed[T any](s []T, n int) []T {
@@ -316,12 +321,14 @@ func zeroed[T any](s []T, n int) []T {
 }
 
 // pipeline is one table's trip through the write stages, and the only
-// way heap records and index entries reach storage. Its two callers
-// differ in policy, not in path:
+// way heap records and index entries reach storage. Its callers differ
+// in policy, not in path:
 //
 //   - Table.Apply (raw): updates and deletes mutate in place, inserts
 //     are born at stamp only while a snapshot is pinned (see
-//     Engine.rawStampTS), and a failure is reported, not undone.
+//     Engine.rawStampTS), and a failure is reported, not undone. A GC
+//     pass is a raw trip of deletes of the collected versions, under
+//     the gate held exclusively (Table.gcLocked).
 //   - Txn.Commit (vers set): every new record is a version born at the
 //     commit timestamp, superseded and deleted rows are stamped dead
 //     instead of touched, their index entries stay for snapshot readers
@@ -547,10 +554,15 @@ func (p *pipeline) fail(i int, err error) (stop bool) {
 	return true
 }
 
-// failRun records a failure below the per-op stage (an I/O error inside
-// an index run), where "which ops completed" is unknowable.
+// failRun records a failure inside an index run.
 func (p *pipeline) failRun(ix *Index, err error) {
-	err = fmt.Errorf("core: maintaining index %q: %w", ix.name, err)
+	p.failAll(fmt.Errorf("core: maintaining index %q: %w", ix.name, err))
+}
+
+// failAll records a failure below the per-op stage (an I/O error inside
+// an index run, a failed append), where "which ops completed" is
+// unknowable.
+func (p *pipeline) failAll(err error) {
 	if p.isolate {
 		p.res.failRemaining(err)
 	}
@@ -565,7 +577,8 @@ func (p *pipeline) failRun(ix *Index, err error) {
 //     the batch at that op.
 //  2. Index deletes: delete ops' entries, one key-sorted leaf-grouped
 //     run (btree.Tree.ApplyRun) per index — entries leave the indexes
-//     before their heap rows die, so readers cannot chase a freed RID.
+//     before their heap rows die, so readers cannot chase a freed RID;
+//     an entry leaves only while it names the row being deleted.
 //  3. Heap: deletes and updates per RID, then every new record in one
 //     run (heap.File.InsertRun) under one acquisition of the heap's
 //     insert mutex instead of one per row.
@@ -616,8 +629,8 @@ func (p *pipeline) run() {
 // updates reports whether an op in [from, i) updates op i's row. A raw
 // delete after one fails in pre-flight, as on a freed slot: the update
 // may rewrite the record in place, and the delete would free the
-// rewrite under the pre-image's sum, which redo does not match, and
-// drop the entries the update keeps.
+// rewrite and drop only the pre-image's entries, not those the update
+// adds.
 func (p *pipeline) updates(from, i int) bool {
 	for j := from; j < i; j++ {
 		if o := &p.ops[j]; o.kind == BatchUpdate && !o.skip && o.rid == p.ops[i].rid {
@@ -716,23 +729,32 @@ func (p *pipeline) indexDeletes() bool {
 				}
 				continue
 			}
-			dels.add(key, 0, btree.RunDelete, i, 0)
+			dels.add(key, op.rid.Pack(), btree.RunDeleteIf, i, 0)
 		}
 		if dels.Len() == 0 {
 			continue
 		}
 		dels.sort()
-		// A commit leaves the entries in the tree for snapshot readers
+		// An applied run removes an entry only while it names the row
+		// (a GC'd version's unique key names a newer one) and logs what
+		// it removed. A commit leaves the entries for snapshot readers
 		// and only logs them gone: its record replays flattened.
+		gone := dels.entries
 		if p.vers == nil {
 			if _, err := ix.tree.ApplyRun(dels.entries); err != nil {
 				p.failRun(ix, err)
 				return false
 			}
-		}
-		p.wb.idx(ix.name, dels.entries...)
-		if ix.cache != nil {
+			gone = gone[:0]
 			for _, e := range dels.entries {
+				if e.Existed && e.Prev == e.Value {
+					gone = append(gone, e)
+				}
+			}
+		}
+		p.wb.idx(ix.name, gone...)
+		if ix.cache != nil {
+			for _, e := range gone {
 				ix.cache.NotifyUpdate(e.Key)
 			}
 		}
@@ -785,9 +807,14 @@ func (p *pipeline) heapStage() bool {
 		case slices.ContainsFunc(p.moved, func(j int) bool { return p.ops[j].rid == op.rid }):
 			err = storage.ErrDeleted // an earlier op of this trip moved the row off op.rid
 		case op.kind == BatchDelete:
-			if err = t.file.Delete(op.rid); err == nil {
-				p.addRows(-1)
-				p.wb.del(op.rid, op.oldSum)
+			// Log the record freed: a racing in-place update may have
+			// rewritten it. A dead version (GC's) is no live row.
+			var sum uint32
+			if sum, err = t.file.Delete(op.rid); err == nil {
+				if t.ridVisible(op.rid, snapLatest) {
+					p.addRows(-1)
+				}
+				p.wb.del(op.rid, sum)
 			}
 		default:
 			newRID, sum := storage.InvalidRID, op.oldSum

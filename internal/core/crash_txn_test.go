@@ -26,9 +26,12 @@ import (
 //   - between the transaction's WAL record append and group-commit
 //     fsync ("txn:appended") — the commit was never acked, so recovery
 //     may or may not replay it, but never partially;
-//   - mid-GC ("gc:unlinked") — heap row unlinked, index entries and
-//     meta still present, nothing logged: an interrupted GC pass must
-//     leave zero trace after recovery re-derives it;
+//   - mid-GC ("gc:unlinked") — a pass's trip has landed its entry
+//     removals and heap frees in the pool, its record not yet appended
+//     and its metas not yet tombstoned: an interrupted GC pass must
+//     leave zero trace after recovery re-derives it. A pass is one trip
+//     per table, so the point fires 5–6 times a run: ":4" is the late
+//     kill;
 //   - at checkpoint stages, now exercising version-metadata manifests.
 //
 // Workers also keep staging-only "poison" transactions (begun, staged,
@@ -195,7 +198,7 @@ func TestCrashTxnRecoveryMatrix(t *testing.T) {
 		"ckpt:manifest:1",
 		"ckpt:truncated:1",
 		"gc:unlinked:1",
-		"gc:unlinked:30",
+		"gc:unlinked:4",
 		"data:write:5",
 	}
 	bin, err := os.Executable()

@@ -383,17 +383,14 @@ func (e *Engine) recover() error {
 	}
 
 	// No snapshot survives a crash, so no version history needs to
-	// either: a full GC pass at watermark = clock (nothing registered,
-	// so the watermark IS the clock) flattens every dead version a
-	// checkpoint carried across — the physical rows replay could not
-	// know about. Replayed recTxn records are already flat; GC's
-	// ErrDeleted path prunes their leftover manifest metas.
+	// either: a full GC pass at watermark = clock (nothing registered)
+	// flattens every dead version a checkpoint carried and no logged
+	// pass collected, logging its trips before the terminal checkpoint.
+	// Replayed records are already flat; GC's ErrDeleted path prunes
+	// their leftover manifest metas.
 	anyVersions := false
 	for _, t := range e.tables {
-		if t.vers.any.Load() {
-			anyVersions = true
-			break
-		}
+		anyVersions = anyVersions || t.vers.any.Load()
 	}
 	if anyVersions {
 		wal.TestPoint("gc:recovery")
@@ -548,14 +545,14 @@ func (e *Engine) redoBatch(payload []byte) error {
 				err = t.file.RedoPut(a.rid, a.rec)
 			case relocated(a.rid, a.newRID):
 				// The pre-image's slot died.
-				if err = t.file.RedoDelete(a.rid, a.sum); err == nil {
+				if err = t.redoDelete(a.rid, a.sum); err == nil {
 					err = t.file.RedoInsert(a.newRID, a.rec)
 				}
 			default:
 				err = t.file.RedoInsert(a.newRID, a.rec)
 			}
 		case actDel:
-			err = t.file.RedoDelete(a.rid, a.sum)
+			err = t.redoDelete(a.rid, a.sum)
 		}
 		if err != nil {
 			return err
@@ -588,6 +585,17 @@ func (e *Engine) redoBatch(payload []byte) error {
 		}
 	}
 	return nil
+}
+
+// redoDelete replays a logged removal at rid. The record it removes
+// takes its manifest meta with it: a later put into the slot, such as
+// a raw insert into room a logged GC pass freed, is not that version.
+func (t *Table) redoDelete(rid storage.RID, sum uint32) error {
+	removed, err := t.file.RedoDelete(rid, sum)
+	if removed {
+		t.vers.forget(rid)
+	}
+	return err
 }
 
 // redoKeeps reports whether the record redo has for rid so far carries

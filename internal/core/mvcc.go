@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/storage"
-	"repro/internal/tuple"
 	"repro/internal/wal"
 )
 
@@ -47,11 +46,12 @@ import (
 // GC: watermark = min(active snapshot startTS), else the clock. A
 // version with dead ≤ watermark is invisible to every live and future
 // snapshot (future snaps start ≥ clock ≥ watermark), so it is removed
-// physically — heap row first (freed space returns to the heap's
-// free-space map), then its index entries, then its meta. That order
-// makes the prune safe against concurrent readers: while the row still
-// exists its meta exists, so no reader can resolve it as visible; after
-// the row is gone a stale resolve hits storage.ErrDeleted and skips.
+// physically by a raw delete of its RID, one write-stage trip per
+// table: index entries first, then the heap row (freed space returns
+// to the free-space map), then the meta, tombstoned. The trip's batch
+// record is GC's redo record. While the meta exists no reader resolves
+// the version as visible; after the row is gone a stale resolve hits
+// storage.ErrDeleted and skips.
 // Chain hops never reach a GC'd version while its meta is required:
 // a hop from version N to N.prev only happens when N.born > snap, and
 // N.prev.dead == N.born > snap ≥ watermark, so N.prev is not yet
@@ -90,16 +90,6 @@ func (vs *versionStore) markDead(rid storage.RID, ts uint64) {
 	m := vs.m[rid]
 	m.dead = ts
 	vs.set(rid, m)
-}
-
-// tombstone marks rid's meta as physically collected, keeping born/dead
-// so in-flight scanners still judge the version dead (see tombstonePrev).
-func (vs *versionStore) tombstone(rid storage.RID) {
-	vs.mu.Lock()
-	m := vs.m[rid]
-	m.prev = tombstonePrev
-	vs.m[rid] = m
-	vs.mu.Unlock()
 }
 
 // forget drops the metas at rids, where a raw write without a stamp
@@ -297,19 +287,17 @@ func (e *Engine) maybeGC() {
 }
 
 // RunGC runs one garbage-collection pass: every version dead at or
-// before the current watermark is unlinked — heap row deleted (space
-// returns to the free-space maps), index entries removed, meta pruned —
+// before the current watermark is unlinked (see the package comment),
 // and metas of watermark-old live versions with no chain are dropped so
 // the map tracks only rows whose fate is still in question. It returns
 // the number of versions physically removed.
 //
 // The pass holds commitGate exclusively: no Apply, txn commit, or
-// checkpoint runs concurrently, so tree and heap mutations here cannot
-// race entry upserts (readers still run — the removal order documented
-// above keeps them consistent). GC is deliberately not WAL-logged: a
-// transaction's WAL record already encodes its post-GC state, and
-// checkpoint manifests persist whatever metas remain, so recovery
-// re-derives any cleanup a crash interrupted.
+// checkpoint runs concurrently, so no insert can reuse a freed slot
+// before the pass has cleared every chain pointer to it; readers still
+// run. Each table's trip appends its record under the gate.
+//
+// nblb:commit-entry — the pass appends its records under the gate.
 func (e *Engine) RunGC() int {
 	watermark := e.gcWatermark()
 	e.commitGate.Lock()
@@ -332,141 +320,80 @@ func (e *Engine) RunGC() int {
 	return removed
 }
 
-// gcLocked collects the table's dead-at-watermark versions. Caller
-// holds the engine's commitGate exclusively.
+// gcLocked collects the table's dead-at-watermark versions in one raw
+// trip of deletes of their RIDs, and returns how many it collected.
+// Caller holds the engine's commitGate exclusively.
 func (t *Table) gcLocked(watermark uint64) int {
 	vs := &t.vers
 	if !vs.any.Load() {
 		return 0
 	}
-	type candidate struct {
-		rid  storage.RID
-		dead bool
-	}
-	vs.mu.RLock()
-	cands := make([]candidate, 0, len(vs.m))
+	e := t.engine
+	p := e.getPipeline()
+	defer e.putPipeline(p)
+	p.aim(t)
+	vs.mu.Lock()
 	for rid, m := range vs.m {
-		if m.prev == tombstonePrev {
-			continue // already collected; dies on RID reuse
-		}
 		switch {
+		case m.prev == tombstonePrev:
+			// Already collected; dies on RID reuse.
 		case m.dead != 0 && m.dead <= watermark:
-			cands = append(cands, candidate{rid, true})
+			p.buf = append(p.buf, stagedOp{kind: BatchDelete, rid: rid})
 		case m.dead == 0 && m.born <= watermark:
 			// Live and visible to everyone forever: meta is pure overhead.
 			// (Deleting it is safe even against a scanner mid-step: absent
 			// meta means visible-to-all, which is exactly this row's fate.)
-			cands = append(cands, candidate{rid, false})
+			delete(vs.m, rid)
 		}
 	}
-	vs.mu.RUnlock()
-
-	// A collected version is decoded for its index entries' keys alone.
-	var keyFields [][]int
+	vs.mu.Unlock()
+	if len(p.buf) == 0 {
+		return 0
+	}
+	p.ops, p.isolate = p.buf, true
+	p.res.OpErrs = make([]error, len(p.ops))
 	t.mu.RLock()
-	for _, ix := range t.indexes {
-		keyFields = append(keyFields, ix.keyFields)
-	}
+	p.run()
+	// Crash-matrix point: the trip's effects have landed in the pool,
+	// its record is not appended. Recovery redoes the pass.
+	wal.TestPoint("gc:unlinked")
+	p.appendRecord()
 	t.mu.RUnlock()
-	need := fieldSet(t.schema.NumFields(), keyFields...)
-
-	removed := 0
-	gone := make(map[uint64]struct{})
-	var (
-		row      tuple.Row
-		rec, key []byte // reused across the pass: the tree and the cache copy keys
-	)
-	for _, c := range cands {
-		if !c.dead {
-			vs.mu.Lock()
-			delete(vs.m, c.rid)
-			vs.mu.Unlock()
-			continue
-		}
-		// Physical removal order: heap row, then index entries, then
-		// meta (see the package comment for why this order is safe
-		// against concurrent snapshot readers).
-		got, err := t.file.GetInto(rec[:0], c.rid)
-		if err != nil {
-			if errors.Is(err, storage.ErrDeleted) {
-				// Row already gone (a crash between checkpointed pages and
-				// the manifest can leave a meta for a removed row).
-				vs.tombstone(c.rid)
-				gone[c.rid.Pack()] = struct{}{}
-				removed++
-			}
-			continue
-		}
-		rec = got
-		if row, err = decodeFields(row[:0], t.schema, rec, need, nil); err != nil {
-			continue
-		}
-		if err := t.file.Delete(c.rid); err != nil {
-			continue
-		}
-		// Crash-matrix point: heap row gone, index entries still present,
-		// nothing WAL-logged. A SIGKILL here must recover cleanly (GC is
-		// redone from the manifest metas at the next recovery).
-		wal.TestPoint("gc:unlinked")
-		t.mu.RLock()
-		for _, ix := range t.indexes {
-			k, kerr := ix.appendEntryKey(key[:0], row, c.rid)
-			if kerr != nil {
-				continue
-			}
-			key = k
-			var err error
-			if ix.unique {
-				// Compare-and-delete: the entry may have been upserted to a
-				// newer version of the key; only remove it while it still
-				// points at the version being collected.
-				v, found, serr := ix.tree.Search(key)
-				if err = serr; err == nil && (!found || v != c.rid.Pack()) {
-					continue
-				}
-			}
-			if err == nil {
-				_, err = ix.tree.Delete(key)
-			}
-			if err != nil {
-				// The row is freed, and an entry left naming its slot would
-				// outlive the tombstone no later pass revisits. Stop the
-				// engine (a pass has no caller to report to): every later
-				// op fails with buffer.ErrPoolClosed, and recovery redoes
-				// the pass from the manifest's metas.
-				t.mu.RUnlock()
-				_ = t.engine.stop(err)
-				return removed
-			}
-			if ix.cache != nil {
-				ix.cache.NotifyUpdate(key)
-			}
-		}
-		t.mu.RUnlock()
-		// The meta is NOT deleted — it becomes a tombstone so scanners
-		// that copied the row before file.Delete still see it as dead.
-		vs.tombstone(c.rid)
-		gone[c.rid.Pack()] = struct{}{}
-		removed++
+	if p.res.Err != nil {
+		// An index run or the append failed, and a pass has no caller to
+		// report to: stop the engine, and recovery redoes the pass.
+		_ = e.stop(p.res.Err)
+		return 0
 	}
-	if len(gone) > 0 {
-		// Clear prev pointers left dangling at collected versions. A hop
-		// to a collected version could only come from a snapshot older
-		// than the watermark — impossible for any live or future reader —
-		// so dropping the pointer changes no visible resolution. It is
-		// REQUIRED, not just tidy: the collected version's heap slot is
-		// about to be reusable, and a later insert landing on the same RID
-		// would otherwise splice an unrelated row (or a cycle) into this
-		// chain. commitGate is held exclusively here, so every dangling
-		// prev is cleared before any insert can reuse the slot.
-		vs.mu.Lock()
-		for rid, m := range vs.m {
-			if _, dangling := gone[m.prev]; dangling {
-				m.prev = 0
-				vs.m[rid] = m
-			}
+	// The metas are NOT deleted but tombstoned, so scanners that copied
+	// a row before it was freed still see it as dead. A row already gone
+	// counts as collected: a crash between checkpointed pages and the
+	// manifest can leave a meta for it.
+	gone := make(map[uint64]struct{}, len(p.ops))
+	vs.mu.Lock()
+	defer vs.mu.Unlock()
+	for i, err := range p.res.OpErrs {
+		if rid := p.ops[i].rid; err == nil || errors.Is(err, storage.ErrDeleted) {
+			m := vs.m[rid]
+			m.prev = tombstonePrev
+			vs.m[rid] = m
+			gone[rid.Pack()] = struct{}{}
 		}
-		vs.mu.Unlock()
 	}
-	return removed
+	// Clear prev pointers left dangling at collected versions. A hop to
+	// a collected version could only come from a snapshot older than the
+	// watermark — impossible for any live or future reader — so dropping
+	// the pointer changes no visible resolution. It is REQUIRED, not
+	// just tidy: the collected version's heap slot is about to be
+	// reusable, and a later insert landing on the same RID would
+	// otherwise splice an unrelated row (or a cycle) into this chain.
+	// commitGate is held exclusively here, so every dangling prev is
+	// cleared before any insert can reuse the slot.
+	for rid, m := range vs.m {
+		if _, dangling := gone[m.prev]; dangling {
+			m.prev = 0
+			vs.m[rid] = m
+		}
+	}
+	return len(gone)
 }

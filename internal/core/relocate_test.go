@@ -284,7 +284,7 @@ func TestMovedRowFreeSparesAReusedSlot(t *testing.T) {
 	e, tb, ix, rid, grown := moveFixture(t, Options{})
 	defer e.Close()
 	release, done := parkMove(t, e, tb, ix, rid, grown)
-	if err := tb.file.Delete(rid); err != nil {
+	if _, err := tb.file.Delete(rid); err != nil {
 		t.Fatalf("the racing free: %v", err)
 	}
 	other, err := tuple.Encode(tb.schema, pageRow(100), nil)
@@ -312,6 +312,67 @@ func TestMovedRowFreeSparesAReusedSlot(t *testing.T) {
 	if pins := e.Pool().PinnedFrames(); pins != 0 {
 		t.Errorf("%d frames still pinned", pins)
 	}
+}
+
+// TestRawDeleteLogsTheRecordItFreed: a delete of row 0 has read its
+// pre-image and waits on the index leaf when an in-place update of the
+// row, same key, lands and is acked. The delete then frees the updated
+// record, so its log record must name that record, not the pre-image:
+// redo removes only the record a delete's sum names. A reopen from the
+// log alone holds 39 rows and no row 0, as the live engine did.
+func TestRawDeleteLogsTheRecordItFreed(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "db")
+	e, tb, ix, rid, _ := moveFixture(t, Options{Path: path, WAL: true})
+	leaf, err := e.pool.Fetch(ix.tree.Root())
+	if err != nil {
+		t.Fatal(err)
+	}
+	leaf.Latch.Lock()
+	st := e.pool.Stats()
+	fetched := st.Hits + st.Misses
+	deleted := make(chan error, 1)
+	go func() { deleted <- tb.Delete(rid) }()
+	// Pre-flight fetches the heap page, then stage 2 the leaf.
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(100 * time.Microsecond) {
+		if st := e.pool.Stats(); st.Hits+st.Misses >= fetched+2 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the delete never reached the leaf")
+		}
+	}
+	small := pageRow(0)
+	small[7] = tuple.String("BODY OF ARTICLE 0") // fits in place
+	if to, err := tb.Update(rid, small); err != nil || to != rid {
+		t.Fatalf("in-place Update = %v, %v; want it at %v", to, err, rid)
+	}
+	leaf.Latch.Unlock()
+	e.pool.Unpin(leaf, false)
+	if err := <-deleted; err != nil {
+		t.Fatalf("Delete: %v", err)
+	}
+	check := func(how string, tb *Table) {
+		t.Helper()
+		if n := tb.Rows(); n != 39 {
+			t.Errorf("%s: Rows = %d, want 39", how, n)
+		}
+		if _, lr, err := mustIndex(t, tb, "by_id").Lookup(nil, tuple.Int64(0)); err != nil || lr.Found {
+			t.Errorf("%s: Lookup(0) found=%v (%v), want the row deleted", how, lr.Found, err)
+		}
+	}
+	check("live", tb)
+
+	// Stop without a checkpoint: the reopen replays the log.
+	_ = e.pool.Close()
+	_ = e.Close()
+	if e, err = NewEngine(Options{PageSize: 1024, BufferPoolPages: 128, Path: path, WAL: true}); err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer e.Close()
+	if tb, err = e.Table("page"); err != nil {
+		t.Fatal(err)
+	}
+	check("after the reopen", tb)
 }
 
 // TestSameRowTwiceInOneBatch lands two ops on row 0 in one isolated

@@ -1,12 +1,15 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"sync"
+	"syscall"
 	"testing"
 
+	"repro/internal/buffer"
 	"repro/internal/tuple"
 )
 
@@ -426,4 +429,50 @@ func mustIndex(t *testing.T, tbl *Table, name string) *Index {
 		t.Fatal(err)
 	}
 	return ix
+}
+
+// TestRawAppendFaultStopsTheEngine fails the log's write of a raw
+// insert's record after the insert landed in the pool, as a full disk
+// would. The engine stops: the insert reports the append error and
+// buffer.ErrPoolClosed, and so does every later read and write, so
+// nothing the log lacks is served or acked. A reopen holds exactly the
+// acked rows.
+func TestRawAppendFaultStopsTheEngine(t *testing.T) {
+	dir := t.TempDir()
+	e, err := NewEngine(walTestOptions(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tb := kvTable(t, e)
+	rid, err := tb.Insert(kvRow(1, 10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.wal.FailWrite(1, syscall.ENOSPC)
+	if _, err := tb.Insert(kvRow(2, 20)); !errors.Is(err, syscall.ENOSPC) || !errors.Is(err, buffer.ErrPoolClosed) {
+		t.Fatalf("Insert(2) = %v, want the append error and buffer.ErrPoolClosed", err)
+	}
+	if _, _, err := tb.indexes["by_k"].LookupRID(tuple.Int64(2)); !errors.Is(err, buffer.ErrPoolClosed) {
+		t.Errorf("LookupRID(2) after the stop = %v, want buffer.ErrPoolClosed", err)
+	}
+	if _, err := tb.Update(rid, kvRow(1, 11)); !errors.Is(err, buffer.ErrPoolClosed) {
+		t.Errorf("Update(1) after the stop = %v, want buffer.ErrPoolClosed", err)
+	}
+	if _, err := tb.Insert(kvRow(3, 30)); !errors.Is(err, buffer.ErrPoolClosed) {
+		t.Errorf("Insert(3) after the stop = %v, want buffer.ErrPoolClosed", err)
+	}
+	if err := e.Close(); !errors.Is(err, buffer.ErrPoolClosed) {
+		t.Errorf("Close = %v, want the checkpoint refused with buffer.ErrPoolClosed", err)
+	}
+
+	if e, err = NewEngine(walTestOptions(dir)); err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer e.Close()
+	if tb, err = e.Table("kv"); err != nil {
+		t.Fatal(err)
+	}
+	if got := readAll(t)(tb.Query()); len(got) != 1 || got[1] != 10 {
+		t.Fatalf("reopened rows = %v, want exactly the acked {1: 10}", got)
+	}
 }

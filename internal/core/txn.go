@@ -633,7 +633,7 @@ func (tx *Txn) rollbackEffects(ts uint64) error {
 				// scanner that copied the bytes checks the meta after this
 				// lock and sees dead-at-birth; nothing chains to newRID
 				// (its own prev is overwritten), so slot reuse is safe.
-				if err := t.file.Delete(op.newRID); err != nil {
+				if _, err := t.file.Delete(op.newRID); err != nil {
 					vs.mu.Unlock()
 					t.mu.RUnlock()
 					return e.stop(fmt.Errorf("core: rolling back %v, a failed commit's new row: %w", op.newRID, err))

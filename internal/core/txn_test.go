@@ -11,7 +11,6 @@ import (
 	"repro/internal/buffer"
 	"repro/internal/storage"
 	"repro/internal/tuple"
-	"repro/internal/wal"
 )
 
 func kvSchema() *tuple.Schema {
@@ -311,12 +310,11 @@ func TestTxnGCUnlinksDeadVersions(t *testing.T) {
 }
 
 // TestTxnGCIndexFaultStopsTheEngine fails the index descent of a GC
-// pass that collects a row a transaction deleted, after the pass freed
-// the row. The entry left behind would name a slot whose tombstone no
-// later pass revisits, so a raw insert of its key would fail as a
-// duplicate for good. The engine stops instead — every later read and
-// write fails with buffer.ErrPoolClosed — and a reopen redoes the pass
-// from the manifest's metas: the key can be inserted again.
+// pass that collects a row a transaction deleted. The pass is a trip
+// through the write stages with no caller to report to, so a failed
+// index run stops the engine — every later read and write fails with
+// buffer.ErrPoolClosed — and a reopen redoes the pass from the
+// manifest's metas: the key can be inserted again.
 func TestTxnGCIndexFaultStopsTheEngine(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "db")
 	inner, err := storage.NewFileDisk(path, 1024)
@@ -338,14 +336,10 @@ func TestTxnGCIndexFaultStopsTheEngine(t *testing.T) {
 	if err := e.pool.EvictAll(); err != nil {
 		t.Fatalf("EvictAll: %v", err)
 	}
-	// Once the pass has freed the row, the next read is the index leaf's.
-	wal.SetTestHook(func(p string) {
-		if p == "gc:unlinked" {
-			fd.Rearm(storage.FaultPlan{Op: storage.FaultRead, After: 1, Mode: storage.FaultFail})
-		}
-	})
+	// The trip's pre-flight reads the heap page first, then stage 2 the
+	// index leaf.
+	fd.Rearm(storage.FaultPlan{Op: storage.FaultRead, After: 2, Mode: storage.FaultFail})
 	e.RunGC()
-	wal.SetTestHook(nil)
 	if !fd.Fired() {
 		t.Fatal("the GC pass never read the index")
 	}

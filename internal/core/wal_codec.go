@@ -135,7 +135,7 @@ func (w *walBatch) idx(name string, entries ...btree.RunEntry) {
 	w.buf = binary.AppendUvarint(w.buf, uint64(len(entries)))
 	for _, e := range entries {
 		op := byte(0)
-		if e.Op == btree.RunDelete {
+		if e.Op == btree.RunDelete || e.Op == btree.RunDeleteIf {
 			op = 1
 		}
 		w.buf = append(w.buf, op)

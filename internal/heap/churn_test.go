@@ -79,7 +79,7 @@ func TestHeapShardedChurn(t *testing.T) {
 					}
 					i := rng.Intn(len(live))
 					rid := live[i]
-					if err := f.Delete(rid); err != nil {
+					if _, err := f.Delete(rid); err != nil {
 						fail("op %d Delete(%v): %v", op, rid, err)
 						return
 					}
@@ -176,7 +176,7 @@ func TestHeapShardedBudget(t *testing.T) {
 					live = append(live, rid)
 				} else {
 					i := rng.Intn(len(live))
-					if err := f.Delete(live[i]); err != nil {
+					if _, err := f.Delete(live[i]); err != nil {
 						errCh <- err
 						return
 					}
@@ -240,7 +240,7 @@ func TestHeapCrossShardReuse(t *testing.T) {
 	// same volume into the pages it emptied.
 	for _, rs := range rids {
 		for _, rid := range rs {
-			if err := f.Delete(rid); err != nil {
+			if _, err := f.Delete(rid); err != nil {
 				t.Fatalf("Delete(%v): %v", rid, err)
 			}
 		}

@@ -465,41 +465,49 @@ func (f *File) GetRun(rids []storage.RID, fn func(i int, rec []byte) bool) error
 	return nil
 }
 
-// Delete removes the record at rid. The freed space is reported to the
+// Delete removes the record at rid and returns its RecordSum, the sum
+// of the record it freed. The freed space is reported to the
 // free-space map, so later inserts reclaim it.
-func (f *File) Delete(rid storage.RID) error { return f.remove(rid, false, 0) }
+func (f *File) Delete(rid storage.RID) (sum uint32, err error) { return f.remove(rid, false, 0) }
 
 // DeleteIf is Delete of the record at rid only while it is the one whose
 // RecordSum is sum; else the slot is left and the error is storage.ErrDeleted.
-func (f *File) DeleteIf(rid storage.RID, sum uint32) error { return f.remove(rid, true, sum) }
+func (f *File) DeleteIf(rid storage.RID, sum uint32) error {
+	_, err := f.remove(rid, true, sum)
+	return err
+}
 
 // remove frees the record at rid if the slot holds one and, with check,
-// its RecordSum is sum; if not, it returns storage.ErrDeleted.
-func (f *File) remove(rid storage.RID, check bool, sum uint32) error {
+// its RecordSum is want, and returns the freed record's sum; if it
+// frees nothing, it returns storage.ErrDeleted.
+func (f *File) remove(rid storage.RID, check bool, want uint32) (sum uint32, err error) {
 	fr, err := f.pool.Fetch(rid.Page)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	fr.Latch.Lock()
 	sp := storage.AsSlotted(fr.Data())
 	rec, err := sp.Get(rid.Slot)
-	freed := err == nil && (!check || RecordSum(rec) == sum) && sp.Delete(rid.Slot) == nil
+	if err == nil {
+		sum = RecordSum(rec)
+	}
+	freed := err == nil && (!check || sum == want) && sp.Delete(rid.Slot) == nil
 	free := f.advisoryFree(sp)
 	fr.Latch.Unlock()
 	f.pool.Unpin(fr, freed)
 	if !freed {
-		return storage.ErrDeleted
+		return 0, storage.ErrDeleted
 	}
 	f.noteFree(rid.Page, free)
-	return nil
+	return sum, nil
 }
 
 // Update is Rewrite plus, if the record moved, Delete of the old copy.
 func (f *File) Update(rid storage.RID, rec []byte) (storage.RID, error) {
 	to, _, err := f.Rewrite(rid, rec)
 	if err == nil && to != rid {
-		if err = f.Delete(rid); err != nil {
-			_ = f.Delete(to) // the old copy stays, so the new one goes
+		if _, err = f.Delete(rid); err != nil {
+			_, _ = f.Delete(to) // the old copy stays, so the new one goes
 			return storage.InvalidRID, fmt.Errorf("heap: relocating update: %w", err)
 		}
 	}

@@ -77,7 +77,7 @@ func TestHeapDeleteThenSpaceReused(t *testing.T) {
 	}
 	pagesBefore := f.NumPages()
 	for _, rid := range rids {
-		if err := f.Delete(rid); err != nil {
+		if _, err := f.Delete(rid); err != nil {
 			t.Fatalf("Delete: %v", err)
 		}
 	}
@@ -309,7 +309,7 @@ func TestHeapFuzzAgainstModel(t *testing.T) {
 			}
 			i := rng.Intn(len(live))
 			rid := live[i]
-			if err := f.Delete(rid); err != nil {
+			if _, err := f.Delete(rid); err != nil {
 				t.Fatalf("op %d Delete: %v", op, err)
 			}
 			delete(model, rid)

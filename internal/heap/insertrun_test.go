@@ -162,7 +162,7 @@ func TestGetRun(t *testing.T) {
 		t.Errorf("early stop visited %d, want 5", got)
 	}
 	// Dead slot fails the run.
-	if err := f.Delete(rids[0]); err != nil {
+	if _, err := f.Delete(rids[0]); err != nil {
 		t.Fatalf("Delete: %v", err)
 	}
 	if err := f.GetRun(rids[:1], func(int, []byte) bool { return true }); err == nil {

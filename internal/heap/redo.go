@@ -226,20 +226,21 @@ var sumTable = crc32.MakeTable(crc32.Castagnoli)
 // slot is a later record and stays; an unknown page or a dead slot is a
 // no-op. A held put of the record removed is dropped instead, and an
 // update's also empties the slot, which holds the record it replaced.
-func (f *File) RedoDelete(rid storage.RID, sum uint32) error {
+// removed reports whether the slot's record went.
+func (f *File) RedoDelete(rid storage.RID, sum uint32) (removed bool, err error) {
 	kill := false
 	if h, ok := f.redoHeld[rid]; ok && RecordSum(h.rec) == sum {
 		delete(f.redoHeld, rid)
 		if h.insert {
-			return nil
+			return false, nil
 		}
 		kill = true
 	}
 	if !f.owns(rid.Page) {
-		return nil
+		return false, nil
 	}
-	if err := f.remove(rid, !kill, sum); err != storage.ErrDeleted {
-		return err
+	if _, err = f.remove(rid, !kill, sum); err == storage.ErrDeleted {
+		return false, nil
 	}
-	return nil
+	return err == nil, err
 }

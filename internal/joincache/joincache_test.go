@@ -139,7 +139,7 @@ func TestJoinCacheCompactionZeroesRegion(t *testing.T) {
 	})
 	for _, r := range rids[1:] {
 		if r.Page == page {
-			if err := f.Delete(r); err != nil {
+			if _, err := f.Delete(r); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -94,6 +94,29 @@ type logFile interface {
 	Close() error
 }
 
+// FailWrite makes the log's after-th file write from now (1-based) fail
+// with err, once, as a storage.FaultPlan arms a disk: test support for
+// what a failed append does above the log.
+func (l *Log) FailWrite(after int, err error) {
+	l.mu.Lock()
+	l.f = &faultFile{logFile: l.f, after: after, err: err}
+	l.mu.Unlock()
+}
+
+// faultFile is a log file armed by FailWrite.
+type faultFile struct {
+	logFile
+	after int
+	err   error
+}
+
+func (f *faultFile) WriteAt(p []byte, off int64) (int, error) {
+	if f.after--; f.after == 0 {
+		return 0, f.err
+	}
+	return f.logFile.WriteAt(p, off)
+}
+
 // Log is an append-only redo log over a single file. All methods are
 // safe for concurrent use.
 type Log struct {
