@@ -123,10 +123,7 @@ func (b *Batch) Reset() {
 // ApplyOption configures Table.Apply.
 type ApplyOption func(*applyConfig)
 
-type applyConfig struct {
-	wantRIDs bool
-	isolate  bool
-}
+type applyConfig struct{ wantRIDs bool }
 
 // WithResultRIDs makes Apply record each op's resulting RID in
 // Result.RIDs (inserts: the new row; updates: the possibly relocated
@@ -136,85 +133,59 @@ func WithResultRIDs() ApplyOption {
 	return func(c *applyConfig) { c.wantRIDs = true }
 }
 
-// WithErrorIsolation switches Apply from prefix semantics to per-op
-// isolation: an op whose failure is attributable (bad row encoding, a
-// missing update/delete target, a duplicate unique key) is recorded in
-// Result.OpErrs and skipped, and every other op still applies. The
-// network server's cross-connection coalescer depends on this — one
-// client's duplicate key must never fail a neighbor's op that happens
-// to share the drained batch.
-//
-// Under isolation Result.ErrIndex points at the lowest failed op and
-// OpErrs holds each op's error, but Result.Err stays nil — Apply
-// returns a nil error when every failure was per-op. Only a
-// non-attributable failure (an I/O error mid-run) sets Err and is
-// returned, and it also fails every op that had not completed by
-// then. A failed duplicate insert leaves an orphaned heap row behind
-// (its row was written before the collision was detected) but never
-// touches the surviving row's index entries, exactly as in the
-// default mode.
-func WithErrorIsolation() ApplyOption {
-	return func(c *applyConfig) { c.isolate = true }
-}
-
 // Result reports what one Apply did.
 //
-// The contract is per-op, not transactional: each op applies
-// independently and becomes visible to concurrent readers atomically
-// per structure (heap row before its index entries for inserts, index
+// The contract is per-op, not transactional: each op applies or fails
+// on its own, and becomes visible to concurrent readers atomically per
+// structure (heap row before its index entries for inserts, index
 // entries removed before the heap row for deletes), so a reader never
-// observes a half-applied row — but there is no all-or-nothing batch
-// and no rollback. On error, ops before ErrIndex are applied, the op
-// at ErrIndex and everything after are not; when the error arose below
-// the per-op stage (an I/O failure mid-run), Applied is a lower bound
-// and later ops may be partially indexed.
+// observes a half-applied row — but there is no all-or-nothing batch.
+// An op that fails alone (a row that does not encode, a missing target,
+// a duplicate unique key) is recorded in OpErrs and kept out of the
+// later stages while every other op still applies; an insert that
+// failed after its row landed leaves neither the row nor an index entry
+// behind. A failure no op is to blame for (an I/O error inside an index
+// run, a failed log append or fsync) fails every op not already failed:
+// which of them landed is unknowable from above, and none is reported
+// applied.
 type Result struct {
 	// Applied counts ops applied end to end.
 	Applied int
-	// ErrIndex is the batch position of the first failed op, -1 when
-	// every op applied (or the failure was not attributable to one op).
+	// ErrIndex is the batch position of the lowest failed op, -1 when
+	// every op applied or the failure was not attributable to one op.
 	ErrIndex int
-	// Err is the first error encountered (also returned by Apply).
+	// Err is the lowest failed op's error or, once a failure not
+	// attributable to one op has failed the batch (ErrIndex -1), that
+	// failure's. Apply returns it, so a caller that checks only the
+	// error still sees every failure.
 	Err error
 	// RIDs holds each op's resulting RID when WithResultRIDs was given.
 	// Each entry is filled the moment the op's heap write lands, so on
 	// a failed batch the RIDs of ops that did reach the heap are still
-	// reported (ops that never ran stay InvalidRID).
+	// reported; an op that never ran, or an insert whose row was taken
+	// back, stays InvalidRID.
 	RIDs []storage.RID
-	// OpErrs holds each op's error under WithErrorIsolation (nil entry
-	// = the op applied). Nil without the option.
+	// OpErrs holds each op's error (a nil entry: the op applied). It is
+	// nil or empty while every op applies, and filled — in the capacity
+	// ApplyInto was handed — once one fails.
 	OpErrs []error
 }
 
-// fail records the first error on the result and returns it.
-func (r *Result) fail(i int, err error) error {
-	if r.Err == nil {
+// failOp records the failure of op i of an n-op batch: its error lands
+// in OpErrs (sized to the batch at the first failure), Applied drops,
+// and ErrIndex and Err track the lowest failed op unless a batch-level
+// failure holds them.
+func (r *Result) failOp(i, n int, err error) {
+	if len(r.OpErrs) == 0 {
+		r.OpErrs = zeroed(r.OpErrs, n)
+	}
+	if r.OpErrs[i] != nil {
+		return
+	}
+	r.OpErrs[i] = err
+	r.Applied--
+	if r.Err == nil || r.ErrIndex > i {
 		r.ErrIndex, r.Err = i, err
-	}
-	return r.Err
-}
-
-// failOp records an op-attributable failure under isolation: the op's
-// error lands in OpErrs, ErrIndex tracks the lowest failed position,
-// and the batch carries on. Result.Err is deliberately not touched —
-// per-op failures do not fail an isolated batch.
-func (r *Result) failOp(i int, err error) {
-	if r.OpErrs[i] == nil {
-		r.OpErrs[i] = err
-	}
-	if r.ErrIndex == -1 || i < r.ErrIndex {
-		r.ErrIndex = i
-	}
-}
-
-// failRemaining marks every op that has not already failed with err —
-// isolation's handling of a non-attributable mid-run failure, where
-// "which ops completed" is unknowable below the per-op stage.
-func (r *Result) failRemaining(err error) {
-	for i := range r.OpErrs {
-		if r.OpErrs[i] == nil {
-			r.OpErrs[i] = err
-		}
 	}
 }
 
@@ -232,7 +203,9 @@ func (t *Table) Apply(b *Batch, opts ...ApplyOption) (Result, error) {
 // it reuses when their capacity suffices: a caller that threads one
 // Result through its Applies (the server's write coalescer) pays for
 // no result storage after the first. Everything else in *res is
-// overwritten; the returned error is res.Err.
+// overwritten; the returned error is res.Err. Should the wait for the
+// trip's record to be durable fail, every op fails with it: none of
+// them may be acked.
 //
 // Like every table write, it holds the table mutex only shared (to
 // pin the index set): parallel Applies contend on the heap's insert
@@ -257,9 +230,7 @@ func (t *Table) ApplyInto(res *Result, b *Batch, opts ...ApplyOption) error {
 	if p.wantRIDs {
 		p.res.RIDs = zeroed(res.RIDs, len(p.ops)) // all InvalidRID
 	}
-	if p.isolate {
-		p.res.OpErrs = zeroed(res.OpErrs, len(p.ops))
-	}
+	p.res.OpErrs = res.OpErrs[:0] // filled at the first failure
 	// The raw commit stamp allocates BEFORE the gate: rawStampTS takes
 	// txnMu, and the engine-wide lock order is txnMu before commitGate
 	// (Txn.Commit holds txnMu across its gated section). Taking txnMu
@@ -283,7 +254,7 @@ func (t *Table) ApplyInto(res *Result, b *Batch, opts ...ApplyOption) error {
 	if p.wb != nil {
 		if lsn != 0 {
 			if cerr := e.walCommit(lsn); cerr != nil {
-				p.res.fail(-1, cerr)
+				p.failAll(cerr)
 			}
 		}
 		e.maybeCheckpoint()
@@ -326,9 +297,11 @@ func zeroed[T any](s []T, n int) []T {
 //
 //   - Table.Apply (raw): updates and deletes mutate in place, inserts
 //     are born at stamp only while a snapshot is pinned (see
-//     Engine.rawStampTS), and a failure is reported, not undone. A GC
-//     pass is a raw trip of deletes of the collected versions, under
-//     the gate held exclusively (Table.gcLocked).
+//     Engine.rawStampTS), and an op that fails is kept out of the later
+//     stages while the others go on (see Result); of its landed effects
+//     only a failed insert's row and entries are taken back. A GC pass
+//     is a raw trip of deletes of the collected versions, under the
+//     gate held exclusively (Table.gcLocked).
 //   - Txn.Commit (vers set): every new record is a version born at the
 //     commit timestamp, superseded and deleted rows are stamped dead
 //     instead of touched, their index entries stay for snapshot readers
@@ -359,7 +332,7 @@ type stageScratch struct {
 	recs   [][]byte
 	rids   []storage.RID
 	insOps []int
-	moved  []int // heap stage: the ops that moved their row, for stage 5
+	toFree []int // the ops whose row stage 5 frees: moves, failed inserts
 	stageArena
 }
 
@@ -542,16 +515,19 @@ func (t *Table) preflight(op *stagedOp, sc *stageArena) (err error) {
 }
 
 // fail records op i's attributable failure and reports whether the
-// pipeline must stop: under isolation the op fails alone and is kept
-// out of later stages, otherwise it fails the batch.
+// pipeline must stop: a commit stops at its first failure, since it
+// rolls back whole; a raw trip's op fails alone and is kept out of the
+// later stages.
 func (p *pipeline) fail(i int, err error) (stop bool) {
-	if p.isolate {
-		p.res.failOp(i, err)
-		p.ops[i].skip = true
-		return false
+	p.res.failOp(i, len(p.ops), err)
+	if p.vers != nil {
+		return true
 	}
-	p.res.fail(i, err)
-	return true
+	if op := &p.ops[i]; !op.skip && op.kind == BatchInsert && op.newRID.Valid() {
+		p.toFree = append(p.toFree, i) // its row landed: stage 5 takes it back
+	}
+	p.ops[i].skip = true
+	return false
 }
 
 // failRun records a failure inside an index run.
@@ -560,21 +536,23 @@ func (p *pipeline) failRun(ix *Index, err error) {
 }
 
 // failAll records a failure below the per-op stage (an I/O error inside
-// an index run, a failed append), where "which ops completed" is
-// unknowable.
+// an index run, a failed append or durability wait), where "which ops
+// completed" is unknowable: every op not already failed fails with it,
+// and the first such failure is the batch's error.
 func (p *pipeline) failAll(err error) {
-	if p.isolate {
-		p.res.failRemaining(err)
+	for i := range p.ops {
+		p.res.failOp(i, len(p.ops), err)
 	}
-	p.res.fail(-1, err)
+	if p.res.ErrIndex != -1 || p.res.Err == nil {
+		p.res.ErrIndex, p.res.Err = -1, err
+	}
 }
 
 // run lands p.ops, stage by stage:
 //
 //  1. Pre-flight (raw only — a transaction pre-flights as it stages):
 //     rows encode and pre-images load, in batch order, and a delete of
-//     a row an earlier op updates fails; the first failure truncates
-//     the batch at that op.
+//     a row an earlier op updates fails.
 //  2. Index deletes: delete ops' entries, one key-sorted leaf-grouped
 //     run (btree.Tree.ApplyRun) per index — entries leave the indexes
 //     before their heap rows die, so readers cannot chase a freed RID;
@@ -585,8 +563,13 @@ func (p *pipeline) failAll(err error) {
 //  4. Index upserts (inserts, update key moves and relocations), again
 //     one key-sorted run per index: one crabbed descent and one
 //     exclusive leaf latch per leaf run instead of per key.
-//  5. Frees (raw only): each moved row's old copy, once stage 4 has
-//     repointed its entries (stage 2's rule), whatever stages 2–4 did.
+//  5. Frees (raw only), whatever stages 2–4 did: each moved row's old
+//     copy, once stage 4 has repointed its entries (stage 2's rule),
+//     and the landed row of each insert that failed alone, once stage
+//     2's run has taken back the entries it got before its failure.
+//
+// A raw op that fails (pipeline.fail) is kept out of every later stage
+// and the rest go on; a commit stops at its first failure.
 //
 // A trip that brings the table to its layout sample first adopts the
 // packed record layout (layout.go): a raw trip's records are then
@@ -595,6 +578,7 @@ func (p *pipeline) failAll(err error) {
 // Caller holds the commit gate and t.mu shared.
 func (p *pipeline) run() {
 	p.adoptLayout()
+	p.res.Applied = len(p.ops) // each failure takes one off
 	if p.vers == nil {
 		upd := len(p.ops) // the trip's first update
 		for i := range p.ops {
@@ -605,25 +589,16 @@ func (p *pipeline) run() {
 			} else if err == nil && op.kind == BatchDelete && p.updates(upd, i) {
 				err = fmt.Errorf("core: delete of %v after an update of it in the same batch: %w", op.rid, storage.ErrDeleted)
 			}
-			if err != nil && p.fail(i, err) {
-				// Ops before i proceed through the stages; i and
-				// everything after are never started.
-				p.ops = p.ops[:i]
-				break
+			if err != nil {
+				p.fail(i, err)
 			}
 		}
 	}
-	p.moved = p.moved[:0]
-	ok := len(p.ops) > 0 && p.indexDeletes() && p.heapStage() && p.indexUpserts()
-	if !p.freeMoved() || !ok {
-		return
+	p.toFree = p.toFree[:0]
+	if p.indexDeletes(false) && p.heapStage() {
+		p.indexUpserts()
 	}
-	p.res.Applied = len(p.ops)
-	for _, err := range p.res.OpErrs {
-		if err != nil {
-			p.res.Applied--
-		}
-	}
+	p.frees()
 }
 
 // updates reports whether an op in [from, i) updates op i's row. A raw
@@ -640,23 +615,41 @@ func (p *pipeline) updates(from, i int) bool {
 	return false
 }
 
-// freeMoved is stage 5 and reports whether the result stands. Stage 3
-// logged each move as a put that removes the old copy, so a failed free
-// stops the engine (its pool closes) rather than serve a row recovery
-// would not. A slot that no longer holds the old copy was freed (and
-// perhaps reused) by a racing write of the same row: the op fails.
-func (p *pipeline) freeMoved() (ok bool) {
-	ok = true
-	for _, i := range p.moved {
+// frees is stage 5: it frees the row of each op in p.toFree. For a
+// move that is the old copy, which stage 3 logged as removed by its
+// put, so a failed free stops the engine (its pool closes) rather than
+// serve a row recovery would not; a slot that no longer holds the old
+// copy was freed (and perhaps reused) by a racing write of the same
+// row, and the op fails. For an insert that failed alone it is the row
+// it landed, which goes the way a delete's does: entries first (stage
+// 2's run, keyed by the new RID), then the row, both logged. A racing
+// write that took the slot over keeps it.
+func (p *pipeline) frees() {
+	undo := len(p.toFree) > 0 && len(p.res.OpErrs) > 0 && p.indexDeletes(true)
+	for _, i := range p.toFree {
 		op := &p.ops[i]
-		if err := p.t.file.DeleteIf(op.rid, op.oldSum); errors.Is(err, storage.ErrDeleted) {
-			ok = !p.fail(i, fmt.Errorf("core: update of %v raced a write of the same row: %w", op.rid, err)) && ok
-		} else if err != nil {
-			p.res.fail(-1, p.t.engine.stop(fmt.Errorf("core: freeing %v, the old copy of a relocated row: %w", op.rid, err)))
-			return false
+		rid, sum := op.rid, op.oldSum
+		if op.kind == BatchInsert {
+			if !undo {
+				continue // its entries may stand: so does the row
+			}
+			rid, sum = op.newRID, heap.RecordSum(op.rec)
+			if p.res.RIDs != nil {
+				p.res.RIDs[i] = storage.InvalidRID
+			}
+		}
+		err := p.t.file.DeleteIf(rid, sum)
+		switch {
+		case err == nil && op.kind == BatchInsert:
+			p.addRows(-1)
+			p.wb.del(rid, sum)
+		case errors.Is(err, storage.ErrDeleted):
+			p.fail(i, fmt.Errorf("core: update of %v raced a write of the same row: %w", rid, err))
+		case err != nil:
+			p.failAll(p.t.engine.stop(fmt.Errorf("core: freeing %v: %w", rid, err)))
+			return
 		}
 	}
-	return ok
 }
 
 // runEntries is the per-index accumulation of one index stage: the run
@@ -712,24 +705,35 @@ func (r *runEntries) Swap(i, j int) {
 	r.want[i], r.want[j] = r.want[j], r.want[i]
 }
 
-// indexDeletes is stage 2. It reports whether the pipeline goes on.
-func (p *pipeline) indexDeletes() bool {
+// doomed reports whether an index-delete run takes op's entries out,
+// and those of which row: in stage 2 a delete's target, in stage 5
+// (undo) the landed row of an insert that failed alone.
+func (op *stagedOp) doomed(undo bool) (tuple.Row, storage.RID, bool) {
+	if undo {
+		return op.row, op.newRID, op.kind == BatchInsert && op.skip && op.newRID.Valid()
+	}
+	return op.oldRow, op.rid, op.kind == BatchDelete && !op.skip
+}
+
+// indexDeletes is stage 2, and stage 5's first step with undo. It
+// reports whether the pipeline goes on.
+func (p *pipeline) indexDeletes(undo bool) bool {
 	dels := &p.dels
 	for _, ix := range p.t.indexes {
 		dels.reset()
 		for i := range p.ops {
-			op := &p.ops[i]
-			if op.kind != BatchDelete || op.skip {
+			row, rid, ok := p.ops[i].doomed(undo)
+			if !ok {
 				continue
 			}
-			key, err := p.entryKey(ix, op.oldRow, op.rid)
+			key, err := p.entryKey(ix, row, rid)
 			if err != nil {
 				if p.fail(i, err) {
 					return false
 				}
 				continue
 			}
-			dels.add(key, op.rid.Pack(), btree.RunDeleteIf, i, 0)
+			dels.add(key, rid.Pack(), btree.RunDeleteIf, i, 0)
 		}
 		if dels.Len() == 0 {
 			continue
@@ -804,7 +808,7 @@ func (p *pipeline) heapStage() bool {
 			p.insOps = append(p.insOps, i)
 		case versioned:
 			// Delete: stamped dead below, inside the run's exclusive section.
-		case slices.ContainsFunc(p.moved, func(j int) bool { return p.ops[j].rid == op.rid }):
+		case slices.ContainsFunc(p.toFree, func(j int) bool { return p.ops[j].rid == op.rid }):
 			err = storage.ErrDeleted // an earlier op of this trip moved the row off op.rid
 		case op.kind == BatchDelete:
 			// Log the record freed: a racing in-place update may have
@@ -826,14 +830,14 @@ func (p *pipeline) heapStage() bool {
 			if err == nil {
 				if newRID != op.rid {
 					vs.forget(newRID) // its new slot may hold a tombstone
-					p.moved = append(p.moved, i)
+					p.toFree = append(p.toFree, i)
 					op.oldSum = sum // what stage 5 frees, if not the pre-image
 				}
 				p.landed(i, newRID)
 			}
 		}
-		if err != nil && p.fail(i, err) {
-			return false
+		if err != nil {
+			p.fail(i, err) // raw only: a commit's ops fail nothing here
 		}
 	}
 	if len(p.recs) == 0 && !versioned {
@@ -903,23 +907,20 @@ func (p *pipeline) heapStage() bool {
 		vs.mu.Unlock()
 	}
 	if err != nil {
-		if !p.isolate {
-			p.res.fail(p.insOps[placed], err)
-			return false
-		}
 		// The rows that did place still get their index entries; the
 		// rest fail as a group (the run stops at the first bad spot, so
 		// "placed and after" is exact attribution here).
 		for _, i := range p.insOps[placed:] {
-			p.fail(i, err)
+			if p.fail(i, err) {
+				return false
+			}
 		}
 	}
 	return true
 }
 
-// indexUpserts is stage 4. It reports whether every op it was handed
-// is now indexed.
-func (p *pipeline) indexUpserts() bool {
+// indexUpserts is stage 4.
+func (p *pipeline) indexUpserts() {
 	versioned := p.vers != nil
 	ups := &p.ups
 	for _, ix := range p.t.indexes {
@@ -944,7 +945,7 @@ func (p *pipeline) indexUpserts() bool {
 			}
 			if err != nil {
 				if p.fail(i, err) {
-					return false
+					return
 				}
 				continue
 			}
@@ -985,7 +986,7 @@ func (p *pipeline) indexUpserts() bool {
 		}
 		if versioned && commitSeam(1) == 0 {
 			p.failRun(ix, errInjectedCommitFailure)
-			return false
+			return
 		}
 		ups.sort()
 		st, err := ix.tree.ApplyRun(ups.entries)
@@ -994,20 +995,18 @@ func (p *pipeline) indexUpserts() bool {
 		}
 		if err != nil {
 			// A run that fails mid-ApplyRun is not logged — its partial
-			// tree damage falls under the same "later ops may be
-			// partially indexed" caveat the Result contract carries.
+			// tree damage is why such a failure fails every op (Result).
 			p.failRun(ix, err)
-			return false
+			return
 		}
 		// An entry that did not find what it had to — an if-absent claim
 		// whose key existed, a commit's upsert over anything but the
 		// occupant its pre-check recorded — is a duplicate key, with exact
 		// attribution. A collided claim wrote nothing: the survivor's
-		// entry is untouched (a raw duplicate's heap row is orphaned,
-		// invisible to every index), and it must not replay as an upsert,
-		// so the log keeps only the entries that landed. Under isolation
-		// the duplicate fails alone and stays out of the remaining
-		// indexes' runs.
+		// entry is untouched, and it must not replay as an upsert, so the
+		// log keeps only the entries that landed. A raw duplicate fails
+		// alone and stays out of the remaining indexes' runs; stage 5
+		// takes back its row and the entries earlier runs gave it.
 		logged, stop := ups.entries[:0], false
 		for k := range ups.entries {
 			if ups.missed(k) {
@@ -1019,10 +1018,9 @@ func (p *pipeline) indexUpserts() bool {
 		}
 		p.wb.idx(ix.name, logged...)
 		if stop {
-			return false
+			return
 		}
 	}
-	return true
 }
 
 // entryOp picks how op's new entry under key enters ix, and the

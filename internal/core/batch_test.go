@@ -137,7 +137,18 @@ func TestApplyBasics(t *testing.T) {
 	}
 }
 
-func TestApplyFirstErrorTruncates(t *testing.T) {
+// opErr is op i's verdict in res: OpErrs is empty while every op
+// applies.
+func opErr(res Result, i int) error {
+	if len(res.OpErrs) == 0 {
+		return nil
+	}
+	return res.OpErrs[i]
+}
+
+// TestApplyFailedOpFailsAlone: an op that fails pre-flight fails alone.
+// The ops on either side of it apply, and Apply returns its error.
+func TestApplyFailedOpFailsAlone(t *testing.T) {
 	tb, ix := newBatchFixture(t, false)
 	var b Batch
 	b.Insert(fixedRow(1, 10))
@@ -146,28 +157,25 @@ func TestApplyFirstErrorTruncates(t *testing.T) {
 	b.Insert(tuple.Row{tuple.Int32(3), tuple.Int64(0), tuple.Int32(0)})
 	b.Insert(fixedRow(4, 40))
 	res, err := tb.Apply(&b, WithResultRIDs())
-	if err == nil {
-		t.Fatal("Apply succeeded over a bad row")
+	if err == nil || err != opErr(res, 2) {
+		t.Fatalf("Apply = %v, want op 2's error (OpErrs %v)", err, res.OpErrs)
 	}
 	if res.ErrIndex != 2 {
 		t.Errorf("ErrIndex = %d, want 2", res.ErrIndex)
 	}
-	if res.Applied != 2 {
-		t.Errorf("Applied = %d, want 2 (prefix applies)", res.Applied)
+	if res.Applied != 3 {
+		t.Errorf("Applied = %d, want 3", res.Applied)
 	}
-	if tb.Rows() != 2 {
-		t.Errorf("Rows = %d, want 2", tb.Rows())
+	if tb.Rows() != 3 {
+		t.Errorf("Rows = %d, want 3", tb.Rows())
 	}
-	for _, id := range []int64{1, 2} {
+	for _, id := range []int64{1, 2, 4} {
 		if _, lres, err := ix.Lookup(nil, tuple.Int64(id)); err != nil || !lres.Found {
-			t.Errorf("prefix id %d: found=%v err=%v", id, lres.Found, err)
+			t.Errorf("id %d: found=%v err=%v", id, lres.Found, err)
 		}
 	}
-	if _, lres, _ := ix.Lookup(nil, tuple.Int64(4)); lres.Found {
-		t.Error("op after the failed one was applied")
-	}
-	if res.RIDs[3].Valid() {
-		t.Error("op after the failed one got a RID")
+	if res.RIDs[2].Valid() || !res.RIDs[3].Valid() {
+		t.Errorf("RIDs = %v, want none for the failed op only", res.RIDs)
 	}
 	// A delete of a dead RID fails pre-flight too.
 	b.Reset()
@@ -367,9 +375,9 @@ func TestApplyStormVsCacheFirstScan(t *testing.T) {
 	}
 }
 
-// TestApplyErrorIsolation covers the coalescer's contract: under
-// WithErrorIsolation a bad op fails alone — pre-flight failures,
-// duplicate keys, and dead-RID deletes never take neighbors down.
+// TestApplyErrorIsolation covers the coalescer's contract: a bad op
+// fails alone — pre-flight failures, duplicate keys, and dead-RID
+// deletes never take neighbors down.
 func TestApplyErrorIsolation(t *testing.T) {
 	tb, ix := newBatchFixture(t, false)
 	if _, err := tb.Insert(fixedRow(7, 70)); err != nil {
@@ -383,12 +391,9 @@ func TestApplyErrorIsolation(t *testing.T) {
 	b.Insert(fixedRow(7, 71)) // duplicate key: fails in the index stage
 	b.Delete(storage.RID{Page: 9999, Slot: 0})
 	b.Insert(fixedRow(4, 40))
-	res, err := tb.Apply(&b, WithErrorIsolation(), WithResultRIDs())
-	if err != nil {
-		t.Fatalf("Apply returned a batch error under isolation: %v", err)
-	}
-	if res.Err != nil {
-		t.Errorf("Result.Err = %v, want nil (per-op failures only)", res.Err)
+	res, err := tb.Apply(&b, WithResultRIDs())
+	if err == nil || err != res.Err || err != opErr(res, 1) {
+		t.Fatalf("Apply = %v (Result.Err %v), want the lowest failed op's error", err, res.Err)
 	}
 	if res.Applied != 3 {
 		t.Errorf("Applied = %d, want 3", res.Applied)
@@ -408,11 +413,13 @@ func TestApplyErrorIsolation(t *testing.T) {
 			t.Errorf("isolated neighbor id %d: found=%v err=%v", id, lres.Found, err)
 		}
 	}
-	// The duplicate's heap write landed before detection
-	// (damage-then-report, same as the default mode) so its RID is
-	// reported even though the op failed.
-	if !res.RIDs[3].Valid() {
-		t.Error("duplicate op reached the heap but its RID was not reported")
+	// The duplicate's heap write landed before detection, and was taken
+	// back: the op reports no RID and the table counts no row for it.
+	if res.RIDs[3].Valid() {
+		t.Errorf("the failed duplicate reports RID %v", res.RIDs[3])
+	}
+	if tb.Rows() != 4 {
+		t.Errorf("Rows = %d, want 4", tb.Rows())
 	}
 }
 
@@ -426,9 +433,9 @@ func TestApplyErrorIsolationIntraBatchDuplicate(t *testing.T) {
 	b.Insert(fixedRow(50, 1))
 	b.Insert(fixedRow(50, 2))
 	b.Insert(fixedRow(11, 1))
-	res, err := tb.Apply(&b, WithErrorIsolation())
-	if err != nil {
-		t.Fatalf("Apply: %v", err)
+	res, err := tb.Apply(&b)
+	if err == nil {
+		t.Fatal("Apply reported no error for the losing duplicate")
 	}
 	if res.Applied != 3 {
 		t.Errorf("Applied = %d, want 3", res.Applied)
@@ -470,9 +477,9 @@ func TestApplyIsolationMixedOps(t *testing.T) {
 	b.Update(storage.RID{Page: 9999, Slot: 3}, fixedRow(1, 101)) // dead target
 	b.Delete(sres.RIDs[2])
 	b.Update(sres.RIDs[3], fixedRow(3, 103))
-	res, err := tb.Apply(&b, WithErrorIsolation())
-	if err != nil {
-		t.Fatalf("Apply: %v", err)
+	res, err := tb.Apply(&b)
+	if err == nil || err != opErr(res, 1) {
+		t.Fatalf("Apply = %v, want op 1's error", err)
 	}
 	if res.Applied != 3 || res.OpErrs[1] == nil {
 		t.Fatalf("Result = %+v", res)
@@ -571,10 +578,7 @@ func TestApplySameKeyOrder(t *testing.T) {
 			tb, rids := seed(t)
 			var b Batch
 			tc.build(&b, rids)
-			res, err := tb.Apply(&b, WithErrorIsolation())
-			if err != nil {
-				t.Fatalf("Apply: %v", err)
-			}
+			res, _ := tb.Apply(&b)
 
 			ref, refRIDs := seed(t)
 			var all Batch
@@ -586,17 +590,13 @@ func TestApplySameKeyOrder(t *testing.T) {
 						continue
 					}
 					one := Batch{ops: all.ops[i : i+1]}
-					r, err := ref.Apply(&one, WithErrorIsolation())
-					if err != nil {
-						t.Fatalf("reference op %d: %v", i, err)
-					}
-					refErrs[i] = r.OpErrs[0]
+					_, refErrs[i] = ref.Apply(&one)
 				}
 			}
 
 			for i := range refErrs {
-				if (res.OpErrs[i] == nil) != (refErrs[i] == nil) {
-					t.Errorf("op %d: batch err = %v, one-per-batch err = %v", i, res.OpErrs[i], refErrs[i])
+				if (opErr(res, i) == nil) != (refErrs[i] == nil) {
+					t.Errorf("op %d: batch err = %v, one-per-batch err = %v", i, opErr(res, i), refErrs[i])
 				}
 			}
 			got, want := indexContents(t, tb), indexContents(t, ref)

@@ -350,8 +350,7 @@ func (t *Table) gcLocked(watermark uint64) int {
 	if len(p.buf) == 0 {
 		return 0
 	}
-	p.ops, p.isolate = p.buf, true
-	p.res.OpErrs = make([]error, len(p.ops))
+	p.ops = p.buf
 	t.mu.RLock()
 	p.run()
 	// Crash-matrix point: the trip's effects have landed in the pool,
@@ -359,7 +358,7 @@ func (t *Table) gcLocked(watermark uint64) int {
 	wal.TestPoint("gc:unlinked")
 	p.appendRecord()
 	t.mu.RUnlock()
-	if p.res.Err != nil {
+	if p.res.Err != nil && p.res.ErrIndex == -1 {
 		// An index run or the append failed, and a pass has no caller to
 		// report to: stop the engine, and recovery redoes the pass.
 		_ = e.stop(p.res.Err)
@@ -368,12 +367,13 @@ func (t *Table) gcLocked(watermark uint64) int {
 	// The metas are NOT deleted but tombstoned, so scanners that copied
 	// a row before it was freed still see it as dead. A row already gone
 	// counts as collected: a crash between checkpointed pages and the
-	// manifest can leave a meta for it.
+	// manifest can leave a meta for it. No OpErrs: every op applied.
 	gone := make(map[uint64]struct{}, len(p.ops))
 	vs.mu.Lock()
 	defer vs.mu.Unlock()
-	for i, err := range p.res.OpErrs {
-		if rid := p.ops[i].rid; err == nil || errors.Is(err, storage.ErrDeleted) {
+	for i := range p.ops {
+		rid, errs := p.ops[i].rid, p.res.OpErrs
+		if len(errs) == 0 || errs[i] == nil || errors.Is(errs[i], storage.ErrDeleted) {
 			m := vs.m[rid]
 			m.prev = tombstonePrev
 			vs.m[rid] = m

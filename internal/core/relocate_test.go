@@ -375,8 +375,7 @@ func TestRawDeleteLogsTheRecordItFreed(t *testing.T) {
 	check("after the reopen", tb)
 }
 
-// TestSameRowTwiceInOneBatch lands two ops on row 0 in one isolated
-// batch, as the server's coalescer may when two clients write the same
+// TestSameRowTwiceInOneBatch lands two ops on row 0 in one batch, as the server's coalescer may when two clients write the same
 // row. The first op's effect stays whole: once it has moved the row off
 // its RID, a later op there fails with storage.ErrDeleted, as it would
 // on a freed slot, and so does a delete after any update of the row. An
@@ -404,17 +403,17 @@ func TestSameRowTwiceInOneBatch(t *testing.T) {
 			e, tb, ix, rid, _ := moveFixture(t, Options{Path: path, WAL: true})
 			var b Batch
 			tc.ops(&b, rid)
-			res, err := tb.Apply(&b, WithErrorIsolation())
-			if err != nil {
-				t.Fatalf("Apply: %v", err)
+			res, err := tb.Apply(&b)
+			if err != opErr(res, 1) {
+				t.Errorf("Apply = %v, want op 1's error %v", err, opErr(res, 1))
 			}
-			if res.OpErrs[0] != nil {
-				t.Errorf("op 0: %v", res.OpErrs[0])
+			if err := opErr(res, 0); err != nil {
+				t.Errorf("op 0: %v", err)
 			}
-			if tc.failSecond && !errors.Is(res.OpErrs[1], storage.ErrDeleted) {
-				t.Errorf("op 1 = %v, want storage.ErrDeleted", res.OpErrs[1])
-			} else if !tc.failSecond && res.OpErrs[1] != nil {
-				t.Errorf("op 1: %v", res.OpErrs[1])
+			if err := opErr(res, 1); tc.failSecond && !errors.Is(err, storage.ErrDeleted) {
+				t.Errorf("op 1 = %v, want storage.ErrDeleted", err)
+			} else if !tc.failSecond && err != nil {
+				t.Errorf("op 1: %v", err)
 			}
 			row, lr, err := ix.Lookup(nil, tuple.Int64(0))
 			if err != nil || !lr.Found || !row.Equal(tc.want) {

@@ -273,7 +273,8 @@ func (tx *Txn) Apply(t *Table, b *Batch) (Result, error) {
 		tx.writes.truncate(nWrites)
 		tx.tables = tx.tables[:nTables]
 		tx.sc = sc
-		return res, res.fail(i, err)
+		res.ErrIndex, res.Err = i, err
+		return res, err
 	}
 	tx.nBatch++
 	res.Applied = len(b.ops)

@@ -271,22 +271,24 @@ var writeDrivers = []writeDriver{
 		}
 	}},
 	{"isolated-apply", func(t *testing.T, _ *Engine, tb *Table, m writeModel, chunk []lop) {
-		res, err := tb.Apply(resolve(t, tb, chunk), WithErrorIsolation(), WithResultRIDs())
-		if err != nil {
-			t.Fatalf("Apply: %v", err)
-		}
-		applied := 0
+		res, err := tb.Apply(resolve(t, tb, chunk), WithResultRIDs())
+		applied, lowest := 0, -1
 		for i, op := range chunk {
 			want := m.apply(op)
-			if (res.OpErrs[i] == nil) != want {
-				t.Fatalf("op %d %+v: err = %v, model says lands=%v", i, op, res.OpErrs[i], want)
+			if (opErr(res, i) == nil) != want {
+				t.Fatalf("op %d %+v: err = %v, model says lands=%v", i, op, opErr(res, i), want)
 			}
 			if want {
 				applied++
+			} else if lowest == -1 {
+				lowest = i
 			}
 		}
 		if res.Applied != applied {
 			t.Fatalf("Applied = %d, model says %d", res.Applied, applied)
+		}
+		if lowest == -1 && err != nil || lowest != -1 && (res.ErrIndex != lowest || err != opErr(res, lowest)) {
+			t.Fatalf("Apply = %v (ErrIndex %d), model says the lowest failed op is %d", err, res.ErrIndex, lowest)
 		}
 	}},
 	{"txn", func(t *testing.T, e *Engine, tb *Table, m writeModel, chunk []lop) {
@@ -303,19 +305,23 @@ var writeDrivers = []writeDriver{
 	}},
 }
 
-// verifyWritePath checks tb against m through both indexes and both
-// cache policies, then every tree's integrity and the pool's pins.
+// verifyWritePath checks tb against m through a heap scan, both
+// indexes and both cache policies, and its row count, then every tree's
+// integrity and the pool's pins.
 func verifyWritePath(t *testing.T, when string, e *Engine, m writeModel) {
 	t.Helper()
 	tb, err := e.Table("t")
 	if err != nil {
 		t.Fatalf("%s: %v", when, err)
 	}
-	byID := tb.indexes["by_id"]
+	if n := tb.Rows(); n != int64(len(m)) {
+		t.Errorf("%s: Rows = %d, model has %d", when, n, len(m))
+	}
 	for _, q := range []struct {
 		name string
 		opts []QueryOption
 	}{
+		{"heap", nil},
 		{"by_id cache-first", []QueryOption{WithIndex("by_id"), WithProjection("id", "a", "b")}},
 		{"by_id heap-only", []QueryOption{WithIndex("by_id"), WithCachePolicy(HeapOnly)}},
 		{"by_a", []QueryOption{WithIndex("by_a")}},
@@ -330,11 +336,8 @@ func verifyWritePath(t *testing.T, when string, e *Engine, m writeModel) {
 			if !checkInvariant(row) {
 				t.Fatalf("%s: %s: torn row %v", when, q.name, row)
 			}
-			// A failed duplicate insert leaves an orphaned heap row that
-			// indexes maintained before the collision still point at;
-			// a row is live when the unique index resolves its key to it.
-			if rid, found, err := byID.LookupRID(row[0]); err != nil || !found || rid != cur.RID() {
-				continue
+			if _, dup := got[row[0].Int]; dup {
+				t.Fatalf("%s: %s: id %d served twice", when, q.name, row[0].Int)
 			}
 			got[row[0].Int] = row[1].Int
 		}

@@ -33,16 +33,17 @@ var jobPool = sync.Pool{New: func() any { return &applyJob{wake: make(chan bool,
 // outgoing leader hands the baton to the first of them: the wait for
 // the cycle in flight is the only wait there is, and it is what forms
 // the next batch. One Table.Apply under one WAL group commit lands a
-// cycle; results demultiplex back per job with core's per-op error
-// isolation, so one client's duplicate key never fails a neighbor's op.
+// cycle; results demultiplex back per job from core's per-op verdicts
+// (Result.OpErrs), so one client's duplicate key never fails a
+// neighbor's op.
 //
 // Lock order (ARCHITECTURE.md rule 8): mu is a leaf. It guards the two
 // fields below for a few instructions at a time, never across
 // Table.Apply, a channel operation or an engine lock, so parking can
 // never invert with the commit gate.
 type coalescer struct {
-	// land applies one cycle's batch (Table.ApplyInto with per-op isolation
-	// and result RIDs); a field so that tests can hold a cycle open or fail it.
+	// land applies one cycle's batch (Table.ApplyInto with result RIDs); a
+	// field so that tests can hold a cycle open or fail it.
 	land   func(*core.Result, *core.Batch) error
 	maxOps int
 	solo   bool // Config.NoCoalesce: every job is a cycle of its own
@@ -114,9 +115,9 @@ func (c *coalescer) pass() {
 }
 
 // lead runs one cycle on the calling handler's goroutine: build the
-// shared batch in arrival order, apply with per-op isolation, pass the
-// baton, slice results back per job. The baton leaves before the
-// results do, so the next cycle's Apply overlaps this one's replies.
+// shared batch in arrival order, apply it, pass the baton, slice
+// results back per job. The baton leaves before the results do, so the
+// next cycle's Apply overlaps this one's replies.
 func (c *coalescer) lead(j *applyJob) {
 	j.batch.Reset()
 	for _, m := range j.cycle {
@@ -147,37 +148,31 @@ func (c *coalescer) lead(j *applyJob) {
 }
 
 // sliceResult extracts ops [off, off+n) of a batch result into out,
-// reusing its slices. A batch-level error (err != nil, or res.Err from
-// a non-attributable failure) fails every op that has no more specific
-// per-op error. The error list is filled in only once an op fails: an
-// answer whose every op applied carries none.
+// reusing its slices. Op i failed if res.OpErrs holds its error. A
+// result with no OpErrs is a raw Apply's whose every op applied, or a
+// staged Txn.Apply's, which stages all or nothing: there every op
+// failed if err is set. The error list is filled in only once an op
+// fails: an answer whose every op applied carries none.
 func sliceResult(out *wire.ApplyResp, res *core.Result, err error, off, n int) {
 	out.Applied = 0
 	out.RIDs = append(out.RIDs[:0], make([]uint64, n)...)
 	out.OpErrs = out.OpErrs[:0]
-	if err == nil {
-		err = res.Err
-	}
 	for i := 0; i < n; i++ {
 		gi := off + i
 		if gi < len(res.RIDs) && res.RIDs[gi].Valid() {
 			out.RIDs[i] = res.RIDs[gi].Pack()
 		}
-		var msg string
-		switch {
-		case gi < len(res.OpErrs) && res.OpErrs[gi] != nil:
-			msg = res.OpErrs[gi].Error()
-		case err != nil && gi >= res.Applied:
-			// Without isolation results, Applied is the count of the
-			// leading ops that landed before the batch failed.
-			msg = err.Error()
-		default:
+		failed := err
+		if len(res.OpErrs) > 0 {
+			failed = res.OpErrs[gi]
+		}
+		if failed == nil {
 			out.Applied++
 			continue
 		}
 		if len(out.OpErrs) == 0 {
 			out.OpErrs = append(out.OpErrs, make([]string, n)...)
 		}
-		out.OpErrs[i] = msg
+		out.OpErrs[i] = failed.Error()
 	}
 }

@@ -40,9 +40,11 @@ func heldCoalescer(maxOps int) (*coalescer, chan heldCycle) {
 		}
 		cycles <- h
 		err := <-h.land
-		*res = core.Result{ErrIndex: -1, Err: err}
-		if err == nil {
-			res.Applied = b.Len()
+		// As a raw Apply reports a failure no op is to blame for: every
+		// op carries it.
+		*res = core.Result{ErrIndex: -1, Err: err, Applied: b.Len()}
+		if err != nil {
+			res.Applied, res.OpErrs = 0, slices.Repeat([]error{err}, b.Len())
 		}
 		return err
 	}

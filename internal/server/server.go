@@ -280,7 +280,7 @@ func (s *Server) coalescerFor(name string, tb *core.Table) *coalescer {
 	if !ok {
 		c = &coalescer{
 			land: func(res *core.Result, b *core.Batch) error {
-				return tb.ApplyInto(res, b, core.WithErrorIsolation(), core.WithResultRIDs())
+				return tb.ApplyInto(res, b, core.WithResultRIDs())
 			},
 			maxOps: maxCycleOps,
 			solo:   s.cfg.NoCoalesce,

@@ -103,11 +103,21 @@ func (l *Log) FailWrite(after int, err error) {
 	l.mu.Unlock()
 }
 
-// faultFile is a log file armed by FailWrite.
+// FailSync makes the log's next fsync fail with err, once, as FailWrite
+// fails a write: test support for what a failed durability wait does
+// above the log (the log itself is then poisoned, see ErrPoisoned).
+func (l *Log) FailSync(err error) {
+	l.mu.Lock()
+	l.f = &faultFile{logFile: l.f, syncErr: err}
+	l.mu.Unlock()
+}
+
+// faultFile is a log file armed by FailWrite or FailSync.
 type faultFile struct {
 	logFile
-	after int
-	err   error
+	after   int
+	err     error
+	syncErr error
 }
 
 func (f *faultFile) WriteAt(p []byte, off int64) (int, error) {
@@ -115,6 +125,14 @@ func (f *faultFile) WriteAt(p []byte, off int64) (int, error) {
 		return 0, f.err
 	}
 	return f.logFile.WriteAt(p, off)
+}
+
+func (f *faultFile) Sync() error {
+	if err := f.syncErr; err != nil {
+		f.syncErr = nil
+		return err
+	}
+	return f.logFile.Sync()
 }
 
 // Log is an append-only redo log over a single file. All methods are

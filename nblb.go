@@ -59,7 +59,7 @@ type QueryOption = core.QueryOption
 
 // Batch accumulates inserts, updates, and deletes for Table.Apply —
 // the write-side counterpart of Query. A zero Batch is ready to use;
-// see Apply for the per-op-atomicity contract.
+// each op applies or fails on its own (see ApplyResult).
 type Batch = core.Batch
 
 // BatchOp is the public view of one queued Batch operation.
@@ -78,8 +78,9 @@ const (
 // ApplyOption configures Table.Apply (per-op result RIDs).
 type ApplyOption = core.ApplyOption
 
-// ApplyResult reports what one Table.Apply did (ops applied, first
-// failed op, per-op RIDs when requested).
+// ApplyResult reports what one Table.Apply did: ops applied, the
+// lowest failed op and its error (which Apply returns), each op's error
+// once one fails, and per-op RIDs when requested.
 type ApplyResult = core.Result
 
 // TableOption configures CreateTable (heap placement policy, heap fill
